@@ -3,11 +3,11 @@ GO ?= go
 # Packages with fuzz targets and checked-in seed corpora.
 FUZZ_PKGS = ./internal/uisr/ ./internal/hv/xen/ ./internal/hv/kvm/ \
 	./internal/migration/ ./internal/checkpoint/ ./internal/pram/ \
-	./internal/difffuzz/
+	./internal/difffuzz/ ./internal/hw/
 
 .PHONY: all build vet fmt-check test race check bench benchdiff benchfig \
 	trace-demo slo-demo fault-matrix crash-matrix soak crash-storm \
-	soak-short race-check fuzz-seeds calib-check
+	soak-short race-check fuzz-seeds calib-check bench-smoke
 
 all: check
 
@@ -40,10 +40,19 @@ race:
 
 # check is the PR gate: formatting + vet + build + the full suite under
 # the race detector (the determinism and pool-stress tests rely on it),
-# plus the short chaos soak and the parser fuzz seeds.
+# plus the short chaos soak, the parser fuzz seeds and the benchmark
+# module's smoke run.
 check: fmt-check
 	$(GO) vet ./... && $(GO) build ./... && $(GO) test -race ./...
 	$(MAKE) soak-short
+	$(MAKE) bench-smoke
+
+# bench-smoke compiles, tests and runs bench/ at its smallest scale.
+# bench/ is a module of its own, so `go build ./... && go test ./...`
+# never compiles it, yet it calls internal/ packages by name: this is
+# the gate that a signature it uses still exists and its goldens hold.
+bench-smoke:
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./... && bash bench/run.sh -scale tiny
 
 # bench runs every benchmark in the repo (not just the root package)
 # with allocation stats; -run '^$$' keeps plain tests out of the timing.

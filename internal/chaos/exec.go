@@ -368,7 +368,7 @@ func (h *harness) applyBreak(op *Op, opErr error) {
 		}
 		// One VM_i State frame tagged to a VM id that never existed:
 		// the residue of a forgotten teardown path.
-		_, _ = node.Driver.Hypervisor().Machine().Mem.Alloc(1, hw.OwnerVMState, deadVMID)
+		_, _ = node.Driver.Hypervisor().Machine().Mem.AllocRanges(1, hw.OwnerVMState, deadVMID)
 	case "corrupt-memory":
 		if op.Kind != OpWorkload {
 			return

@@ -8,6 +8,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
@@ -69,16 +70,12 @@ func Save(h hv.Hypervisor, id hv.VMID) (*Image, error) {
 	mem := h.Machine().Mem
 	perExtent, err := par.Map(vm.Space.Extents(), func(_ int, e uisr.PageExtent) ([]PageRecord, error) {
 		var recs []PageRecord
-		for p := uint64(0); p < e.Pages(); p++ {
-			mfn := hw.MFN(e.MFN + p)
-			if !mem.Touched(mfn) {
-				continue
-			}
-			data, err := mem.Read(mfn, 0, hw.PageSize4K)
-			if err != nil {
-				return nil, err
-			}
-			recs = append(recs, PageRecord{GFN: hw.GFN(e.GFN + p), Data: data})
+		err := mem.ForEachTouched(hw.MFN(e.MFN), e.Pages(), func(m hw.MFN, data []byte) error {
+			recs = append(recs, PageRecord{GFN: hw.GFN(e.GFN + uint64(m) - e.MFN), Data: bytes.Clone(data)})
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		return recs, nil
 	})

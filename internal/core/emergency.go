@@ -93,7 +93,7 @@ func (e *Engine) Emergency(src hv.Hypervisor, target hv.Kind, opts Options) (hv.
 	var (
 		img        *kexec.Image
 		ps         *pram.Structure
-		blobFrames [][]hw.MFN
+		blobFrames [][]hw.FrameRange
 		err        error
 	)
 	// frozen abandons the salvage before the point of no return. Unlike
@@ -103,9 +103,7 @@ func (e *Engine) Emergency(src hv.Hypervisor, target hv.Kind, opts Options) (hv.
 	frozen := func(cause error) (hv.Hypervisor, *InPlaceReport, error) {
 		fz := e.Obs.Start("frozen", obs.A("cause", cause.Error()))
 		for _, frames := range blobFrames {
-			for _, f := range frames {
-				_ = e.Machine.Mem.Free(f)
-			}
+			_ = e.Machine.Mem.FreeRanges(frames)
 		}
 		if ps != nil {
 			_ = ps.Release(e.Machine.Mem)
@@ -253,7 +251,7 @@ func (e *Engine) Emergency(src hv.Hypervisor, target hv.Kind, opts Options) (hv.
 	type savedVM struct {
 		res    VMResult
 		inPl   bool
-		frames []hw.MFN
+		frames []hw.FrameRange
 	}
 	sp = e.Obs.Start(trace.StepTranslate)
 	states := make([]*uisr.VMState, 0, len(vms))
@@ -501,10 +499,8 @@ func (e *Engine) Emergency(src hv.Hypervisor, target hv.Kind, opts Options) (hv.
 				return lost(err)
 			}
 		}
-		for _, f := range s.frames {
-			if err := e.Machine.Mem.Free(f); err != nil {
-				return lost(err)
-			}
+		if err := e.Machine.Mem.FreeRanges(s.frames); err != nil {
+			return lost(err)
 		}
 		report.VMs = append(report.VMs, s.res)
 	}

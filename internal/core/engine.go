@@ -10,6 +10,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -258,7 +259,7 @@ func (e *Engine) InPlace(src hv.Hypervisor, target hv.Kind, opts Options) (hv.Hy
 		img            *kexec.Image
 		ps             *pram.Structure
 		guests         map[string]*guest.Guest
-		blobFrames     [][]hw.MFN
+		blobFrames     [][]hw.FrameRange
 		pausedVMs      []*hv.VM
 		preparedGuests []*guest.Guest
 		err            error
@@ -266,9 +267,7 @@ func (e *Engine) InPlace(src hv.Hypervisor, target hv.Kind, opts Options) (hv.Hy
 	rollback := func(cause error) (hv.Hypervisor, *InPlaceReport, error) {
 		rb := e.Obs.Start("rollback", obs.A("cause", cause.Error()))
 		for _, frames := range blobFrames {
-			for _, f := range frames {
-				_ = e.Machine.Mem.Free(f)
-			}
+			_ = e.Machine.Mem.FreeRanges(frames)
 		}
 		if ps != nil {
 			_ = ps.Release(e.Machine.Mem)
@@ -302,9 +301,7 @@ func (e *Engine) InPlace(src hv.Hypervisor, target hv.Kind, opts Options) (hv.Hy
 	crashAbandon := func(cause error) (hv.Hypervisor, *InPlaceReport, error) {
 		ca := e.Obs.Start("crash-abandon", obs.A("cause", cause.Error()))
 		for _, frames := range blobFrames {
-			for _, f := range frames {
-				_ = e.Machine.Mem.Free(f)
-			}
+			_ = e.Machine.Mem.FreeRanges(frames)
 		}
 		if ps != nil {
 			_ = ps.Release(e.Machine.Mem)
@@ -454,7 +451,7 @@ func (e *Engine) InPlace(src hv.Hypervisor, target hv.Kind, opts Options) (hv.Hy
 	type savedVM struct {
 		res    VMResult
 		inPl   bool
-		frames []hw.MFN
+		frames []hw.FrameRange
 		bytes  int
 	}
 	sp = e.Obs.Start(trace.StepTranslate)
@@ -541,7 +538,7 @@ func (e *Engine) InPlace(src hv.Hypervisor, target hv.Kind, opts Options) (hv.Hy
 		// byte-stable across repeat transplants and the snapshot replay
 		// can fire. Falls back to cursor allocation when the old frames
 		// are taken.
-		var frames []hw.MFN
+		var frames []hw.FrameRange
 		if opts.Cache != nil {
 			frames = writeBlobAt(e.Machine.Mem, blob, opts.Cache.BlobFrames(e.Machine, blobHashes[i]))
 		}
@@ -804,10 +801,8 @@ func (e *Engine) InPlace(src hv.Hypervisor, target hv.Kind, opts Options) (hv.Hy
 				return lost(err)
 			}
 		}
-		for _, f := range s.frames {
-			if err := e.Machine.Mem.Free(f); err != nil {
-				return lost(err)
-			}
+		if err := e.Machine.Mem.FreeRanges(s.frames); err != nil {
+			return lost(err)
 		}
 		report.VMs = append(report.VMs, s.res)
 	}
@@ -875,12 +870,8 @@ func releaseVMState(h hv.Hypervisor, id hv.VMID) error {
 
 const blobPrefix = "uisr:"
 
-func blobFile(vmName string, frames []hw.MFN) pram.File {
-	extents := make([]uisr.PageExtent, len(frames))
-	for i, f := range frames {
-		extents[i] = uisr.PageExtent{GFN: uint64(i), MFN: uint64(f), Order: 0}
-	}
-	return pram.File{Name: blobPrefix + vmName, Extents: extents}
+func blobFile(vmName string, frames []hw.FrameRange) pram.File {
+	return pram.File{Name: blobPrefix + vmName, Extents: hv.FrameExtents(frames)}
 }
 
 func blobFileName(fileName string) (string, bool) {
@@ -890,101 +881,63 @@ func blobFileName(fileName string) (string, bool) {
 	return "", false
 }
 
-// writeBlob stores a length-prefixed blob into freshly allocated frames.
+// blobImage returns blob behind its 8-byte little-endian length prefix,
+// the form it is stored in.
+func blobImage(blob []byte) []byte {
+	buf := make([]byte, 8+len(blob))
+	binary.LittleEndian.PutUint64(buf, uint64(len(blob)))
+	copy(buf[8:], blob)
+	return buf
+}
+
 // writeBlobAt re-materializes a blob at the exact frames it occupied on
 // a previous transplant, claiming them if they are all still free.
 // Returns nil when the placement is unknown, the wrong size, or any
 // frame is taken — the caller falls back to cursor allocation.
-func writeBlobAt(mem *hw.PhysMem, blob []byte, frames []hw.MFN) []hw.MFN {
-	total := 8 + len(blob)
-	if len(frames) != (total+hw.PageSize4K-1)/hw.PageSize4K {
+func writeBlobAt(mem *hw.PhysMem, blob []byte, frames []hw.FrameRange) []hw.FrameRange {
+	if hw.CountFrames(frames) != uint64(8+len(blob)+hw.PageSize4K-1)/hw.PageSize4K {
 		return nil
 	}
-	var runs []hw.FrameRange
-	for _, f := range frames {
-		if n := len(runs); n > 0 && runs[n-1].Start+hw.MFN(runs[n-1].Count) == f {
-			runs[n-1].Count++
-			continue
-		}
-		runs = append(runs, hw.FrameRange{Start: f, Count: 1})
-	}
-	for i, r := range runs {
+	for i, r := range frames {
 		if err := mem.ClaimRange(r.Start, r.Count, hw.OwnerPRAM, -1); err != nil {
-			for _, u := range runs[:i] {
-				_ = mem.FreeRange(u.Start, u.Count)
-			}
+			_ = mem.FreeRanges(frames[:i])
 			return nil
 		}
 	}
-	buf := make([]byte, total)
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(uint64(len(blob)) >> (8 * i))
-	}
-	copy(buf[8:], blob)
-	for i := 0; i < len(buf); i += hw.PageSize4K {
-		end := i + hw.PageSize4K
-		if end > len(buf) {
-			end = len(buf)
-		}
-		if err := mem.Write(frames[i/hw.PageSize4K], 0, buf[i:end]); err != nil {
-			for _, u := range runs {
-				_ = mem.FreeRange(u.Start, u.Count)
-			}
-			return nil
-		}
+	if err := mem.WriteRanges(frames, blobImage(blob)); err != nil {
+		_ = mem.FreeRanges(frames)
+		return nil
 	}
 	return frames
 }
 
-func writeBlob(mem *hw.PhysMem, blob []byte) ([]hw.MFN, error) {
-	total := 8 + len(blob)
-	n := (total + hw.PageSize4K - 1) / hw.PageSize4K
-	frames, err := mem.Alloc(n, hw.OwnerPRAM, -1)
+// writeBlob stores a length-prefixed blob into freshly allocated frames.
+func writeBlob(mem *hw.PhysMem, blob []byte) ([]hw.FrameRange, error) {
+	frames, err := mem.AllocRanges((8+len(blob)+hw.PageSize4K-1)/hw.PageSize4K, hw.OwnerPRAM, -1)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, total)
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(uint64(len(blob)) >> (8 * i))
-	}
-	copy(buf[8:], blob)
-	for i := 0; i < len(buf); i += hw.PageSize4K {
-		end := i + hw.PageSize4K
-		if end > len(buf) {
-			end = len(buf)
-		}
-		if err := mem.Write(frames[i/hw.PageSize4K], 0, buf[i:end]); err != nil {
-			return nil, err
-		}
+	if err := mem.WriteRanges(frames, blobImage(blob)); err != nil {
+		return nil, err
 	}
 	return frames, nil
 }
 
 // readBlob loads a length-prefixed blob from the frames a PRAM file
-// records. The page count is known up front, so the whole blob is read
-// into a single allocation.
+// records.
 func readBlob(mem *hw.PhysMem, f pram.File) ([]byte, error) {
-	var pages uint64
+	var ranges []hw.FrameRange
 	for _, e := range f.Extents {
-		pages += e.Pages()
+		ranges = hw.AppendRange(ranges, hw.FrameRange{Start: hw.MFN(e.MFN), Count: e.Pages()})
 	}
-	raw := make([]byte, pages*hw.PageSize4K)
-	off := 0
-	for _, e := range f.Extents {
-		for p := uint64(0); p < e.Pages(); p++ {
-			if err := mem.ReadInto(hw.MFN(e.MFN+p), 0, raw[off:off+hw.PageSize4K]); err != nil {
-				return nil, err
-			}
-			off += hw.PageSize4K
-		}
+	raw, err := mem.ReadRanges(ranges)
+	if err != nil {
+		return nil, err
 	}
 	if len(raw) < 8 {
 		return nil, fmt.Errorf("core: blob file %q too short", f.Name)
 	}
-	var n uint64
-	for i := 7; i >= 0; i-- {
-		n = n<<8 | uint64(raw[i])
-	}
+	n := binary.LittleEndian.Uint64(raw)
 	if n > uint64(len(raw)-8) {
 		return nil, fmt.Errorf("core: blob file %q claims %d bytes, have %d", f.Name, n, len(raw)-8)
 	}

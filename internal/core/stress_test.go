@@ -75,7 +75,7 @@ func TestInPlaceFailsWhenNoRoomForImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	free := b.m.Mem.FreeFrames()
-	if _, err := b.m.Mem.Alloc(int(free)-100, hw.OwnerHV, -1); err != nil {
+	if _, err := b.m.Mem.AllocRanges(int(free)-100, hw.OwnerHV, -1); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := b.engine.InPlace(h, hv.KindKVM, DefaultOptions()); err == nil {

@@ -12,6 +12,7 @@ package guest
 
 import (
 	"fmt"
+	"slices"
 
 	"hypertp/internal/hw"
 	"hypertp/internal/par"
@@ -103,17 +104,47 @@ type Guest struct {
 	Name    string
 	mem     Memory
 	drivers []*Driver
-	// writes tracks everything the guest has written:
-	// (gfn, off) -> value, so integrity can be verified byte-for-byte
-	// after any transplant. Only bookkeeping — the actual bytes live in
-	// simulated physical memory.
-	writes map[pageOff]byte
-	seq    uint64
+	// writes tracks everything the guest has written, per page, so
+	// integrity can be verified byte-for-byte after any transplant. Only
+	// bookkeeping — the actual bytes live in simulated physical memory.
+	writes  map[hw.GFN]*pageWrites
+	written int // distinct bytes recorded in writes
+	seq     uint64
 }
 
-type pageOff struct {
-	gfn hw.GFN
-	off uint16
+// pageWrites is what the guest expects one page to hold: data are the
+// bytes at offsets [off, off+len(data)), the hull of everything it wrote
+// there, and written marks which of them it actually wrote.
+type pageWrites struct {
+	off     int
+	data    []byte
+	written []bool
+}
+
+// record notes that the guest wrote data at offset off of page gfn.
+func (g *Guest) record(gfn hw.GFN, off int, data []byte) {
+	if len(data) == 0 {
+		return
+	}
+	w := g.writes[gfn]
+	if w == nil {
+		w = &pageWrites{off: off}
+		g.writes[gfn] = w
+	}
+	lo, hi := min(w.off, off), max(w.off+len(w.data), off+len(data))
+	if hi-lo > len(w.data) {
+		grown := pageWrites{off: lo, data: make([]byte, hi-lo), written: make([]bool, hi-lo)}
+		copy(grown.data[w.off-lo:], w.data)
+		copy(grown.written[w.off-lo:], w.written)
+		*w = grown
+	}
+	copy(w.data[off-w.off:], data)
+	for i := off - w.off; i < off-w.off+len(data); i++ {
+		if !w.written[i] {
+			w.written[i] = true
+			g.written++
+		}
+	}
 }
 
 // New creates a guest bound to mem with the given device drivers.
@@ -122,7 +153,7 @@ func New(name string, mem Memory, drivers ...*Driver) *Guest {
 		Name:    name,
 		mem:     mem,
 		drivers: drivers,
-		writes:  make(map[pageOff]byte),
+		writes:  make(map[hw.GFN]*pageWrites),
 	}
 }
 
@@ -152,9 +183,7 @@ func (g *Guest) Write(gfn hw.GFN, off int, data []byte) error {
 	if err := g.mem.WritePage(gfn, off, data); err != nil {
 		return err
 	}
-	for i, b := range data {
-		g.writes[pageOff{gfn, uint16(off + i)}] = b
-	}
+	g.record(gfn, off, data)
 	return nil
 }
 
@@ -196,37 +225,33 @@ func (g *Guest) WriteWorkingSet(startGFN hw.GFN, npages int) error {
 	}
 	for i := 0; i < npages; i++ {
 		gfn := startGFN + hw.GFN(i)
-		off := int(uint64(gfn) % (hw.PageSize4K - 64))
-		for j, b := range recs[i] {
-			g.writes[pageOff{gfn, uint16(off + j)}] = b
-		}
+		g.record(gfn, int(uint64(gfn)%(hw.PageSize4K-64)), recs[i][:])
 	}
 	return nil
 }
 
-// Verify re-reads every byte the guest ever wrote and reports the first
-// mismatch. A nil return is the Guest State preservation property.
-// Reads are independent, so the check fans out over a snapshot of the
-// recorded writes.
+// Verify re-reads every byte the guest ever wrote and reports the
+// mismatch at the lowest (gfn, off). A nil return is the Guest State
+// preservation property. Each written page is read once, over the hull of
+// its recorded bytes; pages are independent, so the check fans out.
 func (g *Guest) Verify() error {
-	type rec struct {
-		k    pageOff
-		want byte
+	gfns := make([]hw.GFN, 0, len(g.writes))
+	for gfn := range g.writes {
+		gfns = append(gfns, gfn)
 	}
-	recs := make([]rec, 0, len(g.writes))
-	for k, want := range g.writes {
-		recs = append(recs, rec{k, want})
-	}
-	return par.ForEachSpan(len(recs), func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			k, want := recs[i].k, recs[i].want
-			got, err := g.mem.ReadPage(k.gfn, int(k.off), 1)
+	slices.Sort(gfns)
+	return par.ForEachSpan(len(gfns), func(lo, hi int) error {
+		for _, gfn := range gfns[lo:hi] {
+			w := g.writes[gfn]
+			got, err := g.mem.ReadPage(gfn, w.off, len(w.data))
 			if err != nil {
-				return fmt.Errorf("guest %s: verify gfn %d off %d: %w", g.Name, k.gfn, k.off, err)
+				return fmt.Errorf("guest %s: verify gfn %d off %d: %w", g.Name, gfn, w.off, err)
 			}
-			if got[0] != want {
-				return fmt.Errorf("guest %s: corrupt byte at gfn %d off %d: got %#x want %#x",
-					g.Name, k.gfn, k.off, got[0], want)
+			for i, want := range w.data {
+				if w.written[i] && got[i] != want {
+					return fmt.Errorf("guest %s: corrupt byte at gfn %d off %d: got %#x want %#x",
+						g.Name, gfn, w.off+i, got[i], want)
+				}
 			}
 		}
 		return nil
@@ -234,7 +259,7 @@ func (g *Guest) Verify() error {
 }
 
 // WrittenBytes returns the number of distinct bytes the guest has written.
-func (g *Guest) WrittenBytes() int { return len(g.writes) }
+func (g *Guest) WrittenBytes() int { return g.written }
 
 // PrepareTransplant runs the pre-transplant notification (delivered
 // similarly to Azure's Scheduled Events, per the paper): passthrough

@@ -1,6 +1,8 @@
 package guest
 
 import (
+	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -8,8 +10,10 @@ import (
 )
 
 // fakeMem is a simple in-process Memory for unit-testing the guest in
-// isolation from any hypervisor.
+// isolation from any hypervisor. The guest writes and verifies pages from
+// the par pool, so the page map is guarded.
 type fakeMem struct {
+	mu    sync.Mutex
 	pages map[hw.GFN][]byte
 	n     uint64
 }
@@ -19,6 +23,8 @@ func newFakeMem(pages uint64) *fakeMem {
 }
 
 func (f *fakeMem) WritePage(gfn hw.GFN, off int, data []byte) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	p, ok := f.pages[gfn]
 	if !ok {
 		p = make([]byte, hw.PageSize4K)
@@ -30,6 +36,8 @@ func (f *fakeMem) WritePage(gfn hw.GFN, off int, data []byte) error {
 
 func (f *fakeMem) ReadPage(gfn hw.GFN, off, n int) ([]byte, error) {
 	out := make([]byte, n)
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if p, ok := f.pages[gfn]; ok {
 		copy(out, p[off:off+n])
 	}
@@ -68,6 +76,33 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	mem.pages[3][0] = 0xBB // corrupt behind the guest's back
 	if err := g.Verify(); err == nil {
 		t.Fatal("Verify missed corruption")
+	}
+}
+
+// TestVerifyReportsLowestMismatch: with several corrupt bytes the error
+// must always name the lowest (gfn, off), whatever order the bookkeeping
+// map iterates in and however the pages are split over the par pool.
+func TestVerifyReportsLowestMismatch(t *testing.T) {
+	mem := newFakeMem(1024)
+	g := New("g0", mem)
+	if err := g.WriteWorkingSet(0, 64); err != nil {
+		t.Fatal(err)
+	}
+	// A second, disjoint write to page 9 leaves a gap in its hull that
+	// the guest never wrote: garbage there is not corruption.
+	if err := g.Write(9, 4000, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	mem.pages[9][3000] ^= 0xFF  // in the gap: must be ignored
+	mem.pages[40][40+5] ^= 0xFF // record of page 40 starts at offset 40
+	mem.pages[9][4001] ^= 0xFF
+	mem.pages[9][9+63] ^= 0xFF // record of page 9 starts at offset 9
+	want := "guest g0: corrupt byte at gfn 9 off 72: "
+	for i := 0; i < 20; i++ {
+		err := g.Verify()
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("run %d: Verify = %v, want prefix %q", i, err, want)
+		}
 	}
 }
 

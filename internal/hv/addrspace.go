@@ -1,7 +1,9 @@
 package hv
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -31,9 +33,11 @@ type AddressSpace struct {
 // non-overlapping in GFN space and aligned to their order; they are sorted
 // here.
 func NewAddressSpace(mem *hw.PhysMem, extents []uisr.PageExtent) (*AddressSpace, error) {
-	sorted := make([]uisr.PageExtent, len(extents))
-	copy(sorted, extents)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].GFN < sorted[j].GFN })
+	sorted := slices.Clone(extents)
+	byGFN := func(a, b uisr.PageExtent) int { return cmp.Compare(a.GFN, b.GFN) }
+	if !slices.IsSortedFunc(sorted, byGFN) {
+		slices.SortFunc(sorted, byGFN)
+	}
 	var pages uint64
 	for i, e := range sorted {
 		if e.GFN%e.Pages() != 0 || e.MFN%e.Pages() != 0 {
@@ -69,15 +73,25 @@ func AllocAddressSpace(mem *hw.PhysMem, vm int, memBytes uint64, huge bool) (*Ad
 		}
 	} else {
 		n := memBytes / hw.PageSize4K
-		mfns, err := mem.Alloc(int(n), hw.OwnerGuest, vm)
+		ranges, err := mem.AllocRanges(int(n), hw.OwnerGuest, vm)
 		if err != nil {
 			return nil, fmt.Errorf("hv: guest alloc: %w", err)
 		}
-		for i, m := range mfns {
-			extents = append(extents, uisr.PageExtent{GFN: uint64(i), MFN: uint64(m), Order: 0})
-		}
+		extents = FrameExtents(ranges)
 	}
 	return NewAddressSpace(mem, extents)
+}
+
+// FrameExtents maps the frames of ranges, in order, at guest frames 0, 1,
+// ... as order-0 extents.
+func FrameExtents(ranges []hw.FrameRange) []uisr.PageExtent {
+	extents := make([]uisr.PageExtent, 0, hw.CountFrames(ranges))
+	for _, r := range ranges {
+		for m := r.Start; m < r.End(); m++ {
+			extents = append(extents, uisr.PageExtent{GFN: uint64(len(extents)), MFN: uint64(m), Order: 0})
+		}
+	}
+	return extents
 }
 
 // Extents returns the address space's extent list (sorted by GFN). The
@@ -127,7 +141,8 @@ func (as *AddressSpace) ReadPage(gfn hw.GFN, off, n int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return as.mem.Read(mfn, off, n)
+	out := make([]byte, n)
+	return out, as.mem.ReadInto(mfn, off, out)
 }
 
 // EnableDirtyLog starts dirty-page tracking (all pages considered clean).
@@ -175,17 +190,7 @@ func (as *AddressSpace) ChecksumAll() (uint64, error) {
 	// GFN), so per-extent partial sums merge to the same value in any
 	// execution order — checksumming parallelizes freely.
 	partial, err := par.Map(as.extents, func(_ int, e uisr.PageExtent) (uint64, error) {
-		var sum uint64
-		for p := uint64(0); p < e.Pages(); p++ {
-			c, err := as.mem.Checksum(hw.MFN(e.MFN + p))
-			if err != nil {
-				return 0, err
-			}
-			// Order-independent mix keyed by GFN.
-			gfn := e.GFN + p
-			sum += c * (gfn*2654435761 + 97)
-		}
-		return sum, nil
+		return as.mem.ChecksumRange(hw.MFN(e.MFN), e.Pages(), hw.GFN(e.GFN))
 	})
 	if err != nil {
 		return 0, err
@@ -204,17 +209,7 @@ func (as *AddressSpace) FrameRanges() []hw.FrameRange {
 	for _, e := range as.extents {
 		ranges = append(ranges, hw.FrameRange{Start: hw.MFN(e.MFN), Count: e.Pages()})
 	}
-	sort.Slice(ranges, func(i, j int) bool { return ranges[i].Start < ranges[j].Start })
-	// Merge adjacent runs.
-	out := ranges[:0]
-	for _, r := range ranges {
-		if n := len(out); n > 0 && out[n-1].Start+hw.MFN(out[n-1].Count) == r.Start {
-			out[n-1].Count += r.Count
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
+	return hw.MergeRanges(ranges)
 }
 
 // CopyContentsTo replays every touched page of this space into dst, which
@@ -230,20 +225,9 @@ func (as *AddressSpace) CopyContentsTo(dst *AddressSpace) error {
 	// only shared structure and WritePage guards it.
 	return par.ForEach(len(as.extents), func(i int) error {
 		e := as.extents[i]
-		for p := uint64(0); p < e.Pages(); p++ {
-			mfn := hw.MFN(e.MFN + p)
-			if !as.mem.Touched(mfn) {
-				continue
-			}
-			data, err := as.mem.Read(mfn, 0, hw.PageSize4K)
-			if err != nil {
-				return err
-			}
-			if err := dst.WritePage(hw.GFN(e.GFN+p), 0, data); err != nil {
-				return err
-			}
-		}
-		return nil
+		return as.mem.ForEachTouched(hw.MFN(e.MFN), e.Pages(), func(m hw.MFN, data []byte) error {
+			return dst.WritePage(hw.GFN(e.GFN+uint64(m)-e.MFN), 0, data)
+		})
 	})
 }
 

@@ -1,6 +1,7 @@
 package hv
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -166,7 +167,7 @@ func TestChecksumPlacementIndependent(t *testing.T) {
 	// placement must checksum identically — this is what lets tests
 	// compare pre/post MigrationTP images.
 	memA, memB := newMem(), newMem()
-	memB.Alloc(17, hw.OwnerHV, -1) // skew placement on B
+	memB.AllocRanges(17, hw.OwnerHV, -1) // skew placement on B
 	a, _ := AllocAddressSpace(memA, 1, 32*hw.PageSize4K, false)
 	b, _ := AllocAddressSpace(memB, 1, 32*hw.PageSize4K, false)
 	for gfn := hw.GFN(0); gfn < 32; gfn += 3 {
@@ -256,5 +257,142 @@ func TestPropertyTranslate(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refChecksumAll is ChecksumAll spelled frame by frame: one Checksum per
+// guest page, keyed by its GFN.
+func refChecksumAll(t *testing.T, mem *hw.PhysMem, as *AddressSpace) uint64 {
+	t.Helper()
+	var sum uint64
+	for _, e := range as.Extents() {
+		for p := uint64(0); p < e.Pages(); p++ {
+			c, err := mem.Checksum(hw.MFN(e.MFN + p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += c * ((e.GFN+p)*2654435761 + 97)
+		}
+	}
+	return sum
+}
+
+// touchedPages counts the frames of as that hold contents.
+func touchedPages(t *testing.T, mem *hw.PhysMem, as *AddressSpace) int {
+	t.Helper()
+	n := 0
+	for _, e := range as.Extents() {
+		err := mem.ForEachTouched(hw.MFN(e.MFN), e.Pages(), func(hw.MFN, []byte) error { n++; return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return n
+}
+
+// TestContentSweepsMatchPerFrameReference: ChecksumAll and CopyContentsTo
+// run on ranges and skip untouched chunks; on every shape of space they
+// must agree with the per-frame walk they replaced.
+func TestContentSweepsMatchPerFrameReference(t *testing.T) {
+	const chunk = hw.FramesPer2M
+	cases := []struct {
+		name     string
+		memBytes uint64 // machine size; the last chunk may be partial
+		skew     int    // frames allocated first, so order-0 spaces straddle chunks
+		pages    uint64
+		huge     bool
+		dedup    bool
+		writes   func(gfn uint64) bool
+	}{
+		{name: "sparse", memBytes: 256 << 20, pages: 32 * chunk, huge: true,
+			writes: func(g uint64) bool { return g%(7*chunk+13) == 5 }},
+		{name: "untouched", memBytes: 256 << 20, pages: 4 * chunk, huge: true,
+			writes: func(uint64) bool { return false }},
+		{name: "dense", memBytes: 256 << 20, pages: chunk, huge: true,
+			writes: func(uint64) bool { return true }},
+		{name: "dedup-shared", memBytes: 256 << 20, pages: 2 * chunk, huge: true, dedup: true,
+			writes: func(g uint64) bool { return g%2 == 0 }},
+		{name: "partially-touched", memBytes: 256 << 20, pages: 3 * chunk, huge: true,
+			writes: func(g uint64) bool { return g/chunk == 1 && g%3 == 0 }},
+		{name: "order-0", memBytes: 256 << 20, skew: 17, pages: chunk + 188,
+			writes: func(g uint64) bool { return g%5 == 1 }},
+		{name: "last-partial-chunk", memBytes: 2*hw.PageSize2M + 300*hw.PageSize4K, skew: 400, pages: 824,
+			writes: func(g uint64) bool { return g >= 600 || g%64 == 0 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src, dst := hw.NewPhysMem(tc.memBytes), hw.NewPhysMem(tc.memBytes)
+			src.SetPageDedup(tc.dedup)
+			if tc.skew > 0 {
+				if _, err := src.AllocRanges(tc.skew, hw.OwnerHV, -1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a, err := AllocAddressSpace(src, 1, tc.pages*hw.PageSize4K, tc.huge)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := AllocAddressSpace(dst, 2, tc.pages*hw.PageSize4K, tc.huge)
+			if err != nil {
+				t.Fatal(err)
+			}
+			written := 0
+			for g := uint64(0); g < tc.pages; g++ {
+				if !tc.writes(g) {
+					continue
+				}
+				written++
+				payload := []byte{byte(g), byte(g >> 8), 0x5a}
+				if tc.dedup {
+					payload = []byte{0x5a} // identical pages, shared
+				}
+				if err := a.WritePage(hw.GFN(g), int(g%4000), payload); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Twice: the first call hashes, the second reads cached sums.
+			for i := 0; i < 2; i++ {
+				got, err := a.ChecksumAll()
+				if want := refChecksumAll(t, src, a); err != nil || got != want {
+					t.Fatalf("pass %d: ChecksumAll = %#x, %v; per-frame reference %#x", i, got, err, want)
+				}
+			}
+			if err := a.CopyContentsTo(b); err != nil {
+				t.Fatal(err)
+			}
+			if got := touchedPages(t, dst, b); got != written {
+				t.Fatalf("copy touched %d destination pages, source has %d", got, written)
+			}
+			for g := uint64(0); g < tc.pages; g++ {
+				want, _ := a.ReadPage(hw.GFN(g), 0, hw.PageSize4K)
+				got, err := b.ReadPage(hw.GFN(g), 0, hw.PageSize4K)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("gfn %d differs after copy (err %v)", g, err)
+				}
+			}
+			sa, _ := a.ChecksumAll()
+			sb, err := b.ChecksumAll()
+			if err != nil || sa != sb || sb != refChecksumAll(t, dst, b) {
+				t.Fatalf("after copy: source %#x, destination %#x (err %v), reference %#x",
+					sa, sb, err, refChecksumAll(t, dst, b))
+			}
+		})
+	}
+}
+
+// TestContentSweepsRejectFreedFrames: a space whose frames were freed
+// behind its back must fail both sweeps, touched or not.
+func TestContentSweepsRejectFreedFrames(t *testing.T) {
+	mem := newMem()
+	as, _ := AllocAddressSpace(mem, 1, 2*hw.PageSize2M, true)
+	dst, _ := AllocAddressSpace(mem, 2, 2*hw.PageSize2M, true)
+	if err := mem.FreeRange(hw.MFN(as.Extents()[1].MFN)+9, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := as.ChecksumAll(); err == nil {
+		t.Fatal("ChecksumAll over a freed frame succeeded")
+	}
+	if err := as.CopyContentsTo(dst); err == nil {
+		t.Fatal("CopyContentsTo over a freed frame succeeded")
 	}
 }

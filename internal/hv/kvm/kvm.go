@@ -41,7 +41,7 @@ type vmProc struct {
 	devices   []uisr.EmulatedDevice
 	// stateFrames hold the vCPU state sections and slot tables
 	// (OwnerVMState).
-	stateFrames []hw.MFN
+	stateFrames []hw.FrameRange
 	// ioapicPinsDropped records the §4.2.1 compatibility event for
 	// diagnostics.
 	ioapicPinsDropped int
@@ -235,7 +235,7 @@ func (k *KVM) instantiate(id hv.VMID, cfg hv.Config, st *uisr.VMState,
 	// VM_i State frames: vCPU sections + slot table.
 	stateBytes := len(proc.vcpus)*(16*18+8*24+len(proc.vcpus[0].msrs)*16+512+568+8+1024) +
 		len(proc.memslots)*32 + 1024 // irqchip + pit
-	proc.stateFrames, err = k.machine.Mem.Alloc(framesFor(stateBytes), hw.OwnerVMState, int(id))
+	proc.stateFrames, err = k.machine.Mem.AllocRanges(framesFor(stateBytes), hw.OwnerVMState, int(id))
 	if err != nil {
 		undoSpace()
 		return nil, err
@@ -303,10 +303,8 @@ func (k *KVM) DestroyVM(id hv.VMID) error {
 	if err := proc.vm.Space.Release(); err != nil {
 		return err
 	}
-	for _, m := range proc.stateFrames {
-		if err := k.machine.Mem.Free(m); err != nil {
-			return err
-		}
+	if err := k.machine.Mem.FreeRanges(proc.stateFrames); err != nil {
+		return err
 	}
 	delete(k.procs, id)
 	k.rebuildRunnable()
@@ -320,10 +318,8 @@ func (k *KVM) ReleaseVMState(id hv.VMID) error {
 	if !ok {
 		return fmt.Errorf("kvm: no VM %d", id)
 	}
-	for _, m := range proc.stateFrames {
-		if err := k.machine.Mem.Free(m); err != nil {
-			return err
-		}
+	if err := k.machine.Mem.FreeRanges(proc.stateFrames); err != nil {
+		return err
 	}
 	proc.stateFrames = nil
 	delete(k.procs, id)
@@ -431,7 +427,7 @@ func (k *KVM) Footprint(id hv.VMID) (hv.Footprint, error) {
 	}
 	return hv.Footprint{
 		GuestBytes:   proc.vm.Space.Bytes(),
-		VMStateBytes: uint64(len(proc.stateFrames)) * hw.PageSize4K,
+		VMStateBytes: hw.CountFrames(proc.stateFrames) * hw.PageSize4K,
 		MgmtBytes:    uint64(len(proc.vcpus)*48 + 128), // task structs + vm list entry
 	}, nil
 }

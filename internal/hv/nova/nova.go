@@ -113,7 +113,7 @@ type protectionDomain struct {
 		PIT, HPET, PMTimer bool
 	}
 	ioapicPinsDropped int
-	stateFrames       []hw.MFN
+	stateFrames       []hw.FrameRange
 	devices           []uisr.EmulatedDevice
 }
 
@@ -287,7 +287,7 @@ func (n *NOVA) instantiate(id hv.VMID, cfg hv.Config, st *uisr.VMState,
 	if frames == 0 {
 		frames = 1
 	}
-	pd.stateFrames, err = n.machine.Mem.Alloc(frames, hw.OwnerVMState, int(id))
+	pd.stateFrames, err = n.machine.Mem.AllocRanges(frames, hw.OwnerVMState, int(id))
 	if err != nil {
 		// Don't leak the guest space: free fresh allocations, leave
 		// adopted PRAM memory intact for the restore retry.
@@ -332,10 +332,8 @@ func (n *NOVA) DestroyVM(id hv.VMID) error {
 	if err := pd.vm.Space.Release(); err != nil {
 		return err
 	}
-	for _, m := range pd.stateFrames {
-		if err := n.machine.Mem.Free(m); err != nil {
-			return err
-		}
+	if err := n.machine.Mem.FreeRanges(pd.stateFrames); err != nil {
+		return err
 	}
 	delete(n.pds, id)
 	n.rebuildOrder()
@@ -348,10 +346,8 @@ func (n *NOVA) ReleaseVMState(id hv.VMID) error {
 	if !ok {
 		return fmt.Errorf("nova: no protection domain %d", id)
 	}
-	for _, m := range pd.stateFrames {
-		if err := n.machine.Mem.Free(m); err != nil {
-			return err
-		}
+	if err := n.machine.Mem.FreeRanges(pd.stateFrames); err != nil {
+		return err
 	}
 	pd.stateFrames = nil
 	delete(n.pds, id)
@@ -451,7 +447,7 @@ func (n *NOVA) Footprint(id hv.VMID) (hv.Footprint, error) {
 	}
 	return hv.Footprint{
 		GuestBytes:   pd.vm.Space.Bytes(),
-		VMStateBytes: uint64(len(pd.stateFrames)) * hw.PageSize4K,
+		VMStateBytes: hw.CountFrames(pd.stateFrames) * hw.PageSize4K,
 		MgmtBytes:    uint64(len(pd.utcbs)*64 + 96), // scheduling contexts + pd entry
 	}, nil
 }

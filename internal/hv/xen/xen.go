@@ -24,9 +24,9 @@ type domain struct {
 	// p2m is the superpage-aware physical-map metadata (extent form).
 	p2m []uisr.PageExtent
 	// p2mFrames hold the p2m structures themselves (OwnerVMState).
-	p2mFrames []hw.MFN
+	p2mFrames []hw.FrameRange
 	// ctxFrames hold the context blob (OwnerVMState).
-	ctxFrames []hw.MFN
+	ctxFrames []hw.FrameRange
 	// eventChannels is the domain's event channel port table.
 	eventChannels []evtchn
 	// devices are the emulation-state snapshots of the domain's
@@ -240,11 +240,9 @@ func (x *Xen) instantiate(id hv.VMID, cfg hv.Config, st *uisr.VMState,
 		return nil, err
 	}
 	p2mBytes := len(dom.p2m) * 8 // one 8-byte entry per extent in Xen's table
-	dom.p2mFrames, err = x.machine.Mem.Alloc(framesFor(p2mBytes), hw.OwnerVMState, int(id))
+	dom.p2mFrames, err = x.machine.Mem.AllocRanges(framesFor(p2mBytes), hw.OwnerVMState, int(id))
 	if err != nil {
-		for _, f := range dom.ctxFrames {
-			_ = x.machine.Mem.Free(f)
-		}
+		_ = x.machine.Mem.FreeRanges(dom.ctxFrames)
 		undoSpace()
 		return nil, err
 	}
@@ -272,22 +270,14 @@ func (x *Xen) instantiate(id hv.VMID, cfg hv.Config, st *uisr.VMState,
 }
 
 // writeToFrames stores blob into freshly allocated VM_i State frames.
-func (x *Xen) writeToFrames(blob []byte, vmid int) ([]hw.MFN, error) {
-	frames, err := x.machine.Mem.Alloc(framesFor(len(blob)), hw.OwnerVMState, vmid)
+func (x *Xen) writeToFrames(blob []byte, vmid int) ([]hw.FrameRange, error) {
+	frames, err := x.machine.Mem.AllocRanges(framesFor(len(blob)), hw.OwnerVMState, vmid)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < len(blob); i += hw.PageSize4K {
-		end := i + hw.PageSize4K
-		if end > len(blob) {
-			end = len(blob)
-		}
-		if err := x.machine.Mem.Write(frames[i/hw.PageSize4K], 0, blob[i:end]); err != nil {
-			for _, f := range frames {
-				_ = x.machine.Mem.Free(f)
-			}
-			return nil, err
-		}
+	if err := x.machine.Mem.WriteRanges(frames, blob); err != nil {
+		_ = x.machine.Mem.FreeRanges(frames)
+		return nil, err
 	}
 	return frames, nil
 }
@@ -322,8 +312,8 @@ func (x *Xen) DestroyVM(id hv.VMID) error {
 	if err := dom.vm.Space.Release(); err != nil {
 		return err
 	}
-	for _, m := range append(dom.ctxFrames, dom.p2mFrames...) {
-		if err := x.machine.Mem.Free(m); err != nil {
+	for _, frames := range [][]hw.FrameRange{dom.ctxFrames, dom.p2mFrames} {
+		if err := x.machine.Mem.FreeRanges(frames); err != nil {
 			return err
 		}
 	}
@@ -340,8 +330,8 @@ func (x *Xen) ReleaseVMState(id hv.VMID) error {
 	if !ok {
 		return fmt.Errorf("xen: no domain %d", id)
 	}
-	for _, m := range append(dom.ctxFrames, dom.p2mFrames...) {
-		if err := x.machine.Mem.Free(m); err != nil {
+	for _, frames := range [][]hw.FrameRange{dom.ctxFrames, dom.p2mFrames} {
+		if err := x.machine.Mem.FreeRanges(frames); err != nil {
 			return err
 		}
 	}
@@ -435,7 +425,7 @@ func (x *Xen) Footprint(id hv.VMID) (hv.Footprint, error) {
 	}
 	return hv.Footprint{
 		GuestBytes:   dom.vm.Space.Bytes(),
-		VMStateBytes: uint64(len(dom.ctxFrames)+len(dom.p2mFrames)) * hw.PageSize4K,
+		VMStateBytes: (hw.CountFrames(dom.ctxFrames) + hw.CountFrames(dom.p2mFrames)) * hw.PageSize4K,
 		MgmtBytes:    uint64(len(dom.eventChannels)*32 + 64), // runq entry + evtchn table
 	}, nil
 }

@@ -1,9 +1,6 @@
 package hw
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Violation is one frame-ownership inconsistency found by AuditOwners.
 type Violation struct {
@@ -73,12 +70,13 @@ func (pm *PhysMem) AuditOwners(liveVMs map[int]bool) []Violation {
 
 	var allocated uint64
 	var byOwner [numOwners]uint64
-	for c := range pm.uniform {
-		base, size := pm.chunkSpan(c)
-		if pm.uniform[c] {
+	for ci := range pm.chunks {
+		c := &pm.chunks[ci]
+		base, size := pm.chunkSpan(ci)
+		if !c.mixed {
 			// Uniform chunk: one summary check covers every frame; only a
 			// violating chunk pays the per-frame reporting loop.
-			o, v := pm.cOwner[c], pm.cVM[c]
+			o, v := c.owner, c.vm
 			byOwner[o] += size
 			if o == OwnerFree {
 				continue
@@ -97,29 +95,30 @@ func (pm *PhysMem) AuditOwners(liveVMs map[int]bool) []Violation {
 			continue
 		}
 		for i := uint64(0); i < size; i++ {
-			m := base + MFN(i)
-			o := pm.owner[m]
+			o := c.tags.owner[i]
 			byOwner[o]++
 			if o == OwnerFree {
 				continue
 			}
 			allocated++
-			checkVM(m, o, pm.vm[m])
+			checkVM(base+MFN(i), o, c.tags.vm[i])
 		}
 	}
 	// Residue: page contents surviving under a free frame. Walked from
-	// the data map itself (not the chunk counters, which could be the
-	// very thing that drifted), sorted for deterministic output.
-	var residue []MFN
-	for m := range pm.data {
-		if o, _ := pm.frameState(m); o == OwnerFree {
-			residue = append(residue, m)
+	// the page tables themselves (not the chunk counters, which could be
+	// the very thing that drifted), in frame order.
+	for ci := range pm.chunks {
+		c := &pm.chunks[ci]
+		if c.pages == nil {
+			continue
 		}
-	}
-	sort.Slice(residue, func(i, j int) bool { return residue[i] < residue[j] })
-	for _, m := range residue {
-		add(Violation{Kind: "residue", MFN: m, Owner: OwnerFree, VM: -1,
-			Detail: "free frame retains page contents"})
+		base, size := pm.chunkSpan(ci)
+		for i := uint64(0); i < size; i++ {
+			if o, _ := c.tag(i); o == OwnerFree && c.pages[i] != nil {
+				add(Violation{Kind: "residue", MFN: base + MFN(i), Owner: OwnerFree, VM: -1,
+					Detail: "free frame retains page contents"})
+			}
+		}
 	}
 	if allocated != pm.allocated {
 		add(Violation{Kind: "accounting", MFN: 0, Owner: OwnerFree, VM: -1,

@@ -10,13 +10,13 @@ import (
 func auditMem(t *testing.T) (*PhysMem, map[int]bool) {
 	t.Helper()
 	pm := newTestMem()
-	if _, err := pm.Alloc(16, OwnerGuest, 1); err != nil {
+	if _, err := pm.AllocRanges(16, OwnerGuest, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pm.Alloc(4, OwnerVMState, 1); err != nil {
+	if _, err := pm.AllocRanges(4, OwnerVMState, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pm.Alloc(8, OwnerHV, 0); err != nil {
+	if _, err := pm.AllocRanges(8, OwnerHV, 0); err != nil {
 		t.Fatal(err)
 	}
 	return pm, map[int]bool{1: true}
@@ -35,7 +35,7 @@ func TestAuditCleanMachine(t *testing.T) {
 
 func TestAuditDeadVMFrame(t *testing.T) {
 	pm, live := auditMem(t)
-	mfns, err := pm.Alloc(1, OwnerVMState, 7) // VM 7 is not live
+	mfns, err := frames(pm.AllocRanges(1, OwnerVMState, 7)) // VM 7 is not live
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestAuditDeadVMFrame(t *testing.T) {
 
 func TestAuditUntaggedVM(t *testing.T) {
 	pm, live := auditMem(t)
-	if _, err := pm.Alloc(1, OwnerGuest, -1); err != nil {
+	if _, err := pm.AllocRanges(1, OwnerGuest, -1); err != nil {
 		t.Fatal(err)
 	}
 	vs := pm.AuditOwners(live)
@@ -63,7 +63,9 @@ func TestAuditResidue(t *testing.T) {
 	pm, live := auditMem(t)
 	// Plant contents under a free frame directly: the public API cannot
 	// produce this state — which is exactly what the audit is for.
-	pm.data[MFN(pm.totalFrames-1)] = &page{buf: make([]byte, PageSize4K), refs: 1}
+	last := &pm.chunks[len(pm.chunks)-1]
+	last.pages = new([chunkFrames]*page)
+	last.pages[chunkFrames-1] = &page{buf: make([]byte, PageSize4K), refs: 1}
 	vs := pm.AuditOwners(live)
 	if len(vs) != 1 || vs[0].Kind != "residue" {
 		t.Fatalf("violations = %v", vs)
@@ -87,7 +89,7 @@ func TestAuditAccountingDrift(t *testing.T) {
 
 func TestAuditOverflowSummary(t *testing.T) {
 	pm, live := auditMem(t)
-	if _, err := pm.Alloc(auditMaxPerKind+5, OwnerGuest, 9); err != nil {
+	if _, err := pm.AllocRanges(auditMaxPerKind+5, OwnerGuest, 9); err != nil {
 		t.Fatal(err)
 	}
 	vs := pm.AuditOwners(live)
@@ -106,7 +108,7 @@ func TestAuditOverflowSummary(t *testing.T) {
 // audit.
 func TestChecksumCacheInvalidation(t *testing.T) {
 	pm := newTestMem()
-	mfns, err := pm.Alloc(1, OwnerGuest, 1)
+	mfns, err := frames(pm.AllocRanges(1, OwnerGuest, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,10 +128,10 @@ func TestChecksumCacheInvalidation(t *testing.T) {
 	if dirty == zero {
 		t.Fatal("checksum unchanged after write — stale cache")
 	}
-	if err := pm.Free(m); err != nil {
+	if err := pm.FreeRange(m, 1); err != nil {
 		t.Fatal(err)
 	}
-	re, err := pm.Alloc(1, OwnerGuest, 1)
+	re, err := frames(pm.AllocRanges(1, OwnerGuest, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +146,13 @@ func TestChecksumCacheInvalidation(t *testing.T) {
 	if err := pm.Write(re[0], 0, []byte{9}); err != nil {
 		t.Fatal(err)
 	}
-	pm.Wipe(nil)
+	pm.WipeRanges(nil)
 	if _, err := pm.Checksum(re[0]); err == nil {
 		t.Fatal("checksum of wiped frame succeeded")
 	}
-	if len(pm.sums) != 0 {
-		t.Fatalf("wipe left %d cached checksums", len(pm.sums))
+	for ci := range pm.chunks {
+		if c := &pm.chunks[ci]; c.data != 0 {
+			t.Fatalf("wipe left %d pages in chunk %d", c.data, ci)
+		}
 	}
 }

@@ -2,18 +2,45 @@ package hw
 
 import (
 	"bytes"
+	"fmt"
+	"hash/crc64"
+	"math/big"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"hypertp/internal/par"
 	"hypertp/internal/simtime"
 )
 
 func newTestMem() *PhysMem { return NewPhysMem(64 * 1024 * 1024) } // 64 MiB
 
+// frames expands an AllocRanges result into the frame list, for tests that
+// address frames one by one.
+func frames(rs []FrameRange, err error) ([]MFN, error) {
+	var out []MFN
+	for _, r := range rs {
+		for m := r.Start; m < r.End(); m++ {
+			out = append(out, m)
+		}
+	}
+	return out, err
+}
+
+// read returns n bytes of frame m from offset off.
+func read(pm *PhysMem, m MFN, off, n int) ([]byte, error) {
+	if n < 0 {
+		n = 0
+	}
+	out := make([]byte, n)
+	return out, pm.ReadInto(m, off, out)
+}
+
 func TestAllocBasics(t *testing.T) {
 	pm := newTestMem()
-	mfns, err := pm.Alloc(10, OwnerGuest, 1)
+	mfns, err := frames(pm.AllocRanges(10, OwnerGuest, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,24 +65,24 @@ func TestAllocBasics(t *testing.T) {
 
 func TestAllocExhaustion(t *testing.T) {
 	pm := NewPhysMem(8 * PageSize4K)
-	if _, err := pm.Alloc(8, OwnerHV, -1); err != nil {
+	if _, err := pm.AllocRanges(8, OwnerHV, -1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pm.Alloc(1, OwnerHV, -1); err == nil {
+	if _, err := pm.AllocRanges(1, OwnerHV, -1); err == nil {
 		t.Fatal("allocating past capacity succeeded")
 	}
 }
 
 func TestAllocFreeReuse(t *testing.T) {
 	pm := NewPhysMem(4 * PageSize4K)
-	mfns, err := pm.Alloc(4, OwnerHV, -1)
+	mfns, err := frames(pm.AllocRanges(4, OwnerHV, -1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pm.Free(mfns[2]); err != nil {
+	if err := pm.FreeRange(mfns[2], 1); err != nil {
 		t.Fatal(err)
 	}
-	again, err := pm.Alloc(1, OwnerGuest, 7)
+	again, err := frames(pm.AllocRanges(1, OwnerGuest, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,18 +93,18 @@ func TestAllocFreeReuse(t *testing.T) {
 
 func TestDoubleFree(t *testing.T) {
 	pm := newTestMem()
-	mfns, _ := pm.Alloc(1, OwnerHV, -1)
-	if err := pm.Free(mfns[0]); err != nil {
+	mfns, _ := frames(pm.AllocRanges(1, OwnerHV, -1))
+	if err := pm.FreeRange(mfns[0], 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := pm.Free(mfns[0]); err == nil {
+	if err := pm.FreeRange(mfns[0], 1); err == nil {
 		t.Fatal("double free succeeded")
 	}
 }
 
 func TestAllocFreeOwnerZero(t *testing.T) {
 	pm := newTestMem()
-	if _, err := pm.Alloc(1, OwnerFree, -1); err == nil {
+	if _, err := pm.AllocRanges(1, OwnerFree, -1); err == nil {
 		t.Fatal("Alloc with OwnerFree succeeded")
 	}
 	if _, err := pm.Alloc2M(OwnerFree, -1); err == nil {
@@ -88,7 +115,7 @@ func TestAllocFreeOwnerZero(t *testing.T) {
 func TestAlloc2MAlignmentAndContiguity(t *testing.T) {
 	pm := NewPhysMem(16 * PageSize2M)
 	// Fragment the start a little.
-	if _, err := pm.Alloc(3, OwnerHV, -1); err != nil {
+	if _, err := pm.AllocRanges(3, OwnerHV, -1); err != nil {
 		t.Fatal(err)
 	}
 	base, err := pm.Alloc2M(OwnerGuest, 2)
@@ -109,10 +136,10 @@ func TestAlloc2MAlignmentAndContiguity(t *testing.T) {
 func TestAlloc2MFragmentation(t *testing.T) {
 	pm := NewPhysMem(2 * PageSize2M)
 	// Poison one frame in each aligned 2M run.
-	taken, _ := pm.Alloc(1, OwnerHV, -1)
+	taken, _ := frames(pm.AllocRanges(1, OwnerHV, -1))
 	_ = taken
 	pm.next = MFN(FramesPer2M) // move cursor; poison second run too
-	if _, err := pm.Alloc(1, OwnerHV, -1); err != nil {
+	if _, err := pm.AllocRanges(1, OwnerHV, -1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pm.Alloc2M(OwnerGuest, 1); err == nil {
@@ -122,13 +149,13 @@ func TestAlloc2MFragmentation(t *testing.T) {
 
 func TestReadWrite(t *testing.T) {
 	pm := newTestMem()
-	mfns, _ := pm.Alloc(1, OwnerGuest, 1)
+	mfns, _ := frames(pm.AllocRanges(1, OwnerGuest, 1))
 	m := mfns[0]
 	payload := []byte("hypervisor transplant")
 	if err := pm.Write(m, 100, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := pm.Read(m, 100, len(payload))
+	got, err := read(pm, m, 100, len(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +163,7 @@ func TestReadWrite(t *testing.T) {
 		t.Fatalf("read back %q, want %q", got, payload)
 	}
 	// Untouched region reads as zeros.
-	zeros, err := pm.Read(m, 0, 50)
+	zeros, err := read(pm, m, 0, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,14 +176,14 @@ func TestReadWrite(t *testing.T) {
 
 func TestReadWriteBounds(t *testing.T) {
 	pm := newTestMem()
-	mfns, _ := pm.Alloc(1, OwnerGuest, 1)
+	mfns, _ := frames(pm.AllocRanges(1, OwnerGuest, 1))
 	if err := pm.Write(mfns[0], PageSize4K-1, []byte{1, 2}); err == nil {
 		t.Fatal("write past frame end succeeded")
 	}
 	if err := pm.Write(mfns[0], -1, []byte{1}); err == nil {
 		t.Fatal("write at negative offset succeeded")
 	}
-	if _, err := pm.Read(mfns[0], PageSize4K, 1); err == nil {
+	if _, err := read(pm, mfns[0], PageSize4K, 1); err == nil {
 		t.Fatal("read past frame end succeeded")
 	}
 }
@@ -166,7 +193,7 @@ func TestReadWriteUnallocated(t *testing.T) {
 	if err := pm.Write(5, 0, []byte{1}); err == nil {
 		t.Fatal("write to unallocated frame succeeded")
 	}
-	if _, err := pm.Read(5, 0, 1); err == nil {
+	if _, err := read(pm, 5, 0, 1); err == nil {
 		t.Fatal("read from unallocated frame succeeded")
 	}
 	if _, err := pm.Checksum(5); err == nil {
@@ -176,7 +203,7 @@ func TestReadWriteUnallocated(t *testing.T) {
 
 func TestChecksum(t *testing.T) {
 	pm := newTestMem()
-	mfns, _ := pm.Alloc(2, OwnerGuest, 1)
+	mfns, _ := frames(pm.AllocRanges(2, OwnerGuest, 1))
 	a, b := mfns[0], mfns[1]
 	ca0, _ := pm.Checksum(a)
 	cb0, _ := pm.Checksum(b)
@@ -197,64 +224,50 @@ func TestChecksum(t *testing.T) {
 
 func TestSetOwner(t *testing.T) {
 	pm := newTestMem()
-	mfns, _ := pm.Alloc(1, OwnerVMState, 3)
-	if err := pm.SetOwner(mfns[0], OwnerGuest, 4); err != nil {
+	mfns, _ := frames(pm.AllocRanges(1, OwnerVMState, 3))
+	if err := pm.SetOwnerRange(mfns[0], 1, OwnerGuest, 4); err != nil {
 		t.Fatal(err)
 	}
 	owner, vm := pm.OwnerOf(mfns[0])
 	if owner != OwnerGuest || vm != 4 {
 		t.Fatalf("owner = %v/%d after SetOwner", owner, vm)
 	}
-	if err := pm.SetOwner(999, OwnerGuest, 0); err == nil {
+	if err := pm.SetOwnerRange(999, 1, OwnerGuest, 0); err == nil {
 		t.Fatal("SetOwner on unallocated frame succeeded")
 	}
 }
 
 func TestWipePreservesKeepSet(t *testing.T) {
 	pm := newTestMem()
-	guest, _ := pm.Alloc(5, OwnerGuest, 1)
-	hv, _ := pm.Alloc(5, OwnerHV, -1)
+	guest, _ := frames(pm.AllocRanges(5, OwnerGuest, 1))
+	hv, _ := frames(pm.AllocRanges(5, OwnerHV, -1))
 	pm.Write(guest[0], 0, []byte("survive"))
 	pm.Write(hv[0], 0, []byte("perish"))
-	keep := map[MFN]bool{}
+	var keep []FrameRange
 	for _, m := range guest {
-		keep[m] = true
+		keep = append(keep, FrameRange{Start: m, Count: 1})
 	}
-	wiped := pm.Wipe(keep)
+	wiped := pm.WipeRanges(keep)
 	if wiped != 5 {
 		t.Fatalf("wiped %d frames, want 5", wiped)
 	}
-	got, err := pm.Read(guest[0], 0, 7)
+	got, err := read(pm, guest[0], 0, 7)
 	if err != nil || string(got) != "survive" {
 		t.Fatalf("guest frame lost: %q, %v", got, err)
 	}
-	if _, err := pm.Read(hv[0], 0, 1); err == nil {
+	if _, err := read(pm, hv[0], 0, 1); err == nil {
 		t.Fatal("HV frame survived the wipe")
 	}
 }
 
 func TestCountByOwner(t *testing.T) {
 	pm := newTestMem()
-	pm.Alloc(3, OwnerGuest, 1)
-	pm.Alloc(2, OwnerVMState, 1)
-	pm.Alloc(4, OwnerHV, -1)
+	pm.AllocRanges(3, OwnerGuest, 1)
+	pm.AllocRanges(2, OwnerVMState, 1)
+	pm.AllocRanges(4, OwnerHV, -1)
 	counts := pm.CountByOwner()
 	if counts[OwnerGuest] != 3 || counts[OwnerVMState] != 2 || counts[OwnerHV] != 4 {
 		t.Fatalf("counts = %v", counts)
-	}
-}
-
-func TestFramesByOwnerSorted(t *testing.T) {
-	pm := newTestMem()
-	pm.Alloc(10, OwnerGuest, 1)
-	frames := pm.FramesByOwner(OwnerGuest)
-	if len(frames) != 10 {
-		t.Fatalf("len = %d", len(frames))
-	}
-	for i := 1; i < len(frames); i++ {
-		if frames[i] <= frames[i-1] {
-			t.Fatal("FramesByOwner not sorted")
-		}
 	}
 }
 
@@ -282,7 +295,7 @@ func TestPropertyAllocFreeAccounting(t *testing.T) {
 		for _, op := range ops {
 			if op%2 == 0 || len(live) == 0 {
 				n := int(op%7) + 1
-				mfns, err := pm.Alloc(n, OwnerGuest, 1)
+				mfns, err := frames(pm.AllocRanges(n, OwnerGuest, 1))
 				if err != nil {
 					continue
 				}
@@ -290,7 +303,7 @@ func TestPropertyAllocFreeAccounting(t *testing.T) {
 			} else {
 				m := live[int(op)%len(live)]
 				live = remove(live, m)
-				if err := pm.Free(m); err != nil {
+				if err := pm.FreeRange(m, 1); err != nil {
 					return false
 				}
 			}
@@ -343,8 +356,8 @@ func TestWorkersFloor(t *testing.T) {
 func TestMachineReboot(t *testing.T) {
 	clock := simtime.NewClock()
 	m := NewMachine(clock, M1())
-	guest, _ := m.Mem.Alloc(4, OwnerGuest, 1)
-	m.Mem.Alloc(4, OwnerHV, -1)
+	guest, _ := frames(m.Mem.AllocRanges(4, OwnerGuest, 1))
+	m.Mem.AllocRanges(4, OwnerHV, -1)
 	m.Mem.Write(guest[0], 0, []byte("vm data"))
 	var keep []FrameRange
 	for _, f := range guest {
@@ -364,7 +377,7 @@ func TestMachineReboot(t *testing.T) {
 	if m.BootedAt() != 5*time.Second {
 		t.Fatalf("BootedAt = %v", m.BootedAt())
 	}
-	got, err := m.Mem.Read(guest[0], 0, 7)
+	got, err := read(m.Mem, guest[0], 0, 7)
 	if err != nil || string(got) != "vm data" {
 		t.Fatalf("guest data lost across reboot: %q, %v", got, err)
 	}
@@ -513,7 +526,7 @@ func TestClaimRange(t *testing.T) {
 	}
 	// The claim must not move the cursor: a fresh allocation starts at
 	// frame 0, skipping to the first free frame.
-	got, err := pm.Alloc(1, OwnerHV, -1)
+	got, err := frames(pm.AllocRanges(1, OwnerHV, -1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,5 +541,226 @@ func TestClaimRange(t *testing.T) {
 	}
 	if errs := pm.AuditOwners(map[int]bool{}); len(errs) != 0 {
 		t.Fatalf("audit after free: %v", errs)
+	}
+}
+
+// TestWriteRangesRoundTrip: a blob laid over fragmented ranges reads back
+// through ReadRanges in the same order, and FreeRanges undoes
+// AllocRanges.
+func TestWriteRangesRoundTrip(t *testing.T) {
+	pm := newTestMem()
+	hole, _ := pm.AllocRanges(4, OwnerHV, -1)
+	pm.AllocRanges(4, OwnerHV, -1)
+	if err := pm.FreeRanges(hole); err != nil {
+		t.Fatal(err)
+	}
+	pm.next = 0 // refill the hole first, then continue past the second run
+	rs, err := pm.AllocRanges(6, OwnerPRAM, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 2 || CountFrames(rs) != 6 {
+		t.Fatalf("ranges = %v, want two runs of six frames", rs)
+	}
+	blob := bytes.Repeat([]byte("0123456789abcdef"), 5*PageSize4K/16+3)
+	if err := pm.WriteRanges(rs, blob); err != nil {
+		t.Fatal(err)
+	}
+	back, err := pm.ReadRanges(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != 6*PageSize4K || !bytes.Equal(back[:len(blob)], blob) {
+		t.Fatalf("read back %d bytes that differ from the blob", len(back))
+	}
+	if err := pm.WriteRanges(rs, make([]byte, 6*PageSize4K+1)); err == nil {
+		t.Fatal("blob larger than the ranges accepted")
+	}
+	if err := pm.FreeRanges(rs); err != nil {
+		t.Fatal(err)
+	}
+	if err := pm.FreeRanges(rs); err == nil {
+		t.Fatal("double FreeRanges succeeded")
+	}
+	if pm.AllocatedFrames() != 4 {
+		t.Fatalf("AllocatedFrames = %d, want 4", pm.AllocatedFrames())
+	}
+}
+
+// TestPageDedupSharing: identical pages share one interned page whose
+// checksum is known from the write; a write to one sharer unshares it.
+func TestPageDedupSharing(t *testing.T) {
+	pm := newTestMem()
+	pm.SetPageDedup(true)
+	mfns, _ := frames(pm.AllocRanges(3, OwnerGuest, 1))
+	page := bytes.Repeat([]byte{7}, PageSize4K)
+	for _, m := range mfns {
+		if err := pm.Write(m, 0, page); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits, interned := pm.PageDedupHits(); hits != 2 || interned != 1 {
+		t.Fatalf("hits %d interned %d, want 2 and 1", hits, interned)
+	}
+	c := &pm.chunks[0]
+	if c.pages[mfns[0]] != c.pages[mfns[2]] || !c.pages[mfns[0]].summed {
+		t.Fatal("identical pages not shared, or shared page has no cached checksum")
+	}
+	want := crc64.Checksum(page, crcTable)
+	if sum, _ := pm.Checksum(mfns[1]); sum != want {
+		t.Fatalf("checksum %#x, want %#x", sum, want)
+	}
+	// Unshare: the other two keep the original bytes.
+	if err := pm.Write(mfns[1], 10, []byte{9}); err != nil {
+		t.Fatal(err)
+	}
+	if sum, _ := pm.Checksum(mfns[1]); sum == want {
+		t.Fatal("checksum unchanged after unsharing write")
+	}
+	if got, _ := read(pm, mfns[0], 10, 1); got[0] != 7 {
+		t.Fatal("write to one sharer leaked into another")
+	}
+	if _, interned := pm.PageDedupHits(); interned != 2 {
+		t.Fatalf("interned %d after unshare, want 2", interned)
+	}
+	// A sole owner rewritten in place leaves the table, then rejoins.
+	if err := pm.Write(mfns[1], 10, []byte{7}); err != nil {
+		t.Fatal(err)
+	}
+	if hits, interned := pm.PageDedupHits(); hits != 3 || interned != 1 {
+		t.Fatalf("hits %d interned %d after rejoining, want 3 and 1", hits, interned)
+	}
+	pm.WipeRanges(nil)
+	if _, interned := pm.PageDedupHits(); interned != 0 {
+		t.Fatalf("wipe left %d interned pages", interned)
+	}
+}
+
+// TestChecksumKeysClosedForm: the closed form equals the term-by-term
+// wrapping sum, including where the intermediate products overflow.
+func TestChecksumKeysClosedForm(t *testing.T) {
+	for _, g := range []uint64{0, 1, 511, 1 << 20, 1<<63 + 12345, ^uint64(0) - 3} {
+		for _, n := range []uint64{0, 1, 2, 3, 511, 512, 1000, 4097} {
+			var want uint64
+			for k := uint64(0); k < n; k++ {
+				want += checksumKey(g + k)
+			}
+			if got := checksumKeys(g, n); got != want {
+				t.Fatalf("checksumKeys(%d, %d) = %#x, want %#x", g, n, got, want)
+			}
+		}
+	}
+	// Halving the even factor must stay exact past 2^32 frames.
+	for _, n := range []uint64{1<<33 + 1, 1 << 34} {
+		tri := new(big.Int).Mul(new(big.Int).SetUint64(n), new(big.Int).SetUint64(n-1))
+		tri.Rsh(tri, 1)
+		want := new(big.Int).Mul(tri, big.NewInt(2654435761))
+		want.Add(want, new(big.Int).Mul(big.NewInt(97), new(big.Int).SetUint64(n)))
+		want.And(want, new(big.Int).SetUint64(^uint64(0)))
+		if got := checksumKeys(0, n); got != want.Uint64() {
+			t.Fatalf("checksumKeys(0, %d) = %#x, want %#x", n, got, want.Uint64())
+		}
+	}
+}
+
+// TestNewPhysMemIsLazy: a 64 GiB machine costs a chunk table, not
+// per-frame arrays; uniform huge-page chunks never grow per-frame state;
+// and the state a wipe frees is reused by the next claim.
+func TestNewPhysMemIsLazy(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pm := NewPhysMem(64 * GiB)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 3<<19 {
+		t.Fatalf("NewPhysMem(64 GiB) allocated %d bytes, want at most 1.5 MiB", got)
+	}
+	base, err := pm.Alloc2M(OwnerGuest, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pm.SetOwnerRange(base, FramesPer2M, OwnerGuest, 2); err != nil {
+		t.Fatal(err)
+	}
+	if c := &pm.chunks[chunkOf(base)]; c.tags != nil || c.pages != nil {
+		t.Fatal("uniform huge-page chunk materialised per-frame state")
+	}
+	// One transplant's worth of churn in a mixed chunk: claim, write, wipe.
+	cycle := func() {
+		if err := pm.ClaimRange(base+FramesPer2M+3, 40, OwnerPRAM, -1); err != nil {
+			t.Fatal(err)
+		}
+		if err := pm.Write(base+FramesPer2M+5, 0, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		pm.WipeRanges([]FrameRange{{Start: base, Count: FramesPer2M}})
+	}
+	cycle()
+	c := &pm.chunks[chunkOf(base)+1]
+	tags, pages := c.tags, c.pages
+	if tags == nil || pages == nil || c.mixed || c.data != 0 {
+		t.Fatalf("wiped chunk: tags %v pages %v mixed %v data %d", tags != nil, pages != nil, c.mixed, c.data)
+	}
+	// Only the page itself (header and buffer) is allocated per cycle.
+	if n := testing.AllocsPerRun(20, cycle); n > 2 {
+		t.Fatalf("claim/write/wipe cycle allocates %.0f objects, want 2", n)
+	}
+	if c.tags != tags || c.pages != pages {
+		t.Fatal("chunk state reallocated instead of reused")
+	}
+}
+
+// TestConcurrentDisjointRanges drives content and ownership calls from
+// par workers, each on its own range of one PhysMem (run under -race),
+// and checks the result against a sequential run of the same work.
+func TestConcurrentDisjointRanges(t *testing.T) {
+	const workers, span = 8, chunkFrames + 100 // ranges straddle chunks
+	run := func(width int) []uint64 {
+		par.SetWorkers(width)
+		defer par.SetWorkers(0)
+		pm := NewPhysMem(workers * span * PageSize4K)
+		pm.SetPageDedup(true)
+		if _, err := pm.AllocRanges(workers*span, OwnerGuest, 1); err != nil {
+			t.Fatal(err)
+		}
+		sums, err := par.Map(make([]struct{}, workers), func(w int, _ struct{}) (uint64, error) {
+			start := MFN(w * span)
+			page := make([]byte, PageSize4K)
+			page[1] = 0xA5
+			for k := 0; k < span; k += 7 {
+				page[0] = byte(k % 3) // some pages identical across workers
+				if err := pm.Write(start+MFN(k), 0, page); err != nil {
+					return 0, err
+				}
+			}
+			if err := pm.SetOwnerRange(start, span, OwnerGuest, w); err != nil {
+				return 0, err
+			}
+			var viaVisit uint64
+			err := pm.ForEachTouched(start, span, func(m MFN, data []byte) error {
+				viaVisit += crc64.Checksum(data, crcTable) * checksumKey(uint64(m))
+				return pm.ReadInto(m, 0, page)
+			})
+			if err != nil {
+				return 0, err
+			}
+			sum, err := pm.ChecksumRange(start, span, GFN(start))
+			if err != nil {
+				return 0, err
+			}
+			if one, err := pm.Checksum(start); err != nil || one == zeroPageSum {
+				return 0, fmt.Errorf("worker %d: Checksum = %#x, %v", w, one, err)
+			}
+			return sum ^ viaVisit, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vs := pm.AuditOwners(map[int]bool{0: true, 1: true, 2: true, 3: true, 4: true, 5: true, 6: true, 7: true}); vs != nil {
+			t.Fatalf("audit: %v", vs)
+		}
+		return sums
+	}
+	if seq, conc := run(1), run(workers); !reflect.DeepEqual(seq, conc) {
+		t.Fatalf("concurrent run %v differs from sequential %v", conc, seq)
 	}
 }

@@ -1,0 +1,392 @@
+package hw
+
+import (
+	"bytes"
+	"fmt"
+	"hash/crc64"
+	"math/rand"
+	"testing"
+
+	"hypertp/internal/fuzzseed"
+)
+
+// refMem is the naive per-frame reference PhysMem is checked against: one
+// tag and one optional page per frame, a frame-by-frame cursor scan, no
+// chunks, no summaries, no sharing.
+type refMem struct {
+	owner []Owner
+	vm    []int
+	data  [][]byte // nil: never written
+	next  int
+}
+
+func newRefMem(frames int) *refMem {
+	return &refMem{owner: make([]Owner, frames), vm: make([]int, frames), data: make([][]byte, frames)}
+}
+
+func (r *refMem) free() int {
+	n := 0
+	for _, o := range r.owner {
+		if o == OwnerFree {
+			n++
+		}
+	}
+	return n
+}
+
+func (r *refMem) take(m int, owner Owner, vm int) { r.owner[m], r.vm[m] = owner, vm }
+
+func (r *refMem) release(m int) { r.owner[m], r.vm[m], r.data[m] = OwnerFree, 0, nil }
+
+func (r *refMem) alloc(n int, owner Owner, vm int) ([]MFN, bool) {
+	if n > r.free() {
+		return nil, false
+	}
+	var out []MFN
+	for len(out) < n {
+		if r.owner[r.next] == OwnerFree {
+			r.take(r.next, owner, vm)
+			out = append(out, MFN(r.next))
+		}
+		r.next = (r.next + 1) % len(r.owner)
+	}
+	return out, true
+}
+
+func (r *refMem) allFree(start, count int) bool {
+	for m := start; m < start+count; m++ {
+		if r.owner[m] != OwnerFree {
+			return false
+		}
+	}
+	return true
+}
+
+func (r *refMem) alloc2M(owner Owner, vm int) (MFN, bool) {
+	if r.free() < FramesPer2M {
+		return 0, false
+	}
+	runs := len(r.owner) / FramesPer2M
+	start := (r.next + FramesPer2M - 1) / FramesPer2M * FramesPer2M
+	for try := 0; try < runs; try++ {
+		base := (start + try*FramesPer2M) % (runs * FramesPer2M)
+		if r.allFree(base, FramesPer2M) {
+			for m := base; m < base+FramesPer2M; m++ {
+				r.take(m, owner, vm)
+			}
+			r.next = (base + FramesPer2M) % len(r.owner)
+			return MFN(base), true
+		}
+	}
+	return 0, false
+}
+
+func (r *refMem) claim(start, count int, owner Owner, vm int) bool {
+	if start+count > len(r.owner) || !r.allFree(start, count) {
+		return false
+	}
+	for m := start; m < start+count; m++ {
+		r.take(m, owner, vm)
+	}
+	return true
+}
+
+// freeRange and setOwner stop at the first unallocated frame, keeping
+// what they did before it — the documented partial effect.
+func (r *refMem) freeRange(start, count int) bool {
+	for m := start; m < start+count; m++ {
+		if m >= len(r.owner) || r.owner[m] == OwnerFree {
+			return false
+		}
+		r.release(m)
+	}
+	return true
+}
+
+func (r *refMem) setOwner(start, count int, owner Owner, vm int) bool {
+	for m := start; m < start+count; m++ {
+		if m >= len(r.owner) || r.owner[m] == OwnerFree {
+			return false
+		}
+		r.take(m, owner, vm)
+	}
+	return true
+}
+
+func (r *refMem) write(m, off int, data []byte) bool {
+	if m >= len(r.owner) || r.owner[m] == OwnerFree {
+		return false
+	}
+	if r.data[m] == nil {
+		r.data[m] = make([]byte, PageSize4K)
+	}
+	copy(r.data[m][off:], data)
+	return true
+}
+
+func (r *refMem) wipe(keep []FrameRange) int {
+	kept := make([]bool, len(r.owner))
+	for _, k := range keep {
+		for m := k.Start; m < k.Start+MFN(k.Count) && int(m) < len(kept); m++ {
+			kept[m] = true
+		}
+	}
+	wiped := 0
+	for m, o := range r.owner {
+		if o != OwnerFree && !kept[m] {
+			r.release(m)
+			wiped++
+		}
+	}
+	return wiped
+}
+
+func (r *refMem) sum(m int) uint64 {
+	if r.data[m] == nil {
+		return zeroPageSum
+	}
+	return crc64.Checksum(r.data[m], crcTable)
+}
+
+// modelFrames is three whole chunks and a partial last one.
+const modelFrames = 3*chunkFrames + 200
+
+// modelCheck compares every observable of pm with the reference.
+func modelCheck(pm *PhysMem, ref *refMem) error {
+	// Ranges first: the per-frame Checksum calls below would leave no
+	// page for ChecksumRange to hash.
+	if err := modelCheckRanges(pm, ref); err != nil {
+		return err
+	}
+	var allocated uint64
+	counts := map[Owner]uint64{}
+	page := make([]byte, PageSize4K)
+	live := map[int]bool{}
+	for m := 0; m < modelFrames; m++ {
+		wantO, wantVM := ref.owner[m], ref.vm[m]
+		if wantO == OwnerFree {
+			wantVM = -1
+		}
+		if o, vm := pm.OwnerOf(MFN(m)); o != wantO || vm != wantVM {
+			return fmt.Errorf("frame %d: OwnerOf = %v/%d, reference %v/%d", m, o, vm, wantO, wantVM)
+		}
+		sum, err := pm.Checksum(MFN(m))
+		if wantO == OwnerFree {
+			if rerr := pm.ReadInto(MFN(m), 0, page[:1]); err == nil || rerr == nil {
+				return fmt.Errorf("free frame %d: Checksum err %v, ReadInto err %v, want errors", m, err, rerr)
+			}
+			continue
+		}
+		allocated++
+		counts[wantO]++
+		live[wantVM] = true
+		if want := ref.sum(m); err != nil || sum != want {
+			return fmt.Errorf("frame %d: Checksum %#x, %v; reference %#x", m, sum, err, want)
+		}
+		// An untouched frame that matched the zero-page checksum needs no
+		// byte compare; read a little of it all the same.
+		want, got := ref.data[m], page
+		if want == nil {
+			want, got = zeroPage[:64], page[:64]
+		}
+		if err := pm.ReadInto(MFN(m), 0, got); err != nil || !bytes.Equal(got, want) {
+			return fmt.Errorf("frame %d: contents differ from reference (err %v)", m, err)
+		}
+	}
+	if got := pm.AllocatedFrames(); got != allocated {
+		return fmt.Errorf("AllocatedFrames = %d, reference %d", got, allocated)
+	}
+	if got := pm.FreeFrames(); got != modelFrames-allocated {
+		return fmt.Errorf("FreeFrames = %d, reference %d", got, modelFrames-allocated)
+	}
+	got := pm.CountByOwner()
+	if len(got) != len(counts) {
+		return fmt.Errorf("CountByOwner = %v, reference %v", got, counts)
+	}
+	for o, n := range counts {
+		if got[o] != n {
+			return fmt.Errorf("CountByOwner = %v, reference %v", got, counts)
+		}
+	}
+	if vs := pm.AuditOwners(live); vs != nil {
+		return fmt.Errorf("AuditOwners: %v", vs)
+	}
+	return nil
+}
+
+// modelCheckRanges compares the range visitors over every maximal
+// allocated run, and over the run's interior, with per-frame reference
+// walks; a range holding a free frame must fail.
+func modelCheckRanges(pm *PhysMem, ref *refMem) error {
+	for start := 0; start < modelFrames; {
+		if ref.owner[start] == OwnerFree {
+			start++
+			continue
+		}
+		end := start
+		for end < modelFrames && ref.owner[end] != OwnerFree {
+			end++
+		}
+		for _, r := range [][2]int{{start, end}, {start + (end-start)/3, end - (end-start)/3}} {
+			lo, n := r[0], r[1]-r[0]
+			gfn := GFN(lo*7 + 3)
+			var want uint64
+			var touched []MFN
+			for k := 0; k < n; k++ {
+				want += ref.sum(lo+k) * checksumKey(uint64(gfn)+uint64(k))
+				if ref.data[lo+k] != nil {
+					touched = append(touched, MFN(lo+k))
+				}
+			}
+			if got, err := pm.ChecksumRange(MFN(lo), uint64(n), gfn); err != nil || got != want {
+				return fmt.Errorf("ChecksumRange [%d,+%d) = %#x, %v; reference %#x", lo, n, got, err, want)
+			}
+			var visited []MFN
+			err := pm.ForEachTouched(MFN(lo), uint64(n), func(m MFN, data []byte) error {
+				if !bytes.Equal(data, ref.data[m]) {
+					return fmt.Errorf("frame %d contents differ", m)
+				}
+				visited = append(visited, m)
+				return nil
+			})
+			if err != nil || fmt.Sprint(visited) != fmt.Sprint(touched) {
+				return fmt.Errorf("ForEachTouched [%d,+%d) visited %v, %v; reference %v", lo, n, visited, err, touched)
+			}
+		}
+		// One frame past the run is free, or past the end of memory.
+		if _, err := pm.ChecksumRange(MFN(start), uint64(end-start+1), 0); err == nil {
+			return fmt.Errorf("ChecksumRange [%d,+%d) over a free frame succeeded", start, end-start+1)
+		}
+		if err := pm.ForEachTouched(MFN(start), uint64(end-start+1), func(MFN, []byte) error { return nil }); err == nil {
+			return fmt.Errorf("ForEachTouched [%d,+%d) over a free frame succeeded", start, end-start+1)
+		}
+		start = end
+	}
+	return nil
+}
+
+// modelRun interprets ops, four bytes each (opcode, a, b, c), against a
+// PhysMem and the reference, checking every observable after each step.
+func modelRun(ops []byte, dedup bool) error {
+	pm, ref := NewPhysMem(modelFrames*PageSize4K), newRefMem(modelFrames)
+	pm.SetPageDedup(dedup)
+	for step := 0; len(ops) >= 4 && step < 96; step, ops = step+1, ops[4:] {
+		a, b, c := int(ops[1]), int(ops[2]), int(ops[3])
+		frame := (a<<8 | b) % modelFrames
+		owner, vm := Owner(1+c%int(numOwners-1)), c%3
+		// Counts up to a chunk and a half, so ranges straddle chunks.
+		count := 1 + (b*c)%(3*chunkFrames/2)
+		var desc string
+		var got, want any
+		switch ops[0] % 8 {
+		case 0:
+			rs, err := pm.AllocRanges(count, owner, vm)
+			mfns, _ := frames(rs, nil)
+			wantFrames, ok := ref.alloc(count, owner, vm)
+			desc, got, want = fmt.Sprintf("AllocRanges(%d)", count), fmt.Sprint(mfns, err == nil), fmt.Sprint(wantFrames, ok)
+		case 1:
+			base, err := pm.Alloc2M(owner, vm)
+			wantBase, ok := ref.alloc2M(owner, vm)
+			desc, got, want = "Alloc2M", fmt.Sprint(base, err == nil), fmt.Sprint(wantBase, ok)
+		case 2:
+			err := pm.ClaimRange(MFN(frame), uint64(count), owner, vm)
+			desc, got, want = fmt.Sprintf("ClaimRange(%d,%d)", frame, count), err == nil, ref.claim(frame, count, owner, vm)
+		case 3:
+			err := pm.FreeRange(MFN(frame), uint64(count))
+			desc, got, want = fmt.Sprintf("FreeRange(%d,%d)", frame, count), err == nil, ref.freeRange(frame, count)
+		case 4:
+			err := pm.SetOwnerRange(MFN(frame), uint64(count), owner, vm)
+			desc, got, want = fmt.Sprintf("SetOwnerRange(%d,%d)", frame, count), err == nil, ref.setOwner(frame, count, owner, vm)
+		case 5:
+			// A few distinct payloads, so dedup finds identical pages;
+			// short ones at an offset, so shared pages get unshared.
+			data := bytes.Repeat([]byte{byte(c % 3)}, PageSize4K)
+			off := 0
+			if c%5 == 0 {
+				data, off = data[:16], b*8
+			}
+			for k := 0; k < 1+c%4; k++ {
+				m := (frame + k) % modelFrames
+				err := pm.Write(MFN(m), off, data)
+				if ok := ref.write(m, off, data); ok != (err == nil) {
+					return fmt.Errorf("step %d: Write(%d): err %v, reference ok=%v", step, m, err, ok)
+				}
+			}
+			desc = fmt.Sprintf("Write(%d..)", frame)
+		case 6:
+			var keep []FrameRange
+			if c%4 != 0 {
+				keep = MergeRanges([]FrameRange{
+					{Start: MFN(frame), Count: uint64(count)},
+					{Start: MFN(a * 5), Count: uint64(c)},
+					{Start: MFN(b * 6), Count: uint64(a)},
+				})
+			}
+			desc, got, want = fmt.Sprintf("WipeRanges(%v)", keep), pm.WipeRanges(keep), ref.wipe(keep)
+		case 7:
+			pm.SetPageDedup(c%2 == 0)
+			desc = "SetPageDedup"
+		}
+		if got != want {
+			return fmt.Errorf("step %d: %s = %v, reference %v", step, desc, got, want)
+		}
+		if err := modelCheck(pm, ref); err != nil {
+			return fmt.Errorf("step %d after %s: %w", step, desc, err)
+		}
+	}
+	return nil
+}
+
+// TestPhysMemMatchesModel drives random operation sequences through
+// PhysMem and the per-frame reference, with dedup on and off.
+func TestPhysMemMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	n := 24
+	if testing.Short() {
+		n = 10
+	}
+	for i := 0; i < n; i++ {
+		ops := make([]byte, 4*(8+rng.Intn(40)))
+		rng.Read(ops)
+		for _, dedup := range []bool{false, true} {
+			if err := modelRun(ops, dedup); err != nil {
+				t.Fatalf("sequence %d (dedup %v) %x: %v", i, dedup, ops, err)
+			}
+		}
+	}
+}
+
+// physMemOpsSeeds are hand-written sequences that reach the paths random
+// bytes find slowly: whole-chunk claims, a wrap of the cursor, a wipe
+// with a partial keep, dedup sharing and unsharing.
+func physMemOpsSeeds() [][]byte {
+	return [][]byte{
+		// Two huge pages, write into both, wipe keeping the first.
+		{1, 0, 0, 1, 1, 0, 0, 2, 5, 0, 10, 3, 5, 2, 10, 3, 6, 0, 0, 0, 6, 0, 255, 1},
+		// Small allocs, frees in the middle, refill past the wrap.
+		{0, 0, 9, 7, 0, 0, 200, 9, 3, 0, 3, 1, 0, 0, 255, 255, 0, 0, 255, 251, 3, 1, 0, 250, 0, 0, 90, 5},
+		// Claim across chunks, retag part, write identical pages, free.
+		{2, 1, 144, 200, 4, 1, 200, 7, 5, 1, 150, 3, 5, 1, 160, 3, 5, 1, 150, 5, 3, 1, 144, 200},
+		// Dedup toggled mid-sequence with shared pages resident.
+		{0, 0, 4, 2, 5, 0, 0, 3, 5, 0, 0, 7, 7, 0, 0, 1, 5, 0, 1, 10, 7, 0, 0, 0, 5, 0, 2, 0, 6, 0, 0, 4},
+	}
+}
+
+func TestFuzzSeedCorpus(t *testing.T) {
+	fuzzseed.Check(t, "FuzzPhysMemOps", physMemOpsSeeds()...)
+}
+
+// FuzzPhysMemOps: no operation sequence may make PhysMem and the
+// per-frame reference disagree, with dedup on or off.
+func FuzzPhysMemOps(f *testing.F) {
+	for _, seed := range physMemOpsSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		for _, dedup := range []bool{false, true} {
+			if err := modelRun(ops, dedup); err != nil {
+				t.Fatalf("dedup %v: %v", dedup, err)
+			}
+		}
+	})
+}

@@ -12,8 +12,10 @@ package hw
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"hash/crc64"
+	"slices"
 	"sync"
 )
 
@@ -26,10 +28,10 @@ const (
 	FramesPer2M = PageSize2M / PageSize4K
 )
 
-// chunkFrames is the frame count of one ownership-summary chunk. It is
-// deliberately the 2 MiB huge-page run, so a huge allocation is exactly
-// one chunk and the bulk ownership paths (wipe, retag, alloc) run at
-// chunk granularity instead of frame granularity.
+// chunkFrames is the frame count of one chunk, the unit PhysMem keeps its
+// state in. It is deliberately the 2 MiB huge-page run, so a huge
+// allocation is exactly one chunk and the bulk paths (wipe, retag, alloc,
+// content sweeps) run at chunk granularity instead of frame granularity.
 const chunkFrames = FramesPer2M
 
 // MFN is a machine frame number: an index into host physical memory in
@@ -87,52 +89,102 @@ func (o Owner) String() string {
 // readers and checksums.
 type page struct {
 	buf []byte
-	// hash and interned track the content-intern table registration so
-	// a page can be deregistered before mutation or on release.
-	hash     uint64
+	// sum caches the CRC-64 of buf while summed is set; a write clears
+	// it. It doubles as the content-intern key: an interned page is
+	// registered under sum and always has summed set, so it can be
+	// deregistered before mutation or on release.
+	sum      uint64
+	summed   bool
 	interned bool
 	refs     int32
 }
 
-// PhysMem is the physical memory of one machine. Ownership is a two-level
-// structure: a per-frame tag array plus a per-chunk (2 MiB) summary. A
-// chunk marked uniform has every frame in one (owner, vm) state and the
-// summary is authoritative — the per-frame entries may be stale — which
-// is what lets the transplant hot paths (micro-reboot wipe, address-space
-// retag, huge-page allocation) run in O(chunks) instead of O(frames).
-// Page *contents* are a sparse map populated only for frames actually
-// written, so untouched guest pages cost nothing and read as zeros.
+// frameTags are the per-frame ownership tags of one mixed chunk.
+type frameTags struct {
+	owner [chunkFrames]Owner
+	vm    [chunkFrames]int32
+}
+
+// chunk is the state of one 2 MiB run of frames. A free machine is all
+// zero-value chunks; per-frame state is materialised lazily, per chunk.
+type chunk struct {
+	// owner and vm are the tag of every frame of the chunk while mixed is
+	// false. A mixed chunk keeps its tags per frame, in tags; a mixed
+	// chunk always has an allocated frame (a drained one collapses back).
+	owner Owner
+	mixed bool
+	vm    int32
+	alloc uint32 // allocated frames
+	data  uint32 // touched frames: non-nil pages slots
+	// tags is allocated when the chunk first goes mixed and pages on the
+	// first write into it. Both are kept when the chunk collapses or is
+	// wiped — pages with every slot nil again — so a machine that is
+	// wiped and refilled every transplant allocates them once.
+	tags  *frameTags
+	pages *[chunkFrames]*page
+}
+
+// tag returns the (owner, vm) of the chunk's i-th frame.
+func (c *chunk) tag(i uint64) (Owner, int32) {
+	if c.mixed {
+		return c.tags.owner[i], c.tags.vm[i]
+	}
+	return c.owner, c.vm
+}
+
+// page returns the backing page of the chunk's i-th frame, nil if the
+// frame was never written.
+func (c *chunk) page(i uint64) *page {
+	if c.pages == nil {
+		return nil
+	}
+	return c.pages[i]
+}
+
+// explode turns the chunk's summary tag into size per-frame tags, before
+// a mutation that leaves it mixed.
+func (c *chunk) explode(size uint64) {
+	if c.tags == nil {
+		c.tags = new(frameTags)
+	}
+	for i := uint64(0); i < size; i++ {
+		c.tags.owner[i], c.tags.vm[i] = c.owner, c.vm
+	}
+	c.mixed = true
+}
+
+// collapseIfFree re-summarizes a drained chunk so later wipes and allocs
+// take the O(1) paths again.
+func (c *chunk) collapseIfFree() {
+	if c.mixed && c.alloc == 0 {
+		c.mixed, c.owner, c.vm = false, OwnerFree, 0
+	}
+}
+
+// PhysMem is the physical memory of one machine: a table of 2 MiB chunks.
+// A chunk whose frames all share one (owner, vm) tag — free memory, a
+// huge-page guest extent, the bulk of a hypervisor's resident set — is
+// just its summary, so creating a machine costs O(chunks) and the
+// transplant hot paths (micro-reboot wipe, address-space retag, huge-page
+// allocation) never visit frames. Per-frame tags exist only for chunks
+// that went mixed, and a page table only for chunks that were written;
+// untouched frames cost nothing and read as zeros.
 //
-// Concurrency: all methods are safe to call from the internal/par worker
-// pools, with one contract — concurrent Read/Write/Checksum calls must
-// target *distinct* frames (the mutex guards the bookkeeping, while page
-// payload copies run outside it so parallel page writes actually scale).
-// Allocation and wiping take the full lock and are typically kept in
-// sequential stages so frame assignment stays deterministic.
+// Concurrency: one mutex guards all bookkeeping, and every method is safe
+// to call from the internal/par worker pools under two rules. Ownership
+// mutations (alloc, claim, free, retag, wipe) take the lock for the whole
+// call and belong in sequential stages, so frame assignment stays
+// deterministic. Content access (Write, ReadInto, Checksum and the range
+// visitors ForEachTouched and ChecksumRange) takes the lock once per call
+// — once per range, not per frame — and copies and hashes page payloads
+// outside it, so concurrent calls must target *distinct* frames.
 type PhysMem struct {
 	mu          sync.Mutex
 	totalFrames uint64
-	owner       []Owner
-	vm          []int32
-	data        map[MFN]*page
-	// sums caches per-frame CRC-64s so audit-style full-memory checksums
-	// only re-hash frames written since the last pass. Entries are
-	// invalidated on Write/Free/Wipe under pm.mu.
-	sums      map[MFN]uint64
-	next      MFN // bump cursor for allocation
-	allocated uint64
-	byOwner   [numOwners]uint64
-
-	// Chunk summaries. uniform[c] means every frame of chunk c shares
-	// (cOwner[c], cVM[c]) and the per-frame arrays are stale for it.
-	// cAlloc counts allocated frames per chunk; cData counts data map
-	// entries per chunk, so wipes skip the map entirely for chunks that
-	// were never written.
-	uniform []bool
-	cOwner  []Owner
-	cVM     []int32
-	cAlloc  []uint32
-	cData   []uint32
+	chunks      []chunk
+	next        MFN // bump cursor for allocation
+	allocated   uint64
+	byOwner     [numOwners]uint64
 
 	// Content-hash page dedup (opt-in, see SetPageDedup): intern maps a
 	// content hash to the pages registered under it; writes that produce
@@ -148,57 +200,50 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 // whole number of frames).
 func NewPhysMem(size uint64) *PhysMem {
 	n := size / PageSize4K
-	nc := (n + chunkFrames - 1) / chunkFrames
-	pm := &PhysMem{
-		totalFrames: n,
-		owner:       make([]Owner, n),
-		vm:          make([]int32, n),
-		data:        make(map[MFN]*page),
-		sums:        make(map[MFN]uint64),
-		uniform:     make([]bool, nc),
-		cOwner:      make([]Owner, nc),
-		cVM:         make([]int32, nc),
-		cAlloc:      make([]uint32, nc),
-		cData:       make([]uint32, nc),
-	}
-	for c := range pm.uniform {
-		pm.uniform[c] = true
-	}
-	return pm
+	return &PhysMem{totalFrames: n, chunks: make([]chunk, (n+chunkFrames-1)/chunkFrames)}
 }
 
 // chunkOf returns the chunk index covering frame m.
 func chunkOf(m MFN) int { return int(uint64(m) / chunkFrames) }
 
-// chunkSpan returns chunk c's first frame and frame count (the last
+// chunkSpan returns chunk ci's first frame and frame count (the last
 // chunk may be partial).
-func (pm *PhysMem) chunkSpan(c int) (MFN, uint64) {
-	base := uint64(c) * chunkFrames
-	size := uint64(chunkFrames)
-	if base+size > pm.totalFrames {
-		size = pm.totalFrames - base
-	}
-	return MFN(base), size
+func (pm *PhysMem) chunkSpan(ci int) (MFN, uint64) {
+	base := uint64(ci) * chunkFrames
+	return MFN(base), min(chunkFrames, pm.totalFrames-base)
 }
 
-// explode materializes chunk c's per-frame entries from its uniform
-// summary, before a mutation that would leave the chunk mixed.
-func (pm *PhysMem) explode(c int) {
-	base, size := pm.chunkSpan(c)
-	o, v := pm.cOwner[c], pm.cVM[c]
-	for i := uint64(0); i < size; i++ {
-		pm.owner[base+MFN(i)] = o
-		pm.vm[base+MFN(i)] = v
-	}
-	pm.uniform[c] = false
+// part is the overlap of a frame range with one chunk: frames
+// [base+lo, base+hi) of chunk c, which has size frames.
+type part struct {
+	c            *chunk
+	base         MFN
+	size, lo, hi uint64
 }
 
-// frameState returns the effective (owner, vm) of frame m; pm.mu held.
-func (pm *PhysMem) frameState(m MFN) (Owner, int32) {
-	if c := chunkOf(m); pm.uniform[c] {
-		return pm.cOwner[c], pm.cVM[c]
+// whole reports whether the part covers its entire chunk.
+func (p part) whole() bool { return p.lo == 0 && p.hi == p.size }
+
+// find returns the part's first free frame — or, with free unset, its
+// first allocated one — if it has any.
+func (p part) find(free bool) (MFN, bool) {
+	for i := p.lo; i < p.hi; i++ {
+		if o, _ := p.c.tag(i); (o == OwnerFree) == free {
+			return p.base + MFN(i), true
+		}
+		if !p.c.mixed {
+			break // the summary tag covers the whole part
+		}
 	}
-	return pm.owner[m], pm.vm[m]
+	return 0, false
+}
+
+// partAt returns the overlap of frames [f, limit) with the chunk holding
+// f; f < limit <= totalFrames.
+func (pm *PhysMem) partAt(f, limit uint64) part {
+	ci := chunkOf(MFN(f))
+	base, size := pm.chunkSpan(ci)
+	return part{&pm.chunks[ci], base, size, f - uint64(base), min(size, limit-uint64(base))}
 }
 
 // TotalFrames returns the machine's frame count.
@@ -218,131 +263,75 @@ func (pm *PhysMem) FreeFrames() uint64 {
 	return pm.totalFrames - pm.allocated
 }
 
-// freeFramesLocked is FreeFrames for callers already holding pm.mu.
-func (pm *PhysMem) freeFramesLocked() uint64 { return pm.totalFrames - pm.allocated }
-
-// take claims frame m; its chunk must already be non-uniform.
-func (pm *PhysMem) take(m MFN, owner Owner, vm int) {
-	pm.owner[m] = owner
-	pm.vm[m] = int32(vm)
+// take claims frame i of mixed chunk c.
+func (pm *PhysMem) take(c *chunk, i uint64, owner Owner, vm int) {
+	c.tags.owner[i], c.tags.vm[i] = owner, int32(vm)
+	c.alloc++
 	pm.allocated++
 	pm.byOwner[owner]++
-	pm.cAlloc[chunkOf(m)]++
 }
 
-// nextChunkStart returns the first frame of the chunk after c, wrapping
+// takeChunk claims every frame of the wholly free chunk c.
+func (pm *PhysMem) takeChunk(c *chunk, size uint64, owner Owner, vm int) {
+	c.owner, c.vm, c.alloc = owner, int32(vm), uint32(size)
+	pm.allocated += size
+	pm.byOwner[owner] += size
+}
+
+// nextChunkStart returns the first frame of the chunk after ci, wrapping
 // to frame 0 past the end of memory.
-func (pm *PhysMem) nextChunkStart(c int) MFN {
-	nb := uint64(c+1) * chunkFrames
+func (pm *PhysMem) nextChunkStart(ci int) MFN {
+	nb := uint64(ci+1) * chunkFrames
 	if nb >= pm.totalFrames {
 		return 0
 	}
 	return MFN(nb)
 }
 
-// Alloc allocates n frames for the given owner and VM id. Frames are
-// assigned from a bump cursor that wraps, which — combined with frames
-// freed and reallocated over a machine's lifetime — leaves VM memory
-// scattered rather than contiguous, as the paper observes (§4.2.2).
-// Whole free chunks at the cursor are claimed in bulk; the assigned
-// frame sequence is identical to a frame-by-frame scan.
-func (pm *PhysMem) Alloc(n int, owner Owner, vm int) ([]MFN, error) {
-	if owner == OwnerFree {
-		return nil, fmt.Errorf("hw: cannot allocate with OwnerFree")
-	}
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	if uint64(n) > pm.freeFramesLocked() {
-		return nil, fmt.Errorf("hw: out of memory: want %d frames, %d free", n, pm.freeFramesLocked())
-	}
-	out := make([]MFN, 0, n)
-	for len(out) < n {
-		m := pm.next
-		c := chunkOf(m)
-		if pm.uniform[c] {
-			base, size := pm.chunkSpan(c)
-			if pm.cOwner[c] != OwnerFree {
-				// Fully-allocated chunk: the scan would skip every frame.
-				pm.next = pm.nextChunkStart(c)
-				continue
-			}
-			if m == base && uint64(n-len(out)) >= size {
-				// Whole free chunk at the cursor: claim it in one step.
-				pm.cOwner[c] = owner
-				pm.cVM[c] = int32(vm)
-				pm.cAlloc[c] = uint32(size)
-				pm.allocated += size
-				pm.byOwner[owner] += size
-				for i := uint64(0); i < size; i++ {
-					out = append(out, base+MFN(i))
-				}
-				pm.next = pm.nextChunkStart(c)
-				continue
-			}
-			pm.explode(c)
-		}
-		if pm.owner[m] == OwnerFree {
-			pm.take(m, owner, vm)
-			out = append(out, m)
-		}
-		pm.next = m + 1
-		if pm.next >= MFN(pm.totalFrames) {
-			pm.next = 0
-		}
-	}
-	return out, nil
-}
-
-// AllocRanges is Alloc with the result returned as coalesced frame
-// ranges instead of a materialized per-frame list. The assignment policy
-// — cursor walk, chunk fast path, wrap — is exactly Alloc's, so for a
-// given memory state AllocRanges claims the same frames Alloc would;
-// only the representation differs. Bulk owners that never address
-// individual frames (the hypervisor resident set, the staged kexec
-// image) use it so every simulated boot stops building
-// tens-of-thousands-entry MFN slices.
+// AllocRanges allocates n frames for the given owner and VM id and
+// returns them as coalesced runs in assignment order. Frames are assigned
+// from a bump cursor that wraps, which — combined with frames freed and
+// reallocated over a machine's lifetime — leaves VM memory scattered
+// rather than contiguous, as the paper observes (§4.2.2). Whole free
+// chunks at the cursor are claimed in bulk; the assigned frame sequence
+// is identical to a frame-by-frame scan.
 func (pm *PhysMem) AllocRanges(n int, owner Owner, vm int) ([]FrameRange, error) {
 	if owner == OwnerFree {
 		return nil, fmt.Errorf("hw: cannot allocate with OwnerFree")
 	}
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if uint64(n) > pm.freeFramesLocked() {
-		return nil, fmt.Errorf("hw: out of memory: want %d frames, %d free", n, pm.freeFramesLocked())
+	if free := pm.totalFrames - pm.allocated; uint64(n) > free {
+		return nil, fmt.Errorf("hw: out of memory: want %d frames, %d free", n, free)
 	}
 	var out []FrameRange
 	got := uint64(0)
 	claim := func(start MFN, count uint64) {
-		if k := len(out); k > 0 && out[k-1].Start+MFN(out[k-1].Count) == start {
-			out[k-1].Count += count
-		} else {
-			out = append(out, FrameRange{Start: start, Count: count})
-		}
+		out = AppendRange(out, FrameRange{Start: start, Count: count})
 		got += count
 	}
 	for got < uint64(n) {
 		m := pm.next
-		c := chunkOf(m)
-		if pm.uniform[c] {
-			base, size := pm.chunkSpan(c)
-			if pm.cOwner[c] != OwnerFree {
-				pm.next = pm.nextChunkStart(c)
+		ci := chunkOf(m)
+		c := &pm.chunks[ci]
+		base, size := pm.chunkSpan(ci)
+		if !c.mixed {
+			if c.owner != OwnerFree {
+				// Fully-allocated chunk: the scan would skip every frame.
+				pm.next = pm.nextChunkStart(ci)
 				continue
 			}
 			if m == base && uint64(n)-got >= size {
-				pm.cOwner[c] = owner
-				pm.cVM[c] = int32(vm)
-				pm.cAlloc[c] = uint32(size)
-				pm.allocated += size
-				pm.byOwner[owner] += size
+				// Whole free chunk at the cursor: claim it in one step.
+				pm.takeChunk(c, size, owner, vm)
 				claim(base, size)
-				pm.next = pm.nextChunkStart(c)
+				pm.next = pm.nextChunkStart(ci)
 				continue
 			}
-			pm.explode(c)
+			c.explode(size)
 		}
-		if pm.owner[m] == OwnerFree {
-			pm.take(m, owner, vm)
+		if i := uint64(m - base); c.tags.owner[i] == OwnerFree {
+			pm.take(c, i, owner, vm)
 			claim(m, 1)
 		}
 		pm.next = m + 1
@@ -362,45 +351,26 @@ func (pm *PhysMem) Alloc2M(owner Owner, vm int) (MFN, error) {
 	}
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if FramesPer2M > pm.freeFramesLocked() {
+	if FramesPer2M > pm.totalFrames-pm.allocated {
 		return 0, fmt.Errorf("hw: out of memory for 2M page")
 	}
 	start := (pm.next + FramesPer2M - 1) / FramesPer2M * FramesPer2M
 	nRuns := pm.totalFrames / FramesPer2M
 	for tries := uint64(0); tries < nRuns; tries++ {
 		base := (start + MFN(tries*FramesPer2M)) % MFN(nRuns*FramesPer2M)
-		c := chunkOf(base)
-		if pm.uniform[c] {
-			if pm.cOwner[c] != OwnerFree {
-				continue
-			}
-		} else {
-			ok := true
-			for i := MFN(0); i < FramesPer2M; i++ {
-				if pm.owner[base+i] != OwnerFree {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
+		// A chunk with any allocated frame — uniform or mixed — is out.
+		if c := &pm.chunks[chunkOf(base)]; c.alloc == 0 {
+			pm.takeChunk(c, FramesPer2M, owner, vm)
+			pm.next = (base + FramesPer2M) % MFN(pm.totalFrames)
+			return base, nil
 		}
-		pm.uniform[c] = true
-		pm.cOwner[c] = owner
-		pm.cVM[c] = int32(vm)
-		pm.cAlloc[c] = FramesPer2M
-		pm.allocated += FramesPer2M
-		pm.byOwner[owner] += FramesPer2M
-		pm.next = (base + FramesPer2M) % MFN(pm.totalFrames)
-		return base, nil
 	}
 	return 0, fmt.Errorf("hw: no aligned 2M run available (fragmentation)")
 }
 
 // ClaimRange allocates the exact frames [start, start+count), all of
 // which must currently be free — the all-or-nothing complement to the
-// cursor-driven Alloc, used by snapshot replay to re-materialize a
+// cursor-driven AllocRanges, used by snapshot replay to re-materialize a
 // structure at the frames a previous build occupied. On failure nothing
 // is claimed. The cursor is not moved: a claim at cached frames must not
 // perturb where subsequent cursor allocations land.
@@ -410,181 +380,130 @@ func (pm *PhysMem) ClaimRange(start MFN, count uint64, owner Owner, vm int) erro
 	}
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if uint64(start)+count > pm.totalFrames {
+	end := uint64(start) + count
+	if end > pm.totalFrames {
 		return fmt.Errorf("hw: ClaimRange [%#x,+%d) out of bounds", start, count)
 	}
-	for m := start; m < start+MFN(count); {
-		c := chunkOf(m)
-		if pm.uniform[c] {
-			if pm.cOwner[c] != OwnerFree {
-				return fmt.Errorf("hw: ClaimRange frame %#x not free", m)
-			}
-			base, size := pm.chunkSpan(c)
-			m = base + MFN(size)
-			continue
+	for f := uint64(start); f < end; {
+		p := pm.partAt(f, end)
+		if m, found := p.find(false); found {
+			return fmt.Errorf("hw: ClaimRange frame %#x not free", uint64(m))
 		}
-		if pm.owner[m] != OwnerFree {
-			return fmt.Errorf("hw: ClaimRange frame %#x not free", m)
-		}
-		m++
+		f = uint64(p.base) + p.hi
 	}
-	for m := start; m < start+MFN(count); {
-		c := chunkOf(m)
-		base, size := pm.chunkSpan(c)
-		end := base + MFN(size)
-		if rangeEnd := start + MFN(count); end > rangeEnd {
-			end = rangeEnd
-		}
-		if pm.uniform[c] {
-			if m == base && end == base+MFN(size) {
+	for f := uint64(start); f < end; {
+		p := pm.partAt(f, end)
+		f = uint64(p.base) + p.hi
+		if !p.c.mixed {
+			if p.whole() {
 				// Whole free chunk: claim it at summary granularity.
-				pm.cOwner[c] = owner
-				pm.cVM[c] = int32(vm)
-				pm.cAlloc[c] = uint32(size)
-				pm.allocated += size
-				pm.byOwner[owner] += size
-				m = end
+				pm.takeChunk(p.c, p.size, owner, vm)
 				continue
 			}
-			pm.explode(c)
+			p.c.explode(p.size)
 		}
-		for ; m < end; m++ {
-			pm.take(m, owner, vm)
+		for i := p.lo; i < p.hi; i++ {
+			pm.take(p.c, i, owner, vm)
 		}
 	}
 	return nil
 }
 
-// releaseData drops frame m's page contents and cached checksum; pm.mu
-// held. Shared dedup pages are dereferenced and deregistered from the
-// intern table when the last sharer goes.
-func (pm *PhysMem) releaseData(m MFN) {
-	p, ok := pm.data[m]
-	if !ok {
+// releaseDataAt drops the page contents (and with them the cached
+// checksum) of frame i of chunk c; pm.mu held. Shared dedup pages are
+// dereferenced and deregistered from the intern table when the last
+// sharer goes.
+func (pm *PhysMem) releaseDataAt(c *chunk, i uint64) {
+	p := c.page(i)
+	if p == nil {
 		return
 	}
-	delete(pm.data, m)
-	delete(pm.sums, m)
-	pm.cData[chunkOf(m)]--
+	c.pages[i] = nil
+	c.data--
 	p.refs--
 	if p.refs <= 0 && p.interned {
 		pm.uninternPage(p)
 	}
 }
 
-// freeFrame releases frame m; its chunk must be non-uniform and the
-// frame allocated. pm.mu held.
-func (pm *PhysMem) freeFrame(m MFN) {
-	pm.byOwner[pm.owner[m]]--
-	pm.owner[m] = OwnerFree
-	pm.vm[m] = 0
+// freeFrame releases allocated frame i of mixed chunk c. pm.mu held.
+func (pm *PhysMem) freeFrame(c *chunk, i uint64) {
+	pm.byOwner[c.tags.owner[i]]--
+	c.tags.owner[i], c.tags.vm[i] = OwnerFree, 0
+	c.alloc--
 	pm.allocated--
-	pm.cAlloc[chunkOf(m)]--
-	pm.releaseData(m)
+	pm.releaseDataAt(c, i)
 }
 
-// collapseIfFree re-summarizes a drained chunk so later wipes and allocs
-// take the O(1) paths again. pm.mu held.
-func (pm *PhysMem) collapseIfFree(c int) {
-	if !pm.uniform[c] && pm.cAlloc[c] == 0 {
-		pm.uniform[c] = true
-		pm.cOwner[c] = OwnerFree
-		pm.cVM[c] = 0
-	}
-}
-
-// Free releases a frame. Freeing an unallocated frame is an error: it
-// indicates double-free bugs in a hypervisor model.
-func (pm *PhysMem) Free(m MFN) error {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	if m >= MFN(pm.totalFrames) {
-		return fmt.Errorf("hw: double free of frame %#x", uint64(m))
-	}
-	c := chunkOf(m)
-	if pm.uniform[c] {
-		if pm.cOwner[c] == OwnerFree {
-			return fmt.Errorf("hw: double free of frame %#x", uint64(m))
+// wipeChunk frees every allocated frame of chunk c, drops its contents
+// and re-summarizes it as uniformly free. pm.mu held.
+func (pm *PhysMem) wipeChunk(c *chunk, size uint64) int {
+	wiped := int(c.alloc)
+	if c.mixed {
+		for i := uint64(0); i < size; i++ {
+			if o := c.tags.owner[i]; o != OwnerFree {
+				pm.byOwner[o]--
+			}
 		}
-		pm.explode(c)
+	} else {
+		pm.byOwner[c.owner] -= uint64(c.alloc)
 	}
-	if pm.owner[m] == OwnerFree {
-		return fmt.Errorf("hw: double free of frame %#x", uint64(m))
+	pm.allocated -= uint64(c.alloc)
+	for i := uint64(0); c.data > 0 && i < size; i++ {
+		pm.releaseDataAt(c, i)
 	}
-	pm.freeFrame(m)
-	pm.collapseIfFree(c)
-	return nil
+	c.mixed, c.owner, c.vm, c.alloc = false, OwnerFree, 0, 0
+	return wiped
 }
 
 // FreeRange releases the contiguous run [start, start+count) in one
-// critical section — the bulk path behind hv.AddressSpace.Release, where
-// a per-frame Free would pay a lock round-trip and a chunk explode per
-// frame. Whole uniform chunks are released at summary granularity.
-// Frames are freed in order; the first unallocated frame aborts with the
-// same error (and partial effect) a Free loop has.
+// critical section. Whole uniform chunks are released at summary
+// granularity. Frames are freed in order; the first unallocated frame —
+// freeing one indicates a double-free bug in a hypervisor model — aborts
+// with an error, the frames before it stay freed.
 func (pm *PhysMem) FreeRange(start MFN, count uint64) error {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	end := uint64(start) + count
-	limit := end
-	if limit > pm.totalFrames {
-		limit = pm.totalFrames
-	}
+	limit := min(end, pm.totalFrames)
 	for f := uint64(start); f < limit; {
-		c := chunkOf(MFN(f))
-		base, size := pm.chunkSpan(c)
-		hi := uint64(base) + size
-		if hi > limit {
-			hi = limit
-		}
-		if pm.uniform[c] {
-			if pm.cOwner[c] == OwnerFree {
-				return fmt.Errorf("hw: double free of frame %#x", f)
+		p := pm.partAt(f, limit)
+		c := p.c
+		f = uint64(p.base) + p.hi
+		if !c.mixed {
+			if c.owner == OwnerFree {
+				return fmt.Errorf("hw: double free of frame %#x", uint64(p.base)+p.lo)
 			}
-			if f == uint64(base) && hi == uint64(base)+size {
-				// Whole uniform chunk: release at summary granularity.
-				pm.byOwner[pm.cOwner[c]] -= size
-				pm.allocated -= size
-				pm.cOwner[c] = OwnerFree
-				pm.cVM[c] = 0
-				pm.cAlloc[c] = 0
-				for m := base; pm.cData[c] > 0 && uint64(m) < uint64(base)+size; m++ {
-					pm.releaseDataAt(m, c)
-				}
-				f = hi
+			if p.whole() {
+				pm.wipeChunk(c, p.size)
 				continue
 			}
-			pm.explode(c)
+			c.explode(p.size)
 		}
-		for ; f < hi; f++ {
-			if pm.owner[f] == OwnerFree {
-				pm.collapseIfFree(c)
-				return fmt.Errorf("hw: double free of frame %#x", f)
+		for i := p.lo; i < p.hi; i++ {
+			if c.tags.owner[i] == OwnerFree {
+				c.collapseIfFree()
+				return fmt.Errorf("hw: double free of frame %#x", uint64(p.base)+i)
 			}
-			pm.freeFrame(MFN(f))
+			pm.freeFrame(c, i)
 		}
-		pm.collapseIfFree(c)
+		c.collapseIfFree()
 	}
 	if end > pm.totalFrames {
-		return fmt.Errorf("hw: double free of frame %#x", pm.totalFrames)
+		return fmt.Errorf("hw: double free of frame %#x", max(uint64(start), pm.totalFrames))
 	}
 	return nil
 }
 
-// releaseDataAt is releaseData without the chunk recomputation, for bulk
-// paths that already know the chunk. pm.mu held.
-func (pm *PhysMem) releaseDataAt(m MFN, c int) {
-	p, ok := pm.data[m]
-	if !ok {
-		return
+// FreeRanges releases every run of rs, the inverse of AllocRanges,
+// stopping at the first error.
+func (pm *PhysMem) FreeRanges(rs []FrameRange) error {
+	for _, r := range rs {
+		if err := pm.FreeRange(r.Start, r.Count); err != nil {
+			return err
+		}
 	}
-	delete(pm.data, m)
-	delete(pm.sums, m)
-	pm.cData[c]--
-	p.refs--
-	if p.refs <= 0 && p.interned {
-		pm.uninternPage(p)
-	}
+	return nil
 }
 
 // OwnerOf reports a frame's owner tag (OwnerFree if unallocated) and
@@ -592,100 +511,69 @@ func (pm *PhysMem) releaseDataAt(m MFN, c int) {
 func (pm *PhysMem) OwnerOf(m MFN) (Owner, int) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if m >= MFN(pm.totalFrames) {
-		return OwnerFree, -1
-	}
-	o, v := pm.frameState(m)
-	if o == OwnerFree {
-		return OwnerFree, -1
-	}
-	return o, int(v)
-}
-
-// SetOwner retags an allocated frame. Used when the target hypervisor
-// adopts preserved guest frames after a micro-reboot.
-func (pm *PhysMem) SetOwner(m MFN, owner Owner, vm int) error {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	return pm.setOwnerLocked(m, owner, vm)
-}
-
-func (pm *PhysMem) setOwnerLocked(m MFN, owner Owner, vm int) error {
-	if m >= MFN(pm.totalFrames) {
-		return fmt.Errorf("hw: SetOwner on unallocated frame %#x", uint64(m))
-	}
-	c := chunkOf(m)
-	if pm.uniform[c] {
-		if pm.cOwner[c] == OwnerFree {
-			return fmt.Errorf("hw: SetOwner on unallocated frame %#x", uint64(m))
+	if m < MFN(pm.totalFrames) {
+		if o, v := pm.chunks[chunkOf(m)].tag(uint64(m) % chunkFrames); o != OwnerFree {
+			return o, int(v)
 		}
-		if pm.cOwner[c] == owner && pm.cVM[c] == int32(vm) {
-			return nil
-		}
-		pm.explode(c)
 	}
-	if pm.owner[m] == OwnerFree {
-		return fmt.Errorf("hw: SetOwner on unallocated frame %#x", uint64(m))
-	}
-	pm.byOwner[pm.owner[m]]--
-	pm.owner[m] = owner
-	pm.vm[m] = int32(vm)
-	pm.byOwner[owner]++
-	return nil
+	return OwnerFree, -1
 }
 
-// SetOwnerRange retags the contiguous run [start, start+count) in one
-// critical section — the bulk path behind hv.AddressSpace.Retag, where a
-// per-frame SetOwner would pay millions of lock round-trips per
-// transplant. A fully-covered uniform chunk (every huge-page extent)
-// retags in O(1). Frames are retagged in order; the first unallocated
-// frame aborts with the same error (and partial effect) a SetOwner loop
-// has.
+// SetOwnerRange retags the allocated run [start, start+count) in one
+// critical section — used when the target hypervisor adopts preserved
+// guest frames after a micro-reboot. A fully-covered uniform chunk (every
+// huge-page extent) retags in O(1). Frames are retagged in order; the
+// first unallocated frame aborts with an error, the frames before it stay
+// retagged.
 func (pm *PhysMem) SetOwnerRange(start MFN, count uint64, owner Owner, vm int) error {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	end := uint64(start) + count
-	limit := end
-	if limit > pm.totalFrames {
-		limit = pm.totalFrames
-	}
+	limit := min(end, pm.totalFrames)
 	for f := uint64(start); f < limit; {
-		c := chunkOf(MFN(f))
-		base, size := pm.chunkSpan(c)
-		hi := uint64(base) + size
-		if hi > limit {
-			hi = limit
-		}
-		if pm.uniform[c] {
-			if pm.cOwner[c] == OwnerFree {
-				return fmt.Errorf("hw: SetOwner on unallocated frame %#x", f)
+		p := pm.partAt(f, limit)
+		c := p.c
+		f = uint64(p.base) + p.hi
+		if !c.mixed {
+			if c.owner == OwnerFree {
+				return fmt.Errorf("hw: SetOwner on unallocated frame %#x", uint64(p.base)+p.lo)
 			}
-			if f == uint64(base) && hi == uint64(base)+size {
-				if pm.cOwner[c] != owner || pm.cVM[c] != int32(vm) {
-					pm.byOwner[pm.cOwner[c]] -= size
-					pm.byOwner[owner] += size
-					pm.cOwner[c] = owner
-					pm.cVM[c] = int32(vm)
-				}
-				f = hi
+			if c.owner == owner && c.vm == int32(vm) {
 				continue
 			}
-			pm.explode(c)
-		}
-		for ; f < hi; f++ {
-			if pm.owner[f] == OwnerFree {
-				return fmt.Errorf("hw: SetOwner on unallocated frame %#x", f)
+			if p.whole() {
+				pm.byOwner[c.owner] -= p.size
+				pm.byOwner[owner] += p.size
+				c.owner, c.vm = owner, int32(vm)
+				continue
 			}
-			pm.byOwner[pm.owner[f]]--
-			pm.owner[f] = owner
-			pm.vm[f] = int32(vm)
+			c.explode(p.size)
+		}
+		for i := p.lo; i < p.hi; i++ {
+			if c.tags.owner[i] == OwnerFree {
+				return fmt.Errorf("hw: SetOwner on unallocated frame %#x", uint64(p.base)+i)
+			}
+			pm.byOwner[c.tags.owner[i]]--
+			c.tags.owner[i], c.tags.vm[i] = owner, int32(vm)
 			pm.byOwner[owner]++
 		}
 	}
 	if end > pm.totalFrames {
-		return fmt.Errorf("hw: SetOwner on unallocated frame %#x", pm.totalFrames)
+		return fmt.Errorf("hw: SetOwner on unallocated frame %#x", max(uint64(start), pm.totalFrames))
 	}
 	return nil
+}
+
+// slot resolves allocated frame m to its chunk and index within it;
+// pm.mu held. op names the access for the error ("write to", ...).
+func (pm *PhysMem) slot(m MFN, op string) (*chunk, uint64, error) {
+	if m < MFN(pm.totalFrames) {
+		c, i := &pm.chunks[chunkOf(m)], uint64(m)%chunkFrames
+		if o, _ := c.tag(i); o != OwnerFree {
+			return c, i, nil
+		}
+	}
+	return nil, 0, fmt.Errorf("hw: %s unallocated frame %#x", op, uint64(m))
 }
 
 // Write copies data into the frame starting at offset off. It allocates
@@ -699,66 +587,103 @@ func (pm *PhysMem) Write(m MFN, off int, data []byte) error {
 		return fmt.Errorf("hw: write [%d, %d) outside frame", off, off+len(data))
 	}
 	pm.mu.Lock()
-	if m >= MFN(pm.totalFrames) {
+	c, i, err := pm.slot(m, "write to")
+	if err != nil {
 		pm.mu.Unlock()
-		return fmt.Errorf("hw: write to unallocated frame %#x", uint64(m))
+		return err
 	}
-	if o, _ := pm.frameState(m); o == OwnerFree {
-		pm.mu.Unlock()
-		return fmt.Errorf("hw: write to unallocated frame %#x", uint64(m))
+	if c.pages == nil {
+		c.pages = new([chunkFrames]*page)
 	}
-	p, ok := pm.data[m]
-	if !ok {
+	p := c.pages[i]
+	switch {
+	case p == nil:
 		p = &page{buf: make([]byte, PageSize4K), refs: 1}
-		pm.data[m] = p
-		pm.cData[chunkOf(m)]++
-	} else if p.refs > 1 {
+		c.pages[i] = p
+		c.data++
+	case p.refs > 1:
 		// Copy-on-write unshare: other frames keep the shared original.
 		p.refs--
 		np := &page{buf: make([]byte, PageSize4K), refs: 1}
 		copy(np.buf, p.buf)
-		pm.data[m] = np
+		c.pages[i] = np
 		p = np
-	} else if p.interned {
+	case p.interned:
 		// Sole owner about to mutate: the intern registration is stale.
 		pm.uninternPage(p)
 	}
-	delete(pm.sums, m)
+	p.summed = false
 	dedup := pm.dedup
 	pm.mu.Unlock()
 	copy(p.buf[off:], data)
 	if dedup {
 		h := crc64.Checksum(p.buf, crcTable)
 		pm.mu.Lock()
-		pm.internPage(m, p, h)
+		pm.internPage(c, i, p, h)
 		pm.mu.Unlock()
 	}
 	return nil
 }
 
-// internPage registers frame m's freshly-written page under its content
-// hash, sharing an existing byte-identical page instead when one is
-// registered. pm.mu held.
-func (pm *PhysMem) internPage(m MFN, p *page, h uint64) {
+// WriteRanges lays data into the frames of rs in order, a page per frame
+// from offset 0 — how a blob goes into frames allocated as ranges.
+func (pm *PhysMem) WriteRanges(rs []FrameRange, data []byte) error {
+	for _, r := range rs {
+		for m := r.Start; m < r.End() && len(data) > 0; m++ {
+			n := min(len(data), PageSize4K)
+			if err := pm.Write(m, 0, data[:n]); err != nil {
+				return err
+			}
+			data = data[n:]
+		}
+	}
+	if len(data) > 0 {
+		return fmt.Errorf("hw: write of %d bytes past the last frame range", len(data))
+	}
+	return nil
+}
+
+// ReadRanges is the inverse of WriteRanges: it returns the contents of the
+// frames of rs in order, a page per frame, in one buffer.
+func (pm *PhysMem) ReadRanges(rs []FrameRange) ([]byte, error) {
+	out := make([]byte, CountFrames(rs)*PageSize4K)
+	rest := out
+	for _, r := range rs {
+		err := pm.ForEachTouched(r.Start, r.Count, func(m MFN, data []byte) error {
+			copy(rest[(m-r.Start)*PageSize4K:], data)
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		rest = rest[r.Count*PageSize4K:]
+	}
+	return out, nil
+}
+
+// internPage registers the freshly-written page p of chunk c's frame i
+// under its content hash h — which is also its checksum, cached from here
+// on — or, when a byte-identical page is registered, shares that one
+// instead. pm.mu held.
+func (pm *PhysMem) internPage(c *chunk, i uint64, p *page, h uint64) {
 	if pm.intern == nil {
 		pm.intern = make(map[uint64][]*page)
 	}
 	for _, q := range pm.intern[h] {
 		if q != p && bytes.Equal(q.buf, p.buf) {
 			q.refs++
-			pm.data[m] = q
+			c.pages[i] = q
 			pm.dedupHits++
 			return
 		}
 	}
-	p.hash = h
-	p.interned = true
+	p.sum, p.summed, p.interned = h, true, true
 	pm.intern[h] = append(pm.intern[h], p)
 }
 
 // uninternPage removes p from the content-intern table. pm.mu held.
 func (pm *PhysMem) uninternPage(p *page) {
-	bucket := pm.intern[p.hash]
+	bucket := pm.intern[p.sum]
 	for i, q := range bucket {
 		if q == p {
 			bucket[i] = bucket[len(bucket)-1]
@@ -767,9 +692,9 @@ func (pm *PhysMem) uninternPage(p *page) {
 		}
 	}
 	if len(bucket) == 0 {
-		delete(pm.intern, p.hash)
+		delete(pm.intern, p.sum)
 	} else {
-		pm.intern[p.hash] = bucket
+		pm.intern[p.sum] = bucket
 	}
 	p.interned = false
 }
@@ -792,92 +717,54 @@ func (pm *PhysMem) PageDedupHits() (hits uint64, interned int) {
 	return pm.dedupHits, len(pm.intern)
 }
 
-// Read copies length bytes starting at offset off out of the frame.
-// Untouched frames read as zeros, matching real RAM handed out by a
-// hypervisor.
-func (pm *PhysMem) Read(m MFN, off, length int) ([]byte, error) {
-	if off < 0 || off+length > PageSize4K {
-		return nil, fmt.Errorf("hw: read [%d, %d) outside frame", off, off+length)
-	}
-	pm.mu.Lock()
-	if m >= MFN(pm.totalFrames) {
-		pm.mu.Unlock()
-		return nil, fmt.Errorf("hw: read from unallocated frame %#x", uint64(m))
-	}
-	if o, _ := pm.frameState(m); o == OwnerFree {
-		pm.mu.Unlock()
-		return nil, fmt.Errorf("hw: read from unallocated frame %#x", uint64(m))
-	}
-	p := pm.data[m]
-	pm.mu.Unlock()
-	out := make([]byte, length)
-	if p != nil {
-		copy(out, p.buf[off:off+length])
-	}
-	return out, nil
-}
-
 // ReadInto copies len(dst) bytes from the frame starting at offset off
-// into dst, without allocating. Untouched frames read as zeros.
+// into dst, without allocating. Untouched frames read as zeros, matching
+// real RAM handed out by a hypervisor.
 func (pm *PhysMem) ReadInto(m MFN, off int, dst []byte) error {
 	if off < 0 || off+len(dst) > PageSize4K {
 		return fmt.Errorf("hw: read [%d, %d) outside frame", off, off+len(dst))
 	}
 	pm.mu.Lock()
-	if m >= MFN(pm.totalFrames) {
+	c, i, err := pm.slot(m, "read from")
+	if err != nil {
 		pm.mu.Unlock()
-		return fmt.Errorf("hw: read from unallocated frame %#x", uint64(m))
+		return err
 	}
-	if o, _ := pm.frameState(m); o == OwnerFree {
-		pm.mu.Unlock()
-		return fmt.Errorf("hw: read from unallocated frame %#x", uint64(m))
-	}
-	p := pm.data[m]
+	p := c.page(i)
 	pm.mu.Unlock()
 	if p != nil {
-		copy(dst, p.buf[off:off+len(dst)])
+		copy(dst, p.buf[off:])
 	} else {
 		clear(dst)
 	}
 	return nil
 }
 
-// Touched reports whether the frame has ever been written (untouched
-// frames are logically zero and need no migration traffic).
-func (pm *PhysMem) Touched(m MFN) bool {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	_, ok := pm.data[m]
-	return ok
-}
-
 // Checksum returns a CRC-64 of the frame's contents. Untouched frames
-// checksum as all-zero pages. Results are cached per frame until the
-// next write, so repeated full-memory sweeps only pay for dirty frames.
+// checksum as all-zero pages. Results are cached per page until the next
+// write, so repeated full-memory sweeps only pay for dirty frames.
 func (pm *PhysMem) Checksum(m MFN) (uint64, error) {
 	pm.mu.Lock()
-	if m >= MFN(pm.totalFrames) {
+	c, i, err := pm.slot(m, "checksum of")
+	if err != nil {
 		pm.mu.Unlock()
-		return 0, fmt.Errorf("hw: checksum of unallocated frame %#x", uint64(m))
+		return 0, err
 	}
-	if o, _ := pm.frameState(m); o == OwnerFree {
-		pm.mu.Unlock()
-		return 0, fmt.Errorf("hw: checksum of unallocated frame %#x", uint64(m))
-	}
-	if sum, ok := pm.sums[m]; ok {
+	p := c.page(i)
+	if p == nil || p.summed {
+		sum := zeroPageSum
+		if p != nil {
+			sum = p.sum
+		}
 		pm.mu.Unlock()
 		return sum, nil
 	}
-	p := pm.data[m]
 	pm.mu.Unlock()
-	if p == nil {
-		return zeroPageSum, nil
-	}
 	// The hash runs outside the lock; the same distinct-frames contract
 	// that makes the payload copy in Write safe applies here.
 	sum := crc64.Checksum(p.buf, crcTable)
 	pm.mu.Lock()
-	pm.sums[m] = sum
+	p.sum, p.summed = sum, true
 	pm.mu.Unlock()
 	return sum, nil
 }
@@ -887,97 +774,152 @@ var (
 	zeroPageSum = crc64.Checksum(zeroPage[:], crcTable)
 )
 
-// Wipe zeroes and frees every allocated frame whose MFN is not in keep.
-// It returns the number of frames wiped. This is the destructive half of
-// the kexec micro-reboot: only explicitly preserved memory survives.
-func (pm *PhysMem) Wipe(keep map[MFN]bool) int {
+// eachAllocated calls fn for every chunk part of [start, start+count),
+// in order, after checking that the part's frames are all allocated; the
+// first that is not fails the walk with an access error naming op.
+// pm.mu held.
+func (pm *PhysMem) eachAllocated(start MFN, count uint64, op string, fn func(part)) error {
+	end := uint64(start) + count
+	limit := min(end, pm.totalFrames)
+	for f := uint64(start); f < limit; {
+		p := pm.partAt(f, limit)
+		if m, found := p.find(true); found {
+			return fmt.Errorf("hw: %s unallocated frame %#x", op, uint64(m))
+		}
+		fn(p)
+		f = uint64(p.base) + p.hi
+	}
+	if end > pm.totalFrames {
+		return fmt.Errorf("hw: %s unallocated frame %#x", op, max(uint64(start), pm.totalFrames))
+	}
+	return nil
+}
+
+// ForEachTouched calls fn, in frame order, for every frame of the
+// allocated run [start, start+count) that has ever been written
+// (untouched frames are logically zero and need no migration traffic).
+// The lock is taken once for the whole run and chunks that were never
+// written are skipped in O(1); fn runs outside it. data is the frame's
+// live backing store: fn must not modify it or keep it past the call.
+func (pm *PhysMem) ForEachTouched(start MFN, count uint64, fn func(m MFN, data []byte) error) error {
+	type touched struct {
+		m MFN
+		p *page
+	}
+	var hits []touched
 	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	wiped := 0
-	for c := range pm.uniform {
-		if pm.uniform[c] && pm.cOwner[c] == OwnerFree {
-			continue
-		}
-		base, size := pm.chunkSpan(c)
-		kept := 0
-		for i := uint64(0); i < size; i++ {
-			if keep[base+MFN(i)] {
-				kept++
+	err := pm.eachAllocated(start, count, "read from", func(p part) {
+		hits = slices.Grow(hits, int(min(uint64(p.c.data), p.hi-p.lo)))
+		for i := p.lo; p.c.data > 0 && i < p.hi; i++ {
+			if pg := p.c.pages[i]; pg != nil {
+				hits = append(hits, touched{p.base + MFN(i), pg})
 			}
 		}
-		switch {
-		case kept == 0:
-			wiped += pm.wipeChunk(c)
-		default:
-			if pm.uniform[c] {
-				pm.explode(c)
-			}
-			for i := uint64(0); i < size; i++ {
-				m := base + MFN(i)
-				if pm.owner[m] == OwnerFree || keep[m] {
-					continue
-				}
-				pm.freeFrame(m)
-				wiped++
-			}
-			pm.collapseIfFree(c)
+	})
+	pm.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	for _, h := range hits {
+		if err := fn(h.m, h.p.buf); err != nil {
+			return err
 		}
 	}
-	return wiped
+	return nil
 }
 
-// wipeChunk frees every allocated frame of chunk c (no keep set) and
-// re-summarizes it as uniformly free. pm.mu held.
-func (pm *PhysMem) wipeChunk(c int) int {
-	base, size := pm.chunkSpan(c)
-	var wiped int
-	if pm.uniform[c] {
-		wiped = int(pm.cAlloc[c])
-		pm.byOwner[pm.cOwner[c]] -= uint64(pm.cAlloc[c])
-		pm.allocated -= uint64(pm.cAlloc[c])
-	} else {
-		for i := uint64(0); i < size; i++ {
-			m := base + MFN(i)
-			if pm.owner[m] == OwnerFree {
-				continue
-			}
-			pm.byOwner[pm.owner[m]]--
-			pm.allocated--
-			wiped++
-		}
+// checksumKey is the weight of guest frame g's page checksum in a
+// combined checksum. The combination is a wrapping sum, so it does not
+// depend on the order the pages are visited in or the frames behind them.
+func checksumKey(g uint64) uint64 { return g*2654435761 + 97 }
+
+// checksumKeys returns the wrapping sum of checksumKey(g+k) for k in
+// [0, n) in closed form, 2654435761·(n·g + n(n-1)/2) + 97·n. Halving the
+// even factor of n(n-1) first keeps it exact modulo 2^64.
+func checksumKeys(g, n uint64) uint64 {
+	tri := n / 2 * (n - 1)
+	if n%2 == 1 {
+		tri = n * ((n - 1) / 2)
 	}
-	for m := base; pm.cData[c] > 0 && uint64(m) < uint64(base)+size; m++ {
-		pm.releaseDataAt(m, c)
-	}
-	pm.uniform[c] = true
-	pm.cOwner[c] = OwnerFree
-	pm.cVM[c] = 0
-	pm.cAlloc[c] = 0
-	return wiped
+	return 2654435761*(n*g+tri) + 97*n
 }
 
-// WipeRanges is Wipe with the keep set expressed as sorted, disjoint
-// [start, start+count) frame runs. Chunks wholly outside the keep set
-// are wiped at summary granularity and chunks wholly inside it are
-// skipped, so a micro-reboot preserving huge-page guests costs
-// O(chunks), not O(frames).
+// ChecksumRange returns the combined checksum of the allocated run
+// [start, start+count) mapped at guest frames gfn, gfn+1, ...: the
+// wrapping sum of Checksum(start+k)·checksumKey(gfn+k). It crosses the
+// lock once for the whole run (twice when pages need hashing; the CRCs
+// run outside it, under the distinct-frames rule), and a run of frames in
+// chunks that were never written contributes in closed form, so an
+// untouched guest extent costs O(1).
+func (pm *PhysMem) ChecksumRange(start MFN, count uint64, gfn GFN) (uint64, error) {
+	type unsummed struct {
+		p        *page
+		key, sum uint64
+	}
+	var total uint64
+	var todo []unsummed
+	pm.mu.Lock()
+	err := pm.eachAllocated(start, count, "checksum of", func(p part) {
+		g := uint64(gfn) + uint64(p.base) + p.lo - uint64(start)
+		if p.c.data == 0 {
+			total += zeroPageSum * checksumKeys(g, p.hi-p.lo)
+			return
+		}
+		for i := p.lo; i < p.hi; i, g = i+1, g+1 {
+			switch pg := p.c.pages[i]; {
+			case pg == nil:
+				total += zeroPageSum * checksumKey(g)
+			case pg.summed:
+				total += pg.sum * checksumKey(g)
+			default:
+				todo = append(todo, unsummed{p: pg, key: checksumKey(g)})
+			}
+		}
+	})
+	pm.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	if len(todo) == 0 {
+		return total, nil
+	}
+	for k := range todo {
+		todo[k].sum = crc64.Checksum(todo[k].p.buf, crcTable)
+		total += todo[k].sum * todo[k].key
+	}
+	pm.mu.Lock()
+	for _, u := range todo {
+		u.p.sum, u.p.summed = u.sum, true
+	}
+	pm.mu.Unlock()
+	return total, nil
+}
+
+// WipeRanges zeroes and frees every allocated frame outside the keep set
+// (sorted, disjoint runs) and returns the number of frames wiped. This is
+// the destructive half of the kexec micro-reboot: only explicitly
+// preserved memory survives. Chunks wholly outside the keep set are wiped
+// at summary granularity and chunks wholly inside it are skipped, so a
+// micro-reboot preserving huge-page guests costs O(chunks), not
+// O(frames).
 func (pm *PhysMem) WipeRanges(keep []FrameRange) int {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	wiped := 0
 	ki := 0
-	for c := range pm.uniform {
-		base, size := pm.chunkSpan(c)
+	for ci := range pm.chunks {
+		c := &pm.chunks[ci]
+		base, size := pm.chunkSpan(ci)
 		end := uint64(base) + size
-		for ki < len(keep) && uint64(keep[ki].Start)+keep[ki].Count <= uint64(base) {
+		for ki < len(keep) && keep[ki].End() <= base {
 			ki++
 		}
-		if pm.uniform[c] && pm.cOwner[c] == OwnerFree {
+		if c.alloc == 0 {
 			continue
 		}
 		if ki >= len(keep) || uint64(keep[ki].Start) >= end {
 			// No keep range touches this chunk.
-			wiped += pm.wipeChunk(c)
+			wiped += pm.wipeChunk(c, size)
 			continue
 		}
 		// Fully covered by keep ranges? Walk the ranges across the chunk.
@@ -988,30 +930,28 @@ func (pm *PhysMem) WipeRanges(keep []FrameRange) int {
 				covered = false
 				break
 			}
-			pos = uint64(keep[j].Start) + keep[j].Count
+			pos = uint64(keep[j].End())
 		}
 		if covered {
 			continue
 		}
 		// Partial overlap: per-frame, with a chunk-local range index.
-		if pm.uniform[c] {
-			pm.explode(c)
+		if !c.mixed {
+			c.explode(size)
 		}
 		j := ki
-		for m := base; uint64(m) < end; m++ {
-			for j < len(keep) && uint64(m) >= uint64(keep[j].Start)+keep[j].Count {
+		for i := uint64(0); i < size; i++ {
+			m := base + MFN(i)
+			for j < len(keep) && m >= keep[j].End() {
 				j++
 			}
-			if j < len(keep) && m >= keep[j].Start {
+			if (j < len(keep) && m >= keep[j].Start) || c.tags.owner[i] == OwnerFree {
 				continue
 			}
-			if pm.owner[m] == OwnerFree {
-				continue
-			}
-			pm.freeFrame(m)
+			pm.freeFrame(c, i)
 			wiped++
 		}
-		pm.collapseIfFree(c)
+		c.collapseIfFree()
 	}
 	return wiped
 }
@@ -1022,28 +962,50 @@ type FrameRange struct {
 	Count uint64
 }
 
-// FramesByOwner returns the sorted MFNs currently tagged with owner.
-func (pm *PhysMem) FramesByOwner(owner Owner) []MFN {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	var out []MFN
-	for c := range pm.uniform {
-		base, size := pm.chunkSpan(c)
-		if pm.uniform[c] {
-			if pm.cOwner[c] == owner {
-				for i := uint64(0); i < size; i++ {
-					out = append(out, base+MFN(i))
-				}
-			}
-			continue
-		}
-		for i := uint64(0); i < size; i++ {
-			if pm.owner[base+MFN(i)] == owner {
-				out = append(out, base+MFN(i))
-			}
+// End returns the frame after the run's last.
+func (r FrameRange) End() MFN { return r.Start + MFN(r.Count) }
+
+// AppendRange appends r to the runs rs, extending the last run when r
+// directly follows it.
+func AppendRange(rs []FrameRange, r FrameRange) []FrameRange {
+	if n := len(rs); n > 0 && rs[n-1].End() == r.Start {
+		rs[n-1].Count += r.Count
+		return rs
+	}
+	return append(rs, r)
+}
+
+// MergeRanges sorts rs by start frame and merges runs that touch or
+// overlap, in place: the sorted, disjoint form WipeRanges takes. Ranges
+// derived from cursor allocations usually arrive ascending already, which
+// costs one pass instead of a sort.
+func MergeRanges(rs []FrameRange) []FrameRange {
+	if len(rs) == 0 {
+		return rs
+	}
+	byStart := func(a, b FrameRange) int { return cmp.Compare(a.Start, b.Start) }
+	if !slices.IsSortedFunc(rs, byStart) {
+		slices.SortFunc(rs, byStart)
+	}
+	out := rs[:1]
+	for _, r := range rs[1:] {
+		last := &out[len(out)-1]
+		if last.End() < r.Start {
+			out = append(out, r)
+		} else if r.End() > last.End() {
+			last.Count = uint64(r.End() - last.Start)
 		}
 	}
 	return out
+}
+
+// CountFrames returns the number of frames in rs.
+func CountFrames(rs []FrameRange) uint64 {
+	var n uint64
+	for _, r := range rs {
+		n += r.Count
+	}
+	return n
 }
 
 // CountByOwner returns the number of frames per owner category — the

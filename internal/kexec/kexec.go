@@ -13,7 +13,6 @@ package kexec
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -73,10 +72,8 @@ func (img *Image) Unload(m *hw.Machine) error {
 	if !img.loaded {
 		return fmt.Errorf("kexec: image not loaded")
 	}
-	for _, r := range img.Ranges {
-		if err := m.Mem.FreeRange(r.Start, r.Count); err != nil {
-			return err
-		}
+	if err := m.Mem.FreeRanges(img.Ranges); err != nil {
+		return err
 	}
 	img.loaded = false
 	return nil
@@ -129,11 +126,8 @@ func Exec(m *hw.Machine, img *Image, pramPtr hw.MFN, preserve []hw.FrameRange) (
 	keep := make([]hw.FrameRange, 0, len(preserve)+len(img.Ranges))
 	keep = append(keep, preserve...)
 	keep = append(keep, img.Ranges...)
-	keep = mergeRanges(keep)
-	var preserved uint64
-	for _, r := range keep {
-		preserved += r.Count
-	}
+	keep = hw.MergeRanges(keep)
+	preserved := hw.CountFrames(keep)
 
 	wiped := m.MicroReboot(FormatCmdline(pramPtr), keep)
 	// The image frames become part of the running kernel: retag them as
@@ -145,30 +139,4 @@ func Exec(m *hw.Machine, img *Image, pramPtr hw.MFN, preserve []hw.FrameRange) (
 	}
 	img.loaded = false
 	return &Result{WipedFrames: wiped, PreservedFrames: preserved}, nil
-}
-
-func mergeRanges(in []hw.FrameRange) []hw.FrameRange {
-	if len(in) == 0 {
-		return in
-	}
-	out := make([]hw.FrameRange, len(in))
-	copy(out, in)
-	sortRanges(out)
-	merged := out[:1]
-	for _, r := range out[1:] {
-		last := &merged[len(merged)-1]
-		if last.Start+hw.MFN(last.Count) >= r.Start {
-			end := r.Start + hw.MFN(r.Count)
-			if end > last.Start+hw.MFN(last.Count) {
-				last.Count = uint64(end - last.Start)
-			}
-			continue
-		}
-		merged = append(merged, r)
-	}
-	return merged
-}
-
-func sortRanges(rs []hw.FrameRange) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Start < rs[j].Start })
 }

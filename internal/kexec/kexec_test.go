@@ -27,7 +27,8 @@ func TestLoadImage(t *testing.T) {
 	if counts[hw.OwnerKexecImage] != KVMImageBytes/hw.PageSize4K {
 		t.Fatalf("image frames = %d", counts[hw.OwnerKexecImage])
 	}
-	got, err := m.Mem.Read(img.Ranges[0].Start, 0, 15)
+	got := make([]byte, 15)
+	err = m.Mem.ReadInto(img.Ranges[0].Start, 0, got)
 	if err != nil || string(got) != "KEXEC-IMAGE:kvm" {
 		t.Fatalf("stamp = %q, %v", got, err)
 	}
@@ -100,8 +101,8 @@ func TestExecPreservationContract(t *testing.T) {
 	m := newMachine()
 
 	// HV state that must die.
-	hvFrames, _ := m.Mem.Alloc(100, hw.OwnerHV, -1)
-	m.Mem.Write(hvFrames[0], 0, []byte("hypervisor secret"))
+	hvFrames, _ := m.Mem.AllocRanges(100, hw.OwnerHV, -1)
+	m.Mem.Write(hvFrames[0].Start, 0, []byte("hypervisor secret"))
 
 	// Guest memory that must survive.
 	base, err := m.Mem.Alloc2M(hw.OwnerGuest, 1)
@@ -113,8 +114,8 @@ func TestExecPreservationContract(t *testing.T) {
 
 	// A guest frame NOT recorded in PRAM: must be wiped (the contract
 	// is explicit preservation, not owner-tag based).
-	orphan, _ := m.Mem.Alloc(1, hw.OwnerGuest, 2)
-	m.Mem.Write(orphan[0], 0, []byte("forgotten"))
+	orphan, _ := m.Mem.AllocRanges(1, hw.OwnerGuest, 2)
+	m.Mem.Write(orphan[0].Start, 0, []byte("forgotten"))
 
 	ps, err := pram.Build(m.Mem, []pram.File{{
 		Name: "vm1", VMID: 1,
@@ -141,11 +142,11 @@ func TestExecPreservationContract(t *testing.T) {
 		t.Fatalf("guest frame corrupted: %v", err)
 	}
 	// HV state gone.
-	if _, err := m.Mem.Read(hvFrames[0], 0, 1); err == nil {
+	if err := m.Mem.ReadInto(hvFrames[0].Start, 0, make([]byte, 1)); err == nil {
 		t.Fatal("HV frame survived")
 	}
 	// Orphan guest frame gone — PRAM is the source of truth.
-	if _, err := m.Mem.Read(orphan[0], 0, 1); err == nil {
+	if err := m.Mem.ReadInto(orphan[0].Start, 0, make([]byte, 1)); err == nil {
 		t.Fatal("unrecorded guest frame survived")
 	}
 	// PRAM metadata itself must survive so the new kernel can parse it.
@@ -181,7 +182,7 @@ func TestExecPreservedFramesAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := uint64(hw.FramesPer2M) + uint64(len(ps.MetaFrames)) + KVMImageBytes/hw.PageSize4K
+	want := uint64(hw.FramesPer2M) + hw.CountFrames(ps.MetaFrames) + KVMImageBytes/hw.PageSize4K
 	if res.PreservedFrames != want {
 		t.Fatalf("preserved = %d frames, want %d", res.PreservedFrames, want)
 	}

@@ -20,8 +20,9 @@ func fuzzParseSeeds(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 	var seed []byte
-	for _, m := range s.MetaFrames {
-		page, _ := mem.Read(m, 0, hw.PageSize4K)
+	for _, m := range metaFrames(s) {
+		page := make([]byte, hw.PageSize4K)
+		_ = mem.ReadInto(m, 0, page)
 		seed = append(seed, page...)
 	}
 	return [][]byte{seed, {}, seed[:100]}
@@ -50,21 +51,14 @@ func FuzzParse(f *testing.F) {
 		if nFrames > int(fm.TotalFrames()) {
 			nFrames = int(fm.TotalFrames())
 		}
-		frames, err := fm.Alloc(nFrames, hw.OwnerPRAM, -1)
+		frames, err := fm.AllocRanges(nFrames, hw.OwnerPRAM, -1)
 		if err != nil {
 			t.Skip()
 		}
-		for i, m := range frames {
-			lo := i * hw.PageSize4K
-			hi := lo + hw.PageSize4K
-			if hi > len(data) {
-				hi = len(data)
-			}
-			if lo < hi {
-				fm.Write(m, 0, data[lo:hi])
-			}
+		if err := fm.WriteRanges(frames, data[:min(len(data), nFrames*hw.PageSize4K)]); err != nil {
+			t.Fatal(err)
 		}
-		parsed, err := Parse(fm, frames[0])
+		parsed, err := Parse(fm, frames[0].Start)
 		if err != nil {
 			return
 		}

@@ -24,7 +24,7 @@ package pram
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"hypertp/internal/hw"
@@ -124,8 +124,8 @@ type Structure struct {
 	// the "PRAM pointer" handed to the target hypervisor on its boot
 	// command line.
 	Pointer hw.MFN
-	// MetaFrames are all metadata frames in allocation order.
-	MetaFrames []hw.MFN
+	// MetaFrames are all metadata frames, as runs in allocation order.
+	MetaFrames []hw.FrameRange
 	// Files are the recorded VM images.
 	Files []File
 	// ranges memoizes FrameRanges; populated by snapshot replay/capture.
@@ -135,7 +135,7 @@ type Structure struct {
 // MetadataBytes returns the PRAM structure's own memory footprint — the
 // quantity plotted in Fig. 14.
 func (s *Structure) MetadataBytes() uint64 {
-	return uint64(len(s.MetaFrames)) * hw.PageSize4K
+	return hw.CountFrames(s.MetaFrames) * hw.PageSize4K
 }
 
 // FrameRanges returns the frame runs that must survive the micro-reboot:
@@ -144,16 +144,13 @@ func (s *Structure) FrameRanges() []hw.FrameRange {
 	if s.ranges != nil {
 		return s.ranges
 	}
-	var out []hw.FrameRange
-	for _, m := range s.MetaFrames {
-		out = append(out, hw.FrameRange{Start: m, Count: 1})
-	}
+	out := slices.Clone(s.MetaFrames)
 	for _, f := range s.Files {
 		for _, e := range f.Extents {
 			out = append(out, hw.FrameRange{Start: hw.MFN(e.MFN), Count: e.Pages()})
 		}
 	}
-	return normalizeRanges(out)
+	return hw.MergeRanges(out)
 }
 
 // BuildOptions tune PRAM construction; the defaults match the paper's
@@ -191,12 +188,12 @@ func Build(mem *hw.PhysMem, files []File, opts BuildOptions) (*Structure, error)
 	}
 	s := &Structure{}
 	alloc := func() (hw.MFN, error) {
-		fr, err := mem.Alloc(1, hw.OwnerPRAM, -1)
+		fr, err := mem.AllocRanges(1, hw.OwnerPRAM, -1)
 		if err != nil {
 			return 0, err
 		}
-		s.MetaFrames = append(s.MetaFrames, fr[0])
-		return fr[0], nil
+		s.MetaFrames = hw.AppendRange(s.MetaFrames, fr[0])
+		return fr[0].Start, nil
 	}
 
 	// Stage 1 — sequential allocation and layout. Each closure appended to
@@ -301,14 +298,16 @@ func Parse(mem *hw.PhysMem, pointer hw.MFN) (*Structure, error) {
 	}
 	var rootPages []rootPage
 	seenRoots := map[hw.MFN]bool{}
+	pp := getPage()
+	defer putPage(pp)
+	page := *pp
 	root := pointer
 	for root != 0 {
 		if seenRoots[root] {
 			return nil, fmt.Errorf("pram: metadata cycle at frame %#x", uint64(root))
 		}
 		seenRoots[root] = true
-		page, err := mem.Read(root, 0, hw.PageSize4K)
-		if err != nil {
+		if err := mem.ReadInto(root, 0, page); err != nil {
 			return nil, fmt.Errorf("pram: root page: %w", err)
 		}
 		le := binary.LittleEndian
@@ -356,7 +355,7 @@ func Parse(mem *hw.PhysMem, pointer hw.MFN) (*Structure, error) {
 			return fmt.Errorf("pram: metadata cycle at frame %#x", uint64(m))
 		}
 		seen[m] = true
-		s.MetaFrames = append(s.MetaFrames, m)
+		s.MetaFrames = hw.AppendRange(s.MetaFrames, hw.FrameRange{Start: m, Count: 1})
 		return nil
 	}
 	idx := 0
@@ -387,10 +386,8 @@ func Parse(mem *hw.PhysMem, pointer hw.MFN) (*Structure, error) {
 // Release frees all metadata frames: step ❼ of Fig. 3, returning the
 // ephemeral memory after resume.
 func (s *Structure) Release(mem *hw.PhysMem) error {
-	for _, r := range frameRuns(s.MetaFrames) {
-		if err := mem.FreeRange(r.Start, r.Count); err != nil {
-			return err
-		}
+	if err := mem.FreeRanges(s.MetaFrames); err != nil {
+		return err
 	}
 	s.MetaFrames = nil
 	return nil
@@ -450,8 +447,12 @@ func writeNodePage(mem *hw.PhysMem, frame, next hw.MFN, extents []uisr.PageExten
 // parseFile reads one file-info page and walks its node chain, returning
 // the file and the node frames in chain order.
 func parseFile(mem *hw.PhysMem, info hw.MFN) (*File, []hw.MFN, error) {
-	page, err := mem.Read(info, 0, hw.PageSize4K)
-	if err != nil {
+	// One scratch page serves the whole chain: everything a page holds is
+	// copied out before the next one is read.
+	pp := getPage()
+	defer putPage(pp)
+	page := *pp
+	if err := mem.ReadInto(info, 0, page); err != nil {
 		return nil, nil, fmt.Errorf("pram: file info page: %w", err)
 	}
 	le := binary.LittleEndian
@@ -481,8 +482,8 @@ func parseFile(mem *hw.PhysMem, info hw.MFN) (*File, []hw.MFN, error) {
 		}
 		local[node] = true
 		nodes = append(nodes, node)
-		npage, err := mem.Read(node, 0, hw.PageSize4K)
-		if err != nil {
+		npage := page
+		if err := mem.ReadInto(node, 0, npage); err != nil {
 			return nil, nil, fmt.Errorf("pram: node page: %w", err)
 		}
 		if le.Uint64(npage[0:]) != nodeMagic {
@@ -524,29 +525,4 @@ func splitExtents(in []uisr.PageExtent) []uisr.PageExtent {
 		}
 	}
 	return out
-}
-
-// normalizeRanges sorts and merges frame ranges.
-func normalizeRanges(in []hw.FrameRange) []hw.FrameRange {
-	if len(in) == 0 {
-		return in
-	}
-	sortRanges(in)
-	out := in[:1]
-	for _, r := range in[1:] {
-		last := &out[len(out)-1]
-		if last.Start+hw.MFN(last.Count) >= r.Start {
-			end := r.Start + hw.MFN(r.Count)
-			if end > last.Start+hw.MFN(last.Count) {
-				last.Count = uint64(end - last.Start)
-			}
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
-func sortRanges(rs []hw.FrameRange) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Start < rs[j].Start })
 }

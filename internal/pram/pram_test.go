@@ -11,6 +11,17 @@ import (
 
 func newMem() *hw.PhysMem { return hw.NewPhysMem(4 << 30) }
 
+// metaFrames lists a structure's metadata frames one by one.
+func metaFrames(s *Structure) []hw.MFN {
+	var out []hw.MFN
+	for _, r := range s.MetaFrames {
+		for m := r.Start; m < r.End(); m++ {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
 // hugeFile builds a File describing memGiB of 2 MiB-backed guest memory
 // with extents at arbitrary (but aligned) machine locations.
 func hugeFile(mem *hw.PhysMem, name string, vmid uint32, memGiB int) File {
@@ -53,8 +64,8 @@ func TestBuildParseRoundTrip(t *testing.T) {
 			t.Fatalf("file %d extents mismatch", i)
 		}
 	}
-	if len(parsed.MetaFrames) != len(s.MetaFrames) {
-		t.Fatalf("parsed %d meta frames, built %d", len(parsed.MetaFrames), len(s.MetaFrames))
+	if parsed.MetadataBytes() != s.MetadataBytes() {
+		t.Fatalf("parsed %d metadata bytes, built %d", parsed.MetadataBytes(), s.MetadataBytes())
 	}
 }
 
@@ -187,8 +198,9 @@ func TestParseRejectsEntryCountMismatch(t *testing.T) {
 	}
 	// The file info page is allocated right after the node chain; its
 	// entry count lives at offset 16. Find it by scanning PRAM frames.
-	for _, m := range s.MetaFrames {
-		head, _ := mem.Read(m, 0, 8)
+	for _, m := range metaFrames(s) {
+		head := make([]byte, 8)
+		_ = mem.ReadInto(m, 0, head)
 		var magic uint64
 		for i := 7; i >= 0; i-- {
 			magic = magic<<8 | uint64(head[i])
@@ -209,13 +221,13 @@ func TestParseRejectsCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Point the first node's next pointer back at itself. Node pages
-	// are the first allocations, so MetaFrames[0] is a node.
+	// are the first allocations, so the first metadata frame is a node.
 	var buf [8]byte
-	v := uint64(s.MetaFrames[0])
+	v := uint64(s.MetaFrames[0].Start)
 	for i := range buf {
 		buf[i] = byte(v >> (8 * i))
 	}
-	mem.Write(s.MetaFrames[0], 8, buf[:])
+	mem.Write(s.MetaFrames[0].Start, 8, buf[:])
 	if _, err := Parse(mem, s.Pointer); err == nil {
 		t.Fatal("metadata cycle accepted")
 	}
@@ -237,7 +249,7 @@ func TestFrameRangesCoverGuestAndMetadata(t *testing.T) {
 		}
 	}
 	wantGuest := uint64(1<<30) / hw.PageSize4K
-	wantMeta := uint64(len(s.MetaFrames))
+	wantMeta := hw.CountFrames(s.MetaFrames)
 	if total != wantGuest+wantMeta {
 		t.Fatalf("ranges cover %d frames, want %d", total, wantGuest+wantMeta)
 	}
@@ -264,13 +276,13 @@ func TestManyFilesMultipleRootPages(t *testing.T) {
 	var files []File
 	// More files than fit in one root directory page (509).
 	for i := 0; i < filePointersPerRoot+3; i++ {
-		mfns, err := mem.Alloc(1, hw.OwnerGuest, i)
+		mfns, err := mem.AllocRanges(1, hw.OwnerGuest, i)
 		if err != nil {
 			t.Fatal(err)
 		}
 		files = append(files, File{
 			Name: "tiny", VMID: uint32(i),
-			Extents: []uisr.PageExtent{{GFN: 0, MFN: uint64(mfns[0]), Order: 0}},
+			Extents: []uisr.PageExtent{{GFN: 0, MFN: uint64(mfns[0].Start), Order: 0}},
 		})
 	}
 	s, err := Build(mem, files, BuildOptions{})

@@ -1,10 +1,10 @@
 package pram
 
 import (
+	"slices"
 	"sync"
 
 	"hypertp/internal/hw"
-	"hypertp/internal/par"
 )
 
 // Snapshot memoizes built PRAM structures for repeat transplants of the
@@ -29,9 +29,9 @@ type Snapshot struct {
 }
 
 type snapEntry struct {
-	metaFrames []hw.MFN
+	metaFrames []hw.FrameRange
 	pointer    hw.MFN
-	images     [][]byte
+	image      []byte // the metadata pages' contents, in metaFrames order
 	ranges     []hw.FrameRange
 }
 
@@ -100,21 +100,16 @@ func (s *Snapshot) tryReplay(mem *hw.PhysMem, files []File, key uint64) (*Struct
 		return nil, false
 	}
 	s.mu.Unlock()
-	runs := frameRuns(e.metaFrames)
-	for i, r := range runs {
+	for i, r := range e.metaFrames {
 		if err := mem.ClaimRange(r.Start, r.Count, hw.OwnerPRAM, -1); err != nil {
-			for _, u := range runs[:i] {
-				_ = mem.FreeRange(u.Start, u.Count)
-			}
+			_ = mem.FreeRanges(e.metaFrames[:i])
 			s.mu.Lock()
 			s.misses++
 			s.mu.Unlock()
 			return nil, false
 		}
 	}
-	if err := par.ForEach(len(e.metaFrames), func(i int) error {
-		return mem.Write(e.metaFrames[i], 0, e.images[i])
-	}); err != nil {
+	if err := mem.WriteRanges(e.metaFrames, e.image); err != nil {
 		return nil, false
 	}
 	s.mu.Lock()
@@ -122,7 +117,7 @@ func (s *Snapshot) tryReplay(mem *hw.PhysMem, files []File, key uint64) (*Struct
 	s.mu.Unlock()
 	return &Structure{
 		Pointer:    e.pointer,
-		MetaFrames: append([]hw.MFN(nil), e.metaFrames...),
+		MetaFrames: slices.Clone(e.metaFrames),
 		Files:      files,
 		ranges:     e.ranges,
 	}, true
@@ -132,18 +127,15 @@ func (s *Snapshot) tryReplay(mem *hw.PhysMem, files []File, key uint64) (*Struct
 // read back from memory (they were just written, so this is the exact
 // byte content a replay will reproduce) along with the preserve ranges.
 func (s *Snapshot) capture(mem *hw.PhysMem, st *Structure, key uint64) {
-	e := &snapEntry{
-		metaFrames: append([]hw.MFN(nil), st.MetaFrames...),
-		pointer:    st.Pointer,
-		images:     make([][]byte, len(st.MetaFrames)),
-		ranges:     st.FrameRanges(),
+	image, err := mem.ReadRanges(st.MetaFrames)
+	if err != nil {
+		return
 	}
-	for i, m := range st.MetaFrames {
-		buf := make([]byte, hw.PageSize4K)
-		if err := mem.ReadInto(m, 0, buf); err != nil {
-			return
-		}
-		e.images[i] = buf
+	e := &snapEntry{
+		metaFrames: slices.Clone(st.MetaFrames),
+		pointer:    st.Pointer,
+		image:      image,
+		ranges:     st.FrameRanges(),
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -155,17 +147,4 @@ func (s *Snapshot) capture(mem *hw.PhysMem, st *Structure, key uint64) {
 		}
 	}
 	s.entries[key] = e
-}
-
-// frameRuns coalesces an ordered frame list into contiguous runs.
-func frameRuns(frames []hw.MFN) []hw.FrameRange {
-	var out []hw.FrameRange
-	for _, f := range frames {
-		if n := len(out); n > 0 && out[n-1].Start+hw.MFN(out[n-1].Count) == f {
-			out[n-1].Count++
-			continue
-		}
-		out = append(out, hw.FrameRange{Start: f, Count: 1})
-	}
-	return out
 }

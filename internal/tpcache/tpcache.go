@@ -121,7 +121,7 @@ type Cache struct {
 // at the same frames — which keeps the PRAM fileset byte-stable and lets
 // the pram.Snapshot replay fire.
 type blobPlaces struct {
-	byHash map[uint64][]hw.MFN
+	byHash map[uint64][]hw.FrameRange
 	order  []uint64
 }
 
@@ -304,7 +304,7 @@ func (c *Cache) Invalidate(kind hv.Kind, m *hw.Machine, gen int, id hv.VMID) {
 // BlobFrames returns the frames the blob with the given content hash
 // occupied the last time it was written into machine m's memory, or nil
 // if unknown.
-func (c *Cache) BlobFrames(m *hw.Machine, hash uint64) []hw.MFN {
+func (c *Cache) BlobFrames(m *hw.Machine, hash uint64) []hw.FrameRange {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p := c.places[m]
@@ -316,12 +316,12 @@ func (c *Cache) BlobFrames(m *hw.Machine, hash uint64) []hw.MFN {
 
 // SetBlobFrames records where the blob with the given content hash was
 // written on machine m.
-func (c *Cache) SetBlobFrames(m *hw.Machine, hash uint64, frames []hw.MFN) {
+func (c *Cache) SetBlobFrames(m *hw.Machine, hash uint64, frames []hw.FrameRange) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p := c.places[m]
 	if p == nil {
-		p = &blobPlaces{byHash: make(map[uint64][]hw.MFN)}
+		p = &blobPlaces{byHash: make(map[uint64][]hw.FrameRange)}
 		c.places[m] = p
 	}
 	if _, exists := p.byHash[hash]; !exists {
@@ -331,7 +331,7 @@ func (c *Cache) SetBlobFrames(m *hw.Machine, hash uint64, frames []hw.MFN) {
 			p.order = p.order[1:]
 		}
 	}
-	p.byHash[hash] = append([]hw.MFN(nil), frames...)
+	p.byHash[hash] = append([]hw.FrameRange(nil), frames...)
 }
 
 // PRAMSnapshot returns machine m's PRAM build snapshot, creating it on
