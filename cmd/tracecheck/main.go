@@ -26,7 +26,7 @@ import (
 	"fmt"
 	"os"
 
-	"hypertp/internal/trace"
+	"hypertp/internal/core"
 )
 
 type traceEvent struct {
@@ -42,16 +42,6 @@ type traceEvent struct {
 type traceFile struct {
 	TraceEvents []traceEvent   `json:"traceEvents"`
 	OtherData   map[string]any `json:"otherData"`
-}
-
-// fig3Steps are the workflow phases an in-place transplant trace must
-// cover (Fig. 3 of the paper; the engine names its phase spans after
-// the trace step constants).
-var fig3Steps = []string{
-	trace.StepLoadImage, trace.StepPRAMBuild, trace.StepPause,
-	trace.StepTranslate, trace.StepKexec, trace.StepBoot,
-	trace.StepPRAMParse, trace.StepRestore, trace.StepResume,
-	trace.StepCleanup,
 }
 
 func main() {
@@ -112,8 +102,9 @@ func check(path string, requireSteps bool) error {
 		}
 	}
 	if requireSteps {
+		// The engine names its phase spans after its phase table's steps.
 		var missing []string
-		for _, step := range fig3Steps {
+		for _, step := range core.Steps() {
 			if spans[step] == 0 {
 				missing = append(missing, step)
 			}

@@ -41,12 +41,6 @@ type (
 	VMConfig = hv.Config
 	// VM is a running virtual machine handle.
 	VM = hv.VM
-	// Options toggles the §4.2.5 transplant optimizations.
-	//
-	// Deprecated: the toggles live on Config now; use Default() /
-	// NewConfig with Host.TransplantWith. Kept so existing callers
-	// keep compiling.
-	Options = core.Options
 	// InPlaceReport is the phase breakdown of one InPlaceTP.
 	InPlaceReport = core.InPlaceReport
 	// MigrationReport describes one completed MigrationTP.
@@ -76,12 +70,6 @@ var (
 	M2          = hw.M2
 	ClusterNode = hw.ClusterNode
 )
-
-// DefaultOptions returns the paper's optimized transplant configuration.
-//
-// Deprecated: use Default(), which carries the same toggles plus the
-// fault-injection and recovery controls.
-func DefaultOptions() Options { return core.DefaultOptions() }
 
 // LoadVulnDB loads the §2 vulnerability dataset.
 func LoadVulnDB() *VulnDatabase { return vulndb.Load() }
@@ -158,27 +146,14 @@ func (h *Host) CreateVM(cfg VMConfig) (*VM, error) { return h.hyp.CreateVM(cfg) 
 // VMs lists the host's VMs.
 func (h *Host) VMs() []*VM { return h.hyp.VMs() }
 
-// Transplant performs InPlaceTP: every VM on the host is moved to a
-// freshly micro-rebooted hypervisor of the target kind, in place.
-//
-// Deprecated: use TransplantWith, which takes the unified Config and
-// adds fault injection, recovery, and transplant caching. Kept so
-// existing callers keep compiling.
-func (h *Host) Transplant(target Kind, opts Options) (*InPlaceReport, error) {
-	newHyp, report, err := h.engine.InPlace(h.hyp, target, opts)
-	if err != nil {
-		return nil, err
-	}
-	h.hyp = newHyp
-	return report, nil
-}
-
-// TransplantWith performs InPlaceTP under a unified Config: the
-// config's fault plan is armed across the kexec/PRAM/UISR sites and
-// post-handover crashes are recovered under its retry policy. On a
-// rolled-back transplant both the report (Outcome: rolled-back) and an
-// ErrAborted-classified error are returned, and the host keeps running
-// its source hypervisor with every VM intact.
+// TransplantWith performs InPlaceTP — every VM on the host is moved to
+// a freshly micro-rebooted hypervisor of the target kind, in place —
+// under a unified Config: the config's fault plan is armed across the
+// kexec/PRAM/UISR sites and post-handover crashes are recovered under
+// its retry policy. On a rolled-back transplant both the report
+// (Outcome: rolled-back) and an ErrAborted-classified error are
+// returned, and the host keeps running its source hypervisor with every
+// VM intact.
 func (h *Host) TransplantWith(target Kind, cfg Config) (*InPlaceReport, error) {
 	h.engine.Fault = cfg.faultPlan(h.sim.clock)
 	h.engine.Retry = cfg.Retry

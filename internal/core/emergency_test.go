@@ -14,6 +14,7 @@ import (
 	"hypertp/internal/par"
 	rpt "hypertp/internal/report"
 	"hypertp/internal/simtime"
+	"hypertp/internal/trace"
 )
 
 // crashHost fail-stops a hypervisor via its Crashable interface.
@@ -38,6 +39,7 @@ func TestEmergencyTransplant(t *testing.T) {
 			b := newBench(t, hw.M1())
 			rec := obs.NewRecorder(b.clock)
 			b.engine.Obs = rec
+			b.engine.Trace = trace.New(b.clock)
 			src := bootSmallVMs(t, b, hv.KindXen, 3)
 			pre := checksumVMs(t, src.VMs())
 			crashHost(t, src, "injected panic")
@@ -79,6 +81,23 @@ func TestEmergencyTransplant(t *testing.T) {
 			}
 			if spanNames(rec)["emergency-tp"] != 1 {
 				t.Fatal("no emergency-tp span recorded")
+			}
+			// An emergency run emits what a planned run emits for the
+			// same work (TestMetricsMatchReport holds InPlace to these).
+			m := rec.Metrics()
+			if got := m.Counter("tp.pram_metadata_bytes", "bytes").Value(); got != int64(rep.PRAMMetadataBytes) || got == 0 {
+				t.Errorf("tp.pram_metadata_bytes = %d, report says %d", got, rep.PRAMMetadataBytes)
+			}
+			for _, h := range []struct{ name, unit string }{
+				{"tp.translate_virtual_s", "s"}, {"tp.restore_virtual_s", "s"},
+				{"uisr.encode_wall_ns", "ns"}, {"uisr.decode_wall_ns", "ns"},
+			} {
+				if n := m.Histogram(h.name, h.unit, nil).Count(); n != 3 {
+					t.Errorf("%s count = %d, want one observation per VM", h.name, n)
+				}
+			}
+			if b.engine.Trace.FirstIndex(trace.StepCleanup) < 0 {
+				t.Error("no cleanup step event emitted")
 			}
 		})
 	}

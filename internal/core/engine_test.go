@@ -419,12 +419,11 @@ func TestTraceRecordsWorkflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := b.engine.Trace
-	if err := tr.AssertOrder(
-		trace.StepLoadImage, trace.StepPRAMBuild, trace.StepPause,
-		trace.StepTranslate, trace.StepKexec, trace.StepBoot,
-		trace.StepPRAMParse, trace.StepRestore, trace.StepAttachGuest,
-		trace.StepResume, trace.StepCleanup,
-	); err != nil {
+	if err := tr.AssertOrder(Steps()...); err != nil {
+		t.Fatal(err)
+	}
+	// Guest rebinding is a step event inside restore, not a phase.
+	if err := tr.AssertOrder(trace.StepRestore, trace.StepAttachGuest, trace.StepResume); err != nil {
 		t.Fatal(err)
 	}
 	// Optimized: PRAM built before the pause.

@@ -122,12 +122,7 @@ func TestSpanTreeShape(t *testing.T) {
 	if root.Name != "inplace-tp" || !root.Ended() {
 		t.Fatalf("root = %q ended=%v", root.Name, root.Ended())
 	}
-	want := []string{
-		trace.StepLoadImage, trace.StepPRAMBuild, trace.StepPause,
-		trace.StepTranslate, trace.StepKexec, trace.StepBoot,
-		trace.StepPRAMParse, trace.StepRestore, trace.StepResume,
-		trace.StepCleanup,
-	}
+	want := Steps()
 	kids := root.Children()
 	if len(kids) != len(want) {
 		names := make([]string, len(kids))

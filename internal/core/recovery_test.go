@@ -77,11 +77,12 @@ func spanNames(rec *obs.Recorder) map[string]int {
 // registered injection site, a fault forced at its first occurrence must
 // end in either a verified full rollback (source checksums unchanged,
 // nothing paused) or a verified full completion (target checksums match),
-// never a half-state — for both transplant mechanisms. The recovery path
+// never a half-state — for both transplant mechanisms and for the
+// emergency entry into the in-place one. The recovery path
 // must also be visible in the span tree.
 func TestRecoveryMatrix(t *testing.T) {
 	inplaceWant := map[fault.Site]rpt.Outcome{
-		// Before releaseVMState the engine can still roll back.
+		// Before the source-teardown row the engine can still roll back.
 		fault.SiteKexecLoad:     rpt.OutcomeRolledBack,
 		fault.SitePRAMBuild:     rpt.OutcomeRolledBack,
 		fault.SiteUISRTranslate: rpt.OutcomeRolledBack,
@@ -224,6 +225,120 @@ func TestRecoveryMatrix(t *testing.T) {
 						t.Fatalf("no recovery:%s span recorded", site)
 					}
 				}
+			}
+		})
+	}
+
+	// Emergency walks the same table from a crashed source: before the
+	// kexec a shot is retried against the frozen host (exhaustion leaves
+	// it frozen and retryable, never lost); after it recovery goes
+	// forward exactly as in the planned rows above.
+	const (
+		quiet    = iota // never armed by Emergency
+		salvage         // pre-kexec: bounded retry, then frozen
+		goesOn          // post-kexec: bounded retry, then lost
+		rebooted        // post-kexec, armed once per run: cannot exhaust
+	)
+	emergencyWant := map[fault.Site]int{
+		fault.SiteKexecLoad:     salvage,
+		fault.SitePRAMBuild:     salvage,
+		fault.SiteUISRTranslate: salvage,
+		fault.SiteKexecHandover: rebooted,
+		fault.SiteHVBoot:        goesOn,
+		fault.SitePRAMParse:     goesOn,
+		fault.SiteUISRRestore:   goesOn,
+		fault.SiteLinkAbort:     quiet,
+		fault.SiteLinkLoss:      quiet,
+		fault.SiteClusterHost:   quiet,
+		// The translation memo is bypassed, and a dead source cannot die
+		// again mid-transplant.
+		fault.SiteCacheStale:      quiet,
+		fault.SiteHVCrashDuringTP: quiet,
+		fault.SiteHVCrash:         quiet,
+		fault.SiteHVHang:          quiet,
+	}
+	for _, site := range fault.Sites() {
+		site := site
+		t.Run("emergency/"+string(site), func(t *testing.T) {
+			want, ok := emergencyWant[site]
+			if !ok {
+				t.Fatalf("site %s missing from matrix expectations", site)
+			}
+			// salvageWith crashes a fresh two-VM host and runs Emergency
+			// under the given plan.
+			type attempt struct {
+				b    *bench
+				rec  *obs.Recorder
+				src  hv.Hypervisor
+				pre  map[string]uint64
+				plan *fault.Plan
+			}
+			salvageWith := func(plan *fault.Plan) (attempt, hv.Hypervisor, *InPlaceReport, error) {
+				b := newBench(t, hw.M1())
+				rec := obs.NewRecorder(b.clock)
+				b.engine.Obs = rec
+				src := bootSmallVMs(t, b, hv.KindXen, 2)
+				pre := checksumVMs(t, src.VMs())
+				crashHost(t, src, "injected panic")
+				b.engine.Fault = plan.SetClock(b.clock).SetRecorder(rec)
+				dst, rep, err := b.engine.Emergency(src, hv.KindKVM, DefaultOptions())
+				return attempt{b, rec, src, pre, plan}, dst, rep, err
+			}
+			landed := func(a attempt, dst hv.Hypervisor, rep *InPlaceReport, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Outcome != rpt.OutcomeRecovered || len(dst.VMs()) != 2 {
+					t.Fatalf("report = %+v, %d VMs", rep, len(dst.VMs()))
+				}
+				if got := checksumVMs(t, dst.VMs()); !reflect.DeepEqual(got, a.pre) {
+					t.Fatal("guest checksums do not survive the emergency")
+				}
+			}
+
+			// One forced shot is always absorbed.
+			a, dst, rep, err := salvageWith(fault.NewPlan(1, 0).ForceAt(site, 1))
+			landed(a, dst, rep, err)
+			if want == quiet {
+				if len(a.plan.Shots()) != 0 || rep.Faults != 0 {
+					t.Fatalf("site %s fired during an emergency: %v", site, a.plan.Shots())
+				}
+				return
+			}
+			if rep.Faults != 1 || rep.Attempts != 2 || spanNames(a.rec)["recovery:"+string(site)] != 1 {
+				t.Fatalf("faults = %d attempts = %d spans = %v", rep.Faults, rep.Attempts, spanNames(a.rec))
+			}
+
+			// Every arm firing exhausts the retry budget.
+			a, dst, rep, err = salvageWith(fault.NewPlan(1, 1).Restrict(site))
+			switch want {
+			case rebooted:
+				landed(a, dst, rep, err)
+			case goesOn:
+				if !errors.Is(err, hterr.ErrVMLost) || dst != nil {
+					t.Fatalf("dst = %v err = %v, want VM loss", dst, err)
+				}
+			case salvage:
+				if !errors.Is(err, hterr.ErrHypervisorCrashed) || errors.Is(err, hterr.ErrVMLost) ||
+					hterr.Label(hterr.Class(err)) != "crash" || dst != nil {
+					t.Fatalf("dst = %v err = %v, want crash class without VM loss", dst, err)
+				}
+				if rep == nil || rep.Outcome != rpt.OutcomeCrashed || spanNames(a.rec)["frozen"] != 1 {
+					t.Fatalf("report = %+v spans = %v", rep, spanNames(a.rec))
+				}
+				for _, vm := range a.src.VMs() {
+					if !vm.Paused() {
+						t.Fatalf("VM %q running on the frozen host", vm.Config.Name)
+					}
+				}
+				if got := checksumVMs(t, a.src.VMs()); len(got) != 2 || !reflect.DeepEqual(got, a.pre) {
+					t.Fatal("guest memory changed across failed salvage")
+				}
+				// The frozen host is still recoverable once the faults clear.
+				a.b.engine.Fault = nil
+				dst, rep, err = a.b.engine.Emergency(a.src, hv.KindKVM, DefaultOptions())
+				landed(a, dst, rep, err)
 			}
 		})
 	}

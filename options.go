@@ -199,7 +199,7 @@ func (c Config) engineOptions() core.Options {
 
 // ClusterModel lowers the config to the cluster timing model consumed
 // by Plan.Execute and Cluster.ExecuteRollingUpgrade.
-func (c Config) ClusterModel() ExecutionModel {
+func (c Config) ClusterModel() cluster.ExecutionModel {
 	return cluster.ExecutionModel{
 		LinkByteRate:         c.LinkByteRate,
 		PerMigrationOverhead: c.PerMigrationOverhead,
@@ -229,14 +229,3 @@ func (c Config) faultPlan(clock *simtime.Clock) *fault.Plan {
 func (s *Simulation) NewFaultPlan(cfg Config) *FaultPlan {
 	return cfg.faultPlan(s.clock)
 }
-
-// ExecutionModel times a cluster plan.
-//
-// Deprecated: the fields live on Config now; use Default() /
-// NewConfig. Kept so existing callers keep compiling.
-type ExecutionModel = cluster.ExecutionModel
-
-// DefaultExecutionModel returns the §5.4 testbed timing.
-//
-// Deprecated: use Default(), which carries the same fields.
-func DefaultExecutionModel() ExecutionModel { return cluster.DefaultExecutionModel() }
