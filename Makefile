@@ -30,7 +30,7 @@ fmt-check:
 # exceeds LOC_CEILING. The ceiling is a ratchet: a PR that grows the tree
 # raises it in the same diff, where a reviewer sees it; a simplicity PR
 # lowers it to its own result and cites the before/after in CHANGES.md.
-LOC_CEILING = 24753
+LOC_CEILING = 24868
 loc:
 	@src() { find "$$@" -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'; }; \
 	for d in internal/*/; do printf '%6d  %s\n' "$$(src $$d | xargs cat | wc -l)" "$$d"; done; \

@@ -21,7 +21,8 @@ func fuzzParseContextSeeds(tb testing.TB) [][]byte {
 	valid := marshalContext(ctx)
 	mutated := append([]byte(nil), valid...)
 	mutated[4] ^= 0x80 // corrupt the first record's length
-	return [][]byte{valid, {}, valid[:9], mutated}
+	hostile := hostileContextBlobs()
+	return [][]byte{valid, {}, valid[:9], mutated, hostile[0], hostile[len(hostile)-1]}
 }
 
 func TestFuzzSeedCorpus(t *testing.T) {

@@ -8,7 +8,6 @@
 package xen
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -155,38 +154,38 @@ type hvmXSave struct {
 	YMM       [504]byte
 }
 
-// hvmMSR is Xen's generic MSR list record payload header; entries follow.
+// hvmMSREntry is one entry of Xen's MSR list record, whose payload is a
+// 64-bit entry count followed by that many entries.
 type hvmMSREntry struct {
 	Index    uint32
 	Reserved uint32
 	Value    uint64
 }
 
-// marshalRecord appends one save record (descriptor + payload) to buf.
-func marshalRecord(buf *bytes.Buffer, typecode uint16, instance uint16, payload []byte) {
-	var desc [8]byte
-	le := binary.LittleEndian
-	le.PutUint16(desc[0:], typecode)
-	le.PutUint16(desc[2:], instance)
-	le.PutUint32(desc[4:], uint32(len(payload)))
-	buf.Write(desc[:])
-	buf.Write(payload)
-}
+// maxVCPUs is Xen's HVM_MAX_VCPUS: no per-vCPU record may name an
+// instance at or beyond it.
+const maxVCPUs = 128
 
-func marshalStruct(v any) []byte {
-	var buf bytes.Buffer
-	if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
-		panic(fmt.Sprintf("xen: marshalStruct(%T): %v", v, err))
-	}
-	return buf.Bytes()
-}
+const (
+	recDescSize  = 8  // typecode, instance, payload length
+	msrCountSize = 8  // the MSR record's leading entry count
+	msrEntrySize = 16 // one hvmMSREntry on the wire
+)
 
-func unmarshalStruct(p []byte, v any) error {
-	if want := binary.Size(v); len(p) != want {
-		return fmt.Errorf("xen: record payload %d bytes, want %d for %T", len(p), want, v)
-	}
-	return binary.Read(bytes.NewReader(p), binary.LittleEndian, v)
-}
+// Wire sizes of the fixed-layout records, computed once.
+var (
+	sizeHeader    = uisr.FixedSize(hvmHeader{})
+	sizeCPU       = uisr.FixedSize(hvmCPU{})
+	sizeLAPIC     = uisr.FixedSize(hvmLAPIC{})
+	sizeLAPICRegs = uisr.FixedSize(hvmLAPICRegs{})
+	sizeIOAPIC    = uisr.FixedSize(hvmIOAPIC{})
+	sizePIT       = uisr.FixedSize(hvmPIT{})
+	sizeRTC       = uisr.FixedSize(hvmRTC{})
+	sizeHPET      = uisr.FixedSize(hvmHPET{})
+	sizePMTimer   = uisr.FixedSize(hvmPMTimer{})
+	sizeMTRR      = uisr.FixedSize(hvmMTRR{})
+	sizeXSave     = uisr.FixedSize(hvmXSave{})
+)
 
 // domainContext is the parsed in-memory form of one domain's HVM context.
 type domainContext struct {
@@ -205,32 +204,76 @@ type domainContext struct {
 }
 
 // marshalContext serializes a domain context into the HVM blob format.
+// Like uisr.Encode it sizes the blob arithmetically, allocates it once and
+// writes every record descriptor and payload in place.
 func marshalContext(ctx *domainContext) []byte {
-	var buf bytes.Buffer
-	marshalRecord(&buf, recHeader, 0, marshalStruct(&ctx.header))
+	size := 7*recDescSize + sizeHeader + sizeIOAPIC + sizePIT + sizeRTC + sizeHPET + sizePMTimer
+	for i := range ctx.cpus {
+		size += 6*recDescSize + sizeCPU + sizeLAPIC + sizeLAPICRegs + sizeMTRR + sizeXSave +
+			msrCountSize + msrEntrySize*len(ctx.msrs[i])
+	}
+	le := binary.LittleEndian
+	out := make([]byte, size)
+	off := 0
+	// begin writes one record descriptor and returns the payload window.
+	begin := func(typecode, instance uint16, length int) []byte {
+		le.PutUint16(out[off:], typecode)
+		le.PutUint16(out[off+2:], instance)
+		le.PutUint32(out[off+4:], uint32(length))
+		payload := out[off+recDescSize : off+recDescSize+length]
+		off += recDescSize + length
+		return payload
+	}
+	uisr.PutFixed(begin(recHeader, 0, sizeHeader), &ctx.header)
 	for i := range ctx.cpus {
 		inst := uint16(i)
-		marshalRecord(&buf, recCPU, inst, marshalStruct(&ctx.cpus[i]))
-		marshalRecord(&buf, recLAPIC, inst, marshalStruct(&ctx.lapics[i]))
-		marshalRecord(&buf, recLAPICRegs, inst, marshalStruct(&ctx.lapicRegs[i]))
-		marshalRecord(&buf, recMTRR, inst, marshalStruct(&ctx.mtrrs[i]))
-		marshalRecord(&buf, recXSave, inst, marshalStruct(&ctx.xsaves[i]))
-		var msrbuf bytes.Buffer
-		var count [8]byte
-		binary.LittleEndian.PutUint64(count[:], uint64(len(ctx.msrs[i])))
-		msrbuf.Write(count[:])
-		for _, e := range ctx.msrs[i] {
-			msrbuf.Write(marshalStruct(&e))
+		uisr.PutFixed(begin(recCPU, inst, sizeCPU), &ctx.cpus[i])
+		uisr.PutFixed(begin(recLAPIC, inst, sizeLAPIC), &ctx.lapics[i])
+		uisr.PutFixed(begin(recLAPICRegs, inst, sizeLAPICRegs), &ctx.lapicRegs[i])
+		uisr.PutFixed(begin(recMTRR, inst, sizeMTRR), &ctx.mtrrs[i])
+		uisr.PutFixed(begin(recXSave, inst, sizeXSave), &ctx.xsaves[i])
+		msrs := begin(recMSR, inst, msrCountSize+msrEntrySize*len(ctx.msrs[i]))
+		le.PutUint64(msrs, uint64(len(ctx.msrs[i])))
+		for j, e := range ctx.msrs[i] {
+			base := msrCountSize + msrEntrySize*j
+			le.PutUint32(msrs[base:], e.Index)
+			le.PutUint32(msrs[base+4:], e.Reserved)
+			le.PutUint64(msrs[base+8:], e.Value)
 		}
-		marshalRecord(&buf, recMSR, inst, msrbuf.Bytes())
 	}
-	marshalRecord(&buf, recIOAPIC, 0, marshalStruct(&ctx.ioapic))
-	marshalRecord(&buf, recPIT, 0, marshalStruct(&ctx.pit))
-	marshalRecord(&buf, recRTC, 0, marshalStruct(&ctx.rtc))
-	marshalRecord(&buf, recHPET, 0, marshalStruct(&ctx.hpet))
-	marshalRecord(&buf, recPMTimer, 0, marshalStruct(&ctx.pmtimer))
-	marshalRecord(&buf, recEnd, 0, nil)
-	return buf.Bytes()
+	uisr.PutFixed(begin(recIOAPIC, 0, sizeIOAPIC), &ctx.ioapic)
+	uisr.PutFixed(begin(recPIT, 0, sizePIT), &ctx.pit)
+	uisr.PutFixed(begin(recRTC, 0, sizeRTC), &ctx.rtc)
+	uisr.PutFixed(begin(recHPET, 0, sizeHPET), &ctx.hpet)
+	uisr.PutFixed(begin(recPMTimer, 0, sizePMTimer), &ctx.pmtimer)
+	begin(recEnd, 0, 0)
+	if off != len(out) {
+		panic(fmt.Sprintf("xen: marshaled %d bytes, sized %d", off, len(out)))
+	}
+	return out
+}
+
+// admit checks one per-vCPU record before anything is allocated for it —
+// the payload length first, then the instance against maxVCPUs — and only
+// then grows the per-vCPU slices to hold the instance, so a hostile
+// descriptor cannot make the parser allocate more than the blob's own
+// bytes justify.
+func (ctx *domainContext) admit(instance uint16, got, want int) error {
+	if got != want {
+		return fmt.Errorf("payload %d bytes, want %d", got, want)
+	}
+	if instance >= maxVCPUs {
+		return fmt.Errorf("instance %d, HVM_MAX_VCPUS is %d", instance, maxVCPUs)
+	}
+	for len(ctx.cpus) <= int(instance) {
+		ctx.cpus = append(ctx.cpus, hvmCPU{})
+		ctx.lapics = append(ctx.lapics, hvmLAPIC{})
+		ctx.lapicRegs = append(ctx.lapicRegs, hvmLAPICRegs{})
+		ctx.mtrrs = append(ctx.mtrrs, hvmMTRR{})
+		ctx.xsaves = append(ctx.xsaves, hvmXSave{})
+		ctx.msrs = append(ctx.msrs, nil)
+	}
+	return nil
 }
 
 // parseContext parses an HVM blob back into a domain context. It is
@@ -240,28 +283,17 @@ func parseContext(blob []byte) (*domainContext, error) {
 	le := binary.LittleEndian
 	off := 0
 	sawHeader, sawEnd := false, false
-	grow := func(inst uint16) error {
-		for len(ctx.cpus) <= int(inst) {
-			ctx.cpus = append(ctx.cpus, hvmCPU{})
-			ctx.lapics = append(ctx.lapics, hvmLAPIC{})
-			ctx.lapicRegs = append(ctx.lapicRegs, hvmLAPICRegs{})
-			ctx.mtrrs = append(ctx.mtrrs, hvmMTRR{})
-			ctx.xsaves = append(ctx.xsaves, hvmXSave{})
-			ctx.msrs = append(ctx.msrs, nil)
-		}
-		return nil
-	}
 	for off < len(blob) {
 		if sawEnd {
 			return nil, fmt.Errorf("xen: records after end marker")
 		}
-		if off+8 > len(blob) {
+		if off+recDescSize > len(blob) {
 			return nil, fmt.Errorf("xen: truncated record descriptor at %d", off)
 		}
 		typecode := le.Uint16(blob[off:])
 		instance := le.Uint16(blob[off+2:])
 		length := int(le.Uint32(blob[off+4:]))
-		off += 8
+		off += recDescSize
 		if off+length > len(blob) {
 			return nil, fmt.Errorf("xen: truncated record %d payload", typecode)
 		}
@@ -271,61 +303,56 @@ func parseContext(blob []byte) (*domainContext, error) {
 		var err error
 		switch typecode {
 		case recHeader:
-			err = unmarshalStruct(payload, &ctx.header)
+			err = uisr.GetFixed(payload, &ctx.header, sizeHeader)
 			if err == nil && ctx.header.Magic != hvmMagic {
 				err = fmt.Errorf("bad context magic %#x", ctx.header.Magic)
 			}
 			sawHeader = true
 		case recCPU:
-			if err = grow(instance); err == nil {
-				err = unmarshalStruct(payload, &ctx.cpus[instance])
+			if err = ctx.admit(instance, length, sizeCPU); err == nil {
+				err = uisr.GetFixed(payload, &ctx.cpus[instance], sizeCPU)
 			}
 		case recLAPIC:
-			if err = grow(instance); err == nil {
-				err = unmarshalStruct(payload, &ctx.lapics[instance])
+			if err = ctx.admit(instance, length, sizeLAPIC); err == nil {
+				err = uisr.GetFixed(payload, &ctx.lapics[instance], sizeLAPIC)
 			}
 		case recLAPICRegs:
-			if err = grow(instance); err == nil {
-				err = unmarshalStruct(payload, &ctx.lapicRegs[instance])
+			if err = ctx.admit(instance, length, sizeLAPICRegs); err == nil {
+				err = uisr.GetFixed(payload, &ctx.lapicRegs[instance], sizeLAPICRegs)
 			}
 		case recMTRR:
-			if err = grow(instance); err == nil {
-				err = unmarshalStruct(payload, &ctx.mtrrs[instance])
+			if err = ctx.admit(instance, length, sizeMTRR); err == nil {
+				err = uisr.GetFixed(payload, &ctx.mtrrs[instance], sizeMTRR)
 			}
 		case recXSave:
-			if err = grow(instance); err == nil {
-				err = unmarshalStruct(payload, &ctx.xsaves[instance])
+			if err = ctx.admit(instance, length, sizeXSave); err == nil {
+				err = uisr.GetFixed(payload, &ctx.xsaves[instance], sizeXSave)
 			}
 		case recMSR:
-			if err = grow(instance); err != nil {
-				break
+			// Count the entries from the payload's own length: a huge
+			// stored count would wrap 8+16*n back onto it.
+			n := (length - msrCountSize) / msrEntrySize
+			if length < msrCountSize || le.Uint64(payload) != uint64(n) {
+				err = fmt.Errorf("MSR record of %d bytes does not hold its entry count", length)
+			} else if err = ctx.admit(instance, length, msrCountSize+msrEntrySize*n); err == nil {
+				entries := make([]hvmMSREntry, n)
+				for j := range entries {
+					base := msrCountSize + msrEntrySize*j
+					entries[j].Index = le.Uint32(payload[base:])
+					entries[j].Value = le.Uint64(payload[base+8:])
+				}
+				ctx.msrs[instance] = entries
 			}
-			if len(payload) < 8 {
-				err = fmt.Errorf("MSR record too short")
-				break
-			}
-			n := int(le.Uint64(payload[0:]))
-			if len(payload) != 8+16*n {
-				err = fmt.Errorf("MSR record %d bytes, want %d", len(payload), 8+16*n)
-				break
-			}
-			entries := make([]hvmMSREntry, n)
-			for j := range entries {
-				base := 8 + 16*j
-				entries[j].Index = le.Uint32(payload[base:])
-				entries[j].Value = le.Uint64(payload[base+8:])
-			}
-			ctx.msrs[instance] = entries
 		case recIOAPIC:
-			err = unmarshalStruct(payload, &ctx.ioapic)
+			err = uisr.GetFixed(payload, &ctx.ioapic, sizeIOAPIC)
 		case recPIT:
-			err = unmarshalStruct(payload, &ctx.pit)
+			err = uisr.GetFixed(payload, &ctx.pit, sizePIT)
 		case recRTC:
-			err = unmarshalStruct(payload, &ctx.rtc)
+			err = uisr.GetFixed(payload, &ctx.rtc, sizeRTC)
 		case recHPET:
-			err = unmarshalStruct(payload, &ctx.hpet)
+			err = uisr.GetFixed(payload, &ctx.hpet, sizeHPET)
 		case recPMTimer:
-			err = unmarshalStruct(payload, &ctx.pmtimer)
+			err = uisr.GetFixed(payload, &ctx.pmtimer, sizePMTimer)
 		case recEnd:
 			sawEnd = true
 		default:

@@ -99,16 +99,21 @@ func (d *LibvirtDriver) VMs() []*hv.VM { return d.hyp.VMs() }
 
 // Capacity implements ComputeDriver.
 func (d *LibvirtDriver) Capacity() (int, uint64) {
-	p := d.engine.Machine.Profile
-	vcpus := p.Threads - p.ReservedCPUs
-	mem := d.engine.Machine.Mem.FreeFrames() * hw.PageSize4K
-	for _, vm := range d.hyp.VMs() {
+	return headroom(d.engine.Machine, d.hyp.VMs())
+}
+
+// headroom is the vCPU and memory capacity left on machine with vms
+// resident. BootVM calls it with the VM list it already holds for
+// scoring, so one placement lists each candidate node's VMs once.
+func headroom(machine *hw.Machine, vms []*hv.VM) (int, uint64) {
+	vcpus := machine.Profile.Threads - machine.Profile.ReservedCPUs
+	for _, vm := range vms {
 		vcpus -= vm.Config.VCPUs
 	}
 	if vcpus < 0 {
 		vcpus = 0
 	}
-	return vcpus, mem
+	return vcpus, machine.Mem.FreeFrames() * hw.PageSize4K
 }
 
 // SetRecorder points the wrapped engine's observability at rec, so the
@@ -415,14 +420,15 @@ func (n *Nova) BootVM(cfg hv.Config) (string, error) {
 			continue
 		}
 		node := n.nodes[name]
-		vcpus, mem := node.Driver.Capacity()
+		vms := node.Driver.VMs()
+		vcpus, mem := headroom(node.Driver.Hypervisor().Machine(), vms)
 		if vcpus < cfg.VCPUs || mem < cfg.MemBytes {
 			continue
 		}
 		score := 0
 		// HyperTP affinity: count co-located VMs with matching
 		// transplantability, penalize mismatches.
-		for _, vm := range node.Driver.VMs() {
+		for _, vm := range vms {
 			if vm.Config.InPlaceCompatible == cfg.InPlaceCompatible {
 				score += 2
 			} else {
@@ -431,7 +437,7 @@ func (n *Nova) BootVM(cfg hv.Config) (string, error) {
 		}
 		// Light packing preference: fuller nodes first, so empty
 		// nodes stay free for evacuation headroom.
-		score += len(node.Driver.VMs())
+		score += len(vms)
 		if score > bestScore {
 			best, bestScore = node, score
 		}

@@ -37,18 +37,17 @@ type sectionHeader struct {
 
 const sectionHeaderSize = 8
 
-// Wire sizes of the fixed-layout sections, computed once. binary.Size on
-// these types cannot fail (all fields are fixed-size).
+// Wire sizes of the fixed-layout sections, computed once.
 var (
-	sizeRegs    = binary.Size(Regs{})
-	sizeSRegs   = binary.Size(SRegs{})
-	sizeXSave   = binary.Size(XSave{})
-	sizeMTRR    = binary.Size(MTRRState{})
-	sizeIOAPIC  = binary.Size(IOAPIC{})
-	sizePIT     = binary.Size(PIT{})
-	sizeRTC     = binary.Size(RTC{})
-	sizeHPET    = binary.Size(HPET{})
-	sizePMTimer = binary.Size(PMTimer{})
+	sizeRegs    = FixedSize(Regs{})
+	sizeSRegs   = FixedSize(SRegs{})
+	sizeXSave   = FixedSize(XSave{})
+	sizeMTRR    = FixedSize(MTRRState{})
+	sizeIOAPIC  = FixedSize(IOAPIC{})
+	sizePIT     = FixedSize(PIT{})
+	sizeRTC     = FixedSize(RTC{})
+	sizeHPET    = FixedSize(HPET{})
+	sizePMTimer = FixedSize(PMTimer{})
 )
 
 const (
@@ -138,35 +137,30 @@ func Encode(s *VMState) ([]byte, error) {
 		sections++
 		return payload
 	}
-	fixed := func(typ, instance uint16, v any, size int) {
-		if _, err := binary.Encode(begin(typ, instance, size), le, v); err != nil {
-			panic(fmt.Sprintf("uisr: encode %T: %v", v, err))
-		}
-	}
 
 	encodeHeader(begin(SecHeader, 0, headerPayloadSize(s)), s)
 	for i := range s.VCPUs {
 		v := &s.VCPUs[i]
 		inst := uint16(v.ID)
-		fixed(SecCPU, inst, &v.Regs, sizeRegs)
-		fixed(SecSRegs, inst, &v.SRegs, sizeSRegs)
+		PutFixed(begin(SecCPU, inst, sizeRegs), &v.Regs)
+		PutFixed(begin(SecSRegs, inst, sizeSRegs), &v.SRegs)
 		encodeMSRs(begin(SecMSRs, inst, 4+msrEntrySize*len(v.MSRs)), v.MSRs)
-		copy(begin(SecFPU, inst, fpuSize), v.FPU.Data[:])
-		fixed(SecXSave, inst, &v.XSave, sizeXSave)
+		PutFixed(begin(SecFPU, inst, fpuSize), &v.FPU)
+		PutFixed(begin(SecXSave, inst, sizeXSave), &v.XSave)
 		encodeLAPICBase(begin(SecLAPIC, inst, lapicBaseSize), &v.LAPIC)
 		encodeLAPICRegs(begin(SecLAPICRegs, inst, lapicRegsSize), &v.LAPIC)
-		fixed(SecMTRR, inst, &v.MTRR, sizeMTRR)
+		PutFixed(begin(SecMTRR, inst, sizeMTRR), &v.MTRR)
 	}
-	fixed(SecIOAPIC, 0, &s.IOAPIC, sizeIOAPIC)
+	PutFixed(begin(SecIOAPIC, 0, sizeIOAPIC), &s.IOAPIC)
 	if s.HasPIT {
-		fixed(SecPIT, 0, &s.PIT, sizePIT)
+		PutFixed(begin(SecPIT, 0, sizePIT), &s.PIT)
 	}
-	fixed(SecRTC, 0, &s.RTC, sizeRTC)
+	PutFixed(begin(SecRTC, 0, sizeRTC), &s.RTC)
 	if s.HasHPET {
-		fixed(SecHPET, 0, &s.HPET, sizeHPET)
+		PutFixed(begin(SecHPET, 0, sizeHPET), &s.HPET)
 	}
 	if s.HasPMTimer {
-		fixed(SecPMTimer, 0, &s.PMTimer, sizePMTimer)
+		PutFixed(begin(SecPMTimer, 0, sizePMTimer), &s.PMTimer)
 	}
 	if len(s.MemMap) > 0 {
 		encodeMemMap(begin(SecMemMap, 0, 4+extentWireSize*len(s.MemMap)), s.MemMap)
@@ -239,38 +233,34 @@ func Decode(data []byte) (*VMState, error) {
 		case SecHeader:
 			err = decodeHeader(payload, s)
 		case SecCPU:
-			err = decodeFixed(payload, &vcpu(hdr.Instance).Regs)
+			err = GetFixed(payload, &vcpu(hdr.Instance).Regs, sizeRegs)
 		case SecSRegs:
-			err = decodeFixed(payload, &vcpu(hdr.Instance).SRegs)
+			err = GetFixed(payload, &vcpu(hdr.Instance).SRegs, sizeSRegs)
 		case SecMSRs:
 			vcpu(hdr.Instance).MSRs, err = decodeMSRs(payload)
 		case SecFPU:
-			if len(payload) != fpuSize {
-				err = fmt.Errorf("FPU payload %d bytes, want %d", len(payload), fpuSize)
-			} else {
-				copy(vcpu(hdr.Instance).FPU.Data[:], payload)
-			}
+			err = GetFixed(payload, &vcpu(hdr.Instance).FPU, fpuSize)
 		case SecXSave:
-			err = decodeFixed(payload, &vcpu(hdr.Instance).XSave)
+			err = GetFixed(payload, &vcpu(hdr.Instance).XSave, sizeXSave)
 		case SecLAPIC:
 			err = decodeLAPICBase(payload, &vcpu(hdr.Instance).LAPIC)
 		case SecLAPICRegs:
 			err = decodeLAPICRegs(payload, &vcpu(hdr.Instance).LAPIC)
 		case SecMTRR:
-			err = decodeFixed(payload, &vcpu(hdr.Instance).MTRR)
+			err = GetFixed(payload, &vcpu(hdr.Instance).MTRR, sizeMTRR)
 		case SecIOAPIC:
-			err = decodeFixed(payload, &s.IOAPIC)
+			err = GetFixed(payload, &s.IOAPIC, sizeIOAPIC)
 		case SecPIT:
 			s.HasPIT = true
-			err = decodeFixed(payload, &s.PIT)
+			err = GetFixed(payload, &s.PIT, sizePIT)
 		case SecRTC:
-			err = decodeFixed(payload, &s.RTC)
+			err = GetFixed(payload, &s.RTC, sizeRTC)
 		case SecHPET:
 			s.HasHPET = true
-			err = decodeFixed(payload, &s.HPET)
+			err = GetFixed(payload, &s.HPET, sizeHPET)
 		case SecPMTimer:
 			s.HasPMTimer = true
-			err = decodeFixed(payload, &s.PMTimer)
+			err = GetFixed(payload, &s.PMTimer, sizePMTimer)
 		case SecMemMap:
 			s.MemMap, err = decodeMemMap(payload)
 		case SecDevice:
@@ -314,17 +304,6 @@ func EncodedSize(s *VMState) (int, error) {
 		return 0, err
 	}
 	return encodedSize(s), nil
-}
-
-// --- fixed-layout helpers -------------------------------------------------
-
-func decodeFixed(payload []byte, v any) error {
-	want := binary.Size(v)
-	if len(payload) != want {
-		return fmt.Errorf("payload %d bytes, want %d for %T", len(payload), want, v)
-	}
-	_, err := binary.Decode(payload, binary.LittleEndian, v)
-	return err
 }
 
 // --- variable-layout sections ----------------------------------------------
