@@ -27,18 +27,22 @@ fmt-check:
 # loc prints the non-test Go line count of every internal/* package
 # (sub-packages included) and of the whole tree outside bench/ (a module
 # of its own, measured by its own gates), and fails when the total
-# exceeds LOC_CEILING. The ceiling is a ratchet: a PR that grows the tree
-# raises it in the same diff, where a reviewer sees it; a simplicity PR
-# lowers it to its own result and cites the before/after in CHANGES.md.
-LOC_CEILING = 24868
+# exceeds LOC_CEILING or the number of internal/* packages exceeds
+# PKG_CEILING. Both are ratchets: a PR that grows the tree raises them in
+# the same diff, where a reviewer sees it; a simplicity PR lowers them to
+# its own result and cites the before/after in CHANGES.md.
+LOC_CEILING = 24234
+PKG_CEILING = 31
 loc:
 	@src() { find "$$@" -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'; }; \
 	for d in internal/*/; do printf '%6d  %s\n' "$$(src $$d | xargs cat | wc -l)" "$$d"; done; \
-	total=$$(src . | xargs cat | wc -l); \
-	printf '%6d  total non-test Go lines, %d internal packages (ceiling $(LOC_CEILING))\n' \
-		$$total $$(ls -d internal/*/ | wc -l); \
+	total=$$(src . | xargs cat | wc -l); pkgs=$$(ls -d internal/*/ | wc -l); \
+	printf '%6d  total non-test Go lines (ceiling $(LOC_CEILING)), %d internal packages (ceiling $(PKG_CEILING))\n' \
+		$$total $$pkgs; \
 	[ $$total -le $(LOC_CEILING) ] || { \
-		echo "loc: $$total non-test lines exceed the ceiling of $(LOC_CEILING) (Makefile, LOC_CEILING)"; exit 1; }
+		echo "loc: $$total non-test lines exceed the ceiling of $(LOC_CEILING) (Makefile, LOC_CEILING)"; exit 1; }; \
+	[ $$pkgs -le $(PKG_CEILING) ] || { \
+		echo "loc: $$pkgs internal packages exceed the ceiling of $(PKG_CEILING) (Makefile, PKG_CEILING)"; exit 1; }
 
 test:
 	$(GO) test ./...

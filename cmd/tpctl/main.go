@@ -59,8 +59,8 @@ import (
 func main() {
 	var (
 		mode       = flag.String("mode", "inplace", "transplant mode: inplace or migration")
-		from       = flag.String("from", "xen", "current hypervisor: xen or kvm")
-		to         = flag.String("to", "kvm", "target hypervisor: xen or kvm")
+		from       = flag.String("from", "xen", "current hypervisor: xen, kvm or nova")
+		to         = flag.String("to", "kvm", "target hypervisor: xen, kvm or nova")
 		machine    = flag.String("machine", "M1", "machine profile: M1 or M2")
 		vms        = flag.Int("vms", 1, "number of VMs on the host")
 		vcpus      = flag.Int("vcpus", 1, "vCPUs per VM")
@@ -131,17 +131,6 @@ func exitWithLabel(tool string, err error) int {
 	return 1
 }
 
-func parseKind(s string) (hv.Kind, error) {
-	switch s {
-	case "xen":
-		return hv.KindXen, nil
-	case "kvm":
-		return hv.KindKVM, nil
-	default:
-		return 0, fmt.Errorf("unknown hypervisor %q (want xen or kvm)", s)
-	}
-}
-
 func parseProfile(s string) (*hw.Profile, error) {
 	switch s {
 	case "M1", "m1":
@@ -172,11 +161,11 @@ type runConfig struct {
 }
 
 func run(cfg runConfig) error {
-	fromKind, err := parseKind(cfg.From)
+	fromKind, err := hv.ParseKind(cfg.From)
 	if err != nil {
 		return err
 	}
-	toKind, err := parseKind(cfg.To)
+	toKind, err := hv.ParseKind(cfg.To)
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,6 @@ import (
 
 	"hypertp/internal/core"
 	"hypertp/internal/hterr"
-	"hypertp/internal/hv"
 )
 
 func cfg(mode string) runConfig {
@@ -20,15 +19,25 @@ func cfg(mode string) runConfig {
 	}
 }
 
+// -from and -to take every pool member: nova used to be rejected although
+// hv/nova is a first-class transplant target.
 func TestParseKind(t *testing.T) {
-	if k, err := parseKind("xen"); err != nil || k != hv.KindXen {
-		t.Fatal("xen parse failed")
+	for _, pair := range [][2]string{{"xen", "nova"}, {"nova", "kvm"}} {
+		c := cfg("inplace")
+		c.From, c.To = pair[0], pair[1]
+		if err := run(c); err != nil {
+			t.Fatalf("%s -> %s: %v", pair[0], pair[1], err)
+		}
 	}
-	if k, err := parseKind("kvm"); err != nil || k != hv.KindKVM {
-		t.Fatal("kvm parse failed")
+	c := cfg("inplace")
+	c.From = "vmware"
+	if err := run(c); err == nil {
+		t.Fatal("unknown -from accepted")
 	}
-	if _, err := parseKind("vmware"); err == nil {
-		t.Fatal("unknown kind accepted")
+	c = cfg("inplace")
+	c.To = "vmware"
+	if err := run(c); err == nil {
+		t.Fatal("unknown -to accepted")
 	}
 }
 

@@ -254,12 +254,5 @@ func (h *Host) SelectTransplantTarget(db *VulnDatabase, cveID string) (Kind, err
 	if err != nil {
 		return 0, err
 	}
-	switch target {
-	case "xen":
-		return KindXen, nil
-	case "nova":
-		return KindNOVA, nil
-	default:
-		return KindKVM, nil
-	}
+	return hv.ParseKind(target)
 }

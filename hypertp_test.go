@@ -93,6 +93,18 @@ func TestFacadeVulnPolicy(t *testing.T) {
 	}
 }
 
+// A pool member the policy picks but this build cannot run is an error,
+// not silently KVM.
+func TestSelectTransplantTargetUnknownPoolMember(t *testing.T) {
+	defer func(pool []string) { hypertp.DefaultPool = pool }(hypertp.DefaultPool)
+	hypertp.DefaultPool = []string{"hyperv", "kvm"}
+	sim := hypertp.NewSimulation()
+	host, _ := sim.NewHost(hypertp.M1(), hypertp.KindXen)
+	if target, err := host.SelectTransplantTarget(hypertp.LoadVulnDB(), "CVE-2016-6258"); err == nil {
+		t.Fatalf("unknown pool member became %v", target)
+	}
+}
+
 func TestFacadeCluster(t *testing.T) {
 	c, err := hypertp.NewCluster(hypertp.ClusterConfig{
 		Hosts: 4, VMsPerHost: 5, StreamFrac: 0.3, CPUFrac: 0.3,

@@ -39,6 +39,19 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+func TestParseKind(t *testing.T) {
+	for _, k := range []Kind{KindXen, KindKVM, KindNOVA} {
+		if got, err := ParseKind(k.String()); err != nil || got != k {
+			t.Fatalf("ParseKind(%q) = %v, %v", k, got, err)
+		}
+	}
+	for _, name := range []string{"", "XEN", "vmware", Kind(9).String()} {
+		if _, err := ParseKind(name); err == nil {
+			t.Fatalf("ParseKind(%q) accepted", name)
+		}
+	}
+}
+
 func TestAllocAddressSpace4K(t *testing.T) {
 	mem := newMem()
 	as, err := AllocAddressSpace(mem, 1, 64*hw.PageSize4K, false)
@@ -229,9 +242,9 @@ func TestVMPausedFlag(t *testing.T) {
 	if vm.Paused() {
 		t.Fatal("new VM paused")
 	}
-	vm.SetPaused(true)
+	vm.paused = true
 	if !vm.Paused() {
-		t.Fatal("SetPaused(true) ignored")
+		t.Fatal("Paused() does not report the run state")
 	}
 }
 

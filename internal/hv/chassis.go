@@ -1,0 +1,440 @@
+package hv
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+
+	"hypertp/internal/guest"
+	"hypertp/internal/hterr"
+	"hypertp/internal/hw"
+	"hypertp/internal/uisr"
+)
+
+// Format is the one thing the hypervisor models differ in (§3.1, §4.2):
+// how VM_i State is held. Everything else a Hypervisor does — the VM
+// table, lifecycle, guest-memory attach, pause, dirty log, crash model —
+// is the Chassis, written once. Each model package implements Format on
+// an unexported type, so none of this reaches its public method set.
+type Format interface {
+	Kind() Kind
+	// Version is the full release label, e.g. "xen-4.12.1".
+	Version() string
+	// ResidentBytes is the HV State the hypervisor pins at boot (Fig. 2):
+	// wiped and rebuilt by every micro-reboot.
+	ResidentBytes() uint64
+	// NativeBorn turns a synthetic guest's platform into the one a guest
+	// booted on this hypervisor has (IOAPIC width, which timers exist).
+	NativeBorn(st *uisr.VMState)
+	// FromUISR is the from_uisr family: it translates st into the
+	// hypervisor's own per-VM state over the already attached guest
+	// space and allocates that state's OwnerVMState frames on mem, tagged
+	// with id. On error it holds no frame.
+	FromUISR(st *uisr.VMState, id VMID, space *AddressSpace, mem *hw.PhysMem) (State, error)
+}
+
+// State is one VM's VM_i State in its hypervisor's own format.
+type State interface {
+	// ToUISR is the to_uisr family: platform state, scheduling weight
+	// and SourceHypervisor. The Chassis fills in identity, memory size
+	// and devices.
+	ToUISR() (*uisr.VMState, error)
+	// Extents exports the GFN→MFN map in PRAM extent form.
+	Extents() []uisr.PageExtent
+	// Frames are the OwnerVMState frames the state occupies.
+	Frames() []hw.FrameRange
+	// MgmtBytes sizes the VM Management State (scheduler entries etc.)
+	// this VM accounts for: rebuilt, never translated.
+	MgmtBytes() uint64
+}
+
+// FramesFor is the number of 4 KiB frames a format needs to hold n bytes
+// of VM_i State: at least one.
+func FramesFor(n int) int {
+	return max(1, (n+hw.PageSize4K-1)/hw.PageSize4K)
+}
+
+// slot is one row of the VM table.
+type slot struct {
+	vm    *VM
+	state State
+	// devices are the emulation-state snapshots of the VM's device
+	// models; every format carries them through opaquely.
+	devices []uisr.EmulatedDevice
+}
+
+// Chassis is the format-independent part of a hypervisor model; the
+// models embed it and add only their Format. It implements Hypervisor and
+// Crashable. Control-plane operations pass the crash barrier; salvage
+// reads (SaveUISR, MemExtents, LookupVM, ReleaseVMState, DisableDirtyLog,
+// FetchAndClearDirty) do not — reading the frozen structures of a downed
+// hypervisor is what emergency recovery does.
+type Chassis struct {
+	CrashState
+	format  Format
+	machine *hw.Machine
+	// nextID only grows, so appending to table keeps it ordered by id.
+	nextID VMID
+	table  []slot
+}
+
+// NewChassis boots a hypervisor of format f on the machine, reserving its
+// resident set. The machine's previous hypervisor state must have been
+// wiped (fresh boot or post-kexec).
+func NewChassis(m *hw.Machine, f Format) (*Chassis, error) {
+	if _, err := m.Mem.AllocRanges(int(f.ResidentBytes()/hw.PageSize4K), hw.OwnerHV, -1); err != nil {
+		return nil, fmt.Errorf("%s: boot reservation: %w", f.Kind(), err)
+	}
+	// Id 0 is the host (dom0 in Xen terms); guests start at 1.
+	return &Chassis{format: f, machine: m, nextID: 1}, nil
+}
+
+// Kind implements Hypervisor.
+func (c *Chassis) Kind() Kind { return c.format.Kind() }
+
+// Name implements Hypervisor.
+func (c *Chassis) Name() string { return c.format.Version() }
+
+// Machine implements Hypervisor.
+func (c *Chassis) Machine() *hw.Machine { return c.machine }
+
+// freezeVCPUs stops every VM's vCPUs in place — the fail-stop and hang
+// models both leave the guests exactly where the scheduler dropped them,
+// which is what makes pause-less salvage capture possible.
+func (c *Chassis) freezeVCPUs() {
+	for _, s := range c.table {
+		s.vm.paused = true
+	}
+}
+
+// Crash implements Crashable: every VM's vCPUs freeze with guest memory
+// and VM_i State intact.
+func (c *Chassis) Crash(reason string) bool {
+	first := c.markCrashed(reason)
+	c.freezeVCPUs()
+	return first
+}
+
+// Hang implements Crashable.
+func (c *Chassis) Hang(reason string) bool {
+	first := c.markHung(reason)
+	c.freezeVCPUs()
+	return first
+}
+
+// Fence implements Crashable.
+func (c *Chassis) Fence(reason string) {
+	c.markCrashed(reason)
+	c.freezeVCPUs()
+}
+
+// guard is the crash barrier of control-plane operation op: it fails with
+// an ErrHypervisorCrashed-classified error while the hypervisor is down.
+func (c *Chassis) guard(op string) error {
+	if !c.crashed && !c.hung {
+		return nil
+	}
+	state := "crashed"
+	if c.hung { // a fence clears hung, so the two never hold together
+		state = "hung"
+	}
+	return hterr.HypervisorCrashed(fmt.Errorf("%s: %s: hypervisor %s: %s", c.format.Version(), op, state, c.reason))
+}
+
+// find locates a VM's row in the id-ordered table.
+func (c *Chassis) find(id VMID) (int, bool) {
+	return slices.BinarySearchFunc(c.table, id, func(s slot, id VMID) int { return cmp.Compare(s.vm.ID, id) })
+}
+
+// lookup is find for the callers to which an unknown id is an error.
+func (c *Chassis) lookup(id VMID) (*slot, error) {
+	i, ok := c.find(id)
+	if !ok {
+		return nil, fmt.Errorf("%s: no VM %d", c.format.Kind(), id)
+	}
+	return &c.table[i], nil
+}
+
+// StateOf returns a VM's State, for the models' format-specific
+// accessors.
+func (c *Chassis) StateOf(id VMID) (State, error) {
+	s, err := c.lookup(id)
+	if err != nil {
+		return nil, err
+	}
+	return s.state, nil
+}
+
+// CreateVM implements Hypervisor: a new VM with synthetic-but-
+// deterministic platform state (standing in for a booted guest) and its
+// own guest software stack. The state is synthesized in neutral form and
+// handed to the format — CreateVM exercises from_uisr, transplant
+// exercises to_uisr.
+func (c *Chassis) CreateVM(cfg Config) (*VM, error) {
+	if err := c.guard("create"); err != nil {
+		return nil, err
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	id := c.takeID()
+	st := uisr.SyntheticVM(cfg.Name, uint32(id), cfg.VCPUs, cfg.MemBytes, cfg.Seed)
+	c.format.NativeBorn(st)
+	if cfg.Weight > 0 {
+		st.Weight = uint16(cfg.Weight)
+	}
+	vm, err := c.instantiate(id, cfg, st, RestoreAllocate)
+	if err != nil {
+		return nil, err
+	}
+	drivers := guest.DefaultDrivers()
+	for _, name := range cfg.PassthroughDevices {
+		drivers = append(drivers, &guest.Driver{Name: name, Class: guest.DevicePassthrough})
+	}
+	vm.Guest = guest.New(cfg.Name, vm.Space, drivers...)
+	return vm, nil
+}
+
+// RestoreUISR implements Hypervisor (the InPlaceTP / MigrationTP restore
+// side). Restored VMs come back paused; the engine resumes them at the
+// end of the workflow (Fig. 3 step 7).
+func (c *Chassis) RestoreUISR(st *uisr.VMState, opts RestoreOptions) (*VM, error) {
+	if err := c.guard("restore"); err != nil {
+		return nil, err
+	}
+	if err := st.Validate(); err != nil {
+		return nil, err
+	}
+	cfg := Config{
+		Name:              st.Name,
+		VCPUs:             len(st.VCPUs),
+		MemBytes:          st.MemBytes,
+		HugePages:         st.HugePages,
+		InPlaceCompatible: opts.InPlaceCompatible,
+		Weight:            int(st.Weight),
+	}
+	vm, err := c.instantiate(c.takeID(), cfg, st, opts.Mode)
+	if err != nil {
+		return nil, err
+	}
+	vm.paused = true
+	return vm, nil
+}
+
+// takeID consumes the next VM id. Callers take it once the request is
+// validated and before anything can fail on memory, so a failed
+// instantiate still uses its id up.
+func (c *Chassis) takeID() VMID {
+	id := c.nextID
+	c.nextID++
+	return id
+}
+
+// instantiate is the shared create/restore path: guest memory first, then
+// the format's VM_i State frames (formats allocate theirs in a fixed
+// order too — frame placement is part of every digest).
+func (c *Chassis) instantiate(id VMID, cfg Config, st *uisr.VMState, mode RestoreMode) (*VM, error) {
+	mem, kind := c.machine.Mem, c.format.Kind()
+	var space *AddressSpace
+	var err error
+	switch mode {
+	case RestoreAdopt:
+		// InPlaceTP: re-adopt the PRAM-preserved frames where they lie.
+		if len(st.MemMap) == 0 {
+			return nil, fmt.Errorf("%s: adopt restore without memory map for %q", kind, cfg.Name)
+		}
+		space, err = NewAddressSpace(mem, st.MemMap)
+		if err == nil {
+			err = space.Retag(hw.OwnerGuest, int(id))
+		}
+	case RestoreAllocate:
+		space, err = AllocAddressSpace(mem, int(id), cfg.MemBytes, cfg.HugePages)
+	default:
+		err = fmt.Errorf("%s: unknown restore mode %d", kind, mode)
+	}
+	if err != nil {
+		return nil, err
+	}
+	state, err := c.format.FromUISR(st, id, space, mem)
+	if err != nil {
+		// Freshly allocated guest memory is released; adopted memory
+		// keeps its preserved contents and guest tag so the engine's
+		// restore retry can adopt it again.
+		if mode == RestoreAllocate {
+			_ = space.Release()
+		}
+		return nil, err
+	}
+	vm := &VM{ID: id, Config: cfg, Space: space}
+	c.table = append(c.table, slot{vm: vm, state: state,
+		devices: append([]uisr.EmulatedDevice(nil), st.Devices...)})
+	return vm, nil
+}
+
+// DestroyVM implements Hypervisor.
+func (c *Chassis) DestroyVM(id VMID) error {
+	if err := c.guard("destroy"); err != nil {
+		return err
+	}
+	s, err := c.lookup(id)
+	if err != nil {
+		return err
+	}
+	if err := s.vm.Space.Release(); err != nil {
+		return err
+	}
+	return c.ReleaseVMState(id)
+}
+
+// ReleaseVMState frees only the VM_i State frames of a VM and drops it
+// from the table, leaving guest memory in place — the InPlaceTP
+// source-side teardown before micro-reboot.
+func (c *Chassis) ReleaseVMState(id VMID) error {
+	s, err := c.lookup(id)
+	if err != nil {
+		return err
+	}
+	if err := c.machine.Mem.FreeRanges(s.state.Frames()); err != nil {
+		return err
+	}
+	i, _ := c.find(id)
+	c.table = slices.Delete(c.table, i, i+1)
+	return nil
+}
+
+// LookupVM implements Hypervisor.
+func (c *Chassis) LookupVM(id VMID) (*VM, bool) {
+	i, ok := c.find(id)
+	if !ok {
+		return nil, false
+	}
+	return c.table[i].vm, true
+}
+
+// VMs implements Hypervisor, ordered by id.
+func (c *Chassis) VMs() []*VM {
+	out := make([]*VM, len(c.table))
+	for i, s := range c.table {
+		out[i] = s.vm
+	}
+	return out
+}
+
+// Pause implements Hypervisor.
+func (c *Chassis) Pause(id VMID) error { return c.setPaused(id, true) }
+
+// Resume implements Hypervisor.
+func (c *Chassis) Resume(id VMID) error { return c.setPaused(id, false) }
+
+func (c *Chassis) setPaused(id VMID, paused bool) error {
+	if err := c.guard("pause-control"); err != nil {
+		return err
+	}
+	s, err := c.lookup(id)
+	if err != nil {
+		return err
+	}
+	if s.vm.paused == paused {
+		return fmt.Errorf("%s: VM %d already paused=%v", c.format.Kind(), id, paused)
+	}
+	s.vm.paused = paused
+	return nil
+}
+
+// SaveUISR implements Hypervisor.
+func (c *Chassis) SaveUISR(id VMID) (*uisr.VMState, error) {
+	s, err := c.lookup(id)
+	if err != nil {
+		return nil, err
+	}
+	if !s.vm.paused {
+		return nil, fmt.Errorf("%s: VM %d must be paused before state save", c.format.Kind(), id)
+	}
+	st, err := s.state.ToUISR()
+	if err != nil {
+		return nil, err
+	}
+	st.Name = s.vm.Config.Name
+	st.VMID = uint32(id)
+	st.MemBytes = s.vm.Config.MemBytes
+	st.HugePages = s.vm.Config.HugePages
+	st.Devices = append([]uisr.EmulatedDevice(nil), s.devices...)
+	return st, nil
+}
+
+// MemExtents implements Hypervisor.
+func (c *Chassis) MemExtents(id VMID) ([]uisr.PageExtent, error) {
+	s, err := c.lookup(id)
+	if err != nil {
+		return nil, err
+	}
+	return s.state.Extents(), nil
+}
+
+// Footprint implements Hypervisor.
+func (c *Chassis) Footprint(id VMID) (Footprint, error) {
+	s, err := c.lookup(id)
+	if err != nil {
+		return Footprint{}, err
+	}
+	return Footprint{
+		GuestBytes:   s.vm.Space.Bytes(),
+		VMStateBytes: hw.CountFrames(s.state.Frames()) * hw.PageSize4K,
+		MgmtBytes:    s.state.MgmtBytes(),
+	}, nil
+}
+
+// EnableDirtyLog implements Hypervisor.
+func (c *Chassis) EnableDirtyLog(id VMID) error {
+	if err := c.guard("dirty-log"); err != nil {
+		return err
+	}
+	s, err := c.lookup(id)
+	if err != nil {
+		return err
+	}
+	s.vm.Space.EnableDirtyLog()
+	return nil
+}
+
+// DisableDirtyLog implements Hypervisor.
+func (c *Chassis) DisableDirtyLog(id VMID) error {
+	s, err := c.lookup(id)
+	if err != nil {
+		return err
+	}
+	s.vm.Space.DisableDirtyLog()
+	return nil
+}
+
+// FetchAndClearDirty implements Hypervisor.
+func (c *Chassis) FetchAndClearDirty(id VMID) ([]hw.GFN, error) {
+	s, err := c.lookup(id)
+	if err != nil {
+		return nil, err
+	}
+	return s.vm.Space.FetchAndClearDirty(), nil
+}
+
+// MgmtStateBytes implements Hypervisor.
+func (c *Chassis) MgmtStateBytes() uint64 {
+	var total uint64
+	for _, s := range c.table {
+		total += s.state.MgmtBytes()
+	}
+	return total
+}
+
+// AttachGuest implements Hypervisor.
+func (c *Chassis) AttachGuest(id VMID, g *guest.Guest) error {
+	if err := c.guard("attach-guest"); err != nil {
+		return err
+	}
+	s, err := c.lookup(id)
+	if err != nil {
+		return err
+	}
+	s.vm.Guest = g
+	g.Rebind(s.vm.Space)
+	return nil
+}

@@ -1,20 +1,20 @@
 // Package hv defines the hypervisor abstraction HyperTP is built against:
-// the Hypervisor interface that both the Xen-flavoured (internal/hv/xen)
-// and KVM-flavoured (internal/hv/kvm) models implement, VM handles, and
-// the shared guest address-space machinery (GFN→MFN extents, dirty page
-// tracking) that both hypervisors use internally.
+// the Hypervisor interface, VM handles, the guest address-space machinery
+// (GFN→MFN extents, dirty page tracking), and the Chassis — everything a
+// hypervisor model does that is not its state format, written once.
 //
-// Heterogeneity lives where it matters for the paper: each hypervisor
-// keeps its platform state in its own internal format (Xen: an HVM
-// context blob of typed save records; KVM: ioctl-shaped state sections),
-// and only the UISR converters understand both.
+// Heterogeneity lives where it matters for the paper: each model
+// (internal/hv/xen, kvm, nova) keeps VM_i State in its own format (Xen:
+// an HVM context blob of typed save records plus a p2m; KVM: ioctl-shaped
+// state sections plus memslots; NOVA: UTCBs plus a DPT), plugged into the
+// Chassis as a Format, and only the UISR converters understand more than
+// one of them.
 package hv
 
 import (
 	"fmt"
 
 	"hypertp/internal/guest"
-	"hypertp/internal/hterr"
 	"hypertp/internal/hw"
 	"hypertp/internal/uisr"
 )
@@ -44,6 +44,17 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
+}
+
+// ParseKind is the inverse of Kind.String: the one place a hypervisor
+// name (a flag, a vulndb pool member) becomes a Kind.
+func ParseKind(name string) (Kind, error) {
+	for k := KindXen; k <= KindNOVA; k++ {
+		if k.String() == name {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("hv: unknown hypervisor %q (want xen, kvm or nova)", name)
 }
 
 // VMID identifies a VM within one hypervisor instance (a domid in Xen
@@ -102,12 +113,9 @@ type VM struct {
 	paused bool
 }
 
-// Paused reports whether the VM's vCPUs are stopped.
+// Paused reports whether the VM's vCPUs are stopped; Hypervisor.Pause and
+// Resume flip it.
 func (v *VM) Paused() bool { return v.paused }
-
-// SetPaused flips the vCPU run state. It is exported for the hypervisor
-// implementations; everything else goes through Hypervisor.Pause/Resume.
-func (v *VM) SetPaused(paused bool) { v.paused = paused }
 
 // Footprint is the memory-separation census of one VM (Fig. 2): how many
 // bytes of each category its presence accounts for.
@@ -208,18 +216,17 @@ type Crashable interface {
 	CrashReason() string
 }
 
-// CrashState is the embeddable Crashable bookkeeping shared by the
-// hypervisor models. The embedding implementation provides Crash/Hang
-// (it owns the vCPU freeze) on top of MarkCrashed/MarkHung.
+// CrashState is the Crashable bookkeeping of the Chassis, which adds the
+// vCPU freeze on top of markCrashed/markHung.
 type CrashState struct {
 	crashed bool
 	hung    bool
 	reason  string
 }
 
-// MarkCrashed records the fail-stop. Reports whether this call is the
+// markCrashed records the fail-stop. Reports whether this call is the
 // first failure (a fence of a hung hypervisor reports false).
-func (c *CrashState) MarkCrashed(reason string) bool {
+func (c *CrashState) markCrashed(reason string) bool {
 	if c.crashed {
 		return false
 	}
@@ -232,9 +239,9 @@ func (c *CrashState) MarkCrashed(reason string) bool {
 	return first
 }
 
-// MarkHung records the wedge. Reports whether this call is the first
+// markHung records the wedge. Reports whether this call is the first
 // failure.
-func (c *CrashState) MarkHung(reason string) bool {
+func (c *CrashState) markHung(reason string) bool {
 	if c.crashed || c.hung {
 		return false
 	}
@@ -251,17 +258,3 @@ func (c *CrashState) Hung() bool { return c.hung }
 
 // CrashReason returns the recorded failure cause, "" while healthy.
 func (c *CrashState) CrashReason() string { return c.reason }
-
-// Barrier guards a control-plane operation: it fails with an
-// ErrHypervisorCrashed-classified error while the hypervisor is down.
-// Salvage operations (SaveUISR, MemExtents, VM lookup) do not call it —
-// reading the frozen structures is exactly what emergency recovery does.
-func (c *CrashState) Barrier(name, op string) error {
-	if c.crashed {
-		return hterr.HypervisorCrashed(fmt.Errorf("%s: %s: hypervisor crashed: %s", name, op, c.reason))
-	}
-	if c.hung {
-		return hterr.HypervisorCrashed(fmt.Errorf("%s: %s: hypervisor hung: %s", name, op, c.reason))
-	}
-	return nil
-}

@@ -21,10 +21,10 @@
 package nova
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
-	"hypertp/internal/guest"
 	"hypertp/internal/hv"
 	"hypertp/internal/hw"
 	"hypertp/internal/uisr"
@@ -102,7 +102,6 @@ type dptRange struct {
 
 // protectionDomain is NOVA's per-VM container.
 type protectionDomain struct {
-	vm         *hv.VM
 	utcbs      []*utcb
 	dpt        []dptRange
 	ioapic     [uisr.KVMIOAPICPins]uint64 // 24 pins, like KVM
@@ -114,152 +113,45 @@ type protectionDomain struct {
 	}
 	ioapicPinsDropped int
 	stateFrames       []hw.FrameRange
-	devices           []uisr.EmulatedDevice
 }
 
-// NOVA is the microhypervisor model.
-type NOVA struct {
-	hv.CrashState
-	machine  *hw.Machine
-	pds      map[hv.VMID]*protectionDomain
-	nextID   hv.VMID
-	hvRanges []hw.FrameRange
-	order    []hv.VMID
-}
+// NOVA is the microhypervisor model: the shared chassis over NOVA's state
+// format.
+type NOVA struct{ *hv.Chassis }
 
 var (
 	_ hv.Hypervisor = (*NOVA)(nil)
 	_ hv.Crashable  = (*NOVA)(nil)
 )
 
-// freezeVCPUs stops every protection domain's vCPUs in place for the
-// fail-stop and hang models.
-func (n *NOVA) freezeVCPUs() {
-	for _, pd := range n.pds {
-		pd.vm.SetPaused(true)
-	}
-}
-
-// Crash implements hv.Crashable.
-func (n *NOVA) Crash(reason string) bool {
-	first := n.MarkCrashed(reason)
-	n.freezeVCPUs()
-	return first
-}
-
-// Hang implements hv.Crashable.
-func (n *NOVA) Hang(reason string) bool {
-	first := n.MarkHung(reason)
-	n.freezeVCPUs()
-	return first
-}
-
-// Fence implements hv.Crashable.
-func (n *NOVA) Fence(reason string) {
-	n.MarkCrashed(reason)
-	n.freezeVCPUs()
-}
-
 // Boot instantiates the microhypervisor on the machine.
 func Boot(m *hw.Machine) (*NOVA, error) {
-	ranges, err := m.Mem.AllocRanges(HVResidentBytes/hw.PageSize4K, hw.OwnerHV, -1)
+	c, err := hv.NewChassis(m, format{})
 	if err != nil {
-		return nil, fmt.Errorf("nova: boot reservation: %w", err)
+		return nil, err
 	}
-	return &NOVA{
-		machine:  m,
-		pds:      make(map[hv.VMID]*protectionDomain),
-		nextID:   1,
-		hvRanges: ranges,
-	}, nil
+	return &NOVA{c}, nil
 }
 
-// Kind implements hv.Hypervisor.
-func (n *NOVA) Kind() hv.Kind { return hv.KindNOVA }
+// format is NOVA's hv.Format: UTCB snapshots plus a DPT per protection
+// domain.
+type format struct{}
 
-// Name implements hv.Hypervisor.
-func (n *NOVA) Name() string { return Version }
+func (format) Kind() hv.Kind         { return hv.KindNOVA }
+func (format) Version() string       { return Version }
+func (format) ResidentBytes() uint64 { return HVResidentBytes }
 
-// Machine implements hv.Hypervisor.
-func (n *NOVA) Machine() *hw.Machine { return n.machine }
-
-// CreateVM implements hv.Hypervisor.
-func (n *NOVA) CreateVM(cfg hv.Config) (*hv.VM, error) {
-	if err := n.Barrier(Version, "create"); err != nil {
-		return nil, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	id := n.nextID
-	n.nextID++
-	st := uisr.SyntheticVM(cfg.Name, uint32(id), cfg.VCPUs, cfg.MemBytes, cfg.Seed)
-	if cfg.Weight > 0 {
-		st.Weight = uint16(cfg.Weight)
-	}
-	// A NOVA-born guest has NOVA's platform: 24 pins, no legacy timers.
+// NativeBorn gives the guest NOVA's platform: 24 pins, no legacy timers.
+func (format) NativeBorn(st *uisr.VMState) {
 	st.IOAPIC.NumPins = uisr.KVMIOAPICPins
 	st.HasPIT, st.HasHPET, st.HasPMTimer = false, false, false
-	return n.instantiate(id, cfg, st, hv.RestoreOptions{Mode: hv.RestoreAllocate,
-		InPlaceCompatible: cfg.InPlaceCompatible}, nil, true)
 }
 
-// RestoreUISR implements hv.Hypervisor.
-func (n *NOVA) RestoreUISR(st *uisr.VMState, opts hv.RestoreOptions) (*hv.VM, error) {
-	if err := n.Barrier(Version, "restore"); err != nil {
-		return nil, err
-	}
-	if err := st.Validate(); err != nil {
-		return nil, err
-	}
-	id := n.nextID
-	n.nextID++
-	cfg := hv.Config{
-		Name:              st.Name,
-		VCPUs:             len(st.VCPUs),
-		MemBytes:          st.MemBytes,
-		HugePages:         st.HugePages,
-		InPlaceCompatible: opts.InPlaceCompatible,
-		Weight:            int(st.Weight),
-	}
-	vm, err := n.instantiate(id, cfg, st, opts, st.MemMap, false)
-	if err != nil {
-		return nil, err
-	}
-	vm.SetPaused(true)
-	return vm, nil
-}
-
-func (n *NOVA) instantiate(id hv.VMID, cfg hv.Config, st *uisr.VMState,
-	opts hv.RestoreOptions, adopt []uisr.PageExtent, fresh bool) (*hv.VM, error) {
-
-	var space *hv.AddressSpace
-	var err error
-	switch opts.Mode {
-	case hv.RestoreAdopt:
-		if len(adopt) == 0 {
-			return nil, fmt.Errorf("nova: adopt restore without memory map for %q", cfg.Name)
-		}
-		space, err = hv.NewAddressSpace(n.machine.Mem, adopt)
-		if err == nil {
-			err = space.Retag(hw.OwnerGuest, int(id))
-		}
-	case hv.RestoreAllocate:
-		space, err = hv.AllocAddressSpace(n.machine.Mem, int(id), cfg.MemBytes, cfg.HugePages)
-	default:
-		err = fmt.Errorf("nova: unknown restore mode %d", opts.Mode)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	weight := int(st.Weight)
-	if weight == 0 {
-		weight = uisr.DefaultWeight
-	}
-	pd := &protectionDomain{devices: append([]uisr.EmulatedDevice(nil), st.Devices...)}
+// FromUISR builds the protection domain: one UTCB per vCPU, the narrowed
+// IOAPIC, and the DPT over the guest space.
+func (format) FromUISR(st *uisr.VMState, id hv.VMID, space *hv.AddressSpace, mem *hw.PhysMem) (hv.State, error) {
 	// Scheduling-context priority, rebuilt from the neutral weight.
-	pd.scPriority = weight
+	pd := &protectionDomain{scPriority: st.SchedWeight()}
 	for i := range st.VCPUs {
 		pd.utcbs = append(pd.utcbs, utcbFromUISR(&st.VCPUs[i]))
 	}
@@ -276,141 +168,22 @@ func (n *NOVA) instantiate(id hv.VMID, cfg hv.Config, st *uisr.VMState,
 	pd.drops.HPET = st.HasHPET
 	pd.drops.PMTimer = st.HasPMTimer
 
-	// DPT from the address space extents.
 	for _, e := range space.Extents() {
 		pd.dpt = append(pd.dpt, dptRange{GFNBase: e.GFN, MFNBase: e.MFN, Order: e.Order, Rights: 7})
 	}
 
 	// VM_i State frames: one UTCB page per vCPU + DPT pages.
-	stateBytes := len(pd.utcbs)*1024 + len(pd.dpt)*16
-	frames := (stateBytes + hw.PageSize4K - 1) / hw.PageSize4K
-	if frames == 0 {
-		frames = 1
-	}
-	pd.stateFrames, err = n.machine.Mem.AllocRanges(frames, hw.OwnerVMState, int(id))
+	var err error
+	pd.stateFrames, err = mem.AllocRanges(hv.FramesFor(len(pd.utcbs)*1024+len(pd.dpt)*16), hw.OwnerVMState, int(id))
 	if err != nil {
-		// Don't leak the guest space: free fresh allocations, leave
-		// adopted PRAM memory intact for the restore retry.
-		if opts.Mode == hv.RestoreAllocate {
-			_ = space.Release()
-		}
 		return nil, err
 	}
-
-	vm := &hv.VM{ID: id, Config: cfg, Space: space}
-	pd.vm = vm
-	n.pds[id] = pd
-	n.rebuildOrder()
-
-	if fresh {
-		drivers := guest.DefaultDrivers()
-		for _, name := range cfg.PassthroughDevices {
-			drivers = append(drivers, &guest.Driver{Name: name, Class: guest.DevicePassthrough})
-		}
-		vm.Guest = guest.New(cfg.Name, space, drivers...)
-	}
-	return vm, nil
+	return pd, nil
 }
 
-func (n *NOVA) rebuildOrder() {
-	n.order = n.order[:0]
-	for id := range n.pds {
-		n.order = append(n.order, id)
-	}
-	sort.Slice(n.order, func(i, j int) bool { return n.order[i] < n.order[j] })
-}
-
-// DestroyVM implements hv.Hypervisor.
-func (n *NOVA) DestroyVM(id hv.VMID) error {
-	if err := n.Barrier(Version, "destroy"); err != nil {
-		return err
-	}
-	pd, ok := n.pds[id]
-	if !ok {
-		return fmt.Errorf("nova: no protection domain %d", id)
-	}
-	if err := pd.vm.Space.Release(); err != nil {
-		return err
-	}
-	if err := n.machine.Mem.FreeRanges(pd.stateFrames); err != nil {
-		return err
-	}
-	delete(n.pds, id)
-	n.rebuildOrder()
-	return nil
-}
-
-// ReleaseVMState frees VM_i State, leaving guest memory in place.
-func (n *NOVA) ReleaseVMState(id hv.VMID) error {
-	pd, ok := n.pds[id]
-	if !ok {
-		return fmt.Errorf("nova: no protection domain %d", id)
-	}
-	if err := n.machine.Mem.FreeRanges(pd.stateFrames); err != nil {
-		return err
-	}
-	pd.stateFrames = nil
-	delete(n.pds, id)
-	n.rebuildOrder()
-	return nil
-}
-
-// LookupVM implements hv.Hypervisor.
-func (n *NOVA) LookupVM(id hv.VMID) (*hv.VM, bool) {
-	pd, ok := n.pds[id]
-	if !ok {
-		return nil, false
-	}
-	return pd.vm, true
-}
-
-// VMs implements hv.Hypervisor.
-func (n *NOVA) VMs() []*hv.VM {
-	out := make([]*hv.VM, 0, len(n.pds))
-	for _, id := range n.order {
-		out = append(out, n.pds[id].vm)
-	}
-	return out
-}
-
-// Pause implements hv.Hypervisor.
-func (n *NOVA) Pause(id hv.VMID) error { return n.setPaused(id, true) }
-
-// Resume implements hv.Hypervisor.
-func (n *NOVA) Resume(id hv.VMID) error { return n.setPaused(id, false) }
-
-func (n *NOVA) setPaused(id hv.VMID, paused bool) error {
-	if err := n.Barrier(Version, "pause-control"); err != nil {
-		return err
-	}
-	pd, ok := n.pds[id]
-	if !ok {
-		return fmt.Errorf("nova: no protection domain %d", id)
-	}
-	if pd.vm.Paused() == paused {
-		return fmt.Errorf("nova: domain %d already paused=%v", id, paused)
-	}
-	pd.vm.SetPaused(paused)
-	return nil
-}
-
-// SaveUISR implements hv.Hypervisor.
-func (n *NOVA) SaveUISR(id hv.VMID) (*uisr.VMState, error) {
-	pd, ok := n.pds[id]
-	if !ok {
-		return nil, fmt.Errorf("nova: no protection domain %d", id)
-	}
-	if !pd.vm.Paused() {
-		return nil, fmt.Errorf("nova: domain %d must be paused before state save", id)
-	}
-	st := &uisr.VMState{
-		Name:             pd.vm.Config.Name,
-		VMID:             uint32(id),
-		MemBytes:         pd.vm.Config.MemBytes,
-		HugePages:        pd.vm.Config.HugePages,
-		SourceHypervisor: "nova",
-		Devices:          append([]uisr.EmulatedDevice(nil), pd.devices...),
-	}
+// ToUISR is the to_uisr path.
+func (pd *protectionDomain) ToUISR() (*uisr.VMState, error) {
+	st := &uisr.VMState{SourceHypervisor: "nova"}
 	for i, u := range pd.utcbs {
 		v, err := utcbToUISR(uint32(i), u)
 		if err != nil {
@@ -426,93 +199,34 @@ func (n *NOVA) SaveUISR(id hv.VMID) (*uisr.VMState, error) {
 	return st, nil
 }
 
-// MemExtents implements hv.Hypervisor (DPT in extent form).
-func (n *NOVA) MemExtents(id hv.VMID) ([]uisr.PageExtent, error) {
-	pd, ok := n.pds[id]
-	if !ok {
-		return nil, fmt.Errorf("nova: no protection domain %d", id)
-	}
+// Extents is the DPT in extent form.
+func (pd *protectionDomain) Extents() []uisr.PageExtent {
 	out := make([]uisr.PageExtent, len(pd.dpt))
 	for i, r := range pd.dpt {
 		out[i] = uisr.PageExtent{GFN: r.GFNBase, MFN: r.MFNBase, Order: r.Order}
 	}
-	return out, nil
+	return out
 }
 
-// Footprint implements hv.Hypervisor.
-func (n *NOVA) Footprint(id hv.VMID) (hv.Footprint, error) {
-	pd, ok := n.pds[id]
-	if !ok {
-		return hv.Footprint{}, fmt.Errorf("nova: no protection domain %d", id)
-	}
-	return hv.Footprint{
-		GuestBytes:   pd.vm.Space.Bytes(),
-		VMStateBytes: hw.CountFrames(pd.stateFrames) * hw.PageSize4K,
-		MgmtBytes:    uint64(len(pd.utcbs)*64 + 96), // scheduling contexts + pd entry
-	}, nil
-}
+func (pd *protectionDomain) Frames() []hw.FrameRange { return pd.stateFrames }
 
-// EnableDirtyLog implements hv.Hypervisor.
-func (n *NOVA) EnableDirtyLog(id hv.VMID) error {
-	if err := n.Barrier(Version, "dirty-log"); err != nil {
-		return err
-	}
-	pd, ok := n.pds[id]
-	if !ok {
-		return fmt.Errorf("nova: no protection domain %d", id)
-	}
-	pd.vm.Space.EnableDirtyLog()
-	return nil
-}
+// MgmtBytes counts the scheduling contexts and the pd entry.
+func (pd *protectionDomain) MgmtBytes() uint64 { return uint64(len(pd.utcbs)*64 + 96) }
 
-// DisableDirtyLog implements hv.Hypervisor.
-func (n *NOVA) DisableDirtyLog(id hv.VMID) error {
-	pd, ok := n.pds[id]
-	if !ok {
-		return fmt.Errorf("nova: no protection domain %d", id)
+func (n *NOVA) pd(id hv.VMID) (*protectionDomain, error) {
+	st, err := n.StateOf(id)
+	if err != nil {
+		return nil, err
 	}
-	pd.vm.Space.DisableDirtyLog()
-	return nil
-}
-
-// FetchAndClearDirty implements hv.Hypervisor.
-func (n *NOVA) FetchAndClearDirty(id hv.VMID) ([]hw.GFN, error) {
-	pd, ok := n.pds[id]
-	if !ok {
-		return nil, fmt.Errorf("nova: no protection domain %d", id)
-	}
-	return pd.vm.Space.FetchAndClearDirty(), nil
-}
-
-// MgmtStateBytes implements hv.Hypervisor.
-func (n *NOVA) MgmtStateBytes() uint64 {
-	var total uint64
-	for _, pd := range n.pds {
-		total += uint64(len(pd.utcbs)*64 + 96)
-	}
-	return total
-}
-
-// AttachGuest implements hv.Hypervisor.
-func (n *NOVA) AttachGuest(id hv.VMID, g *guest.Guest) error {
-	if err := n.Barrier(Version, "attach-guest"); err != nil {
-		return err
-	}
-	pd, ok := n.pds[id]
-	if !ok {
-		return fmt.Errorf("nova: no protection domain %d", id)
-	}
-	pd.vm.Guest = g
-	g.Rebind(pd.vm.Space)
-	return nil
+	return st.(*protectionDomain), nil
 }
 
 // SCPriority returns a protection domain's scheduling-context priority
 // (NOVA's management-state representation of the neutral UISR weight).
 func (n *NOVA) SCPriority(id hv.VMID) (int, error) {
-	pd, ok := n.pds[id]
-	if !ok {
-		return 0, fmt.Errorf("nova: no protection domain %d", id)
+	pd, err := n.pd(id)
+	if err != nil {
+		return 0, err
 	}
 	return pd.scPriority, nil
 }
@@ -520,9 +234,9 @@ func (n *NOVA) SCPriority(id hv.VMID) (int, error) {
 // PlatformDrops reports the legacy devices detached when this VM was
 // restored onto the microhypervisor.
 func (n *NOVA) PlatformDrops(id hv.VMID) (pit, hpet, pmtimer bool, err error) {
-	pd, ok := n.pds[id]
-	if !ok {
-		return false, false, false, fmt.Errorf("nova: no protection domain %d", id)
+	pd, err := n.pd(id)
+	if err != nil {
+		return false, false, false, err
 	}
 	return pd.drops.PIT, pd.drops.HPET, pd.drops.PMTimer, nil
 }
@@ -553,7 +267,7 @@ func utcbFromUISR(v *uisr.VCPU) *utcb {
 	u.LAPIC = v.LAPIC.Regs
 	u.MTRR = v.MTRR
 	u.MSRs = append([]uisr.MSR(nil), v.MSRs...)
-	sort.Slice(u.MSRs, func(i, j int) bool { return u.MSRs[i].Index < u.MSRs[j].Index })
+	slices.SortFunc(u.MSRs, func(a, b uisr.MSR) int { return cmp.Compare(a.Index, b.Index) })
 	return u
 }
 

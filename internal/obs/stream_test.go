@@ -300,8 +300,8 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 // 100k-host export mode against the retained-forest default: "off"
 // records roots with children into the ordinary retained span forest,
 // "on" flushes the same shape through sampler + flight recorder with
-// retention released. The streaming path must stay within the ≤5%
-// overhead gate (BENCH_PR7.json); both variants are pinned in
+// retention released. The streaming path must stay within the tracing
+// overhead budget (bench.trace_overhead_pct ≤ 5 %); both variants are pinned in
 // BENCH_BASELINE.json so benchdiff catches drift. Each iteration
 // records an 8192-root batch so the short `-benchtime 3x` gate runs
 // measure real work, not timer granularity.

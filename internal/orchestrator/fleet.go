@@ -38,20 +38,6 @@ func (n *Nova) SetFleetLimits(l *sched.Limits) { n.fleetLimits = l }
 // serial path).
 func (n *Nova) FleetLimits() *sched.Limits { return n.fleetLimits }
 
-// kindFromName maps a vulndb pool member name to a hypervisor kind.
-func kindFromName(name string) (hv.Kind, error) {
-	switch name {
-	case "xen":
-		return hv.KindXen, nil
-	case "kvm":
-		return hv.KindKVM, nil
-	case "nova":
-		return hv.KindNOVA, nil
-	default:
-		return 0, fmt.Errorf("nova: policy chose unknown hypervisor %q", name)
-	}
-}
-
 // fleetHostPlan is the planning and bookkeeping state for one affected
 // host in a scheduled response.
 type fleetHostPlan struct {
@@ -122,9 +108,9 @@ func (n *Nova) respondScheduled(db *vulndb.Database, vrec *vulndb.Record, cveID 
 		if err != nil {
 			return nil, fmt.Errorf("nova: node %s: %w", name, err)
 		}
-		target, err := kindFromName(targetName)
+		target, err := hv.ParseKind(targetName)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("nova: policy choice: %w", err)
 		}
 		n.slo.Expose(cveID, name, base)
 		hp := &fleetHostPlan{name: name, node: node, target: target, pendingEvacs: make(map[string]bool)}

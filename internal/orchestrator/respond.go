@@ -117,16 +117,9 @@ func (n *Nova) RespondToCVE(db *vulndb.Database, cveID string, pool []string, op
 		if err != nil {
 			return nil, fmt.Errorf("nova: node %s: %w", name, err)
 		}
-		var target hv.Kind
-		switch targetName {
-		case "xen":
-			target = hv.KindXen
-		case "kvm":
-			target = hv.KindKVM
-		case "nova":
-			target = hv.KindNOVA
-		default:
-			return nil, fmt.Errorf("nova: policy chose unknown hypervisor %q", targetName)
+		target, err := hv.ParseKind(targetName)
+		if err != nil {
+			return nil, fmt.Errorf("nova: policy choice: %w", err)
 		}
 		if fired, _ := n.faults.Arm(fault.SiteClusterHost); fired {
 			// Injected host failure during the upgrade window: degrade

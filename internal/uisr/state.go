@@ -268,6 +268,15 @@ type VMState struct {
 // (matching Xen's credit-scheduler default).
 const DefaultWeight = 256
 
+// SchedWeight is Weight with the unset value read as DefaultWeight: what
+// a hypervisor rebuilds its scheduler structures from.
+func (s *VMState) SchedWeight() int {
+	if s.Weight == 0 {
+		return DefaultWeight
+	}
+	return int(s.Weight)
+}
+
 // Validate performs structural sanity checks that both producers
 // (to_uisr_*) and consumers (from_uisr_*) rely on.
 func (s *VMState) Validate() error {
