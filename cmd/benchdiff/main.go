@@ -6,14 +6,19 @@
 // -input), then compares ns/op and allocs/op per benchmark against
 // BENCH_BASELINE.json:
 //
-//   - ns/op may drift ±15% (tunable with -tolerance) before failing;
-//   - allocs/op is a hard gate: any increase beyond 0.1% rounding
-//     jitter fails, because allocation counts are deterministic and an
-//     increase is a real code change, not noise. For lean benchmarks
-//     the 0.1% rounds to zero and a single extra allocation fails.
+//   - allocs/op is a hard gate: any increase beyond measured jitter
+//     (see compare) fails, because an increase is a real code change,
+//     not noise. For lean single-goroutine benchmarks the slack is zero
+//     and a single extra allocation fails;
+//   - the warm-vs-cold ratio gates (speedupGates) are hard: both sides
+//     come from the same run, so machine speed cancels;
+//   - ns/op drift beyond ±15% (nsDrift) prints an ADVISORY line and
+//     never fails: wall time on a shared runner moves more than that
+//     between two runs of one commit. Wall-time claims are made on
+//     alternating parent/change pairs of bench/run.sh.
 //
-// Exit status is non-zero on any regression, on a baseline benchmark
-// that disappeared, or on unparseable input.
+// Exit status is non-zero on an allocs/op or ratio regression, on a
+// baseline benchmark that disappeared, or on unparseable input.
 //
 // Refreshing the baseline (after a deliberate perf change, or when
 // moving the reference machine):
@@ -56,6 +61,9 @@ type baseline struct {
 	Benchmarks map[string]entry `json:"benchmarks"`
 }
 
+// nsDrift is the fractional ns/op drift reported as ADVISORY.
+const nsDrift = 0.15
+
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -63,7 +71,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		baselinePath = fs.String("baseline", "BENCH_BASELINE.json", "baseline file to compare against")
 		input        = fs.String("input", "", "parse an existing `go test -bench` output file instead of running the suite")
 		update       = fs.Bool("update", false, "rewrite the baseline from the current run instead of comparing")
-		tolerance    = fs.Float64("tolerance", 0.15, "allowed fractional ns/op drift before failing")
 		benchtime    = fs.String("benchtime", "3x", "-benchtime passed to go test when running the suite")
 		count        = fs.Int("count", 3, "-count passed to go test; benchdiff keeps the minimum of the runs")
 		pattern      = fs.String("bench", ".", "-bench pattern passed to go test")
@@ -111,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	lines, failed := compare(base.Benchmarks, current, *tolerance)
+	lines, failed := compare(base.Benchmarks, current)
 	ratioLines, ratioFailed := checkSpeedups(current)
 	lines = append(lines, ratioLines...)
 	failed = failed || ratioFailed
@@ -122,8 +129,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "benchdiff: FAIL — see regressions above (refresh deliberately with `go run ./cmd/benchdiff -update`)")
 		return 1
 	}
-	fmt.Fprintf(stdout, "benchdiff: ok (%d benchmarks within ±%.0f%% ns/op, no allocs/op growth)\n",
-		len(current), *tolerance*100)
+	fmt.Fprintf(stdout, "benchdiff: ok (%d benchmarks, no allocs/op growth; ns/op drift beyond ±%.0f%% is advisory)\n",
+		len(current), nsDrift*100)
 	return 0
 }
 
@@ -210,7 +217,7 @@ func parseBench(r io.Reader) (map[string]entry, error) {
 
 // speedupGate pins a warm/cold benchmark pair: the warm benchmark must
 // stay at least MinRatio times faster than the cold one. Unlike the
-// ±tolerance drift gate, this is a relationship between two benchmarks
+// advisory ns/op drift check, this is a relationship between two benchmarks
 // from the same run, so it is immune to machine speed — it fails only
 // when the cached path itself loses its advantage.
 type speedupGate struct {
@@ -221,12 +228,13 @@ type speedupGate struct {
 
 // speedupGates are the pinned warm-path guarantees. The Figure 10 pair
 // is the repeat-transplant fast path. The cold sweep builds a testbed per
-// point and the warm one hops primed hosts; since hw.PhysMem stopped
-// zeroing per-frame arrays per machine the cold side is ~4.5× the warm
-// one (it was ~16× while each cold point paid 20-80 MB of memclr). Gated
-// at 3× so scheduler noise on shared runners does not flake the nightly
-// while a real cache regression (a fingerprint chain that stops
-// converging, a snapshot replay that stops firing) still fails loudly.
+// point and the warm one hops primed hosts. The ratio follows what the
+// cold side wastes: ~16× while each cold point paid 20-80 MB of memclr,
+// ~4.5× once hw.PhysMem stopped zeroing per-frame arrays, ~3.3-3.5× since
+// the state chain builds into exact-size storage. Gated at 3× so a real
+// cache regression (a fingerprint chain that stops converging, a snapshot
+// replay that stops firing) fails loudly; the margin over scheduler noise
+// on shared runners is now thin.
 var speedupGates = []speedupGate{
 	{Warm: "BenchmarkFigure10Warm", Cold: "BenchmarkFigure10KVMToXen", MinRatio: 3},
 }
@@ -255,10 +263,11 @@ func checkSpeedups(current map[string]entry) (lines []string, failed bool) {
 	return lines, failed
 }
 
-// compare gates current against base: ns/op within ±tol, allocs/op
-// never higher, every baseline benchmark still present. Returns the
-// report lines (sorted by benchmark) and whether the gate failed.
-func compare(base, current map[string]entry, tol float64) (lines []string, failed bool) {
+// compare gates current against base: allocs/op never higher, every
+// baseline benchmark still present; ns/op drift beyond ±nsDrift is
+// reported but does not fail. Returns the report lines (sorted by
+// benchmark) and whether the gate failed.
+func compare(base, current map[string]entry) (lines []string, failed bool) {
 	names := make([]string, 0, len(base))
 	for name := range base {
 		names = append(names, name)
@@ -272,23 +281,22 @@ func compare(base, current map[string]entry, tol float64) (lines []string, faile
 			failed = true
 			continue
 		}
-		drift := (c.NsOp - b.NsOp) / b.NsOp
-		switch {
-		case drift > tol:
-			lines = append(lines, fmt.Sprintf("REGRESS  %s: ns/op %+.1f%% (%.0f → %.0f, limit +%.0f%%)",
-				name, drift*100, b.NsOp, c.NsOp, tol*100))
-			failed = true
-		case drift < -tol:
-			lines = append(lines, fmt.Sprintf("FASTER   %s: ns/op %+.1f%% (consider refreshing the baseline)", name, drift*100))
-		default:
+		if drift := (c.NsOp - b.NsOp) / b.NsOp; drift > nsDrift || drift < -nsDrift {
+			lines = append(lines, fmt.Sprintf("ADVISORY %s: ns/op %+.1f%% (%.0f → %.0f, beyond ±%.0f%%; not gated), allocs/op %d",
+				name, drift*100, b.NsOp, c.NsOp, nsDrift*100, c.AllocsOp))
+		} else {
 			lines = append(lines, fmt.Sprintf("ok       %s: ns/op %+.1f%%, allocs/op %d", name, drift*100, c.AllocsOp))
 		}
-		// Hard gate on allocations, with slack only for measurement
-		// rounding: background goroutines add a handful of allocs to the
-		// six-figure fleet benchmarks, so up to 0.1% of the baseline is
-		// jitter. For lean codec benchmarks the slack rounds to zero and
-		// a single extra allocation fails.
-		if slack := b.AllocsOp / 1000; c.AllocsOp > b.AllocsOp+slack {
+		// Hard gate on allocations, with slack only for measured run-to-run
+		// jitter: none under 100 allocs/op (single-goroutine benchmarks
+		// repeat exactly), else 2 + 0.2% (par-pool scheduling moves the
+		// min-of-three count: ±1-2 on 250-600 allocs/op, 13,953-13,968 on
+		// the Figure 8 sweep).
+		slack := int64(0)
+		if b.AllocsOp >= 100 {
+			slack = 2 + b.AllocsOp/500
+		}
+		if c.AllocsOp > b.AllocsOp+slack {
 			lines = append(lines, fmt.Sprintf("REGRESS  %s: allocs/op grew %d → %d (hard gate)",
 				name, b.AllocsOp, c.AllocsOp))
 			failed = true

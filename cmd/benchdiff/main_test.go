@@ -68,23 +68,24 @@ func TestMatchingRunPasses(t *testing.T) {
 }
 
 // The synthetically regressed fixture: the baseline promises half the
-// ns/op the run delivers. The gate must exit non-zero.
-func TestSyntheticNsOpRegressionFails(t *testing.T) {
+// ns/op the run delivers. Wall time is advisory: the drift is reported
+// and the gate still passes.
+func TestNsOpDriftIsAdvisory(t *testing.T) {
 	input := writeFile(t, "bench.txt", benchOutput)
 	basePath := writeFile(t, "base.json", `{"benchmarks":{
 		"BenchmarkInPlaceTransplant":{"ns_op":50000000,"allocs_op":40000},
 		"BenchmarkMigrationTP":{"ns_op":200000000,"allocs_op":80000}}}`)
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-input", input, "-baseline", basePath}, &out, &errOut); code == 0 {
-		t.Fatalf("2x ns/op regression passed the gate; stdout:\n%s", out.String())
+	if code := run([]string{"-input", input, "-baseline", basePath}, &out, &errOut); code != 0 {
+		t.Fatalf("2x ns/op drift failed the gate (exit %d); stdout:\n%s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "REGRESS") {
-		t.Fatalf("no REGRESS line:\n%s", out.String())
+	if !strings.Contains(out.String(), "ADVISORY BenchmarkInPlaceTransplant") || strings.Contains(out.String(), "REGRESS") {
+		t.Fatalf("want one ADVISORY line and no REGRESS:\n%s", out.String())
 	}
 }
 
-// allocs/op is a hard gate: growth beyond the 0.1% rounding slack
-// fails, regardless of ns/op staying flat.
+// allocs/op is a hard gate: growth beyond the jitter slack fails,
+// regardless of ns/op staying flat.
 func TestAllocRegressionFails(t *testing.T) {
 	input := writeFile(t, "bench.txt", benchOutput)
 	basePath := writeFile(t, "base.json", `{"benchmarks":{
@@ -99,21 +100,32 @@ func TestAllocRegressionFails(t *testing.T) {
 	}
 }
 
-// For lean benchmarks the rounding slack is zero: one extra allocation
-// fails. For six-figure allocation counts, growth within 0.1% is
-// measurement jitter and passes.
+// For lean single-goroutine benchmarks the slack is zero: one extra
+// allocation fails. A par-pool benchmark may move by two allocations plus
+// 0.2%, its measured run-to-run jitter, and no further.
 func TestAllocSlackBoundaries(t *testing.T) {
 	_, failed := compare(
 		map[string]entry{"BenchmarkLean": {NsOp: 100, AllocsOp: 10}},
-		map[string]entry{"BenchmarkLean": {NsOp: 100, AllocsOp: 11}}, 0.15)
+		map[string]entry{"BenchmarkLean": {NsOp: 100, AllocsOp: 11}})
 	if !failed {
 		t.Fatal("one extra allocation on a lean benchmark passed the gate")
 	}
 	_, failed = compare(
 		map[string]entry{"BenchmarkBig": {NsOp: 100, AllocsOp: 100000}},
-		map[string]entry{"BenchmarkBig": {NsOp: 100, AllocsOp: 100050}}, 0.15)
+		map[string]entry{"BenchmarkBig": {NsOp: 100, AllocsOp: 100050}})
 	if failed {
 		t.Fatal("0.05% allocs jitter on a big benchmark failed the gate")
+	}
+	for _, c := range []struct {
+		base, cur int64
+		fail      bool
+	}{{99, 100, true}, {300, 302, false}, {300, 303, true}, {14000, 14030, false}, {14000, 14031, true}} {
+		_, failed = compare(
+			map[string]entry{"BenchmarkPar": {NsOp: 100, AllocsOp: c.base}},
+			map[string]entry{"BenchmarkPar": {NsOp: 100, AllocsOp: c.cur}})
+		if failed != c.fail {
+			t.Fatalf("allocs/op %d → %d: failed = %v, want %v", c.base, c.cur, failed, c.fail)
+		}
 	}
 }
 

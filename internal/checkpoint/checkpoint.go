@@ -8,7 +8,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
@@ -71,7 +70,11 @@ func Save(h hv.Hypervisor, id hv.VMID) (*Image, error) {
 	perExtent, err := par.Map(vm.Space.Extents(), func(_ int, e uisr.PageExtent) ([]PageRecord, error) {
 		var recs []PageRecord
 		err := mem.ForEachTouched(hw.MFN(e.MFN), e.Pages(), func(m hw.MFN, data []byte) error {
-			recs = append(recs, PageRecord{GFN: hw.GFN(e.GFN + uint64(m) - e.MFN), Data: bytes.Clone(data)})
+			// data is the frame's written prefix; the record holds the
+			// whole frame, zero tail included.
+			page := make([]byte, hw.PageSize4K)
+			copy(page, data)
+			recs = append(recs, PageRecord{GFN: hw.GFN(e.GFN + uint64(m) - e.MFN), Data: page})
 			return nil
 		})
 		if err != nil {

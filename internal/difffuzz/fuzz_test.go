@@ -1,12 +1,15 @@
 package difffuzz
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"testing"
 
 	"hypertp/internal/chaos"
 	"hypertp/internal/fuzzseed"
+	"hypertp/internal/hv"
+	"hypertp/internal/uisr"
 )
 
 // transplantTraceSeeds is the checked-in corpus of FuzzTransplantTrace:
@@ -98,17 +101,60 @@ func FuzzTransplantTrace(f *testing.F) {
 	})
 }
 
-// FuzzRoundTrip drives arbitrary VM state Xen→KVM→Xen through UISR
-// translate/restore — cold and through the transplant cache — and fails
-// on any byte divergence in guest memory, device state, or re-encoded
-// UISR blobs.
+// selfRestore checks the converter matrix's diagonal on every VM of h:
+// the state h saved — at rest as the engine saves it, no memory map —
+// restored on h itself as a second VM, must save to the same bytes.
+func selfRestore(h hv.Hypervisor) error {
+	atRest := func(id hv.VMID, as uint32) (*uisr.VMState, []byte, error) {
+		st, err := h.SaveUISR(id)
+		if err != nil {
+			return nil, nil, err
+		}
+		st.VMID, st.MemMap = as, nil
+		blob, err := uisr.Encode(st)
+		return st, blob, err
+	}
+	for _, vm := range h.VMs() {
+		if err := h.Pause(vm.ID); err != nil {
+			return err
+		}
+		st, blob, err := atRest(vm.ID, uint32(vm.ID))
+		if err != nil {
+			return err
+		}
+		if err := h.Resume(vm.ID); err != nil {
+			return err
+		}
+		clone, err := h.RestoreUISR(st, hv.RestoreOptions{Mode: hv.RestoreAllocate})
+		if err != nil {
+			return err
+		}
+		_, reblob, err := atRest(clone.ID, st.VMID) // restored VMs come back paused
+		if err == nil {
+			err = h.DestroyVM(clone.ID)
+		}
+		if err != nil {
+			return err
+		}
+		if d := uisr.DiffBlobs(blob, reblob); d != "" {
+			return fmt.Errorf("vm %s: %v→%v self-restore changed the state: %s", vm.Config.Name, h.Kind(), h.Kind(), d)
+		}
+	}
+	return nil
+}
+
+// FuzzRoundTrip drives arbitrary VM state through all nine directions of
+// the Xen/KVM/NOVA converter matrix — the six transplants of
+// roundTripTour plus a self-restore at every stop — cold and through the
+// transplant cache, and fails on any byte divergence in guest memory,
+// device state, or re-encoded UISR blobs.
 func FuzzRoundTrip(f *testing.F) {
 	for _, s := range roundTripSeeds(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := DecodeRoundTrip(data)
-		if err := CheckRoundTrip(p); err != nil {
+		if err := CheckRoundTrip(p, selfRestore); err != nil {
 			if bundle, berr := ReproBundle(p); berr == nil {
 				writeRepro(t, "chaos-bundle-roundtrip.json", bundle)
 			}
@@ -122,7 +168,7 @@ func FuzzRoundTrip(f *testing.F) {
 func TestRoundTripDifferential(t *testing.T) {
 	for _, s := range roundTripSeeds(t) {
 		p := DecodeRoundTrip(s)
-		if err := CheckRoundTrip(p); err != nil {
+		if err := CheckRoundTrip(p, selfRestore); err != nil {
 			t.Fatalf("%+v: %v", p, err)
 		}
 	}

@@ -14,15 +14,23 @@ import (
 	"hypertp/internal/uisr"
 )
 
-// roundTripCycles is how many full Xen→KVM→Xen cycles each differential
-// run drives. Three cycles guarantee the translation cache reaches its
-// zero-miss fixed point, so the cached run genuinely exercises the warm
-// path before the equivalence checks.
+// roundTripTour is one cycle of a differential run: from Xen, the closed
+// walk over every ordered pair of distinct hypervisors (X→K→N→X→N→K→X),
+// the six off-diagonal cells of the to_uisr × from_uisr matrix; the
+// tests' atStop callback checks the three diagonal cells at every stop.
+var roundTripTour = [...]hv.Kind{hv.KindKVM, hv.KindNOVA, hv.KindXen, hv.KindNOVA, hv.KindKVM, hv.KindXen}
+
+// roundTripCycles is how many tours each differential run drives. Three
+// guarantee the translation cache reaches its zero-miss fixed point, so
+// the cached run genuinely exercises the warm path before the equivalence
+// checks.
 const roundTripCycles = 3
 
+const roundTripHops = len(roundTripTour) * roundTripCycles
+
 // RoundTripParams describes one differential round-trip scenario:
-// arbitrary VM state driven Xen→KVM→Xen through UISR translate/restore,
-// once cold and once through the transplant cache.
+// arbitrary VM state driven round roundTripTour through UISR
+// translate/restore, once cold and once through the transplant cache.
 type RoundTripParams struct {
 	Seed      uint64 // guest state + working-set content seed
 	VMs       int    // 1..3
@@ -95,9 +103,9 @@ type hopCapture struct {
 }
 
 // runRoundTrip drives the scenario for roundTripCycles full cycles and
-// captures the observable state after every hop. cache may be nil (the
-// cold run).
-func runRoundTrip(p RoundTripParams, cache *tpcache.Cache) ([]hopCapture, error) {
+// captures the observable state after every hop, then hands the hop's
+// hypervisor to atStop. cache may be nil (the cold run), atStop too.
+func runRoundTrip(p RoundTripParams, cache *tpcache.Cache, atStop func(hv.Hypervisor) error) ([]hopCapture, error) {
 	prof := hw.M1()
 	if p.M2 {
 		prof = hw.M2()
@@ -129,17 +137,17 @@ func runRoundTrip(p RoundTripParams, cache *tpcache.Cache) ([]hopCapture, error)
 	opts.HugePages = p.HugePages
 	opts.Cache = cache
 
-	caps := make([]hopCapture, 0, 2*roundTripCycles)
-	for hop := 0; hop < 2*roundTripCycles; hop++ {
-		target := hv.KindKVM
-		if cur.Kind() == hv.KindKVM {
-			target = hv.KindXen
-		}
+	caps := make([]hopCapture, 0, roundTripHops)
+	for hop := 0; hop < roundTripHops; hop++ {
+		target := roundTripTour[hop%len(roundTripTour)]
 		dst, rep, err := engine.InPlace(cur, target, opts)
 		if err != nil {
 			return nil, fmt.Errorf("hop %d (%v→%v): %w", hop, cur.Kind(), target, err)
 		}
 		cap, err := capture(dst)
+		if err == nil && atStop != nil {
+			err = atStop(dst)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("hop %d capture: %w", hop, err)
 		}
@@ -189,14 +197,15 @@ func capture(h hv.Hypervisor) (hopCapture, error) {
 // CheckRoundTrip runs the scenario cold and cached and verifies every
 // differential equivalence claim. A non-nil error is a real divergence:
 // the message carries section-level blob diagnostics, and ReproBundle
-// renders a replayable approximation for the chaos harness.
-func CheckRoundTrip(p RoundTripParams) error {
-	cold, err := runRoundTrip(p, nil)
+// renders a replayable approximation for the chaos harness. atStop, if
+// not nil, is an extra check run on the hypervisor of every stop.
+func CheckRoundTrip(p RoundTripParams, atStop func(hv.Hypervisor) error) error {
+	cold, err := runRoundTrip(p, nil, atStop)
 	if err != nil {
 		return fmt.Errorf("cold run: %w", err)
 	}
 	cache := tpcache.New()
-	warm, err := runRoundTrip(p, cache)
+	warm, err := runRoundTrip(p, cache, atStop)
 	if err != nil {
 		return fmt.Errorf("cached run: %w", err)
 	}
@@ -214,16 +223,16 @@ func CheckRoundTrip(p RoundTripParams) error {
 				return fmt.Errorf("guest checksums diverged at hop %d: %v vs %v", hop, cap.sums, caps[0].sums)
 			}
 		}
-		// Fixed point: once a VM has completed a full cycle, every later
-		// visit to the same hypervisor kind must re-encode to the same
-		// bytes. (Hop 0's blobs may legitimately differ from hop 2's:
-		// the first Xen→KVM translation applies the documented one-way
-		// §4.2.1 transforms to the pristine boot state.)
-		for hop := 3; hop < len(caps); hop++ {
-			prev := caps[hop-2]
-			if err := diffBlobs(prev.blobs, caps[hop].blobs); err != nil {
+		// Fixed point: once a VM has completed a full tour, the same stop
+		// of every later tour must re-encode to the same bytes. (The
+		// first tour's blobs may legitimately differ: translations out of
+		// the pristine boot state apply the documented one-way §4.2.1
+		// transforms.)
+		for hop := 2*len(roundTripTour) - 1; hop < len(caps); hop++ {
+			prev := hop - len(roundTripTour)
+			if err := diffBlobs(caps[prev].blobs, caps[hop].blobs); err != nil {
 				return fmt.Errorf("re-encoded UISR not at fixed point (%v hop %d vs %d): %w",
-					caps[hop].kind, hop-2, hop, err)
+					caps[hop].kind, prev, hop, err)
 			}
 		}
 	}
@@ -272,11 +281,11 @@ func diffBlobs(a, b map[string][]byte) error {
 // under the full invariant auditor.
 func ReproBundle(p RoundTripParams) ([]byte, error) {
 	cfg := chaos.Config{Seed: p.Seed, Hosts: 2, VMs: p.VMs, Cache: true}
-	ops := make([]chaos.Op, 0, p.VMs+2*roundTripCycles)
+	ops := make([]chaos.Op, 0, p.VMs+roundTripHops)
 	for i := 0; i < p.VMs; i++ {
 		ops = append(ops, chaos.Op{Kind: chaos.OpWorkload, VM: chaosVM(i), Pages: 1 + p.Pages%64})
 	}
-	for i := 0; i < 2*roundTripCycles; i++ {
+	for i := 0; i < roundTripHops; i++ {
 		ops = append(ops, chaos.Op{Kind: chaos.OpUpgrade, Host: chaosHost(0)})
 	}
 	return chaos.NewTraceBundle(cfg, ops).Marshal()

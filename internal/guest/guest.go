@@ -326,13 +326,21 @@ func (g *Guest) ProtocolCounters() (pauses, resumes, rescans int) {
 
 // DefaultDrivers returns the device complement the paper's experiments
 // use: an emulated block device (remote storage), an emulated-unplugged
-// network device, and a serial console.
-func DefaultDrivers() []*Driver {
-	return []*Driver{
-		{Name: "virtio-blk", Class: DeviceEmulated},
-		{Name: "virtio-net", Class: DeviceNetwork},
-		{Name: "serial", Class: DeviceEmulated},
+// network device, and a serial console — followed by one passthrough
+// driver per named device. The drivers share one backing array.
+func DefaultDrivers(passthrough ...string) []*Driver {
+	backing := make([]Driver, 3, 3+len(passthrough))
+	backing[0] = Driver{Name: "virtio-blk", Class: DeviceEmulated}
+	backing[1] = Driver{Name: "virtio-net", Class: DeviceNetwork}
+	backing[2] = Driver{Name: "serial", Class: DeviceEmulated}
+	for _, name := range passthrough {
+		backing = append(backing, Driver{Name: name, Class: DevicePassthrough})
 	}
+	drivers := make([]*Driver, len(backing))
+	for i := range backing {
+		drivers[i] = &backing[i]
+	}
+	return drivers
 }
 
 func fill(b []byte, seed uint64) {

@@ -33,7 +33,11 @@ type AddressSpace struct {
 // non-overlapping in GFN space and aligned to their order; they are sorted
 // here.
 func NewAddressSpace(mem *hw.PhysMem, extents []uisr.PageExtent) (*AddressSpace, error) {
-	sorted := slices.Clone(extents)
+	return ownAddressSpace(mem, slices.Clone(extents))
+}
+
+// ownAddressSpace is NewAddressSpace over a slice the space may keep.
+func ownAddressSpace(mem *hw.PhysMem, sorted []uisr.PageExtent) (*AddressSpace, error) {
 	byGFN := func(a, b uisr.PageExtent) int { return cmp.Compare(a.GFN, b.GFN) }
 	if !slices.IsSortedFunc(sorted, byGFN) {
 		slices.SortFunc(sorted, byGFN)
@@ -61,15 +65,17 @@ func NewAddressSpace(mem *hw.PhysMem, extents []uisr.PageExtent) (*AddressSpace,
 func AllocAddressSpace(mem *hw.PhysMem, vm int, memBytes uint64, huge bool) (*AddressSpace, error) {
 	var extents []uisr.PageExtent
 	if huge {
-		n := memBytes / hw.PageSize2M
-		for i := uint64(0); i < n; i++ {
+		// Checked against the machine before it sizes the extent list.
+		if want, free := memBytes/hw.PageSize4K, mem.FreeFrames(); want > free {
+			return nil, fmt.Errorf("hv: guest alloc: out of memory: want %d frames, %d free", want, free)
+		}
+		extents = make([]uisr.PageExtent, memBytes/hw.PageSize2M)
+		for i := range extents {
 			base, err := mem.Alloc2M(hw.OwnerGuest, vm)
 			if err != nil {
 				return nil, fmt.Errorf("hv: guest alloc: %w", err)
 			}
-			extents = append(extents, uisr.PageExtent{
-				GFN: i * hw.FramesPer2M, MFN: uint64(base), Order: 9,
-			})
+			extents[i] = uisr.PageExtent{GFN: uint64(i) * hw.FramesPer2M, MFN: uint64(base), Order: 9}
 		}
 	} else {
 		n := memBytes / hw.PageSize4K
@@ -79,7 +85,7 @@ func AllocAddressSpace(mem *hw.PhysMem, vm int, memBytes uint64, huge bool) (*Ad
 		}
 		extents = FrameExtents(ranges)
 	}
-	return NewAddressSpace(mem, extents)
+	return ownAddressSpace(mem, extents)
 }
 
 // FrameExtents maps the frames of ranges, in order, at guest frames 0, 1,

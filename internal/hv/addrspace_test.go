@@ -19,6 +19,7 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Name: "", VCPUs: 1, MemBytes: 1 << 30},
 		{Name: "vm", VCPUs: 0, MemBytes: 1 << 30},
+		{Name: "vm", VCPUs: uisr.MaxVCPUs + 1, MemBytes: 1 << 30}, // Decode would refuse its blob
 		{Name: "vm", VCPUs: 1, MemBytes: 0},
 		{Name: "vm", VCPUs: 1, MemBytes: 4097},
 		{Name: "vm", VCPUs: 1, MemBytes: 4096 * 3, HugePages: true},

@@ -187,11 +187,7 @@ func (c *Chassis) CreateVM(cfg Config) (*VM, error) {
 	if err != nil {
 		return nil, err
 	}
-	drivers := guest.DefaultDrivers()
-	for _, name := range cfg.PassthroughDevices {
-		drivers = append(drivers, &guest.Driver{Name: name, Class: guest.DevicePassthrough})
-	}
-	vm.Guest = guest.New(cfg.Name, vm.Space, drivers...)
+	vm.Guest = guest.New(cfg.Name, vm.Space, guest.DefaultDrivers(cfg.PassthroughDevices...)...)
 	return vm, nil
 }
 
@@ -318,6 +314,18 @@ func (c *Chassis) VMs() []*VM {
 		out[i] = s.vm
 	}
 	return out
+}
+
+// VMCount implements Hypervisor.
+func (c *Chassis) VMCount() int { return len(c.table) }
+
+// EachVM implements Hypervisor.
+func (c *Chassis) EachVM(visit func(*VM) bool) {
+	for i := range c.table {
+		if !visit(c.table[i].vm) {
+			return
+		}
+	}
 }
 
 // Pause implements Hypervisor.

@@ -91,8 +91,8 @@ func (c *Config) Validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("hv: VM config has no name")
 	}
-	if c.VCPUs < 1 {
-		return fmt.Errorf("hv: VM %q: VCPUs = %d", c.Name, c.VCPUs)
+	if c.VCPUs < 1 || c.VCPUs > uisr.MaxVCPUs {
+		return fmt.Errorf("hv: VM %q: VCPUs = %d, want 1 to %d", c.Name, c.VCPUs, uisr.MaxVCPUs)
 	}
 	if c.MemBytes == 0 || c.MemBytes%hw.PageSize4K != 0 {
 		return fmt.Errorf("hv: VM %q: MemBytes = %d not page aligned", c.Name, c.MemBytes)
@@ -157,7 +157,15 @@ type Hypervisor interface {
 	CreateVM(cfg Config) (*VM, error)
 	DestroyVM(id VMID) error
 	LookupVM(id VMID) (*VM, bool)
+	// VMs is a snapshot of the VM table, ordered by id, for callers that
+	// create or destroy VMs while they walk it.
 	VMs() []*VM
+	VMCount() int
+	// EachVM calls visit for every VM in id order until it returns
+	// false; visit must not create or destroy VMs here. It allocates
+	// nothing, given a visitor built once: a func literal handed to an
+	// interface method is itself heap-allocated.
+	EachVM(visit func(*VM) bool)
 
 	Pause(id VMID) error
 	Resume(id VMID) error

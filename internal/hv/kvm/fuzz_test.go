@@ -13,10 +13,8 @@ import (
 func fuzzMSRBlockSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	st := uisr.SyntheticVM("seed", 1, 2, 64<<20, 5)
-	vs, err := vcpuFromUISR(&st.VCPUs[0])
-	if err != nil {
-		tb.Fatal(err)
-	}
+	var vs vcpuState
+	vcpuFromUISR(&st.VCPUs[0], &vs)
 	valid := marshalMsrs(vs.msrs)
 	mutated := append([]byte(nil), valid...)
 	mutated[0] ^= 0x80 // corrupt the count
@@ -55,7 +53,7 @@ func FuzzMSRBlock(f *testing.F) {
 		if err != nil {
 			return
 		}
-		canon := mtrrToMSRs(&mtrr)
+		canon := appendMTRR(nil, &mtrr)
 		canon = append(canon, kvmMsrEntry{Index: msrAPICBase, Value: apicBase})
 		for _, m := range generic {
 			canon = append(canon, kvmMsrEntry{Index: m.Index, Value: m.Value})

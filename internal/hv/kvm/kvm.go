@@ -31,7 +31,7 @@ type vmProc struct {
 	// space is kvmtool's mapping of guest memory, which the memslots
 	// describe to KVM.
 	space     *hv.AddressSpace
-	vcpus     []*vcpuState
+	vcpus     []vcpuState
 	memslots  []memslot
 	ioapic    kvmIOAPIC
 	pit       kvmPit2
@@ -79,13 +79,9 @@ func (format) NativeBorn(st *uisr.VMState) { st.IOAPIC.NumPins = uisr.KVMIOAPICP
 func (format) FromUISR(st *uisr.VMState, id hv.VMID, space *hv.AddressSpace, mem *hw.PhysMem) (hv.State, error) {
 	// The host scheduler's representation of the weight: cgroup
 	// cpu.shares, rebuilt at 4x the neutral scale (1024 = default).
-	proc := &vmProc{space: space, cpuShares: st.SchedWeight() * 4}
+	proc := &vmProc{space: space, cpuShares: st.SchedWeight() * 4, vcpus: make([]vcpuState, len(st.VCPUs))}
 	for i := range st.VCPUs {
-		vs, err := vcpuFromUISR(&st.VCPUs[i])
-		if err != nil {
-			return nil, fmt.Errorf("kvm: vCPU %d: %w", i, err)
-		}
-		proc.vcpus = append(proc.vcpus, vs)
+		vcpuFromUISR(&st.VCPUs[i], &proc.vcpus[i])
 	}
 	proc.ioapicPinsDropped = ioapicFromUISR(&st.IOAPIC, &proc.ioapic)
 	if st.HasPIT {
@@ -140,13 +136,11 @@ func slotsFromExtents(extents []uisr.PageExtent) []memslot {
 // ToUISR is the to_uisr path: kvmtool reads each vCPU's ioctl sections
 // and translates them to UISR.
 func (proc *vmProc) ToUISR() (*uisr.VMState, error) {
-	st := &uisr.VMState{SourceHypervisor: "kvm"}
-	for i, vs := range proc.vcpus {
-		v, err := vcpuToUISR(uint32(i), vs)
-		if err != nil {
+	st := &uisr.VMState{SourceHypervisor: "kvm", VCPUs: make([]uisr.VCPU, len(proc.vcpus))}
+	for i := range proc.vcpus {
+		if err := vcpuToUISR(uint32(i), &proc.vcpus[i], &st.VCPUs[i]); err != nil {
 			return nil, fmt.Errorf("kvm: vCPU %d: %w", i, err)
 		}
-		st.VCPUs = append(st.VCPUs, v)
 	}
 	st.Weight = uint16(proc.cpuShares / 4)
 	ioapicToUISR(&proc.ioapic, &st.IOAPIC)

@@ -154,10 +154,8 @@ func TestMTRRLivesInMSRArray(t *testing.T) {
 	// The Table 2 mapping: UISR MTRR state must be encoded as
 	// architectural MSRs inside KVM's MSR array.
 	st := uisr.SyntheticVM("m", 1, 1, 64<<20, 9)
-	vs, err := vcpuFromUISR(&st.VCPUs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	var vs vcpuState
+	vcpuFromUISR(&st.VCPUs[0], &vs)
 	found := map[uint32]uint64{}
 	for _, e := range vs.msrs {
 		found[e.Index] = e.Value
@@ -195,12 +193,10 @@ func TestPropertyVCPURoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {
 		st := uisr.SyntheticVM("p", 1, 1, 64<<20, seed)
 		orig := st.VCPUs[0]
-		vs, err := vcpuFromUISR(&orig)
-		if err != nil {
-			return false
-		}
-		back, err := vcpuToUISR(0, vs)
-		if err != nil {
+		var vs vcpuState
+		vcpuFromUISR(&orig, &vs)
+		var back uisr.VCPU
+		if err := vcpuToUISR(0, &vs, &back); err != nil {
 			return false
 		}
 		return reflect.DeepEqual(orig, back)
@@ -227,7 +223,7 @@ func TestPropertyMTRRRoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {
 		st := uisr.SyntheticVM("p", 1, 1, 64<<20, seed)
 		m := st.VCPUs[0].MTRR
-		entries := mtrrToMSRs(&m)
+		entries := appendMTRR(nil, &m)
 		entries = append(entries, kvmMsrEntry{Index: msrAPICBase, Value: 0xfee00800})
 		back, generic, _, err := msrsToUISR(entries)
 		if err != nil || len(generic) != 0 {

@@ -153,10 +153,9 @@ type vcpuState struct {
 
 // --- from_uisr_* family -----------------------------------------------------
 
-// vcpuFromUISR translates one neutral vCPU into KVM ioctl state. MTRR and
-// APIC-base state is folded into the MSR array (Table 2).
-func vcpuFromUISR(v *uisr.VCPU) (*vcpuState, error) {
-	st := &vcpuState{}
+// vcpuFromUISR translates one neutral vCPU into KVM ioctl state, in place.
+// MTRR and APIC-base state is folded into the MSR array (Table 2).
+func vcpuFromUISR(v *uisr.VCPU, st *vcpuState) {
 	st.regs = kvmRegs{
 		RAX: v.Regs.RAX, RBX: v.Regs.RBX, RCX: v.Regs.RCX, RDX: v.Regs.RDX,
 		RSI: v.Regs.RSI, RDI: v.Regs.RDI, RSP: v.Regs.RSP, RBP: v.Regs.RBP,
@@ -177,12 +176,12 @@ func vcpuFromUISR(v *uisr.VCPU) (*vcpuState, error) {
 	}
 	// Generic MSRs first, then the KVM-side encodings of LAPIC base and
 	// MTRR state.
-	st.msrs = make([]kvmMsrEntry, 0, len(v.MSRs)+28)
+	st.msrs = make([]kvmMsrEntry, 0, len(v.MSRs)+1+mtrrMSRs)
 	for _, m := range v.MSRs {
 		st.msrs = append(st.msrs, kvmMsrEntry{Index: m.Index, Value: m.Value})
 	}
 	st.msrs = append(st.msrs, kvmMsrEntry{Index: msrAPICBase, Value: v.LAPIC.Base})
-	st.msrs = append(st.msrs, mtrrToMSRs(&v.MTRR)...)
+	st.msrs = appendMTRR(st.msrs, &v.MTRR)
 
 	st.fpu.Data = v.FPU.Data
 	copy(st.xsave.Region[:64], v.XSave.Header[:])
@@ -192,13 +191,12 @@ func vcpuFromUISR(v *uisr.VCPU) (*vcpuState, error) {
 		binary.LittleEndian.PutUint32(st.lapic.Regs[i*16:], v.LAPIC.Regs[i])
 	}
 	binary.LittleEndian.PutUint32(st.lapic.Regs[2*16:], v.LAPIC.ID<<24)
-	return st, nil
 }
 
-// vcpuToUISR translates KVM ioctl state back to the neutral form, pulling
-// LAPIC base and MTRR state back out of the MSR array.
-func vcpuToUISR(id uint32, st *vcpuState) (uisr.VCPU, error) {
-	v := uisr.VCPU{ID: id}
+// vcpuToUISR translates KVM ioctl state back to the neutral form, in
+// place, pulling LAPIC base and MTRR state back out of the MSR array.
+func vcpuToUISR(id uint32, st *vcpuState, v *uisr.VCPU) error {
+	v.ID = id
 	v.Regs = uisr.Regs{
 		RAX: st.regs.RAX, RBX: st.regs.RBX, RCX: st.regs.RCX, RDX: st.regs.RDX,
 		RSI: st.regs.RSI, RDI: st.regs.RDI, RSP: st.regs.RSP, RBP: st.regs.RBP,
@@ -219,10 +217,9 @@ func vcpuToUISR(id uint32, st *vcpuState) (uisr.VCPU, error) {
 	}
 	mtrr, generic, apicBase, err := msrsToUISR(st.msrs)
 	if err != nil {
-		return v, err
+		return err
 	}
-	v.MTRR = mtrr
-	v.MSRs = generic
+	v.MTRR, v.MSRs = mtrr, generic
 	v.FPU.Data = st.fpu.Data
 	copy(v.XSave.Header[:], st.xsave.Region[:64])
 	copy(v.XSave.Extended[:], st.xsave.Region[64:])
@@ -232,7 +229,7 @@ func vcpuToUISR(id uint32, st *vcpuState) (uisr.VCPU, error) {
 		v.LAPIC.Regs[i] = binary.LittleEndian.Uint32(st.lapic.Regs[i*16:])
 	}
 	v.LAPIC.ID = v.LAPIC.Regs[2] >> 24
-	return v, nil
+	return nil
 }
 
 func segFromUISR(s uisr.Segment) kvmSegment {
@@ -264,10 +261,13 @@ func segToUISR(s kvmSegment) uisr.Segment {
 	return uisr.Segment{Selector: s.Selector, Attr: a, Limit: s.Limit, Base: s.Base}
 }
 
-// mtrrToMSRs encodes neutral MTRR state as the architectural MSR entries
-// KVM exchanges via KVM_SET_MSRS.
-func mtrrToMSRs(m *uisr.MTRRState) []kvmMsrEntry {
-	out := make([]kvmMsrEntry, 0, 27)
+// mtrrMSRs is how many MSR entries carry one vCPU's MTRR state: cap,
+// default type, 11 fixed-range and 8 variable base/mask pairs.
+const mtrrMSRs = 2 + 11 + 2*8
+
+// appendMTRR appends neutral MTRR state to out as the mtrrMSRs
+// architectural MSR entries KVM exchanges via KVM_SET_MSRS.
+func appendMTRR(out []kvmMsrEntry, m *uisr.MTRRState) []kvmMsrEntry {
 	out = append(out, kvmMsrEntry{Index: msrMTRRCap, Value: m.Cap})
 	def := m.DefType & 0xff
 	if m.Enabled {
@@ -294,7 +294,9 @@ func mtrrToMSRs(m *uisr.MTRRState) []kvmMsrEntry {
 // base, and the remaining generic MSR list.
 func msrsToUISR(entries []kvmMsrEntry) (uisr.MTRRState, []uisr.MSR, uint64, error) {
 	var m uisr.MTRRState
-	var generic []uisr.MSR
+	// from_uisr put 1+mtrrMSRs architectural entries after the generic
+	// ones; a foreign array just makes this capacity a guess.
+	generic := make([]uisr.MSR, 0, max(0, len(entries)-1-mtrrMSRs))
 	var apicBase uint64
 	sawDefType := false
 	for _, e := range entries {

@@ -102,7 +102,7 @@ type dptRange struct {
 
 // protectionDomain is NOVA's per-VM container.
 type protectionDomain struct {
-	utcbs      []*utcb
+	utcbs      []utcb
 	dpt        []dptRange
 	ioapic     [uisr.KVMIOAPICPins]uint64 // 24 pins, like KVM
 	scPriority int
@@ -151,9 +151,9 @@ func (format) NativeBorn(st *uisr.VMState) {
 // IOAPIC, and the DPT over the guest space.
 func (format) FromUISR(st *uisr.VMState, id hv.VMID, space *hv.AddressSpace, mem *hw.PhysMem) (hv.State, error) {
 	// Scheduling-context priority, rebuilt from the neutral weight.
-	pd := &protectionDomain{scPriority: st.SchedWeight()}
+	pd := &protectionDomain{scPriority: st.SchedWeight(), utcbs: make([]utcb, len(st.VCPUs))}
 	for i := range st.VCPUs {
-		pd.utcbs = append(pd.utcbs, utcbFromUISR(&st.VCPUs[i]))
+		utcbFromUISR(&st.VCPUs[i], &pd.utcbs[i])
 	}
 	// IOAPIC: narrow to 24 pins (same fix as the KVM direction).
 	pins := int(st.IOAPIC.NumPins)
@@ -168,8 +168,9 @@ func (format) FromUISR(st *uisr.VMState, id hv.VMID, space *hv.AddressSpace, mem
 	pd.drops.HPET = st.HasHPET
 	pd.drops.PMTimer = st.HasPMTimer
 
-	for _, e := range space.Extents() {
-		pd.dpt = append(pd.dpt, dptRange{GFNBase: e.GFN, MFNBase: e.MFN, Order: e.Order, Rights: 7})
+	pd.dpt = make([]dptRange, len(space.Extents()))
+	for i, e := range space.Extents() {
+		pd.dpt[i] = dptRange{GFNBase: e.GFN, MFNBase: e.MFN, Order: e.Order, Rights: 7}
 	}
 
 	// VM_i State frames: one UTCB page per vCPU + DPT pages.
@@ -183,13 +184,11 @@ func (format) FromUISR(st *uisr.VMState, id hv.VMID, space *hv.AddressSpace, mem
 
 // ToUISR is the to_uisr path.
 func (pd *protectionDomain) ToUISR() (*uisr.VMState, error) {
-	st := &uisr.VMState{SourceHypervisor: "nova"}
-	for i, u := range pd.utcbs {
-		v, err := utcbToUISR(uint32(i), u)
-		if err != nil {
+	st := &uisr.VMState{SourceHypervisor: "nova", VCPUs: make([]uisr.VCPU, len(pd.utcbs))}
+	for i := range pd.utcbs {
+		if err := utcbToUISR(uint32(i), &pd.utcbs[i], &st.VCPUs[i]); err != nil {
 			return nil, fmt.Errorf("nova: vCPU %d: %w", i, err)
 		}
-		st.VCPUs = append(st.VCPUs, v)
 	}
 	st.Weight = uint16(pd.scPriority)
 	st.IOAPIC.NumPins = uisr.KVMIOAPICPins
@@ -243,10 +242,11 @@ func (n *NOVA) PlatformDrops(id hv.VMID) (pit, hpet, pmtimer bool, err error) {
 
 // --- UISR converters ---------------------------------------------------------
 
-func utcbFromUISR(v *uisr.VCPU) *utcb {
-	u := &utcb{Mtd: mtdAll}
+// utcbFromUISR fills u, a zero UTCB, from one neutral vCPU.
+func utcbFromUISR(v *uisr.VCPU, u *utcb) {
+	u.Mtd = mtdAll
 	// NOVA's selector order: ES, CS, SS, DS, FS, GS, LDTR, TR.
-	segs := []uisr.Segment{v.SRegs.ES, v.SRegs.CS, v.SRegs.SS, v.SRegs.DS,
+	segs := [...]uisr.Segment{v.SRegs.ES, v.SRegs.CS, v.SRegs.SS, v.SRegs.DS,
 		v.SRegs.FS, v.SRegs.GS, v.SRegs.LDT, v.SRegs.TR}
 	for i, s := range segs {
 		u.Segs[i] = novaSeg{Sel: s.Selector, Ar: s.Attr, Limit: s.Limit, Base: s.Base}
@@ -268,14 +268,14 @@ func utcbFromUISR(v *uisr.VCPU) *utcb {
 	u.MTRR = v.MTRR
 	u.MSRs = append([]uisr.MSR(nil), v.MSRs...)
 	slices.SortFunc(u.MSRs, func(a, b uisr.MSR) int { return cmp.Compare(a.Index, b.Index) })
-	return u
 }
 
-func utcbToUISR(id uint32, u *utcb) (uisr.VCPU, error) {
+// utcbToUISR fills v, a zero vCPU, from one UTCB.
+func utcbToUISR(id uint32, u *utcb, v *uisr.VCPU) error {
 	if u.Mtd != mtdAll {
-		return uisr.VCPU{}, fmt.Errorf("utcb mtd %#x incomplete (want %#x)", u.Mtd, mtdAll)
+		return fmt.Errorf("utcb mtd %#x incomplete (want %#x)", u.Mtd, mtdAll)
 	}
-	v := uisr.VCPU{ID: id}
+	v.ID = id
 	seg := func(i int) uisr.Segment {
 		s := u.Segs[i]
 		return uisr.Segment{Selector: s.Sel, Attr: s.Ar, Limit: s.Limit, Base: s.Base}
@@ -301,5 +301,5 @@ func utcbToUISR(id uint32, u *utcb) (uisr.VCPU, error) {
 	v.LAPIC.ID = u.LAPIC[2] >> 24
 	v.MTRR = u.MTRR
 	v.MSRs = append([]uisr.MSR(nil), u.MSRs...)
-	return v, nil
+	return nil
 }

@@ -157,8 +157,10 @@ func TestPropertyUTCBRoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {
 		st := uisr.SyntheticVM("p", 1, 1, 64<<20, seed)
 		orig := st.VCPUs[0]
-		back, err := utcbToUISR(0, utcbFromUISR(&orig))
-		if err != nil {
+		var u utcb
+		utcbFromUISR(&orig, &u)
+		var back uisr.VCPU
+		if err := utcbToUISR(0, &u, &back); err != nil {
 			return false
 		}
 		return reflect.DeepEqual(orig, back)
@@ -170,9 +172,10 @@ func TestPropertyUTCBRoundTrip(t *testing.T) {
 
 func TestUTCBIncompleteMtdRejected(t *testing.T) {
 	st := uisr.SyntheticVM("p", 1, 1, 64<<20, 1)
-	u := utcbFromUISR(&st.VCPUs[0])
+	var u utcb
+	utcbFromUISR(&st.VCPUs[0], &u)
 	u.Mtd &^= mtdMSRs
-	if _, err := utcbToUISR(0, u); err == nil {
+	if err := utcbToUISR(0, &u, new(uisr.VCPU)); err == nil {
 		t.Fatal("incomplete UTCB accepted")
 	}
 }

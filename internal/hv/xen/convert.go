@@ -16,20 +16,21 @@ import (
 
 // toUISR translates a parsed domain context into UISR platform state.
 func toUISR(ctx *domainContext) (*uisr.VMState, error) {
-	s := &uisr.VMState{SourceHypervisor: "xen"}
-	for i := range ctx.cpus {
-		v := uisr.VCPU{ID: uint32(i)}
-		cpuToUISR(&ctx.cpus[i], &v)
-		lapicToUISR(&ctx.lapics[i], &ctx.lapicRegs[i], &v.LAPIC)
+	s := &uisr.VMState{SourceHypervisor: "xen", VCPUs: make([]uisr.VCPU, len(ctx.vcpus))}
+	for i := range ctx.vcpus {
+		c, v := &ctx.vcpus[i], &s.VCPUs[i]
+		v.ID = uint32(i)
+		cpuToUISR(&c.cpu, v)
+		lapicToUISR(&c.lapic, &c.lapicRegs, &v.LAPIC)
 		// Xen keeps the APIC base in its LAPIC record; the neutral
 		// SRegs view mirrors it (Table 2: LAPIC → MSRS on KVM).
 		v.SRegs.APICBase = v.LAPIC.Base
-		mtrrToUISR(&ctx.mtrrs[i], &v.MTRR)
-		xsaveToUISR(&ctx.xsaves[i], &v.XSave)
-		for _, e := range ctx.msrs[i] {
-			v.MSRs = append(v.MSRs, uisr.MSR{Index: e.Index, Value: e.Value})
+		mtrrToUISR(&c.mtrr, &v.MTRR)
+		xsaveToUISR(&c.xsave, &v.XSave)
+		v.MSRs = make([]uisr.MSR, len(c.msrs))
+		for j, e := range c.msrs {
+			v.MSRs[j] = uisr.MSR{Index: e.Index, Value: e.Value}
 		}
-		s.VCPUs = append(s.VCPUs, v)
 	}
 	ioapicToUISR(&ctx.ioapic, &s.IOAPIC)
 	s.HasPIT = true // Xen's HVM platform always emulates the 8254
@@ -59,32 +60,18 @@ func toUISR(ctx *domainContext) (*uisr.VMState, error) {
 func fromUISR(s *uisr.VMState) (*domainContext, error) {
 	ctx := &domainContext{
 		header: hvmHeader{Magic: hvmMagic, Version: 2, Changes: 0x41251},
+		vcpus:  make([]hvmVCPU, len(s.VCPUs)),
 	}
 	for i := range s.VCPUs {
-		v := &s.VCPUs[i]
-		var cpu hvmCPU
-		cpuFromUISR(v, &cpu)
-		ctx.cpus = append(ctx.cpus, cpu)
-
-		var lapic hvmLAPIC
-		var lregs hvmLAPICRegs
-		lapicFromUISR(&v.LAPIC, &lapic, &lregs)
-		ctx.lapics = append(ctx.lapics, lapic)
-		ctx.lapicRegs = append(ctx.lapicRegs, lregs)
-
-		var mtrr hvmMTRR
-		mtrrFromUISR(&v.MTRR, &mtrr)
-		ctx.mtrrs = append(ctx.mtrrs, mtrr)
-
-		var xs hvmXSave
-		xsaveFromUISR(&v.XSave, &xs)
-		ctx.xsaves = append(ctx.xsaves, xs)
-
-		entries := make([]hvmMSREntry, 0, len(v.MSRs))
-		for _, m := range v.MSRs {
-			entries = append(entries, hvmMSREntry{Index: m.Index, Value: m.Value})
+		v, c := &s.VCPUs[i], &ctx.vcpus[i]
+		cpuFromUISR(v, &c.cpu)
+		lapicFromUISR(&v.LAPIC, &c.lapic, &c.lapicRegs)
+		mtrrFromUISR(&v.MTRR, &c.mtrr)
+		xsaveFromUISR(&v.XSave, &c.xsave)
+		c.msrs = make([]hvmMSREntry, len(v.MSRs))
+		for j, m := range v.MSRs {
+			c.msrs[j] = hvmMSREntry{Index: m.Index, Value: m.Value}
 		}
-		ctx.msrs = append(ctx.msrs, entries)
 	}
 	if err := ioapicFromUISR(&s.IOAPIC, &ctx.ioapic); err != nil {
 		return nil, err

@@ -162,10 +162,6 @@ type hvmMSREntry struct {
 	Value    uint64
 }
 
-// maxVCPUs is Xen's HVM_MAX_VCPUS: no per-vCPU record may name an
-// instance at or beyond it.
-const maxVCPUs = 128
-
 const (
 	recDescSize  = 8  // typecode, instance, payload length
 	msrCountSize = 8  // the MSR record's leading entry count
@@ -187,20 +183,26 @@ var (
 	sizeXSave     = uisr.FixedSize(hvmXSave{})
 )
 
+// hvmVCPU is the per-vCPU records of one instance, side by side so a
+// context holds one slice of them.
+type hvmVCPU struct {
+	cpu       hvmCPU
+	lapic     hvmLAPIC
+	lapicRegs hvmLAPICRegs
+	mtrr      hvmMTRR
+	xsave     hvmXSave
+	msrs      []hvmMSREntry
+}
+
 // domainContext is the parsed in-memory form of one domain's HVM context.
 type domainContext struct {
-	header    hvmHeader
-	cpus      []hvmCPU
-	lapics    []hvmLAPIC
-	lapicRegs []hvmLAPICRegs
-	mtrrs     []hvmMTRR
-	xsaves    []hvmXSave
-	msrs      [][]hvmMSREntry
-	ioapic    hvmIOAPIC
-	pit       hvmPIT
-	rtc       hvmRTC
-	hpet      hvmHPET
-	pmtimer   hvmPMTimer
+	header  hvmHeader
+	vcpus   []hvmVCPU
+	ioapic  hvmIOAPIC
+	pit     hvmPIT
+	rtc     hvmRTC
+	hpet    hvmHPET
+	pmtimer hvmPMTimer
 }
 
 // marshalContext serializes a domain context into the HVM blob format.
@@ -208,9 +210,9 @@ type domainContext struct {
 // writes every record descriptor and payload in place.
 func marshalContext(ctx *domainContext) []byte {
 	size := 7*recDescSize + sizeHeader + sizeIOAPIC + sizePIT + sizeRTC + sizeHPET + sizePMTimer
-	for i := range ctx.cpus {
+	for i := range ctx.vcpus {
 		size += 6*recDescSize + sizeCPU + sizeLAPIC + sizeLAPICRegs + sizeMTRR + sizeXSave +
-			msrCountSize + msrEntrySize*len(ctx.msrs[i])
+			msrCountSize + msrEntrySize*len(ctx.vcpus[i].msrs)
 	}
 	le := binary.LittleEndian
 	out := make([]byte, size)
@@ -225,16 +227,16 @@ func marshalContext(ctx *domainContext) []byte {
 		return payload
 	}
 	uisr.PutFixed(begin(recHeader, 0, sizeHeader), &ctx.header)
-	for i := range ctx.cpus {
-		inst := uint16(i)
-		uisr.PutFixed(begin(recCPU, inst, sizeCPU), &ctx.cpus[i])
-		uisr.PutFixed(begin(recLAPIC, inst, sizeLAPIC), &ctx.lapics[i])
-		uisr.PutFixed(begin(recLAPICRegs, inst, sizeLAPICRegs), &ctx.lapicRegs[i])
-		uisr.PutFixed(begin(recMTRR, inst, sizeMTRR), &ctx.mtrrs[i])
-		uisr.PutFixed(begin(recXSave, inst, sizeXSave), &ctx.xsaves[i])
-		msrs := begin(recMSR, inst, msrCountSize+msrEntrySize*len(ctx.msrs[i]))
-		le.PutUint64(msrs, uint64(len(ctx.msrs[i])))
-		for j, e := range ctx.msrs[i] {
+	for i := range ctx.vcpus {
+		inst, v := uint16(i), &ctx.vcpus[i]
+		uisr.PutFixed(begin(recCPU, inst, sizeCPU), &v.cpu)
+		uisr.PutFixed(begin(recLAPIC, inst, sizeLAPIC), &v.lapic)
+		uisr.PutFixed(begin(recLAPICRegs, inst, sizeLAPICRegs), &v.lapicRegs)
+		uisr.PutFixed(begin(recMTRR, inst, sizeMTRR), &v.mtrr)
+		uisr.PutFixed(begin(recXSave, inst, sizeXSave), &v.xsave)
+		msrs := begin(recMSR, inst, msrCountSize+msrEntrySize*len(v.msrs))
+		le.PutUint64(msrs, uint64(len(v.msrs)))
+		for j, e := range v.msrs {
 			base := msrCountSize + msrEntrySize*j
 			le.PutUint32(msrs[base:], e.Index)
 			le.PutUint32(msrs[base+4:], e.Reserved)
@@ -254,26 +256,22 @@ func marshalContext(ctx *domainContext) []byte {
 }
 
 // admit checks one per-vCPU record before anything is allocated for it —
-// the payload length first, then the instance against maxVCPUs — and only
-// then grows the per-vCPU slices to hold the instance, so a hostile
-// descriptor cannot make the parser allocate more than the blob's own
-// bytes justify.
-func (ctx *domainContext) admit(instance uint16, got, want int) error {
+// the payload length first, then the instance against uisr.MaxVCPUs
+// (Xen's HVM_MAX_VCPUS) — and only then grows vcpus to hold the instance,
+// so a hostile descriptor cannot make the parser allocate more than the
+// blob's own bytes justify. The blob carries no vCPU count to size from:
+// marshalContext writes instances in order, so each is one append.
+func (ctx *domainContext) admit(instance uint16, got, want int) (*hvmVCPU, error) {
 	if got != want {
-		return fmt.Errorf("payload %d bytes, want %d", got, want)
+		return nil, fmt.Errorf("payload %d bytes, want %d", got, want)
 	}
-	if instance >= maxVCPUs {
-		return fmt.Errorf("instance %d, HVM_MAX_VCPUS is %d", instance, maxVCPUs)
+	if instance >= uisr.MaxVCPUs {
+		return nil, fmt.Errorf("instance %d, HVM_MAX_VCPUS is %d", instance, uisr.MaxVCPUs)
 	}
-	for len(ctx.cpus) <= int(instance) {
-		ctx.cpus = append(ctx.cpus, hvmCPU{})
-		ctx.lapics = append(ctx.lapics, hvmLAPIC{})
-		ctx.lapicRegs = append(ctx.lapicRegs, hvmLAPICRegs{})
-		ctx.mtrrs = append(ctx.mtrrs, hvmMTRR{})
-		ctx.xsaves = append(ctx.xsaves, hvmXSave{})
-		ctx.msrs = append(ctx.msrs, nil)
+	for len(ctx.vcpus) <= int(instance) {
+		ctx.vcpus = append(ctx.vcpus, hvmVCPU{})
 	}
-	return nil
+	return &ctx.vcpus[instance], nil
 }
 
 // parseContext parses an HVM blob back into a domain context. It is
@@ -301,6 +299,7 @@ func parseContext(blob []byte) (*domainContext, error) {
 		off += length
 
 		var err error
+		var v *hvmVCPU
 		switch typecode {
 		case recHeader:
 			err = uisr.GetFixed(payload, &ctx.header, sizeHeader)
@@ -309,24 +308,24 @@ func parseContext(blob []byte) (*domainContext, error) {
 			}
 			sawHeader = true
 		case recCPU:
-			if err = ctx.admit(instance, length, sizeCPU); err == nil {
-				err = uisr.GetFixed(payload, &ctx.cpus[instance], sizeCPU)
+			if v, err = ctx.admit(instance, length, sizeCPU); err == nil {
+				err = uisr.GetFixed(payload, &v.cpu, sizeCPU)
 			}
 		case recLAPIC:
-			if err = ctx.admit(instance, length, sizeLAPIC); err == nil {
-				err = uisr.GetFixed(payload, &ctx.lapics[instance], sizeLAPIC)
+			if v, err = ctx.admit(instance, length, sizeLAPIC); err == nil {
+				err = uisr.GetFixed(payload, &v.lapic, sizeLAPIC)
 			}
 		case recLAPICRegs:
-			if err = ctx.admit(instance, length, sizeLAPICRegs); err == nil {
-				err = uisr.GetFixed(payload, &ctx.lapicRegs[instance], sizeLAPICRegs)
+			if v, err = ctx.admit(instance, length, sizeLAPICRegs); err == nil {
+				err = uisr.GetFixed(payload, &v.lapicRegs, sizeLAPICRegs)
 			}
 		case recMTRR:
-			if err = ctx.admit(instance, length, sizeMTRR); err == nil {
-				err = uisr.GetFixed(payload, &ctx.mtrrs[instance], sizeMTRR)
+			if v, err = ctx.admit(instance, length, sizeMTRR); err == nil {
+				err = uisr.GetFixed(payload, &v.mtrr, sizeMTRR)
 			}
 		case recXSave:
-			if err = ctx.admit(instance, length, sizeXSave); err == nil {
-				err = uisr.GetFixed(payload, &ctx.xsaves[instance], sizeXSave)
+			if v, err = ctx.admit(instance, length, sizeXSave); err == nil {
+				err = uisr.GetFixed(payload, &v.xsave, sizeXSave)
 			}
 		case recMSR:
 			// Count the entries from the payload's own length: a huge
@@ -334,14 +333,13 @@ func parseContext(blob []byte) (*domainContext, error) {
 			n := (length - msrCountSize) / msrEntrySize
 			if length < msrCountSize || le.Uint64(payload) != uint64(n) {
 				err = fmt.Errorf("MSR record of %d bytes does not hold its entry count", length)
-			} else if err = ctx.admit(instance, length, msrCountSize+msrEntrySize*n); err == nil {
-				entries := make([]hvmMSREntry, n)
-				for j := range entries {
+			} else if v, err = ctx.admit(instance, length, msrCountSize+msrEntrySize*n); err == nil {
+				v.msrs = make([]hvmMSREntry, n)
+				for j := range v.msrs {
 					base := msrCountSize + msrEntrySize*j
-					entries[j].Index = le.Uint32(payload[base:])
-					entries[j].Value = le.Uint64(payload[base+8:])
+					v.msrs[j].Index = le.Uint32(payload[base:])
+					v.msrs[j].Value = le.Uint64(payload[base+8:])
 				}
-				ctx.msrs[instance] = entries
 			}
 		case recIOAPIC:
 			err = uisr.GetFixed(payload, &ctx.ioapic, sizeIOAPIC)

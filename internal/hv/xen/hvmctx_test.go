@@ -72,15 +72,15 @@ func contextOf(tb testing.TB, vcpus int) *domainContext {
 
 // TestContextCodecAllocBudget: marshalContext sizes the blob and
 // allocates it once; parseContext allocates the context, the growth of
-// its six per-vCPU slices and one MSR list per vCPU — nothing per record.
+// its per-vCPU slice and one MSR list per vCPU — nothing per record.
 func TestContextCodecAllocBudget(t *testing.T) {
 	ctx := contextOf(t, 4)
 	blob := marshalContext(ctx)
 	if n := testing.AllocsPerRun(20, func() { marshalContext(ctx) }); n != 1 {
 		t.Fatalf("marshalContext allocated %v times per call, want 1", n)
 	}
-	// 1 context + 3 growth steps (cap 1, 2, 4) of 6 slices + 4 MSR lists.
-	const want = 1 + 3*6 + 4
+	// 1 context + 3 growth steps (cap 1, 2, 4) of vcpus + 4 MSR lists.
+	const want = 1 + 3 + 4
 	if n := testing.AllocsPerRun(20, func() {
 		if _, err := parseContext(blob); err != nil {
 			t.Fatal(err)
@@ -119,11 +119,11 @@ func TestParseContextRejectsHostileInstance(t *testing.T) {
 	// The cap is HVM_MAX_VCPUS itself: a well-formed record for instance
 	// 128 is refused, one for instance 127 is not.
 	ctx := &domainContext{}
-	if err := ctx.admit(maxVCPUs, sizeLAPIC, sizeLAPIC); err == nil {
+	if _, err := ctx.admit(uisr.MaxVCPUs, sizeLAPIC, sizeLAPIC); err == nil {
 		t.Fatal("instance 128 admitted")
 	}
-	if err := ctx.admit(maxVCPUs-1, sizeLAPIC, sizeLAPIC); err != nil || len(ctx.lapics) != maxVCPUs {
-		t.Fatalf("instance 127: err %v, %d vCPUs", err, len(ctx.lapics))
+	if _, err := ctx.admit(uisr.MaxVCPUs-1, sizeLAPIC, sizeLAPIC); err != nil || len(ctx.vcpus) != uisr.MaxVCPUs {
+		t.Fatalf("instance 127: err %v, %d vCPUs", err, len(ctx.vcpus))
 	}
 }
 
@@ -151,7 +151,7 @@ func BenchmarkParseContext(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				benchSink += len(ctx.cpus)
+				benchSink += len(ctx.vcpus)
 			}
 		})
 	}

@@ -83,7 +83,9 @@ func (format) FromUISR(st *uisr.VMState, id hv.VMID, space *hv.AddressSpace, mem
 		// the neutral value.
 		weight: st.SchedWeight(),
 	}
-	dom.frames, err = mem.AllocRanges(hv.FramesFor(len(dom.ctxBlob)), hw.OwnerVMState, int(id))
+	// The context blob's frames, then the p2m's — one 8-byte entry per
+	// extent in Xen's table — claimed together: all or nothing.
+	dom.frames, err = mem.AllocRanges(hv.FramesFor(len(dom.ctxBlob))+hv.FramesFor(len(dom.p2m)*8), hw.OwnerVMState, int(id))
 	if err != nil {
 		return nil, err
 	}
@@ -91,16 +93,10 @@ func (format) FromUISR(st *uisr.VMState, id hv.VMID, space *hv.AddressSpace, mem
 		_ = mem.FreeRanges(dom.frames)
 		return nil, err
 	}
-	// One 8-byte entry per extent in Xen's table.
-	p2mFrames, err := mem.AllocRanges(hv.FramesFor(len(dom.p2m)*8), hw.OwnerVMState, int(id))
-	if err != nil {
-		_ = mem.FreeRanges(dom.frames)
-		return nil, err
-	}
-	dom.frames = append(dom.frames, p2mFrames...)
 	// Event channels: store ports for console, xenstore and one per-vCPU
 	// timer (re-created, Xen-specific).
-	dom.eventChannels = []evtchn{{Port: 1, Kind: "interdomain", Target: 0}, {Port: 2, Kind: "interdomain", Target: 0}}
+	dom.eventChannels = append(make([]evtchn, 0, 2+len(st.VCPUs)),
+		evtchn{Port: 1, Kind: "interdomain", Target: 0}, evtchn{Port: 2, Kind: "interdomain", Target: 0})
 	for i := range st.VCPUs {
 		dom.eventChannels = append(dom.eventChannels, evtchn{Port: 3 + i, Kind: "virq", Target: i})
 	}
@@ -173,10 +169,10 @@ func (x *Xen) CreditWeight(id hv.VMID) (int, error) {
 // RunQueue returns the credit scheduler's queue: VM Management State,
 // rebuilt from the domain set, never translated.
 func (x *Xen) RunQueue() []hv.VMID {
-	vms := x.VMs()
-	q := make([]hv.VMID, len(vms))
-	for i, vm := range vms {
-		q[i] = vm.ID
-	}
+	q := make([]hv.VMID, 0, x.VMCount())
+	x.EachVM(func(vm *hv.VM) bool {
+		q = append(q, vm.ID)
+		return true
+	})
 	return q
 }

@@ -174,8 +174,8 @@ func TestContextBlobIsXenFormat(t *testing.T) {
 	if ctx.header.Magic != hvmMagic {
 		t.Fatal("wrong magic")
 	}
-	if len(ctx.cpus) != 2 {
-		t.Fatalf("cpus = %d", len(ctx.cpus))
+	if len(ctx.vcpus) != 2 {
+		t.Fatalf("cpus = %d", len(ctx.vcpus))
 	}
 	// Re-marshaling must be deterministic.
 	if !bytes.Equal(marshalContext(ctx), blob) {

@@ -764,3 +764,88 @@ func TestConcurrentDisjointRanges(t *testing.T) {
 		t.Fatalf("concurrent run %v differs from sequential %v", conc, seq)
 	}
 }
+
+// TestPagePrefixContract: a page's backing store is its written prefix —
+// sized by the first write, regrown once to a whole frame by a write past
+// it — and every reader sees the implicit zero tail: ReadInto, Checksum
+// and dedup behave as if each page held PageSize4K bytes.
+func TestPagePrefixContract(t *testing.T) {
+	pm := NewPhysMem(64 * PageSize4K)
+	rs, err := pm.AllocRanges(8, OwnerPRAM, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := rs[0].Start
+	// stored is the length ForEachTouched hands out for frame m; -1 if
+	// the frame is untouched.
+	stored := func(m MFN) int {
+		n := -1
+		if err := pm.ForEachTouched(m, 1, func(_ MFN, data []byte) error { n = len(data); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	ones := bytes.Repeat([]byte{1}, PageSize4K)
+	padded := append(bytes.Repeat([]byte{1}, 600), make([]byte, 3000)...)
+	for i, tc := range []struct {
+		off  int
+		data []byte
+		want int
+	}{
+		{0, ones[:100], 512},           // rounded up to the quantum
+		{0, padded, 1024},              // trailing zeros dropped first
+		{0, ones, PageSize4K},          // a whole frame
+		{0, make([]byte, 100), 0},      // all zeros: touched, empty prefix
+		{8, ones[:100], PageSize4K},    // a first write off offset 0
+		{0, ones[:prefixQuantum], 512}, // exactly one quantum
+	} {
+		m := base + MFN(i)
+		if err := pm.Write(m, tc.off, tc.data); err != nil {
+			t.Fatal(err)
+		}
+		if got := stored(m); got != tc.want {
+			t.Errorf("case %d: first write of %d bytes at %d stored %d, want %d", i, len(tc.data), tc.off, got, tc.want)
+		}
+		full := make([]byte, PageSize4K)
+		copy(full[tc.off:], tc.data)
+		got := bytes.Repeat([]byte{0xee}, PageSize4K)
+		if err := pm.ReadInto(m, 0, got); err != nil || !bytes.Equal(got, full) {
+			t.Errorf("case %d: ReadInto differs from the written frame (err %v)", i, err)
+		}
+		if sum, err := pm.Checksum(m); err != nil || sum != crc64.Checksum(full, crcTable) {
+			t.Errorf("case %d: Checksum %#x, %v; want the whole frame's", i, sum, err)
+		}
+	}
+	// Within the prefix the page keeps its size; past it, it regrows to a
+	// whole frame with its contents intact.
+	if err := pm.Write(base, 200, ones[:300]); err != nil || stored(base) != 512 {
+		t.Fatalf("write inside the prefix: err %v, stored %d", err, stored(base))
+	}
+	if err := pm.Write(base, 600, []byte{7}); err != nil || stored(base) != PageSize4K {
+		t.Fatalf("write past the prefix: err %v, stored %d", err, stored(base))
+	}
+	got := make([]byte, 601)
+	want := append(append(append([]byte(nil), ones[:100]...), make([]byte, 100)...), ones[:300]...)
+	if err := pm.ReadInto(base, 0, got); err != nil || !bytes.Equal(got[:500], want) || got[500] != 0 || got[600] != 7 {
+		t.Fatalf("regrown page lost contents (err %v)", err)
+	}
+	// A read that starts past the prefix is zeros.
+	if err := pm.ReadInto(base+1, 2000, got); err != nil || !bytes.Equal(got, make([]byte, 601)) {
+		t.Fatalf("read past the prefix not zero (err %v)", err)
+	}
+	// Dedup compares frames, not buffers: a 1 KiB prefix and a whole-frame
+	// buffer with the same contents share one page.
+	pm.SetPageDedup(true)
+	if err := pm.Write(base+6, 0, padded); err != nil {
+		t.Fatal(err)
+	}
+	if err := pm.Write(base+7, 4000, []byte{0}); err != nil { // whole-frame buffer
+		t.Fatal(err)
+	}
+	if err := pm.Write(base+7, 0, padded[:600]); err != nil {
+		t.Fatal(err)
+	}
+	if hits, _ := pm.PageDedupHits(); hits != 1 || stored(base+6) != stored(base+7) {
+		t.Fatalf("dedup hits %d, stored %d and %d: a prefix and a whole-frame page with equal contents did not share", hits, stored(base+6), stored(base+7))
+	}
+}

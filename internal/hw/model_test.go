@@ -243,8 +243,9 @@ func modelCheckRanges(pm *PhysMem, ref *refMem) error {
 			}
 			var visited []MFN
 			err := pm.ForEachTouched(MFN(lo), uint64(n), func(m MFN, data []byte) error {
-				if !bytes.Equal(data, ref.data[m]) {
-					return fmt.Errorf("frame %d contents differ", m)
+				// data is the written prefix; the reference's tail is zero.
+				if k := len(data); k > PageSize4K || !bytes.Equal(data, ref.data[m][:k]) || !bytes.Equal(ref.data[m][k:], zeroPage[k:]) {
+					return fmt.Errorf("frame %d contents differ (%d-byte prefix)", m, k)
 				}
 				visited = append(visited, m)
 				return nil
@@ -302,7 +303,15 @@ func modelRun(ops []byte, dedup bool) error {
 			// short ones at an offset, so shared pages get unshared.
 			data := bytes.Repeat([]byte{byte(c % 3)}, PageSize4K)
 			off := 0
-			if c%5 == 0 {
+			switch {
+			case c >= 192:
+				// Past whatever prefix the page holds: it regrows whole.
+				data, off = data[:16], PageSize4K/2+b*4
+			case c >= 128:
+				// A short run at offset 0 with zeros behind it (all zeros
+				// when c%3 is 0): the page is sized to what was written.
+				data = append(data[:1+(c-128)*20], make([]byte, b)...)
+			case c%5 == 0:
 				data, off = data[:16], b*8
 			}
 			for k := 0; k < 1+c%4; k++ {
@@ -358,7 +367,7 @@ func TestPhysMemMatchesModel(t *testing.T) {
 
 // physMemOpsSeeds are hand-written sequences that reach the paths random
 // bytes find slowly: whole-chunk claims, a wrap of the cursor, a wipe
-// with a partial keep, dedup sharing and unsharing.
+// with a partial keep, dedup sharing and unsharing, prefix-sized pages.
 func physMemOpsSeeds() [][]byte {
 	return [][]byte{
 		// Two huge pages, write into both, wipe keeping the first.
@@ -369,6 +378,11 @@ func physMemOpsSeeds() [][]byte {
 		{2, 1, 144, 200, 4, 1, 200, 7, 5, 1, 150, 3, 5, 1, 160, 3, 5, 1, 150, 5, 3, 1, 144, 200},
 		// Dedup toggled mid-sequence with shared pages resident.
 		{0, 0, 4, 2, 5, 0, 0, 3, 5, 0, 0, 7, 7, 0, 0, 1, 5, 0, 1, 10, 7, 0, 0, 0, 5, 0, 2, 0, 6, 0, 0, 4},
+		// Prefix-sized pages: short writes at offset 0, a write past the
+		// prefix, all-zero writes and a write into their empty prefix, then
+		// the same under dedup with a shared prefix page unshared and grown.
+		{0, 0, 4, 2, 5, 0, 0, 130, 5, 0, 0, 193, 5, 0, 3, 129, 5, 0, 3, 131, 7, 0, 0, 0,
+			5, 0, 5, 132, 5, 0, 6, 134, 5, 0, 7, 194, 5, 0, 6, 134, 6, 0, 2, 5},
 	}
 }
 

@@ -87,6 +87,14 @@ func (o Owner) String() string {
 // frames whose contents are byte-identical share one page (refs counts
 // the sharers); writes unshare copy-on-write, so sharing is invisible to
 // readers and checksums.
+//
+// buf is the frame's written prefix: bytes past len(buf) are zero, as
+// every byte of an untouched frame is. A first write at offset 0 sizes
+// buf to that write (prefixLen); any other first write, and any later
+// write past the prefix, takes it straight to PageSize4K, so a page
+// regrows at most once. Readers pad the tail back in: ReadInto
+// zero-fills, sums and the dedup key hash it (pageSum), dedup compares
+// with it (samePage). ForEachTouched hands out buf as it is.
 type page struct {
 	buf []byte
 	// sum caches the CRC-64 of buf while summed is set; a write clears
@@ -195,6 +203,29 @@ type PhysMem struct {
 }
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
+
+// prefixLen is the buffer length for a frame whose first write is data at
+// offset 0: data without its trailing zeros, rounded up to a whole number
+// of prefixQuantum bytes.
+const prefixQuantum = 512
+
+func prefixLen(data []byte) int {
+	n := len(bytes.TrimRight(data, "\x00"))
+	return (n + prefixQuantum - 1) / prefixQuantum * prefixQuantum
+}
+
+// pageSum is the CRC-64 of the whole frame buf is the prefix of.
+func pageSum(buf []byte) uint64 {
+	return crc64.Update(crc64.Checksum(buf, crcTable), crcTable, zeroPage[:PageSize4K-len(buf)])
+}
+
+// samePage reports whether two prefixes are the same frame contents.
+func samePage(a, b []byte) bool {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	return bytes.Equal(a, b[:len(a)]) && bytes.Equal(b[len(a):], zeroPage[:len(b)-len(a)])
+}
 
 // NewPhysMem creates a physical memory of size bytes (rounded down to a
 // whole number of frames).
@@ -596,28 +627,40 @@ func (pm *PhysMem) Write(m MFN, off int, data []byte) error {
 		c.pages = new([chunkFrames]*page)
 	}
 	p := c.pages[i]
+	// size is the prefix the page must hold after this write.
+	size := PageSize4K
+	if p != nil && off+len(data) <= len(p.buf) {
+		size = len(p.buf)
+	} else if p == nil && off == 0 {
+		size = prefixLen(data)
+	}
 	switch {
 	case p == nil:
-		p = &page{buf: make([]byte, PageSize4K), refs: 1}
+		p = &page{buf: make([]byte, size), refs: 1}
 		c.pages[i] = p
 		c.data++
 	case p.refs > 1:
 		// Copy-on-write unshare: other frames keep the shared original.
 		p.refs--
-		np := &page{buf: make([]byte, PageSize4K), refs: 1}
+		np := &page{buf: make([]byte, size), refs: 1}
 		copy(np.buf, p.buf)
 		c.pages[i] = np
 		p = np
-	case p.interned:
-		// Sole owner about to mutate: the intern registration is stale.
-		pm.uninternPage(p)
+	default:
+		if p.interned {
+			// Sole owner about to mutate: the intern registration is stale.
+			pm.uninternPage(p)
+		}
+		if size > len(p.buf) {
+			p.buf = append(p.buf, make([]byte, size-len(p.buf))...)
+		}
 	}
 	p.summed = false
 	dedup := pm.dedup
 	pm.mu.Unlock()
-	copy(p.buf[off:], data)
+	copy(p.buf[off:], data) // what a trimmed prefix leaves out is zeros
 	if dedup {
-		h := crc64.Checksum(p.buf, crcTable)
+		h := pageSum(p.buf)
 		pm.mu.Lock()
 		pm.internPage(c, i, p, h)
 		pm.mu.Unlock()
@@ -670,7 +713,7 @@ func (pm *PhysMem) internPage(c *chunk, i uint64, p *page, h uint64) {
 		pm.intern = make(map[uint64][]*page)
 	}
 	for _, q := range pm.intern[h] {
-		if q != p && bytes.Equal(q.buf, p.buf) {
+		if q != p && samePage(q.buf, p.buf) {
 			q.refs++
 			c.pages[i] = q
 			pm.dedupHits++
@@ -732,11 +775,11 @@ func (pm *PhysMem) ReadInto(m MFN, off int, dst []byte) error {
 	}
 	p := c.page(i)
 	pm.mu.Unlock()
-	if p != nil {
-		copy(dst, p.buf[off:])
-	} else {
-		clear(dst)
+	n := 0
+	if p != nil && off < len(p.buf) {
+		n = copy(dst, p.buf[off:])
 	}
+	clear(dst[n:])
 	return nil
 }
 
@@ -762,7 +805,7 @@ func (pm *PhysMem) Checksum(m MFN) (uint64, error) {
 	pm.mu.Unlock()
 	// The hash runs outside the lock; the same distinct-frames contract
 	// that makes the payload copy in Write safe applies here.
-	sum := crc64.Checksum(p.buf, crcTable)
+	sum := pageSum(p.buf)
 	pm.mu.Lock()
 	p.sum, p.summed = sum, true
 	pm.mu.Unlock()
@@ -800,7 +843,9 @@ func (pm *PhysMem) eachAllocated(start MFN, count uint64, op string, fn func(par
 // (untouched frames are logically zero and need no migration traffic).
 // The lock is taken once for the whole run and chunks that were never
 // written are skipped in O(1); fn runs outside it. data is the frame's
-// live backing store: fn must not modify it or keep it past the call.
+// live backing store: fn must not modify it or keep it past the call. It
+// is the frame's written prefix, len(data) ≤ PageSize4K: the bytes past
+// it are zero, and a consumer that wants the whole frame pads them.
 func (pm *PhysMem) ForEachTouched(start MFN, count uint64, fn func(m MFN, data []byte) error) error {
 	type touched struct {
 		m MFN
@@ -884,7 +929,7 @@ func (pm *PhysMem) ChecksumRange(start MFN, count uint64, gfn GFN) (uint64, erro
 		return total, nil
 	}
 	for k := range todo {
-		todo[k].sum = crc64.Checksum(todo[k].p.buf, crcTable)
+		todo[k].sum = pageSum(todo[k].p.buf)
 		total += todo[k].sum * todo[k].key
 	}
 	pm.mu.Lock()

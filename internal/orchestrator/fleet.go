@@ -114,11 +114,12 @@ func (n *Nova) respondScheduled(db *vulndb.Database, vrec *vulndb.Record, cveID 
 		}
 		n.slo.Expose(cveID, name, base)
 		hp := &fleetHostPlan{name: name, node: node, target: target, pendingEvacs: make(map[string]bool)}
-		for _, vm := range node.Driver.VMs() {
+		node.Driver.Hypervisor().EachVM(func(vm *hv.VM) bool {
 			if !vm.Config.InPlaceCompatible {
 				hp.incompat = append(hp.incompat, vm)
 			}
-		}
+			return true
+		})
 		plans[name] = hp
 		order = append(order, name)
 		resp.Target = target
@@ -334,7 +335,7 @@ func (n *Nova) respondScheduled(db *vulndb.Database, vrec *vulndb.Record, cveID 
 			c.Advance(start)
 			restore := ld.engine.SwapClock(c)
 			defer restore()
-			if len(drv.VMs()) > 0 {
+			if drv.Hypervisor().VMCount() > 0 {
 				rep, err := drv.HostLiveUpgrade(hp.target, opts)
 				if err != nil {
 					return c.Now() - start, err

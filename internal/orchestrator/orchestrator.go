@@ -99,21 +99,42 @@ func (d *LibvirtDriver) VMs() []*hv.VM { return d.hyp.VMs() }
 
 // Capacity implements ComputeDriver.
 func (d *LibvirtDriver) Capacity() (int, uint64) {
-	return headroom(d.engine.Machine, d.hyp.VMs())
+	used := 0
+	d.hyp.EachVM(func(vm *hv.VM) bool {
+		used += vm.Config.VCPUs
+		return true
+	})
+	return headroom(d.engine.Machine, used)
 }
 
-// headroom is the vCPU and memory capacity left on machine with vms
-// resident. BootVM calls it with the VM list it already holds for
-// scoring, so one placement lists each candidate node's VMs once.
-func headroom(machine *hw.Machine, vms []*hv.VM) (int, uint64) {
-	vcpus := machine.Profile.Threads - machine.Profile.ReservedCPUs
-	for _, vm := range vms {
-		vcpus -= vm.Config.VCPUs
-	}
-	if vcpus < 0 {
-		vcpus = 0
-	}
+// headroom is the vCPU and memory capacity left on machine with used
+// vCPUs held by its VMs.
+func headroom(machine *hw.Machine, used int) (int, uint64) {
+	vcpus := max(0, machine.Profile.Threads-machine.Profile.ReservedCPUs-used)
 	return vcpus, machine.Mem.FreeFrames() * hw.PageSize4K
+}
+
+// placementScan is BootVM's tally of one candidate node: the vCPUs its
+// VMs hold and the node's HyperTP affinity with the VM being placed. A
+// func literal handed to hv.Hypervisor.EachVM is heap-allocated with
+// every variable it captures, so Nova keeps one scan and binds visit once
+// (NewNova): BootVM walks every node of the fleet allocating nothing.
+type placementScan struct {
+	inPlace      bool // of the VM being placed
+	vcpus, score int
+	visit        func(*hv.VM) bool
+}
+
+func (p *placementScan) tally(vm *hv.VM) bool {
+	p.vcpus += vm.Config.VCPUs
+	// HyperTP affinity: count co-located VMs with matching
+	// transplantability, penalize mismatches.
+	if vm.Config.InPlaceCompatible == p.inPlace {
+		p.score += 2
+	} else {
+		p.score -= 3
+	}
+	return true
 }
 
 // SetRecorder points the wrapped engine's observability at rec, so the
@@ -193,6 +214,8 @@ type Nova struct {
 	// (see SetDetector, CrashHost, RecoverHost, RecoverFleet).
 	detector *reactive.Detector
 	downed   map[string]reactive.Event
+	// scan is BootVM's reusable per-node tally.
+	scan placementScan
 }
 
 // ComputeNode is one managed host.
@@ -203,7 +226,7 @@ type ComputeNode struct {
 
 // NewNova creates a manager over the given fabric link.
 func NewNova(clock *simtime.Clock, fabric *simnet.Link) *Nova {
-	return &Nova{
+	n := &Nova{
 		clock:       clock,
 		fabric:      fabric,
 		nodes:       make(map[string]*ComputeNode),
@@ -212,6 +235,8 @@ func NewNova(clock *simtime.Clock, fabric *simnet.Link) *Nova {
 		quarantined: make(map[string]bool),
 		downed:      make(map[string]reactive.Event),
 	}
+	n.scan.visit = n.scan.tally
+	return n
 }
 
 // Clock returns the virtual clock the manager runs on.
@@ -413,35 +438,7 @@ func (n *Nova) BootVM(cfg hv.Config) (string, error) {
 	if _, dup := n.db[cfg.Name]; dup {
 		return "", fmt.Errorf("nova: VM %q already exists", cfg.Name)
 	}
-	var best *ComputeNode
-	bestScore := -1 << 30
-	for _, name := range n.order {
-		if n.quarantined[name] || n.HostDowned(name) {
-			continue
-		}
-		node := n.nodes[name]
-		vms := node.Driver.VMs()
-		vcpus, mem := headroom(node.Driver.Hypervisor().Machine(), vms)
-		if vcpus < cfg.VCPUs || mem < cfg.MemBytes {
-			continue
-		}
-		score := 0
-		// HyperTP affinity: count co-located VMs with matching
-		// transplantability, penalize mismatches.
-		for _, vm := range vms {
-			if vm.Config.InPlaceCompatible == cfg.InPlaceCompatible {
-				score += 2
-			} else {
-				score -= 3
-			}
-		}
-		// Light packing preference: fuller nodes first, so empty
-		// nodes stay free for evacuation headroom.
-		score += len(vms)
-		if score > bestScore {
-			best, bestScore = node, score
-		}
-	}
+	best := n.place(&cfg)
 	if best == nil {
 		return "", fmt.Errorf("nova: no node fits VM %q", cfg.Name)
 	}
@@ -455,6 +452,31 @@ func (n *Nova) BootVM(cfg hv.Config) (string, error) {
 		InPlaceCompatible: cfg.InPlaceCompatible,
 	}
 	return best.Name, nil
+}
+
+// place is BootVM's placement scan: the fitting node with the best score.
+func (n *Nova) place(cfg *hv.Config) *ComputeNode {
+	var best *ComputeNode
+	bestScore := -1 << 30
+	for _, name := range n.order {
+		if n.quarantined[name] || n.HostDowned(name) {
+			continue
+		}
+		node := n.nodes[name]
+		hyp := node.Driver.Hypervisor()
+		n.scan.inPlace, n.scan.vcpus, n.scan.score = cfg.InPlaceCompatible, 0, 0
+		hyp.EachVM(n.scan.visit)
+		vcpus, mem := headroom(hyp.Machine(), n.scan.vcpus)
+		if vcpus < cfg.VCPUs || mem < cfg.MemBytes {
+			continue
+		}
+		// Light packing preference: fuller nodes first, so empty
+		// nodes stay free for evacuation headroom.
+		if score := n.scan.score + hyp.VMCount(); score > bestScore {
+			best, bestScore = node, score
+		}
+	}
+	return best
 }
 
 // LiveMigrate moves one VM to another node (the existing Nova
@@ -623,7 +645,7 @@ func (n *Nova) HostLiveUpgrade(nodeName string, target hv.Kind, opts core.Option
 
 	// In-place transplant of the remaining (compatible) VMs. A host
 	// with no remaining VMs just reboots into the target.
-	if len(node.Driver.VMs()) > 0 {
+	if node.Driver.Hypervisor().VMCount() > 0 {
 		report, err := node.Driver.HostLiveUpgrade(target, opts)
 		if err != nil {
 			if hterr.Class(err) == hterr.ErrVMLost {

@@ -106,6 +106,24 @@ func TestSchedulerHyperTPAffinity(t *testing.T) {
 	}
 }
 
+// TestPlacementScanAllocatesNothing: BootVM's scan visits every VM of every
+// node through hv.Hypervisor.EachVM with the one visitor Nova owns, so
+// beyond Spawn a placement allocates nothing, however many VMs the fleet
+// already runs.
+func TestPlacementScanAllocatesNothing(t *testing.T) {
+	c := newCloud(t, 4, hv.KindXen)
+	for i := 0; i < 6; i++ {
+		if _, err := c.nova.BootVM(vmCfg(string(rune('a'+i)), i%2 == 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := vmCfg("next", true)
+	var best *ComputeNode
+	if n := testing.AllocsPerRun(20, func() { best = c.nova.place(&cfg) }); n != 0 || best == nil {
+		t.Fatalf("placement scan allocated %v times per call, chose %v", n, best)
+	}
+}
+
 func TestBootVMNoCapacity(t *testing.T) {
 	c := newCloud(t, 1, hv.KindXen)
 	cfg := vmCfg("huge", true)

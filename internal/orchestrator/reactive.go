@@ -202,7 +202,7 @@ func (n *Nova) RecoverHost(name string, opts core.Options) (*UpgradeRecord, erro
 	defer sp.End()
 
 	var rep *core.InPlaceReport
-	if len(node.Driver.VMs()) > 0 {
+	if node.Driver.Hypervisor().VMCount() > 0 {
 		var err error
 		rep, err = hc.EmergencyRecover(target, opts)
 		if err != nil {
@@ -348,7 +348,7 @@ func (n *Nova) RecoverFleet(opts core.Options) (*StormResponse, error) {
 			}
 			restore := ld.engine.SwapClock(c)
 			defer restore()
-			if len(ld.VMs()) > 0 {
+			if ld.hyp.VMCount() > 0 {
 				rep, err := ld.EmergencyRecover(hp.target, opts)
 				if err != nil {
 					return c.Now() - start, err

@@ -24,30 +24,11 @@ package pram
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
-	"sync"
 
 	"hypertp/internal/hw"
 	"hypertp/internal/par"
 	"hypertp/internal/uisr"
 )
-
-// pagePool recycles 4 KiB scratch buffers for metadata-page serialization,
-// so building a structure allocates O(files) instead of O(metadata pages).
-// Buffers are returned zeroed, ready for the next writer.
-var pagePool = sync.Pool{
-	New: func() any {
-		b := make([]byte, hw.PageSize4K)
-		return &b
-	},
-}
-
-func getPage() *[]byte { return pagePool.Get().(*[]byte) }
-
-func putPage(p *[]byte) {
-	clear(*p)
-	pagePool.Put(p)
-}
 
 // Page-level layout constants.
 const (
@@ -144,7 +125,11 @@ func (s *Structure) FrameRanges() []hw.FrameRange {
 	if s.ranges != nil {
 		return s.ranges
 	}
-	out := slices.Clone(s.MetaFrames)
+	n := len(s.MetaFrames)
+	for i := range s.Files {
+		n += len(s.Files[i].Extents)
+	}
+	out := append(make([]hw.FrameRange, 0, n), s.MetaFrames...)
 	for _, f := range s.Files {
 		for _, e := range f.Extents {
 			out = append(out, hw.FrameRange{Start: hw.MFN(e.MFN), Count: e.Pages()})
@@ -171,10 +156,10 @@ type BuildOptions struct {
 // structure in mem. Metadata frames are tagged hw.OwnerPRAM.
 //
 // Construction is staged so the structure is bit-identical for any worker
-// count: frame allocation runs sequentially in the legacy order (per file,
-// node frames then the info page; then the root chain), fixing every MFN;
-// then the now-independent metadata pages are serialized in parallel on
-// the par worker pool.
+// count: the metadata pages are counted and their frames allocated in one
+// call, handed out in a fixed order (per file, node frames then the info
+// page; then the root chain), fixing every MFN; then the now-independent
+// pages are serialized in parallel on the par worker pool.
 func Build(mem *hw.PhysMem, files []File, opts BuildOptions) (*Structure, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("pram: no files to record")
@@ -186,93 +171,72 @@ func Build(mem *hw.PhysMem, files []File, opts BuildOptions) (*Structure, error)
 			return st, nil
 		}
 	}
-	s := &Structure{}
-	alloc := func() (hw.MFN, error) {
-		fr, err := mem.AllocRanges(1, hw.OwnerPRAM, -1)
-		if err != nil {
-			return 0, err
-		}
-		s.MetaFrames = hw.AppendRange(s.MetaFrames, fr[0])
-		return fr[0].Start, nil
-	}
-
-	// Stage 1 — sequential allocation and layout. Each closure appended to
-	// jobs writes exactly one already-placed metadata page.
-	var jobs []func() error
-	infoPages := make([]hw.MFN, 0, len(files))
+	// Stage 1a — validate every file and count the metadata pages, so one
+	// allocation claims them all, or none.
+	nRoots := (len(files) + filePointersPerRoot - 1) / filePointersPerRoot
+	total := nRoots
 	for fi := range files {
 		f := &files[fi]
 		if len(f.Name) > maxNameLen {
 			return nil, fmt.Errorf("pram: file name %q too long", f.Name)
 		}
+		entries := len(f.Extents)
+		if opts.SplitHugePages {
+			entries = int(f.Bytes() / hw.PageSize4K)
+		}
+		if entries == 0 {
+			return nil, fmt.Errorf("pram: file has no extents")
+		}
+		total += (entries+EntriesPerNode-1)/EntriesPerNode + 1
+	}
+	s := &Structure{}
+	var err error
+	if s.MetaFrames, err = mem.AllocRanges(total, hw.OwnerPRAM, -1); err != nil {
+		return nil, err
+	}
+	// pages are the metadata frames in allocation order: per file its
+	// node frames then its info page, then the root chain.
+	pages := make([]hw.MFN, 0, total)
+	for _, r := range s.MetaFrames {
+		for m := r.Start; m < r.End(); m++ {
+			pages = append(pages, m)
+		}
+	}
+	roots := pages[total-nRoots:]
+
+	// Stage 1b — layout: each job writes exactly one already-placed page.
+	jobs := make([]pageJob, 0, total)
+	infoPages := make([]hw.MFN, len(files))
+	for fi := range files {
+		f := &files[fi]
 		extents := f.Extents
 		if opts.SplitHugePages {
 			extents = splitExtents(extents)
 		}
-		if len(extents) == 0 {
-			return nil, fmt.Errorf("pram: file has no extents")
-		}
 		nNodes := (len(extents) + EntriesPerNode - 1) / EntriesPerNode
-		nodes := make([]hw.MFN, nNodes)
-		for i := range nodes {
-			m, err := alloc()
-			if err != nil {
-				return nil, err
-			}
-			nodes[i] = m
-		}
-		info, err := alloc()
-		if err != nil {
-			return nil, err
-		}
-		infoPages = append(infoPages, info)
-		for ni := range nodes {
-			lo := ni * EntriesPerNode
-			hi := lo + EntriesPerNode
-			if hi > len(extents) {
-				hi = len(extents)
-			}
-			frame := nodes[ni]
+		nodes := pages[:nNodes]
+		infoPages[fi], pages = pages[nNodes], pages[nNodes+1:]
+		for ni, frame := range nodes {
 			next := hw.MFN(0)
 			if ni+1 < nNodes {
 				next = nodes[ni+1]
 			}
-			chunk := extents[lo:hi]
-			jobs = append(jobs, func() error {
-				return writeNodePage(mem, frame, next, chunk)
-			})
+			lo := ni * EntriesPerNode
+			jobs = append(jobs, pageJob{frame: frame, next: next, extents: extents[lo:min(lo+EntriesPerNode, len(extents))]})
 		}
-		firstNode, entries := nodes[0], len(extents)
-		jobs = append(jobs, func() error {
-			return writeFileInfo(mem, info, f, firstNode, entries)
-		})
-	}
-	var roots []hw.MFN
-	for i := 0; i < len(infoPages); i += filePointersPerRoot {
-		r, err := alloc()
-		if err != nil {
-			return nil, err
-		}
-		roots = append(roots, r)
+		jobs = append(jobs, pageJob{frame: infoPages[fi], next: nodes[0], file: f, entries: len(extents)})
 	}
 	for ri, root := range roots {
-		lo := ri * filePointersPerRoot
-		hi := lo + filePointersPerRoot
-		if hi > len(infoPages) {
-			hi = len(infoPages)
-		}
 		next := hw.MFN(0)
 		if ri+1 < len(roots) {
 			next = roots[ri+1]
 		}
-		root, infos := root, infoPages[lo:hi]
-		jobs = append(jobs, func() error {
-			return writeRootPage(mem, root, next, infos)
-		})
+		lo := ri * filePointersPerRoot
+		jobs = append(jobs, pageJob{frame: root, next: next, infos: infoPages[lo:min(lo+filePointersPerRoot, len(infoPages))]})
 	}
 
 	// Stage 2 — parallel serialization: every job targets a distinct frame.
-	if err := par.ForEach(len(jobs), func(i int) error { return jobs[i]() }); err != nil {
+	if err := par.ForEach(len(jobs), func(i int) error { return jobs[i].write(mem) }); err != nil {
 		return nil, err
 	}
 	s.Pointer = roots[0]
@@ -298,9 +262,8 @@ func Parse(mem *hw.PhysMem, pointer hw.MFN) (*Structure, error) {
 	}
 	var rootPages []rootPage
 	seenRoots := map[hw.MFN]bool{}
-	pp := getPage()
-	defer putPage(pp)
-	page := *pp
+	var scratch [hw.PageSize4K]byte
+	page := scratch[:]
 	root := pointer
 	for root != 0 {
 		if seenRoots[root] {
@@ -330,12 +293,16 @@ func Parse(mem *hw.PhysMem, pointer hw.MFN) (*Structure, error) {
 	// Stage 2 — parse every file in parallel: each walks only its own node
 	// chain. Cycle detection within a chain is local; sharing of frames
 	// *across* files is caught by the sequential merge below.
-	var allInfos []hw.MFN
+	nFiles := 0
+	for _, rp := range rootPages {
+		nFiles += len(rp.infos)
+	}
+	allInfos := make([]hw.MFN, 0, nFiles)
 	for _, rp := range rootPages {
 		allInfos = append(allInfos, rp.infos...)
 	}
 	type parsedFile struct {
-		f     *File
+		f     File
 		nodes []hw.MFN
 	}
 	parsed, err := par.Map(allInfos, func(_ int, info hw.MFN) (parsedFile, error) {
@@ -349,7 +316,12 @@ func Parse(mem *hw.PhysMem, pointer hw.MFN) (*Structure, error) {
 	// Stage 3 — deterministic merge in the legacy visit order (root, then
 	// per info: info page, then its node chain), re-running the global
 	// duplicate-frame check the sequential parser performed inline.
-	seen := map[hw.MFN]bool{}
+	nMeta := len(rootPages) + nFiles
+	for i := range parsed {
+		nMeta += len(parsed[i].nodes)
+	}
+	seen := make(map[hw.MFN]bool, nMeta)
+	s.Files = make([]File, 0, nFiles)
 	visit := func(m hw.MFN) error {
 		if seen[m] {
 			return fmt.Errorf("pram: metadata cycle at frame %#x", uint64(m))
@@ -374,7 +346,7 @@ func Parse(mem *hw.PhysMem, pointer hw.MFN) (*Structure, error) {
 					return nil, err
 				}
 			}
-			s.Files = append(s.Files, *p.f)
+			s.Files = append(s.Files, p.f)
 		}
 	}
 	if len(s.Files) == 0 {
@@ -395,117 +367,116 @@ func (s *Structure) Release(mem *hw.PhysMem) error {
 
 // --- page writers ------------------------------------------------------------
 
-func writeRootPage(mem *hw.PhysMem, frame, next hw.MFN, infos []hw.MFN) error {
-	pp := getPage()
-	defer putPage(pp)
-	page := *pp
-	le := binary.LittleEndian
-	le.PutUint64(page[0:], rootMagic)
-	le.PutUint64(page[8:], uint64(next))
-	le.PutUint64(page[16:], uint64(len(infos)))
-	for i, m := range infos {
-		le.PutUint64(page[rootHeaderSize+8*i:], uint64(m))
-	}
-	return mem.Write(frame, 0, page)
+// pageJob is one placed metadata page waiting to be serialized: a node
+// page (extents, next the next node), a file info page (file, next its
+// first node) or a root page (infos, next the next root).
+type pageJob struct {
+	frame, next hw.MFN
+	extents     []uisr.PageExtent
+	file        *File
+	entries     int
+	infos       []hw.MFN
 }
 
-func writeFileInfo(mem *hw.PhysMem, frame hw.MFN, f *File, firstNode hw.MFN, entries int) error {
-	pp := getPage()
-	defer putPage(pp)
-	page := *pp
+// write serializes the page: every kind opens with magic, next and a
+// count, and only the bytes it uses are written.
+func (j *pageJob) write(mem *hw.PhysMem) error {
+	var page [hw.PageSize4K]byte
 	le := binary.LittleEndian
-	le.PutUint64(page[0:], fileMagic)
-	le.PutUint64(page[8:], uint64(firstNode))
-	le.PutUint64(page[16:], uint64(entries))
-	le.PutUint64(page[24:], f.Bytes())
-	le.PutUint32(page[32:], f.VMID)
-	le.PutUint32(page[36:], uint32(len(f.Name)))
-	copy(page[40:40+maxNameLen], f.Name)
-	return mem.Write(frame, 0, page)
-}
-
-// writeNodePage serializes one node page of a chain: its extents chunk and
-// the already-assigned frame of the next node.
-func writeNodePage(mem *hw.PhysMem, frame, next hw.MFN, extents []uisr.PageExtent) error {
-	pp := getPage()
-	defer putPage(pp)
-	page := *pp
-	le := binary.LittleEndian
-	le.PutUint64(page[0:], nodeMagic)
-	le.PutUint64(page[8:], uint64(next))
-	le.PutUint64(page[16:], uint64(len(extents)))
-	for i, e := range extents {
-		raw, err := packEntry(e)
-		if err != nil {
-			return err
+	le.PutUint64(page[8:], uint64(j.next))
+	var used int
+	switch {
+	case j.file != nil:
+		le.PutUint64(page[0:], fileMagic)
+		le.PutUint64(page[16:], uint64(j.entries))
+		le.PutUint64(page[24:], j.file.Bytes())
+		le.PutUint32(page[32:], j.file.VMID)
+		le.PutUint32(page[36:], uint32(len(j.file.Name)))
+		used = 40 + copy(page[40:40+maxNameLen], j.file.Name)
+	case j.infos != nil:
+		le.PutUint64(page[0:], rootMagic)
+		le.PutUint64(page[16:], uint64(len(j.infos)))
+		for i, m := range j.infos {
+			le.PutUint64(page[rootHeaderSize+8*i:], uint64(m))
 		}
-		le.PutUint64(page[nodeHeaderSize+8*i:], raw)
+		used = rootHeaderSize + 8*len(j.infos)
+	default:
+		le.PutUint64(page[0:], nodeMagic)
+		le.PutUint64(page[16:], uint64(len(j.extents)))
+		for i, e := range j.extents {
+			raw, err := packEntry(e)
+			if err != nil {
+				return err
+			}
+			le.PutUint64(page[nodeHeaderSize+8*i:], raw)
+		}
+		used = nodeHeaderSize + 8*len(j.extents)
 	}
-	return mem.Write(frame, 0, page)
+	return mem.Write(j.frame, 0, page[:used])
 }
 
 // parseFile reads one file-info page and walks its node chain, returning
 // the file and the node frames in chain order.
-func parseFile(mem *hw.PhysMem, info hw.MFN) (*File, []hw.MFN, error) {
+func parseFile(mem *hw.PhysMem, info hw.MFN) (f File, nodes []hw.MFN, err error) {
 	// One scratch page serves the whole chain: everything a page holds is
 	// copied out before the next one is read.
-	pp := getPage()
-	defer putPage(pp)
-	page := *pp
+	var scratch [hw.PageSize4K]byte
+	page := scratch[:]
 	if err := mem.ReadInto(info, 0, page); err != nil {
-		return nil, nil, fmt.Errorf("pram: file info page: %w", err)
+		return f, nil, fmt.Errorf("pram: file info page: %w", err)
 	}
 	le := binary.LittleEndian
 	if le.Uint64(page[0:]) != fileMagic {
-		return nil, nil, fmt.Errorf("pram: bad file magic at frame %#x", uint64(info))
+		return f, nil, fmt.Errorf("pram: bad file magic at frame %#x", uint64(info))
 	}
 	node := hw.MFN(le.Uint64(page[8:]))
-	wantEntries := int(le.Uint64(page[16:]))
+	wantEntries := le.Uint64(page[16:])
 	wantBytes := le.Uint64(page[24:])
-	f := &File{VMID: le.Uint32(page[32:])}
+	f.VMID = le.Uint32(page[32:])
 	nameLen := int(le.Uint32(page[36:]))
 	if nameLen > maxNameLen {
-		return nil, nil, fmt.Errorf("pram: file name length %d too large", nameLen)
+		return f, nil, fmt.Errorf("pram: file name length %d too large", nameLen)
 	}
 	f.Name = string(page[40 : 40+nameLen])
-	// The info page records the entry count, so the extents slice can be
-	// sized once instead of grown through repeated appends.
-	if wantEntries > 0 {
-		f.Extents = make([]uisr.PageExtent, 0, wantEntries)
+	// The info page records the entry count, so the extents and the node
+	// list are sized once — after the count is checked against the
+	// machine: every entry maps at least one frame of it.
+	if wantEntries > mem.TotalFrames() {
+		return f, nil, fmt.Errorf("pram: file %q claims %d entries on a machine of %d frames",
+			f.Name, wantEntries, mem.TotalFrames())
 	}
+	f.Extents = make([]uisr.PageExtent, 0, wantEntries)
+	nodes = make([]hw.MFN, 0, (wantEntries+EntriesPerNode-1)/EntriesPerNode)
 
-	var nodes []hw.MFN
 	local := map[hw.MFN]bool{}
 	for node != 0 {
 		if local[node] {
-			return nil, nil, fmt.Errorf("pram: metadata cycle at frame %#x", uint64(node))
+			return f, nil, fmt.Errorf("pram: metadata cycle at frame %#x", uint64(node))
 		}
 		local[node] = true
 		nodes = append(nodes, node)
-		npage := page
-		if err := mem.ReadInto(node, 0, npage); err != nil {
-			return nil, nil, fmt.Errorf("pram: node page: %w", err)
+		if err := mem.ReadInto(node, 0, page); err != nil {
+			return f, nil, fmt.Errorf("pram: node page: %w", err)
 		}
-		if le.Uint64(npage[0:]) != nodeMagic {
-			return nil, nil, fmt.Errorf("pram: bad node magic at frame %#x", uint64(node))
+		if le.Uint64(page[0:]) != nodeMagic {
+			return f, nil, fmt.Errorf("pram: bad node magic at frame %#x", uint64(node))
 		}
-		next := hw.MFN(le.Uint64(npage[8:]))
-		count := int(le.Uint64(npage[16:]))
+		next := hw.MFN(le.Uint64(page[8:]))
+		count := int(le.Uint64(page[16:]))
 		if count > EntriesPerNode {
-			return nil, nil, fmt.Errorf("pram: node entry count %d too large", count)
+			return f, nil, fmt.Errorf("pram: node entry count %d too large", count)
 		}
 		for i := 0; i < count; i++ {
-			raw := le.Uint64(npage[nodeHeaderSize+8*i:])
-			f.Extents = append(f.Extents, unpackEntry(raw))
+			f.Extents = append(f.Extents, unpackEntry(le.Uint64(page[nodeHeaderSize+8*i:])))
 		}
 		node = next
 	}
-	if len(f.Extents) != wantEntries {
-		return nil, nil, fmt.Errorf("pram: file %q has %d entries, info page says %d",
+	if uint64(len(f.Extents)) != wantEntries {
+		return f, nil, fmt.Errorf("pram: file %q has %d entries, info page says %d",
 			f.Name, len(f.Extents), wantEntries)
 	}
 	if f.Bytes() != wantBytes {
-		return nil, nil, fmt.Errorf("pram: file %q covers %d bytes, info page says %d",
+		return f, nil, fmt.Errorf("pram: file %q covers %d bytes, info page says %d",
 			f.Name, f.Bytes(), wantBytes)
 	}
 	return f, nodes, nil

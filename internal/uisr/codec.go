@@ -195,15 +195,8 @@ func Decode(data []byte) (*VMState, error) {
 	wantSections := le.Uint32(data[8:])
 
 	s := &VMState{}
-	vcpus := map[uint16]*VCPU{}
-	vcpu := func(inst uint16) *VCPU {
-		v, ok := vcpus[inst]
-		if !ok {
-			v = &VCPU{ID: uint32(inst)}
-			vcpus[inst] = v
-		}
-		return v
-	}
+	// seen marks the vCPU instances that carried at least one section.
+	var seen [MaxVCPUs]bool
 
 	off := topHeaderSize
 	var gotSections uint32
@@ -229,25 +222,34 @@ func Decode(data []byte) (*VMState, error) {
 		gotSections++
 
 		var err error
+		var v *VCPU
+		if hdr.Type >= SecCPU && hdr.Type <= SecMTRR { // the per-vCPU sections
+			if int(hdr.Instance) >= len(s.VCPUs) {
+				return nil, fmt.Errorf("uisr: section %#x: vCPU id %d out of range (header says %d vCPUs)",
+					hdr.Type, hdr.Instance, len(s.VCPUs))
+			}
+			seen[hdr.Instance] = true
+			v = &s.VCPUs[hdr.Instance]
+		}
 		switch hdr.Type {
 		case SecHeader:
 			err = decodeHeader(payload, s)
 		case SecCPU:
-			err = GetFixed(payload, &vcpu(hdr.Instance).Regs, sizeRegs)
+			err = GetFixed(payload, &v.Regs, sizeRegs)
 		case SecSRegs:
-			err = GetFixed(payload, &vcpu(hdr.Instance).SRegs, sizeSRegs)
+			err = GetFixed(payload, &v.SRegs, sizeSRegs)
 		case SecMSRs:
-			vcpu(hdr.Instance).MSRs, err = decodeMSRs(payload)
+			v.MSRs, err = decodeMSRs(payload)
 		case SecFPU:
-			err = GetFixed(payload, &vcpu(hdr.Instance).FPU, fpuSize)
+			err = GetFixed(payload, &v.FPU, fpuSize)
 		case SecXSave:
-			err = GetFixed(payload, &vcpu(hdr.Instance).XSave, sizeXSave)
+			err = GetFixed(payload, &v.XSave, sizeXSave)
 		case SecLAPIC:
-			err = decodeLAPICBase(payload, &vcpu(hdr.Instance).LAPIC)
+			err = decodeLAPICBase(payload, &v.LAPIC)
 		case SecLAPICRegs:
-			err = decodeLAPICRegs(payload, &vcpu(hdr.Instance).LAPIC)
+			err = decodeLAPICRegs(payload, &v.LAPIC)
 		case SecMTRR:
-			err = GetFixed(payload, &vcpu(hdr.Instance).MTRR, sizeMTRR)
+			err = GetFixed(payload, &v.MTRR, sizeMTRR)
 		case SecIOAPIC:
 			err = GetFixed(payload, &s.IOAPIC, sizeIOAPIC)
 		case SecPIT:
@@ -283,12 +285,10 @@ func Decode(data []byte) (*VMState, error) {
 	if gotSections != wantSections {
 		return nil, fmt.Errorf("uisr: section count %d, header says %d", gotSections, wantSections)
 	}
-	s.VCPUs = make([]VCPU, len(vcpus))
-	for inst, v := range vcpus {
-		if int(inst) >= len(s.VCPUs) {
-			return nil, fmt.Errorf("uisr: vCPU id %d out of range (have %d vCPUs)", inst, len(vcpus))
+	for i := range s.VCPUs {
+		if !seen[i] {
+			return nil, fmt.Errorf("uisr: header says %d vCPUs, vCPU %d has no section", len(s.VCPUs), i)
 		}
-		s.VCPUs[inst] = *v
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -329,6 +329,19 @@ func decodeHeader(p []byte, s *VMState) error {
 		return fmt.Errorf("header too short")
 	}
 	le := binary.LittleEndian
+	if s.VCPUs != nil {
+		return fmt.Errorf("second header section")
+	}
+	// Bound the count before it sizes anything: 65535 vCPUs would be
+	// 200 MB from a 12-byte header.
+	n := int(le.Uint16(p[12:]))
+	if n < 1 || n > MaxVCPUs {
+		return fmt.Errorf("header says %d vCPUs, want 1 to %d", n, MaxVCPUs)
+	}
+	s.VCPUs = make([]VCPU, n)
+	for i := range s.VCPUs {
+		s.VCPUs[i].ID = uint32(i)
+	}
 	s.VMID = le.Uint32(p[0:])
 	s.MemBytes = le.Uint64(p[4:])
 	s.HugePages = p[14] == 1

@@ -2,7 +2,9 @@ package uisr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -118,6 +120,44 @@ func TestDecodeRejectsCorruptSectionCount(t *testing.T) {
 	}
 }
 
+// headerVCPUCountOffset is where a blob holds the header's vCPU count:
+// the header is the first section, the count at payload offset 12.
+const headerVCPUCountOffset = topHeaderSize + sectionHeaderSize + 12
+
+// TestDecodeChecksHeaderVCPUCount: the header's vCPU count is what sizes
+// VCPUs, so it must agree with the per-vCPU sections that follow — and be
+// bounded before anything is sized from it.
+func TestDecodeChecksHeaderVCPUCount(t *testing.T) {
+	for _, tc := range []struct {
+		vcpus int
+		count uint16
+	}{{1, 9}, {2, 1}, {2, 3}, {1, 0}, {1, MaxVCPUs + 1}, {1, 0xffff}} {
+		blob, err := Encode(SyntheticVM("vm", 1, tc.vcpus, 1<<30, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint16(blob[headerVCPUCountOffset:], tc.count)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = Decode(blob)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%d vCPUs' sections under a header saying %d: accepted", tc.vcpus, tc.count)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; tc.count > MaxVCPUs && got >= 64<<10 {
+			t.Fatalf("header count %d: rejected (%v) after allocating %d bytes", tc.count, err, got)
+		}
+	}
+	// The cap itself decodes.
+	blob, err := Encode(SyntheticVM("vm", 1, MaxVCPUs, 1<<30, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := Decode(blob); err != nil || len(st.VCPUs) != MaxVCPUs {
+		t.Fatalf("%d vCPUs: %v", MaxVCPUs, err)
+	}
+}
+
 func TestValidate(t *testing.T) {
 	base := func() *VMState { return SyntheticVM("vm", 1, 2, 1<<30, 5) }
 
@@ -131,6 +171,19 @@ func TestValidate(t *testing.T) {
 	s.VCPUs = nil
 	if err := s.Validate(); err == nil {
 		t.Fatal("zero vCPUs accepted")
+	}
+
+	// The producer refuses what Decode would: a VM wider than MaxVCPUs
+	// must fail before the blob exists, not after the kexec.
+	s = SyntheticVM("vm", 1, MaxVCPUs+1, 1<<30, 5)
+	if err := s.Validate(); err == nil {
+		t.Fatalf("%d vCPUs accepted", MaxVCPUs+1)
+	}
+	if _, err := Encode(s); err == nil {
+		t.Fatalf("Encode accepted %d vCPUs", MaxVCPUs+1)
+	}
+	if err := SyntheticVM("vm", 1, MaxVCPUs, 1<<30, 5).Validate(); err != nil {
+		t.Fatalf("%d vCPUs rejected: %v", MaxVCPUs, err)
 	}
 
 	s = base()

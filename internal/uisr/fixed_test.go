@@ -83,3 +83,59 @@ func TestEncodeAllocatesOnce(t *testing.T) {
 		t.Fatalf("Encode allocated %v times per call, want 1", n)
 	}
 }
+
+// TestCodecAllocBudgets pins the uisr layer of the state chain: building
+// and decoding a VM's state allocate per slice they fill (the state, the
+// vCPU array, one MSR list per vCPU, the devices and their strings), never
+// per record, and the fixed-layout codec allocates nothing.
+func TestCodecAllocBudgets(t *testing.T) {
+	blob1, _ := Encode(SyntheticVM("alloc", 3, 1, 1<<30, 9))
+	blob4, _ := Encode(SyntheticVM("alloc", 3, 4, 1<<30, 9))
+	var regs SRegs
+	wire := make([]byte, sizeSRegs)
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		fn     func()
+	}{
+		// state, vCPUs, devices, two device snapshots + one MSR list per vCPU.
+		{"SyntheticVM/1vcpu", 5 + 1, func() { SyntheticVM("alloc", 3, 1, 1<<30, 9) }},
+		{"SyntheticVM/4vcpu", 5 + 4, func() { SyntheticVM("alloc", 3, 4, 1<<30, 9) }},
+		// state, vCPUs, two header strings, per device two strings, per
+		// snapshot its bytes, two growth steps of Devices + the MSR lists.
+		{"Decode/1vcpu", 15 + 1, func() { Decode(blob1) }},
+		{"Decode/4vcpu", 15 + 4, func() { Decode(blob4) }},
+		{"PutFixed", 0, func() { PutFixed(wire, &regs) }},
+		{"GetFixed", 0, func() { GetFixed(wire, &regs, sizeSRegs) }},
+	} {
+		if n := testing.AllocsPerRun(20, tc.fn); n > tc.budget {
+			t.Errorf("%s allocated %v times per call, budget %v", tc.name, n, tc.budget)
+		}
+	}
+}
+
+// TestFixedCodecElementSwap exercises the branch only a big-endian host
+// takes — reverse every multi-byte element after the copy. Forced on a
+// little-endian host it must turn the codec into encoding/binary's
+// big-endian layout, both ways.
+func TestFixedCodecElementSwap(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("the swap is this host's normal path: TestFixedCodecMatchesStdlib covers it")
+	}
+	hostLittleEndian = false
+	defer func() { hostLittleEndian = true }()
+	want := SyntheticVM("swap", 1, 1, 1<<30, 5).VCPUs[0].SRegs
+	var ref bytes.Buffer
+	if err := binary.Write(&ref, binary.BigEndian, &want); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]byte, sizeSRegs)
+	PutFixed(out, &want)
+	if !bytes.Equal(out, ref.Bytes()) {
+		t.Fatal("PutFixed with the element swap differs from big-endian binary.Write")
+	}
+	var got SRegs
+	if err := GetFixed(out, &got, sizeSRegs); err != nil || got != want {
+		t.Fatalf("GetFixed with the element swap: %v, round trip %v", err, got == want)
+	}
+}

@@ -17,7 +17,10 @@ func fuzzDecodeSeeds(tb testing.TB) [][]byte {
 	}
 	mutated := append([]byte(nil), valid...)
 	mutated[20] ^= 0xff
-	return [][]byte{valid, {}, valid[:16], mutated}
+	// The header claims nine vCPUs over two vCPUs' sections.
+	overcount := append([]byte(nil), valid...)
+	overcount[headerVCPUCountOffset] = 9
+	return [][]byte{valid, {}, valid[:16], mutated, overcount}
 }
 
 func TestFuzzSeedCorpus(t *testing.T) {

@@ -23,6 +23,10 @@ const (
 	Version = 1
 )
 
+// MaxVCPUs bounds a VM's vCPU count (Validate, hence Encode and Decode;
+// hv.Config) — Xen's HVM_MAX_VCPUS, the widest of the three hypervisors.
+const MaxVCPUs = 128
+
 // NumGPRegs is the number of general-purpose register slots saved per
 // vCPU (16 GPRs + RIP + RFLAGS).
 const NumGPRegs = 18
@@ -283,8 +287,8 @@ func (s *VMState) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("uisr: VM has no name")
 	}
-	if len(s.VCPUs) == 0 {
-		return fmt.Errorf("uisr: VM %q has no vCPUs", s.Name)
+	if n := len(s.VCPUs); n < 1 || n > MaxVCPUs {
+		return fmt.Errorf("uisr: VM %q has %d vCPUs, want 1 to %d", s.Name, n, MaxVCPUs)
 	}
 	if s.MemBytes == 0 {
 		return fmt.Errorf("uisr: VM %q has zero memory", s.Name)

@@ -14,8 +14,9 @@ func SyntheticVM(name string, vmid uint32, vcpus int, memBytes uint64, seed uint
 		SourceHypervisor: "synthetic",
 		Weight:           DefaultWeight,
 	}
-	for i := 0; i < vcpus; i++ {
-		s.VCPUs = append(s.VCPUs, SyntheticVCPU(uint32(i), st))
+	s.VCPUs = make([]VCPU, vcpus)
+	for i := range s.VCPUs {
+		syntheticVCPU(&s.VCPUs[i], uint32(i), st)
 	}
 	s.IOAPIC = IOAPIC{ID: 0, NumPins: XenIOAPICPins}
 	for p := range s.IOAPIC.Redir {
@@ -29,7 +30,7 @@ func SyntheticVM(name string, vmid uint32, vcpus int, memBytes uint64, seed uint
 		ch.Mode = uint8(st.next() % 6)
 		ch.Gate = uint8(st.next() % 2)
 	}
-	copy(s.RTC.CMOS[:], st.bytes(128))
+	st.fill(s.RTC.CMOS[:])
 	s.RTC.Index = uint8(st.next() % 128)
 	s.HasHPET = true
 	s.HPET = HPET{
@@ -49,10 +50,9 @@ func SyntheticVM(name string, vmid uint32, vcpus int, memBytes uint64, seed uint
 	return s
 }
 
-// SyntheticVCPU builds one populated vCPU. The rng argument must come from
-// splitmix (or Splitmix) so contents are deterministic.
-func SyntheticVCPU(id uint32, st *sm) VCPU {
-	v := VCPU{ID: id}
+// syntheticVCPU populates v, one vCPU of a SyntheticVM, in place.
+func syntheticVCPU(v *VCPU, id uint32, st *sm) {
+	v.ID = id
 	v.Regs = Regs{
 		RAX: st.next(), RBX: st.next(), RCX: st.next(), RDX: st.next(),
 		RSI: st.next(), RDI: st.next(), RSP: st.next(), RBP: st.next(),
@@ -80,13 +80,14 @@ func SyntheticVCPU(id uint32, st *sm) VCPU {
 		CR4: st.next(), CR8: st.next() & 0xf,
 		EFER: st.next() | (1 << 10), APICBase: 0xfee00000 | (1 << 11),
 	}
-	for m := 0; m < NumSavedMSRs; m++ {
-		v.MSRs = append(v.MSRs, MSR{Index: uint32(0xc0000000 + m), Value: st.next()})
+	v.MSRs = make([]MSR, NumSavedMSRs)
+	for m := range v.MSRs {
+		v.MSRs[m] = MSR{Index: uint32(0xc0000000 + m), Value: st.next()}
 	}
-	copy(v.FPU.Data[:], st.bytes(512))
+	st.fill(v.FPU.Data[:])
 	v.XSave.XCR0 = 0x7
-	copy(v.XSave.Header[:], st.bytes(64))
-	copy(v.XSave.Extended[:], st.bytes(len(v.XSave.Extended)))
+	st.fill(v.XSave.Header[:])
+	st.fill(v.XSave.Extended[:])
 	v.LAPIC.Base = 0xfee00000 | (1 << 11)
 	v.LAPIC.ID = id
 	for r := range v.LAPIC.Regs {
@@ -105,15 +106,11 @@ func SyntheticVCPU(id uint32, st *sm) VCPU {
 		v.MTRR.VarBase[i] = st.next() &^ 0xfff
 		v.MTRR.VarMask[i] = st.next() | (1 << 11)
 	}
-	return v
 }
 
 // sm is a tiny splitmix64 used only for deterministic fixtures. It is
 // duplicated from internal/simtime to keep this package dependency-free.
 type sm struct{ s uint64 }
-
-// Splitmix returns a deterministic fixture rng seeded with seed.
-func Splitmix(seed uint64) *sm { return splitmix(seed) }
 
 func splitmix(seed uint64) *sm { return &sm{s: seed} }
 
@@ -125,13 +122,18 @@ func (r *sm) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-func (r *sm) bytes(n int) []byte {
-	out := make([]byte, n)
-	for i := 0; i < n; i += 8 {
+// fill draws out's bytes, eight per step, in place.
+func (r *sm) fill(out []byte) {
+	for i := 0; i < len(out); i += 8 {
 		v := r.next()
-		for j := 0; j < 8 && i+j < n; j++ {
+		for j := 0; j < 8 && i+j < len(out); j++ {
 			out[i+j] = byte(v >> (8 * j))
 		}
 	}
+}
+
+func (r *sm) bytes(n int) []byte {
+	out := make([]byte, n)
+	r.fill(out)
 	return out
 }
