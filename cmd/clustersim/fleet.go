@@ -7,15 +7,11 @@ import (
 
 	"hypertp/internal/core"
 	"hypertp/internal/hterr"
-	"hypertp/internal/hv"
-	"hypertp/internal/hw"
 	"hypertp/internal/metrics"
 	"hypertp/internal/obs"
 	"hypertp/internal/orchestrator"
 	"hypertp/internal/reactive"
 	"hypertp/internal/sched"
-	"hypertp/internal/simnet"
-	"hypertp/internal/simtime"
 	"hypertp/internal/slo"
 	"hypertp/internal/tpcache"
 	"hypertp/internal/vulndb"
@@ -23,39 +19,6 @@ import (
 
 // fleetCVE is the critical Xen flaw the -fleet scenario responds to.
 const fleetCVE = "CVE-2016-6258"
-
-// buildFleet stands up an all-Xen fleet: M1-class hosts (6 usable
-// vCPUs each) and small 1-vCPU VMs, every fourth one
-// InPlaceTP-incompatible, so the CVE response mixes in-place
-// transplants with evacuations.
-func buildFleet(hosts, vms int) (*orchestrator.Nova, error) {
-	clock := simtime.NewClock()
-	fabric := simnet.NewLink(clock, "fabric", simnet.Gbps10, 100*time.Microsecond)
-	nova := orchestrator.NewNova(clock, fabric)
-	for i := 0; i < hosts; i++ {
-		name := fmt.Sprintf("host-%03d", i)
-		prof := hw.M1()
-		prof.Name = name
-		prof.RAMBytes = 2 * hw.GiB
-		d, err := orchestrator.NewLibvirtDriver(clock, hw.NewMachine(clock, prof), hv.KindXen)
-		if err != nil {
-			return nil, err
-		}
-		if err := nova.AddNode(name, d); err != nil {
-			return nil, err
-		}
-	}
-	for i := 0; i < vms; i++ {
-		_, err := nova.BootVM(hv.Config{
-			Name: fmt.Sprintf("vm-%04d", i), VCPUs: 1, MemBytes: 64 << 20,
-			HugePages: true, Seed: 7 + uint64(i), InPlaceCompatible: i%4 != 3,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("boot vm %d: %w", i, err)
-		}
-	}
-	return nova, nil
-}
 
 // fleetRun is one CVE response's worth of outcome: the response, the
 // final VM placement, and the SLO tracker fed by the orchestrator.
@@ -115,7 +78,7 @@ type cacheConfig struct {
 // caching on, the warm pool is refilled before the response starts —
 // pre-staging happens outside the vulnerability window.
 func respondOnce(hosts, vms int, limits sched.Limits, cc cacheConfig, crashRate float64) (*fleetRun, error) {
-	nova, err := buildFleet(hosts, vms)
+	nova, err := orchestrator.NewFleet(hosts, vms)
 	if err != nil {
 		return nil, err
 	}

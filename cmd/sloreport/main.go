@@ -33,15 +33,11 @@ import (
 
 	"hypertp/internal/core"
 	"hypertp/internal/hterr"
-	"hypertp/internal/hv"
-	"hypertp/internal/hw"
 	"hypertp/internal/obs"
 	"hypertp/internal/orchestrator"
 	"hypertp/internal/par"
 	"hypertp/internal/reactive"
 	"hypertp/internal/sched"
-	"hypertp/internal/simnet"
-	"hypertp/internal/simtime"
 	"hypertp/internal/slo"
 	"hypertp/internal/vulndb"
 )
@@ -74,45 +70,21 @@ func main() {
 }
 
 func run(w io.Writer, hosts, vms int, cve string, kexecs, streams int, promOut string, strict bool, crashes int, mttr time.Duration) (int, error) {
-	clock := simtime.NewClock()
-	fabric := simnet.NewLink(clock, "fabric", simnet.Gbps10, 100*time.Microsecond)
-	nova := orchestrator.NewNova(clock, fabric)
+	nova, err := orchestrator.NewFleet(hosts, vms)
+	if err != nil {
+		return 1, err
+	}
+	clock := nova.Clock()
 	rec := obs.NewRecorder(clock)
 	nova.SetRecorder(rec)
 	tracker := slo.NewTracker()
 	tracker.SetRegistry(rec.Metrics())
 	nova.SetSLO(tracker)
 
-	for i := 0; i < hosts; i++ {
-		name := fmt.Sprintf("host-%03d", i)
-		prof := hw.M1()
-		prof.Name = name
-		prof.RAMBytes = 2 * hw.GiB
-		d, err := orchestrator.NewLibvirtDriver(clock, hw.NewMachine(clock, prof), hv.KindXen)
-		if err != nil {
-			return 1, err
-		}
-		if err := nova.AddNode(name, d); err != nil {
-			return 1, err
-		}
-	}
-	for i := 0; i < vms; i++ {
-		_, err := nova.BootVM(hv.Config{
-			Name: fmt.Sprintf("vm-%04d", i), VCPUs: 1, MemBytes: 64 << 20,
-			HugePages: true, Seed: 7 + uint64(i), InPlaceCompatible: i%4 != 3,
-		})
-		if err != nil {
-			return 1, fmt.Errorf("boot vm %d: %w", i, err)
-		}
-	}
-
 	limits := sched.Limits{MaxKexecs: kexecs, LinkStreams: streams}
 	nova.SetFleetLimits(&limits)
 
-	var (
-		storm *orchestrator.StormResponse
-		err   error
-	)
+	var storm *orchestrator.StormResponse
 	if crashes > 0 {
 		// An unplanned crash storm ahead of the disclosure: the reactive
 		// path recovers the hosts and charges the outage time into the

@@ -32,10 +32,6 @@ func (h *harness) step(op *Op) string {
 	start := h.clock.Now()
 	mets := h.rec.Metrics()
 	mets.Counter("chaos.ops", "ops").Add(1)
-	preQ := make(map[string]bool)
-	for _, name := range h.hosts {
-		preQ[name] = h.nova.Quarantined(name)
-	}
 	if op.Fault != 0 && h.cfg.FaultRate > 0 {
 		h.nova.SetFaults(fault.NewPlan(op.Fault, h.cfg.FaultRate))
 	}
@@ -48,24 +44,30 @@ func (h *harness) step(op *Op) string {
 		mets.Counter("chaos.op_errors", "ops").Add(1)
 		line = fmt.Sprintf("error[%s]: %v", hterr.Label(hterr.Class(err)), err)
 		if errors.Is(err, hterr.ErrVMLost) {
-			// A host died mid-transplant. Nova reconciles by fencing it
-			// and purging its rows; any freshly fenced host whose
-			// machine truth no longer matches the database is declared
-			// dead so later audits skip the wreck. The loss itself is a
-			// recorded outcome — Nova forgetting to reconcile is what
-			// the bookkeeping audit would catch.
-			for _, name := range h.hosts {
-				if !h.dead[name] && !preQ[name] && h.nova.Quarantined(name) &&
-					h.checkBookkeeping(name) != "" {
-					h.dead[name] = true
-					mets.Counter("chaos.hosts_lost", "hosts").Add(1)
-				}
+			switch op.Kind {
+			case OpUpgrade, OpCrashHV, OpCrashDuringTransplant:
+				// The single-host calls name no host: the loss is the op's own.
+				h.lose(op.Host)
 			}
 		}
 	}
 	h.applyBreak(op, err)
 	h.syncVMs()
 	return line
+}
+
+// lose declares dead the hosts an operation reports lost past the point
+// of no return — exactly those, no guessing: Nova fenced them and purged
+// their rows, and later audits skip the wreck. The loss itself is a
+// recorded outcome; a host Nova lost but forgot to reconcile is in no
+// response's list, so the bookkeeping audit still catches it.
+func (h *harness) lose(hosts ...string) {
+	for _, name := range hosts {
+		if !h.dead[name] {
+			h.dead[name] = true
+			h.rec.Metrics().Counter("chaos.hosts_lost", "hosts").Add(1)
+		}
+	}
 }
 
 // apply executes one op. A nil error with a "skip:" line means the op
@@ -152,29 +154,26 @@ func (h *harness) apply(op *Op) (string, error) {
 		h.fabric.SetDown(false)
 		return "fabric restored", nil
 
-	case OpRespond:
+	case OpRespond, OpRespondFleet:
+		// OpRespondFleet is the same response scheduled concurrently under
+		// capacity limits; nil restores the one-at-a-time schedule the
+		// OpRespond ops run.
+		label := op.Target
+		if op.Kind == OpRespondFleet {
+			label = "fleet " + label
+			h.nova.SetFleetLimits(&sched.Limits{MaxKexecs: 2, LinkStreams: 2})
+			defer h.nova.SetFleetLimits(nil)
+		}
 		resp, err := h.nova.RespondToCVE(h.db, op.Target, []string{"xen", "kvm"}, h.opts())
 		if err != nil {
+			if resp != nil {
+				h.lose(resp.LostNodes...)
+			}
 			return "", err
 		}
 		h.lastRespond = op.Target
 		return fmt.Sprintf("%s: upgraded %d, skipped %d, quarantined %d",
-			op.Target, len(resp.UpgradedNodes), len(resp.SkippedNodes), len(resp.QuarantinedNodes)), nil
-
-	case OpRespondFleet:
-		// The concurrent scheduler path: same response, DAG execution
-		// under capacity limits. Limits are restored before returning so
-		// later OpRespond ops keep exercising the serial path.
-		limits := sched.Limits{MaxKexecs: 2, LinkStreams: 2}
-		h.nova.SetFleetLimits(&limits)
-		resp, err := h.nova.RespondToCVE(h.db, op.Target, []string{"xen", "kvm"}, h.opts())
-		h.nova.SetFleetLimits(nil)
-		if err != nil {
-			return "", err
-		}
-		h.lastRespond = op.Target
-		return fmt.Sprintf("fleet %s: upgraded %d, skipped %d, quarantined %d",
-			op.Target, len(resp.UpgradedNodes), len(resp.SkippedNodes), len(resp.QuarantinedNodes)), nil
+			label, len(resp.UpgradedNodes), len(resp.SkippedNodes), len(resp.QuarantinedNodes)), nil
 
 	case OpWarmPoolRefill:
 		if h.cache == nil {
@@ -229,7 +228,7 @@ func (h *harness) apply(op *Op) (string, error) {
 		rec, err := h.nova.RecoverHost(op.Host, h.opts())
 		if err != nil {
 			// Frozen recovery: the host stays downed (retryable by a later
-			// OpCrashHV); a lost host is reconciled by step's handler.
+			// OpCrashHV); a lost host is declared dead by step.
 			return "", err
 		}
 		return fmt.Sprintf("%s %s, detected +%v, recovered → %v", op.Host, mode, ev.Latency(), rec.Target), nil
@@ -272,15 +271,7 @@ func (h *harness) apply(op *Op) (string, error) {
 		if len(resp.DownHosts) == 0 {
 			return "skip: no healthy hosts to storm", nil
 		}
-		// RecoverFleet reconciles lost hosts itself (no VMLost error
-		// escapes for step's handler to see), so the wrecks are declared
-		// dead here for the audits to skip.
-		for _, name := range resp.LostNodes {
-			if !h.dead[name] {
-				h.dead[name] = true
-				h.rec.Metrics().Counter("chaos.hosts_lost", "hosts").Add(1)
-			}
-		}
+		h.lose(resp.LostNodes...)
 		return fmt.Sprintf("storm downed %d: recovered %d, frozen %d, lost %d (%s)",
 			len(resp.DownHosts), len(resp.RecoveredNodes), len(resp.FrozenNodes), len(resp.LostNodes), resp.Outcome), nil
 

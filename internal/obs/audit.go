@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"sort"
 	"time"
 )
 
@@ -49,20 +50,23 @@ func (r *Recorder) AuditSpans() []SpanViolation {
 // span structure without the full tree. Records whose parent is absent
 // from the slice (evicted by the ring, or sampled away) are only checked
 // for negative duration: a truncated window is not a violation. Records
-// may arrive in any order; parent/child and sibling relations are
-// reconstructed from the Parent ids.
+// may arrive in any order — a FlightRecorder snapshot lists pinned records
+// first: parent/child relations are reconstructed from the Parent ids,
+// and siblings are compared in span-id order, which is the order they
+// were opened in and so the order sibling monotonicity is defined over.
 func AuditRecords(recs []SpanRecord) []SpanViolation {
 	byID := make(map[int]*SpanRecord, len(recs))
+	order := make([]*SpanRecord, len(recs))
 	for i := range recs {
 		byID[recs[i].ID] = &recs[i]
+		order[i] = &recs[i]
 	}
+	sort.SliceStable(order, func(i, j int) bool { return order[i].ID < order[j].ID })
 	var out []SpanViolation
-	// prevStart tracks, per present parent, the latest child start seen
-	// so far in slice order — slice order is creation order within one
-	// root batch, which is what sibling monotonicity is defined over.
+	// prevStart tracks, per present parent, the latest start among the
+	// children opened so far.
 	prevStart := make(map[int]time.Duration, len(recs))
-	for i := range recs {
-		rec := &recs[i]
+	for _, rec := range order {
 		if rec.End < rec.Start {
 			out = append(out, SpanViolation{Kind: "negative-duration", Span: rec.Name,
 				Detail: fmt.Sprintf("start %v, end %v", rec.Start, rec.End)})

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -243,6 +245,59 @@ func TestAuditRecordsMirrorsAuditSpans(t *testing.T) {
 		Start: 5 * time.Millisecond, End: 6 * time.Millisecond}}
 	if vs := AuditRecords(orphan); len(vs) != 0 {
 		t.Fatalf("orphaned record flagged: %v", vs)
+	}
+}
+
+// TestAuditRecordsOrderIndependent is the regression for the chaos soak's
+// false "sibling-regress … under nova.quarantine": a FlightRecorder
+// snapshot lists pinned records first, so a pinned middle sibling used to
+// be compared ahead of its elder. Whatever order the records arrive in,
+// the flattened audit must give the tree auditor's verdict — and still
+// catch a real regress.
+func TestAuditRecordsOrderIndependent(t *testing.T) {
+	kinds := func(vs []SpanViolation) string {
+		var out []string
+		for _, v := range vs {
+			out = append(out, v.Kind+":"+v.Span)
+		}
+		sort.Strings(out)
+		return strings.Join(out, ",")
+	}
+	for _, tc := range []struct {
+		name   string
+		starts [3]time.Duration // the three siblings, in opening order
+		want   string
+	}{
+		{"well-nested", [3]time.Duration{10, 20, 30}, ""},
+		{"real-regress", [3]time.Duration{10, 30, 20}, "sibling-regress:vm-2"},
+	} {
+		rec := NewRecorder(nil)
+		fr := NewFlightRecorder(16)
+		// The middle sibling is the one with retry evidence.
+		fr.SetPin(func(r SpanRecord) bool { return r.Name == "vm-1" })
+		rec.AddSink(fr)
+		root := rec.StartAt(nil, "nova.quarantine", 5)
+		for i, start := range tc.starts {
+			root.ChildAt(fmt.Sprintf("vm-%d", i), start).EndAt(start + 5)
+		}
+		root.EndAt(50)
+		if got := kinds(rec.AuditSpans()); got != tc.want {
+			t.Fatalf("%s: tree audit = %q, want %q (test forest broken)", tc.name, got, tc.want)
+		}
+		snap := fr.Snapshot()
+		if snap[0].Name != "vm-1" {
+			t.Fatalf("%s: snapshot does not list the pinned record first: %v", tc.name, snap)
+		}
+		if got := kinds(AuditRecords(snap)); got != tc.want {
+			t.Errorf("%s: pinned-first snapshot audits as %q, want %q", tc.name, got, tc.want)
+		}
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 20; i++ {
+			rng.Shuffle(len(snap), func(a, b int) { snap[a], snap[b] = snap[b], snap[a] })
+			if got := kinds(AuditRecords(snap)); got != tc.want {
+				t.Errorf("%s: shuffled snapshot %v audits as %q, want %q", tc.name, snap, got, tc.want)
+			}
+		}
 	}
 }
 

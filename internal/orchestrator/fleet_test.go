@@ -48,6 +48,14 @@ func bigFleet() fleetSpec {
 
 func newFleet(tb testing.TB, spec fleetSpec) *cloud {
 	tb.Helper()
+	if stock := stockFleet(); spec.vmMem == stock.vmMem && spec.hostRAM == stock.hostRAM && spec.threads == stock.threads {
+		// The stock host and VM shape is the exported fixture's.
+		nova, err := NewFleet(spec.hosts, spec.vms)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return &cloud{clock: nova.Clock(), nova: nova}
+	}
 	clock := simtime.NewClock()
 	fabric := simnet.NewLink(clock, "fabric", simnet.Gbps10, 100*time.Microsecond)
 	nova := NewNova(clock, fabric)

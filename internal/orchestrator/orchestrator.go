@@ -198,9 +198,9 @@ type Nova struct {
 	faults      *fault.Plan
 	retry       fault.RetryPolicy
 	quarantined map[string]bool
-	// fleetLimits, when non-nil, routes RespondToCVE through the
-	// dependency-aware concurrent scheduler (see SetFleetLimits).
-	fleetLimits *sched.Limits
+	// fleetLimits are the capacity limits fleet operations are scheduled
+	// under (see SetFleetLimits); one operation at a time by default.
+	fleetLimits sched.Limits
 	// slo, when non-nil, receives the vulnerability-window events:
 	// disclosure, per-host exposure, per-host remediation at kexec
 	// commit, and per-VM downtime (see SetSLO).
@@ -234,6 +234,7 @@ func NewNova(clock *simtime.Clock, fabric *simnet.Link) *Nova {
 		seed:        1,
 		quarantined: make(map[string]bool),
 		downed:      make(map[string]reactive.Event),
+		fleetLimits: sched.Serial(),
 	}
 	n.scan.visit = n.scan.tally
 	return n
@@ -312,14 +313,23 @@ func (n *Nova) Quarantine(name string) (replanned, stranded []string, err error)
 	if _, ok := n.nodes[name]; !ok {
 		return nil, nil, fmt.Errorf("nova: unknown node %q", name)
 	}
-	if n.quarantined[name] {
+	if !n.fence(name) {
 		return nil, nil, fmt.Errorf("nova: node %q already quarantined", name)
 	}
-	n.quarantined[name] = true
 	sp := n.obs.Start("nova.quarantine", obs.A("node", name))
 	defer sp.End()
-	n.obs.Metrics().Counter("nova.hosts_quarantined", "hosts").Add(1)
-	replanned, stranded = n.drainNode(name)
+	// Best effort: a VM with no viable destination, or whose migration
+	// fails, is stranded in place.
+	for _, vm := range n.nodes[name].Driver.VMs() {
+		dest := n.pickEvacuationTarget(name, vm)
+		if dest == "" {
+			stranded = append(stranded, vm.Config.Name)
+		} else if _, err := n.LiveMigrate(vm.Config.Name, dest); err != nil {
+			stranded = append(stranded, vm.Config.Name)
+		} else {
+			replanned = append(replanned, vm.Config.Name)
+		}
+	}
 	sp.SetAttr("replanned", len(replanned))
 	return replanned, stranded, nil
 }
@@ -338,24 +348,14 @@ func (n *Nova) Return(name string) error {
 	return nil
 }
 
-// drainNode live-migrates every VM off a node, best-effort: VMs with no
-// viable destination (or whose migration fails) are stranded in place.
-func (n *Nova) drainNode(name string) (replanned, stranded []string) {
-	node := n.nodes[name]
-	vms := append([]*hv.VM(nil), node.Driver.VMs()...)
-	for _, vm := range vms {
-		dest := n.pickEvacuationTarget(name, vm)
-		if dest == "" {
-			stranded = append(stranded, vm.Config.Name)
-			continue
-		}
-		if _, err := n.LiveMigrate(vm.Config.Name, dest); err != nil {
-			stranded = append(stranded, vm.Config.Name)
-			continue
-		}
-		replanned = append(replanned, vm.Config.Name)
+// fence marks a node quarantined; false when it already was.
+func (n *Nova) fence(name string) bool {
+	if n.quarantined[name] {
+		return false
 	}
-	return replanned, stranded
+	n.quarantined[name] = true
+	n.obs.Metrics().Counter("nova.hosts_quarantined", "hosts").Add(1)
+	return true
 }
 
 // reconcileLostHost reconciles the database after a host-level VM loss:
@@ -370,10 +370,7 @@ func (n *Nova) reconcileLostHost(name string) {
 			delete(n.db, vmName)
 		}
 	}
-	if !n.quarantined[name] {
-		n.quarantined[name] = true
-		n.obs.Metrics().Counter("nova.hosts_quarantined", "hosts").Add(1)
-	}
+	n.fence(name)
 }
 
 // SetSLO attaches a vulnerability-window tracker. RespondToCVE then
@@ -487,43 +484,22 @@ func (n *Nova) LiveMigrate(vmName, destNode string) (*migration.Report, error) {
 	if !ok {
 		return nil, fmt.Errorf("nova: unknown VM %q", vmName)
 	}
-	dest, ok := n.nodes[destNode]
-	if !ok {
+	if _, ok := n.nodes[destNode]; !ok {
 		return nil, fmt.Errorf("nova: unknown node %q", destNode)
 	}
 	if rec.Node == destNode {
 		return nil, fmt.Errorf("nova: VM %q already on %q", vmName, destNode)
 	}
-	src := n.nodes[rec.Node]
-	n.seed++
-	recv := migration.NewReceiver(n.clock, dest.Driver.Hypervisor(), n.seed)
-	sp := n.obs.Start("nova.live-migrate",
-		obs.A("vm", vmName), obs.A("from", rec.Node), obs.A("to", destNode))
-	defer sp.End()
-	var report *migration.Report
-	var err error
-	migration.Run(n.clock, migration.Params{
-		Link:   n.fabric,
-		Source: src.Driver.Hypervisor(),
-		Dest:   recv,
-		VMID:   rec.ID,
-		Obs:    n.obs,
-		Retry:  n.retry,
-	}, func(r *migration.Report, e error) { report, err = r, e })
-	n.clock.Run()
-	if err != nil {
-		// A lost VM was destroyed mid-stream; keeping its row would place
-		// a VM that no host runs.
-		if hterr.Class(err) == hterr.ErrVMLost {
-			delete(n.db, vmName)
-		}
+	t := &hostTask{op: &opEvacuate, host: rec.Node, vm: vmName, dest: destNode}
+	if err := t.op.admit(n, t); err != nil {
 		return nil, err
 	}
-	rec.Node = destNode
-	rec.ID = report.DestVM.ID
-	rec.Kind = dest.Driver.HypervisorKind()
-	n.slo.AddVMDowntime(vmName, report.Downtime)
-	return report, nil
+	sp := n.obs.Start(t.op.span, t.op.attrs(t)...)
+	defer sp.End()
+	if err := n.run(t); err != nil {
+		return nil, err
+	}
+	return t.migration, nil
 }
 
 // ColdMigrate moves a VM between nodes without a live link: the §4.5.2
@@ -619,13 +595,11 @@ func (n *Nova) HostLiveUpgrade(nodeName string, target hv.Kind, opts core.Option
 	if node.Driver.HypervisorKind() == target {
 		return nil, hterr.Incompatible(fmt.Errorf("nova: node %q already runs %v", nodeName, target))
 	}
-	start := n.clock.Now()
-	rec := &UpgradeRecord{Node: nodeName, Target: target}
-	sp := n.obs.Start("nova.host-live-upgrade",
-		obs.A("node", nodeName), obs.A("target", target))
+	hp := &hostPlan{name: nodeName, since: n.clock.Now()}
+	t := &hostTask{op: &opTransplant, host: nodeName, target: target, opts: opts, plan: hp}
+	sp := n.obs.Start(t.op.span, obs.A("node", nodeName), obs.A("target", target))
 	defer sp.End()
 
-	// Evacuate incompatible VMs.
 	for _, vm := range node.Driver.VMs() {
 		if vm.Config.InPlaceCompatible {
 			continue
@@ -639,48 +613,32 @@ func (n *Nova) HostLiveUpgrade(nodeName string, target hv.Kind, opts core.Option
 		if _, err := n.LiveMigrate(vm.Config.Name, dest); err != nil {
 			return nil, err
 		}
-		rec.EvacuatedVMs = append(rec.EvacuatedVMs, vm.Config.Name)
+		hp.evacuated = append(hp.evacuated, vm.Config.Name)
 	}
-	sp.SetAttr("evacuated", len(rec.EvacuatedVMs))
-
-	// In-place transplant of the remaining (compatible) VMs. A host
-	// with no remaining VMs just reboots into the target.
-	if node.Driver.Hypervisor().VMCount() > 0 {
-		report, err := node.Driver.HostLiveUpgrade(target, opts)
-		if err != nil {
-			if hterr.Class(err) == hterr.ErrVMLost {
-				n.reconcileLostHost(nodeName)
-			}
-			return nil, err
-		}
-		rec.Report = report
-		// Update the database rows of the transplanted VMs. Every VM on
-		// the host shares the kexec blackout window.
-		for _, res := range report.VMs {
-			if r, ok := n.db[res.Name]; ok {
-				r.ID = res.NewID
-				r.Kind = target
-			}
-			n.slo.AddVMDowntime(res.Name, report.Downtime)
-		}
-	} else {
-		if err := rebootEmptyHost(node.Driver, target); err != nil {
-			return nil, err
-		}
+	sp.SetAttr("evacuated", len(hp.evacuated))
+	if err := n.run(t); err != nil {
+		return nil, err
 	}
-	rec.Elapsed = n.clock.Now() - start
-	return rec, nil
+	return t.record, nil
 }
 
 // pickEvacuationTarget chooses the node with the most capacity.
 func (n *Nova) pickEvacuationTarget(exclude string, vm *hv.VM) string {
+	return n.pickTarget(exclude, vm, func(name string) (int, uint64) {
+		return n.nodes[name].Driver.Capacity()
+	})
+}
+
+// pickTarget chooses, among the healthy nodes other than exclude whose
+// headroom fits vm, the one with the most free vCPUs.
+func (n *Nova) pickTarget(exclude string, vm *hv.VM, headroom func(name string) (vcpus int, mem uint64)) string {
 	best := ""
 	bestCPU := -1
 	for _, name := range n.order {
 		if name == exclude || n.quarantined[name] || n.HostDowned(name) {
 			continue
 		}
-		vcpus, mem := n.nodes[name].Driver.Capacity()
+		vcpus, mem := headroom(name)
 		if vcpus < vm.Config.VCPUs || mem < vm.Config.MemBytes {
 			continue
 		}
@@ -691,18 +649,14 @@ func (n *Nova) pickEvacuationTarget(exclude string, vm *hv.VM) string {
 	return best
 }
 
-// rebootEmptyHost swaps the hypervisor on a host with no VMs.
-func rebootEmptyHost(d ComputeDriver, target hv.Kind) error {
-	ld, ok := d.(*LibvirtDriver)
-	if !ok {
-		return hterr.Incompatible(fmt.Errorf("nova: driver %T cannot reboot empty host", d))
-	}
-	// A plain reboot: wipe and boot the target. No state to preserve.
-	ld.engine.Machine.MicroReboot("fresh-boot", nil)
-	hyp, err := ld.engine.BootHypervisor(target)
+// rebootEmptyHost swaps the hypervisor on a host with no VMs: a plain
+// reboot, wipe and boot the target. No state to preserve.
+func rebootEmptyHost(d *LibvirtDriver, target hv.Kind) error {
+	d.engine.Machine.MicroReboot("fresh-boot", nil)
+	hyp, err := d.engine.BootHypervisor(target)
 	if err != nil {
 		return err
 	}
-	ld.hyp = hyp
+	d.hyp = hyp
 	return nil
 }

@@ -2,14 +2,13 @@ package orchestrator
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"hypertp/internal/core"
-	"hypertp/internal/fault"
-	"hypertp/internal/hterr"
 	"hypertp/internal/hv"
+	"hypertp/internal/obs"
 	"hypertp/internal/report"
+	"hypertp/internal/sched"
 	"hypertp/internal/slo"
 	"hypertp/internal/vulndb"
 )
@@ -29,6 +28,9 @@ type FleetResponse struct {
 	QuarantinedNodes []string
 	// ReplannedVMs lists VMs evacuated off quarantined nodes.
 	ReplannedVMs []string
+	// LostNodes lists nodes that died past the point of no return: their
+	// VMs are gone, their rows purged, and the response aborted.
+	LostNodes []string
 	// StrandedVMs lists VMs that could not be evacuated off a
 	// quarantined node (no capacity). They keep running on the old,
 	// still-vulnerable hypervisor — degraded, never lost.
@@ -70,99 +72,127 @@ func (r *FleetResponse) Summary() report.Summary {
 // (evacuating InPlaceTP-incompatible VMs first). It refuses to act on
 // non-critical flaws — HyperTP is reserved for critical vulnerabilities
 // (§1) — and fails when no pool member is safe (the VENOM case).
+//
+// The response is a planner: it decides targets and placements in name
+// order and emits host tasks — evacuation migrations feeding in-place
+// transplants, spare reboots unlocking evacuation capacity — that one
+// fleetRun executes under the fleet limits. A host that fails its upgrade
+// is quarantined and drained without failing the response; a VM or host
+// lost past the point of no return aborts it, and the partial response
+// (LostNodes names the host) is returned alongside the error.
 func (n *Nova) RespondToCVE(db *vulndb.Database, cveID string, pool []string, opts core.Options) (*FleetResponse, error) {
-	rec, ok := db.Lookup(cveID)
+	vrec, ok := db.Lookup(cveID)
 	if !ok {
 		return nil, fmt.Errorf("nova: unknown vulnerability %q", cveID)
 	}
-	if rec.Severity() != vulndb.SeverityCritical {
+	if vrec.Severity() != vulndb.SeverityCritical {
 		return nil, fmt.Errorf("nova: %s is %s; transplant is reserved for critical flaws",
-			cveID, rec.Severity())
+			cveID, vrec.Severity())
 	}
-	if n.fleetLimits != nil {
-		// Concurrent fleet response: plan the whole response as a DAG
-		// of host-level operations and execute it under the configured
-		// capacity limits (see SetFleetLimits).
-		return n.respondScheduled(db, rec, cveID, pool, opts)
-	}
-	start := n.clock.Now()
+	fr := n.newFleetRun()
+	fr.stopOnLoss = true
 	resp := &FleetResponse{CVE: cveID, Outcome: report.OutcomeCompleted}
-	n.slo.SetTarget(cveID, start, slo.Target{Quantile: slo.DefaultQuantile, Window: rec.RemediationWindow()})
-
-	// Determine affected nodes and a common safe target. Processing in
-	// name order keeps the response deterministic.
-	names := make([]string, 0, len(n.nodes))
-	for name := range n.nodes {
-		names = append(names, name)
+	n.slo.SetTarget(cveID, fr.base, slo.Target{Quantile: slo.DefaultQuantile, Window: vrec.RemediationWindow()})
+	upgrades, err := fr.affected(db, vrec, pool, opts, resp)
+	if err != nil {
+		return nil, err
 	}
-	sort.Strings(names)
+	fr.planUpgrades(upgrades)
+	if err := fr.execute(); err != nil {
+		return nil, err
+	}
+	fr.emit("nova.respond-cve", obs.A("cve", cveID), obs.A("target", resp.Target), obs.A("hosts", len(upgrades)))
+	for _, rec := range fr.records {
+		resp.UpgradedNodes = append(resp.UpgradedNodes, rec.Node)
+	}
+	resp.Records, resp.Faults = fr.records, fr.hostFaults
+	resp.QuarantinedNodes, resp.LostNodes = fr.quarantined, fr.lost
+	resp.ReplannedVMs, resp.StrandedVMs = fr.replanned, fr.stranded
+	resp.Elapsed = n.clock.Now() - fr.base
+	if len(resp.QuarantinedNodes) > 0 || fr.abort != nil {
+		resp.Outcome = report.OutcomeDegraded
+	}
+	return resp, fr.abort
+}
 
-	for _, name := range names {
-		// Downed hosts are the reactive path's to recover (RecoverHost /
-		// RecoverFleet); the CVE response treats them like quarantined
-		// ones rather than racing an upgrade against a frozen hypervisor.
+// affected is the response's first planning pass: the transplant task of
+// every healthy host running a hypervisor vrec affects, in name order,
+// with its target chosen and its exposure interval opened. Downed hosts
+// are the reactive path's to recover; like quarantined ones they are not
+// raced.
+func (fr *fleetRun) affected(db *vulndb.Database, vrec *vulndb.Record, pool []string, opts core.Options, resp *FleetResponse) ([]*hostTask, error) {
+	n := fr.n
+	fr.avail = make(map[string]capacity)
+	var upgrades []*hostTask
+	for _, name := range n.order {
 		if n.quarantined[name] || n.HostDowned(name) {
 			continue
 		}
-		node := n.nodes[name]
-		current := node.Driver.HypervisorKind().String()
-		if !rec.Affected(current) {
+		hyp := n.nodes[name].Driver.Hypervisor()
+		if !vrec.Affected(hyp.Kind().String()) {
 			resp.SkippedNodes = append(resp.SkippedNodes, name)
+			fr.offer(name, nil)
 			continue
 		}
-		// The host has been vulnerable since disclosure, not since we
-		// noticed: the exposure interval opens at start.
-		n.slo.Expose(cveID, name, start)
-		targetName, err := db.SelectTarget(current, []string{cveID}, pool)
+		targetName, err := db.SelectTarget(hyp.Kind().String(), []string{resp.CVE}, pool)
 		if err != nil {
 			return nil, fmt.Errorf("nova: node %s: %w", name, err)
 		}
-		target, err := hv.ParseKind(targetName)
-		if err != nil {
+		if resp.Target, err = hv.ParseKind(targetName); err != nil {
 			return nil, fmt.Errorf("nova: policy choice: %w", err)
 		}
-		if fired, _ := n.faults.Arm(fault.SiteClusterHost); fired {
-			// Injected host failure during the upgrade window: degrade
-			// instead of failing the fleet response.
-			resp.Faults++
-			n.quarantineNode(name, resp)
-			continue
-		}
-		up, err := n.HostLiveUpgrade(name, target, opts)
-		if err != nil {
-			if hterr.Class(err) == hterr.ErrVMLost {
-				// Unrecoverable: surface the partial response alongside
-				// the error so the operator sees what did complete.
-				resp.Elapsed = n.clock.Now() - start
-				resp.Outcome = report.OutcomeDegraded
-				return resp, err
+		// The host has been vulnerable since disclosure, not since we
+		// noticed: the exposure interval opens at the start.
+		n.slo.Expose(resp.CVE, name, fr.base)
+		hp := &hostPlan{name: name, since: -1}
+		hyp.EachVM(func(vm *hv.VM) bool {
+			if !vm.Config.InPlaceCompatible {
+				hp.incompat = append(hp.incompat, vm)
 			}
-			n.quarantineNode(name, resp)
-			continue
+			return true
+		})
+		if len(hp.incompat) == 0 {
+			fr.offer(name, hp)
 		}
-		resp.Target = target
-		resp.UpgradedNodes = append(resp.UpgradedNodes, name)
-		resp.Records = append(resp.Records, up)
-		n.slo.Remediate(cveID, name, n.clock.Now())
+		upgrades = append(upgrades, &hostTask{op: &opTransplant, host: name, target: resp.Target, opts: opts, cve: resp.CVE, plan: hp})
 	}
-	if len(resp.UpgradedNodes) == 0 && len(resp.QuarantinedNodes) == 0 {
-		return nil, fmt.Errorf("nova: no node runs a hypervisor affected by %s", cveID)
+	if len(upgrades) == 0 {
+		return nil, fmt.Errorf("nova: no node runs a hypervisor affected by %s", resp.CVE)
 	}
-	if len(resp.QuarantinedNodes) > 0 {
-		resp.Outcome = report.OutcomeDegraded
-	}
-	resp.Elapsed = n.clock.Now() - start
-	return resp, nil
+	return upgrades, nil
 }
 
-// quarantineNode marks a node failed and drains it (see Quarantine),
-// folding the outcome into the fleet response.
-func (n *Nova) quarantineNode(name string, resp *FleetResponse) {
-	replanned, stranded, err := n.Quarantine(name)
-	if err != nil {
-		return // already quarantined: nothing left to drain
+// planUpgrades emits the response's tasks against the capacity overlay.
+func (fr *fleetRun) planUpgrades(upgrades []*hostTask) {
+	// Hosts with nothing to evacuate — empty spares and all-compatible
+	// hosts — are the schedule roots that unlock evacuation capacity.
+	for _, t := range upgrades {
+		if len(t.plan.incompat) == 0 {
+			t.plan.tp = fr.add(t)
+		}
 	}
-	resp.ReplannedVMs = append(resp.ReplannedVMs, replanned...)
-	resp.StrandedVMs = append(resp.StrandedVMs, stranded...)
-	resp.QuarantinedNodes = append(resp.QuarantinedNodes, name)
+	// Evacuation pipelines. A host whose incompatible VM has no placement
+	// is quarantined at plan time; its planned evacuations become drains.
+	for _, t := range upgrades {
+		hp := t.plan
+		if len(hp.incompat) == 0 {
+			continue
+		}
+		var evacs []*sched.Node
+		for _, vm := range hp.incompat {
+			dest := fr.pickDest(hp.name, vm)
+			if dest == "" {
+				fr.quarantine(hp)
+				break
+			}
+			evacs = append(evacs, fr.evacuate(hp, vm, dest))
+		}
+		if len(evacs) < len(hp.incompat) {
+			continue
+		}
+		hp.tp = fr.add(t)
+		for _, ev := range evacs {
+			fr.g.Dep(hp.tp, ev)
+		}
+	}
 }

@@ -29,8 +29,8 @@ func (n *Nova) WarmPool() (*tpcache.Cache, int) { return n.warmCache, n.warmSlot
 // pool is filled outside any vulnerability window, so RespondToCVE's
 // transplants skip the cold save inside one.
 //
-// When fleet limits are set (SetFleetLimits), one refill pass stages at
-// most SpareSlots entries — refilling competes with evacuations for
+// When the fleet limits bound SpareSlots (SetFleetLimits), one refill
+// pass stages at most that many entries — refilling competes with evacuations for
 // spare capacity, so it is throttled by the same knob.
 func (n *Nova) WarmPoolRefill() (int, error) {
 	if n.warmCache == nil {
@@ -40,8 +40,8 @@ func (n *Nova) WarmPoolRefill() (int, error) {
 	if want <= 0 {
 		return 0, nil
 	}
-	if n.fleetLimits != nil && n.fleetLimits.SpareSlots > 0 && want > n.fleetLimits.SpareSlots {
-		want = n.fleetLimits.SpareSlots
+	if spare := n.fleetLimits.SpareSlots; spare > 0 && want > spare {
+		want = spare
 	}
 	sp := n.obs.Start("nova.warm-pool-refill")
 	defer sp.End()
