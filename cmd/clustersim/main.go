@@ -20,10 +20,11 @@
 // vs disclosure (p50/p95/max), burn rate, and a PASS/FAIL verdict; a
 // failed SLO exits non-zero.
 //
-// -fault-seed/-fault-rate/-fault-sites switch the upgrade to the
-// degradation-capable executor: hosts whose in-place upgrade fails are
-// quarantined, their VMs re-planned onto healthy hosts, and the table
-// gains outcome columns.
+// -fault-seed/-fault-rate/-fault-sites inject host failures into the
+// planned upgrade: hosts whose in-place upgrade fails are quarantined,
+// their VMs re-planned onto healthy hosts, and the table gains outcome
+// columns. -streams/-kexecs add the same plans' concurrent re-timing
+// (Sched total, Speedup), with or without faults.
 package main
 
 import (
@@ -80,7 +81,7 @@ func main() {
 		if *crashRate > 0 {
 			err = fmt.Errorf("clustersim: -crash-rate applies to the -fleet scenario")
 		} else {
-			err = run(*hosts, *vmsPerHost, *group, *traceFrac, fc, sc, ec)
+			err = run(os.Stdout, *hosts, *vmsPerHost, *group, *traceFrac, fc, sc, ec)
 		}
 	}
 	if err != nil {
@@ -153,23 +154,17 @@ type faultConfig struct {
 func (fc faultConfig) enabled() bool { return fc.Rate > 0 || fc.Seed != 0 || fc.Sites != "" }
 
 // plan materializes a fresh fault plan (fresh per run, so every
-// compatibility fraction sees the same deterministic shot sequence).
+// compatibility fraction sees the same deterministic shot sequence). With
+// injection off its rate is 0: it fires nothing.
 func (fc faultConfig) plan() (*fault.Plan, error) {
-	if !fc.enabled() {
-		return nil, nil
-	}
 	sites, err := fault.ParseSites(fc.Sites)
 	if err != nil {
 		return nil, err
 	}
-	p := fault.NewPlan(fc.Seed, fc.Rate)
-	if len(sites) > 0 {
-		p.Restrict(sites...)
-	}
-	return p, nil
+	return fault.NewPlan(fc.Seed, fc.Rate).Restrict(sites...), nil
 }
 
-func run(hosts, vmsPerHost, group int, traceFrac float64, fc faultConfig, sc schedConfig, ec exportConfig) error {
+func run(w io.Writer, hosts, vmsPerHost, group int, traceFrac float64, fc faultConfig, sc schedConfig, ec exportConfig) error {
 	defer sc.apply()()
 	model := cluster.DefaultExecutionModel()
 	runOnce := func(frac float64, rec *obs.Recorder) (cluster.Result, *cluster.Plan, error) {
@@ -180,30 +175,20 @@ func run(hosts, vmsPerHost, group int, traceFrac float64, fc faultConfig, sc sch
 			return cluster.Result{}, nil, err
 		}
 		c.SetInPlaceCompatibleFraction(frac, 42)
-		if fc.enabled() {
-			p, err := fc.plan()
-			if err != nil {
-				return cluster.Result{}, nil, err
-			}
-			plan, res, err := c.ExecuteRollingUpgrade(group, model, rec, p)
-			if err != nil {
-				return cluster.Result{}, nil, err
-			}
-			return res, plan, nil
-		}
-		plan, err := c.PlanUpgrade(group)
+		faults, err := fc.plan()
 		if err != nil {
 			return cluster.Result{}, nil, err
 		}
-		if err := c.Validate(); err != nil {
+		plan, err := c.PlanUpgrade(group, faults)
+		if err == nil {
+			err = c.Validate()
+		}
+		if err != nil {
 			return cluster.Result{}, nil, err
 		}
-		return plan.ExecuteTraced(model, rec), plan, nil
+		res, err := plan.Execute(model, rec, sched.Serial())
+		return res, plan, err
 	}
-	// Concurrent columns re-time the same plan under the capacity limits;
-	// the fault-injected executor interleaves planning and execution, so
-	// the comparison is only defined for the fault-free sweep.
-	schedCols := sc.enabled() && !fc.enabled()
 
 	base, _, err := runOnce(0, nil)
 	if err != nil {
@@ -214,7 +199,7 @@ func run(hosts, vmsPerHost, group int, traceFrac float64, fc faultConfig, sc sch
 	if fc.enabled() {
 		headers = append(headers, "Outcome", "Quarantined", "Replanned")
 	}
-	if schedCols {
+	if sc.enabled() {
 		headers = append(headers, "Sched total", "Speedup")
 	}
 	tab := &metrics.Table{
@@ -239,8 +224,10 @@ func run(hosts, vmsPerHost, group int, traceFrac float64, fc faultConfig, sc sch
 			row = append(row, string(res.Outcome),
 				fmt.Sprint(len(res.FailedHosts)), fmt.Sprint(res.ReplannedVMs))
 		}
-		if schedCols {
-			sres, err := plan.ExecuteScheduled(model, nil, sc.limits())
+		if sc.enabled() {
+			// The concurrent columns re-time the same plan under the
+			// capacity limits.
+			sres, err := plan.Execute(model, nil, sc.limits())
 			if err != nil {
 				return err
 			}
@@ -249,9 +236,9 @@ func run(hosts, vmsPerHost, group int, traceFrac float64, fc faultConfig, sc sch
 		}
 		tab.AddRow(row...)
 	}
-	fmt.Println(tab.Render())
+	fmt.Fprintln(w, tab.Render())
 	if fc.enabled() {
-		fmt.Printf("fault injection: seed %d, rate %.2f, sites %s\n",
+		fmt.Fprintf(w, "fault injection: seed %d, rate %.2f, sites %s\n",
 			fc.Seed, fc.Rate, orAll(fc.Sites))
 	}
 
@@ -292,14 +279,14 @@ func run(hosts, vmsPerHost, group int, traceFrac float64, fc faultConfig, sc sch
 		if err := streamFile.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("stream: wrote %s (JSONL, sample %.2f, seed %d)\n",
+		fmt.Fprintf(w, "stream: wrote %s (JSONL, sample %.2f, seed %d)\n",
 			ec.StreamOut, ec.TraceSample, ec.SampleSeed)
 	}
 	if ec.TraceOut != "" {
 		if err := writeFileWith(ec.TraceOut, rec.WriteChromeTrace); err != nil {
 			return err
 		}
-		fmt.Printf("trace: wrote %s for compatible fraction %.2f (open in Perfetto)\n",
+		fmt.Fprintf(w, "trace: wrote %s for compatible fraction %.2f (open in Perfetto)\n",
 			ec.TraceOut, traceFrac)
 	}
 	if ec.MetricsOut != "" {
@@ -307,14 +294,14 @@ func run(hosts, vmsPerHost, group int, traceFrac float64, fc faultConfig, sc sch
 		if err := writeFileWith(ec.MetricsOut, write); err != nil {
 			return err
 		}
-		fmt.Printf("metrics: wrote %s\n", ec.MetricsOut)
+		fmt.Fprintf(w, "metrics: wrote %s\n", ec.MetricsOut)
 	}
 	if ec.PromOut != "" {
 		write := func(w io.Writer) error { return rec.Metrics().WritePrometheus(w, false) }
 		if err := writeFileWith(ec.PromOut, write); err != nil {
 			return err
 		}
-		fmt.Printf("metrics: wrote %s (Prometheus text format)\n", ec.PromOut)
+		fmt.Fprintf(w, "metrics: wrote %s (Prometheus text format)\n", ec.PromOut)
 	}
 	return nil
 }

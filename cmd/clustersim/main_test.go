@@ -4,43 +4,45 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestRunDefaults(t *testing.T) {
-	if err := run(10, 10, 1, 0.8, faultConfig{}, schedConfig{}, exportConfig{}); err != nil {
+	if err := run(io.Discard, 10, 10, 1, 0.8, faultConfig{}, schedConfig{}, exportConfig{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunSmallCluster(t *testing.T) {
-	if err := run(4, 3, 2, 0.8, faultConfig{}, schedConfig{}, exportConfig{}); err != nil {
+	if err := run(io.Discard, 4, 3, 2, 0.8, faultConfig{}, schedConfig{}, exportConfig{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunBadShape(t *testing.T) {
-	if err := run(1, 10, 1, 0.8, faultConfig{}, schedConfig{}, exportConfig{}); err == nil {
+	if err := run(io.Discard, 1, 10, 1, 0.8, faultConfig{}, schedConfig{}, exportConfig{}); err == nil {
 		t.Fatal("single-host cluster accepted")
 	}
-	if err := run(10, 10, 10, 0.8, faultConfig{}, schedConfig{}, exportConfig{}); err == nil {
+	if err := run(io.Discard, 10, 10, 10, 0.8, faultConfig{}, schedConfig{}, exportConfig{}); err == nil {
 		t.Fatal("group size = cluster accepted")
 	}
 }
 
-// The -fault-seed/-fault-rate/-fault-sites path: the degradation-capable
-// executor quarantines failed hosts and the run still completes.
+// The -fault-seed/-fault-rate/-fault-sites path: the planner quarantines
+// failed hosts and the run still completes.
 func TestRunWithFaultInjection(t *testing.T) {
 	fc := faultConfig{Seed: 7, Rate: 0.5, Sites: "cluster.host"}
-	if err := run(6, 3, 1, 0.8, fc, schedConfig{}, exportConfig{}); err != nil {
+	if err := run(io.Discard, 6, 3, 1, 0.8, fc, schedConfig{}, exportConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	// Unknown site rejected.
 	bad := faultConfig{Seed: 1, Rate: 1, Sites: "no.such.site"}
-	if err := run(4, 3, 1, 0.8, bad, schedConfig{}, exportConfig{}); err == nil {
+	if err := run(io.Discard, 4, 3, 1, 0.8, bad, schedConfig{}, exportConfig{}); err == nil {
 		t.Fatal("unknown fault site accepted")
 	}
 }
@@ -49,7 +51,7 @@ func TestRunTraceOut(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "upgrade.json")
 	metricsPath := filepath.Join(dir, "metrics.json")
-	if err := run(4, 3, 1, 0.5, faultConfig{}, schedConfig{}, exportConfig{TraceOut: tracePath, MetricsOut: metricsPath, TraceSample: 1}); err != nil {
+	if err := run(io.Discard, 4, 3, 1, 0.5, faultConfig{}, schedConfig{}, exportConfig{TraceOut: tracePath, MetricsOut: metricsPath, TraceSample: 1}); err != nil {
 		t.Fatal(err)
 	}
 	var tr struct {
@@ -79,8 +81,47 @@ func TestRunTraceOut(t *testing.T) {
 // The -streams/-kexecs columns: the concurrent re-timing of the same
 // plan appears alongside the serial sweep.
 func TestRunScheduledColumns(t *testing.T) {
-	if err := run(6, 3, 2, 0.8, faultConfig{}, schedConfig{Streams: 4, Kexecs: 4}, exportConfig{}); err != nil {
+	if err := run(io.Discard, 6, 3, 2, 0.8, faultConfig{}, schedConfig{Streams: 4, Kexecs: 4}, exportConfig{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Faults compose with the -streams/-kexecs columns: the degraded plans
+// are re-timed concurrently too, and never take longer than serially.
+func TestRunFaultsWithScheduledColumns(t *testing.T) {
+	var buf bytes.Buffer
+	fc := faultConfig{Seed: 7, Rate: 0.2, Sites: "cluster.host"}
+	if err := run(&buf, 10, 10, 2, 0.8, fc, schedConfig{Streams: 4, Kexecs: 4}, exportConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(buf.String(), "\n")
+	header := lines[1]
+	for _, col := range []string{"Outcome", "Quarantined", "Replanned", "Sched total", "Speedup"} {
+		if !strings.Contains(header, col) {
+			t.Fatalf("header lacks %q:\n%s", col, buf.String())
+		}
+	}
+	rows := 0
+	for _, line := range lines[3:] {
+		f := strings.Fields(line)
+		if len(f) != 10 {
+			continue
+		}
+		rows++
+		serial, err1 := time.ParseDuration(f[3])
+		conc, err2 := time.ParseDuration(f[8])
+		if err1 != nil || err2 != nil {
+			t.Fatalf("row %q: %v %v", line, err1, err2)
+		}
+		if conc > serial {
+			t.Fatalf("row %q: concurrent total %v above serial %v", line, conc, serial)
+		}
+	}
+	if rows != 5 {
+		t.Fatalf("%d table rows, want 5:\n%s", rows, buf.String())
+	}
+	if !strings.Contains(buf.String(), "degraded") {
+		t.Fatalf("no degraded row:\n%s", buf.String())
 	}
 }
 
@@ -200,7 +241,7 @@ func TestStreamOutSampledDeterministicAcrossWorkers(t *testing.T) {
 		path := filepath.Join(dir, name)
 		ec := exportConfig{StreamOut: path, TraceSample: frac, SampleSeed: seed}
 		sc := schedConfig{Workers: workers, Streams: 4, Kexecs: 4}
-		if err := run(6, 3, 2, 0.5, faultConfig{}, sc, ec); err != nil {
+		if err := run(io.Discard, 6, 3, 2, 0.5, faultConfig{}, sc, ec); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(path)

@@ -8,10 +8,11 @@
 //
 // -jsonl switches to validating a streamed span-record file
 // (-spans-out / -stream-out / a flight-recorder dump): every line must
-// be one span record with end >= start, ids unique, and every child
-// contained in its parent's interval when the parent is present —
-// sampled or evicted parents are tolerated, because streaming exports
-// are allowed to keep or drop whole roots.
+// be one span record, ids unique, and each root's records must pass the
+// span auditor (obs.AuditRecords: end >= start, every child within its
+// parent's interval when the parent is present, siblings in monotone
+// start order) — sampled or evicted parents are tolerated, because
+// streaming exports are allowed to keep or drop whole roots.
 //
 // Usage:
 //
@@ -25,8 +26,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"time"
 
 	"hypertp/internal/core"
+	"hypertp/internal/obs"
 )
 
 type traceEvent struct {
@@ -137,9 +140,11 @@ type spanRecord struct {
 
 // checkJSONL validates a streamed span-record file. Ids restart at 0 on
 // every root (parent -1) line — one flattened root tree is one batch —
-// so structural checks run per batch. Records whose parent is absent
-// from the batch are tolerated: head sampling keeps or drops whole
-// roots, and a flight recorder's ring evicts batch prefixes.
+// so each batch is audited on its own by obs.AuditRecords, the span
+// auditor the recorder runs: no negative durations, children inside
+// their parents, siblings in monotone start order. Records whose parent
+// is absent from the batch are tolerated: head sampling keeps or drops
+// whole roots, and a flight recorder's ring evicts batch prefixes.
 func checkJSONL(path string, allowEmpty bool) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -148,7 +153,16 @@ func checkJSONL(path string, allowEmpty bool) error {
 	defer f.Close()
 
 	var lines, roots, orphans int
-	batch := map[int]spanRecord{}
+	var batch []obs.SpanRecord
+	ids := map[int]bool{}
+	audit := func() error {
+		if vs := obs.AuditRecords(batch); len(vs) > 0 {
+			return fmt.Errorf("%s: root ending at line %d: %d span violations, first: %v", path, lines, len(vs), vs[0])
+		}
+		batch = batch[:0]
+		clear(ids)
+		return nil
+	}
 	lastID := -1
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -161,43 +175,38 @@ func checkJSONL(path string, allowEmpty bool) error {
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return fmt.Errorf("%s: line %d: not a span record: %w", path, lines+1, err)
 		}
-		lines++
 		if rec.Name == "" {
-			return fmt.Errorf("%s: line %d has no span name", path, lines)
-		}
-		if rec.End < rec.Start {
-			return fmt.Errorf("%s: line %d (%q): end %d before start %d", path, lines, rec.Name, rec.End, rec.Start)
+			return fmt.Errorf("%s: line %d has no span name", path, lines+1)
 		}
 		// Ids strictly increase within one flattened root; a root line or
 		// an id non-increase (an evicted batch boundary) opens a fresh id
 		// space, which also makes duplicate ids impossible within a batch.
 		if rec.Parent == -1 || rec.ID <= lastID {
-			batch = map[int]spanRecord{}
+			if err := audit(); err != nil {
+				return err
+			}
 			if rec.Parent == -1 {
 				roots++
 				if rec.Depth != 0 {
-					return fmt.Errorf("%s: line %d: root %q has depth %d", path, lines, rec.Name, rec.Depth)
+					return fmt.Errorf("%s: line %d: root %q has depth %d", path, lines+1, rec.Name, rec.Depth)
 				}
 			}
 		}
+		lines++
 		lastID = rec.ID
-		if rec.Parent != -1 {
-			p, ok := batch[rec.Parent]
-			if !ok {
-				orphans++ // parent sampled away or evicted: tolerated
-			} else {
-				if rec.Depth != p.Depth+1 {
-					return fmt.Errorf("%s: line %d (%q): depth %d under parent of depth %d", path, lines, rec.Name, rec.Depth, p.Depth)
-				}
-				if rec.Start < p.Start || rec.End > p.End {
-					return fmt.Errorf("%s: line %d (%q): [%d,%d] escapes parent %q [%d,%d]",
-						path, lines, rec.Name, rec.Start, rec.End, p.Name, p.Start, p.End)
-				}
-			}
+		if rec.Parent != -1 && !ids[rec.Parent] {
+			orphans++ // parent sampled away or evicted: tolerated
 		}
-		batch[rec.ID] = rec
+		ids[rec.ID] = true
+		batch = append(batch, obs.SpanRecord{
+			ID: rec.ID, Parent: rec.Parent, Depth: rec.Depth, Name: rec.Name,
+			Start: time.Duration(rec.Start), End: time.Duration(rec.End),
+		})
 	}
 	if err := sc.Err(); err != nil {
+		return err
+	}
+	if err := audit(); err != nil {
 		return err
 	}
 	if lines == 0 && !allowEmpty {

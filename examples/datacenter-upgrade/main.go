@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hypertp/internal/cluster"
+	"hypertp/internal/sched"
 )
 
 func main() {
@@ -32,14 +33,17 @@ func main() {
 		}
 		c.SetInPlaceCompatibleFraction(float64(pct)/100, 42)
 
-		plan, err := c.PlanUpgrade(1)
+		plan, err := c.PlanUpgrade(1, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if err := c.Validate(); err != nil {
 			log.Fatal(err)
 		}
-		res := plan.Execute(model)
+		res, err := plan.Execute(model, nil, sched.Serial())
+		if err != nil {
+			log.Fatal(err)
+		}
 		if pct == 0 {
 			baseline = res.TotalTime
 		}

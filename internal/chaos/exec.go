@@ -327,11 +327,15 @@ func (h *harness) sweep(op *Op) (string, error) {
 		return "", err
 	}
 	c.SetInPlaceCompatibleFraction(0.7, op.Fault)
-	var plan *fault.Plan
+	var faults *fault.Plan
 	if op.Fault != 0 && h.cfg.FaultRate > 0 {
-		plan = fault.NewPlan(op.Fault, h.cfg.FaultRate).Restrict(fault.SiteClusterHost)
+		faults = fault.NewPlan(op.Fault, h.cfg.FaultRate).Restrict(fault.SiteClusterHost)
 	}
-	_, res, err := c.ExecuteRollingUpgrade(2, cluster.DefaultExecutionModel(), nil, plan)
+	plan, err := c.PlanUpgrade(2, faults)
+	if err != nil {
+		return "", err
+	}
+	res, err := plan.Execute(cluster.DefaultExecutionModel(), nil, sched.Serial())
 	if err != nil {
 		return "", err
 	}

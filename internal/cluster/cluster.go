@@ -11,7 +11,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -191,14 +193,23 @@ type Migration struct {
 	VMID     int
 	From, To int
 	Bytes    uint64
+	// Replanned marks a move off a host quarantined in its group's
+	// in-place window: it runs after the window, not before it.
+	Replanned bool
 }
 
-// GroupPlan is the per-group slice of the upgrade.
+// GroupPlan is the per-group slice of the upgrade. Migrations lists the
+// group's evacuations first, then its re-planned moves.
 type GroupPlan struct {
 	Hosts      []int
 	Migrations []Migration
 	// InPlaceVMs counts VMs transplanted in place on the group's hosts.
 	InPlaceVMs int
+	// Quarantined lists the group's hosts whose in-place upgrade failed;
+	// Stranded counts their VMs no healthy host could take (they stay on
+	// the old hypervisor — degraded, never lost).
+	Quarantined []int
+	Stranded    int
 }
 
 // Plan is a full rolling-upgrade plan.
@@ -220,52 +231,75 @@ func (p *Plan) TotalMigrations() int {
 // migration-requiring VMs are re-placed on online hosts (balanced
 // least-loaded, BtrPlace's spread behaviour), its InPlaceTP-compatible
 // VMs stay put for the in-place transplant, and the group comes back
-// upgraded. The cluster state reflects the executed plan afterwards.
-func (c *Cluster) PlanUpgrade(groupSize int) (*Plan, error) {
+// upgraded. The cluster state reflects the plan afterwards; Plan.Execute
+// times it. Each host's in-place upgrade arms faults at the cluster.host
+// site (nil never fires): a failed host is quarantined — it keeps its
+// old hypervisor and takes no placements — and its VMs are re-planned
+// onto healthy hosts, or counted stranded when none has room.
+func (c *Cluster) PlanUpgrade(groupSize int, faults *fault.Plan) (*Plan, error) {
 	if groupSize < 1 || groupSize >= len(c.hosts) {
 		return nil, fmt.Errorf("cluster: group size %d out of range", groupSize)
 	}
 	plan := &Plan{}
 	for lo := 0; lo < len(c.hosts); lo += groupSize {
-		hi := lo + groupSize
-		if hi > len(c.hosts) {
-			hi = len(c.hosts)
-		}
-		group := c.hosts[lo:hi]
+		group := c.hosts[lo:min(lo+groupSize, len(c.hosts))]
 		gp := GroupPlan{}
 		offline := map[int]bool{}
 		for _, h := range group {
 			gp.Hosts = append(gp.Hosts, h.ID)
 			offline[h.ID] = true
 		}
+		cursor := 0
+		// move re-places VM vmID from h onto the next online host that
+		// fits; false means no host had room.
+		move := func(h *Host, vmID int, replanned bool) bool {
+			vm := h.vms[vmID]
+			dest := c.nextOnline(offline, vm, &cursor)
+			if dest == nil {
+				return false
+			}
+			delete(h.vms, vm.ID)
+			dest.vms[vm.ID] = vm
+			vm.Host = dest.ID
+			vm.Migrations++
+			gp.Migrations = append(gp.Migrations, Migration{
+				VMID: vm.ID, From: h.ID, To: dest.ID, Bytes: vm.MemBytes, Replanned: replanned,
+			})
+			return true
+		}
 		// Evacuate migration-requiring VMs from the group, spreading
 		// them across all online hosts in rotation — BtrPlace's
 		// load-balancing placement. Some land on hosts whose group is
 		// still pending and will migrate again: that cascade is what
 		// pushes the §5.4 plan to ~154 migrations for 100 VMs.
-		cursor := 0
 		for _, h := range group {
 			for _, vmID := range h.VMs() {
-				vm := h.vms[vmID]
-				if vm.InPlaceCompatible {
-					gp.InPlaceVMs++
+				if h.vms[vmID].InPlaceCompatible {
 					continue
 				}
-				dest := c.nextOnline(offline, vm, &cursor)
-				if dest == nil {
-					return nil, fmt.Errorf("cluster: no capacity to evacuate VM %d", vm.ID)
+				if !move(h, vmID, false) {
+					return nil, fmt.Errorf("cluster: no capacity to evacuate VM %d", vmID)
 				}
-				delete(h.vms, vm.ID)
-				dest.vms[vm.ID] = vm
-				vm.Host = dest.ID
-				vm.Migrations++
-				gp.Migrations = append(gp.Migrations, Migration{
-					VMID: vm.ID, From: h.ID, To: dest.ID, Bytes: vm.MemBytes,
-				})
 			}
 		}
 		for _, h := range group {
+			if fired, _ := faults.Arm(fault.SiteClusterHost); fired {
+				h.Quarantined = true
+				gp.Quarantined = append(gp.Quarantined, h.ID)
+				continue
+			}
 			h.Upgraded = true
+			gp.InPlaceVMs += len(h.vms)
+		}
+		for _, h := range group {
+			if !h.Quarantined {
+				continue
+			}
+			for _, vmID := range h.VMs() {
+				if !move(h, vmID, true) {
+					gp.Stranded++
+				}
+			}
 		}
 		plan.Groups = append(plan.Groups, gp)
 	}
@@ -322,9 +356,8 @@ type Result struct {
 	InPlaceTime   time.Duration
 	TotalTime     time.Duration
 
-	// Degradation record (fault-injected upgrades only; see
-	// Cluster.ExecuteRollingUpgrade). A failed host is quarantined, not
-	// fatal: the upgrade completes around it.
+	// Degradation record, carried over from the plan (see PlanUpgrade): a
+	// failed host is quarantined, not fatal.
 	Outcome rpt.Outcome
 	// FailedHosts lists quarantined host ids in failure order.
 	FailedHosts []int
@@ -340,301 +373,185 @@ type Result struct {
 
 // Summary implements report.Report.
 func (r Result) Summary() rpt.Summary {
-	out := r.Outcome
-	if out == "" {
-		out = rpt.OutcomeCompleted
-	}
 	return rpt.Summary{
 		Kind:           "cluster",
-		Outcome:        out,
+		Outcome:        r.Outcome,
 		Attempts:       1,
 		VirtualElapsed: r.TotalTime,
 		Faults:         r.Faults,
 	}
 }
 
-// Execute times the plan under the model.
-func (p *Plan) Execute(m ExecutionModel) Result {
-	return p.ExecuteTraced(m, nil)
-}
-
-// ExecuteTraced times the plan under the model and, when rec is non-nil,
-// records the upgrade's span tree. It is the serial baseline of
-// ExecuteScheduled: migrations execute one at a time in plan order,
-// which reproduces BtrPlace's serialized reconfiguration actions (and
-// the historical behaviour of this function) exactly.
-func (p *Plan) ExecuteTraced(m ExecutionModel, rec *obs.Recorder) Result {
-	res, err := p.ExecuteScheduled(m, rec, sched.Serial())
-	if err != nil {
-		// A serial cost-mode schedule of a freshly built rolling DAG has
-		// no contention and no cycles; an error here is a programming
-		// bug, not an input condition.
-		panic(err)
-	}
-	return res
-}
-
 // hostName renders a host id the way New names hosts, so scheduler
 // host-exclusivity lines up with the modeled fleet.
 func hostName(id int) string { return fmt.Sprintf("host-%02d", id) }
 
-// ExecuteScheduled times the plan on the dependency-aware fleet
-// scheduler (internal/sched) in cost mode: every migration and every
-// group's in-place window becomes a DAG node with a precomputed virtual
-// cost and no Run body. The rolling structure is preserved by gating
-// each group on the previous group's in-place completion; within a
-// group, migrations parallelize up to the limits (per-host exclusivity,
-// LinkStreams fabric cap) and the in-place window waits for the group's
-// evacuations. Serial limits reproduce the legacy sequential timing and
-// span tree byte for byte; concurrent limits compress the makespan
-// without changing the plan.
+// groupNodes is one group's slice of the lowered DAG: one node per
+// Migration in plan order (evacs evacuations, then the re-plans) and the
+// in-place window (nil when the group has nothing to upgrade).
+type groupNodes struct {
+	migs    []*sched.Node
+	evacs   int
+	inplace *sched.Node
+}
+
+// nodeEnd is a scheduled cost-mode node's virtual end.
+func nodeEnd(n *sched.Node) time.Duration { return n.Start() + n.Cost }
+
+// Execute times the plan on the dependency-aware fleet scheduler
+// (internal/sched) in cost mode and, when rec is non-nil, records its
+// span tree. Every migration and every group's in-place window becomes a
+// DAG node with a precomputed virtual cost: the window waits for the
+// group's evacuations, the re-plans wait for the window (where their
+// host failed), and the next group waits for both — so the upgrade stays
+// rolling and no VM moves again before its re-plan lands. Within those
+// edges migrations parallelize up to the limits (per-host exclusivity,
+// LinkStreams fabric cap); sched.Serial() runs one node at a time in plan
+// order, BtrPlace's serialized reconfiguration actions.
 //
 // A group's in-place node claims one kexec slot per group host (the
 // hosts really do kexec simultaneously), so limits.MaxKexecs must be 0
 // or at least the group size — otherwise the schedule is starved and an
 // ErrStarved-wrapped error is returned.
-func (p *Plan) ExecuteScheduled(m ExecutionModel, rec *obs.Recorder, limits sched.Limits) (Result, error) {
-	var res Result
-	g := sched.NewGraph()
-	type migNode struct {
-		node *sched.Node
-		mig  Migration
-	}
-	type groupNodes struct {
-		migs    []migNode
-		inplace *sched.Node
-	}
-	groups := make([]groupNodes, len(p.Groups))
-	var gate *sched.Node // previous group's in-place node: rolling order
-	for gi := range p.Groups {
-		gp := &p.Groups[gi]
-		gn := &groups[gi]
-		for _, mig := range gp.Migrations {
-			transfer := time.Duration(float64(mig.Bytes) / float64(m.LinkByteRate) * float64(time.Second))
-			n := g.Add(&sched.Node{
-				Name:    fmt.Sprintf("migrate:vm-%03d", mig.VMID),
-				Hosts:   []string{hostName(mig.From), hostName(mig.To)},
-				Streams: 1,
-				Cost:    transfer + m.PerMigrationOverhead,
-			})
-			if gate != nil {
-				g.Dep(n, gate)
-			}
-			gn.migs = append(gn.migs, migNode{node: n, mig: mig})
-		}
-		if gp.InPlaceVMs > 0 || len(gp.Migrations) > 0 {
-			hosts := make([]string, len(gp.Hosts))
-			for i, id := range gp.Hosts {
-				hosts[i] = hostName(id)
-			}
-			inp := g.Add(&sched.Node{
-				Name:   fmt.Sprintf("inplace:group-%d", gi),
-				Hosts:  hosts,
-				Kexecs: len(gp.Hosts),
-				Cost:   m.InPlaceHostTime,
-			})
-			for _, mn := range gn.migs {
-				g.Dep(inp, mn.node)
-			}
-			if len(gn.migs) == 0 && gate != nil {
-				g.Dep(inp, gate)
-			}
-			gn.inplace = inp
-			gate = inp
-		}
-	}
+func (p *Plan) Execute(m ExecutionModel, rec *obs.Recorder, limits sched.Limits) (Result, error) {
+	g, groups := p.lower(m)
 	schedule, err := sched.Execute(g, limits, sched.Options{Metrics: rec.Metrics()})
 	if err != nil {
-		return res, err
+		return Result{}, err
 	}
+	return p.account(schedule.Makespan, groups, rec), nil
+}
 
-	// Walk the schedule back into the legacy accounting and span tree:
-	// one root, one child per group, grandchildren per migration and per
-	// in-place window, all carrying the scheduler's virtual times.
+// lower builds the plan's DAG (see Execute).
+func (p *Plan) lower(m ExecutionModel) (*sched.Graph, []groupNodes) {
+	g := sched.NewGraph()
+	groups := make([]groupNodes, len(p.Groups))
+	addMig := func(mig Migration, name string) *sched.Node {
+		transfer := time.Duration(float64(mig.Bytes) / float64(m.LinkByteRate) * float64(time.Second))
+		return g.Add(&sched.Node{
+			Name:    fmt.Sprintf(name, mig.VMID),
+			Hosts:   []string{hostName(mig.From), hostName(mig.To)},
+			Streams: 1,
+			Cost:    transfer + m.PerMigrationOverhead,
+		})
+	}
+	// hold gates n on prev, the last group with an in-place window: on the
+	// window and its re-plans — the rolling order.
+	var prev *groupNodes
+	hold := func(n *sched.Node) {
+		if prev != nil {
+			g.Dep(n, prev.inplace)
+			for _, r := range prev.migs[prev.evacs:] {
+				g.Dep(n, r)
+			}
+		}
+	}
+	for gi := range p.Groups {
+		gp, gn := &p.Groups[gi], &groups[gi]
+		for gn.evacs < len(gp.Migrations) && !gp.Migrations[gn.evacs].Replanned {
+			gn.evacs++
+		}
+		gn.migs = make([]*sched.Node, len(gp.Migrations))
+		for i, mig := range gp.Migrations[:gn.evacs] {
+			gn.migs[i] = addMig(mig, "migrate:vm-%03d")
+			hold(gn.migs[i])
+		}
+		if gp.InPlaceVMs == 0 && len(gp.Migrations) == 0 && len(gp.Quarantined) == 0 {
+			continue
+		}
+		hosts := make([]string, len(gp.Hosts))
+		for i, id := range gp.Hosts {
+			hosts[i] = hostName(id)
+		}
+		gn.inplace = g.Add(&sched.Node{
+			Name:   fmt.Sprintf("inplace:group-%d", gi),
+			Hosts:  hosts,
+			Kexecs: len(gp.Hosts),
+			Cost:   m.InPlaceHostTime,
+		})
+		for _, n := range gn.migs[:gn.evacs] {
+			g.Dep(gn.inplace, n)
+		}
+		if gn.evacs == 0 {
+			hold(gn.inplace)
+		}
+		for i := gn.evacs; i < len(gp.Migrations); i++ {
+			gn.migs[i] = addMig(gp.Migrations[i], "replan:vm-%03d")
+			g.Dep(gn.migs[i], gn.inplace)
+		}
+		prev = gn
+	}
+	return g, groups
+}
+
+// account walks the schedule back into the Result and the span tree: one
+// root, one child per group, grandchildren per migration, per in-place
+// window and per quarantined host, all carrying the scheduler's virtual
+// times.
+func (p *Plan) account(makespan time.Duration, groups []groupNodes, rec *obs.Recorder) Result {
+	res := Result{Outcome: rpt.OutcomeCompleted, TotalTime: makespan}
 	mets := rec.Metrics()
 	root := rec.StartAt(nil, "rolling-upgrade", 0, obs.A("groups", len(p.Groups)))
 	root.SetTrack("cluster")
 	var cursor time.Duration
 	for gi := range p.Groups {
-		gp := &p.Groups[gi]
-		gn := &groups[gi]
-		gStart := cursor
-		gSpan := root.ChildAt(fmt.Sprintf("group-%d", gi), gStart,
+		gp, gn := &p.Groups[gi], &groups[gi]
+		gSpan := root.ChildAt(fmt.Sprintf("group-%d", gi), cursor,
 			obs.A("hosts", len(gp.Hosts)),
 			obs.A("migrations", len(gp.Migrations)),
 			obs.A("inplace_vms", gp.InPlaceVMs))
-		// Attach migration spans in start order: sibling starts must be
-		// monotone for the span auditor. Serial schedules are already
-		// ordered; concurrent ones interleave.
-		ordered := make([]migNode, len(gn.migs))
-		copy(ordered, gn.migs)
-		sort.SliceStable(ordered, func(i, j int) bool {
-			return schedule.Result(ordered[i].node).Start < schedule.Result(ordered[j].node).Start
+		// Attach spans in start order: sibling starts must be monotone for
+		// the span auditor. Serial schedules are already ordered;
+		// concurrent ones interleave. Re-plans start after the window,
+		// which waits for every evacuation, so they sort last.
+		order := make([]int, len(gp.Migrations))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(a, b int) int {
+			return cmp.Compare(gn.migs[a].Start(), gn.migs[b].Start())
 		})
-		migEnd := gStart
-		for _, mn := range ordered {
-			r := schedule.Result(mn.node)
-			sp := gSpan.ChildAt(mn.node.Name, r.Start,
-				obs.A("from", mn.mig.From), obs.A("to", mn.mig.To), obs.A("bytes", mn.mig.Bytes))
-			sp.EndAt(r.End)
-			if r.End > migEnd {
-				migEnd = r.End
+		spanMigrations := func(order []int, last time.Duration) time.Duration {
+			for _, i := range order {
+				mig, n := gp.Migrations[i], gn.migs[i]
+				gSpan.ChildAt(n.Name, n.Start(),
+					obs.A("from", mig.From), obs.A("to", mig.To), obs.A("bytes", mig.Bytes)).EndAt(nodeEnd(n))
+				last = max(last, nodeEnd(n))
+				mets.Counter("cluster.bytes_migrated", "bytes").Add(int64(mig.Bytes))
 			}
-			mets.Counter("cluster.bytes_migrated", "bytes").Add(int64(mn.mig.Bytes))
+			return last
 		}
+		migEnd := spanMigrations(order[:gn.evacs], cursor)
 		mets.Counter("cluster.migrations", "migrations").Add(int64(len(gp.Migrations)))
 		mets.Counter("cluster.inplace_vms", "vms").Add(int64(gp.InPlaceVMs))
-		end := migEnd
+		window := migEnd
 		if gn.inplace != nil {
-			r := schedule.Result(gn.inplace)
-			sp := gSpan.ChildAt("inplace-upgrade", r.Start,
-				obs.A("hosts", len(gp.Hosts)), obs.A("vms", gp.InPlaceVMs))
-			sp.EndAt(r.End)
-			end = r.End
-			res.InPlaceTime += r.End - r.Start
+			window = nodeEnd(gn.inplace)
+			gSpan.ChildAt("inplace-upgrade", gn.inplace.Start(),
+				obs.A("hosts", len(gp.Hosts)), obs.A("vms", gp.InPlaceVMs)).EndAt(window)
+			res.InPlaceTime += gn.inplace.Cost
 		}
+		for _, id := range gp.Quarantined {
+			gSpan.ChildAt(fmt.Sprintf("quarantine:host-%02d", id), window).EndAt(window)
+		}
+		if len(gp.Quarantined) > 0 {
+			mets.Counter("cluster.hosts_quarantined", "hosts").Add(int64(len(gp.Quarantined)))
+		}
+		replanEnd := spanMigrations(order[gn.evacs:], window)
 		res.Migrations += len(gp.Migrations)
-		res.MigrationTime += migEnd - gStart
-		gSpan.EndAt(end)
-		cursor = end
+		res.MigrationTime += migEnd - cursor + replanEnd - window
+		res.FailedHosts = append(res.FailedHosts, gp.Quarantined...)
+		res.ReplannedVMs += len(gp.Migrations) - gn.evacs
+		res.StrandedVMs += gp.Stranded
+		cursor = replanEnd
+		gSpan.EndAt(cursor)
 	}
-	res.TotalTime = schedule.Makespan
-	root.EndAt(schedule.Makespan)
-	return res, nil
-}
-
-// ExecuteRollingUpgrade plans and times a rolling upgrade in one pass
-// with graceful degradation: it follows PlanUpgrade's group mechanics,
-// but each host's in-place upgrade consults the fault plan at the
-// cluster.host injection site. A host whose upgrade fails is
-// quarantined — it keeps running its old hypervisor — and its remaining
-// VMs are re-planned onto healthy online hosts (counted as extra
-// migrations and charged migration time); VMs that do not fit anywhere
-// stay on the quarantined host and are reported as stranded. The
-// upgrade never fails the fleet: the Result says exactly how degraded
-// it is.
-func (c *Cluster) ExecuteRollingUpgrade(groupSize int, m ExecutionModel, rec *obs.Recorder, faults *fault.Plan) (*Plan, Result, error) {
-	var res Result
-	if groupSize < 1 || groupSize >= len(c.hosts) {
-		return nil, res, fmt.Errorf("cluster: group size %d out of range", groupSize)
-	}
-	mets := rec.Metrics()
-	plan := &Plan{}
-	var cursorTime time.Duration
-	root := rec.StartAt(nil, "rolling-upgrade", 0, obs.A("fault_injected", faults != nil))
-	root.SetTrack("cluster")
-	migTime := func(bytes uint64) time.Duration {
-		return time.Duration(float64(bytes)/float64(m.LinkByteRate)*float64(time.Second)) + m.PerMigrationOverhead
-	}
-	for lo, gi := 0, 0; lo < len(c.hosts); lo, gi = lo+groupSize, gi+1 {
-		hi := lo + groupSize
-		if hi > len(c.hosts) {
-			hi = len(c.hosts)
-		}
-		group := c.hosts[lo:hi]
-		gp := GroupPlan{}
-		gStart := cursorTime
-		gSpan := root.ChildAt(fmt.Sprintf("group-%d", gi), gStart, obs.A("hosts", len(group)))
-		offline := map[int]bool{}
-		for _, h := range group {
-			gp.Hosts = append(gp.Hosts, h.ID)
-			offline[h.ID] = true
-		}
-		var groupMig time.Duration
-		evacuate := func(h *Host, vmID int, cursor *int, replanned bool) bool {
-			vm := h.vms[vmID]
-			dest := c.nextOnline(offline, vm, cursor)
-			if dest == nil {
-				return false
-			}
-			delete(h.vms, vm.ID)
-			dest.vms[vm.ID] = vm
-			vm.Host = dest.ID
-			vm.Migrations++
-			gp.Migrations = append(gp.Migrations, Migration{
-				VMID: vm.ID, From: h.ID, To: dest.ID, Bytes: vm.MemBytes,
-			})
-			dur := migTime(vm.MemBytes)
-			name := fmt.Sprintf("migrate:vm-%03d", vm.ID)
-			if replanned {
-				name = fmt.Sprintf("replan:vm-%03d", vm.ID)
-			}
-			sp := gSpan.ChildAt(name, gStart+groupMig,
-				obs.A("from", h.ID), obs.A("to", dest.ID))
-			groupMig += dur
-			sp.EndAt(gStart + groupMig)
-			mets.Counter("cluster.bytes_migrated", "bytes").Add(int64(vm.MemBytes))
-			return true
-		}
-		// Phase 1: evacuate the migration-requiring VMs (as PlanUpgrade).
-		cursor := 0
-		for _, h := range group {
-			for _, vmID := range h.VMs() {
-				if h.vms[vmID].InPlaceCompatible {
-					continue
-				}
-				if !evacuate(h, vmID, &cursor, false) {
-					root.EndAt(gStart + groupMig)
-					return nil, res, fmt.Errorf("cluster: no capacity to evacuate VM %d", vmID)
-				}
-			}
-		}
-		// Phase 2: in-place upgrade each host, with per-host fault arms.
-		// Healthy hosts upgrade in parallel (one window); a failed host
-		// is quarantined and its survivors re-planned sequentially after
-		// the window.
-		inplace := time.Duration(0)
-		for _, h := range group {
-			if fired, _ := faults.Arm(fault.SiteClusterHost); fired {
-				res.Faults++
-				h.Quarantined = true
-				res.FailedHosts = append(res.FailedHosts, h.ID)
-				mets.Counter("cluster.hosts_quarantined", "hosts").Add(1)
-				continue
-			}
-			h.Upgraded = true
-			gp.InPlaceVMs += len(h.vms)
-		}
-		if len(group) > 0 {
-			inplace = m.InPlaceHostTime // attempt window, healthy or not
-			sp := gSpan.ChildAt("inplace-upgrade", gStart+groupMig,
-				obs.A("hosts", len(group)), obs.A("vms", gp.InPlaceVMs))
-			sp.EndAt(gStart + groupMig + inplace)
-		}
-		// Phase 3: drain quarantined hosts' VMs onto healthy capacity.
-		for _, h := range group {
-			if !h.Quarantined {
-				continue
-			}
-			rsp := gSpan.ChildAt(fmt.Sprintf("quarantine:host-%02d", h.ID), gStart+groupMig+inplace,
-				obs.A("vms", len(h.vms)))
-			delete(offline, h.ID) // it is "online" (old hypervisor), just unusable as a target
-			for _, vmID := range h.VMs() {
-				if evacuate(h, vmID, &cursor, true) {
-					res.ReplannedVMs++
-				} else {
-					res.StrandedVMs++
-				}
-			}
-			rsp.EndAt(gStart + groupMig + inplace)
-		}
-		mets.Counter("cluster.migrations", "migrations").Add(int64(len(gp.Migrations)))
-		mets.Counter("cluster.inplace_vms", "vms").Add(int64(gp.InPlaceVMs))
-		res.Migrations += len(gp.Migrations)
-		res.MigrationTime += groupMig
-		res.InPlaceTime += inplace
-		res.TotalTime += groupMig + inplace
-		cursorTime = gStart + groupMig + inplace
-		gSpan.EndAt(cursorTime)
-		plan.Groups = append(plan.Groups, gp)
-	}
-	res.Outcome = rpt.OutcomeCompleted
+	res.Faults = len(res.FailedHosts)
 	if res.Faults > 0 {
 		res.Outcome = rpt.OutcomeDegraded
 	}
-	root.SetAttr("outcome", string(res.Outcome))
-	root.EndAt(cursorTime)
-	return plan, res, nil
+	root.EndAt(makespan)
+	return res
 }
 
 // Validate checks cluster invariants: every VM placed exactly once, no

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,14 +81,14 @@ func TestFig13Shape(t *testing.T) {
 	run := func(frac float64) Result {
 		c := paperCluster(t)
 		c.SetInPlaceCompatibleFraction(frac, 42)
-		plan, err := c.PlanUpgrade(1)
+		plan, err := c.PlanUpgrade(1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		return plan.Execute(DefaultExecutionModel())
+		return serial(t, plan, nil)
 	}
 	base := run(0)
 	if base.Migrations < 120 || base.Migrations > 185 {
@@ -133,7 +134,7 @@ func TestFig13Shape(t *testing.T) {
 func TestPlanUpgradeGroupSizes(t *testing.T) {
 	for _, gs := range []int{1, 2, 5} {
 		c := paperCluster(t)
-		plan, err := c.PlanUpgrade(gs)
+		plan, err := c.PlanUpgrade(gs, nil)
 		if err != nil {
 			t.Fatalf("group size %d: %v", gs, err)
 		}
@@ -154,10 +155,10 @@ func TestPlanUpgradeGroupSizes(t *testing.T) {
 
 func TestPlanUpgradeBadGroupSize(t *testing.T) {
 	c := paperCluster(t)
-	if _, err := c.PlanUpgrade(0); err == nil {
+	if _, err := c.PlanUpgrade(0, nil); err == nil {
 		t.Fatal("group size 0 accepted")
 	}
-	if _, err := c.PlanUpgrade(10); err == nil {
+	if _, err := c.PlanUpgrade(10, nil); err == nil {
 		t.Fatal("group size = cluster accepted")
 	}
 }
@@ -165,7 +166,7 @@ func TestPlanUpgradeBadGroupSize(t *testing.T) {
 func TestInPlaceCompatibleVMsNeverMigrate(t *testing.T) {
 	c := paperCluster(t)
 	c.SetInPlaceCompatibleFraction(0.5, 7)
-	if _, err := c.PlanUpgrade(1); err != nil {
+	if _, err := c.PlanUpgrade(1, nil); err != nil {
 		t.Fatal(err)
 	}
 	for id := 0; id < c.VMCount(); id++ {
@@ -178,7 +179,7 @@ func TestInPlaceCompatibleVMsNeverMigrate(t *testing.T) {
 
 func TestOfflineGroupsEndEmptyOfMigratableVMs(t *testing.T) {
 	c := paperCluster(t)
-	plan, err := c.PlanUpgrade(2)
+	plan, err := c.PlanUpgrade(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +208,7 @@ func TestExecuteModelAccounting(t *testing.T) {
 		{InPlaceVMs: 3},
 	}}
 	m := DefaultExecutionModel()
-	res := p.Execute(m)
+	res := serial(t, p, nil)
 	if res.Migrations != 1 {
 		t.Fatalf("migrations = %d", res.Migrations)
 	}
@@ -225,7 +226,7 @@ func TestExecuteModelAccounting(t *testing.T) {
 
 func TestMigrationCountPerVM(t *testing.T) {
 	c := paperCluster(t)
-	plan, _ := c.PlanUpgrade(1)
+	plan, _ := c.PlanUpgrade(1, nil)
 	perVM := map[int]int{}
 	for _, g := range plan.Groups {
 		for _, m := range g.Migrations {
@@ -243,136 +244,79 @@ func TestMigrationCountPerVM(t *testing.T) {
 	}
 }
 
+// serial times plan on the sequential schedule, recording spans into rec
+// (nil: untraced).
+func serial(t *testing.T, plan *Plan, rec *obs.Recorder) Result {
+	t.Helper()
+	res, err := plan.Execute(DefaultExecutionModel(), rec, sched.Serial())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // Concurrent scheduling compresses the upgrade makespan without
 // changing the plan's migration count or in-place accounting, and the
 // emitted span tree stays well-nested.
-func TestExecuteScheduledCompressesMakespan(t *testing.T) {
+func TestExecuteCompressesMakespan(t *testing.T) {
 	c := paperCluster(t)
 	c.SetInPlaceCompatibleFraction(0.5, 42)
-	plan, err := c.PlanUpgrade(2)
+	plan, err := c.PlanUpgrade(2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := DefaultExecutionModel()
-	serial := plan.Execute(m)
+	ser := serial(t, plan, nil)
 
 	rec := obs.NewRecorder(simtime.NewClock())
-	conc, err := plan.ExecuteScheduled(m, rec, sched.Limits{LinkStreams: 8, MaxKexecs: 4})
+	conc, err := plan.Execute(m, rec, sched.Limits{LinkStreams: 8, MaxKexecs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if conc.Migrations != serial.Migrations {
-		t.Fatalf("migrations %d != %d", conc.Migrations, serial.Migrations)
+	if conc.Migrations != ser.Migrations {
+		t.Fatalf("migrations %d != %d", conc.Migrations, ser.Migrations)
 	}
-	if conc.InPlaceTime != serial.InPlaceTime {
-		t.Fatalf("inplace time %v != %v", conc.InPlaceTime, serial.InPlaceTime)
+	if conc.InPlaceTime != ser.InPlaceTime {
+		t.Fatalf("inplace time %v != %v", conc.InPlaceTime, ser.InPlaceTime)
 	}
-	if conc.TotalTime >= serial.TotalTime {
-		t.Fatalf("concurrent %v not faster than serial %v", conc.TotalTime, serial.TotalTime)
+	if conc.TotalTime >= ser.TotalTime {
+		t.Fatalf("concurrent %v not faster than serial %v", conc.TotalTime, ser.TotalTime)
 	}
 	if vs := rec.AuditSpans(); vs != nil {
 		t.Fatalf("span violations: %v", vs)
 	}
 }
 
-// ExecuteScheduled is deterministic: identical limits give identical
-// results on repeat runs, and the serial limits reproduce Execute.
-func TestExecuteScheduledSerialMatchesExecute(t *testing.T) {
-	c := paperCluster(t)
-	c.SetInPlaceCompatibleFraction(0.5, 42)
-	plan, err := c.PlanUpgrade(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := DefaultExecutionModel()
-	legacy := plan.Execute(m)
-	scheduled, err := plan.ExecuteScheduled(m, nil, sched.Serial())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", scheduled) != fmt.Sprintf("%+v", legacy) {
-		t.Fatalf("serial scheduled result %+v != Execute %+v", scheduled, legacy)
-	}
-	again, err := plan.ExecuteScheduled(m, nil, sched.Limits{LinkStreams: 8, MaxKexecs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	again2, err := plan.ExecuteScheduled(m, nil, sched.Limits{LinkStreams: 8, MaxKexecs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", again) != fmt.Sprintf("%+v", again2) {
-		t.Fatalf("concurrent schedule not deterministic: %+v vs %+v", again, again2)
-	}
-}
-
 // A kexec budget below the group size can never admit the group's
-// parallel in-place window: ExecuteScheduled reports starvation rather
-// than hanging or silently serializing the kexecs.
-func TestExecuteScheduledStarvedKexecBudget(t *testing.T) {
+// parallel in-place window: Execute reports starvation rather than
+// hanging or silently serializing the kexecs.
+func TestExecuteStarvedKexecBudget(t *testing.T) {
 	c := paperCluster(t)
 	c.SetInPlaceCompatibleFraction(1.0, 42)
-	plan, err := c.PlanUpgrade(4)
+	plan, err := c.PlanUpgrade(4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = plan.ExecuteScheduled(DefaultExecutionModel(), nil, sched.Limits{MaxKexecs: 2})
+	_, err = plan.Execute(DefaultExecutionModel(), nil, sched.Limits{MaxKexecs: 2})
 	if !errors.Is(err, sched.ErrStarved) {
 		t.Fatalf("err = %v, want ErrStarved", err)
 	}
 }
 
-// A fault-free ExecuteRollingUpgrade behaves exactly like the two-step
-// PlanUpgrade + Execute pipeline.
-func TestExecuteRollingUpgradeMatchesPlanExecute(t *testing.T) {
-	mk := func() *Cluster {
-		c, err := New(Config{Hosts: 8, VMsPerHost: 10, StreamFrac: 0.3, CPUFrac: 0.3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.SetInPlaceCompatibleFraction(0.5, 1)
-		return c
-	}
-	m := DefaultExecutionModel()
-	a := mk()
-	planA, err := a.PlanUpgrade(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resA := planA.Execute(m)
-	b := mk()
-	planB, resB, err := b.ExecuteRollingUpgrade(2, m, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if planB.TotalMigrations() != planA.TotalMigrations() {
-		t.Fatalf("migrations %d != %d", planB.TotalMigrations(), planA.TotalMigrations())
-	}
-	if resB.Migrations != resA.Migrations || resB.MigrationTime != resA.MigrationTime {
-		t.Fatalf("result diverged: %+v vs %+v", resB, resA)
-	}
-	if resB.Outcome != "completed" || len(resB.FailedHosts) != 0 {
-		t.Fatalf("clean upgrade reported %+v", resB)
-	}
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // An injected host failure quarantines the host and re-plans its VMs;
 // the fleet upgrade completes degraded with every VM still placed.
-func TestExecuteRollingUpgradeQuarantinesFailedHost(t *testing.T) {
+func TestRollingUpgradeQuarantinesFailedHost(t *testing.T) {
 	c, err := New(Config{Hosts: 8, VMsPerHost: 6, StreamFrac: 0.3, CPUFrac: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.SetInPlaceCompatibleFraction(0.5, 1)
 	total := c.VMCount()
-	plan := fault.NewPlan(3, 0).ForceAt(fault.SiteClusterHost, 3)
-	_, res, err := c.ExecuteRollingUpgrade(2, DefaultExecutionModel(), nil, plan)
+	plan, err := c.PlanUpgrade(2, fault.NewPlan(3, 0).ForceAt(fault.SiteClusterHost, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := serial(t, plan, nil)
 	if res.Outcome != "degraded" || res.Faults != 1 || len(res.FailedHosts) != 1 {
 		t.Fatalf("result = %+v", res)
 	}
@@ -409,5 +353,123 @@ func TestExecuteRollingUpgradeQuarantinesFailedHost(t *testing.T) {
 	}
 	if s := res.Summary(); s.Kind != "cluster" || s.Outcome != "degraded" || s.Faults != 1 {
 		t.Fatalf("summary = %+v", s)
+	}
+}
+
+// spanSink collects every streamed span record.
+type spanSink struct{ recs []obs.SpanRecord }
+
+func (s *spanSink) Consume(root []obs.SpanRecord) { s.recs = append(s.recs, root...) }
+
+// rollingUpgrade plans and times one rolling upgrade of an 8-host x
+// 6-VM cluster with cluster.host failing at rate 0.3 under seed (seed 0:
+// fault-free), and returns the result with the streamed span records.
+func rollingUpgrade(t *testing.T, group int, frac float64, seed uint64, limits sched.Limits) (Result, []obs.SpanRecord) {
+	t.Helper()
+	c, err := New(Config{Hosts: 8, VMsPerHost: 6, StreamFrac: 0.3, CPUFrac: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetInPlaceCompatibleFraction(frac, 1)
+	var faults *fault.Plan
+	if seed != 0 {
+		faults = fault.NewPlan(seed, 0.3).Restrict(fault.SiteClusterHost)
+	}
+	plan, err := c.PlanUpgrade(group, faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder(nil)
+	sink := &spanSink{}
+	rec.AddSink(sink)
+	res, err := plan.Execute(DefaultExecutionModel(), rec, limits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vs := rec.AuditSpans(); vs != nil {
+		t.Fatalf("group %d, %.1f compatible, seed %d: span violations: %v", group, frac, seed, vs)
+	}
+	if root := sink.recs[0]; root.Name != "rolling-upgrade" || root.End != res.TotalTime {
+		t.Fatalf("root %q ends at %v, result total %v", root.Name, root.End, res.TotalTime)
+	}
+	return res, sink.recs
+}
+
+// The degraded upgrade's span tree is well-nested and re-plans sit where
+// Result charges them: after the in-place window in which their host
+// failed. The fault-free plan of the same cluster completes clean.
+func TestRollingUpgradeSpansAudit(t *testing.T) {
+	replans := 0
+	for _, group := range []int{1, 2, 3} {
+		for _, frac := range []float64{0.5, 0.8} {
+			clean, _ := rollingUpgrade(t, group, frac, 0, sched.Serial())
+			if clean.Outcome != "completed" || len(clean.FailedHosts) != 0 || clean.ReplannedVMs != 0 {
+				t.Fatalf("fault-free upgrade reported %+v", clean)
+			}
+			for seed := uint64(1); seed <= 40; seed++ {
+				res, recs := rollingUpgrade(t, group, frac, seed, sched.Serial())
+				windowEnd := map[int]time.Duration{} // group span id -> in-place end
+				for _, r := range recs {
+					switch {
+					case r.Name == "inplace-upgrade":
+						windowEnd[r.Parent] = r.End
+					case strings.HasPrefix(r.Name, "replan:"):
+						replans++
+						if end, ok := windowEnd[r.Parent]; !ok || r.Start < end {
+							t.Fatalf("group %d, %.1f compatible, seed %d: %s starts at %v, before its window ends at %v",
+								group, frac, seed, r.Name, r.Start, end)
+						}
+					}
+				}
+				if (res.Faults > 0) != (res.Outcome == "degraded") {
+					t.Fatalf("seed %d: %d faults but outcome %q", seed, res.Faults, res.Outcome)
+				}
+			}
+		}
+	}
+	if replans == 0 {
+		t.Fatal("no seed re-planned a VM: the audit checked nothing")
+	}
+}
+
+// Under concurrent limits the rolling gate holds: no VM moves again
+// before its previous move — a re-plan included — has landed, and the
+// schedule is deterministic.
+func TestRollingUpgradeConcurrentGate(t *testing.T) {
+	limits := sched.Limits{LinkStreams: 8, MaxKexecs: 4}
+	movedAfterReplan := 0
+	for _, group := range []int{1, 2, 3} {
+		for _, frac := range []float64{0.5, 0.8} {
+			for seed := uint64(1); seed <= 40; seed++ {
+				res, recs := rollingUpgrade(t, group, frac, seed, limits)
+				again, _ := rollingUpgrade(t, group, frac, seed, limits)
+				if fmt.Sprintf("%+v", res) != fmt.Sprintf("%+v", again) {
+					t.Fatalf("concurrent schedule not deterministic: %+v vs %+v", res, again)
+				}
+				landed := map[string]time.Duration{} // VM -> end of its last move
+				replanned := map[string]bool{}
+				for _, r := range recs {
+					kind, vm, ok := strings.Cut(r.Name, ":vm-")
+					if !ok {
+						continue
+					}
+					if end, moved := landed[vm]; moved && r.Start < end {
+						t.Fatalf("group %d, %.1f compatible, seed %d: vm-%s %s starts at %v before its previous move lands at %v",
+							group, frac, seed, vm, kind, r.Start, end)
+					}
+					if replanned[vm] {
+						movedAfterReplan++
+					}
+					landed[vm] = r.End
+					replanned[vm] = kind == "replan"
+				}
+			}
+		}
+	}
+	if movedAfterReplan == 0 {
+		t.Fatal("no re-planned VM moved again: the gate was never exercised")
 	}
 }

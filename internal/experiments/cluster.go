@@ -6,6 +6,7 @@ import (
 
 	"hypertp/internal/cluster"
 	"hypertp/internal/metrics"
+	"hypertp/internal/sched"
 )
 
 // Fig13Point is one InPlaceTP-compatibility level of the §5.4 cluster
@@ -31,14 +32,14 @@ func Figure13() ([]Fig13Point, *metrics.Table, error) {
 			return cluster.Result{}, err
 		}
 		c.SetInPlaceCompatibleFraction(frac, Seed)
-		plan, err := c.PlanUpgrade(1)
+		plan, err := c.PlanUpgrade(1, nil)
 		if err != nil {
 			return cluster.Result{}, err
 		}
 		if err := c.Validate(); err != nil {
 			return cluster.Result{}, err
 		}
-		return plan.Execute(model), nil
+		return plan.Execute(model, nil, sched.Serial())
 	}
 
 	base, err := run(0)
@@ -91,14 +92,17 @@ func GroupSizeSweep() ([]GroupSizePoint, *metrics.Table, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		plan, err := c.PlanUpgrade(gs)
+		plan, err := c.PlanUpgrade(gs, nil)
 		if err != nil {
 			return nil, nil, err
 		}
 		if err := c.Validate(); err != nil {
 			return nil, nil, err
 		}
-		res := plan.Execute(model)
+		res, err := plan.Execute(model, nil, sched.Serial())
+		if err != nil {
+			return nil, nil, err
+		}
 		points = append(points, GroupSizePoint{
 			GroupSize: gs, Migrations: res.Migrations, TotalTime: res.TotalTime,
 		})

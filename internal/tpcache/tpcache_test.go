@@ -1,0 +1,295 @@
+package tpcache
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	"hypertp/internal/hv"
+	"hypertp/internal/hw"
+	"hypertp/internal/pram"
+	"hypertp/internal/uisr"
+)
+
+// lookupHits reports whether a lookup for the VM hits.
+func lookupHits(c *Cache, kind hv.Kind, m *hw.Machine, gen int, id hv.VMID) bool {
+	_, _, _, ok := c.LookupTranslation(kind, m, gen, id)
+	return ok
+}
+
+func TestLookupMisses(t *testing.T) {
+	c := New()
+	m, other := &hw.Machine{}, &hw.Machine{}
+	blob := []byte("xen-state")
+	c.StoreTranslation(hv.KindXen, m, 3, 1, blob, false)
+	cases := []struct {
+		name string
+		kind hv.Kind
+		m    *hw.Machine
+		gen  int
+		id   hv.VMID
+	}{
+		{"unknown machine", hv.KindXen, other, 3, 1},
+		{"bumped generation", hv.KindXen, m, 4, 1},
+		{"unknown VM", hv.KindXen, m, 3, 2},
+		{"other kind", hv.KindKVM, m, 3, 1},
+	}
+	for _, tc := range cases {
+		if lookupHits(c, tc.kind, tc.m, tc.gen, tc.id) {
+			t.Errorf("%s: lookup hit", tc.name)
+		}
+		if c.HasTranslation(tc.kind, tc.m, tc.gen, tc.id) {
+			t.Errorf("%s: HasTranslation true", tc.name)
+		}
+	}
+	if s := c.Stats(); s.Misses != uint64(len(cases)) || s.Hits != 0 {
+		t.Fatalf("stats = %+v, want %d misses", s, len(cases))
+	}
+}
+
+func TestStoreThenHit(t *testing.T) {
+	c := New()
+	m := &hw.Machine{}
+	blob := []byte("xen-state")
+	h := c.StoreTranslation(hv.KindXen, m, 0, 7, blob, false)
+	if h != BlobHash(blob) {
+		t.Fatalf("store returned hash %x, want %x", h, BlobHash(blob))
+	}
+	if !c.HasTranslation(hv.KindXen, m, 0, 7) {
+		t.Fatal("HasTranslation false after store")
+	}
+	if s := c.Stats(); s.Hits+s.Misses != 0 {
+		t.Fatalf("HasTranslation touched the counters: %+v", s)
+	}
+	got, gotHash, warm, ok := c.LookupTranslation(hv.KindXen, m, 0, 7)
+	if !ok || string(got) != string(blob) || gotHash != h || warm {
+		t.Fatalf("lookup = %q %x warm=%v ok=%v", got, gotHash, warm, ok)
+	}
+}
+
+// A VM ping-ponging Xen -> KVM -> Xen with stable blob contents reaches a
+// fingerprint fixed point after one cycle: every later save hits.
+func TestRecordRestoreFixedPoint(t *testing.T) {
+	c := New()
+	m := &hw.Machine{}
+	const id = hv.VMID(1)
+	blobs := map[hv.Kind][]byte{hv.KindXen: []byte("from-xen"), hv.KindKVM: []byte("from-kvm")}
+	kind := hv.KindXen
+	var hits []bool
+	for gen := 0; gen < 6; gen++ {
+		blob, ok := blobs[kind], lookupHits(c, kind, m, gen, id)
+		hits = append(hits, ok)
+		if !ok {
+			c.StoreTranslation(kind, m, gen, id, blob, false)
+		}
+		target := hv.KindKVM
+		if kind == hv.KindKVM {
+			target = hv.KindXen
+		}
+		c.RecordRestore(target, m, gen+1, id, BlobHash(blob))
+		kind = target
+	}
+	want := []bool{false, false, false, true, true, true}
+	if fmt.Sprint(hits) != fmt.Sprint(want) {
+		t.Fatalf("hits per cycle = %v, want %v", hits, want)
+	}
+}
+
+func TestWarmFlagConsumedOnce(t *testing.T) {
+	c := New()
+	m := &hw.Machine{}
+	c.StoreTranslation(hv.KindXen, m, 0, 1, []byte("a"), true)
+	if c.WarmSlots() != 1 {
+		t.Fatalf("warm slots = %d, want 1", c.WarmSlots())
+	}
+	if _, _, warm, ok := c.LookupTranslation(hv.KindXen, m, 0, 1); !ok || !warm {
+		t.Fatalf("first lookup warm=%v ok=%v", warm, ok)
+	}
+	if _, _, warm, ok := c.LookupTranslation(hv.KindXen, m, 0, 1); !ok || warm {
+		t.Fatalf("second lookup warm=%v ok=%v", warm, ok)
+	}
+	if s := c.Stats(); s.WarmStarts != 1 || s.WarmSlots != 0 || s.Hits != 2 {
+		t.Fatalf("stats = %+v", s)
+	}
+
+	// Overwriting a warm entry releases its slot.
+	c.StoreTranslation(hv.KindXen, m, 0, 2, []byte("b"), true)
+	c.StoreTranslation(hv.KindXen, m, 0, 2, []byte("b"), false)
+	if c.WarmSlots() != 0 {
+		t.Fatalf("warm slots after overwrite = %d, want 0", c.WarmSlots())
+	}
+}
+
+// The translation cache is FIFO-bounded at maxBlobEntries; evicting a
+// warm entry releases its slot.
+func TestFIFOEvictsWarmEntry(t *testing.T) {
+	c := New()
+	m := &hw.Machine{}
+	c.StoreTranslation(hv.KindXen, m, 0, 0, []byte("first"), true)
+	for id := 1; id <= maxBlobEntries; id++ {
+		c.StoreTranslation(hv.KindXen, m, 0, hv.VMID(id), []byte{byte(id), byte(id >> 8)}, false)
+	}
+	if c.WarmSlots() != 0 {
+		t.Fatalf("warm slots = %d after evicting the warm entry", c.WarmSlots())
+	}
+	if c.HasTranslation(hv.KindXen, m, 0, 0) {
+		t.Fatal("oldest entry survived eviction")
+	}
+	if !c.HasTranslation(hv.KindXen, m, 0, maxBlobEntries) {
+		t.Fatal("newest entry missing")
+	}
+	if len(c.order) != maxBlobEntries || len(c.blobs) != maxBlobEntries {
+		t.Fatalf("order %d / blobs %d entries, want %d", len(c.order), len(c.blobs), maxBlobEntries)
+	}
+}
+
+func TestInvalidate(t *testing.T) {
+	c := New()
+	m := &hw.Machine{}
+	c.StoreTranslation(hv.KindXen, m, 0, 1, []byte("a"), true)
+	c.StoreTranslation(hv.KindXen, m, 0, 2, []byte("b"), false)
+	// No-ops: unknown machine, other generation, unknown VM, other kind.
+	c.Invalidate(hv.KindXen, &hw.Machine{}, 0, 1)
+	c.Invalidate(hv.KindXen, m, 1, 1)
+	c.Invalidate(hv.KindXen, m, 0, 9)
+	c.Invalidate(hv.KindKVM, m, 0, 1)
+	if s := c.Stats(); s.Stale != 0 {
+		t.Fatalf("no-op invalidations counted stale: %+v", s)
+	}
+	c.Invalidate(hv.KindXen, m, 0, 1)
+	if lookupHits(c, hv.KindXen, m, 0, 1) {
+		t.Fatal("invalidated entry still hits")
+	}
+	if !lookupHits(c, hv.KindXen, m, 0, 2) {
+		t.Fatal("invalidation dropped a neighbour")
+	}
+	s := c.Stats()
+	if s.Stale != 1 || s.WarmSlots != 0 {
+		t.Fatalf("stats = %+v, want 1 stale, 0 warm slots", s)
+	}
+	if len(c.order) != 1 || len(c.blobs) != 1 {
+		t.Fatalf("order %v / %d blobs after invalidation, want 1", c.order, len(c.blobs))
+	}
+	// The fingerprint survives: the next cold save re-populates the key.
+	c.StoreTranslation(hv.KindXen, m, 0, 1, []byte("a"), false)
+	if !lookupHits(c, hv.KindXen, m, 0, 1) {
+		t.Fatal("re-stored entry misses")
+	}
+}
+
+func TestBlobFrames(t *testing.T) {
+	c := New()
+	m := &hw.Machine{}
+	if c.BlobFrames(m, 1) != nil {
+		t.Fatal("frames for an unknown machine")
+	}
+	frames := []hw.FrameRange{{Start: 10, Count: 2}}
+	c.SetBlobFrames(m, 1, frames)
+	frames[0].Start = 99
+	if got := c.BlobFrames(m, 1); len(got) != 1 || got[0].Start != 10 {
+		t.Fatalf("stored frames = %v, want a copy of the original", got)
+	}
+	c.SetBlobFrames(m, 1, []hw.FrameRange{{Start: 20, Count: 1}})
+	if got := c.BlobFrames(m, 1); got[0].Start != 20 {
+		t.Fatalf("overwrite kept %v", got)
+	}
+	for h := uint64(2); h <= maxBlobEntries+1; h++ {
+		c.SetBlobFrames(m, h, frames)
+	}
+	if c.BlobFrames(m, 1) != nil {
+		t.Fatal("oldest placement survived eviction")
+	}
+	if c.BlobFrames(m, maxBlobEntries+1) == nil {
+		t.Fatal("newest placement missing")
+	}
+}
+
+// PRAMSnapshot hands each machine one snapshot, and Stats folds its
+// replay counters in.
+func TestPRAMSnapshotPerMachine(t *testing.T) {
+	c := New()
+	a, b := &hw.Machine{}, &hw.Machine{}
+	snap := c.PRAMSnapshot(a)
+	if c.PRAMSnapshot(a) != snap || c.PRAMSnapshot(b) == snap {
+		t.Fatal("snapshot identity is not per machine")
+	}
+	mem := hw.NewPhysMem(64 << 20)
+	base, err := mem.Alloc2M(hw.OwnerGuest, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := []pram.File{{Name: "vm", VMID: 1, Extents: []uisr.PageExtent{{MFN: uint64(base), Order: 9}}}}
+	for i := 0; i < 2; i++ {
+		st, err := pram.Build(mem, files, pram.BuildOptions{Snapshot: snap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Release(mem); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := c.Stats(); s.PRAMHits != 1 || s.PRAMMisses != 1 {
+		t.Fatalf("pram stats = %d/%d, want 1 hit, 1 miss", s.PRAMHits, s.PRAMMisses)
+	}
+}
+
+func TestStatsArithmetic(t *testing.T) {
+	if r := (Stats{}).HitRatio(); r != 0 {
+		t.Fatalf("empty hit ratio = %v", r)
+	}
+	prev := Stats{Hits: 1, Misses: 2, WarmStarts: 1, Stale: 1, PRAMHits: 1, PRAMMisses: 1, WarmSlots: 5}
+	cur := Stats{Hits: 4, Misses: 3, WarmStarts: 2, Stale: 1, PRAMHits: 3, PRAMMisses: 2, WarmSlots: 2}
+	d := cur.Sub(prev)
+	want := Stats{Hits: 3, Misses: 1, WarmStarts: 1, PRAMHits: 2, PRAMMisses: 1, WarmSlots: 2}
+	if d != want {
+		t.Fatalf("Sub = %+v, want %+v", d, want)
+	}
+	if r := d.HitRatio(); r != 0.75 {
+		t.Fatalf("hit ratio = %v, want 0.75", r)
+	}
+	s := d.String()
+	for _, part := range []string{"hits=3", "misses=1", "(ratio 0.75)", "warm-starts=1", "stale=0", "pram=2/3", "warm-slots=2"} {
+		if !strings.Contains(s, part) {
+			t.Fatalf("String() = %q lacks %q", s, part)
+		}
+	}
+}
+
+// One cache serves many engines at once: concurrent stores, lookups and
+// restores, one machine per engine, stay consistent (run under -race).
+func TestConcurrentStoresAndLookups(t *testing.T) {
+	c := New()
+	const workers, perWorker = 8, 50
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			m := &hw.Machine{}
+			for i := 0; i < perWorker; i++ {
+				id := hv.VMID(w*perWorker + i)
+				blob := []byte(fmt.Sprintf("vm-%d", id))
+				if lookupHits(c, hv.KindXen, m, 0, id) {
+					t.Errorf("vm %d hit before its store", id)
+				}
+				h := c.StoreTranslation(hv.KindXen, m, 0, id, blob, i%2 == 0)
+				if !lookupHits(c, hv.KindXen, m, 0, id) {
+					t.Errorf("vm %d missed after its store", id)
+				}
+				c.RecordRestore(hv.KindKVM, m, 1, id, h)
+				c.SetBlobFrames(m, h, []hw.FrameRange{{Start: hw.MFN(i), Count: 1}})
+				_ = c.BlobFrames(m, h)
+				_ = c.PRAMSnapshot(m)
+			}
+		}(w)
+	}
+	wg.Wait()
+	s := c.Stats()
+	if s.Hits != workers*perWorker || s.Misses != workers*perWorker {
+		t.Fatalf("stats = %+v, want %d hits and misses", s, workers*perWorker)
+	}
+	if s.WarmStarts != workers*perWorker/2 || s.WarmSlots != 0 {
+		t.Fatalf("warm accounting = %+v", s)
+	}
+}

@@ -15,8 +15,7 @@ type (
 	// "kexec.handover", "link.abort"). AllFaultSites lists them.
 	FaultSite = fault.Site
 	// FaultPlan is a materialized, seeded injection plan; build one
-	// with Simulation.NewFaultPlan and pass it to
-	// Cluster.ExecuteRollingUpgrade.
+	// with Simulation.NewFaultPlan and pass it to Cluster.PlanUpgrade.
 	FaultPlan = fault.Plan
 	// RetryPolicy bounds recovery retries with exponential backoff.
 	// The zero value means a single attempt.
@@ -198,7 +197,7 @@ func (c Config) engineOptions() core.Options {
 }
 
 // ClusterModel lowers the config to the cluster timing model consumed
-// by Plan.Execute and Cluster.ExecuteRollingUpgrade.
+// by Plan.Execute.
 func (c Config) ClusterModel() cluster.ExecutionModel {
 	return cluster.ExecutionModel{
 		LinkByteRate:         c.LinkByteRate,
@@ -224,7 +223,7 @@ func (c Config) faultPlan(clock *simtime.Clock) *fault.Plan {
 }
 
 // NewFaultPlan materializes cfg's fault plan on this simulation's
-// clock — the form Cluster.ExecuteRollingUpgrade consumes. Returns nil
+// clock — the form Cluster.PlanUpgrade consumes. Returns nil
 // (a valid, free no-op) when the config does not enable injection.
 func (s *Simulation) NewFaultPlan(cfg Config) *FaultPlan {
 	return cfg.faultPlan(s.clock)
