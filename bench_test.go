@@ -120,7 +120,7 @@ func BenchmarkFigure10KVMToXen(b *testing.B) {
 // starts, so each iteration times one fully warm grid pass (translation
 // lookups all hit, PRAM replayed incrementally). The ratio against the
 // cold benchmark is the repeat-transplant speedup the warm pool buys;
-// the nightly benchdiff job fails if it drops below 5x.
+// the nightly benchdiff job fails if it drops below 3x.
 //
 // The primed grid is cached across b.N trials: rebuilding its 36
 // testbeds per trial would leave gigabytes of dead heap behind and tax

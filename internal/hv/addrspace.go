@@ -44,8 +44,8 @@ func ownAddressSpace(mem *hw.PhysMem, sorted []uisr.PageExtent) (*AddressSpace, 
 	}
 	var pages uint64
 	for i, e := range sorted {
-		if e.GFN%e.Pages() != 0 || e.MFN%e.Pages() != 0 {
-			return nil, fmt.Errorf("hv: extent %d (gfn %d mfn %d order %d) misaligned",
+		if e.Order >= 64 || (e.GFN|e.MFN)&(e.Pages()-1) != 0 {
+			return nil, fmt.Errorf("hv: extent %d (gfn %d mfn %d order %d) misaligned or of order past 63",
 				i, e.GFN, e.MFN, e.Order)
 		}
 		if i > 0 {
@@ -250,12 +250,13 @@ func (as *AddressSpace) Release() error {
 }
 
 // Retag re-tags all frames of the space with the given owner/vm — used
-// when a freshly booted hypervisor adopts preserved guest memory.
+// when a freshly booted hypervisor adopts preserved guest memory. The
+// extents go to the machine as coalesced frame runs, under one lock.
 func (as *AddressSpace) Retag(owner hw.Owner, vm int) error {
+	var buf [64]hw.FrameRange // runs past it spill to the heap; none do in practice
+	runs := buf[:0]
 	for _, e := range as.extents {
-		if err := as.mem.SetOwnerRange(hw.MFN(e.MFN), e.Pages(), owner, vm); err != nil {
-			return err
-		}
+		runs = hw.AppendRange(runs, hw.FrameRange{Start: hw.MFN(e.MFN), Count: e.Pages()})
 	}
-	return nil
+	return as.mem.SetOwnerRanges(runs, owner, vm)
 }

@@ -2,6 +2,7 @@ package hv
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -118,6 +119,19 @@ func TestNewAddressSpaceRejectsMisaligned(t *testing.T) {
 	mem := newMem()
 	if _, err := NewAddressSpace(mem, []uisr.PageExtent{{GFN: 1, MFN: 512, Order: 9}}); err == nil {
 		t.Fatal("misaligned extent accepted")
+	}
+}
+
+// TestNewAddressSpaceRejectsOrderPast63: an extent of 2^64 pages or more
+// has no page count (Pages() is 0), so neither a modulus nor a mask can
+// check its alignment; it is refused with an error, never a divide by
+// zero or a silent zero-page extent.
+func TestNewAddressSpaceRejectsOrderPast63(t *testing.T) {
+	for _, order := range []uint8{64, 65, 255} {
+		_, err := NewAddressSpace(newMem(), []uisr.PageExtent{{GFN: 0, MFN: 0, Order: order}})
+		if err == nil || !strings.Contains(err.Error(), "order") {
+			t.Fatalf("order %d: err %v, want an order error", order, err)
+		}
 	}
 }
 

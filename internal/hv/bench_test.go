@@ -81,3 +81,25 @@ func BenchmarkRestoreUISR(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkRetag is the adoption retag of a warm hop: a huge-page space
+// of 1 or 12 GiB on M1 re-tagged to a new VM id, its extents coalesced
+// into frame runs the machine retags under one lock.
+func BenchmarkRetag(b *testing.B) {
+	for _, gib := range []uint64{1, 12} {
+		b.Run(fmt.Sprintf("%dGiB", gib), func(b *testing.B) {
+			mem := hw.NewPhysMem(16 * hw.GiB)
+			as, err := hv.AllocAddressSpace(mem, 1, gib*hw.GiB, true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := as.Retag(hw.OwnerGuest, 2+i%2); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

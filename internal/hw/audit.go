@@ -10,10 +10,10 @@ type Violation struct {
 	//	                 names a VM id that is not live — a leak left by
 	//	                 a teardown or failed restore path
 	//	"untagged-vm"    a per-VM owner tag carries no VM id at all
-	//	"residue"        a free frame still holds page contents — the
-	//	                 wipe/free discipline was bypassed
-	//	"accounting"     the cached allocation counters disagree with
-	//	                 the ownership array itself
+	//	"residue"        a free frame or a spare page table holds page
+	//	                 contents — the wipe/free discipline was bypassed
+	//	"accounting"     the cached counters or occupancy bits disagree
+	//	                 with the ownership array itself
 	Kind  string
 	MFN   MFN
 	Owner Owner
@@ -73,7 +73,11 @@ func (pm *PhysMem) AuditOwners(liveVMs map[int]bool) []Violation {
 	for ci := range pm.chunks {
 		c := &pm.chunks[ci]
 		base, size := pm.chunkSpan(ci)
-		if !c.mixed {
+		if occupied := pm.occupied != nil && pm.occupied[ci/64]>>(uint(ci)%64)&1 != 0; occupied != (c.alloc > 0) {
+			add(Violation{Kind: "accounting", MFN: base, Owner: OwnerFree, VM: -1,
+				Detail: fmt.Sprintf("occupancy bit %v, chunk counts %d allocated frames", occupied, c.alloc)})
+		}
+		if c.tags == nil {
 			// Uniform chunk: one summary check covers every frame; only a
 			// violating chunk pays the per-frame reporting loop.
 			o, v := c.owner, c.vm
@@ -114,9 +118,17 @@ func (pm *PhysMem) AuditOwners(liveVMs map[int]bool) []Violation {
 		}
 		base, size := pm.chunkSpan(ci)
 		for i := uint64(0); i < size; i++ {
-			if o, _ := c.tag(i); o == OwnerFree && c.pages[i] != nil {
+			if o, _ := c.tag(i); o == OwnerFree && c.pages.slot[i] != nil {
 				add(Violation{Kind: "residue", MFN: base + MFN(i), Owner: OwnerFree, VM: -1,
 					Detail: "free frame retains page contents"})
+			}
+		}
+	}
+	for pt := pm.sparePages; pt != nil; pt = pt.next {
+		for i, p := range pt.slot {
+			if p != nil {
+				add(Violation{Kind: "residue", MFN: MFN(i), Owner: OwnerFree, VM: -1,
+					Detail: "spare page table retains page contents (MFN is the slot)"})
 			}
 		}
 	}

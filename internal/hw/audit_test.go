@@ -64,10 +64,19 @@ func TestAuditResidue(t *testing.T) {
 	// Plant contents under a free frame directly: the public API cannot
 	// produce this state — which is exactly what the audit is for.
 	last := &pm.chunks[len(pm.chunks)-1]
-	last.pages = new([chunkFrames]*page)
-	last.pages[chunkFrames-1] = &page{buf: make([]byte, PageSize4K), refs: 1}
+	last.pages = new(pageTable)
+	last.pages.slot[chunkFrames-1] = &page{buf: make([]byte, PageSize4K), refs: 1}
 	vs := pm.AuditOwners(live)
 	if len(vs) != 1 || vs[0].Kind != "residue" {
+		t.Fatalf("violations = %v", vs)
+	}
+	// A spare page table is handed to the next chunk written: a slot left
+	// set would surface there as another frame's contents.
+	last.pages = nil
+	pm.sparePages = &pageTable{next: pm.sparePages}
+	pm.sparePages.slot[7] = &page{buf: make([]byte, PageSize4K), refs: 1}
+	vs = pm.AuditOwners(live)
+	if len(vs) != 1 || vs[0].Kind != "residue" || vs[0].MFN != 7 {
 		t.Fatalf("violations = %v", vs)
 	}
 }
@@ -83,6 +92,14 @@ func TestAuditAccountingDrift(t *testing.T) {
 	pm.byOwner[OwnerGuest]++ // per-owner counter drift
 	vs = pm.AuditOwners(live)
 	if len(vs) != 1 || vs[0].Kind != "accounting" || vs[0].Owner != OwnerGuest {
+		t.Fatalf("violations = %v", vs)
+	}
+	pm.byOwner[OwnerGuest]--
+	// An occupancy bit that disagrees with its chunk: a wipe would skip
+	// the occupied chunk 0, or visit the free chunk 1.
+	pm.occupied[0] ^= 0b11
+	vs = pm.AuditOwners(live)
+	if len(vs) != 2 || vs[0].Kind != "accounting" || vs[0].MFN != 0 || vs[1].MFN != chunkFrames {
 		t.Fatalf("violations = %v", vs)
 	}
 }

@@ -80,12 +80,17 @@ func benchGuest(b *testing.B, pm *PhysMem, gib uint64) FrameRange {
 }
 
 // BenchmarkWipeRanges is one micro-reboot of M2: the guest is kept, the
-// hypervisor's resident set goes and is allocated again.
+// hypervisor's resident set goes and is allocated again. The M1 case keeps
+// the 1 GiB guest on a machine a quarter the size: the wipe walks occupied
+// chunks only, so the two should cost about the same.
 func BenchmarkWipeRanges(b *testing.B) {
-	for _, gib := range []uint64{1, 12} {
-		b.Run(fmt.Sprintf("%dGiB", gib), func(b *testing.B) {
-			pm := NewPhysMem(64 * GiB)
-			keep := []FrameRange{benchGuest(b, pm, gib)}
+	for _, tc := range []struct {
+		name         string
+		machine, gib uint64
+	}{{"1GiB", 64, 1}, {"12GiB", 64, 12}, {"1GiB-on-M1", 16, 1}} {
+		b.Run(tc.name, func(b *testing.B) {
+			pm := NewPhysMem(tc.machine * GiB)
+			keep := []FrameRange{benchGuest(b, pm, tc.gib)}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

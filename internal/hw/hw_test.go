@@ -225,14 +225,14 @@ func TestChecksum(t *testing.T) {
 func TestSetOwner(t *testing.T) {
 	pm := newTestMem()
 	mfns, _ := frames(pm.AllocRanges(1, OwnerVMState, 3))
-	if err := pm.SetOwnerRange(mfns[0], 1, OwnerGuest, 4); err != nil {
+	if err := pm.SetOwnerRanges([]FrameRange{{Start: mfns[0], Count: 1}}, OwnerGuest, 4); err != nil {
 		t.Fatal(err)
 	}
 	owner, vm := pm.OwnerOf(mfns[0])
 	if owner != OwnerGuest || vm != 4 {
 		t.Fatalf("owner = %v/%d after SetOwner", owner, vm)
 	}
-	if err := pm.SetOwnerRange(999, 1, OwnerGuest, 0); err == nil {
+	if err := pm.SetOwnerRanges([]FrameRange{{Start: 999, Count: 1}}, OwnerGuest, 0); err == nil {
 		t.Fatal("SetOwner on unallocated frame succeeded")
 	}
 }
@@ -603,7 +603,7 @@ func TestPageDedupSharing(t *testing.T) {
 		t.Fatalf("hits %d interned %d, want 2 and 1", hits, interned)
 	}
 	c := &pm.chunks[0]
-	if c.pages[mfns[0]] != c.pages[mfns[2]] || !c.pages[mfns[0]].summed {
+	if c.pages.slot[mfns[0]] != c.pages.slot[mfns[2]] || !c.pages.slot[mfns[0]].summed {
 		t.Fatal("identical pages not shared, or shared page has no cached checksum")
 	}
 	want := crc64.Checksum(page, crcTable)
@@ -665,7 +665,8 @@ func TestChecksumKeysClosedForm(t *testing.T) {
 
 // TestNewPhysMemIsLazy: a 64 GiB machine costs a chunk table, not
 // per-frame arrays; uniform huge-page chunks never grow per-frame state;
-// and the state a wipe frees is reused by the next claim.
+// and the tables a wipe frees are reused, via the spare lists, by the
+// next claim.
 func TestNewPhysMemIsLazy(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -678,7 +679,7 @@ func TestNewPhysMemIsLazy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pm.SetOwnerRange(base, FramesPer2M, OwnerGuest, 2); err != nil {
+	if err := pm.SetOwnerRanges([]FrameRange{{Start: base, Count: FramesPer2M}}, OwnerGuest, 2); err != nil {
 		t.Fatal(err)
 	}
 	if c := &pm.chunks[chunkOf(base)]; c.tags != nil || c.pages != nil {
@@ -696,16 +697,84 @@ func TestNewPhysMemIsLazy(t *testing.T) {
 	}
 	cycle()
 	c := &pm.chunks[chunkOf(base)+1]
-	tags, pages := c.tags, c.pages
-	if tags == nil || pages == nil || c.mixed || c.data != 0 {
-		t.Fatalf("wiped chunk: tags %v pages %v mixed %v data %d", tags != nil, pages != nil, c.mixed, c.data)
+	if c.tags != nil || c.pages != nil || c.data != 0 {
+		t.Fatalf("wiped chunk: tags %v pages %v data %d", c.tags != nil, c.pages != nil, c.data)
+	}
+	tags, pages := pm.spareTags, pm.sparePages
+	if tags == nil || tags.next != nil || pages == nil || pages.next != nil {
+		t.Fatal("wiped chunk's tables are not the one spare of each kind")
 	}
 	// Only the page itself (header and buffer) is allocated per cycle.
 	if n := testing.AllocsPerRun(20, cycle); n > 2 {
 		t.Fatalf("claim/write/wipe cycle allocates %.0f objects, want 2", n)
 	}
-	if c.tags != tags || c.pages != pages {
-		t.Fatal("chunk state reallocated instead of reused")
+	if pm.spareTags != tags || tags.next != nil || pm.sparePages != pages || pages.next != nil {
+		t.Fatal("chunk tables reallocated instead of reused via the spare lists")
+	}
+}
+
+// TestChunkTablesReachFixedPoint: a host's bump cursor sweeps its memory
+// transplant after transplant — allocate a resident set, write it, wipe
+// all but the guest — and the per-frame tables it holds, in chunks and
+// on the spare lists, stop growing once the first sweep has seen the
+// most the cycle needs at once, instead of one per chunk ever visited.
+func TestChunkTablesReachFixedPoint(t *testing.T) {
+	pm := NewPhysMem(GiB)
+	guest := FrameRange{Count: 32 * FramesPer2M}
+	for i := 0; i < 32; i++ {
+		if _, err := pm.Alloc2M(OwnerGuest, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tables := func() int {
+		n := 0
+		for tags := pm.spareTags; tags != nil; tags = tags.next {
+			n++
+		}
+		for pages := pm.sparePages; pages != nil; pages = pages.next {
+			n++
+		}
+		for ci := range pm.chunks {
+			if pm.chunks[ci].tags != nil {
+				n++
+			}
+			if pm.chunks[ci].pages != nil {
+				n++
+			}
+		}
+		return n
+	}
+	peak := 0
+	for sweep := 0; sweep < 5; sweep++ {
+		for wrapped := false; !wrapped; {
+			prev := pm.next
+			rs, err := pm.AllocRanges(1500, OwnerHV, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rs {
+				for m := r.Start; m < r.End(); m += 256 {
+					if err := pm.Write(m, 0, []byte{1}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if wiped := pm.WipeRanges([]FrameRange{guest}); wiped != 1500 {
+				t.Fatalf("wiped %d frames, want 1500", wiped)
+			}
+			wrapped = pm.next < prev
+			if n := tables(); sweep == 0 {
+				peak = max(peak, n)
+			} else if n != peak {
+				t.Fatalf("sweep %d: %d tables, first sweep's peak %d", sweep, n, peak)
+			}
+		}
+	}
+	if peak > 8 {
+		t.Fatalf("peak of %d tables, want the few one cycle holds at once", peak)
+	}
+	if vs := pm.AuditOwners(map[int]bool{1: true}); vs != nil {
+		t.Fatalf("audit: %v", vs)
 	}
 }
 
@@ -732,7 +801,7 @@ func TestConcurrentDisjointRanges(t *testing.T) {
 					return 0, err
 				}
 			}
-			if err := pm.SetOwnerRange(start, span, OwnerGuest, w); err != nil {
+			if err := pm.SetOwnerRanges([]FrameRange{{Start: start, Count: span}}, OwnerGuest, w); err != nil {
 				return 0, err
 			}
 			var viaVisit uint64

@@ -279,7 +279,7 @@ func modelRun(ops []byte, dedup bool) error {
 		count := 1 + (b*c)%(3*chunkFrames/2)
 		var desc string
 		var got, want any
-		switch ops[0] % 8 {
+		switch ops[0] % 9 {
 		case 0:
 			rs, err := pm.AllocRanges(count, owner, vm)
 			mfns, _ := frames(rs, nil)
@@ -296,8 +296,8 @@ func modelRun(ops []byte, dedup bool) error {
 			err := pm.FreeRange(MFN(frame), uint64(count))
 			desc, got, want = fmt.Sprintf("FreeRange(%d,%d)", frame, count), err == nil, ref.freeRange(frame, count)
 		case 4:
-			err := pm.SetOwnerRange(MFN(frame), uint64(count), owner, vm)
-			desc, got, want = fmt.Sprintf("SetOwnerRange(%d,%d)", frame, count), err == nil, ref.setOwner(frame, count, owner, vm)
+			err := pm.SetOwnerRanges([]FrameRange{{Start: MFN(frame), Count: uint64(count)}}, owner, vm)
+			desc, got, want = fmt.Sprintf("SetOwnerRanges(%d,%d)", frame, count), err == nil, ref.setOwner(frame, count, owner, vm)
 		case 5:
 			// A few distinct payloads, so dedup finds identical pages;
 			// short ones at an offset, so shared pages get unshared.
@@ -335,6 +335,22 @@ func modelRun(ops []byte, dedup bool) error {
 		case 7:
 			pm.SetPageDedup(c%2 == 0)
 			desc = "SetPageDedup"
+		case 8:
+			// Unsorted, possibly overlapping runs: the contract is the
+			// reference retagging run by run, a failing run included.
+			rs := []FrameRange{
+				{Start: MFN(frame), Count: uint64(count)},
+				{Start: MFN(a * 5), Count: uint64(1 + c)},
+				{Start: MFN(b * 6), Count: uint64(1 + a)},
+			}
+			ok := true
+			for _, r := range rs {
+				if ok = ref.setOwner(int(r.Start), int(r.Count), owner, vm); !ok {
+					break
+				}
+			}
+			err := pm.SetOwnerRanges(rs, owner, vm)
+			desc, got, want = fmt.Sprintf("SetOwnerRanges(%v)", rs), err == nil, ok
 		}
 		if got != want {
 			return fmt.Errorf("step %d: %s = %v, reference %v", step, desc, got, want)
@@ -383,6 +399,10 @@ func physMemOpsSeeds() [][]byte {
 		// the same under dedup with a shared prefix page unshared and grown.
 		{0, 0, 4, 2, 5, 0, 0, 130, 5, 0, 0, 193, 5, 0, 3, 129, 5, 0, 3, 131, 7, 0, 0, 0,
 			5, 0, 5, 132, 5, 0, 6, 134, 5, 0, 7, 194, 5, 0, 6, 134, 6, 0, 2, 5},
+		// SetOwnerRanges over two huge pages and a small run: the first run
+		// splits a uniform chunk, the second hits a free frame and fails, the
+		// third is never applied; then one that succeeds, a write, a wipe.
+		{1, 0, 0, 1, 1, 0, 0, 2, 0, 0, 9, 7, 8, 220, 10, 20, 8, 0, 10, 20, 5, 0, 12, 3, 6, 0, 12, 5},
 	}
 }
 

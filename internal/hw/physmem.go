@@ -15,6 +15,7 @@ import (
 	"cmp"
 	"fmt"
 	"hash/crc64"
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -107,34 +108,40 @@ type page struct {
 	refs     int32
 }
 
-// frameTags are the per-frame ownership tags of one mixed chunk.
+// frameTags are the per-frame ownership tags of one mixed chunk, and a
+// pageTable the pages of one written chunk; next links a spare one.
 type frameTags struct {
 	owner [chunkFrames]Owner
 	vm    [chunkFrames]int32
+	next  *frameTags
+}
+
+type pageTable struct {
+	slot [chunkFrames]*page
+	next *pageTable
 }
 
 // chunk is the state of one 2 MiB run of frames. A free machine is all
 // zero-value chunks; per-frame state is materialised lazily, per chunk.
 type chunk struct {
-	// owner and vm are the tag of every frame of the chunk while mixed is
-	// false. A mixed chunk keeps its tags per frame, in tags; a mixed
-	// chunk always has an allocated frame (a drained one collapses back).
+	// owner and vm are the tag of every frame of the chunk unless it is
+	// mixed: a mixed chunk keeps its tags per frame, in tags, and always
+	// has an allocated frame (a drained one collapses back).
 	owner Owner
-	mixed bool
 	vm    int32
 	alloc uint32 // allocated frames
 	data  uint32 // touched frames: non-nil pages slots
-	// tags is allocated when the chunk first goes mixed and pages on the
-	// first write into it. Both are kept when the chunk collapses or is
-	// wiped — pages with every slot nil again — so a machine that is
-	// wiped and refilled every transplant allocates them once.
+	// tags, non-nil iff the chunk is mixed, and pages, on the first write
+	// into it, come off the PhysMem's spare lists; a drained chunk hands
+	// both back, so a host holds the tables it uses at once, not one per
+	// chunk its bump cursor ever visited.
 	tags  *frameTags
-	pages *[chunkFrames]*page
+	pages *pageTable
 }
 
 // tag returns the (owner, vm) of the chunk's i-th frame.
 func (c *chunk) tag(i uint64) (Owner, int32) {
-	if c.mixed {
+	if c.tags != nil {
 		return c.tags.owner[i], c.tags.vm[i]
 	}
 	return c.owner, c.vm
@@ -146,27 +153,37 @@ func (c *chunk) page(i uint64) *page {
 	if c.pages == nil {
 		return nil
 	}
-	return c.pages[i]
+	return c.pages.slot[i]
 }
 
-// explode turns the chunk's summary tag into size per-frame tags, before
-// a mutation that leaves it mixed.
-func (c *chunk) explode(size uint64) {
-	if c.tags == nil {
+// explode turns chunk c's summary tag into size per-frame tags, before a
+// mutation that leaves it mixed. pm.mu held.
+func (pm *PhysMem) explode(c *chunk, size uint64) {
+	if c.tags = pm.spareTags; c.tags == nil {
 		c.tags = new(frameTags)
 	}
+	pm.spareTags = c.tags.next
 	for i := uint64(0); i < size; i++ {
 		c.tags.owner[i], c.tags.vm[i] = c.owner, c.vm
 	}
-	c.mixed = true
 }
 
-// collapseIfFree re-summarizes a drained chunk so later wipes and allocs
-// take the O(1) paths again.
-func (c *chunk) collapseIfFree() {
-	if c.mixed && c.alloc == 0 {
-		c.mixed, c.owner, c.vm = false, OwnerFree, 0
+// collapseIfFree re-summarizes chunk ci if it drained, clears its occupancy
+// bit and pushes its tables (page slots all nil) on the spare lists. pm.mu
+// held.
+func (pm *PhysMem) collapseIfFree(ci int) {
+	c := &pm.chunks[ci]
+	if c.alloc != 0 {
+		return
 	}
+	pm.occupied[ci/64] &^= 1 << (uint(ci) % 64)
+	if c.tags != nil {
+		c.tags.next, pm.spareTags = pm.spareTags, c.tags
+	}
+	if c.pages != nil {
+		c.pages.next, pm.sparePages = pm.sparePages, c.pages
+	}
+	*c = chunk{}
 }
 
 // PhysMem is the physical memory of one machine: a table of 2 MiB chunks.
@@ -176,7 +193,9 @@ func (c *chunk) collapseIfFree() {
 // transplant hot paths (micro-reboot wipe, address-space retag, huge-page
 // allocation) never visit frames. Per-frame tags exist only for chunks
 // that went mixed, and a page table only for chunks that were written;
-// untouched frames cost nothing and read as zeros.
+// untouched frames cost nothing and read as zeros; a drained chunk hands
+// both on to the next. An occupancy index, one bit per chunk, lets the
+// micro-reboot wipe visit occupied chunks only, whatever the machine size.
 //
 // Concurrency: one mutex guards all bookkeeping, and every method is safe
 // to call from the internal/par worker pools under two rules. Ownership
@@ -193,6 +212,12 @@ type PhysMem struct {
 	next        MFN // bump cursor for allocation
 	allocated   uint64
 	byOwner     [numOwners]uint64
+	// occupied has bit ci set iff chunks[ci].alloc > 0; occupiedWords
+	// backs it, allocation-free, on every profile's machine (≤ 96 GiB).
+	occupied      []uint64
+	occupiedWords [96 * GiB / PageSize2M / 64]uint64
+	spareTags     *frameTags
+	sparePages    *pageTable
 
 	// Content-hash page dedup (opt-in, see SetPageDedup): intern maps a
 	// content hash to the pages registered under it; writes that produce
@@ -210,8 +235,12 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 const prefixQuantum = 512
 
 func prefixLen(data []byte) int {
-	n := len(bytes.TrimRight(data, "\x00"))
-	return (n + prefixQuantum - 1) / prefixQuantum * prefixQuantum
+	for n := (len(data) - 1) / prefixQuantum * prefixQuantum; n >= 0; n -= prefixQuantum {
+		if q := data[n:min(n+prefixQuantum, len(data))]; !bytes.Equal(q, zeroPage[:len(q)]) {
+			return n + prefixQuantum
+		}
+	}
+	return 0
 }
 
 // pageSum is the CRC-64 of the whole frame buf is the prefix of.
@@ -245,8 +274,9 @@ func (pm *PhysMem) chunkSpan(ci int) (MFN, uint64) {
 }
 
 // part is the overlap of a frame range with one chunk: frames
-// [base+lo, base+hi) of chunk c, which has size frames.
+// [base+lo, base+hi) of chunk c, chunks[ci], which has size frames.
 type part struct {
+	ci           int
 	c            *chunk
 	base         MFN
 	size, lo, hi uint64
@@ -262,7 +292,7 @@ func (p part) find(free bool) (MFN, bool) {
 		if o, _ := p.c.tag(i); (o == OwnerFree) == free {
 			return p.base + MFN(i), true
 		}
-		if !p.c.mixed {
+		if p.c.tags == nil {
 			break // the summary tag covers the whole part
 		}
 	}
@@ -274,7 +304,7 @@ func (p part) find(free bool) (MFN, bool) {
 func (pm *PhysMem) partAt(f, limit uint64) part {
 	ci := chunkOf(MFN(f))
 	base, size := pm.chunkSpan(ci)
-	return part{&pm.chunks[ci], base, size, f - uint64(base), min(size, limit-uint64(base))}
+	return part{ci, &pm.chunks[ci], base, size, f - uint64(base), min(size, limit-uint64(base))}
 }
 
 // TotalFrames returns the machine's frame count.
@@ -294,19 +324,41 @@ func (pm *PhysMem) FreeFrames() uint64 {
 	return pm.totalFrames - pm.allocated
 }
 
-// take claims frame i of mixed chunk c.
-func (pm *PhysMem) take(c *chunk, i uint64, owner Owner, vm int) {
+// take claims frame i of mixed chunk ci.
+func (pm *PhysMem) take(ci int, i uint64, owner Owner, vm int) {
+	c := &pm.chunks[ci]
+	pm.occupy(ci)
 	c.tags.owner[i], c.tags.vm[i] = owner, int32(vm)
 	c.alloc++
 	pm.allocated++
 	pm.byOwner[owner]++
 }
 
-// takeChunk claims every frame of the wholly free chunk c.
-func (pm *PhysMem) takeChunk(c *chunk, size uint64, owner Owner, vm int) {
+// takeChunk claims every frame of the wholly free chunk ci.
+func (pm *PhysMem) takeChunk(ci int, size uint64, owner Owner, vm int) {
+	c := &pm.chunks[ci]
 	c.owner, c.vm, c.alloc = owner, int32(vm), uint32(size)
+	pm.occupy(ci)
 	pm.allocated += size
 	pm.byOwner[owner] += size
+}
+
+// occupy sets chunk ci's occupancy bit (collapseIfFree clears it).
+func (pm *PhysMem) occupy(ci int) {
+	if pm.occupied == nil {
+		pm.occupied = append(pm.occupiedWords[:0], make([]uint64, (len(pm.chunks)+63)/64)...)
+	}
+	pm.occupied[ci/64] |= 1 << (uint(ci) % 64)
+}
+
+// nextOccupied returns the first occupied chunk at or after ci, or -1.
+func (pm *PhysMem) nextOccupied(ci int) int {
+	for w, mask := ci/64, ^uint64(0)<<(uint(ci)%64); w < len(pm.occupied); w, mask = w+1, ^uint64(0) {
+		if word := pm.occupied[w] & mask; word != 0 {
+			return w*64 + bits.TrailingZeros64(word)
+		}
+	}
+	return -1
 }
 
 // nextChunkStart returns the first frame of the chunk after ci, wrapping
@@ -346,7 +398,7 @@ func (pm *PhysMem) AllocRanges(n int, owner Owner, vm int) ([]FrameRange, error)
 		ci := chunkOf(m)
 		c := &pm.chunks[ci]
 		base, size := pm.chunkSpan(ci)
-		if !c.mixed {
+		if c.tags == nil {
 			if c.owner != OwnerFree {
 				// Fully-allocated chunk: the scan would skip every frame.
 				pm.next = pm.nextChunkStart(ci)
@@ -354,15 +406,15 @@ func (pm *PhysMem) AllocRanges(n int, owner Owner, vm int) ([]FrameRange, error)
 			}
 			if m == base && uint64(n)-got >= size {
 				// Whole free chunk at the cursor: claim it in one step.
-				pm.takeChunk(c, size, owner, vm)
+				pm.takeChunk(ci, size, owner, vm)
 				claim(base, size)
 				pm.next = pm.nextChunkStart(ci)
 				continue
 			}
-			c.explode(size)
+			pm.explode(c, size)
 		}
 		if i := uint64(m - base); c.tags.owner[i] == OwnerFree {
-			pm.take(c, i, owner, vm)
+			pm.take(ci, i, owner, vm)
 			claim(m, 1)
 		}
 		pm.next = m + 1
@@ -390,8 +442,8 @@ func (pm *PhysMem) Alloc2M(owner Owner, vm int) (MFN, error) {
 	for tries := uint64(0); tries < nRuns; tries++ {
 		base := (start + MFN(tries*FramesPer2M)) % MFN(nRuns*FramesPer2M)
 		// A chunk with any allocated frame — uniform or mixed — is out.
-		if c := &pm.chunks[chunkOf(base)]; c.alloc == 0 {
-			pm.takeChunk(c, FramesPer2M, owner, vm)
+		if ci := chunkOf(base); pm.chunks[ci].alloc == 0 {
+			pm.takeChunk(ci, FramesPer2M, owner, vm)
 			pm.next = (base + FramesPer2M) % MFN(pm.totalFrames)
 			return base, nil
 		}
@@ -425,16 +477,16 @@ func (pm *PhysMem) ClaimRange(start MFN, count uint64, owner Owner, vm int) erro
 	for f := uint64(start); f < end; {
 		p := pm.partAt(f, end)
 		f = uint64(p.base) + p.hi
-		if !p.c.mixed {
+		if p.c.tags == nil {
 			if p.whole() {
 				// Whole free chunk: claim it at summary granularity.
-				pm.takeChunk(p.c, p.size, owner, vm)
+				pm.takeChunk(p.ci, p.size, owner, vm)
 				continue
 			}
-			p.c.explode(p.size)
+			pm.explode(p.c, p.size)
 		}
 		for i := p.lo; i < p.hi; i++ {
-			pm.take(p.c, i, owner, vm)
+			pm.take(p.ci, i, owner, vm)
 		}
 	}
 	return nil
@@ -449,7 +501,7 @@ func (pm *PhysMem) releaseDataAt(c *chunk, i uint64) {
 	if p == nil {
 		return
 	}
-	c.pages[i] = nil
+	c.pages.slot[i] = nil
 	c.data--
 	p.refs--
 	if p.refs <= 0 && p.interned {
@@ -457,7 +509,8 @@ func (pm *PhysMem) releaseDataAt(c *chunk, i uint64) {
 	}
 }
 
-// freeFrame releases allocated frame i of mixed chunk c. pm.mu held.
+// freeFrame releases allocated frame i of mixed chunk c; the caller
+// collapses a chunk it drains. pm.mu held.
 func (pm *PhysMem) freeFrame(c *chunk, i uint64) {
 	pm.byOwner[c.tags.owner[i]]--
 	c.tags.owner[i], c.tags.vm[i] = OwnerFree, 0
@@ -466,11 +519,12 @@ func (pm *PhysMem) freeFrame(c *chunk, i uint64) {
 	pm.releaseDataAt(c, i)
 }
 
-// wipeChunk frees every allocated frame of chunk c, drops its contents
+// wipeChunk frees every allocated frame of chunk ci, drops its contents
 // and re-summarizes it as uniformly free. pm.mu held.
-func (pm *PhysMem) wipeChunk(c *chunk, size uint64) int {
+func (pm *PhysMem) wipeChunk(ci int, size uint64) int {
+	c := &pm.chunks[ci]
 	wiped := int(c.alloc)
-	if c.mixed {
+	if c.tags != nil {
 		for i := uint64(0); i < size; i++ {
 			if o := c.tags.owner[i]; o != OwnerFree {
 				pm.byOwner[o]--
@@ -483,7 +537,8 @@ func (pm *PhysMem) wipeChunk(c *chunk, size uint64) int {
 	for i := uint64(0); c.data > 0 && i < size; i++ {
 		pm.releaseDataAt(c, i)
 	}
-	c.mixed, c.owner, c.vm, c.alloc = false, OwnerFree, 0, 0
+	c.alloc = 0
+	pm.collapseIfFree(ci)
 	return wiped
 }
 
@@ -501,24 +556,24 @@ func (pm *PhysMem) FreeRange(start MFN, count uint64) error {
 		p := pm.partAt(f, limit)
 		c := p.c
 		f = uint64(p.base) + p.hi
-		if !c.mixed {
+		if c.tags == nil {
 			if c.owner == OwnerFree {
 				return fmt.Errorf("hw: double free of frame %#x", uint64(p.base)+p.lo)
 			}
 			if p.whole() {
-				pm.wipeChunk(c, p.size)
+				pm.wipeChunk(p.ci, p.size)
 				continue
 			}
-			c.explode(p.size)
+			pm.explode(c, p.size)
 		}
 		for i := p.lo; i < p.hi; i++ {
 			if c.tags.owner[i] == OwnerFree {
-				c.collapseIfFree()
+				pm.collapseIfFree(p.ci)
 				return fmt.Errorf("hw: double free of frame %#x", uint64(p.base)+i)
 			}
 			pm.freeFrame(c, i)
 		}
-		c.collapseIfFree()
+		pm.collapseIfFree(p.ci)
 	}
 	if end > pm.totalFrames {
 		return fmt.Errorf("hw: double free of frame %#x", max(uint64(start), pm.totalFrames))
@@ -550,47 +605,48 @@ func (pm *PhysMem) OwnerOf(m MFN) (Owner, int) {
 	return OwnerFree, -1
 }
 
-// SetOwnerRange retags the allocated run [start, start+count) in one
-// critical section — used when the target hypervisor adopts preserved
-// guest frames after a micro-reboot. A fully-covered uniform chunk (every
-// huge-page extent) retags in O(1). Frames are retagged in order; the
-// first unallocated frame aborts with an error, the frames before it stay
-// retagged.
-func (pm *PhysMem) SetOwnerRange(start MFN, count uint64, owner Owner, vm int) error {
+// SetOwnerRanges retags the allocated runs rs, in order, in one critical
+// section — used when the target hypervisor adopts preserved guest frames
+// after a micro-reboot. A fully-covered uniform chunk (every huge-page
+// extent) retags in O(1). The first unallocated frame aborts with an
+// error; the frames before it stay retagged.
+func (pm *PhysMem) SetOwnerRanges(rs []FrameRange, owner Owner, vm int) error {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	end := uint64(start) + count
-	limit := min(end, pm.totalFrames)
-	for f := uint64(start); f < limit; {
-		p := pm.partAt(f, limit)
-		c := p.c
-		f = uint64(p.base) + p.hi
-		if !c.mixed {
-			if c.owner == OwnerFree {
-				return fmt.Errorf("hw: SetOwner on unallocated frame %#x", uint64(p.base)+p.lo)
+	for _, r := range rs {
+		end := uint64(r.End())
+		limit := min(end, pm.totalFrames)
+		for f := uint64(r.Start); f < limit; {
+			p := pm.partAt(f, limit)
+			c := p.c
+			f = uint64(p.base) + p.hi
+			if c.tags == nil {
+				if c.owner == OwnerFree {
+					return fmt.Errorf("hw: SetOwner on unallocated frame %#x", uint64(p.base)+p.lo)
+				}
+				if c.owner == owner && c.vm == int32(vm) {
+					continue
+				}
+				if p.whole() {
+					pm.byOwner[c.owner] -= p.size
+					pm.byOwner[owner] += p.size
+					c.owner, c.vm = owner, int32(vm)
+					continue
+				}
+				pm.explode(c, p.size)
 			}
-			if c.owner == owner && c.vm == int32(vm) {
-				continue
+			for i := p.lo; i < p.hi; i++ {
+				if c.tags.owner[i] == OwnerFree {
+					return fmt.Errorf("hw: SetOwner on unallocated frame %#x", uint64(p.base)+i)
+				}
+				pm.byOwner[c.tags.owner[i]]--
+				c.tags.owner[i], c.tags.vm[i] = owner, int32(vm)
+				pm.byOwner[owner]++
 			}
-			if p.whole() {
-				pm.byOwner[c.owner] -= p.size
-				pm.byOwner[owner] += p.size
-				c.owner, c.vm = owner, int32(vm)
-				continue
-			}
-			c.explode(p.size)
 		}
-		for i := p.lo; i < p.hi; i++ {
-			if c.tags.owner[i] == OwnerFree {
-				return fmt.Errorf("hw: SetOwner on unallocated frame %#x", uint64(p.base)+i)
-			}
-			pm.byOwner[c.tags.owner[i]]--
-			c.tags.owner[i], c.tags.vm[i] = owner, int32(vm)
-			pm.byOwner[owner]++
+		if end > pm.totalFrames {
+			return fmt.Errorf("hw: SetOwner on unallocated frame %#x", max(uint64(r.Start), pm.totalFrames))
 		}
-	}
-	if end > pm.totalFrames {
-		return fmt.Errorf("hw: SetOwner on unallocated frame %#x", max(uint64(start), pm.totalFrames))
 	}
 	return nil
 }
@@ -624,9 +680,12 @@ func (pm *PhysMem) Write(m MFN, off int, data []byte) error {
 		return err
 	}
 	if c.pages == nil {
-		c.pages = new([chunkFrames]*page)
+		if c.pages = pm.sparePages; c.pages == nil {
+			c.pages = new(pageTable)
+		}
+		pm.sparePages = c.pages.next
 	}
-	p := c.pages[i]
+	p := c.pages.slot[i]
 	// size is the prefix the page must hold after this write.
 	size := PageSize4K
 	if p != nil && off+len(data) <= len(p.buf) {
@@ -637,14 +696,14 @@ func (pm *PhysMem) Write(m MFN, off int, data []byte) error {
 	switch {
 	case p == nil:
 		p = &page{buf: make([]byte, size), refs: 1}
-		c.pages[i] = p
+		c.pages.slot[i] = p
 		c.data++
 	case p.refs > 1:
 		// Copy-on-write unshare: other frames keep the shared original.
 		p.refs--
 		np := &page{buf: make([]byte, size), refs: 1}
 		copy(np.buf, p.buf)
-		c.pages[i] = np
+		c.pages.slot[i] = np
 		p = np
 	default:
 		if p.interned {
@@ -715,7 +774,7 @@ func (pm *PhysMem) internPage(c *chunk, i uint64, p *page, h uint64) {
 	for _, q := range pm.intern[h] {
 		if q != p && samePage(q.buf, p.buf) {
 			q.refs++
-			c.pages[i] = q
+			c.pages.slot[i] = q
 			pm.dedupHits++
 			return
 		}
@@ -856,7 +915,7 @@ func (pm *PhysMem) ForEachTouched(start MFN, count uint64, fn func(m MFN, data [
 	err := pm.eachAllocated(start, count, "read from", func(p part) {
 		hits = slices.Grow(hits, int(min(uint64(p.c.data), p.hi-p.lo)))
 		for i := p.lo; p.c.data > 0 && i < p.hi; i++ {
-			if pg := p.c.pages[i]; pg != nil {
+			if pg := p.c.pages.slot[i]; pg != nil {
 				hits = append(hits, touched{p.base + MFN(i), pg})
 			}
 		}
@@ -911,7 +970,7 @@ func (pm *PhysMem) ChecksumRange(start MFN, count uint64, gfn GFN) (uint64, erro
 			return
 		}
 		for i := p.lo; i < p.hi; i, g = i+1, g+1 {
-			switch pg := p.c.pages[i]; {
+			switch pg := p.c.pages.slot[i]; {
 			case pg == nil:
 				total += zeroPageSum * checksumKey(g)
 			case pg.summed:
@@ -943,28 +1002,25 @@ func (pm *PhysMem) ChecksumRange(start MFN, count uint64, gfn GFN) (uint64, erro
 // WipeRanges zeroes and frees every allocated frame outside the keep set
 // (sorted, disjoint runs) and returns the number of frames wiped. This is
 // the destructive half of the kexec micro-reboot: only explicitly
-// preserved memory survives. Chunks wholly outside the keep set are wiped
-// at summary granularity and chunks wholly inside it are skipped, so a
-// micro-reboot preserving huge-page guests costs O(chunks), not
-// O(frames).
+// preserved memory survives. It visits occupied chunks only: those wholly
+// outside the keep set are wiped at summary granularity, and chunks a keep
+// run covers whole are stepped over in one move, so a micro-reboot costs
+// O(occupied chunks not kept + keep runs), not O(frames) or O(machine).
 func (pm *PhysMem) WipeRanges(keep []FrameRange) int {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	wiped := 0
 	ki := 0
-	for ci := range pm.chunks {
+	for ci := pm.nextOccupied(0); ci >= 0; ci = pm.nextOccupied(ci + 1) {
 		c := &pm.chunks[ci]
 		base, size := pm.chunkSpan(ci)
 		end := uint64(base) + size
 		for ki < len(keep) && keep[ki].End() <= base {
 			ki++
 		}
-		if c.alloc == 0 {
-			continue
-		}
 		if ki >= len(keep) || uint64(keep[ki].Start) >= end {
 			// No keep range touches this chunk.
-			wiped += pm.wipeChunk(c, size)
+			wiped += pm.wipeChunk(ci, size)
 			continue
 		}
 		// Fully covered by keep ranges? Walk the ranges across the chunk.
@@ -978,11 +1034,13 @@ func (pm *PhysMem) WipeRanges(keep []FrameRange) int {
 			pos = uint64(keep[j].End())
 		}
 		if covered {
+			// The last run covers every chunk up to the one holding pos.
+			ci = max(ci, chunkOf(MFN(pos))-1)
 			continue
 		}
 		// Partial overlap: per-frame, with a chunk-local range index.
-		if !c.mixed {
-			c.explode(size)
+		if c.tags == nil {
+			pm.explode(c, size)
 		}
 		j := ki
 		for i := uint64(0); i < size; i++ {
@@ -996,7 +1054,7 @@ func (pm *PhysMem) WipeRanges(keep []FrameRange) int {
 			pm.freeFrame(c, i)
 			wiped++
 		}
-		c.collapseIfFree()
+		pm.collapseIfFree(ci)
 	}
 	return wiped
 }

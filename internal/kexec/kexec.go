@@ -132,10 +132,8 @@ func Exec(m *hw.Machine, img *Image, pramPtr hw.MFN, preserve []hw.FrameRange) (
 	wiped := m.MicroReboot(FormatCmdline(pramPtr), keep)
 	// The image frames become part of the running kernel: retag them as
 	// HV State so the next transplant's wipe reclaims them.
-	for _, r := range img.Ranges {
-		if err := m.Mem.SetOwnerRange(r.Start, r.Count, hw.OwnerHV, -1); err != nil {
-			return nil, err
-		}
+	if err := m.Mem.SetOwnerRanges(img.Ranges, hw.OwnerHV, -1); err != nil {
+		return nil, err
 	}
 	img.loaded = false
 	return &Result{WipedFrames: wiped, PreservedFrames: preserved}, nil

@@ -70,7 +70,7 @@ func packEntry(e uisr.PageExtent) (uint64, error) {
 	if m>>32 != 0 {
 		return 0, fmt.Errorf("pram: mfn %d does not fit entry encoding", e.MFN)
 	}
-	if e.GFN%e.Pages() != 0 || e.MFN%e.Pages() != 0 {
+	if (e.GFN|e.MFN)&(e.Pages()-1) != 0 {
 		return 0, fmt.Errorf("pram: extent gfn %d/mfn %d misaligned for order %d", e.GFN, e.MFN, e.Order)
 	}
 	return uint64(e.Order) | g<<gfnShift | m<<mfnShift, nil

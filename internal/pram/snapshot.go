@@ -20,6 +20,13 @@ import (
 // Snapshots only skip wall-clock work. Virtual-time PRAM costs are
 // charged by the engine from the cost model and are identical with or
 // without a snapshot.
+//
+// A warm host still misses now and then: the kexec image is staged at the
+// bump cursor before PRAM is built (Fig. 3 ❶), and as the cursor sweeps
+// the machine it lands on frames a cached structure occupied. That build
+// runs cold, the UISR blobs then find cached frames taken, and the build
+// carrying them misses once more with a changed fileset. Staging the image
+// elsewhere would move frames, and with them every digest.
 type Snapshot struct {
 	mu      sync.Mutex
 	entries map[uint64]*snapEntry
@@ -55,30 +62,30 @@ func (s *Snapshot) Stats() (hits, misses uint64) {
 
 // filesKey fingerprints a fileset (plus the layout-changing option) for
 // snapshot lookup. A 64-bit mix over every field that reaches the
-// serialized pages.
+// serialized pages; extents fold in independent GFN/MFN/order lanes.
 func filesKey(files []File, split bool) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	mix := func(v uint64) {
-		h ^= v + 0x9e3779b97f4a7c15 + (h << 12) + (h >> 4)
-		h *= 0xff51afd7ed558ccd
+	const seed = 0x9e3779b97f4a7c15
+	mix := func(h, v uint64) uint64 {
+		h ^= v + seed + (h << 12) + (h >> 4)
+		return h * 0xff51afd7ed558ccd
 	}
+	h := uint64(seed)
 	if split {
-		mix(1)
+		h = mix(h, 1)
 	}
-	mix(uint64(len(files)))
+	h = mix(h, uint64(len(files)))
 	for i := range files {
 		f := &files[i]
-		mix(uint64(len(f.Name)))
+		h = mix(h, uint64(len(f.Name)))
 		for j := 0; j < len(f.Name); j++ {
-			mix(uint64(f.Name[j]))
+			h = mix(h, uint64(f.Name[j]))
 		}
-		mix(uint64(f.VMID))
-		mix(uint64(len(f.Extents)))
+		h = mix(mix(h, uint64(f.VMID)), uint64(len(f.Extents)))
+		g, m, o := uint64(seed), uint64(seed), uint64(seed)
 		for _, e := range f.Extents {
-			mix(e.GFN)
-			mix(e.MFN)
-			mix(uint64(e.Order))
+			g, m, o = mix(g, e.GFN), mix(m, e.MFN), mix(o, uint64(e.Order))
 		}
+		h = mix(mix(mix(h, g), m), o)
 	}
 	return h
 }

@@ -210,6 +210,14 @@ func TestValidate(t *testing.T) {
 		t.Fatal("inconsistent memmap accepted")
 	}
 
+	// An order past 63 covers no pages (Pages() is 0), so the coverage
+	// sum alone would not notice it.
+	s = base()
+	s.MemMap = []PageExtent{{GFN: 0, MFN: 0, Order: 18}, {GFN: 0, MFN: 0, Order: 64}}
+	if err := s.Validate(); err == nil {
+		t.Fatal("memmap extent of order 64 accepted")
+	}
+
 	if err := base().Validate(); err != nil {
 		t.Fatalf("valid state rejected: %v", err)
 	}

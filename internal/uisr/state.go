@@ -303,7 +303,10 @@ func (s *VMState) Validate() error {
 			s.Name, s.IOAPIC.NumPins, MaxIOAPICPins)
 	}
 	var covered uint64
-	for _, e := range s.MemMap {
+	for i, e := range s.MemMap {
+		if e.Order >= 64 {
+			return fmt.Errorf("uisr: VM %q memmap extent %d has order %d, want below 64", s.Name, i, e.Order)
+		}
 		covered += e.Pages() * 4096
 	}
 	if len(s.MemMap) > 0 && covered != s.MemBytes {
