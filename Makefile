@@ -1,9 +1,8 @@
 GO ?= go
 
 # Packages with fuzz targets and checked-in seed corpora.
-FUZZ_PKGS = ./internal/uisr/ ./internal/hv/xen/ ./internal/hv/kvm/ \
-	./internal/migration/ ./internal/checkpoint/ ./internal/pram/ \
-	./internal/difffuzz/ ./internal/hw/
+FUZZ_PKGS = ./internal/uisr/ ./internal/hv/xen/ ./internal/checkpoint/ \
+	./internal/pram/ ./internal/difffuzz/ ./internal/hw/
 
 .PHONY: all build vet fmt-check loc test race check bench benchdiff benchfig \
 	trace-demo slo-demo fault-matrix crash-matrix soak crash-storm \
@@ -31,7 +30,7 @@ fmt-check:
 # PKG_CEILING. Both are ratchets: a PR that grows the tree raises them in
 # the same diff, where a reviewer sees it; a simplicity PR lowers them to
 # its own result and cites the before/after in CHANGES.md.
-LOC_CEILING = 24147
+LOC_CEILING = 24047
 PKG_CEILING = 31
 loc:
 	@src() { find "$$@" -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'; }; \
@@ -156,15 +155,15 @@ calib-check:
 	$(GO) test -count=1 -run TestCalib ./internal/calib/
 
 # soak-short is the tier-1 slice of the chaos harness: the short soak
-# under the race detector plus ten seconds of real fuzzing on each
-# network-facing parser (UISR state, Xen HVM context, KVM MSR block,
-# migration stream framing).
+# under the race detector plus ten seconds of real fuzzing on each parser
+# of preserved or stored state (UISR blob, Xen HVM context, PRAM pages,
+# checkpoint image), all reading through uisr.Reader.
 soak-short: race-check
 	$(GO) test -race -count=1 -run TestChaosSoakShort ./internal/chaos/
 	$(GO) test -race -fuzz FuzzDecode -fuzztime 10s ./internal/uisr/
 	$(GO) test -race -fuzz FuzzParseContext -fuzztime 10s ./internal/hv/xen/
-	$(GO) test -race -fuzz FuzzMSRBlock -fuzztime 10s ./internal/hv/kvm/
-	$(GO) test -race -fuzz FuzzStreamFraming -fuzztime 10s ./internal/migration/
+	$(GO) test -race -fuzz FuzzParse -fuzztime 10s ./internal/pram/
+	$(GO) test -race -fuzz FuzzDeserialize -fuzztime 10s ./internal/checkpoint/
 
 benchfig:
 	$(GO) run ./cmd/benchfig

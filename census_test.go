@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -46,6 +47,89 @@ func TestNoLongFunctions(t *testing.T) {
 		}
 		if funcs == 0 {
 			t.Fatalf("census parsed no functions in %s", dir)
+		}
+	}
+}
+
+// handReadAllowlist names the non-test files outside the bounded reader
+// (internal/uisr/reader.go) that may still read integers through
+// binary.LittleEndian, each with why it is not a parser of hostile bytes.
+var handReadAllowlist = map[string]string{
+	"internal/uisr/reader.go":       "the bounded reader itself",
+	"internal/hv/xen/convert.go":    "unpacks a fixed [1024]byte LAPIC register page, already parsed",
+	"internal/hv/kvm/state.go":      "unpacks a fixed [1024]byte LAPIC register page of in-memory state",
+	"internal/difffuzz/difffuzz.go": "takes a fuzz input's 8-byte mutation seed behind a length check",
+}
+
+// TestNoHandIndexedReads holds every parser to the bounded reader: a
+// Uint16/32/64 read through binary.LittleEndian, or through a local bound
+// to it, in non-test internal/ code outside the allowlist fails. Each
+// such read is offset arithmetic the reader's bounds never see — the
+// class that let counts size allocations before they were checked.
+func TestNoHandIndexedReads(t *testing.T) {
+	isLE := func(e ast.Expr) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		pkg, ok := sel.X.(*ast.Ident)
+		return ok && pkg.Name == "binary" && sel.Sel.Name == "LittleEndian"
+	}
+	fset := token.NewFileSet()
+	used := map[string]bool{}
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		bound := map[string]bool{} // locals holding binary.LittleEndian
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, rhs := range n.Rhs {
+					if id, ok := n.Lhs[i].(*ast.Ident); ok && len(n.Lhs) == len(n.Rhs) && isLE(rhs) {
+						bound[id.Name] = true
+					}
+				}
+			case *ast.ValueSpec:
+				for i, v := range n.Values {
+					if len(n.Names) == len(n.Values) && isLE(v) {
+						bound[n.Names[i].Name] = true
+					}
+				}
+			}
+			return true
+		})
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || (sel.Sel.Name != "Uint16" && sel.Sel.Name != "Uint32" && sel.Sel.Name != "Uint64") {
+				return true
+			}
+			if id, ok := sel.X.(*ast.Ident); !isLE(sel.X) && !(ok && bound[id.Name]) {
+				return true
+			}
+			if _, ok := handReadAllowlist[filepath.ToSlash(path)]; ok {
+				used[filepath.ToSlash(path)] = true
+			} else {
+				t.Errorf("%s: hand-indexed %s read; parse through uisr.Reader", fset.Position(call.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path := range handReadAllowlist {
+		if !used[path] {
+			t.Errorf("%s is allowlisted but reads nothing by hand: drop it from handReadAllowlist", path)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
+	"math"
 
 	"hypertp/internal/hv"
 	"hypertp/internal/hw"
@@ -175,35 +176,30 @@ func Serialize(img *Image) ([]byte, error) {
 // framing or checksum — is an error; a transplant system must never
 // resume a guest from a damaged image.
 func Deserialize(data []byte) (*Image, error) {
-	le := binary.LittleEndian
 	if len(data) < 12+4+8 {
 		return nil, fmt.Errorf("checkpoint: image too short (%d bytes)", len(data))
 	}
-	body, sumBytes := data[:len(data)-8], data[len(data)-8:]
-	if crc64.Checksum(body, crcTable) != le.Uint64(sumBytes) {
+	body, sum := data[:len(data)-8], uisr.NewReader(data[len(data)-8:])
+	if crc64.Checksum(body, crcTable) != sum.U64() {
 		return nil, fmt.Errorf("checkpoint: checksum mismatch — image corrupt")
 	}
-	if le.Uint32(body[0:]) != magic {
-		return nil, fmt.Errorf("checkpoint: bad magic %#x", le.Uint32(body[0:]))
+	r := uisr.NewReader(body)
+	if m := r.U32(); m != magic {
+		return nil, fmt.Errorf("checkpoint: bad magic %#x", m)
 	}
-	if v := le.Uint16(body[4:]); v != version {
+	if v := r.U16(); v != version {
 		return nil, fmt.Errorf("checkpoint: unsupported version %d", v)
 	}
-	flags := le.Uint16(body[6:])
-	uisrLen := int(le.Uint32(body[8:]))
-	off := 12
-	if off+uisrLen+4 > len(body) {
-		return nil, fmt.Errorf("checkpoint: truncated UISR section")
+	flags := r.U16()
+	blob := r.Bytes(int(r.U32()))
+	n := r.Count(uint64(r.U32()), math.MaxUint32, 8+hw.PageSize4K)
+	pages := r.Bytes(n * (8 + hw.PageSize4K))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("checkpoint: framing: %w", err)
 	}
-	st, err := uisr.Decode(body[off : off+uisrLen])
+	st, err := uisr.Decode(blob)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	off += uisrLen
-	n := int(le.Uint32(body[off:]))
-	off += 4
-	if off+n*(8+hw.PageSize4K) != len(body) {
-		return nil, fmt.Errorf("checkpoint: page section size mismatch")
 	}
 	img := &Image{State: st, InPlaceCompatible: flags&1 != 0}
 	if n > 0 {
@@ -214,10 +210,10 @@ func Deserialize(data []byte) (*Image, error) {
 		backing := make([]byte, n*hw.PageSize4K)
 		err = par.ForEachSpan(n, func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
-				rec := body[off+i*(8+hw.PageSize4K):]
+				rec := uisr.NewReader(pages[i*(8+hw.PageSize4K) : (i+1)*(8+hw.PageSize4K)])
 				page := backing[i*hw.PageSize4K : (i+1)*hw.PageSize4K : (i+1)*hw.PageSize4K]
-				copy(page, rec[8:8+hw.PageSize4K])
-				img.Pages[i] = PageRecord{GFN: hw.GFN(le.Uint64(rec[0:])), Data: page}
+				img.Pages[i] = PageRecord{GFN: hw.GFN(rec.U64()), Data: page}
+				copy(page, rec.Bytes(hw.PageSize4K))
 			}
 			return nil
 		})

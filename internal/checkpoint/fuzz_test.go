@@ -1,6 +1,9 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc64"
 	"testing"
 
 	"hypertp/internal/fuzzseed"
@@ -39,19 +42,38 @@ func fuzzDeserializeSeeds(tb testing.TB) [][]byte {
 }
 
 func TestFuzzSeedCorpus(t *testing.T) {
-	fuzzseed.Check(t, "FuzzDeserialize", fuzzDeserializeSeeds(t)...)
+	seeds := fuzzDeserializeSeeds(t)
+	fuzzseed.Check(t, "FuzzDeserialize", seeds...)
+	if _, err := Deserialize(seeds[0]); err != nil {
+		t.Fatalf("the valid seed is rejected: %v", err)
+	}
+}
+
+// reseal returns data with its trailing checksum recomputed over the
+// body, so a mutation reaches the framing parser behind the CRC.
+func reseal(data []byte) []byte {
+	if len(data) < 8 {
+		return data
+	}
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint64(out[len(out)-8:], crc64.Checksum(out[:len(out)-8], crcTable))
+	return out
 }
 
 // FuzzDeserialize: the checkpoint parser must never panic and never
 // accept a corrupted image (the trailing CRC covers the whole body, so
-// any mutation must be rejected).
+// any mutation must be rejected). Each input is parsed twice: as is,
+// and resealed, so the framing behind the checksum is fuzzed too.
 func FuzzDeserialize(f *testing.F) {
 	for _, seed := range fuzzDeserializeSeeds(f) {
 		f.Add(seed)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Deserialize(data)
+		if _, err := Deserialize(data); err == nil && !bytes.Equal(data, reseal(data)) {
+			t.Fatal("image with a stale checksum accepted")
+		}
+		got, err := Deserialize(reseal(data))
 		if err != nil {
 			return
 		}
@@ -64,4 +86,10 @@ func FuzzDeserialize(f *testing.F) {
 			t.Fatalf("re-serialized image rejected: %v", err)
 		}
 	})
+}
+
+// TestParserAllocBudget: Deserialize allocates the image, one backing
+// array for its pages and what the UISR decode allocates.
+func TestParserAllocBudget(t *testing.T) {
+	fuzzseed.CheckAllocs(t, fuzzDeserializeSeeds(t), 6, 0.5, func(b []byte) { Deserialize(b) })
 }

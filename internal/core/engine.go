@@ -12,6 +12,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 
 	"hypertp/internal/fault"
@@ -27,6 +28,7 @@ import (
 	"hypertp/internal/simtime"
 	"hypertp/internal/tpcache"
 	"hypertp/internal/trace"
+	"hypertp/internal/uisr"
 )
 
 // Options toggles the §4.2.5 optimizations. The zero value is the fully
@@ -364,12 +366,10 @@ func readBlob(mem *hw.PhysMem, f pram.File) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < 8 {
-		return nil, fmt.Errorf("core: blob file %q too short", f.Name)
+	r := uisr.NewReader(raw)
+	blob := r.Bytes(r.Count(r.U64(), math.MaxInt, 1))
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("core: blob file %q: %w", f.Name, err)
 	}
-	n := binary.LittleEndian.Uint64(raw)
-	if n > uint64(len(raw)-8) {
-		return nil, fmt.Errorf("core: blob file %q claims %d bytes, have %d", f.Name, n, len(raw)-8)
-	}
-	return raw[8 : 8+n], nil
+	return blob, nil
 }

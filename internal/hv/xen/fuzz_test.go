@@ -26,7 +26,11 @@ func fuzzParseContextSeeds(tb testing.TB) [][]byte {
 }
 
 func TestFuzzSeedCorpus(t *testing.T) {
-	fuzzseed.Check(t, "FuzzParseContext", fuzzParseContextSeeds(t)...)
+	seeds := fuzzParseContextSeeds(t)
+	fuzzseed.Check(t, "FuzzParseContext", seeds...)
+	if _, err := parseContext(seeds[0]); err != nil {
+		t.Fatalf("the valid seed is rejected: %v", err)
+	}
 }
 
 // FuzzParseContext: the HVM context blob parser (the path that consumes
@@ -51,4 +55,10 @@ func FuzzParseContext(f *testing.F) {
 			t.Fatal("marshal not stable")
 		}
 	})
+}
+
+// TestParserAllocBudget: parseContext allocates the context, the growth
+// of its vCPU slice and one MSR list per vCPU, a few more to reject.
+func TestParserAllocBudget(t *testing.T) {
+	fuzzseed.CheckAllocs(t, fuzzParseContextSeeds(t), 10, 0.25, func(b []byte) { parseContext(b) })
 }

@@ -10,6 +10,7 @@ package xen
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"hypertp/internal/uisr"
 )
@@ -274,97 +275,107 @@ func (ctx *domainContext) admit(instance uint16, got, want int) (*hvmVCPU, error
 	return &ctx.vcpus[instance], nil
 }
 
+// The records a context must carry: the header and every platform record
+// once, and each vCPU every per-vCPU record once.
+const (
+	platformRecords = 1<<recHeader | 1<<recIOAPIC | 1<<recPIT | 1<<recRTC | 1<<recHPET | 1<<recPMTimer | 1<<recEnd
+	vcpuRecords     = 1<<recCPU | 1<<recLAPIC | 1<<recLAPICRegs | 1<<recMTRR | 1<<recXSave | 1<<recMSR
+)
+
 // parseContext parses an HVM blob back into a domain context. It is
-// strict about framing, mirroring Xen's hvm_load checks.
+// strict about framing, mirroring Xen's hvm_load checks, and about
+// completeness: a record missing or repeated is an error, so no vCPU is
+// ever restored from zeroes.
 func parseContext(blob []byte) (*domainContext, error) {
 	ctx := &domainContext{}
-	le := binary.LittleEndian
-	off := 0
-	sawHeader, sawEnd := false, false
-	for off < len(blob) {
-		if sawEnd {
+	r := uisr.NewReader(blob)
+	// One bit per record type seen: platform-wide, and per vCPU instance.
+	var platform uint32
+	var vcpus [uisr.MaxVCPUs]uint32
+	for r.Len() > 0 {
+		if platform&(1<<recEnd) != 0 {
 			return nil, fmt.Errorf("xen: records after end marker")
 		}
-		if off+recDescSize > len(blob) {
-			return nil, fmt.Errorf("xen: truncated record descriptor at %d", off)
+		typecode, instance, p := r.Record()
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("xen: record descriptor: %w", err)
 		}
-		typecode := le.Uint16(blob[off:])
-		instance := le.Uint16(blob[off+2:])
-		length := int(le.Uint32(blob[off+4:]))
-		off += recDescSize
-		if off+length > len(blob) {
-			return nil, fmt.Errorf("xen: truncated record %d payload", typecode)
-		}
-		payload := blob[off : off+length]
-		off += length
-
 		var err error
 		var v *hvmVCPU
 		switch typecode {
 		case recHeader:
-			err = uisr.GetFixed(payload, &ctx.header, sizeHeader)
-			if err == nil && ctx.header.Magic != hvmMagic {
+			if p.Fixed(&ctx.header, sizeHeader); p.Err() == nil && ctx.header.Magic != hvmMagic {
 				err = fmt.Errorf("bad context magic %#x", ctx.header.Magic)
 			}
-			sawHeader = true
 		case recCPU:
-			if v, err = ctx.admit(instance, length, sizeCPU); err == nil {
-				err = uisr.GetFixed(payload, &v.cpu, sizeCPU)
+			if v, err = ctx.admit(instance, p.Len(), sizeCPU); err == nil {
+				p.Fixed(&v.cpu, sizeCPU)
 			}
 		case recLAPIC:
-			if v, err = ctx.admit(instance, length, sizeLAPIC); err == nil {
-				err = uisr.GetFixed(payload, &v.lapic, sizeLAPIC)
+			if v, err = ctx.admit(instance, p.Len(), sizeLAPIC); err == nil {
+				p.Fixed(&v.lapic, sizeLAPIC)
 			}
 		case recLAPICRegs:
-			if v, err = ctx.admit(instance, length, sizeLAPICRegs); err == nil {
-				err = uisr.GetFixed(payload, &v.lapicRegs, sizeLAPICRegs)
+			if v, err = ctx.admit(instance, p.Len(), sizeLAPICRegs); err == nil {
+				p.Fixed(&v.lapicRegs, sizeLAPICRegs)
 			}
 		case recMTRR:
-			if v, err = ctx.admit(instance, length, sizeMTRR); err == nil {
-				err = uisr.GetFixed(payload, &v.mtrr, sizeMTRR)
+			if v, err = ctx.admit(instance, p.Len(), sizeMTRR); err == nil {
+				p.Fixed(&v.mtrr, sizeMTRR)
 			}
 		case recXSave:
-			if v, err = ctx.admit(instance, length, sizeXSave); err == nil {
-				err = uisr.GetFixed(payload, &v.xsave, sizeXSave)
+			if v, err = ctx.admit(instance, p.Len(), sizeXSave); err == nil {
+				p.Fixed(&v.xsave, sizeXSave)
 			}
 		case recMSR:
-			// Count the entries from the payload's own length: a huge
-			// stored count would wrap 8+16*n back onto it.
-			n := (length - msrCountSize) / msrEntrySize
-			if length < msrCountSize || le.Uint64(payload) != uint64(n) {
-				err = fmt.Errorf("MSR record of %d bytes does not hold its entry count", length)
-			} else if v, err = ctx.admit(instance, length, msrCountSize+msrEntrySize*n); err == nil {
+			n := p.Count(p.U64(), math.MaxInt, msrEntrySize)
+			if err = p.Err(); err == nil {
+				v, err = ctx.admit(instance, p.Len(), msrEntrySize*n)
+			}
+			if err == nil {
 				v.msrs = make([]hvmMSREntry, n)
 				for j := range v.msrs {
-					base := msrCountSize + msrEntrySize*j
-					v.msrs[j].Index = le.Uint32(payload[base:])
-					v.msrs[j].Value = le.Uint64(payload[base+8:])
+					v.msrs[j].Index, _, v.msrs[j].Value = p.U32(), p.U32(), p.U64()
 				}
 			}
 		case recIOAPIC:
-			err = uisr.GetFixed(payload, &ctx.ioapic, sizeIOAPIC)
+			p.Fixed(&ctx.ioapic, sizeIOAPIC)
 		case recPIT:
-			err = uisr.GetFixed(payload, &ctx.pit, sizePIT)
+			p.Fixed(&ctx.pit, sizePIT)
 		case recRTC:
-			err = uisr.GetFixed(payload, &ctx.rtc, sizeRTC)
+			p.Fixed(&ctx.rtc, sizeRTC)
 		case recHPET:
-			err = uisr.GetFixed(payload, &ctx.hpet, sizeHPET)
+			p.Fixed(&ctx.hpet, sizeHPET)
 		case recPMTimer:
-			err = uisr.GetFixed(payload, &ctx.pmtimer, sizePMTimer)
+			p.Fixed(&ctx.pmtimer, sizePMTimer)
 		case recEnd:
-			sawEnd = true
+			platform |= 1 << recEnd // its payload is not read
+			continue
 		default:
 			return nil, fmt.Errorf("xen: unknown record type %d", typecode)
+		}
+		if err == nil {
+			err = p.Done()
+		}
+		seen := &platform
+		if v != nil {
+			seen = &vcpus[instance]
+		}
+		if err == nil && *seen&(1<<typecode) != 0 {
+			err = fmt.Errorf("second record for instance %d", instance)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("xen: record type %d: %w", typecode, err)
 		}
+		*seen |= 1 << typecode
 	}
-	if !sawHeader {
-		return nil, fmt.Errorf("xen: context blob has no header record")
+	if platform != platformRecords {
+		return nil, fmt.Errorf("xen: context blob lacks records (has %#x of %#x)", platform, platformRecords)
 	}
-	if !sawEnd {
-		return nil, fmt.Errorf("xen: context blob has no end record")
+	for i := range ctx.vcpus {
+		if vcpus[i] != vcpuRecords {
+			return nil, fmt.Errorf("xen: vCPU %d lacks records (has %#x of %#x)", i, vcpus[i], vcpuRecords)
+		}
 	}
 	return ctx, nil
 }

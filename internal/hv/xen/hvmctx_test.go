@@ -158,3 +158,70 @@ func BenchmarkParseContext(b *testing.B) {
 }
 
 func vcpuLabel(n int) string { return fmt.Sprintf("%dvcpu", n) }
+
+// contextRecord is one framed record of an HVM context blob.
+type contextRecord struct {
+	typ, inst uint16
+	payload   []byte
+}
+
+func splitRecords(t *testing.T, blob []byte) []contextRecord {
+	t.Helper()
+	r := uisr.NewReader(blob)
+	var recs []contextRecord
+	for r.Len() > 0 {
+		typ, inst, p := r.Record()
+		recs = append(recs, contextRecord{typ, inst, p.Bytes(p.Len())})
+	}
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	return recs
+}
+
+func joinRecords(recs []contextRecord) []byte {
+	var out []byte
+	for _, rec := range recs {
+		out = binary.LittleEndian.AppendUint16(out, rec.typ)
+		out = binary.LittleEndian.AppendUint16(out, rec.inst)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(rec.payload)))
+		out = append(out, rec.payload...)
+	}
+	return out
+}
+
+// TestParseContextRequiresEveryRecordOnce: a well-framed context that
+// lacks a vCPU's records, or repeats one, converts, validates and
+// re-encodes into a guest restored wrong (RIP 0), so each is rejected.
+func TestParseContextRequiresEveryRecordOnce(t *testing.T) {
+	blob := marshalContext(contextOf(t, 2))
+	if _, err := parseContext(joinRecords(splitRecords(t, blob))); err != nil {
+		t.Fatalf("re-framed valid context rejected: %v", err)
+	}
+	edit := func(keep func(*contextRecord) bool) []byte {
+		var out []contextRecord
+		for _, rec := range splitRecords(t, blob) {
+			if keep(&rec) {
+				out = append(out, rec)
+			}
+		}
+		return joinRecords(out)
+	}
+	for name, forged := range map[string][]byte{
+		"every vCPU 0 record removed": edit(func(rec *contextRecord) bool {
+			return rec.inst != 0 || vcpuRecords&(1<<rec.typ) == 0
+		}),
+		"vCPU 1's CPU record relabelled as vCPU 0's": edit(func(rec *contextRecord) bool {
+			if rec.typ == recCPU && rec.inst == 1 {
+				rec.inst = 0
+			}
+			return true
+		}),
+		"no RTC record": edit(func(rec *contextRecord) bool { return rec.typ != recRTC }),
+		"two headers":   append(joinRecords(splitRecords(t, blob)[:1]), blob...),
+	} {
+		if _, err := parseContext(forged); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

@@ -440,13 +440,12 @@ func (m *migrator) stopAndCopy(dirtyPages int64) {
 		m.fail(err)
 		return
 	}
-	frame, err := marshalStreamFrame(&StreamFrame{
-		VMName: m.vm.Config.Name, Pages: uint32(dirtyPages), State: blob})
+	frame, err := streamFrameSize(m.vm.Config.Name, blob)
 	if err != nil {
 		m.fail(err)
 		return
 	}
-	bytes := dirtyPages*hw.PageSize4K + int64(len(frame))
+	bytes := dirtyPages*hw.PageSize4K + int64(frame)
 	m.report.BytesSent += bytes
 	m.p.Link.Start("stopcopy:"+m.vm.Config.Name, bytes, func(err error) {
 		if err != nil {

@@ -1,17 +1,14 @@
 package migration
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // The stop-and-copy control frame. The data plane — the final dirty
 // pages themselves — travels as raw 4 KiB pages counted arithmetically;
 // the frame is the metadata that precedes them on the wire: which VM,
 // how many pages to expect, and the serialized (UISR or native)
-// platform state. Framing it for real, instead of estimating "a few
-// KB", makes the traffic model track the actual UISR encoding size and
-// gives the receiver a parse step worth fuzzing.
+// platform state. Its size follows the actual UISR encoding rather than
+// an estimate of "a few KB". The receiver restores from the state in
+// memory, so the frame is sized, never built.
 //
 // Layout (little-endian):
 //
@@ -21,82 +18,24 @@ import (
 //	u16  VM name length, then the name bytes
 //	u32  page count of the data plane that follows
 //	u32  state blob length, then the blob bytes
-const (
-	streamMagic   uint32 = 0x53505448 // "HTPS"
-	streamVersion uint16 = 1
-)
+const streamFrameHeader = 4 + 2 + 2 + 2 + 4 + 4
 
 // maxStreamName bounds the VM-name field; maxStreamState bounds the
-// platform-state blob (far above any real UISR encoding). Both exist so
-// a corrupt length field fails parsing instead of a huge allocation.
+// platform-state blob (far above any real UISR encoding).
 const (
 	maxStreamName  = 1 << 10
 	maxStreamState = 64 << 20
 )
 
-// StreamFrame is the parsed control frame.
-type StreamFrame struct {
-	VMName string
-	Pages  uint32 // 4 KiB data-plane pages that follow the frame
-	State  []byte // serialized platform state (UISR blob or native)
-}
-
-// marshalStreamFrame renders the frame to wire bytes.
-func marshalStreamFrame(f *StreamFrame) ([]byte, error) {
-	if len(f.VMName) > maxStreamName {
-		return nil, fmt.Errorf("migration: stream frame: VM name %d bytes exceeds %d", len(f.VMName), maxStreamName)
+// streamFrameSize returns the wire size of the control frame carrying
+// the VM named vmName and its serialized state, or the error of a field
+// too large for the frame.
+func streamFrameSize(vmName string, state []byte) (int, error) {
+	if len(vmName) > maxStreamName {
+		return 0, fmt.Errorf("migration: stream frame: VM name %d bytes exceeds %d", len(vmName), maxStreamName)
 	}
-	if len(f.State) > maxStreamState {
-		return nil, fmt.Errorf("migration: stream frame: state blob %d bytes exceeds %d", len(f.State), maxStreamState)
+	if len(state) > maxStreamState {
+		return 0, fmt.Errorf("migration: stream frame: state blob %d bytes exceeds %d", len(state), maxStreamState)
 	}
-	out := make([]byte, 0, 18+len(f.VMName)+len(f.State))
-	out = binary.LittleEndian.AppendUint32(out, streamMagic)
-	out = binary.LittleEndian.AppendUint16(out, streamVersion)
-	out = binary.LittleEndian.AppendUint16(out, 0)
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(f.VMName)))
-	out = append(out, f.VMName...)
-	out = binary.LittleEndian.AppendUint32(out, f.Pages)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(f.State)))
-	out = append(out, f.State...)
-	return out, nil
-}
-
-// parseStreamFrame decodes wire bytes back into a frame, rejecting
-// anything malformed: bad magic, unknown version, nonzero reserved
-// bits, truncated or oversized length fields, or trailing garbage.
-func parseStreamFrame(data []byte) (*StreamFrame, error) {
-	if len(data) < 10 {
-		return nil, fmt.Errorf("migration: stream frame: %d bytes, need at least 10", len(data))
-	}
-	if m := binary.LittleEndian.Uint32(data[0:]); m != streamMagic {
-		return nil, fmt.Errorf("migration: stream frame: bad magic %#x", m)
-	}
-	if v := binary.LittleEndian.Uint16(data[4:]); v != streamVersion {
-		return nil, fmt.Errorf("migration: stream frame: unsupported version %d", v)
-	}
-	if r := binary.LittleEndian.Uint16(data[6:]); r != 0 {
-		return nil, fmt.Errorf("migration: stream frame: reserved bits %#x set", r)
-	}
-	nameLen := int(binary.LittleEndian.Uint16(data[8:]))
-	if nameLen > maxStreamName {
-		return nil, fmt.Errorf("migration: stream frame: VM name %d bytes exceeds %d", nameLen, maxStreamName)
-	}
-	off := 10
-	if len(data) < off+nameLen+8 {
-		return nil, fmt.Errorf("migration: stream frame: truncated at VM name")
-	}
-	name := string(data[off : off+nameLen])
-	off += nameLen
-	pages := binary.LittleEndian.Uint32(data[off:])
-	stateLen := int(binary.LittleEndian.Uint32(data[off+4:]))
-	if stateLen > maxStreamState {
-		return nil, fmt.Errorf("migration: stream frame: state blob %d bytes exceeds %d", stateLen, maxStreamState)
-	}
-	off += 8
-	if len(data) != off+stateLen {
-		return nil, fmt.Errorf("migration: stream frame: %d bytes, header promises %d", len(data), off+stateLen)
-	}
-	st := make([]byte, stateLen)
-	copy(st, data[off:])
-	return &StreamFrame{VMName: name, Pages: pages, State: st}, nil
+	return streamFrameHeader + len(vmName) + len(state), nil
 }

@@ -273,18 +273,18 @@ func Parse(mem *hw.PhysMem, pointer hw.MFN) (*Structure, error) {
 		if err := mem.ReadInto(root, 0, page); err != nil {
 			return nil, fmt.Errorf("pram: root page: %w", err)
 		}
-		le := binary.LittleEndian
-		if le.Uint64(page[0:]) != rootMagic {
+		r := uisr.NewReader(page)
+		magic, next := r.U64(), hw.MFN(r.U64())
+		if magic != rootMagic {
 			return nil, fmt.Errorf("pram: bad root magic at frame %#x", uint64(root))
 		}
-		next := hw.MFN(le.Uint64(page[8:]))
-		count := int(le.Uint64(page[16:]))
-		if count > filePointersPerRoot {
+		count := r.U64()
+		rp := rootPage{frame: root, infos: make([]hw.MFN, r.Count(count, filePointersPerRoot, 8))}
+		if r.Err() != nil {
 			return nil, fmt.Errorf("pram: root page count %d too large", count)
 		}
-		rp := rootPage{frame: root, infos: make([]hw.MFN, count)}
-		for i := 0; i < count; i++ {
-			rp.infos[i] = hw.MFN(le.Uint64(page[rootHeaderSize+8*i:]))
+		for i := range rp.infos {
+			rp.infos[i] = hw.MFN(r.U64())
 		}
 		rootPages = append(rootPages, rp)
 		root = next
@@ -425,19 +425,16 @@ func parseFile(mem *hw.PhysMem, info hw.MFN) (f File, nodes []hw.MFN, err error)
 	if err := mem.ReadInto(info, 0, page); err != nil {
 		return f, nil, fmt.Errorf("pram: file info page: %w", err)
 	}
-	le := binary.LittleEndian
-	if le.Uint64(page[0:]) != fileMagic {
+	r := uisr.NewReader(page)
+	if r.U64() != fileMagic {
 		return f, nil, fmt.Errorf("pram: bad file magic at frame %#x", uint64(info))
 	}
-	node := hw.MFN(le.Uint64(page[8:]))
-	wantEntries := le.Uint64(page[16:])
-	wantBytes := le.Uint64(page[24:])
-	f.VMID = le.Uint32(page[32:])
-	nameLen := int(le.Uint32(page[36:]))
-	if nameLen > maxNameLen {
+	node, wantEntries, wantBytes := hw.MFN(r.U64()), r.U64(), r.U64()
+	f.VMID = r.U32()
+	nameLen := r.U32()
+	if f.Name = string(r.Bytes(r.Count(uint64(nameLen), maxNameLen, 1))); r.Err() != nil {
 		return f, nil, fmt.Errorf("pram: file name length %d too large", nameLen)
 	}
-	f.Name = string(page[40 : 40+nameLen])
 	// The info page records the entry count, so the extents and the node
 	// list are sized once — after the count is checked against the
 	// machine: every entry maps at least one frame of it.
@@ -458,16 +455,18 @@ func parseFile(mem *hw.PhysMem, info hw.MFN) (f File, nodes []hw.MFN, err error)
 		if err := mem.ReadInto(node, 0, page); err != nil {
 			return f, nil, fmt.Errorf("pram: node page: %w", err)
 		}
-		if le.Uint64(page[0:]) != nodeMagic {
+		r := uisr.NewReader(page)
+		if r.U64() != nodeMagic {
 			return f, nil, fmt.Errorf("pram: bad node magic at frame %#x", uint64(node))
 		}
-		next := hw.MFN(le.Uint64(page[8:]))
-		count := int(le.Uint64(page[16:]))
-		if count > EntriesPerNode {
+		next, count := hw.MFN(r.U64()), r.U64()
+		r.U64() // reserved
+		n := r.Count(count, EntriesPerNode, 8)
+		if r.Err() != nil {
 			return f, nil, fmt.Errorf("pram: node entry count %d too large", count)
 		}
-		for i := 0; i < count; i++ {
-			f.Extents = append(f.Extents, unpackEntry(le.Uint64(page[nodeHeaderSize+8*i:])))
+		for range n {
+			f.Extents = append(f.Extents, unpackEntry(r.U64()))
 		}
 		node = next
 	}

@@ -3,6 +3,7 @@ package uisr
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // Section type tags of the binary format. They correspond to the UISR
@@ -27,15 +28,17 @@ const (
 	SecEnd       uint16 = 0xffff
 )
 
-// sectionHeader precedes each TLV payload: type, instance (vCPU id or
-// device ordinal), payload length.
-type sectionHeader struct {
-	Type     uint16
-	Instance uint16
-	Length   uint32
-}
-
+// sectionHeaderSize is the descriptor before each TLV payload: type,
+// instance (vCPU id or device ordinal), payload length (Reader.Record).
 const sectionHeaderSize = 8
+
+// Sections Decode requires: every encoded blob carries these VM-wide
+// ones, and each vCPU carries every per-vCPU one.
+const (
+	requiredSections = 1<<SecHeader | 1<<SecIOAPIC | 1<<SecRTC
+	perVCPUSections  = 1<<SecCPU | 1<<SecSRegs | 1<<SecMSRs | 1<<SecFPU |
+		1<<SecXSave | 1<<SecLAPIC | 1<<SecLAPICRegs | 1<<SecMTRR
+)
 
 // Wire sizes of the fixed-layout sections, computed once.
 var (
@@ -147,8 +150,13 @@ func Encode(s *VMState) ([]byte, error) {
 		encodeMSRs(begin(SecMSRs, inst, 4+msrEntrySize*len(v.MSRs)), v.MSRs)
 		PutFixed(begin(SecFPU, inst, fpuSize), &v.FPU)
 		PutFixed(begin(SecXSave, inst, sizeXSave), &v.XSave)
-		encodeLAPICBase(begin(SecLAPIC, inst, lapicBaseSize), &v.LAPIC)
-		encodeLAPICRegs(begin(SecLAPICRegs, inst, lapicRegsSize), &v.LAPIC)
+		lapic := begin(SecLAPIC, inst, lapicBaseSize)
+		le.PutUint64(lapic, v.LAPIC.Base)
+		le.PutUint32(lapic[8:], v.LAPIC.ID)
+		regs := begin(SecLAPICRegs, inst, lapicRegsSize)
+		for j, reg := range v.LAPIC.Regs {
+			le.PutUint32(regs[4*j:], reg)
+		}
 		PutFixed(begin(SecMTRR, inst, sizeMTRR), &v.MTRR)
 	}
 	PutFixed(begin(SecIOAPIC, 0, sizeIOAPIC), &s.IOAPIC)
@@ -178,105 +186,112 @@ func Encode(s *VMState) ([]byte, error) {
 	return out, nil
 }
 
-// Decode parses a UISR blob back into a VMState. It is strict: unknown
-// sections, truncation, or a bad magic are errors, because a transplant
-// must never silently restore partial state.
+// Decode parses a UISR blob back into a VMState. It is strict: unknown,
+// missing or repeated sections, truncation, or a bad magic are errors,
+// because a transplant must never silently restore partial state. Each
+// vCPU carries every per-vCPU section exactly once; the header, IOAPIC
+// and RTC sections appear exactly once, the optional timers and the
+// memory map at most once.
 func Decode(data []byte) (*VMState, error) {
-	le := binary.LittleEndian
-	if len(data) < topHeaderSize {
+	r := NewReader(data)
+	magic, version, _, wantSections := r.U32(), r.U16(), r.U16(), r.U32()
+	switch {
+	case r.Err() != nil:
 		return nil, fmt.Errorf("uisr: blob too short (%d bytes)", len(data))
+	case magic != Magic:
+		return nil, fmt.Errorf("uisr: bad magic %#x", magic)
+	case version != Version:
+		return nil, fmt.Errorf("uisr: unsupported version %d", version)
 	}
-	if le.Uint32(data[0:]) != Magic {
-		return nil, fmt.Errorf("uisr: bad magic %#x", le.Uint32(data[0:]))
-	}
-	if v := le.Uint16(data[4:]); v != Version {
-		return nil, fmt.Errorf("uisr: unsupported version %d", v)
-	}
-	wantSections := le.Uint32(data[8:])
 
 	s := &VMState{}
-	// seen marks the vCPU instances that carried at least one section.
-	var seen [MaxVCPUs]bool
-
-	off := topHeaderSize
+	// One bit per section type seen: VM-wide, and per vCPU instance.
+	var vmSections uint16
+	var vcpuSections [MaxVCPUs]uint16
 	var gotSections uint32
 	sawEnd := false
-	for off < len(data) {
+	for r.Len() > 0 {
 		if sawEnd {
 			return nil, fmt.Errorf("uisr: trailing data after end section")
 		}
-		if off+sectionHeaderSize > len(data) {
-			return nil, fmt.Errorf("uisr: truncated section header at %d", off)
+		typ, inst, p := r.Record()
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("uisr: section %d: %w", gotSections, err)
 		}
-		hdr := sectionHeader{
-			Type:     le.Uint16(data[off:]),
-			Instance: le.Uint16(data[off+2:]),
-			Length:   le.Uint32(data[off+4:]),
-		}
-		off += sectionHeaderSize
-		if off+int(hdr.Length) > len(data) {
-			return nil, fmt.Errorf("uisr: truncated section %#x payload", hdr.Type)
-		}
-		payload := data[off : off+int(hdr.Length)]
-		off += int(hdr.Length)
 		gotSections++
-
-		var err error
-		var v *VCPU
-		if hdr.Type >= SecCPU && hdr.Type <= SecMTRR { // the per-vCPU sections
-			if int(hdr.Instance) >= len(s.VCPUs) {
-				return nil, fmt.Errorf("uisr: section %#x: vCPU id %d out of range (header says %d vCPUs)",
-					hdr.Type, hdr.Instance, len(s.VCPUs))
-			}
-			seen[hdr.Instance] = true
-			v = &s.VCPUs[hdr.Instance]
+		if typ == SecEnd {
+			sawEnd = true
+			continue
 		}
-		switch hdr.Type {
+		if typ > SecPMTimer {
+			return nil, fmt.Errorf("uisr: unknown section type %#x", typ)
+		}
+		seen, v := &vmSections, (*VCPU)(nil)
+		if typ >= SecCPU && typ <= SecMTRR { // the per-vCPU sections
+			if int(inst) >= len(s.VCPUs) {
+				return nil, fmt.Errorf("uisr: section %#x: vCPU id %d out of range (header says %d vCPUs)",
+					typ, inst, len(s.VCPUs))
+			}
+			seen, v = &vcpuSections[inst], &s.VCPUs[inst]
+		}
+		if typ != SecDevice {
+			if *seen&(1<<typ) != 0 {
+				return nil, fmt.Errorf("uisr: second %s section for instance %d", SectionName(typ), inst)
+			}
+			*seen |= 1 << typ
+		}
+		switch typ {
 		case SecHeader:
-			err = decodeHeader(payload, s)
+			decodeHeader(&p, s)
 		case SecCPU:
-			err = GetFixed(payload, &v.Regs, sizeRegs)
+			p.Fixed(&v.Regs, sizeRegs)
 		case SecSRegs:
-			err = GetFixed(payload, &v.SRegs, sizeSRegs)
+			p.Fixed(&v.SRegs, sizeSRegs)
 		case SecMSRs:
-			v.MSRs, err = decodeMSRs(payload)
+			v.MSRs = make([]MSR, p.Count(uint64(p.U32()), math.MaxUint32, msrEntrySize))
+			for i := range v.MSRs {
+				v.MSRs[i].Index, v.MSRs[i].Value = p.U32(), p.U64()
+			}
 		case SecFPU:
-			err = GetFixed(payload, &v.FPU, fpuSize)
+			p.Fixed(&v.FPU, fpuSize)
 		case SecXSave:
-			err = GetFixed(payload, &v.XSave, sizeXSave)
+			p.Fixed(&v.XSave, sizeXSave)
 		case SecLAPIC:
-			err = decodeLAPICBase(payload, &v.LAPIC)
+			v.LAPIC.Base, v.LAPIC.ID = p.U64(), p.U32()
 		case SecLAPICRegs:
-			err = decodeLAPICRegs(payload, &v.LAPIC)
+			for i := range v.LAPIC.Regs {
+				v.LAPIC.Regs[i] = p.U32()
+			}
 		case SecMTRR:
-			err = GetFixed(payload, &v.MTRR, sizeMTRR)
+			p.Fixed(&v.MTRR, sizeMTRR)
 		case SecIOAPIC:
-			err = GetFixed(payload, &s.IOAPIC, sizeIOAPIC)
+			p.Fixed(&s.IOAPIC, sizeIOAPIC)
 		case SecPIT:
 			s.HasPIT = true
-			err = GetFixed(payload, &s.PIT, sizePIT)
+			p.Fixed(&s.PIT, sizePIT)
 		case SecRTC:
-			err = GetFixed(payload, &s.RTC, sizeRTC)
+			p.Fixed(&s.RTC, sizeRTC)
 		case SecHPET:
 			s.HasHPET = true
-			err = GetFixed(payload, &s.HPET, sizeHPET)
+			p.Fixed(&s.HPET, sizeHPET)
 		case SecPMTimer:
 			s.HasPMTimer = true
-			err = GetFixed(payload, &s.PMTimer, sizePMTimer)
+			p.Fixed(&s.PMTimer, sizePMTimer)
 		case SecMemMap:
-			s.MemMap, err = decodeMemMap(payload)
-		case SecDevice:
-			var d EmulatedDevice
-			if err = decodeDevice(payload, &d); err == nil {
-				s.Devices = append(s.Devices, d)
+			s.MemMap = make([]PageExtent, p.Count(uint64(p.U32()), math.MaxUint32, extentWireSize))
+			for i := range s.MemMap {
+				e := &s.MemMap[i]
+				e.GFN, e.MFN, e.Order = p.U64(), p.U64(), p.U8()
 			}
-		case SecEnd:
-			sawEnd = true
-		default:
-			return nil, fmt.Errorf("uisr: unknown section type %#x", hdr.Type)
+		case SecDevice:
+			d := EmulatedDevice{Kind: p.String16(), Model: p.String16(), UnplugOnTransplant: p.U8() == 1}
+			if st := p.Bytes(int(p.U32())); len(st) > 0 {
+				d.State = append(make([]byte, 0, len(st)), st...)
+			}
+			s.Devices = append(s.Devices, d)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("uisr: section %#x: %w", hdr.Type, err)
+		if err := p.Done(); err != nil {
+			return nil, fmt.Errorf("uisr: section %#x: %w", typ, err)
 		}
 	}
 	if !sawEnd {
@@ -285,9 +300,13 @@ func Decode(data []byte) (*VMState, error) {
 	if gotSections != wantSections {
 		return nil, fmt.Errorf("uisr: section count %d, header says %d", gotSections, wantSections)
 	}
+	if vmSections&requiredSections != requiredSections {
+		return nil, fmt.Errorf("uisr: blob lacks its header, IOAPIC or RTC section")
+	}
 	for i := range s.VCPUs {
-		if !seen[i] {
-			return nil, fmt.Errorf("uisr: header says %d vCPUs, vCPU %d has no section", len(s.VCPUs), i)
+		if vcpuSections[i] != perVCPUSections {
+			return nil, fmt.Errorf("uisr: header says %d vCPUs, vCPU %d lacks sections (has %#x of %#x)",
+				len(s.VCPUs), i, vcpuSections[i], perVCPUSections)
 		}
 	}
 	if err := s.Validate(); err != nil {
@@ -324,42 +343,27 @@ func encodeHeader(out []byte, s *VMState) {
 	putString(out, off, s.SourceHypervisor)
 }
 
-func decodeHeader(p []byte, s *VMState) error {
-	if len(p) < 20 {
-		return fmt.Errorf("header too short")
-	}
-	le := binary.LittleEndian
-	if s.VCPUs != nil {
-		return fmt.Errorf("second header section")
+func decodeHeader(p *Reader, s *VMState) {
+	s.VMID, s.MemBytes = p.U32(), p.U64()
+	n := int(p.U16())
+	s.HugePages = p.U8() == 1
+	p.U8()
+	s.Weight = p.U16()
+	p.U16() // reserved
+	if p.Err() != nil {
+		return
 	}
 	// Bound the count before it sizes anything: 65535 vCPUs would be
 	// 200 MB from a 12-byte header.
-	n := int(le.Uint16(p[12:]))
 	if n < 1 || n > MaxVCPUs {
-		return fmt.Errorf("header says %d vCPUs, want 1 to %d", n, MaxVCPUs)
+		p.fail(fmt.Errorf("header says %d vCPUs, want 1 to %d", n, MaxVCPUs))
+		return
 	}
 	s.VCPUs = make([]VCPU, n)
 	for i := range s.VCPUs {
 		s.VCPUs[i].ID = uint32(i)
 	}
-	s.VMID = le.Uint32(p[0:])
-	s.MemBytes = le.Uint64(p[4:])
-	s.HugePages = p[14] == 1
-	s.Weight = le.Uint16(p[16:])
-	rest := p[20:]
-	var err error
-	s.Name, rest, err = readString(rest)
-	if err != nil {
-		return err
-	}
-	s.SourceHypervisor, rest, err = readString(rest)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("trailing header bytes")
-	}
-	return nil
+	s.Name, s.SourceHypervisor = p.String16(), p.String16()
 }
 
 func encodeMSRs(out []byte, msrs []MSR) {
@@ -369,57 +373,6 @@ func encodeMSRs(out []byte, msrs []MSR) {
 		le.PutUint32(out[4+msrEntrySize*i:], m.Index)
 		le.PutUint64(out[8+msrEntrySize*i:], m.Value)
 	}
-}
-
-func decodeMSRs(p []byte) ([]MSR, error) {
-	if len(p) < 4 {
-		return nil, fmt.Errorf("MSR section too short")
-	}
-	le := binary.LittleEndian
-	n := int(le.Uint32(p[0:]))
-	if len(p) != 4+msrEntrySize*n {
-		return nil, fmt.Errorf("MSR section %d bytes, want %d for %d entries", len(p), 4+msrEntrySize*n, n)
-	}
-	out := make([]MSR, n)
-	for i := range out {
-		out[i].Index = le.Uint32(p[4+msrEntrySize*i:])
-		out[i].Value = le.Uint64(p[8+msrEntrySize*i:])
-	}
-	return out, nil
-}
-
-func encodeLAPICBase(out []byte, l *LAPIC) {
-	le := binary.LittleEndian
-	le.PutUint64(out[0:], l.Base)
-	le.PutUint32(out[8:], l.ID)
-}
-
-func decodeLAPICBase(p []byte, l *LAPIC) error {
-	if len(p) != lapicBaseSize {
-		return fmt.Errorf("LAPIC base payload %d bytes, want %d", len(p), lapicBaseSize)
-	}
-	le := binary.LittleEndian
-	l.Base = le.Uint64(p[0:])
-	l.ID = le.Uint32(p[8:])
-	return nil
-}
-
-func encodeLAPICRegs(out []byte, l *LAPIC) {
-	le := binary.LittleEndian
-	for i, r := range l.Regs {
-		le.PutUint32(out[4*i:], r)
-	}
-}
-
-func decodeLAPICRegs(p []byte, l *LAPIC) error {
-	if len(p) != lapicRegsSize {
-		return fmt.Errorf("LAPIC regs payload %d bytes, want %d", len(p), lapicRegsSize)
-	}
-	le := binary.LittleEndian
-	for i := range l.Regs {
-		l.Regs[i] = le.Uint32(p[4*i:])
-	}
-	return nil
 }
 
 func encodeMemMap(out []byte, extents []PageExtent) {
@@ -433,25 +386,6 @@ func encodeMemMap(out []byte, extents []PageExtent) {
 	}
 }
 
-func decodeMemMap(p []byte) ([]PageExtent, error) {
-	if len(p) < 4 {
-		return nil, fmt.Errorf("memmap too short")
-	}
-	le := binary.LittleEndian
-	n := int(le.Uint32(p[0:]))
-	if len(p) != 4+extentWireSize*n {
-		return nil, fmt.Errorf("memmap %d bytes, want %d for %d extents", len(p), 4+extentWireSize*n, n)
-	}
-	out := make([]PageExtent, n)
-	for i := range out {
-		base := 4 + extentWireSize*i
-		out[i].GFN = le.Uint64(p[base:])
-		out[i].MFN = le.Uint64(p[base+8:])
-		out[i].Order = p[base+16]
-	}
-	return out, nil
-}
-
 func encodeDevice(out []byte, d *EmulatedDevice) {
 	off := putString(out, 0, d.Kind)
 	off = putString(out, off, d.Model)
@@ -463,48 +397,10 @@ func encodeDevice(out []byte, d *EmulatedDevice) {
 	copy(out[off+4:], d.State)
 }
 
-func decodeDevice(p []byte, d *EmulatedDevice) error {
-	var err error
-	d.Kind, p, err = readString(p)
-	if err != nil {
-		return err
-	}
-	d.Model, p, err = readString(p)
-	if err != nil {
-		return err
-	}
-	if len(p) < 5 {
-		return fmt.Errorf("device section truncated")
-	}
-	d.UnplugOnTransplant = p[0] == 1
-	n := int(binary.LittleEndian.Uint32(p[1:]))
-	p = p[5:]
-	if len(p) != n {
-		return fmt.Errorf("device state %d bytes, want %d", len(p), n)
-	}
-	if n > 0 {
-		d.State = make([]byte, n)
-		copy(d.State, p)
-	}
-	return nil
-}
-
 // putString writes a length-prefixed string at out[off:] and returns the
 // offset just past it.
 func putString(out []byte, off int, s string) int {
 	binary.LittleEndian.PutUint16(out[off:], uint16(len(s)))
 	copy(out[off+2:], s)
 	return off + 2 + len(s)
-}
-
-func readString(p []byte) (string, []byte, error) {
-	if len(p) < 2 {
-		return "", nil, fmt.Errorf("truncated string length")
-	}
-	n := int(binary.LittleEndian.Uint16(p))
-	p = p[2:]
-	if len(p) < n {
-		return "", nil, fmt.Errorf("truncated string body")
-	}
-	return string(p[:n]), p[n:], nil
 }

@@ -371,3 +371,101 @@ func TestEncodedSizeMatchesEncode(t *testing.T) {
 		}
 	}
 }
+
+// blobSection is one framed section of an encoded blob.
+type blobSection struct {
+	typ, inst uint16
+	payload   []byte
+}
+
+// splitSections frames blob's sections with the reader, end included.
+func splitSections(t *testing.T, blob []byte) []blobSection {
+	t.Helper()
+	r := NewReader(blob[topHeaderSize:])
+	var secs []blobSection
+	for r.Len() > 0 {
+		typ, inst, p := r.Record()
+		secs = append(secs, blobSection{typ, inst, p.Bytes(p.Len())})
+	}
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	return secs
+}
+
+// joinSections re-frames secs under a top header whose section count
+// agrees with them, as a forger of a consistent blob would.
+func joinSections(secs []blobSection) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, Magic)
+	out = binary.LittleEndian.AppendUint16(out, Version)
+	out = binary.LittleEndian.AppendUint16(out, 0)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(secs)))
+	for _, s := range secs {
+		out = binary.LittleEndian.AppendUint16(out, s.typ)
+		out = binary.LittleEndian.AppendUint16(out, s.inst)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(s.payload)))
+		out = append(out, s.payload...)
+	}
+	return out
+}
+
+// TestDecodeRequiresEverySectionOnce: a blob whose framing and section
+// count are consistent but whose state is incomplete or doubled decodes
+// to a guest restored wrong — a zero LAPIC base, no MSRs, a register
+// file from another vCPU — so each case is rejected.
+func TestDecodeRequiresEverySectionOnce(t *testing.T) {
+	blob, err := Encode(SyntheticVM("vm", 1, 2, 1<<30, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(joinSections(splitSections(t, blob))); err != nil {
+		t.Fatalf("re-framed valid blob rejected: %v", err)
+	}
+	drop := func(drop func(blobSection) bool) func([]blobSection) []blobSection {
+		return func(secs []blobSection) []blobSection {
+			var out []blobSection
+			for _, s := range secs {
+				if !drop(s) {
+					out = append(out, s)
+				}
+			}
+			return out
+		}
+	}
+	// repeat appends a copy of the first typ section before the end.
+	repeat := func(typ uint16) func([]blobSection) []blobSection {
+		return func(secs []blobSection) []blobSection {
+			for _, s := range secs {
+				if s.typ == typ {
+					end := len(secs) - 1
+					return append(secs[:end:end], s, secs[end])
+				}
+			}
+			t.Fatalf("no %s section to repeat", SectionName(typ))
+			return nil
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		edit func([]blobSection) []blobSection
+	}{
+		{"vCPU 1 without LAPIC, LAPIC_REGS and MSRs", drop(func(s blobSection) bool {
+			return s.inst == 1 && (s.typ == SecLAPIC || s.typ == SecLAPICRegs || s.typ == SecMSRs)
+		})},
+		{"vCPU 1's registers relabelled as vCPU 0's", func(secs []blobSection) []blobSection {
+			for i := range secs {
+				if secs[i].typ == SecCPU && secs[i].inst == 1 {
+					secs[i].inst = 0
+				}
+			}
+			return secs
+		}},
+		{"no IOAPIC section", drop(func(s blobSection) bool { return s.typ == SecIOAPIC })},
+		{"a second RTC section", repeat(SecRTC)},
+		{"a second PIT section", repeat(SecPIT)},
+	} {
+		if _, err := Decode(joinSections(tc.edit(splitSections(t, blob)))); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}

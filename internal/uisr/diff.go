@@ -2,7 +2,6 @@ package uisr
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 )
 
@@ -36,27 +35,6 @@ func SectionName(typ uint16) string {
 	return fmt.Sprintf("%#04x", typ)
 }
 
-// nextSection reads one TLV section at off, returning its header, its
-// payload, and the offset past it. It validates only the framing — the
-// payload is returned raw so DiffBlobs can compare malformed-but-framed
-// blobs byte-for-byte.
-func nextSection(data []byte, off int) (sectionHeader, []byte, int, error) {
-	le := binary.LittleEndian
-	if off+sectionHeaderSize > len(data) {
-		return sectionHeader{}, nil, 0, fmt.Errorf("truncated section header at offset %d", off)
-	}
-	hdr := sectionHeader{
-		Type:     le.Uint16(data[off:]),
-		Instance: le.Uint16(data[off+2:]),
-		Length:   le.Uint32(data[off+4:]),
-	}
-	off += sectionHeaderSize
-	if off+int(hdr.Length) > len(data) {
-		return sectionHeader{}, nil, 0, fmt.Errorf("truncated %s payload at offset %d", SectionName(hdr.Type), off)
-	}
-	return hdr, data[off : off+int(hdr.Length)], off + int(hdr.Length), nil
-}
-
 // DiffBlobs compares two encoded UISR blobs section by section and
 // returns a human-readable description of the first divergence, or ""
 // when the blobs are byte-identical. Where a raw byte compare only says
@@ -73,9 +51,9 @@ func DiffBlobs(a, b []byte) string {
 	if !bytes.Equal(a[:topHeaderSize], b[:topHeaderSize]) {
 		return fmt.Sprintf("top header differs: %x vs %x", a[:topHeaderSize], b[:topHeaderSize])
 	}
-	offA, offB := topHeaderSize, topHeaderSize
+	ra, rb := NewReader(a[topHeaderSize:]), NewReader(b[topHeaderSize:])
 	for i := 0; ; i++ {
-		doneA, doneB := offA >= len(a), offB >= len(b)
+		doneA, doneB := ra.Len() == 0, rb.Len() == 0
 		if doneA || doneB {
 			if doneA && doneB {
 				// Same framing, same payloads, yet not bytes.Equal —
@@ -85,24 +63,24 @@ func DiffBlobs(a, b []byte) string {
 			}
 			return fmt.Sprintf("section count differs: one blob ends after %d sections", i)
 		}
-		ha, pa, na, errA := nextSection(a, offA)
-		hb, pb, nb, errB := nextSection(b, offB)
-		if errA != nil || errB != nil {
-			return fmt.Sprintf("framing differs at section %d: %v vs %v", i, errA, errB)
+		// Only the framing is validated: payloads compare raw, so
+		// malformed-but-framed blobs still diff byte for byte.
+		ta, ia, pa := ra.Record()
+		tb, ib, pb := rb.Record()
+		if ra.Err() != nil || rb.Err() != nil {
+			return fmt.Sprintf("framing differs at section %d: %v vs %v", i, ra.Err(), rb.Err())
 		}
-		if ha != hb {
+		if ta != tb || ia != ib || pa.Len() != pb.Len() {
 			return fmt.Sprintf("section %d header differs: %s[%d] len %d vs %s[%d] len %d",
-				i, SectionName(ha.Type), ha.Instance, ha.Length,
-				SectionName(hb.Type), hb.Instance, hb.Length)
+				i, SectionName(ta), ia, pa.Len(), SectionName(tb), ib, pb.Len())
 		}
-		if !bytes.Equal(pa, pb) {
+		if x, y := pa.Bytes(pa.Len()), pb.Bytes(pb.Len()); !bytes.Equal(x, y) {
 			j := 0
-			for j < len(pa) && pa[j] == pb[j] {
+			for j < len(x) && x[j] == y[j] {
 				j++
 			}
 			return fmt.Sprintf("%s[%d] payload differs at byte %d of %d (%#02x vs %#02x)",
-				SectionName(ha.Type), ha.Instance, j, len(pa), pa[j], pb[j])
+				SectionName(ta), ia, j, len(x), x[j], y[j])
 		}
-		offA, offB = na, nb
 	}
 }

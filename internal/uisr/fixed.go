@@ -18,7 +18,9 @@ import (
 // GetFixed replay the plan over the record's memory — no reflect.Value
 // walks a record, and nothing allocates. Callers size their output with
 // FixedSize once per type (which also compiles the plan, at package
-// init), allocate once and write every record in place.
+// init), allocate once and write every record in place. Parsers read
+// records back through Reader.Fixed (reader.go), the bounded cursor every
+// parser of hostile bytes shares.
 
 // fixedRun is n elements of one width, adjacent in the record's memory
 // and on the wire. A uint64 field followed by a [17]uint64 is one run.

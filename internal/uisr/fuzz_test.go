@@ -24,7 +24,11 @@ func fuzzDecodeSeeds(tb testing.TB) [][]byte {
 }
 
 func TestFuzzSeedCorpus(t *testing.T) {
-	fuzzseed.Check(t, "FuzzDecode", fuzzDecodeSeeds(t)...)
+	seeds := fuzzDecodeSeeds(t)
+	fuzzseed.Check(t, "FuzzDecode", seeds...)
+	if _, err := Decode(seeds[0]); err != nil {
+		t.Fatalf("the valid seed is rejected: %v", err)
+	}
 }
 
 // FuzzDecode: the UISR decoder must never panic on arbitrary bytes, and
@@ -57,4 +61,11 @@ func FuzzDecode(f *testing.F) {
 			t.Fatal("encode not stable after one round trip")
 		}
 	})
+}
+
+// TestParserAllocBudget: Decode allocates per slice it fills (the state,
+// its vCPUs, strings, MSR lists, devices), a few more to reject, and
+// nothing per byte read.
+func TestParserAllocBudget(t *testing.T) {
+	fuzzseed.CheckAllocs(t, fuzzDecodeSeeds(t), 10, 1.5, func(b []byte) { Decode(b) })
 }
