@@ -18,7 +18,7 @@ import (
 	"strings"
 
 	"hypertp/internal/experiments"
-	"hypertp/internal/metrics"
+	"hypertp/internal/obs"
 	"hypertp/internal/par"
 )
 
@@ -159,7 +159,7 @@ var sections = []struct {
 	}},
 }
 
-func printTabs(w io.Writer, tabs []*metrics.Table, err error) error {
+func printTabs(w io.Writer, tabs []*obs.Table, err error) error {
 	if err != nil {
 		return err
 	}

@@ -7,7 +7,6 @@ import (
 
 	"hypertp/internal/core"
 	"hypertp/internal/hterr"
-	"hypertp/internal/metrics"
 	"hypertp/internal/obs"
 	"hypertp/internal/orchestrator"
 	"hypertp/internal/reactive"
@@ -152,7 +151,7 @@ func runFleet(w io.Writer, hosts, vms int, sc schedConfig, ec exportConfig, cc c
 			serial.placement, conc.placement))
 	}
 
-	tab := &metrics.Table{
+	tab := &obs.Table{
 		Title: fmt.Sprintf("Fleet CVE response: %s, %d hosts x %d VMs (kexecs %d, streams %d)",
 			fleetCVE, hosts, vms, limits.MaxKexecs, limits.LinkStreams),
 		Headers: []string{"Schedule", "Upgraded", "Skipped", "Quarantined", "Makespan", "Speedup"},

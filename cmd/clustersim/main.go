@@ -37,7 +37,6 @@ import (
 	"hypertp/internal/cluster"
 	"hypertp/internal/fault"
 	"hypertp/internal/hterr"
-	"hypertp/internal/metrics"
 	"hypertp/internal/obs"
 	"hypertp/internal/par"
 	"hypertp/internal/sched"
@@ -202,7 +201,7 @@ func run(w io.Writer, hosts, vmsPerHost, group int, traceFrac float64, fc faultC
 	if sc.enabled() {
 		headers = append(headers, "Sched total", "Speedup")
 	}
-	tab := &metrics.Table{
+	tab := &obs.Table{
 		Title: fmt.Sprintf("Cluster upgrade: %d hosts x %d VMs, offline groups of %d (Fig. 13)",
 			hosts, vmsPerHost, group),
 		Headers: headers,

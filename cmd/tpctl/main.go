@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"hypertp/internal/core"
@@ -45,14 +46,12 @@ import (
 	"hypertp/internal/hterr"
 	"hypertp/internal/hv"
 	"hypertp/internal/hw"
-	"hypertp/internal/metrics"
 	"hypertp/internal/migration"
 	"hypertp/internal/obs"
 	"hypertp/internal/par"
 	"hypertp/internal/simnet"
 	"hypertp/internal/simtime"
 	"hypertp/internal/tpcache"
-	"hypertp/internal/trace"
 	"hypertp/internal/vulndb"
 )
 
@@ -83,7 +82,7 @@ func main() {
 		noCache    = flag.Bool("no-cache", false, "disable the transplant cache (force the cold path)")
 		warmPool   = flag.Int("warm-pool", 0, "pre-stage up to n VM translations as warm entries before the transplant")
 		crashAt    = flag.String("crash-at", "", "fail-stop the source hypervisor and run the emergency recovery: idle, hang, or transplant (crash mid-transplant, at the double-fault window)")
-		verbose    = flag.Bool("v", false, "print the Fig. 3 workflow trace")
+		verbose    = flag.Bool("v", false, "print the Fig. 3 workflow: the phase spans, one line each")
 	)
 	flag.Parse()
 	par.SetWorkers(*workers)
@@ -193,15 +192,11 @@ func run(cfg runConfig) error {
 	srcMachine := hw.NewMachine(clock, profile)
 	engine := core.NewEngine(clock, srcMachine)
 	var rec *obs.Recorder
-	if cfg.TraceOut != "" || cfg.MetricsOut != "" || cfg.PromOut != "" || cfg.SpansOut != "" {
+	if cfg.Verbose || cfg.TraceOut != "" || cfg.MetricsOut != "" || cfg.PromOut != "" || cfg.SpansOut != "" {
 		rec = obs.NewRecorder(clock)
 		engine.Obs = rec
 		par.SetObserver(rec.PoolObserver())
 		defer par.SetObserver(nil)
-	}
-	if cfg.Verbose || rec != nil {
-		engine.Trace = trace.New(clock)
-		engine.Trace.Attach(rec) // nil-safe: a nil sink is ignored
 	}
 	var plan *fault.Plan
 	if cfg.FaultRate > 0 || cfg.FaultSeed != 0 || cfg.FaultSites != "" {
@@ -304,7 +299,7 @@ func run(cfg runConfig) error {
 		if rep.Emergency {
 			title = fmt.Sprintf("Emergency transplant %s → %s on %s", cfg.From, cfg.To, profile.Name)
 		}
-		tab := &metrics.Table{
+		tab := &obs.Table{
 			Title:   title,
 			Headers: []string{"Phase", "Duration"},
 		}
@@ -326,9 +321,7 @@ func run(cfg runConfig) error {
 		}
 		if cfg.Verbose {
 			fmt.Printf("\nworkflow trace:\n")
-			if _, err := engine.Trace.WriteTo(os.Stdout); err != nil {
-				return err
-			}
+			printWorkflow(rec)
 		}
 	case "migration":
 		if cfg.CrashAt != "" {
@@ -343,7 +336,7 @@ func run(cfg runConfig) error {
 		link := simnet.NewLink(clock, "pair", simnet.Gbps1, 100*time.Microsecond)
 		link.SetRecorder(rec)
 		recv := migration.NewReceiver(clock, dst, 1)
-		tab := &metrics.Table{
+		tab := &obs.Table{
 			Title:   fmt.Sprintf("MigrationTP %s → %s over 1 Gbps", cfg.From, cfg.To),
 			Headers: []string{"VM", "Rounds", "Bytes sent", "Downtime", "Total", "Attempts", "Outcome"},
 		}
@@ -405,6 +398,21 @@ func run(cfg runConfig) error {
 		}
 	}
 	return nil
+}
+
+// printWorkflow prints each transplant's span tree — the root, the
+// Fig. 3 phases under it, and the recovery passes nested in them — one
+// line per span: virtual start, name and attributes.
+func printWorkflow(rec *obs.Recorder) {
+	for _, root := range rec.Roots() {
+		root.Walk(func(s *obs.Span, depth int) {
+			line := fmt.Sprintf("%13.6fs  %*s%-12s", s.StartTime().Seconds(), 2*depth, "", s.Name)
+			for _, a := range s.Attrs() {
+				line += " " + a.Key + "=" + a.Value
+			}
+			fmt.Println(strings.TrimRight(line, " "))
+		})
+	}
 }
 
 // orAll renders an empty site restriction as "all".

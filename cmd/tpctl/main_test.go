@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -239,5 +240,39 @@ func TestRunWarmPoolAndNoCache(t *testing.T) {
 	c.WarmPool = 2
 	if err := run(c); err == nil {
 		t.Fatal("-warm-pool with -no-cache accepted")
+	}
+}
+
+// -v prints the span tree: the transplant's root, then every Fig. 3 step
+// in workflow order, one line each.
+func TestRunVerbosePrintsSteps(t *testing.T) {
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	c := cfg("inplace")
+	c.Verbose = true
+	stdout := os.Stdout
+	os.Stdout = f
+	err = run(c)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, workflow, ok := strings.Cut(string(out), "workflow trace:\n")
+	if !ok {
+		t.Fatalf("no workflow trace in -v output:\n%s", out)
+	}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(workflow), "\n") {
+		names = append(names, strings.Fields(line)[1])
+	}
+	if want := append([]string{"inplace-tp"}, core.Steps()...); !reflect.DeepEqual(names, want) {
+		t.Fatalf("-v printed %v, want %v", names, want)
 	}
 }

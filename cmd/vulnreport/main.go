@@ -8,7 +8,7 @@ import (
 	"fmt"
 
 	"hypertp/internal/experiments"
-	"hypertp/internal/metrics"
+	"hypertp/internal/obs"
 )
 
 func main() {
@@ -18,7 +18,7 @@ func main() {
 	_, winTab := experiments.Section22Windows()
 	fmt.Println(winTab.Render())
 
-	common := &metrics.Table{
+	common := &obs.Table{
 		Title:   "Common vulnerabilities between Xen and KVM (2013-2019)",
 		Headers: []string{"CVE", "Year", "CVSS", "Category", "Description"},
 	}
@@ -32,7 +32,7 @@ func main() {
 	}
 	fmt.Println(common.Render())
 
-	dec := &metrics.Table{
+	dec := &obs.Table{
 		Title:   "Transplant decision policy (Xen datacenter)",
 		Headers: []string{"CVE", "Pool size", "Transplant?", "Target"},
 	}

@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"hypertp"
-	"hypertp/internal/metrics"
+	"hypertp/internal/obs"
 	"hypertp/internal/workload"
 )
 
@@ -48,7 +48,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("InPlaceTP (Redis QPS; gap = downtime + NIC reinit):")
-	fmt.Println(metrics.RenderSeries(72, 10, inplaceQPS))
+	fmt.Println(obs.RenderSeries(72, 10, inplaceQPS))
 
 	migQPS, _, err := workload.Timelines(redis, workload.Schedule{
 		Kind:  workload.MigrationTP,
@@ -60,7 +60,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("MigrationTP (Redis QPS; degraded during pre-copy, no visible gap):")
-	fmt.Println(metrics.RenderSeries(72, 10, migQPS))
+	fmt.Println(obs.RenderSeries(72, 10, migQPS))
 
 	gap := workload.GapSeconds(inplaceQPS, time.Second)
 	fmt.Printf("observed InPlaceTP interruption: %.0f s (paper: ~9 s)\n", gap)

@@ -21,7 +21,6 @@ import (
 	"hypertp/internal/hterr"
 	"hypertp/internal/hw"
 	"hypertp/internal/obs"
-	rpt "hypertp/internal/report"
 	"hypertp/internal/sched"
 	"hypertp/internal/simtime"
 )
@@ -358,7 +357,7 @@ type Result struct {
 
 	// Degradation record, carried over from the plan (see PlanUpgrade): a
 	// failed host is quarantined, not fatal.
-	Outcome rpt.Outcome
+	Outcome hterr.Outcome
 	// FailedHosts lists quarantined host ids in failure order.
 	FailedHosts []int
 	// ReplannedVMs counts VMs moved off quarantined hosts.
@@ -371,9 +370,9 @@ type Result struct {
 	Faults int
 }
 
-// Summary implements report.Report.
-func (r Result) Summary() rpt.Summary {
-	return rpt.Summary{
+// Summary implements hterr.Report.
+func (r Result) Summary() hterr.Summary {
+	return hterr.Summary{
 		Kind:           "cluster",
 		Outcome:        r.Outcome,
 		Attempts:       1,
@@ -489,7 +488,7 @@ func (p *Plan) lower(m ExecutionModel) (*sched.Graph, []groupNodes) {
 // window and per quarantined host, all carrying the scheduler's virtual
 // times.
 func (p *Plan) account(makespan time.Duration, groups []groupNodes, rec *obs.Recorder) Result {
-	res := Result{Outcome: rpt.OutcomeCompleted, TotalTime: makespan}
+	res := Result{Outcome: hterr.OutcomeCompleted, TotalTime: makespan}
 	mets := rec.Metrics()
 	root := rec.StartAt(nil, "rolling-upgrade", 0, obs.A("groups", len(p.Groups)))
 	root.SetTrack("cluster")
@@ -548,7 +547,7 @@ func (p *Plan) account(makespan time.Duration, groups []groupNodes, rec *obs.Rec
 	}
 	res.Faults = len(res.FailedHosts)
 	if res.Faults > 0 {
-		res.Outcome = rpt.OutcomeDegraded
+		res.Outcome = hterr.OutcomeDegraded
 	}
 	root.EndAt(makespan)
 	return res

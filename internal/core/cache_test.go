@@ -6,11 +6,11 @@ import (
 	"testing"
 
 	"hypertp/internal/fault"
+	"hypertp/internal/hterr"
 	"hypertp/internal/hv"
 	"hypertp/internal/hw"
 	"hypertp/internal/obs"
 	"hypertp/internal/par"
-	rpt "hypertp/internal/report"
 	"hypertp/internal/tpcache"
 )
 
@@ -152,7 +152,7 @@ func TestCacheStalePoisonFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("poisoned transplant failed outright: %v", err)
 	}
-	if rep.Outcome != rpt.OutcomeRecovered || rep.Faults < 1 {
+	if rep.Outcome != hterr.OutcomeRecovered || rep.Faults < 1 {
 		t.Fatalf("outcome = %s faults = %d, want recovered with >=1 absorbed fault", rep.Outcome, rep.Faults)
 	}
 	if len(plan.Shots()) != 1 {

@@ -12,9 +12,7 @@ import (
 	"hypertp/internal/hw"
 	"hypertp/internal/obs"
 	"hypertp/internal/par"
-	rpt "hypertp/internal/report"
 	"hypertp/internal/simtime"
-	"hypertp/internal/trace"
 )
 
 // crashHost fail-stops a hypervisor via its Crashable interface.
@@ -39,7 +37,6 @@ func TestEmergencyTransplant(t *testing.T) {
 			b := newBench(t, hw.M1())
 			rec := obs.NewRecorder(b.clock)
 			b.engine.Obs = rec
-			b.engine.Trace = trace.New(b.clock)
 			src := bootSmallVMs(t, b, hv.KindXen, 3)
 			pre := checksumVMs(t, src.VMs())
 			crashHost(t, src, "injected panic")
@@ -56,7 +53,7 @@ func TestEmergencyTransplant(t *testing.T) {
 			if dst.Kind() != target {
 				t.Fatalf("recovered onto %v, want %v", dst.Kind(), target)
 			}
-			if !rep.Emergency || rep.Outcome != rpt.OutcomeRecovered {
+			if !rep.Emergency || rep.Outcome != hterr.OutcomeRecovered {
 				t.Fatalf("report = %+v", rep)
 			}
 			if got := rep.Summary().Kind; got != "emergency" {
@@ -96,8 +93,8 @@ func TestEmergencyTransplant(t *testing.T) {
 					t.Errorf("%s count = %d, want one observation per VM", h.name, n)
 				}
 			}
-			if b.engine.Trace.FirstIndex(trace.StepCleanup) < 0 {
-				t.Error("no cleanup step event emitted")
+			if names := phaseNames(t, rec); len(names) == 0 || names[len(names)-1] != stepCleanup {
+				t.Errorf("emergency phase spans %v do not end with %s", names, stepCleanup)
 			}
 		})
 	}
@@ -122,7 +119,7 @@ func TestEmergencyFencesHungHypervisor(t *testing.T) {
 	if !c.Crashed() || c.Hung() {
 		t.Fatal("hung hypervisor was not fenced into the crashed state")
 	}
-	if rep.Outcome != rpt.OutcomeRecovered {
+	if rep.Outcome != hterr.OutcomeRecovered {
 		t.Fatalf("outcome = %s", rep.Outcome)
 	}
 	if got := checksumVMs(t, dst.VMs()); !reflect.DeepEqual(got, pre) {
@@ -182,7 +179,7 @@ func TestEmergencySalvageExhaustionLeavesHostFrozen(t *testing.T) {
 		t.Fatal("failed salvage produced a hypervisor")
 	}
 	// Two absorbed retries plus the exhausting shot: three attempts.
-	if rep == nil || rep.Outcome != rpt.OutcomeCrashed || rep.Faults != 2 || rep.Attempts != 3 {
+	if rep == nil || rep.Outcome != hterr.OutcomeCrashed || rep.Faults != 2 || rep.Attempts != 3 {
 		t.Fatalf("report = %+v", rep)
 	}
 	if len(src.VMs()) != 2 {
@@ -198,7 +195,7 @@ func TestEmergencySalvageExhaustionLeavesHostFrozen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retry after failed salvage: %v", err)
 	}
-	if rep.Outcome != rpt.OutcomeRecovered || len(dst.VMs()) != 2 {
+	if rep.Outcome != hterr.OutcomeRecovered || len(dst.VMs()) != 2 {
 		t.Fatalf("retry report = %+v, %d VMs", rep, len(dst.VMs()))
 	}
 	if got := checksumVMs(t, dst.VMs()); !reflect.DeepEqual(got, pre) {

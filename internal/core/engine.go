@@ -24,10 +24,8 @@ import (
 	"hypertp/internal/hw"
 	"hypertp/internal/obs"
 	"hypertp/internal/pram"
-	rpt "hypertp/internal/report"
 	"hypertp/internal/simtime"
 	"hypertp/internal/tpcache"
-	"hypertp/internal/trace"
 	"hypertp/internal/uisr"
 )
 
@@ -106,7 +104,7 @@ type InPlaceReport struct {
 	// (at least one injected fault was absorbed by crash recovery), or
 	// rolled-back (a pre-kexec failure undid the transplant and every
 	// VM still runs on the source).
-	Outcome rpt.Outcome
+	Outcome hterr.Outcome
 	// Attempts counts runs of the failing stage (boot/parse/restore
 	// retries included); 1 on a clean pass.
 	Attempts int
@@ -126,11 +124,11 @@ type InPlaceReport struct {
 	Emergency bool
 }
 
-// Summary implements report.Report.
-func (r *InPlaceReport) Summary() rpt.Summary {
+// Summary implements hterr.Report.
+func (r *InPlaceReport) Summary() hterr.Summary {
 	out := r.Outcome
 	if out == "" {
-		out = rpt.OutcomeCompleted
+		out = hterr.OutcomeCompleted
 	}
 	attempts := r.Attempts
 	if attempts < 1 {
@@ -140,7 +138,7 @@ func (r *InPlaceReport) Summary() rpt.Summary {
 	if r.Emergency {
 		kind = "emergency"
 	}
-	return rpt.Summary{
+	return hterr.Summary{
 		Kind:            kind,
 		Outcome:         out,
 		Attempts:        attempts,
@@ -157,9 +155,6 @@ func (r *InPlaceReport) Summary() rpt.Summary {
 type Engine struct {
 	Clock   *simtime.Clock
 	Machine *hw.Machine
-	// Trace, when non-nil, receives one event per workflow step
-	// (Fig. 3 audit log). A nil Trace is valid and free.
-	Trace *trace.Log
 	// Obs, when non-nil, records a hierarchical span per Fig. 3 phase
 	// plus page/byte/latency metrics. A nil Obs is valid and free (the
 	// no-op fast path), so uninstrumented runs pay nothing.
@@ -237,9 +232,9 @@ func (e *Engine) InPlace(src hv.Hypervisor, target hv.Kind, opts Options) (hv.Hy
 	if err != nil {
 		return nil, report, err
 	}
-	outcome := rpt.OutcomeCompleted
+	outcome := hterr.OutcomeCompleted
 	if report.Faults > 0 {
-		outcome = rpt.OutcomeRecovered
+		outcome = hterr.OutcomeRecovered
 	}
 	t.finish(t.pauseAt, outcome)
 	return dst, report, nil
@@ -290,7 +285,7 @@ func (e *Engine) Emergency(src hv.Hypervisor, target hv.Kind, opts Options) (hv.
 	}
 	// An emergency that completes IS a recovery — the crash it absorbed
 	// counts even when no additional fault was injected.
-	t.finish(t.start, rpt.OutcomeRecovered)
+	t.finish(t.start, hterr.OutcomeRecovered)
 	t.mets.Histogram("tp.emergency_downtime_s", "s", obs.ExpBuckets(1e-2, 2, 16)).Observe(report.Downtime.Seconds())
 	return dst, report, nil
 }

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"hypertp/internal/guest"
 	"hypertp/internal/hv"
 	"hypertp/internal/hw"
+	"hypertp/internal/obs"
 	"hypertp/internal/simtime"
-	"hypertp/internal/trace"
 )
 
 type bench struct {
@@ -409,48 +412,71 @@ func TestInPlaceWithPassthroughDevice(t *testing.T) {
 	}
 }
 
-// The trace records the Fig. 3 workflow in order, with the PRAM build
-// before the pause when the optimization is on and after it when off.
+// phaseNames lists the phase spans under the recorder's one root: the
+// Fig. 3 steps the walk ran, in the order it opened them.
+func phaseNames(t *testing.T, rec *obs.Recorder) []string {
+	t.Helper()
+	roots := rec.Roots()
+	if len(roots) != 1 {
+		t.Fatalf("want 1 root span, got %d", len(roots))
+	}
+	var names []string
+	for _, k := range roots[0].Children() {
+		names = append(names, k.Name)
+	}
+	return names
+}
+
+// The phase spans record the Fig. 3 workflow in order, with the PRAM
+// build before the pause when the optimization is on and after it when
+// off, and every VM is restored with its guest rebound on the target.
 func TestTraceRecordsWorkflow(t *testing.T) {
 	b := newBench(t, hw.M1())
-	b.engine.Trace = trace.New(b.clock)
+	rec := obs.NewRecorder(b.clock)
+	b.engine.Obs = rec
 	src := b.bootWithVMs(t, hv.KindXen, 2, 1, 1)
-	if _, _, err := b.engine.InPlace(src, hv.KindKVM, DefaultOptions()); err != nil {
+	guests := map[string]*guest.Guest{}
+	for _, vm := range src.VMs() {
+		guests[vm.Config.Name] = vm.Guest
+	}
+	dst, rep, err := b.engine.InPlace(src, hv.KindKVM, DefaultOptions())
+	if err != nil {
 		t.Fatal(err)
 	}
-	tr := b.engine.Trace
-	if err := tr.AssertOrder(Steps()...); err != nil {
-		t.Fatal(err)
-	}
-	// Guest rebinding is a step event inside restore, not a phase.
-	if err := tr.AssertOrder(trace.StepRestore, trace.StepAttachGuest, trace.StepResume); err != nil {
-		t.Fatal(err)
+	names := phaseNames(t, rec)
+	if !reflect.DeepEqual(names, Steps()) {
+		t.Fatalf("phase spans %v, want the Fig. 3 order %v", names, Steps())
 	}
 	// Optimized: PRAM built before the pause.
-	if tr.FirstIndex(trace.StepPRAMBuild) > tr.FirstIndex(trace.StepPause) {
+	if slices.Index(names, stepPRAMBuild) > slices.Index(names, stepPause) {
 		t.Fatal("PRAM build after pause despite PrepareBeforePause")
 	}
-	// One restore + one attach per VM.
-	counts := map[string]int{}
-	for _, s := range tr.Steps() {
-		counts[s]++
+	// Both VMs restored, each bound to the guest it left the source with.
+	if len(rep.VMs) != 2 {
+		t.Fatalf("%d VMs restored, want 2", len(rep.VMs))
 	}
-	if counts[trace.StepRestore] != 2 || counts[trace.StepAttachGuest] != 2 {
-		t.Fatalf("restore/attach counts = %d/%d, want 2/2",
-			counts[trace.StepRestore], counts[trace.StepAttachGuest])
+	for _, r := range rep.VMs {
+		vm, ok := dst.LookupVM(r.NewID)
+		if !ok || vm.Config.Name != r.Name {
+			t.Fatalf("%s: restored id %d not on the target", r.Name, r.NewID)
+		}
+		if g := guests[r.Name]; g == nil || vm.Guest != g {
+			t.Fatalf("%s: guest not rebound on the target", r.Name)
+		}
 	}
 
 	// De-optimized: PRAM lands inside the pause window.
 	b2 := newBench(t, hw.M1())
-	b2.engine.Trace = trace.New(b2.clock)
+	rec2 := obs.NewRecorder(b2.clock)
+	b2.engine.Obs = rec2
 	src2 := b2.bootWithVMs(t, hv.KindXen, 1, 1, 1)
 	opts := DefaultOptions()
 	opts.PrepareBeforePause = false
 	if _, _, err := b2.engine.InPlace(src2, hv.KindKVM, opts); err != nil {
 		t.Fatal(err)
 	}
-	tr2 := b2.engine.Trace
-	if tr2.FirstIndex(trace.StepPRAMBuild) < tr2.FirstIndex(trace.StepPause) {
+	names2 := phaseNames(t, rec2)
+	if slices.Index(names2, stepPRAMBuild) < slices.Index(names2, stepPause) {
 		t.Fatal("PRAM build before pause despite disabled optimization")
 	}
 }

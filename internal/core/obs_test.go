@@ -12,7 +12,6 @@ import (
 	"hypertp/internal/obs"
 	"hypertp/internal/par"
 	"hypertp/internal/simtime"
-	"hypertp/internal/trace"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
@@ -27,8 +26,6 @@ func tracedInPlace(t *testing.T) (*obs.Recorder, *InPlaceReport) {
 	engine := NewEngine(clock, m)
 	rec := obs.NewRecorder(clock)
 	engine.Obs = rec
-	engine.Trace = trace.New(clock)
-	engine.Trace.Attach(rec)
 	src, err := engine.BootHypervisor(hv.KindXen)
 	if err != nil {
 		t.Fatal(err)

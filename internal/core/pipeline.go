@@ -13,9 +13,7 @@ import (
 	"hypertp/internal/obs"
 	"hypertp/internal/par"
 	"hypertp/internal/pram"
-	rpt "hypertp/internal/report"
 	"hypertp/internal/tpcache"
-	"hypertp/internal/trace"
 	"hypertp/internal/uisr"
 )
 
@@ -49,7 +47,7 @@ const (
 
 // phase is one row of the Fig. 3 workflow table.
 type phase struct {
-	step string // the row's span name (a trace.Step*); "" runs span-less
+	step string // the row's span name (a step* constant); "" runs span-less
 	// site is the injection site the row arms: the walker does, before
 	// run, unless inBody says run does (per VM, or after its own work).
 	// degrade is a second site, whose shot run absorbs in place by taking
@@ -76,17 +74,17 @@ func (p *phase) rule(emergency bool) rule {
 var phases = []phase{
 	// ❶ Stage the target image: ahead of time when planned, inside the
 	// outage after a crash. Re-staging costs no modelled time.
-	{step: trace.StepLoadImage, site: fault.SiteKexecLoad,
+	{step: stepLoadImage, site: fault.SiteKexecLoad,
 		planned: rollback, emergency: frozen, run: (*transplant).loadImage},
 	// PRAM construction, before or after the pause (see walkOrder). The
 	// structure is built for real either way; only the accounting moves.
-	{step: trace.StepPRAMBuild, site: fault.SitePRAMBuild, charge: pramBuildCharge,
+	{step: stepPRAMBuild, site: fault.SitePRAMBuild, charge: pramBuildCharge,
 		planned: rollback, emergency: frozen, run: (*transplant).buildPRAM},
 	// ❷ Pause all VMs and run the guest-side device protocol (§4.2.3).
-	{step: trace.StepPause, planned: rollback, run: (*transplant).pause},
+	{step: stepPause, planned: rollback, run: (*transplant).pause},
 	// ❷' Pause-less capture: the crash already stopped every vCPU, so
 	// the pause collapses to reconciling the device protocol.
-	{step: trace.StepPause, emergency: frozen, run: (*transplant).reconcile},
+	{step: stepPause, emergency: frozen, run: (*transplant).reconcile},
 	// Double-fault window: the source can fail-stop right here, every VM
 	// paused and the device protocol already run — the worst point, with
 	// neither rollback (no hypervisor to resume on) nor completion
@@ -95,7 +93,7 @@ var phases = []phase{
 	// ❸ Translate VM_i State to UISR, stashed in preserved RAM. Only a
 	// planned run consults the translation memo (see memo), so only it
 	// can meet a stale entry.
-	{step: trace.StepTranslate, site: fault.SiteUISRTranslate, degrade: fault.SiteCacheStale,
+	{step: stepTranslate, site: fault.SiteUISRTranslate, degrade: fault.SiteCacheStale,
 		inBody: true, charge: translateCharge,
 		planned: rollback, emergency: frozen, run: (*transplant).translate},
 	// Source-side teardown releases VM_i State (guest memory stays): the
@@ -108,28 +106,44 @@ var phases = []phase{
 	// the wipe, brings the machine up with nothing but PRAM: the watchdog
 	// reboot charges a second boot, once, and preserved RAM — every guest
 	// page and UISR blob — is untouched, so the workflow goes on.
-	{step: trace.StepKexec, site: fault.SiteKexecHandover, inBody: true, charge: bootCharge,
+	{step: stepKexec, site: fault.SiteKexecHandover, inBody: true, charge: bootCharge,
 		planned: forward, emergency: forward, run: (*transplant).microReboot},
 	// ❺ Boot the target hypervisor. If it crashes booting, PRAM survives
 	// and the watchdog reboot retries, charging a full boot.
-	{step: trace.StepBoot, site: fault.SiteHVBoot, charge: bootCharge,
+	{step: stepBoot, site: fault.SiteHVBoot, charge: bootCharge,
 		planned: forward, emergency: forward, run: (*transplant).boot},
 	// Re-parse PRAM from the command-line pointer — the real handover.
 	// The structure is read-only during parsing, so recovering from a
 	// parse that crashed partway simply walks it again.
-	{step: trace.StepPRAMParse, site: fault.SitePRAMParse, charge: reparseCharge,
+	{step: stepPRAMParse, site: fault.SitePRAMParse, charge: reparseCharge,
 		planned: forward, emergency: forward, run: (*transplant).parsePRAM},
 	// ❻ Restore each VM from its UISR blob, adopting its memory map. On
 	// a crash mid-restoration (§3.2) the target re-parses the intact PRAM
 	// metadata and completes the restore where it stopped; VMs already
 	// restored keep their adopted memory.
-	{step: trace.StepRestore, site: fault.SiteUISRRestore, inBody: true, charge: reparseCharge,
+	{step: stepRestore, site: fault.SiteUISRRestore, inBody: true, charge: reparseCharge,
 		planned: forward, emergency: forward, run: (*transplant).restore},
 	// ❼ Resume guests and complete the device protocol, then free the
 	// ephemeral PRAM metadata and UISR blobs.
-	{step: trace.StepResume, planned: forward, emergency: forward, run: (*transplant).resume},
-	{step: trace.StepCleanup, planned: forward, emergency: forward, run: (*transplant).cleanup},
+	{step: stepResume, planned: forward, emergency: forward, run: (*transplant).resume},
+	{step: stepCleanup, planned: forward, emergency: forward, run: (*transplant).cleanup},
 }
+
+// The Fig. 3 step names: the phase span names the rows above open. The
+// span is the step record — its virtual start and end, and its
+// attributes, are what the workflow did.
+const (
+	stepLoadImage = "load-image" // ❶
+	stepPRAMBuild = "pram-build" //    preparation (pre- or post-pause)
+	stepPause     = "pause"      // ❷
+	stepTranslate = "translate"  // ❸
+	stepKexec     = "kexec"      // ❹
+	stepBoot      = "boot"       //    target hypervisor up
+	stepPRAMParse = "pram-parse" // ❺
+	stepRestore   = "restore"    // ❺/❻
+	stepResume    = "resume"     // ❼
+	stepCleanup   = "cleanup"    // ❼
+)
 
 // Steps returns the Fig. 3 step names — the phase span names of a
 // planned transplant under DefaultOptions — in workflow order.
@@ -155,9 +169,9 @@ func walkOrder(emergency bool, opts Options) []*phase {
 		p := &phases[i]
 		switch {
 		case p.rule(emergency) == skip:
-		case p.step == trace.StepPRAMBuild && (emergency || !opts.PrepareBeforePause):
+		case p.step == stepPRAMBuild && (emergency || !opts.PrepareBeforePause):
 			build = p
-		case p.step == trace.StepPause && build != nil:
+		case p.step == stepPause && build != nil:
 			order = append(order, p, build)
 		default:
 			order = append(order, p)
@@ -290,9 +304,9 @@ func (t *transplant) recovered(vm int) {
 	if p.charge != nil {
 		extra = p.charge(t, vm)
 	}
-	bucket, step, detail := &t.report.PRAM, trace.StepPRAMBuild, "salvage fault at %s absorbed; stage re-run (+%v)"
+	bucket := &t.report.PRAM
 	if p.rule(t.report.Emergency) == forward {
-		bucket, step, detail = &t.report.Reboot, trace.StepKexec, "crash at %s absorbed; stage re-run (+%v)"
+		bucket = &t.report.Reboot
 	}
 	rec := t.e.Obs.Start("recovery:"+string(p.site), obs.A("charge", extra))
 	t.report.Faults++
@@ -301,7 +315,6 @@ func (t *transplant) recovered(vm int) {
 	t.e.Clock.Advance(extra)
 	rec.End()
 	t.mets.Counter("tp.recoveries", "recoveries").Add(1)
-	t.e.Trace.Emit(step, detail, p.site, extra)
 }
 
 var abortSpans = [...]string{rollback: "rollback", crashAbandon: "crash-abandon", frozen: "frozen"}
@@ -311,8 +324,7 @@ var abortSpans = [...]string{rollback: "rollback", crashAbandon: "crash-abandon"
 func (t *transplant) abort(r rule, cause error) error {
 	sp := t.e.Obs.Start(abortSpans[r], obs.A("cause", cause.Error()))
 	t.unwind()
-	counter, outcome, class := "tp.rollbacks", rpt.OutcomeRolledBack, hterr.Abort
-	detail := "transplant aborted; rolled back to " + t.src.Name()
+	counter, outcome, class := "tp.rollbacks", hterr.OutcomeRolledBack, hterr.Abort
 	switch r {
 	case rollback:
 		for i := t.paused - 1; i >= 0; i-- {
@@ -327,14 +339,11 @@ func (t *transplant) abort(r rule, cause error) error {
 		if c, ok := t.src.(hv.Crashable); ok {
 			c.Crash("double fault during transplant")
 		}
-		counter, outcome, class = "tp.crash_abandons", rpt.OutcomeCrashed, hterr.HypervisorCrashed
-		detail = fmt.Sprintf("source crashed mid-transplant; %d VMs frozen awaiting emergency recovery", len(t.vms))
+		counter, outcome, class = "tp.crash_abandons", hterr.OutcomeCrashed, hterr.HypervisorCrashed
 	case frozen:
-		counter, outcome, class = "tp.emergencies_frozen", rpt.OutcomeCrashed, hterr.HypervisorCrashed
-		detail = "emergency salvage abandoned; host stays frozen"
+		counter, outcome, class = "tp.emergencies_frozen", hterr.OutcomeCrashed, hterr.HypervisorCrashed
 	}
 	sp.End()
-	t.e.Trace.Emit(trace.StepCleanup, "%s", detail)
 	t.mets.Counter(counter, "transplants").Add(1)
 	t.report.Outcome = outcome
 	t.report.Total = t.e.Clock.Now() - t.start
@@ -357,7 +366,7 @@ func (t *transplant) unwind() {
 }
 
 // finish writes the shared success epilogue; downtime began at since.
-func (t *transplant) finish(since time.Duration, outcome rpt.Outcome) {
+func (t *transplant) finish(since time.Duration, outcome hterr.Outcome) {
 	r, now := t.report, t.e.Clock.Now()
 	r.Downtime = now - since
 	r.Total = now - t.start
@@ -411,11 +420,8 @@ func reparseCharge(t *transplant, _ int) time.Duration {
 }
 
 func (t *transplant) loadImage() (err error) {
-	if t.img, err = kexec.Load(t.e.Machine, t.target); err != nil {
-		return err
-	}
-	t.e.Trace.Emit(trace.StepLoadImage, "%s image staged (%d MiB)", t.target, t.img.Bytes>>20)
-	return nil
+	t.img, err = kexec.Load(t.e.Machine, t.target)
+	return err
 }
 
 // buildPRAM: MemExtents is deliberately not crash-barriered — reading a
@@ -442,7 +448,6 @@ func (t *transplant) buildPRAM() (err error) {
 	charge := pramBuildCharge(t, -1)
 	t.report.PRAM += charge
 	t.e.Clock.Advance(charge)
-	t.e.Trace.Emit(trace.StepPRAMBuild, "%d files, %d B metadata", len(files), t.ps.MetadataBytes())
 	t.mets.Counter("pram.pages_preserved", "pages").Add(int64(pages))
 	t.span.SetAttr("files", len(files))
 	t.span.SetAttr("pages", pages)
@@ -452,7 +457,6 @@ func (t *transplant) buildPRAM() (err error) {
 
 func (t *transplant) pause() error {
 	t.pauseAt = t.e.Clock.Now()
-	t.e.Trace.Emit(trace.StepPause, "%d VMs paused, device protocol run", len(t.vms))
 	for i, vm := range t.vms {
 		if vm.Guest != nil {
 			if err := vm.Guest.PrepareTransplant(); err != nil {
@@ -482,7 +486,6 @@ func (t *transplant) reconcile() error {
 			}
 		}
 	}
-	t.e.Trace.Emit(trace.StepPause, "%d VMs already frozen by the crash; device protocol reconciled", len(t.vms))
 	return nil
 }
 
@@ -547,7 +550,6 @@ func (t *transplant) translate() error {
 	t.report.Translation = t.e.elapsed(t.costs, t.opts.Parallel)
 	t.e.Clock.Advance(t.report.Translation)
 	t.report.PRAMMetadataBytes = t.ps.MetadataBytes()
-	t.e.Trace.Emit(trace.StepTranslate, "%d VM_i states to UISR (%d B)", len(t.vms), t.report.UISRBytes)
 	t.mets.Counter("tp.uisr_bytes", "bytes").Add(int64(t.report.UISRBytes))
 	t.mets.Counter("tp.pram_metadata_bytes", "bytes").Add(int64(t.report.PRAMMetadataBytes))
 	t.span.SetAttr("uisr_bytes", t.report.UISRBytes)
@@ -659,7 +661,6 @@ func (t *transplant) microReboot() error {
 		return err
 	}
 	t.report.WipedFrames = res.WipedFrames
-	t.e.Trace.Emit(trace.StepKexec, "wiped %d frames, preserved %d", res.WipedFrames, res.PreservedFrames)
 	t.mets.Counter("tp.wiped_frames", "frames").Add(int64(res.WipedFrames))
 	t.report.Reboot = bootCharge(t, -1) + reparseCharge(t, -1)
 	t.e.Clock.Advance(t.report.Reboot)
@@ -672,11 +673,8 @@ func (t *transplant) microReboot() error {
 }
 
 func (t *transplant) boot() (err error) {
-	if t.dst, err = t.e.BootHypervisor(t.target); err != nil {
-		return err
-	}
-	t.e.Trace.Emit(trace.StepBoot, "%s up (generation %d)", t.dst.Name(), t.e.Machine.Generation())
-	return nil
+	t.dst, err = t.e.BootHypervisor(t.target)
+	return err
 }
 
 func (t *transplant) parsePRAM() error {
@@ -687,7 +685,6 @@ func (t *transplant) parsePRAM() error {
 	if t.parsed, err = pram.Parse(t.e.Machine.Mem, ptr); err != nil {
 		return fmt.Errorf("core: PRAM lost across reboot: %w", err)
 	}
-	t.e.Trace.Emit(trace.StepPRAMParse, "%d files recovered from cmdline pointer", len(t.parsed.Files))
 	t.span.SetAttr("files", len(t.parsed.Files))
 	return nil
 }
@@ -751,12 +748,10 @@ func (t *transplant) restore() error {
 			// this blob, so its next save is predictable from it.
 			memo.RecordRestore(t.target, t.e.Machine, t.e.Machine.Generation(), newVM.ID, s.hash)
 		}
-		t.e.Trace.Emit(trace.StepRestore, "%s restored as id %d", s.res.Name, newVM.ID)
 		if s.guest != nil {
 			if err := t.dst.AttachGuest(newVM.ID, s.guest); err != nil {
 				return err
 			}
-			t.e.Trace.Emit(trace.StepAttachGuest, "%s guest rebound", s.res.Name)
 		}
 		t.costs = append(t.costs, t.cost.Restore(s.res.VCPUs))
 	}
@@ -787,14 +782,9 @@ func (t *transplant) resume() error {
 		}
 		t.report.VMs = append(t.report.VMs, s.res)
 	}
-	t.e.Trace.Emit(trace.StepResume, "%d VMs running on %s", len(t.saved), t.dst.Name())
 	return nil
 }
 
 func (t *transplant) cleanup() error {
-	if err := t.parsed.Release(t.e.Machine.Mem); err != nil {
-		return err
-	}
-	t.e.Trace.Emit(trace.StepCleanup, "ephemeral PRAM metadata and UISR blobs freed")
-	return nil
+	return t.parsed.Release(t.e.Machine.Mem)
 }

@@ -10,7 +10,6 @@ import (
 	"hypertp/internal/hv"
 	"hypertp/internal/hw"
 	"hypertp/internal/obs"
-	rpt "hypertp/internal/report"
 )
 
 // childNames lists a span's direct children in order.
@@ -115,7 +114,7 @@ func TestPauseFailureRollsBackUnderRoot(t *testing.T) {
 	if !errors.Is(err, hterr.ErrAborted) || dst != nil {
 		t.Fatalf("dst = %v err = %v, want aborted", dst, err)
 	}
-	if rep == nil || rep.Outcome != rpt.OutcomeRolledBack {
+	if rep == nil || rep.Outcome != hterr.OutcomeRolledBack {
 		t.Fatalf("report = %+v", rep)
 	}
 	if vms[0].Paused() || !vms[0].Guest.AllDriversRunning() {

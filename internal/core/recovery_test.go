@@ -14,7 +14,6 @@ import (
 	"hypertp/internal/migration"
 	"hypertp/internal/obs"
 	"hypertp/internal/par"
-	rpt "hypertp/internal/report"
 	"hypertp/internal/simnet"
 	"hypertp/internal/simtime"
 )
@@ -81,33 +80,33 @@ func spanNames(rec *obs.Recorder) map[string]int {
 // emergency entry into the in-place one. The recovery path
 // must also be visible in the span tree.
 func TestRecoveryMatrix(t *testing.T) {
-	inplaceWant := map[fault.Site]rpt.Outcome{
+	inplaceWant := map[fault.Site]hterr.Outcome{
 		// Before the source-teardown row the engine can still roll back.
-		fault.SiteKexecLoad:     rpt.OutcomeRolledBack,
-		fault.SitePRAMBuild:     rpt.OutcomeRolledBack,
-		fault.SiteUISRTranslate: rpt.OutcomeRolledBack,
+		fault.SiteKexecLoad:     hterr.OutcomeRolledBack,
+		fault.SitePRAMBuild:     hterr.OutcomeRolledBack,
+		fault.SiteUISRTranslate: hterr.OutcomeRolledBack,
 		// Past the point of no return, recovery goes forward via PRAM.
-		fault.SiteKexecHandover: rpt.OutcomeRecovered,
-		fault.SiteHVBoot:        rpt.OutcomeRecovered,
-		fault.SitePRAMParse:     rpt.OutcomeRecovered,
-		fault.SiteUISRRestore:   rpt.OutcomeRecovered,
+		fault.SiteKexecHandover: hterr.OutcomeRecovered,
+		fault.SiteHVBoot:        hterr.OutcomeRecovered,
+		fault.SitePRAMParse:     hterr.OutcomeRecovered,
+		fault.SiteUISRRestore:   hterr.OutcomeRecovered,
 		// Never armed by InPlaceTP: the plan stays quiet.
-		fault.SiteLinkAbort:   rpt.OutcomeCompleted,
-		fault.SiteLinkLoss:    rpt.OutcomeCompleted,
-		fault.SiteClusterHost: rpt.OutcomeCompleted,
+		fault.SiteLinkAbort:   hterr.OutcomeCompleted,
+		fault.SiteLinkLoss:    hterr.OutcomeCompleted,
+		fault.SiteClusterHost: hterr.OutcomeCompleted,
 		// Armed only on a cache hit; without a primed cache the plan
 		// stays quiet. TestCacheStalePoisonFallback covers the armed
 		// case.
-		fault.SiteCacheStale: rpt.OutcomeCompleted,
+		fault.SiteCacheStale: hterr.OutcomeCompleted,
 		// A double fault — the source hypervisor dying mid-transplant —
 		// can neither roll back nor complete: the transplant is
 		// abandoned with the VMs frozen in place and the emergency path
 		// finishes the job (verified below).
-		fault.SiteHVCrashDuringTP: rpt.OutcomeCrashed,
+		fault.SiteHVCrashDuringTP: hterr.OutcomeCrashed,
 		// Spontaneous crash/hang sites are armed by the reactive layer
 		// (detector/chaos), never by a planned InPlaceTP.
-		fault.SiteHVCrash: rpt.OutcomeCompleted,
-		fault.SiteHVHang:  rpt.OutcomeCompleted,
+		fault.SiteHVCrash: hterr.OutcomeCompleted,
+		fault.SiteHVHang:  hterr.OutcomeCompleted,
 	}
 	for _, site := range fault.Sites() {
 		site := site
@@ -126,14 +125,14 @@ func TestRecoveryMatrix(t *testing.T) {
 
 			dst, rep, err := b.engine.InPlace(src, hv.KindKVM, DefaultOptions())
 			switch want {
-			case rpt.OutcomeCrashed:
+			case hterr.OutcomeCrashed:
 				if !errors.Is(err, hterr.ErrHypervisorCrashed) || !errors.Is(err, hterr.ErrInjected) {
 					t.Fatalf("err = %v, want crash+injected", err)
 				}
 				if dst != nil {
 					t.Fatal("crash abandon produced a target hypervisor")
 				}
-				if rep == nil || rep.Outcome != rpt.OutcomeCrashed {
+				if rep == nil || rep.Outcome != hterr.OutcomeCrashed {
 					t.Fatalf("report = %+v", rep)
 				}
 				c, ok := src.(hv.Crashable)
@@ -161,7 +160,7 @@ func TestRecoveryMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("emergency after double fault: %v", err)
 				}
-				if erep.Outcome != rpt.OutcomeRecovered || !erep.Emergency {
+				if erep.Outcome != hterr.OutcomeRecovered || !erep.Emergency {
 					t.Fatalf("emergency report = %+v", erep)
 				}
 				if len(edst.VMs()) != 2 {
@@ -175,14 +174,14 @@ func TestRecoveryMatrix(t *testing.T) {
 				if got := checksumVMs(t, edst.VMs()); !reflect.DeepEqual(got, pre) {
 					t.Fatal("checksums do not survive the emergency transplant")
 				}
-			case rpt.OutcomeRolledBack:
+			case hterr.OutcomeRolledBack:
 				if !errors.Is(err, hterr.ErrAborted) || !errors.Is(err, hterr.ErrInjected) {
 					t.Fatalf("err = %v, want aborted+injected", err)
 				}
 				if dst != nil {
 					t.Fatal("rollback produced a target hypervisor")
 				}
-				if rep == nil || rep.Outcome != rpt.OutcomeRolledBack {
+				if rep == nil || rep.Outcome != hterr.OutcomeRolledBack {
 					t.Fatalf("report = %+v", rep)
 				}
 				if len(src.VMs()) != 2 {
@@ -217,7 +216,7 @@ func TestRecoveryMatrix(t *testing.T) {
 				if got := checksumVMs(t, dst.VMs()); !reflect.DeepEqual(got, pre) {
 					t.Fatal("target checksums do not match the source")
 				}
-				if want == rpt.OutcomeRecovered {
+				if want == hterr.OutcomeRecovered {
 					if rep.Faults < 1 || rep.Attempts < 2 {
 						t.Fatalf("faults = %d attempts = %d after recovery", rep.Faults, rep.Attempts)
 					}
@@ -289,7 +288,7 @@ func TestRecoveryMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rep.Outcome != rpt.OutcomeRecovered || len(dst.VMs()) != 2 {
+				if rep.Outcome != hterr.OutcomeRecovered || len(dst.VMs()) != 2 {
 					t.Fatalf("report = %+v, %d VMs", rep, len(dst.VMs()))
 				}
 				if got := checksumVMs(t, dst.VMs()); !reflect.DeepEqual(got, a.pre) {
@@ -324,7 +323,7 @@ func TestRecoveryMatrix(t *testing.T) {
 					hterr.Label(hterr.Class(err)) != "crash" || dst != nil {
 					t.Fatalf("dst = %v err = %v, want crash class without VM loss", dst, err)
 				}
-				if rep == nil || rep.Outcome != rpt.OutcomeCrashed || spanNames(a.rec)["frozen"] != 1 {
+				if rep == nil || rep.Outcome != hterr.OutcomeCrashed || spanNames(a.rec)["frozen"] != 1 {
 					t.Fatalf("report = %+v spans = %v", rep, spanNames(a.rec))
 				}
 				for _, vm := range a.src.VMs() {
@@ -396,7 +395,7 @@ func TestRecoveryMatrix(t *testing.T) {
 			}
 			switch site {
 			case fault.SiteLinkAbort:
-				if rep.Outcome != rpt.OutcomeRecovered || rep.Attempts != 2 {
+				if rep.Outcome != hterr.OutcomeRecovered || rep.Attempts != 2 {
 					t.Fatalf("outcome = %s attempts = %d, want recovered/2", rep.Outcome, rep.Attempts)
 				}
 				if spanNames(rec)["rollback"] == 0 {
@@ -408,7 +407,7 @@ func TestRecoveryMatrix(t *testing.T) {
 					t.Fatalf("attempts = %d shots = %v", rep.Attempts, plan.Shots())
 				}
 			default:
-				if rep.Outcome != rpt.OutcomeCompleted {
+				if rep.Outcome != hterr.OutcomeCompleted {
 					t.Fatalf("outcome = %s, want completed", rep.Outcome)
 				}
 				if len(plan.Shots()) != 0 {

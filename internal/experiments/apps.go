@@ -6,7 +6,7 @@ import (
 
 	"hypertp/internal/hv"
 	"hypertp/internal/hw"
-	"hypertp/internal/metrics"
+	"hypertp/internal/obs"
 	"hypertp/internal/workload"
 )
 
@@ -45,9 +45,9 @@ const simnetGbps1 = 1_000_000_000 / 8
 type AppTimelines struct {
 	Workload string
 
-	InPlaceQPS, InPlaceLat     *metrics.Series
-	MigrationQPS, MigrationLat *metrics.Series
-	XenQPS, KVMQPS             *metrics.Series
+	InPlaceQPS, InPlaceLat     *obs.Series
+	MigrationQPS, MigrationLat *obs.Series
+	XenQPS, KVMQPS             *obs.Series
 
 	// ObservedGapSec is the InPlaceTP service interruption visible in
 	// the QPS series (the paper reports ~9 s for Redis and MySQL).
@@ -97,16 +97,16 @@ func appTimelines(p workload.ServerProfile) (*AppTimelines, error) {
 	}
 
 	out.ObservedGapSec = workload.GapSeconds(out.InPlaceQPS, step)
-	during := metrics.Mean(windowVals(out.MigrationQPS, migStart+5*time.Second, migStart+t.MigWindow-5*time.Second))
-	before := metrics.Mean(windowVals(out.MigrationQPS, 0, migStart-5*time.Second))
+	during := obs.Mean(windowVals(out.MigrationQPS, migStart+5*time.Second, migStart+t.MigWindow-5*time.Second))
+	before := obs.Mean(windowVals(out.MigrationQPS, 0, migStart-5*time.Second))
 	out.MigQPSDropFrac = 1 - during/before
-	latDuring := metrics.Mean(windowVals(out.MigrationLat, migStart+5*time.Second, migStart+t.MigWindow-5*time.Second))
-	latBefore := metrics.Mean(windowVals(out.MigrationLat, 0, migStart-5*time.Second))
+	latDuring := obs.Mean(windowVals(out.MigrationLat, migStart+5*time.Second, migStart+t.MigWindow-5*time.Second))
+	latBefore := obs.Mean(windowVals(out.MigrationLat, 0, migStart-5*time.Second))
 	out.MigLatRiseFrac = latDuring/latBefore - 1
 	return out, nil
 }
 
-func windowVals(s *metrics.Series, from, to time.Duration) []float64 {
+func windowVals(s *obs.Series, from, to time.Duration) []float64 {
 	pts := s.Window(from, to)
 	out := make([]float64, len(pts))
 	for i, p := range pts {
@@ -136,11 +136,11 @@ func Figure12() (*AppTimelines, string, error) {
 
 func renderAppTimelines(title string, tl *AppTimelines) string {
 	out := title + "\n\nInPlaceTP (QPS):\n"
-	out += metrics.RenderSeries(72, 10, tl.InPlaceQPS)
+	out += obs.RenderSeries(72, 10, tl.InPlaceQPS)
 	out += "\nMigrationTP (QPS):\n"
-	out += metrics.RenderSeries(72, 10, tl.MigrationQPS)
+	out += obs.RenderSeries(72, 10, tl.MigrationQPS)
 	out += "\nMigrationTP (latency):\n"
-	out += metrics.RenderSeries(72, 10, tl.MigrationLat)
+	out += obs.RenderSeries(72, 10, tl.MigrationLat)
 	out += fmt.Sprintf("\nobserved InPlaceTP gap: %.1f s; migration window: QPS −%.0f%%, latency +%.0f%%\n",
 		tl.ObservedGapSec, tl.MigQPSDropFrac*100, tl.MigLatRiseFrac*100)
 	return out
@@ -148,14 +148,14 @@ func renderAppTimelines(title string, tl *AppTimelines) string {
 
 // Table5 reproduces Table 5: the 23 SPECrate benchmarks with a transplant
 // at the midpoint under both mechanisms.
-func Table5() ([]workload.SPECResult, []workload.SPECResult, *metrics.Table, error) {
+func Table5() ([]workload.SPECResult, []workload.SPECResult, *obs.Table, error) {
 	rep, err := runInPlace(hw.M1(), hv.KindXen, hv.KindKVM, 1, appVCPUs, GiBytes(appMemGiB))
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	inplace, maxIn := workload.RunSPECSuite(workload.ModeInPlace, rep.Downtime, Seed)
 	migr, maxMig := workload.RunSPECSuite(workload.ModeMigration, 5*time.Millisecond, Seed)
-	tab := &metrics.Table{
+	tab := &obs.Table{
 		Title: "Table 5: SPECrate 2017 with a Xen→KVM transplant at the midpoint",
 		Headers: []string{"Benchmark", "KVM (s)", "Xen (s)", "InPlaceTP (s)", "Deg (%)",
 			"MigrationTP (s)", "Deg (%)"},
@@ -172,7 +172,7 @@ func Table5() ([]workload.SPECResult, []workload.SPECResult, *metrics.Table, err
 }
 
 // Table6 reproduces Table 6: Darknet training iteration times.
-func Table6() (map[string]workload.DarknetRun, *metrics.Table, error) {
+func Table6() (map[string]workload.DarknetRun, *obs.Table, error) {
 	rep, err := runInPlace(hw.M1(), hv.KindXen, hv.KindKVM, 1, appVCPUs, GiBytes(appMemGiB))
 	if err != nil {
 		return nil, nil, err
@@ -183,7 +183,7 @@ func Table6() (map[string]workload.DarknetRun, *metrics.Table, error) {
 		"inplacetp":     workload.RunDarknet(workload.DarknetInPlaceTP, rep.Downtime, Seed),
 		"migrationtp":   workload.RunDarknet(workload.DarknetMigrationTP, 0, Seed),
 	}
-	tab := &metrics.Table{
+	tab := &obs.Table{
 		Title:   "Table 6: Darknet MNIST training iteration durations (seconds)",
 		Headers: []string{"Scenario", "Mean iteration", "Longest iteration"},
 	}

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"hypertp/internal/cluster"
-	"hypertp/internal/metrics"
+	"hypertp/internal/obs"
 	"hypertp/internal/sched"
 )
 
@@ -22,7 +22,7 @@ type Fig13Point struct {
 // varying the fraction of InPlaceTP-compatible VMs. Reported are the
 // migration count and the total-time reduction relative to the
 // all-migration plan.
-func Figure13() ([]Fig13Point, *metrics.Table, error) {
+func Figure13() ([]Fig13Point, *obs.Table, error) {
 	model := cluster.DefaultExecutionModel()
 	run := func(frac float64) (cluster.Result, error) {
 		c, err := cluster.New(cluster.Config{
@@ -47,7 +47,7 @@ func Figure13() ([]Fig13Point, *metrics.Table, error) {
 		return nil, nil, err
 	}
 	var points []Fig13Point
-	tab := &metrics.Table{
+	tab := &obs.Table{
 		Title:   "Figure 13: cluster upgrade (10 hosts x 10 VMs) vs InPlaceTP-compatible fraction",
 		Headers: []string{"Compatible %", "# migrations", "Total time", "Time gain %"},
 	}
@@ -78,9 +78,9 @@ type GroupSizePoint struct {
 // GroupSizeSweep is a planner ablation beyond the paper's fixed setup:
 // how the number of hosts taken offline per round trades migration count
 // against upgrade parallelism (all-migration plan, 10 hosts x 10 VMs).
-func GroupSizeSweep() ([]GroupSizePoint, *metrics.Table, error) {
+func GroupSizeSweep() ([]GroupSizePoint, *obs.Table, error) {
 	model := cluster.DefaultExecutionModel()
-	tab := &metrics.Table{
+	tab := &obs.Table{
 		Title:   "Planner ablation: offline group size (0% InPlaceTP-compatible)",
 		Headers: []string{"Group size", "# migrations", "Total time"},
 	}

@@ -7,7 +7,7 @@ import (
 	"hypertp/internal/core"
 	"hypertp/internal/hv"
 	"hypertp/internal/hw"
-	"hypertp/internal/metrics"
+	"hypertp/internal/obs"
 	"hypertp/internal/par"
 )
 
@@ -19,9 +19,9 @@ type Fig6Row struct {
 
 // Figure6 reproduces Fig. 6: the InPlaceTP time breakdown for Xen→KVM on
 // M1 and M2 with a single idle 1 vCPU / 1 GB VM.
-func Figure6() ([]Fig6Row, *metrics.Table, error) {
+func Figure6() ([]Fig6Row, *obs.Table, error) {
 	var rows []Fig6Row
-	tab := &metrics.Table{
+	tab := &obs.Table{
 		Title: "Figure 6: InPlaceTP Xen→KVM time breakdown, single 1 vCPU / 1 GB VM (seconds)",
 		Headers: []string{"Machine", "PRAM", "Translation", "Reboot", "Restoration",
 			"Downtime", "Total", "Network"},
@@ -125,7 +125,7 @@ func runSweeps(from, to hv.Kind) ([]Sweep, error) {
 
 // Figure7 reproduces Fig. 7: InPlaceTP Xen→KVM scalability across vCPUs,
 // memory size and VM count on M1 and M2.
-func Figure7() ([]Sweep, []*metrics.Table, error) {
+func Figure7() ([]Sweep, []*obs.Table, error) {
 	sweeps, err := runSweeps(hv.KindXen, hv.KindKVM)
 	if err != nil {
 		return nil, nil, err
@@ -135,7 +135,7 @@ func Figure7() ([]Sweep, []*metrics.Table, error) {
 
 // Figure10 reproduces Fig. 10: InPlaceTP KVM→Xen scalability (dominated
 // by Xen's two-kernel boot).
-func Figure10() ([]Sweep, []*metrics.Table, error) {
+func Figure10() ([]Sweep, []*obs.Table, error) {
 	sweeps, err := runSweeps(hv.KindKVM, hv.KindXen)
 	if err != nil {
 		return nil, nil, err
@@ -143,10 +143,10 @@ func Figure10() ([]Sweep, []*metrics.Table, error) {
 	return sweeps, renderSweeps("Figure 10: InPlaceTP KVM→Xen scalability", sweeps), nil
 }
 
-func renderSweeps(title string, sweeps []Sweep) []*metrics.Table {
-	var tabs []*metrics.Table
+func renderSweeps(title string, sweeps []Sweep) []*obs.Table {
+	var tabs []*obs.Table
 	for _, sw := range sweeps {
-		tab := &metrics.Table{
+		tab := &obs.Table{
 			Title: fmt.Sprintf("%s — %s, sweep %s (seconds)", title, sw.Machine, sw.Dim),
 			Headers: []string{string(sw.Dim), "PRAM", "Translation", "Reboot",
 				"Restoration", "Downtime", "Total"},
@@ -171,7 +171,7 @@ type AblationRow struct {
 
 // Ablation measures each optimization's contribution on the reference
 // workload (M1, 4 VMs of 1 vCPU / 2 GiB).
-func Ablation() ([]AblationRow, *metrics.Table, error) {
+func Ablation() ([]AblationRow, *obs.Table, error) {
 	full := core.DefaultOptions()
 	configs := []struct {
 		name string
@@ -184,7 +184,7 @@ func Ablation() ([]AblationRow, *metrics.Table, error) {
 		{"no early restoration", withOpts(full, func(o *core.Options) { o.EarlyRestoration = false })},
 		{"none (fully de-optimized)", core.Options{}},
 	}
-	tab := &metrics.Table{
+	tab := &obs.Table{
 		Title:   "Ablation of the §4.2.5 optimizations (M1, 4 VMs x 1 vCPU / 2 GiB, Xen→KVM)",
 		Headers: []string{"Configuration", "PRAM", "Downtime", "Total", "PRAM bytes"},
 	}
@@ -229,9 +229,9 @@ type DirectionRow struct {
 // {Xen, KVM, NOVA} pool on M1 (single 1 vCPU / 1 GiB VM) — an extension
 // beyond the paper's two-hypervisor evaluation showing how the target's
 // boot path sets the downtime.
-func DirectionsMatrix() ([]DirectionRow, *metrics.Table, error) {
+func DirectionsMatrix() ([]DirectionRow, *obs.Table, error) {
 	kinds := []hv.Kind{hv.KindXen, hv.KindKVM, hv.KindNOVA}
-	tab := &metrics.Table{
+	tab := &obs.Table{
 		Title:   "Transplant directions across the pool (M1, 1 vCPU / 1 GiB, seconds)",
 		Headers: []string{"From", "To", "Reboot", "Downtime", "Total"},
 	}

@@ -8,8 +8,8 @@ import (
 	"hypertp/internal/hv/kvm"
 	"hypertp/internal/hv/xen"
 	"hypertp/internal/hw"
-	"hypertp/internal/metrics"
 	"hypertp/internal/migration"
+	"hypertp/internal/obs"
 	"hypertp/internal/par"
 	"hypertp/internal/simnet"
 	"hypertp/internal/simtime"
@@ -98,7 +98,7 @@ type Table4Result struct {
 // Table4 reproduces Table 4: downtime and migration time of a
 // 1 vCPU / 1 GB VM under homogeneous Xen→Xen migration vs MigrationTP
 // (Xen→KVM).
-func Table4() (*Table4Result, *metrics.Table, error) {
+func Table4() (*Table4Result, *obs.Table, error) {
 	res := &Table4Result{}
 	{
 		rig, err := newMigRig()
@@ -130,7 +130,7 @@ func Table4() (*Table4Result, *metrics.Table, error) {
 		}
 		res.TPDowntime, res.TPTotal = reps[0].Downtime, reps[0].TotalTime
 	}
-	tab := &metrics.Table{
+	tab := &obs.Table{
 		Title:   "Table 4: Xen→Xen live migration vs MigrationTP (Xen→KVM), 1 vCPU / 1 GB",
 		Headers: []string{"", "Xen to Xen", "MigrationTP (Xen to KVM)"},
 	}
@@ -143,8 +143,8 @@ func Table4() (*Table4Result, *metrics.Table, error) {
 // per-VM values for the Xen baseline and MigrationTP.
 type MigPoint struct {
 	X   int
-	Xen metrics.BoxStats
-	TP  metrics.BoxStats
+	Xen obs.BoxStats
+	TP  obs.BoxStats
 }
 
 // MigSweep is one panel of Fig. 8 or Fig. 9.
@@ -198,9 +198,9 @@ func runMigSweeps(metric func(*migration.Report) float64) ([]MigSweep, error) {
 				vals[jj] = metric(rep)
 			}
 			if kind == hv.KindXen {
-				pt.Xen = metrics.Box(vals)
+				pt.Xen = obs.Box(vals)
 			} else {
-				pt.TP = metrics.Box(vals)
+				pt.TP = obs.Box(vals)
 			}
 		}
 		return pt, nil
@@ -223,7 +223,7 @@ func runMigSweeps(metric func(*migration.Report) float64) ([]MigSweep, error) {
 
 // Figure8 reproduces Fig. 8: per-VM downtime (ms) of MigrationTP vs the
 // Xen baseline across the three sweeps.
-func Figure8() ([]MigSweep, []*metrics.Table, error) {
+func Figure8() ([]MigSweep, []*obs.Table, error) {
 	sweeps, err := runMigSweeps(func(r *migration.Report) float64 {
 		return float64(r.Downtime) / float64(time.Millisecond)
 	})
@@ -234,7 +234,7 @@ func Figure8() ([]MigSweep, []*metrics.Table, error) {
 }
 
 // Figure9 reproduces Fig. 9: total migration time (s) across the sweeps.
-func Figure9() ([]MigSweep, []*metrics.Table, error) {
+func Figure9() ([]MigSweep, []*obs.Table, error) {
 	sweeps, err := runMigSweeps(func(r *migration.Report) float64 {
 		return r.TotalTime.Seconds()
 	})
@@ -244,10 +244,10 @@ func Figure9() ([]MigSweep, []*metrics.Table, error) {
 	return sweeps, renderMigSweeps("Figure 9: total migration time (s)", sweeps), nil
 }
 
-func renderMigSweeps(title string, sweeps []MigSweep) []*metrics.Table {
-	var tabs []*metrics.Table
+func renderMigSweeps(title string, sweeps []MigSweep) []*obs.Table {
+	var tabs []*obs.Table
 	for _, sw := range sweeps {
-		tab := &metrics.Table{
+		tab := &obs.Table{
 			Title:   fmt.Sprintf("%s — sweep %s", title, sw.Dim),
 			Headers: []string{string(sw.Dim), "Xen med", "Xen min-max", "HyperTP med", "HyperTP min-max"},
 		}

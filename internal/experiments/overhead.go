@@ -5,7 +5,7 @@ import (
 
 	"hypertp/internal/hv"
 	"hypertp/internal/hw"
-	"hypertp/internal/metrics"
+	"hypertp/internal/obs"
 	"hypertp/internal/par"
 	"hypertp/internal/pram"
 	"hypertp/internal/uisr"
@@ -27,7 +27,7 @@ type Fig14 struct {
 
 // Figure14 reproduces Fig. 14: the PRAM and UISR memory overheads across
 // the Fig. 7 sweeps, measured on the real structures.
-func Figure14() (*Fig14, []*metrics.Table, error) {
+func Figure14() (*Fig14, []*obs.Table, error) {
 	out := &Fig14{}
 
 	uisrSize := func(vcpus int) (uint64, error) {
@@ -88,8 +88,8 @@ func Figure14() (*Fig14, []*metrics.Table, error) {
 		return nil, nil, err
 	}
 
-	render := func(title, xlabel string, pts []Fig14Point) *metrics.Table {
-		tab := &metrics.Table{
+	render := func(title, xlabel string, pts []Fig14Point) *obs.Table {
+		tab := &obs.Table{
 			Title:   title,
 			Headers: []string{xlabel, "PRAM structures (KB)", "UISR formats (KB)"},
 		}
@@ -100,7 +100,7 @@ func Figure14() (*Fig14, []*metrics.Table, error) {
 		}
 		return tab
 	}
-	tabs := []*metrics.Table{
+	tabs := []*obs.Table{
 		render("Figure 14: memory overhead — sweep vCPUs (1 GiB VM)", "vcpus", out.VCPUs),
 		render("Figure 14: memory overhead — sweep memory size (1 vCPU)", "GiB", out.Memory),
 		render("Figure 14: memory overhead — sweep VM count (1 vCPU / 1 GiB each)", "VMs", out.VMs),

@@ -4,15 +4,15 @@ import (
 	"fmt"
 
 	"hypertp/internal/core"
-	"hypertp/internal/metrics"
+	"hypertp/internal/obs"
 	"hypertp/internal/vulndb"
 )
 
 // Table1 reproduces the paper's Table 1: critical and medium
 // vulnerabilities per year in Xen and KVM plus the common ones.
-func Table1() (*vulndb.Database, *metrics.Table) {
+func Table1() (*vulndb.Database, *obs.Table) {
 	db := vulndb.Load()
-	tab := &metrics.Table{
+	tab := &obs.Table{
 		Title: "Table 1: critical and medium vulnerabilities per year in Xen and KVM",
 		Headers: []string{"Year", "Xen crit", "Xen med", "KVM crit", "KVM med",
 			"Common crit", "Common med"},
@@ -39,10 +39,10 @@ func Table1() (*vulndb.Database, *metrics.Table) {
 }
 
 // Section22Windows reproduces the §2.2 KVM vulnerability-window analysis.
-func Section22Windows() (vulndb.WindowStats, *metrics.Table) {
+func Section22Windows() (vulndb.WindowStats, *obs.Table) {
 	db := vulndb.Load()
 	stats := db.KVMWindowStats()
-	tab := &metrics.Table{
+	tab := &obs.Table{
 		Title:   "Section 2.2: KVM vulnerability windows (Red Hat tracker data)",
 		Headers: []string{"Metric", "Value"},
 	}
@@ -56,8 +56,8 @@ func Section22Windows() (vulndb.WindowStats, *metrics.Table) {
 
 // Table2 reproduces the paper's Table 2: the Xen ↔ UISR ↔ KVM platform
 // state mapping the converters implement.
-func Table2() *metrics.Table {
-	tab := &metrics.Table{
+func Table2() *obs.Table {
+	tab := &obs.Table{
 		Title:   "Table 2: Xen-KVM VM state mapping through UISR",
 		Headers: []string{"Xen HVM state", "UISR", "KVM"},
 	}
@@ -72,8 +72,8 @@ func Table2() *metrics.Table {
 }
 
 // TCB reproduces the §4.4 trusted-computing-base accounting.
-func TCB() *metrics.Table {
-	tab := &metrics.Table{
+func TCB() *obs.Table {
+	tab := &obs.Table{
 		Title:   "Section 4.4: HyperTP code contribution",
 		Headers: []string{"Component", "KLOC", "in TCB", "userspace"},
 	}

@@ -30,6 +30,10 @@
 // errors.Is for ErrAborted, ErrRetryable, and everything err itself
 // wraps, because the classified error unwraps to both branches
 // (Go 1.20 multi-error unwrapping).
+//
+// Beside the classes sits the result vocabulary (outcome.go): the
+// Outcome scale an operation ends on, and the Summary view every
+// operation report implements.
 package hterr
 
 import (

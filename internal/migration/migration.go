@@ -29,7 +29,6 @@ import (
 	"hypertp/internal/hv"
 	"hypertp/internal/hw"
 	"hypertp/internal/obs"
-	"hypertp/internal/report"
 	"hypertp/internal/simnet"
 	"hypertp/internal/simtime"
 	"hypertp/internal/uisr"
@@ -161,20 +160,20 @@ type Report struct {
 	Faults int
 	// Outcome is the terminal state: OutcomeCompleted on a clean first
 	// attempt, OutcomeRecovered when retries rode through faults.
-	Outcome report.Outcome
+	Outcome hterr.Outcome
 }
 
-// Summary implements report.Report.
-func (r *Report) Summary() report.Summary {
+// Summary implements hterr.Report.
+func (r *Report) Summary() hterr.Summary {
 	out := r.Outcome
 	if out == "" {
-		out = report.OutcomeCompleted
+		out = hterr.OutcomeCompleted
 	}
 	attempts := r.Attempts
 	if attempts < 1 {
 		attempts = 1
 	}
-	return report.Summary{
+	return hterr.Summary{
 		Kind:           "migration",
 		Outcome:        out,
 		Attempts:       attempts,
@@ -270,9 +269,9 @@ func Run(clock *simtime.Clock, p Params, done func(*Report, error)) {
 				r.Faults = attempt - 1
 				r.Rounds += cumRounds
 				r.BytesSent += cumBytes
-				r.Outcome = report.OutcomeCompleted
+				r.Outcome = hterr.OutcomeCompleted
 				if attempt > 1 {
-					r.Outcome = report.OutcomeRecovered
+					r.Outcome = hterr.OutcomeRecovered
 				}
 				done(r, nil)
 				return

@@ -11,7 +11,6 @@ import (
 	"hypertp/internal/hv/kvm"
 	"hypertp/internal/hv/xen"
 	"hypertp/internal/hw"
-	"hypertp/internal/report"
 	"hypertp/internal/simnet"
 	"hypertp/internal/simtime"
 )
@@ -424,7 +423,7 @@ func TestRetryRecoversFromSeveredLink(t *testing.T) {
 	if gotErr != nil {
 		t.Fatal(gotErr)
 	}
-	if rep.Attempts != 2 || rep.Outcome != report.OutcomeRecovered {
+	if rep.Attempts != 2 || rep.Outcome != hterr.OutcomeRecovered {
 		t.Fatalf("attempts=%d outcome=%q, want 2/recovered", rep.Attempts, rep.Outcome)
 	}
 	sumAfter, err := rep.DestVM.Space.ChecksumAll()

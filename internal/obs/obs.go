@@ -6,10 +6,13 @@
 //
 // Spans carry *virtual* start/end times read from the simulation clock,
 // so every exported timestamp is deterministic: the same run produces
-// byte-identical trace files for any -workers count. Wall-clock time is
-// captured alongside for profiling but is never written by the
-// deterministic exporters (see export.go); wall-derived metrics are
-// marked Volatile and excluded from deterministic output the same way.
+// byte-identical trace files for any -workers count. Wall-clock-derived
+// metrics are marked Volatile and excluded from deterministic output
+// (see export.go).
+//
+// The package also holds the evaluation harness's statistics and text
+// rendering (stats.go): time series, percentile summaries, box-plot
+// statistics and tables — the one metrics package of the tree.
 //
 // A nil *Recorder is valid everywhere and free: every method on a nil
 // Recorder or nil Span is a no-op, so instrumented code needs no "is
@@ -36,8 +39,7 @@ func A(key string, value any) Attr {
 	return Attr{Key: key, Value: fmt.Sprint(value)}
 }
 
-// Point is an instant event attached to a span — the span-tree home of
-// the trace.Log step records.
+// Point is an instant event attached to a span.
 type Point struct {
 	T      time.Duration // virtual timestamp
 	Name   string
@@ -45,8 +47,7 @@ type Point struct {
 }
 
 // Span is one timed node of the span tree. Virtual times come from the
-// recorder's clock (or were supplied explicitly via StartAt); wall times
-// are profiling-only.
+// recorder's clock (or were supplied explicitly via StartAt).
 type Span struct {
 	rec    *Recorder
 	id     int
@@ -56,8 +57,6 @@ type Span struct {
 	Track string // exporter track/tid grouping; "" = parent's track
 
 	start, end time.Duration
-	wallStart  time.Time
-	wall       time.Duration
 
 	attrs    []Attr
 	children []*Span
@@ -112,14 +111,13 @@ func (r *Recorder) now() time.Duration {
 // newSpanLocked allocates and links a span. Caller holds r.mu.
 func (r *Recorder) newSpanLocked(parent *Span, name string, start time.Duration, attrs []Attr) *Span {
 	s := &Span{
-		rec:       r,
-		id:        r.nextID,
-		parent:    parent,
-		Name:      name,
-		start:     start,
-		end:       start,
-		wallStart: time.Now(),
-		attrs:     attrs,
+		rec:    r,
+		id:     r.nextID,
+		parent: parent,
+		Name:   name,
+		start:  start,
+		end:    start,
+		attrs:  attrs,
 	}
 	r.nextID++
 	if parent != nil {
@@ -180,8 +178,8 @@ func (r *Recorder) Current() *Span {
 }
 
 // Event attaches an instant event to the current span (or to the root
-// list as a zero-length span if no span is open). This is the sink the
-// trace.Log adapter feeds.
+// list as a zero-length span if no span is open): a happening with no
+// duration of its own, such as an injected fault or a migration retry.
 func (r *Recorder) Event(name, detail string) {
 	if r == nil {
 		return
@@ -326,7 +324,6 @@ func (s *Span) endLocked(t time.Duration) {
 		c.endLocked(t)
 	}
 	s.end = t
-	s.wall = time.Since(s.wallStart)
 	s.ended = true
 }
 
@@ -352,15 +349,6 @@ func (s *Span) Duration() time.Duration {
 		return 0
 	}
 	return s.end - s.start
-}
-
-// WallDuration returns the measured wall-clock duration (0 while open).
-// Profiling only — never exported deterministically.
-func (s *Span) WallDuration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.wall
 }
 
 // Ended reports whether the span is closed.

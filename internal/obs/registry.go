@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"hypertp/internal/metrics"
 )
 
 // Registry is a named collection of counters, gauges and fixed-bucket
@@ -53,7 +51,7 @@ type Gauge struct {
 // Histogram is a fixed-bucket distribution. Bounds are upper bucket
 // edges in ascending order; one implicit overflow bucket catches the
 // rest. A bounded sample reservoir (the first sampleCap observations)
-// backs the percentile summary, reusing metrics.Summarize.
+// backs the percentile summary.
 type Histogram struct {
 	name, unit string
 	volatile   bool
@@ -257,16 +255,14 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Summary returns the percentile summary of the sample reservoir,
-// reusing the metrics package's Summarize.
-func (h *Histogram) Summary() metrics.Summary {
+// Summary returns the percentile summary of the sample reservoir.
+func (h *Histogram) Summary() Summary {
 	if h == nil {
-		return metrics.Summary{}
+		return Summary{}
 	}
 	h.mu.Lock()
-	vs := append([]float64(nil), h.samples...)
-	h.mu.Unlock()
-	return metrics.Summarize(vs)
+	defer h.mu.Unlock()
+	return Summarize(h.samples)
 }
 
 // snapshot helpers -----------------------------------------------------------
@@ -292,7 +288,7 @@ func (r *Registry) Render(includeVolatile bool) string {
 	r.mu.Unlock()
 
 	var b strings.Builder
-	tab := &metrics.Table{
+	tab := &Table{
 		Title:   "metrics",
 		Headers: []string{"kind", "name", "unit", "value"},
 	}

@@ -8,11 +8,11 @@ import (
 
 	"hypertp/internal/core"
 	"hypertp/internal/fault"
+	"hypertp/internal/hterr"
 	"hypertp/internal/hv"
 	"hypertp/internal/hw"
 	"hypertp/internal/obs"
 	"hypertp/internal/par"
-	"hypertp/internal/report"
 	"hypertp/internal/sched"
 	"hypertp/internal/simnet"
 	"hypertp/internal/simtime"
@@ -113,7 +113,7 @@ func TestFleetResponseConcurrentSpeedupAndPlacement(t *testing.T) {
 	conc := newFleet(t, stockFleet())
 	rConc := respondFleet(t, conc, sched.Limits{MaxKexecs: 4, LinkStreams: 4})
 
-	if rSerial.Outcome != report.OutcomeCompleted || rConc.Outcome != report.OutcomeCompleted {
+	if rSerial.Outcome != hterr.OutcomeCompleted || rConc.Outcome != hterr.OutcomeCompleted {
 		t.Fatalf("outcomes: serial %s, concurrent %s", rSerial.Outcome, rConc.Outcome)
 	}
 	if len(rConc.UpgradedNodes) != stockFleet().hosts {
@@ -177,7 +177,7 @@ func TestFleetResponseHostFaultReplansMidSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Outcome != report.OutcomeDegraded || resp.Faults != 1 {
+	if resp.Outcome != hterr.OutcomeDegraded || resp.Faults != 1 {
 		t.Fatalf("outcome = %s faults = %d, want degraded/1", resp.Outcome, resp.Faults)
 	}
 	if len(resp.QuarantinedNodes) != 1 {

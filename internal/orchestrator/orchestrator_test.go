@@ -10,7 +10,6 @@ import (
 	"hypertp/internal/hterr"
 	"hypertp/internal/hv"
 	"hypertp/internal/hw"
-	"hypertp/internal/report"
 	"hypertp/internal/simnet"
 	"hypertp/internal/simtime"
 	"hypertp/internal/vulndb"
@@ -369,7 +368,7 @@ func TestLiveMigrateRetriesUnderFaultPlan(t *testing.T) {
 	if rep.Attempts != 2 || rep.Faults != 1 {
 		t.Fatalf("attempts = %d faults = %d, want 2 and 1", rep.Attempts, rep.Faults)
 	}
-	if rep.Outcome != report.OutcomeRecovered {
+	if rep.Outcome != hterr.OutcomeRecovered {
 		t.Fatalf("outcome = %s, want recovered", rep.Outcome)
 	}
 	rec, _ = c.nova.Record("mover")
@@ -403,10 +402,10 @@ func TestRespondToCVEDegradesOnHostFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Outcome != report.OutcomeDegraded || resp.Faults != 1 {
+	if resp.Outcome != hterr.OutcomeDegraded || resp.Faults != 1 {
 		t.Fatalf("outcome = %s faults = %d", resp.Outcome, resp.Faults)
 	}
-	if s := resp.Summary(); s.Kind != "fleet" || s.Outcome != report.OutcomeDegraded || s.Faults != 1 {
+	if s := resp.Summary(); s.Kind != "fleet" || s.Outcome != hterr.OutcomeDegraded || s.Faults != 1 {
 		t.Fatalf("summary = %+v", s)
 	}
 	if len(resp.QuarantinedNodes) != 1 || resp.QuarantinedNodes[0] != rec0.Node {

@@ -9,7 +9,6 @@ import (
 	"hypertp/internal/fault"
 	"hypertp/internal/hterr"
 	"hypertp/internal/hv"
-	"hypertp/internal/report"
 	"hypertp/internal/sched"
 	"hypertp/internal/vulndb"
 )
@@ -197,7 +196,7 @@ func TestLostHostRule(t *testing.T) {
 			if resp == nil {
 				t.Fatalf("no partial response beside %v", err)
 			}
-			if len(resp.UpgradedNodes) != hosts-1 || resp.Outcome != report.OutcomeDegraded {
+			if len(resp.UpgradedNodes) != hosts-1 || resp.Outcome != hterr.OutcomeDegraded {
 				t.Errorf("upgraded %v, outcome %s", resp.UpgradedNodes, resp.Outcome)
 			}
 			return resp.LostNodes, err
@@ -232,7 +231,7 @@ func TestLostHostRule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(resp.RecoveredNodes) != hosts-1 || resp.Outcome != report.OutcomeDegraded {
+			if len(resp.RecoveredNodes) != hosts-1 || resp.Outcome != hterr.OutcomeDegraded {
 				t.Errorf("recovered %v, outcome %s", resp.RecoveredNodes, resp.Outcome)
 			}
 			return resp.LostNodes, nil

@@ -16,7 +16,6 @@ import (
 	"hypertp/internal/hv"
 	"hypertp/internal/obs"
 	"hypertp/internal/reactive"
-	"hypertp/internal/report"
 )
 
 // failHost fail-stops the host's hypervisor — every vCPU freezes, guest
@@ -199,13 +198,13 @@ type StormResponse struct {
 	Records        []*UpgradeRecord
 	// Faults counts the injected faults absorbed across all recoveries.
 	Faults  int
-	Outcome report.Outcome
+	Outcome hterr.Outcome
 	Elapsed time.Duration
 }
 
-// Summary implements report.Report.
-func (r *StormResponse) Summary() report.Summary {
-	s := report.Summary{
+// Summary implements hterr.Report.
+func (r *StormResponse) Summary() hterr.Summary {
+	s := hterr.Summary{
 		Kind:           "crash-storm",
 		Outcome:        r.Outcome,
 		Attempts:       len(r.DownHosts),
@@ -228,7 +227,7 @@ func (r *StormResponse) Summary() report.Summary {
 // never abort the sweep: in a storm, every other host's recovery matters
 // more than any one host's failure.
 func (n *Nova) RecoverFleet(opts core.Options) (*StormResponse, error) {
-	resp := &StormResponse{DownHosts: n.Downed(), Outcome: report.OutcomeCompleted}
+	resp := &StormResponse{DownHosts: n.Downed(), Outcome: hterr.OutcomeCompleted}
 	if len(resp.DownHosts) == 0 {
 		return resp, nil
 	}
@@ -249,7 +248,7 @@ func (n *Nova) RecoverFleet(opts core.Options) (*StormResponse, error) {
 	fr.emit("nova.crash-storm", obs.A("hosts", len(resp.DownHosts)), obs.A("recovered", len(resp.RecoveredNodes)))
 	resp.Elapsed = n.clock.Now() - fr.base
 	if len(resp.FrozenNodes) > 0 || len(resp.LostNodes) > 0 {
-		resp.Outcome = report.OutcomeDegraded
+		resp.Outcome = hterr.OutcomeDegraded
 	}
 	return resp, nil
 }

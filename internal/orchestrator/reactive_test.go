@@ -12,7 +12,6 @@ import (
 	"hypertp/internal/hv"
 	"hypertp/internal/par"
 	"hypertp/internal/reactive"
-	"hypertp/internal/report"
 	"hypertp/internal/sched"
 	"hypertp/internal/slo"
 )
@@ -252,7 +251,7 @@ func TestCrashStormScheduledRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Outcome != report.OutcomeCompleted {
+	if resp.Outcome != hterr.OutcomeCompleted {
 		t.Fatalf("outcome = %s (frozen %v lost %v)", resp.Outcome, resp.FrozenNodes, resp.LostNodes)
 	}
 	if len(resp.RecoveredNodes) != len(crashed) {
@@ -294,7 +293,7 @@ func TestCrashStormScheduledRecovery(t *testing.T) {
 	}
 	// An empty sweep is a no-op.
 	again, err := c.nova.RecoverFleet(core.DefaultOptions())
-	if err != nil || len(again.DownHosts) != 0 || again.Outcome != report.OutcomeCompleted {
+	if err != nil || len(again.DownHosts) != 0 || again.Outcome != hterr.OutcomeCompleted {
 		t.Fatalf("idle sweep = %+v, %v", again, err)
 	}
 }

@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"hypertp/internal/core"
+	"hypertp/internal/hterr"
 	"hypertp/internal/hv"
 	"hypertp/internal/obs"
-	"hypertp/internal/report"
 	"hypertp/internal/sched"
 	"hypertp/internal/slo"
 	"hypertp/internal/vulndb"
@@ -40,15 +40,15 @@ type FleetResponse struct {
 	// Faults counts the injected faults the response absorbed.
 	Faults int
 	// Outcome is completed, or degraded when any node was quarantined.
-	Outcome report.Outcome
+	Outcome hterr.Outcome
 	// Elapsed is the virtual time from alert to fleet-secured.
 	Elapsed time.Duration
 }
 
-// Summary implements report.Report. The cache counters aggregate over
+// Summary implements hterr.Report. The cache counters aggregate over
 // the per-node upgrade reports.
-func (r *FleetResponse) Summary() report.Summary {
-	s := report.Summary{
+func (r *FleetResponse) Summary() hterr.Summary {
+	s := hterr.Summary{
 		Kind:           "fleet",
 		Outcome:        r.Outcome,
 		Attempts:       1,
@@ -91,7 +91,7 @@ func (n *Nova) RespondToCVE(db *vulndb.Database, cveID string, pool []string, op
 	}
 	fr := n.newFleetRun()
 	fr.stopOnLoss = true
-	resp := &FleetResponse{CVE: cveID, Outcome: report.OutcomeCompleted}
+	resp := &FleetResponse{CVE: cveID, Outcome: hterr.OutcomeCompleted}
 	n.slo.SetTarget(cveID, fr.base, slo.Target{Quantile: slo.DefaultQuantile, Window: vrec.RemediationWindow()})
 	upgrades, err := fr.affected(db, vrec, pool, opts, resp)
 	if err != nil {
@@ -110,7 +110,7 @@ func (n *Nova) RespondToCVE(db *vulndb.Database, cveID string, pool []string, op
 	resp.ReplannedVMs, resp.StrandedVMs = fr.replanned, fr.stranded
 	resp.Elapsed = n.clock.Now() - fr.base
 	if len(resp.QuarantinedNodes) > 0 || fr.abort != nil {
-		resp.Outcome = report.OutcomeDegraded
+		resp.Outcome = hterr.OutcomeDegraded
 	}
 	return resp, fr.abort
 }

@@ -15,11 +15,9 @@
 package reactive
 
 import (
-	"sort"
 	"sync"
 	"time"
 
-	"hypertp/internal/metrics"
 	"hypertp/internal/obs"
 )
 
@@ -179,29 +177,6 @@ func (d *Detector) Events() []Event {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return append([]Event(nil), d.events...)
-}
-
-// LatencySeries returns the detection latencies as a time series ordered
-// by detection time — the detector's contribution to the SLO timeline.
-func (d *Detector) LatencySeries() *metrics.Series {
-	evs := d.Events()
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].DetectedAt < evs[j].DetectedAt })
-	s := &metrics.Series{Name: "detect_latency", Unit: "s"}
-	for _, ev := range evs {
-		s.Add(ev.DetectedAt, ev.Latency().Seconds())
-	}
-	return s
-}
-
-// LatencySummary is the percentile digest of all detection latencies in
-// seconds.
-func (d *Detector) LatencySummary() metrics.Summary {
-	evs := d.Events()
-	vs := make([]float64, len(evs))
-	for i, ev := range evs {
-		vs[i] = ev.Latency().Seconds()
-	}
-	return metrics.Summarize(vs)
 }
 
 // fnv64 is FNV-1a, the same host-name hash family the fault plan uses,

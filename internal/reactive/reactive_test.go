@@ -108,22 +108,21 @@ func TestDetectorSubscribeAndSeries(t *testing.T) {
 	var got []Event
 	d.Subscribe(func(ev Event) { got = append(got, ev) })
 
-	// Observe out of detection order: the series must still be
-	// time-ordered.
+	// Subscribers and the event record both see observation order, and
+	// every detection lands within the configured worst case.
 	d.Observe("host-b", 3*time.Second, "panic", false)
 	d.Observe("host-a", time.Second, "hang", true)
 	if len(got) != 2 || got[0].Host != "host-b" || !got[1].Hung {
 		t.Fatalf("events = %+v", got)
 	}
-	s := d.LatencySeries()
-	if len(s.Points) != 2 || s.Points[0].T > s.Points[1].T {
-		t.Fatalf("series not time-ordered: %+v", s.Points)
+	evs := d.Events()
+	if len(evs) != 2 || evs[0].Host != "host-b" || evs[1].Host != "host-a" {
+		t.Fatalf("events = %+v", evs)
 	}
-	if sum := d.LatencySummary(); sum.Count != 2 || sum.Max > DefaultProbeConfig().MaxLatency().Seconds() {
-		t.Fatalf("summary = %+v", sum)
-	}
-	if len(d.Events()) != 2 {
-		t.Fatalf("events = %d", len(d.Events()))
+	for _, ev := range evs {
+		if ev.Latency() > DefaultProbeConfig().MaxLatency() {
+			t.Fatalf("%s: latency %v above the worst case %v", ev.Host, ev.Latency(), DefaultProbeConfig().MaxLatency())
+		}
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"hypertp/internal/metrics"
 	"hypertp/internal/obs"
 )
 
@@ -324,10 +323,10 @@ func (t *Tracker) Availability(now time.Duration) AvailabilitySummary {
 		}
 	}
 	if len(mttrs) > 0 {
-		s.MTTRMean = time.Duration(metrics.Mean(mttrs))
-		s.MTTRP50 = time.Duration(metrics.Percentile(mttrs, 50))
-		s.MTTRP95 = time.Duration(metrics.Percentile(mttrs, 95))
-		s.MTTRMax = time.Duration(metrics.Percentile(mttrs, 100))
+		s.MTTRMean = time.Duration(obs.Mean(mttrs))
+		s.MTTRP50 = time.Duration(obs.Percentile(mttrs, 50))
+		s.MTTRP95 = time.Duration(obs.Percentile(mttrs, 95))
+		s.MTTRMax = time.Duration(obs.Percentile(mttrs, 100))
 	}
 	return s
 }
@@ -457,8 +456,8 @@ func (t *Tracker) Downtime() DowntimeSummary {
 			d.Max, d.WorstVM = dt, vm
 		}
 	}
-	d.P50 = time.Duration(metrics.Percentile(vs, 50))
-	d.P95 = time.Duration(metrics.Percentile(vs, 95))
+	d.P50 = time.Duration(obs.Percentile(vs, 50))
+	d.P95 = time.Duration(obs.Percentile(vs, 95))
 	return d
 }
 
@@ -519,9 +518,9 @@ func (t *Tracker) Report(now time.Duration) []WindowReport {
 				worst, r.WorstHost = lat, host
 			}
 		}
-		r.P50 = time.Duration(metrics.Percentile(lats, 50))
-		r.P95 = time.Duration(metrics.Percentile(lats, 95))
-		r.Max = time.Duration(metrics.Percentile(lats, 100))
+		r.P50 = time.Duration(obs.Percentile(lats, 50))
+		r.P95 = time.Duration(obs.Percentile(lats, 95))
+		r.Max = time.Duration(obs.Percentile(lats, 100))
 		if cs.hasTarget {
 			r.HasTarget = true
 			r.Verdict = evaluateLocked(cve, cs, cs.target, now)

@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"time"
 
-	"hypertp/internal/metrics"
+	"hypertp/internal/obs"
 	"hypertp/internal/simtime"
 )
 
@@ -158,13 +158,13 @@ func levelAt(p *ServerProfile, s *Schedule, t time.Duration) (float64, float64) 
 }
 
 // Timelines generates the throughput and latency series for a schedule.
-func Timelines(p ServerProfile, s Schedule, seed uint64) (qps, latency *metrics.Series, err error) {
+func Timelines(p ServerProfile, s Schedule, seed uint64) (qps, latency *obs.Series, err error) {
 	if err := s.Validate(); err != nil {
 		return nil, nil, err
 	}
 	rng := simtime.NewRand(seed)
-	qps = &metrics.Series{Name: p.Name + "-qps", Unit: "req/s"}
-	latency = &metrics.Series{Name: p.Name + "-latency", Unit: "ms"}
+	qps = &obs.Series{Name: p.Name + "-qps", Unit: "req/s"}
+	latency = &obs.Series{Name: p.Name + "-latency", Unit: "ms"}
 	for t := time.Duration(0); t <= s.Total; t += s.Step {
 		q, l := levelAt(&p, &s, t)
 		if q > 0 {
@@ -181,7 +181,7 @@ func Timelines(p ServerProfile, s Schedule, seed uint64) (qps, latency *metrics.
 
 // GapSeconds measures the observed service interruption in a QPS series:
 // the longest run of (near-)zero samples times the step.
-func GapSeconds(qps *metrics.Series, step time.Duration) float64 {
+func GapSeconds(qps *obs.Series, step time.Duration) float64 {
 	longest, cur := 0, 0
 	for _, pt := range qps.Points {
 		if pt.V < 1 {

@@ -6,7 +6,7 @@ import (
 
 	"hypertp/internal/guest"
 	"hypertp/internal/hw"
-	"hypertp/internal/metrics"
+	"hypertp/internal/obs"
 	"hypertp/internal/simtime"
 )
 
@@ -63,7 +63,7 @@ func TestInPlaceTimelineShape(t *testing.T) {
 		t.Fatal("no latency series")
 	}
 	// Before the gap: Xen level.
-	before := metrics.Mean(values(qps.Window(0, 50*time.Second)))
+	before := obs.Mean(values(qps.Window(0, 50*time.Second)))
 	if before < p.QPSXen*0.9 || before > p.QPSXen*1.1 {
 		t.Fatalf("pre-gap QPS = %v, want ~%v", before, p.QPSXen)
 	}
@@ -74,7 +74,7 @@ func TestInPlaceTimelineShape(t *testing.T) {
 		}
 	}
 	// After: KVM level — the +37% improvement of Fig. 11.
-	after := metrics.Mean(values(qps.Window(60*time.Second, 200*time.Second)))
+	after := obs.Mean(values(qps.Window(60*time.Second, 200*time.Second)))
 	if after < p.QPSKVM*0.9 || after > p.QPSKVM*1.1 {
 		t.Fatalf("post-gap QPS = %v, want ~%v", after, p.QPSKVM)
 	}
@@ -93,11 +93,11 @@ func TestMigrationTimelineShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	during := metrics.Mean(values(qps.Window(50*time.Second, 120*time.Second)))
+	during := obs.Mean(values(qps.Window(50*time.Second, 120*time.Second)))
 	if during > p.QPSXen*0.40 {
 		t.Fatalf("QPS during migration = %v, want ≤ 40%% of %v", during, p.QPSXen)
 	}
-	latDuring := metrics.Mean(values(lat.Window(50*time.Second, 120*time.Second)))
+	latDuring := obs.Mean(values(lat.Window(50*time.Second, 120*time.Second)))
 	if latDuring < p.LatencyXenMS*3 {
 		t.Fatalf("latency during migration = %v ms, want ≥ 3x of %v", latDuring, p.LatencyXenMS)
 	}
@@ -106,7 +106,7 @@ func TestMigrationTimelineShape(t *testing.T) {
 		t.Fatalf("observed gap = %vs, want 0", g)
 	}
 	// Recovery after migration.
-	after := metrics.Mean(values(qps.Window(125*time.Second, 180*time.Second)))
+	after := obs.Mean(values(qps.Window(125*time.Second, 180*time.Second)))
 	if after < p.QPSKVM*0.9 {
 		t.Fatalf("post-migration QPS = %v", after)
 	}
@@ -124,7 +124,7 @@ func TestBaselineTimelines(t *testing.T) {
 		if kind == RunKVM {
 			want = p.QPSKVM
 		}
-		got := metrics.Mean(qps.Values())
+		got := obs.Mean(qps.Values())
 		if got < want*0.9 || got > want*1.1 {
 			t.Fatalf("kind %d mean = %v, want ~%v", kind, got, want)
 		}
@@ -142,7 +142,7 @@ func TestTimelinesDeterministic(t *testing.T) {
 	}
 }
 
-func values(pts []metrics.Point) []float64 {
+func values(pts []obs.Sample) []float64 {
 	out := make([]float64, len(pts))
 	for i, p := range pts {
 		out[i] = p.V

@@ -3,9 +3,9 @@ package hypertp
 import (
 	"hypertp/internal/cluster"
 	"hypertp/internal/core"
+	"hypertp/internal/hterr"
 	"hypertp/internal/migration"
 	"hypertp/internal/orchestrator"
-	"hypertp/internal/report"
 )
 
 // The unified result vocabulary: every transplant-class operation —
@@ -14,11 +14,11 @@ import (
 // callers can treat any outcome uniformly via Summary().
 type (
 	// Report is implemented by every operation report in the stack.
-	Report = report.Report
+	Report = hterr.Report
 	// Summary is the operation-independent view of a report.
-	Summary = report.Summary
+	Summary = hterr.Summary
 	// Outcome is the terminal state of an operation.
-	Outcome = report.Outcome
+	Outcome = hterr.Outcome
 	// ClusterResult summarizes an executed cluster upgrade.
 	ClusterResult = cluster.Result
 )
@@ -26,16 +26,16 @@ type (
 // Outcome values.
 const (
 	// OutcomeCompleted: finished on the first attempt, no faults.
-	OutcomeCompleted = report.OutcomeCompleted
+	OutcomeCompleted = hterr.OutcomeCompleted
 	// OutcomeRecovered: finished, but only after absorbing at least one
 	// fault (retry, crash recovery).
-	OutcomeRecovered = report.OutcomeRecovered
+	OutcomeRecovered = hterr.OutcomeRecovered
 	// OutcomeRolledBack: abandoned and fully undone; every VM still
 	// runs on the source with its state intact.
-	OutcomeRolledBack = report.OutcomeRolledBack
+	OutcomeRolledBack = hterr.OutcomeRolledBack
 	// OutcomeDegraded: a fleet operation completed partially — failed
 	// hosts were quarantined and their VMs re-planned.
-	OutcomeDegraded = report.OutcomeDegraded
+	OutcomeDegraded = hterr.OutcomeDegraded
 )
 
 // Compile-time proof that every operation report satisfies Report.
