@@ -7,6 +7,8 @@
 //	benchfig           # everything
 //	benchfig -only fig6,table4,fig13
 //	benchfig -workers 8
+//
+// An -only name that selects no section exits 2 with the valid names.
 package main
 
 import (
@@ -15,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strings"
 
 	"hypertp/internal/experiments"
@@ -30,10 +33,22 @@ var sections = []struct {
 	run  func(w io.Writer) error
 }{
 	{"table1", func(w io.Writer) error {
-		_, tab := experiments.Table1()
+		db, tab := experiments.Table1()
 		fmt.Fprintln(w, tab.Render())
 		_, win := experiments.Section22Windows()
 		fmt.Fprintln(w, win.Render())
+		common := &obs.Table{
+			Title:   "Common vulnerabilities between Xen and KVM (2013-2019)",
+			Headers: []string{"CVE", "Year", "CVSS", "Category", "Description"},
+		}
+		for _, r := range db.CommonVulnerabilities() {
+			desc := r.Description
+			if len(desc) > 60 {
+				desc = desc[:57] + "..."
+			}
+			common.AddRow(r.ID, fmt.Sprint(r.Year), fmt.Sprintf("%.1f", r.CVSS), string(r.Category), desc)
+		}
+		fmt.Fprintln(w, common.Render())
 		return nil
 	}},
 	{"table2", func(w io.Writer) error {
@@ -170,23 +185,46 @@ func printTabs(w io.Writer, tabs []*obs.Table, err error) error {
 }
 
 func main() {
-	only := flag.String("only", "", "comma-separated subset (e.g. fig6,table4); empty = all")
-	workers := flag.Int("workers", 0, "host worker pool size for wall-clock parallelism (0 = GOMAXPROCS)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchfig", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	only := fs.String("only", "", "comma-separated subset (e.g. fig6,table4); empty = all")
+	workers := fs.Int("workers", 0, "host worker pool size for wall-clock parallelism (0 = GOMAXPROCS)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	par.SetWorkers(*workers)
 
 	want := map[string]bool{}
 	if *only != "" {
 		for _, s := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(s)] = true
+			if s = strings.TrimSpace(s); s != "" {
+				want[s] = true
+			}
 		}
 	}
-	var run []int
+	all := len(want) == 0
+	var selected []int
+	var names []string
 	for i, sec := range sections {
-		if len(want) > 0 && !want[sec.name] {
-			continue
+		names = append(names, sec.name)
+		if all || want[sec.name] {
+			delete(want, sec.name)
+			selected = append(selected, i)
 		}
-		run = append(run, i)
+	}
+	if len(want) > 0 {
+		var unknown []string
+		for name := range want {
+			unknown = append(unknown, name)
+		}
+		sort.Strings(unknown)
+		fmt.Fprintf(stderr, "benchfig: unknown -only section %s; valid: %s\n",
+			strings.Join(unknown, ", "), strings.Join(names, ","))
+		return 2
 	}
 
 	// Render every selected section into its own buffer on the worker
@@ -194,7 +232,7 @@ func main() {
 	// byte-identical to a sequential run for any worker count. Errors
 	// surface in section order (lowest index wins), matching the first
 	// error a sequential run would report.
-	bufs, err := par.Map(run, func(_ int, idx int) (*bytes.Buffer, error) {
+	bufs, err := par.Map(selected, func(_ int, idx int) (*bytes.Buffer, error) {
 		var buf bytes.Buffer
 		fmt.Fprintf(&buf, "==== %s ====\n\n", sections[idx].name)
 		if err := sections[idx].run(&buf); err != nil {
@@ -203,10 +241,11 @@ func main() {
 		return &buf, nil
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchfig: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "benchfig: %v\n", err)
+		return 1
 	}
 	for _, buf := range bufs {
-		os.Stdout.Write(buf.Bytes())
+		stdout.Write(buf.Bytes())
 	}
+	return 0
 }

@@ -1,10 +1,12 @@
 package hypertp_test
 
 import (
+	"runtime/debug"
 	"testing"
 	"time"
 
 	"hypertp"
+	"hypertp/internal/par"
 )
 
 func TestFacadeQuickstartFlow(t *testing.T) {
@@ -120,6 +122,84 @@ func TestFacadeCluster(t *testing.T) {
 func TestGbps(t *testing.T) {
 	if hypertp.Gbps(1) != 125000000 {
 		t.Fatalf("Gbps(1) = %d", hypertp.Gbps(1))
+	}
+}
+
+// raceEnabled is set by race_test.go. The race detector drops fmt's
+// pooled buffers at random, so allocation counts are not exact under it.
+var raceEnabled bool
+
+// TestFacadeAllocBudgets pins the public API's three transplant paths at
+// one worker, host setup included, for one 1 vCPU / 1 GiB VM on M1: an
+// InPlaceTP Xen→KVM, a MigrationTP Xen→KVM over 1 Gbps, and the VENOM
+// escape Xen→NOVA→Xen with the guest's working set verified after the
+// round trip. The collector is off while counting, so fmt's pooled
+// buffers survive and the counts do not depend on when a collection lands.
+func TestFacadeAllocBudgets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	par.SetWorkers(1)
+	defer par.SetWorkers(0)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cfg := hypertp.VMConfig{Name: "budget", VCPUs: 1, MemBytes: 1 << 30, HugePages: true, Seed: 1}
+	newHost := func(sim *hypertp.Simulation, kind hypertp.Kind) *hypertp.Host {
+		host, err := sim.NewHost(hypertp.M1(), kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return host
+	}
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		run    func() error
+	}{
+		{"InPlaceTP", 226, func() error {
+			host := newHost(hypertp.NewSimulation(), hypertp.KindXen)
+			if _, err := host.CreateVM(cfg); err != nil {
+				return err
+			}
+			_, err := host.TransplantWith(hypertp.KindKVM, hypertp.Default())
+			return err
+		}},
+		{"MigrationTP", 126, func() error {
+			sim := hypertp.NewSimulation()
+			src, dst := newHost(sim, hypertp.KindXen), newHost(sim, hypertp.KindKVM)
+			vm, err := src.CreateVM(cfg)
+			if err != nil {
+				return err
+			}
+			_, err = src.MigrateVM(vm, sim.NewLink("pair", hypertp.Gbps(1), 100*time.Microsecond), dst)
+			return err
+		}},
+		{"VENOMEscape", 788, func() error {
+			host := newHost(hypertp.NewSimulation(), hypertp.KindXen)
+			vm, err := host.CreateVM(cfg)
+			if err != nil {
+				return err
+			}
+			if err := vm.Guest.WriteWorkingSet(0, 64); err != nil {
+				return err
+			}
+			for _, kind := range []hypertp.Kind{hypertp.KindNOVA, hypertp.KindXen} {
+				if _, err := host.TransplantWith(kind, hypertp.Default()); err != nil {
+					return err
+				}
+			}
+			for _, vm := range host.VMs() {
+				if err := vm.Guest.Verify(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		var err error
+		run := func() { err = tc.run() }
+		if n := testing.AllocsPerRun(2, run); n > tc.budget || err != nil {
+			t.Errorf("%s allocated %v times, budget %v (err %v)", tc.name, n, tc.budget, err)
+		}
 	}
 }
 

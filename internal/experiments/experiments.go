@@ -3,8 +3,8 @@
 // ablations. Each driver builds a fresh simulated testbed, runs the real
 // mechanisms (transplant engine, migration engine, cluster planner,
 // workload generators) and returns both structured data and a rendered
-// plain-text table/plot, so the same code backs the unit tests, the
-// benchmark harness (bench_test.go) and the cmd/benchfig binary.
+// plain-text table/plot, so the same code backs the unit tests, their
+// allocation budgets and the cmd/benchfig binary.
 package experiments
 
 import (

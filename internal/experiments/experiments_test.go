@@ -1,10 +1,16 @@
 package experiments
 
 import (
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
 
+	"hypertp/internal/hv"
+	"hypertp/internal/hw"
+	"hypertp/internal/obs"
+	"hypertp/internal/par"
+	"hypertp/internal/simtime"
 	"hypertp/internal/vulndb"
 )
 
@@ -40,7 +46,11 @@ func TestSection22(t *testing.T) {
 }
 
 func TestTable2(t *testing.T) {
-	out := Table2().Render()
+	tab := Table2()
+	if len(tab.Rows) != 7 {
+		t.Fatalf("rows = %d, want 7", len(tab.Rows))
+	}
+	out := tab.Render()
 	for _, want := range []string{"LAPIC", "MTRR", "IOAPIC", "PIT2", "XCRS"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Table 2 missing %q:\n%s", want, out)
@@ -341,5 +351,71 @@ func TestGroupSizeSweep(t *testing.T) {
 	}
 	if !strings.Contains(tab.Render(), "Group size") {
 		t.Fatal("table wrong")
+	}
+}
+
+// raceEnabled is set by race_test.go. The race detector drops fmt's
+// pooled buffers at random, so allocation counts are not exact under it.
+// The budgets below count with the collector off for the same reason: a
+// collection empties those pools, and when one lands is not a count.
+var raceEnabled bool
+
+// TestSectionAllocBudgets pins the benchfig sections that are one unit of
+// work rather than a sweep of units, at one worker: the §2 study tables,
+// the Fig. 6 pair of transplants, the Table 4 migrations, the application
+// timelines, and the Fig. 14 overhead census. The sweeps (Figs. 7-10 and
+// 13, the ablation) are pinned by their units: core's
+// TestEngineAllocBudgets, TestWarmHopAllocBudget and cluster's
+// TestUpgradeAllocBudget.
+func TestSectionAllocBudgets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	par.SetWorkers(1)
+	defer par.SetWorkers(0)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		run    func() error
+	}{
+		{"Table1", 3095, func() error { Table1(); Section22Windows(); return nil }},
+		{"Table2", 13, func() error { Table2(); return nil }},
+		{"Figure6", 414, func() error { _, _, err := Figure6(); return err }},
+		{"Table4", 262, func() error { _, _, err := Table4(); return err }},
+		{"Figure11", 512, func() error { _, _, err := Figure11(); return err }},
+		{"Figure12", 512, func() error { _, _, err := Figure12(); return err }},
+		{"Table5", 560, func() error { _, _, _, err := Table5(); return err }},
+		{"Table6", 265, func() error { _, _, err := Table6(); return err }},
+		{"Figure14", 906, func() error { _, _, err := Figure14(); return err }},
+	} {
+		var err error
+		run := func() { err = tc.run() }
+		if n := testing.AllocsPerRun(2, run); n > tc.budget || err != nil {
+			t.Errorf("%s allocated %v times, budget %v (err %v)", tc.name, n, tc.budget, err)
+		}
+	}
+}
+
+// TestObservabilityTaxAllocBudget pins what tracing costs a cold InPlace
+// (Xen→KVM, one 1 vCPU / 1 GiB VM on M1): a full recorder, spans and
+// metrics, attached to the testbed may add at most a pinned number of
+// allocations to the untraced run.
+func TestObservabilityTaxAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	const budget = 63 // over 189 untraced
+	par.SetWorkers(1)
+	defer par.SetWorkers(0)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var err error
+	run := func() { _, err = runInPlace(hw.M1(), hv.KindXen, hv.KindKVM, 1, 1, GiBytes(1)) }
+	untraced := testing.AllocsPerRun(2, run)
+	SetObsFactory(func(clock *simtime.Clock) *obs.Recorder { return obs.NewRecorder(clock) })
+	defer SetObsFactory(nil)
+	traced := testing.AllocsPerRun(2, run)
+	if err != nil || traced-untraced > budget {
+		t.Errorf("tracing added %v allocations to %v, budget %v (err %v)", traced-untraced, untraced, budget, err)
 	}
 }

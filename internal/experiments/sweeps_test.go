@@ -88,6 +88,9 @@ func TestFigure9Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(sweeps) != 3 {
+		t.Fatal("panel count wrong")
+	}
 	for _, sw := range sweeps {
 		first := sw.Points[0]
 		last := sw.Points[len(sw.Points)-1]
@@ -117,7 +120,7 @@ func TestFigure10Shapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tabs) != 6 {
+	if len(sweeps) != 6 || len(tabs) != 6 {
 		t.Fatal("panel count wrong")
 	}
 	for _, sw := range sweeps {

@@ -36,32 +36,6 @@ func TestBootReservesHVState(t *testing.T) {
 	}
 }
 
-func TestCreateAndLifecycle(t *testing.T) {
-	k := bootKVM(t)
-	vm, err := k.CreateVM(testConfig("web"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vm.Guest == nil || vm.Paused() {
-		t.Fatal("fresh VM state wrong")
-	}
-	if got, ok := k.LookupVM(vm.ID); !ok || got != vm {
-		t.Fatal("lookup failed")
-	}
-	if err := k.Pause(vm.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.Resume(vm.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := k.DestroyVM(vm.ID); err != nil {
-		t.Fatal(err)
-	}
-	if len(k.VMs()) != 0 {
-		t.Fatal("VM still listed after destroy")
-	}
-}
-
 func TestCreateVMValidation(t *testing.T) {
 	k := bootKVM(t)
 	if _, err := k.CreateVM(hv.Config{}); err == nil {
@@ -274,41 +248,6 @@ func TestFootprintAndMgmt(t *testing.T) {
 	}
 	if k.MgmtStateBytes() == 0 {
 		t.Fatal("MgmtStateBytes zero")
-	}
-}
-
-func TestDirtyLogging(t *testing.T) {
-	k := bootKVM(t)
-	vm, _ := k.CreateVM(testConfig("dl"))
-	if err := k.EnableDirtyLog(vm.ID); err != nil {
-		t.Fatal(err)
-	}
-	vm.Guest.Write(7, 0, []byte{1})
-	dirty, err := k.FetchAndClearDirty(vm.ID)
-	if err != nil || len(dirty) != 1 || dirty[0] != 7 {
-		t.Fatalf("dirty = %v, %v", dirty, err)
-	}
-	if err := k.DisableDirtyLog(vm.ID); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestErrorsOnUnknownVM(t *testing.T) {
-	k := bootKVM(t)
-	if _, err := k.SaveUISR(42); err == nil {
-		t.Fatal("SaveUISR(42) accepted")
-	}
-	if err := k.DestroyVM(42); err == nil {
-		t.Fatal("DestroyVM(42) accepted")
-	}
-	if err := k.EnableDirtyLog(42); err == nil {
-		t.Fatal("EnableDirtyLog(42) accepted")
-	}
-	if _, err := k.MemExtents(42); err == nil {
-		t.Fatal("MemExtents(42) accepted")
-	}
-	if _, err := k.Footprint(42); err == nil {
-		t.Fatal("Footprint(42) accepted")
 	}
 }
 

@@ -41,38 +41,6 @@ func TestBootSmallResidentSet(t *testing.T) {
 	}
 }
 
-func TestLifecycle(t *testing.T) {
-	n := bootNOVA(t)
-	vm, err := n.CreateVM(testConfig("pd"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vm.Guest == nil || vm.Paused() {
-		t.Fatal("fresh VM state wrong")
-	}
-	if got, ok := n.LookupVM(vm.ID); !ok || got != vm {
-		t.Fatal("lookup failed")
-	}
-	if len(n.VMs()) != 1 {
-		t.Fatal("VMs() wrong")
-	}
-	if err := n.Pause(vm.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Pause(vm.ID); err == nil {
-		t.Fatal("double pause accepted")
-	}
-	if err := n.Resume(vm.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.DestroyVM(vm.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.DestroyVM(vm.ID); err == nil {
-		t.Fatal("double destroy accepted")
-	}
-}
-
 func TestNOVAUISRRoundTripLossless(t *testing.T) {
 	n := bootNOVA(t)
 	vm, _ := n.CreateVM(testConfig("rt"))

@@ -74,19 +74,20 @@ func contextOf(tb testing.TB, vcpus int) *domainContext {
 // allocates it once; parseContext allocates the context, the growth of
 // its per-vCPU slice and one MSR list per vCPU — nothing per record.
 func TestContextCodecAllocBudget(t *testing.T) {
-	ctx := contextOf(t, 4)
-	blob := marshalContext(ctx)
-	if n := testing.AllocsPerRun(20, func() { marshalContext(ctx) }); n != 1 {
-		t.Fatalf("marshalContext allocated %v times per call, want 1", n)
-	}
-	// 1 context + 3 growth steps (cap 1, 2, 4) of vcpus + 4 MSR lists.
-	const want = 1 + 3 + 4
-	if n := testing.AllocsPerRun(20, func() {
-		if _, err := parseContext(blob); err != nil {
-			t.Fatal(err)
+	// 1 context + the growth steps of vcpus (cap 1, 2, 4, 8) + the MSR lists.
+	for vcpus, want := range map[int]float64{1: 1 + 1 + 1, 4: 1 + 3 + 4, 8: 1 + 4 + 8} {
+		ctx := contextOf(t, vcpus)
+		blob := marshalContext(ctx)
+		if n := testing.AllocsPerRun(20, func() { marshalContext(ctx) }); n != 1 {
+			t.Errorf("marshalContext allocated %v times per %d-vCPU context, want 1", n, vcpus)
 		}
-	}); n != want {
-		t.Fatalf("parseContext allocated %v times per 4-vCPU context, want %d", n, want)
+		if n := testing.AllocsPerRun(20, func() {
+			if _, err := parseContext(blob); err != nil {
+				t.Fatal(err)
+			}
+		}); n != want {
+			t.Errorf("parseContext allocated %v times per %d-vCPU context, want %v", n, vcpus, want)
+		}
 	}
 }
 

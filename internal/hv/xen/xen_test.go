@@ -68,45 +68,6 @@ func TestCreateVMValidation(t *testing.T) {
 	}
 }
 
-func TestVMListAndLookup(t *testing.T) {
-	x := bootXen(t)
-	a, _ := x.CreateVM(testConfig("a"))
-	b, _ := x.CreateVM(testConfig("b"))
-	vms := x.VMs()
-	if len(vms) != 2 || vms[0].ID != a.ID || vms[1].ID != b.ID {
-		t.Fatalf("VMs() wrong: %v", vms)
-	}
-	if got, ok := x.LookupVM(a.ID); !ok || got != a {
-		t.Fatal("lookup failed")
-	}
-	if _, ok := x.LookupVM(99); ok {
-		t.Fatal("phantom VM found")
-	}
-}
-
-func TestPauseResume(t *testing.T) {
-	x := bootXen(t)
-	vm, _ := x.CreateVM(testConfig("p"))
-	if err := x.Pause(vm.ID); err != nil {
-		t.Fatal(err)
-	}
-	if !vm.Paused() {
-		t.Fatal("not paused")
-	}
-	if err := x.Pause(vm.ID); err == nil {
-		t.Fatal("double pause accepted")
-	}
-	if err := x.Resume(vm.ID); err != nil {
-		t.Fatal(err)
-	}
-	if vm.Paused() {
-		t.Fatal("still paused")
-	}
-	if err := x.Pause(99); err == nil {
-		t.Fatal("pause of unknown domain accepted")
-	}
-}
-
 func TestSaveUISRRequiresPause(t *testing.T) {
 	x := bootXen(t)
 	vm, _ := x.CreateVM(testConfig("s"))
@@ -320,22 +281,6 @@ func TestFootprint(t *testing.T) {
 	}
 	if x.MgmtStateBytes() == 0 {
 		t.Fatal("MgmtStateBytes zero with a domain present")
-	}
-}
-
-func TestDirtyLogging(t *testing.T) {
-	x := bootXen(t)
-	vm, _ := x.CreateVM(testConfig("dl"))
-	if err := x.EnableDirtyLog(vm.ID); err != nil {
-		t.Fatal(err)
-	}
-	vm.Guest.Write(3, 0, []byte{1})
-	dirty, err := x.FetchAndClearDirty(vm.ID)
-	if err != nil || len(dirty) != 1 || dirty[0] != 3 {
-		t.Fatalf("dirty = %v, %v", dirty, err)
-	}
-	if err := x.DisableDirtyLog(vm.ID); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -351,46 +351,72 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 	}
 }
 
-// BenchmarkStreamingExport measures the per-operation cost of the
-// 100k-host export mode against the retained-forest default: "off"
-// records roots with children into the ordinary retained span forest,
-// "on" flushes the same shape through sampler + flight recorder with
-// retention released. The streaming path must stay within the tracing
-// overhead budget (bench.trace_overhead_pct ≤ 5 %); both variants are pinned in
-// BENCH_BASELINE.json so benchdiff catches drift. Each iteration
-// records an 8192-root batch so the short `-benchtime 3x` gate runs
-// measure real work, not timer granularity.
-func BenchmarkStreamingExport(b *testing.B) {
-	const batch = 8192
-	op := func(rec *Recorder, clock *simtime.Clock, i int) {
-		for j := 0; j < batch; j++ {
-			root := rec.Start("bench.op", A("i", i))
-			clock.Advance(time.Microsecond)
-			c := rec.Start("bench.phase")
-			clock.Advance(time.Microsecond)
-			c.End()
-			root.End()
+// exportModes are the two ways a run's spans leave the recorder: kept in
+// the retained span forest (the default), or flushed per root through the
+// seed-keyed head sampler into a flight recorder with retention released
+// (the 100k-host export mode).
+var exportModes = []struct {
+	name   string
+	stream bool
+	budget float64 // allocations per root, see TestStreamingExportAllocBudget
+}{{"retained", false, 5}, {"streamed", true, 7}}
+
+func newExportRecorder(stream bool) (*Recorder, *simtime.Clock) {
+	clock := simtime.NewClock()
+	rec := NewRecorder(clock)
+	if stream {
+		rec.SetRetain(false)
+		rec.AddSink(NewHeadSampler(1, 0.1, NewFlightRecorder(256)))
+	}
+	return rec, clock
+}
+
+// recordRoot records the shape every operation's trace has: a root with
+// an attribute and one child phase.
+func recordRoot(rec *Recorder, clock *simtime.Clock, i int) {
+	root := rec.Start("bench.op", A("i", i))
+	clock.Advance(time.Microsecond)
+	c := rec.Start("bench.phase")
+	clock.Advance(time.Microsecond)
+	c.End()
+	root.End()
+}
+
+// raceEnabled is set by race_test.go. The race detector drops fmt's
+// pooled buffers at random, so allocation counts are not exact under it.
+var raceEnabled bool
+
+// TestStreamingExportAllocBudget pins what one root costs in each export
+// mode, averaged over 4096 roots (one in ten is sampled into the flight
+// recorder): the spans, the attribute, and the retained forest's growth
+// or the flushed records.
+func TestStreamingExportAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	for _, mode := range exportModes {
+		rec, clock := newExportRecorder(mode.stream)
+		root := 0
+		if n := testing.AllocsPerRun(4096, func() { recordRoot(rec, clock, root); root++ }); n > mode.budget {
+			t.Errorf("%s: %v allocations per root, budget %v", mode.name, n, mode.budget)
 		}
 	}
-	b.Run("off", func(b *testing.B) {
-		clock := simtime.NewClock()
-		rec := NewRecorder(clock)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			op(rec, clock, i)
-		}
-	})
-	b.Run("on", func(b *testing.B) {
-		clock := simtime.NewClock()
-		rec := NewRecorder(clock)
-		rec.SetRetain(false)
-		fr := NewFlightRecorder(256)
-		rec.AddSink(NewHeadSampler(1, 0.1, fr))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			op(rec, clock, i)
-		}
-	})
+}
+
+// BenchmarkStreamingExport measures the per-root cost of each export
+// mode. Each iteration records an 8192-root batch, so short runs measure
+// real work, not timer granularity.
+func BenchmarkStreamingExport(b *testing.B) {
+	for _, mode := range exportModes {
+		b.Run(mode.name, func(b *testing.B) {
+			rec, clock := newExportRecorder(mode.stream)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < 8192; j++ {
+					recordRoot(rec, clock, i)
+				}
+			}
+		})
+	}
 }

@@ -3,6 +3,7 @@ package orchestrator
 import (
 	"encoding/json"
 	"fmt"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -317,6 +318,75 @@ func BenchmarkFleetResponseSLO(b *testing.B) {
 		}
 		if !tracker.Pass(c.clock.Now()) {
 			b.Fatal("fleet SLO violated")
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go. The race detector drops fmt's
+// pooled buffers at random, so allocation counts are not exact under it.
+// The budgets below count with the collector off for the same reason: a
+// collection empties those pools, and when one lands is not a count.
+var raceEnabled bool
+
+// TestFleetAllocBudgets pins one fleet operation of each kind on the stock
+// fleet (10 hosts, 32 VMs) at one worker, the fleet build included: a CVE
+// response; the same response from a full warm pool, and with the
+// streaming observability and SLO tracker attached; and a crash-storm
+// recovery of five hosts. Each host op the executor emits is a few
+// hundred allocations, so an extra one per op moves every row.
+func TestFleetAllocBudgets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	par.SetWorkers(1)
+	defer par.SetWorkers(0)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	limits := sched.Limits{MaxKexecs: 4, LinkStreams: 4}
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		run    func() error
+	}{
+		{"RespondToCVE", 5428, func() error {
+			respondFleet(t, newFleet(t, stockFleet()), limits)
+			return nil
+		}},
+		{"RespondToCVE/warm", 5610, func() error {
+			c := newFleet(t, stockFleet())
+			opts := core.DefaultOptions()
+			opts.Cache = tpcache.New()
+			c.nova.SetWarmPool(opts.Cache, stockFleet().vms)
+			if _, err := c.nova.WarmPoolRefill(); err != nil {
+				return err
+			}
+			c.nova.SetFleetLimits(&limits)
+			_, err := c.nova.RespondToCVE(vulndb.Load(), "CVE-2016-6258", []string{"xen", "kvm"}, opts)
+			return err
+		}},
+		{"RespondToCVE/slo", 5687, func() error {
+			c := newFleet(t, stockFleet())
+			rec := obs.NewRecorder(c.clock)
+			rec.SetRetain(false)
+			rec.AddSink(obs.NewHeadSampler(1, 0.1, obs.NewFlightRecorder(256)))
+			c.nova.SetRecorder(rec)
+			tracker := slo.NewTracker()
+			tracker.SetRegistry(rec.Metrics())
+			c.nova.SetSLO(tracker)
+			respondFleet(t, c, limits)
+			return nil
+		}},
+		{"RecoverFleet", 2370, func() error {
+			c := newFleet(t, stockFleet())
+			stormFleet(t, c, []int{0, 2, 5, 8, 9})
+			c.nova.SetFleetLimits(&sched.Limits{MaxKexecs: 2})
+			_, err := c.nova.RecoverFleet(core.DefaultOptions())
+			return err
+		}},
+	} {
+		var err error
+		run := func() { err = tc.run() }
+		if n := testing.AllocsPerRun(2, run); n > tc.budget || err != nil {
+			t.Errorf("%s allocated %v times, budget %v (err %v)", tc.name, n, tc.budget, err)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"hypertp/internal/hw"
+	"hypertp/internal/par"
 	"hypertp/internal/uisr"
 )
 
@@ -338,5 +339,66 @@ func TestPropertyBuildParse(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refVM is the paper's reference VM shape, 8 GiB huge-page backed, on a
+// 16 GiB machine: the fixture of the codec budgets and benchmarks below.
+func refVM() (*hw.PhysMem, []File) {
+	mem := hw.NewPhysMem(16 << 30)
+	return mem, []File{hugeFile(mem, "ref", 1, 8)}
+}
+
+// TestBuildParseAllocBudgets pins one PRAM hand-over of the reference VM
+// at one worker: a cold Build allocates its page jobs and frame lists,
+// Parse the frame maps and the file list it fills — neither per extent.
+func TestBuildParseAllocBudgets(t *testing.T) {
+	par.SetWorkers(1)
+	defer par.SetWorkers(0)
+	mem, files := refVM()
+	var s *Structure
+	var err error
+	if n := testing.AllocsPerRun(10, func() {
+		if s, err = Build(mem, files, BuildOptions{}); err == nil {
+			err = s.Release(mem)
+		}
+	}); n > 29 || err != nil {
+		t.Errorf("Build+Release allocated %v times per call, budget 29 (err %v)", n, err)
+	}
+	if s, err = Build(mem, files, BuildOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(10, func() { _, err = Parse(mem, s.Pointer) }); n > 21 || err != nil {
+		t.Errorf("Parse allocated %v times per call, budget 21 (err %v)", n, err)
+	}
+}
+
+func BenchmarkPRAMSerialize(b *testing.B) {
+	mem, files := refVM()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := Build(mem, files, BuildOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Release(mem); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkPRAMParse(b *testing.B) {
+	mem, files := refVM()
+	s, err := Build(mem, files, BuildOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse(mem, s.Pointer); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -72,25 +72,15 @@ func TestFixedSizeRejectsUnsupportedKinds(t *testing.T) {
 	}{})
 }
 
-// TestEncodeAllocatesOnce asserts the budget Encode's doc comment claims.
-func TestEncodeAllocatesOnce(t *testing.T) {
-	s := SyntheticVM("alloc", 3, 4, 1<<30, 9)
-	if n := testing.AllocsPerRun(20, func() {
-		if _, err := Encode(s); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 1 {
-		t.Fatalf("Encode allocated %v times per call, want 1", n)
-	}
-}
-
-// TestCodecAllocBudgets pins the uisr layer of the state chain: building
+// TestCodecAllocBudgets pins the uisr layer of the state chain: Encode
+// allocates its exact-size blob once, as its doc comment claims; building
 // and decoding a VM's state allocate per slice they fill (the state, the
 // vCPU array, one MSR list per vCPU, the devices and their strings), never
-// per record, and the fixed-layout codec allocates nothing.
+// per record; and the fixed-layout codec allocates nothing.
 func TestCodecAllocBudgets(t *testing.T) {
+	state4 := SyntheticVM("alloc", 3, 4, 1<<30, 9)
 	blob1, _ := Encode(SyntheticVM("alloc", 3, 1, 1<<30, 9))
-	blob4, _ := Encode(SyntheticVM("alloc", 3, 4, 1<<30, 9))
+	blob4, _ := Encode(state4)
 	var regs SRegs
 	wire := make([]byte, sizeSRegs)
 	for _, tc := range []struct {
@@ -98,6 +88,7 @@ func TestCodecAllocBudgets(t *testing.T) {
 		budget float64
 		fn     func()
 	}{
+		{"Encode/4vcpu", 1, func() { Encode(state4) }},
 		// state, vCPUs, devices, two device snapshots + one MSR list per vCPU.
 		{"SyntheticVM/1vcpu", 5 + 1, func() { SyntheticVM("alloc", 3, 1, 1<<30, 9) }},
 		{"SyntheticVM/4vcpu", 5 + 4, func() { SyntheticVM("alloc", 3, 4, 1<<30, 9) }},
@@ -110,6 +101,34 @@ func TestCodecAllocBudgets(t *testing.T) {
 	} {
 		if n := testing.AllocsPerRun(20, tc.fn); n > tc.budget {
 			t.Errorf("%s allocated %v times per call, budget %v", tc.name, n, tc.budget)
+		}
+	}
+}
+
+// The codec's profiling entry points, on the paper's reference VM shape
+// (4 vCPUs, 8 GiB huge-page backed).
+
+func BenchmarkUISREncode(b *testing.B) {
+	st := SyntheticVM("bench", 1, 4, 8<<30, 42)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Encode(st); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkUISRDecode(b *testing.B) {
+	blob, err := Encode(SyntheticVM("bench", 1, 4, 8<<30, 42))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(blob); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
