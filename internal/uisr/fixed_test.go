@@ -72,15 +72,26 @@ func TestFixedSizeRejectsUnsupportedKinds(t *testing.T) {
 	}{})
 }
 
-// TestCodecAllocBudgets pins the uisr layer of the state chain: Encode
-// allocates its exact-size blob once, as its doc comment claims; building
-// and decoding a VM's state allocate per slice they fill (the state, the
-// vCPU array, one MSR list per vCPU, the devices and their strings), never
-// per record; and the fixed-layout codec allocates nothing.
+// TestEncodeAllocatesOnce asserts the budget Encode's doc comment claims:
+// it allocates its exact-size blob once.
+func TestEncodeAllocatesOnce(t *testing.T) {
+	s := SyntheticVM("alloc", 3, 4, 1<<30, 9)
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := Encode(s); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("Encode allocated %v times per call, want 1", n)
+	}
+}
+
+// TestCodecAllocBudgets pins the rest of the uisr layer of the state chain:
+// building and decoding a VM's state allocate per slice they fill (the
+// state, the vCPU array, one MSR list per vCPU, the devices and their
+// strings), never per record; and the fixed-layout codec allocates nothing.
 func TestCodecAllocBudgets(t *testing.T) {
-	state4 := SyntheticVM("alloc", 3, 4, 1<<30, 9)
 	blob1, _ := Encode(SyntheticVM("alloc", 3, 1, 1<<30, 9))
-	blob4, _ := Encode(state4)
+	blob4, _ := Encode(SyntheticVM("alloc", 3, 4, 1<<30, 9))
 	var regs SRegs
 	wire := make([]byte, sizeSRegs)
 	for _, tc := range []struct {
@@ -88,7 +99,6 @@ func TestCodecAllocBudgets(t *testing.T) {
 		budget float64
 		fn     func()
 	}{
-		{"Encode/4vcpu", 1, func() { Encode(state4) }},
 		// state, vCPUs, devices, two device snapshots + one MSR list per vCPU.
 		{"SyntheticVM/1vcpu", 5 + 1, func() { SyntheticVM("alloc", 3, 1, 1<<30, 9) }},
 		{"SyntheticVM/4vcpu", 5 + 4, func() { SyntheticVM("alloc", 3, 4, 1<<30, 9) }},
