@@ -30,7 +30,7 @@ fmt-check:
 # PKG_CEILING. Both are ratchets: a PR that grows the tree raises them in
 # the same diff, where a reviewer sees it; a simplicity PR lowers them to
 # its own result and cites the before/after in CHANGES.md.
-LOC_CEILING = 23485
+LOC_CEILING = 23164
 PKG_CEILING = 28
 loc:
 	@src() { find "$$@" -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'; }; \
@@ -187,7 +187,7 @@ trace-demo:
 
 # slo-demo runs the fleet CVE response with vulnerability-window SLO
 # tracking and prints the remediation-latency report and burn-rate
-# verdict; -strict makes a blown SLO a non-zero exit.
+# verdict; a blown SLO is a non-zero exit.
 slo-demo:
-	$(GO) run ./cmd/sloreport -hosts 20 -vms 40 -strict \
+	$(GO) run ./cmd/clustersim -fleet -hosts 20 -fleet-vms 40 \
 		-prom-out /tmp/hypertp-slo.prom

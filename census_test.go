@@ -133,3 +133,54 @@ func TestNoHandIndexedReads(t *testing.T) {
 		}
 	}
 }
+
+// poolImporters names the only packages whose non-test files may import
+// internal/par, each with why. The pool runs at the outermost fan-out,
+// and a pool task never opens a pool: everything a scheduler batch or a
+// sweep point calls is a plain loop.
+var poolImporters = map[string]string{
+	"internal/sched":       "runs each admitted batch of independent host operations",
+	"internal/experiments": "fans out the sweep points of each figure",
+	"cmd/benchfig":         "sets the pool width from -workers",
+	"cmd/chaoscheck":       "sets the pool width from -workers",
+	"cmd/clustersim":       "sets the pool width from -workers",
+}
+
+// TestPoolOnlyAtTheTop fails when a non-test file under internal/ or cmd/
+// outside poolImporters imports internal/par, and when an allowlisted
+// package no longer imports it.
+func TestPoolOnlyAtTheTop(t *testing.T) {
+	fset := token.NewFileSet()
+	used := map[string]bool{}
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			file, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+			if err != nil {
+				return err
+			}
+			for _, imp := range file.Imports {
+				if imp.Path.Value != `"hypertp/internal/par"` {
+					continue
+				}
+				dir := filepath.ToSlash(filepath.Dir(path))
+				if _, ok := poolImporters[dir]; ok {
+					used[dir] = true
+				} else {
+					t.Errorf("%s imports internal/par; only the outermost fan-out may (poolImporters)", path)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for dir := range poolImporters {
+		if !used[dir] {
+			t.Errorf("%s is allowlisted but does not import internal/par: drop it from poolImporters", dir)
+		}
+	}
+}

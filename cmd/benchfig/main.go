@@ -227,25 +227,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// Render every selected section into its own buffer on the worker
-	// pool, then print the buffers in section order — the output is
-	// byte-identical to a sequential run for any worker count. Errors
-	// surface in section order (lowest index wins), matching the first
-	// error a sequential run would report.
-	bufs, err := par.Map(selected, func(_ int, idx int) (*bytes.Buffer, error) {
-		var buf bytes.Buffer
+	// Sections run in order, each fanning out its own sweep points on the
+	// worker pool; the output is written only once every section succeeded.
+	var buf bytes.Buffer
+	for _, idx := range selected {
 		fmt.Fprintf(&buf, "==== %s ====\n\n", sections[idx].name)
 		if err := sections[idx].run(&buf); err != nil {
-			return nil, fmt.Errorf("%s: %w", sections[idx].name, err)
+			fmt.Fprintf(stderr, "benchfig: %s: %v\n", sections[idx].name, err)
+			return 1
 		}
-		return &buf, nil
-	})
-	if err != nil {
-		fmt.Fprintf(stderr, "benchfig: %v\n", err)
-		return 1
 	}
-	for _, buf := range bufs {
-		stdout.Write(buf.Bytes())
-	}
+	stdout.Write(buf.Bytes())
 	return 0
 }

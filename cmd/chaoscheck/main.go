@@ -42,8 +42,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -54,28 +56,55 @@ import (
 )
 
 func main() {
+	cfg, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+	par.SetWorkers(cfg.Workers)
+	code, err := run(cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "chaoscheck:", err)
+	}
+	os.Exit(code)
+}
+
+// parseArgs parses the command line into a runConfig. Usage errors,
+// including a -fault-rate outside [0,1], are reported on stderr and
+// returned; main exits 2 on them.
+func parseArgs(args []string, stderr io.Writer) (runConfig, error) {
+	fs := flag.NewFlagSet("chaoscheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seed      = flag.Uint64("seed", 1, "scenario seed (drives ops and fault plans)")
-		ops       = flag.Int("ops", 200, "number of fleet operations")
-		hosts     = flag.Int("hosts", 4, "fleet size (hosts alternate xen/kvm)")
-		vms       = flag.Int("vms", 6, "tenant VMs booted before the first op")
-		faultRate = flag.Float64("fault-rate", 0.15, "per-site fault probability for ops carrying a plan")
-		crash     = flag.Bool("crash", false, "grow the op vocabulary with hypervisor crashes, hangs, crash storms and mid-transplant double faults (reactive recovery)")
-		opBudget  = flag.Duration("op-budget", chaos.DefaultOpBudget, "virtual-time watchdog budget per operation")
-		breaker   = flag.String("break", "", "arm a deliberate invariant breaker: leak-frame or corrupt-memory")
-		noShrink  = flag.Bool("no-shrink", false, "skip shrinking on violation (report the raw failure)")
-		bundleOut = flag.String("bundle-out", "chaos-bundle.json", "replay bundle path written on violation")
-		stream    = flag.Bool("stream", false, "bounded-memory streaming observability: span trees flow into a flight recorder instead of being retained")
-		flightCap = flag.Int("flight-cap", 0, "flight-recorder capacity for -stream (0 = default)")
-		artDir    = flag.String("artifact-dir", ".", "directory for violation artifacts (chaos-metrics.json, chaos-flight.jsonl)")
-		replay    = flag.String("replay", "", "replay a previously written bundle instead of generating")
-		recordOut = flag.String("record-out", "", "record the generated operation trace as a replayable corpus bundle (difffuzz seed material), violation or not")
-		workers   = flag.Int("workers", 0, "host worker pool size (0 = GOMAXPROCS); results are identical for any value")
-		verbose   = flag.Bool("v", false, "print the per-op trace")
+		seed      = fs.Uint64("seed", 1, "scenario seed (drives ops and fault plans)")
+		ops       = fs.Int("ops", 200, "number of fleet operations")
+		hosts     = fs.Int("hosts", 4, "fleet size (hosts alternate xen/kvm)")
+		vms       = fs.Int("vms", 6, "tenant VMs booted before the first op")
+		faultRate = fs.Float64("fault-rate", 0.15, "per-site fault probability in [0,1] for ops carrying a plan")
+		crash     = fs.Bool("crash", false, "grow the op vocabulary with hypervisor crashes, hangs, crash storms and mid-transplant double faults (reactive recovery)")
+		opBudget  = fs.Duration("op-budget", chaos.DefaultOpBudget, "virtual-time watchdog budget per operation")
+		breaker   = fs.String("break", "", "arm a deliberate invariant breaker: leak-frame or corrupt-memory")
+		noShrink  = fs.Bool("no-shrink", false, "skip shrinking on violation (report the raw failure)")
+		bundleOut = fs.String("bundle-out", "chaos-bundle.json", "replay bundle path written on violation")
+		stream    = fs.Bool("stream", false, "bounded-memory streaming observability: span trees flow into a flight recorder instead of being retained")
+		flightCap = fs.Int("flight-cap", 0, "flight-recorder capacity for -stream (0 = default)")
+		artDir    = fs.String("artifact-dir", ".", "directory for violation artifacts (chaos-metrics.json, chaos-flight.jsonl)")
+		replay    = fs.String("replay", "", "replay a previously written bundle instead of generating")
+		recordOut = fs.String("record-out", "", "record the generated operation trace as a replayable corpus bundle (difffuzz seed material), violation or not")
+		workers   = fs.Int("workers", 0, "host worker pool size (0 = GOMAXPROCS); results are identical for any value")
+		verbose   = fs.Bool("v", false, "print the per-op trace")
 	)
-	flag.Parse()
-	par.SetWorkers(*workers)
-	code, err := run(runConfig{
+	if err := fs.Parse(args); err != nil {
+		return runConfig{}, err
+	}
+	if !(*faultRate >= 0 && *faultRate <= 1) {
+		err := fmt.Errorf("-fault-rate %v outside [0,1]", *faultRate)
+		fmt.Fprintf(stderr, "chaoscheck: %v\n", err)
+		return runConfig{}, err
+	}
+	return runConfig{
 		Config: chaos.Config{
 			Seed: *seed, Ops: *ops, Hosts: *hosts, VMs: *vms,
 			FaultRate: *faultRate, OpBudget: *opBudget, Break: *breaker,
@@ -83,11 +112,8 @@ func main() {
 		},
 		Shrink: !*noShrink, BundleOut: *bundleOut, Replay: *replay,
 		RecordOut: *recordOut, ArtifactDir: *artDir, Verbose: *verbose,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaoscheck:", err)
-	}
-	os.Exit(code)
+		Workers: *workers,
+	}, nil
 }
 
 type runConfig struct {
@@ -98,6 +124,7 @@ type runConfig struct {
 	RecordOut   string
 	ArtifactDir string
 	Verbose     bool
+	Workers     int
 }
 
 // writeArtifacts dumps the failing run's metrics registry and (when

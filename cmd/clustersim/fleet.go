@@ -16,8 +16,20 @@ import (
 	"hypertp/internal/vulndb"
 )
 
-// fleetCVE is the critical Xen flaw the -fleet scenario responds to.
+// fleetCVE is the critical Xen flaw the -fleet scenario responds to by
+// default.
 const fleetCVE = "CVE-2016-6258"
+
+// fleetConfig is the -fleet scenario's shape beyond its size: the CVE
+// answered, the crash storm ahead of it (-crash-rate, -mttr-budget) and
+// the transplant cache (-warm-pool, -no-cache).
+type fleetConfig struct {
+	CVE        string // empty means fleetCVE
+	CrashRate  float64
+	MTTRBudget time.Duration
+	WarmPool   int
+	NoCache    bool
+}
 
 // fleetRun is one CVE response's worth of outcome: the response, the
 // final VM placement, and the SLO tracker fed by the orchestrator.
@@ -65,18 +77,11 @@ func crashFleet(nova *orchestrator.Nova, hosts int, crashRate float64) (*orchest
 	return storm, nil
 }
 
-// cacheConfig is the -fleet transplant-cache shape: -warm-pool /
-// -no-cache.
-type cacheConfig struct {
-	WarmPool int
-	NoCache  bool
-}
-
 // respondOnce builds a fresh fleet and runs the CVE response under the
 // given limits, with vulnerability-window SLO tracking attached. With
 // caching on, the warm pool is refilled before the response starts —
 // pre-staging happens outside the vulnerability window.
-func respondOnce(hosts, vms int, limits sched.Limits, cc cacheConfig, crashRate float64) (*fleetRun, error) {
+func respondOnce(hosts, vms int, limits sched.Limits, fl fleetConfig) (*fleetRun, error) {
 	nova, err := orchestrator.NewFleet(hosts, vms)
 	if err != nil {
 		return nil, err
@@ -88,30 +93,33 @@ func respondOnce(hosts, vms int, limits sched.Limits, cc cacheConfig, crashRate 
 	tracker.SetRegistry(rec.Metrics())
 	nova.SetSLO(tracker)
 	var storm *orchestrator.StormResponse
-	if crashRate > 0 {
+	if fl.CrashRate > 0 {
 		// The crash storm lands before the disclosure: the response then
 		// finds the recovered hosts already on the safe hypervisor.
+		if fl.MTTRBudget > 0 {
+			tracker.SetMTTRBudget(slo.Target{Quantile: slo.DefaultQuantile, Window: fl.MTTRBudget})
+		}
 		nova.SetFleetLimits(&limits)
-		storm, err = crashFleet(nova, hosts, crashRate)
+		storm, err = crashFleet(nova, hosts, fl.CrashRate)
 		if err != nil {
 			return nil, err
 		}
 	}
 	opts := core.DefaultOptions()
-	if !cc.NoCache {
+	if !fl.NoCache {
 		cache := tpcache.New()
 		opts.Cache = cache
-		if cc.WarmPool > 0 {
-			nova.SetWarmPool(cache, cc.WarmPool)
+		if fl.WarmPool > 0 {
+			nova.SetWarmPool(cache, fl.WarmPool)
 			if _, err := nova.WarmPoolRefill(); err != nil {
 				return nil, err
 			}
 		}
-	} else if cc.WarmPool > 0 {
+	} else if fl.WarmPool > 0 {
 		return nil, fmt.Errorf("clustersim: -warm-pool needs the transplant cache; drop -no-cache")
 	}
 	nova.SetFleetLimits(&limits)
-	resp, err := nova.RespondToCVE(vulndb.Load(), fleetCVE, []string{"xen", "kvm"}, opts)
+	resp, err := nova.RespondToCVE(vulndb.Load(), fl.CVE, []string{"xen", "kvm"}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -130,18 +138,21 @@ func respondOnce(hosts, vms int, limits sched.Limits, cc cacheConfig, crashRate 
 // between the two runs (same planner, different timeline); a divergence
 // is an invariant violation and exits non-zero. The whole report is
 // byte-identical for any -workers count.
-func runFleet(w io.Writer, hosts, vms int, sc schedConfig, ec exportConfig, cc cacheConfig, crashRate float64) error {
+func runFleet(w io.Writer, hosts, vms int, sc schedConfig, ec exportConfig, fl fleetConfig) error {
 	defer sc.apply()()
+	if fl.CVE == "" {
+		fl.CVE = fleetCVE
+	}
 	limits := sc.limits()
 	if !sc.enabled() {
 		limits = sched.Limits{MaxKexecs: 4, LinkStreams: 4}
 	}
 
-	serial, err := respondOnce(hosts, vms, sched.Serial(), cc, crashRate)
+	serial, err := respondOnce(hosts, vms, sched.Serial(), fl)
 	if err != nil {
 		return err
 	}
-	conc, err := respondOnce(hosts, vms, limits, cc, crashRate)
+	conc, err := respondOnce(hosts, vms, limits, fl)
 	if err != nil {
 		return err
 	}
@@ -153,7 +164,7 @@ func runFleet(w io.Writer, hosts, vms int, sc schedConfig, ec exportConfig, cc c
 
 	tab := &obs.Table{
 		Title: fmt.Sprintf("Fleet CVE response: %s, %d hosts x %d VMs (kexecs %d, streams %d)",
-			fleetCVE, hosts, vms, limits.MaxKexecs, limits.LinkStreams),
+			fl.CVE, hosts, vms, limits.MaxKexecs, limits.LinkStreams),
 		Headers: []string{"Schedule", "Upgraded", "Skipped", "Quarantined", "Makespan", "Speedup"},
 	}
 	row := func(name string, r *orchestrator.FleetResponse) {
@@ -171,7 +182,7 @@ func runFleet(w io.Writer, hosts, vms int, sc schedConfig, ec exportConfig, cc c
 			len(s.DownHosts), len(s.RecoveredNodes), len(s.FrozenNodes), len(s.LostNodes),
 			s.Elapsed.Round(time.Millisecond))
 	}
-	if !cc.NoCache {
+	if !fl.NoCache {
 		s := conc.resp.Summary()
 		ratio := 0.0
 		if s.CacheHits+s.CacheMisses > 0 {

@@ -7,6 +7,8 @@
 //	clustersim -hosts 10 -vms-per-host 10 -group 1
 //	clustersim -trace-out upgrade.json -trace-frac 0.8
 //	clustersim -fault-seed 7 -fault-rate 0.2 -fault-sites cluster.host
+//	clustersim -fleet -hosts 20 -fleet-vms 40 -prom-out slo.prom
+//	clustersim -fleet -crash-rate 0.25 -mttr-budget 10s
 //
 // -trace-out writes a Chrome trace_event file of the upgrade at the
 // -trace-frac compatibility fraction (open in Perfetto); -metrics-out /
@@ -15,10 +17,12 @@
 // sampling (-trace-sample, -sample-seed) — all byte-identical for any
 // -workers count.
 //
-// -fleet runs the cluster-wide CVE response instead and appends the
-// fleet's vulnerability-window SLO report: per-host remediation latency
-// vs disclosure (p50/p95/max), burn rate, and a PASS/FAIL verdict; a
-// failed SLO exits non-zero.
+// -fleet runs the cluster-wide CVE response (-cve) instead and appends
+// the fleet's vulnerability-window SLO report: per-host remediation
+// latency vs disclosure (p50/p95/max), burn rate, and a PASS/FAIL
+// verdict; a failed SLO exits non-zero. -crash-rate fail-stops part of
+// the fleet first and adds the availability section (MTTR p50/p95/max,
+// and a verdict against -mttr-budget); an unrecovered crash exits 2.
 //
 // -fault-seed/-fault-rate/-fault-sites inject host failures into the
 // planned upgrade: hosts whose in-place upgrade fails are quarantined,
@@ -28,6 +32,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -43,49 +48,94 @@ import (
 )
 
 func main() {
-	var (
-		hosts       = flag.Int("hosts", 10, "number of physical hosts")
-		vmsPerHost  = flag.Int("vms-per-host", 10, "VMs per host (1 vCPU / 4 GiB each)")
-		group       = flag.Int("group", 1, "hosts taken offline per upgrade group")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace_event JSON file of one upgrade")
-		traceFrac   = flag.Float64("trace-frac", 0.8, "InPlaceTP-compatible fraction for the traced upgrade")
-		metricsOut  = flag.String("metrics-out", "", "write the traced upgrade's metrics registry as JSON")
-		promOut     = flag.String("prom-out", "", "write the traced upgrade's (or the fleet run's) metrics in Prometheus text format")
-		streamOut   = flag.String("stream-out", "", "stream the traced upgrade's span records to a JSONL file as roots end")
-		traceSample = flag.Float64("trace-sample", 1, "head-sampling fraction for -stream-out in [0,1] (seed-keyed, deterministic)")
-		sampleSeed  = flag.Uint64("sample-seed", 1, "seed for -trace-sample head sampling")
-		faultSeed   = flag.Uint64("fault-seed", 0, "fault-injection seed (deterministic)")
-		faultRate   = flag.Float64("fault-rate", 0, "per-site fault probability in [0,1]")
-		faultSites  = flag.String("fault-sites", "", "comma-separated injection sites (empty = all registered sites)")
-		workers     = flag.Int("workers", 0, "worker-pool width for concurrent schedules (0 = library default; results are identical for any width)")
-		streams     = flag.Int("streams", 0, "fabric migration-stream cap for the concurrent schedule columns (0 = off)")
-		kexecs      = flag.Int("kexecs", 0, "simultaneous-kexec cap for the concurrent schedule columns (0 = unlimited)")
-		fleet       = flag.Bool("fleet", false, "run the fleet CVE-response scenario on the concurrent scheduler instead of the Fig. 13 sweep")
-		fleetVMs    = flag.Int("fleet-vms", 32, "VM population for -fleet")
-		crashRate   = flag.Float64("crash-rate", 0, "fraction of -fleet hosts fail-stopped before the response; the reactive path recovers them and the report gains an availability section")
-		warmPool    = flag.Int("warm-pool", 0, "pre-stage up to n warm translation entries before the -fleet response")
-		noCache     = flag.Bool("no-cache", false, "disable the transplant cache for -fleet (force every transplant cold)")
-	)
-	flag.Parse()
-	fc := faultConfig{Seed: *faultSeed, Rate: *faultRate, Sites: *faultSites}
-	sc := schedConfig{Workers: *workers, Streams: *streams, Kexecs: *kexecs}
-	ec := exportConfig{
-		TraceOut: *traceOut, MetricsOut: *metricsOut, PromOut: *promOut,
-		StreamOut: *streamOut, TraceSample: *traceSample, SampleSeed: *sampleSeed,
+	o, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
-	var err error
-	if *fleet {
-		err = runFleet(os.Stdout, *hosts, *fleetVMs, sc, ec, cacheConfig{WarmPool: *warmPool, NoCache: *noCache}, *crashRate)
-	} else {
-		if *crashRate > 0 {
-			err = fmt.Errorf("clustersim: -crash-rate applies to the -fleet scenario")
-		} else {
-			err = run(os.Stdout, *hosts, *vmsPerHost, *group, *traceFrac, fc, sc, ec)
-		}
+	if err != nil {
+		os.Exit(2)
+	}
+	switch {
+	case o.fleet:
+		err = runFleet(os.Stdout, o.hosts, o.fleetVMs, o.sc, o.ec, o.fl)
+	case o.fl.CrashRate > 0 || o.fl.MTTRBudget > 0 || o.fl.CVE != fleetCVE:
+		err = fmt.Errorf("clustersim: -crash-rate, -cve and -mttr-budget apply to the -fleet scenario")
+	default:
+		err = run(os.Stdout, o.hosts, o.vmsPerHost, o.group, o.traceFrac, o.fc, o.sc, o.ec)
 	}
 	if err != nil {
 		os.Exit(exitWithLabel("clustersim", err))
 	}
+}
+
+// options is one clustersim invocation's worth of parsed flags.
+type options struct {
+	hosts, vmsPerHost, group int
+	traceFrac                float64
+	fleet                    bool
+	fleetVMs                 int
+	fc                       faultConfig
+	sc                       schedConfig
+	ec                       exportConfig
+	fl                       fleetConfig
+}
+
+// parseArgs parses the command line. Usage errors, including a
+// probability flag outside [0,1], are reported on stderr and returned;
+// main exits 2 on them.
+func parseArgs(args []string, stderr io.Writer) (options, error) {
+	fs := flag.NewFlagSet("clustersim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		hosts       = fs.Int("hosts", 10, "number of physical hosts")
+		vmsPerHost  = fs.Int("vms-per-host", 10, "VMs per host (1 vCPU / 4 GiB each)")
+		group       = fs.Int("group", 1, "hosts taken offline per upgrade group")
+		traceOut    = fs.String("trace-out", "", "write a Chrome trace_event JSON file of one upgrade")
+		traceFrac   = fs.Float64("trace-frac", 0.8, "InPlaceTP-compatible fraction for the traced upgrade")
+		metricsOut  = fs.String("metrics-out", "", "write the traced upgrade's metrics registry as JSON")
+		promOut     = fs.String("prom-out", "", "write the traced upgrade's (or the fleet run's) metrics in Prometheus text format")
+		streamOut   = fs.String("stream-out", "", "stream the traced upgrade's span records to a JSONL file as roots end")
+		traceSample = fs.Float64("trace-sample", 1, "head-sampling fraction for -stream-out in [0,1] (seed-keyed, deterministic)")
+		sampleSeed  = fs.Uint64("sample-seed", 1, "seed for -trace-sample head sampling")
+		faultSeed   = fs.Uint64("fault-seed", 0, "fault-injection seed (deterministic)")
+		faultRate   = fs.Float64("fault-rate", 0, "per-site fault probability in [0,1]")
+		faultSites  = fs.String("fault-sites", "", "comma-separated injection sites (empty = all registered sites)")
+		workers     = fs.Int("workers", 0, "worker-pool width for concurrent schedules (0 = library default; results are identical for any width)")
+		streams     = fs.Int("streams", 0, "fabric migration-stream cap for the concurrent schedule columns (0 = off)")
+		kexecs      = fs.Int("kexecs", 0, "simultaneous-kexec cap for the concurrent schedule columns (0 = unlimited)")
+		fleet       = fs.Bool("fleet", false, "run the fleet CVE-response scenario on the concurrent scheduler instead of the Fig. 13 sweep")
+		fleetVMs    = fs.Int("fleet-vms", 32, "VM population for -fleet")
+		cve         = fs.String("cve", fleetCVE, "the disclosed vulnerability the -fleet response answers")
+		crashRate   = fs.Float64("crash-rate", 0, "fraction in [0,1] of -fleet hosts fail-stopped before the response; the reactive path recovers them and the report gains an availability section")
+		mttrBudget  = fs.Duration("mttr-budget", 0, "with -crash-rate, declare an MTTR budget: p99 of outages repaired within this window (0 = none declared)")
+		warmPool    = fs.Int("warm-pool", 0, "pre-stage up to n warm translation entries before the -fleet response")
+		noCache     = fs.Bool("no-cache", false, "disable the transplant cache for -fleet (force every transplant cold)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
+	}
+	for _, p := range []struct {
+		flag  string
+		value float64
+	}{{"fault-rate", *faultRate}, {"crash-rate", *crashRate}, {"trace-sample", *traceSample}} {
+		if !(p.value >= 0 && p.value <= 1) {
+			err := fmt.Errorf("-%s %v outside [0,1]", p.flag, p.value)
+			fmt.Fprintf(stderr, "clustersim: %v\n", err)
+			return options{}, err
+		}
+	}
+	return options{
+		hosts: *hosts, vmsPerHost: *vmsPerHost, group: *group, traceFrac: *traceFrac,
+		fleet: *fleet, fleetVMs: *fleetVMs,
+		fc: faultConfig{Seed: *faultSeed, Rate: *faultRate, Sites: *faultSites},
+		sc: schedConfig{Workers: *workers, Streams: *streams, Kexecs: *kexecs},
+		ec: exportConfig{
+			TraceOut: *traceOut, MetricsOut: *metricsOut, PromOut: *promOut,
+			StreamOut: *streamOut, TraceSample: *traceSample, SampleSeed: *sampleSeed,
+		},
+		fl: fleetConfig{CVE: *cve, CrashRate: *crashRate, MTTRBudget: *mttrBudget,
+			WarmPool: *warmPool, NoCache: *noCache},
+	}, nil
 }
 
 // schedConfig carries the concurrent-scheduling flags.

@@ -131,7 +131,7 @@ func TestRunFaultsWithScheduledColumns(t *testing.T) {
 func TestRunFleetDeterministicAcrossWorkers(t *testing.T) {
 	out := func(workers int) string {
 		var buf bytes.Buffer
-		if err := runFleet(&buf, 10, 32, schedConfig{Workers: workers, Streams: 4, Kexecs: 4}, exportConfig{}, cacheConfig{}, 0); err != nil {
+		if err := runFleet(&buf, 10, 32, schedConfig{Workers: workers, Streams: 4, Kexecs: 4}, exportConfig{}, fleetConfig{}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -178,7 +178,7 @@ func TestRunFleetDeterministicAcrossWorkers(t *testing.T) {
 func TestRunFleetCrashRate(t *testing.T) {
 	out := func(workers int) string {
 		var buf bytes.Buffer
-		if err := runFleet(&buf, 8, 24, schedConfig{Workers: workers, Streams: 4, Kexecs: 4}, exportConfig{}, cacheConfig{}, 0.25); err != nil {
+		if err := runFleet(&buf, 8, 24, schedConfig{Workers: workers, Streams: 4, Kexecs: 4}, exportConfig{}, fleetConfig{CrashRate: 0.25}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -208,7 +208,7 @@ func TestRunFleetCrashRate(t *testing.T) {
 // rejects -warm-pool.
 func TestRunFleetWarmPoolAndNoCache(t *testing.T) {
 	var warm bytes.Buffer
-	if err := runFleet(&warm, 6, 16, schedConfig{Streams: 4, Kexecs: 4}, exportConfig{}, cacheConfig{WarmPool: 16}, 0); err != nil {
+	if err := runFleet(&warm, 6, 16, schedConfig{Streams: 4, Kexecs: 4}, exportConfig{}, fleetConfig{WarmPool: 16}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(warm.String(), "cache: ") {
@@ -218,13 +218,13 @@ func TestRunFleetWarmPoolAndNoCache(t *testing.T) {
 		t.Fatalf("warm pool staged nothing:\n%s", warm.String())
 	}
 	var cold bytes.Buffer
-	if err := runFleet(&cold, 6, 16, schedConfig{Streams: 4, Kexecs: 4}, exportConfig{}, cacheConfig{NoCache: true}, 0); err != nil {
+	if err := runFleet(&cold, 6, 16, schedConfig{Streams: 4, Kexecs: 4}, exportConfig{}, fleetConfig{NoCache: true}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(cold.String(), "cache: ") {
 		t.Fatalf("-no-cache report still has a cache line:\n%s", cold.String())
 	}
-	if err := runFleet(&cold, 6, 16, schedConfig{}, exportConfig{}, cacheConfig{WarmPool: 4, NoCache: true}, 0); err == nil {
+	if err := runFleet(&cold, 6, 16, schedConfig{}, exportConfig{}, fleetConfig{WarmPool: 4, NoCache: true}); err == nil {
 		t.Fatal("-warm-pool with -no-cache accepted")
 	}
 }
@@ -272,5 +272,59 @@ func TestStreamOutSampledDeterministicAcrossWorkers(t *testing.T) {
 		if !strings.HasPrefix(line, `{"id":`) || !strings.HasSuffix(line, "}") {
 			t.Fatalf("stream line %d is not a span record: %s", i, line)
 		}
+	}
+}
+
+// A probability flag outside [0,1] is a usage error naming the flag, not
+// a run that is silently unfaulted, crash-free or unsampled.
+func TestParseArgsRejectsOutOfRangeProbability(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		bad  string // the flag the error must name; "" = accepted
+	}{
+		{[]string{"-fault-rate", "-0.5", "-fault-seed", "3"}, "-fault-rate"},
+		{[]string{"-fault-rate", "2"}, "-fault-rate"},
+		{[]string{"-crash-rate", "-0.5", "-fleet"}, "-crash-rate"},
+		{[]string{"-fleet", "-crash-rate", "1.5"}, "-crash-rate"},
+		{[]string{"-trace-sample", "-0.3", "-stream-out", "f"}, "-trace-sample"},
+		{[]string{"-trace-sample", "1.7"}, "-trace-sample"},
+		{[]string{"-trace-sample", "NaN"}, "-trace-sample"},
+		{[]string{"-fault-rate", "0.2", "-trace-sample", "0", "-crash-rate", "1"}, ""},
+		{nil, ""},
+	} {
+		var stderr strings.Builder
+		_, err := parseArgs(tc.args, &stderr)
+		if tc.bad == "" {
+			if err != nil || stderr.Len() != 0 {
+				t.Errorf("%v: rejected: %v %s", tc.args, err, stderr.String())
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(stderr.String(), tc.bad+" ") {
+			t.Errorf("%v: want a usage error naming %s, got %v, stderr %q", tc.args, tc.bad, err, stderr.String())
+		}
+	}
+}
+
+// -cve picks the vulnerability the fleet answers, and -mttr-budget puts
+// an MTTR verdict in the availability section of a crash-storm run.
+func TestRunFleetCVEAndMTTRBudget(t *testing.T) {
+	o, err := parseArgs([]string{"-fleet", "-cve", "CVE-2016-6258", "-crash-rate", "0.25", "-mttr-budget", "10s"}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := runFleet(&buf, 8, 24, schedConfig{Streams: 4, Kexecs: 4}, exportConfig{}, o.fl); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "Fleet CVE response: CVE-2016-6258") {
+		t.Fatalf("report does not name the -cve:\n%s", out)
+	}
+	if !strings.Contains(out, "target p99 within 10s: violations=0/2") {
+		t.Fatalf("no MTTR budget verdict:\n%s", out)
+	}
+	if err := runFleet(io.Discard, 8, 24, schedConfig{}, exportConfig{}, fleetConfig{CVE: "CVE-0000-0000"}); err == nil {
+		t.Fatal("unknown -cve accepted")
 	}
 }

@@ -17,8 +17,8 @@
 // -trace-out writes a Chrome trace_event file (open in Perfetto or
 // chrome://tracing); -metrics-out writes the metrics registry as JSON;
 // -prom-out writes it in Prometheus text exposition format; -spans-out
-// writes the span forest as JSONL. All are deterministic:
-// byte-identical for any -workers count.
+// writes the span forest as JSONL. All are deterministic: byte-identical
+// across runs.
 //
 // -fault-seed/-fault-rate/-fault-sites arm deterministic fault
 // injection at the named phase boundaries; the engine's recovery paths
@@ -34,6 +34,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -48,7 +49,6 @@ import (
 	"hypertp/internal/hw"
 	"hypertp/internal/migration"
 	"hypertp/internal/obs"
-	"hypertp/internal/par"
 	"hypertp/internal/simnet"
 	"hypertp/internal/simtime"
 	"hypertp/internal/tpcache"
@@ -56,38 +56,59 @@ import (
 )
 
 func main() {
+	cfg, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2)
+	}
+	if err := run(cfg); err != nil {
+		os.Exit(exitWithLabel("tpctl", err))
+	}
+}
+
+// parseArgs parses the command line into a runConfig. Usage errors,
+// including a -fault-rate outside [0,1], are reported on stderr and
+// returned; main exits 2 on them.
+func parseArgs(args []string, stderr io.Writer) (runConfig, error) {
+	fs := flag.NewFlagSet("tpctl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		mode       = flag.String("mode", "inplace", "transplant mode: inplace or migration")
-		from       = flag.String("from", "xen", "current hypervisor: xen, kvm or nova")
-		to         = flag.String("to", "kvm", "target hypervisor: xen, kvm or nova")
-		machine    = flag.String("machine", "M1", "machine profile: M1 or M2")
-		vms        = flag.Int("vms", 1, "number of VMs on the host")
-		vcpus      = flag.Int("vcpus", 1, "vCPUs per VM")
-		memGiB     = flag.Int("mem-gib", 1, "memory per VM in GiB")
-		cve        = flag.String("cve", "", "check the transplant decision policy for this CVE first")
-		noPrep     = flag.Bool("no-prepare", false, "disable pre-pause preparation (ablation)")
-		noPar      = flag.Bool("no-parallel", false, "disable parallel translation (ablation)")
-		noHuge     = flag.Bool("no-hugepages", false, "disable huge-page PRAM entries (ablation)")
-		noEarly    = flag.Bool("no-early-restore", false, "disable early restoration (ablation)")
-		workers    = flag.Int("workers", 0, "host worker pool size for wall-clock parallelism (0 = GOMAXPROCS)")
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace_event JSON file of the run")
-		metricsOut = flag.String("metrics-out", "", "write the metrics registry as JSON")
-		promOut    = flag.String("prom-out", "", "write the metrics registry in Prometheus text format")
-		spansOut   = flag.String("spans-out", "", "write the span forest as JSONL (one span record per line)")
-		profLabels = flag.Bool("pprof-labels", false, "annotate pool workers with pprof labels")
-		faultSeed  = flag.Uint64("fault-seed", 0, "fault-injection seed (deterministic; 0 with rate 0 disables)")
-		faultRate  = flag.Float64("fault-rate", 0, "per-site fault probability in [0,1]")
-		faultSites = flag.String("fault-sites", "", "comma-separated injection sites (empty = all registered sites)")
-		faultPlan  = flag.Bool("fault-plan", false, "print the fault shots that fired during the run")
-		noCache    = flag.Bool("no-cache", false, "disable the transplant cache (force the cold path)")
-		warmPool   = flag.Int("warm-pool", 0, "pre-stage up to n VM translations as warm entries before the transplant")
-		crashAt    = flag.String("crash-at", "", "fail-stop the source hypervisor and run the emergency recovery: idle, hang, or transplant (crash mid-transplant, at the double-fault window)")
-		verbose    = flag.Bool("v", false, "print the Fig. 3 workflow: the phase spans, one line each")
+		mode       = fs.String("mode", "inplace", "transplant mode: inplace or migration")
+		from       = fs.String("from", "xen", "current hypervisor: xen, kvm or nova")
+		to         = fs.String("to", "kvm", "target hypervisor: xen, kvm or nova")
+		machine    = fs.String("machine", "M1", "machine profile: M1 or M2")
+		vms        = fs.Int("vms", 1, "number of VMs on the host")
+		vcpus      = fs.Int("vcpus", 1, "vCPUs per VM")
+		memGiB     = fs.Int("mem-gib", 1, "memory per VM in GiB")
+		cve        = fs.String("cve", "", "check the transplant decision policy for this CVE first")
+		noPrep     = fs.Bool("no-prepare", false, "disable pre-pause preparation (ablation)")
+		noPar      = fs.Bool("no-parallel", false, "disable parallel translation (ablation)")
+		noHuge     = fs.Bool("no-hugepages", false, "disable huge-page PRAM entries (ablation)")
+		noEarly    = fs.Bool("no-early-restore", false, "disable early restoration (ablation)")
+		traceOut   = fs.String("trace-out", "", "write a Chrome trace_event JSON file of the run")
+		metricsOut = fs.String("metrics-out", "", "write the metrics registry as JSON")
+		promOut    = fs.String("prom-out", "", "write the metrics registry in Prometheus text format")
+		spansOut   = fs.String("spans-out", "", "write the span forest as JSONL (one span record per line)")
+		faultSeed  = fs.Uint64("fault-seed", 0, "fault-injection seed (deterministic; 0 with rate 0 disables)")
+		faultRate  = fs.Float64("fault-rate", 0, "per-site fault probability in [0,1]")
+		faultSites = fs.String("fault-sites", "", "comma-separated injection sites (empty = all registered sites)")
+		faultPlan  = fs.Bool("fault-plan", false, "print the fault shots that fired during the run")
+		noCache    = fs.Bool("no-cache", false, "disable the transplant cache (force the cold path)")
+		warmPool   = fs.Int("warm-pool", 0, "pre-stage up to n VM translations as warm entries before the transplant")
+		crashAt    = fs.String("crash-at", "", "fail-stop the source hypervisor and run the emergency recovery: idle, hang, or transplant (crash mid-transplant, at the double-fault window)")
+		verbose    = fs.Bool("v", false, "print the Fig. 3 workflow: the phase spans, one line each")
 	)
-	flag.Parse()
-	par.SetWorkers(*workers)
-	par.SetProfileLabels(*profLabels)
-	if err := run(runConfig{
+	if err := fs.Parse(args); err != nil {
+		return runConfig{}, err
+	}
+	if !(*faultRate >= 0 && *faultRate <= 1) {
+		err := fmt.Errorf("-fault-rate %v outside [0,1]", *faultRate)
+		fmt.Fprintf(stderr, "tpctl: %v\n", err)
+		return runConfig{}, err
+	}
+	return runConfig{
 		Mode: *mode, From: *from, To: *to, Machine: *machine,
 		VMs: *vms, VCPUs: *vcpus, MemGiB: *memGiB, CVE: *cve,
 		Opts: core.Options{
@@ -108,9 +129,7 @@ func main() {
 		WarmPool:   *warmPool,
 		CrashAt:    *crashAt,
 		Verbose:    *verbose,
-	}); err != nil {
-		os.Exit(exitWithLabel("tpctl", err))
-	}
+	}, nil
 }
 
 // exitWithLabel prints the error with its hterr class label and picks
@@ -195,8 +214,6 @@ func run(cfg runConfig) error {
 	if cfg.Verbose || cfg.TraceOut != "" || cfg.MetricsOut != "" || cfg.PromOut != "" || cfg.SpansOut != "" {
 		rec = obs.NewRecorder(clock)
 		engine.Obs = rec
-		par.SetObserver(rec.PoolObserver())
-		defer par.SetObserver(nil)
 	}
 	var plan *fault.Plan
 	if cfg.FaultRate > 0 || cfg.FaultSeed != 0 || cfg.FaultSites != "" {

@@ -276,3 +276,31 @@ func TestRunVerbosePrintsSteps(t *testing.T) {
 		t.Fatalf("-v printed %v, want %v", names, want)
 	}
 }
+
+// A probability flag outside [0,1] is a usage error naming the flag, not
+// a run that silently injects nothing.
+func TestParseArgsRejectsOutOfRangeProbability(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		ok   bool
+	}{
+		{[]string{"-fault-rate", "-1"}, false},
+		{[]string{"-fault-rate", "1.5"}, false},
+		{[]string{"-fault-rate", "NaN"}, false},
+		{[]string{"-fault-rate", "0"}, true},
+		{[]string{"-fault-rate", "1"}, true},
+		{[]string{"-fault-rate", "0.2"}, true},
+	} {
+		var stderr strings.Builder
+		c, err := parseArgs(tc.args, &stderr)
+		if tc.ok {
+			if err != nil || stderr.Len() != 0 {
+				t.Errorf("%v: rejected: %v %s", tc.args, err, stderr.String())
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(stderr.String(), "-fault-rate") {
+			t.Errorf("%v: accepted (rate %v), stderr %q", tc.args, c.FaultRate, stderr.String())
+		}
+	}
+}

@@ -15,7 +15,6 @@ import (
 
 	"hypertp/internal/hv"
 	"hypertp/internal/hw"
-	"hypertp/internal/par"
 	"hypertp/internal/uisr"
 )
 
@@ -63,31 +62,20 @@ func Save(h hv.Hypervisor, id hv.VMID) (*Image, error) {
 	st.MemMap = nil
 	img := &Image{State: st, InPlaceCompatible: vm.Config.InPlaceCompatible}
 
-	// Capture touched pages through the address space: extents are
-	// independent, so capture fans out per extent and the per-extent page
-	// lists concatenate in extent order — the same record order the
-	// sequential walk produced.
+	// Capture touched pages through the address space, in extent order.
 	mem := h.Machine().Mem
-	perExtent, err := par.Map(vm.Space.Extents(), func(_ int, e uisr.PageExtent) ([]PageRecord, error) {
-		var recs []PageRecord
+	for _, e := range vm.Space.Extents() {
 		err := mem.ForEachTouched(hw.MFN(e.MFN), e.Pages(), func(m hw.MFN, data []byte) error {
 			// data is the frame's written prefix; the record holds the
 			// whole frame, zero tail included.
 			page := make([]byte, hw.PageSize4K)
 			copy(page, data)
-			recs = append(recs, PageRecord{GFN: hw.GFN(e.GFN + uint64(m) - e.MFN), Data: page})
+			img.Pages = append(img.Pages, PageRecord{GFN: hw.GFN(e.GFN + uint64(m) - e.MFN), Data: page})
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		return recs, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, recs := range perExtent {
-		img.Pages = append(img.Pages, recs...)
 	}
 	return img, nil
 }
@@ -106,18 +94,10 @@ func Restore(h hv.Hypervisor, img *Image) (*hv.VM, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Records cover distinct pages, so the replay fans out.
-	err = par.ForEachSpan(len(img.Pages), func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			pr := img.Pages[i]
-			if err := vm.Space.WritePage(pr.GFN, 0, pr.Data); err != nil {
-				return fmt.Errorf("checkpoint: replay page %d: %w", pr.GFN, err)
-			}
+	for _, pr := range img.Pages {
+		if err := vm.Space.WritePage(pr.GFN, 0, pr.Data); err != nil {
+			return nil, fmt.Errorf("checkpoint: replay page %d: %w", pr.GFN, err)
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return vm, nil
 }
@@ -134,8 +114,7 @@ func Serialize(img *Image) ([]byte, error) {
 		return nil, err
 	}
 	// The image size is exact, so the whole output is one allocation
-	// written in place; page records land at computed offsets, which lets
-	// the bulk page copies fan out on the par pool.
+	// written in place.
 	size := 12 + len(blob) + 4 + len(img.Pages)*(8+hw.PageSize4K) + 8
 	out := make([]byte, size)
 	le := binary.LittleEndian
@@ -153,20 +132,13 @@ func Serialize(img *Image) ([]byte, error) {
 	pagesOff := 12 + len(blob)
 	le.PutUint32(out[pagesOff:], uint32(len(img.Pages)))
 	pagesOff += 4
-	err = par.ForEachSpan(len(img.Pages), func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			pr := img.Pages[i]
-			if len(pr.Data) != hw.PageSize4K {
-				return fmt.Errorf("checkpoint: page %d has %d bytes", pr.GFN, len(pr.Data))
-			}
-			rec := out[pagesOff+i*(8+hw.PageSize4K):]
-			le.PutUint64(rec[0:], uint64(pr.GFN))
-			copy(rec[8:8+hw.PageSize4K], pr.Data)
+	for i, pr := range img.Pages {
+		if len(pr.Data) != hw.PageSize4K {
+			return nil, fmt.Errorf("checkpoint: page %d has %d bytes", pr.GFN, len(pr.Data))
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		rec := out[pagesOff+i*(8+hw.PageSize4K):]
+		le.PutUint64(rec[0:], uint64(pr.GFN))
+		copy(rec[8:8+hw.PageSize4K], pr.Data)
 	}
 	le.PutUint64(out[size-8:], crc64.Checksum(out[:size-8], crcTable))
 	return out, nil
@@ -204,21 +176,14 @@ func Deserialize(data []byte) (*Image, error) {
 	img := &Image{State: st, InPlaceCompatible: flags&1 != 0}
 	if n > 0 {
 		// One backing array for all page contents (instead of one
-		// allocation per page), sliced per record; records sit at
-		// computed offsets, so the copies fan out.
+		// allocation per page), sliced per record.
 		img.Pages = make([]PageRecord, n)
 		backing := make([]byte, n*hw.PageSize4K)
-		err = par.ForEachSpan(n, func(lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				rec := uisr.NewReader(pages[i*(8+hw.PageSize4K) : (i+1)*(8+hw.PageSize4K)])
-				page := backing[i*hw.PageSize4K : (i+1)*hw.PageSize4K : (i+1)*hw.PageSize4K]
-				img.Pages[i] = PageRecord{GFN: hw.GFN(rec.U64()), Data: page}
-				copy(page, rec.Bytes(hw.PageSize4K))
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
+		for i := range img.Pages {
+			rec := uisr.NewReader(pages[i*(8+hw.PageSize4K) : (i+1)*(8+hw.PageSize4K)])
+			page := backing[i*hw.PageSize4K : (i+1)*hw.PageSize4K : (i+1)*hw.PageSize4K]
+			img.Pages[i] = PageRecord{GFN: hw.GFN(rec.U64()), Data: page}
+			copy(page, rec.Bytes(hw.PageSize4K))
 		}
 	}
 	return img, nil

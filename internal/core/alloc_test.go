@@ -8,7 +8,6 @@ import (
 	"hypertp/internal/hv"
 	"hypertp/internal/hw"
 	"hypertp/internal/migration"
-	"hypertp/internal/par"
 	"hypertp/internal/simnet"
 )
 
@@ -18,36 +17,34 @@ import (
 // collection empties those pools, and when one lands is not a count.
 var raceEnabled bool
 
-// TestEngineAllocBudgets pins one transplant of each kind at one worker,
-// its testbed build included: a cold InPlace Xen→KVM of the Fig. 6 VM (1
+// TestEngineAllocBudgets pins one transplant of each kind, its testbed
+// build included: a cold InPlace Xen→KVM of the Fig. 6 VM (1
 // vCPU / 1 GiB on M1), an Emergency of four small VMs off a crashed Xen,
 // and a MigrationTP of one small VM from Xen to KVM over 1 Gbps.
 func TestEngineAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
-	par.SetWorkers(1)
-	defer par.SetWorkers(0)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, tc := range []struct {
 		name   string
 		budget float64
 		run    func() error
 	}{
-		{"InPlace", 189, func() error {
+		{"InPlace", 172, func() error {
 			b := newBench(t, hw.M1())
 			src := b.bootWithVMs(t, hv.KindXen, 1, 1, 1)
 			_, _, err := b.engine.InPlace(src, hv.KindKVM, DefaultOptions())
 			return err
 		}},
-		{"Emergency", 1797, func() error {
+		{"Emergency", 1776, func() error {
 			b := newBench(t, hw.M1())
 			src := bootSmallVMs(t, b, hv.KindXen, 4)
 			crashHost(t, src, "budget")
 			_, _, err := b.engine.Emergency(src, hv.KindKVM, DefaultOptions())
 			return err
 		}},
-		{"MigrationTP", 583, func() error {
+		{"MigrationTP", 580, func() error {
 			b := newBench(t, hw.M1())
 			src := bootSmallVMs(t, b, hv.KindXen, 1)
 			dst, err := NewEngine(b.clock, hw.NewMachine(b.clock, hw.M1())).BootHypervisor(hv.KindKVM)

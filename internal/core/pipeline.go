@@ -11,7 +11,6 @@ import (
 	"hypertp/internal/hw"
 	"hypertp/internal/kexec"
 	"hypertp/internal/obs"
-	"hypertp/internal/par"
 	"hypertp/internal/pram"
 	"hypertp/internal/tpcache"
 	"hypertp/internal/uisr"
@@ -505,11 +504,9 @@ func (t *transplant) memo() *tpcache.Cache {
 
 // translate stashes each VM's UISR blob in preserved RAM as an extra
 // PRAM file, so the target kernel can find it after the micro-reboot.
-// The phase is staged so the wall-clock parallel part is pure compute:
-// SaveUISR runs sequentially (it walks hypervisor structures), the per-VM
-// Encode fans out on the par pool, and blob frames are allocated and
-// written sequentially so MFN assignment — and therefore every preserved
-// byte — is identical for any worker count.
+// Every VM's state is saved before any is encoded, and blob frames are
+// allocated and written in VM order, so MFN assignment — and therefore
+// every preserved byte — is fixed by the VM list alone.
 func (t *transplant) translate() error {
 	mem, memo := t.e.Machine.Mem, t.memo()
 	blobs, err := t.encodeStates(memo)
@@ -611,22 +608,19 @@ func (t *transplant) encodeStates(memo *tpcache.Cache) ([][]byte, error) {
 		st.MemMap = nil
 		states = append(states, st)
 	}
-	encoded, err := par.Map(states, func(_ int, st *uisr.VMState) ([]byte, error) {
-		t0 := time.Now()
-		blob, err := uisr.Encode(st)
-		encodeWall.Observe(float64(time.Since(t0).Nanoseconds()))
-		return blob, err
-	})
-	if err != nil {
-		return nil, err
-	}
 	// blobs is still nil exactly at the memo misses, in states order.
 	k := 0
 	for i := range blobs {
 		if blobs[i] != nil {
 			continue
 		}
-		blobs[i] = encoded[k]
+		t0 := time.Now()
+		blob, err := uisr.Encode(states[k])
+		encodeWall.Observe(float64(time.Since(t0).Nanoseconds()))
+		if err != nil {
+			return nil, err
+		}
+		blobs[i] = blob
 		k++
 		if memo != nil {
 			t.saved[i].hash = memo.StoreTranslation(kind, m, gen, t.vms[i].ID, blobs[i], false)
@@ -689,9 +683,9 @@ func (t *transplant) parsePRAM() error {
 	return nil
 }
 
-// restore mirrors translate's staging: blob reads and UISR decodes are
-// pure compute and fan out on the par pool; RestoreUISR and guest
-// attachment mutate the target and run sequentially in VM order.
+// restore reads and decodes every VM's blob before it touches the
+// target, so a corrupt blob fails the phase with nothing restored;
+// RestoreUISR and guest attachment then run in VM order.
 func (t *transplant) restore() error {
 	if !t.opts.EarlyRestoration {
 		t.report.Restoration += t.cost.RestoreServiceWait
@@ -704,24 +698,22 @@ func (t *transplant) restore() error {
 		return fmt.Errorf("core: %d PRAM files after reboot, want %d", len(files), 2*n)
 	}
 	decodeWall := t.mets.Histogram("uisr.decode_wall_ns", "ns", obs.ExpBuckets(1e3, 4, 12)).Volatile()
-	restored, err := par.Map(t.saved, func(i int, s savedVM) (*uisr.VMState, error) {
+	restored := make([]*uisr.VMState, n)
+	for i, s := range t.saved {
 		if files[n+i].Name != blobPrefix+s.res.Name {
-			return nil, fmt.Errorf("core: UISR blob for %q missing after reboot", s.res.Name)
+			return fmt.Errorf("core: UISR blob for %q missing after reboot", s.res.Name)
 		}
 		blob, err := readBlob(t.e.Machine.Mem, files[n+i])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		t0 := time.Now()
 		st, err := uisr.Decode(blob)
 		decodeWall.Observe(float64(time.Since(t0).Nanoseconds()))
 		if err != nil {
-			return nil, fmt.Errorf("core: UISR blob for %q corrupt: %w", s.res.Name, err)
+			return fmt.Errorf("core: UISR blob for %q corrupt: %w", s.res.Name, err)
 		}
-		return st, nil
-	})
-	if err != nil {
-		return err
+		restored[i] = st
 	}
 	memo := t.memo()
 	t.costs = t.costs[:0]

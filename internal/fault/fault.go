@@ -24,7 +24,6 @@ import (
 
 	"hypertp/internal/hterr"
 	"hypertp/internal/obs"
-	"hypertp/internal/par"
 	"hypertp/internal/simtime"
 )
 
@@ -206,7 +205,7 @@ func (p *Plan) ForceAt(site Site, occurrence int) *Plan {
 
 // Derive returns an independent child plan for concurrent work item i:
 // same rate and site restriction, but a seed mixed from the parent seed
-// and the item index (par.DeriveSeed), a fresh shot log, and no
+// and the item index (simtime.Mix), a fresh shot log, and no
 // clock/recorder/ForceAt inheritance. Fleet-level schedulers hand each
 // concurrently-executing host its own derived plan so fault draws do not
 // depend on the nondeterministic arming order of a shared stream;
@@ -218,7 +217,7 @@ func (p *Plan) Derive(i int) *Plan {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	child := NewPlan(par.DeriveSeed(p.seed, i), p.rate)
+	child := NewPlan(simtime.Mix(p.seed+0x9e3779b97f4a7c15*uint64(i)), p.rate)
 	if p.enabled != nil {
 		child.enabled = make(map[Site]bool, len(p.enabled))
 		for s := range p.enabled {

@@ -18,8 +18,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"hypertp/internal/par"
 )
 
 // WriteEnv is the environment variable that switches Check from
@@ -88,16 +86,14 @@ func Check(tb testing.TB, target string, seeds ...[]byte) {
 }
 
 // CheckAllocs runs parse over seeds — a target's f.Add list, which Check
-// holds to the checked-in corpus — under testing.AllocsPerRun, on one par
-// worker where counts are exact, and fails when a seed costs more than
-// base allocations plus perKiB per KiB of input. A parser that sizes
+// holds to the checked-in corpus — under testing.AllocsPerRun, and fails
+// when a seed costs more than base allocations plus perKiB per KiB of
+// input. A parser that sizes
 // storage from a count in its input, not from the bytes carrying it,
 // fails here. Base leaves four allocations for a reject's error text:
 // the race detector randomly empties fmt's buffer pool.
 func CheckAllocs(tb testing.TB, seeds [][]byte, base, perKiB float64, parse func([]byte)) {
 	tb.Helper()
-	par.SetWorkers(1)
-	defer par.SetWorkers(0)
 	for i, data := range seeds {
 		budget := base + perKiB*float64(len(data))/1024
 		if n := testing.AllocsPerRun(10, func() { parse(data) }); n > budget {

@@ -15,7 +15,6 @@ import (
 	"slices"
 
 	"hypertp/internal/hw"
-	"hypertp/internal/par"
 )
 
 // Memory is the guest-physical address space as exposed by whichever
@@ -194,12 +193,8 @@ func (g *Guest) Read(gfn hw.GFN, off, n int) ([]byte, error) {
 
 // WriteWorkingSet writes a deterministic pattern across npages pages
 // starting at startGFN (one 64-byte record per page), simulating an
-// application's resident data.
-//
-// The sequence range is reserved up front, so each page's record depends
-// only on its index and the fill+WritePage loop can fan out on the par
-// pool (pages are distinct frames); the write-tracking map is updated in a
-// sequential pass afterwards.
+// application's resident data. Each page's record depends only on its
+// index and the sequence range reserved up front.
 func (g *Guest) WriteWorkingSet(startGFN hw.GFN, npages int) error {
 	for i := 0; i < npages; i++ {
 		if uint64(startGFN)+uint64(i) >= g.mem.NumPages() {
@@ -208,24 +203,13 @@ func (g *Guest) WriteWorkingSet(startGFN hw.GFN, npages int) error {
 	}
 	base := g.seq
 	g.seq += uint64(npages)
-	recs := make([][64]byte, npages)
-	err := par.ForEachSpan(npages, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			gfn := startGFN + hw.GFN(i)
-			rec := recs[i][:]
-			fill(rec, uint64(gfn)*2654435761+base+uint64(i)+1)
-			if err := g.mem.WritePage(gfn, int(uint64(gfn)%(hw.PageSize4K-64)), rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
+	var rec [64]byte
 	for i := 0; i < npages; i++ {
 		gfn := startGFN + hw.GFN(i)
-		g.record(gfn, int(uint64(gfn)%(hw.PageSize4K-64)), recs[i][:])
+		fill(rec[:], uint64(gfn)*2654435761+base+uint64(i)+1)
+		if err := g.Write(gfn, int(uint64(gfn)%(hw.PageSize4K-64)), rec[:]); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -233,29 +217,27 @@ func (g *Guest) WriteWorkingSet(startGFN hw.GFN, npages int) error {
 // Verify re-reads every byte the guest ever wrote and reports the
 // mismatch at the lowest (gfn, off). A nil return is the Guest State
 // preservation property. Each written page is read once, over the hull of
-// its recorded bytes; pages are independent, so the check fans out.
+// its recorded bytes.
 func (g *Guest) Verify() error {
 	gfns := make([]hw.GFN, 0, len(g.writes))
 	for gfn := range g.writes {
 		gfns = append(gfns, gfn)
 	}
 	slices.Sort(gfns)
-	return par.ForEachSpan(len(gfns), func(lo, hi int) error {
-		for _, gfn := range gfns[lo:hi] {
-			w := g.writes[gfn]
-			got, err := g.mem.ReadPage(gfn, w.off, len(w.data))
-			if err != nil {
-				return fmt.Errorf("guest %s: verify gfn %d off %d: %w", g.Name, gfn, w.off, err)
-			}
-			for i, want := range w.data {
-				if w.written[i] && got[i] != want {
-					return fmt.Errorf("guest %s: corrupt byte at gfn %d off %d: got %#x want %#x",
-						g.Name, gfn, w.off+i, got[i], want)
-				}
+	for _, gfn := range gfns {
+		w := g.writes[gfn]
+		got, err := g.mem.ReadPage(gfn, w.off, len(w.data))
+		if err != nil {
+			return fmt.Errorf("guest %s: verify gfn %d off %d: %w", g.Name, gfn, w.off, err)
+		}
+		for i, want := range w.data {
+			if w.written[i] && got[i] != want {
+				return fmt.Errorf("guest %s: corrupt byte at gfn %d off %d: got %#x want %#x",
+					g.Name, gfn, w.off+i, got[i], want)
 			}
 		}
-		return nil
-	})
+	}
+	return nil
 }
 
 // WrittenBytes returns the number of distinct bytes the guest has written.

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"hypertp/internal/hw"
-	"hypertp/internal/par"
 	"hypertp/internal/uisr"
 )
 
@@ -25,7 +24,7 @@ type AddressSpace struct {
 	numPages uint64
 
 	dirtyLog bool
-	dirtyMu  sync.Mutex // guards dirty; WritePage runs on par worker pools
+	dirtyMu  sync.Mutex // guards dirty
 	dirty    map[hw.GFN]struct{}
 }
 
@@ -192,17 +191,14 @@ func (as *AddressSpace) FetchAndClearDirty() []hw.GFN {
 // two spaces with identical written content match even if their frame
 // placement differs).
 func (as *AddressSpace) ChecksumAll() (uint64, error) {
-	// The combined sum is commutative (wrapping uint64 addition keyed by
-	// GFN), so per-extent partial sums merge to the same value in any
-	// execution order — checksumming parallelizes freely.
-	partial, err := par.Map(as.extents, func(_ int, e uisr.PageExtent) (uint64, error) {
-		return as.mem.ChecksumRange(hw.MFN(e.MFN), e.Pages(), hw.GFN(e.GFN))
-	})
-	if err != nil {
-		return 0, err
-	}
+	// The combined sum is wrapping uint64 addition keyed by GFN, so the
+	// per-extent sums add up independent of frame placement.
 	var sum uint64
-	for _, s := range partial {
+	for _, e := range as.extents {
+		s, err := as.mem.ChecksumRange(hw.MFN(e.MFN), e.Pages(), hw.GFN(e.GFN))
+		if err != nil {
+			return 0, err
+		}
 		sum += s
 	}
 	return sum, nil
@@ -226,15 +222,15 @@ func (as *AddressSpace) CopyContentsTo(dst *AddressSpace) error {
 	if dst.NumPages() != as.NumPages() {
 		return fmt.Errorf("hv: copy between spaces of %d and %d pages", as.NumPages(), dst.NumPages())
 	}
-	// Extents are disjoint in GFN space, so each worker replays a disjoint
-	// set of destination pages; the dirty log (if enabled on dst) is the
-	// only shared structure and WritePage guards it.
-	return par.ForEach(len(as.extents), func(i int) error {
-		e := as.extents[i]
-		return as.mem.ForEachTouched(hw.MFN(e.MFN), e.Pages(), func(m hw.MFN, data []byte) error {
+	for _, e := range as.extents {
+		err := as.mem.ForEachTouched(hw.MFN(e.MFN), e.Pages(), func(m hw.MFN, data []byte) error {
 			return dst.WritePage(hw.GFN(e.GFN+uint64(m)-e.MFN), 0, data)
 		})
-	})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Release frees every frame of the address space back to the machine.

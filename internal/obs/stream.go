@@ -4,6 +4,8 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"hypertp/internal/simtime"
 )
 
 // Streaming span pipeline. The tree recorder of obs.go is the right
@@ -183,15 +185,6 @@ func NewHeadSampler(seed uint64, frac float64, next StreamSink) *HeadSampler {
 	return &HeadSampler{seed: seed, frac: frac, next: next}
 }
 
-// splitmix64 is the avalanche mixer used across the repo's seeded
-// generators (fault plans, chaos scenarios).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Keep reports the sampling decision for a root record: a pure function
 // of (seed, name, start), independent of span ids and arrival order.
 func (h *HeadSampler) Keep(root SpanRecord) bool {
@@ -206,7 +199,7 @@ func (h *HeadSampler) Keep(root SpanRecord) bool {
 		key = (key ^ uint64(root.Name[i])) * 1099511628211
 	}
 	key ^= uint64(root.Start.Nanoseconds())
-	u := splitmix64(h.seed^key) >> 11 // top 53 bits → uniform [0,1)
+	u := simtime.Mix(h.seed^key) >> 11 // top 53 bits → uniform [0,1)
 	return float64(u)/float64(1<<53) < h.frac
 }
 

@@ -10,33 +10,31 @@
 //     much simulated time a phase costs and is controlled per-transplant
 //     by core.Options.Parallel.
 //   - Wall-clock parallelism — this package — decides how fast the Go
-//     process itself executes the phase and never influences simulated
-//     time.
+//     process itself executes and never influences simulated time.
 //
-// Determinism contract: Map and ForEach assign work by index, store
-// results by index, and report the lowest-index error, so any observable
-// output is independent of the worker count and of goroutine scheduling.
-// Callers must keep per-item work free of cross-item side effects (or
-// guard shared structures, as hw.PhysMem does); everything order-dependent
-// belongs in a sequential stage before or after the parallel one.
+// The pool sits at the outermost fan-out only: a scheduler batch of
+// independent host operations and the experiment sweep points. A pool
+// task never opens a pool; everything beneath it is a plain loop (the
+// root census test holds the importers to an allowlist).
+//
+// Determinism contract: Map assigns work by index, stores results by
+// index, and reports the lowest-index error, so any observable output is
+// independent of the worker count and of goroutine scheduling. Callers
+// must keep per-item work free of cross-item side effects.
 package par
 
 import (
-	"context"
 	"runtime"
-	"runtime/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // workers is the configured pool width; 0 means GOMAXPROCS. It is the
 // process-wide knob behind the CLIs' -workers flag.
 var workers atomic.Int64
 
-// SetWorkers sets the pool width used by Map and ForEach. n <= 0 restores
-// the default (GOMAXPROCS at call time).
+// SetWorkers sets the pool width used by Map. n <= 0 restores the
+// default (GOMAXPROCS at call time).
 func SetWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -52,176 +50,39 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Observer receives per-task timing hooks from the pool — the bridge to
-// the observability layer's pool metrics (queue depth, task wall time,
-// utilization). Implementations must be safe for concurrent use: tasks
-// on different workers report concurrently.
-//
-// Task is called once per executed span with the number of items the
-// span covered, the number of spans still queued when it finished, and
-// the span's wall-clock duration. Dispatch is called once per pool
-// invocation with the total item and span counts and the worker width.
-type Observer interface {
-	Dispatch(items, spans, workers int)
-	Task(items, queued int, wall time.Duration)
-}
-
-// observer is the process-wide hook; nil means no instrumentation and
-// costs one atomic load per pool call.
-var observer atomic.Pointer[observerBox]
-
-type observerBox struct{ o Observer }
-
-// SetObserver installs (or, with nil, removes) the pool observer.
-func SetObserver(o Observer) {
-	if o == nil {
-		observer.Store(nil)
-		return
-	}
-	observer.Store(&observerBox{o: o})
-}
-
-// currentObserver returns the installed observer or nil.
-func currentObserver() Observer {
-	if b := observer.Load(); b != nil {
-		return b.o
-	}
-	return nil
-}
-
-// profileLabels toggles pprof label annotation of pool workers: when
-// set, each worker goroutine runs under pprof labels
-// {pool=par, worker=N}, so CPU profiles of a transplant run attribute
-// samples to pool workers directly.
-var profileLabels atomic.Bool
-
-// SetProfileLabels enables or disables pprof label annotation.
-func SetProfileLabels(on bool) { profileLabels.Store(on) }
-
 // Map applies fn to every item of items on the worker pool and returns
 // the results in item order. fn receives the item index and the item.
 // All items are attempted even after a failure; the returned error is the
 // one with the lowest index, so error behaviour is deterministic too.
 func Map[T, R any](items []T, fn func(i int, item T) (R, error)) ([]R, error) {
-	out := make([]R, len(items))
-	err := ForEach(len(items), func(i int) error {
-		r, err := fn(i, items[i])
-		if err != nil {
-			return err
-		}
-		out[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ForEach runs fn(i) for every i in [0, n) on the worker pool and returns
-// the lowest-index error (nil if all succeed).
-func ForEach(n int, fn func(i int) error) error {
-	return ForEachSpan(n, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// ForEachSpan partitions [0, n) into contiguous spans and runs fn(lo, hi)
-// for each span on the worker pool. Spans let fine-grained loops (per-page
-// writes, checksums) amortize dispatch overhead; fn must treat its span as
-// an independent unit. The lowest-starting-index error wins.
-func ForEachSpan(n int, fn func(lo, hi int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	obs := currentObserver()
-	w := Workers()
-	if w > n {
-		w = n
-	}
+	n := len(items)
+	out := make([]R, n)
+	errs := make([]error, n)
+	w := min(Workers(), n)
 	if w <= 1 {
-		if obs == nil {
-			return fn(0, n)
+		for i, item := range items {
+			out[i], errs[i] = fn(i, item)
 		}
-		obs.Dispatch(n, 1, 1)
-		t0 := time.Now()
-		err := fn(0, n)
-		obs.Task(n, 0, time.Since(t0))
-		return err
-	}
-	// Span size balances dispatch cost against load balance: aim for a
-	// few spans per worker so a slow span does not serialize the tail.
-	span := n / (w * 4)
-	if span < 1 {
-		span = 1
-	}
-	nspans := (n + span - 1) / span
-	if obs != nil {
-		obs.Dispatch(n, nspans, w)
-	}
-	errs := make([]error, nspans)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func(worker int) {
-			defer wg.Done()
-			loop := func() {
-				for {
-					s := int(next.Add(1)) - 1
-					if s >= nspans {
-						return
-					}
-					lo := s * span
-					hi := lo + span
-					if hi > n {
-						hi = n
-					}
-					if obs == nil {
-						errs[s] = fn(lo, hi)
-						continue
-					}
-					t0 := time.Now()
-					errs[s] = fn(lo, hi)
-					queued := nspans - int(next.Load())
-					if queued < 0 {
-						queued = 0
-					}
-					obs.Task(hi-lo, queued, time.Since(t0))
+	} else {
+		// Items are coarse (a host operation, a sweep point), so workers
+		// claim them one at a time.
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(w)
+		for g := 0; g < w; g++ {
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+					out[i], errs[i] = fn(i, items[i])
 				}
-			}
-			if profileLabels.Load() {
-				pprof.Do(context.Background(),
-					pprof.Labels("pool", "par", "worker", strconv.Itoa(worker)), func(context.Context) {
-						loop()
-					})
-			} else {
-				loop()
-			}
-		}(g)
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
-}
-
-// DeriveSeed returns a per-item RNG seed mixed from a base seed and an
-// item index with SplitMix64 finalization. Work items that need modeled
-// randomness derive their own generator from the item index instead of
-// sharing a sequential stream, so draws stay identical for any worker
-// count and execution order.
-func DeriveSeed(base uint64, i int) uint64 {
-	z := base + 0x9e3779b97f4a7c15*uint64(i+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return out, nil
 }

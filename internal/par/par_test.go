@@ -3,6 +3,8 @@ package par
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -46,71 +48,42 @@ func TestLowestIndexErrorWins(t *testing.T) {
 	for _, w := range []int{1, 2, 4, 16} {
 		SetWorkers(w)
 		for trial := 0; trial < 20; trial++ {
-			err := ForEach(500, func(i int) error {
+			out, err := Map(make([]struct{}, 500), func(i int, _ struct{}) (int, error) {
 				if fail[i] {
-					return fmt.Errorf("item %d", i)
+					return 0, fmt.Errorf("item %d", i)
 				}
-				return nil
+				return i, nil
 			})
-			if err == nil || err.Error() != "item 13" {
-				t.Fatalf("w=%d: got %v, want item 13", w, err)
+			if err == nil || err.Error() != "item 13" || out != nil {
+				t.Fatalf("w=%d: got %v, %d results; want item 13 and none", w, err, len(out))
 			}
 		}
 	}
 }
 
-// TestNoSpanCancellation checks that a failing span does not cancel the
-// rest of the work: every span of [0, n) is still attempted exactly once,
-// even when the very first one errors.
+// TestNoSpanCancellation checks that a failing item does not cancel the
+// rest of the work: every item is still attempted exactly once, even
+// when the very first one errors, at any worker count.
 func TestNoSpanCancellation(t *testing.T) {
 	defer SetWorkers(0)
-	SetWorkers(4)
-	const n = 300
-	var covered [n]atomic.Int32
 	boom := errors.New("boom")
-	err := ForEachSpan(n, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			covered[i].Add(1)
-		}
-		if lo == 0 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("got %v, want boom", err)
-	}
-	for i := range covered {
-		if got := covered[i].Load(); got != 1 {
-			t.Fatalf("index %d covered %d times", i, got)
-		}
-	}
-}
-
-// TestForEachSpanCoverage checks that spans partition [0, n) exactly:
-// contiguous, disjoint, complete.
-func TestForEachSpanCoverage(t *testing.T) {
-	defer SetWorkers(0)
-	for _, w := range []int{1, 3, 8} {
+	for _, w := range []int{1, 4} {
 		SetWorkers(w)
-		for _, n := range []int{0, 1, 5, 97, 1024} {
-			var seen [1024]atomic.Int32
-			err := ForEachSpan(n, func(lo, hi int) error {
-				if lo < 0 || hi > n || lo >= hi {
-					return fmt.Errorf("bad span [%d,%d)", lo, hi)
-				}
-				for i := lo; i < hi; i++ {
-					seen[i].Add(1)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("w=%d n=%d: %v", w, n, err)
+		const n = 300
+		var covered [n]atomic.Int32
+		_, err := Map(make([]struct{}, n), func(i int, _ struct{}) (struct{}, error) {
+			covered[i].Add(1)
+			if i == 0 {
+				return struct{}{}, boom
 			}
-			for i := 0; i < n; i++ {
-				if got := seen[i].Load(); got != 1 {
-					t.Fatalf("w=%d n=%d: index %d covered %d times", w, n, i, got)
-				}
+			return struct{}{}, nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("w=%d: got %v, want boom", w, err)
+		}
+		for i := range covered {
+			if got := covered[i].Load(); got != 1 {
+				t.Fatalf("w=%d: index %d attempted %d times", w, i, got)
 			}
 		}
 	}
@@ -130,31 +103,35 @@ func TestSetWorkers(t *testing.T) {
 	if got := Workers(); got < 1 {
 		t.Fatalf("Workers() = %d after negative set, want default", got)
 	}
-}
-
-// TestDeriveSeedStable pins the SplitMix64 derivation: seeds must never
-// change across refactors (they feed modeled randomness), must differ per
-// index, and must differ per base.
-func TestDeriveSeedStable(t *testing.T) {
-	if a, b := DeriveSeed(42, 0), DeriveSeed(42, 0); a != b {
-		t.Fatalf("not deterministic: %#x vs %#x", a, b)
-	}
-	seen := map[uint64]int{}
-	for i := 0; i < 1000; i++ {
-		s := DeriveSeed(42, i)
-		if prev, dup := seen[s]; dup {
-			t.Fatalf("seed collision between index %d and %d", prev, i)
+	// The width is what Map runs at: with w workers, at most w items are
+	// ever in flight together.
+	for _, w := range []int{1, 3} {
+		SetWorkers(w)
+		var mu sync.Mutex
+		inFlight, peak := 0, 0
+		_, err := Map(make([]struct{}, 64), func(int, struct{}) (struct{}, error) {
+			mu.Lock()
+			inFlight++
+			peak = max(peak, inFlight)
+			mu.Unlock()
+			runtime.Gosched()
+			mu.Lock()
+			inFlight--
+			mu.Unlock()
+			return struct{}{}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[s] = i
-	}
-	if DeriveSeed(1, 7) == DeriveSeed(2, 7) {
-		t.Fatal("same seed for different bases")
+		if got := peak; got > w {
+			t.Fatalf("SetWorkers(%d): %d items in flight together", w, got)
+		}
 	}
 }
 
-// TestStress hammers the pool with nested result writes under many
-// worker-count switches; run with -race this doubles as the data-race
-// check for the span dispatcher.
+// TestStress hammers the pool with result writes under many worker-count
+// switches; run with -race this doubles as the data-race check for the
+// dispatcher.
 func TestStress(t *testing.T) {
 	defer SetWorkers(0)
 	for trial := 0; trial < 50; trial++ {

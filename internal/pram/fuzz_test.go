@@ -119,5 +119,5 @@ func hugeSeedFile(mem *hw.PhysMem) File {
 // TestParserAllocBudget: laying a seed out and parsing it allocates the
 // memory, its written pages, and Parse's frame maps and file lists.
 func TestParserAllocBudget(t *testing.T) {
-	fuzzseed.CheckAllocs(t, fuzzParseSeeds(t), 18, 1, func(b []byte) { parseFuzzBytes(t, b) })
+	fuzzseed.CheckAllocs(t, fuzzParseSeeds(t), 18, 0.42, func(b []byte) { parseFuzzBytes(t, b) })
 }

@@ -26,7 +26,6 @@ import (
 	"fmt"
 
 	"hypertp/internal/hw"
-	"hypertp/internal/par"
 	"hypertp/internal/uisr"
 )
 
@@ -155,11 +154,9 @@ type BuildOptions struct {
 // Build serializes the memory maps of the given files into a PRAM
 // structure in mem. Metadata frames are tagged hw.OwnerPRAM.
 //
-// Construction is staged so the structure is bit-identical for any worker
-// count: the metadata pages are counted and their frames allocated in one
-// call, handed out in a fixed order (per file, node frames then the info
-// page; then the root chain), fixing every MFN; then the now-independent
-// pages are serialized in parallel on the par worker pool.
+// The metadata pages are counted and their frames allocated in one call,
+// then handed out and written in a fixed order (per file, node frames
+// then the info page; then the root chain), which fixes every MFN.
 func Build(mem *hw.PhysMem, files []File, opts BuildOptions) (*Structure, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("pram: no files to record")
@@ -171,7 +168,7 @@ func Build(mem *hw.PhysMem, files []File, opts BuildOptions) (*Structure, error)
 			return st, nil
 		}
 	}
-	// Stage 1a — validate every file and count the metadata pages, so one
+	// Stage 1 — validate every file and count the metadata pages, so one
 	// allocation claims them all, or none.
 	nRoots := (len(files) + filePointersPerRoot - 1) / filePointersPerRoot
 	total := nRoots
@@ -204,8 +201,7 @@ func Build(mem *hw.PhysMem, files []File, opts BuildOptions) (*Structure, error)
 	}
 	roots := pages[total-nRoots:]
 
-	// Stage 1b — layout: each job writes exactly one already-placed page.
-	jobs := make([]pageJob, 0, total)
+	// Stage 2 — write each already-placed page.
 	infoPages := make([]hw.MFN, len(files))
 	for fi := range files {
 		f := &files[fi]
@@ -222,9 +218,13 @@ func Build(mem *hw.PhysMem, files []File, opts BuildOptions) (*Structure, error)
 				next = nodes[ni+1]
 			}
 			lo := ni * EntriesPerNode
-			jobs = append(jobs, pageJob{frame: frame, next: next, extents: extents[lo:min(lo+EntriesPerNode, len(extents))]})
+			if err := (pageJob{frame: frame, next: next, extents: extents[lo:min(lo+EntriesPerNode, len(extents))]}).write(mem); err != nil {
+				return nil, err
+			}
 		}
-		jobs = append(jobs, pageJob{frame: infoPages[fi], next: nodes[0], file: f, entries: len(extents)})
+		if err := (pageJob{frame: infoPages[fi], next: nodes[0], file: f, entries: len(extents)}).write(mem); err != nil {
+			return nil, err
+		}
 	}
 	for ri, root := range roots {
 		next := hw.MFN(0)
@@ -232,12 +232,9 @@ func Build(mem *hw.PhysMem, files []File, opts BuildOptions) (*Structure, error)
 			next = roots[ri+1]
 		}
 		lo := ri * filePointersPerRoot
-		jobs = append(jobs, pageJob{frame: root, next: next, infos: infoPages[lo:min(lo+filePointersPerRoot, len(infoPages))]})
-	}
-
-	// Stage 2 — parallel serialization: every job targets a distinct frame.
-	if err := par.ForEach(len(jobs), func(i int) error { return jobs[i].write(mem) }); err != nil {
-		return nil, err
+		if err := (pageJob{frame: root, next: next, infos: infoPages[lo:min(lo+filePointersPerRoot, len(infoPages))]}).write(mem); err != nil {
+			return nil, err
+		}
 	}
 	s.Pointer = roots[0]
 	s.Files = files
@@ -290,32 +287,31 @@ func Parse(mem *hw.PhysMem, pointer hw.MFN) (*Structure, error) {
 		root = next
 	}
 
-	// Stage 2 — parse every file in parallel: each walks only its own node
-	// chain. Cycle detection within a chain is local; sharing of frames
-	// *across* files is caught by the sequential merge below.
+	// Stage 2 — parse every file: each walks only its own node chain.
+	// Cycle detection within a chain is local; sharing of frames *across*
+	// files is caught by the merge below, so a malformed file is reported
+	// before any cross-file sharing.
 	nFiles := 0
 	for _, rp := range rootPages {
 		nFiles += len(rp.infos)
-	}
-	allInfos := make([]hw.MFN, 0, nFiles)
-	for _, rp := range rootPages {
-		allInfos = append(allInfos, rp.infos...)
 	}
 	type parsedFile struct {
 		f     File
 		nodes []hw.MFN
 	}
-	parsed, err := par.Map(allInfos, func(_ int, info hw.MFN) (parsedFile, error) {
-		f, nodes, err := parseFile(mem, info)
-		return parsedFile{f, nodes}, err
-	})
-	if err != nil {
-		return nil, err
+	parsed := make([]parsedFile, 0, nFiles)
+	for _, rp := range rootPages {
+		for _, info := range rp.infos {
+			f, nodes, err := parseFile(mem, info)
+			if err != nil {
+				return nil, err
+			}
+			parsed = append(parsed, parsedFile{f, nodes})
+		}
 	}
 
-	// Stage 3 — deterministic merge in the legacy visit order (root, then
-	// per info: info page, then its node chain), re-running the global
-	// duplicate-frame check the sequential parser performed inline.
+	// Stage 3 — merge in visit order (root, then per info: info page,
+	// then its node chain), checking that no frame is used twice.
 	nMeta := len(rootPages) + nFiles
 	for i := range parsed {
 		nMeta += len(parsed[i].nodes)
@@ -367,9 +363,9 @@ func (s *Structure) Release(mem *hw.PhysMem) error {
 
 // --- page writers ------------------------------------------------------------
 
-// pageJob is one placed metadata page waiting to be serialized: a node
-// page (extents, next the next node), a file info page (file, next its
-// first node) or a root page (infos, next the next root).
+// pageJob is one placed metadata page: a node page (extents, next the
+// next node), a file info page (file, next its first node) or a root
+// page (infos, next the next root).
 type pageJob struct {
 	frame, next hw.MFN
 	extents     []uisr.PageExtent
@@ -380,7 +376,7 @@ type pageJob struct {
 
 // write serializes the page: every kind opens with magic, next and a
 // count, and only the bytes it uses are written.
-func (j *pageJob) write(mem *hw.PhysMem) error {
+func (j pageJob) write(mem *hw.PhysMem) error {
 	var page [hw.PageSize4K]byte
 	le := binary.LittleEndian
 	le.PutUint64(page[8:], uint64(j.next))

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"hypertp/internal/hw"
-	"hypertp/internal/par"
 	"hypertp/internal/uisr"
 )
 
@@ -349,12 +348,10 @@ func refVM() (*hw.PhysMem, []File) {
 	return mem, []File{hugeFile(mem, "ref", 1, 8)}
 }
 
-// TestBuildParseAllocBudgets pins one PRAM hand-over of the reference VM
-// at one worker: a cold Build allocates its page jobs and frame lists,
-// Parse the frame maps and the file list it fills — neither per extent.
+// TestBuildParseAllocBudgets pins one PRAM hand-over of the reference VM:
+// a cold Build allocates its frame lists, Parse the frame maps and the
+// file list it fills — neither per extent.
 func TestBuildParseAllocBudgets(t *testing.T) {
-	par.SetWorkers(1)
-	defer par.SetWorkers(0)
 	mem, files := refVM()
 	var s *Structure
 	var err error
@@ -362,14 +359,14 @@ func TestBuildParseAllocBudgets(t *testing.T) {
 		if s, err = Build(mem, files, BuildOptions{}); err == nil {
 			err = s.Release(mem)
 		}
-	}); n > 29 || err != nil {
-		t.Errorf("Build+Release allocated %v times per call, budget 29 (err %v)", n, err)
+	}); n > 26 || err != nil {
+		t.Errorf("Build+Release allocated %v times per call, budget 26 (err %v)", n, err)
 	}
 	if s, err = Build(mem, files, BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(10, func() { _, err = Parse(mem, s.Pointer) }); n > 21 || err != nil {
-		t.Errorf("Parse allocated %v times per call, budget 21 (err %v)", n, err)
+	if n := testing.AllocsPerRun(10, func() { _, err = Parse(mem, s.Pointer) }); n > 17 || err != nil {
+		t.Errorf("Parse allocated %v times per call, budget 17 (err %v)", n, err)
 	}
 }
 

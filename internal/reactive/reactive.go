@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"hypertp/internal/obs"
+	"hypertp/internal/simtime"
 )
 
 // ProbeConfig parameterizes the heartbeat model.
@@ -127,7 +128,7 @@ func (d *Detector) Subscribe(fn func(Event)) {
 func (d *Detector) Phase(host string) time.Duration {
 	iv := d.cfg.interval()
 	h := fnv64(host)
-	return time.Duration(splitmix64(d.cfg.Seed^h) % uint64(iv))
+	return time.Duration(simtime.Mix(d.cfg.Seed^h) % uint64(iv))
 }
 
 // DetectionTime is the closed form of the heartbeat model: the virtual
@@ -192,12 +193,4 @@ func fnv64(s string) uint64 {
 		h *= prime
 	}
 	return h
-}
-
-// splitmix64 finalizes the seed/hash mix into a well-distributed draw.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

@@ -20,6 +20,8 @@
 //     host-exclusive by construction (every node claims its hosts) and
 //     free of shared mutable state; everything order-dependent goes in
 //     the sequential Prepare (admission) and Commit (completion) hooks.
+//     A Run body never opens a pool of its own: this batch is the
+//     outermost fan-out.
 //
 // Determinism contract: admission order is node-ID order, completion
 // order is (virtual finish time, admission sequence) order, and batch

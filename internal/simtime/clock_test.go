@@ -198,6 +198,40 @@ func TestRandDeterministic(t *testing.T) {
 	}
 }
 
+// TestMixStable pins the seed mixer: fault-plan children, head-sampling
+// decisions and probe phases are all drawn through it, so these values
+// must never change across refactors. Child seeds Mix(base + γ·i) differ
+// per index and per base, and Rand's stream is Mix at successive γ steps.
+func TestMixStable(t *testing.T) {
+	const gamma = 0x9e3779b97f4a7c15
+	for _, c := range []struct{ base, i, want uint64 }{
+		{42, 0, 0xbdd732262feb6e95},
+		{42, 1, 0x28efe333b266f103},
+		{42, 999, 0x66091ca85313fa68},
+		{1, 7, 0x85e7bb0f12278575},
+		{2, 7, 0xbd34d3aef603e583},
+		{0, 0, 0xe220a8397b1dcdaf},
+	} {
+		if got := Mix(c.base + gamma*c.i); got != c.want {
+			t.Errorf("Mix(%d + γ·%d) = %#x, want %#x", c.base, c.i, got, c.want)
+		}
+	}
+	seen := map[uint64]uint64{}
+	for i := uint64(0); i < 1000; i++ {
+		s := Mix(42 + gamma*i)
+		if prev, dup := seen[s]; dup {
+			t.Fatalf("seed collision between index %d and %d", prev, i)
+		}
+		seen[s] = i
+	}
+	r := NewRand(42)
+	for i := uint64(0); i < 3; i++ {
+		if got, want := r.Uint64(), Mix(42+gamma*i); got != want {
+			t.Fatalf("Rand draw %d = %#x, want Mix step %#x", i, got, want)
+		}
+	}
+}
+
 func TestRandDifferentSeeds(t *testing.T) {
 	a, b := NewRand(1), NewRand(2)
 	same := 0

@@ -14,13 +14,22 @@ type Rand struct {
 // NewRand returns a generator seeded with seed.
 func NewRand(seed uint64) *Rand { return &Rand{state: seed} }
 
+// Mix is the repo's one seed mixer: one SplitMix64 step from state x,
+// i.e. the finalizer applied to x plus the golden-ratio increment. Fault
+// plans, head sampling and probe phases derive their draws from it, so
+// its values are pinned (TestMixStable) and must never change.
+func Mix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *Rand) Uint64() uint64 {
+	z := Mix(r.state)
 	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return z
 }
 
 // Float64 returns a uniform float64 in [0, 1).
