@@ -5,7 +5,10 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -183,4 +186,146 @@ func TestPoolOnlyAtTheTop(t *testing.T) {
 			t.Errorf("%s is allowlisted but does not import internal/par: drop it from poolImporters", dir)
 		}
 	}
+}
+
+// TestNoSingleImplementationInterfaces fails on an interface declared in
+// non-test internal/ code that fewer than two named types of the module
+// implement, test fakes included. An interface with one implementation
+// only stands between callers and the type they use, and the callers end
+// up asserting their way back to it: call the type. A type implements an
+// interface here when the methods it declares itself cover the
+// interface's method names; a wrapper that embeds an implementation and
+// adds nothing is not a second one.
+func TestNoSingleImplementationInterfaces(t *testing.T) {
+	fset := token.NewFileSet()
+	censused := map[string]token.Position{} // "dir.Name" of each interface to check
+	ifaces := map[string][]string{}         // every interface → the interfaces it embeds
+	methods := map[string]map[string]bool{} // "dir.Type" → method names it declares
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() && !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		if d.IsDir() {
+			_, statErr := os.Stat(filepath.Join(path, "go.mod"))
+			if path != "." && (statErr == nil || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir // other modules, fixtures, build caches
+			}
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		pkgDir := map[string]string{} // import name → module dir
+		for _, imp := range file.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if rel, ok := strings.CutPrefix(p, "hypertp/"); ok {
+				name := filepath.Base(rel)
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				pkgDir[name] = rel
+			}
+		}
+		declare := func(k, name string) {
+			if methods[k] == nil {
+				methods[k] = map[string]bool{}
+			}
+			methods[k][name] = true
+		}
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil {
+				declare(typeKey(dir, pkgDir, fn.Recv.List[0].Type), fn.Name.Name)
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				it, ok := ts.Type.(*ast.InterfaceType)
+				if !ok {
+					return false
+				}
+				k := dir + "." + ts.Name.Name
+				ifaces[k] = nil
+				for _, f := range it.Methods.List {
+					for _, name := range f.Names {
+						declare(k, name.Name)
+					}
+					if len(f.Names) == 0 {
+						ifaces[k] = append(ifaces[k], typeKey(dir, pkgDir, f.Type))
+					}
+				}
+				if strings.HasPrefix(dir, "internal/") && !strings.HasSuffix(path, "_test.go") {
+					censused[k] = fset.Position(ts.Pos())
+				}
+				return false
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(censused) == 0 {
+		t.Fatal("census found no interfaces under internal/")
+	}
+	// required is an interface's method names, embedded interfaces' included.
+	var required func(k string, into map[string]bool)
+	required = func(k string, into map[string]bool) {
+		for name := range methods[k] {
+			into[name] = true
+		}
+		for _, e := range ifaces[k] {
+			required(e, into)
+		}
+	}
+	names := make([]string, 0, len(censused))
+	for iface := range censused {
+		names = append(names, iface)
+	}
+	sort.Strings(names)
+	for _, iface := range names {
+		want := map[string]bool{}
+		required(iface, want)
+		var impls []string
+	types:
+		for k, have := range methods {
+			if _, isIface := ifaces[k]; isIface {
+				continue
+			}
+			for name := range want {
+				if !have[name] {
+					continue types
+				}
+			}
+			impls = append(impls, k)
+		}
+		if len(impls) < 2 {
+			sort.Strings(impls)
+			t.Errorf("%s: interface %s has %d implementation(s) %v; call the type instead", censused[iface], iface, len(impls), impls)
+		}
+	}
+}
+
+// typeKey names the type expression e, written in a file of dir whose
+// module imports are pkgDir, as "dir.Type"; "" when it is not a module
+// type.
+func typeKey(dir string, pkgDir map[string]string, e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.StarExpr:
+		return typeKey(dir, pkgDir, e.X)
+	case *ast.IndexExpr:
+		return typeKey(dir, pkgDir, e.X)
+	case *ast.IndexListExpr:
+		return typeKey(dir, pkgDir, e.X)
+	case *ast.Ident:
+		return dir + "." + e.Name
+	case *ast.SelectorExpr:
+		if pkg, ok := e.X.(*ast.Ident); ok && pkgDir[pkg.Name] != "" {
+			return pkgDir[pkg.Name] + "." + e.Sel.Name
+		}
+	}
+	return ""
 }

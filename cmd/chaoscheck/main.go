@@ -64,7 +64,7 @@ func main() {
 		os.Exit(2)
 	}
 	par.SetWorkers(cfg.Workers)
-	code, err := run(cfg)
+	code, err := run(os.Stdout, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chaoscheck:", err)
 	}
@@ -130,7 +130,7 @@ type runConfig struct {
 // writeArtifacts dumps the failing run's metrics registry and (when
 // streaming) its flight-recorder contents next to the bundle, so a CI
 // violation ships with the observability state that surrounds it.
-func writeArtifacts(dir string, res *chaos.Result) error {
+func writeArtifacts(stdout io.Writer, dir string, res *chaos.Result) error {
 	if res.Obs != nil {
 		path := filepath.Join(dir, "chaos-metrics.json")
 		f, err := os.Create(path)
@@ -144,7 +144,7 @@ func writeArtifacts(dir string, res *chaos.Result) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("artifact: wrote %s\n", path)
+		fmt.Fprintf(stdout, "artifact: wrote %s\n", path)
 	}
 	if res.Flight != nil {
 		path := filepath.Join(dir, "chaos-flight.jsonl")
@@ -159,13 +159,13 @@ func writeArtifacts(dir string, res *chaos.Result) error {
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("artifact: wrote %s (%d span records, %d evicted)\n",
+		fmt.Fprintf(stdout, "artifact: wrote %s (%d span records, %d evicted)\n",
 			path, res.Flight.Len(), res.Flight.Evicted())
 	}
 	return nil
 }
 
-func run(cfg runConfig) (int, error) {
+func run(stdout io.Writer, cfg runConfig) (int, error) {
 	start := time.Now()
 	var res *chaos.Result
 	var err error
@@ -181,9 +181,9 @@ func run(cfg runConfig) (int, error) {
 		}
 		expectViolation = b.IsFailure()
 		if expectViolation {
-			fmt.Printf("replaying %s: %d op(s), expected violation: %s\n", cfg.Replay, len(b.Ops), b.Invariant)
+			fmt.Fprintf(stdout, "replaying %s: %d op(s), expected violation: %s\n", cfg.Replay, len(b.Ops), b.Invariant)
 		} else {
-			fmt.Printf("replaying %s: %d op(s), recorded trace (no expected violation)\n", cfg.Replay, len(b.Ops))
+			fmt.Fprintf(stdout, "replaying %s: %d op(s), recorded trace (no expected violation)\n", cfg.Replay, len(b.Ops))
 		}
 		res, err = b.Replay()
 	} else {
@@ -194,12 +194,12 @@ func run(cfg runConfig) (int, error) {
 	}
 	if cfg.Verbose {
 		for _, line := range res.Trace {
-			fmt.Println(line)
+			fmt.Fprintln(stdout, line)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
-	fmt.Print(res.Summary())
-	fmt.Printf("wall time: %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprint(stdout, res.Summary())
+	fmt.Fprintf(stdout, "wall time: %v\n", time.Since(start).Round(time.Millisecond))
 
 	if cfg.RecordOut != "" {
 		data, merr := chaos.NewTraceBundle(res.Config, res.Ops).Marshal()
@@ -209,7 +209,7 @@ func run(cfg runConfig) (int, error) {
 		if werr := os.WriteFile(cfg.RecordOut, data, 0o644); werr != nil {
 			return 1, werr
 		}
-		fmt.Printf("record: wrote %s (%d op(s); replay with -replay, or feed to the difffuzz corpus)\n",
+		fmt.Fprintf(stdout, "record: wrote %s (%d op(s); replay with -replay, or feed to the difffuzz corpus)\n",
 			cfg.RecordOut, len(res.Ops))
 	}
 
@@ -217,20 +217,20 @@ func run(cfg runConfig) (int, error) {
 		if expectViolation {
 			// A replay that no longer violates means the bug is fixed (or
 			// the bundle is stale) — worth a loud note, but a clean exit.
-			fmt.Println("replay: violation did not reproduce")
+			fmt.Fprintln(stdout, "replay: violation did not reproduce")
 		}
 		return 0, nil
 	}
 
 	ferr := res.Failure.Err()
 	if cfg.ArtifactDir != "" {
-		if aerr := writeArtifacts(cfg.ArtifactDir, res); aerr != nil {
+		if aerr := writeArtifacts(stdout, cfg.ArtifactDir, res); aerr != nil {
 			return 1, aerr
 		}
 	}
 	if cfg.Replay == "" && cfg.Shrink {
 		ops, fail := chaos.Shrink(res.Config, res.Ops, res.Failure)
-		fmt.Printf("shrunk: %d op(s) reproduce the %s violation\n", len(ops), fail.Invariant)
+		fmt.Fprintf(stdout, "shrunk: %d op(s) reproduce the %s violation\n", len(ops), fail.Invariant)
 		rerun, rerr := chaos.RunOps(res.Config, ops)
 		var trace []string
 		if rerr == nil {
@@ -243,7 +243,7 @@ func run(cfg runConfig) (int, error) {
 		if werr := os.WriteFile(cfg.BundleOut, data, 0o644); werr != nil {
 			return 1, werr
 		}
-		fmt.Printf("bundle: wrote %s (replay with -replay %s)\n", cfg.BundleOut, cfg.BundleOut)
+		fmt.Fprintf(stdout, "bundle: wrote %s (replay with -replay %s)\n", cfg.BundleOut, cfg.BundleOut)
 		ferr = fail.Err()
 	}
 	return 2, fmt.Errorf("%s: %v", hterr.Label(hterr.Class(ferr)), ferr)

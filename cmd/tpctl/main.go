@@ -275,15 +275,11 @@ func run(cfg runConfig) error {
 		case "idle", "hang":
 			// Fail-stop (or wedge) the hypervisor between operations and
 			// run the salvage path directly — the detector-triggered shape.
-			c, ok := src.(hv.Crashable)
-			if !ok {
-				return fmt.Errorf("hypervisor %s does not model crashes", src.Name())
-			}
 			if cfg.CrashAt == "hang" {
-				c.Hang("operator-injected hang")
+				src.Hang("operator-injected hang")
 				fmt.Printf("hang injected: %s wedged; fencing and salvaging\n\n", src.Name())
 			} else {
-				c.Crash("operator-injected crash")
+				src.Crash("operator-injected crash")
 				fmt.Printf("crash injected: %s fail-stopped while idle\n\n", src.Name())
 			}
 			_, rep, err = engine.Emergency(src, toKind, cfg.Opts)

@@ -208,11 +208,7 @@ func (h *harness) apply(op *Op) (string, error) {
 		if !ok {
 			return "", fmt.Errorf("chaos: unknown host %q", op.Host)
 		}
-		c, ok := node.Driver.Hypervisor().(hv.Crashable)
-		if !ok {
-			return "skip: not crashable", nil
-		}
-		if c.Crashed() || c.Hung() {
+		if hyp := node.Driver.Hypervisor(); hyp.Crashed() || hyp.Hung() {
 			// Crashed outside the ledger (a double-fault whose self-heal
 			// froze); the next upgrade or response self-heals it.
 			return "skip: already failed", nil
@@ -250,8 +246,7 @@ func (h *harness) apply(op *Op) (string, error) {
 			if !ok {
 				continue
 			}
-			c, ok := node.Driver.Hypervisor().(hv.Crashable)
-			if !ok || c.Crashed() || c.Hung() {
+			if hyp := node.Driver.Hypervisor(); hyp.Crashed() || hyp.Hung() {
 				continue
 			}
 			if _, err := h.nova.CrashHost(name, "storm"); err != nil {
@@ -289,11 +284,7 @@ func (h *harness) apply(op *Op) (string, error) {
 		if !ok {
 			return "", fmt.Errorf("chaos: unknown host %q", op.Host)
 		}
-		c, ok := node.Driver.Hypervisor().(hv.Crashable)
-		if !ok {
-			return "skip: not crashable", nil
-		}
-		if c.Crashed() || c.Hung() {
+		if hyp := node.Driver.Hypervisor(); hyp.Crashed() || hyp.Hung() {
 			return "skip: already failed", nil
 		}
 		target := hv.KindKVM

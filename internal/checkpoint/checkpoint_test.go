@@ -10,7 +10,7 @@ import (
 	"hypertp/internal/simtime"
 )
 
-func newXenWithVM(t *testing.T) (*xen.Xen, *hv.VM) {
+func newXenWithVM(t *testing.T) (hv.Hypervisor, *hv.VM) {
 	t.Helper()
 	clock := simtime.NewClock()
 	x, err := xen.Boot(hw.NewMachine(clock, hw.M1()))

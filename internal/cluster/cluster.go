@@ -216,15 +216,6 @@ type Plan struct {
 	Groups []GroupPlan
 }
 
-// TotalMigrations counts all planned moves.
-func (p *Plan) TotalMigrations() int {
-	n := 0
-	for _, g := range p.Groups {
-		n += len(g.Migrations)
-	}
-	return n
-}
-
 // PlanUpgrade computes and applies a rolling upgrade: hosts are processed
 // in groups of groupSize; each group goes offline, its
 // migration-requiring VMs are re-placed on online hosts (balanced

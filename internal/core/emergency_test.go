@@ -15,17 +15,12 @@ import (
 	"hypertp/internal/simtime"
 )
 
-// crashHost fail-stops a hypervisor via its Crashable interface.
-func crashHost(t *testing.T, h hv.Hypervisor, reason string) hv.Crashable {
+// crashHost fail-stops a hypervisor.
+func crashHost(t *testing.T, h hv.Hypervisor, reason string) {
 	t.Helper()
-	c, ok := h.(hv.Crashable)
-	if !ok {
-		t.Fatalf("hypervisor %T does not model crashes", h)
-	}
-	if !c.Crash(reason) {
+	if !h.Crash(reason) {
 		t.Fatal("crash was not the first failure")
 	}
-	return c
 }
 
 // TestEmergencyTransplant is the headline reactive-recovery property: a
@@ -107,8 +102,7 @@ func TestEmergencyFencesHungHypervisor(t *testing.T) {
 	b := newBench(t, hw.M1())
 	src := bootSmallVMs(t, b, hv.KindKVM, 2)
 	pre := checksumVMs(t, src.VMs())
-	c := src.(hv.Crashable)
-	if !c.Hang("scheduler wedge") {
+	if !src.Hang("scheduler wedge") {
 		t.Fatal("hang was not the first failure")
 	}
 
@@ -116,7 +110,7 @@ func TestEmergencyFencesHungHypervisor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Crashed() || c.Hung() {
+	if !src.Crashed() || src.Hung() {
 		t.Fatal("hung hypervisor was not fenced into the crashed state")
 	}
 	if rep.Outcome != hterr.OutcomeRecovered {
@@ -145,7 +139,7 @@ func TestEmergencyGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Second hypervisor on the same machine is only for the guard check.
-	empty.(hv.Crashable).Crash("panic")
+	empty.Crash("panic")
 	if _, _, err := b.engine.Emergency(empty, hv.KindXen, DefaultOptions()); !errors.Is(err, hterr.ErrIncompatibleTarget) {
 		t.Fatalf("empty host: err = %v, want incompatible", err)
 	}
@@ -299,7 +293,7 @@ func BenchmarkEmergencyTransplant(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		src.(hv.Crashable).Crash("bench")
+		src.Crash("bench")
 		b.StartTimer()
 		if _, _, err := e.Emergency(src, hv.KindKVM, DefaultOptions()); err != nil {
 			b.Fatal(err)

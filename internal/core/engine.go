@@ -255,11 +255,7 @@ func (e *Engine) Emergency(src hv.Hypervisor, target hv.Kind, opts Options) (hv.
 	if src.Machine() != e.Machine {
 		return nil, nil, hterr.Incompatible(fmt.Errorf("core: source hypervisor is not on this machine"))
 	}
-	crashed, ok := src.(hv.Crashable)
-	if !ok {
-		return nil, nil, hterr.Incompatible(fmt.Errorf("core: hypervisor %T does not model crashes", src))
-	}
-	if !crashed.Crashed() && !crashed.Hung() {
+	if !src.Crashed() && !src.Hung() {
 		return nil, nil, hterr.Incompatible(fmt.Errorf("core: emergency transplant of healthy hypervisor %s", src.Name()))
 	}
 	if src.Kind() == target {
@@ -272,12 +268,12 @@ func (e *Engine) Emergency(src hv.Hypervisor, target hv.Kind, opts Options) (hv.
 	// A hung hypervisor is only suspected-dead; fence it into the
 	// fail-stopped state before touching its structures, so a late
 	// revival cannot race the salvage.
-	if crashed.Hung() {
-		crashed.Fence("fenced for emergency recovery")
+	if src.Hung() {
+		src.Fence("fenced for emergency recovery")
 	}
 	t := e.newTransplant("emergency-tp", true, src, vms, target, opts)
 	defer t.root.End()
-	t.root.SetAttr("reason", crashed.CrashReason())
+	t.root.SetAttr("reason", src.CrashReason())
 	t.mets.Counter("tp.emergencies", "transplants").Add(1)
 	dst, report, err := t.run()
 	if err != nil {

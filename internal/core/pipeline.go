@@ -335,9 +335,7 @@ func (t *transplant) abort(r rule, cause error) error {
 			}
 		}
 	case crashAbandon:
-		if c, ok := t.src.(hv.Crashable); ok {
-			c.Crash("double fault during transplant")
-		}
+		t.src.Crash("double fault during transplant")
 		counter, outcome, class = "tp.crash_abandons", hterr.OutcomeCrashed, hterr.HypervisorCrashed
 	case frozen:
 		counter, outcome, class = "tp.emergencies_frozen", hterr.OutcomeCrashed, hterr.HypervisorCrashed
@@ -635,12 +633,8 @@ func (t *transplant) encodeStates(memo *tpcache.Cache) ([][]byte, error) {
 }
 
 func (t *transplant) releaseSource() error {
-	src, ok := t.src.(interface{ ReleaseVMState(hv.VMID) error })
-	if !ok {
-		return fmt.Errorf("core: hypervisor %T cannot release VM state in place", t.src)
-	}
 	for _, vm := range t.vms {
-		if err := src.ReleaseVMState(vm.ID); err != nil {
+		if err := t.src.ReleaseVMState(vm.ID); err != nil {
 			return err
 		}
 	}

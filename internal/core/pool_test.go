@@ -134,7 +134,7 @@ func TestSchedulingWeightSurvivesTransplants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w, _ := src.(*xen.Xen).CreditWeight(vm.ID); w != weight {
+	if w, _ := xen.CreditWeight(src, vm.ID); w != weight {
 		t.Fatalf("Xen credit weight = %d, want %d", w, weight)
 	}
 
@@ -147,7 +147,7 @@ func TestSchedulingWeightSurvivesTransplants(t *testing.T) {
 		t.Fatalf("config weight on KVM = %d", kvmVM.Config.Weight)
 	}
 	// KVM's own representation: cgroup shares at 4x scale.
-	if s, _ := onKVM.(*kvm.KVM).CPUShares(kvmVM.ID); s != weight*4 {
+	if s, _ := kvm.CPUShares(onKVM, kvmVM.ID); s != weight*4 {
 		t.Fatalf("cpu.shares = %d, want %d", s, weight*4)
 	}
 
@@ -156,7 +156,7 @@ func TestSchedulingWeightSurvivesTransplants(t *testing.T) {
 		t.Fatal(err)
 	}
 	novaVM := onNova.VMs()[0]
-	if p, _ := onNova.(*nova.NOVA).SCPriority(novaVM.ID); p != weight {
+	if p, _ := nova.SCPriority(onNova, novaVM.ID); p != weight {
 		t.Fatalf("SC priority = %d, want %d", p, weight)
 	}
 
@@ -165,7 +165,7 @@ func TestSchedulingWeightSurvivesTransplants(t *testing.T) {
 		t.Fatal(err)
 	}
 	xenVM := backOnXen.VMs()[0]
-	if w, _ := backOnXen.(*xen.Xen).CreditWeight(xenVM.ID); w != weight {
+	if w, _ := xen.CreditWeight(backOnXen, xenVM.ID); w != weight {
 		t.Fatalf("credit weight after full journey = %d, want %d", w, weight)
 	}
 }

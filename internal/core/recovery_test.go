@@ -135,8 +135,7 @@ func TestRecoveryMatrix(t *testing.T) {
 				if rep == nil || rep.Outcome != hterr.OutcomeCrashed {
 					t.Fatalf("report = %+v", rep)
 				}
-				c, ok := src.(hv.Crashable)
-				if !ok || !c.Crashed() {
+				if !src.Crashed() {
 					t.Fatal("source not marked crashed after double fault")
 				}
 				if len(src.VMs()) != 2 {

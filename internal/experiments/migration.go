@@ -21,7 +21,7 @@ import (
 type migRig struct {
 	clock *simtime.Clock
 	link  *simnet.Link
-	src   *xen.Xen
+	src   hv.Hypervisor
 }
 
 func newMigRig() (*migRig, error) {

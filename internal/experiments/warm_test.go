@@ -59,7 +59,7 @@ func TestWarmHostHeapReachesFixedPoint(t *testing.T) {
 // below what a cold one allocates on the same testbed.
 func TestWarmHopAllocBudget(t *testing.T) {
 	const trips = 8
-	const coldBudget, warmBudget = 263, 244
+	const coldBudget, warmBudget = 261, 242
 	const pramHitsPerHop = 2
 	par.SetWorkers(1)
 	defer par.SetWorkers(0)

@@ -69,8 +69,7 @@ func TestChassisAllocBudgets(t *testing.T) {
 			}
 		}
 
-		// Counting and visiting the VM table allocate nothing, given a
-		// visitor built once.
+		// Counting and visiting the VM table allocate nothing.
 		if _, err := h.CreateVM(cfg); err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,7 @@ import (
 )
 
 // Format is the one thing the hypervisor models differ in (§3.1, §4.2):
-// how VM_i State is held. Everything else a Hypervisor does — the VM
+// how VM_i State is held. Everything else a hypervisor does — the VM
 // table, lifecycle, guest-memory attach, pause, dirty log, crash model —
 // is the Chassis, written once. Each model package implements Format on
 // an unexported type, so none of this reaches its public method set.
@@ -63,16 +63,23 @@ type slot struct {
 	devices []uisr.EmulatedDevice
 }
 
-// Chassis is the format-independent part of a hypervisor model; the
-// models embed it and add only their Format. It implements Hypervisor and
-// Crashable. Control-plane operations pass the crash barrier; salvage
-// reads (SaveUISR, MemExtents, LookupVM, ReleaseVMState, DisableDirtyLog,
-// FetchAndClearDirty) do not — reading the frozen structures of a downed
-// hypervisor is what emergency recovery does.
+// Chassis is a hypervisor: normal VM lifecycle plus the UISR save/restore
+// hooks of §3.1 (the to_uisr_xxx / from_uisr_xxx families), the
+// memory-map export PRAM construction needs, and the crash model. The
+// models differ only in the Format they boot it with.
+//
+// The crash model is ReHype's: a fail-stop or a control-plane hang
+// freezes every vCPU, and the guests' memory and the VM_i State
+// structures stay intact in place, which is exactly what the emergency
+// transplant salvages. Control-plane operations pass the crash barrier;
+// salvage reads (SaveUISR, MemExtents, LookupVM, ReleaseVMState,
+// DisableDirtyLog, FetchAndClearDirty) do not — reading the frozen
+// structures of a downed hypervisor is what emergency recovery does.
 type Chassis struct {
-	CrashState
-	format  Format
-	machine *hw.Machine
+	crashed, hung bool
+	reason        string // the first failure's cause
+	format        Format
+	machine       *hw.Machine
 	// nextID only grows, so appending to table keeps it ordered by id.
 	nextID VMID
 	table  []slot
@@ -89,13 +96,13 @@ func NewChassis(m *hw.Machine, f Format) (*Chassis, error) {
 	return &Chassis{format: f, machine: m, nextID: 1}, nil
 }
 
-// Kind implements Hypervisor.
+// Kind is the hypervisor family.
 func (c *Chassis) Kind() Kind { return c.format.Kind() }
 
-// Name implements Hypervisor.
+// Name is the full version label, e.g. "xen-4.12.1".
 func (c *Chassis) Name() string { return c.format.Version() }
 
-// Machine implements Hypervisor.
+// Machine is the host the hypervisor runs on.
 func (c *Chassis) Machine() *hw.Machine { return c.machine }
 
 // freezeVCPUs stops every VM's vCPUs in place — the fail-stop and hang
@@ -107,26 +114,43 @@ func (c *Chassis) freezeVCPUs() {
 	}
 }
 
-// Crash implements Crashable: every VM's vCPUs freeze with guest memory
-// and VM_i State intact.
+// Crash fail-stops the hypervisor: every VM's vCPUs freeze with guest
+// memory and VM_i State intact. Reports whether this call was the failing
+// one (false when already down, or fencing a hang: first failure wins).
 func (c *Chassis) Crash(reason string) bool {
-	first := c.markCrashed(reason)
+	first := !c.crashed && !c.hung
+	if first {
+		c.reason = reason
+	}
+	c.crashed, c.hung = true, false
 	c.freezeVCPUs()
 	return first
 }
 
-// Hang implements Crashable.
+// Hang wedges the control plane without fail-stopping: vCPUs freeze but
+// the failure is only observable as missed heartbeats. Recovery must
+// Fence before salvaging. Reports whether this call was the failing one.
 func (c *Chassis) Hang(reason string) bool {
-	first := c.markHung(reason)
+	first := !c.crashed && !c.hung
+	if first {
+		c.hung, c.reason = true, reason
+	}
 	c.freezeVCPUs()
 	return first
 }
 
-// Fence implements Crashable.
-func (c *Chassis) Fence(reason string) {
-	c.markCrashed(reason)
-	c.freezeVCPUs()
-}
+// Fence forces a hung hypervisor into the fail-stopped state so its
+// structures can be salvaged. A no-op when already crashed.
+func (c *Chassis) Fence(reason string) { c.Crash(reason) }
+
+// Crashed reports whether the hypervisor has fail-stopped.
+func (c *Chassis) Crashed() bool { return c.crashed }
+
+// Hung reports whether the hypervisor is wedged but not yet fenced.
+func (c *Chassis) Hung() bool { return c.hung }
+
+// CrashReason returns the recorded failure cause, "" while healthy.
+func (c *Chassis) CrashReason() string { return c.reason }
 
 // guard is the crash barrier of control-plane operation op: it fails with
 // an ErrHypervisorCrashed-classified error while the hypervisor is down.
@@ -155,19 +179,24 @@ func (c *Chassis) lookup(id VMID) (*slot, error) {
 	return &c.table[i], nil
 }
 
-// StateOf returns a VM's State, for the models' format-specific
-// accessors.
-func (c *Chassis) StateOf(id VMID) (State, error) {
+// StateOf returns a VM's State as its format's own type, for the models'
+// format-specific accessors. It fails when the VM is unknown or c runs
+// another format.
+func StateOf[T State](c *Chassis, id VMID) (T, error) {
+	var zero T
 	s, err := c.lookup(id)
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
-	return s.state, nil
+	st, ok := s.state.(T)
+	if !ok {
+		return zero, fmt.Errorf("%s: VM %d holds no %T", c.format.Kind(), id, zero)
+	}
+	return st, nil
 }
 
-// CreateVM implements Hypervisor: a new VM with synthetic-but-
-// deterministic platform state (standing in for a booted guest) and its
-// own guest software stack. The state is synthesized in neutral form and
+// CreateVM creates a VM with synthetic-but-deterministic platform state
+// (standing in for a booted guest) and its own guest software stack. The state is synthesized in neutral form and
 // handed to the format — CreateVM exercises from_uisr, transplant
 // exercises to_uisr.
 func (c *Chassis) CreateVM(cfg Config) (*VM, error) {
@@ -191,9 +220,12 @@ func (c *Chassis) CreateVM(cfg Config) (*VM, error) {
 	return vm, nil
 }
 
-// RestoreUISR implements Hypervisor (the InPlaceTP / MigrationTP restore
-// side). Restored VMs come back paused; the engine resumes them at the
-// end of the workflow (Fig. 3 step 7).
+// RestoreUISR translates a UISR image into the format's own state and
+// instantiates the VM (the InPlaceTP / MigrationTP restore side). In
+// RestoreAdopt mode the state's MemMap extents identify the in-place
+// frames to adopt; in RestoreAllocate mode fresh frames are allocated.
+// Restored VMs come back paused; the engine resumes them at the end of
+// the workflow (Fig. 3 step 7).
 func (c *Chassis) RestoreUISR(st *uisr.VMState, opts RestoreOptions) (*VM, error) {
 	if err := c.guard("restore"); err != nil {
 		return nil, err
@@ -267,7 +299,7 @@ func (c *Chassis) instantiate(id VMID, cfg Config, st *uisr.VMState, mode Restor
 	return vm, nil
 }
 
-// DestroyVM implements Hypervisor.
+// DestroyVM releases a VM's guest memory and VM_i State.
 func (c *Chassis) DestroyVM(id VMID) error {
 	if err := c.guard("destroy"); err != nil {
 		return err
@@ -298,7 +330,7 @@ func (c *Chassis) ReleaseVMState(id VMID) error {
 	return nil
 }
 
-// LookupVM implements Hypervisor.
+// LookupVM finds a VM by id.
 func (c *Chassis) LookupVM(id VMID) (*VM, bool) {
 	i, ok := c.find(id)
 	if !ok {
@@ -307,7 +339,8 @@ func (c *Chassis) LookupVM(id VMID) (*VM, bool) {
 	return c.table[i].vm, true
 }
 
-// VMs implements Hypervisor, ordered by id.
+// VMs is a snapshot of the VM table, ordered by id, for callers that
+// create or destroy VMs while they walk it.
 func (c *Chassis) VMs() []*VM {
 	out := make([]*VM, len(c.table))
 	for i, s := range c.table {
@@ -316,10 +349,11 @@ func (c *Chassis) VMs() []*VM {
 	return out
 }
 
-// VMCount implements Hypervisor.
+// VMCount is the number of VMs.
 func (c *Chassis) VMCount() int { return len(c.table) }
 
-// EachVM implements Hypervisor.
+// EachVM calls visit for every VM in id order until it returns false;
+// visit must not create or destroy VMs here.
 func (c *Chassis) EachVM(visit func(*VM) bool) {
 	for i := range c.table {
 		if !visit(c.table[i].vm) {
@@ -328,10 +362,10 @@ func (c *Chassis) EachVM(visit func(*VM) bool) {
 	}
 }
 
-// Pause implements Hypervisor.
+// Pause stops a VM's vCPUs.
 func (c *Chassis) Pause(id VMID) error { return c.setPaused(id, true) }
 
-// Resume implements Hypervisor.
+// Resume restarts a paused VM's vCPUs.
 func (c *Chassis) Resume(id VMID) error { return c.setPaused(id, false) }
 
 func (c *Chassis) setPaused(id VMID, paused bool) error {
@@ -349,7 +383,8 @@ func (c *Chassis) setPaused(id VMID, paused bool) error {
 	return nil
 }
 
-// SaveUISR implements Hypervisor.
+// SaveUISR translates a paused VM's VM_i State from the format into UISR,
+// without the memory map (see MemExtents).
 func (c *Chassis) SaveUISR(id VMID) (*uisr.VMState, error) {
 	s, err := c.lookup(id)
 	if err != nil {
@@ -370,7 +405,7 @@ func (c *Chassis) SaveUISR(id VMID) (*uisr.VMState, error) {
 	return st, nil
 }
 
-// MemExtents implements Hypervisor.
+// MemExtents exports the VM's GFN→MFN map in PRAM extent form.
 func (c *Chassis) MemExtents(id VMID) ([]uisr.PageExtent, error) {
 	s, err := c.lookup(id)
 	if err != nil {
@@ -379,7 +414,7 @@ func (c *Chassis) MemExtents(id VMID) ([]uisr.PageExtent, error) {
 	return s.state.Extents(), nil
 }
 
-// Footprint implements Hypervisor.
+// Footprint reports the VM's memory-separation census.
 func (c *Chassis) Footprint(id VMID) (Footprint, error) {
 	s, err := c.lookup(id)
 	if err != nil {
@@ -392,7 +427,7 @@ func (c *Chassis) Footprint(id VMID) (Footprint, error) {
 	}, nil
 }
 
-// EnableDirtyLog implements Hypervisor.
+// EnableDirtyLog starts dirty logging, for the migration pre-copy loop.
 func (c *Chassis) EnableDirtyLog(id VMID) error {
 	if err := c.guard("dirty-log"); err != nil {
 		return err
@@ -405,7 +440,7 @@ func (c *Chassis) EnableDirtyLog(id VMID) error {
 	return nil
 }
 
-// DisableDirtyLog implements Hypervisor.
+// DisableDirtyLog stops dirty logging.
 func (c *Chassis) DisableDirtyLog(id VMID) error {
 	s, err := c.lookup(id)
 	if err != nil {
@@ -415,7 +450,7 @@ func (c *Chassis) DisableDirtyLog(id VMID) error {
 	return nil
 }
 
-// FetchAndClearDirty implements Hypervisor.
+// FetchAndClearDirty returns and resets the pages dirtied since the last call.
 func (c *Chassis) FetchAndClearDirty(id VMID) ([]hw.GFN, error) {
 	s, err := c.lookup(id)
 	if err != nil {
@@ -424,7 +459,8 @@ func (c *Chassis) FetchAndClearDirty(id VMID) ([]hw.GFN, error) {
 	return s.vm.Space.FetchAndClearDirty(), nil
 }
 
-// MgmtStateBytes implements Hypervisor.
+// MgmtStateBytes reports the size of the VM Management State (scheduler
+// queues etc.), which is rebuilt, never translated.
 func (c *Chassis) MgmtStateBytes() uint64 {
 	var total uint64
 	for _, s := range c.table {
@@ -433,7 +469,8 @@ func (c *Chassis) MgmtStateBytes() uint64 {
 	return total
 }
 
-// AttachGuest implements Hypervisor.
+// AttachGuest binds a guest software stack to a restored VM and rebinds
+// the guest's memory accessor (Fig. 3 ❻).
 func (c *Chassis) AttachGuest(id VMID, g *guest.Guest) error {
 	if err := c.guard("attach-guest"); err != nil {
 		return err

@@ -18,11 +18,6 @@ import (
 // Boot. Format behaviour (round trips, compatibility fixes, codecs) is
 // tested in the model packages.
 
-// vmStateReleaser is the InPlaceTP source-side teardown core uses.
-type vmStateReleaser interface {
-	ReleaseVMState(hv.VMID) error
-}
-
 func conformanceConfig(name string) hv.Config {
 	return hv.Config{Name: name, VCPUs: 2, MemBytes: 64 << 20, HugePages: true, Seed: 7}
 }
@@ -147,7 +142,7 @@ func TestConformanceUnknownID(t *testing.T) {
 			"DisableDirtyLog":    func() error { return h.DisableDirtyLog(ghost) },
 			"FetchAndClearDirty": func() error { _, err := h.FetchAndClearDirty(ghost); return err },
 			"AttachGuest":        func() error { return h.AttachGuest(ghost, vm.Guest) },
-			"ReleaseVMState":     func() error { return h.(vmStateReleaser).ReleaseVMState(ghost) },
+			"ReleaseVMState":     func() error { return h.ReleaseVMState(ghost) },
 		}
 		for name, call := range calls {
 			if err := call(); err == nil {
@@ -247,7 +242,7 @@ func TestConformanceRestoreAdoptsInPlace(t *testing.T) {
 		}
 		// Drop the VM_i State but keep guest memory, then adopt it back —
 		// the InPlaceTP memory path in miniature.
-		if err := h.(vmStateReleaser).ReleaseVMState(vm.ID); err != nil {
+		if err := h.ReleaseVMState(vm.ID); err != nil {
 			t.Fatal(err)
 		}
 		counts := h.Machine().Mem.CountByOwner()
@@ -327,7 +322,7 @@ func TestConformanceFailedRestoreLeaksNothing(t *testing.T) {
 			vm := mustCreate(t, h, "adopt")
 			vm.Guest.WriteWorkingSet(0, 16)
 			st, g := savedForAdopt(t, h, vm)
-			if err := h.(vmStateReleaser).ReleaseVMState(vm.ID); err != nil {
+			if err := h.ReleaseVMState(vm.ID); err != nil {
 				t.Fatal(err)
 			}
 			// Something else takes every free frame: the adopt succeeds,
@@ -374,7 +369,6 @@ func TestConformanceCrashMatrix(t *testing.T) {
 	for _, mode := range []string{"crash", "hang"} {
 		t.Run(mode, func(t *testing.T) {
 			forEachModel(t, 0, func(t *testing.T, h hv.Hypervisor) {
-				c := h.(hv.Crashable)
 				running, paused := mustCreate(t, h, "running"), mustCreate(t, h, "paused")
 				if err := h.Pause(paused.ID); err != nil {
 					t.Fatal(err)
@@ -382,24 +376,24 @@ func TestConformanceCrashMatrix(t *testing.T) {
 				if err := h.EnableDirtyLog(running.ID); err != nil {
 					t.Fatal(err)
 				}
-				if c.Crashed() || c.Hung() || c.CrashReason() != "" {
+				if h.Crashed() || h.Hung() || h.CrashReason() != "" {
 					t.Fatal("healthy hypervisor reports a failure")
 				}
 
-				fail := c.Crash
+				fail := h.Crash
 				if mode == "hang" {
-					fail = c.Hang
+					fail = h.Hang
 				}
 				if !fail("first") {
 					t.Fatal("first failure not reported as the failing call")
 				}
 				// First failure wins. (Crash on a hung hypervisor is its
 				// fence, so the hang row only retries Hang here.)
-				if c.Hang("second") || (mode == "crash" && c.Crash("third")) {
+				if h.Hang("second") || (mode == "crash" && h.Crash("third")) {
 					t.Fatal("a later failure won over the first")
 				}
-				if c.Crashed() != (mode == "crash") || c.Hung() != (mode == "hang") || c.CrashReason() != "first" {
-					t.Fatalf("state: crashed=%v hung=%v reason=%q", c.Crashed(), c.Hung(), c.CrashReason())
+				if h.Crashed() != (mode == "crash") || h.Hung() != (mode == "hang") || h.CrashReason() != "first" {
+					t.Fatalf("state: crashed=%v hung=%v reason=%q", h.Crashed(), h.Hung(), h.CrashReason())
 				}
 				for _, vm := range h.VMs() {
 					if !vm.Paused() {
@@ -427,12 +421,12 @@ func TestConformanceCrashMatrix(t *testing.T) {
 				}
 				check()
 				if mode == "hang" {
-					c.Fence("fenced")
-					if c.Crash("late") {
+					h.Fence("fenced")
+					if h.Crash("late") {
 						t.Fatal("crash after the fence reported as the failing call")
 					}
-					if !c.Crashed() || c.Hung() || c.CrashReason() != "first" {
-						t.Fatalf("after fence: crashed=%v hung=%v reason=%q", c.Crashed(), c.Hung(), c.CrashReason())
+					if !h.Crashed() || h.Hung() || h.CrashReason() != "first" {
+						t.Fatalf("after fence: crashed=%v hung=%v reason=%q", h.Crashed(), h.Hung(), h.CrashReason())
 					}
 					check()
 				}
@@ -466,7 +460,7 @@ func TestConformanceCrashMatrix(t *testing.T) {
 					t.Fatal("MgmtStateBytes zero on a downed hypervisor")
 				}
 				for _, vm := range []*hv.VM{running, paused} {
-					if err := h.(vmStateReleaser).ReleaseVMState(vm.ID); err != nil {
+					if err := h.ReleaseVMState(vm.ID); err != nil {
 						t.Fatalf("ReleaseVMState on a downed hypervisor: %v", err)
 					}
 				}

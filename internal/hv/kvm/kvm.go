@@ -46,22 +46,10 @@ type vmProc struct {
 	ioapicPinsDropped int
 }
 
-// KVM is the type-II hypervisor model: the shared chassis over KVM's
-// state format.
-type KVM struct{ *hv.Chassis }
-
-var (
-	_ hv.Hypervisor = (*KVM)(nil)
-	_ hv.Crashable  = (*KVM)(nil)
-)
-
-// Boot instantiates the host Linux + KVM stack on the machine.
-func Boot(m *hw.Machine) (*KVM, error) {
-	c, err := hv.NewChassis(m, format{})
-	if err != nil {
-		return nil, err
-	}
-	return &KVM{c}, nil
+// Boot instantiates the host Linux + KVM stack, the type-II hypervisor
+// model, on the machine.
+func Boot(m *hw.Machine) (hv.Hypervisor, error) {
+	return hv.NewChassis(m, format{})
 }
 
 // format is KVM's hv.Format: ioctl-shaped sections per vCPU plus a
@@ -157,18 +145,10 @@ func (proc *vmProc) Frames() []hw.FrameRange    { return proc.stateFrames }
 // MgmtBytes counts the vCPU task structs and the vm list entry.
 func (proc *vmProc) MgmtBytes() uint64 { return uint64(len(proc.vcpus)*48 + 128) }
 
-func (k *KVM) proc(id hv.VMID) (*vmProc, error) {
-	st, err := k.StateOf(id)
-	if err != nil {
-		return nil, err
-	}
-	return st.(*vmProc), nil
-}
-
 // PlatformTimersDropped reports whether the §4.2.1 compatibility path
 // detached an HPET and/or PM timer when this VM was restored on kvmtool.
-func (k *KVM) PlatformTimersDropped(id hv.VMID) (hpet, pmtimer bool, err error) {
-	proc, err := k.proc(id)
+func PlatformTimersDropped(h hv.Hypervisor, id hv.VMID) (hpet, pmtimer bool, err error) {
+	proc, err := hv.StateOf[*vmProc](h, id)
 	if err != nil {
 		return false, false, err
 	}
@@ -177,8 +157,8 @@ func (k *KVM) PlatformTimersDropped(id hv.VMID) (hpet, pmtimer bool, err error) 
 
 // CPUShares returns the kvmtool process's cgroup cpu.shares (KVM's own
 // management-state representation of the neutral UISR weight).
-func (k *KVM) CPUShares(id hv.VMID) (int, error) {
-	proc, err := k.proc(id)
+func CPUShares(h hv.Hypervisor, id hv.VMID) (int, error) {
+	proc, err := hv.StateOf[*vmProc](h, id)
 	if err != nil {
 		return 0, err
 	}
@@ -187,8 +167,8 @@ func (k *KVM) CPUShares(id hv.VMID) (int, error) {
 
 // Memslots returns the size of the VM's slot table (KVM-specific API for
 // tests).
-func (k *KVM) Memslots(id hv.VMID) (int, error) {
-	proc, err := k.proc(id)
+func Memslots(h hv.Hypervisor, id hv.VMID) (int, error) {
+	proc, err := hv.StateOf[*vmProc](h, id)
 	if err != nil {
 		return 0, err
 	}
@@ -197,8 +177,8 @@ func (k *KVM) Memslots(id hv.VMID) (int, error) {
 
 // IOAPICPinsDropped reports how many IOAPIC pins the §4.2.1 compatibility
 // fix disconnected when this VM's state was restored.
-func (k *KVM) IOAPICPinsDropped(id hv.VMID) (int, error) {
-	proc, err := k.proc(id)
+func IOAPICPinsDropped(h hv.Hypervisor, id hv.VMID) (int, error) {
+	proc, err := hv.StateOf[*vmProc](h, id)
 	if err != nil {
 		return 0, err
 	}

@@ -6,12 +6,13 @@ import (
 	"testing/quick"
 
 	"hypertp/internal/hv"
+	"hypertp/internal/hv/xen"
 	"hypertp/internal/hw"
 	"hypertp/internal/simtime"
 	"hypertp/internal/uisr"
 )
 
-func bootKVM(t *testing.T) *KVM {
+func bootKVM(t *testing.T) hv.Hypervisor {
 	t.Helper()
 	m := hw.NewMachine(simtime.NewClock(), hw.M1())
 	k, err := Boot(m)
@@ -46,7 +47,7 @@ func TestCreateVMValidation(t *testing.T) {
 func TestMemslotsCoalesced(t *testing.T) {
 	k := bootKVM(t)
 	vm, _ := k.CreateVM(testConfig("slots"))
-	n, err := k.Memslots(vm.ID)
+	n, err := Memslots(k, vm.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestIOAPICPinsDroppedRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := k.IOAPICPinsDropped(vm.ID)
+	n, err := IOAPICPinsDropped(k, vm.ID)
 	if err != nil || n != 24 {
 		t.Fatalf("pins dropped = %d, %v", n, err)
 	}
@@ -265,7 +266,7 @@ func TestPlatformTimerDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hpet, pmt, err := k.PlatformTimersDropped(vm.ID)
+	hpet, pmt, err := PlatformTimersDropped(k, vm.ID)
 	if err != nil || !hpet || !pmt {
 		t.Fatalf("drops = %v/%v, %v; want true/true", hpet, pmt, err)
 	}
@@ -280,7 +281,19 @@ func TestPlatformTimerDrops(t *testing.T) {
 	if back.RTC != st.RTC {
 		t.Fatal("RTC state lost")
 	}
-	if _, _, err := k.PlatformTimersDropped(99); err == nil {
+	if _, _, err := PlatformTimersDropped(k, 99); err == nil {
 		t.Fatal("unknown VM accepted")
+	}
+	// A VM held in another format is refused, not misread.
+	x, err := xen.Boot(hw.NewMachine(simtime.NewClock(), hw.M1()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	xvm, err := x.CreateVM(hv.Config{Name: "x", VCPUs: 1, MemBytes: 64 << 20, HugePages: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := PlatformTimersDropped(x, xvm.ID); err == nil {
+		t.Fatal("Xen domain read as a kvmtool process")
 	}
 }

@@ -115,22 +115,9 @@ type protectionDomain struct {
 	stateFrames       []hw.FrameRange
 }
 
-// NOVA is the microhypervisor model: the shared chassis over NOVA's state
-// format.
-type NOVA struct{ *hv.Chassis }
-
-var (
-	_ hv.Hypervisor = (*NOVA)(nil)
-	_ hv.Crashable  = (*NOVA)(nil)
-)
-
 // Boot instantiates the microhypervisor on the machine.
-func Boot(m *hw.Machine) (*NOVA, error) {
-	c, err := hv.NewChassis(m, format{})
-	if err != nil {
-		return nil, err
-	}
-	return &NOVA{c}, nil
+func Boot(m *hw.Machine) (hv.Hypervisor, error) {
+	return hv.NewChassis(m, format{})
 }
 
 // format is NOVA's hv.Format: UTCB snapshots plus a DPT per protection
@@ -212,18 +199,10 @@ func (pd *protectionDomain) Frames() []hw.FrameRange { return pd.stateFrames }
 // MgmtBytes counts the scheduling contexts and the pd entry.
 func (pd *protectionDomain) MgmtBytes() uint64 { return uint64(len(pd.utcbs)*64 + 96) }
 
-func (n *NOVA) pd(id hv.VMID) (*protectionDomain, error) {
-	st, err := n.StateOf(id)
-	if err != nil {
-		return nil, err
-	}
-	return st.(*protectionDomain), nil
-}
-
 // SCPriority returns a protection domain's scheduling-context priority
 // (NOVA's management-state representation of the neutral UISR weight).
-func (n *NOVA) SCPriority(id hv.VMID) (int, error) {
-	pd, err := n.pd(id)
+func SCPriority(h hv.Hypervisor, id hv.VMID) (int, error) {
+	pd, err := hv.StateOf[*protectionDomain](h, id)
 	if err != nil {
 		return 0, err
 	}
@@ -232,8 +211,8 @@ func (n *NOVA) SCPriority(id hv.VMID) (int, error) {
 
 // PlatformDrops reports the legacy devices detached when this VM was
 // restored onto the microhypervisor.
-func (n *NOVA) PlatformDrops(id hv.VMID) (pit, hpet, pmtimer bool, err error) {
-	pd, err := n.pd(id)
+func PlatformDrops(h hv.Hypervisor, id hv.VMID) (pit, hpet, pmtimer bool, err error) {
+	pd, err := hv.StateOf[*protectionDomain](h, id)
 	if err != nil {
 		return false, false, false, err
 	}

@@ -11,7 +11,7 @@ import (
 	"hypertp/internal/uisr"
 )
 
-func bootNOVA(t *testing.T) *NOVA {
+func bootNOVA(t *testing.T) hv.Hypervisor {
 	t.Helper()
 	m := hw.NewMachine(simtime.NewClock(), hw.M1())
 	n, err := Boot(m)
@@ -88,7 +88,7 @@ func TestXenSourcedRestoreDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pit, hpet, pmt, err := n.PlatformDrops(vm.ID)
+	pit, hpet, pmt, err := PlatformDrops(n, vm.ID)
 	if err != nil || !pit || !hpet || !pmt {
 		t.Fatalf("drops = %v/%v/%v, %v", pit, hpet, pmt, err)
 	}
@@ -115,7 +115,7 @@ func TestXenSourcedRestoreDrops(t *testing.T) {
 	if !reflect.DeepEqual(back.VCPUs[0].MSRs, st.VCPUs[0].MSRs) {
 		t.Fatal("MSR list changed")
 	}
-	if _, _, _, err := n.PlatformDrops(99); err == nil {
+	if _, _, _, err := PlatformDrops(n, 99); err == nil {
 		t.Fatal("unknown VM accepted")
 	}
 }

@@ -39,24 +39,11 @@ type evtchn struct {
 	Target int
 }
 
-// Xen is the type-I hypervisor model: the shared chassis over Xen's
-// state format.
-type Xen struct{ *hv.Chassis }
-
-var (
-	_ hv.Hypervisor = (*Xen)(nil)
-	_ hv.Crashable  = (*Xen)(nil)
-)
-
-// Boot instantiates Xen on the machine, reserving its HV State resident
-// set. It must be called on a machine whose previous hypervisor state was
-// wiped (fresh boot or post-kexec).
-func Boot(m *hw.Machine) (*Xen, error) {
-	c, err := hv.NewChassis(m, format{})
-	if err != nil {
-		return nil, err
-	}
-	return &Xen{c}, nil
+// Boot instantiates Xen, the type-I hypervisor model, on the machine,
+// reserving its HV State resident set. It must be called on a machine
+// whose previous hypervisor state was wiped (fresh boot or post-kexec).
+func Boot(m *hw.Machine) (hv.Hypervisor, error) {
+	return hv.NewChassis(m, format{})
 }
 
 // format is Xen's hv.Format: an HVM context blob plus a p2m per domain.
@@ -124,18 +111,10 @@ func (dom *domain) Frames() []hw.FrameRange    { return dom.frames }
 // MgmtBytes counts the runq entry and the evtchn table.
 func (dom *domain) MgmtBytes() uint64 { return uint64(len(dom.eventChannels)*32 + 64) }
 
-func (x *Xen) domain(id hv.VMID) (*domain, error) {
-	st, err := x.StateOf(id)
-	if err != nil {
-		return nil, err
-	}
-	return st.(*domain), nil
-}
-
 // EventChannels returns the port table of a domain (Xen-specific API,
 // used in tests to check the rebuilt management state).
-func (x *Xen) EventChannels(id hv.VMID) ([]int, error) {
-	dom, err := x.domain(id)
+func EventChannels(h hv.Hypervisor, id hv.VMID) ([]int, error) {
+	dom, err := hv.StateOf[*domain](h, id)
 	if err != nil {
 		return nil, err
 	}
@@ -148,8 +127,8 @@ func (x *Xen) EventChannels(id hv.VMID) ([]int, error) {
 
 // ContextBlob returns a copy of the domain's raw HVM context (the
 // Xen-internal format), for format-level tests.
-func (x *Xen) ContextBlob(id hv.VMID) ([]byte, error) {
-	dom, err := x.domain(id)
+func ContextBlob(h hv.Hypervisor, id hv.VMID) ([]byte, error) {
+	dom, err := hv.StateOf[*domain](h, id)
 	if err != nil {
 		return nil, err
 	}
@@ -158,8 +137,8 @@ func (x *Xen) ContextBlob(id hv.VMID) ([]byte, error) {
 
 // CreditWeight returns a domain's credit-scheduler weight (Xen's own
 // management-state representation of the neutral UISR weight).
-func (x *Xen) CreditWeight(id hv.VMID) (int, error) {
-	dom, err := x.domain(id)
+func CreditWeight(h hv.Hypervisor, id hv.VMID) (int, error) {
+	dom, err := hv.StateOf[*domain](h, id)
 	if err != nil {
 		return 0, err
 	}
@@ -168,9 +147,9 @@ func (x *Xen) CreditWeight(id hv.VMID) (int, error) {
 
 // RunQueue returns the credit scheduler's queue: VM Management State,
 // rebuilt from the domain set, never translated.
-func (x *Xen) RunQueue() []hv.VMID {
-	q := make([]hv.VMID, 0, x.VMCount())
-	x.EachVM(func(vm *hv.VM) bool {
+func RunQueue(h hv.Hypervisor) []hv.VMID {
+	q := make([]hv.VMID, 0, h.VMCount())
+	h.EachVM(func(vm *hv.VM) bool {
 		q = append(q, vm.ID)
 		return true
 	})

@@ -12,7 +12,7 @@ import (
 	"hypertp/internal/uisr"
 )
 
-func bootXen(t *testing.T) *Xen {
+func bootXen(t *testing.T) hv.Hypervisor {
 	t.Helper()
 	m := hw.NewMachine(simtime.NewClock(), hw.M1())
 	x, err := Boot(m)
@@ -124,7 +124,7 @@ func TestXenUISRRoundTripLossless(t *testing.T) {
 func TestContextBlobIsXenFormat(t *testing.T) {
 	x := bootXen(t)
 	vm, _ := x.CreateVM(testConfig("fmt"))
-	blob, err := x.ContextBlob(vm.ID)
+	blob, err := ContextBlob(x, vm.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestContextBlobIsXenFormat(t *testing.T) {
 func TestParseContextRejectsCorruption(t *testing.T) {
 	x := bootXen(t)
 	vm, _ := x.CreateVM(testConfig("c"))
-	blob, _ := x.ContextBlob(vm.ID)
+	blob, _ := ContextBlob(x, vm.ID)
 
 	if _, err := parseContext(blob[:len(blob)-4]); err == nil {
 		t.Fatal("truncated blob accepted")
@@ -249,7 +249,7 @@ func TestDestroyVMReleasesMemory(t *testing.T) {
 func TestEventChannelsAndRunQueue(t *testing.T) {
 	x := bootXen(t)
 	vm, _ := x.CreateVM(testConfig("e"))
-	ports, err := x.EventChannels(vm.ID)
+	ports, err := EventChannels(x, vm.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +257,11 @@ func TestEventChannelsAndRunQueue(t *testing.T) {
 	if len(ports) != 2+vm.Config.VCPUs {
 		t.Fatalf("ports = %d", len(ports))
 	}
-	if q := x.RunQueue(); len(q) != 1 || q[0] != vm.ID {
+	if q := RunQueue(x); len(q) != 1 || q[0] != vm.ID {
 		t.Fatalf("runq = %v", q)
 	}
 	x.CreateVM(testConfig("e2"))
-	if q := x.RunQueue(); len(q) != 2 {
+	if q := RunQueue(x); len(q) != 2 {
 		t.Fatalf("runq after second VM = %v", q)
 	}
 }

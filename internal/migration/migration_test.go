@@ -2,6 +2,7 @@ package migration
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -20,9 +21,9 @@ import (
 type rig struct {
 	clock *simtime.Clock
 	link  *simnet.Link
-	src   *xen.Xen
-	destX *xen.Xen
-	destK *kvm.KVM
+	src   hv.Hypervisor
+	destX hv.Hypervisor
+	destK hv.Hypervisor
 }
 
 func newRig(t *testing.T) *rig {
@@ -233,6 +234,37 @@ func TestConcurrentMigrationsShareLinkAndQueueOnXen(t *testing.T) {
 	}
 	if max < 2*min {
 		t.Fatalf("Xen receive downtime spread too small: min %v max %v", min, max)
+	}
+}
+
+// Equal migrations started together finish their transfers at one
+// virtual instant; which VM then takes which slot of Xen's sequential
+// restore queue is the same on every run, never Go's map order.
+func TestConcurrentMigrationsQueueInOneOrder(t *testing.T) {
+	var first []time.Duration
+	for run := 0; run < 20; run++ {
+		r := newRig(t)
+		recv := NewReceiver(r.clock, r.destX, 7)
+		downtimes := make([]time.Duration, 3)
+		for i := range downtimes {
+			vm := r.createVM(t, "vm"+string(rune('0'+i)), 1, 1)
+			Run(r.clock, Params{Link: r.link, Source: r.src, Dest: recv, VMID: vm.ID},
+				func(rep *Report, err error) {
+					if err != nil {
+						t.Fatal(err)
+					}
+					downtimes[i] = rep.Downtime
+				})
+		}
+		r.clock.Run()
+		if run == 0 {
+			first = downtimes
+		} else if !slices.Equal(downtimes, first) {
+			t.Fatalf("run %d: per-VM downtimes %v, first run %v", run, downtimes, first)
+		}
+	}
+	if !slices.IsSorted(first) {
+		t.Fatalf("per-VM downtimes %v: the queue is not served in start order", first)
 	}
 }
 

@@ -213,10 +213,7 @@ func admitTransplant(n *Nova, _ *hostTask) error {
 // points the host's engine at env for the duration: nodes claim their
 // hosts exclusively, so nothing else reads the engine meanwhile.
 func swapHypervisor(n *Nova, t *hostTask, env opEnv) (err error) {
-	ld, ok := n.nodes[t.host].Driver.(*LibvirtDriver)
-	if !ok {
-		return hterr.Incompatible(fmt.Errorf("nova: driver %T cannot swap hypervisors", n.nodes[t.host].Driver))
-	}
+	ld := n.nodes[t.host].Driver
 	if env.private {
 		e := ld.engine
 		unclock, plan, rec := e.SwapClock(env.clock), e.Fault, e.Obs

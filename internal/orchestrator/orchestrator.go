@@ -1,6 +1,6 @@
 // Package orchestrator models the paper's OpenStack integration (§4.5):
 // a Nova-like cloud manager driving hypervisors exclusively through a
-// generic libvirt-style ComputeDriver (the "G2" interaction mode every
+// generic libvirt-style driver (the "G2" interaction mode every
 // surveyed operator uses), extended with the HyperTP operations —
 // guest-state saving, host live upgrade, guest-state restoring — plus a
 // HyperTP-aware scheduler filter that keeps transplantable VMs together.
@@ -27,33 +27,9 @@ import (
 	"hypertp/internal/tpcache"
 )
 
-// ComputeDriver is the generic per-host driver interface (libvirt in the
-// paper), extended with the three HyperTP operations of §4.5.2.
-type ComputeDriver interface {
-	// HypervisorKind reports what currently runs on the host.
-	HypervisorKind() hv.Kind
-	// Spawn creates and starts a VM.
-	Spawn(cfg hv.Config) (hv.VMID, error)
-	// Destroy tears a VM down.
-	Destroy(id hv.VMID) error
-	// Suspend and Resume map to the existing Nova operations the
-	// HyperTP save/restore hooks are modeled on.
-	Suspend(id hv.VMID) error
-	Resume(id hv.VMID) error
-	// VMs lists the host's VMs.
-	VMs() []*hv.VM
-	// Capacity returns remaining vCPU and memory headroom.
-	Capacity() (vcpus int, mem uint64)
-
-	// HostLiveUpgrade is the new driver operation: transplant the whole
-	// host to the target hypervisor kind in place.
-	HostLiveUpgrade(target hv.Kind, opts core.Options) (*core.InPlaceReport, error)
-	// Hypervisor exposes the underlying handle for migration plumbing
-	// (used by the manager, never by operators).
-	Hypervisor() hv.Hypervisor
-}
-
-// LibvirtDriver implements ComputeDriver over a simulated host.
+// LibvirtDriver is the generic per-host driver (libvirt in the paper),
+// extended with the HyperTP host live upgrade of §4.5.2 and its crash-path
+// sibling, emergency recovery.
 type LibvirtDriver struct {
 	engine *core.Engine
 	hyp    hv.Hypervisor
@@ -70,13 +46,14 @@ func NewLibvirtDriver(clock *simtime.Clock, machine *hw.Machine, kind hv.Kind) (
 	return &LibvirtDriver{engine: engine, hyp: hyp}, nil
 }
 
-// HypervisorKind implements ComputeDriver.
+// HypervisorKind reports what currently runs on the host.
 func (d *LibvirtDriver) HypervisorKind() hv.Kind { return d.hyp.Kind() }
 
-// Hypervisor implements ComputeDriver.
+// Hypervisor exposes the underlying handle for migration plumbing (used
+// by the manager, never by operators).
 func (d *LibvirtDriver) Hypervisor() hv.Hypervisor { return d.hyp }
 
-// Spawn implements ComputeDriver.
+// Spawn creates and starts a VM.
 func (d *LibvirtDriver) Spawn(cfg hv.Config) (hv.VMID, error) {
 	vm, err := d.hyp.CreateVM(cfg)
 	if err != nil {
@@ -85,19 +62,10 @@ func (d *LibvirtDriver) Spawn(cfg hv.Config) (hv.VMID, error) {
 	return vm.ID, nil
 }
 
-// Destroy implements ComputeDriver.
-func (d *LibvirtDriver) Destroy(id hv.VMID) error { return d.hyp.DestroyVM(id) }
-
-// Suspend implements ComputeDriver.
-func (d *LibvirtDriver) Suspend(id hv.VMID) error { return d.hyp.Pause(id) }
-
-// Resume implements ComputeDriver.
-func (d *LibvirtDriver) Resume(id hv.VMID) error { return d.hyp.Resume(id) }
-
-// VMs implements ComputeDriver.
+// VMs lists the host's VMs.
 func (d *LibvirtDriver) VMs() []*hv.VM { return d.hyp.VMs() }
 
-// Capacity implements ComputeDriver.
+// Capacity returns remaining vCPU and memory headroom.
 func (d *LibvirtDriver) Capacity() (int, uint64) {
 	used := 0
 	d.hyp.EachVM(func(vm *hv.VM) bool {
@@ -114,29 +82,6 @@ func headroom(machine *hw.Machine, used int) (int, uint64) {
 	return vcpus, machine.Mem.FreeFrames() * hw.PageSize4K
 }
 
-// placementScan is BootVM's tally of one candidate node: the vCPUs its
-// VMs hold and the node's HyperTP affinity with the VM being placed. A
-// func literal handed to hv.Hypervisor.EachVM is heap-allocated with
-// every variable it captures, so Nova keeps one scan and binds visit once
-// (NewNova): BootVM walks every node of the fleet allocating nothing.
-type placementScan struct {
-	inPlace      bool // of the VM being placed
-	vcpus, score int
-	visit        func(*hv.VM) bool
-}
-
-func (p *placementScan) tally(vm *hv.VM) bool {
-	p.vcpus += vm.Config.VCPUs
-	// HyperTP affinity: count co-located VMs with matching
-	// transplantability, penalize mismatches.
-	if vm.Config.InPlaceCompatible == p.inPlace {
-		p.score += 2
-	} else {
-		p.score -= 3
-	}
-	return true
-}
-
 // SetRecorder points the wrapped engine's observability at rec, so the
 // node's in-place transplants record their span trees there.
 func (d *LibvirtDriver) SetRecorder(rec *obs.Recorder) { d.engine.Obs = rec }
@@ -150,13 +95,14 @@ func (d *LibvirtDriver) SetFaults(p *fault.Plan, retry fault.RetryPolicy) {
 	d.engine.Retry = retry
 }
 
-// HostLiveUpgrade implements ComputeDriver: the one-click in-place
-// transplant. A hypervisor fail-stop mid-transplant (the double fault)
-// leaves every VM frozen in place with the device protocol already run;
-// that is exactly the state the emergency path salvages, so the driver
-// self-heals by running it to the same target instead of surfacing the
-// crash. The returned report is the emergency's, with the aborted
-// attempt's fault and attempt counts folded in.
+// HostLiveUpgrade transplants the whole host to the target hypervisor
+// kind in place: the one-click in-place transplant. A hypervisor
+// fail-stop mid-transplant (the double fault) leaves every VM frozen in
+// place with the device protocol already run; that is exactly the state
+// the emergency path salvages, so the driver self-heals by running it to
+// the same target instead of surfacing the crash. The returned report is
+// the emergency's, with the aborted attempt's fault and attempt counts
+// folded in.
 func (d *LibvirtDriver) HostLiveUpgrade(target hv.Kind, opts core.Options) (*core.InPlaceReport, error) {
 	newHyp, report, err := d.engine.InPlace(d.hyp, target, opts)
 	if err != nil {
@@ -214,14 +160,12 @@ type Nova struct {
 	// (see SetDetector, CrashHost, RecoverHost, RecoverFleet).
 	detector *reactive.Detector
 	downed   map[string]reactive.Event
-	// scan is BootVM's reusable per-node tally.
-	scan placementScan
 }
 
 // ComputeNode is one managed host.
 type ComputeNode struct {
 	Name   string
-	Driver ComputeDriver
+	Driver *LibvirtDriver
 }
 
 // NewNova creates a manager over the given fabric link.
@@ -236,7 +180,6 @@ func NewNova(clock *simtime.Clock, fabric *simnet.Link) *Nova {
 		downed:      make(map[string]reactive.Event),
 		fleetLimits: sched.Serial(),
 	}
-	n.scan.visit = n.scan.tally
 	return n
 }
 
@@ -244,7 +187,7 @@ func NewNova(clock *simtime.Clock, fabric *simnet.Link) *Nova {
 func (n *Nova) Clock() *simtime.Clock { return n.clock }
 
 // AddNode registers a compute node.
-func (n *Nova) AddNode(name string, driver ComputeDriver) error {
+func (n *Nova) AddNode(name string, driver *LibvirtDriver) error {
 	if _, dup := n.nodes[name]; dup {
 		return fmt.Errorf("nova: duplicate node %q", name)
 	}
@@ -252,16 +195,10 @@ func (n *Nova) AddNode(name string, driver ComputeDriver) error {
 	n.order = append(n.order, name)
 	sort.Strings(n.order)
 	if n.obs != nil {
-		if rd, ok := driver.(interface{ SetRecorder(*obs.Recorder) }); ok {
-			rd.SetRecorder(n.obs)
-		}
+		driver.SetRecorder(n.obs)
 	}
 	if n.faults != nil {
-		if fd, ok := driver.(interface {
-			SetFaults(*fault.Plan, fault.RetryPolicy)
-		}); ok {
-			fd.SetFaults(n.faults, n.retry)
-		}
+		driver.SetFaults(n.faults, n.retry)
 	}
 	return nil
 }
@@ -279,11 +216,7 @@ func (n *Nova) SetFaults(p *fault.Plan) {
 		n.retry = fault.DefaultRetryPolicy()
 	}
 	for _, name := range n.order {
-		if fd, ok := n.nodes[name].Driver.(interface {
-			SetFaults(*fault.Plan, fault.RetryPolicy)
-		}); ok {
-			fd.SetFaults(p, n.retry)
-		}
+		n.nodes[name].Driver.SetFaults(p, n.retry)
 	}
 }
 
@@ -380,20 +313,15 @@ func (n *Nova) reconcileLostHost(name string) {
 // blackouts and migration stop-and-copy rounds. A nil tracker detaches.
 func (n *Nova) SetSLO(t *slo.Tracker) { n.slo = t }
 
-// SLO returns the attached tracker (nil when detached).
-func (n *Nova) SLO() *slo.Tracker { return n.slo }
-
-// SetRecorder attaches an observability recorder to the manager and to
-// every registered (and future) driver that supports one, plus the
-// fabric link. Nova operations then record nova.* spans with the driver
-// and network activity nested beneath them.
+// SetRecorder attaches an observability recorder to the manager, to
+// every registered (and future) driver, and to the fabric link. Nova
+// operations then record nova.* spans with the driver and network
+// activity nested beneath them.
 func (n *Nova) SetRecorder(rec *obs.Recorder) {
 	n.obs = rec
 	n.fabric.SetRecorder(rec)
 	for _, name := range n.order {
-		if rd, ok := n.nodes[name].Driver.(interface{ SetRecorder(*obs.Recorder) }); ok {
-			rd.SetRecorder(rec)
-		}
+		n.nodes[name].Driver.SetRecorder(rec)
 	}
 }
 
@@ -461,15 +389,25 @@ func (n *Nova) place(cfg *hv.Config) *ComputeNode {
 		}
 		node := n.nodes[name]
 		hyp := node.Driver.Hypervisor()
-		n.scan.inPlace, n.scan.vcpus, n.scan.score = cfg.InPlaceCompatible, 0, 0
-		hyp.EachVM(n.scan.visit)
-		vcpus, mem := headroom(hyp.Machine(), n.scan.vcpus)
+		used, affinity := 0, 0
+		hyp.EachVM(func(vm *hv.VM) bool {
+			used += vm.Config.VCPUs
+			// HyperTP affinity: count co-located VMs with matching
+			// transplantability, penalize mismatches.
+			if vm.Config.InPlaceCompatible == cfg.InPlaceCompatible {
+				affinity += 2
+			} else {
+				affinity -= 3
+			}
+			return true
+		})
+		vcpus, mem := headroom(hyp.Machine(), used)
 		if vcpus < cfg.VCPUs || mem < cfg.MemBytes {
 			continue
 		}
 		// Light packing preference: fuller nodes first, so empty
 		// nodes stay free for evacuation headroom.
-		if score := n.scan.score + hyp.VMCount(); score > bestScore {
+		if score := affinity + hyp.VMCount(); score > bestScore {
 			best, bestScore = node, score
 		}
 	}

@@ -106,9 +106,9 @@ func TestSchedulerHyperTPAffinity(t *testing.T) {
 }
 
 // TestPlacementScanAllocatesNothing: BootVM's scan visits every VM of every
-// node through hv.Hypervisor.EachVM with the one visitor Nova owns, so
-// beyond Spawn a placement allocates nothing, however many VMs the fleet
-// already runs.
+// node through Chassis.EachVM, whose visitor does not escape, so beyond
+// Spawn a placement allocates nothing, however many VMs the fleet already
+// runs.
 func TestPlacementScanAllocatesNothing(t *testing.T) {
 	c := newCloud(t, 4, hv.KindXen)
 	for i := 0; i < 6; i++ {
@@ -268,10 +268,10 @@ func TestDriverBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Suspend(id); err != nil {
+	if err := d.Hypervisor().Pause(id); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Resume(id); err != nil {
+	if err := d.Hypervisor().Resume(id); err != nil {
 		t.Fatal(err)
 	}
 	if len(d.VMs()) != 1 {
@@ -281,7 +281,7 @@ func TestDriverBasics(t *testing.T) {
 	if vcpus != hw.M1().Threads-hw.M1().ReservedCPUs-1 {
 		t.Fatalf("capacity = %d", vcpus)
 	}
-	if err := d.Destroy(id); err != nil {
+	if err := d.Hypervisor().DestroyVM(id); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -461,7 +461,7 @@ func TestColdMigrateLostVMClassified(t *testing.T) {
 	}
 	rec, _ := c.nova.Record("gone")
 	node, _ := c.nova.Node(rec.Node)
-	if err := node.Driver.Destroy(rec.ID); err != nil {
+	if err := node.Driver.Hypervisor().DestroyVM(rec.ID); err != nil {
 		t.Fatal(err)
 	}
 	dest := nodeName(0)

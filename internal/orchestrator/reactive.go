@@ -22,19 +22,15 @@ import (
 // memory and VM_i State stay intact in place — or, with hang, wedges its
 // control plane without fail-stopping it: the failure is then only
 // observable as missed heartbeats, and recovery fences the hypervisor
-// before salvaging. Reports an error when the hypervisor does not model
-// failures or has already failed.
+// before salvaging. Reports an error when the hypervisor has already
+// failed.
 func (d *LibvirtDriver) failHost(reason string, hang bool) error {
-	c, ok := d.hyp.(hv.Crashable)
-	if !ok {
-		return hterr.Incompatible(fmt.Errorf("orchestrator: %v does not model crashes", d.hyp.Kind()))
-	}
-	fail := c.Crash
+	fail := d.hyp.Crash
 	if hang {
-		fail = c.Hang
+		fail = d.hyp.Hang
 	}
 	if !fail(reason) {
-		return fmt.Errorf("orchestrator: hypervisor already failed (%s)", c.CrashReason())
+		return fmt.Errorf("orchestrator: hypervisor already failed (%s)", d.hyp.CrashReason())
 	}
 	return nil
 }
@@ -113,14 +109,10 @@ func (n *Nova) failHost(name, reason string, hang bool) (reactive.Event, error) 
 	if !ok {
 		return reactive.Event{}, fmt.Errorf("nova: unknown node %q", name)
 	}
-	ld, ok := node.Driver.(*LibvirtDriver)
-	if !ok {
-		return reactive.Event{}, hterr.Incompatible(fmt.Errorf("nova: driver %T cannot model crashes", node.Driver))
-	}
 	if _, down := n.downed[name]; down {
 		return reactive.Event{}, fmt.Errorf("nova: node %q is already down", name)
 	}
-	if err := ld.failHost(reason, hang); err != nil {
+	if err := node.Driver.failHost(reason, hang); err != nil {
 		return reactive.Event{}, err
 	}
 	now := n.clock.Now()

@@ -53,11 +53,7 @@ func (n *Nova) WarmPoolRefill() (int, error) {
 		if n.quarantined[name] {
 			continue
 		}
-		d, ok := n.nodes[name].Driver.(*LibvirtDriver)
-		if !ok {
-			continue
-		}
-		k, err := d.PreStageTranslations(n.warmCache, want-staged)
+		k, err := n.nodes[name].Driver.PreStageTranslations(n.warmCache, want-staged)
 		staged += k
 		if err != nil {
 			sp.SetAttr("staged", staged)

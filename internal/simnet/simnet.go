@@ -15,7 +15,7 @@ package simnet
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"hypertp/internal/fault"
@@ -44,11 +44,14 @@ var ErrTransferSevered = hterr.Retryable(hterr.Injected(ErrTransferAborted))
 // Link is a shared-medium network link. All transfers on the link divide its
 // line rate equally.
 type Link struct {
-	name       string
-	byteRate   float64 // bytes per second of usable line rate
-	latency    time.Duration
-	clock      *simtime.Clock
-	active     map[*Transfer]struct{}
+	name     string
+	byteRate float64 // bytes per second of usable line rate
+	latency  time.Duration
+	clock    *simtime.Clock
+	// active holds the in-flight transfers ordered by (started, name,
+	// start sequence): every walk of it, and so every tie between
+	// transfers, resolves the same way on every run.
+	active     []*Transfer
 	lastUpdate time.Duration
 	rec        *obs.Recorder
 	faults     *fault.Plan
@@ -79,7 +82,6 @@ func NewLink(clock *simtime.Clock, name string, byteRate int64, latency time.Dur
 		byteRate: float64(byteRate),
 		latency:  latency,
 		clock:    clock,
-		active:   make(map[*Transfer]struct{}),
 	}
 }
 
@@ -110,17 +112,7 @@ func (l *Link) SetDown(down bool) {
 	}
 	l.down = down
 	if down {
-		snap := make([]*Transfer, 0, len(l.active))
-		for tr := range l.active {
-			snap = append(snap, tr)
-		}
-		sort.Slice(snap, func(i, j int) bool {
-			if snap[i].started != snap[j].started {
-				return snap[i].started < snap[j].started
-			}
-			return snap[i].name < snap[j].name
-		})
-		for _, tr := range snap {
+		for _, tr := range slices.Clone(l.active) {
 			l.abortWith(tr, ErrTransferSevered)
 		}
 	}
@@ -169,7 +161,7 @@ func (l *Link) Start(name string, size int64, done func(err error)) *Transfer {
 		started:   l.clock.Now(),
 		done:      done,
 	}
-	l.active[tr] = struct{}{}
+	l.insert(tr)
 	if l.rec != nil {
 		tr.span = l.rec.StartDetached("xfer:"+name,
 			obs.A("link", l.name), obs.A("bytes", size))
@@ -215,7 +207,7 @@ func (l *Link) settle() {
 	}
 	elapsed := (now - l.lastUpdate).Seconds()
 	share := l.byteRate / float64(len(l.active))
-	for tr := range l.active {
+	for _, tr := range l.active {
 		tr.remaining -= share * elapsed
 		if tr.remaining < 0 {
 			tr.remaining = 0
@@ -224,10 +216,28 @@ func (l *Link) settle() {
 	l.lastUpdate = now
 }
 
+// insert adds a transfer started now to the active set. Nothing active
+// started later, so it goes after every transfer started earlier or
+// under a name that sorts no later than its own.
+func (l *Link) insert(tr *Transfer) {
+	i := len(l.active)
+	for i > 0 && l.active[i-1].started == tr.started && l.active[i-1].name > tr.name {
+		i--
+	}
+	l.active = slices.Insert(l.active, i, tr)
+}
+
+// remove drops a transfer from the active set.
+func (l *Link) remove(tr *Transfer) {
+	if i := slices.Index(l.active, tr); i >= 0 {
+		l.active = slices.Delete(l.active, i, i+1)
+	}
+}
+
 // reschedule recomputes the next completion event after the active set or
 // the clock changed.
 func (l *Link) reschedule() {
-	for tr := range l.active {
+	for _, tr := range l.active {
 		if tr.event != nil {
 			l.clock.Cancel(tr.event)
 			tr.event = nil
@@ -236,11 +246,11 @@ func (l *Link) reschedule() {
 	if len(l.active) == 0 {
 		return
 	}
-	// Find the transfer that finishes first under equal sharing.
-	var first *Transfer
-	for tr := range l.active {
-		if first == nil || tr.remaining < first.remaining ||
-			(tr.remaining == first.remaining && tr.started < first.started) {
+	// Find the transfer that finishes first under equal sharing; a tie
+	// goes to the earliest in the active order.
+	first := l.active[0]
+	for _, tr := range l.active[1:] {
+		if tr.remaining < first.remaining {
 			first = tr
 		}
 	}
@@ -259,7 +269,7 @@ func (l *Link) complete(tr *Transfer) {
 		l.clock.Cancel(tr.sever)
 		tr.sever = nil
 	}
-	delete(l.active, tr)
+	l.remove(tr)
 	l.reschedule()
 	if tr.span != nil {
 		tr.span.End()
@@ -291,7 +301,7 @@ func (l *Link) abortWith(tr *Transfer, cause error) {
 		tr.sever = nil
 	}
 	tr.finished = true
-	delete(l.active, tr)
+	l.remove(tr)
 	l.reschedule()
 	if tr.span != nil {
 		tr.span.SetAttr("aborted", true)
@@ -310,20 +320,9 @@ func (l *Link) abortWith(tr *Transfer, cause error) {
 // active set is snapshotted first, so a done callback that Starts a
 // replacement transfer (the migration retry loop does exactly this)
 // neither gets its new transfer severed nor corrupts the iteration.
-// The snapshot is processed in start order to keep callback order
-// deterministic.
+// The snapshot keeps the active order, so callback order is deterministic.
 func (l *Link) AbortAll() {
-	snap := make([]*Transfer, 0, len(l.active))
-	for tr := range l.active {
-		snap = append(snap, tr)
-	}
-	sort.Slice(snap, func(i, j int) bool {
-		if snap[i].started != snap[j].started {
-			return snap[i].started < snap[j].started
-		}
-		return snap[i].name < snap[j].name
-	})
-	for _, tr := range snap {
+	for _, tr := range slices.Clone(l.active) {
 		l.Abort(tr) // no-op if a prior callback already finished it
 	}
 }
@@ -344,13 +343,3 @@ func (tr *Transfer) Name() string { return tr.name }
 
 // Finished reports whether the transfer completed or was aborted.
 func (tr *Transfer) Finished() bool { return tr.finished }
-
-// NICModel captures how long a network card takes to come back after a
-// micro-reboot. The paper measures 6.6 s on M1 and 2.3 s on M2 (Section
-// 5.2.1); the value is driver- and firmware-dependent, so it is part of the
-// hardware profile rather than the transplant engine.
-type NICModel struct {
-	// ReinitTime is the delay between the target hypervisor booting and
-	// the physical link carrying traffic again.
-	ReinitTime time.Duration
-}

@@ -337,3 +337,36 @@ func TestInjectedLossSlowsTransfer(t *testing.T) {
 		t.Fatalf("lossy transfer (%v) more than 2x clean (%v)", lossy, clean)
 	}
 }
+
+// Transfers that tie on bytes and start time complete in (name, start
+// sequence) order on every run, and SetDown and AbortAll sever them in
+// the same order: none of it may depend on Go's map iteration order.
+func TestTiedTransfersResolveInOneOrder(t *testing.T) {
+	run := func(sever func(*Link)) string {
+		c := simtime.NewClock()
+		l := NewLink(c, "lan", Gbps1, 0)
+		var order []byte
+		for _, name := range []string{"c", "a", "b", "a"} {
+			l.Start(name, 1<<20, func(error) { order = append(order, name[0]) })
+		}
+		if sever != nil {
+			sever(l)
+		}
+		c.Run()
+		return string(order)
+	}
+	for i := 0; i < 50; i++ {
+		for _, tc := range []struct {
+			how   string
+			sever func(*Link)
+		}{
+			{"complete", nil},
+			{"SetDown", func(l *Link) { l.SetDown(true) }},
+			{"AbortAll", (*Link).AbortAll},
+		} {
+			if got := run(tc.sever); got != "aabc" {
+				t.Fatalf("run %d, %s: order = %q, want %q", i, tc.how, got, "aabc")
+			}
+		}
+	}
+}

@@ -27,10 +27,6 @@ const (
 // hv.Config) — Xen's HVM_MAX_VCPUS, the widest of the three hypervisors.
 const MaxVCPUs = 128
 
-// NumGPRegs is the number of general-purpose register slots saved per
-// vCPU (16 GPRs + RIP + RFLAGS).
-const NumGPRegs = 18
-
 // NumSavedMSRs is the number of model-specific registers captured per
 // vCPU. The set covers the union of what Xen's HVM context and KVM's
 // KVM_GET_MSRS exchange for a transplantable guest.
