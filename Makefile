@@ -2,7 +2,7 @@ GO ?= go
 
 # Packages with fuzz targets and checked-in seed corpora.
 FUZZ_PKGS = ./internal/uisr/ ./internal/hv/xen/ ./internal/checkpoint/ \
-	./internal/pram/ ./internal/difffuzz/ ./internal/hw/
+	./internal/pram/ ./internal/chaos/ ./internal/core/ ./internal/hw/
 
 .PHONY: all build vet fmt-check loc test race check bench benchfig \
 	trace-demo slo-demo fault-matrix crash-matrix soak crash-storm \
@@ -30,8 +30,8 @@ fmt-check:
 # PKG_CEILING. Both are ratchets: a PR that grows the tree raises them in
 # the same diff, where a reviewer sees it; a simplicity PR lowers them to
 # its own result and cites the before/after in CHANGES.md.
-LOC_CEILING = 22897
-PKG_CEILING = 28
+LOC_CEILING = 22335
+PKG_CEILING = 27
 loc:
 	@src() { find "$$@" -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'; }; \
 	for d in internal/*/; do printf '%6d  %s\n' "$$(src $$d | xargs cat | wc -l)" "$$d"; done; \

@@ -58,10 +58,9 @@ func TestNoLongFunctions(t *testing.T) {
 // (internal/uisr/reader.go) that may still read integers through
 // binary.LittleEndian, each with why it is not a parser of hostile bytes.
 var handReadAllowlist = map[string]string{
-	"internal/uisr/reader.go":       "the bounded reader itself",
-	"internal/hv/xen/convert.go":    "unpacks a fixed [1024]byte LAPIC register page, already parsed",
-	"internal/hv/kvm/state.go":      "unpacks a fixed [1024]byte LAPIC register page of in-memory state",
-	"internal/difffuzz/difffuzz.go": "takes a fuzz input's 8-byte mutation seed behind a length check",
+	"internal/uisr/reader.go":    "the bounded reader itself",
+	"internal/hv/xen/convert.go": "unpacks a fixed [1024]byte LAPIC register page, already parsed",
+	"internal/hv/kvm/state.go":   "unpacks a fixed [1024]byte LAPIC register page of in-memory state",
 }
 
 // TestNoHandIndexedReads holds every parser to the bounded reader: a
@@ -184,6 +183,70 @@ func TestPoolOnlyAtTheTop(t *testing.T) {
 	for dir := range poolImporters {
 		if !used[dir] {
 			t.Errorf("%s is allowlisted but does not import internal/par: drop it from poolImporters", dir)
+		}
+	}
+}
+
+// testOnlyPackages names the internal/ packages that only test files may
+// import, each with why it is a package at all.
+var testOnlyPackages = map[string]string{
+	"internal/fuzzseed": "the seed-corpus and golden-file helper that the fuzz and CLI tests of several packages share; a test file cannot be imported",
+}
+
+// TestEveryPackageHasANonTestImporter fails on an internal/ package that
+// no non-test Go file of the tree imports, bench/ and examples/ included,
+// outside testOnlyPackages. Code that only tests call belongs in the test
+// files beside the code it tests, not in a package of its own.
+func TestEveryPackageHasANonTestImporter(t *testing.T) {
+	fset := token.NewFileSet()
+	imported, pkgs := map[string]bool{}, map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir // fixtures, build caches
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if strings.HasPrefix(dir, "internal/") {
+			pkgs[dir] = true
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range file.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if rel, ok := strings.CutPrefix(p, "hypertp/"); ok {
+				imported[rel] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatal("census found no packages under internal/")
+	}
+	names := make([]string, 0, len(pkgs))
+	for pkg := range pkgs {
+		names = append(names, pkg)
+	}
+	sort.Strings(names)
+	for _, pkg := range names {
+		_, allowed := testOnlyPackages[pkg]
+		switch {
+		case !imported[pkg] && !allowed:
+			t.Errorf("%s: no non-test file imports it; move its code beside its test callers", pkg)
+		case imported[pkg] && allowed:
+			t.Errorf("%s is allowlisted but has a non-test importer: drop it from testOnlyPackages", pkg)
 		}
 	}
 }

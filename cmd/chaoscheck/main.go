@@ -16,9 +16,9 @@
 //	chaoscheck -seed 3 -ops 50 -record-out trace.json # record a corpus trace
 //
 // -record-out writes the run's operation trace — violation or not — as
-// a replayable trace bundle: the corpus format of the differential
-// fuzzers (internal/difffuzz). A recorded bundle replays with -replay
-// and, prefixed with an 8-byte mutation seed, seeds FuzzTransplantTrace.
+// a replayable trace bundle: the corpus format of FuzzTransplantTrace in
+// internal/chaos. A recorded bundle replays with -replay and, prefixed
+// with an 8-byte mutation seed, seeds that fuzz target.
 //
 // -crash grows the op vocabulary with the reactive-recovery kinds:
 // single-host fail-stops and hangs (recovered by an emergency
@@ -64,7 +64,7 @@ func main() {
 		os.Exit(2)
 	}
 	par.SetWorkers(cfg.Workers)
-	code, err := run(os.Stdout, cfg)
+	code, err := run(os.Stdout, os.Stderr, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chaoscheck:", err)
 	}
@@ -72,8 +72,8 @@ func main() {
 }
 
 // parseArgs parses the command line into a runConfig. Usage errors,
-// including a -fault-rate outside [0,1], are reported on stderr and
-// returned; main exits 2 on them.
+// including a -fault-rate outside [0,1] and a size below its minimum,
+// are reported on stderr and returned; main exits 2 on them.
 func parseArgs(args []string, stderr io.Writer) (runConfig, error) {
 	fs := flag.NewFlagSet("chaoscheck", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -92,15 +92,28 @@ func parseArgs(args []string, stderr io.Writer) (runConfig, error) {
 		flightCap = fs.Int("flight-cap", 0, "flight-recorder capacity for -stream (0 = default)")
 		artDir    = fs.String("artifact-dir", ".", "directory for violation artifacts (chaos-metrics.json, chaos-flight.jsonl)")
 		replay    = fs.String("replay", "", "replay a previously written bundle instead of generating")
-		recordOut = fs.String("record-out", "", "record the generated operation trace as a replayable corpus bundle (difffuzz seed material), violation or not")
+		recordOut = fs.String("record-out", "", "record the generated operation trace as a replayable corpus bundle (FuzzTransplantTrace seed material), violation or not")
 		workers   = fs.Int("workers", 0, "host worker pool size (0 = GOMAXPROCS); results are identical for any value")
 		verbose   = fs.Bool("v", false, "print the per-op trace")
 	)
 	if err := fs.Parse(args); err != nil {
 		return runConfig{}, err
 	}
+	var err error
 	if !(*faultRate >= 0 && *faultRate <= 1) {
-		err := fmt.Errorf("-fault-rate %v outside [0,1]", *faultRate)
+		err = fmt.Errorf("-fault-rate %v outside [0,1]", *faultRate)
+	}
+	// chaos.Config fills in zero or out-of-range sizes with defaults, so
+	// old bundles replay unchanged; on the command line they are errors.
+	for _, n := range []struct {
+		flag       string
+		value, min int
+	}{{"ops", *ops, 1}, {"hosts", *hosts, 2}, {"vms", *vms, 1}, {"flight-cap", *flightCap, 0}} {
+		if err == nil && n.value < n.min {
+			err = fmt.Errorf("-%s %d below its minimum %d", n.flag, n.value, n.min)
+		}
+	}
+	if err != nil {
 		fmt.Fprintf(stderr, "chaoscheck: %v\n", err)
 		return runConfig{}, err
 	}
@@ -165,7 +178,7 @@ func writeArtifacts(stdout io.Writer, dir string, res *chaos.Result) error {
 	return nil
 }
 
-func run(stdout io.Writer, cfg runConfig) (int, error) {
+func run(stdout, stderr io.Writer, cfg runConfig) (int, error) {
 	start := time.Now()
 	var res *chaos.Result
 	var err error
@@ -199,7 +212,7 @@ func run(stdout io.Writer, cfg runConfig) (int, error) {
 		fmt.Fprintln(stdout)
 	}
 	fmt.Fprint(stdout, res.Summary())
-	fmt.Fprintf(stdout, "wall time: %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "wall time: %v\n", time.Since(start).Round(time.Millisecond))
 
 	if cfg.RecordOut != "" {
 		data, merr := chaos.NewTraceBundle(res.Config, res.Ops).Marshal()
@@ -209,7 +222,7 @@ func run(stdout io.Writer, cfg runConfig) (int, error) {
 		if werr := os.WriteFile(cfg.RecordOut, data, 0o644); werr != nil {
 			return 1, werr
 		}
-		fmt.Fprintf(stdout, "record: wrote %s (%d op(s); replay with -replay, or feed to the difffuzz corpus)\n",
+		fmt.Fprintf(stdout, "record: wrote %s (%d op(s); replay with -replay, or feed to FuzzTransplantTrace in internal/chaos)\n",
 			cfg.RecordOut, len(res.Ops))
 	}
 

@@ -1,9 +1,9 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -11,39 +11,41 @@ import (
 )
 
 // A -fault-rate outside [0,1] is a usage error naming the flag, not a
-// soak that injects nothing and reports every invariant held.
+// soak that injects nothing and reports every invariant held; so is a
+// size below its minimum, not a soak silently run at the default size.
 func TestParseArgsRejectsOutOfRangeProbability(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
-		ok   bool
+		bad  string // the flag the error must name; "" = accepted
 	}{
-		{[]string{"-ops", "20", "-fault-rate", "-1"}, false},
-		{[]string{"-fault-rate", "1.01"}, false},
-		{[]string{"-fault-rate", "NaN"}, false},
-		{[]string{"-ops", "20", "-fault-rate", "0"}, true},
-		{[]string{"-fault-rate", "1"}, true},
-		{nil, true},
+		{[]string{"-ops", "20", "-fault-rate", "-1"}, "-fault-rate"},
+		{[]string{"-fault-rate", "1.01"}, "-fault-rate"},
+		{[]string{"-fault-rate", "NaN"}, "-fault-rate"},
+		{[]string{"-ops", "0"}, "-ops"},
+		{[]string{"-hosts", "1"}, "-hosts"},
+		{[]string{"-vms", "0"}, "-vms"},
+		{[]string{"-flight-cap", "-5", "-stream"}, "-flight-cap"},
+		{[]string{"-ops", "20", "-fault-rate", "0"}, ""},
+		{[]string{"-fault-rate", "1"}, ""},
+		{[]string{"-ops", "1", "-hosts", "2", "-vms", "1", "-flight-cap", "0"}, ""},
+		{nil, ""},
 	} {
 		var stderr strings.Builder
-		c, err := parseArgs(tc.args, &stderr)
-		if tc.ok {
+		_, err := parseArgs(tc.args, &stderr)
+		if tc.bad == "" {
 			if err != nil || stderr.Len() != 0 {
 				t.Errorf("%v: rejected: %v %s", tc.args, err, stderr.String())
 			}
 			continue
 		}
-		if err == nil || !strings.Contains(stderr.String(), "-fault-rate") {
-			t.Errorf("%v: accepted (rate %v), stderr %q", tc.args, c.FaultRate, stderr.String())
+		if err == nil || !strings.Contains(stderr.String(), tc.bad+" ") {
+			t.Errorf("%v: want a usage error naming %s, got %v, stderr %q", tc.args, tc.bad, err, stderr.String())
 		}
 	}
 }
 
-// wallTime matches the one line of run's output that varies between runs.
-var wallTime = regexp.MustCompile(`(?m)^wall time: .*\n`)
-
 // chaoscheck parses args as the command line does and runs them, returning
-// the exit code, stdout minus the wall-time line, and the error main
-// would print.
+// the exit code, stdout and the error main would print.
 func chaoscheck(t *testing.T, args ...string) (int, string, error) {
 	t.Helper()
 	cfg, err := parseArgs(args, os.Stderr)
@@ -51,8 +53,8 @@ func chaoscheck(t *testing.T, args ...string) (int, string, error) {
 		t.Fatalf("%v: %v", args, err)
 	}
 	var out strings.Builder
-	code, err := run(&out, cfg)
-	return code, wallTime.ReplaceAllString(out.String(), ""), err
+	code, err := run(&out, io.Discard, cfg)
+	return code, out.String(), err
 }
 
 func TestRun(t *testing.T) {

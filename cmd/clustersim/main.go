@@ -55,17 +55,20 @@ func main() {
 	if err != nil {
 		os.Exit(2)
 	}
-	switch {
-	case o.fleet:
-		err = runFleet(os.Stdout, o.hosts, o.fleetVMs, o.sc, o.ec, o.fl)
-	case o.fl.CrashRate > 0 || o.fl.MTTRBudget > 0 || o.fl.CVE != fleetCVE:
-		err = fmt.Errorf("clustersim: -crash-rate, -cve and -mttr-budget apply to the -fleet scenario")
-	default:
-		err = run(os.Stdout, o.hosts, o.vmsPerHost, o.group, o.traceFrac, o.fc, o.sc, o.ec)
-	}
-	if err != nil {
+	if err := dispatch(os.Stdout, o); err != nil {
 		os.Exit(exitWithLabel("clustersim", err))
 	}
+}
+
+// dispatch runs the scenario the flags in o select, printing to w.
+func dispatch(w io.Writer, o options) error {
+	switch {
+	case o.fleet:
+		return runFleet(w, o.hosts, o.fleetVMs, o.sc, o.ec, o.fl)
+	case o.fl.CrashRate > 0 || o.fl.MTTRBudget > 0 || o.fl.CVE != fleetCVE:
+		return fmt.Errorf("clustersim: -crash-rate, -cve and -mttr-budget apply to the -fleet scenario")
+	}
+	return run(w, o.hosts, o.vmsPerHost, o.group, o.traceFrac, o.fc, o.sc, o.ec)
 }
 
 // options is one clustersim invocation's worth of parsed flags.
@@ -81,8 +84,8 @@ type options struct {
 }
 
 // parseArgs parses the command line. Usage errors, including a
-// probability flag outside [0,1], are reported on stderr and returned;
-// main exits 2 on them.
+// fraction outside [0,1] and a negative count, are reported on stderr
+// and returned; main exits 2 on them.
 func parseArgs(args []string, stderr io.Writer) (options, error) {
 	fs := flag.NewFlagSet("clustersim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -114,15 +117,26 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
 	}
+	var err error
 	for _, p := range []struct {
 		flag  string
 		value float64
-	}{{"fault-rate", *faultRate}, {"crash-rate", *crashRate}, {"trace-sample", *traceSample}} {
-		if !(p.value >= 0 && p.value <= 1) {
-			err := fmt.Errorf("-%s %v outside [0,1]", p.flag, p.value)
-			fmt.Fprintf(stderr, "clustersim: %v\n", err)
-			return options{}, err
+	}{{"fault-rate", *faultRate}, {"crash-rate", *crashRate}, {"trace-sample", *traceSample}, {"trace-frac", *traceFrac}} {
+		if err == nil && !(p.value >= 0 && p.value <= 1) {
+			err = fmt.Errorf("-%s %v outside [0,1]", p.flag, p.value)
 		}
+	}
+	for _, n := range []struct {
+		flag  string
+		value int
+	}{{"streams", *streams}, {"kexecs", *kexecs}, {"warm-pool", *warmPool}} {
+		if err == nil && n.value < 0 {
+			err = fmt.Errorf("-%s %d below its minimum 0", n.flag, n.value)
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "clustersim: %v\n", err)
+		return options{}, err
 	}
 	return options{
 		hosts: *hosts, vmsPerHost: *vmsPerHost, group: *group, traceFrac: *traceFrac,

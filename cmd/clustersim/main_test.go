@@ -275,8 +275,9 @@ func TestStreamOutSampledDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// A probability flag outside [0,1] is a usage error naming the flag, not
-// a run that is silently unfaulted, crash-free or unsampled.
+// A fraction flag outside [0,1] is a usage error naming the flag, not a
+// run that is silently unfaulted, crash-free, unsampled or traced at
+// another fraction; so is a negative count, not a run at the default.
 func TestParseArgsRejectsOutOfRangeProbability(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -289,6 +290,12 @@ func TestParseArgsRejectsOutOfRangeProbability(t *testing.T) {
 		{[]string{"-trace-sample", "-0.3", "-stream-out", "f"}, "-trace-sample"},
 		{[]string{"-trace-sample", "1.7"}, "-trace-sample"},
 		{[]string{"-trace-sample", "NaN"}, "-trace-sample"},
+		{[]string{"-trace-frac", "2", "-trace-out", "f"}, "-trace-frac"},
+		{[]string{"-trace-frac", "-0.1"}, "-trace-frac"},
+		{[]string{"-streams", "-1"}, "-streams"},
+		{[]string{"-kexecs", "-1"}, "-kexecs"},
+		{[]string{"-fleet", "-warm-pool", "-3"}, "-warm-pool"},
+		{[]string{"-trace-frac", "1", "-streams", "0", "-kexecs", "0", "-warm-pool", "0"}, ""},
 		{[]string{"-fault-rate", "0.2", "-trace-sample", "0", "-crash-rate", "1"}, ""},
 		{nil, ""},
 	} {

@@ -63,14 +63,14 @@ func main() {
 	if err != nil {
 		os.Exit(2)
 	}
-	if err := run(cfg); err != nil {
+	if err := run(os.Stdout, cfg); err != nil {
 		os.Exit(exitWithLabel("tpctl", err))
 	}
 }
 
 // parseArgs parses the command line into a runConfig. Usage errors,
-// including a -fault-rate outside [0,1], are reported on stderr and
-// returned; main exits 2 on them.
+// including a -fault-rate outside [0,1] and a negative -warm-pool, are
+// reported on stderr and returned; main exits 2 on them.
 func parseArgs(args []string, stderr io.Writer) (runConfig, error) {
 	fs := flag.NewFlagSet("tpctl", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -103,8 +103,14 @@ func parseArgs(args []string, stderr io.Writer) (runConfig, error) {
 	if err := fs.Parse(args); err != nil {
 		return runConfig{}, err
 	}
-	if !(*faultRate >= 0 && *faultRate <= 1) {
-		err := fmt.Errorf("-fault-rate %v outside [0,1]", *faultRate)
+	var err error
+	switch {
+	case !(*faultRate >= 0 && *faultRate <= 1):
+		err = fmt.Errorf("-fault-rate %v outside [0,1]", *faultRate)
+	case *warmPool < 0:
+		err = fmt.Errorf("-warm-pool %d below its minimum 0", *warmPool)
+	}
+	if err != nil {
 		fmt.Fprintf(stderr, "tpctl: %v\n", err)
 		return runConfig{}, err
 	}
@@ -178,7 +184,7 @@ type runConfig struct {
 	Verbose                 bool
 }
 
-func run(cfg runConfig) error {
+func run(stdout io.Writer, cfg runConfig) error {
 	fromKind, err := hv.ParseKind(cfg.From)
 	if err != nil {
 		return err
@@ -198,13 +204,13 @@ func run(cfg runConfig) error {
 		if !ok {
 			return fmt.Errorf("unknown CVE %q", cfg.CVE)
 		}
-		fmt.Printf("policy check: %s (CVSS %.1f, %s, affects %v)\n",
+		fmt.Fprintf(stdout, "policy check: %s (CVSS %.1f, %s, affects %v)\n",
 			rec.ID, rec.CVSS, rec.Severity(), rec.Affects)
 		worthwhile, target := db.TransplantWorthwhile(cfg.CVE, cfg.From, []string{"xen", "kvm"})
 		if !worthwhile {
 			return fmt.Errorf("policy: transplant not indicated for %s on %s", cfg.CVE, cfg.From)
 		}
-		fmt.Printf("policy: transplant %s → %s indicated\n\n", cfg.From, target)
+		fmt.Fprintf(stdout, "policy: transplant %s → %s indicated\n\n", cfg.From, target)
 	}
 
 	clock := simtime.NewClock()
@@ -226,7 +232,7 @@ func run(cfg runConfig) error {
 			plan.Restrict(sites...)
 		}
 		engine.Fault = plan
-		fmt.Printf("fault injection: seed %d, rate %.2f, sites %s\n\n",
+		fmt.Fprintf(stdout, "fault injection: seed %d, rate %.2f, sites %s\n\n",
 			cfg.FaultSeed, cfg.FaultRate, orAll(cfg.FaultSites))
 	}
 	src, err := engine.BootHypervisor(fromKind)
@@ -245,7 +251,7 @@ func run(cfg runConfig) error {
 		}
 		vmIDs = append(vmIDs, vm.ID)
 	}
-	fmt.Printf("host: %s running %s with %d VM(s) of %d vCPU / %d GiB\n\n",
+	fmt.Fprintf(stdout, "host: %s running %s with %d VM(s) of %d vCPU / %d GiB\n\n",
 		profile.Name, src.Name(), cfg.VMs, cfg.VCPUs, cfg.MemGiB)
 
 	var cache *tpcache.Cache
@@ -257,7 +263,7 @@ func run(cfg runConfig) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("warm pool: pre-staged %d translation(s)\n\n", staged)
+			fmt.Fprintf(stdout, "warm pool: pre-staged %d translation(s)\n\n", staged)
 		}
 	} else if cfg.WarmPool > 0 {
 		return fmt.Errorf("-warm-pool needs the transplant cache; drop -no-cache")
@@ -277,10 +283,10 @@ func run(cfg runConfig) error {
 			// run the salvage path directly — the detector-triggered shape.
 			if cfg.CrashAt == "hang" {
 				src.Hang("operator-injected hang")
-				fmt.Printf("hang injected: %s wedged; fencing and salvaging\n\n", src.Name())
+				fmt.Fprintf(stdout, "hang injected: %s wedged; fencing and salvaging\n\n", src.Name())
 			} else {
 				src.Crash("operator-injected crash")
-				fmt.Printf("crash injected: %s fail-stopped while idle\n\n", src.Name())
+				fmt.Fprintf(stdout, "crash injected: %s fail-stopped while idle\n\n", src.Name())
 			}
 			_, rep, err = engine.Emergency(src, toKind, cfg.Opts)
 			if err != nil {
@@ -300,7 +306,7 @@ func run(cfg runConfig) error {
 			} else if hterr.Class(err) != hterr.ErrHypervisorCrashed {
 				return err
 			}
-			fmt.Printf("crash injected: %s fail-stopped mid-transplant; transplant abandoned, salvaging\n\n", src.Name())
+			fmt.Fprintf(stdout, "crash injected: %s fail-stopped mid-transplant; transplant abandoned, salvaging\n\n", src.Name())
 			_, rep, err = engine.Emergency(src, toKind, cfg.Opts)
 			if err != nil {
 				return err
@@ -324,17 +330,17 @@ func run(cfg runConfig) error {
 		tab.AddRow("downtime", rep.Downtime.String())
 		tab.AddRow("network downtime", rep.NetworkDowntime.String())
 		tab.AddRow("total", rep.Total.String())
-		fmt.Println(tab.Render())
-		fmt.Printf("overheads: PRAM %d B, UISR %d B, wiped %d frames\n",
+		fmt.Fprintln(stdout, tab.Render())
+		fmt.Fprintf(stdout, "overheads: PRAM %d B, UISR %d B, wiped %d frames\n",
 			rep.PRAMMetadataBytes, rep.UISRBytes, rep.WipedFrames)
-		fmt.Printf("outcome: %s (attempts %d, faults absorbed %d)\n",
+		fmt.Fprintf(stdout, "outcome: %s (attempts %d, faults absorbed %d)\n",
 			rep.Outcome, rep.Summary().Attempts, rep.Faults)
 		if cache != nil {
-			fmt.Printf("cache: %s\n", cache.Stats())
+			fmt.Fprintf(stdout, "cache: %s\n", cache.Stats())
 		}
 		if cfg.Verbose {
-			fmt.Printf("\nworkflow trace:\n")
-			printWorkflow(rec)
+			fmt.Fprintf(stdout, "\nworkflow trace:\n")
+			printWorkflow(stdout, rec)
 		}
 	case "migration":
 		if cfg.CrashAt != "" {
@@ -369,7 +375,7 @@ func run(cfg runConfig) error {
 				rep.Downtime.String(), rep.TotalTime.String(),
 				fmt.Sprint(rep.Attempts), string(rep.Outcome))
 		}
-		fmt.Println(tab.Render())
+		fmt.Fprintln(stdout, tab.Render())
 	default:
 		return fmt.Errorf("unknown mode %q (want inplace or migration)", cfg.Mode)
 	}
@@ -377,36 +383,36 @@ func run(cfg runConfig) error {
 		if err := writeFileWith(cfg.TraceOut, rec.WriteChromeTrace); err != nil {
 			return err
 		}
-		fmt.Printf("trace: wrote %s (open in Perfetto or chrome://tracing)\n", cfg.TraceOut)
+		fmt.Fprintf(stdout, "trace: wrote %s (open in Perfetto or chrome://tracing)\n", cfg.TraceOut)
 	}
 	if cfg.MetricsOut != "" {
 		write := func(w io.Writer) error { return rec.Metrics().WriteMetricsJSON(w, false) }
 		if err := writeFileWith(cfg.MetricsOut, write); err != nil {
 			return err
 		}
-		fmt.Printf("metrics: wrote %s\n", cfg.MetricsOut)
+		fmt.Fprintf(stdout, "metrics: wrote %s\n", cfg.MetricsOut)
 	}
 	if cfg.PromOut != "" {
 		write := func(w io.Writer) error { return rec.Metrics().WritePrometheus(w, false) }
 		if err := writeFileWith(cfg.PromOut, write); err != nil {
 			return err
 		}
-		fmt.Printf("metrics: wrote %s (Prometheus text format)\n", cfg.PromOut)
+		fmt.Fprintf(stdout, "metrics: wrote %s (Prometheus text format)\n", cfg.PromOut)
 	}
 	if cfg.SpansOut != "" {
 		if err := writeFileWith(cfg.SpansOut, rec.WriteJSONL); err != nil {
 			return err
 		}
-		fmt.Printf("spans: wrote %s (JSONL, one record per line)\n", cfg.SpansOut)
+		fmt.Fprintf(stdout, "spans: wrote %s (JSONL, one record per line)\n", cfg.SpansOut)
 	}
 	if cfg.FaultPlan && plan != nil {
 		shots := plan.Shots()
 		if len(shots) == 0 {
-			fmt.Println("fault plan: no shots fired")
+			fmt.Fprintln(stdout, "fault plan: no shots fired")
 		} else {
-			fmt.Printf("fault plan: %d shot(s) fired:\n", len(shots))
+			fmt.Fprintf(stdout, "fault plan: %d shot(s) fired:\n", len(shots))
 			for _, s := range shots {
-				fmt.Println("  " + s.String())
+				fmt.Fprintln(stdout, "  "+s.String())
 			}
 		}
 	}
@@ -416,14 +422,14 @@ func run(cfg runConfig) error {
 // printWorkflow prints each transplant's span tree — the root, the
 // Fig. 3 phases under it, and the recovery passes nested in them — one
 // line per span: virtual start, name and attributes.
-func printWorkflow(rec *obs.Recorder) {
+func printWorkflow(w io.Writer, rec *obs.Recorder) {
 	for _, root := range rec.Roots() {
 		root.Walk(func(s *obs.Span, depth int) {
 			line := fmt.Sprintf("%13.6fs  %*s%-12s", s.StartTime().Seconds(), 2*depth, "", s.Name)
 			for _, a := range s.Attrs() {
 				line += " " + a.Key + "=" + a.Value
 			}
-			fmt.Println(strings.TrimRight(line, " "))
+			fmt.Fprintln(w, strings.TrimRight(line, " "))
 		})
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -26,18 +27,18 @@ func TestParseKind(t *testing.T) {
 	for _, pair := range [][2]string{{"xen", "nova"}, {"nova", "kvm"}} {
 		c := cfg("inplace")
 		c.From, c.To = pair[0], pair[1]
-		if err := run(c); err != nil {
+		if err := run(io.Discard, c); err != nil {
 			t.Fatalf("%s -> %s: %v", pair[0], pair[1], err)
 		}
 	}
 	c := cfg("inplace")
 	c.From = "vmware"
-	if err := run(c); err == nil {
+	if err := run(io.Discard, c); err == nil {
 		t.Fatal("unknown -from accepted")
 	}
 	c = cfg("inplace")
 	c.To = "vmware"
-	if err := run(c); err == nil {
+	if err := run(io.Discard, c); err == nil {
 		t.Fatal("unknown -to accepted")
 	}
 }
@@ -54,7 +55,7 @@ func TestParseProfile(t *testing.T) {
 }
 
 func TestRunInPlace(t *testing.T) {
-	if err := run(cfg("inplace")); err != nil {
+	if err := run(io.Discard, cfg("inplace")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -62,7 +63,7 @@ func TestRunInPlace(t *testing.T) {
 func TestRunMigration(t *testing.T) {
 	c := cfg("migration")
 	c.VMs = 2
-	if err := run(c); err != nil {
+	if err := run(io.Discard, c); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -70,16 +71,16 @@ func TestRunMigration(t *testing.T) {
 func TestRunWithPolicyCheck(t *testing.T) {
 	c := cfg("inplace")
 	c.CVE = "CVE-2016-6258"
-	if err := run(c); err != nil {
+	if err := run(io.Discard, c); err != nil {
 		t.Fatal(err)
 	}
 	// Medium flaw: the policy refuses.
 	c.CVE = "CVE-2015-8104"
-	if err := run(c); err == nil {
+	if err := run(io.Discard, c); err == nil {
 		t.Fatal("medium CVE accepted")
 	}
 	c.CVE = "CVE-0000-0000"
-	if err := run(c); err == nil {
+	if err := run(io.Discard, c); err == nil {
 		t.Fatal("unknown CVE accepted")
 	}
 }
@@ -98,7 +99,7 @@ func TestRunErrors(t *testing.T) {
 	c.Machine = "M9"
 	bad = append(bad, c)
 	for i, c := range bad {
-		if err := run(c); err == nil {
+		if err := run(io.Discard, c); err == nil {
 			t.Fatalf("bad config %d accepted", i)
 		}
 	}
@@ -112,13 +113,13 @@ func TestRunWithFaultInjection(t *testing.T) {
 	c := cfg("inplace")
 	c.FaultSeed, c.FaultRate, c.FaultSites = 42, 1, "kexec.handover"
 	c.FaultPlan = true
-	if err := run(c); err != nil {
+	if err := run(io.Discard, c); err != nil {
 		t.Fatal(err)
 	}
 
 	c = cfg("migration")
 	c.FaultSeed, c.FaultRate, c.FaultSites = 42, 1, "link.loss"
-	if err := run(c); err != nil {
+	if err := run(io.Discard, c); err != nil {
 		t.Fatal(err)
 	}
 
@@ -126,7 +127,7 @@ func TestRunWithFaultInjection(t *testing.T) {
 	// aborts to the source with a classified error.
 	c = cfg("migration")
 	c.FaultSeed, c.FaultRate, c.FaultSites = 42, 1, "link.abort"
-	err := run(c)
+	err := run(io.Discard, c)
 	if !errors.Is(err, hterr.ErrAborted) || !errors.Is(err, hterr.ErrInjected) {
 		t.Fatalf("err = %v, want aborted+injected", err)
 	}
@@ -134,7 +135,7 @@ func TestRunWithFaultInjection(t *testing.T) {
 	// Unknown site rejected.
 	c = cfg("inplace")
 	c.FaultSites = "no.such.site"
-	if err := run(c); err == nil {
+	if err := run(io.Discard, c); err == nil {
 		t.Fatal("unknown fault site accepted")
 	}
 }
@@ -147,18 +148,18 @@ func TestRunCrashAt(t *testing.T) {
 		c := cfg("inplace")
 		c.VMs = 2
 		c.CrashAt = at
-		if err := run(c); err != nil {
+		if err := run(io.Discard, c); err != nil {
 			t.Fatalf("-crash-at %s: %v", at, err)
 		}
 	}
 	c := cfg("inplace")
 	c.CrashAt = "restore"
-	if err := run(c); err == nil {
+	if err := run(io.Discard, c); err == nil {
 		t.Fatal("unknown -crash-at accepted")
 	}
 	c = cfg("migration")
 	c.CrashAt = "idle"
-	if err := run(c); err == nil {
+	if err := run(io.Discard, c); err == nil {
 		t.Fatal("-crash-at with -mode migration accepted")
 	}
 	if got := exitWithLabel("tpctl", hterr.HypervisorCrashed(errors.New("frozen"))); got != 2 {
@@ -177,7 +178,7 @@ func TestRunTraceAndMetricsOut(t *testing.T) {
 		c := cfg(mode)
 		c.TraceOut = filepath.Join(dir, mode+"-trace.json")
 		c.MetricsOut = filepath.Join(dir, mode+"-metrics.json")
-		if err := run(c); err != nil {
+		if err := run(io.Discard, c); err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
 		var tr struct {
@@ -216,7 +217,7 @@ func TestRunWarmPoolAndNoCache(t *testing.T) {
 	c.VMs = 2
 	c.WarmPool = 2
 	c.PromOut = filepath.Join(dir, "warm.prom")
-	if err := run(c); err != nil {
+	if err := run(io.Discard, c); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(c.PromOut)
@@ -231,14 +232,14 @@ func TestRunWarmPoolAndNoCache(t *testing.T) {
 
 	c = cfg("inplace")
 	c.NoCache = true
-	if err := run(c); err != nil {
+	if err := run(io.Discard, c); err != nil {
 		t.Fatal(err)
 	}
 
 	c = cfg("inplace")
 	c.NoCache = true
 	c.WarmPool = 2
-	if err := run(c); err == nil {
+	if err := run(io.Discard, c); err == nil {
 		t.Fatal("-warm-pool with -no-cache accepted")
 	}
 }
@@ -246,27 +247,15 @@ func TestRunWarmPoolAndNoCache(t *testing.T) {
 // -v prints the span tree: the transplant's root, then every Fig. 3 step
 // in workflow order, one line each.
 func TestRunVerbosePrintsSteps(t *testing.T) {
-	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
 	c := cfg("inplace")
 	c.Verbose = true
-	stdout := os.Stdout
-	os.Stdout = f
-	err = run(c)
-	os.Stdout = stdout
-	if err != nil {
+	var out strings.Builder
+	if err := run(&out, c); err != nil {
 		t.Fatal(err)
 	}
-	out, err := os.ReadFile(f.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, workflow, ok := strings.Cut(string(out), "workflow trace:\n")
+	_, workflow, ok := strings.Cut(out.String(), "workflow trace:\n")
 	if !ok {
-		t.Fatalf("no workflow trace in -v output:\n%s", out)
+		t.Fatalf("no workflow trace in -v output:\n%s", out.String())
 	}
 	var names []string
 	for _, line := range strings.Split(strings.TrimSpace(workflow), "\n") {
@@ -278,29 +267,32 @@ func TestRunVerbosePrintsSteps(t *testing.T) {
 }
 
 // A probability flag outside [0,1] is a usage error naming the flag, not
-// a run that silently injects nothing.
+// a run that silently injects nothing; so is a negative -warm-pool, not
+// a run that silently stages nothing.
 func TestParseArgsRejectsOutOfRangeProbability(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
-		ok   bool
+		bad  string // the flag the error must name; "" = accepted
 	}{
-		{[]string{"-fault-rate", "-1"}, false},
-		{[]string{"-fault-rate", "1.5"}, false},
-		{[]string{"-fault-rate", "NaN"}, false},
-		{[]string{"-fault-rate", "0"}, true},
-		{[]string{"-fault-rate", "1"}, true},
-		{[]string{"-fault-rate", "0.2"}, true},
+		{[]string{"-fault-rate", "-1"}, "-fault-rate"},
+		{[]string{"-fault-rate", "1.5"}, "-fault-rate"},
+		{[]string{"-fault-rate", "NaN"}, "-fault-rate"},
+		{[]string{"-warm-pool", "-3"}, "-warm-pool"},
+		{[]string{"-fault-rate", "0"}, ""},
+		{[]string{"-fault-rate", "1"}, ""},
+		{[]string{"-fault-rate", "0.2"}, ""},
+		{[]string{"-warm-pool", "0"}, ""},
 	} {
 		var stderr strings.Builder
-		c, err := parseArgs(tc.args, &stderr)
-		if tc.ok {
+		_, err := parseArgs(tc.args, &stderr)
+		if tc.bad == "" {
 			if err != nil || stderr.Len() != 0 {
 				t.Errorf("%v: rejected: %v %s", tc.args, err, stderr.String())
 			}
 			continue
 		}
-		if err == nil || !strings.Contains(stderr.String(), "-fault-rate") {
-			t.Errorf("%v: accepted (rate %v), stderr %q", tc.args, c.FaultRate, stderr.String())
+		if err == nil || !strings.Contains(stderr.String(), tc.bad+" ") {
+			t.Errorf("%v: want a usage error naming %s, got %v, stderr %q", tc.args, tc.bad, err, stderr.String())
 		}
 	}
 }

@@ -72,18 +72,24 @@ type Op struct {
 // Xen-only and two KVM-only (the upgrade paths in each direction).
 var respondCVEs = []string{"CVE-2015-3456", "CVE-2016-6258", "CVE-2017-12188", "CVE-2013-0311"}
 
-// KnownCVEs returns the generator's CVE vocabulary, so external trace
-// producers (the differential fuzzer's derived traces) draw respond ops
-// from the same set the vulndb knows.
-func KnownCVEs() []string {
-	return append([]string(nil), respondCVEs...)
+// source is the draw stream the generator consumes: a seeded
+// *simtime.Rand for Generate, or the raw bytes of a fuzz input, so that
+// fuzzing reaches every op kind through this one generator body.
+type source interface {
+	Intn(n int) int
+	Uint64() uint64
+	Float64() float64
 }
 
 // Generate derives cfg.Ops operations from cfg.Seed via SplitMix64 — the
 // same stream every time, on every platform, at any worker count.
 func Generate(cfg Config) []Op {
 	cfg = cfg.withDefaults()
-	rng := simtime.NewRand(cfg.Seed)
+	return generate(cfg, simtime.NewRand(cfg.Seed))
+}
+
+// generate draws cfg.Ops operations over cfg's fleet from rng.
+func generate(cfg Config, rng source) []Op {
 	host := func() string { return fmt.Sprintf("host-%02d", rng.Intn(cfg.Hosts)) }
 	vm := func() string { return fmt.Sprintf("vm-%02d", rng.Intn(cfg.VMs)) }
 	ops := make([]Op, 0, cfg.Ops)

@@ -1,5 +1,6 @@
-// Package fuzzseed keeps checked-in seed corpora for the repo's fuzz
-// targets in lockstep with the seeds the targets f.Add at runtime.
+// Package fuzzseed keeps the repo's generated test fixtures in lockstep
+// with the code that generates them: the checked-in seed corpora of the
+// fuzz targets (Check) and the golden outputs of the commands (Golden).
 //
 // Each fuzz target's seeds live under the owning package's
 // testdata/fuzz/<Target>/ directory in the standard Go fuzzing v1

@@ -1,18 +1,21 @@
 package fuzzseed
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// fatalRecorder captures Fatal/Fatalf instead of aborting, so the
-// Check failure paths are testable.
+// fatalRecorder captures Fatal/Fatalf instead of aborting, and Errorf
+// messages, so the Check and Golden failure paths are testable.
 type fatalRecorder struct {
 	testing.TB
 	failed bool
 	msg    string
+	errs   []string
 }
 
 func (r *fatalRecorder) Helper() {}
@@ -24,6 +27,9 @@ func (r *fatalRecorder) Fatalf(format string, args ...any) {
 	r.msg = format
 }
 func (r *fatalRecorder) Logf(format string, args ...any) {}
+func (r *fatalRecorder) Errorf(format string, args ...any) {
+	r.errs = append(r.errs, fmt.Sprintf(format, args...))
+}
 
 // withCorpusDir runs fn chdir'd into a temp dir so Check's relative
 // testdata/fuzz paths land there.
@@ -89,4 +95,47 @@ func TestCheckRejectsStaleExtraSeed(t *testing.T) {
 			t.Fatalf("crasher file wrongly rejected: %s", rec.msg)
 		}
 	})
+}
+
+// Golden rewrites a row's goldens under update, then names every file
+// that departs from them: a changed line, a written file with no golden,
+// and a golden file the run no longer writes.
+func TestGoldenUpdateThenVerify(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "row")
+	run := func(update bool, stdout, file string) []string {
+		rec := &fatalRecorder{TB: t}
+		Golden(rec, dir, update, func(w io.Writer) {
+			io.WriteString(w, stdout)
+			if err := os.WriteFile(file, []byte("export\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if rec.failed {
+			t.Fatalf("Golden failed fatally: %s", rec.msg)
+		}
+		return rec.errs
+	}
+	if errs := run(true, "a\nb\n", "x.json"); len(errs) != 0 {
+		t.Fatalf("update reported %v", errs)
+	}
+	if errs := run(false, "a\nb\n", "x.json"); len(errs) != 0 {
+		t.Fatalf("unchanged run reported %v", errs)
+	}
+	for _, tc := range []struct {
+		stdout, file string
+		want         []string
+	}{
+		{"a\nc\n", "x.json", []string{`row/stdout: differs at line 2:` + "\n" + ` want "b\n"` + "\n" + `  got "c\n"`}},
+		{"a\nb\n", "y.json", []string{"row/x.json: has a golden but was not written", "row/y.json: written but has no golden"}},
+	} {
+		errs := run(false, tc.stdout, tc.file)
+		if len(errs) != len(tc.want) {
+			t.Fatalf("%q %s: got %d errors %q, want %d", tc.stdout, tc.file, len(errs), errs, len(tc.want))
+		}
+		for i, want := range tc.want {
+			if !strings.HasPrefix(errs[i], want) {
+				t.Errorf("%q %s: error %q, want prefix %q", tc.stdout, tc.file, errs[i], want)
+			}
+		}
+	}
 }

@@ -480,7 +480,11 @@ func parseFile(mem *hw.PhysMem, info hw.MFN) (f File, nodes []hw.MFN, err error)
 // splitExtents expands huge extents into order-0 entries (the
 // non-huge-page ablation).
 func splitExtents(in []uisr.PageExtent) []uisr.PageExtent {
-	var out []uisr.PageExtent
+	n := uint64(0)
+	for _, e := range in {
+		n += e.Pages()
+	}
+	out := make([]uisr.PageExtent, 0, n)
 	for _, e := range in {
 		if e.Order == 0 {
 			out = append(out, e)
