@@ -3,12 +3,15 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"hypertp/internal/fault"
 	"hypertp/internal/hterr"
 	"hypertp/internal/hv"
 	"hypertp/internal/hw"
+	"hypertp/internal/kexec"
 	"hypertp/internal/obs"
 	"hypertp/internal/par"
 	"hypertp/internal/tpcache"
@@ -172,5 +175,67 @@ func TestCacheStalePoisonFallback(t *testing.T) {
 	preHits := st.Hits
 	if _, _ = pingPong(t, b, dst, 2, opts); opts.Cache.Stats().Hits <= preHits {
 		t.Fatalf("cache did not self-heal after poison: %+v", opts.Cache.Stats())
+	}
+}
+
+// TestParseMemoMissesCorruptedPRAM: the target answers its PRAM parse
+// from the snapshot's memo only while the metadata frames hold the pages
+// the snapshot captured. Between boot and parse, a hook parses the
+// handover structure once, which fills the memo, and then writes one byte
+// into its root page: the write unshares the page, the memo misses, and
+// the cold parse rejects the structure by name. The same hop left alone
+// hits the memo. Planned, on a primed host, the structure is a replay;
+// Emergency re-encodes its blobs at fresh frames, so its structure is a
+// cold build whose pages the snapshot captured — shared the same way.
+func TestParseMemoMissesCorruptedPRAM(t *testing.T) {
+	boot := slices.IndexFunc(phases, func(p phase) bool { return p.step == stepBoot })
+	orig := phases[boot].run
+	defer func() { phases[boot].run = orig }()
+	for _, emergency := range []bool{false, true} {
+		for _, corrupt := range []bool{false, true} {
+			name := fmt.Sprintf("emergency=%v/corrupt=%v", emergency, corrupt)
+			phases[boot].run = orig
+			b := newBench(t, hw.M1())
+			opts := DefaultOptions()
+			opts.Cache = tpcache.New()
+			src, _ := pingPong(t, b, bootSmallVMs(t, b, hv.KindXen, 2), 4, opts)
+			snap := opts.Cache.PRAMSnapshot(b.m)
+			replays, _ := snap.Stats()
+			var filled uint64
+			phases[boot].run = func(tp *transplant) error {
+				if err := orig(tp); err != nil {
+					return err
+				}
+				ptr, err := kexec.ParseCmdline(tp.e.Machine.Cmdline)
+				if err != nil {
+					return err
+				}
+				if _, err := snap.Parse(tp.e.Machine.Mem, ptr); err != nil {
+					return err
+				}
+				filled = snap.ParseHits()
+				if corrupt {
+					return tp.e.Machine.Mem.Write(ptr, 0, []byte{0xff})
+				}
+				return nil
+			}
+			var err error
+			if emergency {
+				crashHost(t, src, "memo test")
+				_, _, err = b.engine.Emergency(src, hv.KindKVM, opts)
+			} else {
+				_, _, err = b.engine.InPlace(src, hv.KindKVM, opts)
+			}
+			if hits, _ := snap.Stats(); !emergency && hits == replays {
+				t.Fatalf("%s: the handover structure was not replayed", name)
+			}
+			memoHits := snap.ParseHits() - filled
+			switch {
+			case corrupt && (memoHits != 0 || err == nil || !strings.Contains(err.Error(), "bad root magic")):
+				t.Errorf("%s: %d memo hits, err %v; want 0 and a bad root magic", name, memoHits, err)
+			case !corrupt && (memoHits != 1 || err != nil):
+				t.Errorf("%s: %d memo hits, err %v; want 1 and no error", name, memoHits, err)
+			}
+		}
 	}
 }

@@ -670,7 +670,7 @@ func (t *transplant) parsePRAM() error {
 	if err != nil {
 		return err
 	}
-	if t.parsed, err = pram.Parse(t.e.Machine.Mem, ptr); err != nil {
+	if t.parsed, err = t.e.pramBuildOptions(t.opts).Snapshot.Parse(t.e.Machine.Mem, ptr); err != nil {
 		return fmt.Errorf("core: PRAM lost across reboot: %w", err)
 	}
 	t.span.SetAttr("files", len(t.parsed.Files))

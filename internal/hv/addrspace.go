@@ -29,16 +29,16 @@ type AddressSpace struct {
 }
 
 // NewAddressSpace builds an address space from extents. Extents must be
-// non-overlapping in GFN space and aligned to their order; they are sorted
-// here.
+// non-overlapping in GFN space and aligned to their order. The space
+// keeps extents as its map when they are sorted by GFN — an adopted map
+// is handed over by reference, not copied — and sorts a private copy
+// when they are not; it never modifies extents, and neither may the
+// caller afterwards.
 func NewAddressSpace(mem *hw.PhysMem, extents []uisr.PageExtent) (*AddressSpace, error) {
-	return ownAddressSpace(mem, slices.Clone(extents))
-}
-
-// ownAddressSpace is NewAddressSpace over a slice the space may keep.
-func ownAddressSpace(mem *hw.PhysMem, sorted []uisr.PageExtent) (*AddressSpace, error) {
 	byGFN := func(a, b uisr.PageExtent) int { return cmp.Compare(a.GFN, b.GFN) }
+	sorted := extents
 	if !slices.IsSortedFunc(sorted, byGFN) {
+		sorted = slices.Clone(extents)
 		slices.SortFunc(sorted, byGFN)
 	}
 	var pages uint64
@@ -84,7 +84,7 @@ func AllocAddressSpace(mem *hw.PhysMem, vm int, memBytes uint64, huge bool) (*Ad
 		}
 		extents = FrameExtents(ranges)
 	}
-	return ownAddressSpace(mem, extents)
+	return NewAddressSpace(mem, extents)
 }
 
 // FrameExtents maps the frames of ranges, in order, at guest frames 0, 1,

@@ -2,6 +2,7 @@ package hv
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -112,6 +113,28 @@ func TestNewAddressSpaceRejectsOverlap(t *testing.T) {
 	}
 	if _, err := NewAddressSpace(mem, extents); err == nil {
 		t.Fatal("overlapping extents accepted")
+	}
+}
+
+// TestNewAddressSpaceAdoptsSortedMapsByReference: a map sorted by GFN —
+// an adopted PRAM map — becomes the space's map as given, with no copy;
+// an unsorted one is sorted into a private copy, so the caller's slice,
+// which may be a parse memo's, is never reordered.
+func TestNewAddressSpaceAdoptsSortedMapsByReference(t *testing.T) {
+	sorted := []uisr.PageExtent{{GFN: 0, MFN: 1024, Order: 9}, {GFN: 512, MFN: 0, Order: 9}}
+	as, err := NewAddressSpace(newMem(), sorted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &as.Extents()[0] != &sorted[0] {
+		t.Fatal("a sorted map was copied")
+	}
+	unsorted := []uisr.PageExtent{sorted[1], sorted[0]}
+	if as, err = NewAddressSpace(newMem(), unsorted); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(as.Extents(), sorted) || unsorted[0] != sorted[1] {
+		t.Fatalf("unsorted map %v became %v; want %v, the input left as it was", unsorted, as.Extents(), sorted)
 	}
 }
 

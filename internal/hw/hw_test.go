@@ -834,6 +834,74 @@ func TestConcurrentDisjointRanges(t *testing.T) {
 	}
 }
 
+// TestConcurrentInstalledPages: workers on disjoint runs that all hold
+// one capture's pages — the shared pages every warm PRAM replay installs
+// — checksum, read and write them at once (run under -race). Each write
+// unshares only its own frame: the worker's run stops holding the
+// capture, every other run and the captured frames still hold it, and the
+// result matches a sequential run of the same work.
+func TestConcurrentInstalledPages(t *testing.T) {
+	const workers, span = 8, 40
+	run := func(width int) []uint64 {
+		par.SetWorkers(width)
+		defer par.SetWorkers(0)
+		pm := NewPhysMem((workers + 1) * chunkFrames * PageSize4K)
+		origin, err := pm.AllocRanges(span, OwnerPRAM, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < span; k++ {
+			if err := pm.Write(origin[0].Start+MFN(k), 0, []byte{byte(k), 0xA5}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		capture, err := pm.SharePages(origin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer capture.Release()
+		runs := make([][]FrameRange, workers)
+		for w := range runs {
+			start := MFN((w + 1) * chunkFrames)
+			runs[w] = []FrameRange{{Start: start, Count: span}}
+			if err := pm.ClaimRange(start, span, OwnerPRAM, -1); err != nil {
+				t.Fatal(err)
+			}
+			if err := pm.InstallPages(runs[w], capture); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sums, err := par.Map(runs, func(w int, rs []FrameRange) (uint64, error) {
+			start := rs[0].Start
+			sum, err := pm.ChecksumRange(start, span, 0)
+			if err != nil {
+				return 0, err
+			}
+			if err := pm.Write(start+MFN(w), 1, []byte{byte(w)}); err != nil {
+				return 0, err
+			}
+			if pm.Holds(rs, capture) {
+				return 0, fmt.Errorf("worker %d: run still holds the capture after a write", w)
+			}
+			after, err := pm.ChecksumRange(start, span, 0)
+			return sum ^ after, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pm.Holds(origin, capture) {
+			t.Fatal("a write to an installed frame changed the captured frames")
+		}
+		if vs := pm.AuditOwners(nil); vs != nil {
+			t.Fatalf("audit: %v", vs)
+		}
+		return sums
+	}
+	if seq, conc := run(1), run(workers); !reflect.DeepEqual(seq, conc) {
+		t.Fatalf("concurrent run %v differs from sequential %v", conc, seq)
+	}
+}
+
 // TestPagePrefixContract: a page's backing store is its written prefix —
 // sized by the first write, regrown once to a whole frame by a write past
 // it — and every reader sees the implicit zero tail: ReadInto, Checksum

@@ -18,10 +18,16 @@ type refMem struct {
 	vm    []int
 	data  [][]byte // nil: never written
 	next  int
+	// tok names each frame's contents: 0 while untouched, a fresh value
+	// on every write. A captured frame keeps the captured page exactly
+	// while its token is the captured one.
+	tok     []uint64
+	lastTok uint64
 }
 
 func newRefMem(frames int) *refMem {
-	return &refMem{owner: make([]Owner, frames), vm: make([]int, frames), data: make([][]byte, frames)}
+	return &refMem{owner: make([]Owner, frames), vm: make([]int, frames), data: make([][]byte, frames),
+		tok: make([]uint64, frames)}
 }
 
 func (r *refMem) free() int {
@@ -36,7 +42,7 @@ func (r *refMem) free() int {
 
 func (r *refMem) take(m int, owner Owner, vm int) { r.owner[m], r.vm[m] = owner, vm }
 
-func (r *refMem) release(m int) { r.owner[m], r.vm[m], r.data[m] = OwnerFree, 0, nil }
+func (r *refMem) release(m int) { r.owner[m], r.vm[m], r.data[m], r.tok[m] = OwnerFree, 0, nil, 0 }
 
 func (r *refMem) alloc(n int, owner Owner, vm int) ([]MFN, bool) {
 	if n > r.free() {
@@ -121,7 +127,125 @@ func (r *refMem) write(m, off int, data []byte) bool {
 		r.data[m] = make([]byte, PageSize4K)
 	}
 	copy(r.data[m][off:], data)
+	r.lastTok++
+	r.tok[m] = r.lastTok
 	return true
+}
+
+// refCapture is a SharePages capture beside what the reference says it
+// holds: the captured frames' tokens and bytes, and the frame runs it was
+// taken from or installed at.
+type refCapture struct {
+	p     Pages
+	live  bool
+	toks  []uint64
+	data  [][]byte // nil: an untouched frame
+	sites []int
+}
+
+// share captures [start, start+count) in the reference.
+func (r *refMem) share(start, count int) (*refCapture, bool) {
+	if start+count > len(r.owner) {
+		return nil, false
+	}
+	c := &refCapture{live: true, sites: []int{start}}
+	for m := start; m < start+count; m++ {
+		if r.owner[m] == OwnerFree {
+			return nil, false
+		}
+		c.toks = append(c.toks, r.tok[m])
+		c.data = append(c.data, bytes.Clone(r.data[m]))
+	}
+	return c, true
+}
+
+// install puts capture c at [start, +len): every frame allocated and
+// untouched, the capture live.
+func (r *refMem) install(start int, c *refCapture) bool {
+	if !c.live || start+len(c.toks) > len(r.owner) {
+		return false
+	}
+	for k := range c.toks {
+		if m := start + k; r.owner[m] == OwnerFree || r.data[m] != nil {
+			return false
+		}
+	}
+	for k := range c.toks {
+		r.data[start+k], r.tok[start+k] = bytes.Clone(c.data[k]), c.toks[k]
+	}
+	c.sites = append(c.sites, start)
+	return true
+}
+
+// holds reports whether [start, +len) holds capture c by the tokens.
+func (r *refMem) holds(start int, c *refCapture) bool {
+	if !c.live || start+len(c.toks) > len(r.owner) {
+		return false
+	}
+	for k, tok := range c.toks {
+		if m := start + k; r.owner[m] == OwnerFree || r.tok[m] != tok {
+			return false
+		}
+	}
+	return true
+}
+
+// sameBytes reports whether [start, +len) reads what capture c captured.
+func (r *refMem) sameBytes(start int, c *refCapture) bool {
+	for k, want := range c.data {
+		got := r.data[start+k]
+		if want == nil {
+			want = zeroPage[:]
+		}
+		if got == nil {
+			got = zeroPage[:]
+		}
+		if !bytes.Equal(got, want) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkCaptures checks that every live capture still holds its captured
+// bytes, whatever was written since, and that every page's reference
+// count is the frames and live captures that hold it.
+func checkCaptures(pm *PhysMem, caps []*refCapture) error {
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	refs := map[*page]int32{}
+	for ci := range pm.chunks {
+		if c := &pm.chunks[ci]; c.pages != nil {
+			for _, p := range c.pages.slot {
+				if p != nil {
+					refs[p]++
+				}
+			}
+		}
+	}
+	for ci, c := range caps {
+		if !c.live {
+			continue
+		}
+		for k, p := range c.p.slots {
+			if (p == nil) != (c.data[k] == nil) {
+				return fmt.Errorf("capture %d page %d: captured %v, reference touched %v", ci, k, p != nil, c.data[k] != nil)
+			}
+			if p == nil {
+				continue
+			}
+			refs[p]++
+			if !samePage(p.buf, c.data[k]) {
+				return fmt.Errorf("capture %d page %d changed after it was captured", ci, k)
+			}
+		}
+	}
+	for p, n := range refs {
+		if p.refs != n {
+			return fmt.Errorf("page with %d references counts %d", n, p.refs)
+		}
+	}
+	return nil
 }
 
 func (r *refMem) wipe(keep []FrameRange) int {
@@ -271,6 +395,8 @@ func modelCheckRanges(pm *PhysMem, ref *refMem) error {
 func modelRun(ops []byte, dedup bool) error {
 	pm, ref := NewPhysMem(modelFrames*PageSize4K), newRefMem(modelFrames)
 	pm.SetPageDedup(dedup)
+	var caps []*refCapture
+	dedupped := dedup // whether any write so far could have interned a page
 	for step := 0; len(ops) >= 4 && step < 96; step, ops = step+1, ops[4:] {
 		a, b, c := int(ops[1]), int(ops[2]), int(ops[3])
 		frame := (a<<8 | b) % modelFrames
@@ -279,7 +405,7 @@ func modelRun(ops []byte, dedup bool) error {
 		count := 1 + (b*c)%(3*chunkFrames/2)
 		var desc string
 		var got, want any
-		switch ops[0] % 9 {
+		switch ops[0] % 13 {
 		case 0:
 			rs, err := pm.AllocRanges(count, owner, vm)
 			mfns, _ := frames(rs, nil)
@@ -334,6 +460,7 @@ func modelRun(ops []byte, dedup bool) error {
 			desc, got, want = fmt.Sprintf("WipeRanges(%v)", keep), pm.WipeRanges(keep), ref.wipe(keep)
 		case 7:
 			pm.SetPageDedup(c%2 == 0)
+			dedupped = dedupped || c%2 == 0
 			desc = "SetPageDedup"
 		case 8:
 			// Unsorted, possibly overlapping runs: the contract is the
@@ -351,11 +478,60 @@ func modelRun(ops []byte, dedup bool) error {
 			}
 			err := pm.SetOwnerRanges(rs, owner, vm)
 			desc, got, want = fmt.Sprintf("SetOwnerRanges(%v)", rs), err == nil, ok
+		case 9:
+			// Up to four captures; a new one releases the one it replaces.
+			n := 1 + b%40
+			rc, ok := ref.share(frame, n)
+			p, err := pm.SharePages([]FrameRange{{Start: MFN(frame), Count: uint64(n)}})
+			desc, got, want = fmt.Sprintf("SharePages(%d,%d)", frame, n), err == nil, ok
+			if err == nil && ok {
+				rc.p = p
+				if i := c % 4; i < len(caps) {
+					caps[i].p.Release()
+					caps[i] = rc
+				} else {
+					caps = append(caps, rc)
+				}
+			}
+		case 10, 11:
+			if len(caps) == 0 {
+				desc = "no capture"
+				break
+			}
+			rc := caps[c%len(caps)]
+			// Where the capture was taken or installed, or anywhere.
+			at := frame
+			if i := b % (len(rc.sites) + 1); i < len(rc.sites) {
+				at = rc.sites[i]
+			}
+			rs := []FrameRange{{Start: MFN(at), Count: uint64(len(rc.toks))}}
+			if ops[0]%13 == 10 {
+				err := pm.InstallPages(rs, rc.p)
+				desc, got, want = fmt.Sprintf("InstallPages(%v)", rs), err == nil, ref.install(at, rc)
+				break
+			}
+			held, refHeld := pm.Holds(rs, rc.p), ref.holds(at, rc)
+			desc, got, want = fmt.Sprintf("Holds(%v)", rs), held, refHeld
+			if dedupped && held && !refHeld && ref.sameBytes(at, rc) {
+				// A write of the captured bytes may re-share the captured
+				// page through the intern table: held, and rightly so.
+				want = true
+			}
+		case 12:
+			if len(caps) > 0 {
+				rc := caps[c%len(caps)]
+				rc.p.Release()
+				rc.live = false
+			}
+			desc = "Release"
 		}
 		if got != want {
 			return fmt.Errorf("step %d: %s = %v, reference %v", step, desc, got, want)
 		}
 		if err := modelCheck(pm, ref); err != nil {
+			return fmt.Errorf("step %d after %s: %w", step, desc, err)
+		}
+		if err := checkCaptures(pm, caps); err != nil {
 			return fmt.Errorf("step %d after %s: %w", step, desc, err)
 		}
 	}
@@ -403,6 +579,13 @@ func physMemOpsSeeds() [][]byte {
 		// splits a uniform chunk, the second hits a free frame and fails, the
 		// third is never applied; then one that succeeds, a write, a wipe.
 		{1, 0, 0, 1, 1, 0, 0, 2, 0, 0, 9, 7, 8, 220, 10, 20, 8, 0, 10, 20, 5, 0, 12, 3, 6, 0, 12, 5},
+		// Pages by reference: capture three written frames, install them
+		// into untouched ones, write one (it unshares), write the captured
+		// bytes back (under dedup the captured page is shared again), free
+		// and reclaim the originals and install there, release, then wipe.
+		{0, 0, 8, 2, 5, 0, 2, 2, 9, 0, 2, 0, 10, 0, 11, 0, 11, 0, 1, 0, 5, 0, 11, 1, 11, 0, 1, 0,
+			5, 0, 11, 2, 11, 0, 1, 0, 11, 0, 0, 0, 3, 0, 2, 1, 11, 0, 0, 0, 2, 0, 2, 1, 10, 0, 0, 0,
+			11, 0, 0, 0, 12, 0, 0, 0, 11, 0, 0, 0, 10, 0, 0, 0, 6, 0, 0, 0},
 	}
 }
 

@@ -493,9 +493,7 @@ func (pm *PhysMem) ClaimRange(start MFN, count uint64, owner Owner, vm int) erro
 }
 
 // releaseDataAt drops the page contents (and with them the cached
-// checksum) of frame i of chunk c; pm.mu held. Shared dedup pages are
-// dereferenced and deregistered from the intern table when the last
-// sharer goes.
+// checksum) of frame i of chunk c; pm.mu held.
 func (pm *PhysMem) releaseDataAt(c *chunk, i uint64) {
 	p := c.page(i)
 	if p == nil {
@@ -503,6 +501,12 @@ func (pm *PhysMem) releaseDataAt(c *chunk, i uint64) {
 	}
 	c.pages.slot[i] = nil
 	c.data--
+	pm.unref(p)
+}
+
+// unref drops one reference to p, deregistering a shared dedup page from
+// the intern table when the last sharer goes. pm.mu held.
+func (pm *PhysMem) unref(p *page) {
 	p.refs--
 	if p.refs <= 0 && p.interned {
 		pm.uninternPage(p)
@@ -607,9 +611,10 @@ func (pm *PhysMem) OwnerOf(m MFN) (Owner, int) {
 
 // SetOwnerRanges retags the allocated runs rs, in order, in one critical
 // section — used when the target hypervisor adopts preserved guest frames
-// after a micro-reboot. A fully-covered uniform chunk (every huge-page
-// extent) retags in O(1). The first unallocated frame aborts with an
-// error; the frames before it stay retagged.
+// after a micro-reboot. A run of fully-covered uniform chunks (every
+// huge-page extent) retags chunk by chunk index, O(1) each. The first
+// unallocated frame aborts with an error; the frames before it stay
+// retagged.
 func (pm *PhysMem) SetOwnerRanges(rs []FrameRange, owner Owner, vm int) error {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
@@ -617,6 +622,21 @@ func (pm *PhysMem) SetOwnerRanges(rs []FrameRange, owner Owner, vm int) error {
 		end := uint64(r.End())
 		limit := min(end, pm.totalFrames)
 		for f := uint64(r.Start); f < limit; {
+			for ci := chunkOf(MFN(f)); f%chunkFrames == 0 && f < limit; ci++ {
+				c, size := &pm.chunks[ci], min(chunkFrames, pm.totalFrames-f)
+				if f+size > limit || c.tags != nil || c.owner == OwnerFree {
+					break // partly covered, mixed or free: the part walk below
+				}
+				if c.owner != owner {
+					pm.byOwner[c.owner] -= size
+					pm.byOwner[owner] += size
+				}
+				c.owner, c.vm = owner, int32(vm)
+				f += size
+			}
+			if f >= limit {
+				break
+			}
 			p := pm.partAt(f, limit)
 			c := p.c
 			f = uint64(p.base) + p.hi
@@ -625,12 +645,6 @@ func (pm *PhysMem) SetOwnerRanges(rs []FrameRange, owner Owner, vm int) error {
 					return fmt.Errorf("hw: SetOwner on unallocated frame %#x", uint64(p.base)+p.lo)
 				}
 				if c.owner == owner && c.vm == int32(vm) {
-					continue
-				}
-				if p.whole() {
-					pm.byOwner[c.owner] -= p.size
-					pm.byOwner[owner] += p.size
-					c.owner, c.vm = owner, int32(vm)
 					continue
 				}
 				pm.explode(c, p.size)
@@ -679,12 +693,7 @@ func (pm *PhysMem) Write(m MFN, off int, data []byte) error {
 		pm.mu.Unlock()
 		return err
 	}
-	if c.pages == nil {
-		if c.pages = pm.sparePages; c.pages == nil {
-			c.pages = new(pageTable)
-		}
-		pm.sparePages = c.pages.next
-	}
+	pm.pageTable(c)
 	p := c.pages.slot[i]
 	// size is the prefix the page must hold after this write.
 	size := PageSize4K
@@ -727,6 +736,17 @@ func (pm *PhysMem) Write(m MFN, off int, data []byte) error {
 	return nil
 }
 
+// pageTable gives chunk c a page table, off the spare list, if it has
+// none. pm.mu held.
+func (pm *PhysMem) pageTable(c *chunk) {
+	if c.pages == nil {
+		if c.pages = pm.sparePages; c.pages == nil {
+			c.pages = new(pageTable)
+		}
+		pm.sparePages = c.pages.next
+	}
+}
+
 // WriteRanges lays data into the frames of rs in order, a page per frame
 // from offset 0 — how a blob goes into frames allocated as ranges.
 func (pm *PhysMem) WriteRanges(rs []FrameRange, data []byte) error {
@@ -761,6 +781,125 @@ func (pm *PhysMem) ReadRanges(rs []FrameRange) ([]byte, error) {
 		rest = rest[r.Count*PageSize4K:]
 	}
 	return out, nil
+}
+
+// Pages is a frozen capture of frames' pages, taken by SharePages: it
+// holds one reference on each page, so while a captured page is also in
+// a frame its refs exceed one and the frame's next write unshares it
+// copy-on-write. A captured page's bytes therefore never change, and a
+// frame that holds it reads exactly what the captured frame read.
+type Pages struct {
+	pm    *PhysMem
+	slots []*page // in frame order; nil for a frame never written
+}
+
+// SharePages captures the pages of the allocated frames rs, in order, by
+// reference: no byte is copied. The capture is the frames' contents at
+// the call, whatever is written to them afterwards, until Release.
+func (pm *PhysMem) SharePages(rs []FrameRange) (Pages, error) {
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	out := Pages{pm: pm, slots: make([]*page, 0, CountFrames(rs))}
+	for _, r := range rs {
+		err := pm.eachAllocated(r.Start, r.Count, "share", func(p part) {
+			for i := p.lo; i < p.hi; i++ {
+				out.slots = append(out.slots, p.c.page(i))
+			}
+		})
+		if err != nil {
+			return Pages{}, err
+		}
+	}
+	for _, p := range out.slots {
+		if p != nil {
+			p.refs++
+		}
+	}
+	return out, nil
+}
+
+// InstallPages puts the captured pages p into the frames of rs, in order,
+// by reference — the inverse of SharePages, without the copy WriteRanges
+// makes. Every frame must be allocated and never written since it was
+// (claimed frames are), and rs must cover exactly as many frames as p
+// captured, on this machine; otherwise nothing is installed.
+func (pm *PhysMem) InstallPages(rs []FrameRange, p Pages) error {
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	if p.pm != pm || CountFrames(rs) != uint64(len(p.slots)) {
+		return fmt.Errorf("hw: install of a released or foreign capture of %d pages into %d frames",
+			len(p.slots), CountFrames(rs))
+	}
+	written := false
+	for _, r := range rs {
+		err := pm.eachAllocated(r.Start, r.Count, "install into", func(pt part) {
+			for i := pt.lo; pt.c.data > 0 && i < pt.hi; i++ {
+				written = written || pt.c.pages.slot[i] != nil
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
+	if written {
+		return fmt.Errorf("hw: install into written frames")
+	}
+	k := 0
+	for _, r := range rs {
+		_ = pm.eachAllocated(r.Start, r.Count, "install into", func(pt part) {
+			for i := pt.lo; i < pt.hi; i, k = i+1, k+1 {
+				// A frame rs names twice takes its last page, as a write would.
+				pm.releaseDataAt(pt.c, i)
+				if pg := p.slots[k]; pg != nil {
+					pm.pageTable(pt.c)
+					pt.c.pages.slot[i] = pg
+					pt.c.data++
+					pg.refs++
+				}
+			}
+		})
+	}
+	return nil
+}
+
+// Holds reports whether the frames of rs, all allocated, hold exactly the
+// captured pages p, in order: page identity, which implies byte identity,
+// since a captured page is never written in place.
+func (pm *PhysMem) Holds(rs []FrameRange, p Pages) bool {
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	if p.pm != pm || CountFrames(rs) != uint64(len(p.slots)) {
+		return false
+	}
+	k, held := 0, true
+	for _, r := range rs {
+		err := pm.eachAllocated(r.Start, r.Count, "hold", func(pt part) {
+			for i := pt.lo; held && i < pt.hi; i, k = i+1, k+1 {
+				held = pt.c.page(i) == p.slots[k]
+			}
+		})
+		if err != nil || !held {
+			return false
+		}
+	}
+	return true
+}
+
+// Release drops the capture's references; the frames that hold its pages
+// keep them. A released capture installs nowhere and is held by no frame.
+func (p *Pages) Release() {
+	pm := p.pm
+	if pm == nil {
+		return
+	}
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	for _, pg := range p.slots {
+		if pg != nil {
+			pm.unref(pg)
+		}
+	}
+	p.pm, p.slots = nil, nil
 }
 
 // internPage registers the freshly-written page p of chunk c's frame i

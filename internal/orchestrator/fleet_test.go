@@ -347,11 +347,11 @@ func TestFleetAllocBudgets(t *testing.T) {
 		budget float64
 		run    func() error
 	}{
-		{"RespondToCVE", 5287, func() error {
+		{"RespondToCVE", 5263, func() error {
 			respondFleet(t, newFleet(t, stockFleet()), limits)
 			return nil
 		}},
-		{"RespondToCVE/warm", 5473, func() error {
+		{"RespondToCVE/warm", 5441, func() error {
 			c := newFleet(t, stockFleet())
 			opts := core.DefaultOptions()
 			opts.Cache = tpcache.New()
@@ -363,7 +363,7 @@ func TestFleetAllocBudgets(t *testing.T) {
 			_, err := c.nova.RespondToCVE(vulndb.Load(), "CVE-2016-6258", []string{"xen", "kvm"}, opts)
 			return err
 		}},
-		{"RespondToCVE/slo", 5546, func() error {
+		{"RespondToCVE/slo", 5522, func() error {
 			c := newFleet(t, stockFleet())
 			rec := obs.NewRecorder(c.clock)
 			rec.SetRetain(false)
@@ -375,7 +375,7 @@ func TestFleetAllocBudgets(t *testing.T) {
 			respondFleet(t, c, limits)
 			return nil
 		}},
-		{"RecoverFleet", 2301, func() error {
+		{"RecoverFleet", 2287, func() error {
 			c := newFleet(t, stockFleet())
 			stormFleet(t, c, []int{0, 2, 5, 8, 9})
 			c.nova.SetFleetLimits(&sched.Limits{MaxKexecs: 2})

@@ -146,8 +146,8 @@ type BuildOptions struct {
 	SplitHugePages bool
 	// Snapshot, when non-nil, memoizes the built structure per fileset:
 	// a repeat build of an identical fileset that lands on the same
-	// frames replays the cached metadata pages instead of re-serializing
-	// them. The result is byte-identical to a cold build.
+	// frames installs the cached metadata pages by reference instead of
+	// re-serializing them. The result is byte-identical to a cold build.
 	Snapshot *Snapshot
 }
 

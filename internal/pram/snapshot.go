@@ -12,10 +12,18 @@ import (
 // fileset (names, VM ids, extents) and the frames the builder was
 // handed, so when the same fileset comes back — the steady state of a
 // fleet ping-ponging between two hypervisor kinds — and the allocator
-// hands back the same frames, the cached page images can be written
-// directly, skipping layout and serialization. If the frames differ the
-// replay is abandoned and the cold builder runs; the result is
-// byte-identical either way.
+// hands back the same frames, the cached pages are installed directly,
+// skipping layout and serialization. If the frames differ the replay is
+// abandoned and the cold builder runs; the result is byte-identical
+// either way.
+//
+// The cached pages are held by reference (hw.Pages), not as a copy: a
+// replay installs the very pages the cold build wrote, shared
+// copy-on-write, so a later write to a replayed frame unshares it and the
+// capture stays what the cold build wrote. That makes page identity a
+// proof of byte identity, which the parse memo (Parse) rests on: a
+// structure whose frames still hold the captured pages parses to what
+// those pages parsed to the first time.
 //
 // Snapshots only skip wall-clock work. Virtual-time PRAM costs are
 // charged by the engine from the cost model and are identical with or
@@ -28,18 +36,23 @@ import (
 // carrying them misses once more with a changed fileset. Staging the image
 // elsewhere would move frames, and with them every digest.
 type Snapshot struct {
-	mu      sync.Mutex
-	entries map[uint64]*snapEntry
-	order   []uint64 // insertion order, for bounded eviction
-	hits    uint64
-	misses  uint64
+	mu        sync.Mutex
+	entries   map[uint64]*snapEntry
+	order     []uint64 // insertion order, for bounded eviction
+	hits      uint64
+	misses    uint64
+	parseHits uint64
 }
 
 type snapEntry struct {
 	metaFrames []hw.FrameRange
 	pointer    hw.MFN
-	image      []byte // the metadata pages' contents, in metaFrames order
+	pages      hw.Pages // the metadata pages, in metaFrames order
 	ranges     []hw.FrameRange
+	// parsedFrames and files are what a cold Parse of exactly pages at
+	// metaFrames returned; files is nil until the first Parse.
+	parsedFrames []hw.FrameRange
+	files        []File
 }
 
 // maxSnapshotEntries bounds one machine's cached structures: a host in
@@ -58,6 +71,13 @@ func (s *Snapshot) Stats() (hits, misses uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.hits, s.misses
+}
+
+// ParseHits reports how many Parse calls the memo answered.
+func (s *Snapshot) ParseHits() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.parseHits
 }
 
 // filesKey fingerprints a fileset (plus the layout-changing option) for
@@ -93,35 +113,27 @@ func filesKey(files []File, split bool) uint64 {
 // tryReplay attempts to satisfy a Build from the snapshot by claiming
 // the exact frames the cached build occupied — the structure pages were
 // released after the last handover, so in steady state they are free
-// again even though the bump cursor has long moved past them. It returns
-// (structure, true) on success; (nil, false) falls back to the cold
-// builder. If any cached frame is occupied the claim is undone and the
-// replay reported as a miss — the cached images embed these frames'
+// again even though the bump cursor has long moved past them — and
+// installing the captured pages into them. It returns (structure, true)
+// on success; (nil, false) falls back to the cold builder. If any cached
+// frame is occupied, or the install fails, the claim is undone and the
+// replay reported as a miss — the cached pages embed these frames'
 // addresses, so they cannot be relocated.
 func (s *Snapshot) tryReplay(mem *hw.PhysMem, files []File, key uint64) (*Structure, bool) {
 	s.mu.Lock()
 	e := s.entries[key]
-	if e == nil {
-		s.misses++
-		s.mu.Unlock()
-		return nil, false
-	}
 	s.mu.Unlock()
-	for i, r := range e.metaFrames {
-		if err := mem.ClaimRange(r.Start, r.Count, hw.OwnerPRAM, -1); err != nil {
-			_ = mem.FreeRanges(e.metaFrames[:i])
-			s.mu.Lock()
-			s.misses++
-			s.mu.Unlock()
-			return nil, false
-		}
-	}
-	if err := mem.WriteRanges(e.metaFrames, e.image); err != nil {
-		return nil, false
-	}
+	ok := e != nil && s.install(mem, e)
 	s.mu.Lock()
-	s.hits++
+	if ok {
+		s.hits++
+	} else {
+		s.misses++
+	}
 	s.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
 	return &Structure{
 		Pointer:    e.pointer,
 		MetaFrames: slices.Clone(e.metaFrames),
@@ -130,28 +142,112 @@ func (s *Snapshot) tryReplay(mem *hw.PhysMem, files []File, key uint64) (*Struct
 	}, true
 }
 
-// capture records a cold build's result: the metadata page images are
-// read back from memory (they were just written, so this is the exact
-// byte content a replay will reproduce) along with the preserve ranges.
+// install claims entry e's frames and installs its pages into them, all
+// or nothing.
+func (s *Snapshot) install(mem *hw.PhysMem, e *snapEntry) bool {
+	for i, r := range e.metaFrames {
+		if err := mem.ClaimRange(r.Start, r.Count, hw.OwnerPRAM, -1); err != nil {
+			_ = mem.FreeRanges(e.metaFrames[:i])
+			return false
+		}
+	}
+	if err := mem.InstallPages(e.metaFrames, e.pages); err != nil {
+		_ = mem.FreeRanges(e.metaFrames)
+		return false
+	}
+	return true
+}
+
+// capture records a cold build's result: the metadata pages, captured by
+// reference (they were just written, so this is the exact content a
+// replay will reproduce), along with the preserve ranges. An entry it
+// replaces or evicts releases its capture.
 func (s *Snapshot) capture(mem *hw.PhysMem, st *Structure, key uint64) {
-	image, err := mem.ReadRanges(st.MetaFrames)
+	pages, err := mem.SharePages(st.MetaFrames)
 	if err != nil {
 		return
 	}
 	e := &snapEntry{
 		metaFrames: slices.Clone(st.MetaFrames),
 		pointer:    st.Pointer,
-		image:      image,
+		pages:      pages,
 		ranges:     st.FrameRanges(),
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, exists := s.entries[key]; !exists {
+	if old, exists := s.entries[key]; exists {
+		old.pages.Release()
+	} else {
 		s.order = append(s.order, key)
 		if len(s.order) > maxSnapshotEntries {
+			s.entries[s.order[0]].pages.Release()
 			delete(s.entries, s.order[0])
 			s.order = s.order[1:]
 		}
 	}
 	s.entries[key] = e
+}
+
+// Parse is pram.Parse with a memo keyed by page identity: when the
+// frames of a cached structure at pointer still hold the pages its
+// capture took, the structure parses to what a cold Parse of those pages
+// returned the first time, and that is returned without reading a page.
+// Identity implies identical bytes (see Snapshot), so no hash is needed;
+// a flipped bit, a rewritten frame or a freed frame breaks it, and the
+// cold Parse runs, with every check it makes. The returned Structure is
+// fresh, but a memo hit shares its MetaFrames and Files slices with the
+// memo: callers must not modify them. A nil snapshot is plain Parse.
+func (s *Snapshot) Parse(mem *hw.PhysMem, pointer hw.MFN) (*Structure, error) {
+	if s == nil {
+		return Parse(mem, pointer)
+	}
+	s.mu.Lock()
+	e := s.heldAt(mem, pointer)
+	if e != nil && e.files != nil {
+		s.parseHits++
+		s.mu.Unlock()
+		return &Structure{Pointer: pointer, MetaFrames: e.parsedFrames, Files: e.files}, nil
+	}
+	s.mu.Unlock()
+	st, err := Parse(mem, pointer)
+	// The memo stands only for a parse that read exactly the captured
+	// frames: its result is a function of their bytes alone.
+	if err != nil || e == nil || !sameFrames(st.MetaFrames, e.metaFrames) {
+		return st, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Memoize only if the pages are still the capture's, so that what the
+	// parse read is them even if another goroutine wrote a frame meanwhile.
+	if s.heldAt(mem, pointer) == e {
+		e.parsedFrames, e.files = st.MetaFrames, st.Files
+	}
+	return st, nil
+}
+
+// heldAt returns the entry whose structure starts at pointer and whose
+// frames mem holds the captured pages of, or nil. s.mu held.
+func (s *Snapshot) heldAt(mem *hw.PhysMem, pointer hw.MFN) *snapEntry {
+	for _, key := range s.order {
+		if e := s.entries[key]; e.pointer == pointer && mem.Holds(e.metaFrames, e.pages) {
+			return e
+		}
+	}
+	return nil
+}
+
+// sameFrames reports whether the disjoint runs a and b cover the same
+// frames: as many, and every frame of a in b.
+func sameFrames(a, b []hw.FrameRange) bool {
+	if hw.CountFrames(a) != hw.CountFrames(b) {
+		return false
+	}
+	for _, r := range a {
+		for m := r.Start; m < r.End(); m++ {
+			if !slices.ContainsFunc(b, func(q hw.FrameRange) bool { return q.Start <= m && m < q.End() }) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"hypertp/internal/hw"
@@ -83,5 +84,120 @@ func TestSnapshotMissesOnOccupiedFramesThenHits(t *testing.T) {
 	}
 	if parsed, err := Parse(warm, replay.s.Pointer); err != nil || !reflect.DeepEqual(parsed.Files, files) {
 		t.Fatalf("replayed structure parses to %v, %v", parsed, err)
+	}
+}
+
+// replayed builds files on mem through snap until a build replays: a cold
+// build captures its pages, the snapshot's Parse memoizes their parse,
+// and the structure is released and built again from the snapshot.
+func replayed(t *testing.T, mem *hw.PhysMem, snap *Snapshot, files []File) *Structure {
+	t.Helper()
+	s, err := Build(mem, files, BuildOptions{Snapshot: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := snap.Parse(mem, s.Pointer); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Release(mem); err != nil {
+		t.Fatal(err)
+	}
+	hits, _ := snap.Stats()
+	if s, err = Build(mem, files, BuildOptions{Snapshot: snap}); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := snap.Stats(); again != hits+1 {
+		t.Fatal("second build of the same fileset did not replay")
+	}
+	return s
+}
+
+// TestSnapshotParseMemoMatchesColdParse: a replayed structure parses from
+// the memo, to exactly what a cold Parse of the same frames returns, and
+// every hit hands out a fresh Structure, so releasing one leaves the memo
+// intact for the next replay.
+func TestSnapshotParseMemoMatchesColdParse(t *testing.T) {
+	mem, snap := newMem(), NewSnapshot()
+	files := []File{hugeFile(mem, "vm-a", 1, 1), hugeFile(mem, "vm-b", 2, 2)}
+	s := replayed(t, mem, snap, files)
+	for round := 1; round <= 2; round++ {
+		memo, err := snap.Parse(mem, s.Pointer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := snap.ParseHits(); got != uint64(round) {
+			t.Fatalf("round %d: %d parse-memo hits, want %d", round, got, round)
+		}
+		cold, err := Parse(mem, s.Pointer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(memo, cold) {
+			t.Fatalf("round %d: memo hit %+v differs from a cold Parse %+v", round, memo, cold)
+		}
+		if err := memo.Release(mem); err != nil {
+			t.Fatal(err)
+		}
+		if s, err = Build(mem, files, BuildOptions{Snapshot: snap}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSnapshotParseMemoMissesOnCorruption: one byte written into a
+// replayed metadata frame unshares its page, so the memo misses and the
+// cold Parse runs — and rejects the structure by name. A frame freed and
+// rewritten with the very same bytes breaks page identity too: the memo
+// misses, and the cold Parse succeeds.
+func TestSnapshotParseMemoMissesOnCorruption(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(mem *hw.PhysMem, s *Structure) error
+		want    string
+	}{
+		{"root-magic", func(mem *hw.PhysMem, s *Structure) error {
+			return mem.Write(s.Pointer, 0, []byte{0xff})
+		}, "bad root magic"},
+		{"node-count", func(mem *hw.PhysMem, s *Structure) error {
+			// The first metadata frame is the first file's first node.
+			return mem.Write(s.MetaFrames[0].Start, 17, []byte{0xff})
+		}, "node entry count"},
+		{"rewritten", func(mem *hw.PhysMem, s *Structure) error {
+			image, err := mem.ReadRanges(s.MetaFrames)
+			if err != nil {
+				return err
+			}
+			if err := mem.FreeRanges(s.MetaFrames); err != nil {
+				return err
+			}
+			for _, r := range s.MetaFrames {
+				if err := mem.ClaimRange(r.Start, r.Count, hw.OwnerPRAM, -1); err != nil {
+					return err
+				}
+			}
+			return mem.WriteRanges(s.MetaFrames, image)
+		}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem, snap := newMem(), NewSnapshot()
+			files := []File{hugeFile(mem, "vm-a", 1, 1), hugeFile(mem, "vm-b", 2, 1)}
+			s := replayed(t, mem, snap, files)
+			if err := tc.corrupt(mem, s); err != nil {
+				t.Fatal(err)
+			}
+			parsed, err := snap.Parse(mem, s.Pointer)
+			if hits := snap.ParseHits(); hits != 0 {
+				t.Fatalf("corrupted structure hit the parse memo (%d hits)", hits)
+			}
+			if tc.want == "" {
+				if err != nil || !reflect.DeepEqual(parsed.Files, files) {
+					t.Fatalf("rewritten structure parses to %v, %v", parsed, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("corrupted structure parsed with error %v, want one naming %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -6,7 +6,9 @@
 //     fingerprint), so a host ping-ponging between hypervisor kinds
 //     stops re-walking and re-encoding identical platform state;
 //   - built PRAM metadata structures, via pram.Snapshot, so repeat
-//     builds of an identical fileset replay cached page images.
+//     builds of an identical fileset install the cached pages by
+//     reference, and the target's parse of a structure whose frames
+//     still hold them returns the memoized result.
 //
 // The cache is deterministic by construction: a hit returns the exact
 // bytes a cold run would produce (fingerprints chain through the blobs
@@ -40,8 +42,8 @@ type Stats struct {
 	// discarded at lookup.
 	Stale uint64
 	// PRAMHits and PRAMMisses count PRAM snapshot replays vs cold
-	// builds.
-	PRAMHits, PRAMMisses uint64
+	// builds, and PRAMParseHits the PRAM parses its memo answered.
+	PRAMHits, PRAMMisses, PRAMParseHits uint64
 	// WarmSlots is the number of pre-staged entries currently unconsumed.
 	WarmSlots int
 }
@@ -65,6 +67,8 @@ func (s Stats) Sub(prev Stats) Stats {
 		PRAMHits:   s.PRAMHits - prev.PRAMHits,
 		PRAMMisses: s.PRAMMisses - prev.PRAMMisses,
 		WarmSlots:  s.WarmSlots,
+
+		PRAMParseHits: s.PRAMParseHits - prev.PRAMParseHits,
 	}
 }
 
@@ -369,6 +373,7 @@ func (c *Cache) Stats() Stats {
 		h, m := s.Stats()
 		out.PRAMHits += h
 		out.PRAMMisses += m
+		out.PRAMParseHits += s.ParseHits()
 	}
 	return out
 }

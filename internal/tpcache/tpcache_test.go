@@ -238,10 +238,10 @@ func TestStatsArithmetic(t *testing.T) {
 	if r := (Stats{}).HitRatio(); r != 0 {
 		t.Fatalf("empty hit ratio = %v", r)
 	}
-	prev := Stats{Hits: 1, Misses: 2, WarmStarts: 1, Stale: 1, PRAMHits: 1, PRAMMisses: 1, WarmSlots: 5}
-	cur := Stats{Hits: 4, Misses: 3, WarmStarts: 2, Stale: 1, PRAMHits: 3, PRAMMisses: 2, WarmSlots: 2}
+	prev := Stats{Hits: 1, Misses: 2, WarmStarts: 1, Stale: 1, PRAMHits: 1, PRAMMisses: 1, PRAMParseHits: 1, WarmSlots: 5}
+	cur := Stats{Hits: 4, Misses: 3, WarmStarts: 2, Stale: 1, PRAMHits: 3, PRAMMisses: 2, PRAMParseHits: 4, WarmSlots: 2}
 	d := cur.Sub(prev)
-	want := Stats{Hits: 3, Misses: 1, WarmStarts: 1, PRAMHits: 2, PRAMMisses: 1, WarmSlots: 2}
+	want := Stats{Hits: 3, Misses: 1, WarmStarts: 1, PRAMHits: 2, PRAMMisses: 1, PRAMParseHits: 3, WarmSlots: 2}
 	if d != want {
 		t.Fatalf("Sub = %+v, want %+v", d, want)
 	}
