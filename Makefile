@@ -30,7 +30,7 @@ fmt-check:
 # PKG_CEILING. Both are ratchets: a PR that grows the tree raises them in
 # the same diff, where a reviewer sees it; a simplicity PR lowers them to
 # its own result and cites the before/after in CHANGES.md.
-LOC_CEILING = 22575
+LOC_CEILING = 22443
 PKG_CEILING = 27
 loc:
 	@src() { find "$$@" -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'; }; \
@@ -111,15 +111,15 @@ crash-matrix:
 
 # soak runs a long randomized chaos scenario per seed in SOAK_SEEDS: 500
 # fleet operations under fault injection with every global invariant
-# audited after each step, on the bounded-memory streaming observability
-# pipeline (-stream). On a violation it exits 2 and writes a shrunk
-# replay bundle plus the metrics/flight-recorder artifacts
-# (chaos-metrics.json, chaos-flight.jsonl). One seed is not a soak: what
-# one seed's op stream never reaches, the next one's does.
+# audited after each step and every span tree as it ends, in bounded
+# span memory. On a violation it exits 2 and writes a shrunk replay
+# bundle plus the metrics/flight-recorder artifacts (chaos-metrics.json,
+# chaos-flight.jsonl). One seed is not a soak: what one seed's op stream
+# never reaches, the next one's does.
 SOAK_SEEDS ?= 1 2 3 4 5 6 7 8
 soak:
 	@for s in $(SOAK_SEEDS); do \
-		$(GO) run ./cmd/chaoscheck -seed $$s -ops 500 -fault-rate 0.15 -stream || exit $$?; done
+		$(GO) run ./cmd/chaoscheck -seed $$s -ops 500 -fault-rate 0.15 || exit $$?; done
 
 # crash-storm is the soak with the reactive-recovery op vocabulary
 # enabled: hypervisor fail-stops, hangs, fleet-wide crash storms and
@@ -127,7 +127,7 @@ soak:
 # ownership, guest checksums and Nova bookkeeping.
 crash-storm:
 	@for s in $(SOAK_SEEDS); do \
-		$(GO) run ./cmd/chaoscheck -seed $$s -ops 500 -fault-rate 0.15 -stream -crash || exit $$?; done
+		$(GO) run ./cmd/chaoscheck -seed $$s -ops 500 -fault-rate 0.15 -crash || exit $$?; done
 
 # race-check fails fast, with a readable message, when the toolchain
 # cannot run `go test -race` (no CGO, or an unsupported platform) —
@@ -170,27 +170,27 @@ benchfig:
 	$(GO) run ./cmd/benchfig
 
 # trace-demo runs one Figure-7 in-place transplant with tracing on and
-# verifies the emitted Chrome trace parses, is non-empty, and covers
-# every Fig. 3 workflow step — and that the streamed JSONL span export
-# and Prometheus metrics dump validate too. It then streams the README's
-# degraded rolling upgrade (hosts failing at cluster.host) through the
-# span auditor. The trace lands in /tmp for opening in Perfetto
+# verifies the artifact directory: the Chrome trace parses, is
+# non-empty, and covers every Fig. 3 workflow step, and the JSONL span
+# records pass the span auditor. It then runs the README's degraded
+# rolling upgrade (hosts failing at cluster.host) and audits its spans
+# too. The trace lands in /tmp/hypertp-trace for opening in Perfetto
 # (https://ui.perfetto.dev) or chrome://tracing.
 trace-demo:
 	$(GO) run ./cmd/tpctl -mode inplace -from xen -to kvm -machine M1 \
-		-vms 4 -vcpus 2 -mem-gib 2 \
-		-trace-out /tmp/hypertp-trace.json -metrics-out /tmp/hypertp-metrics.json \
-		-spans-out /tmp/hypertp-spans.jsonl -prom-out /tmp/hypertp-metrics.prom
-	$(GO) run ./cmd/tracecheck -require-steps /tmp/hypertp-trace.json
-	$(GO) run ./cmd/tracecheck -jsonl /tmp/hypertp-spans.jsonl
+		-vms 4 -vcpus 2 -mem-gib 2 -artifact-dir /tmp/hypertp-trace
+	$(GO) run ./cmd/tracecheck -require-steps /tmp/hypertp-trace/trace.json
+	$(GO) run ./cmd/tracecheck -jsonl /tmp/hypertp-trace/spans.jsonl
 	$(GO) run ./cmd/clustersim -hosts 10 -vms-per-host 10 \
 		-fault-seed 7 -fault-rate 0.2 -fault-sites cluster.host \
-		-stream-out /tmp/hypertp-degraded-upgrade.jsonl
-	$(GO) run ./cmd/tracecheck -jsonl /tmp/hypertp-degraded-upgrade.jsonl
+		-artifact-dir /tmp/hypertp-degraded-upgrade
+	$(GO) run ./cmd/tracecheck -jsonl /tmp/hypertp-degraded-upgrade/spans.jsonl
 
 # slo-demo runs the fleet CVE response with vulnerability-window SLO
 # tracking and prints the remediation-latency report and burn-rate
-# verdict; a blown SLO is a non-zero exit.
+# verdict; a blown SLO is a non-zero exit. The concurrent response's
+# artifacts, the hypertp_slo_* series in metrics.prom among them, land
+# in /tmp/hypertp-slo.
 slo-demo:
 	$(GO) run ./cmd/clustersim -fleet -hosts 20 -fleet-vms 40 \
-		-prom-out /tmp/hypertp-slo.prom
+		-artifact-dir /tmp/hypertp-slo

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
+
+	"hypertp/internal/fuzzseed"
 )
 
 // benchfig runs the command and returns its exit status and output.
@@ -60,4 +63,11 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	if one != four {
 		t.Fatalf("-workers 1 and 4 differ:\n%s\nvs\n%s", one, four)
 	}
+}
+
+// Every flag the README's benchfig row names is one benchfig defines.
+func TestREADMEFlagsDefined(t *testing.T) {
+	fuzzseed.CheckREADMEFlags(t, "../../README.md", "benchfig", func(args []string, stderr io.Writer) {
+		run(args, io.Discard, stderr)
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hypertp/internal/fuzzseed"
+	"hypertp/internal/hterr"
 	"hypertp/internal/par"
 )
 
@@ -27,8 +28,6 @@ func TestGolden(t *testing.T) {
 	}{
 		{"seed3-ops300", []string{"-seed", "3", "-ops", "300"}, 0},
 		{"seed3-ops300-crash", []string{"-seed", "3", "-ops", "300", "-crash"}, 0},
-		{"seed3-ops300-stream", []string{"-seed", "3", "-ops", "300", "-stream"}, 0},
-		{"seed3-ops300-stream-crash", []string{"-seed", "3", "-ops", "300", "-stream", "-crash"}, 0},
 		{"break-leak-frame", []string{"-seed", "3", "-ops", "300", "-break", "leak-frame", "-bundle-out", "bundle.json"}, 2},
 		{"record-out", []string{"-seed", "3", "-ops", "30", "-record-out", "trace.json"}, 0},
 	} {
@@ -42,7 +41,8 @@ func TestGolden(t *testing.T) {
 						t.Fatalf("%v: %v", args, err)
 					}
 					par.SetWorkers(cfg.Workers)
-					if code, err := run(stdout, io.Discard, cfg); code != row.code {
+					err = run(stdout, io.Discard, cfg)
+					if code := hterr.Exit(io.Discard, "chaoscheck", err); code != row.code {
 						t.Fatalf("%v: exit %d (%v), want %d", args, code, err, row.code)
 					}
 				})

@@ -11,7 +11,6 @@
 //	chaoscheck -seed 7 -ops 500 -fault-rate 0.2 -bundle-out fail.json
 //	chaoscheck -replay fail.json
 //	chaoscheck -seed 1 -ops 200 -break leak-frame     # auditor self-test
-//	chaoscheck -seed 1 -ops 500 -stream -flight-cap 256
 //	chaoscheck -seed 1 -ops 500 -crash                # crash-storm soak
 //	chaoscheck -seed 3 -ops 50 -record-out trace.json # record a corpus trace
 //
@@ -27,18 +26,18 @@
 // ride the driver's self-heal. The auditor proves frame ownership,
 // guest memory checksums and Nova bookkeeping survive every recovery.
 //
-// -stream runs the soak on the bounded-memory streaming pipeline: span
-// trees are released as they end and the last -flight-cap of them are
-// kept in a flight recorder, which the structural audit consumes. On a
-// violation, the run's metrics registry (chaos-metrics.json) and the
-// flight-recorder spans (chaos-flight.jsonl) are written to
-// -artifact-dir alongside the replay bundle.
+// Span memory stays bounded however long the soak: each span tree is
+// audited whole as it ends and then released, and a flight recorder
+// keeps the last 512 span records. On a violation, the run's metrics
+// registry (chaos-metrics.json) and the flight-recorder spans
+// (chaos-flight.jsonl) are written to -artifact-dir alongside the
+// replay bundle.
 //
 // The run is deterministic: identical flags produce an identical
 // summary, trace, and (on failure) a byte-identical bundle at any
 // -workers count. Exit status: 0 when every invariant held, 2 on an
-// invariant or watchdog violation (the hterr label is printed), 1 on
-// usage or setup errors.
+// invariant or watchdog violation (the hterr label is printed) and on
+// usage errors, 1 on setup errors.
 package main
 
 import (
@@ -47,11 +46,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"hypertp/internal/chaos"
 	"hypertp/internal/hterr"
+	"hypertp/internal/obs"
 	"hypertp/internal/par"
 )
 
@@ -64,11 +63,7 @@ func main() {
 		os.Exit(2)
 	}
 	par.SetWorkers(cfg.Workers)
-	code, err := run(os.Stdout, os.Stderr, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chaoscheck:", err)
-	}
-	os.Exit(code)
+	os.Exit(hterr.Exit(os.Stderr, "chaoscheck", run(os.Stdout, os.Stderr, cfg)))
 }
 
 // parseArgs parses the command line into a runConfig. Usage errors,
@@ -88,8 +83,6 @@ func parseArgs(args []string, stderr io.Writer) (runConfig, error) {
 		breaker   = fs.String("break", "", "arm a deliberate invariant breaker: leak-frame or corrupt-memory")
 		noShrink  = fs.Bool("no-shrink", false, "skip shrinking on violation (report the raw failure)")
 		bundleOut = fs.String("bundle-out", "chaos-bundle.json", "replay bundle path written on violation")
-		stream    = fs.Bool("stream", false, "bounded-memory streaming observability: span trees flow into a flight recorder instead of being retained")
-		flightCap = fs.Int("flight-cap", 0, "flight-recorder capacity for -stream (0 = default)")
 		artDir    = fs.String("artifact-dir", ".", "directory for violation artifacts (chaos-metrics.json, chaos-flight.jsonl)")
 		replay    = fs.String("replay", "", "replay a previously written bundle instead of generating")
 		recordOut = fs.String("record-out", "", "record the generated operation trace as a replayable corpus bundle (FuzzTransplantTrace seed material), violation or not")
@@ -108,7 +101,7 @@ func parseArgs(args []string, stderr io.Writer) (runConfig, error) {
 	for _, n := range []struct {
 		flag       string
 		value, min int
-	}{{"ops", *ops, 1}, {"hosts", *hosts, 2}, {"vms", *vms, 1}, {"flight-cap", *flightCap, 0}} {
+	}{{"ops", *ops, 1}, {"hosts", *hosts, 2}, {"vms", *vms, 1}} {
 		if err == nil && n.value < n.min {
 			err = fmt.Errorf("-%s %d below its minimum %d", n.flag, n.value, n.min)
 		}
@@ -121,7 +114,7 @@ func parseArgs(args []string, stderr io.Writer) (runConfig, error) {
 		Config: chaos.Config{
 			Seed: *seed, Ops: *ops, Hosts: *hosts, VMs: *vms,
 			FaultRate: *faultRate, OpBudget: *opBudget, Break: *breaker,
-			Stream: *stream, FlightCap: *flightCap, Crash: *crash,
+			Crash: *crash,
 		},
 		Shrink: !*noShrink, BundleOut: *bundleOut, Replay: *replay,
 		RecordOut: *recordOut, ArtifactDir: *artDir, Verbose: *verbose,
@@ -140,45 +133,10 @@ type runConfig struct {
 	Workers     int
 }
 
-// writeArtifacts dumps the failing run's metrics registry and (when
-// streaming) its flight-recorder contents next to the bundle, so a CI
-// violation ships with the observability state that surrounds it.
-func writeArtifacts(stdout io.Writer, dir string, res *chaos.Result) error {
-	if res.Obs != nil {
-		path := filepath.Join(dir, "chaos-metrics.json")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := res.Obs.Metrics().WriteMetricsJSON(f, false); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "artifact: wrote %s\n", path)
-	}
-	if res.Flight != nil {
-		path := filepath.Join(dir, "chaos-flight.jsonl")
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := res.Flight.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "artifact: wrote %s (%d span records, %d evicted)\n",
-			path, res.Flight.Len(), res.Flight.Evicted())
-	}
-	return nil
-}
-
-func run(stdout, stderr io.Writer, cfg runConfig) (int, error) {
+// run executes one soak or replay and returns what decides the exit
+// status (hterr.Exit): nil when every invariant held, the classified
+// violation, or a setup error.
+func run(stdout, stderr io.Writer, cfg runConfig) error {
 	start := time.Now()
 	var res *chaos.Result
 	var err error
@@ -186,11 +144,11 @@ func run(stdout, stderr io.Writer, cfg runConfig) (int, error) {
 	if cfg.Replay != "" {
 		data, rerr := os.ReadFile(cfg.Replay)
 		if rerr != nil {
-			return 1, rerr
+			return rerr
 		}
 		b, perr := chaos.ParseBundle(data)
 		if perr != nil {
-			return 1, perr
+			return perr
 		}
 		expectViolation = b.IsFailure()
 		if expectViolation {
@@ -203,7 +161,7 @@ func run(stdout, stderr io.Writer, cfg runConfig) (int, error) {
 		res, err = chaos.Run(cfg.Config)
 	}
 	if err != nil {
-		return 1, err
+		return err
 	}
 	if cfg.Verbose {
 		for _, line := range res.Trace {
@@ -217,10 +175,10 @@ func run(stdout, stderr io.Writer, cfg runConfig) (int, error) {
 	if cfg.RecordOut != "" {
 		data, merr := chaos.NewTraceBundle(res.Config, res.Ops).Marshal()
 		if merr != nil {
-			return 1, merr
+			return merr
 		}
 		if werr := os.WriteFile(cfg.RecordOut, data, 0o644); werr != nil {
-			return 1, werr
+			return werr
 		}
 		fmt.Fprintf(stdout, "record: wrote %s (%d op(s); replay with -replay, or feed to FuzzTransplantTrace in internal/chaos)\n",
 			cfg.RecordOut, len(res.Ops))
@@ -232,13 +190,17 @@ func run(stdout, stderr io.Writer, cfg runConfig) (int, error) {
 			// the bundle is stale) — worth a loud note, but a clean exit.
 			fmt.Fprintln(stdout, "replay: violation did not reproduce")
 		}
-		return 0, nil
+		return nil
 	}
 
 	ferr := res.Failure.Err()
 	if cfg.ArtifactDir != "" {
-		if aerr := writeArtifacts(stdout, cfg.ArtifactDir, res); aerr != nil {
-			return 1, aerr
+		// The observability state around the violation ships with it.
+		metrics := func(w io.Writer) error { return res.Obs.Metrics().WriteMetricsJSON(w, false) }
+		if err := obs.WriteFiles(cfg.ArtifactDir, stdout,
+			obs.Artifact{Name: "chaos-metrics.json", Write: metrics},
+			obs.Artifact{Name: "chaos-flight.jsonl", Write: res.Flight.WriteJSONL}); err != nil {
+			return err
 		}
 	}
 	if cfg.Replay == "" && cfg.Shrink {
@@ -251,13 +213,13 @@ func run(stdout, stderr io.Writer, cfg runConfig) (int, error) {
 		}
 		data, merr := chaos.NewBundle(res.Config, ops, fail, trace).Marshal()
 		if merr != nil {
-			return 1, merr
+			return merr
 		}
 		if werr := os.WriteFile(cfg.BundleOut, data, 0o644); werr != nil {
-			return 1, werr
+			return werr
 		}
 		fmt.Fprintf(stdout, "bundle: wrote %s (replay with -replay %s)\n", cfg.BundleOut, cfg.BundleOut)
 		ferr = fail.Err()
 	}
-	return 2, fmt.Errorf("%s: %v", hterr.Label(hterr.Class(ferr)), ferr)
+	return ferr
 }

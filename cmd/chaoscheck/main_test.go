@@ -1,12 +1,15 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"hypertp/internal/fuzzseed"
+	"hypertp/internal/hterr"
 	"hypertp/internal/par"
 )
 
@@ -24,10 +27,9 @@ func TestParseArgsRejectsOutOfRangeProbability(t *testing.T) {
 		{[]string{"-ops", "0"}, "-ops"},
 		{[]string{"-hosts", "1"}, "-hosts"},
 		{[]string{"-vms", "0"}, "-vms"},
-		{[]string{"-flight-cap", "-5", "-stream"}, "-flight-cap"},
 		{[]string{"-ops", "20", "-fault-rate", "0"}, ""},
 		{[]string{"-fault-rate", "1"}, ""},
-		{[]string{"-ops", "1", "-hosts", "2", "-vms", "1", "-flight-cap", "0"}, ""},
+		{[]string{"-ops", "1", "-hosts", "2", "-vms", "1"}, ""},
 		{nil, ""},
 	} {
 		var stderr strings.Builder
@@ -45,7 +47,7 @@ func TestParseArgsRejectsOutOfRangeProbability(t *testing.T) {
 }
 
 // chaoscheck parses args as the command line does and runs them, returning
-// the exit code, stdout and the error main would print.
+// the exit code, stdout and the error main reports.
 func chaoscheck(t *testing.T, args ...string) (int, string, error) {
 	t.Helper()
 	cfg, err := parseArgs(args, os.Stderr)
@@ -53,8 +55,8 @@ func chaoscheck(t *testing.T, args ...string) (int, string, error) {
 		t.Fatalf("%v: %v", args, err)
 	}
 	var out strings.Builder
-	code, err := run(&out, io.Discard, cfg)
-	return code, out.String(), err
+	err = run(&out, io.Discard, cfg)
+	return hterr.Exit(io.Discard, "chaoscheck", err), out.String(), err
 }
 
 func TestRun(t *testing.T) {
@@ -92,8 +94,8 @@ func TestRun(t *testing.T) {
 		}},
 		{"planted leak exits 2 with artifacts, and its bundle replays", func(t *testing.T, dir string) {
 			bundle := filepath.Join(dir, "bundle.json")
-			code, out, err := chaoscheck(t, "-ops", "40", "-break", "leak-frame", "-stream", "-bundle-out", bundle, "-artifact-dir", dir)
-			if code != 2 || err == nil || !strings.Contains(err.Error(), "invariant-violated") {
+			code, out, err := chaoscheck(t, "-ops", "40", "-break", "leak-frame", "-bundle-out", bundle, "-artifact-dir", dir)
+			if code != 2 || !errors.Is(err, hterr.ErrInvariantViolated) {
 				t.Fatalf("exit %d, err %v, output:\n%s", code, err, out)
 			}
 			if !strings.Contains(out, "shrunk: 1 op(s) reproduce the frame-ownership violation") {
@@ -131,4 +133,12 @@ func TestRun(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) { tc.test(t, t.TempDir()) })
 	}
+}
+
+// Every flag the README's chaoscheck row names is one chaoscheck
+// defines.
+func TestREADMEFlagsDefined(t *testing.T) {
+	fuzzseed.CheckREADMEFlags(t, "../../README.md", "chaoscheck", func(args []string, stderr io.Writer) {
+		parseArgs(args, stderr)
+	})
 }

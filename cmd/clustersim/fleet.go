@@ -138,7 +138,7 @@ func respondOnce(hosts, vms int, limits sched.Limits, fl fleetConfig) (*fleetRun
 // between the two runs (same planner, different timeline); a divergence
 // is an invariant violation and exits non-zero. The whole report is
 // byte-identical for any -workers count.
-func runFleet(w io.Writer, hosts, vms int, sc schedConfig, ec exportConfig, fl fleetConfig) error {
+func runFleet(w io.Writer, hosts, vms int, sc schedConfig, artifactDir string, fl fleetConfig) error {
 	defer sc.apply()()
 	if fl.CVE == "" {
 		fl.CVE = fleetCVE
@@ -197,12 +197,10 @@ func runFleet(w io.Writer, hosts, vms int, sc schedConfig, ec exportConfig, fl f
 	if err := conc.slo.WriteReport(w, conc.now); err != nil {
 		return err
 	}
-	if ec.PromOut != "" {
-		write := func(pw io.Writer) error { return conc.rec.Metrics().WritePrometheus(pw, false) }
-		if err := writeFileWith(ec.PromOut, write); err != nil {
+	if artifactDir != "" {
+		if err := obs.WriteArtifacts(artifactDir, conc.rec, w); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "metrics: wrote %s (Prometheus text format)\n", ec.PromOut)
 	}
 	if !conc.slo.Pass(conc.now) {
 		return fmt.Errorf("clustersim: fleet SLO violated (see report above)")

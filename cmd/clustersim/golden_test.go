@@ -27,9 +27,8 @@ func TestGolden(t *testing.T) {
 		{"fault-seed7-rate0.2", []string{"-fault-seed", "7", "-fault-rate", "0.2"}},
 		{"fleet", []string{"-fleet"}},
 		{"fleet-crash0.25-warm8", []string{"-fleet", "-crash-rate", "0.25", "-warm-pool", "8"}},
-		{"fleet-prom", []string{"-fleet", "-hosts", "20", "-fleet-vms", "40", "-prom-out", "slo.prom"}},
-		{"exports", []string{"-trace-out", "trace.json", "-metrics-out", "metrics.json", "-prom-out", "metrics.prom",
-			"-stream-out", "spans.jsonl", "-trace-sample", "0.5", "-sample-seed", "3"}},
+		{"fleet-prom", []string{"-fleet", "-hosts", "20", "-fleet-vms", "40", "-artifact-dir", "."}},
+		{"exports", []string{"-artifact-dir", "."}},
 	} {
 		for i, workers := range []string{"1", "4"} {
 			t.Run(row.name+"/workers="+workers, func(t *testing.T) {

@@ -5,16 +5,16 @@
 // Usage:
 //
 //	clustersim -hosts 10 -vms-per-host 10 -group 1
-//	clustersim -trace-out upgrade.json -trace-frac 0.8
+//	clustersim -artifact-dir upgrade/ -trace-frac 0.8
 //	clustersim -fault-seed 7 -fault-rate 0.2 -fault-sites cluster.host
-//	clustersim -fleet -hosts 20 -fleet-vms 40 -prom-out slo.prom
+//	clustersim -fleet -hosts 20 -fleet-vms 40 -artifact-dir slo/
 //	clustersim -fleet -crash-rate 0.25 -mttr-budget 10s
 //
-// -trace-out writes a Chrome trace_event file of the upgrade at the
-// -trace-frac compatibility fraction (open in Perfetto); -metrics-out /
-// -prom-out dump the same run's metrics as JSON / Prometheus text;
-// -stream-out streams its span records to JSONL through seed-keyed head
-// sampling (-trace-sample, -sample-seed) — all byte-identical for any
+// -artifact-dir writes one upgrade's artifacts, run at the -trace-frac
+// compatibility fraction, into a directory: trace.json (Chrome
+// trace_event; open in Perfetto), spans.jsonl, metrics.json and
+// metrics.prom. With -fleet it writes the concurrent response's instead,
+// the hypertp_slo_* series included. All are byte-identical for any
 // -workers count.
 //
 // -fleet runs the cluster-wide CVE response (-cve) instead and appends
@@ -55,20 +55,18 @@ func main() {
 	if err != nil {
 		os.Exit(2)
 	}
-	if err := dispatch(os.Stdout, o); err != nil {
-		os.Exit(exitWithLabel("clustersim", err))
-	}
+	os.Exit(hterr.Exit(os.Stderr, "clustersim", dispatch(os.Stdout, o)))
 }
 
 // dispatch runs the scenario the flags in o select, printing to w.
 func dispatch(w io.Writer, o options) error {
 	switch {
 	case o.fleet:
-		return runFleet(w, o.hosts, o.fleetVMs, o.sc, o.ec, o.fl)
+		return runFleet(w, o.hosts, o.fleetVMs, o.sc, o.artifactDir, o.fl)
 	case o.fl.CrashRate > 0 || o.fl.MTTRBudget > 0 || o.fl.CVE != fleetCVE:
 		return fmt.Errorf("clustersim: -crash-rate, -cve and -mttr-budget apply to the -fleet scenario")
 	}
-	return run(w, o.hosts, o.vmsPerHost, o.group, o.traceFrac, o.fc, o.sc, o.ec)
+	return run(w, o.hosts, o.vmsPerHost, o.group, o.traceFrac, o.fc, o.sc, o.artifactDir)
 }
 
 // options is one clustersim invocation's worth of parsed flags.
@@ -77,9 +75,9 @@ type options struct {
 	traceFrac                float64
 	fleet                    bool
 	fleetVMs                 int
+	artifactDir              string
 	fc                       faultConfig
 	sc                       schedConfig
-	ec                       exportConfig
 	fl                       fleetConfig
 }
 
@@ -90,29 +88,24 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	fs := flag.NewFlagSet("clustersim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		hosts       = fs.Int("hosts", 10, "number of physical hosts")
-		vmsPerHost  = fs.Int("vms-per-host", 10, "VMs per host (1 vCPU / 4 GiB each)")
-		group       = fs.Int("group", 1, "hosts taken offline per upgrade group")
-		traceOut    = fs.String("trace-out", "", "write a Chrome trace_event JSON file of one upgrade")
-		traceFrac   = fs.Float64("trace-frac", 0.8, "InPlaceTP-compatible fraction for the traced upgrade")
-		metricsOut  = fs.String("metrics-out", "", "write the traced upgrade's metrics registry as JSON")
-		promOut     = fs.String("prom-out", "", "write the traced upgrade's (or the fleet run's) metrics in Prometheus text format")
-		streamOut   = fs.String("stream-out", "", "stream the traced upgrade's span records to a JSONL file as roots end")
-		traceSample = fs.Float64("trace-sample", 1, "head-sampling fraction for -stream-out in [0,1] (seed-keyed, deterministic)")
-		sampleSeed  = fs.Uint64("sample-seed", 1, "seed for -trace-sample head sampling")
-		faultSeed   = fs.Uint64("fault-seed", 0, "fault-injection seed (deterministic)")
-		faultRate   = fs.Float64("fault-rate", 0, "per-site fault probability in [0,1]")
-		faultSites  = fs.String("fault-sites", "", "comma-separated injection sites (empty = all registered sites)")
-		workers     = fs.Int("workers", 0, "worker-pool width for concurrent schedules (0 = library default; results are identical for any width)")
-		streams     = fs.Int("streams", 0, "fabric migration-stream cap for the concurrent schedule columns (0 = off)")
-		kexecs      = fs.Int("kexecs", 0, "simultaneous-kexec cap for the concurrent schedule columns (0 = unlimited)")
-		fleet       = fs.Bool("fleet", false, "run the fleet CVE-response scenario on the concurrent scheduler instead of the Fig. 13 sweep")
-		fleetVMs    = fs.Int("fleet-vms", 32, "VM population for -fleet")
-		cve         = fs.String("cve", fleetCVE, "the disclosed vulnerability the -fleet response answers")
-		crashRate   = fs.Float64("crash-rate", 0, "fraction in [0,1] of -fleet hosts fail-stopped before the response; the reactive path recovers them and the report gains an availability section")
-		mttrBudget  = fs.Duration("mttr-budget", 0, "with -crash-rate, declare an MTTR budget: p99 of outages repaired within this window (0 = none declared)")
-		warmPool    = fs.Int("warm-pool", 0, "pre-stage up to n warm translation entries before the -fleet response")
-		noCache     = fs.Bool("no-cache", false, "disable the transplant cache for -fleet (force every transplant cold)")
+		hosts      = fs.Int("hosts", 10, "number of physical hosts")
+		vmsPerHost = fs.Int("vms-per-host", 10, "VMs per host (1 vCPU / 4 GiB each)")
+		group      = fs.Int("group", 1, "hosts taken offline per upgrade group")
+		artDir     = fs.String("artifact-dir", "", "write the traced upgrade's (or, with -fleet, the concurrent response's) trace.json, spans.jsonl, metrics.json and metrics.prom into this directory")
+		traceFrac  = fs.Float64("trace-frac", 0.8, "InPlaceTP-compatible fraction for the traced upgrade")
+		faultSeed  = fs.Uint64("fault-seed", 0, "fault-injection seed (deterministic)")
+		faultRate  = fs.Float64("fault-rate", 0, "per-site fault probability in [0,1]")
+		faultSites = fs.String("fault-sites", "", "comma-separated injection sites (empty = all registered sites)")
+		workers    = fs.Int("workers", 0, "worker-pool width for concurrent schedules (0 = library default; results are identical for any width)")
+		streams    = fs.Int("streams", 0, "fabric migration-stream cap for the concurrent schedule columns (0 = off)")
+		kexecs     = fs.Int("kexecs", 0, "simultaneous-kexec cap for the concurrent schedule columns (0 = unlimited)")
+		fleet      = fs.Bool("fleet", false, "run the fleet CVE-response scenario on the concurrent scheduler instead of the Fig. 13 sweep")
+		fleetVMs   = fs.Int("fleet-vms", 32, "VM population for -fleet")
+		cve        = fs.String("cve", fleetCVE, "the disclosed vulnerability the -fleet response answers")
+		crashRate  = fs.Float64("crash-rate", 0, "fraction in [0,1] of -fleet hosts fail-stopped before the response; the reactive path recovers them and the report gains an availability section")
+		mttrBudget = fs.Duration("mttr-budget", 0, "with -crash-rate, declare an MTTR budget: p99 of outages repaired within this window (0 = none declared)")
+		warmPool   = fs.Int("warm-pool", 0, "pre-stage up to n warm translation entries before the -fleet response")
+		noCache    = fs.Bool("no-cache", false, "disable the transplant cache for -fleet (force every transplant cold)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
@@ -121,7 +114,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	for _, p := range []struct {
 		flag  string
 		value float64
-	}{{"fault-rate", *faultRate}, {"crash-rate", *crashRate}, {"trace-sample", *traceSample}, {"trace-frac", *traceFrac}} {
+	}{{"fault-rate", *faultRate}, {"crash-rate", *crashRate}, {"trace-frac", *traceFrac}} {
 		if err == nil && !(p.value >= 0 && p.value <= 1) {
 			err = fmt.Errorf("-%s %v outside [0,1]", p.flag, p.value)
 		}
@@ -140,13 +133,9 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	}
 	return options{
 		hosts: *hosts, vmsPerHost: *vmsPerHost, group: *group, traceFrac: *traceFrac,
-		fleet: *fleet, fleetVMs: *fleetVMs,
+		fleet: *fleet, fleetVMs: *fleetVMs, artifactDir: *artDir,
 		fc: faultConfig{Seed: *faultSeed, Rate: *faultRate, Sites: *faultSites},
 		sc: schedConfig{Workers: *workers, Streams: *streams, Kexecs: *kexecs},
-		ec: exportConfig{
-			TraceOut: *traceOut, MetricsOut: *metricsOut, PromOut: *promOut,
-			StreamOut: *streamOut, TraceSample: *traceSample, SampleSeed: *sampleSeed,
-		},
 		fl: fleetConfig{CVE: *cve, CrashRate: *crashRate, MTTRBudget: *mttrBudget,
 			WarmPool: *warmPool, NoCache: *noCache},
 	}, nil
@@ -176,37 +165,6 @@ func (sc schedConfig) apply() func() {
 	return func() { par.SetWorkers(old) }
 }
 
-// exitWithLabel prints the error with its hterr class label and picks
-// the exit status: 2 for broken invariants, blown watchdogs and
-// unrecovered crashes (the outcomes a CI soak must not swallow), 1 for
-// everything else.
-func exitWithLabel(tool string, err error) int {
-	if class := hterr.Class(err); class != nil {
-		fmt.Fprintf(os.Stderr, "%s: %s: %v\n", tool, hterr.Label(class), err)
-		if class == hterr.ErrInvariantViolated || class == hterr.ErrWatchdogExpired ||
-			class == hterr.ErrHypervisorCrashed {
-			return 2
-		}
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
-	return 1
-}
-
-// exportConfig carries the observability-export flags.
-type exportConfig struct {
-	TraceOut, MetricsOut, PromOut, StreamOut string
-	// TraceSample/SampleSeed drive seed-keyed head sampling of StreamOut:
-	// the kept set is a pure function of (seed, root name, root start),
-	// so the file is byte-identical for any worker count.
-	TraceSample float64
-	SampleSeed  uint64
-}
-
-func (ec exportConfig) enabled() bool {
-	return ec.TraceOut != "" || ec.MetricsOut != "" || ec.PromOut != "" || ec.StreamOut != ""
-}
-
 // faultConfig carries the fault-injection flags.
 type faultConfig struct {
 	Seed  uint64
@@ -227,7 +185,7 @@ func (fc faultConfig) plan() (*fault.Plan, error) {
 	return fault.NewPlan(fc.Seed, fc.Rate).Restrict(sites...), nil
 }
 
-func run(w io.Writer, hosts, vmsPerHost, group int, traceFrac float64, fc faultConfig, sc schedConfig, ec exportConfig) error {
+func run(w io.Writer, hosts, vmsPerHost, group int, traceFrac float64, fc faultConfig, sc schedConfig, artifactDir string) error {
 	defer sc.apply()()
 	model := cluster.DefaultExecutionModel()
 	runOnce := func(frac float64, rec *obs.Recorder) (cluster.Result, *cluster.Plan, error) {
@@ -305,68 +263,16 @@ func run(w io.Writer, hosts, vmsPerHost, group int, traceFrac float64, fc faultC
 			fc.Seed, fc.Rate, orAll(fc.Sites))
 	}
 
-	if !ec.enabled() {
+	if artifactDir == "" {
 		return nil
 	}
 	// The planner is clock-less: spans carry explicit virtual times from
-	// the execution model, so every export below is deterministic.
+	// the execution model, so every artifact is deterministic.
 	rec := obs.NewRecorder(nil)
-	var streamFile *os.File
-	var jsonl *obs.JSONLSink
-	if ec.StreamOut != "" {
-		f, err := os.Create(ec.StreamOut)
-		if err != nil {
-			return err
-		}
-		streamFile = f
-		jsonl = obs.NewJSONLSink(f)
-		// Sampling keys on the root span, so a 100k-host stream exports
-		// O(sampled roots), not O(fleet).
-		if ec.TraceSample < 1 {
-			rec.AddSink(obs.NewHeadSampler(ec.SampleSeed, ec.TraceSample, jsonl))
-		} else {
-			rec.AddSink(jsonl)
-		}
-	}
 	if _, _, err := runOnce(traceFrac, rec); err != nil {
-		if streamFile != nil {
-			streamFile.Close()
-		}
 		return err
 	}
-	if streamFile != nil {
-		if err := jsonl.Err(); err != nil {
-			streamFile.Close()
-			return err
-		}
-		if err := streamFile.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "stream: wrote %s (JSONL, sample %.2f, seed %d)\n",
-			ec.StreamOut, ec.TraceSample, ec.SampleSeed)
-	}
-	if ec.TraceOut != "" {
-		if err := writeFileWith(ec.TraceOut, rec.WriteChromeTrace); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "trace: wrote %s for compatible fraction %.2f (open in Perfetto)\n",
-			ec.TraceOut, traceFrac)
-	}
-	if ec.MetricsOut != "" {
-		write := func(w io.Writer) error { return rec.Metrics().WriteMetricsJSON(w, false) }
-		if err := writeFileWith(ec.MetricsOut, write); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "metrics: wrote %s\n", ec.MetricsOut)
-	}
-	if ec.PromOut != "" {
-		write := func(w io.Writer) error { return rec.Metrics().WritePrometheus(w, false) }
-		if err := writeFileWith(ec.PromOut, write); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "metrics: wrote %s (Prometheus text format)\n", ec.PromOut)
-	}
-	return nil
+	return obs.WriteArtifacts(artifactDir, rec, w)
 }
 
 // orAll renders an empty site restriction as "all".
@@ -375,17 +281,4 @@ func orAll(s string) string {
 		return "all"
 	}
 	return s
-}
-
-// writeFileWith creates path and streams fn's output into it.
-func writeFileWith(path string, fn func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -10,25 +10,27 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hypertp/internal/fuzzseed"
 )
 
 func TestRunDefaults(t *testing.T) {
-	if err := run(io.Discard, 10, 10, 1, 0.8, faultConfig{}, schedConfig{}, exportConfig{}); err != nil {
+	if err := run(io.Discard, 10, 10, 1, 0.8, faultConfig{}, schedConfig{}, ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunSmallCluster(t *testing.T) {
-	if err := run(io.Discard, 4, 3, 2, 0.8, faultConfig{}, schedConfig{}, exportConfig{}); err != nil {
+	if err := run(io.Discard, 4, 3, 2, 0.8, faultConfig{}, schedConfig{}, ""); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunBadShape(t *testing.T) {
-	if err := run(io.Discard, 1, 10, 1, 0.8, faultConfig{}, schedConfig{}, exportConfig{}); err == nil {
+	if err := run(io.Discard, 1, 10, 1, 0.8, faultConfig{}, schedConfig{}, ""); err == nil {
 		t.Fatal("single-host cluster accepted")
 	}
-	if err := run(io.Discard, 10, 10, 10, 0.8, faultConfig{}, schedConfig{}, exportConfig{}); err == nil {
+	if err := run(io.Discard, 10, 10, 10, 0.8, faultConfig{}, schedConfig{}, ""); err == nil {
 		t.Fatal("group size = cluster accepted")
 	}
 }
@@ -37,21 +39,24 @@ func TestRunBadShape(t *testing.T) {
 // failed hosts and the run still completes.
 func TestRunWithFaultInjection(t *testing.T) {
 	fc := faultConfig{Seed: 7, Rate: 0.5, Sites: "cluster.host"}
-	if err := run(io.Discard, 6, 3, 1, 0.8, fc, schedConfig{}, exportConfig{}); err != nil {
+	if err := run(io.Discard, 6, 3, 1, 0.8, fc, schedConfig{}, ""); err != nil {
 		t.Fatal(err)
 	}
 	// Unknown site rejected.
 	bad := faultConfig{Seed: 1, Rate: 1, Sites: "no.such.site"}
-	if err := run(io.Discard, 4, 3, 1, 0.8, bad, schedConfig{}, exportConfig{}); err == nil {
+	if err := run(io.Discard, 4, 3, 1, 0.8, bad, schedConfig{}, ""); err == nil {
 		t.Fatal("unknown fault site accepted")
 	}
 }
 
+// -artifact-dir writes the traced upgrade, at the -trace-frac fraction,
+// as a trace carrying the planner's spans, beside its metrics (the
+// exports golden pins the default shape's files byte for byte).
 func TestRunTraceOut(t *testing.T) {
 	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "upgrade.json")
+	tracePath := filepath.Join(dir, "trace.json")
 	metricsPath := filepath.Join(dir, "metrics.json")
-	if err := run(io.Discard, 4, 3, 1, 0.5, faultConfig{}, schedConfig{}, exportConfig{TraceOut: tracePath, MetricsOut: metricsPath, TraceSample: 1}); err != nil {
+	if err := run(io.Discard, 4, 3, 1, 0.5, faultConfig{}, schedConfig{}, dir); err != nil {
 		t.Fatal(err)
 	}
 	var tr struct {
@@ -81,7 +86,7 @@ func TestRunTraceOut(t *testing.T) {
 // The -streams/-kexecs columns: the concurrent re-timing of the same
 // plan appears alongside the serial sweep.
 func TestRunScheduledColumns(t *testing.T) {
-	if err := run(io.Discard, 6, 3, 2, 0.8, faultConfig{}, schedConfig{Streams: 4, Kexecs: 4}, exportConfig{}); err != nil {
+	if err := run(io.Discard, 6, 3, 2, 0.8, faultConfig{}, schedConfig{Streams: 4, Kexecs: 4}, ""); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -91,7 +96,7 @@ func TestRunScheduledColumns(t *testing.T) {
 func TestRunFaultsWithScheduledColumns(t *testing.T) {
 	var buf bytes.Buffer
 	fc := faultConfig{Seed: 7, Rate: 0.2, Sites: "cluster.host"}
-	if err := run(&buf, 10, 10, 2, 0.8, fc, schedConfig{Streams: 4, Kexecs: 4}, exportConfig{}); err != nil {
+	if err := run(&buf, 10, 10, 2, 0.8, fc, schedConfig{Streams: 4, Kexecs: 4}, ""); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(buf.String(), "\n")
@@ -131,7 +136,7 @@ func TestRunFaultsWithScheduledColumns(t *testing.T) {
 func TestRunFleetDeterministicAcrossWorkers(t *testing.T) {
 	out := func(workers int) string {
 		var buf bytes.Buffer
-		if err := runFleet(&buf, 10, 32, schedConfig{Workers: workers, Streams: 4, Kexecs: 4}, exportConfig{}, fleetConfig{}); err != nil {
+		if err := runFleet(&buf, 10, 32, schedConfig{Workers: workers, Streams: 4, Kexecs: 4}, "", fleetConfig{}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -178,7 +183,7 @@ func TestRunFleetDeterministicAcrossWorkers(t *testing.T) {
 func TestRunFleetCrashRate(t *testing.T) {
 	out := func(workers int) string {
 		var buf bytes.Buffer
-		if err := runFleet(&buf, 8, 24, schedConfig{Workers: workers, Streams: 4, Kexecs: 4}, exportConfig{}, fleetConfig{CrashRate: 0.25}); err != nil {
+		if err := runFleet(&buf, 8, 24, schedConfig{Workers: workers, Streams: 4, Kexecs: 4}, "", fleetConfig{CrashRate: 0.25}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -208,7 +213,7 @@ func TestRunFleetCrashRate(t *testing.T) {
 // rejects -warm-pool.
 func TestRunFleetWarmPoolAndNoCache(t *testing.T) {
 	var warm bytes.Buffer
-	if err := runFleet(&warm, 6, 16, schedConfig{Streams: 4, Kexecs: 4}, exportConfig{}, fleetConfig{WarmPool: 16}); err != nil {
+	if err := runFleet(&warm, 6, 16, schedConfig{Streams: 4, Kexecs: 4}, "", fleetConfig{WarmPool: 16}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(warm.String(), "cache: ") {
@@ -218,66 +223,20 @@ func TestRunFleetWarmPoolAndNoCache(t *testing.T) {
 		t.Fatalf("warm pool staged nothing:\n%s", warm.String())
 	}
 	var cold bytes.Buffer
-	if err := runFleet(&cold, 6, 16, schedConfig{Streams: 4, Kexecs: 4}, exportConfig{}, fleetConfig{NoCache: true}); err != nil {
+	if err := runFleet(&cold, 6, 16, schedConfig{Streams: 4, Kexecs: 4}, "", fleetConfig{NoCache: true}); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(cold.String(), "cache: ") {
 		t.Fatalf("-no-cache report still has a cache line:\n%s", cold.String())
 	}
-	if err := runFleet(&cold, 6, 16, schedConfig{}, exportConfig{}, fleetConfig{WarmPool: 4, NoCache: true}); err == nil {
+	if err := runFleet(&cold, 6, 16, schedConfig{}, "", fleetConfig{WarmPool: 4, NoCache: true}); err == nil {
 		t.Fatal("-warm-pool with -no-cache accepted")
 	}
 }
 
-// The -stream-out/-trace-sample pipeline: the streamed, head-sampled
-// JSONL export is byte-identical for the same seed and fraction at any
-// worker count, and the sampling decision really is seed-keyed — the
-// sweep's single root span is kept under one seed and dropped whole
-// under another (decisions are a pure function of seed, root name and
-// root start, so these outcomes are pinned).
-func TestStreamOutSampledDeterministicAcrossWorkers(t *testing.T) {
-	dir := t.TempDir()
-	streamed := func(workers int, frac float64, seed uint64, name string) []byte {
-		path := filepath.Join(dir, name)
-		ec := exportConfig{StreamOut: path, TraceSample: frac, SampleSeed: seed}
-		sc := schedConfig{Workers: workers, Streams: 4, Kexecs: 4}
-		if err := run(io.Discard, 6, 3, 2, 0.5, faultConfig{}, sc, ec); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	// Seed 3 keeps the "rolling-upgrade" root at fraction 0.5; seed 1
-	// drops it.
-	w1 := streamed(1, 0.5, 3, "w1.jsonl")
-	w8 := streamed(8, 0.5, 3, "w8.jsonl")
-	if !bytes.Equal(w1, w8) {
-		t.Fatalf("sampled stream differs across workers:\n-workers 1: %d bytes\n-workers 8: %d bytes", len(w1), len(w8))
-	}
-	full := streamed(1, 1, 3, "full.jsonl")
-	if len(full) == 0 {
-		t.Fatal("unsampled stream is empty")
-	}
-	if !bytes.Equal(w1, full) {
-		t.Fatalf("kept root renders differently sampled vs full (%d vs %d bytes)", len(w1), len(full))
-	}
-	if dropped := streamed(1, 0.5, 1, "dropped.jsonl"); len(dropped) != 0 {
-		t.Fatalf("seed 1 should drop the root whole, got %d bytes", len(dropped))
-	}
-	// Spot-check the line format: every line is one span record.
-	for i, line := range strings.Split(strings.TrimRight(string(full), "\n"), "\n") {
-		if !strings.HasPrefix(line, `{"id":`) || !strings.HasSuffix(line, "}") {
-			t.Fatalf("stream line %d is not a span record: %s", i, line)
-		}
-	}
-}
-
 // A fraction flag outside [0,1] is a usage error naming the flag, not a
-// run that is silently unfaulted, crash-free, unsampled or traced at
-// another fraction; so is a negative count, not a run at the default.
+// run that is silently unfaulted, crash-free or traced at another
+// fraction; so is a negative count, not a run at the default.
 func TestParseArgsRejectsOutOfRangeProbability(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -287,16 +246,14 @@ func TestParseArgsRejectsOutOfRangeProbability(t *testing.T) {
 		{[]string{"-fault-rate", "2"}, "-fault-rate"},
 		{[]string{"-crash-rate", "-0.5", "-fleet"}, "-crash-rate"},
 		{[]string{"-fleet", "-crash-rate", "1.5"}, "-crash-rate"},
-		{[]string{"-trace-sample", "-0.3", "-stream-out", "f"}, "-trace-sample"},
-		{[]string{"-trace-sample", "1.7"}, "-trace-sample"},
-		{[]string{"-trace-sample", "NaN"}, "-trace-sample"},
-		{[]string{"-trace-frac", "2", "-trace-out", "f"}, "-trace-frac"},
+		{[]string{"-trace-frac", "2", "-artifact-dir", "f"}, "-trace-frac"},
 		{[]string{"-trace-frac", "-0.1"}, "-trace-frac"},
+		{[]string{"-trace-frac", "NaN"}, "-trace-frac"},
 		{[]string{"-streams", "-1"}, "-streams"},
 		{[]string{"-kexecs", "-1"}, "-kexecs"},
 		{[]string{"-fleet", "-warm-pool", "-3"}, "-warm-pool"},
 		{[]string{"-trace-frac", "1", "-streams", "0", "-kexecs", "0", "-warm-pool", "0"}, ""},
-		{[]string{"-fault-rate", "0.2", "-trace-sample", "0", "-crash-rate", "1"}, ""},
+		{[]string{"-fault-rate", "0.2", "-trace-frac", "0", "-crash-rate", "1"}, ""},
 		{nil, ""},
 	} {
 		var stderr strings.Builder
@@ -321,7 +278,7 @@ func TestRunFleetCVEAndMTTRBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := runFleet(&buf, 8, 24, schedConfig{Streams: 4, Kexecs: 4}, exportConfig{}, o.fl); err != nil {
+	if err := runFleet(&buf, 8, 24, schedConfig{Streams: 4, Kexecs: 4}, "", o.fl); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -331,7 +288,15 @@ func TestRunFleetCVEAndMTTRBudget(t *testing.T) {
 	if !strings.Contains(out, "target p99 within 10s: violations=0/2") {
 		t.Fatalf("no MTTR budget verdict:\n%s", out)
 	}
-	if err := runFleet(io.Discard, 8, 24, schedConfig{}, exportConfig{}, fleetConfig{CVE: "CVE-0000-0000"}); err == nil {
+	if err := runFleet(io.Discard, 8, 24, schedConfig{}, "", fleetConfig{CVE: "CVE-0000-0000"}); err == nil {
 		t.Fatal("unknown -cve accepted")
 	}
+}
+
+// Every flag the README's clustersim row names is one clustersim
+// defines.
+func TestREADMEFlagsDefined(t *testing.T) {
+	fuzzseed.CheckREADMEFlags(t, "../../README.md", "clustersim", func(args []string, stderr io.Writer) {
+		parseArgs(args, stderr)
+	})
 }

@@ -28,8 +28,7 @@ func TestGolden(t *testing.T) {
 		{"verbose", []string{"-v"}},
 		{"vms4-verbose", []string{"-vms", "4", "-v"}},
 		{"migration", []string{"-mode", "migration"}},
-		{"exports", []string{"-vms", "4", "-trace-out", "trace.json", "-metrics-out", "metrics.json",
-			"-prom-out", "metrics.prom", "-spans-out", "spans.jsonl"}},
+		{"exports", []string{"-vms", "4", "-artifact-dir", "."}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			fuzzseed.Golden(t, filepath.Join("testdata", "golden", row.name), *updateGolden, func(stdout io.Writer) {

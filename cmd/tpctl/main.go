@@ -9,16 +9,16 @@
 //	tpctl -mode inplace -from xen -to kvm -cve CVE-2016-6258   # policy check first
 //	tpctl -mode inplace -warm-pool 2        # pre-stage warm translation entries
 //	tpctl -mode inplace -no-cache           # force the cold path
-//	tpctl -mode inplace -trace-out trace.json -metrics-out metrics.json
+//	tpctl -mode inplace -artifact-dir run/
 //	tpctl -mode inplace -fault-seed 42 -fault-rate 1 -fault-sites kexec.handover -fault-plan
 //	tpctl -mode inplace -crash-at idle        # fail-stop, then emergency recovery
 //	tpctl -mode inplace -crash-at transplant  # double fault at the worst point
 //
-// -trace-out writes a Chrome trace_event file (open in Perfetto or
-// chrome://tracing); -metrics-out writes the metrics registry as JSON;
-// -prom-out writes it in Prometheus text exposition format; -spans-out
-// writes the span forest as JSONL. All are deterministic: byte-identical
-// across runs.
+// -artifact-dir writes the run's artifacts into a directory: trace.json
+// (Chrome trace_event; open in Perfetto or chrome://tracing),
+// spans.jsonl (the span forest, one record per line), metrics.json and
+// metrics.prom (the metrics registry as JSON and in Prometheus text
+// exposition format). All are deterministic: byte-identical across runs.
 //
 // -fault-seed/-fault-rate/-fault-sites arm deterministic fault
 // injection at the named phase boundaries; the engine's recovery paths
@@ -63,9 +63,7 @@ func main() {
 	if err != nil {
 		os.Exit(2)
 	}
-	if err := run(os.Stdout, cfg); err != nil {
-		os.Exit(exitWithLabel("tpctl", err))
-	}
+	os.Exit(hterr.Exit(os.Stderr, "tpctl", run(os.Stdout, cfg)))
 }
 
 // parseArgs parses the command line into a runConfig. Usage errors,
@@ -87,10 +85,7 @@ func parseArgs(args []string, stderr io.Writer) (runConfig, error) {
 		noPar      = fs.Bool("no-parallel", false, "disable parallel translation (ablation)")
 		noHuge     = fs.Bool("no-hugepages", false, "disable huge-page PRAM entries (ablation)")
 		noEarly    = fs.Bool("no-early-restore", false, "disable early restoration (ablation)")
-		traceOut   = fs.String("trace-out", "", "write a Chrome trace_event JSON file of the run")
-		metricsOut = fs.String("metrics-out", "", "write the metrics registry as JSON")
-		promOut    = fs.String("prom-out", "", "write the metrics registry in Prometheus text format")
-		spansOut   = fs.String("spans-out", "", "write the span forest as JSONL (one span record per line)")
+		artDir     = fs.String("artifact-dir", "", "write the run's trace.json, spans.jsonl, metrics.json and metrics.prom into this directory")
 		faultSeed  = fs.Uint64("fault-seed", 0, "fault-injection seed (deterministic; 0 with rate 0 disables)")
 		faultRate  = fs.Float64("fault-rate", 0, "per-site fault probability in [0,1]")
 		faultSites = fs.String("fault-sites", "", "comma-separated injection sites (empty = all registered sites)")
@@ -123,36 +118,16 @@ func parseArgs(args []string, stderr io.Writer) (runConfig, error) {
 			HugePages:          !*noHuge,
 			EarlyRestoration:   !*noEarly,
 		},
-		TraceOut:   *traceOut,
-		MetricsOut: *metricsOut,
-		PromOut:    *promOut,
-		SpansOut:   *spansOut,
-		FaultSeed:  *faultSeed,
-		FaultRate:  *faultRate,
-		FaultSites: *faultSites,
-		FaultPlan:  *faultPlan,
-		NoCache:    *noCache,
-		WarmPool:   *warmPool,
-		CrashAt:    *crashAt,
-		Verbose:    *verbose,
+		ArtifactDir: *artDir,
+		FaultSeed:   *faultSeed,
+		FaultRate:   *faultRate,
+		FaultSites:  *faultSites,
+		FaultPlan:   *faultPlan,
+		NoCache:     *noCache,
+		WarmPool:    *warmPool,
+		CrashAt:     *crashAt,
+		Verbose:     *verbose,
 	}, nil
-}
-
-// exitWithLabel prints the error with its hterr class label and picks
-// the exit status: 2 for broken invariants, blown watchdogs and
-// unrecovered crashes (the outcomes a CI soak must not swallow), 1 for
-// everything else.
-func exitWithLabel(tool string, err error) int {
-	if class := hterr.Class(err); class != nil {
-		fmt.Fprintf(os.Stderr, "%s: %s: %v\n", tool, hterr.Label(class), err)
-		if class == hterr.ErrInvariantViolated || class == hterr.ErrWatchdogExpired ||
-			class == hterr.ErrHypervisorCrashed {
-			return 2
-		}
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
-	return 1
 }
 
 func parseProfile(s string) (*hw.Profile, error) {
@@ -172,8 +147,7 @@ type runConfig struct {
 	VMs, VCPUs, MemGiB      int
 	CVE                     string
 	Opts                    core.Options
-	TraceOut, MetricsOut    string
-	PromOut, SpansOut       string
+	ArtifactDir             string
 	FaultSeed               uint64
 	FaultRate               float64
 	FaultSites              string
@@ -217,7 +191,7 @@ func run(stdout io.Writer, cfg runConfig) error {
 	srcMachine := hw.NewMachine(clock, profile)
 	engine := core.NewEngine(clock, srcMachine)
 	var rec *obs.Recorder
-	if cfg.Verbose || cfg.TraceOut != "" || cfg.MetricsOut != "" || cfg.PromOut != "" || cfg.SpansOut != "" {
+	if cfg.Verbose || cfg.ArtifactDir != "" {
 		rec = obs.NewRecorder(clock)
 		engine.Obs = rec
 	}
@@ -379,31 +353,10 @@ func run(stdout io.Writer, cfg runConfig) error {
 	default:
 		return fmt.Errorf("unknown mode %q (want inplace or migration)", cfg.Mode)
 	}
-	if cfg.TraceOut != "" {
-		if err := writeFileWith(cfg.TraceOut, rec.WriteChromeTrace); err != nil {
+	if cfg.ArtifactDir != "" {
+		if err := obs.WriteArtifacts(cfg.ArtifactDir, rec, stdout); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "trace: wrote %s (open in Perfetto or chrome://tracing)\n", cfg.TraceOut)
-	}
-	if cfg.MetricsOut != "" {
-		write := func(w io.Writer) error { return rec.Metrics().WriteMetricsJSON(w, false) }
-		if err := writeFileWith(cfg.MetricsOut, write); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "metrics: wrote %s\n", cfg.MetricsOut)
-	}
-	if cfg.PromOut != "" {
-		write := func(w io.Writer) error { return rec.Metrics().WritePrometheus(w, false) }
-		if err := writeFileWith(cfg.PromOut, write); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "metrics: wrote %s (Prometheus text format)\n", cfg.PromOut)
-	}
-	if cfg.SpansOut != "" {
-		if err := writeFileWith(cfg.SpansOut, rec.WriteJSONL); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "spans: wrote %s (JSONL, one record per line)\n", cfg.SpansOut)
 	}
 	if cfg.FaultPlan && plan != nil {
 		shots := plan.Shots()
@@ -440,17 +393,4 @@ func orAll(s string) string {
 		return "all"
 	}
 	return s
-}
-
-// writeFileWith creates path and streams fn's output into it.
-func writeFileWith(path string, fn func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

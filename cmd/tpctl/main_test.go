@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"hypertp/internal/core"
+	"hypertp/internal/fuzzseed"
 	"hypertp/internal/hterr"
 )
 
@@ -162,29 +163,25 @@ func TestRunCrashAt(t *testing.T) {
 	if err := run(io.Discard, c); err == nil {
 		t.Fatal("-crash-at with -mode migration accepted")
 	}
-	if got := exitWithLabel("tpctl", hterr.HypervisorCrashed(errors.New("frozen"))); got != 2 {
+	if got := hterr.Exit(io.Discard, "tpctl", hterr.HypervisorCrashed(errors.New("frozen"))); got != 2 {
 		t.Fatalf("unrecovered crash exits %d, want 2", got)
-	}
-	if got := exitWithLabel("tpctl", errors.New("plain")); got != 1 {
-		t.Fatalf("plain error exits %d, want 1", got)
 	}
 }
 
-// TestRunTraceAndMetricsOut exercises the -trace-out/-metrics-out paths
-// for both modes and checks the files are valid, non-empty JSON.
+// TestRunTraceAndMetricsOut exercises -artifact-dir for both modes (the
+// exports golden pins the in-place files byte for byte) and checks the
+// trace and metrics files are valid, non-empty JSON.
 func TestRunTraceAndMetricsOut(t *testing.T) {
-	dir := t.TempDir()
 	for _, mode := range []string{"inplace", "migration"} {
 		c := cfg(mode)
-		c.TraceOut = filepath.Join(dir, mode+"-trace.json")
-		c.MetricsOut = filepath.Join(dir, mode+"-metrics.json")
+		c.ArtifactDir = filepath.Join(t.TempDir(), mode)
 		if err := run(io.Discard, c); err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}
 		var tr struct {
 			TraceEvents []map[string]any `json:"traceEvents"`
 		}
-		data, err := os.ReadFile(c.TraceOut)
+		data, err := os.ReadFile(filepath.Join(c.ArtifactDir, "trace.json"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +192,7 @@ func TestRunTraceAndMetricsOut(t *testing.T) {
 			t.Fatalf("%s: empty trace", mode)
 		}
 		var mets map[string]any
-		data, err = os.ReadFile(c.MetricsOut)
+		data, err = os.ReadFile(filepath.Join(c.ArtifactDir, "metrics.json"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,15 +209,14 @@ func TestRunTraceAndMetricsOut(t *testing.T) {
 // prom dump carries the hypertp_tpcache_* series, and -warm-pool
 // without the cache is rejected.
 func TestRunWarmPoolAndNoCache(t *testing.T) {
-	dir := t.TempDir()
 	c := cfg("inplace")
 	c.VMs = 2
 	c.WarmPool = 2
-	c.PromOut = filepath.Join(dir, "warm.prom")
+	c.ArtifactDir = t.TempDir()
 	if err := run(io.Discard, c); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(c.PromOut)
+	data, err := os.ReadFile(filepath.Join(c.ArtifactDir, "metrics.prom"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,4 +291,11 @@ func TestParseArgsRejectsOutOfRangeProbability(t *testing.T) {
 			t.Errorf("%v: want a usage error naming %s, got %v, stderr %q", tc.args, tc.bad, err, stderr.String())
 		}
 	}
+}
+
+// Every flag the README's tpctl row names is one tpctl defines.
+func TestREADMEFlagsDefined(t *testing.T) {
+	fuzzseed.CheckREADMEFlags(t, "../../README.md", "tpctl", func(args []string, stderr io.Writer) {
+		parseArgs(args, stderr)
+	})
 }

@@ -1,34 +1,43 @@
-// Command tracecheck validates observability exports produced by
-// tpctl/clustersim. The default mode checks a Chrome trace_event JSON
-// file: it must parse, be non-empty, contain only well-formed complete
-// ("X") and instant ("i") events, and — with -require-steps — cover
-// every Fig. 3 workflow step as a span. The Makefile's trace-demo
+// Command tracecheck validates the span exports of an artifact
+// directory (tpctl/clustersim -artifact-dir, chaoscheck's violation
+// artifacts). The default mode checks a Chrome trace_event JSON file
+// (trace.json): it must parse, be non-empty, contain only well-formed
+// complete ("X") and instant ("i") events, and — with -require-steps —
+// cover every Fig. 3 workflow step as a span. The Makefile's trace-demo
 // target uses it as the end-to-end check that the observability
 // pipeline emits something a human can actually open.
 //
-// -jsonl switches to validating a streamed span-record file
-// (-spans-out / -stream-out / a flight-recorder dump): every line must
-// be one span record, ids unique, and each root's records must pass the
-// span auditor (obs.AuditRecords: end >= start, every child within its
-// parent's interval when the parent is present, siblings in monotone
-// start order) — sampled or evicted parents are tolerated, because
-// streaming exports are allowed to keep or drop whole roots.
+// -jsonl switches to validating a span-record file (spans.jsonl, or a
+// flight-recorder dump such as chaos-flight.jsonl): every line must be
+// one span record, no span id may repeat, and the whole file must pass
+// the span auditor (obs.AuditRecords: end >= start, every child within
+// its parent's interval when the parent is present, siblings in
+// monotone start order). The file is audited as one set, because a
+// depth-first export is not in id order: a nephew opened before its
+// uncle is listed first. Records whose parent is absent are tolerated —
+// a flight recorder's ring evicts spans whatever their parents.
 //
 // Usage:
 //
-//	tracecheck -require-steps trace.json
-//	tracecheck -jsonl spans.jsonl
+//	tracecheck -require-steps run/trace.json
+//	tracecheck -jsonl run/spans.jsonl
+//
+// Exit status: 0 when the file is valid, 1 when it is not, 2 on a usage
+// error.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"hypertp/internal/core"
+	"hypertp/internal/hterr"
 	"hypertp/internal/obs"
 )
 
@@ -48,60 +57,88 @@ type traceFile struct {
 }
 
 func main() {
-	requireSteps := flag.Bool("require-steps", false,
-		"require every Fig. 3 workflow step to appear as a span")
-	jsonl := flag.Bool("jsonl", false,
-		"validate a streamed span-record JSONL file instead of a Chrome trace")
-	allowEmpty := flag.Bool("allow-empty", false,
-		"accept an empty -jsonl file (aggressive sampling may drop every root)")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tracecheck [-require-steps | -jsonl [-allow-empty]] <file>")
-		os.Exit(2)
-	}
-	var err error
-	if *jsonl {
-		err = checkJSONL(flag.Arg(0), *allowEmpty)
-	} else {
-		err = check(flag.Arg(0), *requireSteps)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracecheck:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func check(path string, requireSteps bool) error {
+// config is one tracecheck invocation's parsed command line.
+type config struct {
+	path         string
+	jsonl        bool
+	requireSteps bool
+}
+
+// parseArgs parses the command line. Usage errors are reported on
+// stderr and returned.
+func parseArgs(args []string, stderr io.Writer) (config, error) {
+	fs := flag.NewFlagSet("tracecheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	requireSteps := fs.Bool("require-steps", false,
+		"require every Fig. 3 workflow step to appear as a span")
+	jsonl := fs.Bool("jsonl", false,
+		"validate a span-record JSONL file instead of a Chrome trace")
+	if err := fs.Parse(args); err != nil {
+		return config{}, err
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: tracecheck [-require-steps | -jsonl] <file>")
+		return config{}, errors.New("want exactly one file")
+	}
+	return config{path: fs.Arg(0), jsonl: *jsonl, requireSteps: *requireSteps}, nil
+}
+
+// run validates the file args name and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	cfg, err := parseArgs(args, stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if err != nil {
+		return 2
+	}
+	var report string
+	if cfg.jsonl {
+		report, err = checkJSONL(cfg.path)
+	} else {
+		report, err = check(cfg.path, cfg.requireSteps)
+	}
+	if err == nil {
+		fmt.Fprintln(stdout, report)
+	}
+	return hterr.Exit(stderr, "tracecheck", err)
+}
+
+// check validates a Chrome trace and returns its one-line report.
+func check(path string, requireSteps bool) (string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return "", err
 	}
 	var tf traceFile
 	if err := json.Unmarshal(data, &tf); err != nil {
-		return fmt.Errorf("%s: not valid JSON: %w", path, err)
+		return "", fmt.Errorf("%s: not valid JSON: %w", path, err)
 	}
 	if len(tf.TraceEvents) == 0 {
-		return fmt.Errorf("%s: no trace events", path)
+		return "", fmt.Errorf("%s: no trace events", path)
 	}
 	spans := map[string]int{}
 	instants := 0
 	for i, ev := range tf.TraceEvents {
 		if ev.Name == "" {
-			return fmt.Errorf("%s: event %d has no name", path, i)
+			return "", fmt.Errorf("%s: event %d has no name", path, i)
 		}
 		if ev.TS == nil || ev.PID == nil || ev.TID == nil {
-			return fmt.Errorf("%s: event %d (%q) missing ts/pid/tid", path, i, ev.Name)
+			return "", fmt.Errorf("%s: event %d (%q) missing ts/pid/tid", path, i, ev.Name)
 		}
 		switch ev.Phase {
 		case "X":
 			if ev.Dur == nil || *ev.Dur < 0 {
-				return fmt.Errorf("%s: complete event %q has bad dur", path, ev.Name)
+				return "", fmt.Errorf("%s: complete event %q has bad dur", path, ev.Name)
 			}
 			spans[ev.Name]++
 		case "i":
 			instants++
 		default:
-			return fmt.Errorf("%s: event %q has unexpected phase %q", path, ev.Name, ev.Phase)
+			return "", fmt.Errorf("%s: event %q has unexpected phase %q", path, ev.Name, ev.Phase)
 		}
 	}
 	if requireSteps {
@@ -113,12 +150,11 @@ func check(path string, requireSteps bool) error {
 			}
 		}
 		if len(missing) > 0 {
-			return fmt.Errorf("%s: missing Fig. 3 step spans %v", path, missing)
+			return "", fmt.Errorf("%s: missing Fig. 3 step spans %v", path, missing)
 		}
 	}
-	fmt.Printf("%s: ok — %d span events, %d instant events, %d distinct span names\n",
-		path, len(tf.TraceEvents)-instants, instants, len(spans))
-	return nil
+	return fmt.Sprintf("%s: ok — %d span events, %d instant events, %d distinct span names",
+		path, len(tf.TraceEvents)-instants, instants, len(spans)), nil
 }
 
 // spanRecord mirrors the streamed JSONL line format (obs.SpanRecord).
@@ -138,80 +174,64 @@ type spanRecord struct {
 	} `json:"events"`
 }
 
-// checkJSONL validates a streamed span-record file. Ids restart at 0 on
-// every root (parent -1) line — one flattened root tree is one batch —
-// so each batch is audited on its own by obs.AuditRecords, the span
-// auditor the recorder runs: no negative durations, children inside
-// their parents, siblings in monotone start order. Records whose parent
-// is absent from the batch are tolerated: head sampling keeps or drops
-// whole roots, and a flight recorder's ring evicts batch prefixes.
-func checkJSONL(path string, allowEmpty bool) error {
+// checkJSONL validates a span-record file and returns its one-line
+// report: every line one named span record, roots at depth 0, no id
+// repeated anywhere in the file, and the whole set clean under
+// obs.AuditRecords, the span auditor the recorder's Auditor runs. A
+// record whose parent is absent from the file is counted as orphaned,
+// not rejected.
+func checkJSONL(path string) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return "", err
 	}
 	defer f.Close()
 
-	var lines, roots, orphans int
-	var batch []obs.SpanRecord
-	ids := map[int]bool{}
-	audit := func() error {
-		if vs := obs.AuditRecords(batch); len(vs) > 0 {
-			return fmt.Errorf("%s: root ending at line %d: %d span violations, first: %v", path, lines, len(vs), vs[0])
-		}
-		batch = batch[:0]
-		clear(ids)
-		return nil
-	}
-	lastID := -1
+	var recs []obs.SpanRecord
+	lineOf := map[int]int{} // span id → the line that defined it
+	roots := 0
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			return fmt.Errorf("%s: line %d is empty", path, lines+1)
+	for line := 1; sc.Scan(); line++ {
+		if len(sc.Bytes()) == 0 {
+			return "", fmt.Errorf("%s: line %d is empty", path, line)
 		}
 		var rec spanRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return fmt.Errorf("%s: line %d: not a span record: %w", path, lines+1, err)
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			return "", fmt.Errorf("%s: line %d: not a span record: %w", path, line, err)
 		}
 		if rec.Name == "" {
-			return fmt.Errorf("%s: line %d has no span name", path, lines+1)
+			return "", fmt.Errorf("%s: line %d has no span name", path, line)
 		}
-		// Ids strictly increase within one flattened root; a root line or
-		// an id non-increase (an evicted batch boundary) opens a fresh id
-		// space, which also makes duplicate ids impossible within a batch.
-		if rec.Parent == -1 || rec.ID <= lastID {
-			if err := audit(); err != nil {
-				return err
-			}
-			if rec.Parent == -1 {
-				roots++
-				if rec.Depth != 0 {
-					return fmt.Errorf("%s: line %d: root %q has depth %d", path, lines+1, rec.Name, rec.Depth)
-				}
+		if first, dup := lineOf[rec.ID]; dup {
+			return "", fmt.Errorf("%s: line %d: span id %d repeats line %d", path, line, rec.ID, first)
+		}
+		lineOf[rec.ID] = line
+		if rec.Parent == -1 {
+			roots++
+			if rec.Depth != 0 {
+				return "", fmt.Errorf("%s: line %d: root %q has depth %d", path, line, rec.Name, rec.Depth)
 			}
 		}
-		lines++
-		lastID = rec.ID
-		if rec.Parent != -1 && !ids[rec.Parent] {
-			orphans++ // parent sampled away or evicted: tolerated
-		}
-		ids[rec.ID] = true
-		batch = append(batch, obs.SpanRecord{
+		recs = append(recs, obs.SpanRecord{
 			ID: rec.ID, Parent: rec.Parent, Depth: rec.Depth, Name: rec.Name,
 			Start: time.Duration(rec.Start), End: time.Duration(rec.End),
 		})
 	}
 	if err := sc.Err(); err != nil {
-		return err
+		return "", err
 	}
-	if err := audit(); err != nil {
-		return err
+	if len(recs) == 0 {
+		return "", fmt.Errorf("%s: no span records", path)
 	}
-	if lines == 0 && !allowEmpty {
-		return fmt.Errorf("%s: no span records (use -allow-empty if sampling dropped every root)", path)
+	if vs := obs.AuditRecords(recs); len(vs) > 0 {
+		return "", fmt.Errorf("%s: %d span violations, first: %v", path, len(vs), vs[0])
 	}
-	fmt.Printf("%s: ok — %d span records, %d roots, %d orphaned records\n", path, lines, roots, orphans)
-	return nil
+	orphans := 0
+	for _, rec := range recs {
+		if _, ok := lineOf[rec.Parent]; rec.Parent != -1 && !ok {
+			orphans++
+		}
+	}
+	return fmt.Sprintf("%s: ok — %d span records, %d roots, %d orphaned records", path, len(recs), roots, orphans), nil
 }

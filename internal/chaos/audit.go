@@ -107,15 +107,10 @@ func (h *harness) audit(i int, op Op) *Failure {
 		}
 	}
 
-	// Span-tree structure: the observability forest must stay
-	// well-nested on the monotone virtual clock. Streaming runs retain
-	// no forest — the same checks run over the flight-recorder snapshot
-	// (pinned fault evidence plus the most recent ring of spans).
-	if h.flight != nil {
-		if vs := obs.AuditRecords(h.flight.Snapshot()); len(vs) > 0 {
-			return fail("span-structure", fmt.Sprintf("%v (%d violations)", vs[0], len(vs)))
-		}
-	} else if vs := h.rec.AuditSpans(); len(vs) > 0 {
+	// Span-tree structure: every span tree must stay well-nested on the
+	// monotone virtual clock. The auditor checked each one, whole, as
+	// its root ended.
+	if vs := h.spans.Violations(); len(vs) > 0 {
 		return fail("span-structure", fmt.Sprintf("%v (%d violations)", vs[0], len(vs)))
 	}
 	return nil

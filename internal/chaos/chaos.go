@@ -14,8 +14,8 @@
 //     placement, VM ids, hypervisor kinds;
 //   - vulnerability state: after a successful CVE response, no healthy
 //     host runs an affected hypervisor;
-//   - observability structure: the span forest stays well-nested on the
-//     monotone virtual clock;
+//   - observability structure: every span tree, audited as its root
+//     ends, stays well-nested on the monotone virtual clock;
 //   - liveness: every operation completes or rolls back within a
 //     virtual-time budget — a livelock is a failure, not a hang.
 //
@@ -82,22 +82,12 @@ type Config struct {
 	// identical traces, checksums, and virtual time — which is exactly
 	// what a cached soak proves.
 	Cache bool `json:"cache,omitempty"`
-	// Stream switches the run onto the bounded streaming observability
-	// pipeline: ended span trees are flattened into a flight recorder of
-	// FlightCap records instead of being retained, so soak memory stays
-	// O(FlightCap) rather than O(ops), and the structural span audit
-	// runs over the flight-recorder snapshot.
-	Stream bool `json:"stream,omitempty"`
-	// FlightCap is the flight-recorder capacity when Stream is set; zero
-	// takes DefaultFlightCap.
-	FlightCap int `json:"flight_cap,omitempty"`
 }
 
-// DefaultFlightCap is the streaming flight-recorder capacity: enough to
-// hold the spans of the last handful of fleet operations next to a
-// violation, small enough that a soak's resident span memory is
-// trivially bounded.
-const DefaultFlightCap = 512
+// flightCap is the flight recorder's capacity: enough to hold the spans
+// of the last handful of fleet operations next to a violation, small
+// enough that a soak's resident span memory is trivially bounded.
+const flightCap = 512
 
 // DefaultOpBudget bounds one fleet operation in virtual time: far above
 // a full CVE response over the default fleet (a dozen multi-second
@@ -119,9 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.OpBudget <= 0 {
 		c.OpBudget = DefaultOpBudget
-	}
-	if c.Stream && c.FlightCap <= 0 {
-		c.FlightCap = DefaultFlightCap
 	}
 	return c
 }
@@ -168,10 +155,9 @@ type Result struct {
 	// Failure is the first violation, nil when every audit passed.
 	Failure *Failure
 
-	// Obs and Flight expose the run's recorder and, on streaming runs,
-	// its flight recorder, so callers (cmd/chaoscheck) can dump metrics
-	// and retained spans as artifacts on a violation. Never serialized
-	// into replay bundles.
+	// Obs and Flight expose the run's recorder and its flight recorder,
+	// so callers (cmd/chaoscheck) can dump metrics and the last spans as
+	// artifacts on a violation. Never serialized into replay bundles.
 	Obs    *obs.Recorder       `json:"-"`
 	Flight *obs.FlightRecorder `json:"-"`
 }
@@ -257,7 +243,8 @@ type harness struct {
 	clock  *simtime.Clock
 	fabric *simnet.Link
 	rec    *obs.Recorder
-	flight *obs.FlightRecorder // non-nil on streaming runs
+	flight *obs.FlightRecorder
+	spans  *obs.Auditor
 	nova   *orchestrator.Nova
 	db     *vulndb.Database
 	// cache is the shared transplant cache on cached soaks (nil
@@ -280,17 +267,17 @@ type harness struct {
 func newHarness(cfg Config) (*harness, error) {
 	clock := simtime.NewClock()
 	fabric := simnet.NewLink(clock, "fabric", simnet.Gbps10, 100*time.Microsecond)
+	// Bounded-memory soak: each ended span tree is audited once, kept in
+	// a fixed ring for the violation artifacts, and released from the
+	// forest, so span memory stays O(flightCap) rather than O(ops).
+	// Fault and retry evidence is pinned so it survives wraparound.
 	rec := obs.NewRecorder(clock)
-	var flight *obs.FlightRecorder
-	if cfg.Stream {
-		// Bounded-memory soak: ended span trees stream into a fixed ring
-		// and are released from the forest. Fault and retry evidence is
-		// pinned so it survives wraparound until the audit reads it.
-		flight = obs.NewFlightRecorder(cfg.FlightCap)
-		flight.SetPin(pinFaultEvidence)
-		rec.AddSink(flight)
-		rec.SetRetain(false)
-	}
+	spans := &obs.Auditor{}
+	flight := obs.NewFlightRecorder(flightCap)
+	flight.SetPin(pinFaultEvidence)
+	rec.AddSink(spans)
+	rec.AddSink(flight)
+	rec.SetRetain(false)
 	nova := orchestrator.NewNova(clock, fabric)
 	nova.SetRecorder(rec)
 	// Every retry loop in the stack runs under a tight virtual-time
@@ -300,7 +287,7 @@ func newHarness(cfg Config) (*harness, error) {
 	nova.SetRetry(retry)
 
 	h := &harness{
-		cfg: cfg, clock: clock, fabric: fabric, rec: rec, flight: flight, nova: nova,
+		cfg: cfg, clock: clock, fabric: fabric, rec: rec, flight: flight, spans: spans, nova: nova,
 		db:       vulndb.Load(),
 		dead:     make(map[string]bool),
 		baseline: make(map[string]uint64),
@@ -392,7 +379,7 @@ func (h *harness) refreshBaseline(name string) error {
 	return nil
 }
 
-// pinFaultEvidence is the streaming flight recorder's pin predicate:
+// pinFaultEvidence is the flight recorder's pin predicate:
 // spans that carry fault injections or retry storms stay resident
 // across ring wraparound, because that is exactly the context an
 // auditor wants next to a violation.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"hypertp/internal/par"
 )
@@ -244,15 +245,14 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestChaosStreamingBounded: a streaming soak must hold every invariant
-// while keeping span memory bounded — the forest is released as roots
-// end, and the flight recorder never holds more than pinned+ring
-// records — and stay deterministic across worker counts.
+// TestChaosStreamingBounded: a soak must hold every invariant while
+// keeping span memory bounded — the forest is released as roots end,
+// and the flight recorder never holds more than pinned+ring records —
+// and stay deterministic across worker counts.
 func TestChaosStreamingBounded(t *testing.T) {
 	defer par.SetWorkers(0)
 	cfg := soakConfig()
-	cfg.Stream = true
-	cfg.FlightCap = 64
+	cfg.Ops = 400 // enough spans to wrap the flight recorder's ring
 	var summaries []string
 	for _, w := range []int{1, 8} {
 		par.SetWorkers(w)
@@ -261,10 +261,10 @@ func TestChaosStreamingBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Failure != nil {
-			t.Fatalf("invariant violated on streaming run:\n%s", res.Summary())
+			t.Fatalf("invariant violated on a bounded run:\n%s", res.Summary())
 		}
 		if res.Flight == nil {
-			t.Fatal("streaming run carried no flight recorder")
+			t.Fatal("run carried no flight recorder")
 		}
 		if res.Flight.Total() <= uint64(res.Flight.Cap()) {
 			t.Fatalf("soak streamed only %d records through a cap-%d ring — not exercising eviction",
@@ -276,12 +276,12 @@ func TestChaosStreamingBounded(t *testing.T) {
 		// The forest must not accumulate: ended roots are released, so
 		// only spans still open at run end may remain.
 		if n := len(res.Obs.Roots()); n > 8 {
-			t.Fatalf("streaming run retained %d roots; forest is not being released", n)
+			t.Fatalf("run retained %d roots; forest is not being released", n)
 		}
 		summaries = append(summaries, res.Summary())
 	}
 	if summaries[1] != summaries[0] {
-		t.Fatalf("streaming summary differs between workers=1 and workers=8:\n%s\nvs\n%s",
+		t.Fatalf("summary differs between workers=1 and workers=8:\n%s\nvs\n%s",
 			summaries[0], summaries[1])
 	}
 }
@@ -396,6 +396,27 @@ func TestWatchdogBudgetViolation(t *testing.T) {
 	}
 	if err := res.Failure.Err(); err == nil {
 		t.Fatal("watchdog failure renders a nil error")
+	}
+}
+
+// TestSpanStructureViolationCaught: a malformed span tree is reported
+// by the next audit once its root ends — the span auditor is wired into
+// every run — and a tree still open is not judged.
+func TestSpanStructureViolationCaught(t *testing.T) {
+	h, err := newHarness(soakConfig().withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := Op{Kind: OpWorkload}
+	root := h.rec.StartAt(nil, "planted", time.Second)
+	root.ChildAt("early", time.Millisecond)
+	if fail := h.audit(0, op); fail != nil {
+		t.Fatalf("open tree judged: %+v", fail)
+	}
+	root.EndAt(2 * time.Second)
+	fail := h.audit(1, op)
+	if fail == nil || fail.Invariant != "span-structure" || !strings.Contains(fail.Detail, `child-early: span "early"`) {
+		t.Fatalf("planted child-early not caught: %+v", fail)
 	}
 }
 

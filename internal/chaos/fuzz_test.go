@@ -78,9 +78,6 @@ func clampTrace(cfg Config, ops []Op) (Config, []Op) {
 	if cfg.OpBudget < 0 {
 		cfg.OpBudget = 0
 	}
-	if cfg.FlightCap < 0 {
-		cfg.FlightCap = 0
-	}
 	// A replayed trace must stand on its own ops, not re-generate.
 	cfg.Ops = len(ops)
 	// Breakers exist to prove the auditor catches planted violations;

@@ -309,6 +309,8 @@ func TestExecuteCompressesMakespan(t *testing.T) {
 	ser := serial(t, plan, nil)
 
 	rec := obs.NewRecorder(simtime.NewClock())
+	aud := &obs.Auditor{}
+	rec.AddSink(aud)
 	conc, err := plan.Execute(m, rec, sched.Limits{LinkStreams: 8, MaxKexecs: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -322,7 +324,7 @@ func TestExecuteCompressesMakespan(t *testing.T) {
 	if conc.TotalTime >= ser.TotalTime {
 		t.Fatalf("concurrent %v not faster than serial %v", conc.TotalTime, ser.TotalTime)
 	}
-	if vs := rec.AuditSpans(); vs != nil {
+	if vs := aud.Violations(); vs != nil {
 		t.Fatalf("span violations: %v", vs)
 	}
 }
@@ -424,12 +426,14 @@ func rollingUpgrade(t *testing.T, group int, frac float64, seed uint64, limits s
 	}
 	rec := obs.NewRecorder(nil)
 	sink := &spanSink{}
+	aud := &obs.Auditor{}
 	rec.AddSink(sink)
+	rec.AddSink(aud)
 	res, err := plan.Execute(DefaultExecutionModel(), rec, limits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vs := rec.AuditSpans(); vs != nil {
+	if vs := aud.Violations(); vs != nil {
 		t.Fatalf("group %d, %.1f compatible, seed %d: span violations: %v", group, frac, seed, vs)
 	}
 	if root := sink.recs[0]; root.Name != "rolling-upgrade" || root.End != res.TotalTime {

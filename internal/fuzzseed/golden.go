@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -117,6 +118,43 @@ func diffLines(want, got []byte) string {
 		}
 		if wl != gl {
 			return fmt.Sprintf("differs at line %d:\n want %q\n  got %q", i+1, wl, gl)
+		}
+	}
+}
+
+// readmeFlag matches a backquoted flag token in a README table row: the
+// flag name right after the opening backquote, ended by the closing one
+// or by a space before its argument ("`-workers N`"). Globs such as
+// "`-no-*`" do not match.
+var readmeFlag = regexp.MustCompile("`(-[a-z][a-z0-9-]*)[` ]")
+
+// CheckREADMEFlags fails tb unless every flag that readme's command-line
+// table names for cmd — each backquoted -flag token in the row of
+// `go run ./cmd/<cmd>` — is one the command defines: parse, given the
+// flag alone as its command line, must not report it undefined on
+// stderr. The table cannot then keep naming a flag the command dropped.
+func CheckREADMEFlags(tb testing.TB, readme, cmd string, parse func(args []string, stderr io.Writer)) {
+	tb.Helper()
+	data, err := os.ReadFile(readme)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	prefix := "| `go run ./cmd/" + cmd + "` |"
+	var row string
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, prefix) {
+			row = line
+		}
+	}
+	flags := readmeFlag.FindAllStringSubmatch(row, -1)
+	if len(flags) == 0 {
+		tb.Fatalf("%s: no table row %q naming a flag", readme, prefix)
+	}
+	for _, m := range flags {
+		var stderr strings.Builder
+		parse([]string{m[1]}, &stderr)
+		if strings.Contains(stderr.String(), "flag provided but not defined") {
+			tb.Errorf("%s names %s for %s, which does not define it", readme, m[1], cmd)
 		}
 	}
 }

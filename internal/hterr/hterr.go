@@ -39,6 +39,7 @@ package hterr
 import (
 	"errors"
 	"fmt"
+	"io"
 )
 
 // The sentinel classes. They carry no state; identity is the contract.
@@ -161,6 +162,28 @@ func Label(class error) string {
 	default:
 		return "unclassified"
 	}
+}
+
+// Exit is every command's exit-status policy. A nil err exits 0.
+// Otherwise err is reported on w as "tool: label: err" (the hterr label
+// only when err is classified), and the status is 2 for a broken
+// invariant, a blown watchdog or an unrecovered crash — the outcomes a
+// CI soak must not swallow — and 1 for everything else.
+func Exit(w io.Writer, tool string, err error) int {
+	if err == nil {
+		return 0
+	}
+	class := Class(err)
+	if class == nil {
+		fmt.Fprintf(w, "%s: %v\n", tool, err)
+		return 1
+	}
+	fmt.Fprintf(w, "%s: %s: %v\n", tool, Label(class), err)
+	switch class {
+	case ErrInvariantViolated, ErrWatchdogExpired, ErrHypervisorCrashed:
+		return 2
+	}
+	return 1
 }
 
 // IsRetryable reports whether err is safe to retry: explicitly marked

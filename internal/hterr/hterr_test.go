@@ -3,6 +3,7 @@ package hterr
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -74,5 +75,34 @@ func TestIsRetryable(t *testing.T) {
 	}
 	if IsRetryable(errors.New("plain")) {
 		t.Fatal("unclassified error treated as retryable")
+	}
+}
+
+// Exit's status and report for every class, the unclassified and nil
+// errors, and a multi-class error (the priority order picks its label).
+func TestExit(t *testing.T) {
+	base := errors.New("boom")
+	for _, tc := range []struct {
+		err    error
+		code   int
+		report string
+	}{
+		{nil, 0, ""},
+		{base, 1, "tool: boom\n"},
+		{VMLost(base), 1, "tool: vm-lost: vm lost: boom\n"},
+		{InvariantViolated(base), 2, "tool: invariant-violated: invariant violated: boom\n"},
+		{WatchdogExpired(base), 2, "tool: watchdog-expired: watchdog expired: boom\n"},
+		{HypervisorCrashed(base), 2, "tool: crash: hypervisor crashed: boom\n"},
+		{Abort(base), 1, "tool: aborted: transplant aborted: boom\n"},
+		{Retryable(base), 1, "tool: retryable: retryable failure: boom\n"},
+		{Incompatible(base), 1, "tool: incompatible-target: incompatible transplant target: boom\n"},
+		{Injected(base), 1, "tool: injected: injected fault: boom\n"},
+		{Abort(HypervisorCrashed(base)), 2, "tool: crash: transplant aborted: hypervisor crashed: boom\n"},
+		{VMLost(InvariantViolated(base)), 1, "tool: vm-lost: vm lost: invariant violated: boom\n"},
+	} {
+		var w strings.Builder
+		if code := Exit(&w, "tool", tc.err); code != tc.code || w.String() != tc.report {
+			t.Errorf("Exit(%v) = %d, %q; want %d, %q", tc.err, code, w.String(), tc.code, tc.report)
+		}
 	}
 }

@@ -2,18 +2,20 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 )
 
-// SpanViolation is one structural inconsistency in the recorded span
-// forest found by AuditSpans.
+// SpanViolation is one structural inconsistency in recorded spans found
+// by AuditRecords.
 type SpanViolation struct {
 	// Kind classifies the inconsistency:
 	//
 	//	"negative-duration"  a span ended before it started
 	//	"child-early"        a child starts before its parent started
-	//	"child-late"         an ended child ends after its ended parent
+	//	"child-late"         a child ends after its parent
 	//	"sibling-regress"    under one parent, a later-opened sibling
 	//	                     starts before an earlier one (virtual time
 	//	                     ran backwards)
@@ -26,34 +28,18 @@ func (v SpanViolation) String() string {
 	return fmt.Sprintf("%s: span %q: %s", v.Kind, v.Span, v.Detail)
 }
 
-// AuditSpans checks the recorded span forest for well-nestedness: every
+// AuditRecords checks flattened span records for well-nestedness: every
 // span's end is at or after its start, every child lives within its
 // parent's virtual-time window, and siblings open in monotone start
-// order (the discrete-event clock never runs backwards). Spans still
-// open are only checked against lower bounds — an in-flight operation
-// is not a violation. A nil recorder or a clean forest returns nil.
-func (r *Recorder) AuditSpans() []SpanViolation {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []SpanViolation
-	for _, root := range r.roots {
-		auditSpan(root, &out)
-	}
-	return out
-}
-
-// AuditRecords runs the AuditSpans checks over flattened span records —
-// the form a FlightRecorder retains — so violation handlers can audit
-// span structure without the full tree. Records whose parent is absent
-// from the slice (evicted by the ring, or sampled away) are only checked
-// for negative duration: a truncated window is not a violation. Records
-// may arrive in any order — a FlightRecorder snapshot lists pinned records
-// first: parent/child relations are reconstructed from the Parent ids,
-// and siblings are compared in span-id order, which is the order they
-// were opened in and so the order sibling monotonicity is defined over.
+// order (the discrete-event clock never runs backwards). A clean set
+// returns nil. Records whose parent is absent from the slice (evicted by
+// a FlightRecorder's ring) are only checked for negative duration: a
+// truncated window is not a violation. Records may arrive in any order —
+// a FlightRecorder snapshot lists pinned records first, and a
+// depth-first export lists a nephew before a later-opened uncle:
+// parent/child relations are reconstructed from the Parent ids, and
+// siblings are compared in span-id order, which is the order they were
+// opened in and so the order sibling monotonicity is defined over.
 func AuditRecords(recs []SpanRecord) []SpanViolation {
 	byID := make(map[int]*SpanRecord, len(recs))
 	order := make([]*SpanRecord, len(recs))
@@ -93,29 +79,31 @@ func AuditRecords(recs []SpanRecord) []SpanViolation {
 	return out
 }
 
-func auditSpan(s *Span, out *[]SpanViolation) {
-	if s.ended && s.end < s.start {
-		*out = append(*out, SpanViolation{Kind: "negative-duration", Span: s.Name,
-			Detail: fmt.Sprintf("start %v, end %v", s.start, s.end)})
+// Auditor is the span auditor: a StreamSink that runs AuditRecords over
+// each root's complete records once, as the root ends, and keeps what it
+// finds. Attached to a recorder, it checks every span tree the recorder
+// closes, whether or not the forest is retained; a tree still open is
+// checked when it ends.
+type Auditor struct {
+	mu         sync.Mutex
+	violations []SpanViolation
+}
+
+// Consume implements StreamSink.
+func (a *Auditor) Consume(root []SpanRecord) {
+	vs := AuditRecords(root)
+	if len(vs) == 0 {
+		return
 	}
-	prev := s.start
-	for _, c := range s.children {
-		if c.start < s.start {
-			*out = append(*out, SpanViolation{Kind: "child-early", Span: c.Name,
-				Detail: fmt.Sprintf("starts %v before parent %q at %v", c.start, s.Name, s.start)})
-		} else if c.start < prev {
-			// Only a child inside the parent window can regress on a
-			// sibling; an early child is already reported above.
-			*out = append(*out, SpanViolation{Kind: "sibling-regress", Span: c.Name,
-				Detail: fmt.Sprintf("starts %v before an earlier sibling under %q at %v", c.start, s.Name, prev)})
-		}
-		if c.ended && s.ended && c.end > s.end {
-			*out = append(*out, SpanViolation{Kind: "child-late", Span: c.Name,
-				Detail: fmt.Sprintf("ends %v after parent %q at %v", c.end, s.Name, s.end)})
-		}
-		if c.start > prev {
-			prev = c.start
-		}
-		auditSpan(c, out)
-	}
+	a.mu.Lock()
+	a.violations = append(a.violations, vs...)
+	a.mu.Unlock()
+}
+
+// Violations returns every violation found so far, in the order the
+// roots ended; nil when every audited tree was well-nested.
+func (a *Auditor) Violations() []SpanViolation {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return slices.Clone(a.violations)
 }

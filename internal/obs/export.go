@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 )
 
 // Exporters. All output is deterministic: spans are walked depth-first
@@ -119,7 +122,7 @@ func (s *Span) trackName() string {
 }
 
 // appendJSONL renders the record as one JSON line — the format shared
-// by Recorder.WriteJSONL, JSONLSink and FlightRecorder.WriteJSONL: id,
+// by Recorder.WriteJSONL and FlightRecorder.WriteJSONL: id,
 // parent id (-1 for roots), depth, name, track, virtual start/end in
 // nanoseconds, attrs and instant events.
 func (rec SpanRecord) appendJSONL(b []byte) []byte {
@@ -146,8 +149,8 @@ func (rec SpanRecord) appendJSONL(b []byte) []byte {
 }
 
 // WriteJSONL writes one JSON object per span (depth-first, creation
-// order) in the SpanRecord line format. A streamed JSONLSink fed by the
-// same run produces byte-identical output.
+// order) in the SpanRecord line format: the records a StreamSink is
+// handed, root by root, rendered as FlightRecorder.WriteJSONL does.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	for _, root := range r.Roots() {
 		var b []byte
@@ -159,6 +162,61 @@ func (r *Recorder) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// Artifact is one file of an artifact directory: its name and the
+// exporter that writes it.
+type Artifact struct {
+	Name  string
+	Write func(io.Writer) error
+}
+
+// WriteArtifacts writes a run's spans and metrics into dir as the four
+// files every command's artifact directory holds: trace.json
+// (WriteChromeTrace), spans.jsonl (WriteJSONL), metrics.json
+// (WriteMetricsJSON) and metrics.prom (WritePrometheus). Volatile
+// metrics are left out, so every file is deterministic.
+func WriteArtifacts(dir string, rec *Recorder, report io.Writer) error {
+	return WriteFiles(dir, report,
+		Artifact{"trace.json", rec.WriteChromeTrace},
+		Artifact{"spans.jsonl", rec.WriteJSONL},
+		Artifact{"metrics.json", func(w io.Writer) error { return rec.Metrics().WriteMetricsJSON(w, false) }},
+		Artifact{"metrics.prom", func(w io.Writer) error { return rec.Metrics().WritePrometheus(w, false) }})
+}
+
+// WriteFiles writes each artifact into dir, creating it if needed, and
+// names each file written on report, in order, as
+// "artifact: wrote <path>".
+func WriteFiles(dir string, report io.Writer, files ...Artifact) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, a := range files {
+		path := filepath.Join(dir, a.Name)
+		if err := writeFile(path, a.Write); err != nil {
+			return err
+		}
+		fmt.Fprintf(report, "artifact: wrote %s\n", path)
+	}
+	return nil
+}
+
+// writeFile creates path and streams write's output into it.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(f)
+	if err := write(bw); err != nil {
+		f.Close()
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // WriteMetricsJSON writes the registry as a JSON document with

@@ -3,6 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -257,6 +260,51 @@ func TestJSONLExport(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], `"parent":0`) {
 		t.Fatalf("child line missing parent: %s", lines[1])
+	}
+}
+
+// WriteArtifacts lays out the four exporters' output, byte for byte,
+// under their fixed names, creating the directory.
+func TestWriteArtifacts(t *testing.T) {
+	clock := simtime.NewClock()
+	r := NewRecorder(clock)
+	root := r.Start("root", A("vms", 2))
+	clock.Advance(time.Second)
+	r.Start("child").End()
+	root.End()
+	r.Metrics().Counter("pages", "pages").Add(7)
+
+	dir := filepath.Join(t.TempDir(), "run")
+	var report strings.Builder
+	if err := WriteArtifacts(dir, r, &report); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, want := range []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"trace.json", r.WriteChromeTrace},
+		{"spans.jsonl", r.WriteJSONL},
+		{"metrics.json", func(w io.Writer) error { return r.Metrics().WriteMetricsJSON(w, false) }},
+		{"metrics.prom", func(w io.Writer) error { return r.Metrics().WritePrometheus(w, false) }},
+	} {
+		path := filepath.Join(dir, want.name)
+		names = append(names, "artifact: wrote "+path+"\n")
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := want.write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, buf.Bytes()) {
+			t.Errorf("%s differs from its exporter's output:\n%s\nwant:\n%s", want.name, got, buf.Bytes())
+		}
+	}
+	if got, want := report.String(), strings.Join(names, ""); got != want {
+		t.Fatalf("report %q, want %q", got, want)
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 // flattened depth-first in creation order with virtual timestamps, and
 // root spans end in deterministic order (span mutation happens on the
 // sequential side of the stack — engine phases on the discrete-event
-// clock, scheduler Commit hooks), so a streamed JSONL file is
-// byte-identical across -workers counts just like WriteJSONL's output.
+// clock, scheduler Commit hooks), so what a sink sees is identical
+// across -workers counts just like WriteJSONL's output.
 
 // SpanRecord is one span flattened out of the tree: the immutable,
 // export-ready form a StreamSink consumes. IDs and parent IDs are the
@@ -59,12 +59,12 @@ func (r *Recorder) AddSink(s StreamSink) {
 }
 
 // SetRetain controls whether ended root spans stay in the recorder's
-// forest. The default (true) keeps the historical behaviour: the whole
-// forest is retained for the tree exporters and AuditSpans. With retain
-// off, an ended root is flattened to the sinks and then released, so
-// memory stays bounded regardless of run length — the 100k-host mode.
-// Tree exporters then only see still-open roots; use a streaming sink
-// (JSONLSink, FlightRecorder) for the export instead.
+// forest. The default (true) keeps the whole forest for the tree
+// exporters (WriteArtifacts). With retain off, an ended root is
+// flattened to the sinks and then released, so memory stays bounded
+// regardless of run length — the 100k-host mode. Tree exporters then
+// only see still-open roots; a streaming sink (FlightRecorder, Auditor)
+// consumes the spans instead.
 func (r *Recorder) SetRetain(retain bool) {
 	if r == nil {
 		return
@@ -126,40 +126,6 @@ func (r *Recorder) dispatch(recs []SpanRecord) {
 	for _, s := range sinks {
 		s.Consume(recs)
 	}
-}
-
-// JSONLSink streams every consumed span as one JSON line, in exactly
-// the format of Recorder.WriteJSONL — a streamed file and a tree-export
-// file of the same run are byte-identical. Errors are sticky; check Err
-// after the run.
-type JSONLSink struct {
-	mu  sync.Mutex
-	w   io.Writer
-	err error
-}
-
-// NewJSONLSink returns a sink writing span records to w.
-func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: w} }
-
-// Consume implements StreamSink.
-func (s *JSONLSink) Consume(root []SpanRecord) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return
-	}
-	var b []byte
-	for i := range root {
-		b = root[i].appendJSONL(b)
-	}
-	_, s.err = s.w.Write(b)
-}
-
-// Err returns the first write error, if any.
-func (s *JSONLSink) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
 }
 
 // HeadSampler forwards a deterministic fraction of root subtrees to the
@@ -335,7 +301,7 @@ func (f *FlightRecorder) Snapshot() []SpanRecord {
 }
 
 // WriteJSONL dumps the retained records in Snapshot order, one JSON
-// line per span (the WriteJSONL/JSONLSink format).
+// line per span (the Recorder.WriteJSONL format).
 func (f *FlightRecorder) WriteJSONL(w io.Writer) error {
 	var b []byte
 	for _, rec := range f.Snapshot() {

@@ -34,24 +34,23 @@ func buildStreamedRun(rec *Recorder, clock *simtime.Clock) int {
 	return n
 }
 
-// TestStreamMatchesTreeExport pins the core streaming contract: a
-// JSONLSink fed root-by-root produces byte-identical output to the
-// retained-tree WriteJSONL of the same run.
+// TestStreamMatchesTreeExport pins the core streaming contract: the
+// records a sink is handed root by root, written out, are byte-identical
+// to the retained-tree WriteJSONL of the same run.
 func TestStreamMatchesTreeExport(t *testing.T) {
 	clock := simtime.NewClock()
 	rec := NewRecorder(clock)
-	var streamed bytes.Buffer
-	sink := NewJSONLSink(&streamed)
+	sink := NewFlightRecorder(100)
 	rec.AddSink(sink)
 
 	buildStreamedRun(rec, clock)
 
-	var tree bytes.Buffer
+	var streamed, tree bytes.Buffer
+	if err := sink.WriteJSONL(&streamed); err != nil {
+		t.Fatalf("FlightRecorder.WriteJSONL: %v", err)
+	}
 	if err := rec.WriteJSONL(&tree); err != nil {
 		t.Fatalf("WriteJSONL: %v", err)
-	}
-	if err := sink.Err(); err != nil {
-		t.Fatalf("sink error: %v", err)
 	}
 	if streamed.String() != tree.String() {
 		t.Fatalf("streamed JSONL differs from tree export:\nstream:\n%s\ntree:\n%s",
@@ -69,15 +68,15 @@ func TestStreamNoRetainBoundsForest(t *testing.T) {
 	clock := simtime.NewClock()
 	rec := NewRecorder(clock)
 	rec.SetRetain(false)
-	var streamed bytes.Buffer
-	rec.AddSink(NewJSONLSink(&streamed))
+	sink := NewFlightRecorder(100)
+	rec.AddSink(sink)
 
 	want := buildStreamedRun(rec, clock)
 
 	if got := len(rec.Roots()); got != 0 {
 		t.Fatalf("retained %d roots with retention off, want 0", got)
 	}
-	if got := strings.Count(streamed.String(), "\n"); got != want {
+	if got := sink.Len(); got != want {
 		t.Fatalf("streamed %d spans, want %d", got, want)
 	}
 	// Instant events with no open span flush-and-release too.
@@ -85,7 +84,7 @@ func TestStreamNoRetainBoundsForest(t *testing.T) {
 	if got := len(rec.Roots()); got != 0 {
 		t.Fatalf("instant root retained with retention off: %d roots", got)
 	}
-	if !strings.Contains(streamed.String(), `"name":"standalone"`) {
+	if snap := sink.Snapshot(); snap[len(snap)-1].Name != "standalone" {
 		t.Fatal("instant root not streamed")
 	}
 }
@@ -206,7 +205,7 @@ func TestFlightRecorderPin(t *testing.T) {
 
 // TestAuditRecordsMirrorsAuditSpans builds a deliberately malformed
 // forest via explicit timestamps and checks the flattened audit finds
-// the same violation kinds the tree audit does.
+// the same violation kinds the tree walker (auditTree) does.
 func TestAuditRecordsMirrorsAuditSpans(t *testing.T) {
 	rec := NewRecorder(nil)
 	fr := NewFlightRecorder(100)
@@ -224,7 +223,7 @@ func TestAuditRecordsMirrorsAuditSpans(t *testing.T) {
 	// already ended at their own times.
 
 	want := map[string]bool{}
-	for _, v := range rec.AuditSpans() {
+	for _, v := range auditTree(rec) {
 		want[v.Kind] = true
 	}
 	got := map[string]bool{}
@@ -233,7 +232,7 @@ func TestAuditRecordsMirrorsAuditSpans(t *testing.T) {
 	}
 	for _, kind := range []string{"negative-duration", "child-early", "sibling-regress", "child-late"} {
 		if !want[kind] {
-			t.Fatalf("tree audit missed %q (test forest broken): %v", kind, rec.AuditSpans())
+			t.Fatalf("tree audit missed %q (test forest broken): %v", kind, auditTree(rec))
 		}
 		if !got[kind] {
 			t.Fatalf("AuditRecords missed %q; got %v", kind, AuditRecords(fr.Snapshot()))
@@ -281,7 +280,7 @@ func TestAuditRecordsOrderIndependent(t *testing.T) {
 			root.ChildAt(fmt.Sprintf("vm-%d", i), start).EndAt(start + 5)
 		}
 		root.EndAt(50)
-		if got := kinds(rec.AuditSpans()); got != tc.want {
+		if got := kinds(auditTree(rec)); got != tc.want {
 			t.Fatalf("%s: tree audit = %q, want %q (test forest broken)", tc.name, got, tc.want)
 		}
 		snap := fr.Snapshot()

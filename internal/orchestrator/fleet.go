@@ -52,7 +52,7 @@ type fleetRun struct {
 	abort      error
 	// finished are the tasks that succeeded, in commit order. Their spans
 	// are emitted after the schedule: children must be attached in
-	// monotone start order (obs.AuditSpans), which commit order is not.
+	// monotone start order (obs.AuditRecords), which commit order is not.
 	finished []*hostTask
 
 	records                                        []*UpgradeRecord

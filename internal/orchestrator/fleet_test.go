@@ -146,9 +146,11 @@ func TestFleetResponseConcurrentSpeedupAndPlacement(t *testing.T) {
 func TestFleetResponseSpansWellNested(t *testing.T) {
 	c := newFleet(t, stockFleet())
 	rec := obs.NewRecorder(c.clock)
+	aud := &obs.Auditor{}
+	rec.AddSink(aud)
 	c.nova.SetRecorder(rec)
 	respondFleet(t, c, sched.Limits{MaxKexecs: 4, LinkStreams: 4})
-	if vs := rec.AuditSpans(); vs != nil {
+	if vs := aud.Violations(); vs != nil {
 		t.Fatalf("span violations after concurrent response: %v", vs)
 	}
 	roots := rec.Roots()
