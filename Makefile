@@ -30,7 +30,7 @@ fmt-check:
 # PKG_CEILING. Both are ratchets: a PR that grows the tree raises them in
 # the same diff, where a reviewer sees it; a simplicity PR lowers them to
 # its own result and cites the before/after in CHANGES.md.
-LOC_CEILING = 22443
+LOC_CEILING = 22560
 PKG_CEILING = 27
 loc:
 	@src() { find "$$@" -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'; }; \
@@ -155,9 +155,11 @@ calib-check:
 # soak-short is the tier-1 slice of the chaos harness: the short soak
 # under the race detector plus ten seconds of real fuzzing on each parser
 # of preserved or stored state (UISR blob, Xen HVM context, PRAM pages,
-# checkpoint image), all reading through uisr.Reader, and on physical
-# memory itself against its per-frame reference model — shared pages
-# carry every warm hop's PRAM metadata.
+# checkpoint image), all reading through uisr.Reader, on physical memory
+# itself against its per-frame reference model — shared pages carry
+# every warm hop's PRAM metadata and UISR blob images — and on the
+# converter matrix, whose cached Xen/KVM/NOVA tours install those images
+# and answer their decodes from the memo, byte-identical to the cold run.
 soak-short: race-check
 	$(GO) test -race -count=1 -run TestChaosSoakShort ./internal/chaos/
 	$(GO) test -race -fuzz FuzzDecode -fuzztime 10s ./internal/uisr/
@@ -165,6 +167,7 @@ soak-short: race-check
 	$(GO) test -race -fuzz FuzzParse -fuzztime 10s ./internal/pram/
 	$(GO) test -race -fuzz FuzzDeserialize -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -race -fuzz FuzzPhysMemOps -fuzztime 10s ./internal/hw/
+	$(GO) test -race -fuzz FuzzRoundTrip -fuzztime 10s ./internal/core/
 
 benchfig:
 	$(GO) run ./cmd/benchfig

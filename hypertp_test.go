@@ -155,7 +155,7 @@ func TestFacadeAllocBudgets(t *testing.T) {
 		budget float64
 		run    func() error
 	}{
-		{"InPlaceTP", 204, func() error {
+		{"InPlaceTP", 202, func() error {
 			host := newHost(hypertp.NewSimulation(), hypertp.KindXen)
 			if _, err := host.CreateVM(cfg); err != nil {
 				return err
@@ -173,7 +173,7 @@ func TestFacadeAllocBudgets(t *testing.T) {
 			_, err = src.MigrateVM(vm, sim.NewLink("pair", hypertp.Gbps(1), 100*time.Microsecond), dst)
 			return err
 		}},
-		{"VENOMEscape", 739, func() error {
+		{"VENOMEscape", 735, func() error {
 			host := newHost(hypertp.NewSimulation(), hypertp.KindXen)
 			vm, err := host.CreateVM(cfg)
 			if err != nil {

@@ -31,13 +31,13 @@ func TestEngineAllocBudgets(t *testing.T) {
 		budget float64
 		run    func() error
 	}{
-		{"InPlace", 169, func() error {
+		{"InPlace", 167, func() error {
 			b := newBench(t, hw.M1())
 			src := b.bootWithVMs(t, hv.KindXen, 1, 1, 1)
 			_, _, err := b.engine.InPlace(src, hv.KindKVM, DefaultOptions())
 			return err
 		}},
-		{"Emergency", 1770, func() error {
+		{"Emergency", 1768, func() error {
 			b := newBench(t, hw.M1())
 			src := bootSmallVMs(t, b, hv.KindXen, 4)
 			crashHost(t, src, "budget")

@@ -15,6 +15,7 @@ import (
 	"hypertp/internal/obs"
 	"hypertp/internal/par"
 	"hypertp/internal/tpcache"
+	"hypertp/internal/uisr"
 )
 
 // pingPong runs n InPlace transplants alternating KVM↔Xen on one bench,
@@ -26,11 +27,7 @@ func pingPong(t *testing.T, b *bench, src hv.Hypervisor, n int, opts Options) (h
 	reports := make([]string, 0, n)
 	cur := src
 	for hop := 0; hop < n; hop++ {
-		target := hv.KindKVM
-		if cur.Kind() == hv.KindKVM {
-			target = hv.KindXen
-		}
-		dst, rep, err := b.engine.InPlace(cur, target, opts)
+		dst, rep, err := b.engine.InPlace(cur, otherKind(cur), opts)
 		if err != nil {
 			t.Fatalf("hop %d: %v", hop, err)
 		}
@@ -237,5 +234,192 @@ func TestParseMemoMissesCorruptedPRAM(t *testing.T) {
 				t.Errorf("%s: %d memo hits, err %v; want 1 and no error", name, memoHits, err)
 			}
 		}
+	}
+}
+
+// withBootHook runs hook on every transplant between the target's boot
+// and its PRAM parse — after translate has landed every blob and the
+// kexec preserved them — for the rest of the test.
+func withBootHook(t *testing.T, hook func(*transplant) error) {
+	boot := slices.IndexFunc(phases, func(p phase) bool { return p.step == stepBoot })
+	orig := phases[boot].run
+	t.Cleanup(func() { phases[boot].run = orig })
+	phases[boot].run = func(tp *transplant) error {
+		if err := orig(tp); err != nil {
+			return err
+		}
+		return hook(tp)
+	}
+}
+
+// otherKind is the hypervisor kind a KVM<->Xen ping-pong moves h to.
+func otherKind(h hv.Hypervisor) hv.Kind {
+	if h.Kind() == hv.KindKVM {
+		return hv.KindXen
+	}
+	return hv.KindKVM
+}
+
+// primedBlobMemo returns a bench whose two VMs ping-ponged until a hop
+// installs both blobs and answers both decodes from the memo, and the
+// hypervisor they run on.
+func primedBlobMemo(t *testing.T) (*bench, hv.Hypervisor, Options) {
+	b := newBench(t, hw.M1())
+	opts := DefaultOptions()
+	opts.Cache = tpcache.New()
+	cur := bootSmallVMs(t, b, hv.KindXen, 2)
+	for hop := 0; ; hop++ {
+		if hop == 16 {
+			t.Fatalf("blob memo never primed: %+v", opts.Cache.Stats())
+		}
+		before := opts.Cache.Stats()
+		cur, _ = pingPong(t, b, cur, 1, opts)
+		if d := opts.Cache.Stats().Sub(before); d.BlobInstalls == 2 && d.BlobDecodeHits == 2 {
+			return b, cur, opts
+		}
+	}
+}
+
+// TestBlobMemoMissesCorruptedBlob: the target takes a VM's state from the
+// decode memo only while the blob's frames hold the image the cache
+// captured. One byte written into the first VM's blob — its UISR magic —
+// unshares the page, so its decode misses and the cold decode rejects
+// the blob by name. A frame freed and rewritten with the very same bytes
+// breaks page identity too: the decode misses, succeeds cold, and leaves
+// the memo as it was. The second VM's blob is untouched and hits.
+func TestBlobMemoMissesCorruptedBlob(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(mem *hw.PhysMem, frames []hw.FrameRange) error
+		hits    uint64
+		want    string
+	}{
+		{"untouched", func(*hw.PhysMem, []hw.FrameRange) error { return nil }, 2, ""},
+		{"bit-flip", func(mem *hw.PhysMem, frames []hw.FrameRange) error {
+			// The image is an 8-byte length, then the blob, magic first.
+			return mem.Write(frames[0].Start, 8, []byte{0xff})
+		}, 0, fmt.Sprintf("UISR blob for %q corrupt: uisr: bad magic", vmName(0))},
+		{"rewritten", func(mem *hw.PhysMem, frames []hw.FrameRange) error {
+			image, err := mem.ReadRanges(frames)
+			if err != nil {
+				return err
+			}
+			if err := mem.FreeRanges(frames); err != nil {
+				return err
+			}
+			if err := mem.ClaimRanges(frames, hw.OwnerPRAM, -1); err != nil {
+				return err
+			}
+			return mem.WriteRanges(frames, image)
+		}, 1, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, src, opts := primedBlobMemo(t)
+			pre := checksumVMs(t, src.VMs())
+			armed := true // this hop only
+			withBootHook(t, func(tp *transplant) error {
+				if !armed {
+					return nil
+				}
+				armed = false
+				return tc.corrupt(tp.e.Machine.Mem, tp.saved[0].frames)
+			})
+			before := opts.Cache.Stats()
+			dst, _, err := b.engine.InPlace(src, otherKind(src), opts)
+			d := opts.Cache.Stats().Sub(before)
+			if d.BlobInstalls != 2 || d.BlobDecodeHits != tc.hits {
+				t.Fatalf("%d installs, %d decode hits; want 2, %d", d.BlobInstalls, d.BlobDecodeHits, tc.hits)
+			}
+			if tc.want != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("corrupted blob restored with error %v, want one naming %q", err, tc.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := checksumVMs(t, dst.VMs()); !reflect.DeepEqual(got, pre) {
+				t.Fatal("guest checksums diverged")
+			}
+			// The rewritten frames never held the capture, so the cold
+			// decode was not memoized in its place: the blob's next
+			// landing, a round trip on, installs the capture again and
+			// the memo answers as before.
+			back, _ := pingPong(t, b, dst, 1, opts)
+			before = opts.Cache.Stats()
+			pingPong(t, b, back, 1, opts)
+			if d := opts.Cache.Stats().Sub(before); d.BlobInstalls != 2 || d.BlobDecodeHits != 2 {
+				t.Fatalf("round trip on: %d installs, %d decode hits; want 2, 2", d.BlobInstalls, d.BlobDecodeHits)
+			}
+		})
+	}
+}
+
+// TestBlobMemoHitMatchesColdDecode: on a primed host a decode-memo hit is
+// exactly what a cold read and decode of the same frames returns, and
+// whatever the caller does to the top-level fields of the state a hit
+// returns — restore sets its memory map — never reaches the memo.
+func TestBlobMemoHitMatchesColdDecode(t *testing.T) {
+	b, src, opts := primedBlobMemo(t)
+	checked := 0
+	withBootHook(t, func(tp *transplant) error {
+		m := tp.e.Machine
+		for i := range tp.saved {
+			s := &tp.saved[i]
+			blob, err := readBlob(m.Mem, "", s.frames)
+			if err != nil {
+				return err
+			}
+			cold, err := uisr.Decode(blob)
+			if err != nil {
+				return err
+			}
+			hit, held := opts.Cache.DecodedBlob(m, s.hash, s.frames)
+			if hit == nil || !held || !reflect.DeepEqual(hit, cold) {
+				t.Errorf("%s: memo hit %+v (held %v) differs from a cold decode %+v", s.res.Name, hit, held, cold)
+				continue
+			}
+			hit.Name, hit.Weight, hit.HasPIT = "mutated", hit.Weight+1, !hit.HasPIT
+			hit.IOAPIC.Redir[0]++
+			hit.RTC.CMOS[0]++
+			hit.MemMap = []uisr.PageExtent{{GFN: 1, MFN: 2}}
+			hit.VCPUs, hit.Devices = nil, nil
+			if again, _ := opts.Cache.DecodedBlob(m, s.hash, s.frames); !reflect.DeepEqual(again, cold) {
+				t.Errorf("%s: mutating a hit reached the memo: %+v", s.res.Name, again)
+			}
+			checked++
+		}
+		return nil
+	})
+	pre := checksumVMs(t, src.VMs())
+	dst, _, err := b.engine.InPlace(src, otherKind(src), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked != 2 {
+		t.Fatalf("compared %d hits, want 2", checked)
+	}
+	if got := checksumVMs(t, dst.VMs()); !reflect.DeepEqual(got, pre) {
+		t.Fatal("guest checksums diverged")
+	}
+}
+
+// TestEmergencyBypassesBlobMemo: salvage off a crashed hypervisor lands
+// and decodes every blob cold, even on a host whose blob memo is primed.
+func TestEmergencyBypassesBlobMemo(t *testing.T) {
+	b, src, opts := primedBlobMemo(t)
+	pre := checksumVMs(t, src.VMs())
+	crashHost(t, src, "blob memo test")
+	before := opts.Cache.Stats()
+	dst, _, err := b.engine.Emergency(src, otherKind(src), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := opts.Cache.Stats().Sub(before); d.BlobInstalls != 0 || d.BlobDecodeHits != 0 {
+		t.Fatalf("emergency used the blob memo: %d installs, %d decode hits", d.BlobInstalls, d.BlobDecodeHits)
+	}
+	if got := checksumVMs(t, dst.VMs()); !reflect.DeepEqual(got, pre) {
+		t.Fatal("guest checksums diverged")
 	}
 }

@@ -82,7 +82,6 @@ func TestEmergencyTransplant(t *testing.T) {
 			}
 			for _, h := range []struct{ name, unit string }{
 				{"tp.translate_virtual_s", "s"}, {"tp.restore_virtual_s", "s"},
-				{"uisr.encode_wall_ns", "ns"}, {"uisr.decode_wall_ns", "ns"},
 			} {
 				if n := m.Histogram(h.name, h.unit, nil).Count(); n != 3 {
 					t.Errorf("%s count = %d, want one observation per VM", h.name, n)

@@ -317,50 +317,44 @@ const blobPrefix = "uisr:"
 // writeBlob stores blob behind an 8-byte little-endian length prefix
 // and returns its frames: the ones it occupied on a previous transplant
 // (at) when the size still fits and all are still free, freshly
-// allocated ones (fresh) when the placement is unknown or taken.
-func writeBlob(mem *hw.PhysMem, blob []byte, at []hw.FrameRange) (frames []hw.FrameRange, fresh bool, err error) {
+// allocated ones when the placement is unknown or taken.
+func writeBlob(mem *hw.PhysMem, blob []byte, at []hw.FrameRange) (frames []hw.FrameRange, err error) {
 	img := make([]byte, 8+len(blob))
 	binary.LittleEndian.PutUint64(img, uint64(len(blob)))
 	copy(img[8:], blob)
 	pages := (len(img) + hw.PageSize4K - 1) / hw.PageSize4K
-	if hw.CountFrames(at) == uint64(pages) && claimAll(mem, at) {
+	if hw.CountFrames(at) == uint64(pages) && mem.ClaimRanges(at, hw.OwnerPRAM, -1) == nil {
 		if mem.WriteRanges(at, img) == nil {
-			return at, false, nil
+			return at, nil
 		}
 		_ = mem.FreeRanges(at)
 	}
 	if frames, err = mem.AllocRanges(pages, hw.OwnerPRAM, -1); err == nil {
 		err = mem.WriteRanges(frames, img)
 	}
-	return frames, true, err
+	return frames, err
 }
 
-// claimAll takes every range for PRAM, or none of them.
-func claimAll(mem *hw.PhysMem, frames []hw.FrameRange) bool {
-	for i, r := range frames {
-		if mem.ClaimRange(r.Start, r.Count, hw.OwnerPRAM, -1) != nil {
-			_ = mem.FreeRanges(frames[:i])
-			return false
-		}
-	}
-	return true
-}
-
-// readBlob loads a length-prefixed blob from the frames a PRAM file
-// records.
-func readBlob(mem *hw.PhysMem, f pram.File) ([]byte, error) {
+// blobFrames returns the frames a PRAM blob file records, in order.
+func blobFrames(f pram.File) []hw.FrameRange {
 	var ranges []hw.FrameRange
 	for _, e := range f.Extents {
 		ranges = hw.AppendRange(ranges, hw.FrameRange{Start: hw.MFN(e.MFN), Count: e.Pages()})
 	}
-	raw, err := mem.ReadRanges(ranges)
+	return ranges
+}
+
+// readBlob loads the length-prefixed blob of the PRAM file name from its
+// frames.
+func readBlob(mem *hw.PhysMem, name string, frames []hw.FrameRange) ([]byte, error) {
+	raw, err := mem.ReadRanges(frames)
 	if err != nil {
 		return nil, err
 	}
 	r := uisr.NewReader(raw)
 	blob := r.Bytes(r.Count(r.U64(), math.MaxInt, 1))
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("core: blob file %q: %w", f.Name, err)
+		return nil, fmt.Errorf("core: blob file %q: %w", name, err)
 	}
 	return blob, nil
 }

@@ -519,18 +519,14 @@ func (t *transplant) translate() error {
 		// Re-land a cached blob at the frames it occupied last time, so
 		// the PRAM fileset — which embeds the blob extents — is
 		// byte-stable across repeat transplants and the snapshot replay
-		// can fire. Falls back to cursor allocation when the old frames
-		// are taken.
-		var at []hw.FrameRange
-		if memo != nil {
-			at = memo.BlobFrames(t.e.Machine, s.hash)
-		}
-		var fresh bool
-		if s.frames, fresh, err = writeBlob(mem, blob, at); err != nil {
-			return err
-		}
-		if fresh && memo != nil {
-			memo.SetBlobFrames(t.e.Machine, s.hash, s.frames)
+		// can fire: by reference once its image is captured there, else
+		// by writing it. Falls back to cursor allocation when the old
+		// frames are taken.
+		if s.frames = memo.InstallBlob(t.e.Machine, s.hash, blob); s.frames == nil {
+			if s.frames, err = writeBlob(mem, blob, memo.BlobFrames(t.e.Machine, s.hash)); err != nil {
+				return err
+			}
+			memo.SetBlobFrames(t.e.Machine, s.hash, blob, s.frames)
 		}
 		s.res.UISRBytes = uint64(len(blob))
 		t.report.UISRBytes += uint64(len(blob))
@@ -557,9 +553,6 @@ func (t *transplant) translate() error {
 // Virtual costs are charged identically either way; only wall-clock
 // compute is skipped, so the preserved bytes match the cold path exactly.
 func (t *transplant) encodeStates(memo *tpcache.Cache) ([][]byte, error) {
-	// Wall-clock encode latency is profiling-only (Volatile); the virtual
-	// per-VM translation costs are the deterministic latency record.
-	encodeWall := t.mets.Histogram("uisr.encode_wall_ns", "ns", obs.ExpBuckets(1e3, 4, 12)).Volatile()
 	translateVirtual := t.mets.Histogram("tp.translate_virtual_s", "s", obs.ExpBuckets(1e-3, 2, 16))
 	kind, m, gen := t.src.Kind(), t.e.Machine, t.e.Machine.Generation()
 	t.saved = make([]savedVM, len(t.vms))
@@ -612,9 +605,7 @@ func (t *transplant) encodeStates(memo *tpcache.Cache) ([][]byte, error) {
 		if blobs[i] != nil {
 			continue
 		}
-		t0 := time.Now()
 		blob, err := uisr.Encode(states[k])
-		encodeWall.Observe(float64(time.Since(t0).Nanoseconds()))
 		if err != nil {
 			return nil, err
 		}
@@ -679,7 +670,9 @@ func (t *transplant) parsePRAM() error {
 
 // restore reads and decodes every VM's blob before it touches the
 // target, so a corrupt blob fails the phase with nothing restored;
-// RestoreUISR and guest attachment then run in VM order.
+// RestoreUISR and guest attachment then run in VM order. A planned,
+// cached run takes the state from the decode memo when the blob's frames
+// still hold the image captured there; the cold read and decode fill it.
 func (t *transplant) restore() error {
 	if !t.opts.EarlyRestoration {
 		t.report.Restoration += t.cost.RestoreServiceWait
@@ -691,25 +684,28 @@ func (t *transplant) restore() error {
 	if len(files) != 2*n {
 		return fmt.Errorf("core: %d PRAM files after reboot, want %d", len(files), 2*n)
 	}
-	decodeWall := t.mets.Histogram("uisr.decode_wall_ns", "ns", obs.ExpBuckets(1e3, 4, 12)).Volatile()
+	memo, m := t.memo(), t.e.Machine
 	restored := make([]*uisr.VMState, n)
 	for i, s := range t.saved {
 		if files[n+i].Name != blobPrefix+s.res.Name {
 			return fmt.Errorf("core: UISR blob for %q missing after reboot", s.res.Name)
 		}
-		blob, err := readBlob(t.e.Machine.Mem, files[n+i])
-		if err != nil {
-			return err
-		}
-		t0 := time.Now()
-		st, err := uisr.Decode(blob)
-		decodeWall.Observe(float64(time.Since(t0).Nanoseconds()))
-		if err != nil {
-			return fmt.Errorf("core: UISR blob for %q corrupt: %w", s.res.Name, err)
+		frames := blobFrames(files[n+i])
+		st, held := memo.DecodedBlob(m, s.hash, frames)
+		if st == nil {
+			blob, err := readBlob(m.Mem, files[n+i].Name, frames)
+			if err != nil {
+				return err
+			}
+			if st, err = uisr.Decode(blob); err != nil {
+				return fmt.Errorf("core: UISR blob for %q corrupt: %w", s.res.Name, err)
+			}
+			if held {
+				memo.SetDecodedBlob(m, s.hash, frames, st)
+			}
 		}
 		restored[i] = st
 	}
-	memo := t.memo()
 	t.costs = t.costs[:0]
 	for i := range t.saved {
 		s := &t.saved[i]
@@ -732,7 +728,7 @@ func (t *transplant) restore() error {
 		if memo != nil {
 			// Chain the fingerprint: the restored VM's platform state IS
 			// this blob, so its next save is predictable from it.
-			memo.RecordRestore(t.target, t.e.Machine, t.e.Machine.Generation(), newVM.ID, s.hash)
+			memo.RecordRestore(t.target, m, m.Generation(), newVM.ID, s.hash)
 		}
 		if s.guest != nil {
 			if err := t.dst.AttachGuest(newVM.ID, s.guest); err != nil {

@@ -210,9 +210,10 @@ func checkRoundTrip(p roundTripParams, atStop func(hv.Hypervisor) error) error {
 		return fmt.Errorf("cached run: %w", err)
 	}
 
-	// The cached run must actually exercise the warm path, or the
+	// The cached run must actually exercise the warm path — blob images
+	// installed and decoded by page identity among it — or the
 	// cold/cached equivalence below proves nothing.
-	if st := cache.Stats(); st.Hits == 0 || st.Misses == 0 {
+	if st := cache.Stats(); st.Hits == 0 || st.Misses == 0 || st.BlobInstalls == 0 || st.BlobDecodeHits == 0 {
 		return fmt.Errorf("cache never reached steady state over %d hops: %v", len(warm), st)
 	}
 

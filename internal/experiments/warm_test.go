@@ -53,15 +53,18 @@ func TestWarmHostHeapReachesFixedPoint(t *testing.T) {
 // TestWarmHopAllocBudget pins the warm payoff on one Figure 10 point (M1,
 // one 1 vCPU / 1 GiB VM) by counts, which host load cannot move, through
 // the mechanisms it rests on: a fingerprint chain that converges, so
-// every warm hop misses the translation cache 0 times, and a PRAM
-// snapshot that replays, so every warm hop hits it twice, misses it
-// never, and answers the target's parse from its memo once. A warm
-// KVM→Xen→KVM round trip then allocates a pinned count, below what a
-// cold one allocates on the same testbed.
+// every warm hop misses the translation cache 0 times; a PRAM snapshot
+// that replays, so every warm hop hits it twice, misses it never, and
+// answers the target's parse from its memo once; and a captured blob
+// image, so every warm hop installs the VM's blob once and answers its
+// decode from the memo once. A warm KVM→Xen→KVM round trip then
+// allocates a pinned count, below what a cold one allocates on the same
+// testbed.
 func TestWarmHopAllocBudget(t *testing.T) {
 	const trips = 8
-	const coldBudget, warmBudget = 259, 172
+	const coldBudget, warmBudget = 255, 124
 	const pramHitsPerHop, parseHitsPerHop = 2, 1
+	const installsPerHop, decodeHitsPerHop = 1, 1
 	par.SetWorkers(1)
 	defer par.SetWorkers(0)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -106,6 +109,10 @@ func TestWarmHopAllocBudget(t *testing.T) {
 	if d.PRAMParseHits != parseHitsPerHop*hops {
 		t.Errorf("PRAM parse memo over %d warm hops: %d hits, want %d", hops, d.PRAMParseHits, parseHitsPerHop*hops)
 	}
+	if d.BlobInstalls != installsPerHop*hops || d.BlobDecodeHits != decodeHitsPerHop*hops {
+		t.Errorf("blob memo over %d warm hops: %d installs, %d decode hits; want %d, %d",
+			hops, d.BlobInstalls, d.BlobDecodeHits, installsPerHop*hops, decodeHitsPerHop*hops)
+	}
 	if raceEnabled {
 		return
 	}
@@ -115,16 +122,17 @@ func TestWarmHopAllocBudget(t *testing.T) {
 }
 
 // TestWarmHopAllocBudgetFlatInMemory: a primed warm hop hands guest
-// memory over by reference — the PRAM metadata pages are installed, not
-// rewritten, their parse is memoized, and the adopted memory map is kept
-// as parsed — so its heap cost does not grow with the guest. One 1 vCPU
-// VM on M1 at 1, 4 and 8 GiB must allocate the same bytes and the same
-// number of times per warm hop.
+// memory over by reference — the PRAM metadata pages and the UISR blob
+// image are installed, not rewritten, their parse and decode are
+// memoized, and the adopted memory map is kept as parsed — so its heap
+// cost does not grow with the guest. One 1 vCPU VM on M1 at 1, 4 and
+// 8 GiB must allocate the same bytes and the same pinned number of times
+// per warm hop.
 func TestWarmHopAllocBudgetFlatInMemory(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
-	const trips = 4
+	const trips, hopBudget = 4, 62
 	par.SetWorkers(1)
 	defer par.SetWorkers(0)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -170,6 +178,9 @@ func TestWarmHopAllocBudgetFlatInMemory(t *testing.T) {
 	}
 	if costs[1] != costs[0] || costs[2] != costs[0] {
 		t.Errorf("warm hop at 1, 4, 8 GiB allocated %+v per hop, want one cost for every size", costs)
+	}
+	if costs[0].allocs > hopBudget {
+		t.Errorf("warm hop allocated %d times, budget %d", costs[0].allocs, hopBudget)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/big"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -584,6 +585,44 @@ func TestWriteRangesRoundTrip(t *testing.T) {
 	}
 	if pm.AllocatedFrames() != 4 {
 		t.Fatalf("AllocatedFrames = %d, want 4", pm.AllocatedFrames())
+	}
+}
+
+// TestSameFrames: two run lists cover the same frames whatever their
+// order, splits, repeats or empty runs; neither list is modified, and
+// short ones are compared without allocating.
+func TestSameFrames(t *testing.T) {
+	r := func(start, count int) FrameRange { return FrameRange{Start: MFN(start), Count: uint64(count)} }
+	for _, tc := range []struct {
+		name string
+		a, b []FrameRange
+		want bool
+	}{
+		{"both empty", nil, []FrameRange{r(9, 0)}, true},
+		{"equal", []FrameRange{r(0, 4), r(8, 2)}, []FrameRange{r(0, 4), r(8, 2)}, true},
+		{"unsorted", []FrameRange{r(8, 2), r(0, 4)}, []FrameRange{r(0, 4), r(8, 2)}, true},
+		{"adjacent", []FrameRange{r(0, 2), r(2, 2)}, []FrameRange{r(0, 4)}, true},
+		{"duplicate", []FrameRange{r(0, 4), r(1, 2)}, []FrameRange{r(0, 4)}, true},
+		{"empty run", []FrameRange{r(0, 4), r(20, 0)}, []FrameRange{r(0, 4)}, true},
+		{"same count, other frames", []FrameRange{r(0, 2), r(5, 2)}, []FrameRange{r(0, 4)}, false},
+		{"subset", []FrameRange{r(0, 3)}, []FrameRange{r(0, 4)}, false},
+		// The old frame-by-frame test counted frames first, so a repeat
+		// hid a missing frame: {0,0,1,2} against {0,1,2,3}.
+		{"repeat for a missing frame", []FrameRange{r(0, 1), r(0, 3)}, []FrameRange{r(0, 4)}, false},
+	} {
+		a, b := slices.Clone(tc.a), slices.Clone(tc.b)
+		if got := SameFrames(a, b); got != tc.want {
+			t.Errorf("%s: SameFrames(%v, %v) = %v, want %v", tc.name, tc.a, tc.b, got, tc.want)
+		}
+		if got := SameFrames(b, a); got != tc.want {
+			t.Errorf("%s: SameFrames is not symmetric", tc.name)
+		}
+		if !slices.Equal(a, tc.a) || !slices.Equal(b, tc.b) {
+			t.Errorf("%s: SameFrames modified its arguments: %v, %v", tc.name, a, b)
+		}
+		if n := testing.AllocsPerRun(10, func() { SameFrames(a, b) }); n != 0 {
+			t.Errorf("%s: SameFrames allocated %v times, want 0", tc.name, n)
+		}
 	}
 }
 

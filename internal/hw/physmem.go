@@ -492,6 +492,17 @@ func (pm *PhysMem) ClaimRange(start MFN, count uint64, owner Owner, vm int) erro
 	return nil
 }
 
+// ClaimRanges claims every run of rs as ClaimRange does, all or nothing.
+func (pm *PhysMem) ClaimRanges(rs []FrameRange, owner Owner, vm int) error {
+	for i, r := range rs {
+		if err := pm.ClaimRange(r.Start, r.Count, owner, vm); err != nil {
+			_ = pm.FreeRanges(rs[:i])
+			return err
+		}
+	}
+	return nil
+}
+
 // releaseDataAt drops the page contents (and with them the cached
 // checksum) of frame i of chunk c; pm.mu held.
 func (pm *PhysMem) releaseDataAt(c *chunk, i uint64) {
@@ -1225,7 +1236,6 @@ func MergeRanges(rs []FrameRange) []FrameRange {
 	if len(rs) == 0 {
 		return rs
 	}
-	byStart := func(a, b FrameRange) int { return cmp.Compare(a.Start, b.Start) }
 	if !slices.IsSortedFunc(rs, byStart) {
 		slices.SortFunc(rs, byStart)
 	}
@@ -1239,6 +1249,21 @@ func MergeRanges(rs []FrameRange) []FrameRange {
 		}
 	}
 	return out
+}
+
+func byStart(a, b FrameRange) int { return cmp.Compare(a.Start, b.Start) }
+
+// SameFrames reports whether a and b cover the same set of frames, in
+// whatever order, split or repeated: whether their merged runs are equal.
+// Neither slice is modified; each is merged in a copy, on the stack up
+// to 64 runs.
+func SameFrames(a, b []FrameRange) bool {
+	var bufA, bufB [64]FrameRange
+	merged := func(rs, buf []FrameRange) []FrameRange {
+		empty := func(r FrameRange) bool { return r.Count == 0 }
+		return MergeRanges(slices.DeleteFunc(append(buf[:0], rs...), empty))
+	}
+	return slices.Equal(merged(a, bufA[:]), merged(b, bufB[:]))
 }
 
 // CountFrames returns the number of frames in rs.

@@ -349,11 +349,11 @@ func TestFleetAllocBudgets(t *testing.T) {
 		budget float64
 		run    func() error
 	}{
-		{"RespondToCVE", 5263, func() error {
+		{"RespondToCVE", 5255, func() error {
 			respondFleet(t, newFleet(t, stockFleet()), limits)
 			return nil
 		}},
-		{"RespondToCVE/warm", 5441, func() error {
+		{"RespondToCVE/warm", 5433, func() error {
 			c := newFleet(t, stockFleet())
 			opts := core.DefaultOptions()
 			opts.Cache = tpcache.New()
@@ -365,7 +365,7 @@ func TestFleetAllocBudgets(t *testing.T) {
 			_, err := c.nova.RespondToCVE(vulndb.Load(), "CVE-2016-6258", []string{"xen", "kvm"}, opts)
 			return err
 		}},
-		{"RespondToCVE/slo", 5522, func() error {
+		{"RespondToCVE/slo", 5514, func() error {
 			c := newFleet(t, stockFleet())
 			rec := obs.NewRecorder(c.clock)
 			rec.SetRetain(false)
@@ -377,7 +377,7 @@ func TestFleetAllocBudgets(t *testing.T) {
 			respondFleet(t, c, limits)
 			return nil
 		}},
-		{"RecoverFleet", 2287, func() error {
+		{"RecoverFleet", 2281, func() error {
 			c := newFleet(t, stockFleet())
 			stormFleet(t, c, []int{0, 2, 5, 8, 9})
 			c.nova.SetFleetLimits(&sched.Limits{MaxKexecs: 2})

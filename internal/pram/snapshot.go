@@ -145,11 +145,8 @@ func (s *Snapshot) tryReplay(mem *hw.PhysMem, files []File, key uint64) (*Struct
 // install claims entry e's frames and installs its pages into them, all
 // or nothing.
 func (s *Snapshot) install(mem *hw.PhysMem, e *snapEntry) bool {
-	for i, r := range e.metaFrames {
-		if err := mem.ClaimRange(r.Start, r.Count, hw.OwnerPRAM, -1); err != nil {
-			_ = mem.FreeRanges(e.metaFrames[:i])
-			return false
-		}
+	if mem.ClaimRanges(e.metaFrames, hw.OwnerPRAM, -1) != nil {
+		return false
 	}
 	if err := mem.InstallPages(e.metaFrames, e.pages); err != nil {
 		_ = mem.FreeRanges(e.metaFrames)
@@ -212,7 +209,7 @@ func (s *Snapshot) Parse(mem *hw.PhysMem, pointer hw.MFN) (*Structure, error) {
 	st, err := Parse(mem, pointer)
 	// The memo stands only for a parse that read exactly the captured
 	// frames: its result is a function of their bytes alone.
-	if err != nil || e == nil || !sameFrames(st.MetaFrames, e.metaFrames) {
+	if err != nil || e == nil || !hw.SameFrames(st.MetaFrames, e.metaFrames) {
 		return st, err
 	}
 	s.mu.Lock()
@@ -234,20 +231,4 @@ func (s *Snapshot) heldAt(mem *hw.PhysMem, pointer hw.MFN) *snapEntry {
 		}
 	}
 	return nil
-}
-
-// sameFrames reports whether the disjoint runs a and b cover the same
-// frames: as many, and every frame of a in b.
-func sameFrames(a, b []hw.FrameRange) bool {
-	if hw.CountFrames(a) != hw.CountFrames(b) {
-		return false
-	}
-	for _, r := range a {
-		for m := r.Start; m < r.End(); m++ {
-			if !slices.ContainsFunc(b, func(q hw.FrameRange) bool { return q.Start <= m && m < q.End() }) {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -1,14 +1,23 @@
 // Package tpcache is the transplant cache: the warm-path subsystem that
-// makes repeat transplants cheap. It memoizes the two expensive
+// makes repeat transplants cheap. It memoizes the three expensive
 // wall-clock products of the InPlaceTP workflow —
 //
 //   - encoded UISR translation blobs, keyed by (source kind, VM state
 //     fingerprint), so a host ping-ponging between hypervisor kinds
 //     stops re-walking and re-encoding identical platform state;
+//   - each blob's image in preserved RAM, captured by reference where it
+//     re-landed, so a repeat landing installs the captured pages instead
+//     of writing the image (InstallBlob), and the target's decode of
+//     frames that still hold them returns the memoized VM state
+//     (DecodedBlob);
 //   - built PRAM metadata structures, via pram.Snapshot, so repeat
 //     builds of an identical fileset install the cached pages by
 //     reference, and the target's parse of a structure whose frames
 //     still hold them returns the memoized result.
+//
+// Page identity proves byte identity, since a captured page is never
+// written in place (hw.Pages): a flipped bit, a rewrite or a freed frame
+// misses, and the cold read, parse or decode runs with all its checks.
 //
 // The cache is deterministic by construction: a hit returns the exact
 // bytes a cold run would produce (fingerprints chain through the blobs
@@ -21,13 +30,16 @@
 package tpcache
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc64"
+	"slices"
 	"sync"
 
 	"hypertp/internal/hv"
 	"hypertp/internal/hw"
 	"hypertp/internal/pram"
+	"hypertp/internal/uisr"
 )
 
 // Stats is a point-in-time census of cache effectiveness.
@@ -44,6 +56,9 @@ type Stats struct {
 	// PRAMHits and PRAMMisses count PRAM snapshot replays vs cold
 	// builds, and PRAMParseHits the PRAM parses its memo answered.
 	PRAMHits, PRAMMisses, PRAMParseHits uint64
+	// BlobInstalls counts blob landings served by installing a captured
+	// image, and BlobDecodeHits the blob decodes the memo answered.
+	BlobInstalls, BlobDecodeHits uint64
 	// WarmSlots is the number of pre-staged entries currently unconsumed.
 	WarmSlots int
 }
@@ -68,7 +83,9 @@ func (s Stats) Sub(prev Stats) Stats {
 		PRAMMisses: s.PRAMMisses - prev.PRAMMisses,
 		WarmSlots:  s.WarmSlots,
 
-		PRAMParseHits: s.PRAMParseHits - prev.PRAMParseHits,
+		PRAMParseHits:  s.PRAMParseHits - prev.PRAMParseHits,
+		BlobInstalls:   s.BlobInstalls - prev.BlobInstalls,
+		BlobDecodeHits: s.BlobDecodeHits - prev.BlobDecodeHits,
 	}
 }
 
@@ -121,12 +138,29 @@ type Cache struct {
 }
 
 // blobPlaces remembers where each blob (by content hash) last landed in
-// one machine's physical memory, so a repeat transplant can re-write it
-// at the same frames — which keeps the PRAM fileset byte-stable and lets
+// one machine's physical memory, so a repeat transplant can land it at
+// the same frames — which keeps the PRAM fileset byte-stable and lets
 // the pram.Snapshot replay fire.
 type blobPlaces struct {
-	byHash map[uint64][]hw.FrameRange
+	byHash map[uint64]blobPlace
 	order  []uint64
+}
+
+// blobPlace is one blob's place on one machine. Once the blob has landed
+// at the same frames twice, image holds the pages it was written to
+// there, and state, once the target has decoded them, what they decode
+// to; both are of blob, and go together.
+type blobPlace struct {
+	frames []hw.FrameRange
+	blob   []byte
+	image  hw.Pages
+	state  *uisr.VMState
+}
+
+// forget drops the place's capture and the state decoded from it.
+func (p *blobPlace) forget() {
+	p.image.Release()
+	p.blob, p.state = nil, nil
 }
 
 // New creates an empty transplant cache.
@@ -305,37 +339,124 @@ func (c *Cache) Invalidate(kind hv.Kind, m *hw.Machine, gen int, id hv.VMID) {
 	c.stats.Stale++
 }
 
-// BlobFrames returns the frames the blob with the given content hash
-// occupied the last time it was written into machine m's memory, or nil
-// if unknown.
-func (c *Cache) BlobFrames(m *hw.Machine, hash uint64) []hw.FrameRange {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p := c.places[m]
-	if p == nil {
-		return nil
+// placeLocked returns the place of the blob with the given content hash
+// on machine m, the zero place if unknown. c.mu held.
+func (c *Cache) placeLocked(m *hw.Machine, hash uint64) blobPlace {
+	if ps := c.places[m]; ps != nil {
+		return ps.byHash[hash]
 	}
-	return p.byHash[hash]
+	return blobPlace{}
 }
 
-// SetBlobFrames records where the blob with the given content hash was
-// written on machine m.
-func (c *Cache) SetBlobFrames(m *hw.Machine, hash uint64, frames []hw.FrameRange) {
+// BlobFrames returns the frames the blob with the given content hash
+// occupied the last time it was written into machine m's memory, or nil
+// if unknown or c is nil.
+func (c *Cache) BlobFrames(m *hw.Machine, hash uint64) []hw.FrameRange {
+	if c == nil {
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p := c.places[m]
-	if p == nil {
-		p = &blobPlaces{byHash: make(map[uint64][]hw.FrameRange)}
-		c.places[m] = p
+	return c.placeLocked(m, hash).frames
+}
+
+// SetBlobFrames records that blob, whose content hash is hash, was
+// written at frames on machine m. A blob written again at the frames
+// remembered for it is captured there — the frames' pages taken by
+// reference, not a byte copied — for InstallBlob to land from then on;
+// a first landing only remembers the frames. A nil c records nothing.
+func (c *Cache) SetBlobFrames(m *hw.Machine, hash uint64, blob []byte, frames []hw.FrameRange) {
+	if c == nil {
+		return
 	}
-	if _, exists := p.byHash[hash]; !exists {
-		p.order = append(p.order, hash)
-		if len(p.order) > maxBlobEntries {
-			delete(p.byHash, p.order[0])
-			p.order = p.order[1:]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ps := c.places[m]
+	if ps == nil {
+		ps = &blobPlaces{byHash: make(map[uint64]blobPlace)}
+		c.places[m] = ps
+	}
+	p, known := ps.byHash[hash]
+	if !known {
+		ps.order = append(ps.order, hash)
+		if len(ps.order) > maxBlobEntries {
+			old := ps.byHash[ps.order[0]]
+			old.forget()
+			delete(ps.byHash, ps.order[0])
+			ps.order = ps.order[1:]
+		}
+	} else if hw.SameFrames(frames, p.frames) {
+		if image, err := m.Mem.SharePages(frames); err == nil {
+			p.forget()
+			p.blob, p.image = blob, image
 		}
 	}
-	p.byHash[hash] = append([]hw.FrameRange(nil), frames...)
+	p.frames = slices.Clone(frames)
+	ps.byHash[hash] = p
+}
+
+// InstallBlob lands blob, whose content hash is hash, in machine m's
+// memory by reference: if its image was captured (SetBlobFrames), it
+// claims the remembered frames for PRAM and installs the captured pages
+// there, all or nothing, and returns the frames, which the caller must
+// not modify. It returns nil, with nothing claimed, when there is no
+// capture of these bytes, a frame is taken or c is nil: the caller
+// writes the image itself.
+func (c *Cache) InstallBlob(m *hw.Machine, hash uint64, blob []byte) []hw.FrameRange {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p := c.placeLocked(m, hash)
+	if p.blob == nil || !bytes.Equal(p.blob, blob) || m.Mem.ClaimRanges(p.frames, hw.OwnerPRAM, -1) != nil {
+		return nil
+	}
+	if m.Mem.InstallPages(p.frames, p.image) != nil {
+		_ = m.Mem.FreeRanges(p.frames)
+		return nil
+	}
+	c.stats.BlobInstalls++
+	return p.frames
+}
+
+// DecodedBlob answers the decode of the blob image at frames on machine
+// m from the memo: when frames hold the captured image of the blob with
+// content hash hash, and that image has been decoded before, it returns
+// a copy of the state — top-level fields the caller's, slices shared with
+// the memo and read-only. On a miss it returns nil, and held reports
+// whether frames hold the capture, which SetDecodedBlob needs. A nil
+// cache always misses.
+func (c *Cache) DecodedBlob(m *hw.Machine, hash uint64, frames []hw.FrameRange) (st *uisr.VMState, held bool) {
+	if c == nil {
+		return nil, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p := c.placeLocked(m, hash)
+	if p.blob == nil || !m.Mem.Holds(frames, p.image) {
+		return nil, false
+	}
+	if p.state == nil {
+		return nil, true
+	}
+	c.stats.BlobDecodeHits++
+	cp := *p.state
+	return &cp, true
+}
+
+// SetDecodedBlob memoizes st, the cold decode of the image read from
+// frames, which held the capture when DecodedBlob was asked: a copy of
+// it is kept if they still hold it, so what the decode read was the
+// capture. The caller keeps st.
+func (c *Cache) SetDecodedBlob(m *hw.Machine, hash uint64, frames []hw.FrameRange, st *uisr.VMState) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if p := c.placeLocked(m, hash); p.blob != nil && m.Mem.Holds(frames, p.image) {
+		cp := *st
+		p.state = &cp
+		c.places[m].byHash[hash] = p
+	}
 }
 
 // PRAMSnapshot returns machine m's PRAM build snapshot, creating it on

@@ -185,23 +185,105 @@ func TestBlobFrames(t *testing.T) {
 		t.Fatal("frames for an unknown machine")
 	}
 	frames := []hw.FrameRange{{Start: 10, Count: 2}}
-	c.SetBlobFrames(m, 1, frames)
+	c.SetBlobFrames(m, 1, nil, frames)
 	frames[0].Start = 99
 	if got := c.BlobFrames(m, 1); len(got) != 1 || got[0].Start != 10 {
 		t.Fatalf("stored frames = %v, want a copy of the original", got)
 	}
-	c.SetBlobFrames(m, 1, []hw.FrameRange{{Start: 20, Count: 1}})
+	c.SetBlobFrames(m, 1, nil, []hw.FrameRange{{Start: 20, Count: 1}})
 	if got := c.BlobFrames(m, 1); got[0].Start != 20 {
 		t.Fatalf("overwrite kept %v", got)
 	}
 	for h := uint64(2); h <= maxBlobEntries+1; h++ {
-		c.SetBlobFrames(m, h, frames)
+		c.SetBlobFrames(m, h, nil, frames)
 	}
 	if c.BlobFrames(m, 1) != nil {
 		t.Fatal("oldest placement survived eviction")
 	}
 	if c.BlobFrames(m, maxBlobEntries+1) == nil {
 		t.Fatal("newest placement missing")
+	}
+}
+
+// A blob's image is captured where it lands a second time, installed by
+// reference from then on, and answers the decode memo while its frames
+// hold it; a first landing, other bytes or a taken frame fall back to a
+// write with nothing claimed.
+func TestBlobImageInstallAndDecodeMemo(t *testing.T) {
+	c := New()
+	m := &hw.Machine{Mem: hw.NewPhysMem(64 << 20)}
+	blob := []byte("uisr-image")
+	land := func() []hw.FrameRange {
+		t.Helper()
+		if at := c.InstallBlob(m, 1, blob); at != nil {
+			return at
+		}
+		at, err := m.Mem.AllocRanges(2, hw.OwnerPRAM, -1)
+		if known := c.BlobFrames(m, 1); known != nil {
+			at, err = known, m.Mem.ClaimRanges(known, hw.OwnerPRAM, -1)
+		}
+		if err == nil {
+			err = m.Mem.WriteRanges(at, blob)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.SetBlobFrames(m, 1, blob, at)
+		return at
+	}
+	free := func(at []hw.FrameRange) {
+		t.Helper()
+		if err := m.Mem.FreeRanges(at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	at := land() // first landing: frames remembered, nothing captured
+	if st, held := c.DecodedBlob(m, 1, at); st != nil || held {
+		t.Fatal("a first landing was captured")
+	}
+	free(at)
+	free(land()) // second landing, at the same frames: captured
+	at = land()
+	if got := c.Stats().BlobInstalls; got != 1 {
+		t.Fatalf("third landing: %d installs, want 1", got)
+	}
+	if image, err := m.Mem.ReadRanges(at); err != nil || string(image[:len(blob)]) != string(blob) {
+		t.Fatalf("installed image reads %q, %v", image[:len(blob)], err)
+	}
+	if st, held := c.DecodedBlob(m, 1, at); st != nil || !held {
+		t.Fatalf("undecoded capture: state %v, held %v; want nil, true", st, held)
+	}
+	c.SetDecodedBlob(m, 1, at, &uisr.VMState{Name: "vm"})
+	hit, _ := c.DecodedBlob(m, 1, at)
+	if hit == nil || hit.Name != "vm" || c.Stats().BlobDecodeHits != 1 {
+		t.Fatalf("decode memo answered %+v, %d hits", hit, c.Stats().BlobDecodeHits)
+	}
+	hit.Name = "mutated"
+	if again, _ := c.DecodedBlob(m, 1, at); again.Name != "vm" {
+		t.Fatalf("a mutated hit reached the memo: %q", again.Name)
+	}
+	if err := m.Mem.Write(at[0].Start, 0, []byte{'U'}); err != nil {
+		t.Fatal(err)
+	}
+	if st, held := c.DecodedBlob(m, 1, at); st != nil || held {
+		t.Fatal("a written frame still answered from the memo")
+	}
+	free(at)
+	if c.InstallBlob(m, 1, []byte("uisr-other")) != nil {
+		t.Fatal("a capture of other bytes was installed")
+	}
+	if err := m.Mem.ClaimRange(at[0].Start+1, 1, hw.OwnerGuest, 1); err != nil {
+		t.Fatal(err)
+	}
+	if c.InstallBlob(m, 1, blob) != nil {
+		t.Fatal("installed over a taken frame")
+	}
+	if err := m.Mem.ClaimRange(at[0].Start, 1, hw.OwnerGuest, 1); err != nil {
+		t.Fatalf("a failed install left its claim: %v", err)
+	}
+	var none *Cache
+	if st, held := none.DecodedBlob(m, 1, at); st != nil || held {
+		t.Fatal("a nil cache answered a decode")
 	}
 }
 
@@ -238,10 +320,13 @@ func TestStatsArithmetic(t *testing.T) {
 	if r := (Stats{}).HitRatio(); r != 0 {
 		t.Fatalf("empty hit ratio = %v", r)
 	}
-	prev := Stats{Hits: 1, Misses: 2, WarmStarts: 1, Stale: 1, PRAMHits: 1, PRAMMisses: 1, PRAMParseHits: 1, WarmSlots: 5}
-	cur := Stats{Hits: 4, Misses: 3, WarmStarts: 2, Stale: 1, PRAMHits: 3, PRAMMisses: 2, PRAMParseHits: 4, WarmSlots: 2}
+	prev := Stats{Hits: 1, Misses: 2, WarmStarts: 1, Stale: 1, PRAMHits: 1, PRAMMisses: 1, PRAMParseHits: 1,
+		BlobInstalls: 2, BlobDecodeHits: 1, WarmSlots: 5}
+	cur := Stats{Hits: 4, Misses: 3, WarmStarts: 2, Stale: 1, PRAMHits: 3, PRAMMisses: 2, PRAMParseHits: 4,
+		BlobInstalls: 7, BlobDecodeHits: 5, WarmSlots: 2}
 	d := cur.Sub(prev)
-	want := Stats{Hits: 3, Misses: 1, WarmStarts: 1, PRAMHits: 2, PRAMMisses: 1, PRAMParseHits: 3, WarmSlots: 2}
+	want := Stats{Hits: 3, Misses: 1, WarmStarts: 1, PRAMHits: 2, PRAMMisses: 1, PRAMParseHits: 3,
+		BlobInstalls: 5, BlobDecodeHits: 4, WarmSlots: 2}
 	if d != want {
 		t.Fatalf("Sub = %+v, want %+v", d, want)
 	}
@@ -254,10 +339,15 @@ func TestStatsArithmetic(t *testing.T) {
 			t.Fatalf("String() = %q lacks %q", s, part)
 		}
 	}
+	// The memo lanes stay out of the rendering, which CLI goldens pin.
+	if want := "hits=3 misses=1 (ratio 0.75) warm-starts=1 stale=0 pram=2/3 warm-slots=2"; s != want {
+		t.Fatalf("String() = %q, want %q", s, want)
+	}
 }
 
-// One cache serves many engines at once: concurrent stores, lookups and
-// restores, one machine per engine, stay consistent (run under -race).
+// One cache serves many engines at once: concurrent stores, lookups,
+// restores, blob installs and decode-memo hits, one machine per engine,
+// stay consistent (run under -race).
 func TestConcurrentStoresAndLookups(t *testing.T) {
 	c := New()
 	const workers, perWorker = 8, 50
@@ -266,7 +356,7 @@ func TestConcurrentStoresAndLookups(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			m := &hw.Machine{}
+			m := &hw.Machine{Mem: hw.NewPhysMem(1 << 20)}
 			for i := 0; i < perWorker; i++ {
 				id := hv.VMID(w*perWorker + i)
 				blob := []byte(fmt.Sprintf("vm-%d", id))
@@ -278,8 +368,26 @@ func TestConcurrentStoresAndLookups(t *testing.T) {
 					t.Errorf("vm %d missed after its store", id)
 				}
 				c.RecordRestore(hv.KindKVM, m, 1, id, h)
-				c.SetBlobFrames(m, h, []hw.FrameRange{{Start: hw.MFN(i), Count: 1}})
-				_ = c.BlobFrames(m, h)
+				// Land the blob twice at one frame, then by reference.
+				at := []hw.FrameRange{{Start: hw.MFN(i), Count: 1}}
+				for range 2 {
+					if err := m.Mem.ClaimRanges(at, hw.OwnerPRAM, -1); err != nil {
+						t.Error(err)
+						return
+					}
+					_ = m.Mem.WriteRanges(at, blob)
+					c.SetBlobFrames(m, h, blob, at)
+					_ = m.Mem.FreeRanges(at)
+				}
+				if c.InstallBlob(m, h, blob) == nil {
+					t.Errorf("vm %d: blob not installed", id)
+					return
+				}
+				c.SetDecodedBlob(m, h, at, &uisr.VMState{Name: string(blob)})
+				if st, _ := c.DecodedBlob(m, h, c.BlobFrames(m, h)); st == nil || st.Name != string(blob) {
+					t.Errorf("vm %d: decode memo answered %v", id, st)
+				}
+				_ = m.Mem.FreeRanges(at)
 				_ = c.PRAMSnapshot(m)
 			}
 		}(w)
@@ -291,5 +399,8 @@ func TestConcurrentStoresAndLookups(t *testing.T) {
 	}
 	if s.WarmStarts != workers*perWorker/2 || s.WarmSlots != 0 {
 		t.Fatalf("warm accounting = %+v", s)
+	}
+	if s.BlobInstalls != workers*perWorker || s.BlobDecodeHits != workers*perWorker {
+		t.Fatalf("blob memo = %+v, want %d installs and decode hits", s, workers*perWorker)
 	}
 }
