@@ -157,12 +157,14 @@ calib-check:
 # of preserved or stored state (UISR blob, Xen HVM context, PRAM pages,
 # checkpoint image), all reading through uisr.Reader, on physical memory
 # itself against its per-frame reference model — shared pages carry
-# every warm hop's PRAM metadata and UISR blob images — and on the
+# every warm hop's PRAM metadata and UISR blob images — on the memory-map
+# summary against the consumers' own checks it replaced, and on the
 # converter matrix, whose cached Xen/KVM/NOVA tours install those images
 # and answer their decodes from the memo, byte-identical to the cold run.
 soak-short: race-check
 	$(GO) test -race -count=1 -run TestChaosSoakShort ./internal/chaos/
 	$(GO) test -race -fuzz FuzzDecode -fuzztime 10s ./internal/uisr/
+	$(GO) test -race -fuzz FuzzMemMap -fuzztime 10s ./internal/uisr/
 	$(GO) test -race -fuzz FuzzParseContext -fuzztime 10s ./internal/hv/xen/
 	$(GO) test -race -fuzz FuzzParse -fuzztime 10s ./internal/pram/
 	$(GO) test -race -fuzz FuzzDeserialize -fuzztime 10s ./internal/checkpoint/

@@ -363,7 +363,7 @@ func (h *harness) applyBreak(op *Op, opErr error) {
 		if vm == nil {
 			return
 		}
-		exts := vm.Space.Extents()
+		exts := vm.Space.Extents().Extents()
 		if len(exts) == 0 {
 			return
 		}

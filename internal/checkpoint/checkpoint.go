@@ -59,12 +59,12 @@ func Save(h hv.Hypervisor, id hv.VMID) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.MemMap = nil
+	st.MemMap = uisr.MemMap{}
 	img := &Image{State: st, InPlaceCompatible: vm.Config.InPlaceCompatible}
 
 	// Capture touched pages through the address space, in extent order.
 	mem := h.Machine().Mem
-	for _, e := range vm.Space.Extents() {
+	for _, e := range vm.Space.Extents().Extents() {
 		err := mem.ForEachTouched(hw.MFN(e.MFN), e.Pages(), func(m hw.MFN, data []byte) error {
 			// data is the frame's written prefix; the record holds the
 			// whole frame, zero tail included.

@@ -61,17 +61,23 @@ type Host struct {
 	// hypervisor, accepts no new placements, and its VMs are re-planned
 	// elsewhere when capacity allows.
 	Quarantined bool
-	vms         map[int]*VM
+	// vms is sorted by ID: a map's growth under deletes would follow its
+	// per-process hash seed, and so would every plan's allocations.
+	vms []*VM
 }
 
 // VMs returns the host's VM ids, sorted.
 func (h *Host) VMs() []int {
-	out := make([]int, 0, len(h.vms))
-	for id := range h.vms {
-		out = append(out, id)
+	out := make([]int, len(h.vms))
+	for i, vm := range h.vms {
+		out[i] = vm.ID
 	}
-	sort.Ints(out)
 	return out
+}
+
+// find returns where VM id is, or would be, in h.vms.
+func (h *Host) find(id int) (int, bool) {
+	return slices.BinarySearchFunc(h.vms, id, func(vm *VM, id int) int { return cmp.Compare(vm.ID, id) })
 }
 
 // Load returns the host's committed vCPUs and memory.
@@ -127,7 +133,7 @@ func New(cfg Config) (*Cluster, error) {
 			Name:     fmt.Sprintf("host-%02d", hID),
 			CapVCPUs: node.Threads - node.ReservedCPUs,
 			CapMem:   node.RAMBytes - 8<<30, // host OS reservation
-			vms:      make(map[int]*VM),
+			vms:      make([]*VM, 0, cfg.VMsPerHost),
 		}
 		c.hosts = append(c.hosts, h)
 		for v := 0; v < cfg.VMsPerHost; v++ {
@@ -147,7 +153,7 @@ func New(cfg Config) (*Cluster, error) {
 			if !h.fits(vm) {
 				return nil, fmt.Errorf("cluster: host %d over capacity at build time", hID)
 			}
-			h.vms[vm.ID] = vm
+			h.vms = append(h.vms, vm)
 			c.vms[vm.ID] = vm
 			vmID++
 		}
@@ -240,16 +246,17 @@ func (c *Cluster) PlanUpgrade(groupSize int, faults *fault.Plan) (*Plan, error) 
 			offline[h.ID] = true
 		}
 		cursor := 0
-		// move re-places VM vmID from h onto the next online host that
-		// fits; false means no host had room.
-		move := func(h *Host, vmID int, replanned bool) bool {
-			vm := h.vms[vmID]
+		// move re-places vm from h onto the next online host that fits;
+		// false means no host had room.
+		move := func(h *Host, vm *VM, replanned bool) bool {
 			dest := c.nextOnline(offline, vm, &cursor)
 			if dest == nil {
 				return false
 			}
-			delete(h.vms, vm.ID)
-			dest.vms[vm.ID] = vm
+			i, _ := h.find(vm.ID)
+			h.vms = slices.Delete(h.vms, i, i+1)
+			i, _ = dest.find(vm.ID)
+			dest.vms = slices.Insert(dest.vms, i, vm)
 			vm.Host = dest.ID
 			vm.Migrations++
 			gp.Migrations = append(gp.Migrations, Migration{
@@ -263,12 +270,12 @@ func (c *Cluster) PlanUpgrade(groupSize int, faults *fault.Plan) (*Plan, error) 
 		// still pending and will migrate again: that cascade is what
 		// pushes the §5.4 plan to ~154 migrations for 100 VMs.
 		for _, h := range group {
-			for _, vmID := range h.VMs() {
-				if h.vms[vmID].InPlaceCompatible {
+			for _, vm := range slices.Clone(h.vms) {
+				if vm.InPlaceCompatible {
 					continue
 				}
-				if !move(h, vmID, false) {
-					return nil, fmt.Errorf("cluster: no capacity to evacuate VM %d", vmID)
+				if !move(h, vm, false) {
+					return nil, fmt.Errorf("cluster: no capacity to evacuate VM %d", vm.ID)
 				}
 			}
 		}
@@ -285,8 +292,8 @@ func (c *Cluster) PlanUpgrade(groupSize int, faults *fault.Plan) (*Plan, error) 
 			if !h.Quarantined {
 				continue
 			}
-			for _, vmID := range h.VMs() {
-				if !move(h, vmID, true) {
+			for _, vm := range slices.Clone(h.vms) {
+				if !move(h, vm, true) {
 					gp.Stranded++
 				}
 			}
@@ -554,11 +561,11 @@ func (c *Cluster) Validate() error {
 		if v > h.CapVCPUs || mem > h.CapMem {
 			return hterr.InvariantViolated(fmt.Errorf("cluster: host %d over capacity (%d vCPUs, %d bytes)", h.ID, v, mem))
 		}
-		for id, vm := range h.vms {
+		for _, vm := range h.vms {
 			if vm.Host != h.ID {
-				return hterr.InvariantViolated(fmt.Errorf("cluster: VM %d host field %d != %d", id, vm.Host, h.ID))
+				return hterr.InvariantViolated(fmt.Errorf("cluster: VM %d host field %d != %d", vm.ID, vm.Host, h.ID))
 			}
-			seen[id]++
+			seen[vm.ID]++
 		}
 	}
 	for id := range c.vms {

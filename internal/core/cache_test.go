@@ -383,7 +383,7 @@ func TestBlobMemoHitMatchesColdDecode(t *testing.T) {
 			hit.Name, hit.Weight, hit.HasPIT = "mutated", hit.Weight+1, !hit.HasPIT
 			hit.IOAPIC.Redir[0]++
 			hit.RTC.CMOS[0]++
-			hit.MemMap = []uisr.PageExtent{{GFN: 1, MFN: 2}}
+			hit.MemMap = uisr.NewMemMap([]uisr.PageExtent{{GFN: 1, MFN: 2}})
 			hit.VCPUs, hit.Devices = nil, nil
 			if again, _ := opts.Cache.DecodedBlob(m, s.hash, s.frames); !reflect.DeepEqual(again, cold) {
 				t.Errorf("%s: mutating a hit reached the memo: %+v", s.res.Name, again)

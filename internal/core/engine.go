@@ -338,7 +338,7 @@ func writeBlob(mem *hw.PhysMem, blob []byte, at []hw.FrameRange) (frames []hw.Fr
 // blobFrames returns the frames a PRAM blob file records, in order.
 func blobFrames(f pram.File) []hw.FrameRange {
 	var ranges []hw.FrameRange
-	for _, e := range f.Extents {
+	for _, e := range f.Extents.Extents() {
 		ranges = hw.AppendRange(ranges, hw.FrameRange{Start: hw.MFN(e.MFN), Count: e.Pages()})
 	}
 	return ranges

@@ -431,9 +431,7 @@ func (t *transplant) buildPRAM() (err error) {
 		if err != nil {
 			return err
 		}
-		for _, ex := range extents {
-			pages += ex.Pages()
-		}
+		pages += extents.Pages()
 		files = append(files, pram.File{
 			Name: vm.Config.Name, VMID: uint32(vm.ID),
 			Extents: extents,
@@ -522,15 +520,17 @@ func (t *transplant) translate() error {
 		// can fire: by reference once its image is captured there, else
 		// by writing it. Falls back to cursor allocation when the old
 		// frames are taken.
-		if s.frames = memo.InstallBlob(t.e.Machine, s.hash, blob); s.frames == nil {
+		var extents uisr.MemMap
+		if s.frames, extents = memo.InstallBlob(t.e.Machine, s.hash, blob); s.frames == nil {
 			if s.frames, err = writeBlob(mem, blob, memo.BlobFrames(t.e.Machine, s.hash)); err != nil {
 				return err
 			}
 			memo.SetBlobFrames(t.e.Machine, s.hash, blob, s.frames)
+			extents = hv.FrameExtents(s.frames)
 		}
 		s.res.UISRBytes = uint64(len(blob))
 		t.report.UISRBytes += uint64(len(blob))
-		files = append(files, pram.File{Name: blobPrefix + s.res.Name, Extents: hv.FrameExtents(s.frames)})
+		files = append(files, pram.File{Name: blobPrefix + s.res.Name, Extents: extents})
 	}
 	if err := t.ps.Release(mem); err != nil {
 		return err
@@ -596,7 +596,7 @@ func (t *transplant) encodeStates(memo *tpcache.Cache) ([][]byte, error) {
 		}
 		// The memory map travels via the PRAM "mem" file, not the UISR
 		// blob — Fig. 14 accounts the two overheads separately.
-		st.MemMap = nil
+		st.MemMap = uisr.MemMap{}
 		states = append(states, st)
 	}
 	// blobs is still nil exactly at the memo misses, in states order.

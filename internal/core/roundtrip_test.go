@@ -184,7 +184,7 @@ func capture(h hv.Hypervisor) (hopCapture, error) {
 		if err := h.Resume(vm.ID); err != nil {
 			return cap, err
 		}
-		st.MemMap = nil
+		st.MemMap = uisr.MemMap{}
 		blob, err := uisr.Encode(st)
 		if err != nil {
 			return cap, err
@@ -306,7 +306,7 @@ func selfRestore(h hv.Hypervisor) error {
 		if err != nil {
 			return nil, nil, err
 		}
-		st.VMID, st.MemMap = as, nil
+		st.VMID, st.MemMap = as, uisr.MemMap{}
 		blob, err := uisr.Encode(st)
 		return st, blob, err
 	}

@@ -40,7 +40,7 @@ func PreStageTranslations(hyp hv.Hypervisor, m *hw.Machine, cache *tpcache.Cache
 		// The memory map travels via PRAM, not the UISR blob — mirror
 		// the engine's cold save so the staged bytes are the ones a cold
 		// transplant would produce.
-		st.MemMap = nil
+		st.MemMap = uisr.MemMap{}
 		blob, err := uisr.Encode(st)
 		if err != nil {
 			_ = hyp.Resume(vm.ID)

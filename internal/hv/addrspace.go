@@ -1,9 +1,7 @@
 package hv
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -19,56 +17,44 @@ import (
 //
 // AddressSpace implements guest.Memory.
 type AddressSpace struct {
-	mem      *hw.PhysMem
-	extents  []uisr.PageExtent // sorted by GFN, non-overlapping
-	numPages uint64
+	mem *hw.PhysMem
+	mm  uisr.MemMap // sorted by GFN, non-overlapping
 
 	dirtyLog bool
 	dirtyMu  sync.Mutex // guards dirty
 	dirty    map[hw.GFN]struct{}
 }
 
-// NewAddressSpace builds an address space from extents. Extents must be
-// non-overlapping in GFN space and aligned to their order. The space
-// keeps extents as its map when they are sorted by GFN — an adopted map
-// is handed over by reference, not copied — and sorts a private copy
-// when they are not; it never modifies extents, and neither may the
-// caller afterwards.
-func NewAddressSpace(mem *hw.PhysMem, extents []uisr.PageExtent) (*AddressSpace, error) {
-	byGFN := func(a, b uisr.PageExtent) int { return cmp.Compare(a.GFN, b.GFN) }
-	sorted := extents
-	if !slices.IsSortedFunc(sorted, byGFN) {
-		sorted = slices.Clone(extents)
-		slices.SortFunc(sorted, byGFN)
+// NewAddressSpace builds an address space from a memory map, whose
+// extents must be non-overlapping in GFN space and aligned to their
+// order. The space keeps m as its map when it is sorted by GFN — an
+// adopted map is handed over by reference, not copied — and a map of a
+// sorted copy when it is not. The checks are the ones m recorded when it
+// was built: none reads an extent here.
+func NewAddressSpace(mem *hw.PhysMem, m uisr.MemMap) (*AddressSpace, error) {
+	m = m.SortedByGFN()
+	switch i, overlap := m.Misfit(); {
+	case overlap:
+		return nil, fmt.Errorf("hv: extents %d and %d overlap", i-1, i)
+	case i >= 0:
+		e := m.Extents()[i]
+		return nil, fmt.Errorf("hv: extent %d (gfn %d mfn %d order %d) misaligned or of order past 63",
+			i, e.GFN, e.MFN, e.Order)
 	}
-	var pages uint64
-	for i, e := range sorted {
-		if e.Order >= 64 || (e.GFN|e.MFN)&(e.Pages()-1) != 0 {
-			return nil, fmt.Errorf("hv: extent %d (gfn %d mfn %d order %d) misaligned or of order past 63",
-				i, e.GFN, e.MFN, e.Order)
-		}
-		if i > 0 {
-			prev := sorted[i-1]
-			if prev.GFN+prev.Pages() > e.GFN {
-				return nil, fmt.Errorf("hv: extents %d and %d overlap", i-1, i)
-			}
-		}
-		pages += e.Pages()
-	}
-	return &AddressSpace{mem: mem, extents: sorted, numPages: pages}, nil
+	return &AddressSpace{mem: mem, mm: m}, nil
 }
 
 // AllocAddressSpace allocates memBytes of fresh guest memory for vm on
 // mem, using 2 MiB pages when huge is set, and returns the resulting
 // address space. Guest frames are tagged hw.OwnerGuest.
 func AllocAddressSpace(mem *hw.PhysMem, vm int, memBytes uint64, huge bool) (*AddressSpace, error) {
-	var extents []uisr.PageExtent
+	var m uisr.MemMap
 	if huge {
 		// Checked against the machine before it sizes the extent list.
 		if want, free := memBytes/hw.PageSize4K, mem.FreeFrames(); want > free {
 			return nil, fmt.Errorf("hv: guest alloc: out of memory: want %d frames, %d free", want, free)
 		}
-		extents = make([]uisr.PageExtent, memBytes/hw.PageSize2M)
+		extents := make([]uisr.PageExtent, memBytes/hw.PageSize2M)
 		for i := range extents {
 			base, err := mem.Alloc2M(hw.OwnerGuest, vm)
 			if err != nil {
@@ -76,49 +62,50 @@ func AllocAddressSpace(mem *hw.PhysMem, vm int, memBytes uint64, huge bool) (*Ad
 			}
 			extents[i] = uisr.PageExtent{GFN: uint64(i) * hw.FramesPer2M, MFN: uint64(base), Order: 9}
 		}
+		m = uisr.NewMemMap(extents)
 	} else {
 		n := memBytes / hw.PageSize4K
 		ranges, err := mem.AllocRanges(int(n), hw.OwnerGuest, vm)
 		if err != nil {
 			return nil, fmt.Errorf("hv: guest alloc: %w", err)
 		}
-		extents = FrameExtents(ranges)
+		m = FrameExtents(ranges)
 	}
-	return NewAddressSpace(mem, extents)
+	return NewAddressSpace(mem, m)
 }
 
 // FrameExtents maps the frames of ranges, in order, at guest frames 0, 1,
 // ... as order-0 extents.
-func FrameExtents(ranges []hw.FrameRange) []uisr.PageExtent {
+func FrameExtents(ranges []hw.FrameRange) uisr.MemMap {
 	extents := make([]uisr.PageExtent, 0, hw.CountFrames(ranges))
 	for _, r := range ranges {
 		for m := r.Start; m < r.End(); m++ {
 			extents = append(extents, uisr.PageExtent{GFN: uint64(len(extents)), MFN: uint64(m), Order: 0})
 		}
 	}
-	return extents
+	return uisr.NewMemMap(extents)
 }
 
-// Extents returns the address space's extent list (sorted by GFN). The
-// returned slice must not be modified.
-func (as *AddressSpace) Extents() []uisr.PageExtent { return as.extents }
+// Extents returns the address space's memory map (sorted by GFN).
+func (as *AddressSpace) Extents() uisr.MemMap { return as.mm }
 
 // NumPages implements guest.Memory.
-func (as *AddressSpace) NumPages() uint64 { return as.numPages }
+func (as *AddressSpace) NumPages() uint64 { return as.mm.Pages() }
 
 // Bytes returns the guest-physical size in bytes.
-func (as *AddressSpace) Bytes() uint64 { return as.numPages * hw.PageSize4K }
+func (as *AddressSpace) Bytes() uint64 { return as.mm.Pages() * hw.PageSize4K }
 
 // Translate resolves a guest frame number to its machine frame.
 func (as *AddressSpace) Translate(gfn hw.GFN) (hw.MFN, error) {
-	i := sort.Search(len(as.extents), func(i int) bool {
-		e := as.extents[i]
+	extents := as.mm.Extents()
+	i := sort.Search(len(extents), func(i int) bool {
+		e := extents[i]
 		return uint64(gfn) < e.GFN+e.Pages()
 	})
-	if i == len(as.extents) || uint64(gfn) < as.extents[i].GFN {
+	if i == len(extents) || uint64(gfn) < extents[i].GFN {
 		return 0, fmt.Errorf("hv: gfn %d not mapped", gfn)
 	}
-	e := as.extents[i]
+	e := extents[i]
 	return hw.MFN(e.MFN + (uint64(gfn) - e.GFN)), nil
 }
 
@@ -194,7 +181,7 @@ func (as *AddressSpace) ChecksumAll() (uint64, error) {
 	// The combined sum is wrapping uint64 addition keyed by GFN, so the
 	// per-extent sums add up independent of frame placement.
 	var sum uint64
-	for _, e := range as.extents {
+	for _, e := range as.mm.Extents() {
 		s, err := as.mem.ChecksumRange(hw.MFN(e.MFN), e.Pages(), hw.GFN(e.GFN))
 		if err != nil {
 			return 0, err
@@ -207,8 +194,8 @@ func (as *AddressSpace) ChecksumAll() (uint64, error) {
 // FrameRanges returns the address space's machine frames as sorted,
 // disjoint runs — the shape kexec wants for its preserve set.
 func (as *AddressSpace) FrameRanges() []hw.FrameRange {
-	ranges := make([]hw.FrameRange, 0, len(as.extents))
-	for _, e := range as.extents {
+	ranges := make([]hw.FrameRange, 0, as.mm.Len())
+	for _, e := range as.mm.Extents() {
 		ranges = append(ranges, hw.FrameRange{Start: hw.MFN(e.MFN), Count: e.Pages()})
 	}
 	return hw.MergeRanges(ranges)
@@ -222,7 +209,7 @@ func (as *AddressSpace) CopyContentsTo(dst *AddressSpace) error {
 	if dst.NumPages() != as.NumPages() {
 		return fmt.Errorf("hv: copy between spaces of %d and %d pages", as.NumPages(), dst.NumPages())
 	}
-	for _, e := range as.extents {
+	for _, e := range as.mm.Extents() {
 		err := as.mem.ForEachTouched(hw.MFN(e.MFN), e.Pages(), func(m hw.MFN, data []byte) error {
 			return dst.WritePage(hw.GFN(e.GFN+uint64(m)-e.MFN), 0, data)
 		})
@@ -235,13 +222,12 @@ func (as *AddressSpace) CopyContentsTo(dst *AddressSpace) error {
 
 // Release frees every frame of the address space back to the machine.
 func (as *AddressSpace) Release() error {
-	for _, e := range as.extents {
+	for _, e := range as.mm.Extents() {
 		if err := as.mem.FreeRange(hw.MFN(e.MFN), e.Pages()); err != nil {
 			return err
 		}
 	}
-	as.extents = nil
-	as.numPages = 0
+	as.mm = uisr.MemMap{}
 	return nil
 }
 
@@ -251,7 +237,7 @@ func (as *AddressSpace) Release() error {
 func (as *AddressSpace) Retag(owner hw.Owner, vm int) error {
 	var buf [64]hw.FrameRange // runs past it spill to the heap; none do in practice
 	runs := buf[:0]
-	for _, e := range as.extents {
+	for _, e := range as.mm.Extents() {
 		runs = hw.AppendRange(runs, hw.FrameRange{Start: hw.MFN(e.MFN), Count: e.Pages()})
 	}
 	return as.mem.SetOwnerRanges(runs, owner, vm)

@@ -84,10 +84,10 @@ func TestAllocAddressSpaceHuge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(as.Extents()) != 8 {
-		t.Fatalf("extents = %d, want 8", len(as.Extents()))
+	if len(as.Extents().Extents()) != 8 {
+		t.Fatalf("extents = %d, want 8", len(as.Extents().Extents()))
 	}
-	for _, e := range as.Extents() {
+	for _, e := range as.Extents().Extents() {
 		if e.Order != 9 {
 			t.Fatalf("extent order %d, want 9", e.Order)
 		}
@@ -111,7 +111,7 @@ func TestNewAddressSpaceRejectsOverlap(t *testing.T) {
 		{GFN: 0, MFN: 0, Order: 9},
 		{GFN: 256, MFN: 1024, Order: 9}, // overlaps the first (0..511)
 	}
-	if _, err := NewAddressSpace(mem, extents); err == nil {
+	if _, err := NewAddressSpace(mem, uisr.NewMemMap(extents)); err == nil {
 		t.Fatal("overlapping extents accepted")
 	}
 }
@@ -122,25 +122,25 @@ func TestNewAddressSpaceRejectsOverlap(t *testing.T) {
 // which may be a parse memo's, is never reordered.
 func TestNewAddressSpaceAdoptsSortedMapsByReference(t *testing.T) {
 	sorted := []uisr.PageExtent{{GFN: 0, MFN: 1024, Order: 9}, {GFN: 512, MFN: 0, Order: 9}}
-	as, err := NewAddressSpace(newMem(), sorted)
+	as, err := NewAddressSpace(newMem(), uisr.NewMemMap(sorted))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &as.Extents()[0] != &sorted[0] {
+	if &as.Extents().Extents()[0] != &sorted[0] {
 		t.Fatal("a sorted map was copied")
 	}
 	unsorted := []uisr.PageExtent{sorted[1], sorted[0]}
-	if as, err = NewAddressSpace(newMem(), unsorted); err != nil {
+	if as, err = NewAddressSpace(newMem(), uisr.NewMemMap(unsorted)); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(as.Extents(), sorted) || unsorted[0] != sorted[1] {
-		t.Fatalf("unsorted map %v became %v; want %v, the input left as it was", unsorted, as.Extents(), sorted)
+	if !slices.Equal(as.Extents().Extents(), sorted) || unsorted[0] != sorted[1] {
+		t.Fatalf("unsorted map %v became %v; want %v, the input left as it was", unsorted, as.Extents().Extents(), sorted)
 	}
 }
 
 func TestNewAddressSpaceRejectsMisaligned(t *testing.T) {
 	mem := newMem()
-	if _, err := NewAddressSpace(mem, []uisr.PageExtent{{GFN: 1, MFN: 512, Order: 9}}); err == nil {
+	if _, err := NewAddressSpace(mem, uisr.NewMemMap([]uisr.PageExtent{{GFN: 1, MFN: 512, Order: 9}})); err == nil {
 		t.Fatal("misaligned extent accepted")
 	}
 }
@@ -151,7 +151,7 @@ func TestNewAddressSpaceRejectsMisaligned(t *testing.T) {
 // zero or a silent zero-page extent.
 func TestNewAddressSpaceRejectsOrderPast63(t *testing.T) {
 	for _, order := range []uint8{64, 65, 255} {
-		_, err := NewAddressSpace(newMem(), []uisr.PageExtent{{GFN: 0, MFN: 0, Order: order}})
+		_, err := NewAddressSpace(newMem(), uisr.NewMemMap([]uisr.PageExtent{{GFN: 0, MFN: 0, Order: order}}))
 		if err == nil || !strings.Contains(err.Error(), "order") {
 			t.Fatalf("order %d: err %v, want an order error", order, err)
 		}
@@ -296,7 +296,7 @@ func TestPropertyTranslate(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, e := range as.Extents() {
+		for _, e := range as.Extents().Extents() {
 			for p := uint64(0); p < e.Pages(); p += 37 {
 				mfn, err := as.Translate(hw.GFN(e.GFN + p))
 				if err != nil || uint64(mfn) != e.MFN+p {
@@ -316,7 +316,7 @@ func TestPropertyTranslate(t *testing.T) {
 func refChecksumAll(t *testing.T, mem *hw.PhysMem, as *AddressSpace) uint64 {
 	t.Helper()
 	var sum uint64
-	for _, e := range as.Extents() {
+	for _, e := range as.Extents().Extents() {
 		for p := uint64(0); p < e.Pages(); p++ {
 			c, err := mem.Checksum(hw.MFN(e.MFN + p))
 			if err != nil {
@@ -332,7 +332,7 @@ func refChecksumAll(t *testing.T, mem *hw.PhysMem, as *AddressSpace) uint64 {
 func touchedPages(t *testing.T, mem *hw.PhysMem, as *AddressSpace) int {
 	t.Helper()
 	n := 0
-	for _, e := range as.Extents() {
+	for _, e := range as.Extents().Extents() {
 		err := mem.ForEachTouched(hw.MFN(e.MFN), e.Pages(), func(hw.MFN, []byte) error { n++; return nil })
 		if err != nil {
 			t.Fatal(err)
@@ -437,7 +437,7 @@ func TestContentSweepsRejectFreedFrames(t *testing.T) {
 	mem := newMem()
 	as, _ := AllocAddressSpace(mem, 1, 2*hw.PageSize2M, true)
 	dst, _ := AllocAddressSpace(mem, 2, 2*hw.PageSize2M, true)
-	if err := mem.FreeRange(hw.MFN(as.Extents()[1].MFN)+9, 1); err != nil {
+	if err := mem.FreeRange(hw.MFN(as.Extents().Extents()[1].MFN)+9, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := as.ChecksumAll(); err == nil {

@@ -40,7 +40,7 @@ type State interface {
 	// and devices.
 	ToUISR() (*uisr.VMState, error)
 	// Extents exports the GFN→MFN map in PRAM extent form.
-	Extents() []uisr.PageExtent
+	Extents() uisr.MemMap
 	// Frames are the OwnerVMState frames the state occupies.
 	Frames() []hw.FrameRange
 	// MgmtBytes sizes the VM Management State (scheduler entries etc.)
@@ -268,7 +268,7 @@ func (c *Chassis) instantiate(id VMID, cfg Config, st *uisr.VMState, mode Restor
 	switch mode {
 	case RestoreAdopt:
 		// InPlaceTP: re-adopt the PRAM-preserved frames where they lie.
-		if len(st.MemMap) == 0 {
+		if st.MemMap.Len() == 0 {
 			return nil, fmt.Errorf("%s: adopt restore without memory map for %q", kind, cfg.Name)
 		}
 		space, err = NewAddressSpace(mem, st.MemMap)
@@ -406,10 +406,10 @@ func (c *Chassis) SaveUISR(id VMID) (*uisr.VMState, error) {
 }
 
 // MemExtents exports the VM's GFN→MFN map in PRAM extent form.
-func (c *Chassis) MemExtents(id VMID) ([]uisr.PageExtent, error) {
+func (c *Chassis) MemExtents(id VMID) (uisr.MemMap, error) {
 	s, err := c.lookup(id)
 	if err != nil {
-		return nil, err
+		return uisr.MemMap{}, err
 	}
 	return s.state.Extents(), nil
 }

@@ -261,7 +261,7 @@ func TestConformanceRestoreAdoptsInPlace(t *testing.T) {
 		if !reflect.DeepEqual(extents, st.MemMap) {
 			t.Fatal("adopt restore moved guest memory")
 		}
-		if owner, id := h.Machine().Mem.OwnerOf(hw.MFN(extents[0].MFN)); owner != hw.OwnerGuest || id != int(restored.ID) {
+		if owner, id := h.Machine().Mem.OwnerOf(hw.MFN(extents.Extents()[0].MFN)); owner != hw.OwnerGuest || id != int(restored.ID) {
 			t.Fatalf("adopted frame tagged %v/%d", owner, id)
 		}
 		if got, err := restored.Space.ChecksumAll(); err != nil || got != sum {
@@ -443,7 +443,7 @@ func TestConformanceCrashMatrix(t *testing.T) {
 					if _, err := h.SaveUISR(vm.ID); err != nil {
 						t.Fatalf("SaveUISR on a downed hypervisor: %v", err)
 					}
-					if ext, err := h.MemExtents(vm.ID); err != nil || len(ext) == 0 {
+					if ext, err := h.MemExtents(vm.ID); err != nil || ext.Len() == 0 {
 						t.Fatalf("MemExtents on a downed hypervisor: %v", err)
 					}
 					if _, err := h.Footprint(vm.ID); err != nil {

@@ -88,7 +88,7 @@ func (format) FromUISR(st *uisr.VMState, id hv.VMID, space *hv.AddressSpace, mem
 	// Memslots: one slot per contiguous GFN run. With 2 MiB backing the
 	// whole guest is typically one slot — KVM's representation is
 	// coarser than Xen's per-extent p2m, underlining the format split.
-	proc.memslots = slotsFromExtents(space.Extents())
+	proc.memslots = slotsFromExtents(space.Extents().Extents())
 
 	// VM_i State frames: vCPU sections + slot table.
 	stateBytes := len(proc.vcpus)*(16*18+8*24+len(proc.vcpus[0].msrs)*16+512+568+8+1024) +
@@ -139,8 +139,8 @@ func (proc *vmProc) ToUISR() (*uisr.VMState, error) {
 	return st, nil
 }
 
-func (proc *vmProc) Extents() []uisr.PageExtent { return proc.space.Extents() }
-func (proc *vmProc) Frames() []hw.FrameRange    { return proc.stateFrames }
+func (proc *vmProc) Extents() uisr.MemMap    { return proc.space.Extents() }
+func (proc *vmProc) Frames() []hw.FrameRange { return proc.stateFrames }
 
 // MgmtBytes counts the vCPU task structs and the vm list entry.
 func (proc *vmProc) MgmtBytes() uint64 { return uint64(len(proc.vcpus)*48 + 128) }

@@ -104,6 +104,7 @@ type dptRange struct {
 type protectionDomain struct {
 	utcbs      []utcb
 	dpt        []dptRange
+	mm         uisr.MemMap                // the map the DPT was built from
 	ioapic     [uisr.KVMIOAPICPins]uint64 // 24 pins, like KVM
 	scPriority int
 	rtc        uisr.RTC
@@ -155,8 +156,9 @@ func (format) FromUISR(st *uisr.VMState, id hv.VMID, space *hv.AddressSpace, mem
 	pd.drops.HPET = st.HasHPET
 	pd.drops.PMTimer = st.HasPMTimer
 
-	pd.dpt = make([]dptRange, len(space.Extents()))
-	for i, e := range space.Extents() {
+	pd.mm = space.Extents()
+	pd.dpt = make([]dptRange, pd.mm.Len())
+	for i, e := range pd.mm.Extents() {
 		pd.dpt[i] = dptRange{GFNBase: e.GFN, MFNBase: e.MFN, Order: e.Order, Rights: 7}
 	}
 
@@ -185,14 +187,8 @@ func (pd *protectionDomain) ToUISR() (*uisr.VMState, error) {
 	return st, nil
 }
 
-// Extents is the DPT in extent form.
-func (pd *protectionDomain) Extents() []uisr.PageExtent {
-	out := make([]uisr.PageExtent, len(pd.dpt))
-	for i, r := range pd.dpt {
-		out[i] = uisr.PageExtent{GFN: r.GFNBase, MFN: r.MFNBase, Order: r.Order}
-	}
-	return out
-}
+// Extents is the DPT in extent form: the map it was built from.
+func (pd *protectionDomain) Extents() uisr.MemMap { return pd.mm }
 
 func (pd *protectionDomain) Frames() []hw.FrameRange { return pd.stateFrames }
 

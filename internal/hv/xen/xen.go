@@ -22,7 +22,7 @@ type domain struct {
 	// format. This — not any neutral struct — is Xen's source of truth.
 	ctxBlob []byte
 	// p2m is the superpage-aware physical-map metadata (extent form).
-	p2m []uisr.PageExtent
+	p2m uisr.MemMap
 	// frames hold the context blob, then the p2m structures
 	// (OwnerVMState), so the memory census (Fig. 2) and PRAM wipe
 	// semantics are real.
@@ -72,7 +72,7 @@ func (format) FromUISR(st *uisr.VMState, id hv.VMID, space *hv.AddressSpace, mem
 	}
 	// The context blob's frames, then the p2m's — one 8-byte entry per
 	// extent in Xen's table — claimed together: all or nothing.
-	dom.frames, err = mem.AllocRanges(hv.FramesFor(len(dom.ctxBlob))+hv.FramesFor(len(dom.p2m)*8), hw.OwnerVMState, int(id))
+	dom.frames, err = mem.AllocRanges(hv.FramesFor(len(dom.ctxBlob))+hv.FramesFor(dom.p2m.Len()*8), hw.OwnerVMState, int(id))
 	if err != nil {
 		return nil, err
 	}
@@ -105,8 +105,8 @@ func (dom *domain) ToUISR() (*uisr.VMState, error) {
 	return st, nil
 }
 
-func (dom *domain) Extents() []uisr.PageExtent { return dom.p2m }
-func (dom *domain) Frames() []hw.FrameRange    { return dom.frames }
+func (dom *domain) Extents() uisr.MemMap    { return dom.p2m }
+func (dom *domain) Frames() []hw.FrameRange { return dom.frames }
 
 // MgmtBytes counts the runq entry and the evtchn table.
 func (dom *domain) MgmtBytes() uint64 { return uint64(len(dom.eventChannels)*32 + 64) }

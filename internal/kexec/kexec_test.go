@@ -119,7 +119,7 @@ func TestExecPreservationContract(t *testing.T) {
 
 	ps, err := pram.Build(m.Mem, []pram.File{{
 		Name: "vm1", VMID: 1,
-		Extents: []uisr.PageExtent{{GFN: 0, MFN: uint64(base), Order: 9}},
+		Extents: uisr.NewMemMap([]uisr.PageExtent{{GFN: 0, MFN: uint64(base), Order: 9}}),
 	}}, pram.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestExecPreservedFramesAccounting(t *testing.T) {
 	base, _ := m.Mem.Alloc2M(hw.OwnerGuest, 1)
 	ps, err := pram.Build(m.Mem, []pram.File{{
 		Name: "vm", VMID: 1,
-		Extents: []uisr.PageExtent{{GFN: 0, MFN: uint64(base), Order: 9}},
+		Extents: uisr.NewMemMap([]uisr.PageExtent{{GFN: 0, MFN: uint64(base), Order: 9}}),
 	}}, pram.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)

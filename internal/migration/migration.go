@@ -465,7 +465,7 @@ func (m *migrator) stopAndCopy(dirtyPages int64) {
 func (m *migrator) finish(pausedAt time.Duration, st *uisr.VMState) {
 	// MemMap is deliberately absent (§4.3): guest pages were copied by
 	// the stream and the destination re-places them.
-	st.MemMap = nil
+	st.MemMap = uisr.MemMap{}
 	destVM, err := m.p.Dest.HV.RestoreUISR(st, hv.RestoreOptions{
 		Mode:              hv.RestoreAllocate,
 		InPlaceCompatible: m.vm.Config.InPlaceCompatible,

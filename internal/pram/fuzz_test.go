@@ -44,8 +44,8 @@ func fuzzParseSeeds(tb testing.TB) [][]byte {
 	var seed []byte
 	for _, job := range []pageJob{
 		{frame: root, infos: []hw.MFN{info}},
-		{frame: info, next: node, file: &f, entries: len(f.Extents)},
-		{frame: node, extents: f.Extents},
+		{frame: info, next: node, file: &f, entries: f.Extents.Len()},
+		{frame: node, extents: f.Extents.Extents()},
 	} {
 		if err := job.write(mem); err != nil {
 			tb.Fatal(err)
@@ -95,7 +95,7 @@ func FuzzParse(f *testing.F) {
 		}
 		// Accepted structures must be internally consistent.
 		for _, file := range parsed.Files {
-			if len(file.Extents) == 0 {
+			if file.Extents.Len() == 0 {
 				t.Fatal("accepted file with no extents")
 			}
 		}
@@ -103,17 +103,17 @@ func FuzzParse(f *testing.F) {
 }
 
 func hugeSeedFile(mem *hw.PhysMem) File {
-	f := File{Name: "seed", VMID: 1}
+	var extents []uisr.PageExtent
 	for i := uint64(0); i < 4; i++ {
 		base, err := mem.Alloc2M(hw.OwnerGuest, 1)
 		if err != nil {
 			panic(err)
 		}
-		f.Extents = append(f.Extents, uisr.PageExtent{
+		extents = append(extents, uisr.PageExtent{
 			GFN: i * hw.FramesPer2M, MFN: uint64(base), Order: 9,
 		})
 	}
-	return f
+	return File{Name: "seed", VMID: 1, Extents: uisr.NewMemMap(extents)}
 }
 
 // TestParserAllocBudget: laying a seed out and parsing it allocates the

@@ -86,17 +86,11 @@ func unpackEntry(raw uint64) uisr.PageExtent {
 type File struct {
 	Name    string
 	VMID    uint32
-	Extents []uisr.PageExtent
+	Extents uisr.MemMap
 }
 
 // Bytes returns the guest memory size the file covers.
-func (f *File) Bytes() uint64 {
-	var n uint64
-	for _, e := range f.Extents {
-		n += e.Pages() * hw.PageSize4K
-	}
-	return n
-}
+func (f *File) Bytes() uint64 { return f.Extents.Pages() * hw.PageSize4K }
 
 // Structure is a built PRAM instance resident in physical memory.
 type Structure struct {
@@ -126,11 +120,11 @@ func (s *Structure) FrameRanges() []hw.FrameRange {
 	}
 	n := len(s.MetaFrames)
 	for i := range s.Files {
-		n += len(s.Files[i].Extents)
+		n += s.Files[i].Extents.Len()
 	}
 	out := append(make([]hw.FrameRange, 0, n), s.MetaFrames...)
 	for _, f := range s.Files {
-		for _, e := range f.Extents {
+		for _, e := range f.Extents.Extents() {
 			out = append(out, hw.FrameRange{Start: hw.MFN(e.MFN), Count: e.Pages()})
 		}
 	}
@@ -152,7 +146,9 @@ type BuildOptions struct {
 }
 
 // Build serializes the memory maps of the given files into a PRAM
-// structure in mem. Metadata frames are tagged hw.OwnerPRAM.
+// structure in mem. Metadata frames are tagged hw.OwnerPRAM. The
+// structure, and a snapshot, keep files: the caller must not modify them
+// afterwards.
 //
 // The metadata pages are counted and their frames allocated in one call,
 // then handed out and written in a fixed order (per file, node frames
@@ -177,7 +173,7 @@ func Build(mem *hw.PhysMem, files []File, opts BuildOptions) (*Structure, error)
 		if len(f.Name) > maxNameLen {
 			return nil, fmt.Errorf("pram: file name %q too long", f.Name)
 		}
-		entries := len(f.Extents)
+		entries := f.Extents.Len()
 		if opts.SplitHugePages {
 			entries = int(f.Bytes() / hw.PageSize4K)
 		}
@@ -205,9 +201,9 @@ func Build(mem *hw.PhysMem, files []File, opts BuildOptions) (*Structure, error)
 	infoPages := make([]hw.MFN, len(files))
 	for fi := range files {
 		f := &files[fi]
-		extents := f.Extents
+		extents := f.Extents.Extents()
 		if opts.SplitHugePages {
-			extents = splitExtents(extents)
+			extents = splitExtents(f.Extents)
 		}
 		nNodes := (len(extents) + EntriesPerNode - 1) / EntriesPerNode
 		nodes := pages[:nNodes]
@@ -438,7 +434,7 @@ func parseFile(mem *hw.PhysMem, info hw.MFN) (f File, nodes []hw.MFN, err error)
 		return f, nil, fmt.Errorf("pram: file %q claims %d entries on a machine of %d frames",
 			f.Name, wantEntries, mem.TotalFrames())
 	}
-	f.Extents = make([]uisr.PageExtent, 0, wantEntries)
+	extents := make([]uisr.PageExtent, 0, wantEntries)
 	nodes = make([]hw.MFN, 0, (wantEntries+EntriesPerNode-1)/EntriesPerNode)
 
 	local := map[hw.MFN]bool{}
@@ -462,14 +458,15 @@ func parseFile(mem *hw.PhysMem, info hw.MFN) (f File, nodes []hw.MFN, err error)
 			return f, nil, fmt.Errorf("pram: node entry count %d too large", count)
 		}
 		for range n {
-			f.Extents = append(f.Extents, unpackEntry(r.U64()))
+			extents = append(extents, unpackEntry(r.U64()))
 		}
 		node = next
 	}
-	if uint64(len(f.Extents)) != wantEntries {
+	if uint64(len(extents)) != wantEntries {
 		return f, nil, fmt.Errorf("pram: file %q has %d entries, info page says %d",
-			f.Name, len(f.Extents), wantEntries)
+			f.Name, len(extents), wantEntries)
 	}
+	f.Extents = uisr.NewMemMap(extents)
 	if f.Bytes() != wantBytes {
 		return f, nil, fmt.Errorf("pram: file %q covers %d bytes, info page says %d",
 			f.Name, f.Bytes(), wantBytes)
@@ -479,13 +476,9 @@ func parseFile(mem *hw.PhysMem, info hw.MFN) (f File, nodes []hw.MFN, err error)
 
 // splitExtents expands huge extents into order-0 entries (the
 // non-huge-page ablation).
-func splitExtents(in []uisr.PageExtent) []uisr.PageExtent {
-	n := uint64(0)
-	for _, e := range in {
-		n += e.Pages()
-	}
-	out := make([]uisr.PageExtent, 0, n)
-	for _, e := range in {
+func splitExtents(in uisr.MemMap) []uisr.PageExtent {
+	out := make([]uisr.PageExtent, 0, in.Pages())
+	for _, e := range in.Extents() {
 		if e.Order == 0 {
 			out = append(out, e)
 			continue

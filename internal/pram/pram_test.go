@@ -25,18 +25,18 @@ func metaFrames(s *Structure) []hw.MFN {
 // hugeFile builds a File describing memGiB of 2 MiB-backed guest memory
 // with extents at arbitrary (but aligned) machine locations.
 func hugeFile(mem *hw.PhysMem, name string, vmid uint32, memGiB int) File {
-	f := File{Name: name, VMID: vmid}
+	var extents []uisr.PageExtent
 	n := uint64(memGiB) * (1 << 30) / hw.PageSize2M
 	for i := uint64(0); i < n; i++ {
 		base, err := mem.Alloc2M(hw.OwnerGuest, int(vmid))
 		if err != nil {
 			panic(err)
 		}
-		f.Extents = append(f.Extents, uisr.PageExtent{
+		extents = append(extents, uisr.PageExtent{
 			GFN: i * hw.FramesPer2M, MFN: uint64(base), Order: 9,
 		})
 	}
-	return f
+	return File{Name: name, VMID: vmid, Extents: uisr.NewMemMap(extents)}
 }
 
 func TestBuildParseRoundTrip(t *testing.T) {
@@ -282,7 +282,7 @@ func TestManyFilesMultipleRootPages(t *testing.T) {
 		}
 		files = append(files, File{
 			Name: "tiny", VMID: uint32(i),
-			Extents: []uisr.PageExtent{{GFN: 0, MFN: uint64(mfns[0].Start), Order: 0}},
+			Extents: uisr.NewMemMap([]uisr.PageExtent{{GFN: 0, MFN: uint64(mfns[0].Start), Order: 0}}),
 		})
 	}
 	s, err := Build(mem, files, BuildOptions{})
@@ -306,17 +306,17 @@ func TestPropertyBuildParse(t *testing.T) {
 		nExt := int(nExtRaw%8) + 1
 		var files []File
 		for v := 0; v < nVMs; v++ {
-			f := File{Name: "vm", VMID: uint32(v + 1)}
+			var extents []uisr.PageExtent
 			for e := 0; e < nExt; e++ {
 				base, err := mem.Alloc2M(hw.OwnerGuest, v+1)
 				if err != nil {
 					return false
 				}
-				f.Extents = append(f.Extents, uisr.PageExtent{
+				extents = append(extents, uisr.PageExtent{
 					GFN: uint64(e) * hw.FramesPer2M, MFN: uint64(base), Order: 9,
 				})
 			}
-			files = append(files, f)
+			files = append(files, File{Name: "vm", VMID: uint32(v + 1), Extents: uisr.NewMemMap(extents)})
 		}
 		s, err := Build(mem, files, BuildOptions{})
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"hypertp/internal/hw"
+	"hypertp/internal/uisr"
 )
 
 // Snapshot memoizes built PRAM structures for repeat transplants of the
@@ -16,6 +17,13 @@ import (
 // skipping layout and serialization. If the frames differ the replay is
 // abandoned and the cold builder runs; the result is byte-identical
 // either way.
+//
+// An entry is found by a 64-bit key (filesKey) but installed only for
+// the fileset it was built from: a key collision is a miss. Maps are
+// immutable (uisr.MemMap), so the entry's own map is equal without a
+// read; an equal map held elsewhere is compared once and adopted, and the
+// parse memo hands the target the entry's maps, so in steady state no
+// extent is read.
 //
 // The cached pages are held by reference (hw.Pages), not as a copy: a
 // replay installs the very pages the cold build wrote, shared
@@ -36,23 +44,23 @@ import (
 // carrying them misses once more with a changed fileset. Staging the image
 // elsewhere would move frames, and with them every digest.
 type Snapshot struct {
-	mu        sync.Mutex
-	entries   map[uint64]*snapEntry
-	order     []uint64 // insertion order, for bounded eviction
-	hits      uint64
-	misses    uint64
-	parseHits uint64
+	mu      sync.Mutex
+	entries map[uint64]*snapEntry
+	order   []uint64 // insertion order, for bounded eviction
+
+	hits, misses, parseHits, extentReads uint64
 }
 
 type snapEntry struct {
+	files      []File // built from, or the latest equal fileset replayed
 	metaFrames []hw.FrameRange
 	pointer    hw.MFN
 	pages      hw.Pages // the metadata pages, in metaFrames order
 	ranges     []hw.FrameRange
-	// parsedFrames and files are what a cold Parse of exactly pages at
-	// metaFrames returned; files is nil until the first Parse.
+	// parsedFrames and parsed are what a cold Parse of exactly pages at
+	// metaFrames returned; parsed is nil until the first Parse.
 	parsedFrames []hw.FrameRange
-	files        []File
+	parsed       []File
 }
 
 // maxSnapshotEntries bounds one machine's cached structures: a host in
@@ -80,34 +88,63 @@ func (s *Snapshot) ParseHits() uint64 {
 	return s.parseHits
 }
 
+// ExtentReads reports how many extents replays and parse memos read to
+// prove a memory map equal to an entry's: 0 while every map they meet is
+// an entry's own.
+func (s *Snapshot) ExtentReads() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.extentReads
+}
+
 // filesKey fingerprints a fileset (plus the layout-changing option) for
-// snapshot lookup. A 64-bit mix over every field that reaches the
-// serialized pages; extents fold in independent GFN/MFN/order lanes.
+// snapshot lookup: a 64-bit mix over every field that reaches the
+// serialized pages, each map by the fingerprint it was built with, so it
+// costs O(files) and reads no extent.
 func filesKey(files []File, split bool) uint64 {
-	const seed = 0x9e3779b97f4a7c15
-	mix := func(h, v uint64) uint64 {
-		h ^= v + seed + (h << 12) + (h >> 4)
-		return h * 0xff51afd7ed558ccd
-	}
-	h := uint64(seed)
+	h := uint64(0x9e3779b97f4a7c15)
 	if split {
-		h = mix(h, 1)
+		h = uisr.Mix(h, 1)
 	}
-	h = mix(h, uint64(len(files)))
+	h = uisr.Mix(h, uint64(len(files)))
 	for i := range files {
 		f := &files[i]
-		h = mix(h, uint64(len(f.Name)))
+		h = uisr.Mix(h, uint64(len(f.Name)))
 		for j := 0; j < len(f.Name); j++ {
-			h = mix(h, uint64(f.Name[j]))
+			h = uisr.Mix(h, uint64(f.Name[j]))
 		}
-		h = mix(mix(h, uint64(f.VMID)), uint64(len(f.Extents)))
-		g, m, o := uint64(seed), uint64(seed), uint64(seed)
-		for _, e := range f.Extents {
-			g, m, o = mix(g, e.GFN), mix(m, e.MFN), mix(o, uint64(e.Order))
-		}
-		h = mix(mix(mix(h, g), m), o)
+		h = uisr.Mix(uisr.Mix(h, uint64(f.VMID)), f.Extents.Fingerprint())
 	}
 	return h
+}
+
+// sameMap reports whether a and b are equal maps, counting the extents
+// read to tell: none when they share one backing array. s.mu held.
+func (s *Snapshot) sameMap(a, b uisr.MemMap) bool {
+	if a.Same(b) {
+		return true
+	}
+	if a.Len() != b.Len() || a.Fingerprint() != b.Fingerprint() {
+		return false
+	}
+	s.extentReads += uint64(a.Len())
+	return slices.Equal(a.Extents(), b.Extents())
+}
+
+// builtFrom reports whether e was built from files, and if so adopts
+// them. s.mu held.
+func (s *Snapshot) builtFrom(e *snapEntry, files []File) bool {
+	if len(files) != len(e.files) {
+		return false
+	}
+	for i := range files {
+		f, g := &files[i], &e.files[i]
+		if f.Name != g.Name || f.VMID != g.VMID || !s.sameMap(f.Extents, g.Extents) {
+			return false
+		}
+	}
+	e.files = files
+	return true
 }
 
 // tryReplay attempts to satisfy a Build from the snapshot by claiming
@@ -122,6 +159,9 @@ func filesKey(files []File, split bool) uint64 {
 func (s *Snapshot) tryReplay(mem *hw.PhysMem, files []File, key uint64) (*Structure, bool) {
 	s.mu.Lock()
 	e := s.entries[key]
+	if e != nil && !s.builtFrom(e, files) {
+		e = nil
+	}
 	s.mu.Unlock()
 	ok := e != nil && s.install(mem, e)
 	s.mu.Lock()
@@ -164,11 +204,13 @@ func (s *Snapshot) capture(mem *hw.PhysMem, st *Structure, key uint64) {
 	if err != nil {
 		return
 	}
+	st.ranges = st.FrameRanges()
 	e := &snapEntry{
+		files:      st.Files,
 		metaFrames: slices.Clone(st.MetaFrames),
 		pointer:    st.Pointer,
 		pages:      pages,
-		ranges:     st.FrameRanges(),
+		ranges:     st.ranges,
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -193,17 +235,19 @@ func (s *Snapshot) capture(mem *hw.PhysMem, st *Structure, key uint64) {
 // a flipped bit, a rewritten frame or a freed frame breaks it, and the
 // cold Parse runs, with every check it makes. The returned Structure is
 // fresh, but a memo hit shares its MetaFrames and Files slices with the
-// memo: callers must not modify them. A nil snapshot is plain Parse.
+// memo: callers must not modify them. A memoized file whose map equals
+// the one the entry was built from holds that map, so a warm target
+// adopts the map its source built from. A nil snapshot is plain Parse.
 func (s *Snapshot) Parse(mem *hw.PhysMem, pointer hw.MFN) (*Structure, error) {
 	if s == nil {
 		return Parse(mem, pointer)
 	}
 	s.mu.Lock()
 	e := s.heldAt(mem, pointer)
-	if e != nil && e.files != nil {
+	if e != nil && e.parsed != nil {
 		s.parseHits++
 		s.mu.Unlock()
-		return &Structure{Pointer: pointer, MetaFrames: e.parsedFrames, Files: e.files}, nil
+		return &Structure{Pointer: pointer, MetaFrames: e.parsedFrames, Files: e.parsed}, nil
 	}
 	s.mu.Unlock()
 	st, err := Parse(mem, pointer)
@@ -217,7 +261,12 @@ func (s *Snapshot) Parse(mem *hw.PhysMem, pointer hw.MFN) (*Structure, error) {
 	// Memoize only if the pages are still the capture's, so that what the
 	// parse read is them even if another goroutine wrote a frame meanwhile.
 	if s.heldAt(mem, pointer) == e {
-		e.parsedFrames, e.files = st.MetaFrames, st.Files
+		for i := range min(len(st.Files), len(e.files)) {
+			if s.sameMap(st.Files[i].Extents, e.files[i].Extents) {
+				st.Files[i].Extents = e.files[i].Extents
+			}
+		}
+		e.parsedFrames, e.parsed = st.MetaFrames, st.Files
 	}
 	return st, nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hypertp/internal/hw"
+	"hypertp/internal/uisr"
 )
 
 // TestSnapshotMissesOnOccupiedFramesThenHits replays the warm-host miss:
@@ -199,5 +200,95 @@ func TestSnapshotParseMemoMissesOnCorruption(t *testing.T) {
 				t.Fatalf("corrupted structure parsed with error %v, want one naming %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// rekey is the test seam that forces a key collision: it files the entry
+// under key from under key to, as if the fileset hashing to to had hashed
+// to from.
+func rekey(s *Snapshot, from, to uint64) {
+	s.entries[to] = s.entries[from]
+	delete(s.entries, from)
+	s.order[slices.Index(s.order, from)] = to
+}
+
+// TestSnapshotKeyCollisionMisses: an entry found under another fileset's
+// key is not installed. The build misses and runs cold, to the same
+// frames and bytes as a build without a snapshot, and parses to its own
+// fileset, not the entry's.
+func TestSnapshotKeyCollisionMisses(t *testing.T) {
+	snap := NewSnapshot()
+	warm, cold := newMem(), newMem()
+	a := []File{hugeFile(warm, "vm-a", 1, 1)}
+	b := []File{hugeFile(warm, "vm-b", 2, 1)}
+	hugeFile(cold, "vm-a", 1, 1)
+	hugeFile(cold, "vm-b", 2, 1)
+	build := func(mem *hw.PhysMem, files []File, opts BuildOptions) (*Structure, []byte) {
+		t.Helper()
+		s, err := Build(mem, files, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages, err := mem.ReadRanges(s.MetaFrames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, pages
+	}
+	for _, mem := range []*hw.PhysMem{warm, cold} {
+		opts := BuildOptions{}
+		if mem == warm {
+			opts.Snapshot = snap
+		}
+		s, _ := build(mem, a, opts)
+		if err := s.Release(mem); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rekey(snap, filesKey(a, false), filesKey(b, false))
+
+	got, gotPages := build(warm, b, BuildOptions{Snapshot: snap})
+	want, wantPages := build(cold, b, BuildOptions{})
+	if hits, misses := snap.Stats(); hits != 0 || misses != 2 {
+		t.Fatalf("snapshot hits/misses %d/%d after a collision, want 0/2", hits, misses)
+	}
+	if got.Pointer != want.Pointer || !reflect.DeepEqual(got.MetaFrames, want.MetaFrames) || !bytes.Equal(gotPages, wantPages) {
+		t.Fatal("the build behind a collision differs from a build without a snapshot")
+	}
+	parsed, err := snap.Parse(warm, got.Pointer)
+	if err != nil || !reflect.DeepEqual(parsed.Files, b) {
+		t.Fatalf("the build behind a collision parses to %v, %v; want %v", parsed, err, b)
+	}
+}
+
+// TestSnapshotAdoptsEqualFileset: a fileset equal to an entry's but held
+// in other arrays replays after one comparison of its extents, and then
+// is the entry's own: its next replay reads none.
+func TestSnapshotAdoptsEqualFileset(t *testing.T) {
+	mem, snap := newMem(), NewSnapshot()
+	files := []File{hugeFile(mem, "vm-a", 1, 1), hugeFile(mem, "vm-b", 2, 2)}
+	s := replayed(t, mem, snap, files)
+	// The parse the replay memoized compared its maps with the entry's.
+	base := snap.ExtentReads()
+	equal := make([]File, len(files))
+	var extents uint64
+	for i, f := range files {
+		equal[i] = File{Name: f.Name, VMID: f.VMID, Extents: uisr.NewMemMap(slices.Clone(f.Extents.Extents()))}
+		extents += uint64(f.Extents.Len())
+	}
+	for round, want := range []uint64{base + extents, base + extents} {
+		if err := s.Release(mem); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if s, err = Build(mem, equal, BuildOptions{Snapshot: snap}); err != nil {
+			t.Fatal(err)
+		}
+		if hits, _ := snap.Stats(); hits != uint64(2+round) {
+			t.Fatalf("round %d: an equal fileset did not replay", round)
+		}
+		if reads := snap.ExtentReads(); reads != want {
+			t.Fatalf("round %d: %d extents read in all, want %d", round, reads, want)
+		}
 	}
 }

@@ -148,19 +148,21 @@ type blobPlaces struct {
 
 // blobPlace is one blob's place on one machine. Once the blob has landed
 // at the same frames twice, image holds the pages it was written to
-// there, and state, once the target has decoded them, what they decode
-// to; both are of blob, and go together.
+// there, extents those frames as the blob file's memory map (boxed, so a
+// place fits its map unboxed), and state, once the target has decoded
+// them, what they decode to; all are of blob, and go together.
 type blobPlace struct {
-	frames []hw.FrameRange
-	blob   []byte
-	image  hw.Pages
-	state  *uisr.VMState
+	frames  []hw.FrameRange
+	blob    []byte
+	image   hw.Pages
+	extents *uisr.MemMap
+	state   *uisr.VMState
 }
 
-// forget drops the place's capture and the state decoded from it.
+// forget drops the place's capture and what was derived from it.
 func (p *blobPlace) forget() {
 	p.image.Release()
-	p.blob, p.state = nil, nil
+	p.blob, p.extents, p.state = nil, nil, nil
 }
 
 // New creates an empty transplant cache.
@@ -180,18 +182,12 @@ func BlobHash(blob []byte) uint64 {
 	return crc64.Checksum(blob, crcTable) ^ uint64(len(blob))<<32
 }
 
-func mix(h, v uint64) uint64 {
-	h ^= v + 0x9e3779b97f4a7c15 + (h << 12) + (h >> 4)
-	h *= 0xff51afd7ed558ccd
-	return h
-}
-
 // fingerprint derives the state fingerprint of a VM restored from (or,
 // for the tag "fresh", first saved as) the blob with the given hash.
 func fingerprint(tag uint64, kind hv.Kind, id hv.VMID, blobHash uint64) uint64 {
-	h := mix(tag, uint64(kind))
-	h = mix(h, uint64(id))
-	return mix(h, blobHash)
+	h := uisr.Mix(tag, uint64(kind))
+	h = uisr.Mix(h, uint64(id))
+	return uisr.Mix(h, blobHash)
 }
 
 const (
@@ -391,6 +387,11 @@ func (c *Cache) SetBlobFrames(m *hw.Machine, hash uint64, blob []byte, frames []
 			p.blob, p.image = blob, image
 		}
 	}
+	// A capture lands wherever the blob's frames are now.
+	if p.blob != nil && (p.extents == nil || !hw.SameFrames(frames, p.frames)) {
+		extents := hv.FrameExtents(frames)
+		p.extents = &extents
+	}
 	p.frames = slices.Clone(frames)
 	ps.byHash[hash] = p
 }
@@ -399,25 +400,26 @@ func (c *Cache) SetBlobFrames(m *hw.Machine, hash uint64, blob []byte, frames []
 // memory by reference: if its image was captured (SetBlobFrames), it
 // claims the remembered frames for PRAM and installs the captured pages
 // there, all or nothing, and returns the frames, which the caller must
-// not modify. It returns nil, with nothing claimed, when there is no
-// capture of these bytes, a frame is taken or c is nil: the caller
-// writes the image itself.
-func (c *Cache) InstallBlob(m *hw.Machine, hash uint64, blob []byte) []hw.FrameRange {
+// not modify, and the memory map of them the capture holds
+// (hv.FrameExtents), one map for every install. It returns nil frames,
+// with nothing claimed, when there is no capture of these bytes, a frame
+// is taken or c is nil: the caller writes the image itself.
+func (c *Cache) InstallBlob(m *hw.Machine, hash uint64, blob []byte) ([]hw.FrameRange, uisr.MemMap) {
 	if c == nil {
-		return nil
+		return nil, uisr.MemMap{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p := c.placeLocked(m, hash)
 	if p.blob == nil || !bytes.Equal(p.blob, blob) || m.Mem.ClaimRanges(p.frames, hw.OwnerPRAM, -1) != nil {
-		return nil
+		return nil, uisr.MemMap{}
 	}
 	if m.Mem.InstallPages(p.frames, p.image) != nil {
 		_ = m.Mem.FreeRanges(p.frames)
-		return nil
+		return nil, uisr.MemMap{}
 	}
 	c.stats.BlobInstalls++
-	return p.frames
+	return p.frames, *p.extents
 }
 
 // DecodedBlob answers the decode of the blob image at frames on machine

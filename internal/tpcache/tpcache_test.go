@@ -215,7 +215,7 @@ func TestBlobImageInstallAndDecodeMemo(t *testing.T) {
 	blob := []byte("uisr-image")
 	land := func() []hw.FrameRange {
 		t.Helper()
-		if at := c.InstallBlob(m, 1, blob); at != nil {
+		if at, _ := c.InstallBlob(m, 1, blob); at != nil {
 			return at
 		}
 		at, err := m.Mem.AllocRanges(2, hw.OwnerPRAM, -1)
@@ -269,13 +269,13 @@ func TestBlobImageInstallAndDecodeMemo(t *testing.T) {
 		t.Fatal("a written frame still answered from the memo")
 	}
 	free(at)
-	if c.InstallBlob(m, 1, []byte("uisr-other")) != nil {
+	if at, _ := c.InstallBlob(m, 1, []byte("uisr-other")); at != nil {
 		t.Fatal("a capture of other bytes was installed")
 	}
 	if err := m.Mem.ClaimRange(at[0].Start+1, 1, hw.OwnerGuest, 1); err != nil {
 		t.Fatal(err)
 	}
-	if c.InstallBlob(m, 1, blob) != nil {
+	if at, _ := c.InstallBlob(m, 1, blob); at != nil {
 		t.Fatal("installed over a taken frame")
 	}
 	if err := m.Mem.ClaimRange(at[0].Start, 1, hw.OwnerGuest, 1); err != nil {
@@ -301,7 +301,7 @@ func TestPRAMSnapshotPerMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	files := []pram.File{{Name: "vm", VMID: 1, Extents: []uisr.PageExtent{{MFN: uint64(base), Order: 9}}}}
+	files := []pram.File{{Name: "vm", VMID: 1, Extents: uisr.NewMemMap([]uisr.PageExtent{{MFN: uint64(base), Order: 9}})}}
 	for i := 0; i < 2; i++ {
 		st, err := pram.Build(mem, files, pram.BuildOptions{Snapshot: snap})
 		if err != nil {
@@ -379,7 +379,7 @@ func TestConcurrentStoresAndLookups(t *testing.T) {
 					c.SetBlobFrames(m, h, blob, at)
 					_ = m.Mem.FreeRanges(at)
 				}
-				if c.InstallBlob(m, h, blob) == nil {
+				if at, _ := c.InstallBlob(m, h, blob); at == nil {
 					t.Errorf("vm %d: blob not installed", id)
 					return
 				}

@@ -99,8 +99,8 @@ func encodedSize(s *VMState) int {
 	if s.HasPMTimer {
 		n += sectionHeaderSize + sizePMTimer
 	}
-	if len(s.MemMap) > 0 {
-		n += sectionHeaderSize + 4 + extentWireSize*len(s.MemMap)
+	if s.MemMap.Len() > 0 {
+		n += sectionHeaderSize + 4 + extentWireSize*s.MemMap.Len()
 	}
 	for i := range s.Devices {
 		n += sectionHeaderSize + devicePayloadSize(&s.Devices[i])
@@ -170,8 +170,8 @@ func Encode(s *VMState) ([]byte, error) {
 	if s.HasPMTimer {
 		PutFixed(begin(SecPMTimer, 0, sizePMTimer), &s.PMTimer)
 	}
-	if len(s.MemMap) > 0 {
-		encodeMemMap(begin(SecMemMap, 0, 4+extentWireSize*len(s.MemMap)), s.MemMap)
+	if s.MemMap.Len() > 0 {
+		encodeMemMap(begin(SecMemMap, 0, 4+extentWireSize*s.MemMap.Len()), s.MemMap.Extents())
 	}
 	for i := range s.Devices {
 		d := &s.Devices[i]
@@ -278,11 +278,12 @@ func Decode(data []byte) (*VMState, error) {
 			s.HasPMTimer = true
 			p.Fixed(&s.PMTimer, sizePMTimer)
 		case SecMemMap:
-			s.MemMap = make([]PageExtent, p.Count(uint64(p.U32()), math.MaxUint32, extentWireSize))
-			for i := range s.MemMap {
-				e := &s.MemMap[i]
+			extents := make([]PageExtent, p.Count(uint64(p.U32()), math.MaxUint32, extentWireSize))
+			for i := range extents {
+				e := &extents[i]
 				e.GFN, e.MFN, e.Order = p.U64(), p.U64(), p.U8()
 			}
+			s.MemMap = NewMemMap(extents)
 		case SecDevice:
 			d := EmulatedDevice{Kind: p.String16(), Model: p.String16(), UnplugOnTransplant: p.U8() == 1}
 			if st := p.Bytes(int(p.U32())); len(st) > 0 {

@@ -11,10 +11,10 @@ import (
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	orig := SyntheticVM("vm0", 7, 2, 1<<30, 42)
-	orig.MemMap = []PageExtent{
+	orig.MemMap = NewMemMap([]PageExtent{
 		{GFN: 0, MFN: 0x100, Order: 9},
 		{GFN: 512, MFN: 0x900, Order: 9},
-	}
+	})
 	orig.MemBytes = 2 * (2 << 20)
 	blob, err := Encode(orig)
 	if err != nil {
@@ -205,7 +205,7 @@ func TestValidate(t *testing.T) {
 	}
 
 	s = base()
-	s.MemMap = []PageExtent{{GFN: 0, MFN: 1, Order: 0}} // 4 KiB vs 1 GiB
+	s.MemMap = NewMemMap([]PageExtent{{GFN: 0, MFN: 1, Order: 0}}) // 4 KiB vs 1 GiB
 	if err := s.Validate(); err == nil {
 		t.Fatal("inconsistent memmap accepted")
 	}
@@ -213,7 +213,7 @@ func TestValidate(t *testing.T) {
 	// An order past 63 covers no pages (Pages() is 0), so the coverage
 	// sum alone would not notice it.
 	s = base()
-	s.MemMap = []PageExtent{{GFN: 0, MFN: 0, Order: 18}, {GFN: 0, MFN: 0, Order: 64}}
+	s.MemMap = NewMemMap([]PageExtent{{GFN: 0, MFN: 0, Order: 18}, {GFN: 0, MFN: 0, Order: 64}})
 	if err := s.Validate(); err == nil {
 		t.Fatal("memmap extent of order 64 accepted")
 	}
@@ -309,7 +309,7 @@ func TestMemMapOmittedWhenEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.MemMap != nil {
+	if got.MemMap.Len() != 0 {
 		t.Fatal("empty memmap did not stay empty")
 	}
 }

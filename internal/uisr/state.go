@@ -251,7 +251,7 @@ type VMState struct {
 	// For InPlaceTP it mirrors the PRAM file contents; for MigrationTP
 	// it is omitted from the wire format (pages are re-placed on the
 	// destination).
-	MemMap []PageExtent
+	MemMap MemMap
 	// Devices holds emulated device snapshots.
 	Devices []EmulatedDevice
 	// SourceHypervisor records the producing side, for diagnostics.
@@ -298,14 +298,10 @@ func (s *VMState) Validate() error {
 		return fmt.Errorf("uisr: VM %q IOAPIC has %d pins > max %d",
 			s.Name, s.IOAPIC.NumPins, MaxIOAPICPins)
 	}
-	var covered uint64
-	for i, e := range s.MemMap {
-		if e.Order >= 64 {
-			return fmt.Errorf("uisr: VM %q memmap extent %d has order %d, want below 64", s.Name, i, e.Order)
-		}
-		covered += e.Pages() * 4096
+	if i := s.MemMap.WideOrder(); i >= 0 {
+		return fmt.Errorf("uisr: VM %q memmap extent %d has order %d, want below 64", s.Name, i, s.MemMap.Extents()[i].Order)
 	}
-	if len(s.MemMap) > 0 && covered != s.MemBytes {
+	if covered := s.MemMap.Pages() * 4096; s.MemMap.Len() > 0 && covered != s.MemBytes {
 		return fmt.Errorf("uisr: VM %q memmap covers %d bytes, MemBytes is %d",
 			s.Name, covered, s.MemBytes)
 	}
