@@ -154,14 +154,11 @@ func TestConfigSurface(t *testing.T) {
 	if deopt.Parallel || deopt.HugePages || deopt.PrepareBeforePause || deopt.EarlyRestoration {
 		t.Fatal("WithoutOptimizations left a toggle on")
 	}
-	if !cfg.TranslationCache || cfg.PageDedup || cfg.WarmPool != 0 {
+	if !cfg.TranslationCache {
 		t.Fatalf("cache defaults wrong: %+v", cfg)
 	}
-	cached := hypertp.NewConfig(
-		hypertp.WithTranslationCache(false),
-		hypertp.WithWarmPool(8),
-		hypertp.WithPageDedup(true))
-	if cached.TranslationCache || cached.WarmPool != 8 || !cached.PageDedup {
+	cached := hypertp.NewConfig(hypertp.WithTranslationCache(false))
+	if cached.TranslationCache {
 		t.Fatalf("cache options did not apply: %+v", cached)
 	}
 	faulty := hypertp.NewConfig(hypertp.WithFaults(42, 0.25, hypertp.SiteHVBoot))

@@ -130,6 +130,27 @@ func TestRun(t *testing.T) {
 				t.Fatalf("replayed trace:\n%s\nrecorded:\n%s", got, want)
 			}
 		}},
+		{"a bundle with an unknown op kind fails replay", func(t *testing.T, dir string) {
+			trace := filepath.Join(dir, "trace.json")
+			if code, out, err := chaoscheck(t, "-seed", "3", "-ops", "30", "-record-out", trace); code != 0 || err != nil {
+				t.Fatalf("exit %d, err %v, output:\n%s", code, err, out)
+			}
+			data, err := os.ReadFile(trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			renamed := strings.Replace(string(data), `"kind": "upgrade"`, `"kind": "no-such-op"`, 1)
+			if renamed == string(data) {
+				t.Fatal("recorded trace has no upgrade op to rename")
+			}
+			if err := os.WriteFile(trace, []byte(renamed), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			code, out, err := chaoscheck(t, "-replay", trace)
+			if code == 0 || err == nil || !strings.Contains(err.Error(), `unknown kind "no-such-op"`) {
+				t.Fatalf("replay: exit %d, err %v, output:\n%s", code, err, out)
+			}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { tc.test(t, t.TempDir()) })
 	}

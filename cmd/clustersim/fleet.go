@@ -22,12 +22,11 @@ const fleetCVE = "CVE-2016-6258"
 
 // fleetConfig is the -fleet scenario's shape beyond its size: the CVE
 // answered, the crash storm ahead of it (-crash-rate, -mttr-budget) and
-// the transplant cache (-warm-pool, -no-cache).
+// the transplant cache (-no-cache).
 type fleetConfig struct {
 	CVE        string // empty means fleetCVE
 	CrashRate  float64
 	MTTRBudget time.Duration
-	WarmPool   int
 	NoCache    bool
 }
 
@@ -78,9 +77,7 @@ func crashFleet(nova *orchestrator.Nova, hosts int, crashRate float64) (*orchest
 }
 
 // respondOnce builds a fresh fleet and runs the CVE response under the
-// given limits, with vulnerability-window SLO tracking attached. With
-// caching on, the warm pool is refilled before the response starts —
-// pre-staging happens outside the vulnerability window.
+// given limits, with vulnerability-window SLO tracking attached.
 func respondOnce(hosts, vms int, limits sched.Limits, fl fleetConfig) (*fleetRun, error) {
 	nova, err := orchestrator.NewFleet(hosts, vms)
 	if err != nil {
@@ -107,16 +104,7 @@ func respondOnce(hosts, vms int, limits sched.Limits, fl fleetConfig) (*fleetRun
 	}
 	opts := core.DefaultOptions()
 	if !fl.NoCache {
-		cache := tpcache.New()
-		opts.Cache = cache
-		if fl.WarmPool > 0 {
-			nova.SetWarmPool(cache, fl.WarmPool)
-			if _, err := nova.WarmPoolRefill(); err != nil {
-				return nil, err
-			}
-		}
-	} else if fl.WarmPool > 0 {
-		return nil, fmt.Errorf("clustersim: -warm-pool needs the transplant cache; drop -no-cache")
+		opts.Cache = tpcache.New()
 	}
 	nova.SetFleetLimits(&limits)
 	resp, err := nova.RespondToCVE(vulndb.Load(), fl.CVE, []string{"xen", "kvm"}, opts)
@@ -188,8 +176,8 @@ func runFleet(w io.Writer, hosts, vms int, sc schedConfig, artifactDir string, f
 		if s.CacheHits+s.CacheMisses > 0 {
 			ratio = float64(s.CacheHits) / float64(s.CacheHits+s.CacheMisses)
 		}
-		fmt.Fprintf(w, "cache: %d hits / %d misses (ratio %.2f), %d warm starts\n",
-			s.CacheHits, s.CacheMisses, ratio, s.CacheWarmStarts)
+		fmt.Fprintf(w, "cache: %d hits / %d misses (ratio %.2f)\n",
+			s.CacheHits, s.CacheMisses, ratio)
 	}
 	fmt.Fprintln(w)
 	// The concurrent run is the production shape: its vulnerability

@@ -26,7 +26,7 @@ func TestGolden(t *testing.T) {
 		{"group2-streams4-kexecs4", []string{"-group", "2", "-streams", "4", "-kexecs", "4"}},
 		{"fault-seed7-rate0.2", []string{"-fault-seed", "7", "-fault-rate", "0.2"}},
 		{"fleet", []string{"-fleet"}},
-		{"fleet-crash0.25-warm8", []string{"-fleet", "-crash-rate", "0.25", "-warm-pool", "8"}},
+		{"fleet-crash0.25", []string{"-fleet", "-crash-rate", "0.25"}},
 		{"fleet-prom", []string{"-fleet", "-hosts", "20", "-fleet-vms", "40", "-artifact-dir", "."}},
 		{"exports", []string{"-artifact-dir", "."}},
 	} {

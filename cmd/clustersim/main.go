@@ -104,7 +104,6 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		cve        = fs.String("cve", fleetCVE, "the disclosed vulnerability the -fleet response answers")
 		crashRate  = fs.Float64("crash-rate", 0, "fraction in [0,1] of -fleet hosts fail-stopped before the response; the reactive path recovers them and the report gains an availability section")
 		mttrBudget = fs.Duration("mttr-budget", 0, "with -crash-rate, declare an MTTR budget: p99 of outages repaired within this window (0 = none declared)")
-		warmPool   = fs.Int("warm-pool", 0, "pre-stage up to n warm translation entries before the -fleet response")
 		noCache    = fs.Bool("no-cache", false, "disable the transplant cache for -fleet (force every transplant cold)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -122,7 +121,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 	for _, n := range []struct {
 		flag  string
 		value int
-	}{{"streams", *streams}, {"kexecs", *kexecs}, {"warm-pool", *warmPool}} {
+	}{{"streams", *streams}, {"kexecs", *kexecs}} {
 		if err == nil && n.value < 0 {
 			err = fmt.Errorf("-%s %d below its minimum 0", n.flag, n.value)
 		}
@@ -136,8 +135,7 @@ func parseArgs(args []string, stderr io.Writer) (options, error) {
 		fleet: *fleet, fleetVMs: *fleetVMs, artifactDir: *artDir,
 		fc: faultConfig{Seed: *faultSeed, Rate: *faultRate, Sites: *faultSites},
 		sc: schedConfig{Workers: *workers, Streams: *streams, Kexecs: *kexecs},
-		fl: fleetConfig{CVE: *cve, CrashRate: *crashRate, MTTRBudget: *mttrBudget,
-			WarmPool: *warmPool, NoCache: *noCache},
+		fl: fleetConfig{CVE: *cve, CrashRate: *crashRate, MTTRBudget: *mttrBudget, NoCache: *noCache},
 	}, nil
 }
 

@@ -208,19 +208,19 @@ func TestRunFleetCrashRate(t *testing.T) {
 	}
 }
 
-// The -warm-pool path: pre-staged entries surface as warm starts in the
-// fleet report's cache line; -no-cache drops the line entirely and
-// rejects -warm-pool.
+// The fleet report's cache line: the transplant cache is on by default,
+// -no-cache drops the line entirely, and -warm-pool, which pre-staged
+// translations, is no longer a flag.
 func TestRunFleetWarmPoolAndNoCache(t *testing.T) {
-	var warm bytes.Buffer
-	if err := runFleet(&warm, 6, 16, schedConfig{Streams: 4, Kexecs: 4}, "", fleetConfig{WarmPool: 16}); err != nil {
+	if _, err := parseArgs([]string{"-fleet", "-warm-pool", "16"}, io.Discard); err == nil {
+		t.Fatal("-warm-pool accepted")
+	}
+	var cached bytes.Buffer
+	if err := runFleet(&cached, 6, 16, schedConfig{Streams: 4, Kexecs: 4}, "", fleetConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(warm.String(), "cache: ") {
-		t.Fatalf("fleet report missing cache line:\n%s", warm.String())
-	}
-	if strings.Contains(warm.String(), " 0 warm starts") {
-		t.Fatalf("warm pool staged nothing:\n%s", warm.String())
+	if !strings.Contains(cached.String(), "cache: ") {
+		t.Fatalf("fleet report missing cache line:\n%s", cached.String())
 	}
 	var cold bytes.Buffer
 	if err := runFleet(&cold, 6, 16, schedConfig{Streams: 4, Kexecs: 4}, "", fleetConfig{NoCache: true}); err != nil {
@@ -229,14 +229,12 @@ func TestRunFleetWarmPoolAndNoCache(t *testing.T) {
 	if strings.Contains(cold.String(), "cache: ") {
 		t.Fatalf("-no-cache report still has a cache line:\n%s", cold.String())
 	}
-	if err := runFleet(&cold, 6, 16, schedConfig{}, "", fleetConfig{WarmPool: 4, NoCache: true}); err == nil {
-		t.Fatal("-warm-pool with -no-cache accepted")
-	}
 }
 
 // A fraction flag outside [0,1] is a usage error naming the flag, not a
 // run that is silently unfaulted, crash-free or traced at another
-// fraction; so is a negative count, not a run at the default.
+// fraction; so is a negative count, not a run at the default, and so is
+// the retired -warm-pool, not a run that silently ignores it.
 func TestParseArgsRejectsOutOfRangeProbability(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -251,8 +249,8 @@ func TestParseArgsRejectsOutOfRangeProbability(t *testing.T) {
 		{[]string{"-trace-frac", "NaN"}, "-trace-frac"},
 		{[]string{"-streams", "-1"}, "-streams"},
 		{[]string{"-kexecs", "-1"}, "-kexecs"},
-		{[]string{"-fleet", "-warm-pool", "-3"}, "-warm-pool"},
-		{[]string{"-trace-frac", "1", "-streams", "0", "-kexecs", "0", "-warm-pool", "0"}, ""},
+		{[]string{"-fleet", "-warm-pool", "8"}, "-warm-pool"},
+		{[]string{"-trace-frac", "1", "-streams", "0", "-kexecs", "0"}, ""},
 		{[]string{"-fault-rate", "0.2", "-trace-frac", "0", "-crash-rate", "1"}, ""},
 		{nil, ""},
 	} {
@@ -264,7 +262,7 @@ func TestParseArgsRejectsOutOfRangeProbability(t *testing.T) {
 			}
 			continue
 		}
-		if err == nil || !strings.Contains(stderr.String(), tc.bad+" ") {
+		if first, _, _ := strings.Cut(stderr.String(), "\n"); err == nil || !strings.Contains(first+" ", tc.bad+" ") {
 			t.Errorf("%v: want a usage error naming %s, got %v, stderr %q", tc.args, tc.bad, err, stderr.String())
 		}
 	}

@@ -7,7 +7,6 @@
 //	tpctl -mode inplace  -from xen -to kvm -machine M1 -vms 1 -vcpus 1 -mem-gib 1
 //	tpctl -mode migration -from xen -to kvm -vms 2 -mem-gib 1
 //	tpctl -mode inplace -from xen -to kvm -cve CVE-2016-6258   # policy check first
-//	tpctl -mode inplace -warm-pool 2        # pre-stage warm translation entries
 //	tpctl -mode inplace -no-cache           # force the cold path
 //	tpctl -mode inplace -artifact-dir run/
 //	tpctl -mode inplace -fault-seed 42 -fault-rate 1 -fault-sites kexec.handover -fault-plan
@@ -67,8 +66,8 @@ func main() {
 }
 
 // parseArgs parses the command line into a runConfig. Usage errors,
-// including a -fault-rate outside [0,1] and a negative -warm-pool, are
-// reported on stderr and returned; main exits 2 on them.
+// including a -fault-rate outside [0,1], are reported on stderr and
+// returned; main exits 2 on them.
 func parseArgs(args []string, stderr io.Writer) (runConfig, error) {
 	fs := flag.NewFlagSet("tpctl", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -91,21 +90,14 @@ func parseArgs(args []string, stderr io.Writer) (runConfig, error) {
 		faultSites = fs.String("fault-sites", "", "comma-separated injection sites (empty = all registered sites)")
 		faultPlan  = fs.Bool("fault-plan", false, "print the fault shots that fired during the run")
 		noCache    = fs.Bool("no-cache", false, "disable the transplant cache (force the cold path)")
-		warmPool   = fs.Int("warm-pool", 0, "pre-stage up to n VM translations as warm entries before the transplant")
 		crashAt    = fs.String("crash-at", "", "fail-stop the source hypervisor and run the emergency recovery: idle, hang, or transplant (crash mid-transplant, at the double-fault window)")
 		verbose    = fs.Bool("v", false, "print the Fig. 3 workflow: the phase spans, one line each")
 	)
 	if err := fs.Parse(args); err != nil {
 		return runConfig{}, err
 	}
-	var err error
-	switch {
-	case !(*faultRate >= 0 && *faultRate <= 1):
-		err = fmt.Errorf("-fault-rate %v outside [0,1]", *faultRate)
-	case *warmPool < 0:
-		err = fmt.Errorf("-warm-pool %d below its minimum 0", *warmPool)
-	}
-	if err != nil {
+	if !(*faultRate >= 0 && *faultRate <= 1) {
+		err := fmt.Errorf("-fault-rate %v outside [0,1]", *faultRate)
 		fmt.Fprintf(stderr, "tpctl: %v\n", err)
 		return runConfig{}, err
 	}
@@ -124,7 +116,6 @@ func parseArgs(args []string, stderr io.Writer) (runConfig, error) {
 		FaultSites:  *faultSites,
 		FaultPlan:   *faultPlan,
 		NoCache:     *noCache,
-		WarmPool:    *warmPool,
 		CrashAt:     *crashAt,
 		Verbose:     *verbose,
 	}, nil
@@ -153,7 +144,6 @@ type runConfig struct {
 	FaultSites              string
 	FaultPlan               bool
 	NoCache                 bool
-	WarmPool                int
 	CrashAt                 string
 	Verbose                 bool
 }
@@ -232,15 +222,6 @@ func run(stdout io.Writer, cfg runConfig) error {
 	if !cfg.NoCache {
 		cache = tpcache.New()
 		cfg.Opts.Cache = cache
-		if cfg.WarmPool > 0 {
-			staged, err := core.PreStageTranslations(src, srcMachine, cache, cfg.WarmPool)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "warm pool: pre-staged %d translation(s)\n\n", staged)
-		}
-	} else if cfg.WarmPool > 0 {
-		return fmt.Errorf("-warm-pool needs the transplant cache; drop -no-cache")
 	}
 
 	switch cfg.Mode {

@@ -205,13 +205,15 @@ func TestRunTraceAndMetricsOut(t *testing.T) {
 	}
 }
 
-// The -warm-pool/-no-cache flags: pre-staging warms the run, the
-// prom dump carries the hypertp_tpcache_* series, and -warm-pool
-// without the cache is rejected.
+// The transplant cache is on by default and its counters reach the prom
+// dump as hypertp_tpcache_* series; -no-cache runs the cold path, and
+// -warm-pool, which pre-staged translations, is no longer a flag.
 func TestRunWarmPoolAndNoCache(t *testing.T) {
+	if _, err := parseArgs([]string{"-warm-pool", "2"}, io.Discard); err == nil {
+		t.Fatal("-warm-pool accepted")
+	}
 	c := cfg("inplace")
 	c.VMs = 2
-	c.WarmPool = 2
 	c.ArtifactDir = t.TempDir()
 	if err := run(io.Discard, c); err != nil {
 		t.Fatal(err)
@@ -220,7 +222,7 @@ func TestRunWarmPoolAndNoCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, series := range []string{"hypertp_tpcache_hits_total", "hypertp_tpcache_warm_starts_total"} {
+	for _, series := range []string{"hypertp_tpcache_hits_total", "hypertp_tpcache_misses_total"} {
 		if !strings.Contains(string(data), series) {
 			t.Fatalf("prom dump missing %s:\n%s", series, data)
 		}
@@ -228,15 +230,12 @@ func TestRunWarmPoolAndNoCache(t *testing.T) {
 
 	c = cfg("inplace")
 	c.NoCache = true
-	if err := run(io.Discard, c); err != nil {
+	var out strings.Builder
+	if err := run(&out, c); err != nil {
 		t.Fatal(err)
 	}
-
-	c = cfg("inplace")
-	c.NoCache = true
-	c.WarmPool = 2
-	if err := run(io.Discard, c); err == nil {
-		t.Fatal("-warm-pool with -no-cache accepted")
+	if strings.Contains(out.String(), "cache: ") {
+		t.Fatalf("-no-cache run still prints a cache line:\n%s", out.String())
 	}
 }
 
@@ -263,8 +262,8 @@ func TestRunVerbosePrintsSteps(t *testing.T) {
 }
 
 // A probability flag outside [0,1] is a usage error naming the flag, not
-// a run that silently injects nothing; so is a negative -warm-pool, not
-// a run that silently stages nothing.
+// a run that silently injects nothing; so is the retired -warm-pool, not
+// a run that silently ignores it.
 func TestParseArgsRejectsOutOfRangeProbability(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -273,11 +272,10 @@ func TestParseArgsRejectsOutOfRangeProbability(t *testing.T) {
 		{[]string{"-fault-rate", "-1"}, "-fault-rate"},
 		{[]string{"-fault-rate", "1.5"}, "-fault-rate"},
 		{[]string{"-fault-rate", "NaN"}, "-fault-rate"},
-		{[]string{"-warm-pool", "-3"}, "-warm-pool"},
+		{[]string{"-warm-pool", "8"}, "-warm-pool"},
 		{[]string{"-fault-rate", "0"}, ""},
 		{[]string{"-fault-rate", "1"}, ""},
 		{[]string{"-fault-rate", "0.2"}, ""},
-		{[]string{"-warm-pool", "0"}, ""},
 	} {
 		var stderr strings.Builder
 		_, err := parseArgs(tc.args, &stderr)
@@ -287,7 +285,7 @@ func TestParseArgsRejectsOutOfRangeProbability(t *testing.T) {
 			}
 			continue
 		}
-		if err == nil || !strings.Contains(stderr.String(), tc.bad+" ") {
+		if first, _, _ := strings.Cut(stderr.String(), "\n"); err == nil || !strings.Contains(first+" ", tc.bad+" ") {
 			t.Errorf("%v: want a usage error naming %s, got %v, stderr %q", tc.args, tc.bad, err, stderr.String())
 		}
 	}

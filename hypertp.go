@@ -94,7 +94,7 @@ func NewSimulation() *Simulation {
 func (s *Simulation) Now() time.Duration { return s.clock.Now() }
 
 // CacheStats is a census of the transplant cache: translation hits and
-// misses, warm starts, poisoned entries, and PRAM snapshot replays.
+// misses, poisoned entries, and PRAM snapshot replays.
 type CacheStats = tpcache.Stats
 
 // CacheStats reports the simulation-wide transplant cache counters.
@@ -162,7 +162,6 @@ func (h *Host) TransplantWith(target Kind, cfg Config) (*InPlaceReport, error) {
 	if cfg.TranslationCache {
 		opts.Cache = h.sim.cache
 	}
-	h.engine.Machine.Mem.SetPageDedup(cfg.PageDedup)
 	newHyp, report, err := h.engine.InPlace(h.hyp, target, opts)
 	if newHyp != nil {
 		h.hyp = newHyp

@@ -64,7 +64,10 @@ func (b *Bundle) Marshal() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// ParseBundle validates and decodes a replay bundle.
+// ParseBundle validates and decodes a replay bundle. An op kind outside
+// the vocabulary is an error naming the op, not a replay that fails it:
+// a bundle recorded by a build with another vocabulary would otherwise
+// replay as a different run.
 func ParseBundle(data []byte) (*Bundle, error) {
 	var b Bundle
 	if err := json.Unmarshal(data, &b); err != nil {
@@ -75,6 +78,11 @@ func ParseBundle(data []byte) (*Bundle, error) {
 	}
 	if len(b.Ops) == 0 {
 		return nil, fmt.Errorf("chaos: bundle has no ops")
+	}
+	for i, op := range b.Ops {
+		if !knownKind(op.Kind) {
+			return nil, fmt.Errorf("chaos: bundle op %d has unknown kind %q", i, op.Kind)
+		}
 	}
 	return &b, nil
 }

@@ -117,3 +117,29 @@ func TestShrinkIdempotence(t *testing.T) {
 		t.Fatalf("re-shrinking moved the failure: %+v vs %+v", failOnce, failTwice)
 	}
 }
+
+// TestBundleUnknownOpKind: a bundle naming an op kind outside the
+// vocabulary — one recorded before an op was retired, or a misspelling —
+// is rejected with an error naming the kind and the op's index, instead
+// of replaying as a run with one op error.
+func TestBundleUnknownOpKind(t *testing.T) {
+	res, err := Run(Config{Seed: 7, Ops: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"warm-pool-refill", "upgarde", ""} {
+		b := NewTraceBundle(Config{Seed: 7, Ops: 5}, res.Ops)
+		b.Ops[3].Kind = kind
+		data, err := b.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ParseBundle(data)
+		if err == nil {
+			t.Fatalf("accepted op kind %q", kind)
+		}
+		if want := fmt.Sprintf("op 3 has unknown kind %q", kind); !strings.Contains(err.Error(), want) {
+			t.Fatalf("unknown-kind error %q lacks %q", err, want)
+		}
+	}
+}

@@ -76,8 +76,7 @@ type Config struct {
 	// flips a guest byte behind the write journal after each workload.
 	Break string `json:"break,omitempty"`
 	// Cache enables the transplant cache for the whole soak: every
-	// transplant op runs with a shared tpcache.Cache, a warm pool is
-	// attached to Nova, and OpWarmPoolRefill ops pre-stage translations.
+	// transplant op runs with a shared tpcache.Cache.
 	// Caching must be invisible to every invariant the auditor holds —
 	// identical traces, checksums, and virtual time — which is exactly
 	// what a cached soak proves.
@@ -294,9 +293,6 @@ func newHarness(cfg Config) (*harness, error) {
 	}
 	if cfg.Cache {
 		h.cache = tpcache.New()
-		// Pool sized for the whole tenant population; refills are
-		// throttled by OpRespondFleet's SpareSlots when limits are live.
-		nova.SetWarmPool(h.cache, cfg.VMs)
 	}
 	if cfg.Crash {
 		// The heartbeat monitor shares the soak's seed, so every crash's

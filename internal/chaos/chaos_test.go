@@ -38,15 +38,15 @@ func TestChaosSoakShort(t *testing.T) {
 	for _, op := range res.Ops {
 		kinds[op.Kind] = true
 	}
-	for _, k := range []string{OpWorkload, OpMigrate, OpUpgrade, OpRespond, OpRespondFleet, OpQuarantine, OpReturn, OpLinkDown, OpLinkUp, OpSweep, OpWarmPoolRefill} {
+	for _, k := range []string{OpWorkload, OpMigrate, OpUpgrade, OpRespond, OpRespondFleet, OpQuarantine, OpReturn, OpLinkDown, OpLinkUp, OpSweep} {
 		if !kinds[k] {
 			t.Errorf("generated stream never produced op kind %q", k)
 		}
 	}
 }
 
-// TestChaosSoakCached: the same soak with the transplant cache and warm
-// pool enabled must hold every invariant — caching shares page-level
+// TestChaosSoakCached: the same soak with the transplant cache enabled
+// must hold every invariant — caching shares page-level
 // state between transplants, so this is the auditor's check that shared
 // cache entries never leak frames or corrupt guest memory — and stay
 // deterministic across worker counts.

@@ -175,16 +175,6 @@ func (h *harness) apply(op *Op) (string, error) {
 		return fmt.Sprintf("%s: upgraded %d, skipped %d, quarantined %d",
 			label, len(resp.UpgradedNodes), len(resp.SkippedNodes), len(resp.QuarantinedNodes)), nil
 
-	case OpWarmPoolRefill:
-		if h.cache == nil {
-			return "skip: caching disabled", nil
-		}
-		staged, err := h.nova.WarmPoolRefill()
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("warm pool +%d (%d staged)", staged, h.cache.WarmSlots()), nil
-
 	case OpSweep:
 		return h.sweep(op)
 

@@ -165,7 +165,7 @@ func transplantTraceSeeds(tb testing.TB) [][]byte {
 		mk(0, Config{Seed: 20210426, Ops: 12, Hosts: 3, VMs: 4, FaultRate: 0.15}),
 		// Mutated crash-vocabulary trace.
 		mk(0xc0ffee, Config{Seed: 7, Ops: 16, Hosts: 4, VMs: 4, Crash: true, FaultRate: 0.1}),
-		// Mutated cached trace (warm pool + transplant cache live).
+		// Mutated cached trace (transplant cache live).
 		mk(42, Config{Seed: 99, Ops: 10, Hosts: 2, VMs: 2, Cache: true}),
 		// Raw bytes: no bundle JSON, decoded by deriveTrace.
 		{0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03, 0x04, 0x06, 0x01, 0x02, 0x80, 0x07,

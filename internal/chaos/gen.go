@@ -34,10 +34,6 @@ const (
 	// OpSweep runs the clock-less rolling-upgrade planner (the cluster
 	// package) as a self-contained consistency exercise.
 	OpSweep = "cluster-sweep"
-	// OpWarmPoolRefill tops up the transplant warm pool: pre-staged UISR
-	// translations later transplants consume as warm starts. A recorded
-	// skip when the run has caching disabled.
-	OpWarmPoolRefill = "warm-pool-refill"
 	// OpCrashHV fail-stops one host's hypervisor (or hangs it when
 	// Target is "hang") and runs the emergency recovery; a host whose
 	// salvage freezes stays downed and a later OpCrashHV retries it.
@@ -52,6 +48,16 @@ const (
 	// the driver's self-healing double-fault path runs.
 	OpCrashDuringTransplant = "crash-during-tp"
 )
+
+// knownKind reports whether kind names an op of the vocabulary above.
+func knownKind(kind string) bool {
+	switch kind {
+	case OpWorkload, OpMigrate, OpUpgrade, OpRespond, OpRespondFleet, OpQuarantine, OpReturn,
+		OpLinkDown, OpLinkUp, OpSweep, OpCrashHV, OpCrashStorm, OpCrashDuringTransplant:
+		return true
+	}
+	return false
+}
 
 // Op is one generated operation. The zero fields are omitted from
 // bundles to keep them readable.
@@ -127,8 +133,6 @@ func generate(cfg Config, rng source) []Op {
 			op = Op{Kind: OpRespond, Target: respondCVEs[rng.Intn(len(respondCVEs))]}
 		case w < 96:
 			op = Op{Kind: OpRespondFleet, Target: respondCVEs[rng.Intn(len(respondCVEs))]}
-		case w < 98:
-			op = Op{Kind: OpWarmPoolRefill}
 		default:
 			op = Op{Kind: OpSweep}
 		}

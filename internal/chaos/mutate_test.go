@@ -91,7 +91,7 @@ func applyMutation(kind mutationKind, cfg Config, ops []Op, seed uint64) (Config
 func fleetWide(op Op) bool {
 	switch op.Kind {
 	case OpLinkDown, OpLinkUp, OpRespond, OpRespondFleet,
-		OpSweep, OpWarmPoolRefill, OpCrashStorm:
+		OpSweep, OpCrashStorm:
 		return true
 	}
 	return false

@@ -50,7 +50,7 @@ type Options struct {
 	// PRAM metadata images. Caching only skips wall-clock compute — the
 	// virtual-time costs, reports, and every preserved byte are
 	// identical with or without it. The cache may be shared across
-	// engines (the fleet warm pool does).
+	// engines (a fleet CVE response shares one).
 	Cache *tpcache.Cache
 }
 
@@ -110,11 +110,15 @@ type InPlaceReport struct {
 	Attempts int
 	// Faults is the number of injected faults absorbed.
 	Faults int
-	// CacheHits, CacheMisses, and CacheWarmStarts count the transplant
-	// cache lookups this operation made (all zero when caching is
-	// disabled). They describe the cache, not the transplant: every
-	// other field is byte-identical with caching on or off.
-	CacheHits, CacheMisses, CacheWarmStarts uint64
+	// CacheHits and CacheMisses count the transplant cache lookups this
+	// operation made (both zero when caching is disabled). They describe
+	// the cache, not the transplant: every other field is byte-identical
+	// with caching on or off.
+	CacheHits, CacheMisses uint64
+	// CacheWarmStarts is always 0: the warm pool that pre-staged
+	// translations is gone. It stays only because the benchmark module
+	// (bench/inplace.go) still reports it; it goes with that caller.
+	CacheWarmStarts uint64
 
 	// Emergency marks a report produced by the reactive recovery path
 	// (Engine.Emergency) rather than a planned transplant. Emergency
@@ -139,15 +143,14 @@ func (r *InPlaceReport) Summary() hterr.Summary {
 		kind = "emergency"
 	}
 	return hterr.Summary{
-		Kind:            kind,
-		Outcome:         out,
-		Attempts:        attempts,
-		Downtime:        r.Downtime,
-		VirtualElapsed:  r.Total,
-		Faults:          r.Faults,
-		CacheHits:       r.CacheHits,
-		CacheMisses:     r.CacheMisses,
-		CacheWarmStarts: r.CacheWarmStarts,
+		Kind:           kind,
+		Outcome:        out,
+		Attempts:       attempts,
+		Downtime:       r.Downtime,
+		VirtualElapsed: r.Total,
+		Faults:         r.Faults,
+		CacheHits:      r.CacheHits,
+		CacheMisses:    r.CacheMisses,
 	}
 }
 

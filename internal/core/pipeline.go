@@ -570,7 +570,7 @@ func (t *transplant) encodeStates(memo *tpcache.Cache) ([][]byte, error) {
 		t.saved[i] = savedVM{guest: vm.Guest,
 			res: VMResult{Name: cfg.Name, OldID: vm.ID, VCPUs: cfg.VCPUs, Bytes: cfg.MemBytes}}
 		if memo != nil {
-			if b, h, warm, ok := memo.LookupTranslation(kind, m, gen, vm.ID); ok {
+			if b, h, ok := memo.LookupTranslation(kind, m, gen, vm.ID); ok {
 				if t.e.Fault.Fire(t.phase.degrade) != nil {
 					// Poisoned entry: discard it and fall back to the
 					// cold translate path. The fault is absorbed — a
@@ -581,10 +581,6 @@ func (t *transplant) encodeStates(memo *tpcache.Cache) ([][]byte, error) {
 				} else {
 					blobs[i], t.saved[i].hash = b, h
 					t.report.CacheHits++
-					if warm {
-						t.report.CacheWarmStarts++
-						t.mets.Counter("tpcache.warm_starts", "vms").Add(1)
-					}
 					continue
 				}
 			}
@@ -612,7 +608,7 @@ func (t *transplant) encodeStates(memo *tpcache.Cache) ([][]byte, error) {
 		blobs[i] = blob
 		k++
 		if memo != nil {
-			t.saved[i].hash = memo.StoreTranslation(kind, m, gen, t.vms[i].ID, blobs[i], false)
+			t.saved[i].hash = memo.StoreTranslation(kind, m, gen, t.vms[i].ID, blobs[i])
 		}
 	}
 	if memo != nil {

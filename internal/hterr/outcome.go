@@ -52,11 +52,11 @@ type Summary struct {
 	VirtualElapsed time.Duration
 	// Faults is the number of injected faults the operation absorbed.
 	Faults int
-	// CacheHits, CacheMisses, and CacheWarmStarts count the transplant
-	// cache lookups the operation made (all zero when caching was
-	// disabled). They describe the cache, not the transplant: every
-	// other field is identical with caching on or off.
-	CacheHits, CacheMisses, CacheWarmStarts uint64
+	// CacheHits and CacheMisses count the transplant cache lookups the
+	// operation made (both zero when caching was disabled). They describe
+	// the cache, not the transplant: every other field is identical with
+	// caching on or off.
+	CacheHits, CacheMisses uint64
 }
 
 // Report is implemented by every operation report in the stack.

@@ -18,7 +18,6 @@ import (
 	"hypertp/internal/simnet"
 	"hypertp/internal/simtime"
 	"hypertp/internal/slo"
-	"hypertp/internal/tpcache"
 	"hypertp/internal/vulndb"
 )
 
@@ -262,40 +261,6 @@ func BenchmarkFleetResponse(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetResponseWarm is the 200-host response starting from a
-// full warm pool: every transplantable VM's translation is pre-staged
-// into a shared cache before the timer starts (the refill runs before
-// fleet limits are set, so SpareSlots throttling does not apply), and
-// the response itself runs with that cache attached. Compared against
-// BenchmarkFleetResponse it is the wall-clock value of pre-staging
-// outside the vulnerability window.
-func BenchmarkFleetResponseWarm(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		c := newFleet(b, bigFleet())
-		cache := tpcache.New()
-		c.nova.SetWarmPool(cache, bigFleet().vms)
-		if _, err := c.nova.WarmPoolRefill(); err != nil {
-			b.Fatal(err)
-		}
-		opts := core.DefaultOptions()
-		opts.Cache = cache
-		limits := sched.Limits{MaxKexecs: 8, LinkStreams: 8}
-		c.nova.SetFleetLimits(&limits)
-		b.StartTimer()
-		resp, err := c.nova.RespondToCVE(vulndb.Load(), "CVE-2016-6258", []string{"xen", "kvm"}, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(resp.UpgradedNodes) != bigFleet().hosts {
-			b.Fatalf("upgraded %d hosts, want %d", len(resp.UpgradedNodes), bigFleet().hosts)
-		}
-		if s := resp.Summary(); s.CacheWarmStarts == 0 {
-			b.Fatalf("response never consumed the warm pool: %+v", s)
-		}
-	}
-}
-
 // BenchmarkFleetResponseSLO is the same 200-host response with the full
 // SLO/streaming observability path attached: recorder with retention
 // released, head-sampled flight recorder sink, and the
@@ -332,8 +297,8 @@ var raceEnabled bool
 
 // TestFleetAllocBudgets pins one fleet operation of each kind on the stock
 // fleet (10 hosts, 32 VMs) at one worker, the fleet build included: a CVE
-// response; the same response from a full warm pool, and with the
-// streaming observability and SLO tracker attached; and a crash-storm
+// response; the same response with the streaming observability and SLO
+// tracker attached; and a crash-storm
 // recovery of five hosts. Each host op the executor emits is a few
 // hundred allocations, so an extra one per op moves every row.
 func TestFleetAllocBudgets(t *testing.T) {
@@ -352,18 +317,6 @@ func TestFleetAllocBudgets(t *testing.T) {
 		{"RespondToCVE", 5255, func() error {
 			respondFleet(t, newFleet(t, stockFleet()), limits)
 			return nil
-		}},
-		{"RespondToCVE/warm", 5433, func() error {
-			c := newFleet(t, stockFleet())
-			opts := core.DefaultOptions()
-			opts.Cache = tpcache.New()
-			c.nova.SetWarmPool(opts.Cache, stockFleet().vms)
-			if _, err := c.nova.WarmPoolRefill(); err != nil {
-				return err
-			}
-			c.nova.SetFleetLimits(&limits)
-			_, err := c.nova.RespondToCVE(vulndb.Load(), "CVE-2016-6258", []string{"xen", "kvm"}, opts)
-			return err
 		}},
 		{"RespondToCVE/slo", 5514, func() error {
 			c := newFleet(t, stockFleet())

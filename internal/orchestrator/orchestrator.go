@@ -24,7 +24,6 @@ import (
 	"hypertp/internal/simnet"
 	"hypertp/internal/simtime"
 	"hypertp/internal/slo"
-	"hypertp/internal/tpcache"
 )
 
 // LibvirtDriver is the generic per-host driver (libvirt in the paper),
@@ -151,10 +150,6 @@ type Nova struct {
 	// disclosure, per-host exposure, per-host remediation at kexec
 	// commit, and per-VM downtime (see SetSLO).
 	slo *slo.Tracker
-	// warmCache and warmSlots configure the transplant warm pool (see
-	// SetWarmPool and WarmPoolRefill).
-	warmCache *tpcache.Cache
-	warmSlots int
 	// detector and downed are the reactive-recovery state: the attached
 	// failure detector and the ledger of crashed-but-unrecovered hosts
 	// (see SetDetector, CrashHost, RecoverHost, RecoverFleet).

@@ -61,7 +61,6 @@ func (r *FleetResponse) Summary() hterr.Summary {
 		}
 		s.CacheHits += rec.Report.CacheHits
 		s.CacheMisses += rec.Report.CacheMisses
-		s.CacheWarmStarts += rec.Report.CacheWarmStarts
 	}
 	return s
 }

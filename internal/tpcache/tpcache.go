@@ -46,10 +46,6 @@ import (
 type Stats struct {
 	// Hits and Misses count translation-cache lookups by outcome.
 	Hits, Misses uint64
-	// WarmStarts counts hits served from entries pre-staged by the warm
-	// pool (orchestrator.WarmPool) rather than left by a prior
-	// transplant.
-	WarmStarts uint64
 	// Stale counts entries poisoned by the cache.stale fault site and
 	// discarded at lookup.
 	Stale uint64
@@ -59,29 +55,23 @@ type Stats struct {
 	// BlobInstalls counts blob landings served by installing a captured
 	// image, and BlobDecodeHits the blob decodes the memo answered.
 	BlobInstalls, BlobDecodeHits uint64
-	// WarmSlots is the number of pre-staged entries currently unconsumed.
-	WarmSlots int
 }
 
 // String renders the census compactly.
 func (s Stats) String() string {
-	return fmt.Sprintf("hits=%d misses=%d (ratio %.2f) warm-starts=%d stale=%d pram=%d/%d warm-slots=%d",
-		s.Hits, s.Misses, s.HitRatio(), s.WarmStarts, s.Stale,
-		s.PRAMHits, s.PRAMHits+s.PRAMMisses, s.WarmSlots)
+	return fmt.Sprintf("hits=%d misses=%d (ratio %.2f) stale=%d pram=%d/%d",
+		s.Hits, s.Misses, s.HitRatio(), s.Stale, s.PRAMHits, s.PRAMHits+s.PRAMMisses)
 }
 
 // Sub returns the counter deltas since prev — the activity of one
-// window (e.g. one transplant cycle) on a long-lived cache. WarmSlots
-// is a gauge, not a counter, so the current value is kept as-is.
+// window (e.g. one transplant cycle) on a long-lived cache.
 func (s Stats) Sub(prev Stats) Stats {
 	return Stats{
 		Hits:       s.Hits - prev.Hits,
 		Misses:     s.Misses - prev.Misses,
-		WarmStarts: s.WarmStarts - prev.WarmStarts,
 		Stale:      s.Stale - prev.Stale,
 		PRAMHits:   s.PRAMHits - prev.PRAMHits,
 		PRAMMisses: s.PRAMMisses - prev.PRAMMisses,
-		WarmSlots:  s.WarmSlots,
 
 		PRAMParseHits:  s.PRAMParseHits - prev.PRAMParseHits,
 		BlobInstalls:   s.BlobInstalls - prev.BlobInstalls,
@@ -105,7 +95,6 @@ type blobKey struct {
 type blobEntry struct {
 	blob []byte
 	hash uint64
-	warm bool
 }
 
 // machineFPs tracks the VM-state fingerprints of one machine's current
@@ -127,14 +116,13 @@ const maxBlobEntries = 4096
 // and machines (the fleet case); all methods are safe for concurrent
 // use.
 type Cache struct {
-	mu        sync.Mutex
-	blobs     map[blobKey]*blobEntry
-	order     []blobKey
-	fps       map[*hw.Machine]*machineFPs
-	snaps     map[*hw.Machine]*pram.Snapshot
-	places    map[*hw.Machine]*blobPlaces
-	warmSlots int
-	stats     Stats
+	mu     sync.Mutex
+	blobs  map[blobKey]*blobEntry
+	order  []blobKey
+	fps    map[*hw.Machine]*machineFPs
+	snaps  map[*hw.Machine]*pram.Snapshot
+	places map[*hw.Machine]*blobPlaces
+	stats  Stats
 }
 
 // blobPlaces remembers where each blob (by content hash) last landed in
@@ -206,58 +194,33 @@ func (c *Cache) ensureFPs(m *hw.Machine, gen int) *machineFPs {
 
 // LookupTranslation returns the cached UISR blob for VM id on machine m
 // at boot generation gen, if its state fingerprint is known and an
-// encoding of that exact state is cached. warm reports whether the entry
-// was pre-staged by the warm pool (the flag is consumed by the lookup).
-func (c *Cache) LookupTranslation(kind hv.Kind, m *hw.Machine, gen int, id hv.VMID) (blob []byte, blobHash uint64, warm, ok bool) {
+// encoding of that exact state is cached.
+func (c *Cache) LookupTranslation(kind hv.Kind, m *hw.Machine, gen int, id hv.VMID) (blob []byte, blobHash uint64, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.fps[m]
 	if e == nil || e.gen != gen {
 		c.stats.Misses++
-		return nil, 0, false, false
+		return nil, 0, false
 	}
 	fp, known := e.byVM[id]
 	if !known {
 		c.stats.Misses++
-		return nil, 0, false, false
+		return nil, 0, false
 	}
 	be := c.blobs[blobKey{kind, fp}]
 	if be == nil {
 		c.stats.Misses++
-		return nil, 0, false, false
+		return nil, 0, false
 	}
 	c.stats.Hits++
-	warm = be.warm
-	if warm {
-		be.warm = false
-		c.warmSlots--
-		c.stats.WarmStarts++
-	}
-	return be.blob, be.hash, warm, true
-}
-
-// HasTranslation reports whether a lookup for the VM would hit, without
-// consuming the warm flag or touching the counters. The warm pool uses
-// it to skip VMs that are already staged.
-func (c *Cache) HasTranslation(kind hv.Kind, m *hw.Machine, gen int, id hv.VMID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.fps[m]
-	if e == nil || e.gen != gen {
-		return false
-	}
-	fp, known := e.byVM[id]
-	if !known {
-		return false
-	}
-	return c.blobs[blobKey{kind, fp}] != nil
+	return be.blob, be.hash, true
 }
 
 // StoreTranslation records a freshly encoded blob under the VM's current
 // fingerprint (deriving and recording a fresh-state fingerprint when
-// none is known), and returns the blob's hash. warm marks the entry as
-// pre-staged by the warm pool.
-func (c *Cache) StoreTranslation(kind hv.Kind, m *hw.Machine, gen int, id hv.VMID, blob []byte, warm bool) uint64 {
+// none is known), and returns the blob's hash.
+func (c *Cache) StoreTranslation(kind hv.Kind, m *hw.Machine, gen int, id hv.VMID, blob []byte) uint64 {
 	h := BlobHash(blob)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -268,27 +231,15 @@ func (c *Cache) StoreTranslation(kind hv.Kind, m *hw.Machine, gen int, id hv.VMI
 		e.byVM[id] = fp
 	}
 	key := blobKey{kind, fp}
-	if old := c.blobs[key]; old == nil {
+	if c.blobs[key] == nil {
 		c.order = append(c.order, key)
 		if len(c.order) > maxBlobEntries {
-			c.dropLocked(c.order[0])
+			delete(c.blobs, c.order[0])
 			c.order = c.order[1:]
 		}
-	} else if old.warm {
-		c.warmSlots--
 	}
-	c.blobs[key] = &blobEntry{blob: blob, hash: h, warm: warm}
-	if warm {
-		c.warmSlots++
-	}
+	c.blobs[key] = &blobEntry{blob: blob, hash: h}
 	return h
-}
-
-func (c *Cache) dropLocked(key blobKey) {
-	if e := c.blobs[key]; e != nil && e.warm {
-		c.warmSlots--
-	}
-	delete(c.blobs, key)
 }
 
 // RecordRestore chains the fingerprint forward: the VM restored as
@@ -325,7 +276,7 @@ func (c *Cache) Invalidate(kind hv.Kind, m *hw.Machine, gen int, id hv.VMID) {
 	if c.blobs[key] == nil {
 		return
 	}
-	c.dropLocked(key)
+	delete(c.blobs, key)
 	for i, k := range c.order {
 		if k == key {
 			c.order = append(c.order[:i], c.order[i+1:]...)
@@ -474,19 +425,11 @@ func (c *Cache) PRAMSnapshot(m *hw.Machine) *pram.Snapshot {
 	return s
 }
 
-// WarmSlots reports the number of pre-staged, unconsumed warm entries.
-func (c *Cache) WarmSlots() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.warmSlots
-}
-
 // Stats returns a snapshot of the cache counters, with the per-machine
 // PRAM snapshot counters folded in.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	out := c.stats
-	out.WarmSlots = c.warmSlots
 	snaps := make([]*pram.Snapshot, 0, len(c.snaps))
 	for _, s := range c.snaps {
 		snaps = append(snaps, s)

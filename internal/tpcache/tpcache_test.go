@@ -14,7 +14,7 @@ import (
 
 // lookupHits reports whether a lookup for the VM hits.
 func lookupHits(c *Cache, kind hv.Kind, m *hw.Machine, gen int, id hv.VMID) bool {
-	_, _, _, ok := c.LookupTranslation(kind, m, gen, id)
+	_, _, ok := c.LookupTranslation(kind, m, gen, id)
 	return ok
 }
 
@@ -22,7 +22,7 @@ func TestLookupMisses(t *testing.T) {
 	c := New()
 	m, other := &hw.Machine{}, &hw.Machine{}
 	blob := []byte("xen-state")
-	c.StoreTranslation(hv.KindXen, m, 3, 1, blob, false)
+	c.StoreTranslation(hv.KindXen, m, 3, 1, blob)
 	cases := []struct {
 		name string
 		kind hv.Kind
@@ -39,9 +39,6 @@ func TestLookupMisses(t *testing.T) {
 		if lookupHits(c, tc.kind, tc.m, tc.gen, tc.id) {
 			t.Errorf("%s: lookup hit", tc.name)
 		}
-		if c.HasTranslation(tc.kind, tc.m, tc.gen, tc.id) {
-			t.Errorf("%s: HasTranslation true", tc.name)
-		}
 	}
 	if s := c.Stats(); s.Misses != uint64(len(cases)) || s.Hits != 0 {
 		t.Fatalf("stats = %+v, want %d misses", s, len(cases))
@@ -52,19 +49,16 @@ func TestStoreThenHit(t *testing.T) {
 	c := New()
 	m := &hw.Machine{}
 	blob := []byte("xen-state")
-	h := c.StoreTranslation(hv.KindXen, m, 0, 7, blob, false)
+	h := c.StoreTranslation(hv.KindXen, m, 0, 7, blob)
 	if h != BlobHash(blob) {
 		t.Fatalf("store returned hash %x, want %x", h, BlobHash(blob))
 	}
-	if !c.HasTranslation(hv.KindXen, m, 0, 7) {
-		t.Fatal("HasTranslation false after store")
-	}
 	if s := c.Stats(); s.Hits+s.Misses != 0 {
-		t.Fatalf("HasTranslation touched the counters: %+v", s)
+		t.Fatalf("a store touched the lookup counters: %+v", s)
 	}
-	got, gotHash, warm, ok := c.LookupTranslation(hv.KindXen, m, 0, 7)
-	if !ok || string(got) != string(blob) || gotHash != h || warm {
-		t.Fatalf("lookup = %q %x warm=%v ok=%v", got, gotHash, warm, ok)
+	got, gotHash, ok := c.LookupTranslation(hv.KindXen, m, 0, 7)
+	if !ok || string(got) != string(blob) || gotHash != h {
+		t.Fatalf("lookup = %q %x ok=%v", got, gotHash, ok)
 	}
 }
 
@@ -81,7 +75,7 @@ func TestRecordRestoreFixedPoint(t *testing.T) {
 		blob, ok := blobs[kind], lookupHits(c, kind, m, gen, id)
 		hits = append(hits, ok)
 		if !ok {
-			c.StoreTranslation(kind, m, gen, id, blob, false)
+			c.StoreTranslation(kind, m, gen, id, blob)
 		}
 		target := hv.KindKVM
 		if kind == hv.KindKVM {
@@ -96,47 +90,18 @@ func TestRecordRestoreFixedPoint(t *testing.T) {
 	}
 }
 
-func TestWarmFlagConsumedOnce(t *testing.T) {
+// The translation cache is FIFO-bounded at maxBlobEntries: the store
+// past the bound evicts the oldest entry.
+func TestFIFOEviction(t *testing.T) {
 	c := New()
 	m := &hw.Machine{}
-	c.StoreTranslation(hv.KindXen, m, 0, 1, []byte("a"), true)
-	if c.WarmSlots() != 1 {
-		t.Fatalf("warm slots = %d, want 1", c.WarmSlots())
+	for id := 0; id <= maxBlobEntries; id++ {
+		c.StoreTranslation(hv.KindXen, m, 0, hv.VMID(id), []byte{byte(id), byte(id >> 8)})
 	}
-	if _, _, warm, ok := c.LookupTranslation(hv.KindXen, m, 0, 1); !ok || !warm {
-		t.Fatalf("first lookup warm=%v ok=%v", warm, ok)
-	}
-	if _, _, warm, ok := c.LookupTranslation(hv.KindXen, m, 0, 1); !ok || warm {
-		t.Fatalf("second lookup warm=%v ok=%v", warm, ok)
-	}
-	if s := c.Stats(); s.WarmStarts != 1 || s.WarmSlots != 0 || s.Hits != 2 {
-		t.Fatalf("stats = %+v", s)
-	}
-
-	// Overwriting a warm entry releases its slot.
-	c.StoreTranslation(hv.KindXen, m, 0, 2, []byte("b"), true)
-	c.StoreTranslation(hv.KindXen, m, 0, 2, []byte("b"), false)
-	if c.WarmSlots() != 0 {
-		t.Fatalf("warm slots after overwrite = %d, want 0", c.WarmSlots())
-	}
-}
-
-// The translation cache is FIFO-bounded at maxBlobEntries; evicting a
-// warm entry releases its slot.
-func TestFIFOEvictsWarmEntry(t *testing.T) {
-	c := New()
-	m := &hw.Machine{}
-	c.StoreTranslation(hv.KindXen, m, 0, 0, []byte("first"), true)
-	for id := 1; id <= maxBlobEntries; id++ {
-		c.StoreTranslation(hv.KindXen, m, 0, hv.VMID(id), []byte{byte(id), byte(id >> 8)}, false)
-	}
-	if c.WarmSlots() != 0 {
-		t.Fatalf("warm slots = %d after evicting the warm entry", c.WarmSlots())
-	}
-	if c.HasTranslation(hv.KindXen, m, 0, 0) {
+	if lookupHits(c, hv.KindXen, m, 0, 0) {
 		t.Fatal("oldest entry survived eviction")
 	}
-	if !c.HasTranslation(hv.KindXen, m, 0, maxBlobEntries) {
+	if !lookupHits(c, hv.KindXen, m, 0, maxBlobEntries) {
 		t.Fatal("newest entry missing")
 	}
 	if len(c.order) != maxBlobEntries || len(c.blobs) != maxBlobEntries {
@@ -147,8 +112,8 @@ func TestFIFOEvictsWarmEntry(t *testing.T) {
 func TestInvalidate(t *testing.T) {
 	c := New()
 	m := &hw.Machine{}
-	c.StoreTranslation(hv.KindXen, m, 0, 1, []byte("a"), true)
-	c.StoreTranslation(hv.KindXen, m, 0, 2, []byte("b"), false)
+	c.StoreTranslation(hv.KindXen, m, 0, 1, []byte("a"))
+	c.StoreTranslation(hv.KindXen, m, 0, 2, []byte("b"))
 	// No-ops: unknown machine, other generation, unknown VM, other kind.
 	c.Invalidate(hv.KindXen, &hw.Machine{}, 0, 1)
 	c.Invalidate(hv.KindXen, m, 1, 1)
@@ -165,14 +130,14 @@ func TestInvalidate(t *testing.T) {
 		t.Fatal("invalidation dropped a neighbour")
 	}
 	s := c.Stats()
-	if s.Stale != 1 || s.WarmSlots != 0 {
-		t.Fatalf("stats = %+v, want 1 stale, 0 warm slots", s)
+	if s.Stale != 1 {
+		t.Fatalf("stats = %+v, want 1 stale", s)
 	}
 	if len(c.order) != 1 || len(c.blobs) != 1 {
 		t.Fatalf("order %v / %d blobs after invalidation, want 1", c.order, len(c.blobs))
 	}
 	// The fingerprint survives: the next cold save re-populates the key.
-	c.StoreTranslation(hv.KindXen, m, 0, 1, []byte("a"), false)
+	c.StoreTranslation(hv.KindXen, m, 0, 1, []byte("a"))
 	if !lookupHits(c, hv.KindXen, m, 0, 1) {
 		t.Fatal("re-stored entry misses")
 	}
@@ -320,13 +285,13 @@ func TestStatsArithmetic(t *testing.T) {
 	if r := (Stats{}).HitRatio(); r != 0 {
 		t.Fatalf("empty hit ratio = %v", r)
 	}
-	prev := Stats{Hits: 1, Misses: 2, WarmStarts: 1, Stale: 1, PRAMHits: 1, PRAMMisses: 1, PRAMParseHits: 1,
-		BlobInstalls: 2, BlobDecodeHits: 1, WarmSlots: 5}
-	cur := Stats{Hits: 4, Misses: 3, WarmStarts: 2, Stale: 1, PRAMHits: 3, PRAMMisses: 2, PRAMParseHits: 4,
-		BlobInstalls: 7, BlobDecodeHits: 5, WarmSlots: 2}
+	prev := Stats{Hits: 1, Misses: 2, Stale: 1, PRAMHits: 1, PRAMMisses: 1, PRAMParseHits: 1,
+		BlobInstalls: 2, BlobDecodeHits: 1}
+	cur := Stats{Hits: 4, Misses: 3, Stale: 1, PRAMHits: 3, PRAMMisses: 2, PRAMParseHits: 4,
+		BlobInstalls: 7, BlobDecodeHits: 5}
 	d := cur.Sub(prev)
-	want := Stats{Hits: 3, Misses: 1, WarmStarts: 1, PRAMHits: 2, PRAMMisses: 1, PRAMParseHits: 3,
-		BlobInstalls: 5, BlobDecodeHits: 4, WarmSlots: 2}
+	want := Stats{Hits: 3, Misses: 1, PRAMHits: 2, PRAMMisses: 1, PRAMParseHits: 3,
+		BlobInstalls: 5, BlobDecodeHits: 4}
 	if d != want {
 		t.Fatalf("Sub = %+v, want %+v", d, want)
 	}
@@ -334,13 +299,13 @@ func TestStatsArithmetic(t *testing.T) {
 		t.Fatalf("hit ratio = %v, want 0.75", r)
 	}
 	s := d.String()
-	for _, part := range []string{"hits=3", "misses=1", "(ratio 0.75)", "warm-starts=1", "stale=0", "pram=2/3", "warm-slots=2"} {
+	for _, part := range []string{"hits=3", "misses=1", "(ratio 0.75)", "stale=0", "pram=2/3"} {
 		if !strings.Contains(s, part) {
 			t.Fatalf("String() = %q lacks %q", s, part)
 		}
 	}
 	// The memo lanes stay out of the rendering, which CLI goldens pin.
-	if want := "hits=3 misses=1 (ratio 0.75) warm-starts=1 stale=0 pram=2/3 warm-slots=2"; s != want {
+	if want := "hits=3 misses=1 (ratio 0.75) stale=0 pram=2/3"; s != want {
 		t.Fatalf("String() = %q, want %q", s, want)
 	}
 }
@@ -363,7 +328,7 @@ func TestConcurrentStoresAndLookups(t *testing.T) {
 				if lookupHits(c, hv.KindXen, m, 0, id) {
 					t.Errorf("vm %d hit before its store", id)
 				}
-				h := c.StoreTranslation(hv.KindXen, m, 0, id, blob, i%2 == 0)
+				h := c.StoreTranslation(hv.KindXen, m, 0, id, blob)
 				if !lookupHits(c, hv.KindXen, m, 0, id) {
 					t.Errorf("vm %d missed after its store", id)
 				}
@@ -396,9 +361,6 @@ func TestConcurrentStoresAndLookups(t *testing.T) {
 	s := c.Stats()
 	if s.Hits != workers*perWorker || s.Misses != workers*perWorker {
 		t.Fatalf("stats = %+v, want %d hits and misses", s, workers*perWorker)
-	}
-	if s.WarmStarts != workers*perWorker/2 || s.WarmSlots != 0 {
-		t.Fatalf("warm accounting = %+v", s)
 	}
 	if s.BlobInstalls != workers*perWorker || s.BlobDecodeHits != workers*perWorker {
 		t.Fatalf("blob memo = %+v, want %d installs and decode hits", s, workers*perWorker)

@@ -69,14 +69,6 @@ type Config struct {
 	// the cold path; only wall-clock time and the cache counters (see
 	// Summary and Simulation.CacheStats) change. On by default.
 	TranslationCache bool
-	// WarmPool is the number of pre-staged translation entries the
-	// fleet layer keeps ready (see tpctl -warm-pool and clustersim
-	// -fleet -warm-pool); 0 disables pre-staging.
-	WarmPool int
-	// PageDedup enables content-hash page dedup in physical memory:
-	// writes producing a page byte-identical to an already-interned one
-	// share the backing store. Off by default.
-	PageDedup bool
 
 	// Fleet execution model (§5.4). See cluster.ExecutionModel.
 	LinkByteRate         int64
@@ -173,17 +165,6 @@ func WithRetry(policy RetryPolicy) Option {
 // baseline configuration).
 func WithTranslationCache(on bool) Option {
 	return func(c *Config) { c.TranslationCache = on }
-}
-
-// WithWarmPool sets the number of pre-staged warm translation entries
-// the fleet layer keeps ready.
-func WithWarmPool(n int) Option {
-	return func(c *Config) { c.WarmPool = n }
-}
-
-// WithPageDedup enables or disables content-hash page dedup.
-func WithPageDedup(on bool) Option {
-	return func(c *Config) { c.PageDedup = on }
 }
 
 // engineOptions lowers the config to the internal InPlaceTP toggles.
