@@ -65,11 +65,11 @@ func Save(h hv.Hypervisor, id hv.VMID) (*Image, error) {
 	// Capture touched pages through the address space, in extent order.
 	mem := h.Machine().Mem
 	for _, e := range vm.Space.Extents().Extents() {
-		err := mem.ForEachTouched(hw.MFN(e.MFN), e.Pages(), func(m hw.MFN, data []byte) error {
-			// data is the frame's written prefix; the record holds the
-			// whole frame, zero tail included.
+		err := mem.ForEachTouched(hw.MFN(e.MFN), e.Pages(), func(m hw.MFN, off int, data []byte) error {
+			// data is the frame's written window at off; the record holds
+			// the whole frame, the zeros around the window included.
 			page := make([]byte, hw.PageSize4K)
-			copy(page, data)
+			copy(page[off:], data)
 			img.Pages = append(img.Pages, PageRecord{GFN: hw.GFN(e.GFN + uint64(m) - e.MFN), Data: page})
 			return nil
 		})

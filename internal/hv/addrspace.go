@@ -210,8 +210,8 @@ func (as *AddressSpace) CopyContentsTo(dst *AddressSpace) error {
 		return fmt.Errorf("hv: copy between spaces of %d and %d pages", as.NumPages(), dst.NumPages())
 	}
 	for _, e := range as.mm.Extents() {
-		err := as.mem.ForEachTouched(hw.MFN(e.MFN), e.Pages(), func(m hw.MFN, data []byte) error {
-			return dst.WritePage(hw.GFN(e.GFN+uint64(m)-e.MFN), 0, data)
+		err := as.mem.ForEachTouched(hw.MFN(e.MFN), e.Pages(), func(m hw.MFN, off int, data []byte) error {
+			return dst.WritePage(hw.GFN(e.GFN+uint64(m)-e.MFN), off, data)
 		})
 		if err != nil {
 			return err

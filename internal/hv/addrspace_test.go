@@ -333,7 +333,7 @@ func touchedPages(t *testing.T, mem *hw.PhysMem, as *AddressSpace) int {
 	t.Helper()
 	n := 0
 	for _, e := range as.Extents().Extents() {
-		err := mem.ForEachTouched(hw.MFN(e.MFN), e.Pages(), func(hw.MFN, []byte) error { n++; return nil })
+		err := mem.ForEachTouched(hw.MFN(e.MFN), e.Pages(), func(hw.MFN, int, []byte) error { n++; return nil })
 		if err != nil {
 			t.Fatal(err)
 		}

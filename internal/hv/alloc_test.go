@@ -1,10 +1,18 @@
 package hv_test
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
+	"hypertp/internal/guest"
 	"hypertp/internal/hv"
+	"hypertp/internal/hw"
+	"hypertp/internal/simtime"
 )
+
+// raceEnabled is set under the race detector (race_test.go).
+var raceEnabled bool
 
 // TestChassisAllocBudgets pins what one VM costs on the state chain's hv
 // layer, per model: the native state, its UISR image and the chassis row
@@ -84,4 +92,77 @@ func TestChassisAllocBudgets(t *testing.T) {
 			t.Fatalf("VMCount+EachVM allocated %v times per call, visited %d vCPUs", n, vcpus)
 		}
 	})
+}
+
+// TestWorkingSetAllocBudget: a page stores the bytes written to it, so a
+// guest's working set — one 64-byte record per page — costs its records
+// and their bookkeeping, not a zeroed 4 KiB frame each, and migrating
+// the space copies each page's written window as it is. Writing 256
+// records into a 1 GiB VM, and copying that space into a twin, must stay
+// under a fixed byte budget per page and at the pinned allocation counts.
+// Bytes and counts are work, not time: host load cannot flip the gate.
+func TestWorkingSetAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	const pages = 256
+	const writeBytes, copyBytes = 512, 256 // per page
+	const writeAllocs, copyAllocs = 1296, 514
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, s := range spokes {
+		t.Run(s.name, func(t *testing.T) {
+			type cost struct{ bytes, allocs uint64 }
+			least := [2]cost{{^uint64(0), ^uint64(0)}, {^uint64(0), ^uint64(0)}}
+			// Three fresh hosts: the least of each is what the code
+			// allocates, whatever else the process did meanwhile.
+			for range 3 {
+				h, err := s.boot(hw.NewMachine(simtime.NewClock(), hw.M1()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := hv.Config{Name: "src", VCPUs: 1, MemBytes: 1 << 30, HugePages: true, Seed: 7}
+				src, err := h.CreateVM(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Name = "dst"
+				dst, err := h.CreateVM(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g := guest.New("g", src.Space)
+				var ms [3]runtime.MemStats
+				runtime.ReadMemStats(&ms[0])
+				if err := g.WriteWorkingSet(0, pages); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&ms[1])
+				if err := src.Space.CopyContentsTo(dst.Space); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&ms[2])
+				for i := range least {
+					least[i].bytes = min(least[i].bytes, ms[i+1].TotalAlloc-ms[i].TotalAlloc)
+					least[i].allocs = min(least[i].allocs, ms[i+1].Mallocs-ms[i].Mallocs)
+				}
+				if err := g.Verify(); err != nil {
+					t.Fatal(err)
+				}
+				g.Rebind(dst.Space)
+				if err := g.Verify(); err != nil {
+					t.Fatalf("copied space: %v", err)
+				}
+			}
+			t.Logf("per page: WriteWorkingSet %d B, CopyContentsTo %d B; allocations %d, %d",
+				least[0].bytes/pages, least[1].bytes/pages, least[0].allocs, least[1].allocs)
+			if b := least[0].bytes / pages; b > writeBytes || least[0].allocs != writeAllocs {
+				t.Errorf("WriteWorkingSet(0, %d): %d B per page in %d allocations; budget %d B, %d allocations",
+					pages, b, least[0].allocs, writeBytes, writeAllocs)
+			}
+			if b := least[1].bytes / pages; b > copyBytes || least[1].allocs != copyAllocs {
+				t.Errorf("CopyContentsTo: %d B per page in %d allocations; budget %d B, %d allocations",
+					b, least[1].allocs, copyBytes, copyAllocs)
+			}
+		})
+	}
 }

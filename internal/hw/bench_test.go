@@ -87,7 +87,7 @@ func physMemOps() []physMemOp {
 			pm := NewPhysMem(16 * GiB)
 			guest := benchGuest(tb, pm, gib)
 			touched := 0
-			visit := func(MFN, []byte) error { touched++; return nil }
+			visit := func(MFN, int, []byte) error { touched++; return nil }
 			return func() error {
 				touched = 0
 				for off := uint64(0); off < guest.Count; off += FramesPer2M {

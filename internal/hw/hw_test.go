@@ -844,7 +844,7 @@ func TestConcurrentDisjointRanges(t *testing.T) {
 				return 0, err
 			}
 			var viaVisit uint64
-			err := pm.ForEachTouched(start, span, func(m MFN, data []byte) error {
+			err := pm.ForEachTouched(start, span, func(m MFN, _ int, data []byte) error {
 				viaVisit += crc64.Checksum(data, crcTable) * checksumKey(uint64(m))
 				return pm.ReadInto(m, 0, page)
 			})
@@ -941,55 +941,75 @@ func TestConcurrentInstalledPages(t *testing.T) {
 	}
 }
 
-// TestPagePrefixContract: a page's backing store is its written prefix —
-// sized by the first write, regrown once to a whole frame by a write past
-// it — and every reader sees the implicit zero tail: ReadInto, Checksum
-// and dedup behave as if each page held PageSize4K bytes.
-func TestPagePrefixContract(t *testing.T) {
+// TestPageWindowContract: a page's backing store is its written window —
+// sized by the first write, regrown once to a whole frame by a write
+// outside it — and every reader sees the implicit zeros around it:
+// ReadInto, Checksum and dedup behave as if each page held PageSize4K
+// bytes.
+func TestPageWindowContract(t *testing.T) {
 	pm := NewPhysMem(64 * PageSize4K)
-	rs, err := pm.AllocRanges(8, OwnerPRAM, -1)
+	rs, err := pm.AllocRanges(24, OwnerPRAM, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := rs[0].Start
-	// stored is the length ForEachTouched hands out for frame m; -1 if
-	// the frame is untouched.
-	stored := func(m MFN) int {
-		n := -1
-		if err := pm.ForEachTouched(m, 1, func(_ MFN, data []byte) error { n = len(data); return nil }); err != nil {
+	// window is the window ForEachTouched hands out for frame m: its
+	// offset, length (-1 if the frame is untouched) and first byte.
+	window := func(m MFN) (off, n int, at *byte) {
+		n = -1
+		err := pm.ForEachTouched(m, 1, func(_ MFN, o int, data []byte) error {
+			off, n = o, len(data)
+			if len(data) > 0 {
+				at = &data[0]
+			}
+			return nil
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return n
+		return off, n, at
+	}
+	stored := func(m MFN) int { _, n, _ := window(m); return n }
+	// matches reports whether frame m reads back as full and checksums as
+	// full does.
+	matches := func(m MFN, full []byte) error {
+		got := bytes.Repeat([]byte{0xee}, PageSize4K)
+		if err := pm.ReadInto(m, 0, got); err != nil || !bytes.Equal(got, full) {
+			return fmt.Errorf("ReadInto differs from the written frame (err %v)", err)
+		}
+		if sum, err := pm.Checksum(m); err != nil || sum != crc64.Checksum(full, crcTable) {
+			return fmt.Errorf("Checksum %#x, %v; want the whole frame's", sum, err)
+		}
+		return nil
 	}
 	ones := bytes.Repeat([]byte{1}, PageSize4K)
 	padded := append(bytes.Repeat([]byte{1}, 600), make([]byte, 3000)...)
 	for i, tc := range []struct {
-		off  int
-		data []byte
-		want int
+		off      int
+		data     []byte
+		lo, want int
 	}{
-		{0, ones[:100], 512},           // rounded up to the quantum
-		{0, padded, 1024},              // trailing zeros dropped first
-		{0, ones, PageSize4K},          // a whole frame
-		{0, make([]byte, 100), 0},      // all zeros: touched, empty prefix
-		{8, ones[:100], PageSize4K},    // a first write off offset 0
-		{0, ones[:prefixQuantum], 512}, // exactly one quantum
+		{0, ones[:100], 0, 512},           // rounded up to the quantum
+		{0, padded, 0, 1024},              // trailing zeros dropped first
+		{0, ones, 0, PageSize4K},          // a whole frame
+		{0, make([]byte, 100), 0, 0},      // all zeros: touched, empty prefix
+		{8, ones[:100], 8, 100},           // at an offset: exactly its bytes
+		{0, ones[:prefixQuantum], 0, 512}, // exactly one quantum
+		{300, make([]byte, 100), 300, 0},  // all zeros at an offset: empty window
+		{40, padded, 40, 1024},            // trailing zero quanta dropped, not rounded up
+		{4032, ones[:64], 4032, 64},       // up against the frame end
 	} {
 		m := base + MFN(i)
 		if err := pm.Write(m, tc.off, tc.data); err != nil {
 			t.Fatal(err)
 		}
-		if got := stored(m); got != tc.want {
-			t.Errorf("case %d: first write of %d bytes at %d stored %d, want %d", i, len(tc.data), tc.off, got, tc.want)
+		if lo, n, _ := window(m); lo != tc.lo || n != tc.want {
+			t.Errorf("case %d: first write of %d bytes at %d stored [%d,+%d), want [%d,+%d)", i, len(tc.data), tc.off, lo, n, tc.lo, tc.want)
 		}
 		full := make([]byte, PageSize4K)
 		copy(full[tc.off:], tc.data)
-		got := bytes.Repeat([]byte{0xee}, PageSize4K)
-		if err := pm.ReadInto(m, 0, got); err != nil || !bytes.Equal(got, full) {
-			t.Errorf("case %d: ReadInto differs from the written frame (err %v)", i, err)
-		}
-		if sum, err := pm.Checksum(m); err != nil || sum != crc64.Checksum(full, crcTable) {
-			t.Errorf("case %d: Checksum %#x, %v; want the whole frame's", i, sum, err)
+		if err := matches(m, full); err != nil {
+			t.Errorf("case %d: %v", i, err)
 		}
 	}
 	// Within the prefix the page keeps its size; past it, it regrows to a
@@ -1009,19 +1029,116 @@ func TestPagePrefixContract(t *testing.T) {
 	if err := pm.ReadInto(base+1, 2000, got); err != nil || !bytes.Equal(got, make([]byte, 601)) {
 		t.Fatalf("read past the prefix not zero (err %v)", err)
 	}
+
+	// A window at [1000, 1064): a write inside it keeps it; one before,
+	// across its start, across its end or around it regrows the page to a
+	// whole frame once, contents intact.
+	const wlo, whi = 1000, 1064
+	for i, tc := range []struct {
+		name   string
+		off, n int
+		keeps  bool
+	}{
+		{"inside", 1010, 10, true},
+		{"before", 100, 100, false},
+		{"across the start", 980, 30, false},
+		{"across the end", 1050, 50, false},
+		{"around", 900, 300, false},
+	} {
+		m := base + 9 + MFN(i)
+		full := make([]byte, PageSize4K)
+		copy(full[wlo:whi], ones)
+		if err := pm.Write(m, wlo, ones[:whi-wlo]); err != nil {
+			t.Fatal(err)
+		}
+		data := bytes.Repeat([]byte{byte(2 + i)}, tc.n)
+		copy(full[tc.off:], data)
+		if err := pm.Write(m, tc.off, data); err != nil {
+			t.Fatal(err)
+		}
+		wantLo, wantN := 0, PageSize4K
+		if tc.keeps {
+			wantLo, wantN = wlo, whi-wlo
+		}
+		if lo, n, _ := window(m); lo != wantLo || n != wantN {
+			t.Errorf("%s: write [%d,+%d) into window [%d,%d) stored [%d,+%d)", tc.name, tc.off, tc.n, wlo, whi, lo, n)
+		}
+		if err := matches(m, full); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if tc.keeps {
+			continue
+		}
+		// Regrown once: a later write anywhere lands in the same buffer.
+		_, _, at := window(m)
+		full[3000] = 9
+		if err := pm.Write(m, 3000, []byte{9}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, again := window(m); again != at {
+			t.Errorf("%s: a write into the regrown page reallocated it", tc.name)
+		}
+		if err := matches(m, full); err != nil {
+			t.Errorf("%s, then a write at 3000: %v", tc.name, err)
+		}
+	}
+	// ReadInto of a window's neighbourhood: the overlap, zeros around it.
+	m := base + 9 // window [1000, 1064) holding ones, 2s at [1010, 1020)
+	full := make([]byte, PageSize4K)
+	if err := pm.ReadInto(m, 0, full); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][2]int{{990, 30}, {1050, 30}, {980, 100}, {1020, 10}, {0, 10}, {2000, 10}, {0, PageSize4K}, {whi, 0}} {
+		part := bytes.Repeat([]byte{0xee}, r[1])
+		if err := pm.ReadInto(m, r[0], part); err != nil || !bytes.Equal(part, full[r[0]:r[0]+r[1]]) {
+			t.Errorf("ReadInto [%d,+%d) of window [%d,%d) = %v, %v", r[0], r[1], wlo, whi, part, err)
+		}
+	}
+	if full[999] != 0 || full[1000] != 1 || full[1010] != 2 || full[1063] != 1 || full[1064] != 0 {
+		t.Fatalf("window frame reads %v around its edges", full[998:1066])
+	}
+
 	// Dedup compares frames, not buffers: a 1 KiB prefix and a whole-frame
-	// buffer with the same contents share one page.
+	// buffer with the same contents share one page, and so do a window
+	// and a whole-frame buffer, whichever is written first.
 	pm.SetPageDedup(true)
-	if err := pm.Write(base+6, 0, padded); err != nil {
+	// wholeFrame writes data at off into frame m through a whole-frame
+	// buffer: a byte at 4000 first, then data outside its window, then
+	// the byte zeroed in place.
+	wholeFrame := func(m MFN, off int, data []byte) {
+		for _, w := range []struct {
+			off  int
+			data []byte
+		}{{4000, []byte{1}}, {off, data}, {4000, []byte{0}}} {
+			if err := pm.Write(m, w.off, w.data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := pm.Write(base+16, 0, padded); err != nil {
 		t.Fatal(err)
 	}
-	if err := pm.Write(base+7, 4000, []byte{0}); err != nil { // whole-frame buffer
+	wholeFrame(base+17, 0, padded[:600])
+	if hits, _ := pm.PageDedupHits(); hits != 1 || stored(base+16) != stored(base+17) {
+		t.Fatalf("dedup hits %d, stored %d and %d: a prefix and a whole-frame page with equal contents did not share", hits, stored(base+16), stored(base+17))
+	}
+	wholeFrame(base+18, wlo, ones[:whi-wlo])
+	if err := pm.Write(base+19, wlo, ones[:whi-wlo]); err != nil {
 		t.Fatal(err)
 	}
-	if err := pm.Write(base+7, 0, padded[:600]); err != nil {
+	if err := pm.Write(base+20, wlo, ones[:whi-wlo]); err != nil {
 		t.Fatal(err)
 	}
-	if hits, _ := pm.PageDedupHits(); hits != 1 || stored(base+6) != stored(base+7) {
-		t.Fatalf("dedup hits %d, stored %d and %d: a prefix and a whole-frame page with equal contents did not share", hits, stored(base+6), stored(base+7))
+	if hits, _ := pm.PageDedupHits(); hits != 3 || stored(base+18) != PageSize4K || stored(base+19) != PageSize4K || stored(base+20) != PageSize4K {
+		t.Fatalf("dedup hits %d, stored %d, %d and %d: a window and a whole-frame page with equal contents did not share",
+			hits, stored(base+18), stored(base+19), stored(base+20))
+	}
+	twos := bytes.Repeat([]byte{2}, whi-wlo)
+	if err := pm.Write(base+21, wlo, twos); err != nil {
+		t.Fatal(err)
+	}
+	wholeFrame(base+22, wlo, twos)
+	if hits, _ := pm.PageDedupHits(); hits != 4 || stored(base+21) != whi-wlo || stored(base+22) != whi-wlo {
+		t.Fatalf("dedup hits %d, stored %d and %d: a whole-frame page did not share the window written first", hits, stored(base+21), stored(base+22))
 	}
 }

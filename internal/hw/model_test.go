@@ -235,7 +235,7 @@ func checkCaptures(pm *PhysMem, caps []*refCapture) error {
 				continue
 			}
 			refs[p]++
-			if !samePage(p.buf, c.data[k]) {
+			if !samePage(p, &page{buf: c.data[k]}) {
 				return fmt.Errorf("capture %d page %d changed after it was captured", ci, k)
 			}
 		}
@@ -366,10 +366,15 @@ func modelCheckRanges(pm *PhysMem, ref *refMem) error {
 				return fmt.Errorf("ChecksumRange [%d,+%d) = %#x, %v; reference %#x", lo, n, got, err, want)
 			}
 			var visited []MFN
-			err := pm.ForEachTouched(MFN(lo), uint64(n), func(m MFN, data []byte) error {
-				// data is the written prefix; the reference's tail is zero.
-				if k := len(data); k > PageSize4K || !bytes.Equal(data, ref.data[m][:k]) || !bytes.Equal(ref.data[m][k:], zeroPage[k:]) {
-					return fmt.Errorf("frame %d contents differ (%d-byte prefix)", m, k)
+			err := pm.ForEachTouched(MFN(lo), uint64(n), func(m MFN, off int, data []byte) error {
+				// data is the written window at off, in a zero frame.
+				if off < 0 || off+len(data) > PageSize4K {
+					return fmt.Errorf("frame %d window [%d,+%d) outside the frame", m, off, len(data))
+				}
+				frame := make([]byte, PageSize4K)
+				copy(frame[off:], data)
+				if !bytes.Equal(frame, ref.data[m]) {
+					return fmt.Errorf("frame %d contents differ (window [%d,+%d))", m, off, len(data))
 				}
 				visited = append(visited, m)
 				return nil
@@ -382,7 +387,7 @@ func modelCheckRanges(pm *PhysMem, ref *refMem) error {
 		if _, err := pm.ChecksumRange(MFN(start), uint64(end-start+1), 0); err == nil {
 			return fmt.Errorf("ChecksumRange [%d,+%d) over a free frame succeeded", start, end-start+1)
 		}
-		if err := pm.ForEachTouched(MFN(start), uint64(end-start+1), func(MFN, []byte) error { return nil }); err == nil {
+		if err := pm.ForEachTouched(MFN(start), uint64(end-start+1), func(MFN, int, []byte) error { return nil }); err == nil {
 			return fmt.Errorf("ForEachTouched [%d,+%d) over a free frame succeeded", start, end-start+1)
 		}
 		start = end
@@ -431,7 +436,8 @@ func modelRun(ops []byte, dedup bool) error {
 			off := 0
 			switch {
 			case c >= 192:
-				// Past whatever prefix the page holds: it regrows whole.
+				// Past whatever window the page holds: it regrows whole;
+				// a fresh frame stores a 16-byte window.
 				data, off = data[:16], PageSize4K/2+b*4
 			case c >= 128:
 				// A short run at offset 0 with zeros behind it (all zeros
@@ -559,7 +565,8 @@ func TestPhysMemMatchesModel(t *testing.T) {
 
 // physMemOpsSeeds are hand-written sequences that reach the paths random
 // bytes find slowly: whole-chunk claims, a wrap of the cursor, a wipe
-// with a partial keep, dedup sharing and unsharing, prefix-sized pages.
+// with a partial keep, dedup sharing and unsharing, prefix-sized pages,
+// windows written at an offset.
 func physMemOpsSeeds() [][]byte {
 	return [][]byte{
 		// Two huge pages, write into both, wipe keeping the first.
@@ -586,6 +593,16 @@ func physMemOpsSeeds() [][]byte {
 		{0, 0, 8, 2, 5, 0, 2, 2, 9, 0, 2, 0, 10, 0, 11, 0, 11, 0, 1, 0, 5, 0, 11, 1, 11, 0, 1, 0,
 			5, 0, 11, 2, 11, 0, 1, 0, 11, 0, 0, 0, 3, 0, 2, 1, 11, 0, 0, 0, 2, 0, 2, 1, 10, 0, 0, 0,
 			11, 0, 0, 0, 12, 0, 0, 0, 11, 0, 0, 0, 10, 0, 0, 0, 6, 0, 0, 0},
+		// Windows: 16-byte writes at an offset into fresh frames, then a
+		// write after, across the end of, around, before and across the
+		// start of one; an all-zero write at an offset and a write over its
+		// empty window. Then under dedup: four frames share one window,
+		// are captured, and are written inside, before, across the end of
+		// and after it, each unsharing the captured page; then a wipe.
+		{0, 0, 60, 3, 5, 0, 10, 35, 5, 0, 10, 196, 5, 0, 11, 20, 5, 0, 12, 148,
+			5, 0, 20, 20, 5, 0, 17, 35, 5, 0, 30, 40, 5, 0, 29, 25, 5, 0, 50, 60, 5, 0, 50, 100,
+			7, 0, 0, 0, 5, 0, 100, 35, 9, 0, 100, 0, 5, 0, 100, 40, 5, 0, 98, 55, 5, 0, 101, 25,
+			5, 0, 103, 196, 6, 0, 0, 0},
 	}
 }
 

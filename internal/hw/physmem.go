@@ -89,24 +89,30 @@ func (o Owner) String() string {
 // the sharers); writes unshare copy-on-write, so sharing is invisible to
 // readers and checksums.
 //
-// buf is the frame's written prefix: bytes past len(buf) are zero, as
-// every byte of an untouched frame is. A first write at offset 0 sizes
-// buf to that write (prefixLen); any other first write, and any later
-// write past the prefix, takes it straight to PageSize4K, so a page
-// regrows at most once. Readers pad the tail back in: ReadInto
-// zero-fills, sums and the dedup key hash it (pageSum), dedup compares
-// with it (samePage). ForEachTouched hands out buf as it is.
+// buf is the frame's written window, bytes [lo, lo+len(buf)): every byte
+// outside it is zero, as every byte of an untouched frame is. A first
+// write at offset 0 sizes buf to that write rounded up (prefixLen), a
+// first write at any other offset to exactly its bytes less their
+// trailing zero quanta; a later write outside the window takes the page
+// straight to the whole frame, so a page regrows at most once. Readers
+// put the zeros back in: ReadInto zero-fills, sums and the dedup key hash
+// them (pageSum), dedup compares frames (samePage). ForEachTouched hands
+// out the window as it is, with its offset.
 type page struct {
 	buf []byte
-	// sum caches the CRC-64 of buf while summed is set; a write clears
+	// sum caches the CRC-64 of the frame while summed is set; a write clears
 	// it. It doubles as the content-intern key: an interned page is
 	// registered under sum and always has summed set, so it can be
 	// deregistered before mutation or on release.
 	sum      uint64
 	summed   bool
 	interned bool
+	lo       uint16 // the window's first frame offset; it fits the padding
 	refs     int32
 }
+
+// hi is the frame offset just past the page's window.
+func (p *page) hi() int { return int(p.lo) + len(p.buf) }
 
 // frameTags are the per-frame ownership tags of one mixed chunk, and a
 // pageTable the pages of one written chunk; next links a spare one.
@@ -236,25 +242,33 @@ const prefixQuantum = 512
 
 func prefixLen(data []byte) int {
 	for n := (len(data) - 1) / prefixQuantum * prefixQuantum; n >= 0; n -= prefixQuantum {
-		if q := data[n:min(n+prefixQuantum, len(data))]; !bytes.Equal(q, zeroPage[:len(q)]) {
+		if !isZero(data[n:min(n+prefixQuantum, len(data))]) {
 			return n + prefixQuantum
 		}
 	}
 	return 0
 }
 
-// pageSum is the CRC-64 of the whole frame buf is the prefix of.
-func pageSum(buf []byte) uint64 {
-	return crc64.Update(crc64.Checksum(buf, crcTable), crcTable, zeroPage[:PageSize4K-len(buf)])
+// pageSum is the CRC-64 of p's whole frame, the zeros around its window in.
+func pageSum(p *page) uint64 {
+	h := crc64.Update(crc64.Checksum(zeroPage[:p.lo], crcTable), crcTable, p.buf)
+	return crc64.Update(h, crcTable, zeroPage[:PageSize4K-p.hi()])
 }
 
-// samePage reports whether two prefixes are the same frame contents.
-func samePage(a, b []byte) bool {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	return bytes.Equal(a, b[:len(a)]) && bytes.Equal(b[len(a):], zeroPage[:len(b)-len(a)])
+// samePage reports whether two pages hold the same frame contents.
+func samePage(a, b *page) bool { return agrees(a, b) && agrees(b, a) }
+
+// agrees reports whether each byte of a's window is b's frame byte at the
+// same offset: zero outside b's window, equal inside it.
+func agrees(a, b *page) bool {
+	lo := int(a.lo)
+	s := min(max(int(b.lo), lo), a.hi())
+	e := min(max(b.hi(), s), a.hi())
+	return isZero(a.buf[:s-lo]) && isZero(a.buf[e-lo:]) &&
+		(s == e || bytes.Equal(a.buf[s-lo:e-lo], b.buf[s-int(b.lo):e-int(b.lo)]))
 }
+
+func isZero(b []byte) bool { return bytes.Equal(b, zeroPage[:len(b)]) }
 
 // NewPhysMem creates a physical memory of size bytes (rounded down to a
 // whole number of frames).
@@ -706,23 +720,26 @@ func (pm *PhysMem) Write(m MFN, off int, data []byte) error {
 	}
 	pm.pageTable(c)
 	p := c.pages.slot[i]
-	// size is the prefix the page must hold after this write.
-	size := PageSize4K
-	if p != nil && off+len(data) <= len(p.buf) {
-		size = len(p.buf)
-	} else if p == nil && off == 0 {
+	// [lo, lo+size) is the window the page must hold after this write.
+	lo, size := 0, PageSize4K
+	switch {
+	case p == nil && off == 0:
 		size = prefixLen(data)
+	case p == nil:
+		lo, size = off, min(prefixLen(data), len(data))
+	case off >= int(p.lo) && off+len(data) <= p.hi():
+		lo, size = int(p.lo), len(p.buf)
 	}
 	switch {
 	case p == nil:
-		p = &page{buf: make([]byte, size), refs: 1}
+		p = &page{buf: make([]byte, size), lo: uint16(lo), refs: 1}
 		c.pages.slot[i] = p
 		c.data++
 	case p.refs > 1:
 		// Copy-on-write unshare: other frames keep the shared original.
 		p.refs--
-		np := &page{buf: make([]byte, size), refs: 1}
-		copy(np.buf, p.buf)
+		np := &page{buf: make([]byte, size), lo: uint16(lo), refs: 1}
+		copy(np.buf[int(p.lo)-lo:], p.buf)
 		c.pages.slot[i] = np
 		p = np
 	default:
@@ -731,15 +748,17 @@ func (pm *PhysMem) Write(m MFN, off int, data []byte) error {
 			pm.uninternPage(p)
 		}
 		if size > len(p.buf) {
-			p.buf = append(p.buf, make([]byte, size-len(p.buf))...)
+			buf := make([]byte, size)
+			copy(buf[p.lo:], p.buf)
+			p.buf, p.lo = buf, 0
 		}
 	}
 	p.summed = false
 	dedup := pm.dedup
 	pm.mu.Unlock()
-	copy(p.buf[off:], data) // what a trimmed prefix leaves out is zeros
+	copy(p.buf[off-lo:], data) // what a trimmed window leaves out is zeros
 	if dedup {
-		h := pageSum(p.buf)
+		h := pageSum(p)
 		pm.mu.Lock()
 		pm.internPage(c, i, p, h)
 		pm.mu.Unlock()
@@ -782,8 +801,8 @@ func (pm *PhysMem) ReadRanges(rs []FrameRange) ([]byte, error) {
 	out := make([]byte, CountFrames(rs)*PageSize4K)
 	rest := out
 	for _, r := range rs {
-		err := pm.ForEachTouched(r.Start, r.Count, func(m MFN, data []byte) error {
-			copy(rest[(m-r.Start)*PageSize4K:], data)
+		err := pm.ForEachTouched(r.Start, r.Count, func(m MFN, off int, data []byte) error {
+			copy(rest[uint64(m-r.Start)*PageSize4K+uint64(off):], data)
 			return nil
 		})
 		if err != nil {
@@ -922,7 +941,7 @@ func (pm *PhysMem) internPage(c *chunk, i uint64, p *page, h uint64) {
 		pm.intern = make(map[uint64][]*page)
 	}
 	for _, q := range pm.intern[h] {
-		if q != p && samePage(q.buf, p.buf) {
+		if q != p && samePage(q, p) {
 			q.refs++
 			c.pages.slot[i] = q
 			pm.dedupHits++
@@ -984,11 +1003,13 @@ func (pm *PhysMem) ReadInto(m MFN, off int, dst []byte) error {
 	}
 	p := c.page(i)
 	pm.mu.Unlock()
-	n := 0
-	if p != nil && off < len(p.buf) {
-		n = copy(dst, p.buf[off:])
+	clear(dst)
+	if p == nil {
+		return nil
 	}
-	clear(dst[n:])
+	if s, e := max(int(p.lo), off), min(p.hi(), off+len(dst)); s < e {
+		copy(dst[s-off:], p.buf[s-int(p.lo):e-int(p.lo)]) // the window's overlap
+	}
 	return nil
 }
 
@@ -1014,7 +1035,7 @@ func (pm *PhysMem) Checksum(m MFN) (uint64, error) {
 	pm.mu.Unlock()
 	// The hash runs outside the lock; the same distinct-frames contract
 	// that makes the payload copy in Write safe applies here.
-	sum := pageSum(p.buf)
+	sum := pageSum(p)
 	pm.mu.Lock()
 	p.sum, p.summed = sum, true
 	pm.mu.Unlock()
@@ -1053,9 +1074,9 @@ func (pm *PhysMem) eachAllocated(start MFN, count uint64, op string, fn func(par
 // The lock is taken once for the whole run and chunks that were never
 // written are skipped in O(1); fn runs outside it. data is the frame's
 // live backing store: fn must not modify it or keep it past the call. It
-// is the frame's written prefix, len(data) ≤ PageSize4K: the bytes past
-// it are zero, and a consumer that wants the whole frame pads them.
-func (pm *PhysMem) ForEachTouched(start MFN, count uint64, fn func(m MFN, data []byte) error) error {
+// is the frame's written window, bytes [off, off+len(data)): the bytes
+// around it are zero, and a consumer that wants the whole frame adds them.
+func (pm *PhysMem) ForEachTouched(start MFN, count uint64, fn func(m MFN, off int, data []byte) error) error {
 	type touched struct {
 		m MFN
 		p *page
@@ -1075,7 +1096,7 @@ func (pm *PhysMem) ForEachTouched(start MFN, count uint64, fn func(m MFN, data [
 		return err
 	}
 	for _, h := range hits {
-		if err := fn(h.m, h.p.buf); err != nil {
+		if err := fn(h.m, int(h.p.lo), h.p.buf); err != nil {
 			return err
 		}
 	}
@@ -1138,7 +1159,7 @@ func (pm *PhysMem) ChecksumRange(start MFN, count uint64, gfn GFN) (uint64, erro
 		return total, nil
 	}
 	for k := range todo {
-		todo[k].sum = pageSum(todo[k].p.buf)
+		todo[k].sum = pageSum(todo[k].p)
 		total += todo[k].sum * todo[k].key
 	}
 	pm.mu.Lock()

@@ -13,8 +13,8 @@ import (
 )
 
 // SetFleetLimits sets the capacity limits RespondToCVE and RecoverFleet
-// schedule under (internal/sched): simultaneous kexecs, fabric migration
-// streams, spare slots. Nil means sched.Serial(): the same schedule, one
+// schedule under (internal/sched): simultaneous kexecs and fabric
+// migration streams. Nil means sched.Serial(): the same schedule, one
 // operation at a time — the baseline the speedup acceptance compares
 // against.
 func (n *Nova) SetFleetLimits(l *sched.Limits) {

@@ -2,10 +2,10 @@
 // datacenter-scale execution layer the paper's §6 end-game needs. A
 // fleet response (transplant every vulnerable host, evacuate what cannot
 // transplant in place, migrate the rest) is modeled as a DAG of
-// host-level operations with capacity constraints — spare-host slots,
-// migration streams on the shared fabric, and a bound on simultaneous
-// kexec micro-reboots — and executed as a discrete-event list schedule
-// on a shared virtual timeline.
+// host-level operations with capacity constraints — migration streams
+// on the shared fabric and a bound on simultaneous kexec micro-reboots —
+// and executed as a discrete-event list schedule on a shared virtual
+// timeline.
 //
 // The scheduler separates the two kinds of parallelism the same way the
 // rest of the stack does (see internal/par):
@@ -65,11 +65,10 @@ type Node struct {
 	// endpoints. Host exclusivity is what makes Run bodies data-race
 	// free without locks.
 	Hosts []string
-	// Kexecs, Streams and Spares are counted demands against
-	// Limits.MaxKexecs, Limits.LinkStreams and Limits.SpareSlots.
+	// Kexecs and Streams are counted demands against Limits.MaxKexecs
+	// and Limits.LinkStreams.
 	Kexecs  int
 	Streams int
-	Spares  int
 
 	// Cost is the node's virtual duration when Run is nil (cost-mode
 	// scheduling, used by the clock-less cluster planner).
@@ -151,9 +150,6 @@ type Limits struct {
 	// LinkStreams bounds concurrent migration streams on the shared
 	// fabric (per-link bandwidth admission).
 	LinkStreams int
-	// SpareSlots bounds concurrent use of spare-host capacity by
-	// evacuate-then-transplant pipelines.
-	SpareSlots int
 	// Serial disables all concurrency: one node at a time, in ID
 	// order, run inline.
 	Serial bool
@@ -208,7 +204,7 @@ type Options struct {
 	// Metrics, when non-nil, receives per-resource admission-latency
 	// histograms: sched.queue_delay.<res> observes every admitted
 	// node's ready-to-start delay against each resource it demands
-	// (kexec, stream, spare; host when it demands none of the counted
+	// (kexec, stream; host when it demands none of the counted
 	// kinds), and sched.starvation.<res> observes only the delayed
 	// admissions — the contention tail. Observations happen in the
 	// sequential admission path, so the histograms are deterministic.
@@ -224,7 +220,6 @@ func observeAdmission(m *obs.Registry, n *Node, delay time.Duration) {
 	if m == nil {
 		return
 	}
-	counted := false
 	observe := func(res string) {
 		m.Histogram("sched.queue_delay."+res, "ns", queueBuckets).
 			Observe(float64(delay.Nanoseconds()))
@@ -235,17 +230,11 @@ func observeAdmission(m *obs.Registry, n *Node, delay time.Duration) {
 	}
 	if n.Kexecs > 0 {
 		observe("kexec")
-		counted = true
 	}
 	if n.Streams > 0 {
 		observe("stream")
-		counted = true
 	}
-	if n.Spares > 0 {
-		observe("spare")
-		counted = true
-	}
-	if !counted {
+	if n.Kexecs == 0 && n.Streams == 0 {
 		observe("host")
 	}
 }
@@ -265,7 +254,7 @@ func Execute(g *Graph, limits Limits, opts Options) (*Schedule, error) {
 	}
 
 	running := 0
-	usedKexecs, usedStreams, usedSpares := 0, 0, 0
+	usedKexecs, usedStreams := 0, 0
 	busyHosts := make(map[string]bool)
 
 	fits := func(n *Node) bool {
@@ -278,9 +267,6 @@ func Execute(g *Graph, limits Limits, opts Options) (*Schedule, error) {
 		if limits.LinkStreams > 0 && usedStreams+n.Streams > limits.LinkStreams {
 			return false
 		}
-		if limits.SpareSlots > 0 && usedSpares+n.Spares > limits.SpareSlots {
-			return false
-		}
 		for _, h := range n.Hosts {
 			if busyHosts[h] {
 				return false
@@ -291,7 +277,6 @@ func Execute(g *Graph, limits Limits, opts Options) (*Schedule, error) {
 	claim := func(n *Node) {
 		usedKexecs += n.Kexecs
 		usedStreams += n.Streams
-		usedSpares += n.Spares
 		for _, h := range n.Hosts {
 			busyHosts[h] = true
 		}
@@ -300,7 +285,6 @@ func Execute(g *Graph, limits Limits, opts Options) (*Schedule, error) {
 	release := func(n *Node) {
 		usedKexecs -= n.Kexecs
 		usedStreams -= n.Streams
-		usedSpares -= n.Spares
 		for _, h := range n.Hosts {
 			delete(busyHosts, h)
 		}
@@ -310,16 +294,8 @@ func Execute(g *Graph, limits Limits, opts Options) (*Schedule, error) {
 	// impossible reports a node that could never be admitted even on an
 	// idle fleet — the starvation (not contention) case.
 	impossible := func(n *Node) bool {
-		if limits.MaxKexecs > 0 && n.Kexecs > limits.MaxKexecs {
-			return true
-		}
-		if limits.LinkStreams > 0 && n.Streams > limits.LinkStreams {
-			return true
-		}
-		if limits.SpareSlots > 0 && n.Spares > limits.SpareSlots {
-			return true
-		}
-		return false
+		return (limits.MaxKexecs > 0 && n.Kexecs > limits.MaxKexecs) ||
+			(limits.LinkStreams > 0 && n.Streams > limits.LinkStreams)
 	}
 
 	// depsDone reports all deps finished; depErr returns the first
