@@ -196,9 +196,8 @@ func run(stdout, stderr io.Writer, cfg runConfig) error {
 	ferr := res.Failure.Err()
 	if cfg.ArtifactDir != "" {
 		// The observability state around the violation ships with it.
-		metrics := func(w io.Writer) error { return res.Obs.Metrics().WriteMetricsJSON(w, false) }
 		if err := obs.WriteFiles(cfg.ArtifactDir, stdout,
-			obs.Artifact{Name: "chaos-metrics.json", Write: metrics},
+			obs.Artifact{Name: "chaos-metrics.json", Write: res.Obs.Metrics().WriteMetricsJSON},
 			obs.Artifact{Name: "chaos-flight.jsonl", Write: res.Flight.WriteJSONL}); err != nil {
 			return err
 		}

@@ -77,14 +77,19 @@ func crashFleet(nova *orchestrator.Nova, hosts int, crashRate float64) (*orchest
 }
 
 // respondOnce builds a fresh fleet and runs the CVE response under the
-// given limits, with vulnerability-window SLO tracking attached.
-func respondOnce(hosts, vms int, limits sched.Limits, fl fleetConfig) (*fleetRun, error) {
+// given limits, with vulnerability-window SLO tracking attached. A
+// non-nil spans collects the run's span records; without it each span
+// tree is released as its root ends.
+func respondOnce(hosts, vms int, limits sched.Limits, fl fleetConfig, spans *obs.Collector) (*fleetRun, error) {
 	nova, err := orchestrator.NewFleet(hosts, vms)
 	if err != nil {
 		return nil, err
 	}
 	clock := nova.Clock()
 	rec := obs.NewRecorder(clock)
+	if spans != nil {
+		rec.AddSink(spans)
+	}
 	nova.SetRecorder(rec)
 	tracker := slo.NewTracker()
 	tracker.SetRegistry(rec.Metrics())
@@ -136,11 +141,15 @@ func runFleet(w io.Writer, hosts, vms int, sc schedConfig, artifactDir string, f
 		limits = sched.Limits{MaxKexecs: 4, LinkStreams: 4}
 	}
 
-	serial, err := respondOnce(hosts, vms, sched.Serial(), fl)
+	serial, err := respondOnce(hosts, vms, sched.Serial(), fl, nil)
 	if err != nil {
 		return err
 	}
-	conc, err := respondOnce(hosts, vms, limits, fl)
+	var spans *obs.Collector
+	if artifactDir != "" {
+		spans = &obs.Collector{}
+	}
+	conc, err := respondOnce(hosts, vms, limits, fl, spans)
 	if err != nil {
 		return err
 	}
@@ -186,7 +195,7 @@ func runFleet(w io.Writer, hosts, vms int, sc schedConfig, artifactDir string, f
 		return err
 	}
 	if artifactDir != "" {
-		if err := obs.WriteArtifacts(artifactDir, conc.rec, w); err != nil {
+		if err := obs.WriteArtifacts(artifactDir, spans.Records(), conc.rec.Metrics(), w); err != nil {
 			return err
 		}
 	}

@@ -267,10 +267,12 @@ func run(w io.Writer, hosts, vmsPerHost, group int, traceFrac float64, fc faultC
 	// The planner is clock-less: spans carry explicit virtual times from
 	// the execution model, so every artifact is deterministic.
 	rec := obs.NewRecorder(nil)
+	spans := &obs.Collector{}
+	rec.AddSink(spans)
 	if _, _, err := runOnce(traceFrac, rec); err != nil {
 		return err
 	}
-	return obs.WriteArtifacts(artifactDir, rec, w)
+	return obs.WriteArtifacts(artifactDir, spans.Records(), rec.Metrics(), w)
 }
 
 // orAll renders an empty site restriction as "all".

@@ -15,7 +15,7 @@
 //
 // -artifact-dir writes the run's artifacts into a directory: trace.json
 // (Chrome trace_event; open in Perfetto or chrome://tracing),
-// spans.jsonl (the span forest, one record per line), metrics.json and
+// spans.jsonl (every span record, one per line), metrics.json and
 // metrics.prom (the metrics registry as JSON and in Prometheus text
 // exposition format). All are deterministic: byte-identical across runs.
 //
@@ -181,8 +181,10 @@ func run(stdout io.Writer, cfg runConfig) error {
 	srcMachine := hw.NewMachine(clock, profile)
 	engine := core.NewEngine(clock, srcMachine)
 	var rec *obs.Recorder
+	spans := &obs.Collector{}
 	if cfg.Verbose || cfg.ArtifactDir != "" {
 		rec = obs.NewRecorder(clock)
+		rec.AddSink(spans)
 		engine.Obs = rec
 	}
 	var plan *fault.Plan
@@ -295,7 +297,7 @@ func run(stdout io.Writer, cfg runConfig) error {
 		}
 		if cfg.Verbose {
 			fmt.Fprintf(stdout, "\nworkflow trace:\n")
-			printWorkflow(stdout, rec)
+			printWorkflow(stdout, spans.Records())
 		}
 	case "migration":
 		if cfg.CrashAt != "" {
@@ -335,7 +337,7 @@ func run(stdout io.Writer, cfg runConfig) error {
 		return fmt.Errorf("unknown mode %q (want inplace or migration)", cfg.Mode)
 	}
 	if cfg.ArtifactDir != "" {
-		if err := obs.WriteArtifacts(cfg.ArtifactDir, rec, stdout); err != nil {
+		if err := obs.WriteArtifacts(cfg.ArtifactDir, spans.Records(), rec.Metrics(), stdout); err != nil {
 			return err
 		}
 	}
@@ -355,16 +357,14 @@ func run(stdout io.Writer, cfg runConfig) error {
 
 // printWorkflow prints each transplant's span tree — the root, the
 // Fig. 3 phases under it, and the recovery passes nested in them — one
-// line per span: virtual start, name and attributes.
-func printWorkflow(w io.Writer, rec *obs.Recorder) {
-	for _, root := range rec.Roots() {
-		root.Walk(func(s *obs.Span, depth int) {
-			line := fmt.Sprintf("%13.6fs  %*s%-12s", s.StartTime().Seconds(), 2*depth, "", s.Name)
-			for _, a := range s.Attrs() {
-				line += " " + a.Key + "=" + a.Value
-			}
-			fmt.Fprintln(w, strings.TrimRight(line, " "))
-		})
+// line per span record: virtual start, name and attributes.
+func printWorkflow(w io.Writer, recs []obs.SpanRecord) {
+	for _, rec := range recs {
+		line := fmt.Sprintf("%13.6fs  %*s%-12s", rec.Start.Seconds(), 2*rec.Depth, "", rec.Name)
+		for _, a := range rec.Attrs {
+			line += " " + a.Key + "=" + a.Value
+		}
+		fmt.Fprintln(w, strings.TrimRight(line, " "))
 	}
 }
 

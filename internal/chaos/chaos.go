@@ -266,17 +266,17 @@ type harness struct {
 func newHarness(cfg Config) (*harness, error) {
 	clock := simtime.NewClock()
 	fabric := simnet.NewLink(clock, "fabric", simnet.Gbps10, 100*time.Microsecond)
-	// Bounded-memory soak: each ended span tree is audited once, kept in
-	// a fixed ring for the violation artifacts, and released from the
-	// forest, so span memory stays O(flightCap) rather than O(ops).
-	// Fault and retry evidence is pinned so it survives wraparound.
+	// Bounded-memory soak: each ended span tree is audited once and kept
+	// in a fixed ring for the violation artifacts, and the recorder holds
+	// only open spans, so span memory stays O(flightCap) rather than
+	// O(ops). Fault and retry evidence is pinned so it survives
+	// wraparound.
 	rec := obs.NewRecorder(clock)
 	spans := &obs.Auditor{}
 	flight := obs.NewFlightRecorder(flightCap)
 	flight.SetPin(pinFaultEvidence)
 	rec.AddSink(spans)
 	rec.AddSink(flight)
-	rec.SetRetain(false)
 	nova := orchestrator.NewNova(clock, fabric)
 	nova.SetRecorder(rec)
 	// Every retry loop in the stack runs under a tight virtual-time

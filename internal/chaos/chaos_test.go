@@ -246,8 +246,9 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestChaosStreamingBounded: a soak must hold every invariant while
-// keeping span memory bounded — the forest is released as roots end,
-// and the flight recorder never holds more than pinned+ring records —
+// keeping span memory bounded — the recorder holds only open spans by
+// construction, and the flight recorder never holds more than
+// pinned+ring records —
 // and stay deterministic across worker counts.
 func TestChaosStreamingBounded(t *testing.T) {
 	defer par.SetWorkers(0)
@@ -272,11 +273,6 @@ func TestChaosStreamingBounded(t *testing.T) {
 		}
 		if got, max := res.Flight.Len(), 2*res.Flight.Cap(); got > max {
 			t.Fatalf("flight recorder holds %d records, bound is %d", got, max)
-		}
-		// The forest must not accumulate: ended roots are released, so
-		// only spans still open at run end may remain.
-		if n := len(res.Obs.Roots()); n > 8 {
-			t.Fatalf("run retained %d roots; forest is not being released", n)
 		}
 		summaries = append(summaries, res.Summary())
 	}

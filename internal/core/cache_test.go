@@ -12,7 +12,6 @@ import (
 	"hypertp/internal/hv"
 	"hypertp/internal/hw"
 	"hypertp/internal/kexec"
-	"hypertp/internal/obs"
 	"hypertp/internal/par"
 	"hypertp/internal/tpcache"
 	"hypertp/internal/uisr"
@@ -85,7 +84,7 @@ func TestCachedTransplantByteIdentity(t *testing.T) {
 	grab := func(workers int, cached bool) run {
 		par.SetWorkers(workers)
 		b := newBench(t, hw.M1())
-		rec := obs.NewRecorder(b.clock)
+		rec, col := collecting(b.clock)
 		b.engine.Obs = rec
 		src := bootSmallVMs(t, b, hv.KindXen, 2)
 		opts := DefaultOptions()
@@ -96,7 +95,7 @@ func TestCachedTransplantByteIdentity(t *testing.T) {
 		if cached && opts.Cache.Stats().Hits == 0 {
 			t.Fatal("cached run never hit: identity check would be vacuous")
 		}
-		return run{reports, checksumVMs(t, final.VMs()), spanNames(rec)}
+		return run{reports, checksumVMs(t, final.VMs()), spanNames(col)}
 	}
 	cold := grab(1, false)
 	for _, workers := range []int{1, 8} {

@@ -10,7 +10,6 @@ import (
 	"hypertp/internal/hterr"
 	"hypertp/internal/hv"
 	"hypertp/internal/hw"
-	"hypertp/internal/obs"
 	"hypertp/internal/par"
 	"hypertp/internal/simtime"
 )
@@ -30,7 +29,7 @@ func TestEmergencyTransplant(t *testing.T) {
 	for _, target := range []hv.Kind{hv.KindKVM, hv.KindNOVA} {
 		t.Run("xen-to-"+target.String(), func(t *testing.T) {
 			b := newBench(t, hw.M1())
-			rec := obs.NewRecorder(b.clock)
+			rec, col := collecting(b.clock)
 			b.engine.Obs = rec
 			src := bootSmallVMs(t, b, hv.KindXen, 3)
 			pre := checksumVMs(t, src.VMs())
@@ -71,7 +70,7 @@ func TestEmergencyTransplant(t *testing.T) {
 			if rep.Downtime <= 0 || rep.Downtime != rep.Total {
 				t.Fatalf("downtime = %v total = %v", rep.Downtime, rep.Total)
 			}
-			if spanNames(rec)["emergency-tp"] != 1 {
+			if spanNames(col)["emergency-tp"] != 1 {
 				t.Fatal("no emergency-tp span recorded")
 			}
 			// An emergency run emits what a planned run emits for the
@@ -87,7 +86,7 @@ func TestEmergencyTransplant(t *testing.T) {
 					t.Errorf("%s count = %d, want one observation per VM", h.name, n)
 				}
 			}
-			if names := phaseNames(t, rec); len(names) == 0 || names[len(names)-1] != stepCleanup {
+			if names := phaseNames(t, col); len(names) == 0 || names[len(names)-1] != stepCleanup {
 				t.Errorf("emergency phase spans %v do not end with %s", names, stepCleanup)
 			}
 		})
@@ -201,7 +200,7 @@ func TestEmergencySalvageExhaustionLeavesHostFrozen(t *testing.T) {
 // absorbed and the recovery still lands.
 func TestEmergencyAbsorbsPostKexecFaults(t *testing.T) {
 	b := newBench(t, hw.M1())
-	rec := obs.NewRecorder(b.clock)
+	rec, col := collecting(b.clock)
 	b.engine.Obs = rec
 	src := bootSmallVMs(t, b, hv.KindXen, 2)
 	pre := checksumVMs(t, src.VMs())
@@ -221,7 +220,7 @@ func TestEmergencyAbsorbsPostKexecFaults(t *testing.T) {
 	if got := checksumVMs(t, dst.VMs()); !reflect.DeepEqual(got, pre) {
 		t.Fatal("checksums do not survive faulted emergency")
 	}
-	spans := spanNames(rec)
+	spans := spanNames(col)
 	if spans["recovery:"+string(fault.SiteHVBoot)] == 0 ||
 		spans["recovery:"+string(fault.SiteUISRRestore)] == 0 {
 		t.Fatal("recovery spans missing from emergency trace")

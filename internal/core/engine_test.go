@@ -412,19 +412,15 @@ func TestInPlaceWithPassthroughDevice(t *testing.T) {
 	}
 }
 
-// phaseNames lists the phase spans under the recorder's one root: the
+// phaseNames lists the phase spans under the collector's one root: the
 // Fig. 3 steps the walk ran, in the order it opened them.
-func phaseNames(t *testing.T, rec *obs.Recorder) []string {
+func phaseNames(t *testing.T, col *obs.Collector) []string {
 	t.Helper()
-	roots := rec.Roots()
-	if len(roots) != 1 {
-		t.Fatalf("want 1 root span, got %d", len(roots))
+	recs := col.Records()
+	if roots := childNames(recs, -1); len(roots) != 1 {
+		t.Fatalf("want 1 root span, got %v", roots)
 	}
-	var names []string
-	for _, k := range roots[0].Children() {
-		names = append(names, k.Name)
-	}
-	return names
+	return childNames(recs, recs[0].ID)
 }
 
 // The phase spans record the Fig. 3 workflow in order, with the PRAM
@@ -432,7 +428,7 @@ func phaseNames(t *testing.T, rec *obs.Recorder) []string {
 // off, and every VM is restored with its guest rebound on the target.
 func TestTraceRecordsWorkflow(t *testing.T) {
 	b := newBench(t, hw.M1())
-	rec := obs.NewRecorder(b.clock)
+	rec, col := collecting(b.clock)
 	b.engine.Obs = rec
 	src := b.bootWithVMs(t, hv.KindXen, 2, 1, 1)
 	guests := map[string]*guest.Guest{}
@@ -443,7 +439,7 @@ func TestTraceRecordsWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := phaseNames(t, rec)
+	names := phaseNames(t, col)
 	if !reflect.DeepEqual(names, Steps()) {
 		t.Fatalf("phase spans %v, want the Fig. 3 order %v", names, Steps())
 	}
@@ -467,7 +463,7 @@ func TestTraceRecordsWorkflow(t *testing.T) {
 
 	// De-optimized: PRAM lands inside the pause window.
 	b2 := newBench(t, hw.M1())
-	rec2 := obs.NewRecorder(b2.clock)
+	rec2, col2 := collecting(b2.clock)
 	b2.engine.Obs = rec2
 	src2 := b2.bootWithVMs(t, hv.KindXen, 1, 1, 1)
 	opts := DefaultOptions()
@@ -475,7 +471,7 @@ func TestTraceRecordsWorkflow(t *testing.T) {
 	if _, _, err := b2.engine.InPlace(src2, hv.KindKVM, opts); err != nil {
 		t.Fatal(err)
 	}
-	names2 := phaseNames(t, rec2)
+	names2 := phaseNames(t, col2)
 	if slices.Index(names2, stepPRAMBuild) < slices.Index(names2, stepPause) {
 		t.Fatal("PRAM build before pause despite disabled optimization")
 	}

@@ -18,13 +18,13 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden fi
 
 // tracedInPlace runs the canonical Fig. 7 single-VM transplant (M1,
 // Xen→KVM, 1 vCPU / 1 GiB) with a recorder attached and returns the
-// recorder plus the engine report.
-func tracedInPlace(t *testing.T) (*obs.Recorder, *InPlaceReport) {
+// recorder, its span records and the engine report.
+func tracedInPlace(t *testing.T) (*obs.Recorder, []obs.SpanRecord, *InPlaceReport) {
 	t.Helper()
 	clock := simtime.NewClock()
 	m := hw.NewMachine(clock, hw.M1())
 	engine := NewEngine(clock, m)
-	rec := obs.NewRecorder(clock)
+	rec, col := collecting(clock)
 	engine.Obs = rec
 	src, err := engine.BootHypervisor(hv.KindXen)
 	if err != nil {
@@ -40,7 +40,7 @@ func tracedInPlace(t *testing.T) (*obs.Recorder, *InPlaceReport) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rec, rep
+	return rec, col.Records(), rep
 }
 
 // TestChromeTraceGolden pins the exporter's byte-exact output for the
@@ -48,9 +48,9 @@ func tracedInPlace(t *testing.T) (*obs.Recorder, *InPlaceReport) {
 //
 //	go test ./internal/core/ -run TestChromeTraceGolden -update-golden
 func TestChromeTraceGolden(t *testing.T) {
-	rec, _ := tracedInPlace(t)
+	_, recs, _ := tracedInPlace(t)
 	var buf bytes.Buffer
-	if err := rec.WriteChromeTrace(&buf); err != nil {
+	if err := obs.WriteChromeTrace(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "inplace_trace.json")
@@ -81,15 +81,15 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 	type snapshot struct{ chrome, jsonl, mets []byte }
 	grab := func(workers int) snapshot {
 		par.SetWorkers(workers)
-		rec, _ := tracedInPlace(t)
+		rec, recs, _ := tracedInPlace(t)
 		var c, j, m bytes.Buffer
-		if err := rec.WriteChromeTrace(&c); err != nil {
+		if err := obs.WriteChromeTrace(&c, recs); err != nil {
 			t.Fatal(err)
 		}
-		if err := rec.WriteJSONL(&j); err != nil {
+		if err := obs.WriteJSONL(&j, recs); err != nil {
 			t.Fatal(err)
 		}
-		if err := rec.Metrics().WriteMetricsJSON(&m, false); err != nil {
+		if err := rec.Metrics().WriteMetricsJSON(&m); err != nil {
 			t.Fatal(err)
 		}
 		return snapshot{c.Bytes(), j.Bytes(), m.Bytes()}
@@ -110,39 +110,31 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 // TestSpanTreeShape: the recorded tree must mirror the Fig. 3 workflow —
 // every phase nested under the inplace-tp root, in order.
 func TestSpanTreeShape(t *testing.T) {
-	rec, rep := tracedInPlace(t)
-	roots := rec.Roots()
-	if len(roots) != 1 {
-		t.Fatalf("want 1 root span, got %d", len(roots))
+	_, recs, rep := tracedInPlace(t)
+	if roots := childNames(recs, -1); len(roots) != 1 || roots[0] != "inplace-tp" {
+		t.Fatalf("roots = %v, want one inplace-tp", roots)
 	}
-	root := roots[0]
-	if root.Name != "inplace-tp" || !root.Ended() {
-		t.Fatalf("root = %q ended=%v", root.Name, root.Ended())
-	}
+	root := recs[0]
 	want := Steps()
-	kids := root.Children()
-	if len(kids) != len(want) {
-		names := make([]string, len(kids))
-		for i, k := range kids {
-			names[i] = k.Name
+	var kids []obs.SpanRecord
+	for _, r := range recs {
+		if r.Parent == root.ID {
+			kids = append(kids, r)
 		}
-		t.Fatalf("want %d phases, got %v", len(want), names)
 	}
-	var prev *obs.Span
+	if len(kids) != len(want) {
+		t.Fatalf("want %d phases, got %v", len(want), childNames(recs, root.ID))
+	}
 	for i, k := range kids {
 		if k.Name != want[i] {
 			t.Fatalf("phase %d = %q, want %q", i, k.Name, want[i])
 		}
-		if !k.Ended() {
-			t.Fatalf("phase %q left open", k.Name)
+		if i > 0 && k.Start < kids[i-1].Start {
+			t.Fatalf("phase %q starts before %q", k.Name, kids[i-1].Name)
 		}
-		if prev != nil && k.StartTime() < prev.StartTime() {
-			t.Fatalf("phase %q starts before %q", k.Name, prev.Name)
-		}
-		prev = k
 	}
-	if root.Duration() != rep.Total {
-		t.Fatalf("root duration %v != report total %v", root.Duration(), rep.Total)
+	if root.End-root.Start != rep.Total {
+		t.Fatalf("root duration %v != report total %v", root.End-root.Start, rep.Total)
 	}
 }
 
@@ -150,7 +142,7 @@ func TestSpanTreeShape(t *testing.T) {
 // engine's own report — the cross-check that instruments are wired to
 // the real data paths, not estimates.
 func TestMetricsMatchReport(t *testing.T) {
-	rec, rep := tracedInPlace(t)
+	rec, _, rep := tracedInPlace(t)
 	m := rec.Metrics()
 	checks := []struct {
 		name string
@@ -178,7 +170,7 @@ func TestMetricsMatchReport(t *testing.T) {
 // TestNoRecorderIsFree: a nil engine.Obs must not change the simulation
 // outcome at all.
 func TestNoRecorderMatchesRecorded(t *testing.T) {
-	_, traced := tracedInPlace(t)
+	_, _, traced := tracedInPlace(t)
 	clock := simtime.NewClock()
 	m := hw.NewMachine(clock, hw.M1())
 	engine := NewEngine(clock, m)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"hypertp/internal/fault"
@@ -12,11 +13,14 @@ import (
 	"hypertp/internal/obs"
 )
 
-// childNames lists a span's direct children in order.
-func childNames(s *obs.Span) []string {
+// childNames lists the names of parent's direct children among recs,
+// in order; parent -1 lists the roots.
+func childNames(recs []obs.SpanRecord, parent int) []string {
 	var names []string
-	for _, k := range s.Children() {
-		names = append(names, k.Name)
+	for _, r := range recs {
+		if r.Parent == parent {
+			names = append(names, r.Name)
+		}
 	}
 	return names
 }
@@ -73,7 +77,7 @@ func TestPhaseTableSelfCheck(t *testing.T) {
 			}
 
 			b := newBench(t, hw.M1())
-			rec := obs.NewRecorder(b.clock)
+			rec, col := collecting(b.clock)
 			b.engine.Obs = rec
 			src := bootSmallVMs(t, b, hv.KindXen, 2)
 			var err error
@@ -86,7 +90,7 @@ func TestPhaseTableSelfCheck(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := childNames(rec.Roots()[0]); !reflect.DeepEqual(got, want) {
+			if got := phaseNames(t, col); !reflect.DeepEqual(got, want) {
 				t.Errorf("emergency=%v prep=%v: spans %v, table says %v", en, prep, got, want)
 			}
 		}
@@ -99,7 +103,7 @@ func TestPhaseTableSelfCheck(t *testing.T) {
 // span (recording the error on it) before the abort path runs.
 func TestPauseFailureRollsBackUnderRoot(t *testing.T) {
 	b := newBench(t, hw.M1())
-	rec := obs.NewRecorder(b.clock)
+	rec, col := collecting(b.clock)
 	b.engine.Obs = rec
 	src := bootSmallVMs(t, b, hv.KindXen, 2)
 	pre := checksumVMs(t, src.VMs())
@@ -123,20 +127,21 @@ func TestPauseFailureRollsBackUnderRoot(t *testing.T) {
 	if got := checksumVMs(t, src.VMs()); !reflect.DeepEqual(got, pre) {
 		t.Fatal("source checksums changed across rollback")
 	}
-	root := rec.Roots()[0]
-	if root.Name != "inplace-tp" {
-		t.Fatalf("root = %q", root.Name)
+	recs := col.Records()
+	if recs[0].Name != "inplace-tp" {
+		t.Fatalf("root = %q", recs[0].Name)
 	}
-	kids := childNames(root)
+	kids := phaseNames(t, col)
 	if len(kids) < 2 || kids[len(kids)-2] != "pause" || kids[len(kids)-1] != "rollback" {
 		t.Fatalf("root children = %v, want ... pause, rollback", kids)
 	}
-	pause := root.Find("pause")
-	if !pause.Ended() || len(pause.Children()) != 0 {
-		t.Fatalf("pause span ended=%v children=%v", pause.Ended(), childNames(pause))
+	i := slices.IndexFunc(recs, func(r obs.SpanRecord) bool { return r.Name == "pause" })
+	pause := recs[i]
+	if kids := childNames(recs, pause.ID); len(kids) != 0 {
+		t.Fatalf("pause span children = %v", kids)
 	}
 	var recorded bool
-	for _, a := range pause.Attrs() {
+	for _, a := range pause.Attrs {
 		recorded = recorded || a.Key == "error"
 	}
 	if !recorded {

@@ -56,18 +56,20 @@ func checksumVMs(t *testing.T, vms []*hv.VM) map[string]uint64 {
 	return sums
 }
 
-// spanNames flattens a recorder's span forest into name → count.
-func spanNames(rec *obs.Recorder) map[string]int {
+// collecting returns a recorder whose ended span trees land, as
+// records, in the returned collector.
+func collecting(clock *simtime.Clock) (*obs.Recorder, *obs.Collector) {
+	rec := obs.NewRecorder(clock)
+	col := &obs.Collector{}
+	rec.AddSink(col)
+	return rec, col
+}
+
+// spanNames counts the collected span records by name.
+func spanNames(col *obs.Collector) map[string]int {
 	names := map[string]int{}
-	var walk func(s *obs.Span)
-	walk = func(s *obs.Span) {
-		names[s.Name]++
-		for _, k := range s.Children() {
-			walk(k)
-		}
-	}
-	for _, r := range rec.Roots() {
-		walk(r)
+	for _, r := range col.Records() {
+		names[r.Name]++
 	}
 	return names
 }
@@ -116,7 +118,7 @@ func TestRecoveryMatrix(t *testing.T) {
 				t.Fatalf("site %s missing from matrix expectations", site)
 			}
 			b := newBench(t, hw.M1())
-			rec := obs.NewRecorder(b.clock)
+			rec, col := collecting(b.clock)
 			b.engine.Obs = rec
 			src := bootSmallVMs(t, b, hv.KindXen, 2)
 			pre := checksumVMs(t, src.VMs())
@@ -149,7 +151,7 @@ func TestRecoveryMatrix(t *testing.T) {
 				if got := checksumVMs(t, src.VMs()); !reflect.DeepEqual(got, pre) {
 					t.Fatal("guest memory changed across the crash")
 				}
-				if spanNames(rec)["crash-abandon"] == 0 {
+				if spanNames(col)["crash-abandon"] == 0 {
 					t.Fatal("no crash-abandon span recorded")
 				}
 				// The emergency path must finish what the double fault
@@ -194,7 +196,7 @@ func TestRecoveryMatrix(t *testing.T) {
 				if got := checksumVMs(t, src.VMs()); !reflect.DeepEqual(got, pre) {
 					t.Fatal("source checksums changed across rollback")
 				}
-				if spanNames(rec)["rollback"] == 0 {
+				if spanNames(col)["rollback"] == 0 {
 					t.Fatal("no rollback span recorded")
 				}
 			default:
@@ -219,7 +221,7 @@ func TestRecoveryMatrix(t *testing.T) {
 					if rep.Faults < 1 || rep.Attempts < 2 {
 						t.Fatalf("faults = %d attempts = %d after recovery", rep.Faults, rep.Attempts)
 					}
-					if spanNames(rec)["recovery:"+string(site)] == 0 {
+					if spanNames(col)["recovery:"+string(site)] == 0 {
 						t.Fatalf("no recovery:%s span recorded", site)
 					}
 				}
@@ -266,21 +268,21 @@ func TestRecoveryMatrix(t *testing.T) {
 			// under the given plan.
 			type attempt struct {
 				b    *bench
-				rec  *obs.Recorder
+				col  *obs.Collector
 				src  hv.Hypervisor
 				pre  map[string]uint64
 				plan *fault.Plan
 			}
 			salvageWith := func(plan *fault.Plan) (attempt, hv.Hypervisor, *InPlaceReport, error) {
 				b := newBench(t, hw.M1())
-				rec := obs.NewRecorder(b.clock)
+				rec, col := collecting(b.clock)
 				b.engine.Obs = rec
 				src := bootSmallVMs(t, b, hv.KindXen, 2)
 				pre := checksumVMs(t, src.VMs())
 				crashHost(t, src, "injected panic")
 				b.engine.Fault = plan.SetClock(b.clock).SetRecorder(rec)
 				dst, rep, err := b.engine.Emergency(src, hv.KindKVM, DefaultOptions())
-				return attempt{b, rec, src, pre, plan}, dst, rep, err
+				return attempt{b, col, src, pre, plan}, dst, rep, err
 			}
 			landed := func(a attempt, dst hv.Hypervisor, rep *InPlaceReport, err error) {
 				t.Helper()
@@ -304,8 +306,8 @@ func TestRecoveryMatrix(t *testing.T) {
 				}
 				return
 			}
-			if rep.Faults != 1 || rep.Attempts != 2 || spanNames(a.rec)["recovery:"+string(site)] != 1 {
-				t.Fatalf("faults = %d attempts = %d spans = %v", rep.Faults, rep.Attempts, spanNames(a.rec))
+			if rep.Faults != 1 || rep.Attempts != 2 || spanNames(a.col)["recovery:"+string(site)] != 1 {
+				t.Fatalf("faults = %d attempts = %d spans = %v", rep.Faults, rep.Attempts, spanNames(a.col))
 			}
 
 			// Every arm firing exhausts the retry budget.
@@ -322,8 +324,8 @@ func TestRecoveryMatrix(t *testing.T) {
 					hterr.Label(hterr.Class(err)) != "crash" || dst != nil {
 					t.Fatalf("dst = %v err = %v, want crash class without VM loss", dst, err)
 				}
-				if rep == nil || rep.Outcome != hterr.OutcomeCrashed || spanNames(a.rec)["frozen"] != 1 {
-					t.Fatalf("report = %+v spans = %v", rep, spanNames(a.rec))
+				if rep == nil || rep.Outcome != hterr.OutcomeCrashed || spanNames(a.col)["frozen"] != 1 {
+					t.Fatalf("report = %+v spans = %v", rep, spanNames(a.col))
 				}
 				for _, vm := range a.src.VMs() {
 					if !vm.Paused() {
@@ -370,7 +372,7 @@ func TestRecoveryMatrix(t *testing.T) {
 				t.Fatal(err)
 			}
 			link := simnet.NewLink(clock, "pair", simnet.Gbps1, 100*time.Microsecond)
-			rec := obs.NewRecorder(clock)
+			rec, col := collecting(clock)
 			plan := fault.NewPlan(1, 0).ForceAt(site, 1).SetClock(clock).SetRecorder(rec)
 
 			rep, err := MigrationTP(clock, MigrationTPParams{
@@ -397,7 +399,7 @@ func TestRecoveryMatrix(t *testing.T) {
 				if rep.Outcome != hterr.OutcomeRecovered || rep.Attempts != 2 {
 					t.Fatalf("outcome = %s attempts = %d, want recovered/2", rep.Outcome, rep.Attempts)
 				}
-				if spanNames(rec)["rollback"] == 0 {
+				if spanNames(col)["rollback"] == 0 {
 					t.Fatal("no rollback span between attempts")
 				}
 			case fault.SiteLinkLoss:

@@ -17,7 +17,6 @@ package fault
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -329,23 +328,4 @@ func (p *Plan) Count(site Site) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.counts[site]
-}
-
-// FiredSites returns the distinct sites that fired, sorted.
-func (p *Plan) FiredSites() []Site {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	set := map[Site]bool{}
-	for _, s := range p.shots {
-		set[s.Site] = true
-	}
-	out := make([]Site, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -18,7 +18,7 @@ func TestNilPlanIsFree(t *testing.T) {
 	if fired, _ := p.Arm(SiteHVBoot); fired {
 		t.Fatal("nil plan fired")
 	}
-	if p.Shots() != nil || p.Count(SiteHVBoot) != 0 || p.FiredSites() != nil {
+	if p.Shots() != nil || p.Count(SiteHVBoot) != 0 {
 		t.Fatal("nil plan has state")
 	}
 	p.Restrict(SiteHVBoot)

@@ -82,8 +82,7 @@ func AuditRecords(recs []SpanRecord) []SpanViolation {
 // Auditor is the span auditor: a StreamSink that runs AuditRecords over
 // each root's complete records once, as the root ends, and keeps what it
 // finds. Attached to a recorder, it checks every span tree the recorder
-// closes, whether or not the forest is retained; a tree still open is
-// checked when it ends.
+// closes; a tree still open is checked when it ends.
 type Auditor struct {
 	mu         sync.Mutex
 	violations []SpanViolation

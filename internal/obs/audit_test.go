@@ -12,14 +12,17 @@ import (
 )
 
 // auditTree is the reference model for AuditRecords and the Auditor: it
-// walks the retained span forest, parent by parent, in the order the
-// checks are defined. Spans still open are only checked against lower
-// bounds — an in-flight operation is not a violation. A nil recorder or
-// a clean forest returns nil.
-func auditTree(r *Recorder) []SpanViolation {
+// walks the span trees under the given roots — the root spans a test
+// opened itself — parent by parent, in the order the checks are
+// defined. Spans still open are only checked against lower bounds — an
+// in-flight operation is not a violation. Nil roots (a nil recorder's)
+// or clean trees return nil.
+func auditTree(roots ...*Span) []SpanViolation {
 	var out []SpanViolation
-	for _, root := range r.Roots() {
-		auditSpan(root, &out)
+	for _, root := range roots {
+		if root != nil {
+			auditSpan(root, &out)
+		}
 	}
 	return out
 }
@@ -60,11 +63,11 @@ func audited(clock *simtime.Clock) (*Recorder, *Auditor) {
 }
 
 // sameViolations fails t unless the Auditor found exactly what the
-// reference model finds on the retained forest, in any order, and
+// reference model finds on the trees under roots, in any order, and
 // returns the Auditor's violations.
-func sameViolations(t *testing.T, rec *Recorder, aud *Auditor) []SpanViolation {
+func sameViolations(t *testing.T, aud *Auditor, roots ...*Span) []SpanViolation {
 	t.Helper()
-	got, want := aud.Violations(), auditTree(rec)
+	got, want := aud.Violations(), auditTree(roots...)
 	key := func(vs []SpanViolation) []string {
 		var out []string
 		for _, v := range vs {
@@ -92,8 +95,7 @@ func TestAuditSpansCleanTree(t *testing.T) {
 	sib.End()
 	root.End()
 	open := rec.Start("still-open") // open spans are fine
-	_ = open
-	if vs := sameViolations(t, rec, aud); vs != nil {
+	if vs := sameViolations(t, aud, root, open); vs != nil {
 		t.Fatalf("clean forest reported %v", vs)
 	}
 }
@@ -102,8 +104,9 @@ func TestAuditSpansNilRecorder(t *testing.T) {
 	var rec *Recorder
 	aud := &Auditor{}
 	rec.AddSink(aud)
-	rec.Start("discarded").End()
-	if vs := sameViolations(t, rec, aud); vs != nil {
+	s := rec.Start("discarded")
+	s.End()
+	if vs := sameViolations(t, aud, s); vs != nil {
 		t.Fatalf("nil recorder reported %v", vs)
 	}
 }
@@ -114,7 +117,7 @@ func TestAuditSpansNegativeDuration(t *testing.T) {
 	clock.Advance(time.Second)
 	s := rec.Start("backwards")
 	s.EndAt(time.Millisecond) // ends before it started
-	vs := sameViolations(t, rec, aud)
+	vs := sameViolations(t, aud, s)
 	if len(vs) != 1 || vs[0].Kind != "negative-duration" {
 		t.Fatalf("violations = %v", vs)
 	}
@@ -131,7 +134,7 @@ func TestAuditSpansChildOutsideParent(t *testing.T) {
 	early := parent.ChildAt("early", time.Millisecond) // before parent start
 	early.EndAt(2 * time.Second)
 	parent.EndAt(3 * time.Second)
-	vs := sameViolations(t, rec, aud)
+	vs := sameViolations(t, aud, parent)
 	if len(vs) != 1 || vs[0].Kind != "child-early" {
 		t.Fatalf("violations = %v", vs)
 	}
@@ -141,7 +144,7 @@ func TestAuditSpansChildOutsideParent(t *testing.T) {
 	late := p2.ChildAt("late", 2*time.Second)
 	late.EndAt(5 * time.Second)
 	p2.EndAt(3 * time.Second) // parent closes before its child
-	vs = sameViolations(t, rec2, aud2)
+	vs = sameViolations(t, aud2, p2)
 	if len(vs) != 1 || vs[0].Kind != "child-late" {
 		t.Fatalf("violations = %v", vs)
 	}
@@ -156,7 +159,7 @@ func TestAuditSpansSiblingRegression(t *testing.T) {
 	b := parent.ChildAt("b", time.Second) // starts before its elder sibling
 	b.EndAt(4 * time.Second)
 	parent.EndAt(5 * time.Second)
-	vs := sameViolations(t, rec, aud)
+	vs := sameViolations(t, aud, parent)
 	if len(vs) != 1 || vs[0].Kind != "sibling-regress" {
 		t.Fatalf("violations = %v", vs)
 	}
@@ -167,7 +170,7 @@ func TestAuditSpansSiblingRegression(t *testing.T) {
 // children opened under any open span at any virtual time, spans ended
 // in any order at any time, so every violation kind occurs — the
 // Auditor reports exactly the violations the tree walker finds on the
-// retained forest once every root has ended.
+// same roots once every root has ended.
 func TestAuditorMatchesTreeWalker(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	kinds := map[string]int{}
@@ -186,7 +189,7 @@ func TestAuditorMatchesTreeWalker(t *testing.T) {
 				// to the Auditor, so it takes no more children.
 				j := rng.Intn(len(open))
 				open[j].EndAt(at())
-				open = slices.DeleteFunc(open, func(s *Span) bool { return s.Ended() })
+				open = slices.DeleteFunc(open, func(s *Span) bool { return s.ended })
 			default:
 				s := open[rng.Intn(len(open))].ChildAt(fmt.Sprintf("span-%d", i), at())
 				open = append(open, s)
@@ -195,7 +198,7 @@ func TestAuditorMatchesTreeWalker(t *testing.T) {
 		for _, root := range roots {
 			root.EndAt(at())
 		}
-		for _, v := range sameViolations(t, rec, aud) {
+		for _, v := range sameViolations(t, aud, roots...) {
 			kinds[v.Kind]++
 		}
 	}

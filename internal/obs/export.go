@@ -9,11 +9,13 @@ import (
 	"path/filepath"
 )
 
-// Exporters. All output is deterministic: spans are walked depth-first
-// in creation order, timestamps are virtual, JSON fields are emitted in
-// a fixed order, and wall-clock data is never written. This is what lets
-// the determinism tests assert byte-identical files across -workers
-// counts.
+// Exporters. Every span export is a function of []SpanRecord, the
+// records a StreamSink is handed (a Collector's, for a whole run). All
+// output is deterministic: roots are listed in the order they ended,
+// each root's spans depth-first in creation order, timestamps are
+// virtual, JSON fields are emitted in a fixed order, and wall-clock data
+// is never written. This is what lets the determinism tests assert
+// byte-identical files across -workers counts.
 
 // usec renders a virtual duration as microseconds with fixed 3-decimal
 // precision (Chrome's trace_event unit).
@@ -42,9 +44,9 @@ func argsJSON(attrs []Attr) string {
 	return out + "}"
 }
 
-// trackID maps a span to its Chrome tid: spans inherit the enclosing
-// track unless they set their own. Track ids are assigned in first-seen
-// DFS order, so the mapping is deterministic.
+// trackMap maps a record's resolved track to its Chrome tid. Track ids
+// are assigned in first-seen record order, so the mapping is
+// deterministic.
 type trackMap struct {
 	ids  map[string]int
 	next int
@@ -61,68 +63,39 @@ func (tm *trackMap) id(track string) int {
 	return tm.ids[track]
 }
 
-// WriteChromeTrace writes the span forest in Chrome trace_event JSON
-// (the format chrome://tracing and Perfetto open directly): one
-// complete ("ph":"X") event per span and one instant ("ph":"i") event
-// per span annotation, timestamps in virtual microseconds.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
+// WriteChromeTrace writes recs in Chrome trace_event JSON (the format
+// chrome://tracing and Perfetto open directly): one complete ("ph":"X")
+// event per span and one instant ("ph":"i") event per span event,
+// timestamps in virtual microseconds.
+func WriteChromeTrace(w io.Writer, recs []SpanRecord) error {
 	if _, err := io.WriteString(w, "{\"traceEvents\":[\n"); err != nil {
 		return err
 	}
 	tm := newTrackMap()
-	first := true
-	emit := func(line string) error {
-		if !first {
-			if _, err := io.WriteString(w, ",\n"); err != nil {
+	sep := ""
+	for _, rec := range recs {
+		tid := tm.id(rec.Track)
+		if _, err := fmt.Fprintf(w,
+			"%s{\"name\":%s,\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"args\":%s}",
+			sep, jstr(rec.Name), tid, usec(rec.Start.Nanoseconds()),
+			usec((rec.End - rec.Start).Nanoseconds()), argsJSON(rec.Attrs)); err != nil {
+			return err
+		}
+		sep = ",\n"
+		for _, ev := range rec.Events {
+			if _, err := fmt.Fprintf(w,
+				"%s{\"name\":%s,\"ph\":\"i\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"s\":\"t\",\"args\":{\"detail\":%s}}",
+				sep, jstr(ev.Name), tid, usec(ev.T.Nanoseconds()), jstr(ev.Detail)); err != nil {
 				return err
 			}
-		}
-		first = false
-		_, err := io.WriteString(w, line)
-		return err
-	}
-	var werr error
-	for _, root := range r.Roots() {
-		root.Walk(func(s *Span, _ int) {
-			if werr != nil {
-				return
-			}
-			tid := tm.id(s.trackName())
-			attrs := s.Attrs()
-			werr = emit(fmt.Sprintf(
-				"{\"name\":%s,\"ph\":\"X\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"dur\":%s,\"args\":%s}",
-				jstr(s.Name), tid, usec(s.StartTime().Nanoseconds()),
-				usec(s.Duration().Nanoseconds()), argsJSON(attrs)))
-			for _, ev := range s.Events() {
-				if werr != nil {
-					return
-				}
-				werr = emit(fmt.Sprintf(
-					"{\"name\":%s,\"ph\":\"i\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"s\":\"t\",\"args\":{\"detail\":%s}}",
-					jstr(ev.Name), tid, usec(ev.T.Nanoseconds()), jstr(ev.Detail)))
-			}
-		})
-		if werr != nil {
-			return werr
 		}
 	}
 	_, err := io.WriteString(w, "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"generator\":\"hypertp-obs\",\"timeDomain\":\"virtual\"}}\n")
 	return err
 }
 
-// trackName resolves the span's effective track by walking to the
-// nearest ancestor with an explicit track.
-func (s *Span) trackName() string {
-	for p := s; p != nil; p = p.parent {
-		if p.Track != "" {
-			return p.Track
-		}
-	}
-	return ""
-}
-
-// appendJSONL renders the record as one JSON line — the format shared
-// by Recorder.WriteJSONL and FlightRecorder.WriteJSONL: id,
+// appendJSONL renders the record as one JSON line — the spans.jsonl
+// format WriteJSONL writes: id,
 // parent id (-1 for roots), depth, name, track, virtual start/end in
 // nanoseconds, attrs and instant events.
 func (rec SpanRecord) appendJSONL(b []byte) []byte {
@@ -148,15 +121,12 @@ func (rec SpanRecord) appendJSONL(b []byte) []byte {
 	return append(b, "}\n"...)
 }
 
-// WriteJSONL writes one JSON object per span (depth-first, creation
-// order) in the SpanRecord line format: the records a StreamSink is
-// handed, root by root, rendered as FlightRecorder.WriteJSONL does.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	for _, root := range r.Roots() {
-		var b []byte
-		for _, rec := range flattenSpan(root, -1, 0, "", nil) {
-			b = rec.appendJSONL(b)
-		}
+// WriteJSONL writes recs one JSON object per line, in order: the
+// spans.jsonl format, which tracecheck -jsonl audits.
+func WriteJSONL(w io.Writer, recs []SpanRecord) error {
+	var b []byte
+	for _, rec := range recs {
+		b = rec.appendJSONL(b[:0])
 		if _, err := w.Write(b); err != nil {
 			return err
 		}
@@ -171,17 +141,16 @@ type Artifact struct {
 	Write func(io.Writer) error
 }
 
-// WriteArtifacts writes a run's spans and metrics into dir as the four
-// files every command's artifact directory holds: trace.json
+// WriteArtifacts writes a run's span records and metrics into dir as the
+// four files every command's artifact directory holds: trace.json
 // (WriteChromeTrace), spans.jsonl (WriteJSONL), metrics.json
-// (WriteMetricsJSON) and metrics.prom (WritePrometheus). Volatile
-// metrics are left out, so every file is deterministic.
-func WriteArtifacts(dir string, rec *Recorder, report io.Writer) error {
+// (WriteMetricsJSON) and metrics.prom (WritePrometheus).
+func WriteArtifacts(dir string, recs []SpanRecord, reg *Registry, report io.Writer) error {
 	return WriteFiles(dir, report,
-		Artifact{"trace.json", rec.WriteChromeTrace},
-		Artifact{"spans.jsonl", rec.WriteJSONL},
-		Artifact{"metrics.json", func(w io.Writer) error { return rec.Metrics().WriteMetricsJSON(w, false) }},
-		Artifact{"metrics.prom", func(w io.Writer) error { return rec.Metrics().WritePrometheus(w, false) }})
+		Artifact{"trace.json", func(w io.Writer) error { return WriteChromeTrace(w, recs) }},
+		Artifact{"spans.jsonl", func(w io.Writer) error { return WriteJSONL(w, recs) }},
+		Artifact{"metrics.json", reg.WriteMetricsJSON},
+		Artifact{"metrics.prom", func(w io.Writer) error { return reg.WritePrometheus(w, false) }})
 }
 
 // WriteFiles writes each artifact into dir, creating it if needed, and
@@ -220,9 +189,8 @@ func writeFile(path string, write func(io.Writer) error) error {
 }
 
 // WriteMetricsJSON writes the registry as a JSON document with
-// instruments sorted by name. Volatile instruments are excluded unless
-// includeVolatile is set, keeping the default output deterministic.
-func (r *Registry) WriteMetricsJSON(w io.Writer, includeVolatile bool) error {
+// instruments sorted by name.
+func (r *Registry) WriteMetricsJSON(w io.Writer) error {
 	if r == nil {
 		_, err := io.WriteString(w, "{\"counters\":[],\"gauges\":[],\"histograms\":[]}\n")
 		return err
@@ -242,9 +210,6 @@ func (r *Registry) WriteMetricsJSON(w io.Writer, includeVolatile bool) error {
 	}
 	for _, name := range sortedKeys(counts) {
 		c := counts[name]
-		if c.volatile && !includeVolatile {
-			continue
-		}
 		sep()
 		b = append(b, fmt.Sprintf("{\"name\":%s,\"unit\":%s,\"value\":%d}",
 			jstr(c.name), jstr(c.unit), c.Value())...)
@@ -253,9 +218,6 @@ func (r *Registry) WriteMetricsJSON(w io.Writer, includeVolatile bool) error {
 	firstItem = true
 	for _, name := range sortedKeys(gauges) {
 		g := gauges[name]
-		if g.volatile && !includeVolatile {
-			continue
-		}
 		sep()
 		b = append(b, fmt.Sprintf("{\"name\":%s,\"unit\":%s,\"value\":%d,\"max\":%d}",
 			jstr(g.name), jstr(g.unit), g.Value(), g.Max())...)
@@ -264,9 +226,6 @@ func (r *Registry) WriteMetricsJSON(w io.Writer, includeVolatile bool) error {
 	firstItem = true
 	for _, name := range sortedKeys(hists) {
 		h := hists[name]
-		if h.volatile && !includeVolatile {
-			continue
-		}
 		sep()
 		sum := h.Summary()
 		h.mu.Lock()

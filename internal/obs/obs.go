@@ -6,9 +6,13 @@
 //
 // Spans carry *virtual* start/end times read from the simulation clock,
 // so every exported timestamp is deterministic: the same run produces
-// byte-identical trace files for any -workers count. Wall-clock-derived
-// metrics are marked Volatile and excluded from deterministic output
-// (see export.go).
+// byte-identical trace files for any -workers count.
+//
+// The recorder holds only open spans. When a root span ends, its tree is
+// flattened into []SpanRecord and handed to the recorder's sinks (see
+// stream.go), and the recorder lets it go: every export — trace.json,
+// spans.jsonl, tpctl's workflow tree, the auditor — is a function of
+// those records. A caller that wants the whole run attaches a Collector.
 //
 // The package also holds the evaluation harness's statistics and text
 // rendering (stats.go): time series, percentile summaries, box-plot
@@ -64,22 +68,21 @@ type Span struct {
 	ended    bool
 }
 
-// Recorder records a forest of spans against a virtual clock. It is safe
-// for concurrent use; all tree mutation happens under one mutex. The
-// zero value is not usable — call NewRecorder. A nil *Recorder discards
-// everything.
+// Recorder records trees of spans against a virtual clock. It is safe
+// for concurrent use; all tree mutation happens under one mutex. It
+// holds a tree only while its root is open: an ended root is flattened
+// to the sinks and released. The zero value is not usable — call
+// NewRecorder. A nil *Recorder discards everything.
 type Recorder struct {
 	clock *simtime.Clock
 
 	mu      sync.Mutex
-	roots   []*Span
 	current *Span
 	nextID  int
 
-	// Streaming pipeline (see stream.go): ended roots are flattened to
-	// the sinks, and dropped from the forest when noRetain is set.
-	sinks    []StreamSink
-	noRetain bool
+	// Streaming pipeline (see stream.go): each ended root is flattened
+	// to the sinks.
+	sinks []StreamSink
 
 	metrics *Registry
 }
@@ -122,8 +125,6 @@ func (r *Recorder) newSpanLocked(parent *Span, name string, start time.Duration,
 	r.nextID++
 	if parent != nil {
 		parent.children = append(parent.children, s)
-	} else {
-		r.roots = append(r.roots, s)
 	}
 	return s
 }
@@ -177,8 +178,8 @@ func (r *Recorder) Current() *Span {
 	return r.current
 }
 
-// Event attaches an instant event to the current span (or to the root
-// list as a zero-length span if no span is open): a happening with no
+// Event attaches an instant event to the current span (or, if no span is
+// open, records it as a zero-length root): a happening with no
 // duration of its own, such as an injected fault or a migration retry.
 func (r *Recorder) Event(name, detail string) {
 	if r == nil {
@@ -199,17 +200,6 @@ func (r *Recorder) Event(name, detail string) {
 	}
 	r.current.events = append(r.current.events, Point{T: t, Name: name, Detail: detail})
 	r.mu.Unlock()
-}
-
-// Roots returns the top-level spans in creation order. The returned
-// slice is shared; callers must not mutate it while spans are open.
-func (r *Recorder) Roots() []*Span {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.roots
 }
 
 // Child opens a child span of s starting now, without touching the
@@ -261,18 +251,6 @@ func (s *Span) SetTrack(track string) {
 	s.rec.mu.Lock()
 	defer s.rec.mu.Unlock()
 	s.Track = track
-}
-
-// Annotate attaches an instant event to this specific span at the
-// current virtual time.
-func (s *Span) Annotate(name, detail string) {
-	if s == nil || s.rec == nil {
-		return
-	}
-	r := s.rec
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s.events = append(s.events, Point{T: r.now(), Name: name, Detail: detail})
 }
 
 // End closes the span at the current virtual time. Ending a span also
@@ -327,85 +305,10 @@ func (s *Span) endLocked(t time.Duration) {
 	s.ended = true
 }
 
-// Start returns the span's virtual start time.
-func (s *Span) StartTime() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.start
-}
-
-// EndTime returns the span's virtual end time (== start while open).
-func (s *Span) EndTime() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.end
-}
-
 // Duration returns the span's virtual duration.
 func (s *Span) Duration() time.Duration {
 	if s == nil {
 		return 0
 	}
 	return s.end - s.start
-}
-
-// Ended reports whether the span is closed.
-func (s *Span) Ended() bool { return s != nil && s.ended }
-
-// Children returns the span's children in creation order.
-func (s *Span) Children() []*Span {
-	if s == nil {
-		return nil
-	}
-	return s.children
-}
-
-// Events returns the span's instant events in recorded order.
-func (s *Span) Events() []Point {
-	if s == nil {
-		return nil
-	}
-	return s.events
-}
-
-// Attrs returns the span's attributes in insertion order.
-func (s *Span) Attrs() []Attr {
-	if s == nil {
-		return nil
-	}
-	return s.attrs
-}
-
-// Find returns the first span named name in a depth-first walk of the
-// subtree rooted at s, or nil.
-func (s *Span) Find(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	if s.Name == name {
-		return s
-	}
-	for _, c := range s.children {
-		if hit := c.Find(name); hit != nil {
-			return hit
-		}
-	}
-	return nil
-}
-
-// Walk visits the subtree rooted at s depth-first in creation order.
-func (s *Span) Walk(fn func(s *Span, depth int)) {
-	if s == nil {
-		return
-	}
-	s.walk(fn, 0)
-}
-
-func (s *Span) walk(fn func(*Span, int), depth int) {
-	fn(s, depth)
-	for _, c := range s.children {
-		c.walk(fn, depth+1)
-	}
 }

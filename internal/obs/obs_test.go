@@ -20,14 +20,13 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	s := r.Start("a", A("k", 1))
 	s.SetAttr("x", 2)
 	s.SetTrack("t")
-	s.Annotate("e", "d")
 	c := s.Child("b")
 	c.End()
 	s.End()
 	r.StartDetached("c").End()
 	r.StartAt(nil, "d", time.Second).EndAt(2 * time.Second)
 	r.Event("e", "f")
-	if r.Current() != nil || r.Roots() != nil {
+	if r.Current() != nil {
 		t.Fatal("nil recorder returned state")
 	}
 	m := r.Metrics()
@@ -39,9 +38,27 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	}
 }
 
+// collecting returns a recorder whose ended roots land in the returned
+// collector.
+func collecting(clock *simtime.Clock) (*Recorder, *Collector) {
+	r := NewRecorder(clock)
+	col := &Collector{}
+	r.AddSink(col)
+	return r, col
+}
+
+// names lists the records' span names in order, comma-separated.
+func names(recs []SpanRecord) string {
+	var out []string
+	for _, rec := range recs {
+		out = append(out, rec.Name)
+	}
+	return strings.Join(out, ",")
+}
+
 func TestSpanStackNesting(t *testing.T) {
 	clock := simtime.NewClock()
-	r := NewRecorder(clock)
+	r, col := collecting(clock)
 	root := r.Start("root")
 	clock.Advance(time.Second)
 	child := r.Start("child")
@@ -58,11 +75,12 @@ func TestSpanStackNesting(t *testing.T) {
 	if r.Current() != nil {
 		t.Fatal("stack not empty after root End")
 	}
-	if len(r.Roots()) != 1 || len(root.Children()) != 1 {
-		t.Fatal("wrong tree shape")
+	recs := col.Records()
+	if len(recs) != 2 || recs[1].Parent != recs[0].ID {
+		t.Fatalf("wrong tree shape: %+v", recs)
 	}
-	if child.StartTime() != time.Second || child.Duration() != time.Second {
-		t.Fatalf("child times: start=%v dur=%v", child.StartTime(), child.Duration())
+	if recs[1].Start != time.Second || child.Duration() != time.Second {
+		t.Fatalf("child times: start=%v dur=%v", recs[1].Start, child.Duration())
 	}
 	if root.Duration() != 3*time.Second {
 		t.Fatalf("root duration = %v", root.Duration())
@@ -71,27 +89,30 @@ func TestSpanStackNesting(t *testing.T) {
 
 func TestEndForcesOpenDescendants(t *testing.T) {
 	clock := simtime.NewClock()
-	r := NewRecorder(clock)
+	r, col := collecting(clock)
 	root := r.Start("root")
 	r.Start("child")
 	grand := r.Start("grand")
 	clock.Advance(time.Second)
 	root.End() // error-path cleanup: everything under root must close
-	if !grand.Ended() {
+	if !grand.ended {
 		t.Fatal("grandchild left open")
 	}
-	if grand.EndTime() != time.Second {
-		t.Fatalf("grandchild end = %v", grand.EndTime())
+	if recs := col.Records(); len(recs) != 3 || recs[2].End != time.Second {
+		t.Fatalf("records = %+v, want the grandchild ended at 1s", recs)
 	}
 	if r.Current() != nil {
 		t.Fatal("stack not cleared")
 	}
 	root.End() // idempotent
+	if n := len(col.Records()); n != 3 {
+		t.Fatalf("second End flushed the root again: %d records", n)
+	}
 }
 
 func TestDetachedSpansAndEvents(t *testing.T) {
 	clock := simtime.NewClock()
-	r := NewRecorder(clock)
+	r, col := collecting(clock)
 	root := r.Start("root")
 	d := r.StartDetached("async")
 	if r.Current() != root {
@@ -101,21 +122,24 @@ func TestDetachedSpansAndEvents(t *testing.T) {
 	r.Event("step", "detail")
 	d.End()
 	root.End()
-	evs := root.Events()
-	if len(evs) != 1 || evs[0].Name != "step" || evs[0].T != time.Second {
+	recs := col.Records()
+	if evs := recs[0].Events; len(evs) != 1 || evs[0].Name != "step" || evs[0].T != time.Second {
 		t.Fatalf("events = %+v", evs)
 	}
-	if root.Find("async") != d {
-		t.Fatal("Find failed")
+	if len(recs) != 2 || recs[1].Name != "async" || recs[1].Parent != recs[0].ID {
+		t.Fatalf("detached span not recorded under the root: %+v", recs)
 	}
 }
 
 func TestEventWithoutOpenSpan(t *testing.T) {
-	r := NewRecorder(simtime.NewClock())
+	clock := simtime.NewClock()
+	r, col := collecting(clock)
+	clock.Advance(time.Second)
 	r.Event("orphan", "d")
-	roots := r.Roots()
-	if len(roots) != 1 || roots[0].Name != "orphan" || !roots[0].Ended() {
-		t.Fatal("orphan event not recorded as zero-length root")
+	recs := col.Records()
+	if len(recs) != 1 || recs[0].Name != "orphan" || recs[0].Parent != -1 ||
+		recs[0].Start != time.Second || recs[0].End != time.Second {
+		t.Fatalf("orphan event not recorded as zero-length root: %+v", recs)
 	}
 }
 
@@ -147,10 +171,13 @@ func TestRegistryInstruments(t *testing.T) {
 	if sum.Count != 4 || sum.Max != 100 {
 		t.Fatalf("summary = %+v", sum)
 	}
-	text := reg.Render(false)
+	var b bytes.Buffer
+	if err := reg.WriteMetricsJSON(&b); err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{"a.count", "a.gauge", "a.hist"} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("render missing %s:\n%s", want, text)
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("export missing %s:\n%s", want, b.String())
 		}
 	}
 }
@@ -164,31 +191,9 @@ func TestCounterPanicsOnNegative(t *testing.T) {
 	NewRegistry().Counter("c", "u").Add(-1)
 }
 
-func TestVolatileExcludedFromDeterministicExport(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("det", "u").Add(1)
-	reg.Counter("vol", "u").Volatile().Add(1)
-	var det, all bytes.Buffer
-	if err := reg.WriteMetricsJSON(&det, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.WriteMetricsJSON(&all, true); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(det.String(), "vol") {
-		t.Fatal("volatile instrument in deterministic export")
-	}
-	if !strings.Contains(all.String(), "vol") {
-		t.Fatal("volatile instrument missing from full export")
-	}
-	if !json.Valid(det.Bytes()) || !json.Valid(all.Bytes()) {
-		t.Fatal("export is not valid JSON")
-	}
-}
-
 func TestChromeTraceShape(t *testing.T) {
 	clock := simtime.NewClock()
-	r := NewRecorder(clock)
+	r, col := collecting(clock)
 	root := r.Start("root", A("k", "v"))
 	clock.Advance(time.Second)
 	net := r.StartDetached("xfer")
@@ -199,7 +204,7 @@ func TestChromeTraceShape(t *testing.T) {
 	root.End()
 
 	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf); err != nil {
+	if err := WriteChromeTrace(&buf, col.Records()); err != nil {
 		t.Fatal(err)
 	}
 	var tf struct {
@@ -240,13 +245,13 @@ func TestChromeTraceShape(t *testing.T) {
 
 func TestJSONLExport(t *testing.T) {
 	clock := simtime.NewClock()
-	r := NewRecorder(clock)
+	r, col := collecting(clock)
 	root := r.Start("root")
 	clock.Advance(time.Second)
 	r.Start("child").End()
 	root.End()
 	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf); err != nil {
+	if err := WriteJSONL(&buf, col.Records()); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -267,7 +272,7 @@ func TestJSONLExport(t *testing.T) {
 // under their fixed names, creating the directory.
 func TestWriteArtifacts(t *testing.T) {
 	clock := simtime.NewClock()
-	r := NewRecorder(clock)
+	r, col := collecting(clock)
 	root := r.Start("root", A("vms", 2))
 	clock.Advance(time.Second)
 	r.Start("child").End()
@@ -276,7 +281,8 @@ func TestWriteArtifacts(t *testing.T) {
 
 	dir := filepath.Join(t.TempDir(), "run")
 	var report strings.Builder
-	if err := WriteArtifacts(dir, r, &report); err != nil {
+	recs, reg := col.Records(), r.Metrics()
+	if err := WriteArtifacts(dir, recs, reg, &report); err != nil {
 		t.Fatal(err)
 	}
 	var names []string
@@ -284,10 +290,10 @@ func TestWriteArtifacts(t *testing.T) {
 		name  string
 		write func(io.Writer) error
 	}{
-		{"trace.json", r.WriteChromeTrace},
-		{"spans.jsonl", r.WriteJSONL},
-		{"metrics.json", func(w io.Writer) error { return r.Metrics().WriteMetricsJSON(w, false) }},
-		{"metrics.prom", func(w io.Writer) error { return r.Metrics().WritePrometheus(w, false) }},
+		{"trace.json", func(w io.Writer) error { return WriteChromeTrace(w, recs) }},
+		{"spans.jsonl", func(w io.Writer) error { return WriteJSONL(w, recs) }},
+		{"metrics.json", reg.WriteMetricsJSON},
+		{"metrics.prom", func(w io.Writer) error { return reg.WritePrometheus(w, false) }},
 	} {
 		path := filepath.Join(dir, want.name)
 		names = append(names, "artifact: wrote "+path+"\n")
@@ -309,35 +315,41 @@ func TestWriteArtifacts(t *testing.T) {
 }
 
 func TestClocklessRecorderExplicitTimes(t *testing.T) {
-	r := NewRecorder(nil)
+	r, col := collecting(nil)
 	root := r.StartAt(nil, "plan", 0)
 	c := root.ChildAt("step", 2*time.Second)
 	c.EndAt(5 * time.Second)
 	root.EndAt(10 * time.Second)
-	if c.StartTime() != 2*time.Second || c.Duration() != 3*time.Second {
-		t.Fatalf("child times: %v + %v", c.StartTime(), c.Duration())
+	if recs := col.Records(); len(recs) != 2 || recs[1].Start != 2*time.Second || c.Duration() != 3*time.Second {
+		t.Fatalf("child records %+v, duration %v", recs, c.Duration())
 	}
 	if root.Duration() != 10*time.Second {
 		t.Fatalf("root duration = %v", root.Duration())
 	}
 }
 
-func TestWalkDepths(t *testing.T) {
-	r := NewRecorder(simtime.NewClock())
+// TestFlattenDepths pins the record order inside one root: depth-first
+// in creation order, each record carrying its depth and parent id.
+func TestFlattenDepths(t *testing.T) {
+	r, col := collecting(simtime.NewClock())
 	root := r.Start("a")
-	r.Start("b")
+	b := r.Start("b")
 	r.Start("c").End()
+	b.End()
+	r.Start("d").End()
 	root.End()
-	var got []string
-	depths := map[string]int{}
-	root.Walk(func(s *Span, depth int) {
-		got = append(got, s.Name)
-		depths[s.Name] = depth
-	})
-	if strings.Join(got, ",") != "a,b,c" {
-		t.Fatalf("walk order = %v", got)
+	recs := col.Records()
+	if got := names(recs); got != "a,b,c,d" {
+		t.Fatalf("record order = %s", got)
 	}
-	if depths["a"] != 0 || depths["b"] != 1 || depths["c"] != 2 {
-		t.Fatalf("depths = %v", depths)
+	for i, want := range []struct{ depth, parent int }{{0, -1}, {1, 0}, {2, 1}, {1, 0}} {
+		parent := -1
+		if want.parent >= 0 {
+			parent = recs[want.parent].ID
+		}
+		if recs[i].Depth != want.depth || recs[i].Parent != parent {
+			t.Fatalf("%s: depth %d parent %d, want %d and %d",
+				recs[i].Name, recs[i].Depth, recs[i].Parent, want.depth, parent)
+		}
 	}
 }

@@ -7,8 +7,7 @@ import (
 
 // Prometheus text-format exporter. Like every other deterministic
 // renderer in this package: instruments are emitted in sorted name
-// order per kind, values are virtual-time-derived, and Volatile
-// instruments are skipped unless explicitly requested — the dump is
+// order per kind and values are virtual-time-derived, so the dump is
 // byte-identical across runs and -workers counts.
 
 // promName sanitizes an instrument name into a Prometheus metric name:
@@ -49,9 +48,9 @@ func promHeader(b []byte, name, unit, typ string) []byte {
 // WritePrometheus writes the registry in the Prometheus text exposition
 // format: counters as <name>_total, gauges as <name> plus a companion
 // <name>_max high-water gauge, histograms with cumulative le-buckets,
-// _sum and _count. Volatile instruments are excluded unless
-// includeVolatile is set.
-func (r *Registry) WritePrometheus(w io.Writer, includeVolatile bool) error {
+// _sum and _count. The bool is ignored: it stays only because the bench
+// module (bench/fleet.go) still passes it; ROADMAP item 14 drops it.
+func (r *Registry) WritePrometheus(w io.Writer, _ bool) error {
 	if r == nil {
 		return nil
 	}
@@ -62,18 +61,12 @@ func (r *Registry) WritePrometheus(w io.Writer, includeVolatile bool) error {
 	var b []byte
 	for _, name := range sortedKeys(counts) {
 		c := counts[name]
-		if c.volatile && !includeVolatile {
-			continue
-		}
 		pn := promName(c.name) + "_total"
 		b = promHeader(b, pn, c.unit, "counter")
 		b = append(b, fmt.Sprintf("%s %d\n", pn, c.Value())...)
 	}
 	for _, name := range sortedKeys(gauges) {
 		g := gauges[name]
-		if g.volatile && !includeVolatile {
-			continue
-		}
 		pn := promName(g.name)
 		b = promHeader(b, pn, g.unit, "gauge")
 		b = append(b, fmt.Sprintf("%s %d\n", pn, g.Value())...)
@@ -82,9 +75,6 @@ func (r *Registry) WritePrometheus(w io.Writer, includeVolatile bool) error {
 	}
 	for _, name := range sortedKeys(hists) {
 		h := hists[name]
-		if h.volatile && !includeVolatile {
-			continue
-		}
 		pn := promName(h.name)
 		b = promHeader(b, pn, h.unit, "histogram")
 		h.mu.Lock()

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -12,11 +11,6 @@ import (
 // histograms. Instruments register on first use and are returned on
 // every later lookup of the same name; all methods are safe for
 // concurrent use (par pool workers update instruments directly).
-//
-// Instruments marked Volatile carry wall-clock-derived values that
-// legitimately differ between runs and worker counts; the deterministic
-// renderers skip them unless explicitly asked, keeping the exported
-// metrics byte-identical across -workers settings.
 type Registry struct {
 	mu     sync.Mutex
 	counts map[string]*Counter
@@ -36,14 +30,12 @@ func NewRegistry() *Registry {
 // Counter is a monotonically increasing sum.
 type Counter struct {
 	name, unit string
-	volatile   bool
 	v          atomic.Int64
 }
 
 // Gauge is a point-in-time value that also tracks its high-water mark.
 type Gauge struct {
 	name, unit string
-	volatile   bool
 	mu         sync.Mutex
 	v, max     int64
 }
@@ -54,7 +46,6 @@ type Gauge struct {
 // backs the percentile summary.
 type Histogram struct {
 	name, unit string
-	volatile   bool
 	bounds     []float64
 	mu         sync.Mutex
 	counts     []int64
@@ -130,14 +121,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// Volatile marks the counter wall-clock-derived and returns it.
-func (c *Counter) Volatile() *Counter {
-	if c != nil {
-		c.volatile = true
-	}
-	return c
-}
-
 // Add increments the counter. Negative deltas panic: counters are sums.
 func (c *Counter) Add(n int64) {
 	if c == nil {
@@ -155,14 +138,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Volatile marks the gauge wall-clock-derived and returns it.
-func (g *Gauge) Volatile() *Gauge {
-	if g != nil {
-		g.volatile = true
-	}
-	return g
 }
 
 // Set records a new value.
@@ -209,14 +184,6 @@ func (g *Gauge) Max() int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.max
-}
-
-// Volatile marks the histogram wall-clock-derived and returns it.
-func (h *Histogram) Volatile() *Histogram {
-	if h != nil {
-		h.volatile = true
-	}
-	return h
 }
 
 // Observe records one sample.
@@ -274,48 +241,4 @@ func sortedKeys[M ~map[string]V, V any](m M) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Render returns the registry as aligned plain text, instruments sorted
-// by kind then name. Volatile instruments are skipped unless
-// includeVolatile is set, so the default rendering is deterministic.
-func (r *Registry) Render(includeVolatile bool) string {
-	if r == nil {
-		return ""
-	}
-	r.mu.Lock()
-	counts, gauges, hists := r.counts, r.gauges, r.hists
-	r.mu.Unlock()
-
-	var b strings.Builder
-	tab := &Table{
-		Title:   "metrics",
-		Headers: []string{"kind", "name", "unit", "value"},
-	}
-	for _, name := range sortedKeys(counts) {
-		c := counts[name]
-		if c.volatile && !includeVolatile {
-			continue
-		}
-		tab.AddRow("counter", c.name, c.unit, fmt.Sprint(c.Value()))
-	}
-	for _, name := range sortedKeys(gauges) {
-		g := gauges[name]
-		if g.volatile && !includeVolatile {
-			continue
-		}
-		tab.AddRow("gauge", g.name, g.unit, fmt.Sprintf("%d (max %d)", g.Value(), g.Max()))
-	}
-	for _, name := range sortedKeys(hists) {
-		h := hists[name]
-		if h.volatile && !includeVolatile {
-			continue
-		}
-		s := h.Summary()
-		tab.AddRow("hist", h.name, h.unit,
-			fmt.Sprintf("count=%d mean=%.4g p50=%.4g p95=%.4g p99=%.4g max=%.4g",
-				s.Count, s.Mean, s.P50, s.P95, s.P99, s.Max))
-	}
-	b.WriteString(tab.Render())
-	return b.String()
 }

@@ -8,21 +8,19 @@ import (
 	"hypertp/internal/simtime"
 )
 
-// Streaming span pipeline. The tree recorder of obs.go is the right
-// shape for a single transplant, but a 100k-host fleet run cannot hold
-// (or export) every span of every host: the full forest is O(fleet).
-// This file adds the incremental alternative — when a *root* span ends,
-// its whole subtree is flattened into SpanRecords and handed to the
-// recorder's StreamSinks, and (with retention off) released from the
-// recorder, so resident memory is O(open spans + sink capacity), not
-// O(everything ever recorded).
+// Streaming span pipeline: the one way a span leaves the recorder. When
+// a *root* span ends, its whole subtree is flattened into SpanRecords,
+// handed to the recorder's StreamSinks and released, so the recorder's
+// memory is O(open spans), and a run's resident span memory is whatever
+// its sinks keep: a FlightRecorder's ring, a Collector's whole run, or
+// nothing at all.
 //
-// Determinism carries over from the tree exporters: records are
-// flattened depth-first in creation order with virtual timestamps, and
-// root spans end in deterministic order (span mutation happens on the
-// sequential side of the stack — engine phases on the discrete-event
-// clock, scheduler Commit hooks), so what a sink sees is identical
-// across -workers counts just like WriteJSONL's output.
+// Determinism: records are flattened depth-first in creation order with
+// virtual timestamps, and root spans end in deterministic order (span
+// mutation happens on the sequential side of the stack — engine phases
+// on the discrete-event clock, scheduler Commit hooks), so what a sink
+// sees, and every export written from it, is identical across -workers
+// counts.
 
 // SpanRecord is one span flattened out of the tree: the immutable,
 // export-ready form a StreamSink consumes. IDs and parent IDs are the
@@ -58,21 +56,10 @@ func (r *Recorder) AddSink(s StreamSink) {
 	r.mu.Unlock()
 }
 
-// SetRetain controls whether ended root spans stay in the recorder's
-// forest. The default (true) keeps the whole forest for the tree
-// exporters (WriteArtifacts). With retain off, an ended root is
-// flattened to the sinks and then released, so memory stays bounded
-// regardless of run length — the 100k-host mode. Tree exporters then
-// only see still-open roots; a streaming sink (FlightRecorder, Auditor)
-// consumes the spans instead.
-func (r *Recorder) SetRetain(retain bool) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.noRetain = !retain
-	r.mu.Unlock()
-}
+// SetRetain is a no-op: the recorder keeps no ended span. It stays only
+// because the bench module (bench/fleet.go) still calls it; ROADMAP item
+// 14 drops that call.
+func (r *Recorder) SetRetain(bool) {}
 
 // flattenSpan appends s's subtree to out depth-first in creation order,
 // resolving inherited tracks as it descends.
@@ -93,26 +80,14 @@ func flattenSpan(s *Span, parent, depth int, track string, out []SpanRecord) []S
 	return out
 }
 
-// flushRootLocked handles an ended root span under r.mu: flatten for
-// the sinks (when any are registered) and drop it from the forest when
-// retention is off. Returns the records to dispatch after unlocking.
+// flushRootLocked flattens an ended root span for the sinks under r.mu
+// and returns the records to dispatch after unlocking: nil for a
+// non-root span, or when no sink is registered.
 func (r *Recorder) flushRootLocked(s *Span) []SpanRecord {
-	if s.parent != nil || (len(r.sinks) == 0 && !r.noRetain) {
+	if s.parent != nil || len(r.sinks) == 0 {
 		return nil
 	}
-	var recs []SpanRecord
-	if len(r.sinks) > 0 {
-		recs = flattenSpan(s, -1, 0, "", nil)
-	}
-	if r.noRetain {
-		for i := len(r.roots) - 1; i >= 0; i-- {
-			if r.roots[i] == s {
-				r.roots = append(r.roots[:i], r.roots[i+1:]...)
-				break
-			}
-		}
-	}
-	return recs
+	return flattenSpan(s, -1, 0, "", nil)
 }
 
 // dispatch hands one flattened root to every sink, outside the lock.
@@ -139,9 +114,6 @@ type HeadSampler struct {
 	seed uint64
 	frac float64
 	next StreamSink
-
-	mu            sync.Mutex
-	kept, dropped int64
 }
 
 // NewHeadSampler returns a sampler keeping ~frac of roots (frac ≥ 1
@@ -171,35 +143,33 @@ func (h *HeadSampler) Keep(root SpanRecord) bool {
 
 // Consume implements StreamSink.
 func (h *HeadSampler) Consume(root []SpanRecord) {
-	if len(root) == 0 {
-		return
-	}
-	if !h.Keep(root[0]) {
-		h.mu.Lock()
-		h.dropped++
-		h.mu.Unlock()
-		return
-	}
-	h.mu.Lock()
-	h.kept++
-	h.mu.Unlock()
-	if h.next != nil {
+	if len(root) > 0 && h.Keep(root[0]) && h.next != nil {
 		h.next.Consume(root)
 	}
 }
 
-// Kept returns the number of roots forwarded so far.
-func (h *HeadSampler) Kept() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.kept
+// Collector is a StreamSink that keeps every record it is handed, root
+// by root in the order the roots ended: the whole run, for the exporters
+// (WriteArtifacts) and tpctl's workflow tree. Attach one only when the
+// run's spans are wanted whole; its memory is O(everything recorded).
+type Collector struct {
+	mu   sync.Mutex
+	recs []SpanRecord
 }
 
-// Dropped returns the number of roots discarded so far.
-func (h *HeadSampler) Dropped() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.dropped
+// Consume implements StreamSink.
+func (c *Collector) Consume(root []SpanRecord) {
+	c.mu.Lock()
+	c.recs = append(c.recs, root...)
+	c.mu.Unlock()
+}
+
+// Records returns the records collected so far, roots in end order.
+// The slice is shared: callers must not modify it.
+func (c *Collector) Records() []SpanRecord {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.recs
 }
 
 // FlightRecorder is a fixed-capacity ring buffer of the most recently
@@ -300,13 +270,6 @@ func (f *FlightRecorder) Snapshot() []SpanRecord {
 	return out
 }
 
-// WriteJSONL dumps the retained records in Snapshot order, one JSON
-// line per span (the Recorder.WriteJSONL format).
-func (f *FlightRecorder) WriteJSONL(w io.Writer) error {
-	var b []byte
-	for _, rec := range f.Snapshot() {
-		b = rec.appendJSONL(b)
-	}
-	_, err := w.Write(b)
-	return err
-}
+// WriteJSONL dumps the retained records in Snapshot order in the
+// spans.jsonl line format (WriteJSONL).
+func (f *FlightRecorder) WriteJSONL(w io.Writer) error { return WriteJSONL(w, f.Snapshot()) }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,7 +23,7 @@ func buildStreamedRun(rec *Recorder, clock *simtime.Clock) int {
 		n++
 		clock.Advance(time.Millisecond)
 		c := rec.Start("phase")
-		c.Annotate("mark", "midpoint")
+		rec.Event("mark", "midpoint")
 		n++
 		clock.Advance(time.Millisecond)
 		rec.StartAt(c, "detail", clock.Now())
@@ -34,58 +35,78 @@ func buildStreamedRun(rec *Recorder, clock *simtime.Clock) int {
 	return n
 }
 
-// TestStreamMatchesTreeExport pins the core streaming contract: the
-// records a sink is handed root by root, written out, are byte-identical
-// to the retained-tree WriteJSONL of the same run.
-func TestStreamMatchesTreeExport(t *testing.T) {
+// TestFlightRecorderMatchesArtifactExport pins that every sink sees one
+// record stream: a flight recorder's dump is byte-identical to the
+// spans.jsonl a Collector on the same recorder writes.
+func TestFlightRecorderMatchesArtifactExport(t *testing.T) {
 	clock := simtime.NewClock()
-	rec := NewRecorder(clock)
+	rec, col := collecting(clock)
 	sink := NewFlightRecorder(100)
 	rec.AddSink(sink)
 
 	buildStreamedRun(rec, clock)
 
-	var streamed, tree bytes.Buffer
+	var streamed, collected bytes.Buffer
 	if err := sink.WriteJSONL(&streamed); err != nil {
 		t.Fatalf("FlightRecorder.WriteJSONL: %v", err)
 	}
-	if err := rec.WriteJSONL(&tree); err != nil {
+	if err := WriteJSONL(&collected, col.Records()); err != nil {
 		t.Fatalf("WriteJSONL: %v", err)
 	}
-	if streamed.String() != tree.String() {
-		t.Fatalf("streamed JSONL differs from tree export:\nstream:\n%s\ntree:\n%s",
-			streamed.String(), tree.String())
+	if streamed.String() != collected.String() {
+		t.Fatalf("flight recorder JSONL differs from the collected export:\nflight:\n%s\ncollected:\n%s",
+			streamed.String(), collected.String())
 	}
 	if streamed.Len() == 0 {
 		t.Fatal("no output streamed")
 	}
 }
 
-// TestStreamNoRetainBoundsForest checks that with retention off, ended
-// roots leave the recorder — the memory-bounded 100k-host mode — while
-// sinks still see every span.
-func TestStreamNoRetainBoundsForest(t *testing.T) {
+// TestStreamSinksSeeEverySpan checks that every span of every ended root
+// reaches the sinks, instant roots included.
+func TestStreamSinksSeeEverySpan(t *testing.T) {
 	clock := simtime.NewClock()
 	rec := NewRecorder(clock)
-	rec.SetRetain(false)
 	sink := NewFlightRecorder(100)
 	rec.AddSink(sink)
 
 	want := buildStreamedRun(rec, clock)
 
-	if got := len(rec.Roots()); got != 0 {
-		t.Fatalf("retained %d roots with retention off, want 0", got)
-	}
 	if got := sink.Len(); got != want {
 		t.Fatalf("streamed %d spans, want %d", got, want)
 	}
-	// Instant events with no open span flush-and-release too.
+	// An instant event with no open span is a root of its own.
 	rec.Event("standalone", "x")
-	if got := len(rec.Roots()); got != 0 {
-		t.Fatalf("instant root retained with retention off: %d roots", got)
-	}
 	if snap := sink.Snapshot(); snap[len(snap)-1].Name != "standalone" {
 		t.Fatal("instant root not streamed")
+	}
+}
+
+// TestCollectorConcurrentRoots ends roots from several goroutines at
+// once: the Collector keeps every root's records whole and contiguous.
+func TestCollectorConcurrentRoots(t *testing.T) {
+	rec, col := collecting(nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				root := rec.StartAt(nil, "root", 0)
+				root.ChildAt("child", 0).EndAt(1)
+				root.EndAt(2)
+			}
+		}()
+	}
+	wg.Wait()
+	recs := col.Records()
+	if len(recs) != 4*50*2 {
+		t.Fatalf("collected %d records, want %d", len(recs), 4*50*2)
+	}
+	for i := 0; i < len(recs); i += 2 {
+		if recs[i].Parent != -1 || recs[i+1].Parent != recs[i].ID {
+			t.Fatalf("records %d and %d are not one root and its child: %+v %+v", i, i+1, recs[i], recs[i+1])
+		}
 	}
 }
 
@@ -137,20 +158,24 @@ func TestHeadSamplerDeterministic(t *testing.T) {
 	}
 }
 
-// TestHeadSamplerForwarding checks kept/dropped accounting and that only
-// kept roots reach the next sink.
+// TestHeadSamplerForwarding checks that exactly the roots Keep selects
+// reach the next sink, in arrival order.
 func TestHeadSamplerForwarding(t *testing.T) {
-	fr := NewFlightRecorder(1000)
-	h := NewHeadSampler(7, 0.5, fr)
-	total := 100
-	for i := 0; i < total; i++ {
-		h.Consume([]SpanRecord{{ID: i, Parent: -1, Name: fmt.Sprintf("r-%d", i), Start: time.Duration(i)}})
+	col := &Collector{}
+	h := NewHeadSampler(7, 0.5, col)
+	var kept []string
+	for i := 0; i < 100; i++ {
+		root := SpanRecord{ID: i, Parent: -1, Name: fmt.Sprintf("r-%d", i), Start: time.Duration(i)}
+		if h.Keep(root) {
+			kept = append(kept, root.Name)
+		}
+		h.Consume([]SpanRecord{root})
 	}
-	if h.Kept()+h.Dropped() != int64(total) {
-		t.Fatalf("kept %d + dropped %d != %d", h.Kept(), h.Dropped(), total)
+	if len(kept) == 0 || len(kept) == 100 {
+		t.Fatalf("frac 0.5 kept %d/100 roots — not sampling", len(kept))
 	}
-	if int64(fr.Len()) != h.Kept() {
-		t.Fatalf("next sink saw %d roots, sampler kept %d", fr.Len(), h.Kept())
+	if got, want := names(col.Records()), strings.Join(kept, ","); got != want {
+		t.Fatalf("next sink saw %s, Keep selected %s", got, want)
 	}
 }
 
@@ -223,7 +248,7 @@ func TestAuditRecordsMirrorsAuditSpans(t *testing.T) {
 	// already ended at their own times.
 
 	want := map[string]bool{}
-	for _, v := range auditTree(rec) {
+	for _, v := range auditTree(root) {
 		want[v.Kind] = true
 	}
 	got := map[string]bool{}
@@ -232,7 +257,7 @@ func TestAuditRecordsMirrorsAuditSpans(t *testing.T) {
 	}
 	for _, kind := range []string{"negative-duration", "child-early", "sibling-regress", "child-late"} {
 		if !want[kind] {
-			t.Fatalf("tree audit missed %q (test forest broken): %v", kind, auditTree(rec))
+			t.Fatalf("tree audit missed %q (test forest broken): %v", kind, auditTree(root))
 		}
 		if !got[kind] {
 			t.Fatalf("AuditRecords missed %q; got %v", kind, AuditRecords(fr.Snapshot()))
@@ -280,7 +305,7 @@ func TestAuditRecordsOrderIndependent(t *testing.T) {
 			root.ChildAt(fmt.Sprintf("vm-%d", i), start).EndAt(start + 5)
 		}
 		root.EndAt(50)
-		if got := kinds(auditTree(rec)); got != tc.want {
+		if got := kinds(auditTree(root)); got != tc.want {
 			t.Fatalf("%s: tree audit = %q, want %q (test forest broken)", tc.name, got, tc.want)
 		}
 		snap := fr.Snapshot()
@@ -301,12 +326,11 @@ func TestAuditRecordsOrderIndependent(t *testing.T) {
 }
 
 // TestWritePrometheusDeterministic checks the text-format dump: sorted
-// per-kind order, cumulative buckets, volatile exclusion.
+// per-kind order and cumulative buckets.
 func TestWritePrometheusDeterministic(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("zeta.ops", "ops").Add(3)
 	reg.Counter("alpha.ops", "ops").Add(1)
-	reg.Counter("wall.ops", "ops").Volatile().Add(9)
 	g := reg.Gauge("inflight", "vms")
 	g.Set(5)
 	g.Set(2)
@@ -325,9 +349,6 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 	out := b1.String()
 	if out != b2.String() {
 		t.Fatal("two renders of the same registry differ")
-	}
-	if strings.Contains(out, "wall_ops") {
-		t.Fatal("volatile counter leaked into deterministic output")
 	}
 	if strings.Index(out, "hypertp_alpha_ops_total") > strings.Index(out, "hypertp_zeta_ops_total") {
 		t.Fatal("counters not in sorted name order")
@@ -350,22 +371,23 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 	}
 }
 
-// exportModes are the two ways a run's spans leave the recorder: kept in
-// the retained span forest (the default), or flushed per root through the
-// seed-keyed head sampler into a flight recorder with retention released
-// (the 100k-host export mode).
+// exportModes are the two sinks a run's spans are flushed to as each
+// root ends: a Collector keeping the whole run (the artifact export), or
+// the seed-keyed head sampler in front of a flight recorder (the
+// 100k-host export mode).
 var exportModes = []struct {
 	name   string
 	stream bool
 	budget float64 // allocations per root, see TestStreamingExportAllocBudget
-}{{"retained", false, 5}, {"streamed", true, 7}}
+}{{"collected", false, 7}, {"streamed", true, 7}}
 
 func newExportRecorder(stream bool) (*Recorder, *simtime.Clock) {
 	clock := simtime.NewClock()
 	rec := NewRecorder(clock)
 	if stream {
-		rec.SetRetain(false)
 		rec.AddSink(NewHeadSampler(1, 0.1, NewFlightRecorder(256)))
+	} else {
+		rec.AddSink(&Collector{})
 	}
 	return rec, clock
 }
@@ -387,8 +409,8 @@ var raceEnabled bool
 
 // TestStreamingExportAllocBudget pins what one root costs in each export
 // mode, averaged over 4096 roots (one in ten is sampled into the flight
-// recorder): the spans, the attribute, and the retained forest's growth
-// or the flushed records.
+// recorder): the spans, the attribute, the flushed records, and the
+// collector's growth.
 func TestStreamingExportAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")

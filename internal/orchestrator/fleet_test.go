@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
@@ -145,25 +146,23 @@ func TestFleetResponseConcurrentSpeedupAndPlacement(t *testing.T) {
 func TestFleetResponseSpansWellNested(t *testing.T) {
 	c := newFleet(t, stockFleet())
 	rec := obs.NewRecorder(c.clock)
-	aud := &obs.Auditor{}
+	aud, col := &obs.Auditor{}, &obs.Collector{}
 	rec.AddSink(aud)
+	rec.AddSink(col)
 	c.nova.SetRecorder(rec)
 	respondFleet(t, c, sched.Limits{MaxKexecs: 4, LinkStreams: 4})
 	if vs := aud.Violations(); vs != nil {
 		t.Fatalf("span violations after concurrent response: %v", vs)
 	}
-	roots := rec.Roots()
-	var found bool
-	for _, r := range roots {
-		if r.Name == "nova.respond-cve" {
-			found = true
-			if len(r.Children()) == 0 {
-				t.Fatal("respond-cve span has no children")
-			}
-		}
-	}
-	if !found {
+	recs := col.Records()
+	i := slices.IndexFunc(recs, func(r obs.SpanRecord) bool {
+		return r.Parent == -1 && r.Name == "nova.respond-cve"
+	})
+	if i < 0 {
 		t.Fatal("no nova.respond-cve root span")
+	}
+	if i+1 == len(recs) || recs[i+1].Parent != recs[i].ID {
+		t.Fatal("respond-cve span has no children")
 	}
 }
 
@@ -262,9 +261,9 @@ func BenchmarkFleetResponse(b *testing.B) {
 }
 
 // BenchmarkFleetResponseSLO is the same 200-host response with the full
-// SLO/streaming observability path attached: recorder with retention
-// released, head-sampled flight recorder sink, and the
-// vulnerability-window tracker. Compared against BenchmarkFleetResponse
+// SLO/streaming observability path attached: recorder with a
+// head-sampled flight recorder sink, and the vulnerability-window
+// tracker. Compared against BenchmarkFleetResponse
 // it is the end-to-end instrumentation tax of the export mode; the budget
 // is the repo benchmark's bench.trace_overhead_pct ≤ 5 %.
 func BenchmarkFleetResponseSLO(b *testing.B) {
@@ -272,7 +271,6 @@ func BenchmarkFleetResponseSLO(b *testing.B) {
 		b.StopTimer()
 		c := newFleet(b, bigFleet())
 		rec := obs.NewRecorder(c.clock)
-		rec.SetRetain(false)
 		rec.AddSink(obs.NewHeadSampler(1, 0.1, obs.NewFlightRecorder(256)))
 		c.nova.SetRecorder(rec)
 		tracker := slo.NewTracker()
@@ -318,10 +316,9 @@ func TestFleetAllocBudgets(t *testing.T) {
 			respondFleet(t, newFleet(t, stockFleet()), limits)
 			return nil
 		}},
-		{"RespondToCVE/slo", 5514, func() error {
+		{"RespondToCVE/slo", 5512, func() error {
 			c := newFleet(t, stockFleet())
 			rec := obs.NewRecorder(c.clock)
-			rec.SetRetain(false)
 			rec.AddSink(obs.NewHeadSampler(1, 0.1, obs.NewFlightRecorder(256)))
 			c.nova.SetRecorder(rec)
 			tracker := slo.NewTracker()

@@ -369,7 +369,7 @@ func TestQueueDelayMetrics(t *testing.T) {
 			t.Fatalf("Execute(workers=%d): %v", workers, err)
 		}
 		var b strings.Builder
-		if err := reg.WriteMetricsJSON(&b, false); err != nil {
+		if err := reg.WriteMetricsJSON(&b); err != nil {
 			t.Fatalf("WriteMetricsJSON: %v", err)
 		}
 		return b.String()
