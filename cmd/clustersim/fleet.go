@@ -77,23 +77,29 @@ func crashFleet(nova *orchestrator.Nova, hosts int, crashRate float64) (*orchest
 }
 
 // respondOnce builds a fresh fleet and runs the CVE response under the
-// given limits, with vulnerability-window SLO tracking attached. A
-// non-nil spans collects the run's span records; without it each span
-// tree is released as its root ends.
-func respondOnce(hosts, vms int, limits sched.Limits, fl fleetConfig, spans *obs.Collector) (*fleetRun, error) {
+// given limits. An observed run has a span recorder and
+// vulnerability-window SLO tracking attached; a non-nil spans collects
+// its span records, and without it each span tree is released as its
+// root ends. An unobserved run — the serial baseline, read only for its
+// response and placement — records nothing.
+func respondOnce(hosts, vms int, limits sched.Limits, fl fleetConfig, observed bool, spans *obs.Collector) (*fleetRun, error) {
 	nova, err := orchestrator.NewFleet(hosts, vms)
 	if err != nil {
 		return nil, err
 	}
 	clock := nova.Clock()
-	rec := obs.NewRecorder(clock)
-	if spans != nil {
-		rec.AddSink(spans)
+	var rec *obs.Recorder
+	var tracker *slo.Tracker // nil-safe: an unobserved run tracks nothing
+	if observed {
+		rec = obs.NewRecorder(clock)
+		if spans != nil {
+			rec.AddSink(spans)
+		}
+		nova.SetRecorder(rec)
+		tracker = slo.NewTracker()
+		tracker.SetRegistry(rec.Metrics())
+		nova.SetSLO(tracker)
 	}
-	nova.SetRecorder(rec)
-	tracker := slo.NewTracker()
-	tracker.SetRegistry(rec.Metrics())
-	nova.SetSLO(tracker)
 	var storm *orchestrator.StormResponse
 	if fl.CrashRate > 0 {
 		// The crash storm lands before the disclosure: the response then
@@ -141,7 +147,7 @@ func runFleet(w io.Writer, hosts, vms int, sc schedConfig, artifactDir string, f
 		limits = sched.Limits{MaxKexecs: 4, LinkStreams: 4}
 	}
 
-	serial, err := respondOnce(hosts, vms, sched.Serial(), fl, nil)
+	serial, err := respondOnce(hosts, vms, sched.Serial(), fl, false, nil)
 	if err != nil {
 		return err
 	}
@@ -149,7 +155,7 @@ func runFleet(w io.Writer, hosts, vms int, sc schedConfig, artifactDir string, f
 	if artifactDir != "" {
 		spans = &obs.Collector{}
 	}
-	conc, err := respondOnce(hosts, vms, limits, fl, spans)
+	conc, err := respondOnce(hosts, vms, limits, fl, true, spans)
 	if err != nil {
 		return err
 	}

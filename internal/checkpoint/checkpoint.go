@@ -24,8 +24,6 @@ const (
 	version = 1
 )
 
-var crcTable = crc64.MakeTable(crc64.ECMA)
-
 // Image is a captured VM checkpoint.
 type Image struct {
 	// State is the VM's UISR platform state (no memory map — frame
@@ -140,7 +138,7 @@ func Serialize(img *Image) ([]byte, error) {
 		le.PutUint64(rec[0:], uint64(pr.GFN))
 		copy(rec[8:8+hw.PageSize4K], pr.Data)
 	}
-	le.PutUint64(out[size-8:], crc64.Checksum(out[:size-8], crcTable))
+	le.PutUint64(out[size-8:], crc64.Checksum(out[:size-8], hw.CRCTable))
 	return out, nil
 }
 
@@ -152,7 +150,7 @@ func Deserialize(data []byte) (*Image, error) {
 		return nil, fmt.Errorf("checkpoint: image too short (%d bytes)", len(data))
 	}
 	body, sum := data[:len(data)-8], uisr.NewReader(data[len(data)-8:])
-	if crc64.Checksum(body, crcTable) != sum.U64() {
+	if crc64.Checksum(body, hw.CRCTable) != sum.U64() {
 		return nil, fmt.Errorf("checkpoint: checksum mismatch — image corrupt")
 	}
 	r := uisr.NewReader(body)

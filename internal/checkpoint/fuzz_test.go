@@ -56,7 +56,7 @@ func reseal(data []byte) []byte {
 		return data
 	}
 	out := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint64(out[len(out)-8:], crc64.Checksum(out[:len(out)-8], crcTable))
+	binary.LittleEndian.PutUint64(out[len(out)-8:], crc64.Checksum(out[:len(out)-8], hw.CRCTable))
 	return out
 }
 

@@ -299,7 +299,7 @@ func TestBlobMemoMissesCorruptedBlob(t *testing.T) {
 			return mem.Write(frames[0].Start, 8, []byte{0xff})
 		}, 0, fmt.Sprintf("UISR blob for %q corrupt: uisr: bad magic", vmName(0))},
 		{"rewritten", func(mem *hw.PhysMem, frames []hw.FrameRange) error {
-			image, err := mem.ReadRanges(frames)
+			image, err := mem.ReadRanges(frames, nil)
 			if err != nil {
 				return err
 			}
@@ -309,7 +309,7 @@ func TestBlobMemoMissesCorruptedBlob(t *testing.T) {
 			if err := mem.ClaimRanges(frames, hw.OwnerPRAM, -1); err != nil {
 				return err
 			}
-			return mem.WriteRanges(frames, image)
+			return mem.FillRanges(frames, len(image), func(b []byte) { copy(b, image) })
 		}, 1, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -366,7 +366,7 @@ func TestBlobMemoHitMatchesColdDecode(t *testing.T) {
 		m := tp.e.Machine
 		for i := range tp.saved {
 			s := &tp.saved[i]
-			blob, err := readBlob(m.Mem, "", s.frames)
+			blob, _, err := readBlob(m.Mem, "", s.frames, nil)
 			if err != nil {
 				return err
 			}

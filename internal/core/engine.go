@@ -317,23 +317,26 @@ func (e *Engine) elapsed(costs []time.Duration, parallel bool) time.Duration {
 // blobPrefix marks the PRAM file that holds a VM's UISR blob.
 const blobPrefix = "uisr:"
 
-// writeBlob stores blob behind an 8-byte little-endian length prefix
-// and returns its frames: the ones it occupied on a previous transplant
-// (at) when the size still fits and all are still free, freshly
-// allocated ones when the placement is unknown or taken.
-func writeBlob(mem *hw.PhysMem, blob []byte, at []hw.FrameRange) (frames []hw.FrameRange, err error) {
-	img := make([]byte, 8+len(blob))
-	binary.LittleEndian.PutUint64(img, uint64(len(blob)))
-	copy(img[8:], blob)
-	pages := (len(img) + hw.PageSize4K - 1) / hw.PageSize4K
+// writeBlob stores a blob of n bytes behind an 8-byte little-endian
+// length prefix and returns its frames: the ones it occupied on a
+// previous transplant (at) when the size still fits and all are still
+// free, freshly allocated ones when the placement is unknown or taken.
+// fill writes the blob into the n bytes it is given, which are the
+// frames' own image: nothing is staged or copied on the way.
+func writeBlob(mem *hw.PhysMem, n int, fill func([]byte), at []hw.FrameRange) (frames []hw.FrameRange, err error) {
+	image := func(img []byte) {
+		binary.LittleEndian.PutUint64(img, uint64(n))
+		fill(img[8:])
+	}
+	pages := (8 + n + hw.PageSize4K - 1) / hw.PageSize4K
 	if hw.CountFrames(at) == uint64(pages) && mem.ClaimRanges(at, hw.OwnerPRAM, -1) == nil {
-		if mem.WriteRanges(at, img) == nil {
+		if mem.FillRanges(at, 8+n, image) == nil {
 			return at, nil
 		}
 		_ = mem.FreeRanges(at)
 	}
 	if frames, err = mem.AllocRanges(pages, hw.OwnerPRAM, -1); err == nil {
-		err = mem.WriteRanges(frames, img)
+		err = mem.FillRanges(frames, 8+n, image)
 	}
 	return frames, err
 }
@@ -348,16 +351,20 @@ func blobFrames(f pram.File) []hw.FrameRange {
 }
 
 // readBlob loads the length-prefixed blob of the PRAM file name from its
-// frames.
-func readBlob(mem *hw.PhysMem, name string, frames []hw.FrameRange) ([]byte, error) {
-	raw, err := mem.ReadRanges(frames)
+// frames, read into buf — or into a fresh buffer when buf is short — and
+// returns the blob and the buffer for the next read to reuse. The blob
+// is only good until that read: a caller keeps nothing that aliases it,
+// as uisr.Decode keeps nothing of its input. It is the one reader of a
+// preserved blob on the cold path.
+func readBlob(mem *hw.PhysMem, name string, frames []hw.FrameRange, buf []byte) (blob, next []byte, err error) {
+	raw, err := mem.ReadRanges(frames, buf)
 	if err != nil {
-		return nil, err
+		return nil, buf, err
 	}
 	r := uisr.NewReader(raw)
-	blob := r.Bytes(r.Count(r.U64(), math.MaxInt, 1))
+	blob = r.Bytes(r.Count(r.U64(), math.MaxInt, 1))
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("core: blob file %q: %w", name, err)
+		return nil, raw, fmt.Errorf("core: blob file %q: %w", name, err)
 	}
-	return blob, nil
+	return blob, raw, nil
 }

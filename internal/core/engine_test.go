@@ -11,6 +11,7 @@ import (
 	"hypertp/internal/hw"
 	"hypertp/internal/obs"
 	"hypertp/internal/simtime"
+	"hypertp/internal/uisr"
 )
 
 type bench struct {
@@ -344,6 +345,60 @@ func TestUISROverheadReported(t *testing.T) {
 	}
 	if rep.VMs[0].UISRBytes != rep.UISRBytes {
 		t.Fatal("per-VM UISR bytes inconsistent")
+	}
+}
+
+// TestDecodedBlobOutlivesItsReadBuffer: restore reads every VM's blob
+// into one buffer, which is sound only if a decoded state keeps nothing
+// of it — device state, strings and memory-map extents all copied. Two
+// blobs, written as translate writes them, are read in turn into the
+// same buffer; after each read the buffer is overwritten, and every state
+// decoded so far must still be the state that was saved.
+func TestDecodedBlobOutlivesItsReadBuffer(t *testing.T) {
+	mem := hw.NewPhysMem(64 << 20)
+	var states []*uisr.VMState
+	var frames [][]hw.FrameRange
+	for i, vcpus := range []int{4, 2} {
+		st := uisr.SyntheticVM(vmName(i), uint32(i+1), vcpus, 64<<20, uint64(7+i))
+		var extents []uisr.PageExtent // scattered huge pages covering the VM
+		for g := uint64(0); g < 64<<20/hw.PageSize2M; g++ {
+			extents = append(extents, uisr.PageExtent{GFN: g * hw.FramesPer2M, MFN: (3*g + 1) * hw.FramesPer2M, Order: 9})
+		}
+		st.MemMap = uisr.NewMemMap(extents)
+		size, err := uisr.EncodedSize(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at, err := writeBlob(mem, size, func(b []byte) { uisr.Put(b, st) }, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states, frames = append(states, st), append(frames, at)
+	}
+	var buf []byte
+	var decoded []*uisr.VMState
+	for i := range states {
+		blob, next, err := readBlob(mem, vmName(i), frames[i], buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && &next[0] != &buf[0] {
+			t.Fatal("the second read did not reuse the first one's buffer")
+		}
+		buf = next
+		st, err := uisr.Decode(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded = append(decoded, st)
+		for k := range buf {
+			buf[k] = 0xa5
+		}
+		for j, st := range decoded {
+			if !reflect.DeepEqual(st, states[j]) {
+				t.Fatalf("VM %d: the decoded state changed when its read buffer was overwritten", j)
+			}
+		}
 	}
 }
 

@@ -500,9 +500,10 @@ func (t *transplant) memo() *tpcache.Cache {
 
 // translate stashes each VM's UISR blob in preserved RAM as an extra
 // PRAM file, so the target kernel can find it after the micro-reboot.
-// Every VM's state is saved before any is encoded, and blob frames are
-// allocated and written in VM order, so MFN assignment — and therefore
-// every preserved byte — is fixed by the VM list alone.
+// Every VM's state is saved, and its blob sized, before any blob frame
+// is allocated, and blob frames are allocated and written in VM order,
+// so MFN assignment — and therefore every preserved byte — is fixed by
+// the VM list alone.
 func (t *transplant) translate() error {
 	mem, memo := t.e.Machine.Mem, t.memo()
 	blobs, err := t.encodeStates(memo)
@@ -512,7 +513,7 @@ func (t *transplant) translate() error {
 	// One structure holding both memory maps and blobs makes the handover.
 	files := make([]pram.File, 0, len(t.ps.Files)+len(blobs))
 	files = append(files, t.ps.Files...)
-	for i, blob := range blobs {
+	for i, b := range blobs {
 		s := &t.saved[i]
 		// Re-land a cached blob at the frames it occupied last time, so
 		// the PRAM fileset — which embeds the blob extents — is
@@ -521,15 +522,15 @@ func (t *transplant) translate() error {
 		// by writing it. Falls back to cursor allocation when the old
 		// frames are taken.
 		var extents uisr.MemMap
-		if s.frames, extents = memo.InstallBlob(t.e.Machine, s.hash, blob); s.frames == nil {
-			if s.frames, err = writeBlob(mem, blob, memo.BlobFrames(t.e.Machine, s.hash)); err != nil {
+		if s.frames, extents = memo.InstallBlob(t.e.Machine, s.hash, b.blob); s.frames == nil {
+			if s.frames, err = writeBlob(mem, b.size, b.fill, memo.BlobFrames(t.e.Machine, s.hash)); err != nil {
 				return err
 			}
-			memo.SetBlobFrames(t.e.Machine, s.hash, blob, s.frames)
+			memo.SetBlobFrames(t.e.Machine, s.hash, b.blob, s.frames)
 			extents = hv.FrameExtents(s.frames)
 		}
-		s.res.UISRBytes = uint64(len(blob))
-		t.report.UISRBytes += uint64(len(blob))
+		s.res.UISRBytes = uint64(b.size)
+		t.report.UISRBytes += uint64(b.size)
 		files = append(files, pram.File{Name: blobPrefix + s.res.Name, Extents: extents})
 	}
 	if err := t.ps.Release(mem); err != nil {
@@ -547,16 +548,26 @@ func (t *transplant) translate() error {
 	return nil
 }
 
-// encodeStates returns every VM's encoded UISR blob in VM order, filling
+// blobSource is one VM's UISR blob before it lands: its size and the
+// fill that writes it into its frames' image. blob is the encoded bytes
+// when a transplant cache keeps them, and fill copies them; with no cache
+// the blob exists only in its frames, and fill encodes it there.
+type blobSource struct {
+	size int
+	blob []byte
+	fill func([]byte)
+}
+
+// encodeStates returns every VM's UISR blob source in VM order, filling
 // t.saved and the per-VM costs. A non-nil memo short-circuits
 // SaveUISR+Encode for VMs whose state fingerprint maps to a cached blob.
 // Virtual costs are charged identically either way; only wall-clock
 // compute is skipped, so the preserved bytes match the cold path exactly.
-func (t *transplant) encodeStates(memo *tpcache.Cache) ([][]byte, error) {
+func (t *transplant) encodeStates(memo *tpcache.Cache) ([]blobSource, error) {
 	translateVirtual := t.mets.Histogram("tp.translate_virtual_s", "s", obs.ExpBuckets(1e-3, 2, 16))
 	kind, m, gen := t.src.Kind(), t.e.Machine, t.e.Machine.Generation()
 	t.saved = make([]savedVM, len(t.vms))
-	blobs := make([][]byte, len(t.vms))
+	blobs := make([]blobSource, len(t.vms))
 	states := make([]*uisr.VMState, 0, len(t.vms))
 	t.costs = t.costs[:0]
 	for i, vm := range t.vms {
@@ -579,7 +590,7 @@ func (t *transplant) encodeStates(memo *tpcache.Cache) ([][]byte, error) {
 					t.report.Faults++
 					t.mets.Counter("tpcache.stale", "entries").Add(1)
 				} else {
-					blobs[i], t.saved[i].hash = b, h
+					blobs[i].blob, t.saved[i].hash = b, h
 					t.report.CacheHits++
 					continue
 				}
@@ -595,21 +606,29 @@ func (t *transplant) encodeStates(memo *tpcache.Cache) ([][]byte, error) {
 		st.MemMap = uisr.MemMap{}
 		states = append(states, st)
 	}
-	// blobs is still nil exactly at the memo misses, in states order.
+	// A blob is still nil exactly at the memo misses, in states order.
 	k := 0
 	for i := range blobs {
-		if blobs[i] != nil {
-			continue
+		b := &blobs[i]
+		if b.blob == nil {
+			st := states[k]
+			k++
+			if memo == nil {
+				size, err := uisr.EncodedSize(st)
+				if err != nil {
+					return nil, err
+				}
+				*b = blobSource{size: size, fill: func(img []byte) { uisr.Put(img, st) }}
+				continue
+			}
+			var err error
+			if b.blob, err = uisr.Encode(st); err != nil {
+				return nil, err
+			}
+			t.saved[i].hash = memo.StoreTranslation(kind, m, gen, t.vms[i].ID, b.blob)
 		}
-		blob, err := uisr.Encode(states[k])
-		if err != nil {
-			return nil, err
-		}
-		blobs[i] = blob
-		k++
-		if memo != nil {
-			t.saved[i].hash = memo.StoreTranslation(kind, m, gen, t.vms[i].ID, blobs[i])
-		}
+		blob := b.blob
+		b.size, b.fill = len(blob), func(img []byte) { copy(img, blob) }
 	}
 	if memo != nil {
 		t.report.CacheMisses += uint64(len(states))
@@ -682,6 +701,7 @@ func (t *transplant) restore() error {
 	}
 	memo, m := t.memo(), t.e.Machine
 	restored := make([]*uisr.VMState, n)
+	var buf []byte // every blob is read into the one buffer
 	for i, s := range t.saved {
 		if files[n+i].Name != blobPrefix+s.res.Name {
 			return fmt.Errorf("core: UISR blob for %q missing after reboot", s.res.Name)
@@ -689,8 +709,9 @@ func (t *transplant) restore() error {
 		frames := blobFrames(files[n+i])
 		st, held := memo.DecodedBlob(m, s.hash, frames)
 		if st == nil {
-			blob, err := readBlob(m.Mem, files[n+i].Name, frames)
-			if err != nil {
+			var blob []byte
+			var err error
+			if blob, buf, err = readBlob(m.Mem, files[n+i].Name, frames, buf); err != nil {
 				return err
 			}
 			if st, err = uisr.Decode(blob); err != nil {

@@ -206,17 +206,22 @@ type domainContext struct {
 	pmtimer hvmPMTimer
 }
 
-// marshalContext serializes a domain context into the HVM blob format.
-// Like uisr.Encode it sizes the blob arithmetically, allocates it once and
-// writes every record descriptor and payload in place.
-func marshalContext(ctx *domainContext) []byte {
+// contextSize is the byte length of ctx in the HVM blob format, computed
+// arithmetically, without serializing anything.
+func contextSize(ctx *domainContext) int {
 	size := 7*recDescSize + sizeHeader + sizeIOAPIC + sizePIT + sizeRTC + sizeHPET + sizePMTimer
 	for i := range ctx.vcpus {
 		size += 6*recDescSize + sizeCPU + sizeLAPIC + sizeLAPICRegs + sizeMTRR + sizeXSave +
 			msrCountSize + msrEntrySize*len(ctx.vcpus[i].msrs)
 	}
+	return size
+}
+
+// putContext serializes ctx into out, exactly contextSize(ctx) bytes, in
+// the HVM blob format: every record descriptor and payload written in
+// place, so the blob can be built where it is kept — the domain's frames.
+func putContext(out []byte, ctx *domainContext) {
 	le := binary.LittleEndian
-	out := make([]byte, size)
 	off := 0
 	// begin writes one record descriptor and returns the payload window.
 	begin := func(typecode, instance uint16, length int) []byte {
@@ -253,7 +258,6 @@ func marshalContext(ctx *domainContext) []byte {
 	if off != len(out) {
 		panic(fmt.Sprintf("xen: marshaled %d bytes, sized %d", off, len(out)))
 	}
-	return out
 }
 
 // admit checks one per-vCPU record before anything is allocated for it —
@@ -261,7 +265,7 @@ func marshalContext(ctx *domainContext) []byte {
 // (Xen's HVM_MAX_VCPUS) — and only then grows vcpus to hold the instance,
 // so a hostile descriptor cannot make the parser allocate more than the
 // blob's own bytes justify. The blob carries no vCPU count to size from:
-// marshalContext writes instances in order, so each is one append.
+// putContext writes instances in order, so each is one append.
 func (ctx *domainContext) admit(instance uint16, got, want int) (*hvmVCPU, error) {
 	if got != want {
 		return nil, fmt.Errorf("payload %d bytes, want %d", got, want)
@@ -285,7 +289,9 @@ const (
 // parseContext parses an HVM blob back into a domain context. It is
 // strict about framing, mirroring Xen's hvm_load checks, and about
 // completeness: a record missing or repeated is an error, so no vCPU is
-// ever restored from zeroes.
+// ever restored from zeroes. A domain keeps the context it was born with,
+// so this is the parser of blobs from outside — hostile input — and the
+// reference the format tests hold the frames' bytes to.
 func parseContext(blob []byte) (*domainContext, error) {
 	ctx := &domainContext{}
 	r := uisr.NewReader(blob)

@@ -70,6 +70,14 @@ func contextOf(tb testing.TB, vcpus int) *domainContext {
 	return ctx
 }
 
+// marshalContext serializes ctx into a blob of its own, as FromUISR
+// serializes it into the domain's frames.
+func marshalContext(ctx *domainContext) []byte {
+	out := make([]byte, contextSize(ctx))
+	putContext(out, ctx)
+	return out
+}
+
 // TestContextCodecAllocBudget: marshalContext sizes the blob and
 // allocates it once; parseContext allocates the context, the growth of
 // its per-vCPU slice and one MSR list per vCPU — nothing per record.

@@ -1,8 +1,6 @@
 package xen
 
 import (
-	"fmt"
-
 	"hypertp/internal/hv"
 	"hypertp/internal/hw"
 	"hypertp/internal/uisr"
@@ -18,9 +16,10 @@ const Version = "xen-4.12.1"
 
 // domain is Xen's per-VM bookkeeping: the VM_i State in Fig. 2 terms.
 type domain struct {
-	// ctxBlob is the domain's platform state in Xen's HVM context
-	// format. This — not any neutral struct — is Xen's source of truth.
-	ctxBlob []byte
+	// ctx is the domain's platform state as Xen holds it, parsed: the
+	// context it was born with, never written after. Its HVM context
+	// blob — the byte contract — is what the first frames hold.
+	ctx *domainContext
 	// p2m is the superpage-aware physical-map metadata (extent form).
 	p2m uisr.MemMap
 	// frames hold the context blob, then the p2m structures
@@ -55,28 +54,29 @@ func (format) ResidentBytes() uint64 { return HVResidentBytes }
 
 func (format) NativeBorn(st *uisr.VMState) { st.IOAPIC.NumPins = uisr.XenIOAPICPins }
 
-// FromUISR builds the domain: UISR → HVM context blob (with the §4.2.1
-// IOAPIC widening fix applied as needed), written to its own frames, then
-// the p2m frames.
+// FromUISR builds the domain: UISR → HVM context (with the §4.2.1
+// IOAPIC widening fix applied as needed), marshalled straight into its
+// own frames, then the p2m frames.
 func (format) FromUISR(st *uisr.VMState, id hv.VMID, space *hv.AddressSpace, mem *hw.PhysMem) (hv.State, error) {
 	ctx, err := fromUISR(st)
 	if err != nil {
 		return nil, err
 	}
 	dom := &domain{
-		p2m:     space.Extents(),
-		ctxBlob: marshalContext(ctx),
+		ctx: ctx,
+		p2m: space.Extents(),
 		// The credit-scheduler weight: VM Management State rebuilt from
 		// the neutral value.
 		weight: st.SchedWeight(),
 	}
 	// The context blob's frames, then the p2m's — one 8-byte entry per
 	// extent in Xen's table — claimed together: all or nothing.
-	dom.frames, err = mem.AllocRanges(hv.FramesFor(len(dom.ctxBlob))+hv.FramesFor(dom.p2m.Len()*8), hw.OwnerVMState, int(id))
+	size := contextSize(ctx)
+	dom.frames, err = mem.AllocRanges(hv.FramesFor(size)+hv.FramesFor(dom.p2m.Len()*8), hw.OwnerVMState, int(id))
 	if err != nil {
 		return nil, err
 	}
-	if err := mem.WriteRanges(dom.frames, dom.ctxBlob); err != nil {
+	if err := mem.FillRanges(dom.frames, size, func(b []byte) { putContext(b, ctx) }); err != nil {
 		_ = mem.FreeRanges(dom.frames)
 		return nil, err
 	}
@@ -90,14 +90,11 @@ func (format) FromUISR(st *uisr.VMState, id hv.VMID, space *hv.AddressSpace, mem
 	return dom, nil
 }
 
-// ToUISR is the to_uisr path, reading the domain's context blob (as
-// xc_domain_hvm_getcontext would) and translating it to UISR.
+// ToUISR is the to_uisr path, translating the domain's context to UISR.
+// Xen holds the context parsed, and nothing writes it after birth, so
+// the save reads it as it is: there is no blob to parse back.
 func (dom *domain) ToUISR() (*uisr.VMState, error) {
-	ctx, err := parseContext(dom.ctxBlob)
-	if err != nil {
-		return nil, fmt.Errorf("xen: domain context: %w", err)
-	}
-	st, err := toUISR(ctx)
+	st, err := toUISR(dom.ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -125,14 +122,18 @@ func EventChannels(h hv.Hypervisor, id hv.VMID) ([]int, error) {
 	return ports, nil
 }
 
-// ContextBlob returns a copy of the domain's raw HVM context (the
-// Xen-internal format), for format-level tests.
+// ContextBlob returns the domain's raw HVM context (the Xen-internal
+// format) as its frames hold it, for format-level tests.
 func ContextBlob(h hv.Hypervisor, id hv.VMID) ([]byte, error) {
 	dom, err := hv.StateOf[*domain](h, id)
 	if err != nil {
 		return nil, err
 	}
-	return append([]byte(nil), dom.ctxBlob...), nil
+	image, err := h.Machine().Mem.ReadRanges(dom.frames, nil)
+	if err != nil {
+		return nil, err
+	}
+	return image[:contextSize(dom.ctx)], nil
 }
 
 // CreditWeight returns a domain's credit-scheduler weight (Xen's own

@@ -144,6 +144,78 @@ func TestContextBlobIsXenFormat(t *testing.T) {
 	}
 }
 
+// TestFramesHoldTheDomainContext: a domain keeps the context it was born
+// with and its save translates that, unparsed, so the context must be
+// exactly what its frames hold. For every domain the corpus births —
+// Xen-native at 1, 2 and 8 vCPUs, restored from a Xen save, from a KVM
+// source (narrow IOAPIC, no HPET or PM timer) and from a NOVA one (no
+// PIT) — the reference parser reads the frames back to the domain's
+// context, before and after a save whose state is then scribbled over.
+func TestFramesHoldTheDomainContext(t *testing.T) {
+	x := bootXen(t)
+	var ids []hv.VMID
+	for _, vcpus := range []int{1, 2, 8} {
+		cfg := testConfig("native")
+		cfg.VCPUs = vcpus
+		vm, err := x.CreateVM(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Pause(vm.ID); err != nil { // restored VMs come back paused
+			t.Fatal(err)
+		}
+		ids = append(ids, vm.ID)
+	}
+	saved, err := x.SaveUISR(ids[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	kvmBorn := uisr.SyntheticVM("kvm-born", 1, 3, 64<<20, 21)
+	kvmBorn.IOAPIC.NumPins = uisr.KVMIOAPICPins
+	kvmBorn.HasHPET, kvmBorn.HasPMTimer = false, false
+	novaBorn := uisr.SyntheticVM("nova-born", 1, 2, 64<<20, 22)
+	novaBorn.HasPIT = false
+	for _, st := range []*uisr.VMState{saved, kvmBorn, novaBorn} {
+		vm, err := x.RestoreUISR(st, hv.RestoreOptions{Mode: hv.RestoreAllocate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, vm.ID)
+	}
+	check := func(when string, id hv.VMID) {
+		t.Helper()
+		dom, err := hv.StateOf[*domain](x, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := ContextBlob(x, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := parseContext(blob)
+		if err != nil {
+			t.Fatalf("VM %d %s: the frames' context is rejected: %v", id, when, err)
+		}
+		if !reflect.DeepEqual(parsed, dom.ctx) {
+			t.Fatalf("VM %d %s: the frames hold another context than the domain's", id, when)
+		}
+	}
+	for _, id := range ids {
+		check("at birth", id)
+		st, err := x.SaveUISR(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range st.VCPUs {
+			st.VCPUs[i].Regs.RIP++
+			for j := range st.VCPUs[i].MSRs {
+				st.VCPUs[i].MSRs[j].Value++
+			}
+		}
+		check("after a save", id)
+	}
+}
+
 func TestParseContextRejectsCorruption(t *testing.T) {
 	x := bootXen(t)
 	vm, _ := x.CreateVM(testConfig("c"))

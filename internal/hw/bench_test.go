@@ -50,6 +50,42 @@ func physMemOps() []physMemOp {
 			}
 		}},
 	}
+	// A 5-page blob image — the cold hop's UISR blob — filled into the
+	// frames it is allocated, then read back into the reader's buffer:
+	// the fill allocates the frames' ranges, the image and a page per
+	// frame, the read nothing.
+	const blobBytes = 4*PageSize4K + 1000
+	fillBlob := func(b []byte) { b[0], b[len(b)-1] = 1, 2 }
+	ops = append(ops, physMemOp{"FillRanges", 7, func(testing.TB) func() error {
+		pm := NewPhysMem(16 * GiB)
+		return func() error {
+			rs, err := pm.AllocRanges(5, OwnerPRAM, -1)
+			if err == nil {
+				err = pm.FillRanges(rs, blobBytes, fillBlob)
+			}
+			if err != nil {
+				return err
+			}
+			return pm.FreeRanges(rs)
+		}
+	}}, physMemOp{"ReadRanges", 0, func(tb testing.TB) func() error {
+		pm := NewPhysMem(16 * GiB)
+		rs, err := pm.AllocRanges(5, OwnerPRAM, -1)
+		if err == nil {
+			err = pm.FillRanges(rs, blobBytes, fillBlob)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		buf := make([]byte, 5*PageSize4K)
+		return func() error {
+			out, err := pm.ReadRanges(rs, buf)
+			if err == nil && out[blobBytes-1] != 2 {
+				err = fmt.Errorf("read back %d", out[blobBytes-1])
+			}
+			return err
+		}
+	}})
 	for _, gib := range []uint64{16, 64} {
 		ops = append(ops, physMemOp{fmt.Sprintf("NewPhysMem/%dGiB", gib), 1, func(testing.TB) func() error {
 			return func() error {

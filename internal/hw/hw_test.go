@@ -545,10 +545,10 @@ func TestClaimRange(t *testing.T) {
 	}
 }
 
-// TestWriteRangesRoundTrip: a blob laid over fragmented ranges reads back
-// through ReadRanges in the same order, and FreeRanges undoes
-// AllocRanges.
-func TestWriteRangesRoundTrip(t *testing.T) {
+// TestFillRangesRoundTrip: a blob filled over fragmented ranges reads back
+// through ReadRanges in the same order, into the caller's buffer when it
+// is large enough, and FreeRanges undoes AllocRanges.
+func TestFillRangesRoundTrip(t *testing.T) {
 	pm := newTestMem()
 	hole, _ := pm.AllocRanges(4, OwnerHV, -1)
 	pm.AllocRanges(4, OwnerHV, -1)
@@ -564,18 +564,28 @@ func TestWriteRangesRoundTrip(t *testing.T) {
 		t.Fatalf("ranges = %v, want two runs of six frames", rs)
 	}
 	blob := bytes.Repeat([]byte("0123456789abcdef"), 5*PageSize4K/16+3)
-	if err := pm.WriteRanges(rs, blob); err != nil {
+	if err := pm.FillRanges(rs, len(blob), func(b []byte) { copy(b, blob) }); err != nil {
 		t.Fatal(err)
 	}
-	back, err := pm.ReadRanges(rs)
+	buf := bytes.Repeat([]byte{0xee}, 7*PageSize4K) // stale bytes must not show
+	back, err := pm.ReadRanges(rs, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 6*PageSize4K || !bytes.Equal(back[:len(blob)], blob) {
+	if len(back) != 6*PageSize4K || !bytes.Equal(back[:len(blob)], blob) || !isZero(back[len(blob):]) {
 		t.Fatalf("read back %d bytes that differ from the blob", len(back))
 	}
-	if err := pm.WriteRanges(rs, make([]byte, 6*PageSize4K+1)); err == nil {
-		t.Fatal("blob larger than the ranges accepted")
+	if &back[0] != &buf[0] {
+		t.Fatal("ReadRanges allocated with a large enough buffer")
+	}
+	if short, err := pm.ReadRanges(rs, buf[:0:PageSize4K]); err != nil || !bytes.Equal(short, back) {
+		t.Fatalf("read into a short buffer: %v", err)
+	}
+	if err := pm.FillRanges(rs, 1, func(b []byte) { b[0] = 1 }); err == nil {
+		t.Fatal("fill into written frames accepted")
+	}
+	if err := pm.FillRanges(rs, 6*PageSize4K+1, func([]byte) {}); err == nil {
+		t.Fatal("image larger than the ranges accepted")
 	}
 	if err := pm.FreeRanges(rs); err != nil {
 		t.Fatal(err)
@@ -645,7 +655,7 @@ func TestPageDedupSharing(t *testing.T) {
 	if c.pages.slot[mfns[0]] != c.pages.slot[mfns[2]] || !c.pages.slot[mfns[0]].summed {
 		t.Fatal("identical pages not shared, or shared page has no cached checksum")
 	}
-	want := crc64.Checksum(page, crcTable)
+	want := crc64.Checksum(page, CRCTable)
 	if sum, _ := pm.Checksum(mfns[1]); sum != want {
 		t.Fatalf("checksum %#x, want %#x", sum, want)
 	}
@@ -845,7 +855,7 @@ func TestConcurrentDisjointRanges(t *testing.T) {
 			}
 			var viaVisit uint64
 			err := pm.ForEachTouched(start, span, func(m MFN, _ int, data []byte) error {
-				viaVisit += crc64.Checksum(data, crcTable) * checksumKey(uint64(m))
+				viaVisit += crc64.Checksum(data, CRCTable) * checksumKey(uint64(m))
 				return pm.ReadInto(m, 0, page)
 			})
 			if err != nil {
@@ -977,7 +987,7 @@ func TestPageWindowContract(t *testing.T) {
 		if err := pm.ReadInto(m, 0, got); err != nil || !bytes.Equal(got, full) {
 			return fmt.Errorf("ReadInto differs from the written frame (err %v)", err)
 		}
-		if sum, err := pm.Checksum(m); err != nil || sum != crc64.Checksum(full, crcTable) {
+		if sum, err := pm.Checksum(m); err != nil || sum != crc64.Checksum(full, CRCTable) {
 			return fmt.Errorf("Checksum %#x, %v; want the whole frame's", sum, err)
 		}
 		return nil

@@ -132,6 +132,49 @@ func (r *refMem) write(m, off int, data []byte) bool {
 	return true
 }
 
+// fill lays img into the frames of rs in order, a frame per page from
+// offset 0: every frame allocated and untouched, and rs holding img.
+func (r *refMem) fill(rs []FrameRange, img []byte) bool {
+	var ms []int
+	for _, run := range rs {
+		for m := int(run.Start); m < int(run.End()); m++ {
+			if m >= len(r.owner) || r.owner[m] == OwnerFree || r.data[m] != nil {
+				return false
+			}
+			ms = append(ms, m)
+		}
+	}
+	if len(img) > len(ms)*PageSize4K {
+		return false
+	}
+	for k, m := range ms {
+		if k*PageSize4K >= len(img) {
+			break
+		}
+		r.data[m] = make([]byte, PageSize4K) // a zero frame with its part of img laid in
+		copy(r.data[m], img[k*PageSize4K:])
+		r.lastTok++
+		r.tok[m] = r.lastTok
+	}
+	return true
+}
+
+// read returns [start, +count) as ReadRanges lays it out.
+func (r *refMem) read(start, count int) ([]byte, bool) {
+	out := make([]byte, 0, count*PageSize4K)
+	for m := start; m < start+count; m++ {
+		if m >= len(r.owner) || r.owner[m] == OwnerFree {
+			return nil, false
+		}
+		if r.data[m] == nil {
+			out = append(out, zeroPage[:]...)
+		} else {
+			out = append(out, r.data[m]...)
+		}
+	}
+	return out, true
+}
+
 // refCapture is a SharePages capture beside what the reference says it
 // holds: the captured frames' tokens and bytes, and the frame runs it was
 // taken from or installed at.
@@ -269,7 +312,7 @@ func (r *refMem) sum(m int) uint64 {
 	if r.data[m] == nil {
 		return zeroPageSum
 	}
-	return crc64.Checksum(r.data[m], crcTable)
+	return crc64.Checksum(r.data[m], CRCTable)
 }
 
 // modelFrames is three whole chunks and a partial last one.
@@ -410,7 +453,7 @@ func modelRun(ops []byte, dedup bool) error {
 		count := 1 + (b*c)%(3*chunkFrames/2)
 		var desc string
 		var got, want any
-		switch ops[0] % 13 {
+		switch ops[0] % 15 {
 		case 0:
 			rs, err := pm.AllocRanges(count, owner, vm)
 			mfns, _ := frames(rs, nil)
@@ -511,7 +554,7 @@ func modelRun(ops []byte, dedup bool) error {
 				at = rc.sites[i]
 			}
 			rs := []FrameRange{{Start: MFN(at), Count: uint64(len(rc.toks))}}
-			if ops[0]%13 == 10 {
+			if ops[0]%15 == 10 {
 				err := pm.InstallPages(rs, rc.p)
 				desc, got, want = fmt.Sprintf("InstallPages(%v)", rs), err == nil, ref.install(at, rc)
 				break
@@ -530,6 +573,44 @@ func modelRun(ops []byte, dedup bool) error {
 				rc.live = false
 			}
 			desc = "Release"
+		case 13:
+			// An image of a quarter to all of its frames, short of a few
+			// bytes or not, over one run or two: one of the payloads
+			// Write lays, so dedup can find a filled page resident.
+			rs := []FrameRange{{Start: MFN(frame), Count: uint64(1 + b%6)}}
+			if c%4 == 3 {
+				rs = append(rs, FrameRange{Start: MFN(a * 5), Count: uint64(1 + c%3)})
+			}
+			total := int(CountFrames(rs)) * PageSize4K
+			img := bytes.Repeat([]byte{byte(c % 3)}, max(0, total*(1+c%4)/4-b%3*700))
+			if c&8 != 0 {
+				for k := 0; k < len(img); k += 512 {
+					img[k] = byte(k / PageSize4K)
+				}
+			}
+			err := pm.FillRanges(rs, len(img), func(b []byte) { copy(b, img) })
+			desc, got, want = fmt.Sprintf("FillRanges(%v, %d)", rs, len(img)), err == nil, ref.fill(rs, img)
+			dedupped = dedupped || pm.dedup
+		case 14:
+			// Into no buffer, one exactly large enough, or a larger one of
+			// stale bytes: the result is the frames, in the buffer it fits.
+			n := 1 + b%40
+			var buf []byte
+			switch c % 3 {
+			case 1:
+				buf = make([]byte, 0, n*PageSize4K)
+			case 2:
+				buf = bytes.Repeat([]byte{0xaa}, (n+1)*PageSize4K)
+			}
+			out, err := pm.ReadRanges([]FrameRange{{Start: MFN(frame), Count: uint64(n)}}, buf)
+			refOut, ok := ref.read(frame, n)
+			desc, got, want = fmt.Sprintf("ReadRanges(%d,%d)", frame, n), err == nil, ok
+			if err == nil && ok && !bytes.Equal(out, refOut) {
+				return fmt.Errorf("step %d: %s contents differ from reference", step, desc)
+			}
+			if err == nil && buf != nil && &out[:1][0] != &buf[:1][0] {
+				return fmt.Errorf("step %d: %s allocated with a large enough buffer", step, desc)
+			}
 		}
 		if got != want {
 			return fmt.Errorf("step %d: %s = %v, reference %v", step, desc, got, want)
@@ -603,6 +684,13 @@ func physMemOpsSeeds() [][]byte {
 			5, 0, 20, 20, 5, 0, 17, 35, 5, 0, 30, 40, 5, 0, 29, 25, 5, 0, 50, 60, 5, 0, 50, 100,
 			7, 0, 0, 0, 5, 0, 100, 35, 9, 0, 100, 0, 5, 0, 100, 40, 5, 0, 98, 55, 5, 0, 101, 25,
 			5, 0, 103, 196, 6, 0, 0, 0},
+		// Filled images: fill three frames, fill them again (refused),
+		// read two through a stale buffer, write inside a filled window;
+		// then under dedup fill five zero frames and one more elsewhere,
+		// capture across them, write two of them, read them back into no
+		// buffer, and wipe.
+		{0, 0, 20, 2, 13, 0, 2, 1, 13, 0, 2, 1, 14, 0, 1, 2, 5, 0, 3, 0,
+			7, 0, 0, 0, 13, 0, 10, 3, 9, 0, 10, 0, 5, 0, 11, 1, 14, 0, 10, 0, 6, 0, 0, 0},
 	}
 }
 

@@ -233,7 +233,9 @@ type PhysMem struct {
 	dedupHits uint64
 }
 
-var crcTable = crc64.MakeTable(crc64.ECMA)
+// CRCTable is the ECMA CRC-64 table of every checksum in the simulator:
+// frame sums here, checkpoint images and transplant-cache blob hashes.
+var CRCTable = crc64.MakeTable(crc64.ECMA)
 
 // prefixLen is the buffer length for a frame whose first write is data at
 // offset 0: data without its trailing zeros, rounded up to a whole number
@@ -251,8 +253,8 @@ func prefixLen(data []byte) int {
 
 // pageSum is the CRC-64 of p's whole frame, the zeros around its window in.
 func pageSum(p *page) uint64 {
-	h := crc64.Update(crc64.Checksum(zeroPage[:p.lo], crcTable), crcTable, p.buf)
-	return crc64.Update(h, crcTable, zeroPage[:PageSize4K-p.hi()])
+	h := crc64.Update(crc64.Checksum(zeroPage[:p.lo], CRCTable), CRCTable, p.buf)
+	return crc64.Update(h, CRCTable, zeroPage[:PageSize4K-p.hi()])
 }
 
 // samePage reports whether two pages hold the same frame contents.
@@ -777,40 +779,98 @@ func (pm *PhysMem) pageTable(c *chunk) {
 	}
 }
 
-// WriteRanges lays data into the frames of rs in order, a page per frame
-// from offset 0 — how a blob goes into frames allocated as ranges.
-func (pm *PhysMem) WriteRanges(rs []FrameRange, data []byte) error {
-	for _, r := range rs {
-		for m := r.Start; m < r.End() && len(data) > 0; m++ {
-			n := min(len(data), PageSize4K)
-			if err := pm.Write(m, 0, data[:n]); err != nil {
-				return err
-			}
-			data = data[n:]
-		}
+// FillRanges lays an n-byte image into the frames of rs in order, a page
+// per frame from offset 0 — how a blob goes into frames allocated as
+// ranges. It allocates the image once and has fill write it, outside the
+// lock; each frame's page is then a window of the image, so no byte is
+// copied. fill must not keep its argument: the frames own the image. Every
+// frame must be allocated and unwritten (claimed or freshly allocated
+// frames are) and rs must hold n bytes; otherwise nothing is installed.
+// Under page dedup each page is interned as Write interns it, hashed
+// under the lock: an image is a few pages.
+func (pm *PhysMem) FillRanges(rs []FrameRange, n int, fill func([]byte)) error {
+	if frames := CountFrames(rs); n < 0 || uint64(n) > frames*PageSize4K {
+		return fmt.Errorf("hw: fill of %d bytes into %d frames", n, frames)
 	}
-	if len(data) > 0 {
-		return fmt.Errorf("hw: write of %d bytes past the last frame range", len(data))
+	img := make([]byte, n)
+	fill(img)
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	if err := pm.unwritten(rs, "fill"); err != nil {
+		return err
+	}
+	off := 0
+	for _, r := range rs {
+		_ = pm.eachAllocated(r.Start, r.Count, "fill", func(pt part) {
+			for i := pt.lo; i < pt.hi && off < n; i++ {
+				end := min(off+PageSize4K, n)
+				p := &page{buf: img[off:end:end], refs: 1}
+				pm.releaseDataAt(pt.c, i) // a frame rs names twice takes its last page
+				pm.pageTable(pt.c)
+				pt.c.pages.slot[i] = p
+				pt.c.data++
+				if pm.dedup {
+					pm.internPage(pt.c, i, p, pageSum(p))
+				}
+				off = end
+			}
+		})
 	}
 	return nil
 }
 
-// ReadRanges is the inverse of WriteRanges: it returns the contents of the
-// frames of rs in order, a page per frame, in one buffer.
-func (pm *PhysMem) ReadRanges(rs []FrameRange) ([]byte, error) {
-	out := make([]byte, CountFrames(rs)*PageSize4K)
-	rest := out
+// unwritten checks that every frame of rs is allocated and was never
+// written since it was: what FillRanges and InstallPages install into.
+// pm.mu held.
+func (pm *PhysMem) unwritten(rs []FrameRange, op string) error {
+	written := false
 	for _, r := range rs {
-		err := pm.ForEachTouched(r.Start, r.Count, func(m MFN, off int, data []byte) error {
-			copy(rest[uint64(m-r.Start)*PageSize4K+uint64(off):], data)
-			return nil
+		err := pm.eachAllocated(r.Start, r.Count, op, func(pt part) {
+			for i := pt.lo; pt.c.data > 0 && i < pt.hi; i++ {
+				written = written || pt.c.pages.slot[i] != nil
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
+	if written {
+		return fmt.Errorf("hw: %s written frames", op)
+	}
+	return nil
+}
+
+// ReadRanges returns the contents of the frames of rs in order, a page per
+// frame, in buf when it holds them — allocating nothing — and in a fresh
+// buffer when it is short. Each page's window is copied at its offset and
+// the bytes around it cleared, so every byte of the result is written
+// once; the copy runs under the lock.
+func (pm *PhysMem) ReadRanges(rs []FrameRange, buf []byte) ([]byte, error) {
+	n := CountFrames(rs) * PageSize4K
+	if uint64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	dst := buf
+	for _, r := range rs {
+		err := pm.eachAllocated(r.Start, r.Count, "read from", func(pt part) {
+			for i := pt.lo; i < pt.hi; i, dst = i+1, dst[PageSize4K:] {
+				if p := pt.c.page(i); p == nil {
+					clear(dst[:PageSize4K])
+				} else {
+					clear(dst[:p.lo])
+					copy(dst[p.lo:], p.buf)
+					clear(dst[p.hi():PageSize4K])
+				}
+			}
 		})
 		if err != nil {
 			return nil, err
 		}
-		rest = rest[r.Count*PageSize4K:]
 	}
-	return out, nil
+	return buf, nil
 }
 
 // Pages is a frozen capture of frames' pages, taken by SharePages: it
@@ -849,10 +909,10 @@ func (pm *PhysMem) SharePages(rs []FrameRange) (Pages, error) {
 }
 
 // InstallPages puts the captured pages p into the frames of rs, in order,
-// by reference — the inverse of SharePages, without the copy WriteRanges
-// makes. Every frame must be allocated and never written since it was
-// (claimed frames are), and rs must cover exactly as many frames as p
-// captured, on this machine; otherwise nothing is installed.
+// by reference — the inverse of SharePages, with no byte copied. Every
+// frame must be allocated and never written since it was (claimed frames
+// are), and rs must cover exactly as many frames as p captured, on this
+// machine; otherwise nothing is installed.
 func (pm *PhysMem) InstallPages(rs []FrameRange, p Pages) error {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
@@ -860,19 +920,8 @@ func (pm *PhysMem) InstallPages(rs []FrameRange, p Pages) error {
 		return fmt.Errorf("hw: install of a released or foreign capture of %d pages into %d frames",
 			len(p.slots), CountFrames(rs))
 	}
-	written := false
-	for _, r := range rs {
-		err := pm.eachAllocated(r.Start, r.Count, "install into", func(pt part) {
-			for i := pt.lo; pt.c.data > 0 && i < pt.hi; i++ {
-				written = written || pt.c.pages.slot[i] != nil
-			}
-		})
-		if err != nil {
-			return err
-		}
-	}
-	if written {
-		return fmt.Errorf("hw: install into written frames")
+	if err := pm.unwritten(rs, "install into"); err != nil {
+		return err
 	}
 	k := 0
 	for _, r := range rs {
@@ -1044,7 +1093,7 @@ func (pm *PhysMem) Checksum(m MFN) (uint64, error) {
 
 var (
 	zeroPage    [PageSize4K]byte
-	zeroPageSum = crc64.Checksum(zeroPage[:], crcTable)
+	zeroPageSum = crc64.Checksum(zeroPage[:], CRCTable)
 )
 
 // eachAllocated calls fn for every chunk part of [start, start+count),

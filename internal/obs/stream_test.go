@@ -121,20 +121,22 @@ func TestHeadSamplerDeterministic(t *testing.T) {
 	h1 := NewHeadSampler(42, 0.3, nil)
 	h2 := NewHeadSampler(42, 0.3, nil)
 	hOther := NewHeadSampler(43, 0.3, nil)
-	same, diff := true, false
+	// Each sampler's first decisions: h1 is fed the roots in order, h2
+	// in reverse, and every root must get the same decision from both.
+	forward, reverse := make([]bool, len(roots)), make([]bool, len(roots))
 	for i := range roots {
-		// h2 sees the roots in reverse order; decisions must agree.
-		if h1.Keep(roots[i]) != h2.Keep(roots[len(roots)-1-i]) {
-			same = false
-		}
-		if h1.Keep(roots[i]) != hOther.Keep(roots[i]) {
-			diff = true
-		}
+		forward[i] = h1.Keep(roots[i])
 	}
-	_ = same
+	for i := len(roots) - 1; i >= 0; i-- {
+		reverse[i] = h2.Keep(roots[i])
+	}
+	diff := false
 	for i := range roots {
-		if h1.Keep(roots[i]) != h2.Keep(roots[i]) {
-			t.Fatalf("same (seed, frac) disagreed on root %d", i)
+		if forward[i] != reverse[i] {
+			t.Fatalf("root %d: kept %v fed in order, %v fed in reverse", i, forward[i], reverse[i])
+		}
+		if forward[i] != hOther.Keep(roots[i]) {
+			diff = true
 		}
 	}
 	if !diff {

@@ -3,6 +3,7 @@ package orchestrator
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"testing"
@@ -298,7 +299,9 @@ var raceEnabled bool
 // response; the same response with the streaming observability and SLO
 // tracker attached; and a crash-storm
 // recovery of five hosts. Each host op the executor emits is a few
-// hundred allocations, so an extra one per op moves every row.
+// hundred allocations, so an extra one per op moves every row. The plain
+// response is pinned in heap bytes too, the least of three runs: each
+// cold hop writes a VM's state bytes once, into their frames.
 func TestFleetAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
@@ -310,13 +313,14 @@ func TestFleetAllocBudgets(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		budget float64
+		bytes  uint64 // heap bytes per run; 0: counted only
 		run    func() error
 	}{
-		{"RespondToCVE", 5255, func() error {
+		{"RespondToCVE", 5002, 2445216, func() error {
 			respondFleet(t, newFleet(t, stockFleet()), limits)
 			return nil
 		}},
-		{"RespondToCVE/slo", 5512, func() error {
+		{"RespondToCVE/slo", 5260, 0, func() error {
 			c := newFleet(t, stockFleet())
 			rec := obs.NewRecorder(c.clock)
 			rec.AddSink(obs.NewHeadSampler(1, 0.1, obs.NewFlightRecorder(256)))
@@ -327,7 +331,7 @@ func TestFleetAllocBudgets(t *testing.T) {
 			respondFleet(t, c, limits)
 			return nil
 		}},
-		{"RecoverFleet", 2281, func() error {
+		{"RecoverFleet", 2121, 0, func() error {
 			c := newFleet(t, stockFleet())
 			stormFleet(t, c, []int{0, 2, 5, 8, 9})
 			c.nova.SetFleetLimits(&sched.Limits{MaxKexecs: 2})
@@ -339,6 +343,20 @@ func TestFleetAllocBudgets(t *testing.T) {
 		run := func() { err = tc.run() }
 		if n := testing.AllocsPerRun(2, run); n > tc.budget || err != nil {
 			t.Errorf("%s allocated %v times, budget %v (err %v)", tc.name, n, tc.budget, err)
+		}
+		if tc.bytes == 0 {
+			continue
+		}
+		least := ^uint64(0)
+		for range 3 {
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			run()
+			runtime.ReadMemStats(&ms1)
+			least = min(least, ms1.TotalAlloc-ms0.TotalAlloc)
+		}
+		if least > tc.bytes || err != nil {
+			t.Errorf("%s allocated %d B, budget %d (err %v)", tc.name, least, tc.bytes, err)
 		}
 	}
 }

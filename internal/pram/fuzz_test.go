@@ -23,7 +23,8 @@ func parseFuzzBytes(tb testing.TB, data []byte) (*Structure, error) {
 		tb.Fatal(err)
 	}
 	frames := []hw.FrameRange{{Start: fuzzBase, Count: uint64(n)}}
-	if err := fm.WriteRanges(frames, data[:min(len(data), n*hw.PageSize4K)]); err != nil {
+	image := data[:min(len(data), n*hw.PageSize4K)]
+	if err := fm.FillRanges(frames, len(image), func(b []byte) { copy(b, image) }); err != nil {
 		tb.Fatal(err)
 	}
 	return Parse(fm, fuzzBase)

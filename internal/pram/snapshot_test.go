@@ -35,7 +35,7 @@ func TestSnapshotMissesOnOccupiedFramesThenHits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pages, err := mem.ReadRanges(s.MetaFrames)
+		pages, err := mem.ReadRanges(s.MetaFrames, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestSnapshotParseMemoMissesOnCorruption(t *testing.T) {
 			return mem.Write(s.MetaFrames[0].Start, 17, []byte{0xff})
 		}, "node entry count"},
 		{"rewritten", func(mem *hw.PhysMem, s *Structure) error {
-			image, err := mem.ReadRanges(s.MetaFrames)
+			image, err := mem.ReadRanges(s.MetaFrames, nil)
 			if err != nil {
 				return err
 			}
@@ -176,7 +176,7 @@ func TestSnapshotParseMemoMissesOnCorruption(t *testing.T) {
 					return err
 				}
 			}
-			return mem.WriteRanges(s.MetaFrames, image)
+			return mem.FillRanges(s.MetaFrames, len(image), func(b []byte) { copy(b, image) })
 		}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -229,7 +229,7 @@ func TestSnapshotKeyCollisionMisses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pages, err := mem.ReadRanges(s.MetaFrames)
+		pages, err := mem.ReadRanges(s.MetaFrames, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -163,11 +163,9 @@ func New() *Cache {
 	}
 }
 
-var crcTable = crc64.MakeTable(crc64.ECMA)
-
 // BlobHash fingerprints an encoded UISR blob.
 func BlobHash(blob []byte) uint64 {
-	return crc64.Checksum(blob, crcTable) ^ uint64(len(blob))<<32
+	return crc64.Checksum(blob, hw.CRCTable) ^ uint64(len(blob))<<32
 }
 
 // fingerprint derives the state fingerprint of a VM restored from (or,

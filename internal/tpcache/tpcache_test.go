@@ -188,7 +188,7 @@ func TestBlobImageInstallAndDecodeMemo(t *testing.T) {
 			at, err = known, m.Mem.ClaimRanges(known, hw.OwnerPRAM, -1)
 		}
 		if err == nil {
-			err = m.Mem.WriteRanges(at, blob)
+			err = m.Mem.FillRanges(at, len(blob), func(b []byte) { copy(b, blob) })
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -212,7 +212,7 @@ func TestBlobImageInstallAndDecodeMemo(t *testing.T) {
 	if got := c.Stats().BlobInstalls; got != 1 {
 		t.Fatalf("third landing: %d installs, want 1", got)
 	}
-	if image, err := m.Mem.ReadRanges(at); err != nil || string(image[:len(blob)]) != string(blob) {
+	if image, err := m.Mem.ReadRanges(at, nil); err != nil || string(image[:len(blob)]) != string(blob) {
 		t.Fatalf("installed image reads %q, %v", image[:len(blob)], err)
 	}
 	if st, held := c.DecodedBlob(m, 1, at); st != nil || !held {
@@ -340,7 +340,7 @@ func TestConcurrentStoresAndLookups(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					_ = m.Mem.WriteRanges(at, blob)
+					_ = m.Mem.FillRanges(at, len(blob), func(b []byte) { copy(b, blob) })
 					c.SetBlobFrames(m, h, blob, at)
 					_ = m.Mem.FreeRanges(at)
 				}

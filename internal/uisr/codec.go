@@ -118,12 +118,20 @@ func encodedSize(s *VMState) int {
 // vCPU or device count — it runs once per VM inside the transplant
 // blackout window, on the par worker pool.
 func Encode(s *VMState) ([]byte, error) {
-	if err := s.Validate(); err != nil {
+	n, err := EncodedSize(s)
+	if err != nil {
 		return nil, err
 	}
-	le := binary.LittleEndian
-	out := make([]byte, encodedSize(s))
+	out := make([]byte, n)
+	Put(out, s)
+	return out, nil
+}
 
+// Put serializes s, which EncodedSize has validated, into out, exactly
+// EncodedSize(s) bytes: Encode without the allocation, for a blob built
+// where it is kept.
+func Put(out []byte, s *VMState) {
+	le := binary.LittleEndian
 	le.PutUint32(out[0:], Magic)
 	le.PutUint16(out[4:], Version)
 	le.PutUint16(out[6:], 0) // flags
@@ -183,7 +191,6 @@ func Encode(s *VMState) ([]byte, error) {
 		panic(fmt.Sprintf("uisr: encoded %d bytes, sized %d", off, len(out)))
 	}
 	le.PutUint32(out[8:], uint32(sections))
-	return out, nil
 }
 
 // Decode parses a UISR blob back into a VMState. It is strict: unknown,
