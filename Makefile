@@ -30,7 +30,7 @@ fmt-check:
 # PKG_CEILING. Both are ratchets: a PR that grows the tree raises them in
 # the same diff, where a reviewer sees it; a simplicity PR lowers them to
 # its own result and cites the before/after in CHANGES.md.
-LOC_CEILING = 22130
+LOC_CEILING = 22240
 PKG_CEILING = 27
 loc:
 	@src() { find "$$@" -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'; }; \
@@ -161,6 +161,9 @@ calib-check:
 # summary against the consumers' own checks it replaced, and on the
 # converter matrix, whose cached Xen/KVM/NOVA tours install those images
 # and answer their decodes from the memo, byte-identical to the cold run.
+# Physical memory is fuzzed twice: under the race detector, which finds
+# little time to leave the seed corpus in ten seconds, and in a plain
+# build, which runs thousands of sequences against the reference model.
 soak-short: race-check
 	$(GO) test -race -count=1 -run TestChaosSoakShort ./internal/chaos/
 	$(GO) test -race -fuzz FuzzDecode -fuzztime 10s ./internal/uisr/
@@ -169,6 +172,7 @@ soak-short: race-check
 	$(GO) test -race -fuzz FuzzParse -fuzztime 10s ./internal/pram/
 	$(GO) test -race -fuzz FuzzDeserialize -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -race -fuzz FuzzPhysMemOps -fuzztime 10s ./internal/hw/
+	$(GO) test -fuzz FuzzPhysMemOps -fuzztime 10s ./internal/hw/
 	$(GO) test -race -fuzz FuzzRoundTrip -fuzztime 10s ./internal/core/
 
 benchfig:

@@ -366,7 +366,10 @@ var raceEnabled bool
 // timelines, and the Fig. 14 overhead census. The sweeps (Figs. 7-10 and
 // 13, the ablation) are pinned by their units: core's
 // TestEngineAllocBudgets, TestWarmHopAllocBudget and cluster's
-// TestUpgradeAllocBudget.
+// TestUpgradeAllocBudget. A machine builds a PhysMem leaf for each GiB
+// it holds beyond the one NewPhysMem embeds: Figures 11 and 12 and
+// Tables 5 and 6 run an 8 GiB VM (7 leaves), and Figure 14's memory and
+// VM-count sweeps hold 2 to 12 GiB at a time (72 leaves in all).
 func TestSectionAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
@@ -383,11 +386,11 @@ func TestSectionAllocBudgets(t *testing.T) {
 		{"Table2", 13, func() error { Table2(); return nil }},
 		{"Figure6", 354, func() error { _, _, err := Figure6(); return err }},
 		{"Table4", 240, func() error { _, _, err := Table4(); return err }},
-		{"Figure11", 478, func() error { _, _, err := Figure11(); return err }},
-		{"Figure12", 478, func() error { _, _, err := Figure12(); return err }},
-		{"Table5", 526, func() error { _, _, _, err := Table5(); return err }},
-		{"Table6", 231, func() error { _, _, err := Table6(); return err }},
-		{"Figure14", 864, func() error { _, _, err := Figure14(); return err }},
+		{"Figure11", 485, func() error { _, _, err := Figure11(); return err }},
+		{"Figure12", 485, func() error { _, _, err := Figure12(); return err }},
+		{"Table5", 533, func() error { _, _, _, err := Table5(); return err }},
+		{"Table6", 238, func() error { _, _, err := Table6(); return err }},
+		{"Figure14", 936, func() error { _, _, err := Figure14(); return err }},
 	} {
 		var err error
 		run := func() { err = tc.run() }

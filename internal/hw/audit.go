@@ -11,9 +11,11 @@ type Violation struct {
 	//	                 a teardown or failed restore path
 	//	"untagged-vm"    a per-VM owner tag carries no VM id at all
 	//	"residue"        a free frame or a spare page table holds page
-	//	                 contents — the wipe/free discipline was bypassed
+	//	                 contents, or a spare leaf chunk state — the
+	//	                 wipe/free discipline was bypassed
 	//	"accounting"     the cached counters or occupancy bits disagree
-	//	                 with the ownership array itself
+	//	                 with the ownership array itself, or a built
+	//	                 leaf has no occupied chunk
 	Kind  string
 	MFN   MFN
 	Owner Owner
@@ -70,10 +72,17 @@ func (pm *PhysMem) AuditOwners(liveVMs map[int]bool) []Violation {
 
 	var allocated uint64
 	var byOwner [numOwners]uint64
-	for ci := range pm.chunks {
-		c := &pm.chunks[ci]
+	// A leaf is built by the allocation that occupies it and released when
+	// its last chunk drains; a leaf that is not built is free throughout.
+	for li, l := range pm.dir {
+		if l != nil && l.occupied == [leafWords]uint64{} {
+			add(Violation{Kind: "accounting", MFN: MFN(li * leafFrames), Owner: OwnerFree, VM: -1,
+				Detail: "built leaf has no occupied chunk"})
+		}
+	}
+	pm.eachChunk(func(ci int, c *chunk) {
 		base, size := pm.chunkSpan(ci)
-		if occupied := pm.occupied != nil && pm.occupied[ci/64]>>(uint(ci)%64)&1 != 0; occupied != (c.alloc > 0) {
+		if occupied := pm.dir[ci/leafChunks].occupied[ci/64%leafWords]>>(uint(ci)%64)&1 != 0; occupied != (c.alloc > 0) {
 			add(Violation{Kind: "accounting", MFN: base, Owner: OwnerFree, VM: -1,
 				Detail: fmt.Sprintf("occupancy bit %v, chunk counts %d allocated frames", occupied, c.alloc)})
 		}
@@ -81,10 +90,10 @@ func (pm *PhysMem) AuditOwners(liveVMs map[int]bool) []Violation {
 			// Uniform chunk: one summary check covers every frame; only a
 			// violating chunk pays the per-frame reporting loop.
 			o, v := c.owner, c.vm
-			byOwner[o] += size
 			if o == OwnerFree {
-				continue
+				return
 			}
+			byOwner[o] += size
 			allocated += size
 			bad := false
 			switch o {
@@ -96,7 +105,7 @@ func (pm *PhysMem) AuditOwners(liveVMs map[int]bool) []Violation {
 					checkVM(base+MFN(i), o, v)
 				}
 			}
-			continue
+			return
 		}
 		for i := uint64(0); i < size; i++ {
 			o := c.tags.owner[i]
@@ -107,14 +116,13 @@ func (pm *PhysMem) AuditOwners(liveVMs map[int]bool) []Violation {
 			allocated++
 			checkVM(base+MFN(i), o, c.tags.vm[i])
 		}
-	}
+	})
 	// Residue: page contents surviving under a free frame. Walked from
 	// the page tables themselves (not the chunk counters, which could be
 	// the very thing that drifted), in frame order.
-	for ci := range pm.chunks {
-		c := &pm.chunks[ci]
+	pm.eachChunk(func(ci int, c *chunk) {
 		if c.pages == nil {
-			continue
+			return
 		}
 		base, size := pm.chunkSpan(ci)
 		for i := uint64(0); i < size; i++ {
@@ -123,7 +131,7 @@ func (pm *PhysMem) AuditOwners(liveVMs map[int]bool) []Violation {
 					Detail: "free frame retains page contents"})
 			}
 		}
-	}
+	})
 	for pt := pm.sparePages; pt != nil; pt = pt.next {
 		for i, p := range pt.slot {
 			if p != nil {
@@ -132,12 +140,22 @@ func (pm *PhysMem) AuditOwners(liveVMs map[int]bool) []Violation {
 			}
 		}
 	}
+	// A spare leaf is handed to the next GiB allocated into: any state left
+	// in it would surface there as another chunk's.
+	for l := pm.spareLeaves; l != nil; l = l.next {
+		for k := range l.chunks {
+			if l.chunks[k] != (chunk{}) || l.occupied[k/64]>>(k%64)&1 != 0 {
+				add(Violation{Kind: "residue", MFN: MFN(k * chunkFrames), Owner: OwnerFree, VM: -1,
+					Detail: "spare leaf retains chunk state (MFN is the chunk's offset in the leaf)"})
+			}
+		}
+	}
 	if allocated != pm.allocated {
 		add(Violation{Kind: "accounting", MFN: 0, Owner: OwnerFree, VM: -1,
 			Detail: fmt.Sprintf("allocated counter %d, ownership array says %d", pm.allocated, allocated)})
 	}
-	for o := Owner(0); o < numOwners; o++ {
-		if byOwner[o] != pm.byOwner[o] && o != OwnerFree {
+	for o := Owner(1); o < numOwners; o++ {
+		if byOwner[o] != pm.byOwner[o] {
 			add(Violation{Kind: "accounting", MFN: 0, Owner: o, VM: -1,
 				Detail: fmt.Sprintf("byOwner[%v] counter %d, ownership array says %d", o, pm.byOwner[o], byOwner[o])})
 		}

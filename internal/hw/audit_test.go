@@ -63,7 +63,7 @@ func TestAuditResidue(t *testing.T) {
 	pm, live := auditMem(t)
 	// Plant contents under a free frame directly: the public API cannot
 	// produce this state — which is exactly what the audit is for.
-	last := &pm.chunks[len(pm.chunks)-1]
+	last := pm.chunk(int(pm.TotalFrames()/chunkFrames) - 1)
 	last.pages = new(pageTable)
 	last.pages.slot[chunkFrames-1] = &page{buf: make([]byte, PageSize4K), refs: 1}
 	vs := pm.AuditOwners(live)
@@ -97,10 +97,33 @@ func TestAuditAccountingDrift(t *testing.T) {
 	pm.byOwner[OwnerGuest]--
 	// An occupancy bit that disagrees with its chunk: a wipe would skip
 	// the occupied chunk 0, or visit the free chunk 1.
-	pm.occupied[0] ^= 0b11
+	pm.dir[0].occupied[0] ^= 0b11
 	vs = pm.AuditOwners(live)
 	if len(vs) != 2 || vs[0].Kind != "accounting" || vs[0].MFN != 0 || vs[1].MFN != chunkFrames {
 		t.Fatalf("violations = %v", vs)
+	}
+}
+
+// TestAuditLeaves: a built leaf holds an occupied chunk, and a spare leaf
+// is all zero. A leaf released with a chunk still occupied breaks both: its
+// frames read as free though counted allocated, and its state waits in
+// the spare list for the next GiB built.
+func TestAuditLeaves(t *testing.T) {
+	pm := NewPhysMem(2 * GiB)
+	pm.build(leafChunks) // leaf 1, built with nothing allocated in it
+	vs := pm.AuditOwners(nil)
+	if len(vs) != 1 || vs[0].Kind != "accounting" || vs[0].MFN != leafFrames || !strings.Contains(vs[0].Detail, "no occupied chunk") {
+		t.Fatalf("violations = %v", vs)
+	}
+	pm, live := auditMem(t)
+	l := pm.dir[0]
+	pm.dir[0], l.next, pm.spareLeaves = nil, pm.spareLeaves, l
+	vs = pm.AuditOwners(live)
+	if len(vs) == 0 || vs[0].Kind != "residue" || vs[0].MFN != 0 || !strings.Contains(vs[0].Detail, "spare leaf") {
+		t.Fatalf("violations = %v", vs)
+	}
+	if last := vs[len(vs)-1]; last.Kind != "accounting" {
+		t.Fatalf("released occupied leaf: no accounting violation in %v", vs)
 	}
 }
 
@@ -167,9 +190,8 @@ func TestChecksumCacheInvalidation(t *testing.T) {
 	if _, err := pm.Checksum(re[0]); err == nil {
 		t.Fatal("checksum of wiped frame succeeded")
 	}
-	for ci := range pm.chunks {
-		if c := &pm.chunks[ci]; c.data != 0 {
-			t.Fatalf("wipe left %d pages in chunk %d", c.data, ci)
-		}
+	// The drained leaf is spare again, with no chunk state left in it.
+	if vs := pm.AuditOwners(nil); pm.dir[0] != nil || vs != nil {
+		t.Fatalf("wipe of every frame left its leaf built (%v) or state behind: %v", pm.dir[0] != nil, vs)
 	}
 }

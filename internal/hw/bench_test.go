@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -11,13 +12,22 @@ import (
 // guests write. BenchmarkPhysMem times each op; TestPhysMemAllocBudgets
 // pins what one call allocates once the machine has settled.
 
-var benchSink uint64
+var (
+	benchSink uint64
+	benchMem  *PhysMem
+)
+
+// newPhysMemBytes is what NewPhysMem allocates on every profile's machine
+// (≤ 96 GiB), whatever its size: one PhysMem, its first leaf embedded, in
+// the 18 KiB size class.
+const newPhysMemBytes = 18432
 
 // physMemOp is one operation: setup builds its machine once and returns
 // the call, which must leave the machine as it found it.
 type physMemOp struct {
 	name   string
 	budget float64 // allocations per call
+	bytes  uint64  // heap bytes per call; 0: counted only
 	setup  func(tb testing.TB) func() error
 }
 
@@ -25,7 +35,7 @@ func physMemOps() []physMemOp {
 	ops := []physMemOp{
 		// Allocates and releases a hypervisor resident set (4096 frames)
 		// from a cursor that starts mid-chunk: the result slice.
-		{"AllocRanges", 1, func(tb testing.TB) func() error {
+		{"AllocRanges", 1, 0, func(tb testing.TB) func() error {
 			pm := NewPhysMem(16 * GiB)
 			if _, err := pm.AllocRanges(100, OwnerHV, -1); err != nil {
 				tb.Fatal(err)
@@ -40,7 +50,7 @@ func physMemOps() []physMemOp {
 		}},
 		// Re-claims and frees 40 PRAM frames inside a chunk: the
 		// snapshot-replay path of a repeat transplant.
-		{"ClaimRange", 0, func(tb testing.TB) func() error {
+		{"ClaimRange", 0, 0, func(tb testing.TB) func() error {
 			pm := NewPhysMem(16 * GiB)
 			return func() error {
 				if err := pm.ClaimRange(1000, 40, OwnerPRAM, -1); err != nil {
@@ -56,7 +66,7 @@ func physMemOps() []physMemOp {
 	// frame, the read nothing.
 	const blobBytes = 4*PageSize4K + 1000
 	fillBlob := func(b []byte) { b[0], b[len(b)-1] = 1, 2 }
-	ops = append(ops, physMemOp{"FillRanges", 7, func(testing.TB) func() error {
+	ops = append(ops, physMemOp{"FillRanges", 7, 0, func(testing.TB) func() error {
 		pm := NewPhysMem(16 * GiB)
 		return func() error {
 			rs, err := pm.AllocRanges(5, OwnerPRAM, -1)
@@ -68,7 +78,7 @@ func physMemOps() []physMemOp {
 			}
 			return pm.FreeRanges(rs)
 		}
-	}}, physMemOp{"ReadRanges", 0, func(tb testing.TB) func() error {
+	}}, physMemOp{"ReadRanges", 0, 0, func(tb testing.TB) func() error {
 		pm := NewPhysMem(16 * GiB)
 		rs, err := pm.AllocRanges(5, OwnerPRAM, -1)
 		if err == nil {
@@ -86,10 +96,12 @@ func physMemOps() []physMemOp {
 			return err
 		}
 	}})
+	// A machine escapes to the heap, as NewMachine's does; its leaves are
+	// built by the allocations into it, so M1 and M2 cost the same.
 	for _, gib := range []uint64{16, 64} {
-		ops = append(ops, physMemOp{fmt.Sprintf("NewPhysMem/%dGiB", gib), 1, func(testing.TB) func() error {
+		ops = append(ops, physMemOp{fmt.Sprintf("NewPhysMem/%dGiB", gib), 1, newPhysMemBytes, func(testing.TB) func() error {
 			return func() error {
-				benchSink += NewPhysMem(gib * GiB).TotalFrames()
+				benchMem = NewPhysMem(gib * GiB)
 				return nil
 			}
 		}})
@@ -102,7 +114,7 @@ func physMemOps() []physMemOp {
 		name         string
 		machine, gib uint64
 	}{{"1GiB", 64, 1}, {"12GiB", 64, 12}, {"1GiB-on-M1", 16, 1}} {
-		ops = append(ops, physMemOp{"WipeRanges/" + tc.name, 1, func(tb testing.TB) func() error {
+		ops = append(ops, physMemOp{"WipeRanges/" + tc.name, 1, 0, func(tb testing.TB) func() error {
 			pm := NewPhysMem(tc.machine * GiB)
 			keep := []FrameRange{benchGuest(tb, pm, tc.gib)}
 			return func() error {
@@ -119,7 +131,7 @@ func physMemOps() []physMemOp {
 	// The two content sweeps run per 2 MiB extent, as AddressSpace drives
 	// them.
 	for _, gib := range []uint64{1, 12} {
-		ops = append(ops, physMemOp{fmt.Sprintf("ForEachTouched/%dGiB", gib), 1, func(tb testing.TB) func() error {
+		ops = append(ops, physMemOp{fmt.Sprintf("ForEachTouched/%dGiB", gib), 1, 0, func(tb testing.TB) func() error {
 			pm := NewPhysMem(16 * GiB)
 			guest := benchGuest(tb, pm, gib)
 			touched := 0
@@ -136,7 +148,7 @@ func physMemOps() []physMemOp {
 				}
 				return nil
 			}
-		}}, physMemOp{fmt.Sprintf("ChecksumRange/%dGiB", gib), 0, func(tb testing.TB) func() error {
+		}}, physMemOp{fmt.Sprintf("ChecksumRange/%dGiB", gib), 0, 0, func(tb testing.TB) func() error {
 			pm := NewPhysMem(16 * GiB)
 			guest := benchGuest(tb, pm, gib)
 			return func() error {
@@ -199,7 +211,8 @@ var raceEnabled bool
 // their result and nothing per frame or chunk: AllocRanges its ranges, a
 // wipe the resident set it reallocates, ForEachTouched the hit list of the
 // one written extent. AllocsPerRun's warm-up
-// call absorbs the first call's chunk tables.
+// call absorbs the first call's chunk tables. A row with a byte budget is
+// pinned in heap bytes per call too.
 func TestPhysMemAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -209,6 +222,18 @@ func TestPhysMemAllocBudgets(t *testing.T) {
 		var err error
 		if n := testing.AllocsPerRun(20, func() { err = call() }); n > op.budget || err != nil {
 			t.Errorf("%s allocated %v times per call, budget %v (err %v)", op.name, n, op.budget, err)
+		}
+		if op.bytes == 0 {
+			continue
+		}
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		for range 20 {
+			err = call()
+		}
+		runtime.ReadMemStats(&ms1)
+		if n := (ms1.TotalAlloc - ms0.TotalAlloc) / 20; n > op.bytes || err != nil {
+			t.Errorf("%s allocated %d B per call, budget %d (err %v)", op.name, n, op.bytes, err)
 		}
 	}
 }

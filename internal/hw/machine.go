@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hypertp/internal/simtime"
@@ -93,13 +94,7 @@ func (m *Machine) ParallelElapsedVaried(costs []time.Duration) time.Duration {
 	}
 	if len(costs) <= workers {
 		// One item per worker: elapsed is simply the largest item.
-		var max time.Duration
-		for _, c := range costs {
-			if c > max {
-				max = c
-			}
-		}
-		return max
+		return max(0, slices.Max(costs))
 	}
 	// loads is a min-heap: loads[0] is always the least-loaded worker.
 	// All-zero initial loads are trivially heap-ordered.
@@ -124,13 +119,7 @@ func (m *Machine) ParallelElapsedVaried(costs []time.Duration) time.Duration {
 			i = min
 		}
 	}
-	var max time.Duration
-	for _, l := range loads {
-		if l > max {
-			max = l
-		}
-	}
-	return max
+	return max(0, slices.Max(loads))
 }
 
 // String implements fmt.Stringer.

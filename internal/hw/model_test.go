@@ -257,15 +257,15 @@ func checkCaptures(pm *PhysMem, caps []*refCapture) error {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	refs := map[*page]int32{}
-	for ci := range pm.chunks {
-		if c := &pm.chunks[ci]; c.pages != nil {
+	pm.eachChunk(func(_ int, c *chunk) {
+		if c.pages != nil {
 			for _, p := range c.pages.slot {
 				if p != nil {
 					refs[p]++
 				}
 			}
 		}
-	}
+	})
 	for ci, c := range caps {
 		if !c.live {
 			continue

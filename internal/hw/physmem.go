@@ -35,6 +35,15 @@ const (
 // content sweeps) run at chunk granularity instead of frame granularity.
 const chunkFrames = FramesPer2M
 
+// leafChunks is the chunk count of one leaf, the unit PhysMem builds its
+// chunk table in: 512 chunks, one GiB of frames. leafWords is the leaf's
+// occupancy bitmap in words.
+const (
+	leafChunks = 512
+	leafFrames = leafChunks * chunkFrames
+	leafWords  = leafChunks / 64
+)
+
 // MFN is a machine frame number: an index into host physical memory in
 // units of 4 KiB frames.
 type MFN uint64
@@ -145,12 +154,65 @@ type chunk struct {
 	pages *pageTable
 }
 
-// tag returns the (owner, vm) of the chunk's i-th frame.
+// tag returns the (owner, vm) of the chunk's i-th frame. A nil chunk, one
+// whose leaf is not built, is free.
 func (c *chunk) tag(i uint64) (Owner, int32) {
-	if c.tags != nil {
+	switch {
+	case c == nil:
+		return OwnerFree, 0
+	case c.tags != nil:
 		return c.tags.owner[i], c.tags.vm[i]
 	}
 	return c.owner, c.vm
+}
+
+// mixed reports whether the chunk keeps its tags per frame.
+func (c *chunk) mixed() bool { return c != nil && c.tags != nil }
+
+// leaf is the chunk table of one GiB of frames. occupied has bit i set iff
+// chunks[i].alloc > 0, and a leaf is built only when an allocation or claim
+// first enters its GiB: a live leaf always has an occupied chunk. When its
+// last chunk drains it is all zero again and goes on the PhysMem's spare
+// list, linked through next, for the next leaf built.
+type leaf struct {
+	chunks   [leafChunks]chunk
+	occupied [leafWords]uint64
+	next     *leaf
+}
+
+// chunk returns chunk ci, nil while its leaf is not built. pm.mu held.
+func (pm *PhysMem) chunk(ci int) *chunk {
+	if l := pm.dir[uint(ci)/leafChunks]; l != nil {
+		return &l.chunks[uint(ci)%leafChunks]
+	}
+	return nil
+}
+
+// build returns chunk ci, building its leaf off the spare list first if it
+// has none. Only the allocators — AllocRanges, Alloc2M, ClaimRange — build:
+// every other mutator acts on allocated frames, whose leaf exists. pm.mu
+// held.
+func (pm *PhysMem) build(ci int) *chunk {
+	l := pm.dir[uint(ci)/leafChunks]
+	if l == nil {
+		if l = pm.spareLeaves; l == nil {
+			l = new(leaf)
+		}
+		pm.spareLeaves, l.next = l.next, nil
+		pm.dir[uint(ci)/leafChunks] = l
+	}
+	return &l.chunks[uint(ci)%leafChunks]
+}
+
+// eachChunk calls fn for every chunk of the built leaves, in order. pm.mu
+// held.
+func (pm *PhysMem) eachChunk(fn func(ci int, c *chunk)) {
+	n := int((pm.totalFrames + chunkFrames - 1) / chunkFrames)
+	for li, l := range pm.dir {
+		for k := 0; l != nil && k < leafChunks && li*leafChunks+k < n; k++ {
+			fn(li*leafChunks+k, &l.chunks[k])
+		}
+	}
 }
 
 // page returns the backing page of the chunk's i-th frame, nil if the
@@ -175,14 +237,14 @@ func (pm *PhysMem) explode(c *chunk, size uint64) {
 }
 
 // collapseIfFree re-summarizes chunk ci if it drained, clears its occupancy
-// bit and pushes its tables (page slots all nil) on the spare lists. pm.mu
-// held.
+// bit and pushes its tables (page slots all nil) on the spare lists — and
+// its leaf, when that was the leaf's last occupied chunk. pm.mu held.
 func (pm *PhysMem) collapseIfFree(ci int) {
-	c := &pm.chunks[ci]
+	l := pm.dir[uint(ci)/leafChunks]
+	c := &l.chunks[uint(ci)%leafChunks]
 	if c.alloc != 0 {
 		return
 	}
-	pm.occupied[ci/64] &^= 1 << (uint(ci) % 64)
 	if c.tags != nil {
 		c.tags.next, pm.spareTags = pm.spareTags, c.tags
 	}
@@ -190,18 +252,27 @@ func (pm *PhysMem) collapseIfFree(ci int) {
 		c.pages.next, pm.sparePages = pm.sparePages, c.pages
 	}
 	*c = chunk{}
+	w := &l.occupied[uint(ci)/64%leafWords]
+	if *w &^= 1 << (uint(ci) % 64); *w == 0 && l.occupied == [leafWords]uint64{} {
+		pm.dir[uint(ci)/leafChunks] = nil
+		l.next, pm.spareLeaves = pm.spareLeaves, l
+	}
 }
 
-// PhysMem is the physical memory of one machine: a table of 2 MiB chunks.
+// PhysMem is the physical memory of one machine: 2 MiB chunks, held in
+// 1 GiB leaves that a directory builds on the first allocation into their
+// GiB and recycles when they drain, so a machine pays for the memory it
+// holds, not for its size, and a GiB never allocated into reads as free.
 // A chunk whose frames all share one (owner, vm) tag — free memory, a
 // huge-page guest extent, the bulk of a hypervisor's resident set — is
-// just its summary, so creating a machine costs O(chunks) and the
-// transplant hot paths (micro-reboot wipe, address-space retag, huge-page
-// allocation) never visit frames. Per-frame tags exist only for chunks
-// that went mixed, and a page table only for chunks that were written;
-// untouched frames cost nothing and read as zeros; a drained chunk hands
-// both on to the next. An occupancy index, one bit per chunk, lets the
-// micro-reboot wipe visit occupied chunks only, whatever the machine size.
+// just its summary, so the transplant hot paths (micro-reboot wipe,
+// address-space retag, huge-page allocation) never visit frames.
+// Per-frame tags exist only for chunks that went mixed, and a page table
+// only for chunks that were written; untouched frames cost nothing and
+// read as zeros; a drained chunk hands both on to the next, and a drained
+// leaf itself to the next leaf built. Each leaf's occupancy index, one bit
+// per chunk, lets the micro-reboot wipe visit occupied chunks only,
+// whatever the machine size.
 //
 // Concurrency: one mutex guards all bookkeeping, and every method is safe
 // to call from the internal/par worker pools under two rules. Ownership
@@ -214,16 +285,19 @@ func (pm *PhysMem) collapseIfFree(ci int) {
 type PhysMem struct {
 	mu          sync.Mutex
 	totalFrames uint64
-	chunks      []chunk
 	next        MFN // bump cursor for allocation
 	allocated   uint64
 	byOwner     [numOwners]uint64
-	// occupied has bit ci set iff chunks[ci].alloc > 0; occupiedWords
-	// backs it, allocation-free, on every profile's machine (≤ 96 GiB).
-	occupied      []uint64
-	occupiedWords [96 * GiB / PageSize2M / 64]uint64
-	spareTags     *frameTags
-	sparePages    *pageTable
+	// dir has entry li, chunks [li·leafChunks, (li+1)·leafChunks), nil
+	// while the leaf is not built; dirSlots backs it, allocation-free, on
+	// every profile's machine (≤ 96 GiB). first is the first leaf built:
+	// NewPhysMem seeds the spare list with it.
+	dir         []*leaf
+	dirSlots    [96 * GiB / (leafFrames * PageSize4K)]*leaf
+	first       leaf
+	spareLeaves *leaf
+	spareTags   *frameTags
+	sparePages  *pageTable
 
 	// Content-hash page dedup (opt-in, see SetPageDedup): intern maps a
 	// content hash to the pages registered under it; writes that produce
@@ -273,10 +347,14 @@ func agrees(a, b *page) bool {
 func isZero(b []byte) bool { return bytes.Equal(b, zeroPage[:len(b)]) }
 
 // NewPhysMem creates a physical memory of size bytes (rounded down to a
-// whole number of frames).
+// whole number of frames). It builds no leaf: its one allocation holds the
+// first.
 func NewPhysMem(size uint64) *PhysMem {
 	n := size / PageSize4K
-	return &PhysMem{totalFrames: n, chunks: make([]chunk, (n+chunkFrames-1)/chunkFrames)}
+	pm := &PhysMem{totalFrames: n}
+	pm.dir = append(pm.dirSlots[:0], make([]*leaf, (n+leafFrames-1)/leafFrames)...)
+	pm.spareLeaves = &pm.first
+	return pm
 }
 
 // chunkOf returns the chunk index covering frame m.
@@ -290,7 +368,8 @@ func (pm *PhysMem) chunkSpan(ci int) (MFN, uint64) {
 }
 
 // part is the overlap of a frame range with one chunk: frames
-// [base+lo, base+hi) of chunk c, chunks[ci], which has size frames.
+// [base+lo, base+hi) of chunk c, chunk ci, which has size frames; c is nil,
+// all free, while its leaf is not built.
 type part struct {
 	ci           int
 	c            *chunk
@@ -308,7 +387,7 @@ func (p part) find(free bool) (MFN, bool) {
 		if o, _ := p.c.tag(i); (o == OwnerFree) == free {
 			return p.base + MFN(i), true
 		}
-		if p.c.tags == nil {
+		if !p.c.mixed() {
 			break // the summary tag covers the whole part
 		}
 	}
@@ -320,7 +399,7 @@ func (p part) find(free bool) (MFN, bool) {
 func (pm *PhysMem) partAt(f, limit uint64) part {
 	ci := chunkOf(MFN(f))
 	base, size := pm.chunkSpan(ci)
-	return part{ci, &pm.chunks[ci], base, size, f - uint64(base), min(size, limit-uint64(base))}
+	return part{ci, pm.chunk(ci), base, size, f - uint64(base), min(size, limit-uint64(base))}
 }
 
 // TotalFrames returns the machine's frame count.
@@ -340,19 +419,22 @@ func (pm *PhysMem) FreeFrames() uint64 {
 	return pm.totalFrames - pm.allocated
 }
 
-// take claims frame i of mixed chunk ci.
-func (pm *PhysMem) take(ci int, i uint64, owner Owner, vm int) {
-	c := &pm.chunks[ci]
-	pm.occupy(ci)
+// take claims frame i of mixed chunk c, chunk ci; the chunk's first
+// allocated frame sets its occupancy bit.
+func (pm *PhysMem) take(c *chunk, ci int, i uint64, owner Owner, vm int) {
+	if c.alloc == 0 {
+		pm.occupy(ci)
+	}
 	c.tags.owner[i], c.tags.vm[i] = owner, int32(vm)
 	c.alloc++
 	pm.allocated++
 	pm.byOwner[owner]++
 }
 
-// takeChunk claims every frame of the wholly free chunk ci.
+// takeChunk claims every frame of the wholly free chunk ci, building its
+// leaf if it has none.
 func (pm *PhysMem) takeChunk(ci int, size uint64, owner Owner, vm int) {
-	c := &pm.chunks[ci]
+	c := pm.build(ci)
 	c.owner, c.vm, c.alloc = owner, int32(vm), uint32(size)
 	pm.occupy(ci)
 	pm.allocated += size
@@ -361,16 +443,16 @@ func (pm *PhysMem) takeChunk(ci int, size uint64, owner Owner, vm int) {
 
 // occupy sets chunk ci's occupancy bit (collapseIfFree clears it).
 func (pm *PhysMem) occupy(ci int) {
-	if pm.occupied == nil {
-		pm.occupied = append(pm.occupiedWords[:0], make([]uint64, (len(pm.chunks)+63)/64)...)
-	}
-	pm.occupied[ci/64] |= 1 << (uint(ci) % 64)
+	pm.dir[uint(ci)/leafChunks].occupied[uint(ci)/64%leafWords] |= 1 << (uint(ci) % 64)
 }
 
-// nextOccupied returns the first occupied chunk at or after ci, or -1.
+// nextOccupied returns the first occupied chunk at or after ci, or -1. A
+// leaf that is not built is skipped whole.
 func (pm *PhysMem) nextOccupied(ci int) int {
-	for w, mask := ci/64, ^uint64(0)<<(uint(ci)%64); w < len(pm.occupied); w, mask = w+1, ^uint64(0) {
-		if word := pm.occupied[w] & mask; word != 0 {
+	for w, mask := ci/64, ^uint64(0)<<(uint(ci)%64); w < len(pm.dir)*leafWords; w, mask = w+1, ^uint64(0) {
+		if l := pm.dir[w/leafWords]; l == nil {
+			w |= leafWords - 1
+		} else if word := l.occupied[w%leafWords] & mask; word != 0 {
 			return w*64 + bits.TrailingZeros64(word)
 		}
 	}
@@ -412,7 +494,7 @@ func (pm *PhysMem) AllocRanges(n int, owner Owner, vm int) ([]FrameRange, error)
 	for got < uint64(n) {
 		m := pm.next
 		ci := chunkOf(m)
-		c := &pm.chunks[ci]
+		c := pm.build(ci) // a chunk of an unbuilt leaf is free: m is taken
 		base, size := pm.chunkSpan(ci)
 		if c.tags == nil {
 			if c.owner != OwnerFree {
@@ -430,7 +512,7 @@ func (pm *PhysMem) AllocRanges(n int, owner Owner, vm int) ([]FrameRange, error)
 			pm.explode(c, size)
 		}
 		if i := uint64(m - base); c.tags.owner[i] == OwnerFree {
-			pm.take(ci, i, owner, vm)
+			pm.take(c, ci, i, owner, vm)
 			claim(m, 1)
 		}
 		pm.next = m + 1
@@ -458,7 +540,7 @@ func (pm *PhysMem) Alloc2M(owner Owner, vm int) (MFN, error) {
 	for tries := uint64(0); tries < nRuns; tries++ {
 		base := (start + MFN(tries*FramesPer2M)) % MFN(nRuns*FramesPer2M)
 		// A chunk with any allocated frame — uniform or mixed — is out.
-		if ci := chunkOf(base); pm.chunks[ci].alloc == 0 {
+		if ci := chunkOf(base); pm.chunk(ci) == nil || pm.chunk(ci).alloc == 0 {
 			pm.takeChunk(ci, FramesPer2M, owner, vm)
 			pm.next = (base + FramesPer2M) % MFN(pm.totalFrames)
 			return base, nil
@@ -493,16 +575,17 @@ func (pm *PhysMem) ClaimRange(start MFN, count uint64, owner Owner, vm int) erro
 	for f := uint64(start); f < end; {
 		p := pm.partAt(f, end)
 		f = uint64(p.base) + p.hi
-		if p.c.tags == nil {
-			if p.whole() {
-				// Whole free chunk: claim it at summary granularity.
-				pm.takeChunk(p.ci, p.size, owner, vm)
-				continue
-			}
-			pm.explode(p.c, p.size)
+		if !p.c.mixed() && p.whole() {
+			// Whole free chunk: claim it at summary granularity.
+			pm.takeChunk(p.ci, p.size, owner, vm)
+			continue
+		}
+		c := pm.build(p.ci)
+		if c.tags == nil {
+			pm.explode(c, p.size)
 		}
 		for i := p.lo; i < p.hi; i++ {
-			pm.take(p.ci, i, owner, vm)
+			pm.take(c, p.ci, i, owner, vm)
 		}
 	}
 	return nil
@@ -553,7 +636,7 @@ func (pm *PhysMem) freeFrame(c *chunk, i uint64) {
 // wipeChunk frees every allocated frame of chunk ci, drops its contents
 // and re-summarizes it as uniformly free. pm.mu held.
 func (pm *PhysMem) wipeChunk(ci int, size uint64) int {
-	c := &pm.chunks[ci]
+	c := pm.chunk(ci)
 	wiped := int(c.alloc)
 	if c.tags != nil {
 		for i := uint64(0); i < size; i++ {
@@ -587,8 +670,8 @@ func (pm *PhysMem) FreeRange(start MFN, count uint64) error {
 		p := pm.partAt(f, limit)
 		c := p.c
 		f = uint64(p.base) + p.hi
-		if c.tags == nil {
-			if c.owner == OwnerFree {
+		if !c.mixed() {
+			if o, _ := c.tag(p.lo); o == OwnerFree {
 				return fmt.Errorf("hw: double free of frame %#x", uint64(p.base)+p.lo)
 			}
 			if p.whole() {
@@ -629,7 +712,7 @@ func (pm *PhysMem) OwnerOf(m MFN) (Owner, int) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	if m < MFN(pm.totalFrames) {
-		if o, v := pm.chunks[chunkOf(m)].tag(uint64(m) % chunkFrames); o != OwnerFree {
+		if o, v := pm.chunk(chunkOf(m)).tag(uint64(m) % chunkFrames); o != OwnerFree {
 			return o, int(v)
 		}
 	}
@@ -639,9 +722,9 @@ func (pm *PhysMem) OwnerOf(m MFN) (Owner, int) {
 // SetOwnerRanges retags the allocated runs rs, in order, in one critical
 // section — used when the target hypervisor adopts preserved guest frames
 // after a micro-reboot. A run of fully-covered uniform chunks (every
-// huge-page extent) retags chunk by chunk index, O(1) each. The first
-// unallocated frame aborts with an error; the frames before it stay
-// retagged.
+// huge-page extent) retags chunk by chunk within each leaf, O(1) each.
+// The first unallocated frame aborts with an error; the frames before it
+// stay retagged.
 func (pm *PhysMem) SetOwnerRanges(rs []FrameRange, owner Owner, vm int) error {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
@@ -649,17 +732,24 @@ func (pm *PhysMem) SetOwnerRanges(rs []FrameRange, owner Owner, vm int) error {
 		end := uint64(r.End())
 		limit := min(end, pm.totalFrames)
 		for f := uint64(r.Start); f < limit; {
-			for ci := chunkOf(MFN(f)); f%chunkFrames == 0 && f < limit; ci++ {
-				c, size := &pm.chunks[ci], min(chunkFrames, pm.totalFrames-f)
-				if f+size > limit || c.tags != nil || c.owner == OwnerFree {
-					break // partly covered, mixed or free: the part walk below
+		uniform:
+			for f%chunkFrames == 0 && f < limit {
+				l := pm.dir[f/leafFrames]
+				if l == nil {
+					break // a leaf not built is free: the part walk below fails
 				}
-				if c.owner != owner {
-					pm.byOwner[c.owner] -= size
-					pm.byOwner[owner] += size
+				for k := f / chunkFrames % leafChunks; k < leafChunks && f < limit; k++ {
+					c, size := &l.chunks[k], min(chunkFrames, pm.totalFrames-f)
+					if f+size > limit || c.tags != nil || c.owner == OwnerFree {
+						break uniform // partly covered, mixed or free: the part walk below
+					}
+					if c.owner != owner {
+						pm.byOwner[c.owner] -= size
+						pm.byOwner[owner] += size
+					}
+					c.owner, c.vm = owner, int32(vm)
+					f += size
 				}
-				c.owner, c.vm = owner, int32(vm)
-				f += size
 			}
 			if f >= limit {
 				break
@@ -667,11 +757,12 @@ func (pm *PhysMem) SetOwnerRanges(rs []FrameRange, owner Owner, vm int) error {
 			p := pm.partAt(f, limit)
 			c := p.c
 			f = uint64(p.base) + p.hi
-			if c.tags == nil {
-				if c.owner == OwnerFree {
+			if !c.mixed() {
+				o, v := c.tag(p.lo)
+				if o == OwnerFree {
 					return fmt.Errorf("hw: SetOwner on unallocated frame %#x", uint64(p.base)+p.lo)
 				}
-				if c.owner == owner && c.vm == int32(vm) {
+				if o == owner && v == int32(vm) {
 					continue
 				}
 				pm.explode(c, p.size)
@@ -696,12 +787,24 @@ func (pm *PhysMem) SetOwnerRanges(rs []FrameRange, owner Owner, vm int) error {
 // pm.mu held. op names the access for the error ("write to", ...).
 func (pm *PhysMem) slot(m MFN, op string) (*chunk, uint64, error) {
 	if m < MFN(pm.totalFrames) {
-		c, i := &pm.chunks[chunkOf(m)], uint64(m)%chunkFrames
+		c, i := pm.chunk(chunkOf(m)), uint64(m)%chunkFrames
 		if o, _ := c.tag(i); o != OwnerFree {
 			return c, i, nil
 		}
 	}
-	return nil, 0, fmt.Errorf("hw: %s unallocated frame %#x", op, uint64(m))
+	return nil, 0, &accessError{op, m}
+}
+
+// accessError is an access to an unallocated frame, or one past the end
+// of memory. Its text is formatted only when read: probing a free frame
+// costs one small allocation.
+type accessError struct {
+	op string // "write to", "read from", ...
+	m  MFN
+}
+
+func (e *accessError) Error() string {
+	return fmt.Sprintf("hw: %s unallocated frame %#x", e.op, uint64(e.m))
 }
 
 // Write copies data into the frame starting at offset off. It allocates
@@ -1106,13 +1209,13 @@ func (pm *PhysMem) eachAllocated(start MFN, count uint64, op string, fn func(par
 	for f := uint64(start); f < limit; {
 		p := pm.partAt(f, limit)
 		if m, found := p.find(true); found {
-			return fmt.Errorf("hw: %s unallocated frame %#x", op, uint64(m))
+			return &accessError{op, m}
 		}
 		fn(p)
 		f = uint64(p.base) + p.hi
 	}
 	if end > pm.totalFrames {
-		return fmt.Errorf("hw: %s unallocated frame %#x", op, max(uint64(start), pm.totalFrames))
+		return &accessError{op, MFN(max(uint64(start), pm.totalFrames))}
 	}
 	return nil
 }
@@ -1232,7 +1335,7 @@ func (pm *PhysMem) WipeRanges(keep []FrameRange) int {
 	wiped := 0
 	ki := 0
 	for ci := pm.nextOccupied(0); ci >= 0; ci = pm.nextOccupied(ci + 1) {
-		c := &pm.chunks[ci]
+		c := pm.chunk(ci)
 		base, size := pm.chunkSpan(ci)
 		end := uint64(base) + size
 		for ki < len(keep) && keep[ki].End() <= base {

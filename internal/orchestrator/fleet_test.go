@@ -316,11 +316,11 @@ func TestFleetAllocBudgets(t *testing.T) {
 		bytes  uint64 // heap bytes per run; 0: counted only
 		run    func() error
 	}{
-		{"RespondToCVE", 5002, 2445216, func() error {
+		{"RespondToCVE", 4992, 2236576, func() error {
 			respondFleet(t, newFleet(t, stockFleet()), limits)
 			return nil
 		}},
-		{"RespondToCVE/slo", 5260, 0, func() error {
+		{"RespondToCVE/slo", 5250, 0, func() error {
 			c := newFleet(t, stockFleet())
 			rec := obs.NewRecorder(c.clock)
 			rec.AddSink(obs.NewHeadSampler(1, 0.1, obs.NewFlightRecorder(256)))
@@ -331,7 +331,7 @@ func TestFleetAllocBudgets(t *testing.T) {
 			respondFleet(t, c, limits)
 			return nil
 		}},
-		{"RecoverFleet", 2121, 0, func() error {
+		{"RecoverFleet", 2111, 0, func() error {
 			c := newFleet(t, stockFleet())
 			stormFleet(t, c, []int{0, 2, 5, 8, 9})
 			c.nova.SetFleetLimits(&sched.Limits{MaxKexecs: 2})
