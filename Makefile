@@ -30,7 +30,7 @@ fmt-check:
 # PKG_CEILING. Both are ratchets: a PR that grows the tree raises them in
 # the same diff, where a reviewer sees it; a simplicity PR lowers them to
 # its own result and cites the before/after in CHANGES.md.
-LOC_CEILING = 22240
+LOC_CEILING = 22230
 PKG_CEILING = 27
 loc:
 	@src() { find "$$@" -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'; }; \

@@ -31,7 +31,7 @@ type fleetConfig struct {
 }
 
 // fleetRun is one CVE response's worth of outcome: the response, the
-// final VM placement, and the SLO tracker fed by the orchestrator.
+// final VM placement, and the SLO tracker fed the run's spans.
 type fleetRun struct {
 	resp      *orchestrator.FleetResponse
 	storm     *orchestrator.StormResponse
@@ -98,7 +98,7 @@ func respondOnce(hosts, vms int, limits sched.Limits, fl fleetConfig, observed b
 		nova.SetRecorder(rec)
 		tracker = slo.NewTracker()
 		tracker.SetRegistry(rec.Metrics())
-		nova.SetSLO(tracker)
+		rec.AddSink(tracker)
 	}
 	var storm *orchestrator.StormResponse
 	if fl.CrashRate > 0 {

@@ -27,14 +27,12 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"hypertp/internal/core"
 	"hypertp/internal/hterr"
@@ -157,23 +155,6 @@ func check(path string, requireSteps bool) (string, error) {
 		path, len(tf.TraceEvents)-instants, instants, len(spans)), nil
 }
 
-// spanRecord mirrors the streamed JSONL line format (obs.SpanRecord).
-type spanRecord struct {
-	ID     int               `json:"id"`
-	Parent int               `json:"parent"`
-	Depth  int               `json:"depth"`
-	Name   string            `json:"name"`
-	Track  string            `json:"track"`
-	Start  int64             `json:"start_ns"`
-	End    int64             `json:"end_ns"`
-	Attrs  map[string]string `json:"attrs"`
-	Events []struct {
-		T      int64  `json:"t_ns"`
-		Name   string `json:"name"`
-		Detail string `json:"detail"`
-	} `json:"events"`
-}
-
 // checkJSONL validates a span-record file and returns its one-line
 // report: every line one named span record, roots at depth 0, no id
 // repeated anywhere in the file, and the whole set clean under
@@ -187,19 +168,14 @@ func checkJSONL(path string) (string, error) {
 	}
 	defer f.Close()
 
-	var recs []obs.SpanRecord
+	recs, err := obs.ReadJSONL(f)
+	if err != nil {
+		return "", fmt.Errorf("%s: %w", path, err)
+	}
 	lineOf := map[int]int{} // span id → the line that defined it
 	roots := 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	for line := 1; sc.Scan(); line++ {
-		if len(sc.Bytes()) == 0 {
-			return "", fmt.Errorf("%s: line %d is empty", path, line)
-		}
-		var rec spanRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return "", fmt.Errorf("%s: line %d: not a span record: %w", path, line, err)
-		}
+	for i, rec := range recs {
+		line := i + 1
 		if rec.Name == "" {
 			return "", fmt.Errorf("%s: line %d has no span name", path, line)
 		}
@@ -213,13 +189,6 @@ func checkJSONL(path string) (string, error) {
 				return "", fmt.Errorf("%s: line %d: root %q has depth %d", path, line, rec.Name, rec.Depth)
 			}
 		}
-		recs = append(recs, obs.SpanRecord{
-			ID: rec.ID, Parent: rec.Parent, Depth: rec.Depth, Name: rec.Name,
-			Start: time.Duration(rec.Start), End: time.Duration(rec.End),
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return "", err
 	}
 	if len(recs) == 0 {
 		return "", fmt.Errorf("%s: no span records", path)

@@ -205,14 +205,19 @@ func RunOps(cfg Config, ops []Op) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Config: cfg, Ops: ops, Obs: h.rec, Flight: h.flight}
+	return h.run(ops), nil
+}
+
+// run executes ops against the harness's fleet, auditing after each.
+func (h *harness) run(ops []Op) *Result {
+	res := &Result{Config: h.cfg, Ops: ops, Obs: h.rec, Flight: h.flight}
 	for i := range ops {
 		line := h.step(&ops[i])
 		res.Executed++
 		if h.lastErr != nil {
 			res.OpErrors++
 		}
-		if ops[i].Fault != 0 && cfg.FaultRate > 0 {
+		if ops[i].Fault != 0 && h.cfg.FaultRate > 0 {
 			res.Faulted++
 		}
 		res.Trace = append(res.Trace, fmt.Sprintf("%3d %-14s %s", i, ops[i].Kind, line))
@@ -233,7 +238,7 @@ func RunOps(cfg Config, ops []Op) (*Result, error) {
 	if h.cache != nil {
 		res.CacheStats = h.cache.Stats()
 	}
-	return res, nil
+	return res
 }
 
 // harness is the live fleet a run executes against.

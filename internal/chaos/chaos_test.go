@@ -271,7 +271,7 @@ func TestChaosStreamingBounded(t *testing.T) {
 			t.Fatalf("soak streamed only %d records through a cap-%d ring — not exercising eviction",
 				res.Flight.Total(), res.Flight.Cap())
 		}
-		if got, max := res.Flight.Len(), 2*res.Flight.Cap(); got > max {
+		if got, max := len(res.Flight.Snapshot()), 2*res.Flight.Cap(); got > max {
 			t.Fatalf("flight recorder holds %d records, bound is %d", got, max)
 		}
 		summaries = append(summaries, res.Summary())

@@ -487,7 +487,6 @@ func (p *Plan) lower(m ExecutionModel) (*sched.Graph, []groupNodes) {
 // times.
 func (p *Plan) account(makespan time.Duration, groups []groupNodes, rec *obs.Recorder) Result {
 	res := Result{Outcome: hterr.OutcomeCompleted, TotalTime: makespan}
-	mets := rec.Metrics()
 	root := rec.StartAt(nil, "rolling-upgrade", 0, obs.A("groups", len(p.Groups)))
 	root.SetTrack("cluster")
 	var cursor time.Duration
@@ -514,13 +513,10 @@ func (p *Plan) account(makespan time.Duration, groups []groupNodes, rec *obs.Rec
 				gSpan.ChildAt(n.Name, n.Start(),
 					obs.A("from", mig.From), obs.A("to", mig.To), obs.A("bytes", mig.Bytes)).EndAt(nodeEnd(n))
 				last = max(last, nodeEnd(n))
-				mets.Counter("cluster.bytes_migrated", "bytes").Add(int64(mig.Bytes))
 			}
 			return last
 		}
 		migEnd := spanMigrations(order[:gn.evacs], cursor)
-		mets.Counter("cluster.migrations", "migrations").Add(int64(len(gp.Migrations)))
-		mets.Counter("cluster.inplace_vms", "vms").Add(int64(gp.InPlaceVMs))
 		window := migEnd
 		if gn.inplace != nil {
 			window = nodeEnd(gn.inplace)
@@ -530,9 +526,6 @@ func (p *Plan) account(makespan time.Duration, groups []groupNodes, rec *obs.Rec
 		}
 		for _, id := range gp.Quarantined {
 			gSpan.ChildAt(fmt.Sprintf("quarantine:host-%02d", id), window).EndAt(window)
-		}
-		if len(gp.Quarantined) > 0 {
-			mets.Counter("cluster.hosts_quarantined", "hosts").Add(int64(len(gp.Quarantined)))
 		}
 		replanEnd := spanMigrations(order[gn.evacs:], window)
 		res.Migrations += len(gp.Migrations)

@@ -277,7 +277,6 @@ func (e *Engine) Emergency(src hv.Hypervisor, target hv.Kind, opts Options) (hv.
 	t := e.newTransplant("emergency-tp", true, src, vms, target, opts)
 	defer t.root.End()
 	t.root.SetAttr("reason", src.CrashReason())
-	t.mets.Counter("tp.emergencies", "transplants").Add(1)
 	dst, report, err := t.run()
 	if err != nil {
 		return nil, report, err
@@ -285,7 +284,6 @@ func (e *Engine) Emergency(src hv.Hypervisor, target hv.Kind, opts Options) (hv.
 	// An emergency that completes IS a recovery — the crash it absorbed
 	// counts even when no additional fault was injected.
 	t.finish(t.start, hterr.OutcomeRecovered)
-	t.mets.Histogram("tp.emergency_downtime_s", "s", obs.ExpBuckets(1e-2, 2, 16)).Observe(report.Downtime.Seconds())
 	return dst, report, nil
 }
 

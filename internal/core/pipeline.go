@@ -226,7 +226,6 @@ func (e *Engine) newTransplant(name string, emergency bool, src hv.Hypervisor, v
 	if t.retry.MaxAttempts == 0 {
 		t.retry = fault.DefaultRetryPolicy()
 	}
-	t.mets.Counter("tp.vms_transplanted", "vms").Add(int64(len(t.vms)))
 	return t
 }
 
@@ -256,7 +255,6 @@ func (t *transplant) run() (hv.Hypervisor, *InPlaceReport, error) {
 		if r := p.rule(t.report.Emergency); r != forward {
 			return nil, t.report, t.abort(r, err)
 		}
-		t.mets.Counter("tp.vms_lost", "vms").Add(int64(len(t.vms)))
 		t.root.SetAttr("outcome", "lost")
 		return nil, nil, hterr.VMLost(err)
 	}
@@ -313,7 +311,6 @@ func (t *transplant) recovered(vm int) {
 	*bucket += extra
 	t.e.Clock.Advance(extra)
 	rec.End()
-	t.mets.Counter("tp.recoveries", "recoveries").Add(1)
 }
 
 var abortSpans = [...]string{rollback: "rollback", crashAbandon: "crash-abandon", frozen: "frozen"}
@@ -323,7 +320,7 @@ var abortSpans = [...]string{rollback: "rollback", crashAbandon: "crash-abandon"
 func (t *transplant) abort(r rule, cause error) error {
 	sp := t.e.Obs.Start(abortSpans[r], obs.A("cause", cause.Error()))
 	t.unwind()
-	counter, outcome, class := "tp.rollbacks", hterr.OutcomeRolledBack, hterr.Abort
+	outcome, class := hterr.OutcomeRolledBack, hterr.Abort
 	switch r {
 	case rollback:
 		for i := t.paused - 1; i >= 0; i-- {
@@ -336,12 +333,11 @@ func (t *transplant) abort(r rule, cause error) error {
 		}
 	case crashAbandon:
 		t.src.Crash("double fault during transplant")
-		counter, outcome, class = "tp.crash_abandons", hterr.OutcomeCrashed, hterr.HypervisorCrashed
+		outcome, class = hterr.OutcomeCrashed, hterr.HypervisorCrashed
 	case frozen:
-		counter, outcome, class = "tp.emergencies_frozen", hterr.OutcomeCrashed, hterr.HypervisorCrashed
+		outcome, class = hterr.OutcomeCrashed, hterr.HypervisorCrashed
 	}
 	sp.End()
-	t.mets.Counter(counter, "transplants").Add(1)
 	t.report.Outcome = outcome
 	t.report.Total = t.e.Clock.Now() - t.start
 	t.root.SetAttr("outcome", string(outcome))
@@ -443,7 +439,6 @@ func (t *transplant) buildPRAM() (err error) {
 	charge := pramBuildCharge(t, -1)
 	t.report.PRAM += charge
 	t.e.Clock.Advance(charge)
-	t.mets.Counter("pram.pages_preserved", "pages").Add(int64(pages))
 	t.span.SetAttr("files", len(files))
 	t.span.SetAttr("pages", pages)
 	t.span.SetAttr("metadata_bytes", t.ps.MetadataBytes())
@@ -542,11 +537,14 @@ func (t *transplant) translate() error {
 	t.report.Translation = t.e.elapsed(t.costs, t.opts.Parallel)
 	t.e.Clock.Advance(t.report.Translation)
 	t.report.PRAMMetadataBytes = t.ps.MetadataBytes()
-	t.mets.Counter("tp.uisr_bytes", "bytes").Add(int64(t.report.UISRBytes))
-	t.mets.Counter("tp.pram_metadata_bytes", "bytes").Add(int64(t.report.PRAMMetadataBytes))
 	t.span.SetAttr("uisr_bytes", t.report.UISRBytes)
+	t.span.SetAttr("metadata_bytes", t.report.PRAMMetadataBytes)
 	return nil
 }
+
+// phaseBuckets bound the per-VM translate and restore charges, 1 ms to
+// ~33 s: the engine's only metrics, as no span carries a per-VM charge.
+var phaseBuckets = obs.ExpBuckets(1e-3, 2, 16)
 
 // blobSource is one VM's UISR blob before it lands: its size and the
 // fill that writes it into its frames' image. blob is the encoded bytes
@@ -564,7 +562,8 @@ type blobSource struct {
 // Virtual costs are charged identically either way; only wall-clock
 // compute is skipped, so the preserved bytes match the cold path exactly.
 func (t *transplant) encodeStates(memo *tpcache.Cache) ([]blobSource, error) {
-	translateVirtual := t.mets.Histogram("tp.translate_virtual_s", "s", obs.ExpBuckets(1e-3, 2, 16))
+	translateVirtual := t.mets.Histogram("tp.translate_virtual_s", "s", phaseBuckets)
+	stale := 0
 	kind, m, gen := t.src.Kind(), t.e.Machine, t.e.Machine.Generation()
 	t.saved = make([]savedVM, len(t.vms))
 	blobs := make([]blobSource, len(t.vms))
@@ -588,7 +587,8 @@ func (t *transplant) encodeStates(memo *tpcache.Cache) ([]blobSource, error) {
 					// stale cache can cost time, never correctness.
 					memo.Invalidate(kind, m, gen, vm.ID)
 					t.report.Faults++
-					t.mets.Counter("tpcache.stale", "entries").Add(1)
+					stale++
+					t.span.SetAttr("cache_stale", stale)
 				} else {
 					blobs[i].blob, t.saved[i].hash = b, h
 					t.report.CacheHits++
@@ -632,8 +632,8 @@ func (t *transplant) encodeStates(memo *tpcache.Cache) ([]blobSource, error) {
 	}
 	if memo != nil {
 		t.report.CacheMisses += uint64(len(states))
-		t.mets.Counter("tpcache.hits", "lookups").Add(int64(len(t.vms) - len(states)))
-		t.mets.Counter("tpcache.misses", "lookups").Add(int64(len(states)))
+		t.span.SetAttr("cache_hits", len(t.vms)-len(states))
+		t.span.SetAttr("cache_misses", len(states))
 	}
 	return blobs, nil
 }
@@ -655,7 +655,6 @@ func (t *transplant) microReboot() error {
 		return err
 	}
 	t.report.WipedFrames = res.WipedFrames
-	t.mets.Counter("tp.wiped_frames", "frames").Add(int64(res.WipedFrames))
 	t.report.Reboot = bootCharge(t, -1) + reparseCharge(t, -1)
 	t.e.Clock.Advance(t.report.Reboot)
 	if t.e.Fault.Fire(t.phase.site) != nil {
@@ -754,7 +753,7 @@ func (t *transplant) restore() error {
 		}
 		t.costs = append(t.costs, t.cost.Restore(s.res.VCPUs))
 	}
-	restoreVirtual := t.mets.Histogram("tp.restore_virtual_s", "s", obs.ExpBuckets(1e-3, 2, 16))
+	restoreVirtual := t.mets.Histogram("tp.restore_virtual_s", "s", phaseBuckets)
 	for _, c := range t.costs {
 		restoreVirtual.Observe(c.Seconds())
 	}

@@ -64,7 +64,7 @@ func TestWarmHostHeapReachesFixedPoint(t *testing.T) {
 // testbed.
 func TestWarmHopAllocBudget(t *testing.T) {
 	const trips = 8
-	const coldBudget, warmBudget = 244, 122
+	const coldBudget, warmBudget = 238, 116
 	const pramHitsPerHop, parseHitsPerHop = 2, 1
 	const installsPerHop, decodeHitsPerHop = 1, 1
 	par.SetWorkers(1)

@@ -237,8 +237,8 @@ func (p *Plan) SetClock(c *simtime.Clock) *Plan {
 	return p
 }
 
-// SetRecorder records every shot as an obs event plus a fault.injected
-// counter increment.
+// SetRecorder records every shot as a fault.injected obs event, which the
+// fault.injected counter folds.
 func (p *Plan) SetRecorder(rec *obs.Recorder) *Plan {
 	if p == nil {
 		return nil
@@ -290,7 +290,6 @@ func (p *Plan) Arm(site Site) (fired bool, severity float64) {
 		p.shots = append(p.shots, shot)
 		if p.rec != nil {
 			p.rec.Event("fault.injected", shot.String())
-			p.rec.Metrics().Counter("fault.injected", "faults").Add(1)
 		}
 	}
 	return fired, u

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -156,5 +157,21 @@ func CheckREADMEFlags(tb testing.TB, readme, cmd string, parse func(args []strin
 		if strings.Contains(stderr.String(), "flag provided but not defined") {
 			tb.Errorf("%s names %s for %s, which does not define it", readme, m[1], cmd)
 		}
+	}
+}
+
+// SamePrometheus compares got, the metrics.prom a fold rendered, with
+// want, a run's, series by series. A series whose name starts with one
+// of unfolded is one no span carries: it is dropped from want first.
+func SamePrometheus(tb testing.TB, got, want []byte, unfolded ...string) {
+	tb.Helper()
+	lines := strings.SplitAfter(string(want), "\n")
+	lines = slices.DeleteFunc(lines, func(line string) bool {
+		return slices.ContainsFunc(unfolded, func(name string) bool {
+			return strings.Contains(line, "hypertp_"+strings.ReplaceAll(name, ".", "_"))
+		})
+	})
+	if kept := strings.Join(lines, ""); string(got) != kept {
+		tb.Errorf("folded metrics:\n%s\nwant the run's, less %v:\n%s", got, unfolded, kept)
 	}
 }

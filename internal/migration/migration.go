@@ -197,11 +197,6 @@ func Run(clock *simtime.Clock, p Params, done func(*Report, error)) {
 			root.SetAttr("rounds", r.Rounds)
 			root.SetAttr("bytes_sent", r.BytesSent)
 			root.SetAttr("downtime", r.Downtime)
-			mets := p.Obs.Metrics()
-			mets.Counter("migration.rounds", "rounds").Add(int64(r.Rounds))
-			mets.Counter("migration.bytes_sent", "bytes").Add(r.BytesSent)
-			mets.Histogram("migration.downtime_virtual_s", "s",
-				obs.ExpBuckets(1e-3, 2, 16)).Observe(r.Downtime.Seconds())
 		}
 		root.End()
 		inner(r, err)
@@ -291,7 +286,6 @@ func Run(clock *simtime.Clock, p Params, done func(*Report, error)) {
 				attempt++
 				p.Obs.Event("migration.retry",
 					fmt.Sprintf("%s: attempt %d in %v after: %v", vm.Config.Name, attempt, backoff, err))
-				p.Obs.Metrics().Counter("migration.retries", "attempts").Add(1)
 				clock.After(backoff, "mig-retry:"+vm.Config.Name, func(*simtime.Clock) { runAttempt() })
 				return
 			}
@@ -351,7 +345,6 @@ func (m *migrator) fail(err error) {
 	}
 	_ = m.p.Source.DisableDirtyLog(m.p.VMID)
 	rb.End()
-	m.p.Obs.Metrics().Counter("migration.rollbacks", "attempts").Add(1)
 	m.done(nil, err)
 }
 

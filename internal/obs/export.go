@@ -134,6 +134,31 @@ func WriteJSONL(w io.Writer, recs []SpanRecord) error {
 	return nil
 }
 
+// ReadJSONL reads a spans.jsonl file back into its records: what
+// WriteJSONL wrote, each record's attributes sorted by key.
+func ReadJSONL(r io.Reader) ([]SpanRecord, error) {
+	var recs []SpanRecord
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	for line := 1; sc.Scan(); line++ {
+		var raw struct {
+			SpanRecord
+			Attrs map[string]string
+		}
+		if len(sc.Bytes()) == 0 {
+			return nil, fmt.Errorf("line %d is empty", line)
+		}
+		if err := json.Unmarshal(sc.Bytes(), &raw); err != nil {
+			return nil, fmt.Errorf("line %d: not a span record: %w", line, err)
+		}
+		for _, k := range sortedKeys(raw.Attrs) {
+			raw.SpanRecord.Attrs = append(raw.SpanRecord.Attrs, Attr{Key: k, Value: raw.Attrs[k]})
+		}
+		recs = append(recs, raw.SpanRecord)
+	}
+	return recs, sc.Err()
+}
+
 // Artifact is one file of an artifact directory: its name and the
 // exporter that writes it.
 type Artifact struct {

@@ -20,7 +20,7 @@ func TestMetricsJSONSortedKeys(t *testing.T) {
 	// Register deliberately out of order.
 	for _, n := range []string{"zeta", "mid", "alpha"} {
 		reg.Counter(n, "ops").Add(1)
-		reg.Gauge(n+".g", "x").Set(1)
+		reg.Gauge(n+".g", "x").Add(1)
 		reg.Histogram(n+".h", "ns", []float64{1}).Observe(0.5)
 	}
 	var b bytes.Buffer

@@ -26,6 +26,7 @@ package obs
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -37,15 +38,33 @@ type Attr struct {
 	Key, Value string
 }
 
-// A returns an Attr, formatting the value with fmt.Sprint. It keeps call
-// sites short: rec.Start("translate", obs.A("vms", n)).
+// A returns an Attr, formatting the value as fmt.Sprint does. It keeps
+// call sites short: rec.Start("translate", obs.A("vms", n)).
 func A(key string, value any) Attr {
-	return Attr{Key: key, Value: fmt.Sprint(value)}
+	return Attr{Key: key, Value: format(value)}
+}
+
+// format renders an attribute value as fmt.Sprint would, the common
+// kinds without fmt's buffer and copy.
+func format(v any) string {
+	switch v := v.(type) {
+	case string:
+		return v
+	case int:
+		return strconv.Itoa(v)
+	case int64:
+		return strconv.FormatInt(v, 10)
+	case uint64:
+		return strconv.FormatUint(v, 10)
+	case fmt.Stringer: // time.Duration among them
+		return v.String()
+	}
+	return fmt.Sprint(v)
 }
 
 // Point is an instant event attached to a span.
 type Point struct {
-	T      time.Duration // virtual timestamp
+	T      time.Duration `json:"t_ns"` // virtual timestamp
 	Name   string
 	Detail string
 }
@@ -230,9 +249,9 @@ func (s *Span) SetAttr(key string, value any) {
 	if s == nil || s.rec == nil {
 		return
 	}
+	v := format(value)
 	s.rec.mu.Lock()
 	defer s.rec.mu.Unlock()
-	v := fmt.Sprint(value)
 	for i := range s.attrs {
 		if s.attrs[i].Key == key {
 			s.attrs[i].Value = v
@@ -303,12 +322,4 @@ func (s *Span) endLocked(t time.Duration) {
 	}
 	s.end = t
 	s.ended = true
-}
-
-// Duration returns the span's virtual duration.
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.end - s.start
 }

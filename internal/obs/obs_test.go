@@ -31,11 +31,8 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	}
 	m := r.Metrics()
 	m.Counter("c", "u").Add(1)
-	m.Gauge("g", "u").Set(1)
+	m.Gauge("g", "u").Add(1)
 	m.Histogram("h", "u", ExpBuckets(1, 2, 4)).Observe(1)
-	if got := s.Duration(); got != 0 {
-		t.Fatalf("nil span duration = %v", got)
-	}
 }
 
 // collecting returns a recorder whose ended roots land in the returned
@@ -79,11 +76,11 @@ func TestSpanStackNesting(t *testing.T) {
 	if len(recs) != 2 || recs[1].Parent != recs[0].ID {
 		t.Fatalf("wrong tree shape: %+v", recs)
 	}
-	if recs[1].Start != time.Second || child.Duration() != time.Second {
-		t.Fatalf("child times: start=%v dur=%v", recs[1].Start, child.Duration())
+	if recs[1].Start != time.Second || recs[1].End != 2*time.Second {
+		t.Fatalf("child times: start=%v end=%v", recs[1].Start, recs[1].End)
 	}
-	if root.Duration() != 3*time.Second {
-		t.Fatalf("root duration = %v", root.Duration())
+	if recs[0].End-recs[0].Start != 3*time.Second {
+		t.Fatalf("root duration = %v", recs[0].End-recs[0].Start)
 	}
 }
 
@@ -155,7 +152,7 @@ func TestRegistryInstruments(t *testing.T) {
 		t.Fatalf("counter = %d", c.Value())
 	}
 	g := reg.Gauge("a.gauge", "items")
-	g.Set(5)
+	g.Add(5)
 	g.Add(-2)
 	if g.Value() != 3 || g.Max() != 5 {
 		t.Fatalf("gauge value=%d max=%d", g.Value(), g.Max())
@@ -164,8 +161,8 @@ func TestRegistryInstruments(t *testing.T) {
 	for _, v := range []float64{0.5, 1.5, 3, 100} {
 		h.Observe(v)
 	}
-	if h.Count() != 4 || h.Sum() != 105 {
-		t.Fatalf("hist count=%d sum=%g", h.Count(), h.Sum())
+	if s := h.Summary(); h.Count() != 4 || s.Mean*float64(s.Count) != 105 {
+		t.Fatalf("hist count=%d sum=%g", h.Count(), s.Mean*float64(s.Count))
 	}
 	sum := h.Summary()
 	if sum.Count != 4 || sum.Max != 100 {
@@ -320,11 +317,12 @@ func TestClocklessRecorderExplicitTimes(t *testing.T) {
 	c := root.ChildAt("step", 2*time.Second)
 	c.EndAt(5 * time.Second)
 	root.EndAt(10 * time.Second)
-	if recs := col.Records(); len(recs) != 2 || recs[1].Start != 2*time.Second || c.Duration() != 3*time.Second {
-		t.Fatalf("child records %+v, duration %v", recs, c.Duration())
+	recs := col.Records()
+	if len(recs) != 2 || recs[1].Start != 2*time.Second || recs[1].End != 5*time.Second {
+		t.Fatalf("child records %+v", recs)
 	}
-	if root.Duration() != 10*time.Second {
-		t.Fatalf("root duration = %v", root.Duration())
+	if recs[0].End != 10*time.Second {
+		t.Fatalf("root end = %v", recs[0].End)
 	}
 }
 
@@ -351,5 +349,35 @@ func TestFlattenDepths(t *testing.T) {
 			t.Fatalf("%s: depth %d parent %d, want %d and %d",
 				recs[i].Name, recs[i].Depth, recs[i].Parent, want.depth, parent)
 		}
+	}
+}
+
+// ReadJSONL is WriteJSONL's inverse: reading a spans.jsonl back and
+// writing it again reproduces it, attributes in key order, events and
+// virtual times included.
+func TestReadJSONLRoundTrip(t *testing.T) {
+	clock := simtime.NewClock()
+	r, col := collecting(clock)
+	root := r.Start("root", A("a", 1), A("b", "x"))
+	clock.Advance(time.Second)
+	r.Event("fault.injected", "shot")
+	r.Start("child", A("bytes", int64(4096))).End()
+	root.End()
+	var first, second bytes.Buffer
+	if err := WriteJSONL(&first, col.Records()); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := ReadJSONL(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteJSONL(&second, recs); err != nil {
+		t.Fatal(err)
+	}
+	if first.String() != second.String() {
+		t.Fatalf("round trip:\n%s\nread back as:\n%s", first.String(), second.String())
+	}
+	if _, err := ReadJSONL(strings.NewReader("{\"id\":0}\n\n")); err == nil || !strings.Contains(err.Error(), "line 2 is empty") {
+		t.Fatalf("empty line: %v", err)
 	}
 }

@@ -140,19 +140,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Set records a new value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	g.v = v
-	if v > g.max {
-		g.max = v
-	}
-	g.mu.Unlock()
-}
-
 // Add shifts the value by delta.
 func (g *Gauge) Add(delta int64) {
 	if g == nil {
@@ -210,16 +197,6 @@ func (h *Histogram) Count() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.count
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }
 
 // Summary returns the percentile summary of the sample reservoir.

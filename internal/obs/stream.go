@@ -10,7 +10,8 @@ import (
 
 // Streaming span pipeline: the one way a span leaves the recorder. When
 // a *root* span ends, its whole subtree is flattened into SpanRecords,
-// handed to the recorder's StreamSinks and released, so the recorder's
+// folded into the metrics (fold.go), handed to the recorder's
+// StreamSinks and released, so the recorder's
 // memory is O(open spans), and a run's resident span memory is whatever
 // its sinks keep: a FlightRecorder's ring, a Collector's whole run, or
 // nothing at all.
@@ -31,8 +32,8 @@ type SpanRecord struct {
 	Depth  int
 	Name   string
 	Track  string
-	Start  time.Duration
-	End    time.Duration
+	Start  time.Duration `json:"start_ns"`
+	End    time.Duration `json:"end_ns"`
 	Attrs  []Attr
 	Events []Point
 }
@@ -82,19 +83,25 @@ func flattenSpan(s *Span, parent, depth int, track string, out []SpanRecord) []S
 
 // flushRootLocked flattens an ended root span for the sinks under r.mu
 // and returns the records to dispatch after unlocking: nil for a
-// non-root span, or when no sink is registered.
+// non-root span, or with no sink, which folds the tree in place.
 func (r *Recorder) flushRootLocked(s *Span) []SpanRecord {
-	if s.parent != nil || len(r.sinks) == 0 {
+	if s.parent != nil {
+		return nil
+	}
+	if len(r.sinks) == 0 {
+		r.metrics.foldTree(s, "")
 		return nil
 	}
 	return flattenSpan(s, -1, 0, "", nil)
 }
 
-// dispatch hands one flattened root to every sink, outside the lock.
+// dispatch folds one flattened root, then hands it to every sink,
+// outside the lock.
 func (r *Recorder) dispatch(recs []SpanRecord) {
 	if len(recs) == 0 {
 		return
 	}
+	r.metrics.Fold(recs)
 	r.mu.Lock()
 	sinks := r.sinks
 	r.mu.Unlock()
@@ -230,14 +237,6 @@ func (f *FlightRecorder) Consume(root []SpanRecord) {
 
 // Cap returns the configured ring capacity.
 func (f *FlightRecorder) Cap() int { return f.cap }
-
-// Len returns the number of records currently retained (ring + pinned);
-// never more than 2×Cap.
-func (f *FlightRecorder) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.ring) + len(f.pinned)
-}
 
 // Total returns the number of records ever consumed.
 func (f *FlightRecorder) Total() uint64 {

@@ -72,7 +72,7 @@ func TestStreamSinksSeeEverySpan(t *testing.T) {
 
 	want := buildStreamedRun(rec, clock)
 
-	if got := sink.Len(); got != want {
+	if got := len(sink.Snapshot()); got != want {
 		t.Fatalf("streamed %d spans, want %d", got, want)
 	}
 	// An instant event with no open span is a root of its own.
@@ -188,8 +188,8 @@ func TestFlightRecorderCapacity(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		fr.Consume([]SpanRecord{{ID: i, Parent: -1, Name: "s", Start: time.Duration(i)}})
 	}
-	if fr.Len() != 8 {
-		t.Fatalf("Len = %d, want capacity 8", fr.Len())
+	if n := len(fr.Snapshot()); n != 8 {
+		t.Fatalf("retained %d records, want capacity 8", n)
 	}
 	if fr.Total() != 50 {
 		t.Fatalf("Total = %d, want 50", fr.Total())
@@ -225,8 +225,8 @@ func TestFlightRecorderPin(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		fr.Consume([]SpanRecord{{ID: 100 + i, Parent: -1, Name: "fault.more", Start: time.Duration(100 + i)}})
 	}
-	if fr.Len() > 2*fr.Cap() {
-		t.Fatalf("retained %d records, cap bound is %d", fr.Len(), 2*fr.Cap())
+	if n := len(fr.Snapshot()); n > 2*fr.Cap() {
+		t.Fatalf("retained %d records, cap bound is %d", n, 2*fr.Cap())
 	}
 }
 
@@ -334,8 +334,8 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 	reg.Counter("zeta.ops", "ops").Add(3)
 	reg.Counter("alpha.ops", "ops").Add(1)
 	g := reg.Gauge("inflight", "vms")
-	g.Set(5)
-	g.Set(2)
+	g.Add(5)
+	g.Add(-3)
 	h := reg.Histogram("latency", "ns", []float64{10, 100})
 	h.Observe(5)
 	h.Observe(50)

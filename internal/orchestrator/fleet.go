@@ -3,7 +3,7 @@ package orchestrator
 import (
 	"cmp"
 	"errors"
-	"sort"
+	"slices"
 	"time"
 
 	"hypertp/internal/hv"
@@ -208,16 +208,16 @@ func (fr *fleetRun) execute() error {
 	return nil
 }
 
-// emit records the finished tasks' spans under one root, sorted by start
-// so siblings open in monotone order regardless of completion order.
+// emit records the run's root and its finished tasks' spans, sorted by
+// start so siblings open in monotone order whatever the commit order.
 func (fr *fleetRun) emit(root string, attrs ...obs.Attr) {
-	if fr.n.obs == nil || len(fr.finished) == 0 {
+	if fr.n.obs == nil {
 		return
 	}
 	sp := fr.n.obs.StartAt(nil, root, fr.base, attrs...)
-	sort.SliceStable(fr.finished, func(i, j int) bool { return fr.finished[i].start < fr.finished[j].start })
+	slices.SortStableFunc(fr.finished, func(a, b *hostTask) int { return cmp.Compare(a.start, b.start) })
 	for _, t := range fr.finished {
-		sp.ChildAt(t.op.span, fr.base+t.start, t.op.attrs(t)...).EndAt(fr.base + t.end)
+		sp.ChildAt(t.op.span, fr.base+t.start, append(t.op.attrs(t), t.result()...)...).EndAt(fr.base + t.end)
 	}
 	sp.EndAt(fr.n.clock.Now())
 }

@@ -271,12 +271,7 @@ func BenchmarkFleetResponseSLO(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		c := newFleet(b, bigFleet())
-		rec := obs.NewRecorder(c.clock)
-		rec.AddSink(obs.NewHeadSampler(1, 0.1, obs.NewFlightRecorder(256)))
-		c.nova.SetRecorder(rec)
-		tracker := slo.NewTracker()
-		tracker.SetRegistry(rec.Metrics())
-		c.nova.SetSLO(tracker)
+		tracker := traceSLO(c)
 		b.StartTimer()
 		resp := respondFleet(b, c, sched.Limits{MaxKexecs: 8, LinkStreams: 8})
 		if len(resp.UpgradedNodes) != bigFleet().hosts {
@@ -286,6 +281,19 @@ func BenchmarkFleetResponseSLO(b *testing.B) {
 			b.Fatal("fleet SLO violated")
 		}
 	}
+}
+
+// traceSLO attaches the export-mode observability path: a recorder with
+// a head-sampled flight recorder sink, and a vulnerability-window tracker
+// mirrored into its metrics.
+func traceSLO(c *cloud) *slo.Tracker {
+	rec := obs.NewRecorder(c.clock)
+	rec.AddSink(obs.NewHeadSampler(1, 0.1, obs.NewFlightRecorder(256)))
+	c.nova.SetRecorder(rec)
+	tracker := slo.NewTracker()
+	tracker.SetRegistry(rec.Metrics())
+	rec.AddSink(tracker)
+	return tracker
 }
 
 // raceEnabled is set by race_test.go. The race detector drops fmt's
@@ -316,22 +324,17 @@ func TestFleetAllocBudgets(t *testing.T) {
 		bytes  uint64 // heap bytes per run; 0: counted only
 		run    func() error
 	}{
-		{"RespondToCVE", 4992, 2236576, func() error {
+		{"RespondToCVE", 4958, 2234688, func() error {
 			respondFleet(t, newFleet(t, stockFleet()), limits)
 			return nil
 		}},
-		{"RespondToCVE/slo", 5250, 0, func() error {
+		{"RespondToCVE/slo", 5192, 0, func() error {
 			c := newFleet(t, stockFleet())
-			rec := obs.NewRecorder(c.clock)
-			rec.AddSink(obs.NewHeadSampler(1, 0.1, obs.NewFlightRecorder(256)))
-			c.nova.SetRecorder(rec)
-			tracker := slo.NewTracker()
-			tracker.SetRegistry(rec.Metrics())
-			c.nova.SetSLO(tracker)
+			traceSLO(c)
 			respondFleet(t, c, limits)
 			return nil
 		}},
-		{"RecoverFleet", 2111, 0, func() error {
+		{"RecoverFleet", 2095, 0, func() error {
 			c := newFleet(t, stockFleet())
 			stormFleet(t, c, []int{0, 2, 5, 8, 9})
 			c.nova.SetFleetLimits(&sched.Limits{MaxKexecs: 2})

@@ -3,6 +3,7 @@ package orchestrator
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"hypertp/internal/core"
@@ -35,8 +36,8 @@ type hostOp struct {
 	admit func(n *Nova, t *hostTask) error
 	// body performs the operation against env and leaves its report in t.
 	body func(n *Nova, t *hostTask, env opEnv) error
-	// done is the success bookkeeping at virtual time at: database rows,
-	// VM downtime, SLO events and, for a swap, the UpgradeRecord.
+	// done is the success bookkeeping at virtual time at: database rows
+	// and, for a swap, the UpgradeRecord.
 	done func(n *Nova, t *hostTask, at time.Duration)
 	// fail applies the manager's side of the failure rule for err (the
 	// body's, or sched.ErrDepFailed) and names the rule.
@@ -47,21 +48,21 @@ var (
 	opEvacuate = hostOp{
 		node: "evacuate:", span: "nova.live-migrate", streams: 1,
 		attrs: func(t *hostTask) []obs.Attr {
-			return []obs.Attr{obs.A("vm", t.vm), obs.A("from", t.host), obs.A("to", t.dest)}
+			return []obs.Attr{{Key: "vm", Value: t.vm}, {Key: "from", Value: t.host}, {Key: "to", Value: t.dest}}
 		},
 		admit: admitEvacuation, body: migrateVM, done: evacuated, fail: evacuationFailed,
 	}
 	opTransplant = hostOp{
 		node: "transplant:", span: "nova.host-live-upgrade", kexecs: 1,
 		attrs: func(t *hostTask) []obs.Attr {
-			return []obs.Attr{obs.A("node", t.host), obs.A("target", t.target), obs.A("evacuated", len(t.plan.evacuated))}
+			return []obs.Attr{{Key: "node", Value: t.host}, {Key: "target", Value: t.target.String()}, obs.A("evacuated", len(t.plan.evacuated))}
 		},
-		admit: admitTransplant, body: swapHypervisor, done: transplanted, fail: transplantFailed,
+		admit: admitTransplant, body: swapHypervisor, done: (*Nova).swapped, fail: transplantFailed,
 	}
 	opRecover = hostOp{
 		node: "emergency:", span: "nova.emergency-recover", kexecs: 1, emergency: true,
 		attrs: func(t *hostTask) []obs.Attr {
-			return []obs.Attr{obs.A("node", t.host), obs.A("target", t.target)}
+			return []obs.Attr{{Key: "node", Value: t.host}, {Key: "target", Value: t.target.String()}}
 		},
 		body: swapHypervisor, done: recovered, fail: recoveryFailed,
 	}
@@ -112,7 +113,6 @@ type hostTask struct {
 	vm, dest string // evacuation only
 	target   hv.Kind
 	opts     core.Options
-	cve      string    // remediated by a successful transplant
 	plan     *hostPlan // nil for a direct LiveMigrate
 	// notBefore delays the body: a recovery waits out detection latency.
 	notBefore time.Duration
@@ -128,15 +128,47 @@ type hostTask struct {
 	record    *UpgradeRecord
 }
 
-// run performs t directly: the row's body on the shared clock, fabric and
-// recorder, then its bookkeeping.
-func (n *Nova) run(t *hostTask) error {
+// run performs t directly inside its span sp: the row's body on the
+// shared clock, fabric and recorder, then its bookkeeping and sp's result
+// attributes, or sp's error.
+func (n *Nova) run(t *hostTask, sp *obs.Span) error {
 	if err := t.op.body(n, t, opEnv{clock: n.clock, rec: n.obs, plan: n.faults}); err != nil {
+		sp.SetAttr("error", err.Error())
 		t.op.fail(n, t, err)
 		return err
 	}
 	t.op.done(n, t, n.clock.Now())
+	if sp != nil {
+		for _, a := range t.result() {
+			sp.SetAttr(a.Key, a.Value)
+		}
+	}
 	return nil
+}
+
+// result is what a finished task adds to its span for the SLO tracker:
+// the downtime it cost its VMs and, for a swap, which VMs.
+func (t *hostTask) result() []obs.Attr {
+	switch {
+	case t.migration != nil:
+		return []obs.Attr{{Key: "downtime", Value: t.migration.Downtime.String()}}
+	case t.report != nil:
+		vms := joinNames(t.report.VMs, func(r core.VMResult) string { return r.Name })
+		return []obs.Attr{{Key: "downtime", Value: t.report.Downtime.String()}, {Key: "vms", Value: vms}}
+	}
+	return nil
+}
+
+// joinNames lists the names of xs comma-separated, as a span attribute.
+func joinNames[T any](xs []T, name func(T) string) string {
+	var b strings.Builder
+	for i, x := range xs {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(name(x))
+	}
+	return b.String()
 }
 
 // admitEvacuation snapshots the VM's row and draws the receiver's seed.
@@ -180,7 +212,6 @@ func evacuated(n *Nova, t *hostTask, _ time.Duration) {
 		rec.ID = t.migration.DestVM.ID
 		rec.Kind = n.nodes[t.dest].Driver.HypervisorKind()
 	}
-	n.slo.AddVMDowntime(t.vm, t.migration.Downtime)
 }
 
 func evacuationFailed(n *Nova, t *hostTask, err error) failRule {
@@ -235,7 +266,7 @@ func swapHypervisor(n *Nova, t *hostTask, env opEnv) (err error) {
 }
 
 // swapped is the bookkeeping both swaps share: every VM on the host has a
-// new id under the target hypervisor and sat out the same blackout.
+// new id under the target hypervisor.
 func (n *Nova) swapped(t *hostTask, at time.Duration) {
 	if t.report != nil {
 		for _, res := range t.report.VMs {
@@ -243,20 +274,11 @@ func (n *Nova) swapped(t *hostTask, at time.Duration) {
 				r.ID = res.NewID
 				r.Kind = t.target
 			}
-			n.slo.AddVMDowntime(res.Name, t.report.Downtime)
 		}
 	}
 	t.record = &UpgradeRecord{
 		Node: t.host, Target: t.target, EvacuatedVMs: t.plan.evacuated,
 		Report: t.report, Elapsed: at - t.plan.since,
-	}
-}
-
-func transplanted(n *Nova, t *hostTask, at time.Duration) {
-	n.swapped(t, at)
-	if t.cve != "" {
-		// The kexec commit closes this host's vulnerability window.
-		n.slo.Remediate(t.cve, t.host, at)
 	}
 }
 
@@ -273,8 +295,6 @@ func transplantFailed(n *Nova, t *hostTask, err error) failRule {
 func recovered(n *Nova, t *hostTask, at time.Duration) {
 	n.swapped(t, at)
 	delete(n.downed, t.host)
-	n.slo.HostUp(t.host, at)
-	n.obs.Metrics().Counter("nova.emergency_recoveries", "hosts").Add(1)
 }
 
 func recoveryFailed(n *Nova, t *hostTask, err error) failRule {

@@ -146,10 +146,6 @@ type Nova struct {
 	// fleetLimits are the capacity limits fleet operations are scheduled
 	// under (see SetFleetLimits); one operation at a time by default.
 	fleetLimits sched.Limits
-	// slo, when non-nil, receives the vulnerability-window events:
-	// disclosure, per-host exposure, per-host remediation at kexec
-	// commit, and per-VM downtime (see SetSLO).
-	slo *slo.Tracker
 	// detector and downed are the reactive-recovery state: the attached
 	// failure detector and the ledger of crashed-but-unrecovered hosts
 	// (see SetDetector, CrashHost, RecoverHost, RecoverFleet).
@@ -282,7 +278,7 @@ func (n *Nova) fence(name string) bool {
 		return false
 	}
 	n.quarantined[name] = true
-	n.obs.Metrics().Counter("nova.hosts_quarantined", "hosts").Add(1)
+	n.obs.Event("nova.quarantined", name)
 	return true
 }
 
@@ -301,12 +297,15 @@ func (n *Nova) reconcileLostHost(name string) {
 	n.fence(name)
 }
 
-// SetSLO attaches a vulnerability-window tracker. RespondToCVE then
-// opens each affected host's exposure interval at disclosure, declares
-// the record's remediation-window target, closes the interval when the
-// host's transplant commits, and feeds per-VM downtime from transplant
-// blackouts and migration stop-and-copy rounds. A nil tracker detaches.
-func (n *Nova) SetSLO(t *slo.Tracker) { n.slo = t }
+// SetSLO adds t to the recorder's sinks, and panics without a recorder
+// rather than track nothing. It stays only for bench/fleet.go; ROADMAP
+// item 14 moves that call to rec.AddSink(t).
+func (n *Nova) SetSLO(t *slo.Tracker) {
+	if n.obs == nil {
+		panic("orchestrator: SetSLO without a recorder")
+	}
+	n.obs.AddSink(t)
+}
 
 // SetRecorder attaches an observability recorder to the manager, to
 // every registered (and future) driver, and to the fabric link. Nova
@@ -429,7 +428,7 @@ func (n *Nova) LiveMigrate(vmName, destNode string) (*migration.Report, error) {
 	}
 	sp := n.obs.Start(t.op.span, t.op.attrs(t)...)
 	defer sp.End()
-	if err := n.run(t); err != nil {
+	if err := n.run(t, sp); err != nil {
 		return nil, err
 	}
 	return t.migration, nil
@@ -549,7 +548,7 @@ func (n *Nova) HostLiveUpgrade(nodeName string, target hv.Kind, opts core.Option
 		hp.evacuated = append(hp.evacuated, vm.Config.Name)
 	}
 	sp.SetAttr("evacuated", len(hp.evacuated))
-	if err := n.run(t); err != nil {
+	if err := n.run(t, sp); err != nil {
 		return nil, err
 	}
 	return t.record, nil

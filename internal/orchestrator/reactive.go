@@ -73,9 +73,6 @@ func (n *Nova) SetDetector(d *reactive.Detector) {
 	}
 }
 
-// Detector returns the attached failure detector (nil when detached).
-func (n *Nova) Detector() *reactive.Detector { return n.detector }
-
 // noteCrash is the detector subscription: first failure per host wins,
 // and hosts the manager does not run are ignored (the detector may
 // watch a wider fleet).
@@ -87,8 +84,12 @@ func (n *Nova) noteCrash(ev reactive.Event) {
 		return
 	}
 	n.downed[ev.Host] = ev
-	n.slo.HostDown(ev.Host, ev.CrashedAt, ev.Reason)
-	n.obs.Metrics().Counter("nova.hosts_crashed", "hosts").Add(1)
+	// The outage's record: from the crash to its detection, the window
+	// no monitor saw. Emergency recovery closes it.
+	if n.obs != nil {
+		n.obs.StartAt(nil, "nova.host-down", ev.CrashedAt,
+			obs.Attr{Key: "node", Value: ev.Host}, obs.Attr{Key: "reason", Value: ev.Reason}).EndAt(ev.DetectedAt)
+	}
 }
 
 // CrashHost injects a fail-stop on a managed host and routes it through
@@ -161,7 +162,7 @@ func (n *Nova) RecoverHost(name string, opts core.Options) (*UpgradeRecord, erro
 	t := n.recovery(ev, opts)
 	sp := n.obs.Start(t.op.span, append(t.op.attrs(t), obs.A("reason", ev.Reason))...)
 	defer sp.End()
-	if err := n.run(t); err != nil {
+	if err := n.run(t, sp); err != nil {
 		return nil, err
 	}
 	return t.record, nil

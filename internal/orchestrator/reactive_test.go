@@ -23,9 +23,7 @@ func reactiveCloud(t *testing.T, nodes int) (*cloud, *slo.Tracker) {
 	c := newCloud(t, nodes, hv.KindXen)
 	det := reactive.NewDetector(reactive.ProbeConfig{Seed: 20210426})
 	c.nova.SetDetector(det)
-	tracker := slo.NewTracker()
-	c.nova.SetSLO(tracker)
-	return c, tracker
+	return c, trackSLO(c)
 }
 
 func TestCrashAndRecoverHost(t *testing.T) {
@@ -241,8 +239,7 @@ func stormFleet(tb testing.TB, c *cloud, hosts []int) []string {
 
 func TestCrashStormScheduledRecovery(t *testing.T) {
 	c := newFleet(t, stockFleet())
-	tracker := slo.NewTracker()
-	c.nova.SetSLO(tracker)
+	tracker := trackSLO(c)
 	crashed := stormFleet(t, c, []int{0, 2, 5, 8, 9})
 	limits := sched.Limits{MaxKexecs: 2}
 	c.nova.SetFleetLimits(&limits)

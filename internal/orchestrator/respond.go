@@ -9,7 +9,6 @@ import (
 	"hypertp/internal/hv"
 	"hypertp/internal/obs"
 	"hypertp/internal/sched"
-	"hypertp/internal/slo"
 	"hypertp/internal/vulndb"
 )
 
@@ -91,16 +90,20 @@ func (n *Nova) RespondToCVE(db *vulndb.Database, cveID string, pool []string, op
 	fr := n.newFleetRun()
 	fr.stopOnLoss = true
 	resp := &FleetResponse{CVE: cveID, Outcome: hterr.OutcomeCompleted}
-	n.slo.SetTarget(cveID, fr.base, slo.Target{Quantile: slo.DefaultQuantile, Window: vrec.RemediationWindow()})
 	upgrades, err := fr.affected(db, vrec, pool, opts, resp)
 	if err != nil {
 		return nil, err
 	}
 	fr.planUpgrades(upgrades)
-	if err := fr.execute(); err != nil {
+	err = fr.execute()
+	// The root, recorded even when nothing finished, is the response's
+	// record: the disclosure, every exposed host, each finished upgrade.
+	fr.emit("nova.respond-cve", obs.Attr{Key: "cve", Value: cveID}, obs.Attr{Key: "target", Value: resp.Target.String()},
+		obs.A("hosts", len(upgrades)), obs.Attr{Key: "window", Value: vrec.RemediationWindow().String()},
+		obs.Attr{Key: "exposed", Value: joinNames(upgrades, func(t *hostTask) string { return t.host })})
+	if err != nil {
 		return nil, err
 	}
-	fr.emit("nova.respond-cve", obs.A("cve", cveID), obs.A("target", resp.Target), obs.A("hosts", len(upgrades)))
 	for _, rec := range fr.records {
 		resp.UpgradedNodes = append(resp.UpgradedNodes, rec.Node)
 	}
@@ -116,9 +119,9 @@ func (n *Nova) RespondToCVE(db *vulndb.Database, cveID string, pool []string, op
 
 // affected is the response's first planning pass: the transplant task of
 // every healthy host running a hypervisor vrec affects, in name order,
-// with its target chosen and its exposure interval opened. Downed hosts
-// are the reactive path's to recover; like quarantined ones they are not
-// raced.
+// with its target chosen. Each is exposed: vulnerable since disclosure,
+// not since we noticed. Downed hosts are the reactive path's to recover;
+// like quarantined ones they are not raced.
 func (fr *fleetRun) affected(db *vulndb.Database, vrec *vulndb.Record, pool []string, opts core.Options, resp *FleetResponse) ([]*hostTask, error) {
 	n := fr.n
 	fr.avail = make(map[string]capacity)
@@ -140,9 +143,6 @@ func (fr *fleetRun) affected(db *vulndb.Database, vrec *vulndb.Record, pool []st
 		if resp.Target, err = hv.ParseKind(targetName); err != nil {
 			return nil, fmt.Errorf("nova: policy choice: %w", err)
 		}
-		// The host has been vulnerable since disclosure, not since we
-		// noticed: the exposure interval opens at the start.
-		n.slo.Expose(resp.CVE, name, fr.base)
 		hp := &hostPlan{name: name, since: -1}
 		hyp.EachVM(func(vm *hv.VM) bool {
 			if !vm.Config.InPlaceCompatible {
@@ -153,7 +153,7 @@ func (fr *fleetRun) affected(db *vulndb.Database, vrec *vulndb.Record, pool []st
 		if len(hp.incompat) == 0 {
 			fr.offer(name, hp)
 		}
-		upgrades = append(upgrades, &hostTask{op: &opTransplant, host: name, target: resp.Target, opts: opts, cve: resp.CVE, plan: hp})
+		upgrades = append(upgrades, &hostTask{op: &opTransplant, host: name, target: resp.Target, opts: opts, plan: hp})
 	}
 	if len(upgrades) == 0 {
 		return nil, fmt.Errorf("nova: no node runs a hypervisor affected by %s", resp.CVE)

@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"hypertp/internal/obs"
 	"hypertp/internal/simtime"
 )
 
@@ -83,15 +82,13 @@ type Event struct {
 // accrues before recovery can even start.
 func (e Event) Latency() time.Duration { return e.DetectedAt - e.CrashedAt }
 
-// Detector converts crash times into detection events and keeps the
-// detection-latency record for MTTR accounting.
+// Detector converts crash times into detection events for its
+// subscribers.
 type Detector struct {
 	cfg ProbeConfig
 
 	mu       sync.Mutex
-	events   []Event
 	handlers []func(Event)
-	rec      *obs.Recorder
 }
 
 // NewDetector creates a detector with the given probe configuration.
@@ -102,15 +99,6 @@ func NewDetector(cfg ProbeConfig) *Detector {
 // Config returns the probe configuration in effect (defaults resolved).
 func (d *Detector) Config() ProbeConfig {
 	return ProbeConfig{Interval: d.cfg.interval(), MissThreshold: d.cfg.threshold(), Seed: d.cfg.Seed}
-}
-
-// SetRecorder wires an observability recorder; each detection then lands
-// in the "reactive.detect_latency_s" histogram.
-func (d *Detector) SetRecorder(rec *obs.Recorder) *Detector {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.rec = rec
-	return d
 }
 
 // Subscribe registers a handler invoked synchronously, in subscription
@@ -158,26 +146,12 @@ func (d *Detector) Observe(host string, crashedAt time.Duration, reason string, 
 		DetectedAt: d.DetectionTime(host, crashedAt),
 	}
 	d.mu.Lock()
-	d.events = append(d.events, ev)
 	handlers := append([]func(Event){}, d.handlers...)
-	rec := d.rec
 	d.mu.Unlock()
-	if rec != nil {
-		rec.Metrics().Histogram("reactive.detect_latency_s", "s",
-			obs.ExpBuckets(1e-3, 2, 12)).Observe(ev.Latency().Seconds())
-		rec.Metrics().Counter("reactive.crashes_detected", "crashes").Add(1)
-	}
 	for _, fn := range handlers {
 		fn(ev)
 	}
 	return ev
-}
-
-// Events returns every observed failure in observation order.
-func (d *Detector) Events() []Event {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]Event(nil), d.events...)
 }
 
 // fnv64 is FNV-1a, the same host-name hash family the fault plan uses,

@@ -5,9 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"hypertp/internal/obs"
 	"hypertp/internal/par"
-	"hypertp/internal/simtime"
 )
 
 func TestDetectionTimeClosedForm(t *testing.T) {
@@ -102,24 +100,18 @@ func TestDetectorPinnedSchedule(t *testing.T) {
 }
 
 func TestDetectorSubscribeAndSeries(t *testing.T) {
-	clock := simtime.NewClock()
-	rec := obs.NewRecorder(clock)
-	d := NewDetector(DefaultProbeConfig()).SetRecorder(rec)
+	d := NewDetector(DefaultProbeConfig())
 	var got []Event
 	d.Subscribe(func(ev Event) { got = append(got, ev) })
 
-	// Subscribers and the event record both see observation order, and
-	// every detection lands within the configured worst case.
+	// Subscribers see observation order, and every detection lands
+	// within the configured worst case.
 	d.Observe("host-b", 3*time.Second, "panic", false)
 	d.Observe("host-a", time.Second, "hang", true)
-	if len(got) != 2 || got[0].Host != "host-b" || !got[1].Hung {
+	if len(got) != 2 || got[0].Host != "host-b" || got[1].Host != "host-a" || !got[1].Hung {
 		t.Fatalf("events = %+v", got)
 	}
-	evs := d.Events()
-	if len(evs) != 2 || evs[0].Host != "host-b" || evs[1].Host != "host-a" {
-		t.Fatalf("events = %+v", evs)
-	}
-	for _, ev := range evs {
+	for _, ev := range got {
 		if ev.Latency() > DefaultProbeConfig().MaxLatency() {
 			t.Fatalf("%s: latency %v above the worst case %v", ev.Host, ev.Latency(), DefaultProbeConfig().MaxLatency())
 		}

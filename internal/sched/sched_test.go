@@ -327,8 +327,8 @@ func TestQueueDelayMetrics(t *testing.T) {
 	if qd.Count() != 4 {
 		t.Fatalf("queue_delay.kexec count = %d, want 4", qd.Count())
 	}
-	if want := float64((16 * time.Second).Nanoseconds()); qd.Sum() != want {
-		t.Fatalf("queue_delay.kexec sum = %g ns, want %g (two 8s waits)", qd.Sum(), want)
+	if s, want := qd.Summary(), float64((16 * time.Second).Nanoseconds()); s.Mean*float64(s.Count) != want {
+		t.Fatalf("queue_delay.kexec sum = %g ns, want %g (two 8s waits)", s.Mean*float64(s.Count), want)
 	}
 	sv := reg.Histogram("sched.starvation.kexec", "ns", nil)
 	if sv.Count() != 2 {

@@ -63,7 +63,6 @@ type Transfer struct {
 	link      *Link
 	name      string
 	remaining float64 // bytes still to move
-	total     int64
 	started   time.Duration
 	done      func(err error)
 	finished  bool
@@ -140,7 +139,7 @@ func (l *Link) Start(name string, size int64, done func(err error)) *Transfer {
 	if l.down {
 		// The peer is unreachable: the stream dies after one latency,
 		// without ever contending for bandwidth.
-		tr := &Transfer{link: l, name: name, total: size, started: l.clock.Now(),
+		tr := &Transfer{link: l, name: name, started: l.clock.Now(),
 			done: done, finished: true}
 		if l.rec != nil {
 			l.rec.Metrics().Counter("simnet.refused", "transfers").Add(1)
@@ -157,7 +156,6 @@ func (l *Link) Start(name string, size int64, done func(err error)) *Transfer {
 		link:      l,
 		name:      name,
 		remaining: float64(size),
-		total:     size,
 		started:   l.clock.Now(),
 		done:      done,
 	}
@@ -166,7 +164,6 @@ func (l *Link) Start(name string, size int64, done func(err error)) *Transfer {
 		tr.span = l.rec.StartDetached("xfer:"+name,
 			obs.A("link", l.name), obs.A("bytes", size))
 		tr.span.SetTrack("simnet")
-		l.rec.Metrics().Counter("simnet.transfers", "transfers").Add(1)
 	}
 	if fired, sev := l.faults.Arm(fault.SiteLinkLoss); fired {
 		// Retransmissions inflate the bytes to move by up to 50%,
@@ -271,14 +268,7 @@ func (l *Link) complete(tr *Transfer) {
 	}
 	l.remove(tr)
 	l.reschedule()
-	if tr.span != nil {
-		tr.span.End()
-		m := l.rec.Metrics()
-		m.Counter("simnet.bytes_moved", "bytes").Add(tr.total)
-		// Virtual durations are deterministic, so the histogram is too.
-		m.Histogram("simnet.transfer_virtual_s", "s",
-			obs.ExpBuckets(1e-3, 2, 20)).Observe(tr.span.Duration().Seconds())
-	}
+	tr.span.End()
 	if tr.done != nil {
 		tr.done(nil)
 	}
@@ -303,11 +293,8 @@ func (l *Link) abortWith(tr *Transfer, cause error) {
 	tr.finished = true
 	l.remove(tr)
 	l.reschedule()
-	if tr.span != nil {
-		tr.span.SetAttr("aborted", true)
-		tr.span.End()
-		l.rec.Metrics().Counter("simnet.aborts", "transfers").Add(1)
-	}
+	tr.span.SetAttr("aborted", true)
+	tr.span.End()
 	if tr.done != nil {
 		tr.done(cause)
 	}
@@ -334,12 +321,6 @@ func (l *Link) Remaining(tr *Transfer) int64 {
 	l.reschedule()
 	return int64(tr.remaining + 0.5)
 }
-
-// Total returns the transfer's original size in bytes.
-func (tr *Transfer) Total() int64 { return tr.total }
-
-// Name returns the transfer's label.
-func (tr *Transfer) Name() string { return tr.name }
 
 // Finished reports whether the transfer completed or was aborted.
 func (tr *Transfer) Finished() bool { return tr.finished }

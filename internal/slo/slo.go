@@ -1,102 +1,90 @@
-// Package slo turns the raw observability stream into the paper's
-// headline quantity: the vulnerability window. A Tracker maintains, in
-// virtual time, the per-CVE × per-host exposure interval — opened at
-// vulndb disclosure, closed when that host's kexec handoff commits — a
-// fleet remediation timeline over those intervals, and per-VM downtime
-// accounting, and evaluates burn rate against declared SLO targets of
-// the form "quantile Q of hosts remediated within window W of
-// disclosure".
-//
-// Everything is driven by explicit virtual timestamps and rendered
-// deterministically (hosts and CVEs in first-seen order, which the
-// callers keep deterministic), so SLO reports are byte-identical across
-// -workers counts like every other exporter in the repo.
-//
-// A nil *Tracker is valid everywhere and free, mirroring the obs
-// conventions: instrumented code needs no "is SLO tracking on"
-// branches.
+// Package slo turns a run's span records into the paper's headline
+// quantity, the vulnerability window. A Tracker is an obs.StreamSink that
+// derives in virtual time, from span names, attributes and times alone:
+// per CVE and host, the exposure from a nova.respond-cve root's start
+// (the disclosure) for each host its exposed attribute lists to the end
+// of that host's nova.host-live-upgrade child (the kexec commit); per VM,
+// the downtime attributes of the swap spans (which list their VMs) and
+// nova.live-migrate; per host, each outage from a nova.host-down root
+// (the crash) to the end of its nova.emergency-recover. A span with an
+// error attribute closes nothing. Reports are deterministic: CVEs and
+// outages in root order, hosts in exposure order, equal VMs by name.
+// A nil *Tracker is valid everywhere and free, as in obs.
 package slo
 
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"time"
 
 	"hypertp/internal/obs"
 )
 
-// DefaultQuantile is the fleet-response quantile used when targets are
-// declared from vulndb records: "99% of hosts remediated within the
-// record's remediation window of disclosure".
+// DefaultQuantile is the quantile of every CVE target: "99% of hosts
+// remediated within the record's remediation window of disclosure".
 const DefaultQuantile = 0.99
 
-// Target declares one SLO: at least Quantile of exposed hosts must be
-// remediated within Window of disclosure.
+// Target declares one SLO: at least Quantile of the intervals must close
+// within Window of their start.
 type Target struct {
-	Quantile float64       // e.g. 0.99 for "99% of hosts"
-	Window   time.Duration // virtual time budget from disclosure
+	Quantile float64
+	Window   time.Duration
 }
 
 func (t Target) String() string {
 	return fmt.Sprintf("p%g within %v", t.Quantile*100, t.Window)
 }
 
-// exposure is one host's window against one CVE.
-type exposure struct {
-	opened time.Duration // virtual time the host was found affected
-	closed time.Duration
-	done   bool
+// interval is one host's exposure to a CVE, or one of its outages.
+type interval struct {
+	host     string
+	from, to time.Duration
+	done     bool
 }
 
-// outage is one host's unplanned-outage interval: opened when the
-// hypervisor crashes (or is declared dead), closed when emergency
-// recovery resumes the last VM.
-type outage struct {
-	from   time.Duration
-	to     time.Duration
-	reason string
-	done   bool
+// late reports an interval out of target at now: closed after its
+// deadline, or still open past it.
+func (iv interval) late(window, now time.Duration) bool {
+	if iv.done {
+		return iv.to > iv.from+window
+	}
+	return now > iv.from+window
 }
 
-// cveState is the per-CVE timeline.
+// cveState is one CVE's timeline.
 type cveState struct {
 	disclosed time.Duration
 	target    Target
 	hasTarget bool
-	hosts     map[string]*exposure
-	hostOrder []string
+	index     map[string]int // host → windows index
+	windows   []interval     // exposure order, each from the disclosure
 }
 
-// Tracker accumulates exposure intervals and VM downtime. Safe for
-// concurrent use; all methods are no-ops on a nil Tracker.
+// Tracker derives exposure windows, VM downtime and outages from span
+// records. Safe for concurrent use; all methods are no-ops on a nil
+// Tracker.
 type Tracker struct {
 	mu       sync.Mutex
 	cves     map[string]*cveState
 	cveOrder []string
 	vms      map[string]time.Duration
-	vmOrder  []string
-
-	outages     map[string][]*outage
-	outageOrder []string
-	mttrTarget  Target
-	hasMTTR     bool
-
-	reg *obs.Registry
+	outages  []interval     // crash order
+	lastDown map[string]int // host → its latest outage
+	mttr     Target
+	hasMTTR  bool
+	reg      *obs.Registry
 }
 
 // NewTracker creates an empty tracker.
 func NewTracker() *Tracker {
-	return &Tracker{
-		cves:    make(map[string]*cveState),
-		vms:     make(map[string]time.Duration),
-		outages: make(map[string][]*outage),
-	}
+	return &Tracker{cves: map[string]*cveState{}, vms: map[string]time.Duration{}, lastDown: map[string]int{}}
 }
 
-// SetRegistry mirrors tracker updates into obs metrics: exposure and
-// remediation counters, an open-windows gauge, and remediation-latency
-// and VM-downtime histograms — the feed ROADMAP item 1 asks for.
+// SetRegistry mirrors what Consume derives into obs metrics: exposure,
+// remediation and outage counters, open-window and hosts-down gauges,
+// and remediation-latency, VM-downtime and MTTR histograms.
 func (t *Tracker) SetRegistry(reg *obs.Registry) {
 	if t == nil {
 		return
@@ -106,164 +94,134 @@ func (t *Tracker) SetRegistry(reg *obs.Registry) {
 	t.mu.Unlock()
 }
 
-// latencyBuckets spans 1ms..~17min of virtual remediation latency.
-var latencyBuckets = obs.ExpBuckets(1e6, 4, 10)
-
-// cveLocked returns (creating if needed) the state for cve.
-func (t *Tracker) cveLocked(cve string, at time.Duration) *cveState {
-	cs, ok := t.cves[cve]
-	if !ok {
-		cs = &cveState{disclosed: at, hosts: make(map[string]*exposure)}
-		t.cves[cve] = cs
-		t.cveOrder = append(t.cveOrder, cve)
-	}
-	return cs
-}
-
-// Disclose marks cve disclosed at virtual time at — the instant every
-// affected host's vulnerability window starts counting. Calling it
-// again is a no-op (first disclosure wins).
-func (t *Tracker) Disclose(cve string, at time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.cveLocked(cve, at)
-	t.mu.Unlock()
-}
-
-// SetTarget declares the SLO target for cve (implicitly disclosing it
-// at `at` if Disclose was not called first).
-func (t *Tracker) SetTarget(cve string, at time.Duration, target Target) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	cs := t.cveLocked(cve, at)
-	cs.target = target
-	cs.hasTarget = true
-	t.mu.Unlock()
-}
-
-// Expose records that host was found running a hypervisor affected by
-// cve at virtual time at, opening its exposure interval. An undisclosed
-// CVE is implicitly disclosed at `at`. Re-exposing an open or closed
-// interval is a no-op.
-func (t *Tracker) Expose(cve, host string, at time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	cs := t.cveLocked(cve, at)
-	if _, ok := cs.hosts[host]; !ok {
-		cs.hosts[host] = &exposure{opened: at}
-		cs.hostOrder = append(cs.hostOrder, host)
-		t.reg.Counter("slo.exposed", "hosts").Add(1)
-		t.reg.Gauge("slo.open_windows", "hosts").Add(1)
-	}
-	t.mu.Unlock()
-}
-
-// Remediate closes host's exposure interval against cve at virtual time
-// at — the kexec-commit instant in a transplant, or the migration
-// completion when the host was drained instead. A host never exposed is
-// recorded as exposed-and-remediated at `at` (zero-length interval);
-// re-remediating is a no-op.
-func (t *Tracker) Remediate(cve, host string, at time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	cs := t.cveLocked(cve, at)
-	e, ok := cs.hosts[host]
-	if !ok {
-		e = &exposure{opened: at}
-		cs.hosts[host] = e
-		cs.hostOrder = append(cs.hostOrder, host)
-		t.reg.Counter("slo.exposed", "hosts").Add(1)
-		t.reg.Gauge("slo.open_windows", "hosts").Add(1)
-	}
-	if !e.done {
-		e.closed = at
-		e.done = true
-		t.reg.Counter("slo.remediated", "hosts").Add(1)
-		t.reg.Gauge("slo.open_windows", "hosts").Add(-1)
-		t.reg.Histogram("slo.remediation_latency", "ns", latencyBuckets).
-			Observe(float64((at - cs.disclosed).Nanoseconds()))
-	}
-	t.mu.Unlock()
-}
-
-// AddVMDowntime accumulates observed downtime for one VM (blackout
-// during kexec handoff or a migration stop-and-copy round).
-func (t *Tracker) AddVMDowntime(vm string, d time.Duration) {
-	if t == nil || d <= 0 {
-		return
-	}
-	t.mu.Lock()
-	if _, ok := t.vms[vm]; !ok {
-		t.vmOrder = append(t.vmOrder, vm)
-	}
-	t.vms[vm] += d
-	t.reg.Histogram("slo.vm_downtime", "ns", latencyBuckets).
-		Observe(float64(d.Nanoseconds()))
-	t.mu.Unlock()
-}
-
-// HostDown opens host's unplanned-outage interval at virtual time at —
-// the instant the hypervisor actually failed, not when the detector
-// noticed: the undetected window is outage time too. A host already down
-// stays down (first failure wins).
-func (t *Tracker) HostDown(host string, at time.Duration, reason string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	os := t.outages[host]
-	if n := len(os); n > 0 && !os[n-1].done {
-		t.mu.Unlock()
-		return
-	}
-	if len(os) == 0 {
-		t.outageOrder = append(t.outageOrder, host)
-	}
-	t.outages[host] = append(os, &outage{from: at, reason: reason})
-	t.reg.Counter("slo.outages", "outages").Add(1)
-	t.reg.Gauge("slo.hosts_down", "hosts").Add(1)
-	t.mu.Unlock()
-}
-
-// HostUp closes host's open outage interval at virtual time at — the
-// instant emergency recovery resumed the last VM. A host that was never
-// down is a no-op.
-func (t *Tracker) HostUp(host string, at time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	os := t.outages[host]
-	if n := len(os); n > 0 && !os[n-1].done {
-		o := os[n-1]
-		o.to = at
-		o.done = true
-		t.reg.Gauge("slo.hosts_down", "hosts").Add(-1)
-		t.reg.Histogram("slo.mttr", "ns", latencyBuckets).
-			Observe(float64((at - o.from).Nanoseconds()))
-	}
-	t.mu.Unlock()
-}
-
 // SetMTTRBudget declares the recovery SLO: at least Quantile of outages
-// must recover within Window of the failure instant. Pass then evaluates
-// it alongside the per-CVE targets.
+// must recover within Window of the crash. Pass then evaluates it
+// alongside the per-CVE targets.
 func (t *Tracker) SetMTTRBudget(target Target) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.mttrTarget = target
-	t.hasMTTR = true
+	t.mttr, t.hasMTTR = target, true
 	t.mu.Unlock()
+}
+
+// latencyBuckets spans 1ms..~17min of virtual latency, in nanoseconds.
+var latencyBuckets = obs.ExpBuckets(1e6, 4, 10)
+
+// Consume implements obs.StreamSink. It also takes several whole roots
+// at once, as spans.jsonl holds them.
+func (t *Tracker) Consume(recs []obs.SpanRecord) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var cs *cveState // the response whose root is being read
+	for i := range recs {
+		rec := &recs[i]
+		attr := func(key string) string { return obs.AttrValue(rec.Attrs, key) }
+		if rec.Depth == 0 {
+			cs = nil
+			switch rec.Name {
+			case "nova.respond-cve":
+				cs = t.respondLocked(attr("cve"), rec.Start, attr("window"), attr("exposed"))
+			case "nova.host-down":
+				t.hostDownLocked(attr("node"), rec.Start)
+			}
+		}
+		if attr("error") != "" {
+			continue
+		}
+		switch rec.Name {
+		case "nova.live-migrate":
+			t.downtimeLocked(attr("vm"), attr("downtime"))
+		case "nova.host-live-upgrade":
+			t.downtimeLocked(attr("vms"), attr("downtime"))
+			if i, ok := cs.window(attr("node")); ok && rec.Depth == 1 {
+				// The kexec commit closes the host's window.
+				w := &cs.windows[i]
+				w.to, w.done = rec.End, true
+				t.reg.Counter("slo.remediated", "hosts").Add(1)
+				t.reg.Gauge("slo.open_windows", "hosts").Add(-1)
+				t.reg.Histogram("slo.remediation_latency", "ns", latencyBuckets).Observe(float64(w.to - w.from))
+			}
+		case "nova.emergency-recover":
+			t.downtimeLocked(attr("vms"), attr("downtime"))
+			if i, ok := t.lastDown[attr("node")]; ok && !t.outages[i].done {
+				o := &t.outages[i]
+				o.to, o.done = rec.End, true
+				t.reg.Gauge("slo.hosts_down", "hosts").Add(-1)
+				t.reg.Histogram("slo.mttr", "ns", latencyBuckets).Observe(float64(o.to - o.from))
+			}
+		}
+	}
+}
+
+// respondLocked opens a response's exposure windows at its disclosure
+// (the first response to a CVE discloses it) and declares the CVE's
+// target from its window attribute. A host already exposed keeps its
+// window.
+func (t *Tracker) respondLocked(cve string, at time.Duration, window, exposed string) *cveState {
+	cs, ok := t.cves[cve]
+	if !ok {
+		n := strings.Count(exposed, ",") + 1
+		cs = &cveState{disclosed: at, index: make(map[string]int, n), windows: make([]interval, 0, n)}
+		t.cves[cve] = cs
+		t.cveOrder = append(t.cveOrder, cve)
+	}
+	if w, err := time.ParseDuration(window); err == nil {
+		cs.target, cs.hasTarget = Target{Quantile: DefaultQuantile, Window: w}, true
+	}
+	opened := int64(0)
+	for rest := exposed; rest != ""; {
+		var host string
+		host, rest, _ = strings.Cut(rest, ",")
+		if _, ok := cs.index[host]; !ok {
+			cs.index[host] = len(cs.windows)
+			cs.windows = append(cs.windows, interval{host: host, from: cs.disclosed})
+			opened++
+		}
+	}
+	if opened > 0 {
+		t.reg.Counter("slo.exposed", "hosts").Add(opened)
+		t.reg.Gauge("slo.open_windows", "hosts").Add(opened)
+	}
+	return cs
+}
+
+// window finds host's open window; a nil state has none.
+func (cs *cveState) window(host string) (int, bool) {
+	if cs == nil {
+		return 0, false
+	}
+	i, ok := cs.index[host]
+	return i, ok && !cs.windows[i].done
+}
+
+// downtimeLocked charges downtime to each VM of the comma-separated
+// list vms: a transplant's blackout or a migration's stop-and-copy.
+func (t *Tracker) downtimeLocked(vms, downtime string) {
+	d, err := time.ParseDuration(downtime)
+	for rest := vms; err == nil && d > 0 && rest != ""; {
+		var vm string
+		vm, rest, _ = strings.Cut(rest, ",")
+		t.vms[vm] += d
+		t.reg.Histogram("slo.vm_downtime", "ns", latencyBuckets).Observe(float64(d))
+	}
+}
+
+// hostDownLocked opens host's outage at the crash, not at its detection:
+// the undetected window is outage time too. A host already down stays
+// down (first failure wins).
+func (t *Tracker) hostDownLocked(host string, at time.Duration) {
+	if i, ok := t.lastDown[host]; ok && !t.outages[i].done {
+		return
+	}
+	t.lastDown[host] = len(t.outages)
+	t.outages = append(t.outages, interval{host: host, from: at})
+	t.reg.Counter("slo.outages", "outages").Add(1)
+	t.reg.Gauge("slo.hosts_down", "hosts").Add(1)
 }
 
 // AvailabilitySummary aggregates the unplanned-outage timeline: the
@@ -278,22 +236,9 @@ type AvailabilitySummary struct {
 	Total time.Duration
 	// MTTR percentiles over closed (recovered) outages.
 	MTTRMean, MTTRP50, MTTRP95, MTTRMax time.Duration
-	// WorstHost suffered the longest single outage (open or closed).
+	// WorstHost suffered the longest single outage (open or closed), the
+	// later crash among equals.
 	WorstHost string
-}
-
-// Ratio converts the summary into fleet availability over a horizon:
-// 1 − total outage time / (fleetHosts × horizon). Degenerate inputs
-// report 1 (no evidence of unavailability).
-func (s AvailabilitySummary) Ratio(fleetHosts int, horizon time.Duration) float64 {
-	if fleetHosts <= 0 || horizon <= 0 {
-		return 1
-	}
-	r := 1 - float64(s.Total)/(float64(fleetHosts)*float64(horizon))
-	if r < 0 {
-		return 0
-	}
-	return r
 }
 
 // Availability evaluates the outage timeline at virtual time now.
@@ -303,23 +248,20 @@ func (t *Tracker) Availability(now time.Duration) AvailabilitySummary {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := AvailabilitySummary{Hosts: len(t.outages)}
+	s := AvailabilitySummary{Hosts: len(t.lastDown), Outages: len(t.outages)}
 	var mttrs []float64
 	var worst time.Duration
-	for _, host := range t.outageOrder {
-		for _, o := range t.outages[host] {
-			s.Outages++
-			d := o.to - o.from
-			if !o.done {
-				s.Open++
-				d = now - o.from
-			} else {
-				mttrs = append(mttrs, float64(d))
-			}
-			s.Total += d
-			if d >= worst && d > 0 {
-				worst, s.WorstHost = d, host
-			}
+	for _, o := range t.outages {
+		d := o.to - o.from
+		if !o.done {
+			s.Open++
+			d = now - o.from
+		} else {
+			mttrs = append(mttrs, float64(d))
+		}
+		s.Total += d
+		if d >= worst && d > 0 {
+			worst, s.WorstHost = d, o.host
 		}
 	}
 	if len(mttrs) > 0 {
@@ -333,8 +275,8 @@ func (t *Tracker) Availability(now time.Duration) AvailabilitySummary {
 
 // MTTRVerdict evaluates the declared recovery budget at virtual time
 // now: an outage violates when it recovered later than Window after the
-// failure, or is still open with the budget spent. Without a declared
-// budget the verdict passes vacuously with zero hosts.
+// crash, or is still open with the budget spent. Without a declared
+// budget the verdict passes vacuously.
 func (t *Tracker) MTTRVerdict(now time.Duration) (Verdict, bool) {
 	if t == nil {
 		return Verdict{CVE: "mttr", Pass: true}, false
@@ -344,62 +286,45 @@ func (t *Tracker) MTTRVerdict(now time.Duration) (Verdict, bool) {
 	if !t.hasMTTR {
 		return Verdict{CVE: "mttr", Pass: true}, false
 	}
-	v := Verdict{CVE: "mttr", Target: t.mttrTarget}
-	for _, host := range t.outageOrder {
-		for _, o := range t.outages[host] {
-			v.Hosts++
-			deadline := o.from + t.mttrTarget.Window
-			if o.done {
-				if o.to > deadline {
-					v.Violations++
-				}
-			} else if now > deadline {
-				v.Violations++
-			}
-		}
-	}
-	allowed := 1 - t.mttrTarget.Quantile
-	frac := 0.0
-	if v.Hosts > 0 {
-		frac = float64(v.Violations) / float64(v.Hosts)
-	}
-	switch {
-	case allowed > 0:
-		v.BurnRate = frac / allowed
-	case v.Violations == 0:
-		v.BurnRate = 0
-	default:
-		v.BurnRate = math.Inf(1)
-	}
-	v.Pass = v.BurnRate <= 1
-	return v, true
+	return judge("mttr", t.mttr, t.outages, now), true
 }
 
-// CVEs returns the tracked CVE ids in first-seen order.
-func (t *Tracker) CVEs() []string {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]string(nil), t.cveOrder...)
-}
-
-// Verdict is the burn-rate evaluation of one CVE's timeline against a
-// target.
+// Verdict is the burn-rate evaluation of a timeline against a target.
 type Verdict struct {
 	CVE    string
 	Target Target
-	// Hosts is the number of exposure intervals (open or closed).
+	// Hosts is the number of intervals (open or closed).
 	Hosts int
-	// Violations counts hosts out of budget: closed later than Window
-	// after disclosure, or still open with the budget already spent.
+	// Violations counts intervals out of budget: closed later than
+	// Window after their start, or still open with the budget spent.
 	Violations int
 	// BurnRate is the violating fraction divided by the allowed
 	// fraction (1 − Quantile): 1.0 means the error budget is exactly
 	// spent, above 1.0 the SLO is burned through.
 	BurnRate float64
 	Pass     bool
+}
+
+// judge evaluates ivs against target at now.
+func judge(name string, target Target, ivs []interval, now time.Duration) Verdict {
+	v := Verdict{CVE: name, Target: target, Hosts: len(ivs)}
+	for _, iv := range ivs {
+		if iv.late(target.Window, now) {
+			v.Violations++
+		}
+	}
+	allowed, frac := 1-target.Quantile, 0.0
+	if v.Hosts > 0 {
+		frac = float64(v.Violations) / float64(v.Hosts)
+	}
+	switch {
+	case allowed > 0:
+		v.BurnRate = frac / allowed
+	case v.Violations > 0:
+		v.BurnRate = math.Inf(1)
+	}
+	v.Pass = v.BurnRate <= 1
+	return v
 }
 
 func (v Verdict) String() string {
@@ -435,7 +360,8 @@ type DowntimeSummary struct {
 	VMs           int
 	Total         time.Duration
 	P50, P95, Max time.Duration
-	// WorstVM is the VM with the largest accumulated downtime.
+	// WorstVM is the VM with the largest accumulated downtime, the first
+	// by name among equals.
 	WorstVM string
 }
 
@@ -447,48 +373,17 @@ func (t *Tracker) Downtime() DowntimeSummary {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	d := DowntimeSummary{VMs: len(t.vms)}
-	var vs []float64
-	for _, vm := range t.vmOrder {
-		dt := t.vms[vm]
+	vs := make([]float64, 0, len(t.vms))
+	for vm, dt := range t.vms {
 		d.Total += dt
 		vs = append(vs, float64(dt))
-		if dt > d.Max {
+		if dt > d.Max || dt == d.Max && vm < d.WorstVM {
 			d.Max, d.WorstVM = dt, vm
 		}
 	}
 	d.P50 = time.Duration(obs.Percentile(vs, 50))
 	d.P95 = time.Duration(obs.Percentile(vs, 95))
 	return d
-}
-
-// evaluateLocked computes the verdict for cs at virtual time now.
-func evaluateLocked(cve string, cs *cveState, target Target, now time.Duration) Verdict {
-	v := Verdict{CVE: cve, Target: target, Hosts: len(cs.hosts)}
-	deadline := cs.disclosed + target.Window
-	for _, e := range cs.hosts {
-		if e.done {
-			if e.closed > deadline {
-				v.Violations++
-			}
-		} else if now > deadline {
-			v.Violations++
-		}
-	}
-	allowed := 1 - target.Quantile
-	frac := 0.0
-	if v.Hosts > 0 {
-		frac = float64(v.Violations) / float64(v.Hosts)
-	}
-	switch {
-	case allowed > 0:
-		v.BurnRate = frac / allowed
-	case v.Violations == 0:
-		v.BurnRate = 0
-	default:
-		v.BurnRate = math.Inf(1)
-	}
-	v.Pass = v.BurnRate <= 1
-	return v
 }
 
 // Report returns one WindowReport per tracked CVE (first-seen order),
@@ -502,47 +397,30 @@ func (t *Tracker) Report(now time.Duration) []WindowReport {
 	var out []WindowReport
 	for _, cve := range t.cveOrder {
 		cs := t.cves[cve]
-		r := WindowReport{CVE: cve, Disclosed: cs.disclosed, Exposed: len(cs.hosts)}
+		r := WindowReport{CVE: cve, Disclosed: cs.disclosed, Exposed: len(cs.windows), HasTarget: cs.hasTarget}
 		var lats []float64
 		var worst time.Duration
-		for _, host := range cs.hostOrder {
-			e := cs.hosts[host]
-			if !e.done {
+		for _, w := range cs.windows {
+			if !w.done {
 				r.Open++
 				continue
 			}
 			r.Remediated++
-			lat := e.closed - cs.disclosed
+			lat := w.to - w.from
 			lats = append(lats, float64(lat))
 			if lat >= worst {
-				worst, r.WorstHost = lat, host
+				worst, r.WorstHost = lat, w.host
 			}
 		}
 		r.P50 = time.Duration(obs.Percentile(lats, 50))
 		r.P95 = time.Duration(obs.Percentile(lats, 95))
 		r.Max = time.Duration(obs.Percentile(lats, 100))
 		if cs.hasTarget {
-			r.HasTarget = true
-			r.Verdict = evaluateLocked(cve, cs, cs.target, now)
+			r.Verdict = judge(cve, cs.target, cs.windows, now)
 		}
 		out = append(out, r)
 	}
 	return out
-}
-
-// Evaluate returns cve's verdict against target at virtual time now,
-// ignoring any declared target.
-func (t *Tracker) Evaluate(cve string, target Target, now time.Duration) Verdict {
-	if t == nil {
-		return Verdict{CVE: cve, Target: target, Pass: true}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	cs, ok := t.cves[cve]
-	if !ok {
-		return Verdict{CVE: cve, Target: target, Pass: true}
-	}
-	return evaluateLocked(cve, cs, target, now)
 }
 
 // Pass reports whether every CVE with a declared target — and the MTTR
@@ -554,8 +432,6 @@ func (t *Tracker) Pass(now time.Duration) bool {
 			return false
 		}
 	}
-	if v, ok := t.MTTRVerdict(now); ok && !v.Pass {
-		return false
-	}
-	return true
+	v, _ := t.MTTRVerdict(now)
+	return v.Pass
 }

@@ -9,22 +9,51 @@ import (
 	"hypertp/internal/obs"
 )
 
-func TestTrackerWindowReport(t *testing.T) {
-	tr := NewTracker()
-	tr.Disclose("CVE-A", 0)
-	tr.SetTarget("CVE-A", 0, Target{Quantile: 0.99, Window: 10 * time.Second})
-	tr.Expose("CVE-A", "host-00", 0)
-	tr.Expose("CVE-A", "host-01", 0)
-	tr.Expose("CVE-A", "host-02", 0)
-	tr.Remediate("CVE-A", "host-00", 2*time.Second)
-	tr.Remediate("CVE-A", "host-01", 4*time.Second)
-	tr.Remediate("CVE-A", "host-02", 8*time.Second)
+// The tracker's whole input is span records. These build the roots the
+// orchestrator records: a response root disclosing cve at 0 and listing
+// its exposed hosts, with one upgrade child per remediated host; a crash
+// root; and the swap and migration spans that carry downtime.
 
-	reports := tr.Report(8 * time.Second)
+func span(depth int, name string, start, end time.Duration, attrs ...obs.Attr) obs.SpanRecord {
+	return obs.SpanRecord{Depth: depth, Name: name, Start: start, End: end, Attrs: attrs}
+}
+
+func response(cve string, window time.Duration, exposed string, upgrades ...obs.SpanRecord) []obs.SpanRecord {
+	root := span(0, "nova.respond-cve", 0, 0, obs.A("cve", cve), obs.A("window", window), obs.A("exposed", exposed))
+	return append([]obs.SpanRecord{root}, upgrades...)
+}
+
+func upgrade(host string, at time.Duration) obs.SpanRecord {
+	return span(1, "nova.host-live-upgrade", 0, at, obs.A("node", host))
+}
+
+func hostDown(host string, at time.Duration) []obs.SpanRecord {
+	return []obs.SpanRecord{span(0, "nova.host-down", at, at, obs.A("node", host))}
+}
+
+func recovered(host string, at time.Duration) []obs.SpanRecord {
+	return []obs.SpanRecord{span(0, "nova.emergency-recover", 0, at, obs.A("node", host))}
+}
+
+func migrated(vm string, d time.Duration) []obs.SpanRecord {
+	return []obs.SpanRecord{span(0, "nova.live-migrate", 0, d, obs.A("vm", vm), obs.A("downtime", d))}
+}
+
+func report(t *testing.T, tr *Tracker, now time.Duration) WindowReport {
+	t.Helper()
+	reports := tr.Report(now)
 	if len(reports) != 1 {
 		t.Fatalf("got %d reports, want 1", len(reports))
 	}
-	r := reports[0]
+	return reports[0]
+}
+
+func TestTrackerWindowReport(t *testing.T) {
+	tr := NewTracker()
+	tr.Consume(response("CVE-A", 10*time.Second, "host-00,host-01,host-02",
+		upgrade("host-00", 2*time.Second), upgrade("host-01", 4*time.Second), upgrade("host-02", 8*time.Second)))
+
+	r := report(t, tr, 8*time.Second)
 	if r.Exposed != 3 || r.Remediated != 3 || r.Open != 0 {
 		t.Fatalf("counts: %+v", r)
 	}
@@ -34,7 +63,7 @@ func TestTrackerWindowReport(t *testing.T) {
 	if r.WorstHost != "host-02" {
 		t.Fatalf("worst host = %q", r.WorstHost)
 	}
-	if !r.HasTarget || !r.Verdict.Pass || r.Verdict.Violations != 0 {
+	if !r.HasTarget || r.Verdict.Target.Quantile != DefaultQuantile || !r.Verdict.Pass || r.Verdict.Violations != 0 {
 		t.Fatalf("verdict: %+v", r.Verdict)
 	}
 	if !tr.Pass(8 * time.Second) {
@@ -44,78 +73,120 @@ func TestTrackerWindowReport(t *testing.T) {
 
 func TestTrackerOpenWindowViolation(t *testing.T) {
 	tr := NewTracker()
-	tr.SetTarget("CVE-B", 0, Target{Quantile: 1.0, Window: 5 * time.Second})
-	tr.Expose("CVE-B", "host-00", 0)
+	tr.Consume(response("CVE-B", 5*time.Second, "host-00"))
 	// Within budget and still open: not yet a violation.
-	if v := tr.Evaluate("CVE-B", Target{Quantile: 1.0, Window: 5 * time.Second}, 3*time.Second); !v.Pass {
+	if v := report(t, tr, 3*time.Second).Verdict; !v.Pass {
 		t.Fatalf("open window inside budget failed: %+v", v)
 	}
-	// Budget spent, still open: violation; quantile 1.0 burns infinitely.
-	v := tr.Evaluate("CVE-B", Target{Quantile: 1.0, Window: 5 * time.Second}, 6*time.Second)
+	// Budget spent, still open: violation.
+	v := report(t, tr, 6*time.Second).Verdict
 	if v.Pass || v.Violations != 1 {
 		t.Fatalf("overdue open window passed: %+v", v)
 	}
 	if tr.Pass(6 * time.Second) {
 		t.Fatal("tracker should fail with overdue open window")
 	}
-	// Late remediation stays a violation forever.
-	tr.Remediate("CVE-B", "host-00", 7*time.Second)
-	if v := tr.Evaluate("CVE-B", Target{Quantile: 1.0, Window: 5 * time.Second}, 100*time.Second); v.Pass {
-		t.Fatalf("late close forgot the violation: %+v", v)
+	// A later response remediates the host late: it stays a violation
+	// forever, and the repeated exposure is no new window.
+	tr.Consume(response("CVE-B", 5*time.Second, "host-00", upgrade("host-00", 7*time.Second)))
+	r := report(t, tr, 100*time.Second)
+	if r.Exposed != 1 || r.Remediated != 1 || r.Disclosed != 0 {
+		t.Fatalf("re-response: %+v", r)
+	}
+	if r.Verdict.Pass {
+		t.Fatalf("late close forgot the violation: %+v", r.Verdict)
 	}
 }
 
 func TestBurnRate(t *testing.T) {
+	// 1 of 100 hosts beyond the window at q=0.99: the error budget is
+	// spent (burn 1.0 up to rounding), which still passes; 1 of 40 burns
+	// 2.5 and fails.
+	for _, tc := range []struct {
+		hosts    int
+		min, max float64
+		pass     bool
+	}{{100, 0.999, 1.0, true}, {40, 2.49, 2.51, false}} {
+		tr := NewTracker()
+		var hosts []string
+		var ups []obs.SpanRecord
+		for i := 0; i < tc.hosts; i++ {
+			h := string(rune('A'+i/26)) + string(rune('a'+i%26))
+			hosts = append(hosts, h)
+			at := time.Second
+			if i == 0 {
+				at = 20 * time.Second
+			}
+			ups = append(ups, upgrade(h, at))
+		}
+		tr.Consume(response("CVE-C", 10*time.Second, strings.Join(hosts, ","), ups...))
+		v := report(t, tr, 20*time.Second).Verdict
+		if v.Violations != 1 || v.BurnRate < tc.min || v.BurnRate > tc.max || v.Pass != tc.pass {
+			t.Fatalf("%d hosts: %+v", tc.hosts, v)
+		}
+	}
+	// The same arithmetic on a declared quantile, through the MTTR
+	// budget: 1 of 4 outages late is burn exactly 1.0 at q=0.75 (pass),
+	// 2.5 at q=0.9 (fail), and infinite at q=1.
 	tr := NewTracker()
-	tr.Disclose("CVE-C", 0)
 	for i, at := range []time.Duration{time.Second, 2 * time.Second, 3 * time.Second, 20 * time.Second} {
 		host := string(rune('a' + i))
-		tr.Expose("CVE-C", host, 0)
-		tr.Remediate("CVE-C", host, at)
+		tr.Consume(hostDown(host, 0))
+		tr.Consume(recovered(host, at))
 	}
-	// 1 of 4 hosts beyond 10s. Allowed fraction at q=0.75 is 0.25:
-	// burn rate exactly 1.0, which still passes.
-	v := tr.Evaluate("CVE-C", Target{Quantile: 0.75, Window: 10 * time.Second}, 20*time.Second)
-	if v.Violations != 1 || v.BurnRate != 1.0 || !v.Pass {
-		t.Fatalf("burn at budget edge: %+v", v)
+	for _, tc := range []struct {
+		q    float64
+		burn float64
+		pass bool
+	}{{0.75, 1, true}, {0.9, 2.5, false}} {
+		tr.SetMTTRBudget(Target{Quantile: tc.q, Window: 10 * time.Second})
+		v, ok := tr.MTTRVerdict(20 * time.Second)
+		if !ok || v.Violations != 1 || v.Pass != tc.pass || v.BurnRate < tc.burn-0.01 || v.BurnRate > tc.burn+0.01 {
+			t.Fatalf("q=%v: %+v", tc.q, v)
+		}
 	}
-	// q=0.9 allows 0.1: burn 2.5, fail.
-	v = tr.Evaluate("CVE-C", Target{Quantile: 0.9, Window: 10 * time.Second}, 20*time.Second)
-	if v.Pass || v.BurnRate < 2.49 || v.BurnRate > 2.51 {
-		t.Fatalf("burn over budget: %+v", v)
+	tr.SetMTTRBudget(Target{Quantile: 1, Window: 10 * time.Second})
+	if v, _ := tr.MTTRVerdict(20 * time.Second); v.Pass || v.BurnRate <= 1e300 {
+		t.Fatalf("q=1 with a violation: %+v", v)
 	}
 }
 
 func TestNilTracker(t *testing.T) {
 	var tr *Tracker
-	tr.Disclose("x", 0)
-	tr.Expose("x", "h", 0)
-	tr.Remediate("x", "h", 0)
-	tr.AddVMDowntime("vm", time.Second)
+	tr.Consume(response("x", time.Second, "h", upgrade("h", 0)))
+	tr.Consume(migrated("vm", time.Second))
 	tr.SetRegistry(nil)
-	if !tr.Pass(0) || tr.Report(0) != nil || len(tr.CVEs()) != 0 {
+	tr.SetMTTRBudget(Target{})
+	if !tr.Pass(0) || tr.Report(0) != nil {
 		t.Fatal("nil tracker must be inert and passing")
 	}
 	if d := tr.Downtime(); d.VMs != 0 {
 		t.Fatalf("nil downtime = %+v", d)
 	}
+	if s := tr.Availability(0); s.Outages != 0 {
+		t.Fatal("nil tracker tracked an outage")
+	}
 }
 
 func TestDowntimeAccounting(t *testing.T) {
 	tr := NewTracker()
-	tr.AddVMDowntime("vm-1", 30*time.Millisecond)
-	tr.AddVMDowntime("vm-2", 50*time.Millisecond)
-	tr.AddVMDowntime("vm-1", 20*time.Millisecond) // accumulates
-	tr.AddVMDowntime("vm-3", 0)                   // ignored
+	tr.Consume(migrated("vm-1", 30*time.Millisecond))
+	// A swap charges its blackout to every VM it lists.
+	tr.Consume([]obs.SpanRecord{span(0, "nova.host-live-upgrade", 0, time.Second,
+		obs.A("node", "h"), obs.A("downtime", 20*time.Millisecond), obs.A("vms", "vm-1,vm-2"))})
+	tr.Consume(migrated("vm-2", 30*time.Millisecond)) // accumulates
+	tr.Consume(migrated("vm-3", 0))                   // ignored
+	// A failed operation charges nothing.
+	failed := migrated("vm-4", time.Second)
+	failed[0].Attrs = append(failed[0].Attrs, obs.A("error", "link severed"))
+	tr.Consume(failed)
 	d := tr.Downtime()
 	if d.VMs != 2 || d.Total != 100*time.Millisecond {
 		t.Fatalf("downtime = %+v", d)
 	}
-	if d.Max != 50*time.Millisecond || d.WorstVM != "vm-1" && d.WorstVM != "vm-2" {
-		t.Fatalf("max = %v worst = %q", d.Max, d.WorstVM)
-	}
-	if d.WorstVM != "vm-1" {
-		t.Fatalf("worst VM = %q, want vm-1 (50ms accumulated)", d.WorstVM)
+	// vm-1 and vm-2 tie at 50ms: the first by name is the worst.
+	if d.Max != 50*time.Millisecond || d.WorstVM != "vm-1" {
+		t.Fatalf("max = %v worst = %q, want 50ms on vm-1", d.Max, d.WorstVM)
 	}
 }
 
@@ -123,39 +194,39 @@ func TestRegistryMirror(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := NewTracker()
 	tr.SetRegistry(reg)
-	tr.Disclose("CVE-D", 0)
-	tr.Expose("CVE-D", "h1", 0)
-	tr.Expose("CVE-D", "h2", 0)
-	tr.Remediate("CVE-D", "h1", time.Second)
-	tr.AddVMDowntime("vm", 5*time.Millisecond)
+	tr.Consume(response("CVE-D", time.Minute, "h1,h2", upgrade("h1", time.Second)))
+	tr.Consume(migrated("vm", 5*time.Millisecond))
+	tr.Consume(hostDown("h3", 0))
+	tr.Consume(hostDown("h4", 0))
+	tr.Consume(recovered("h3", time.Second))
 
-	if got := reg.Counter("slo.exposed", "hosts").Value(); got != 2 {
-		t.Fatalf("exposed counter = %d", got)
+	for _, c := range []struct {
+		name string
+		want int64
+	}{{"slo.exposed", 2}, {"slo.remediated", 1}, {"slo.outages", 2}} {
+		if got := reg.Counter(c.name, "").Value(); got != c.want {
+			t.Fatalf("%s counter = %d, want %d", c.name, got, c.want)
+		}
 	}
-	if got := reg.Counter("slo.remediated", "hosts").Value(); got != 1 {
-		t.Fatalf("remediated counter = %d", got)
+	if g := reg.Gauge("slo.open_windows", "hosts"); g.Value() != 1 || g.Max() != 2 {
+		t.Fatalf("open windows gauge = %d (max %d)", g.Value(), g.Max())
 	}
-	if got := reg.Gauge("slo.open_windows", "hosts").Value(); got != 1 {
-		t.Fatalf("open windows gauge = %d", got)
+	if g := reg.Gauge("slo.hosts_down", "hosts"); g.Value() != 1 || g.Max() != 2 {
+		t.Fatalf("hosts down gauge = %d (max %d)", g.Value(), g.Max())
 	}
-	if got := reg.Histogram("slo.remediation_latency", "ns", nil).Count(); got != 1 {
-		t.Fatalf("latency histogram count = %d", got)
-	}
-	if got := reg.Histogram("slo.vm_downtime", "ns", nil).Count(); got != 1 {
-		t.Fatalf("downtime histogram count = %d", got)
+	for _, h := range []string{"slo.remediation_latency", "slo.vm_downtime", "slo.mttr"} {
+		if got := reg.Histogram(h, "ns", nil).Count(); got != 1 {
+			t.Fatalf("%s histogram count = %d", h, got)
+		}
 	}
 }
 
 func TestWriteReportDeterministic(t *testing.T) {
 	build := func() *Tracker {
 		tr := NewTracker()
-		tr.SetTarget("CVE-E", 0, Target{Quantile: 0.99, Window: 30 * time.Minute})
-		for _, h := range []string{"host-00", "host-01"} {
-			tr.Expose("CVE-E", h, 0)
-		}
-		tr.Remediate("CVE-E", "host-00", 90*time.Second)
-		tr.Remediate("CVE-E", "host-01", 2*time.Minute)
-		tr.AddVMDowntime("vm-0", 12*time.Millisecond)
+		tr.Consume(response("CVE-E", 30*time.Minute, "host-00,host-01",
+			upgrade("host-00", 90*time.Second), upgrade("host-01", 2*time.Minute)))
+		tr.Consume(migrated("vm-0", 12*time.Millisecond))
 		return tr
 	}
 	var b1, b2 bytes.Buffer
@@ -194,16 +265,19 @@ func TestWriteReportDeterministic(t *testing.T) {
 func TestOutageTimelineAndMTTR(t *testing.T) {
 	tr := NewTracker()
 	// host-a: crash at 10s, recovered at 14s (MTTR 4s).
-	tr.HostDown("host-a", 10*time.Second, "panic")
-	tr.HostDown("host-a", 11*time.Second, "ignored: already down")
-	tr.HostUp("host-a", 14*time.Second)
+	tr.Consume(hostDown("host-a", 10*time.Second))
+	tr.Consume(hostDown("host-a", 11*time.Second)) // ignored: already down
+	tr.Consume(recovered("host-a", 14*time.Second))
 	// host-b: crash at 20s, still down at evaluation.
-	tr.HostDown("host-b", 20*time.Second, "hang")
+	tr.Consume(hostDown("host-b", 20*time.Second))
 	// host-a crashes again: second interval, 30s → 31s.
-	tr.HostDown("host-a", 30*time.Second, "panic")
-	tr.HostUp("host-a", 31*time.Second)
-	// Up without down is a no-op.
-	tr.HostUp("host-c", 40*time.Second)
+	tr.Consume(hostDown("host-a", 30*time.Second))
+	tr.Consume(recovered("host-a", 31*time.Second))
+	// Up without down is a no-op, and so is a failed recovery.
+	tr.Consume(recovered("host-c", 40*time.Second))
+	failed := recovered("host-b", 45*time.Second)
+	failed[0].Attrs = append(failed[0].Attrs, obs.A("error", "salvage exhausted"))
+	tr.Consume(failed)
 
 	now := 50 * time.Second
 	a := tr.Availability(now)
@@ -217,13 +291,9 @@ func TestOutageTimelineAndMTTR(t *testing.T) {
 	if a.MTTRMax != 4*time.Second || a.WorstHost != "host-b" {
 		t.Fatalf("mttr max = %v worst = %s", a.MTTRMax, a.WorstHost)
 	}
-	// 4 hosts × 50s horizon, 35s down → 82.5% available.
-	if r := a.Ratio(4, now); r < 0.82 || r > 0.83 {
-		t.Fatalf("availability ratio = %v", r)
-	}
 
-	// MTTR budget: all outages within 10s passes even with host-b still
-	// open at 30s... which violates. Allow 50%.
+	// MTTR budget: host-b, still open at 30s past its crash, violates a
+	// 10s budget; allowing 50% passes.
 	tr.SetMTTRBudget(Target{Quantile: 0.5, Window: 10 * time.Second})
 	v, ok := tr.MTTRVerdict(now)
 	if !ok || v.Hosts != 3 || v.Violations != 1 || !v.Pass {
@@ -256,14 +326,5 @@ func TestOutageTimelineAndMTTR(t *testing.T) {
 		if !strings.Contains(b1.String(), want) {
 			t.Fatalf("report missing %q:\n%s", want, b1.String())
 		}
-	}
-
-	// Nil tracker: every outage call is a free no-op.
-	var nilT *Tracker
-	nilT.HostDown("x", 0, "r")
-	nilT.HostUp("x", 0)
-	nilT.SetMTTRBudget(Target{})
-	if s := nilT.Availability(0); s.Outages != 0 {
-		t.Fatal("nil tracker tracked an outage")
 	}
 }
