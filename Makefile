@@ -30,7 +30,7 @@ fmt-check:
 # PKG_CEILING. Both are ratchets: a PR that grows the tree raises them in
 # the same diff, where a reviewer sees it; a simplicity PR lowers them to
 # its own result and cites the before/after in CHANGES.md.
-LOC_CEILING = 22230
+LOC_CEILING = 22372
 PKG_CEILING = 27
 loc:
 	@src() { find "$$@" -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'; }; \
@@ -159,8 +159,9 @@ calib-check:
 # itself against its per-frame reference model — shared pages carry
 # every warm hop's PRAM metadata and UISR blob images — on the memory-map
 # summary against the consumers' own checks it replaced, and on the
-# converter matrix, whose cached Xen/KVM/NOVA tours install those images
-# and answer their decodes from the memo, byte-identical to the cold run.
+# converter matrix, whose cached Xen/KVM/NOVA tours install those images,
+# answer their decodes from the memo and take the target translations from
+# the format memo beside it, byte-identical to the cold run.
 # Physical memory is fuzzed twice: under the race detector, which finds
 # little time to leave the seed corpus in ten seconds, and in a plain
 # build, which runs thousands of sequences against the reference model.

@@ -33,7 +33,7 @@ func (h *harness) step(op *Op) string {
 	mets := h.rec.Metrics()
 	mets.Counter("chaos.ops", "ops").Add(1)
 	if op.Fault != 0 && h.cfg.FaultRate > 0 {
-		h.nova.SetFaults(fault.NewPlan(op.Fault, h.cfg.FaultRate))
+		h.nova.SetFaults(fault.NewPlan(op.Fault, h.cfg.FaultRate).SetRecorder(h.rec))
 	}
 	line, err := h.apply(op)
 	h.clock.Run()
@@ -288,7 +288,7 @@ func (h *harness) apply(op *Op) (string, error) {
 		if op.Fault != 0 && h.cfg.FaultRate > 0 {
 			rate = h.cfg.FaultRate
 		}
-		h.nova.SetFaults(fault.NewPlan(op.Fault|1, rate).ForceAt(fault.SiteHVCrashDuringTP, 1))
+		h.nova.SetFaults(fault.NewPlan(op.Fault|1, rate).ForceAt(fault.SiteHVCrashDuringTP, 1).SetRecorder(h.rec))
 		up, err := h.nova.HostLiveUpgrade(op.Host, target, h.opts())
 		if err != nil {
 			return "", err
@@ -310,7 +310,7 @@ func (h *harness) sweep(op *Op) (string, error) {
 	c.SetInPlaceCompatibleFraction(0.7, op.Fault)
 	var faults *fault.Plan
 	if op.Fault != 0 && h.cfg.FaultRate > 0 {
-		faults = fault.NewPlan(op.Fault, h.cfg.FaultRate).Restrict(fault.SiteClusterHost)
+		faults = fault.NewPlan(op.Fault, h.cfg.FaultRate).Restrict(fault.SiteClusterHost).SetRecorder(h.rec)
 	}
 	plan, err := c.PlanUpgrade(2, faults)
 	if err != nil {

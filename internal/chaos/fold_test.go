@@ -40,7 +40,7 @@ func TestSoakMetricsAreFoldsOfAllRoots(t *testing.T) {
 	}
 	fuzzseed.SamePrometheus(t, got.Bytes(), want.Bytes(),
 		"chaos.", "sched.", "simnet.refused", "tp.translate_virtual_s", "tp.restore_virtual_s")
-	for _, name := range []string{"nova.hosts_crashed", "nova.hosts_quarantined", "tp.emergencies", "tp.rollbacks", "simnet.transfers"} {
+	for _, name := range []string{"fault.injected", "nova.hosts_crashed", "nova.hosts_quarantined", "tp.emergencies", "tp.rollbacks", "simnet.transfers"} {
 		if reg.Counter(name, "").Value() == 0 {
 			t.Errorf("the soak folded no %s", name)
 		}

@@ -236,14 +236,15 @@ func TestParseMemoMissesCorruptedPRAM(t *testing.T) {
 	}
 }
 
-// withBootHook runs hook on every transplant between the target's boot
-// and its PRAM parse — after translate has landed every blob and the
-// kexec preserved them — for the rest of the test.
-func withBootHook(t *testing.T, hook func(*transplant) error) {
-	boot := slices.IndexFunc(phases, func(p phase) bool { return p.step == stepBoot })
-	orig := phases[boot].run
-	t.Cleanup(func() { phases[boot].run = orig })
-	phases[boot].run = func(tp *transplant) error {
+// withHookAfter runs hook on every transplant right after its step phase
+// — after stepBoot: the target is up, translate has landed every blob and
+// the kexec preserved them; after stepPRAMParse: the handover's files are
+// parsed too — for the rest of the test.
+func withHookAfter(t *testing.T, step string, hook func(*transplant) error) {
+	i := slices.IndexFunc(phases, func(p phase) bool { return p.step == step })
+	orig := phases[i].run
+	t.Cleanup(func() { phases[i].run = orig })
+	phases[i].run = func(tp *transplant) error {
 		if err := orig(tp); err != nil {
 			return err
 		}
@@ -316,7 +317,7 @@ func TestBlobMemoMissesCorruptedBlob(t *testing.T) {
 			b, src, opts := primedBlobMemo(t)
 			pre := checksumVMs(t, src.VMs())
 			armed := true // this hop only
-			withBootHook(t, func(tp *transplant) error {
+			withHookAfter(t, stepBoot, func(tp *transplant) error {
 				if !armed {
 					return nil
 				}
@@ -362,7 +363,7 @@ func TestBlobMemoMissesCorruptedBlob(t *testing.T) {
 func TestBlobMemoHitMatchesColdDecode(t *testing.T) {
 	b, src, opts := primedBlobMemo(t)
 	checked := 0
-	withBootHook(t, func(tp *transplant) error {
+	withHookAfter(t, stepBoot, func(tp *transplant) error {
 		m := tp.e.Machine
 		for i := range tp.saved {
 			s := &tp.saved[i]

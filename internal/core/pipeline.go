@@ -686,7 +686,9 @@ func (t *transplant) parsePRAM() error {
 // target, so a corrupt blob fails the phase with nothing restored;
 // RestoreUISR and guest attachment then run in VM order. A planned,
 // cached run takes the state from the decode memo when the blob's frames
-// still hold the image captured there; the cold read and decode fill it.
+// still hold the image captured there, and the target's translation of
+// it from the memo beside it when the adopted map is the one it was
+// translated over; the cold read, decode and translation fill them.
 func (t *transplant) restore() error {
 	if !t.opts.EarlyRestoration {
 		t.report.Restoration += t.cost.RestoreServiceWait
@@ -700,7 +702,8 @@ func (t *transplant) restore() error {
 	}
 	memo, m := t.memo(), t.e.Machine
 	restored := make([]*uisr.VMState, n)
-	var buf []byte // every blob is read into the one buffer
+	var kept []*hv.Translation // each VM's, once the memo keeps one
+	var buf []byte             // every blob is read into the one buffer
 	for i, s := range t.saved {
 		if files[n+i].Name != blobPrefix+s.res.Name {
 			return fmt.Errorf("core: UISR blob for %q missing after reboot", s.res.Name)
@@ -721,6 +724,12 @@ func (t *transplant) restore() error {
 			}
 		}
 		restored[i] = st
+		if tr := memo.Translation(m, s.hash, frames, t.target, files[i].Extents); tr != nil {
+			if kept == nil {
+				kept = make([]*hv.Translation, n)
+			}
+			kept[i] = tr
+		}
 	}
 	t.costs = t.costs[:0]
 	for i := range t.saved {
@@ -733,10 +742,11 @@ func (t *transplant) restore() error {
 		if err := t.arm(i); err != nil {
 			return err
 		}
-		newVM, err := t.dst.RestoreUISR(st, hv.RestoreOptions{
-			Mode:              hv.RestoreAdopt,
-			InPlaceCompatible: t.vms[i].Config.InPlaceCompatible,
-		})
+		opts := hv.RestoreOptions{Mode: hv.RestoreAdopt, InPlaceCompatible: t.vms[i].Config.InPlaceCompatible}
+		if kept != nil {
+			opts.Translation = kept[i]
+		}
+		newVM, err := t.dst.RestoreUISR(st, opts)
 		if err != nil {
 			return err
 		}

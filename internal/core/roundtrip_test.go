@@ -211,9 +211,11 @@ func checkRoundTrip(p roundTripParams, atStop func(hv.Hypervisor) error) error {
 	}
 
 	// The cached run must actually exercise the warm path — blob images
-	// installed and decoded by page identity among it — or the
-	// cold/cached equivalence below proves nothing.
-	if st := cache.Stats(); st.Hits == 0 || st.Misses == 0 || st.BlobInstalls == 0 || st.BlobDecodeHits == 0 {
+	// installed and decoded by page identity, and target translations
+	// kept beside the decodes, among it — or the cold/cached equivalence
+	// below proves nothing.
+	if st := cache.Stats(); st.Hits == 0 || st.Misses == 0 || st.BlobInstalls == 0 || st.BlobDecodeHits == 0 ||
+		st.FormatHits == 0 {
 		return fmt.Errorf("cache never reached steady state over %d hops: %v", len(warm), st)
 	}
 

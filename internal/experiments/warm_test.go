@@ -57,16 +57,17 @@ func TestWarmHostHeapReachesFixedPoint(t *testing.T) {
 // the mechanisms it rests on: a fingerprint chain that converges, so
 // every warm hop misses the translation cache 0 times; a PRAM snapshot
 // that replays, so every warm hop hits it twice, misses it never, and
-// answers the target's parse from its memo once; and a captured blob
-// image, so every warm hop installs the VM's blob once and answers its
-// decode from the memo once. A warm KVM→Xen→KVM round trip then
-// allocates a pinned count, below what a cold one allocates on the same
-// testbed.
+// answers the target's parse from its memo once; a captured blob image,
+// so every warm hop installs the VM's blob once and answers its decode
+// from the memo once; and the target translation kept beside that
+// decode, so every warm hop places it once instead of translating. A
+// warm KVM→Xen→KVM round trip then allocates a pinned count, below what
+// a cold one allocates on the same testbed.
 func TestWarmHopAllocBudget(t *testing.T) {
 	const trips = 8
-	const coldBudget, warmBudget = 238, 116
+	const coldBudget, warmBudget = 238, 108
 	const pramHitsPerHop, parseHitsPerHop = 2, 1
-	const installsPerHop, decodeHitsPerHop = 1, 1
+	const installsPerHop, decodeHitsPerHop, formatHitsPerHop = 1, 1, 1
 	par.SetWorkers(1)
 	defer par.SetWorkers(0)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -114,6 +115,9 @@ func TestWarmHopAllocBudget(t *testing.T) {
 	if d.BlobInstalls != installsPerHop*hops || d.BlobDecodeHits != decodeHitsPerHop*hops {
 		t.Errorf("blob memo over %d warm hops: %d installs, %d decode hits; want %d, %d",
 			hops, d.BlobInstalls, d.BlobDecodeHits, installsPerHop*hops, decodeHitsPerHop*hops)
+	}
+	if d.FormatHits != formatHitsPerHop*hops {
+		t.Errorf("format memo over %d warm hops: %d hits, want %d", hops, d.FormatHits, formatHitsPerHop*hops)
 	}
 	if raceEnabled {
 		return
@@ -177,7 +181,8 @@ func TestWarmHopReadsNoGuestExtent(t *testing.T) {
 // TestWarmHopAllocBudgetFlatInMemory: a primed warm hop hands guest
 // memory over by reference — the PRAM metadata pages and the UISR blob
 // image are installed, not rewritten, their parse and decode are
-// memoized, and the adopted memory map is kept as parsed — so its heap
+// memoized, the adopted memory map is kept as parsed, and the target's
+// translation over it is kept beside the decode — so its heap
 // cost does not grow with the guest. One 1 vCPU VM on M1 at 1, 4 and
 // 8 GiB must allocate the same bytes and the same pinned number of times
 // per warm hop.
@@ -185,7 +190,7 @@ func TestWarmHopAllocBudgetFlatInMemory(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
-	const trips, hopBudget = 4, 61
+	const trips, hopBudget = 4, 54
 	par.SetWorkers(1)
 	defer par.SetWorkers(0)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))

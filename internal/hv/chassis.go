@@ -13,9 +13,10 @@ import (
 
 // Format is the one thing the hypervisor models differ in (§3.1, §4.2):
 // how VM_i State is held. Everything else a hypervisor does — the VM
-// table, lifecycle, guest-memory attach, pause, dirty log, crash model —
-// is the Chassis, written once. Each model package implements Format on
-// an unexported type, so none of this reaches its public method set.
+// table, lifecycle, guest-memory attach, pause, dirty log, crash model,
+// and placing the state in frames — is the Chassis, written once. Each
+// model package implements Format on an unexported type, so none of this
+// reaches its public method set.
 type Format interface {
 	Kind() Kind
 	// Version is the full release label, e.g. "xen-4.12.1".
@@ -26,26 +27,43 @@ type Format interface {
 	// NativeBorn turns a synthetic guest's platform into the one a guest
 	// booted on this hypervisor has (IOAPIC width, which timers exist).
 	NativeBorn(st *uisr.VMState)
-	// FromUISR is the from_uisr family: it translates st into the
-	// hypervisor's own per-VM state over the already attached guest
-	// space and allocates that state's OwnerVMState frames on mem, tagged
-	// with id. On error it holds no frame.
-	FromUISR(st *uisr.VMState, id VMID, space *AddressSpace, mem *hw.PhysMem) (State, error)
+	// FromUISR is the from_uisr family's translation: st, over the guest
+	// memory map mm, in the hypervisor's own per-VM format. It is pure —
+	// no frame allocated, no slice of st kept — so one State may back
+	// every VM restored from st over mm; the Chassis places it.
+	FromUISR(st *uisr.VMState, mm uisr.MemMap) (State, error)
 }
 
-// State is one VM's VM_i State in its hypervisor's own format.
+// State is one VM's VM_i State in its hypervisor's own format. What
+// FromUISR translated is never written after; Place binds it to frames.
 type State interface {
 	// ToUISR is the to_uisr family: platform state, scheduling weight
 	// and SourceHypervisor. The Chassis fills in identity, memory size
 	// and devices.
 	ToUISR() (*uisr.VMState, error)
-	// Extents exports the GFN→MFN map in PRAM extent form.
-	Extents() uisr.MemMap
-	// Frames are the OwnerVMState frames the state occupies.
+	// Layout is how many OwnerVMState frames the state occupies, and how
+	// many bytes at their start it keeps there (0: the frames stay
+	// unwritten).
+	Layout() (frames, size int)
+	// Fill writes those size bytes into b.
+	Fill(b []byte)
+	// Place returns the state placed in frames: the state itself, or,
+	// when shared (kept for other restores), a copy sharing its slices.
+	Place(frames []hw.FrameRange, shared bool) State
+	// Frames are the OwnerVMState frames the state is placed in.
 	Frames() []hw.FrameRange
 	// MgmtBytes sizes the VM Management State (scheduler entries etc.)
 	// this VM accounts for: rebuilt, never translated.
 	MgmtBytes() uint64
+}
+
+// Translation keeps a from_uisr result for restores of one state over one
+// memory map: State, and Pages, the capture of the frames its bytes were
+// first filled into, which later placements install by reference. A
+// restore given one sets what it lacks; its owner releases Pages.
+type Translation struct {
+	State State
+	Pages hw.Pages
 }
 
 // FramesFor is the number of 4 KiB frames a format needs to hold n bytes
@@ -212,7 +230,7 @@ func (c *Chassis) CreateVM(cfg Config) (*VM, error) {
 	if cfg.Weight > 0 {
 		st.Weight = uint16(cfg.Weight)
 	}
-	vm, err := c.instantiate(id, cfg, st, RestoreAllocate)
+	vm, err := c.instantiate(id, cfg, st, RestoreAllocate, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +259,7 @@ func (c *Chassis) RestoreUISR(st *uisr.VMState, opts RestoreOptions) (*VM, error
 		InPlaceCompatible: opts.InPlaceCompatible,
 		Weight:            int(st.Weight),
 	}
-	vm, err := c.instantiate(c.takeID(), cfg, st, opts.Mode)
+	vm, err := c.instantiate(c.takeID(), cfg, st, opts.Mode, opts.Translation)
 	if err != nil {
 		return nil, err
 	}
@@ -259,9 +277,9 @@ func (c *Chassis) takeID() VMID {
 }
 
 // instantiate is the shared create/restore path: guest memory first, then
-// the format's VM_i State frames (formats allocate theirs in a fixed
-// order too — frame placement is part of every digest).
-func (c *Chassis) instantiate(id VMID, cfg Config, st *uisr.VMState, mode RestoreMode) (*VM, error) {
+// the format's VM_i State frames (frame placement is part of every
+// digest). A non-nil tr keeps the translation across restores (place).
+func (c *Chassis) instantiate(id VMID, cfg Config, st *uisr.VMState, mode RestoreMode, tr *Translation) (*VM, error) {
 	mem, kind := c.machine.Mem, c.format.Kind()
 	var space *AddressSpace
 	var err error
@@ -283,7 +301,7 @@ func (c *Chassis) instantiate(id VMID, cfg Config, st *uisr.VMState, mode Restor
 	if err != nil {
 		return nil, err
 	}
-	state, err := c.format.FromUISR(st, id, space, mem)
+	state, err := c.place(st, id, space.Extents(), tr)
 	if err != nil {
 		// Freshly allocated guest memory is released; adopted memory
 		// keeps its preserved contents and guest tag so the engine's
@@ -297,6 +315,43 @@ func (c *Chassis) instantiate(id VMID, cfg Config, st *uisr.VMState, mode Restor
 	c.table = append(c.table, slot{vm: vm, state: state,
 		devices: append([]uisr.EmulatedDevice(nil), st.Devices...)})
 	return vm, nil
+}
+
+// place runs from_uisr's two halves: the format's translation of st over
+// mm, unless tr holds it, then its placement — the state's OwnerVMState
+// frames claimed for id at once, in the format's order and count, and its
+// bytes filled, or installed from tr's capture. On error it holds no frame.
+func (c *Chassis) place(st *uisr.VMState, id VMID, mm uisr.MemMap, tr *Translation) (State, error) {
+	var state State
+	if tr != nil {
+		state = tr.State
+	}
+	if state == nil {
+		var err error
+		if state, err = c.format.FromUISR(st, mm); err != nil {
+			return nil, err
+		}
+	}
+	mem := c.machine.Mem
+	n, size := state.Layout()
+	frames, err := mem.AllocRanges(n, hw.OwnerVMState, int(id))
+	if err != nil {
+		return nil, err
+	}
+	if size > 0 && (tr == nil || mem.InstallPages(frames, tr.Pages) != nil) {
+		if err := mem.FillRanges(frames, size, state.Fill); err != nil {
+			_ = mem.FreeRanges(frames)
+			return nil, err
+		}
+		if tr != nil {
+			tr.Pages.Release()
+			tr.Pages, _ = mem.SharePages(frames)
+		}
+	}
+	if tr != nil {
+		tr.State = state
+	}
+	return state.Place(frames, tr != nil), nil
 }
 
 // DestroyVM releases a VM's guest memory and VM_i State.
@@ -411,7 +466,7 @@ func (c *Chassis) MemExtents(id VMID) (uisr.MemMap, error) {
 	if err != nil {
 		return uisr.MemMap{}, err
 	}
-	return s.state.Extents(), nil
+	return s.vm.Space.Extents(), nil
 }
 
 // Footprint reports the VM's memory-separation census.

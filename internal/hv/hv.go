@@ -143,6 +143,9 @@ type RestoreOptions struct {
 	Mode RestoreMode
 	// InPlaceCompatible is carried over from the source VM config.
 	InPlaceCompatible bool
+	// Translation, when non-nil, is kept for restores of this state over
+	// this memory map (RestoreAdopt): what it holds is placed, not built.
+	Translation *Translation
 }
 
 // Hypervisor is a HyperTP-compliant hypervisor: the Chassis over one

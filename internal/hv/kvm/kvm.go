@@ -28,10 +28,8 @@ type memslot struct {
 // fds and device models. It is what makes KVM's stop-and-copy path light
 // compared to Xen's (Table 4).
 type vmProc struct {
-	// space is kvmtool's mapping of guest memory, which the memslots
-	// describe to KVM.
-	space     *hv.AddressSpace
-	vcpus     []vcpuState
+	vcpus []vcpuState
+	// memslots describe kvmtool's mapping of guest memory to KVM.
 	memslots  []memslot
 	ioapic    kvmIOAPIC
 	pit       kvmPit2
@@ -63,11 +61,11 @@ func (format) ResidentBytes() uint64 { return HVResidentBytes }
 func (format) NativeBorn(st *uisr.VMState) { st.IOAPIC.NumPins = uisr.KVMIOAPICPins }
 
 // FromUISR builds the kvmtool process: UISR → ioctl sections per vCPU,
-// with the §4.2.1 fixes of the Xen→KVM direction.
-func (format) FromUISR(st *uisr.VMState, id hv.VMID, space *hv.AddressSpace, mem *hw.PhysMem) (hv.State, error) {
+// with the §4.2.1 fixes of the Xen→KVM direction, and memslots over mm.
+func (format) FromUISR(st *uisr.VMState, mm uisr.MemMap) (hv.State, error) {
 	// The host scheduler's representation of the weight: cgroup
 	// cpu.shares, rebuilt at 4x the neutral scale (1024 = default).
-	proc := &vmProc{space: space, cpuShares: st.SchedWeight() * 4, vcpus: make([]vcpuState, len(st.VCPUs))}
+	proc := &vmProc{cpuShares: st.SchedWeight() * 4, vcpus: make([]vcpuState, len(st.VCPUs))}
 	for i := range st.VCPUs {
 		vcpuFromUISR(&st.VCPUs[i], &proc.vcpus[i])
 	}
@@ -88,18 +86,31 @@ func (format) FromUISR(st *uisr.VMState, id hv.VMID, space *hv.AddressSpace, mem
 	// Memslots: one slot per contiguous GFN run. With 2 MiB backing the
 	// whole guest is typically one slot — KVM's representation is
 	// coarser than Xen's per-extent p2m, underlining the format split.
-	proc.memslots = slotsFromExtents(space.Extents().Extents())
-
-	// VM_i State frames: vCPU sections + slot table.
-	stateBytes := len(proc.vcpus)*(16*18+8*24+len(proc.vcpus[0].msrs)*16+512+568+8+1024) +
-		len(proc.memslots)*32 + 1024 // irqchip + pit
-	var err error
-	proc.stateFrames, err = mem.AllocRanges(hv.FramesFor(stateBytes), hw.OwnerVMState, int(id))
-	if err != nil {
-		return nil, err
-	}
+	proc.memslots = slotsFromExtents(mm.Extents())
 	return proc, nil
 }
+
+// Layout sizes the VM_i State frames: vCPU sections + slot table. KVM
+// keeps them in the kernel and kvmtool, not in the frames' bytes.
+func (proc *vmProc) Layout() (frames, size int) {
+	stateBytes := len(proc.vcpus)*(16*18+8*24+len(proc.vcpus[0].msrs)*16+512+568+8+1024) +
+		len(proc.memslots)*32 + 1024 // irqchip + pit
+	return hv.FramesFor(stateBytes), 0
+}
+
+// Fill writes nothing: Layout fills no byte.
+func (proc *vmProc) Fill([]byte) {}
+
+func (proc *vmProc) Place(frames []hw.FrameRange, shared bool) hv.State {
+	if shared {
+		cp := *proc
+		proc = &cp
+	}
+	proc.stateFrames = frames
+	return proc
+}
+
+func (proc *vmProc) Frames() []hw.FrameRange { return proc.stateFrames }
 
 // slotsFromExtents coalesces GFN-contiguous extents into memslots.
 func slotsFromExtents(extents []uisr.PageExtent) []memslot {
@@ -138,9 +149,6 @@ func (proc *vmProc) ToUISR() (*uisr.VMState, error) {
 	// HasHPET / HasPMTimer stay false: kvmtool has neither.
 	return st, nil
 }
-
-func (proc *vmProc) Extents() uisr.MemMap    { return proc.space.Extents() }
-func (proc *vmProc) Frames() []hw.FrameRange { return proc.stateFrames }
 
 // MgmtBytes counts the vCPU task structs and the vm list entry.
 func (proc *vmProc) MgmtBytes() uint64 { return uint64(len(proc.vcpus)*48 + 128) }

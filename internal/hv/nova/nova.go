@@ -104,7 +104,6 @@ type dptRange struct {
 type protectionDomain struct {
 	utcbs      []utcb
 	dpt        []dptRange
-	mm         uisr.MemMap                // the map the DPT was built from
 	ioapic     [uisr.KVMIOAPICPins]uint64 // 24 pins, like KVM
 	scPriority int
 	rtc        uisr.RTC
@@ -136,8 +135,8 @@ func (format) NativeBorn(st *uisr.VMState) {
 }
 
 // FromUISR builds the protection domain: one UTCB per vCPU, the narrowed
-// IOAPIC, and the DPT over the guest space.
-func (format) FromUISR(st *uisr.VMState, id hv.VMID, space *hv.AddressSpace, mem *hw.PhysMem) (hv.State, error) {
+// IOAPIC, and the DPT over mm.
+func (format) FromUISR(st *uisr.VMState, mm uisr.MemMap) (hv.State, error) {
 	// Scheduling-context priority, rebuilt from the neutral weight.
 	pd := &protectionDomain{scPriority: st.SchedWeight(), utcbs: make([]utcb, len(st.VCPUs))}
 	for i := range st.VCPUs {
@@ -156,20 +155,32 @@ func (format) FromUISR(st *uisr.VMState, id hv.VMID, space *hv.AddressSpace, mem
 	pd.drops.HPET = st.HasHPET
 	pd.drops.PMTimer = st.HasPMTimer
 
-	pd.mm = space.Extents()
-	pd.dpt = make([]dptRange, pd.mm.Len())
-	for i, e := range pd.mm.Extents() {
+	pd.dpt = make([]dptRange, mm.Len())
+	for i, e := range mm.Extents() {
 		pd.dpt[i] = dptRange{GFNBase: e.GFN, MFNBase: e.MFN, Order: e.Order, Rights: 7}
-	}
-
-	// VM_i State frames: one UTCB page per vCPU + DPT pages.
-	var err error
-	pd.stateFrames, err = mem.AllocRanges(hv.FramesFor(len(pd.utcbs)*1024+len(pd.dpt)*16), hw.OwnerVMState, int(id))
-	if err != nil {
-		return nil, err
 	}
 	return pd, nil
 }
+
+// Layout sizes the VM_i State frames: one UTCB page per vCPU + DPT
+// pages, held by the microhypervisor, not in the frames' bytes.
+func (pd *protectionDomain) Layout() (frames, size int) {
+	return hv.FramesFor(len(pd.utcbs)*1024 + len(pd.dpt)*16), 0
+}
+
+// Fill writes nothing: Layout fills no byte.
+func (pd *protectionDomain) Fill([]byte) {}
+
+func (pd *protectionDomain) Place(frames []hw.FrameRange, shared bool) hv.State {
+	if shared {
+		cp := *pd
+		pd = &cp
+	}
+	pd.stateFrames = frames
+	return pd
+}
+
+func (pd *protectionDomain) Frames() []hw.FrameRange { return pd.stateFrames }
 
 // ToUISR is the to_uisr path.
 func (pd *protectionDomain) ToUISR() (*uisr.VMState, error) {
@@ -186,11 +197,6 @@ func (pd *protectionDomain) ToUISR() (*uisr.VMState, error) {
 	// HasPIT/HasHPET/HasPMTimer stay false: NOVA emulates none of them.
 	return st, nil
 }
-
-// Extents is the DPT in extent form: the map it was built from.
-func (pd *protectionDomain) Extents() uisr.MemMap { return pd.mm }
-
-func (pd *protectionDomain) Frames() []hw.FrameRange { return pd.stateFrames }
 
 // MgmtBytes counts the scheduling contexts and the pd entry.
 func (pd *protectionDomain) MgmtBytes() uint64 { return uint64(len(pd.utcbs)*64 + 96) }

@@ -55,30 +55,18 @@ func (format) ResidentBytes() uint64 { return HVResidentBytes }
 func (format) NativeBorn(st *uisr.VMState) { st.IOAPIC.NumPins = uisr.XenIOAPICPins }
 
 // FromUISR builds the domain: UISR → HVM context (with the §4.2.1
-// IOAPIC widening fix applied as needed), marshalled straight into its
-// own frames, then the p2m frames.
-func (format) FromUISR(st *uisr.VMState, id hv.VMID, space *hv.AddressSpace, mem *hw.PhysMem) (hv.State, error) {
+// IOAPIC widening fix applied as needed) over the p2m of mm.
+func (format) FromUISR(st *uisr.VMState, mm uisr.MemMap) (hv.State, error) {
 	ctx, err := fromUISR(st)
 	if err != nil {
 		return nil, err
 	}
 	dom := &domain{
 		ctx: ctx,
-		p2m: space.Extents(),
+		p2m: mm,
 		// The credit-scheduler weight: VM Management State rebuilt from
 		// the neutral value.
 		weight: st.SchedWeight(),
-	}
-	// The context blob's frames, then the p2m's — one 8-byte entry per
-	// extent in Xen's table — claimed together: all or nothing.
-	size := contextSize(ctx)
-	dom.frames, err = mem.AllocRanges(hv.FramesFor(size)+hv.FramesFor(dom.p2m.Len()*8), hw.OwnerVMState, int(id))
-	if err != nil {
-		return nil, err
-	}
-	if err := mem.FillRanges(dom.frames, size, func(b []byte) { putContext(b, ctx) }); err != nil {
-		_ = mem.FreeRanges(dom.frames)
-		return nil, err
 	}
 	// Event channels: store ports for console, xenstore and one per-vCPU
 	// timer (re-created, Xen-specific).
@@ -89,6 +77,27 @@ func (format) FromUISR(st *uisr.VMState, id hv.VMID, space *hv.AddressSpace, mem
 	}
 	return dom, nil
 }
+
+// Layout is the context blob's frames, then the p2m's — one 8-byte entry
+// per extent in Xen's table — and the blob is what they hold.
+func (dom *domain) Layout() (frames, size int) {
+	size = contextSize(dom.ctx)
+	return hv.FramesFor(size) + hv.FramesFor(dom.p2m.Len()*8), size
+}
+
+// Fill marshals the context straight into the domain's frames.
+func (dom *domain) Fill(b []byte) { putContext(b, dom.ctx) }
+
+func (dom *domain) Place(frames []hw.FrameRange, shared bool) hv.State {
+	if shared {
+		cp := *dom
+		dom = &cp
+	}
+	dom.frames = frames
+	return dom
+}
+
+func (dom *domain) Frames() []hw.FrameRange { return dom.frames }
 
 // ToUISR is the to_uisr path, translating the domain's context to UISR.
 // Xen holds the context parsed, and nothing writes it after birth, so
@@ -101,9 +110,6 @@ func (dom *domain) ToUISR() (*uisr.VMState, error) {
 	st.Weight = uint16(dom.weight)
 	return st, nil
 }
-
-func (dom *domain) Extents() uisr.MemMap    { return dom.p2m }
-func (dom *domain) Frames() []hw.FrameRange { return dom.frames }
 
 // MgmtBytes counts the runq entry and the evtchn table.
 func (dom *domain) MgmtBytes() uint64 { return uint64(len(dom.eventChannels)*32 + 64) }

@@ -13,7 +13,10 @@
 //   - built PRAM metadata structures, via pram.Snapshot, so repeat
 //     builds of an identical fileset install the cached pages by
 //     reference, and the target's parse of a structure whose frames
-//     still hold them returns the memoized result.
+//     still hold them returns the memoized result;
+//   - beside each memoized decode, the target format's translation of
+//     it over the adopted memory map, Xen's context pages captured with
+//     it, so a warm restore translates and writes nothing (Translation).
 //
 // Page identity proves byte identity, since a captured page is never
 // written in place (hw.Pages): a flipped bit, a rewrite or a freed frame
@@ -55,6 +58,9 @@ type Stats struct {
 	// BlobInstalls counts blob landings served by installing a captured
 	// image, and BlobDecodeHits the blob decodes the memo answered.
 	BlobInstalls, BlobDecodeHits uint64
+	// FormatHits counts restores that placed a kept target translation
+	// instead of translating.
+	FormatHits uint64
 }
 
 // String renders the census compactly.
@@ -76,6 +82,7 @@ func (s Stats) Sub(prev Stats) Stats {
 		PRAMParseHits:  s.PRAMParseHits - prev.PRAMParseHits,
 		BlobInstalls:   s.BlobInstalls - prev.BlobInstalls,
 		BlobDecodeHits: s.BlobDecodeHits - prev.BlobDecodeHits,
+		FormatHits:     s.FormatHits - prev.FormatHits,
 	}
 }
 
@@ -137,20 +144,33 @@ type blobPlaces struct {
 // blobPlace is one blob's place on one machine. Once the blob has landed
 // at the same frames twice, image holds the pages it was written to
 // there, extents those frames as the blob file's memory map (boxed, so a
-// place fits its map unboxed), and state, once the target has decoded
-// them, what they decode to; all are of blob, and go together.
+// place fits its map unboxed), state, once the target has decoded them,
+// what they decode to, and formats what restores translated state to;
+// all are of blob, and go together.
 type blobPlace struct {
 	frames  []hw.FrameRange
 	blob    []byte
 	image   hw.Pages
 	extents *uisr.MemMap
 	state   *uisr.VMState
+	formats []formatMemo
 }
 
-// forget drops the place's capture and what was derived from it.
+// formatMemo is the translation of a place's decoded state into one
+// target kind, over the memory map mm it was translated over.
+type formatMemo struct {
+	kind hv.Kind
+	mm   uisr.MemMap
+	tr   *hv.Translation
+}
+
+// forget drops the place's captures and what was derived from them.
 func (p *blobPlace) forget() {
 	p.image.Release()
-	p.blob, p.extents, p.state = nil, nil, nil
+	for _, f := range p.formats {
+		f.tr.Pages.Release()
+	}
+	p.blob, p.extents, p.state, p.formats = nil, nil, nil, nil
 }
 
 // New creates an empty transplant cache.
@@ -408,6 +428,40 @@ func (c *Cache) SetDecodedBlob(m *hw.Machine, hash uint64, frames []hw.FrameRang
 		p.state = &cp
 		c.places[m].byHash[hash] = p
 	}
+}
+
+// Translation returns the translation of the decoded blob at frames into
+// a kind hypervisor over the memory map mm, for the restore to place
+// (hv.RestoreOptions): the one kept over mm itself (uisr.MemMap.Same),
+// else a fresh one, replacing any kept over another map, for the restore
+// to fill. A translation is a pure function of state and map, so a kept
+// one is what a cold translation returns. It returns nil — translate
+// cold, keep nothing — when DecodedBlob would miss, and when c is nil. The
+// restore it is returned to fills it unlocked: like machine m, a kept
+// translation serves one transplant at a time.
+func (c *Cache) Translation(m *hw.Machine, hash uint64, frames []hw.FrameRange, kind hv.Kind, mm uisr.MemMap) *hv.Translation {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p := c.placeLocked(m, hash)
+	if p.state == nil || !m.Mem.Holds(frames, p.image) {
+		return nil
+	}
+	i := slices.IndexFunc(p.formats, func(f formatMemo) bool { return f.kind == kind })
+	switch {
+	case i < 0:
+		i = len(p.formats)
+		p.formats = append(p.formats, formatMemo{kind: kind, mm: mm, tr: &hv.Translation{}})
+		c.places[m].byHash[hash] = p
+	case !p.formats[i].mm.Same(mm):
+		p.formats[i].tr.Pages.Release()
+		p.formats[i] = formatMemo{kind: kind, mm: mm, tr: &hv.Translation{}}
+	case p.formats[i].tr.State != nil:
+		c.stats.FormatHits++
+	}
+	return p.formats[i].tr
 }
 
 // PRAMSnapshot returns machine m's PRAM build snapshot, creating it on
