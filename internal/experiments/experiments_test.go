@@ -384,13 +384,13 @@ func TestSectionAllocBudgets(t *testing.T) {
 	}{
 		{"Table1", 3095, func() error { Table1(); Section22Windows(); return nil }},
 		{"Table2", 13, func() error { Table2(); return nil }},
-		{"Figure6", 348, func() error { _, _, err := Figure6(); return err }},
-		{"Table4", 234, func() error { _, _, err := Table4(); return err }},
-		{"Figure11", 482, func() error { _, _, err := Figure11(); return err }},
-		{"Figure12", 482, func() error { _, _, err := Figure12(); return err }},
-		{"Table5", 530, func() error { _, _, _, err := Table5(); return err }},
-		{"Table6", 235, func() error { _, _, err := Table6(); return err }},
-		{"Figure14", 936, func() error { _, _, err := Figure14(); return err }},
+		{"Figure6", 342, func() error { _, _, err := Figure6(); return err }},
+		{"Table4", 230, func() error { _, _, err := Table4(); return err }},
+		{"Figure11", 479, func() error { _, _, err := Figure11(); return err }},
+		{"Figure12", 479, func() error { _, _, err := Figure12(); return err }},
+		{"Table5", 527, func() error { _, _, _, err := Table5(); return err }},
+		{"Table6", 232, func() error { _, _, err := Table6(); return err }},
+		{"Figure14", 923, func() error { _, _, err := Figure14(); return err }},
 	} {
 		var err error
 		run := func() { err = tc.run() }
@@ -408,7 +408,7 @@ func TestObservabilityTaxAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
-	const budget = 53 // over 156 untraced
+	const budget = 53 // over 153 untraced
 	par.SetWorkers(1)
 	defer par.SetWorkers(0)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))

@@ -197,28 +197,12 @@ func TestWarmHopAllocBudgetFlatInMemory(t *testing.T) {
 	type cost struct{ bytes, allocs uint64 }
 	var costs []cost
 	for _, gib := range []int{1, 4, 8} {
-		tb, err := newTestbed(hw.M1(), hv.KindKVM, 1, 1, GiBytes(gib))
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := core.DefaultOptions()
-		opts.Cache = tpcache.New()
-		pt := &warmPoint{tb: tb, cur: tb.hyp, opts: opts}
+		pt := primedWarmPoint(t, gib)
 		hops := func(n int) {
 			for i := 0; i < n; i++ {
 				if _, err := pt.hop(); err != nil {
 					t.Fatalf("%d GiB: %v", gib, err)
 				}
-			}
-		}
-		for hop := 0; ; hop += 2 {
-			if hop == primeHops {
-				t.Fatalf("%d GiB: no miss-free round trip in %d hops: %+v", gib, primeHops, opts.Cache.Stats())
-			}
-			before := opts.Cache.Stats()
-			hops(2)
-			if opts.Cache.Stats().Sub(before).Misses == 0 {
-				break
 			}
 		}
 		// The least of three trials: a one-off runtime allocation landing
@@ -239,6 +223,66 @@ func TestWarmHopAllocBudgetFlatInMemory(t *testing.T) {
 	}
 	if costs[0].allocs > hopBudget {
 		t.Errorf("warm hop allocated %d times, budget %d", costs[0].allocs, hopBudget)
+	}
+}
+
+// primedWarmPoint is one 1 vCPU VM of gib GiB on M1, hopped until a round
+// trip misses no cache.
+func primedWarmPoint(t *testing.T, gib int) *warmPoint {
+	t.Helper()
+	tb, err := newTestbed(hw.M1(), hv.KindKVM, 1, 1, GiBytes(gib))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions()
+	opts.Cache = tpcache.New()
+	pt := &warmPoint{tb: tb, cur: tb.hyp, opts: opts}
+	for hop := 0; ; hop += 2 {
+		if hop == primeHops {
+			t.Fatalf("%d GiB: no miss-free round trip in %d hops: %+v", gib, primeHops, opts.Cache.Stats())
+		}
+		before := opts.Cache.Stats()
+		for range 2 {
+			if _, err := pt.hop(); err != nil {
+				t.Fatalf("%d GiB: %v", gib, err)
+			}
+		}
+		if opts.Cache.Stats().Sub(before).Misses == 0 {
+			return pt
+		}
+	}
+}
+
+// TestWarmHopWorkFlatInMemory: the ownership walks of a primed warm hop
+// — the resident set and image allocated, the micro-reboot's wipe, the
+// adopted guest's retag — go by run, not by chunk or frame, so what they
+// visit does not grow with the guest. One 1 vCPU VM on M1 at 1, 4 and
+// 8 GiB must visit the same written chunks and wipe the same frames per
+// hop. A run never crosses a 1 GiB leaf, so each GiB of guest adds one
+// run to each of the two walks over it (the retag's check and its
+// retag), and no more: the wipe steps over the kept guest without
+// visiting its runs.
+func TestWarmHopWorkFlatInMemory(t *testing.T) {
+	const hops, perGiB = 8, 2
+	var works []hw.Work
+	for _, gib := range []int{1, 4, 8} {
+		pt := primedWarmPoint(t, gib)
+		w0 := pt.tb.mach.Mem.Work()
+		for range hops {
+			if _, err := pt.hop(); err != nil {
+				t.Fatalf("%d GiB: %v", gib, err)
+			}
+		}
+		w := pt.tb.mach.Mem.Work()
+		works = append(works, hw.Work{Runs: (w.Runs - w0.Runs) / hops, Chunks: (w.Chunks - w0.Chunks) / hops,
+			Retagged: (w.Retagged - w0.Retagged) / hops, Wiped: (w.Wiped - w0.Wiped) / hops})
+	}
+	for i, gib := range []uint64{4, 8} {
+		w := works[i+1]
+		if w.Chunks != works[0].Chunks || w.Wiped != works[0].Wiped || w.Runs > works[0].Runs+perGiB*(gib-1) {
+			t.Errorf("warm hop at 1, 4, 8 GiB did %+v per hop: want the chunks and wiped frames of 1 GiB, "+
+				"and at most %d more runs per GiB", works, perGiB)
+		}
 	}
 }
 

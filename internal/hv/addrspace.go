@@ -2,6 +2,7 @@ package hv
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -220,25 +221,40 @@ func (as *AddressSpace) CopyContentsTo(dst *AddressSpace) error {
 	return nil
 }
 
-// Release frees every frame of the address space back to the machine.
+// Release frees every frame of the address space back to the machine,
+// in GFN order, under one lock.
 func (as *AddressSpace) Release() error {
-	for _, e := range as.mm.Extents() {
-		if err := as.mem.FreeRange(hw.MFN(e.MFN), e.Pages()); err != nil {
-			return err
-		}
+	var buf [64]hw.FrameRange
+	if err := as.mem.FreeRanges(as.runs(buf[:0])); err != nil {
+		return err
 	}
 	as.mm = uisr.MemMap{}
 	return nil
 }
 
+// runs appends the space's frames to buf in GFN order, coalesced into
+// runs; past buf's capacity, which no huge-page guest's fill, they spill
+// to the heap.
+func (as *AddressSpace) runs(buf []hw.FrameRange) []hw.FrameRange {
+	for _, e := range as.mm.Extents() {
+		buf = hw.AppendRange(buf, hw.FrameRange{Start: hw.MFN(e.MFN), Count: e.Pages()})
+	}
+	return buf
+}
+
 // Retag re-tags all frames of the space with the given owner/vm — used
 // when a freshly booted hypervisor adopts preserved guest memory. The
-// extents go to the machine as coalesced frame runs, under one lock.
-func (as *AddressSpace) Retag(owner hw.Owner, vm int) error {
-	var buf [64]hw.FrameRange // runs past it spill to the heap; none do in practice
-	runs := buf[:0]
-	for _, e := range as.mm.Extents() {
-		runs = hw.AppendRange(runs, hw.FrameRange{Start: hw.MFN(e.MFN), Count: e.Pages()})
+// extents go to the machine as coalesced frame runs, under one lock. A
+// non-nil tr, kept for restores over this space's map, keeps the runs:
+// the map is walked once, not on every adoption.
+func (as *AddressSpace) Retag(owner hw.Owner, vm int, tr *Translation) error {
+	if tr != nil && tr.Runs != nil {
+		return as.mem.SetOwnerRanges(tr.Runs, owner, vm)
+	}
+	var buf [64]hw.FrameRange
+	runs := as.runs(buf[:0])
+	if tr != nil {
+		tr.Runs = slices.Clone(runs)
 	}
 	return as.mem.SetOwnerRanges(runs, owner, vm)
 }

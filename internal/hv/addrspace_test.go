@@ -263,15 +263,29 @@ func TestRelease(t *testing.T) {
 	}
 }
 
+// TestRetag retags a space alone, then with a kept translation: the
+// first such retag keeps the space's frames as runs, and the next one
+// retags those runs, not the map's extents.
 func TestRetag(t *testing.T) {
 	mem := newMem()
-	as, _ := AllocAddressSpace(mem, 1, hw.PageSize2M, true)
-	if err := as.Retag(hw.OwnerGuest, 42); err != nil {
-		t.Fatal(err)
+	as, _ := AllocAddressSpace(mem, 1, 2*hw.PageSize2M, true)
+	vmOf := func(gfn hw.GFN) int {
+		mfn, _ := as.Translate(gfn)
+		_, vm := mem.OwnerOf(mfn)
+		return vm
 	}
-	mfn, _ := as.Translate(0)
-	if _, vm := mem.OwnerOf(mfn); vm != 42 {
-		t.Fatalf("vm tag = %d, want 42", vm)
+	if err := as.Retag(hw.OwnerGuest, 42, nil); err != nil || vmOf(0) != 42 || vmOf(hw.FramesPer2M+5) != 42 {
+		t.Fatalf("retag to 42: %v; vm tags %d, %d", err, vmOf(0), vmOf(hw.FramesPer2M+5))
+	}
+	tr := &Translation{}
+	if err := as.Retag(hw.OwnerGuest, 43, tr); err != nil || !hw.SameFrames(tr.Runs, as.FrameRanges()) {
+		t.Fatalf("retag to 43: %v; kept runs %v, space's frames %v", err, tr.Runs, as.FrameRanges())
+	}
+	// Keep only the first extent's run: the next retag leaves the second.
+	first, _ := as.Translate(0)
+	tr.Runs = []hw.FrameRange{{Start: first, Count: hw.FramesPer2M}}
+	if err := as.Retag(hw.OwnerGuest, 44, tr); err != nil || vmOf(0) != 44 || vmOf(hw.FramesPer2M+5) != 43 {
+		t.Fatalf("retag to 44 from kept runs: %v; vm tags %d, %d, want 44, 43", err, vmOf(0), vmOf(hw.FramesPer2M+5))
 	}
 }
 

@@ -96,7 +96,7 @@ func BenchmarkRetag(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := as.Retag(hw.OwnerGuest, 2+i%2); err != nil {
+				if err := as.Retag(hw.OwnerGuest, 2+i%2, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -58,12 +58,14 @@ type State interface {
 }
 
 // Translation keeps a from_uisr result for restores of one state over one
-// memory map: State, and Pages, the capture of the frames its bytes were
-// first filled into, which later placements install by reference. A
-// restore given one sets what it lacks; its owner releases Pages.
+// memory map: State, Pages, the capture of the frames its bytes were
+// first filled into, which later placements install by reference, and
+// Runs, the map's frames as coalesced runs, which later adoptions retag.
+// A restore given one sets what it lacks; its owner releases Pages.
 type Translation struct {
 	State State
 	Pages hw.Pages
+	Runs  []hw.FrameRange
 }
 
 // FramesFor is the number of 4 KiB frames a format needs to hold n bytes
@@ -291,7 +293,7 @@ func (c *Chassis) instantiate(id VMID, cfg Config, st *uisr.VMState, mode Restor
 		}
 		space, err = NewAddressSpace(mem, st.MemMap)
 		if err == nil {
-			err = space.Retag(hw.OwnerGuest, int(id))
+			err = space.Retag(hw.OwnerGuest, int(id), tr)
 		}
 	case RestoreAllocate:
 		space, err = AllocAddressSpace(mem, int(id), cfg.MemBytes, cfg.HugePages)

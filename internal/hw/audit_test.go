@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -63,16 +64,16 @@ func TestAuditResidue(t *testing.T) {
 	pm, live := auditMem(t)
 	// Plant contents under a free frame directly: the public API cannot
 	// produce this state — which is exactly what the audit is for.
-	last := pm.chunk(int(pm.TotalFrames()/chunkFrames) - 1)
-	last.pages = new(pageTable)
-	last.pages.slot[chunkFrames-1] = &page{buf: make([]byte, PageSize4K), refs: 1}
+	l, last := pm.dir[0], int(pm.TotalFrames()/chunkFrames)-1
+	pm.table(l, last).slot[chunkFrames-1] = &page{buf: make([]byte, PageSize4K), refs: 1}
+	l.pages[last].n++
 	vs := pm.AuditOwners(live)
 	if len(vs) != 1 || vs[0].Kind != "residue" {
 		t.Fatalf("violations = %v", vs)
 	}
 	// A spare page table is handed to the next chunk written: a slot left
 	// set would surface there as another frame's contents.
-	last.pages = nil
+	l.pages[last], l.written = nil, [leafWords]uint64{}
 	pm.sparePages = &pageTable{next: pm.sparePages}
 	pm.sparePages.slot[7] = &page{buf: make([]byte, PageSize4K), refs: 1}
 	vs = pm.AuditOwners(live)
@@ -95,24 +96,24 @@ func TestAuditAccountingDrift(t *testing.T) {
 		t.Fatalf("violations = %v", vs)
 	}
 	pm.byOwner[OwnerGuest]--
-	// An occupancy bit that disagrees with its chunk: a wipe would skip
-	// the occupied chunk 0, or visit the free chunk 1.
-	pm.dir[0].occupied[0] ^= 0b11
+	// A written bit that disagrees with its chunk: a wipe would visit the
+	// unwritten chunks 0 and 1 for contents they do not have.
+	pm.dir[0].written[0] ^= 0b11
 	vs = pm.AuditOwners(live)
 	if len(vs) != 2 || vs[0].Kind != "accounting" || vs[0].MFN != 0 || vs[1].MFN != chunkFrames {
 		t.Fatalf("violations = %v", vs)
 	}
 }
 
-// TestAuditLeaves: a built leaf holds an occupied chunk, and a spare leaf
-// is all zero. A leaf released with a chunk still occupied breaks both: its
+// TestAuditLeaves: a built leaf holds a run, and a spare leaf is all
+// zero. A leaf released with a run still in it breaks both: its
 // frames read as free though counted allocated, and its state waits in
 // the spare list for the next GiB built.
 func TestAuditLeaves(t *testing.T) {
 	pm := NewPhysMem(2 * GiB)
-	pm.build(leafChunks) // leaf 1, built with nothing allocated in it
+	pm.build(1) // leaf 1, built with nothing allocated in it
 	vs := pm.AuditOwners(nil)
-	if len(vs) != 1 || vs[0].Kind != "accounting" || vs[0].MFN != leafFrames || !strings.Contains(vs[0].Detail, "no occupied chunk") {
+	if len(vs) != 1 || vs[0].Kind != "accounting" || vs[0].MFN != leafFrames || !strings.Contains(vs[0].Detail, "no run") {
 		t.Fatalf("violations = %v", vs)
 	}
 	pm, live := auditMem(t)
@@ -124,6 +125,61 @@ func TestAuditLeaves(t *testing.T) {
 	}
 	if last := vs[len(vs)-1]; last.Kind != "accounting" {
 		t.Fatalf("released occupied leaf: no accounting violation in %v", vs)
+	}
+}
+
+// TestAuditRuns plants each way a leaf's runs can break what the
+// ownership walks rely on, counters kept agreeing, and checks the audit
+// names it. auditMem's leaf holds guest [0,16), vmstate [16,20) and hv
+// [20,28), in a leaf of 16,384 frames.
+func TestAuditRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		plant  func(pm *PhysMem, l *leaf)
+		kind   string
+		mfn    MFN
+		n      int // violations
+		detail string
+	}{
+		{"empty", func(pm *PhysMem, l *leaf) {
+			l.runs = slices.Insert(l.runs, 3, run{start: 40, owner: OwnerHV, vm: -1})
+		}, "accounting", 40, 1, "empty run"},
+		{"past the leaf's end", func(pm *PhysMem, l *leaf) {
+			l.runs = append(l.runs, run{16380, 8, -1, OwnerHV})
+			pm.allocated += 8
+			pm.byOwner[OwnerHV] += 8
+		}, "accounting", 16380, 1, "past its leaf's end"},
+		{"tagged free", func(pm *PhysMem, l *leaf) {
+			l.runs[2].owner = OwnerFree
+			pm.byOwner[OwnerHV] -= 8
+		}, "accounting", 20, 1, "tagged free"},
+		{"out of order", func(pm *PhysMem, l *leaf) {
+			l.runs[1], l.runs[2] = l.runs[2], l.runs[1]
+		}, "accounting", 16, 1, "out of order"},
+		{"overlapping", func(pm *PhysMem, l *leaf) {
+			l.runs[1] = run{12, 8, 1, OwnerVMState} // frames 12-15 are the guest's too
+			pm.allocated += 4
+			pm.byOwner[OwnerVMState] += 4
+		}, "double-owner", 12, 4, "also owned by guest/1"},
+		{"unmerged", func(pm *PhysMem, l *leaf) {
+			l.runs = slices.Insert(l.runs, 1, run{8, 8, 1, OwnerGuest})
+			l.runs[0].count = 8
+		}, "accounting", 8, 1, "not merged"},
+		{"page count", func(pm *PhysMem, l *leaf) {
+			if err := pm.Write(3, 0, []byte{1}); err != nil {
+				t.Fatal(err)
+			}
+			l.pages[0].n++
+		}, "accounting", 0, 1, "counts 2 pages, holds 1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pm, live := auditMem(t)
+			tc.plant(pm, pm.dir[0])
+			vs := pm.AuditOwners(live)
+			if len(vs) != tc.n || vs[0].Kind != tc.kind || vs[0].MFN != tc.mfn || !strings.Contains(vs[0].Detail, tc.detail) {
+				t.Fatalf("violations = %v", vs)
+			}
+		})
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 
 // The steady-state PhysMem operations, at the machine sizes the figures
 // use (M1 16 GiB, M2 64 GiB) and guest sizes at the ends of the Fig. 7-10
-// memory axis (1 and 12 GiB), with the 64-page working set the benchmark
-// guests write. BenchmarkPhysMem times each op; TestPhysMemAllocBudgets
+// memory axis (1 and 12 GiB, and 4 for the ownership walks), with the
+// 64-page working set the benchmark guests write. BenchmarkPhysMem times each op; TestPhysMemAllocBudgets
 // pins what one call allocates once the machine has settled.
 
 var (
@@ -19,8 +19,8 @@ var (
 
 // newPhysMemBytes is what NewPhysMem allocates on every profile's machine
 // (≤ 96 GiB), whatever its size: one PhysMem, its first leaf embedded, in
-// the 18 KiB size class.
-const newPhysMemBytes = 18432
+// the 6 KiB size class.
+const newPhysMemBytes = 6144
 
 // physMemOp is one operation: setup builds its machine once and returns
 // the call, which must leave the machine as it found it.
@@ -108,12 +108,13 @@ func physMemOps() []physMemOp {
 	}
 	// One micro-reboot of M2: the guest is kept, the hypervisor's resident
 	// set goes and is allocated again. The M1 case keeps the 1 GiB guest on
-	// a machine a quarter the size: the wipe walks occupied chunks only, so
-	// the two should cost about the same.
+	// a machine a quarter the size: the wipe walks the built leaves' runs
+	// only, so the two should cost about the same, and 12 GiB about what
+	// 1 GiB does.
 	for _, tc := range []struct {
 		name         string
 		machine, gib uint64
-	}{{"1GiB", 64, 1}, {"12GiB", 64, 12}, {"1GiB-on-M1", 16, 1}} {
+	}{{"1GiB", 64, 1}, {"4GiB", 64, 4}, {"12GiB", 64, 12}, {"1GiB-on-M1", 16, 1}} {
 		ops = append(ops, physMemOp{"WipeRanges/" + tc.name, 1, 0, func(tb testing.TB) func() error {
 			pm := NewPhysMem(tc.machine * GiB)
 			keep := []FrameRange{benchGuest(tb, pm, tc.gib)}
@@ -128,6 +129,67 @@ func physMemOps() []physMemOp {
 			}
 		}})
 	}
+	// The adopted guest's retag, there and back, and a resident set
+	// allocated and freed beside the guest: each walks the guest's runs,
+	// one per leaf, so 12 GiB should cost about what 1 GiB does.
+	for _, gib := range []uint64{1, 4, 12} {
+		ops = append(ops, physMemOp{fmt.Sprintf("SetOwnerRanges/%dGiB", gib), 0, 0, func(tb testing.TB) func() error {
+			pm := NewPhysMem(64 * GiB)
+			guest := []FrameRange{benchGuest(tb, pm, gib)}
+			return func() error {
+				if err := pm.SetOwnerRanges(guest, OwnerGuest, 2); err != nil {
+					return err
+				}
+				return pm.SetOwnerRanges(guest, OwnerGuest, 1)
+			}
+		}}, physMemOp{fmt.Sprintf("AllocRanges/%dGiB", gib), 1, 0, func(tb testing.TB) func() error {
+			pm := NewPhysMem(64 * GiB)
+			benchGuest(tb, pm, gib)
+			return func() error {
+				rs, err := pm.AllocRanges(4096, OwnerHV, -1)
+				if err != nil {
+					return err
+				}
+				return pm.FreeRanges(rs)
+			}
+		}})
+	}
+	// The worst case for runs: a 4 KiB-page guest whose frames alternate
+	// with another's, as a guest allocated after a cursor wrap fills the
+	// holes freed in one — 32,768 runs in one leaf. Its retag, a wipe of a
+	// resident set beside it, and a resident set allocated from a cursor
+	// that must step over every run.
+	ops = append(ops, physMemOp{"Fragmented/SetOwnerRanges", 0, 0, func(tb testing.TB) func() error {
+		pm, guest := fragmentedGuests(tb)
+		return func() error {
+			if err := pm.SetOwnerRanges(guest, OwnerGuest, 3); err != nil {
+				return err
+			}
+			return pm.SetOwnerRanges(guest, OwnerGuest, 2)
+		}
+	}}, physMemOp{"Fragmented/WipeRanges", 1, 0, func(tb testing.TB) func() error {
+		pm, guest := fragmentedGuests(tb)
+		keep := []FrameRange{{Count: 2 * CountFrames(guest)}}
+		return func() error {
+			if _, err := pm.AllocRanges(4096, OwnerHV, -1); err != nil {
+				return err
+			}
+			if wiped := pm.WipeRanges(keep); wiped != 4096 {
+				return fmt.Errorf("wiped %d frames", wiped)
+			}
+			return nil
+		}
+	}}, physMemOp{"Fragmented/AllocRanges", 1, 0, func(tb testing.TB) func() error {
+		pm, _ := fragmentedGuests(tb)
+		return func() error {
+			pm.next = 0
+			rs, err := pm.AllocRanges(4096, OwnerHV, -1)
+			if err != nil {
+				return err
+			}
+			return pm.FreeRanges(rs)
+		}
+	}})
 	// The two content sweeps run per 2 MiB extent, as AddressSpace drives
 	// them.
 	for _, gib := range []uint64{1, 12} {
@@ -188,6 +250,30 @@ func benchGuest(tb testing.TB, pm *PhysMem, gib uint64) FrameRange {
 	return guest
 }
 
+// fragmentedGuests builds two 4 KiB-page guests of 16,384 frames each on
+// M1 whose frames alternate: guest 1 takes [0, 32768), frees every second
+// frame, and guest 2, allocated once the cursor wraps, takes those. It
+// returns guest 2's frames, one range each.
+func fragmentedGuests(tb testing.TB) (*PhysMem, []FrameRange) {
+	tb.Helper()
+	const n = 16384
+	pm := NewPhysMem(16 * GiB)
+	if err := pm.ClaimRange(0, 2*n, OwnerGuest, 1); err != nil {
+		tb.Fatal(err)
+	}
+	for m := MFN(1); m < 2*n; m += 2 {
+		if err := pm.FreeRange(m, 1); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	pm.next = 0 // the wrap
+	guest, err := pm.AllocRanges(n, OwnerGuest, 2)
+	if err != nil || len(guest) != n {
+		tb.Fatalf("guest 2 took %d ranges, %v; want %d", len(guest), err, n)
+	}
+	return pm, guest
+}
+
 func BenchmarkPhysMem(b *testing.B) {
 	for _, op := range physMemOps() {
 		b.Run(op.name, func(b *testing.B) {
@@ -208,10 +294,11 @@ func BenchmarkPhysMem(b *testing.B) {
 var raceEnabled bool
 
 // TestPhysMemAllocBudgets: in steady state the range operations allocate
-// their result and nothing per frame or chunk: AllocRanges its ranges, a
-// wipe the resident set it reallocates, ForEachTouched the hit list of the
-// one written extent. AllocsPerRun's warm-up
-// call absorbs the first call's chunk tables. A row with a byte budget is
+// their result and nothing per frame, chunk or run: AllocRanges its
+// ranges, a wipe the resident set it reallocates, ForEachTouched the hit
+// list of the one written extent, a retag nothing, the fragmented guests'
+// 32,768 runs included. AllocsPerRun's warm-up call absorbs the first
+// call's page tables and run-list growth. A row with a byte budget is
 // pinned in heap bytes per call too.
 func TestPhysMemAllocBudgets(t *testing.T) {
 	if raceEnabled {

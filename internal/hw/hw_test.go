@@ -492,7 +492,7 @@ func TestParallelElapsedVariedMatchesReference(t *testing.T) {
 func TestClaimRange(t *testing.T) {
 	pm := NewPhysMem(4 * PageSize2M) // 4 chunks
 	// Claim spanning a partial first chunk, a whole middle chunk, and a
-	// partial third — exercises summary-granularity and exploded paths.
+	// partial third: one run across chunk boundaries.
 	start, count := MFN(100), uint64(2*FramesPer2M)
 	if err := pm.ClaimRange(start, count, OwnerPRAM, -1); err != nil {
 		t.Fatal(err)
@@ -651,8 +651,8 @@ func TestPageDedupSharing(t *testing.T) {
 	if hits, interned := pm.PageDedupHits(); hits != 2 || interned != 1 {
 		t.Fatalf("hits %d interned %d, want 2 and 1", hits, interned)
 	}
-	c := pm.chunk(0)
-	if c.pages.slot[mfns[0]] != c.pages.slot[mfns[2]] || !c.pages.slot[mfns[0]].summed {
+	pages := pm.dir[0].pages[0]
+	if pages.slot[mfns[0]] != pages.slot[mfns[2]] || !pages.slot[mfns[0]].summed {
 		t.Fatal("identical pages not shared, or shared page has no cached checksum")
 	}
 	want := crc64.Checksum(page, CRCTable)
@@ -713,9 +713,9 @@ func TestChecksumKeysClosedForm(t *testing.T) {
 }
 
 // TestNewPhysMemIsLazy: a 64 GiB machine costs one PhysMem, its first
-// leaf embedded, not a chunk table of its size or per-frame arrays;
-// uniform huge-page chunks never grow per-frame state; and the tables a
-// wipe frees are reused, via the spare lists, by the next claim.
+// leaf embedded, not a chunk table of its size or per-frame arrays; a
+// retagged huge-page guest is one run, with no page table; and the page
+// table a wipe frees is reused, via the spare list, by the next write.
 func TestNewPhysMemIsLazy(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -733,10 +733,10 @@ func TestNewPhysMemIsLazy(t *testing.T) {
 	if err := pm.SetOwnerRanges([]FrameRange{{Start: base, Count: FramesPer2M}}, OwnerGuest, 2); err != nil {
 		t.Fatal(err)
 	}
-	if c := pm.chunk(chunkOf(base)); c.tags != nil || c.pages != nil {
-		t.Fatal("uniform huge-page chunk materialised per-frame state")
+	if l := pm.dir[0]; len(l.runs) != 1 || l.written != [leafWords]uint64{} {
+		t.Fatalf("retagged huge page: %d runs, written bits %v", len(l.runs), l.written)
 	}
-	// One transplant's worth of churn in a mixed chunk: claim, write, wipe.
+	// One transplant's worth of churn beside it: claim, write, wipe.
 	cycle := func() {
 		if err := pm.ClaimRange(base+FramesPer2M+3, 40, OwnerPRAM, -1); err != nil {
 			t.Fatal(err)
@@ -747,20 +747,19 @@ func TestNewPhysMemIsLazy(t *testing.T) {
 		pm.WipeRanges([]FrameRange{{Start: base, Count: FramesPer2M}})
 	}
 	cycle()
-	c := pm.chunk(chunkOf(base) + 1)
-	if c.tags != nil || c.pages != nil || c.data != 0 {
-		t.Fatalf("wiped chunk: tags %v pages %v data %d", c.tags != nil, c.pages != nil, c.data)
+	if l := pm.dir[0]; len(l.runs) != 1 || l.pages[chunkOf(base)+1] != nil || l.written != [leafWords]uint64{} {
+		t.Fatalf("wiped chunk: %d runs left, page table %v", len(l.runs), l.pages[chunkOf(base)+1] != nil)
 	}
-	tags, pages := pm.spareTags, pm.sparePages
-	if tags == nil || tags.next != nil || pages == nil || pages.next != nil {
-		t.Fatal("wiped chunk's tables are not the one spare of each kind")
+	pages := pm.sparePages
+	if pages == nil || pages.next != nil {
+		t.Fatal("wiped chunk's page table is not the one spare")
 	}
 	// Only the page itself (header and buffer) is allocated per cycle.
 	if n := testing.AllocsPerRun(20, cycle); n > 2 {
 		t.Fatalf("claim/write/wipe cycle allocates %.0f objects, want 2", n)
 	}
-	if pm.spareTags != tags || tags.next != nil || pm.sparePages != pages || pages.next != nil {
-		t.Fatal("chunk tables reallocated instead of reused via the spare lists")
+	if pm.sparePages != pages || pages.next != nil {
+		t.Fatal("page table reallocated instead of reused via the spare list")
 	}
 }
 
@@ -780,20 +779,16 @@ func TestChunkTablesReachFixedPoint(t *testing.T) {
 		}
 	}
 	held := func() (tables, leaves int) {
-		for tags := pm.spareTags; tags != nil; tags = tags.next {
-			tables++
-		}
 		for pages := pm.sparePages; pages != nil; pages = pages.next {
 			tables++
 		}
-		pm.eachChunk(func(_ int, c *chunk) {
-			if c.tags != nil {
-				tables++
+		for _, l := range pm.dir {
+			for k := 0; l != nil && k < leafChunks; k++ {
+				if l.pages[k] != nil {
+					tables++
+				}
 			}
-			if c.pages != nil {
-				tables++
-			}
-		})
+		}
 		for l := pm.spareLeaves; l != nil; l = l.next {
 			leaves++
 		}

@@ -272,3 +272,56 @@ func TestLeafRecycledByIdentity(t *testing.T) {
 	}
 	audit("recycling")
 }
+
+// TestRunsMeetAtLeafBoundary: a run never crosses a leaf, so frames of one
+// tag on both sides of a leaf boundary are two runs, one in each leaf.
+// Every call treats them as one range, and either side drains on its own.
+func TestRunsMeetAtLeafBoundary(t *testing.T) {
+	pm := leafMem()
+	const edge = leafFrames // leafB as a leaf offset: one past leaf 0's last frame
+	hv, guest := run{owner: OwnerHV, vm: -1}, run{owner: OwnerGuest, vm: 1}
+	at := func(r run, start, count uint32) run { r.start, r.count = start, count; return r }
+	step := func(what string, err error, want0, want1 []run) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		for li, want := range [][]run{want0, want1} {
+			var got []run
+			if l := pm.dir[li]; l != nil {
+				got = l.runs
+			} else if want != nil {
+				t.Fatalf("%s: leaf %d not built, want runs %v", what, li, want)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: leaf %d runs %v, want %v", what, li, got, want)
+			}
+		}
+		if vs := pm.AuditOwners(map[int]bool{1: true}); vs != nil {
+			t.Fatalf("audit after %s: %v", what, vs)
+		}
+	}
+	err := pm.ClaimRange(leafB-100, 100, OwnerHV, -1)
+	if err == nil {
+		err = pm.ClaimRange(leafB, 100, OwnerHV, -1)
+	}
+	step("two claims meeting at the boundary", err, []run{at(hv, edge-100, 100)}, []run{at(hv, 0, 100)})
+	if err := owners(pm, map[MFN][2]int{leafB - 1: {int(OwnerHV), -1}, leafB: {int(OwnerHV), -1}}); err != nil {
+		t.Fatal(err)
+	}
+	step("retag across the boundary", pm.SetOwnerRanges([]FrameRange{{Start: leafB - 50, Count: 100}}, OwnerGuest, 1),
+		[]run{at(hv, edge-100, 50), at(guest, edge-50, 50)}, []run{at(guest, 0, 50), at(hv, 50, 50)})
+	step("free across the boundary", pm.FreeRange(leafB-50, 100),
+		[]run{at(hv, edge-100, 50)}, []run{at(hv, 50, 50)})
+	pm.next = leafB - 50
+	rs, err := pm.AllocRanges(100, OwnerGuest, 1)
+	if want := []FrameRange{{Start: leafB - 50, Count: 100}}; err == nil && !slices.Equal(rs, want) {
+		err = fmt.Errorf("allocated %v, want %v", rs, want)
+	}
+	step("allocation across the boundary", err,
+		[]run{at(hv, edge-100, 50), at(guest, edge-50, 50)}, []run{at(guest, 0, 50), at(hv, 50, 50)})
+	if wiped := pm.WipeRanges([]FrameRange{{Start: leafB - 100, Count: 50}}); wiped != 150 {
+		t.Fatalf("wiped %d frames, want 150", wiped)
+	}
+	step("wipe keeping leaf 0's first run", nil, []run{at(hv, edge-100, 50)}, nil)
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc64"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hypertp/internal/fuzzseed"
@@ -117,6 +118,23 @@ func (r *refMem) setOwner(start, count int, owner Owner, vm int) bool {
 		r.take(m, owner, vm)
 	}
 	return true
+}
+
+// runs returns the reference's maximal stretches of allocated frames
+// that share a tag, as [start, end) pairs in frame order.
+func (r *refMem) runs() [][2]int {
+	var out [][2]int
+	for m := 0; m < len(r.owner); m++ {
+		if r.owner[m] == OwnerFree {
+			continue
+		}
+		if n := len(out); n > 0 && out[n-1][1] == m && r.owner[m-1] == r.owner[m] && r.vm[m-1] == r.vm[m] {
+			out[n-1][1]++
+		} else {
+			out = append(out, [2]int{m, m + 1})
+		}
+	}
+	return out
 }
 
 func (r *refMem) write(m, off int, data []byte) bool {
@@ -257,15 +275,17 @@ func checkCaptures(pm *PhysMem, caps []*refCapture) error {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
 	refs := map[*page]int32{}
-	pm.eachChunk(func(_ int, c *chunk) {
-		if c.pages != nil {
-			for _, p := range c.pages.slot {
-				if p != nil {
-					refs[p]++
+	for _, l := range pm.dir {
+		for k := 0; l != nil && k < leafChunks; k++ {
+			if t := l.pages[k]; t != nil {
+				for _, p := range t.slot {
+					if p != nil {
+						refs[p]++
+					}
 				}
 			}
 		}
-	})
+	}
 	for ci, c := range caps {
 		if !c.live {
 			continue
@@ -318,46 +338,57 @@ func (r *refMem) sum(m int) uint64 {
 // modelFrames is three whole chunks and a partial last one.
 const modelFrames = 3*chunkFrames + 200
 
-// modelCheck compares every observable of pm with the reference.
+// modelCheck compares every observable of pm with the reference: its
+// runs, read under one lock, against the reference's; contents by range
+// (modelCheckRanges: every written frame's bytes, and no other frame
+// written); and the per-frame calls at the first and last frame of every
+// run and every free stretch, and at every written frame. The machine is
+// one leaf, so its runs are the leaf's.
 func modelCheck(pm *PhysMem, ref *refMem) error {
 	// Ranges first: the per-frame Checksum calls below would leave no
 	// page for ChecksumRange to hash.
 	if err := modelCheckRanges(pm, ref); err != nil {
 		return err
 	}
+	var want []run
 	var allocated uint64
 	counts := map[Owner]uint64{}
-	page := make([]byte, PageSize4K)
 	live := map[int]bool{}
-	for m := 0; m < modelFrames; m++ {
-		wantO, wantVM := ref.owner[m], ref.vm[m]
-		if wantO == OwnerFree {
-			wantVM = -1
+	for m, o := range ref.owner {
+		if o != OwnerFree {
+			want = appendRun(want, run{uint32(m), 1, int32(ref.vm[m]), o})
+			allocated++
+			counts[o]++
+			live[ref.vm[m]] = true
 		}
-		if o, vm := pm.OwnerOf(MFN(m)); o != wantO || vm != wantVM {
-			return fmt.Errorf("frame %d: OwnerOf = %v/%d, reference %v/%d", m, o, vm, wantO, wantVM)
+	}
+	pm.mu.Lock()
+	var got []run
+	if l := pm.dir[0]; l != nil {
+		got = slices.Clone(l.runs)
+	}
+	pm.mu.Unlock()
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("runs %v, reference %v", got, want)
+	}
+	page := make([]byte, PageSize4K)
+	for start := 0; start < modelFrames; {
+		end := start + 1
+		for end < modelFrames && ref.owner[end] == ref.owner[start] && ref.vm[end] == ref.vm[start] {
+			end++
 		}
-		sum, err := pm.Checksum(MFN(m))
-		if wantO == OwnerFree {
-			if rerr := pm.ReadInto(MFN(m), 0, page[:1]); err == nil || rerr == nil {
-				return fmt.Errorf("free frame %d: Checksum err %v, ReadInto err %v, want errors", m, err, rerr)
+		for _, m := range []int{start, end - 1} {
+			if err := modelCheckFrame(pm, ref, m, page); err != nil {
+				return err
 			}
-			continue
 		}
-		allocated++
-		counts[wantO]++
-		live[wantVM] = true
-		if want := ref.sum(m); err != nil || sum != want {
-			return fmt.Errorf("frame %d: Checksum %#x, %v; reference %#x", m, sum, err, want)
-		}
-		// An untouched frame that matched the zero-page checksum needs no
-		// byte compare; read a little of it all the same.
-		want, got := ref.data[m], page
-		if want == nil {
-			want, got = zeroPage[:64], page[:64]
-		}
-		if err := pm.ReadInto(MFN(m), 0, got); err != nil || !bytes.Equal(got, want) {
-			return fmt.Errorf("frame %d: contents differ from reference (err %v)", m, err)
+		start = end
+	}
+	for m, d := range ref.data {
+		if d != nil {
+			if err := modelCheckFrame(pm, ref, m, page); err != nil {
+				return err
+			}
 		}
 	}
 	if got := pm.AllocatedFrames(); got != allocated {
@@ -366,17 +397,49 @@ func modelCheck(pm *PhysMem, ref *refMem) error {
 	if got := pm.FreeFrames(); got != modelFrames-allocated {
 		return fmt.Errorf("FreeFrames = %d, reference %d", got, modelFrames-allocated)
 	}
-	got := pm.CountByOwner()
-	if len(got) != len(counts) {
-		return fmt.Errorf("CountByOwner = %v, reference %v", got, counts)
+	byOwner := pm.CountByOwner()
+	if len(byOwner) != len(counts) {
+		return fmt.Errorf("CountByOwner = %v, reference %v", byOwner, counts)
 	}
 	for o, n := range counts {
-		if got[o] != n {
-			return fmt.Errorf("CountByOwner = %v, reference %v", got, counts)
+		if byOwner[o] != n {
+			return fmt.Errorf("CountByOwner = %v, reference %v", byOwner, counts)
 		}
 	}
 	if vs := pm.AuditOwners(live); vs != nil {
 		return fmt.Errorf("AuditOwners: %v", vs)
+	}
+	return nil
+}
+
+// modelCheckFrame compares OwnerOf, Checksum and ReadInto of frame m with
+// the reference: on a free frame the two content calls fail.
+func modelCheckFrame(pm *PhysMem, ref *refMem, m int, page []byte) error {
+	wantO, wantVM := ref.owner[m], ref.vm[m]
+	if wantO == OwnerFree {
+		wantVM = -1
+	}
+	if o, vm := pm.OwnerOf(MFN(m)); o != wantO || vm != wantVM {
+		return fmt.Errorf("frame %d: OwnerOf = %v/%d, reference %v/%d", m, o, vm, wantO, wantVM)
+	}
+	sum, err := pm.Checksum(MFN(m))
+	if wantO == OwnerFree {
+		if rerr := pm.ReadInto(MFN(m), 0, page[:1]); err == nil || rerr == nil {
+			return fmt.Errorf("free frame %d: Checksum err %v, ReadInto err %v, want errors", m, err, rerr)
+		}
+		return nil
+	}
+	if want := ref.sum(m); err != nil || sum != want {
+		return fmt.Errorf("frame %d: Checksum %#x, %v; reference %#x", m, sum, err, want)
+	}
+	// An untouched frame that matched the zero-page checksum needs no
+	// byte compare; read a little of it all the same.
+	want, got := ref.data[m], page
+	if want == nil {
+		want, got = zeroPage[:64], page[:64]
+	}
+	if err := pm.ReadInto(MFN(m), 0, got); err != nil || !bytes.Equal(got, want) {
+		return fmt.Errorf("frame %d: contents differ from reference (err %v)", m, err)
 	}
 	return nil
 }
@@ -453,7 +516,7 @@ func modelRun(ops []byte, dedup bool) error {
 		count := 1 + (b*c)%(3*chunkFrames/2)
 		var desc string
 		var got, want any
-		switch ops[0] % 15 {
+		switch ops[0] % 18 {
 		case 0:
 			rs, err := pm.AllocRanges(count, owner, vm)
 			mfns, _ := frames(rs, nil)
@@ -506,7 +569,11 @@ func modelRun(ops []byte, dedup bool) error {
 					{Start: MFN(b * 6), Count: uint64(a)},
 				})
 			}
+			w := pm.Work()
 			desc, got, want = fmt.Sprintf("WipeRanges(%v)", keep), pm.WipeRanges(keep), ref.wipe(keep)
+			if wiped := pm.Work().Wiped - w.Wiped; int(wiped) != got {
+				return fmt.Errorf("step %d: %s counted %d wiped frames, returned %v", step, desc, wiped, got)
+			}
 		case 7:
 			pm.SetPageDedup(c%2 == 0)
 			dedupped = dedupped || c%2 == 0
@@ -554,7 +621,7 @@ func modelRun(ops []byte, dedup bool) error {
 				at = rc.sites[i]
 			}
 			rs := []FrameRange{{Start: MFN(at), Count: uint64(len(rc.toks))}}
-			if ops[0]%15 == 10 {
+			if ops[0]%18 == 10 {
 				err := pm.InstallPages(rs, rc.p)
 				desc, got, want = fmt.Sprintf("InstallPages(%v)", rs), err == nil, ref.install(at, rc)
 				break
@@ -611,6 +678,52 @@ func modelRun(ops []byte, dedup bool) error {
 			if err == nil && buf != nil && &out[:1][0] != &buf[:1][0] {
 				return fmt.Errorf("step %d: %s allocated with a large enough buffer", step, desc)
 			}
+		case 15, 16, 17:
+			// On the runs themselves: retag a run's middle, splitting it
+			// in three; free a stretch at one of its edges; claim a gap
+			// between two runs under the tag of the one before it, the
+			// one after it (both merging with it) or another.
+			runs := ref.runs()
+			if len(runs) == 0 {
+				desc = "no run"
+				break
+			}
+			r := runs[a%len(runs)]
+			n := r[1] - r[0]
+			switch ops[0] % 18 {
+			case 15:
+				lo, hi := r[0]+n/3, r[1]-n/3
+				err := pm.SetOwnerRanges([]FrameRange{{Start: MFN(lo), Count: uint64(hi - lo)}}, owner, vm)
+				desc, got, want = fmt.Sprintf("SetOwnerRanges(%d,%d)", lo, hi-lo), err == nil, ref.setOwner(lo, hi-lo, owner, vm)
+			case 16:
+				k, lo := 1+b%n, r[0]
+				if c%2 == 1 {
+					lo = r[1] - k
+				}
+				err := pm.FreeRange(MFN(lo), uint64(k))
+				desc, got, want = fmt.Sprintf("FreeRange(%d,%d)", lo, k), err == nil, ref.freeRange(lo, k)
+			default:
+				var gaps [][2]int
+				for i := 1; i < len(runs); i++ {
+					if runs[i-1][1] < runs[i][0] {
+						gaps = append(gaps, [2]int{i - 1, i})
+					}
+				}
+				if len(gaps) == 0 {
+					desc = "no gap"
+					break
+				}
+				g := gaps[a%len(gaps)]
+				lo, hi := runs[g[0]][1], runs[g[1]][0]
+				switch c % 3 {
+				case 0:
+					owner, vm = ref.owner[lo-1], ref.vm[lo-1]
+				case 1:
+					owner, vm = ref.owner[hi], ref.vm[hi]
+				}
+				err := pm.ClaimRange(MFN(lo), uint64(hi-lo), owner, vm)
+				desc, got, want = fmt.Sprintf("ClaimRange(%d,%d)", lo, hi-lo), err == nil, ref.claim(lo, hi-lo, owner, vm)
+			}
 		}
 		if got != want {
 			return fmt.Errorf("step %d: %s = %v, reference %v", step, desc, got, want)
@@ -647,7 +760,7 @@ func TestPhysMemMatchesModel(t *testing.T) {
 // physMemOpsSeeds are hand-written sequences that reach the paths random
 // bytes find slowly: whole-chunk claims, a wrap of the cursor, a wipe
 // with a partial keep, dedup sharing and unsharing, prefix-sized pages,
-// windows written at an offset.
+// windows written at an offset, runs split and merged.
 func physMemOpsSeeds() [][]byte {
 	return [][]byte{
 		// Two huge pages, write into both, wipe keeping the first.
@@ -664,7 +777,7 @@ func physMemOpsSeeds() [][]byte {
 		{0, 0, 4, 2, 5, 0, 0, 130, 5, 0, 0, 193, 5, 0, 3, 129, 5, 0, 3, 131, 7, 0, 0, 0,
 			5, 0, 5, 132, 5, 0, 6, 134, 5, 0, 7, 194, 5, 0, 6, 134, 6, 0, 2, 5},
 		// SetOwnerRanges over two huge pages and a small run: the first run
-		// splits a uniform chunk, the second hits a free frame and fails, the
+		// splits a huge page's run, the second hits a free frame and fails, the
 		// third is never applied; then one that succeeds, a write, a wipe.
 		{1, 0, 0, 1, 1, 0, 0, 2, 0, 0, 9, 7, 8, 220, 10, 20, 8, 0, 10, 20, 5, 0, 12, 3, 6, 0, 12, 5},
 		// Pages by reference: capture three written frames, install them
@@ -691,6 +804,13 @@ func physMemOpsSeeds() [][]byte {
 		// buffer, and wipe.
 		{0, 0, 20, 2, 13, 0, 2, 1, 13, 0, 2, 1, 14, 0, 1, 2, 5, 0, 3, 0,
 			7, 0, 0, 0, 13, 0, 10, 3, 9, 0, 10, 0, 5, 0, 11, 1, 14, 0, 10, 0, 6, 0, 0, 0},
+		// Runs split and merged: claim two runs of one tag with a gap
+		// between them and bridge it under that tag (one run); retag its
+		// middle (three); free the first's tail edge; bridge that gap under
+		// the tag of the run after it (merging with it); write into the
+		// merged run, then wipe everything.
+		{2, 0, 10, 1, 2, 0, 30, 1, 17, 0, 0, 0, 15, 0, 0, 4, 16, 0, 3, 1, 17, 0, 0, 1,
+			5, 0, 25, 1, 6, 0, 0, 1},
 	}
 }
 

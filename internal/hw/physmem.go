@@ -29,15 +29,14 @@ const (
 	FramesPer2M = PageSize2M / PageSize4K
 )
 
-// chunkFrames is the frame count of one chunk, the unit PhysMem keeps its
-// state in. It is deliberately the 2 MiB huge-page run, so a huge
-// allocation is exactly one chunk and the bulk paths (wipe, retag, alloc,
-// content sweeps) run at chunk granularity instead of frame granularity.
+// chunkFrames is the frame count of one chunk, the unit PhysMem keeps page
+// contents in: a page table per chunk written into. It is the 2 MiB
+// huge-page run, so a huge page's contents are one chunk's.
 const chunkFrames = FramesPer2M
 
 // leafChunks is the chunk count of one leaf, the unit PhysMem builds its
-// chunk table in: 512 chunks, one GiB of frames. leafWords is the leaf's
-// occupancy bitmap in words.
+// state in: 512 chunks, one GiB of frames. leafWords is the leaf's
+// written-chunk bitmap in words.
 const (
 	leafChunks = 512
 	leafFrames = leafChunks * chunkFrames
@@ -123,156 +122,156 @@ type page struct {
 // hi is the frame offset just past the page's window.
 func (p *page) hi() int { return int(p.lo) + len(p.buf) }
 
-// frameTags are the per-frame ownership tags of one mixed chunk, and a
-// pageTable the pages of one written chunk; next links a spare one.
-type frameTags struct {
-	owner [chunkFrames]Owner
-	vm    [chunkFrames]int32
-	next  *frameTags
-}
-
+// pageTable holds the pages of one written chunk, n of them non-nil; next
+// links a spare one.
 type pageTable struct {
 	slot [chunkFrames]*page
+	n    uint32
 	next *pageTable
 }
 
-// chunk is the state of one 2 MiB run of frames. A free machine is all
-// zero-value chunks; per-frame state is materialised lazily, per chunk.
-type chunk struct {
-	// owner and vm are the tag of every frame of the chunk unless it is
-	// mixed: a mixed chunk keeps its tags per frame, in tags, and always
-	// has an allocated frame (a drained one collapses back).
-	owner Owner
-	vm    int32
-	alloc uint32 // allocated frames
-	data  uint32 // touched frames: non-nil pages slots
-	// tags, non-nil iff the chunk is mixed, and pages, on the first write
-	// into it, come off the PhysMem's spare lists; a drained chunk hands
-	// both back, so a host holds the tables it uses at once, not one per
-	// chunk its bump cursor ever visited.
-	tags  *frameTags
-	pages *pageTable
-}
-
-// tag returns the (owner, vm) of the chunk's i-th frame. A nil chunk, one
-// whose leaf is not built, is free.
-func (c *chunk) tag(i uint64) (Owner, int32) {
-	switch {
-	case c == nil:
-		return OwnerFree, 0
-	case c.tags != nil:
-		return c.tags.owner[i], c.tags.vm[i]
+// page returns the page of the table's i-th frame, nil if it has none or
+// there is no table.
+func (t *pageTable) page(i uint64) *page {
+	if t == nil {
+		return nil
 	}
-	return c.owner, c.vm
+	return t.slot[i]
 }
 
-// mixed reports whether the chunk keeps its tags per frame.
-func (c *chunk) mixed() bool { return c != nil && c.tags != nil }
+// run is a stretch of allocated frames of one leaf that share one tag:
+// frames [start, start+count) counted from the leaf's first.
+type run struct {
+	start, count uint32
+	vm           int32
+	owner        Owner
+}
 
-// leaf is the chunk table of one GiB of frames. occupied has bit i set iff
-// chunks[i].alloc > 0, and a leaf is built only when an allocation or claim
-// first enters its GiB: a live leaf always has an occupied chunk. When its
-// last chunk drains it is all zero again and goes on the PhysMem's spare
-// list, linked through next, for the next leaf built.
+func (r run) end() uint32 { return r.start + r.count }
+
+// appendRun appends r to rs, extending the last run when r directly
+// follows it under the same tag.
+func appendRun(rs []run, r run) []run {
+	if n := len(rs); n > 0 && rs[n-1].end() == r.start && rs[n-1].owner == r.owner && rs[n-1].vm == r.vm {
+		rs[n-1].count += r.count
+		return rs
+	}
+	return append(rs, r)
+}
+
+// leaf is the state of one GiB of frames. runs is its ownership: the
+// allocated frames as ordered, disjoint runs, merged wherever two that
+// touch share a tag; a frame in no run is free. pages has the page table
+// of each chunk written into, and written a bit per chunk that has one. A
+// leaf is built only when an allocation or claim first enters its GiB, so
+// a built leaf always has a run: when its last run goes it has no page
+// table either, and it goes on the PhysMem's spare list, linked through
+// next, its run slice kept for the next leaf built. The runs live in
+// inline until they outgrow it, so most leaves allocate nothing for them.
 type leaf struct {
-	chunks   [leafChunks]chunk
-	occupied [leafWords]uint64
-	next     *leaf
+	runs    []run
+	hint    int // where the last find ended
+	inline  [16]run
+	pages   [leafChunks]*pageTable
+	written [leafWords]uint64
+	next    *leaf
 }
 
-// chunk returns chunk ci, nil while its leaf is not built. pm.mu held.
-func (pm *PhysMem) chunk(ci int) *chunk {
-	if l := pm.dir[uint(ci)/leafChunks]; l != nil {
-		return &l.chunks[uint(ci)%leafChunks]
+// find returns the index of the leaf's first run ending after frame off.
+// It gallops forward from where the last find ended before it bisects, so
+// a walk up a leaf — a retag or free of many small ranges in frame order —
+// finds each next run in O(1), not O(log runs). pm.mu held.
+func (l *leaf) find(off uint32) int {
+	lo, hi := 0, len(l.runs)
+	if h := l.hint; h < hi && (h == 0 || l.runs[h-1].end() <= off) {
+		lo = h
+		for step := 1; h < hi; h, step = h+step, step*2 {
+			if l.runs[h].end() > off {
+				hi = h
+				break
+			}
+			lo = h + 1
+		}
 	}
-	return nil
+	l.hint = lo + search(l.runs[lo:hi], off)
+	return l.hint
 }
 
-// build returns chunk ci, building its leaf off the spare list first if it
-// has none. Only the allocators — AllocRanges, Alloc2M, ClaimRange — build:
+// search returns the index of the first run of rs ending after frame off,
+// by bisection.
+func search(rs []run, off uint32) int {
+	lo, hi := 0, len(rs)
+	for lo < hi {
+		if h := int(uint(lo+hi) >> 1); rs[h].end() > off {
+			hi = h
+		} else {
+			lo = h + 1
+		}
+	}
+	return lo
+}
+
+// nextWritten returns the first written chunk at or after k, or
+// leafChunks.
+func (l *leaf) nextWritten(k int) int {
+	for w, mask := k/64, ^uint64(0)<<(uint(k)%64); w < leafWords; w, mask = w+1, ^uint64(0) {
+		if word := l.written[w] & mask; word != 0 {
+			return w*64 + bits.TrailingZeros64(word)
+		}
+	}
+	return leafChunks
+}
+
+// leafSpan returns the overlap of frames [f, limit) with the leaf holding
+// f: frames [lo, hi) of leaf li.
+func leafSpan(f, limit uint64) (li int, lo, hi uint32) {
+	lo = uint32(f % leafFrames)
+	return int(f / leafFrames), lo, uint32(min(uint64(lo)+limit-f, leafFrames))
+}
+
+// build returns leaf li, building it off the spare list first if it is not
+// built. Only the allocators — AllocRanges, Alloc2M, ClaimRange — build:
 // every other mutator acts on allocated frames, whose leaf exists. pm.mu
 // held.
-func (pm *PhysMem) build(ci int) *chunk {
-	l := pm.dir[uint(ci)/leafChunks]
+func (pm *PhysMem) build(li int) *leaf {
+	l := pm.dir[li]
 	if l == nil {
 		if l = pm.spareLeaves; l == nil {
 			l = new(leaf)
 		}
 		pm.spareLeaves, l.next = l.next, nil
-		pm.dir[uint(ci)/leafChunks] = l
-	}
-	return &l.chunks[uint(ci)%leafChunks]
-}
-
-// eachChunk calls fn for every chunk of the built leaves, in order. pm.mu
-// held.
-func (pm *PhysMem) eachChunk(fn func(ci int, c *chunk)) {
-	n := int((pm.totalFrames + chunkFrames - 1) / chunkFrames)
-	for li, l := range pm.dir {
-		for k := 0; l != nil && k < leafChunks && li*leafChunks+k < n; k++ {
-			fn(li*leafChunks+k, &l.chunks[k])
+		pm.dir[li] = l
+		if l.runs == nil {
+			l.runs = l.inline[:0]
 		}
 	}
+	return l
 }
 
-// page returns the backing page of the chunk's i-th frame, nil if the
-// frame was never written.
-func (c *chunk) page(i uint64) *page {
-	if c.pages == nil {
-		return nil
-	}
-	return c.pages.slot[i]
-}
-
-// explode turns chunk c's summary tag into size per-frame tags, before a
-// mutation that leaves it mixed. pm.mu held.
-func (pm *PhysMem) explode(c *chunk, size uint64) {
-	if c.tags = pm.spareTags; c.tags == nil {
-		c.tags = new(frameTags)
-	}
-	pm.spareTags = c.tags.next
-	for i := uint64(0); i < size; i++ {
-		c.tags.owner[i], c.tags.vm[i] = c.owner, c.vm
-	}
-}
-
-// collapseIfFree re-summarizes chunk ci if it drained, clears its occupancy
-// bit and pushes its tables (page slots all nil) on the spare lists — and
-// its leaf, when that was the leaf's last occupied chunk. pm.mu held.
-func (pm *PhysMem) collapseIfFree(ci int) {
-	l := pm.dir[uint(ci)/leafChunks]
-	c := &l.chunks[uint(ci)%leafChunks]
-	if c.alloc != 0 {
-		return
-	}
-	if c.tags != nil {
-		c.tags.next, pm.spareTags = pm.spareTags, c.tags
-	}
-	if c.pages != nil {
-		c.pages.next, pm.sparePages = pm.sparePages, c.pages
-	}
-	*c = chunk{}
-	w := &l.occupied[uint(ci)/64%leafWords]
-	if *w &^= 1 << (uint(ci) % 64); *w == 0 && l.occupied == [leafWords]uint64{} {
-		pm.dir[uint(ci)/leafChunks] = nil
+// releaseIfDrained puts leaf li on the spare list if it has no run left.
+// pm.mu held.
+func (pm *PhysMem) releaseIfDrained(li int) {
+	if l := pm.dir[li]; len(l.runs) == 0 {
+		pm.dir[li] = nil
 		l.next, pm.spareLeaves = pm.spareLeaves, l
 	}
 }
 
-// PhysMem is the physical memory of one machine: 2 MiB chunks, held in
-// 1 GiB leaves that a directory builds on the first allocation into their
-// GiB and recycles when they drain, so a machine pays for the memory it
-// holds, not for its size, and a GiB never allocated into reads as free.
-// A chunk whose frames all share one (owner, vm) tag — free memory, a
-// huge-page guest extent, the bulk of a hypervisor's resident set — is
-// just its summary, so the transplant hot paths (micro-reboot wipe,
-// address-space retag, huge-page allocation) never visit frames.
-// Per-frame tags exist only for chunks that went mixed, and a page table
-// only for chunks that were written; untouched frames cost nothing and
-// read as zeros; a drained chunk hands both on to the next, and a drained
-// leaf itself to the next leaf built. Each leaf's occupancy index, one bit
-// per chunk, lets the micro-reboot wipe visit occupied chunks only,
-// whatever the machine size.
+// PhysMem is the physical memory of one machine, held in 1 GiB leaves that
+// a directory builds on the first allocation into their GiB and recycles
+// when they drain, so a machine pays for the memory it holds, not for its
+// size, and a GiB never allocated into reads as free. A leaf holds its
+// ownership as runs of frames that share an (owner, vm) tag, so the
+// transplant's ownership walks — allocation, claim, free, the
+// address-space retag and the micro-reboot wipe — cost O(log runs + runs
+// touched) per leaf a range crosses, whatever its frame count: a huge-page
+// guest extent, a hypervisor resident set, PRAM are each a run or a few.
+// Contents are kept per 2 MiB chunk: a page table for each chunk written
+// into, on its first write, and untouched frames cost nothing and read as
+// zeros. A chunk's last page freed hands its table to the next, and a
+// leaf's last run freed the leaf itself to the next leaf built. Looking up
+// one frame (OwnerOf, and every per-frame content access) costs O(log
+// runs) of its leaf.
 //
 // Concurrency: one mutex guards all bookkeeping, and every method is safe
 // to call from the internal/par worker pools under two rules. Ownership
@@ -288,7 +287,7 @@ type PhysMem struct {
 	next        MFN // bump cursor for allocation
 	allocated   uint64
 	byOwner     [numOwners]uint64
-	// dir has entry li, chunks [li·leafChunks, (li+1)·leafChunks), nil
+	// dir has entry li, frames [li·leafFrames, (li+1)·leafFrames), nil
 	// while the leaf is not built; dirSlots backs it, allocation-free, on
 	// every profile's machine (≤ 96 GiB). first is the first leaf built:
 	// NewPhysMem seeds the spare list with it.
@@ -296,8 +295,8 @@ type PhysMem struct {
 	dirSlots    [96 * GiB / (leafFrames * PageSize4K)]*leaf
 	first       leaf
 	spareLeaves *leaf
-	spareTags   *frameTags
 	sparePages  *pageTable
+	work        Work
 
 	// Content-hash page dedup (opt-in, see SetPageDedup): intern maps a
 	// content hash to the pages registered under it; writes that produce
@@ -305,6 +304,20 @@ type PhysMem struct {
 	dedup     bool
 	intern    map[uint64][]*page
 	dedupHits uint64
+}
+
+// Work counts what a PhysMem's ownership walks did since it was built:
+// the runs and the written chunks they visited, and the frames retagged
+// by SetOwnerRanges and freed by WipeRanges.
+type Work struct {
+	Runs, Chunks, Retagged, Wiped uint64
+}
+
+// Work returns the machine's ownership-walk counts.
+func (pm *PhysMem) Work() Work {
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	return pm.work
 }
 
 // CRCTable is the ECMA CRC-64 table of every checksum in the simulator:
@@ -360,47 +373,17 @@ func NewPhysMem(size uint64) *PhysMem {
 // chunkOf returns the chunk index covering frame m.
 func chunkOf(m MFN) int { return int(uint64(m) / chunkFrames) }
 
-// chunkSpan returns chunk ci's first frame and frame count (the last
-// chunk may be partial).
-func (pm *PhysMem) chunkSpan(ci int) (MFN, uint64) {
-	base := uint64(ci) * chunkFrames
-	return MFN(base), min(chunkFrames, pm.totalFrames-base)
-}
-
 // part is the overlap of a frame range with one chunk: frames
-// [base+lo, base+hi) of chunk c, chunk ci, which has size frames; c is nil,
-// all free, while its leaf is not built.
+// [base+lo, base+hi) of chunk k of leaf l.
 type part struct {
-	ci           int
-	c            *chunk
-	base         MFN
-	size, lo, hi uint64
+	l      *leaf
+	k      int
+	base   MFN
+	lo, hi uint64
 }
 
-// whole reports whether the part covers its entire chunk.
-func (p part) whole() bool { return p.lo == 0 && p.hi == p.size }
-
-// find returns the part's first free frame — or, with free unset, its
-// first allocated one — if it has any.
-func (p part) find(free bool) (MFN, bool) {
-	for i := p.lo; i < p.hi; i++ {
-		if o, _ := p.c.tag(i); (o == OwnerFree) == free {
-			return p.base + MFN(i), true
-		}
-		if !p.c.mixed() {
-			break // the summary tag covers the whole part
-		}
-	}
-	return 0, false
-}
-
-// partAt returns the overlap of frames [f, limit) with the chunk holding
-// f; f < limit <= totalFrames.
-func (pm *PhysMem) partAt(f, limit uint64) part {
-	ci := chunkOf(MFN(f))
-	base, size := pm.chunkSpan(ci)
-	return part{ci, pm.chunk(ci), base, size, f - uint64(base), min(size, limit-uint64(base))}
-}
+// table returns the part's page table, nil while its chunk is unwritten.
+func (p part) table() *pageTable { return p.l.pages[p.k] }
 
 // TotalFrames returns the machine's frame count.
 func (pm *PhysMem) TotalFrames() uint64 { return pm.totalFrames }
@@ -419,63 +402,117 @@ func (pm *PhysMem) FreeFrames() uint64 {
 	return pm.totalFrames - pm.allocated
 }
 
-// take claims frame i of mixed chunk c, chunk ci; the chunk's first
-// allocated frame sets its occupancy bit.
-func (pm *PhysMem) take(c *chunk, ci int, i uint64, owner Owner, vm int) {
-	if c.alloc == 0 {
-		pm.occupy(ci)
+// set gives frames [lo, hi) of leaf l the tag (owner, vm) — frees them,
+// with OwnerFree — whatever they held: the runs it covers are cut to its
+// edges, it goes in as one run, merged with the runs it touches under the
+// same tag. The counters follow; contents are the caller's. pm.mu held.
+func (pm *PhysMem) set(l *leaf, lo, hi uint32, owner Owner, vm int32) {
+	rs := l.runs
+	i := l.find(lo)
+	n := uint64(hi - lo)
+	// In place, the cases a cursor makes: free frames that extend the run
+	// before them under its tag, and the head of a run freed.
+	switch {
+	case owner != OwnerFree && i > 0 && rs[i-1].end() == lo && rs[i-1].owner == owner && rs[i-1].vm == vm &&
+		(i == len(rs) || rs[i].start > hi):
+		rs[i-1].count += hi - lo
+		pm.byOwner[owner] += n
+		pm.allocated += n
+		return
+	case owner == OwnerFree && i < len(rs) && rs[i].start == lo && rs[i].end() > hi:
+		rs[i].start, rs[i].count = hi, rs[i].count-(hi-lo)
+		pm.byOwner[rs[i].owner] -= n
+		pm.allocated -= n
+		pm.work.Runs++
+		return
 	}
-	c.tags.owner[i], c.tags.vm[i] = owner, int32(vm)
-	c.alloc++
-	pm.allocated++
-	pm.byOwner[owner]++
-}
-
-// takeChunk claims every frame of the wholly free chunk ci, building its
-// leaf if it has none.
-func (pm *PhysMem) takeChunk(ci int, size uint64, owner Owner, vm int) {
-	c := pm.build(ci)
-	c.owner, c.vm, c.alloc = owner, int32(vm), uint32(size)
-	pm.occupy(ci)
-	pm.allocated += size
-	pm.byOwner[owner] += size
-}
-
-// occupy sets chunk ci's occupancy bit (collapseIfFree clears it).
-func (pm *PhysMem) occupy(ci int) {
-	pm.dir[uint(ci)/leafChunks].occupied[uint(ci)/64%leafWords] |= 1 << (uint(ci) % 64)
-}
-
-// nextOccupied returns the first occupied chunk at or after ci, or -1. A
-// leaf that is not built is skipped whole.
-func (pm *PhysMem) nextOccupied(ci int) int {
-	for w, mask := ci/64, ^uint64(0)<<(uint(ci)%64); w < len(pm.dir)*leafWords; w, mask = w+1, ^uint64(0) {
-		if l := pm.dir[w/leafWords]; l == nil {
-			w |= leafWords - 1
-		} else if word := l.occupied[w%leafWords] & mask; word != 0 {
-			return w*64 + bits.TrailingZeros64(word)
+	var buf [3]run
+	repl := buf[:0]
+	j := i
+	for ; j < len(rs) && rs[j].start < hi; j++ {
+		r := rs[j]
+		cut := uint64(min(r.end(), hi) - max(r.start, lo))
+		pm.byOwner[r.owner] -= cut
+		pm.allocated -= cut
+		if r.start < lo {
+			repl = append(repl, run{r.start, lo - r.start, r.vm, r.owner})
 		}
 	}
-	return -1
+	pm.work.Runs += uint64(j - i)
+	if owner != OwnerFree {
+		pm.byOwner[owner] += n
+		pm.allocated += n
+		repl = appendRun(repl, run{lo, hi - lo, vm, owner})
+	}
+	if j > i && rs[j-1].end() > hi {
+		r := rs[j-1]
+		repl = appendRun(repl, run{hi, r.end() - hi, r.vm, r.owner})
+	}
+	if len(repl) > 0 {
+		if first := repl[0]; i > 0 && rs[i-1].end() == first.start && rs[i-1].owner == first.owner && rs[i-1].vm == first.vm {
+			i--
+			repl[0] = run{rs[i].start, rs[i].count + first.count, first.vm, first.owner}
+		}
+		if last := &repl[len(repl)-1]; j < len(rs) && last.end() == rs[j].start && last.owner == rs[j].owner && last.vm == rs[j].vm {
+			last.count += rs[j].count
+			j++
+		}
+	}
+	if len(repl) == j-i {
+		// In place: slices.Replace would move the tail onto itself, and a
+		// copy of a run or two costs more as a memmove call.
+		for k, r := range repl {
+			rs[i+k] = r
+		}
+		return
+	}
+	l.runs = slices.Replace(rs, i, j, repl...)
 }
 
-// nextChunkStart returns the first frame of the chunk after ci, wrapping
-// to frame 0 past the end of memory.
-func (pm *PhysMem) nextChunkStart(ci int) MFN {
-	nb := uint64(ci+1) * chunkFrames
-	if nb >= pm.totalFrames {
-		return 0
+// allocatedTo returns the first free frame of [lo, hi) of leaf l, or hi.
+// pm.mu held.
+func (pm *PhysMem) allocatedTo(l *leaf, lo, hi uint32) uint32 {
+	pos := lo
+	for i := l.find(lo); i < len(l.runs) && l.runs[i].start <= pos && pos < hi; i++ {
+		pos = l.runs[i].end()
+		pm.work.Runs++
 	}
-	return MFN(nb)
+	return min(pos, hi)
+}
+
+// untilFree calls fn, in order, for each leaf span of the allocated
+// frames of [start, start+count) up to its first frame that is free or
+// past the end of memory, and returns that frame; ok when there is none.
+// fn may be nil: the call is then a check. pm.mu held.
+func (pm *PhysMem) untilFree(start MFN, count uint64, fn func(li int, l *leaf, lo, hi uint32)) (m MFN, ok bool) {
+	end := uint64(start) + count
+	limit := min(end, pm.totalFrames)
+	for f := uint64(start); f < limit; {
+		li, lo, hi := leafSpan(f, limit)
+		stop := lo
+		if l := pm.dir[li]; l != nil {
+			if stop = pm.allocatedTo(l, lo, hi); stop > lo && fn != nil {
+				fn(li, l, lo, stop)
+			}
+		}
+		if stop < hi {
+			return MFN(uint64(li)*leafFrames + uint64(stop)), false
+		}
+		f += uint64(hi - lo)
+	}
+	if end > pm.totalFrames {
+		return MFN(max(uint64(start), pm.totalFrames)), false
+	}
+	return 0, true
 }
 
 // AllocRanges allocates n frames for the given owner and VM id and
 // returns them as coalesced runs in assignment order. Frames are assigned
 // from a bump cursor that wraps, which — combined with frames freed and
 // reallocated over a machine's lifetime — leaves VM memory scattered
-// rather than contiguous, as the paper observes (§4.2.2). Whole free
-// chunks at the cursor are claimed in bulk; the assigned frame sequence
-// is identical to a frame-by-frame scan.
+// rather than contiguous, as the paper observes (§4.2.2). The cursor steps
+// over allocated runs and takes free gaps whole, up to what is left to
+// take; the assigned frame sequence is identical to a frame-by-frame scan.
 func (pm *PhysMem) AllocRanges(n int, owner Owner, vm int) ([]FrameRange, error) {
 	if owner == OwnerFree {
 		return nil, fmt.Errorf("hw: cannot allocate with OwnerFree")
@@ -486,37 +523,28 @@ func (pm *PhysMem) AllocRanges(n int, owner Owner, vm int) ([]FrameRange, error)
 		return nil, fmt.Errorf("hw: out of memory: want %d frames, %d free", n, free)
 	}
 	var out []FrameRange
-	got := uint64(0)
-	claim := func(start MFN, count uint64) {
-		out = AppendRange(out, FrameRange{Start: start, Count: count})
-		got += count
-	}
-	for got < uint64(n) {
-		m := pm.next
-		ci := chunkOf(m)
-		c := pm.build(ci) // a chunk of an unbuilt leaf is free: m is taken
-		base, size := pm.chunkSpan(ci)
-		if c.tags == nil {
-			if c.owner != OwnerFree {
-				// Fully-allocated chunk: the scan would skip every frame.
-				pm.next = pm.nextChunkStart(ci)
-				continue
+	for left := uint64(n); left > 0; {
+		li, off, limit := leafSpan(uint64(pm.next), pm.totalFrames)
+		base := uint64(li) * leafFrames
+		gap := limit
+		if l := pm.dir[li]; l != nil {
+			i := l.find(off)
+			for ; i < len(l.runs) && l.runs[i].start <= off; i++ {
+				off = l.runs[i].end()
+				pm.work.Runs++
 			}
-			if m == base && uint64(n)-got >= size {
-				// Whole free chunk at the cursor: claim it in one step.
-				pm.takeChunk(ci, size, owner, vm)
-				claim(base, size)
-				pm.next = pm.nextChunkStart(ci)
-				continue
+			if i < len(l.runs) {
+				gap = l.runs[i].start
 			}
-			pm.explode(c, size)
 		}
-		if i := uint64(m - base); c.tags.owner[i] == OwnerFree {
-			pm.take(c, ci, i, owner, vm)
-			claim(m, 1)
+		if off < gap {
+			take := uint32(min(uint64(gap-off), left))
+			pm.set(pm.build(li), off, off+take, owner, int32(vm))
+			out = AppendRange(out, FrameRange{Start: MFN(base + uint64(off)), Count: uint64(take)})
+			left -= uint64(take)
+			off += take
 		}
-		pm.next = m + 1
-		if pm.next >= MFN(pm.totalFrames) {
+		if pm.next = MFN(base + uint64(off)); uint64(pm.next) >= pm.totalFrames {
 			pm.next = 0
 		}
 	}
@@ -524,8 +552,8 @@ func (pm *PhysMem) AllocRanges(n int, owner Owner, vm int) ([]FrameRange, error)
 }
 
 // Alloc2M allocates one 2 MiB-aligned run of 512 contiguous frames,
-// returning the first MFN. An aligned run is exactly one chunk, so the
-// scan checks chunk summaries instead of individual frames.
+// returning the first MFN. The scan tries aligned chunks from the cursor
+// and steps over each allocated run it meets in one move.
 func (pm *PhysMem) Alloc2M(owner Owner, vm int) (MFN, error) {
 	if owner == OwnerFree {
 		return 0, fmt.Errorf("hw: cannot allocate with OwnerFree")
@@ -535,16 +563,26 @@ func (pm *PhysMem) Alloc2M(owner Owner, vm int) (MFN, error) {
 	if FramesPer2M > pm.totalFrames-pm.allocated {
 		return 0, fmt.Errorf("hw: out of memory for 2M page")
 	}
-	start := (pm.next + FramesPer2M - 1) / FramesPer2M * FramesPer2M
+	start := (uint64(pm.next) + FramesPer2M - 1) / FramesPer2M
 	nRuns := pm.totalFrames / FramesPer2M
-	for tries := uint64(0); tries < nRuns; tries++ {
-		base := (start + MFN(tries*FramesPer2M)) % MFN(nRuns*FramesPer2M)
-		// A chunk with any allocated frame — uniform or mixed — is out.
-		if ci := chunkOf(base); pm.chunk(ci) == nil || pm.chunk(ci).alloc == 0 {
-			pm.takeChunk(ci, FramesPer2M, owner, vm)
-			pm.next = (base + FramesPer2M) % MFN(pm.totalFrames)
-			return base, nil
+	for tries := uint64(0); tries < nRuns; {
+		ci := (start + tries) % nRuns
+		base := ci * FramesPer2M
+		li, off, _ := leafSpan(base, pm.totalFrames)
+		l := pm.dir[li]
+		i := 0
+		if l != nil {
+			i = l.find(off)
+			pm.work.Runs++
 		}
+		if l == nil || i == len(l.runs) || l.runs[i].start >= off+FramesPer2M {
+			pm.set(pm.build(li), off, off+FramesPer2M, owner, int32(vm))
+			pm.next = MFN((base + FramesPer2M) % pm.totalFrames)
+			return MFN(base), nil
+		}
+		// Every chunk up to the one holding the run's end is taken.
+		past := min((uint64(li)*leafFrames+uint64(l.runs[i].end())+FramesPer2M-1)/FramesPer2M, nRuns)
+		tries += past - ci
 	}
 	return 0, fmt.Errorf("hw: no aligned 2M run available (fragmentation)")
 }
@@ -566,27 +604,19 @@ func (pm *PhysMem) ClaimRange(start MFN, count uint64, owner Owner, vm int) erro
 		return fmt.Errorf("hw: ClaimRange [%#x,+%d) out of bounds", start, count)
 	}
 	for f := uint64(start); f < end; {
-		p := pm.partAt(f, end)
-		if m, found := p.find(false); found {
-			return fmt.Errorf("hw: ClaimRange frame %#x not free", uint64(m))
+		li, lo, hi := leafSpan(f, end)
+		if l := pm.dir[li]; l != nil {
+			pm.work.Runs++
+			if i := l.find(lo); i < len(l.runs) && l.runs[i].start < hi {
+				return fmt.Errorf("hw: ClaimRange frame %#x not free", uint64(li)*leafFrames+uint64(max(lo, l.runs[i].start)))
+			}
 		}
-		f = uint64(p.base) + p.hi
+		f += uint64(hi - lo)
 	}
 	for f := uint64(start); f < end; {
-		p := pm.partAt(f, end)
-		f = uint64(p.base) + p.hi
-		if !p.c.mixed() && p.whole() {
-			// Whole free chunk: claim it at summary granularity.
-			pm.takeChunk(p.ci, p.size, owner, vm)
-			continue
-		}
-		c := pm.build(p.ci)
-		if c.tags == nil {
-			pm.explode(c, p.size)
-		}
-		for i := p.lo; i < p.hi; i++ {
-			pm.take(c, p.ci, i, owner, vm)
-		}
+		li, lo, hi := leafSpan(f, end)
+		pm.set(pm.build(li), lo, hi, owner, int32(vm))
+		f += uint64(hi - lo)
 	}
 	return nil
 }
@@ -603,15 +633,20 @@ func (pm *PhysMem) ClaimRanges(rs []FrameRange, owner Owner, vm int) error {
 }
 
 // releaseDataAt drops the page contents (and with them the cached
-// checksum) of frame i of chunk c; pm.mu held.
-func (pm *PhysMem) releaseDataAt(c *chunk, i uint64) {
-	p := c.page(i)
-	if p == nil {
+// checksum) of frame i of chunk k of leaf l, and hands the chunk's page
+// table on when that was its last page; pm.mu held.
+func (pm *PhysMem) releaseDataAt(l *leaf, k int, i uint64) {
+	t := l.pages[k]
+	if t == nil || t.slot[i] == nil {
 		return
 	}
-	c.pages.slot[i] = nil
-	c.data--
-	pm.unref(p)
+	pm.unref(t.slot[i])
+	t.slot[i] = nil
+	if t.n--; t.n == 0 {
+		l.pages[k] = nil
+		l.written[k/64] &^= 1 << (k % 64)
+		t.next, pm.sparePages = pm.sparePages, t
+	}
 }
 
 // unref drops one reference to p, deregistering a shared dedup page from
@@ -623,87 +658,61 @@ func (pm *PhysMem) unref(p *page) {
 	}
 }
 
-// freeFrame releases allocated frame i of mixed chunk c; the caller
-// collapses a chunk it drains. pm.mu held.
-func (pm *PhysMem) freeFrame(c *chunk, i uint64) {
-	pm.byOwner[c.tags.owner[i]]--
-	c.tags.owner[i], c.tags.vm[i] = OwnerFree, 0
-	c.alloc--
-	pm.allocated--
-	pm.releaseDataAt(c, i)
+// dropPages drops the contents of frames [lo, hi) of leaf l, visiting
+// written chunks only. pm.mu held.
+func (pm *PhysMem) dropPages(l *leaf, lo, hi uint32) {
+	for k := l.nextWritten(int(lo / chunkFrames)); k < leafChunks && uint32(k)*chunkFrames < hi; k = l.nextWritten(k + 1) {
+		pm.work.Chunks++
+		base := uint32(k) * chunkFrames
+		for i := max(lo, base) - base; i < min(hi, base+chunkFrames)-base && l.pages[k] != nil; i++ {
+			pm.releaseDataAt(l, k, uint64(i))
+		}
+	}
 }
 
-// wipeChunk frees every allocated frame of chunk ci, drops its contents
-// and re-summarizes it as uniformly free. pm.mu held.
-func (pm *PhysMem) wipeChunk(ci int, size uint64) int {
-	c := pm.chunk(ci)
-	wiped := int(c.alloc)
-	if c.tags != nil {
-		for i := uint64(0); i < size; i++ {
-			if o := c.tags.owner[i]; o != OwnerFree {
-				pm.byOwner[o]--
-			}
-		}
-	} else {
-		pm.byOwner[c.owner] -= uint64(c.alloc)
-	}
-	pm.allocated -= uint64(c.alloc)
-	for i := uint64(0); c.data > 0 && i < size; i++ {
-		pm.releaseDataAt(c, i)
-	}
-	c.alloc = 0
-	pm.collapseIfFree(ci)
-	return wiped
+// free frees frames [lo, hi) of leaf li, all allocated, with their
+// contents, and releases the leaf if they were its last. pm.mu held.
+func (pm *PhysMem) free(li int, l *leaf, lo, hi uint32) {
+	pm.set(l, lo, hi, OwnerFree, 0)
+	pm.dropPages(l, lo, hi)
+	pm.releaseIfDrained(li)
 }
 
 // FreeRange releases the contiguous run [start, start+count) in one
-// critical section. Whole uniform chunks are released at summary
-// granularity. Frames are freed in order; the first unallocated frame —
-// freeing one indicates a double-free bug in a hypervisor model — aborts
-// with an error, the frames before it stay freed.
+// critical section, leaf span by leaf span. Frames are freed in order;
+// the first unallocated frame — freeing one indicates a double-free bug
+// in a hypervisor model — aborts with an error, the frames before it
+// stay freed.
 func (pm *PhysMem) FreeRange(start MFN, count uint64) error {
+	return pm.FreeRanges([]FrameRange{{Start: start, Count: count}})
+}
+
+// FreeRanges releases every run of rs as FreeRange does, in one critical
+// section — the inverse of AllocRanges — stopping at the first error.
+func (pm *PhysMem) FreeRanges(rs []FrameRange) error {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	end := uint64(start) + count
-	limit := min(end, pm.totalFrames)
-	for f := uint64(start); f < limit; {
-		p := pm.partAt(f, limit)
-		c := p.c
-		f = uint64(p.base) + p.hi
-		if !c.mixed() {
-			if o, _ := c.tag(p.lo); o == OwnerFree {
-				return fmt.Errorf("hw: double free of frame %#x", uint64(p.base)+p.lo)
-			}
-			if p.whole() {
-				pm.wipeChunk(p.ci, p.size)
-				continue
-			}
-			pm.explode(c, p.size)
+	for _, r := range rs {
+		if m, ok := pm.untilFree(r.Start, r.Count, pm.free); !ok {
+			return fmt.Errorf("hw: double free of frame %#x", uint64(m))
 		}
-		for i := p.lo; i < p.hi; i++ {
-			if c.tags.owner[i] == OwnerFree {
-				pm.collapseIfFree(p.ci)
-				return fmt.Errorf("hw: double free of frame %#x", uint64(p.base)+i)
-			}
-			pm.freeFrame(c, i)
-		}
-		pm.collapseIfFree(p.ci)
-	}
-	if end > pm.totalFrames {
-		return fmt.Errorf("hw: double free of frame %#x", max(uint64(start), pm.totalFrames))
 	}
 	return nil
 }
 
-// FreeRanges releases every run of rs, the inverse of AllocRanges,
-// stopping at the first error.
-func (pm *PhysMem) FreeRanges(rs []FrameRange) error {
-	for _, r := range rs {
-		if err := pm.FreeRange(r.Start, r.Count); err != nil {
-			return err
+// tagOf returns frame m's run, nil if it is free: its leaf, the run's
+// index in it and the frame's offset in the leaf. pm.mu held.
+func (pm *PhysMem) tagOf(m MFN) (l *leaf, i int, off uint32) {
+	if uint64(m) >= pm.totalFrames {
+		return nil, 0, 0
+	}
+	li, off := int(m/leafFrames), uint32(m%leafFrames)
+	if l = pm.dir[li]; l != nil {
+		if i = l.find(off); i < len(l.runs) && l.runs[i].start <= off {
+			return l, i, off
 		}
 	}
-	return nil
+	return nil, 0, 0
 }
 
 // OwnerOf reports a frame's owner tag (OwnerFree if unallocated) and
@@ -711,88 +720,40 @@ func (pm *PhysMem) FreeRanges(rs []FrameRange) error {
 func (pm *PhysMem) OwnerOf(m MFN) (Owner, int) {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if m < MFN(pm.totalFrames) {
-		if o, v := pm.chunk(chunkOf(m)).tag(uint64(m) % chunkFrames); o != OwnerFree {
-			return o, int(v)
-		}
+	if l, i, _ := pm.tagOf(m); l != nil {
+		return l.runs[i].owner, int(l.runs[i].vm)
 	}
 	return OwnerFree, -1
 }
 
 // SetOwnerRanges retags the allocated runs rs, in order, in one critical
 // section — used when the target hypervisor adopts preserved guest frames
-// after a micro-reboot. A run of fully-covered uniform chunks (every
-// huge-page extent) retags chunk by chunk within each leaf, O(1) each.
-// The first unallocated frame aborts with an error; the frames before it
-// stay retagged.
+// after a micro-reboot. Each leaf a run crosses costs O(log runs + runs
+// it covers), whatever its frame count. The first unallocated frame
+// aborts with an error; the frames before it stay retagged.
 func (pm *PhysMem) SetOwnerRanges(rs []FrameRange, owner Owner, vm int) error {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
+	retag := func(_ int, l *leaf, lo, hi uint32) {
+		pm.set(l, lo, hi, owner, int32(vm))
+		pm.work.Retagged += uint64(hi - lo)
+	}
 	for _, r := range rs {
-		end := uint64(r.End())
-		limit := min(end, pm.totalFrames)
-		for f := uint64(r.Start); f < limit; {
-		uniform:
-			for f%chunkFrames == 0 && f < limit {
-				l := pm.dir[f/leafFrames]
-				if l == nil {
-					break // a leaf not built is free: the part walk below fails
-				}
-				for k := f / chunkFrames % leafChunks; k < leafChunks && f < limit; k++ {
-					c, size := &l.chunks[k], min(chunkFrames, pm.totalFrames-f)
-					if f+size > limit || c.tags != nil || c.owner == OwnerFree {
-						break uniform // partly covered, mixed or free: the part walk below
-					}
-					if c.owner != owner {
-						pm.byOwner[c.owner] -= size
-						pm.byOwner[owner] += size
-					}
-					c.owner, c.vm = owner, int32(vm)
-					f += size
-				}
-			}
-			if f >= limit {
-				break
-			}
-			p := pm.partAt(f, limit)
-			c := p.c
-			f = uint64(p.base) + p.hi
-			if !c.mixed() {
-				o, v := c.tag(p.lo)
-				if o == OwnerFree {
-					return fmt.Errorf("hw: SetOwner on unallocated frame %#x", uint64(p.base)+p.lo)
-				}
-				if o == owner && v == int32(vm) {
-					continue
-				}
-				pm.explode(c, p.size)
-			}
-			for i := p.lo; i < p.hi; i++ {
-				if c.tags.owner[i] == OwnerFree {
-					return fmt.Errorf("hw: SetOwner on unallocated frame %#x", uint64(p.base)+i)
-				}
-				pm.byOwner[c.tags.owner[i]]--
-				c.tags.owner[i], c.tags.vm[i] = owner, int32(vm)
-				pm.byOwner[owner]++
-			}
-		}
-		if end > pm.totalFrames {
-			return fmt.Errorf("hw: SetOwner on unallocated frame %#x", max(uint64(r.Start), pm.totalFrames))
+		if m, ok := pm.untilFree(r.Start, r.Count, retag); !ok {
+			return fmt.Errorf("hw: SetOwner on unallocated frame %#x", uint64(m))
 		}
 	}
 	return nil
 }
 
-// slot resolves allocated frame m to its chunk and index within it;
-// pm.mu held. op names the access for the error ("write to", ...).
-func (pm *PhysMem) slot(m MFN, op string) (*chunk, uint64, error) {
-	if m < MFN(pm.totalFrames) {
-		c, i := pm.chunk(chunkOf(m)), uint64(m)%chunkFrames
-		if o, _ := c.tag(i); o != OwnerFree {
-			return c, i, nil
-		}
+// slot resolves allocated frame m to its leaf, the chunk of the leaf
+// holding it and its index in the chunk; pm.mu held. op names the access
+// for the error ("write to", ...).
+func (pm *PhysMem) slot(m MFN, op string) (*leaf, int, uint64, error) {
+	if l, _, off := pm.tagOf(m); l != nil {
+		return l, int(off / chunkFrames), uint64(off % chunkFrames), nil
 	}
-	return nil, 0, &accessError{op, m}
+	return nil, 0, 0, &accessError{op, m}
 }
 
 // accessError is an access to an unallocated frame, or one past the end
@@ -818,13 +779,13 @@ func (pm *PhysMem) Write(m MFN, off int, data []byte) error {
 		return fmt.Errorf("hw: write [%d, %d) outside frame", off, off+len(data))
 	}
 	pm.mu.Lock()
-	c, i, err := pm.slot(m, "write to")
+	l, k, i, err := pm.slot(m, "write to")
 	if err != nil {
 		pm.mu.Unlock()
 		return err
 	}
-	pm.pageTable(c)
-	p := c.pages.slot[i]
+	t := pm.table(l, k)
+	p := t.slot[i]
 	// [lo, lo+size) is the window the page must hold after this write.
 	lo, size := 0, PageSize4K
 	switch {
@@ -838,14 +799,14 @@ func (pm *PhysMem) Write(m MFN, off int, data []byte) error {
 	switch {
 	case p == nil:
 		p = &page{buf: make([]byte, size), lo: uint16(lo), refs: 1}
-		c.pages.slot[i] = p
-		c.data++
+		t.slot[i] = p
+		t.n++
 	case p.refs > 1:
 		// Copy-on-write unshare: other frames keep the shared original.
 		p.refs--
 		np := &page{buf: make([]byte, size), lo: uint16(lo), refs: 1}
 		copy(np.buf[int(p.lo)-lo:], p.buf)
-		c.pages.slot[i] = np
+		t.slot[i] = np
 		p = np
 	default:
 		if p.interned {
@@ -865,21 +826,25 @@ func (pm *PhysMem) Write(m MFN, off int, data []byte) error {
 	if dedup {
 		h := pageSum(p)
 		pm.mu.Lock()
-		pm.internPage(c, i, p, h)
+		pm.internPage(l.pages[k], i, p, h)
 		pm.mu.Unlock()
 	}
 	return nil
 }
 
-// pageTable gives chunk c a page table, off the spare list, if it has
-// none. pm.mu held.
-func (pm *PhysMem) pageTable(c *chunk) {
-	if c.pages == nil {
-		if c.pages = pm.sparePages; c.pages == nil {
-			c.pages = new(pageTable)
+// table returns chunk k of leaf l's page table, giving the chunk one off
+// the spare list if it has none. pm.mu held.
+func (pm *PhysMem) table(l *leaf, k int) *pageTable {
+	t := l.pages[k]
+	if t == nil {
+		if t = pm.sparePages; t == nil {
+			t = new(pageTable)
 		}
-		pm.sparePages = c.pages.next
+		pm.sparePages, t.next = t.next, nil
+		l.pages[k] = t
+		l.written[k/64] |= 1 << (k % 64)
 	}
+	return t
 }
 
 // FillRanges lays an n-byte image into the frames of rs in order, a page
@@ -908,12 +873,12 @@ func (pm *PhysMem) FillRanges(rs []FrameRange, n int, fill func([]byte)) error {
 			for i := pt.lo; i < pt.hi && off < n; i++ {
 				end := min(off+PageSize4K, n)
 				p := &page{buf: img[off:end:end], refs: 1}
-				pm.releaseDataAt(pt.c, i) // a frame rs names twice takes its last page
-				pm.pageTable(pt.c)
-				pt.c.pages.slot[i] = p
-				pt.c.data++
+				pm.releaseDataAt(pt.l, pt.k, i) // a frame rs names twice takes its last page
+				t := pm.table(pt.l, pt.k)
+				t.slot[i] = p
+				t.n++
 				if pm.dedup {
-					pm.internPage(pt.c, i, p, pageSum(p))
+					pm.internPage(t, i, p, pageSum(p))
 				}
 				off = end
 			}
@@ -929,8 +894,8 @@ func (pm *PhysMem) unwritten(rs []FrameRange, op string) error {
 	written := false
 	for _, r := range rs {
 		err := pm.eachAllocated(r.Start, r.Count, op, func(pt part) {
-			for i := pt.lo; pt.c.data > 0 && i < pt.hi; i++ {
-				written = written || pt.c.pages.slot[i] != nil
+			for i, t := pt.lo, pt.table(); t != nil && i < pt.hi; i++ {
+				written = written || t.slot[i] != nil
 			}
 		})
 		if err != nil {
@@ -960,7 +925,7 @@ func (pm *PhysMem) ReadRanges(rs []FrameRange, buf []byte) ([]byte, error) {
 	for _, r := range rs {
 		err := pm.eachAllocated(r.Start, r.Count, "read from", func(pt part) {
 			for i := pt.lo; i < pt.hi; i, dst = i+1, dst[PageSize4K:] {
-				if p := pt.c.page(i); p == nil {
+				if p := pt.table().page(i); p == nil {
 					clear(dst[:PageSize4K])
 				} else {
 					clear(dst[:p.lo])
@@ -996,7 +961,7 @@ func (pm *PhysMem) SharePages(rs []FrameRange) (Pages, error) {
 	for _, r := range rs {
 		err := pm.eachAllocated(r.Start, r.Count, "share", func(p part) {
 			for i := p.lo; i < p.hi; i++ {
-				out.slots = append(out.slots, p.c.page(i))
+				out.slots = append(out.slots, p.table().page(i))
 			}
 		})
 		if err != nil {
@@ -1031,11 +996,11 @@ func (pm *PhysMem) InstallPages(rs []FrameRange, p Pages) error {
 		_ = pm.eachAllocated(r.Start, r.Count, "install into", func(pt part) {
 			for i := pt.lo; i < pt.hi; i, k = i+1, k+1 {
 				// A frame rs names twice takes its last page, as a write would.
-				pm.releaseDataAt(pt.c, i)
+				pm.releaseDataAt(pt.l, pt.k, i)
 				if pg := p.slots[k]; pg != nil {
-					pm.pageTable(pt.c)
-					pt.c.pages.slot[i] = pg
-					pt.c.data++
+					t := pm.table(pt.l, pt.k)
+					t.slot[i] = pg
+					t.n++
 					pg.refs++
 				}
 			}
@@ -1057,7 +1022,7 @@ func (pm *PhysMem) Holds(rs []FrameRange, p Pages) bool {
 	for _, r := range rs {
 		err := pm.eachAllocated(r.Start, r.Count, "hold", func(pt part) {
 			for i := pt.lo; held && i < pt.hi; i, k = i+1, k+1 {
-				held = pt.c.page(i) == p.slots[k]
+				held = pt.table().page(i) == p.slots[k]
 			}
 		})
 		if err != nil || !held {
@@ -1084,18 +1049,18 @@ func (p *Pages) Release() {
 	p.pm, p.slots = nil, nil
 }
 
-// internPage registers the freshly-written page p of chunk c's frame i
-// under its content hash h — which is also its checksum, cached from here
-// on — or, when a byte-identical page is registered, shares that one
+// internPage registers the freshly-written page p of frame i of page table
+// t under its content hash h — which is also its checksum, cached from
+// here on — or, when a byte-identical page is registered, shares that one
 // instead. pm.mu held.
-func (pm *PhysMem) internPage(c *chunk, i uint64, p *page, h uint64) {
+func (pm *PhysMem) internPage(t *pageTable, i uint64, p *page, h uint64) {
 	if pm.intern == nil {
 		pm.intern = make(map[uint64][]*page)
 	}
 	for _, q := range pm.intern[h] {
 		if q != p && samePage(q, p) {
 			q.refs++
-			c.pages.slot[i] = q
+			t.slot[i] = q
 			pm.dedupHits++
 			return
 		}
@@ -1148,12 +1113,12 @@ func (pm *PhysMem) ReadInto(m MFN, off int, dst []byte) error {
 		return fmt.Errorf("hw: read [%d, %d) outside frame", off, off+len(dst))
 	}
 	pm.mu.Lock()
-	c, i, err := pm.slot(m, "read from")
+	l, k, i, err := pm.slot(m, "read from")
 	if err != nil {
 		pm.mu.Unlock()
 		return err
 	}
-	p := c.page(i)
+	p := l.pages[k].page(i)
 	pm.mu.Unlock()
 	clear(dst)
 	if p == nil {
@@ -1170,12 +1135,12 @@ func (pm *PhysMem) ReadInto(m MFN, off int, dst []byte) error {
 // write, so repeated full-memory sweeps only pay for dirty frames.
 func (pm *PhysMem) Checksum(m MFN) (uint64, error) {
 	pm.mu.Lock()
-	c, i, err := pm.slot(m, "checksum of")
+	l, k, i, err := pm.slot(m, "checksum of")
 	if err != nil {
 		pm.mu.Unlock()
 		return 0, err
 	}
-	p := c.page(i)
+	p := l.pages[k].page(i)
 	if p == nil || p.summed {
 		sum := zeroPageSum
 		if p != nil {
@@ -1200,22 +1165,20 @@ var (
 )
 
 // eachAllocated calls fn for every chunk part of [start, start+count),
-// in order, after checking that the part's frames are all allocated; the
-// first that is not fails the walk with an access error naming op.
-// pm.mu held.
+// in order, once it has checked, run by run, that every frame of the
+// range is allocated: the first that is not fails the walk with an access
+// error naming op, before fn is called. pm.mu held.
 func (pm *PhysMem) eachAllocated(start MFN, count uint64, op string, fn func(part)) error {
-	end := uint64(start) + count
-	limit := min(end, pm.totalFrames)
-	for f := uint64(start); f < limit; {
-		p := pm.partAt(f, limit)
-		if m, found := p.find(true); found {
-			return &accessError{op, m}
-		}
-		fn(p)
-		f = uint64(p.base) + p.hi
+	if m, ok := pm.untilFree(start, count, nil); !ok {
+		return &accessError{op, m}
 	}
-	if end > pm.totalFrames {
-		return &accessError{op, MFN(max(uint64(start), pm.totalFrames))}
+	end := uint64(start) + count
+	for f := uint64(start); f < end; {
+		ci := chunkOf(MFN(f))
+		base := uint64(ci) * chunkFrames
+		p := part{pm.dir[ci/leafChunks], ci % leafChunks, MFN(base), f - base, min(chunkFrames, end-base)}
+		fn(p)
+		f = base + p.hi
 	}
 	return nil
 }
@@ -1236,9 +1199,13 @@ func (pm *PhysMem) ForEachTouched(start MFN, count uint64, fn func(m MFN, off in
 	var hits []touched
 	pm.mu.Lock()
 	err := pm.eachAllocated(start, count, "read from", func(p part) {
-		hits = slices.Grow(hits, int(min(uint64(p.c.data), p.hi-p.lo)))
-		for i := p.lo; p.c.data > 0 && i < p.hi; i++ {
-			if pg := p.c.pages.slot[i]; pg != nil {
+		t := p.table()
+		if t == nil {
+			return
+		}
+		hits = slices.Grow(hits, int(min(uint64(t.n), p.hi-p.lo)))
+		for i := p.lo; i < p.hi; i++ {
+			if pg := t.slot[i]; pg != nil {
 				hits = append(hits, touched{p.base + MFN(i), pg})
 			}
 		}
@@ -1288,12 +1255,13 @@ func (pm *PhysMem) ChecksumRange(start MFN, count uint64, gfn GFN) (uint64, erro
 	pm.mu.Lock()
 	err := pm.eachAllocated(start, count, "checksum of", func(p part) {
 		g := uint64(gfn) + uint64(p.base) + p.lo - uint64(start)
-		if p.c.data == 0 {
+		t := p.table()
+		if t == nil {
 			total += zeroPageSum * checksumKeys(g, p.hi-p.lo)
 			return
 		}
 		for i := p.lo; i < p.hi; i, g = i+1, g+1 {
-			switch pg := p.c.pages.slot[i]; {
+			switch pg := t.slot[i]; {
 			case pg == nil:
 				total += zeroPageSum * checksumKey(g)
 			case pg.summed:
@@ -1325,61 +1293,69 @@ func (pm *PhysMem) ChecksumRange(start MFN, count uint64, gfn GFN) (uint64, erro
 // WipeRanges zeroes and frees every allocated frame outside the keep set
 // (sorted, disjoint runs) and returns the number of frames wiped. This is
 // the destructive half of the kexec micro-reboot: only explicitly
-// preserved memory survives. It visits occupied chunks only: those wholly
-// outside the keep set are wiped at summary granularity, and chunks a keep
-// run covers whole are stepped over in one move, so a micro-reboot costs
-// O(occupied chunks not kept + keep runs), not O(frames) or O(machine).
+// preserved memory survives. In each built leaf it finds the runs in the
+// gaps between keep runs, frees their frames there and drops the contents
+// of the written chunks they cover; runs a keep run covers are not
+// visited, only moved down over what was freed before them. A
+// micro-reboot costs O(gaps·log runs + runs wiped + written chunks
+// wiped), not O(frames) or O(machine).
 func (pm *PhysMem) WipeRanges(keep []FrameRange) int {
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	wiped := 0
-	ki := 0
-	for ci := pm.nextOccupied(0); ci >= 0; ci = pm.nextOccupied(ci + 1) {
-		c := pm.chunk(ci)
-		base, size := pm.chunkSpan(ci)
-		end := uint64(base) + size
-		for ki < len(keep) && keep[ki].End() <= base {
-			ki++
-		}
-		if ki >= len(keep) || uint64(keep[ki].Start) >= end {
-			// No keep range touches this chunk.
-			wiped += pm.wipeChunk(ci, size)
+	before := pm.work.Wiped
+	for li, l := range pm.dir {
+		if l == nil {
 			continue
 		}
-		// Fully covered by keep ranges? Walk the ranges across the chunk.
-		covered := true
-		pos := uint64(base)
-		for j := ki; pos < end; j++ {
-			if j >= len(keep) || uint64(keep[j].Start) > pos {
-				covered = false
-				break
+		base := uint64(li) * leafFrames
+		_, _, limit := leafSpan(base, pm.totalFrames)
+		// The runs are compacted in place: rs[:w] are final, rs[r:] not yet
+		// visited, and w <= r.
+		rs, w, r := l.runs, 0, 0
+		for pos := uint32(0); pos < limit && r < len(rs); {
+			for len(keep) > 0 && uint64(keep[0].End()) <= base+uint64(pos) {
+				keep = keep[1:]
 			}
-			pos = uint64(keep[j].End())
-		}
-		if covered {
-			// The last run covers every chunk up to the one holding pos.
-			ci = max(ci, chunkOf(MFN(pos))-1)
-			continue
-		}
-		// Partial overlap: per-frame, with a chunk-local range index.
-		if c.tags == nil {
-			pm.explode(c, size)
-		}
-		j := ki
-		for i := uint64(0); i < size; i++ {
-			m := base + MFN(i)
-			for j < len(keep) && m >= keep[j].End() {
-				j++
+			end := limit
+			if len(keep) > 0 && uint64(keep[0].Start) < base+uint64(limit) {
+				if ks := uint32(max(uint64(keep[0].Start), base) - base); ks > pos {
+					end = ks
+				} else {
+					pos = uint32(min(uint64(keep[0].End())-base, uint64(limit)))
+					continue
+				}
 			}
-			if (j < len(keep) && m >= keep[j].Start) || c.tags.owner[i] == OwnerFree {
-				continue
+			// The gap [pos, end): runs before it are kept whole.
+			i := r + search(rs[r:], pos)
+			w += copy(rs[w:], rs[r:i])
+			pm.work.Runs++
+			for r = i; r < len(rs) && rs[r].start < end; r++ {
+				x := rs[r]
+				lo, hi := max(x.start, pos), min(x.end(), end)
+				pm.byOwner[x.owner] -= uint64(hi - lo)
+				pm.allocated -= uint64(hi - lo)
+				pm.work.Wiped += uint64(hi - lo)
+				pm.work.Runs++
+				pm.dropPages(l, lo, hi)
+				if x.start < lo { // kept: the run's part before the gap
+					if w == r {
+						rs = slices.Insert(rs, r, run{})
+						r++
+					}
+					rs[w] = run{x.start, lo - x.start, x.vm, x.owner}
+					w++
+				}
+				if x.end() > hi { // the run's part past the gap, for the next gap
+					rs[r] = run{hi, x.end() - hi, x.vm, x.owner}
+					break
+				}
 			}
-			pm.freeFrame(c, i)
-			wiped++
+			pos = end
 		}
-		pm.collapseIfFree(ci)
+		l.runs = rs[:w+copy(rs[w:], rs[r:])]
+		pm.releaseIfDrained(li)
 	}
-	return wiped
+	return int(pm.work.Wiped - before)
 }
 
 // FrameRange is a contiguous run of machine frames.
