@@ -155,7 +155,7 @@ func TestFacadeAllocBudgets(t *testing.T) {
 		budget float64
 		run    func() error
 	}{
-		{"InPlaceTP", 188, func() error {
+		{"InPlaceTP", 187, func() error {
 			host := newHost(hypertp.NewSimulation(), hypertp.KindXen)
 			if _, err := host.CreateVM(cfg); err != nil {
 				return err
@@ -163,7 +163,7 @@ func TestFacadeAllocBudgets(t *testing.T) {
 			_, err := host.TransplantWith(hypertp.KindKVM, hypertp.Default())
 			return err
 		}},
-		{"MigrationTP", 111, func() error {
+		{"MigrationTP", 110, func() error {
 			sim := hypertp.NewSimulation()
 			src, dst := newHost(sim, hypertp.KindXen), newHost(sim, hypertp.KindKVM)
 			vm, err := src.CreateVM(cfg)
@@ -173,7 +173,7 @@ func TestFacadeAllocBudgets(t *testing.T) {
 			_, err = src.MigrateVM(vm, sim.NewLink("pair", hypertp.Gbps(1), 100*time.Microsecond), dst)
 			return err
 		}},
-		{"VENOMEscape", 711, func() error {
+		{"VENOMEscape", 445, func() error {
 			host := newHost(hypertp.NewSimulation(), hypertp.KindXen)
 			vm, err := host.CreateVM(cfg)
 			if err != nil {

@@ -31,20 +31,20 @@ func TestEngineAllocBudgets(t *testing.T) {
 		budget float64
 		run    func() error
 	}{
-		{"InPlace", 153, func() error {
+		{"InPlace", 152, func() error {
 			b := newBench(t, hw.M1())
 			src := b.bootWithVMs(t, hv.KindXen, 1, 1, 1)
 			_, _, err := b.engine.InPlace(src, hv.KindKVM, DefaultOptions())
 			return err
 		}},
-		{"Emergency", 1723, func() error {
+		{"Emergency", 915, func() error {
 			b := newBench(t, hw.M1())
 			src := bootSmallVMs(t, b, hv.KindXen, 4)
 			crashHost(t, src, "budget")
 			_, _, err := b.engine.Emergency(src, hv.KindKVM, DefaultOptions())
 			return err
 		}},
-		{"MigrationTP", 565, func() error {
+		{"MigrationTP", 363, func() error {
 			b := newBench(t, hw.M1())
 			src := bootSmallVMs(t, b, hv.KindXen, 1)
 			dst, err := NewEngine(b.clock, hw.NewMachine(b.clock, hw.M1())).BootHypervisor(hv.KindKVM)

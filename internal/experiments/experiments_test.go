@@ -384,12 +384,12 @@ func TestSectionAllocBudgets(t *testing.T) {
 	}{
 		{"Table1", 3095, func() error { Table1(); Section22Windows(); return nil }},
 		{"Table2", 13, func() error { Table2(); return nil }},
-		{"Figure6", 342, func() error { _, _, err := Figure6(); return err }},
-		{"Table4", 230, func() error { _, _, err := Table4(); return err }},
-		{"Figure11", 479, func() error { _, _, err := Figure11(); return err }},
-		{"Figure12", 479, func() error { _, _, err := Figure12(); return err }},
-		{"Table5", 527, func() error { _, _, _, err := Table5(); return err }},
-		{"Table6", 232, func() error { _, _, err := Table6(); return err }},
+		{"Figure6", 340, func() error { _, _, err := Figure6(); return err }},
+		{"Table4", 228, func() error { _, _, err := Table4(); return err }},
+		{"Figure11", 478, func() error { _, _, err := Figure11(); return err }},
+		{"Figure12", 478, func() error { _, _, err := Figure12(); return err }},
+		{"Table5", 526, func() error { _, _, _, err := Table5(); return err }},
+		{"Table6", 231, func() error { _, _, err := Table6(); return err }},
 		{"Figure14", 923, func() error { _, _, err := Figure14(); return err }},
 	} {
 		var err error
@@ -408,7 +408,7 @@ func TestObservabilityTaxAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
-	const budget = 53 // over 153 untraced
+	const budget = 53 // over 152 untraced
 	par.SetWorkers(1)
 	defer par.SetWorkers(0)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))

@@ -13,6 +13,7 @@ package guest
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"hypertp/internal/hw"
 )
@@ -22,8 +23,9 @@ import (
 type Memory interface {
 	// WritePage stores data at byte offset off of guest frame gfn.
 	WritePage(gfn hw.GFN, off int, data []byte) error
-	// ReadPage loads n bytes from byte offset off of guest frame gfn.
-	ReadPage(gfn hw.GFN, off, n int) ([]byte, error)
+	// ReadPage loads len(dst) bytes from byte offset off of guest frame
+	// gfn into dst.
+	ReadPage(gfn hw.GFN, off int, dst []byte) error
 	// NumPages returns the guest's page count.
 	NumPages() uint64
 }
@@ -103,12 +105,117 @@ type Guest struct {
 	Name    string
 	mem     Memory
 	drivers []*Driver
-	// writes tracks everything the guest has written, per page, so
-	// integrity can be verified byte-for-byte after any transplant. Only
-	// bookkeeping — the actual bytes live in simulated physical memory.
+	// The log of everything the guest has written, so integrity can be
+	// verified byte for byte after any transplant. Only bookkeeping — the
+	// actual bytes live in simulated physical memory. spans holds the
+	// pages whose only content is a working-set record, writes every page
+	// written by Write (nil until the first), the record it held before
+	// included: the two never share a page.
+	spans   []span
 	writes  map[hw.GFN]*pageWrites
-	written int // distinct bytes recorded in writes
+	written int // distinct bytes the log holds
 	seq     uint64
+}
+
+// span is a run of pages [lo, hi), each holding the working-set record
+// seeded by c (see recordBytes).
+type span struct {
+	lo, hi hw.GFN
+	c      uint64
+}
+
+// recordLen is the size of the record WriteWorkingSet writes per page.
+const recordLen = 64
+
+// recordOff is the offset of page gfn's working-set record.
+func recordOff(gfn hw.GFN) int { return int(uint64(gfn) % (hw.PageSize4K - recordLen)) }
+
+// recordBytes lays out the working-set record of page gfn under seed c.
+func recordBytes(rec *[recordLen]byte, gfn hw.GFN, c uint64) {
+	fill(rec[:], uint64(gfn)*2654435761+uint64(gfn)+c)
+}
+
+// findSpan returns the index of the first span ending after page gfn.
+func (g *Guest) findSpan(gfn hw.GFN) int {
+	return sort.Search(len(g.spans), func(i int) bool { return g.spans[i].hi > gfn })
+}
+
+// logSpan logs that pages [lo, hi) hold their working-set records under
+// seed c: a page that writes holds takes its record there, the others go
+// in as spans that cut the older ones they overlap.
+func (g *Guest) logSpan(lo, hi hw.GFN, c uint64) {
+	var rec [recordLen]byte
+	for gfn := lo; len(g.writes) > 0 && gfn < hi; gfn++ {
+		if g.writes[gfn] != nil {
+			recordBytes(&rec, gfn, c)
+			g.record(gfn, recordOff(gfn), rec[:])
+			g.cutIn(lo, gfn, c)
+			lo = gfn + 1
+		}
+	}
+	g.cutIn(lo, hi, c)
+}
+
+// cut takes pages [lo, hi) out of the spans, cutting those it overlaps
+// to its edges, and returns the index [lo, hi) now sorts at and how many
+// pages it took.
+func (g *Guest) cut(lo, hi hw.GFN) (at, pages int) {
+	ss := g.spans
+	i := g.findSpan(lo)
+	j := i
+	for ; j < len(ss) && ss[j].lo < hi; j++ {
+		pages += int(min(ss[j].hi, hi) - max(ss[j].lo, lo))
+	}
+	var buf [2]span
+	edges := buf[:0]
+	if i < j && ss[i].lo < lo {
+		edges = append(edges, span{ss[i].lo, lo, ss[i].c})
+	}
+	if i < j && ss[j-1].hi > hi {
+		edges = append(edges, span{hi, ss[j-1].hi, ss[j-1].c})
+	}
+	g.spans = slices.Replace(ss, i, j, edges...)
+	if len(edges) > 0 && edges[0].lo < lo {
+		i++
+	}
+	return i, pages
+}
+
+// cutIn puts pages [lo, hi) in as a span of seed c, cutting the spans it
+// overlaps and merging it with those it touches under c.
+func (g *Guest) cutIn(lo, hi hw.GFN, c uint64) {
+	if lo >= hi {
+		return
+	}
+	i, pages := g.cut(lo, hi)
+	g.written += recordLen * (int(hi-lo) - pages)
+	ss := g.spans
+	switch left, right := i > 0 && ss[i-1].hi == lo && ss[i-1].c == c, i < len(ss) && ss[i].lo == hi && ss[i].c == c; {
+	case left && right:
+		ss[i-1].hi = ss[i].hi
+		g.spans = slices.Delete(ss, i, i+1)
+	case left:
+		ss[i-1].hi = hi
+	case right:
+		ss[i].lo = lo
+	default:
+		g.spans = slices.Insert(ss, i, span{lo, hi, c})
+	}
+}
+
+// materialise moves page gfn's working-set record, if a span holds it,
+// into writes, punching the page out of the span.
+func (g *Guest) materialise(gfn hw.GFN) {
+	i := g.findSpan(gfn)
+	if i == len(g.spans) || g.spans[i].lo > gfn {
+		return
+	}
+	c := g.spans[i].c
+	g.cut(gfn, gfn+1)
+	g.written -= recordLen
+	var rec [recordLen]byte
+	recordBytes(&rec, gfn, c)
+	g.record(gfn, recordOff(gfn), rec[:])
 }
 
 // pageWrites is what the guest expects one page to hold: data are the
@@ -122,8 +229,8 @@ type pageWrites struct {
 
 // record notes that the guest wrote data at offset off of page gfn.
 func (g *Guest) record(gfn hw.GFN, off int, data []byte) {
-	if len(data) == 0 {
-		return
+	if g.writes == nil {
+		g.writes = make(map[hw.GFN]*pageWrites)
 	}
 	w := g.writes[gfn]
 	if w == nil {
@@ -148,12 +255,7 @@ func (g *Guest) record(gfn hw.GFN, off int, data []byte) {
 
 // New creates a guest bound to mem with the given device drivers.
 func New(name string, mem Memory, drivers ...*Driver) *Guest {
-	return &Guest{
-		Name:    name,
-		mem:     mem,
-		drivers: drivers,
-		writes:  make(map[hw.GFN]*pageWrites),
-	}
+	return &Guest{Name: name, mem: mem, drivers: drivers}
 }
 
 // Rebind switches the guest's memory accessor to the one provided by a new
@@ -179,62 +281,101 @@ func (g *Guest) Driver(name string) *Driver {
 // Write stores data into guest memory and records it for later
 // verification.
 func (g *Guest) Write(gfn hw.GFN, off int, data []byte) error {
-	if err := g.mem.WritePage(gfn, off, data); err != nil {
+	if err := g.mem.WritePage(gfn, off, data); err != nil || len(data) == 0 {
 		return err
 	}
+	g.materialise(gfn)
 	g.record(gfn, off, data)
 	return nil
-}
-
-// Read loads bytes from guest memory.
-func (g *Guest) Read(gfn hw.GFN, off, n int) ([]byte, error) {
-	return g.mem.ReadPage(gfn, off, n)
 }
 
 // WriteWorkingSet writes a deterministic pattern across npages pages
 // starting at startGFN (one 64-byte record per page), simulating an
 // application's resident data. Each page's record depends only on its
-// index and the sequence range reserved up front.
+// index and the sequence range reserved up front, so the log keeps the
+// pages written as one span, not a record each.
 func (g *Guest) WriteWorkingSet(startGFN hw.GFN, npages int) error {
-	for i := 0; i < npages; i++ {
-		if uint64(startGFN)+uint64(i) >= g.mem.NumPages() {
-			return fmt.Errorf("guest %s: working set page %d beyond memory", g.Name, startGFN+hw.GFN(i))
-		}
+	if n := g.mem.NumPages(); npages > 0 && (uint64(startGFN) >= n || uint64(npages) > n-uint64(startGFN)) {
+		return fmt.Errorf("guest %s: working set page %d beyond memory", g.Name, max(uint64(startGFN), n))
 	}
 	base := g.seq
 	g.seq += uint64(npages)
-	var rec [64]byte
+	if npages <= 0 {
+		return nil
+	}
+	// Page startGFN+i is seeded by base+i+1: c absorbs the i.
+	c := base + 1 - uint64(startGFN)
+	var rec [recordLen]byte
 	for i := 0; i < npages; i++ {
 		gfn := startGFN + hw.GFN(i)
-		fill(rec[:], uint64(gfn)*2654435761+base+uint64(i)+1)
-		if err := g.Write(gfn, int(uint64(gfn)%(hw.PageSize4K-64)), rec[:]); err != nil {
+		recordBytes(&rec, gfn, c)
+		if err := g.mem.WritePage(gfn, recordOff(gfn), rec[:]); err != nil {
+			g.logSpan(startGFN, gfn, c)
 			return err
 		}
 	}
+	g.logSpan(startGFN, startGFN+hw.GFN(npages), c)
 	return nil
 }
 
 // Verify re-reads every byte the guest ever wrote and reports the
 // mismatch at the lowest (gfn, off). A nil return is the Guest State
 // preservation property. Each written page is read once, over the hull of
-// its recorded bytes.
+// its recorded bytes, into one buffer.
 func (g *Guest) Verify() error {
 	gfns := make([]hw.GFN, 0, len(g.writes))
-	for gfn := range g.writes {
+	size := recordLen
+	for gfn, w := range g.writes {
 		gfns = append(gfns, gfn)
+		size = max(size, len(w.data))
 	}
 	slices.Sort(gfns)
-	for _, gfn := range gfns {
-		w := g.writes[gfn]
-		got, err := g.mem.ReadPage(gfn, w.off, len(w.data))
-		if err != nil {
-			return fmt.Errorf("guest %s: verify gfn %d off %d: %w", g.Name, gfn, w.off, err)
-		}
-		for i, want := range w.data {
-			if w.written[i] && got[i] != want {
-				return fmt.Errorf("guest %s: corrupt byte at gfn %d off %d: got %#x want %#x",
-					g.Name, gfn, w.off+i, got[i], want)
+	buf := make([]byte, size)
+	var want [recordLen]byte
+	k := 0
+	for _, s := range g.spans {
+		for ; k < len(gfns) && gfns[k] < s.lo; k++ {
+			if err := g.verifyWrites(gfns[k], buf); err != nil {
+				return err
 			}
+		}
+		got := buf[:recordLen]
+		for gfn := s.lo; gfn < s.hi; gfn++ {
+			off := recordOff(gfn)
+			if err := g.mem.ReadPage(gfn, off, got); err != nil {
+				return fmt.Errorf("guest %s: verify gfn %d off %d: %w", g.Name, gfn, off, err)
+			}
+			recordBytes(&want, gfn, s.c)
+			if string(got) != string(want[:]) {
+				i := 0
+				for got[i] == want[i] {
+					i++
+				}
+				return fmt.Errorf("guest %s: corrupt byte at gfn %d off %d: got %#x want %#x",
+					g.Name, gfn, off+i, got[i], want[i])
+			}
+		}
+	}
+	for ; k < len(gfns); k++ {
+		if err := g.verifyWrites(gfns[k], buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// verifyWrites checks the bytes Write logged on page gfn, reading them
+// into buf.
+func (g *Guest) verifyWrites(gfn hw.GFN, buf []byte) error {
+	w := g.writes[gfn]
+	got := buf[:len(w.data)]
+	if err := g.mem.ReadPage(gfn, w.off, got); err != nil {
+		return fmt.Errorf("guest %s: verify gfn %d off %d: %w", g.Name, gfn, w.off, err)
+	}
+	for i, want := range w.data {
+		if w.written[i] && got[i] != want {
+			return fmt.Errorf("guest %s: corrupt byte at gfn %d off %d: got %#x want %#x",
+				g.Name, gfn, w.off+i, got[i], want)
 		}
 	}
 	return nil

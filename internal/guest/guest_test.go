@@ -1,6 +1,7 @@
 package guest
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -10,12 +11,14 @@ import (
 )
 
 // fakeMem is a simple in-process Memory for unit-testing the guest in
-// isolation from any hypervisor. The guest writes and verifies pages from
-// the par pool, so the page map is guarded.
+// isolation from any hypervisor. The page map is guarded, as a
+// hypervisor's memory is. A page in bad fails every access, as an
+// unmapped one does.
 type fakeMem struct {
 	mu    sync.Mutex
 	pages map[hw.GFN][]byte
 	n     uint64
+	bad   map[hw.GFN]bool
 }
 
 func newFakeMem(pages uint64) *fakeMem {
@@ -25,6 +28,9 @@ func newFakeMem(pages uint64) *fakeMem {
 func (f *fakeMem) WritePage(gfn hw.GFN, off int, data []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if f.bad[gfn] {
+		return fmt.Errorf("fake: gfn %d unmapped", gfn)
+	}
 	p, ok := f.pages[gfn]
 	if !ok {
 		p = make([]byte, hw.PageSize4K)
@@ -34,14 +40,17 @@ func (f *fakeMem) WritePage(gfn hw.GFN, off int, data []byte) error {
 	return nil
 }
 
-func (f *fakeMem) ReadPage(gfn hw.GFN, off, n int) ([]byte, error) {
-	out := make([]byte, n)
+func (f *fakeMem) ReadPage(gfn hw.GFN, off int, dst []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if p, ok := f.pages[gfn]; ok {
-		copy(out, p[off:off+n])
+	if f.bad[gfn] {
+		return fmt.Errorf("fake: gfn %d unmapped", gfn)
 	}
-	return out, nil
+	clear(dst)
+	if p, ok := f.pages[gfn]; ok {
+		copy(dst, p[off:])
+	}
+	return nil
 }
 
 func (f *fakeMem) NumPages() uint64 { return f.n }
@@ -55,8 +64,8 @@ func TestWriteReadVerify(t *testing.T) {
 	if err := g.Write(5, 100, []byte("payload")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.Read(5, 100, 7)
-	if err != nil || string(got) != "payload" {
+	got := make([]byte, 7)
+	if err := g.Memory().ReadPage(5, 100, got); err != nil || string(got) != "payload" {
 		t.Fatalf("read %q, %v", got, err)
 	}
 	if err := g.Verify(); err != nil {

@@ -51,17 +51,17 @@ func NewAddressSpace(mem *hw.PhysMem, m uisr.MemMap) (*AddressSpace, error) {
 func AllocAddressSpace(mem *hw.PhysMem, vm int, memBytes uint64, huge bool) (*AddressSpace, error) {
 	var m uisr.MemMap
 	if huge {
-		// Checked against the machine before it sizes the extent list.
-		if want, free := memBytes/hw.PageSize4K, mem.FreeFrames(); want > free {
-			return nil, fmt.Errorf("hv: guest alloc: out of memory: want %d frames, %d free", want, free)
+		var buf [64]hw.FrameRange
+		runs, err := mem.AllocHuge(int(memBytes/hw.PageSize2M), hw.OwnerGuest, vm, buf[:0])
+		if err != nil {
+			return nil, fmt.Errorf("hv: guest alloc: %w", err)
 		}
-		extents := make([]uisr.PageExtent, memBytes/hw.PageSize2M)
-		for i := range extents {
-			base, err := mem.Alloc2M(hw.OwnerGuest, vm)
-			if err != nil {
-				return nil, fmt.Errorf("hv: guest alloc: %w", err)
+		extents := make([]uisr.PageExtent, 0, memBytes/hw.PageSize2M)
+		for _, r := range runs {
+			for base := r.Start; base < r.End(); base += hw.FramesPer2M {
+				gfn := uint64(len(extents)) * hw.FramesPer2M
+				extents = append(extents, uisr.PageExtent{GFN: gfn, MFN: uint64(base), Order: 9})
 			}
-			extents[i] = uisr.PageExtent{GFN: uint64(i) * hw.FramesPer2M, MFN: uint64(base), Order: 9}
 		}
 		m = uisr.NewMemMap(extents)
 	} else {
@@ -129,13 +129,12 @@ func (as *AddressSpace) WritePage(gfn hw.GFN, off int, data []byte) error {
 }
 
 // ReadPage implements guest.Memory.
-func (as *AddressSpace) ReadPage(gfn hw.GFN, off, n int) ([]byte, error) {
+func (as *AddressSpace) ReadPage(gfn hw.GFN, off int, dst []byte) error {
 	mfn, err := as.Translate(gfn)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]byte, n)
-	return out, as.mem.ReadInto(mfn, off, out)
+	return as.mem.ReadInto(mfn, off, dst)
 }
 
 // EnableDirtyLog starts dirty-page tracking (all pages considered clean).

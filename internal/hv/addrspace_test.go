@@ -97,6 +97,39 @@ func TestAllocAddressSpaceHuge(t *testing.T) {
 	}
 }
 
+// TestAllocAddressSpaceHugeFailsWhole: a huge-page guest the machine's
+// free frames could hold but its whole free chunks cannot is refused
+// without taking any chunk, so no frame is left tagged for a VM that
+// never exists.
+func TestAllocAddressSpaceHugeFailsWhole(t *testing.T) {
+	mem := hw.NewPhysMem(16 << 20)
+	for c := hw.MFN(0); c < 4; c++ {
+		if err := mem.ClaimRange(c*hw.FramesPer2M+5, 1, hw.OwnerHV, -1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	free := mem.FreeFrames()
+	if _, err := AllocAddressSpace(mem, 1, 12<<20, true); err == nil || !strings.Contains(err.Error(), "no aligned 2M run") {
+		t.Fatalf("AllocAddressSpace = %v, want a fragmentation error", err)
+	}
+	if got := mem.FreeFrames(); got != free {
+		t.Fatalf("FreeFrames %d after the failed allocation, %d before", got, free)
+	}
+	if vs := mem.AuditOwners(nil); vs != nil {
+		t.Fatalf("audit after the failed allocation: %v", vs)
+	}
+	// The four whole chunks left make an 8 MiB guest, in chunk order.
+	as, err := AllocAddressSpace(mem, 1, 8<<20, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range as.Extents().Extents() {
+		if want := uint64(4+i) * hw.FramesPer2M; e.GFN != uint64(i)*hw.FramesPer2M || e.MFN != want || e.Order != 9 {
+			t.Fatalf("extent %d = %+v, want gfn %d mfn %d order 9", i, e, uint64(i)*hw.FramesPer2M, want)
+		}
+	}
+}
+
 func TestTranslateUnmapped(t *testing.T) {
 	mem := newMem()
 	as, _ := AllocAddressSpace(mem, 1, 16*hw.PageSize4K, false)
@@ -164,8 +197,8 @@ func TestReadWriteThroughSpace(t *testing.T) {
 	if err := as.WritePage(700, 8, []byte("deadbeef")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := as.ReadPage(700, 8, 8)
-	if err != nil || string(got) != "deadbeef" {
+	got := make([]byte, 8)
+	if err := as.ReadPage(700, 8, got); err != nil || string(got) != "deadbeef" {
 		t.Fatalf("read %q, %v", got, err)
 	}
 }
@@ -429,9 +462,9 @@ func TestContentSweepsMatchPerFrameReference(t *testing.T) {
 				t.Fatalf("copy touched %d destination pages, source has %d", got, written)
 			}
 			for g := uint64(0); g < tc.pages; g++ {
-				want, _ := a.ReadPage(hw.GFN(g), 0, hw.PageSize4K)
-				got, err := b.ReadPage(hw.GFN(g), 0, hw.PageSize4K)
-				if err != nil || !bytes.Equal(got, want) {
+				want, got := make([]byte, hw.PageSize4K), make([]byte, hw.PageSize4K)
+				_ = a.ReadPage(hw.GFN(g), 0, want)
+				if err := b.ReadPage(hw.GFN(g), 0, got); err != nil || !bytes.Equal(got, want) {
 					t.Fatalf("gfn %d differs after copy (err %v)", g, err)
 				}
 			}

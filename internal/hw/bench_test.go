@@ -154,6 +154,37 @@ func physMemOps() []physMemOp {
 			}
 		}})
 	}
+	// A huge-page guest allocated and freed: in one AllocHuge call, which
+	// takes the lock once, and as one Alloc2M call, and lock, per 2 MiB
+	// page.
+	for _, gib := range []uint64{1, 12} {
+		pages := int(gib * GiB / PageSize2M)
+		ops = append(ops, physMemOp{fmt.Sprintf("AllocHuge/%dGiB", gib), 0, 0, func(testing.TB) func() error {
+			pm := NewPhysMem(16 * GiB)
+			buf := make([]FrameRange, 0, 64)
+			return func() error {
+				rs, err := pm.AllocHuge(pages, OwnerGuest, 1, buf[:0])
+				if err != nil {
+					return err
+				}
+				return pm.FreeRanges(rs)
+			}
+		}}, physMemOp{fmt.Sprintf("Alloc2M/%dGiB", gib), 0, 0, func(testing.TB) func() error {
+			pm := NewPhysMem(16 * GiB)
+			rs := make([]FrameRange, 0, 64)
+			return func() error {
+				rs = rs[:0]
+				for range pages {
+					base, err := pm.Alloc2M(OwnerGuest, 1)
+					if err != nil {
+						return err
+					}
+					rs = AppendRange(rs, FrameRange{Start: base, Count: FramesPer2M})
+				}
+				return pm.FreeRanges(rs)
+			}
+		}})
+	}
 	// The worst case for runs: a 4 KiB-page guest whose frames alternate
 	// with another's, as a guest allocated after a cursor wrap fills the
 	// holes freed in one — 32,768 runs in one leaf. Its retag, a wipe of a

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -324,4 +325,81 @@ func TestRunsMeetAtLeafBoundary(t *testing.T) {
 		t.Fatalf("wiped %d frames, want 150", wiped)
 	}
 	step("wipe keeping leaf 0's first run", nil, []run{at(hv, edge-100, 50)}, nil)
+}
+
+// TestAllocHugeMatchesAlloc2M: AllocHuge of n takes the frames n Alloc2M
+// calls take, in order, as coalesced runs, across leaf boundaries and the
+// cursor's wrap; a request the free chunks cannot meet takes nothing and
+// leaves the cursor where it was, though the scan crossed three leaves.
+func TestAllocHugeMatchesAlloc2M(t *testing.T) {
+	// Leaf 0 full but its last two chunks; one frame held in leaf 1's
+	// third chunk and in each chunk of leaf 2: 513 free chunks.
+	setup := func() *PhysMem {
+		pm := leafMem()
+		err := pm.ClaimRange(0, uint64(leafB-2*FramesPer2M), OwnerHV, -1)
+		held := []MFN{leafB + 2*FramesPer2M + 7}
+		for k := MFN(0); k < 4; k++ {
+			held = append(held, 2*leafB+k*FramesPer2M+9)
+		}
+		for _, m := range held {
+			if err == nil {
+				err = pm.ClaimRange(m, 1, OwnerHV, -1)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pm
+	}
+	huge, loop := setup(), setup()
+	alloc2M := func(n int) []FrameRange {
+		var rs []FrameRange
+		for range n {
+			base, err := loop.Alloc2M(OwnerGuest, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs = AppendRange(rs, FrameRange{Start: base, Count: FramesPer2M})
+		}
+		return rs
+	}
+	check := func(what string, rs []FrameRange, err error, want []FrameRange) {
+		t.Helper()
+		if err != nil || !slices.Equal(rs, want) {
+			t.Fatalf("%s = %v, %v; Alloc2M calls took %v", what, rs, err, want)
+		}
+		if huge.next != loop.next || huge.FreeFrames() != loop.FreeFrames() {
+			t.Fatalf("%s: cursor %d, %d free; Alloc2M calls leave %d, %d", what, huge.next, huge.FreeFrames(), loop.next, loop.FreeFrames())
+		}
+		for li := range huge.dir {
+			if (huge.dir[li] == nil) != (loop.dir[li] == nil) || huge.dir[li] != nil && !slices.Equal(huge.dir[li].runs, loop.dir[li].runs) {
+				t.Fatalf("%s: leaf %d differs from the Alloc2M calls'", what, li)
+			}
+		}
+		if vs := huge.AuditOwners(map[int]bool{1: true}); vs != nil {
+			t.Fatalf("audit after %s: %v", what, vs)
+		}
+	}
+	rs, err := huge.AllocHuge(5, OwnerGuest, 1, nil)
+	want := []FrameRange{{Start: leafB - 2*FramesPer2M, Count: 4 * FramesPer2M}, {Start: leafB + 3*FramesPer2M, Count: FramesPer2M}}
+	if got := alloc2M(5); !slices.Equal(got, want) {
+		t.Fatalf("Alloc2M calls took %v, want %v", got, want)
+	}
+	check("AllocHuge(5)", rs, err, want)
+
+	// 508 free chunks left and frames for 512: the scan runs out of chunks.
+	if _, err := huge.AllocHuge(509, OwnerGuest, 1, nil); err == nil || !strings.Contains(err.Error(), "fragmentation") {
+		t.Fatalf("AllocHuge(509) = %v, want a fragmentation error", err)
+	}
+	check("failed AllocHuge(509)", nil, nil, nil)
+
+	// From a cursor in leaf 1's last chunks: the scan wraps to leaf 0,
+	// full, and on to leaf 1's first free chunks.
+	huge.next, loop.next = 2*leafB-2*FramesPer2M, 2*leafB-2*FramesPer2M
+	buf := make([]FrameRange, 1, 8)
+	rs, err = huge.AllocHuge(4, OwnerGuest, 1, buf)
+	check("AllocHuge(4) after the wrap", rs, err, alloc2M(4))
+	if &rs[0] != &buf[0] {
+		t.Fatal("AllocHuge did not return its runs in buf's storage")
+	}
 }

@@ -88,6 +88,22 @@ func (r *refMem) alloc2M(owner Owner, vm int) (MFN, bool) {
 	return 0, false
 }
 
+// allocHuge is n alloc2M calls, all or nothing: on a failure the
+// reference is put back as it was.
+func (r *refMem) allocHuge(n int, owner Owner, vm int) ([]MFN, bool) {
+	owners, vms, next := slices.Clone(r.owner), slices.Clone(r.vm), r.next
+	var out []MFN
+	for range n {
+		base, ok := r.alloc2M(owner, vm)
+		if !ok {
+			r.owner, r.vm, r.next = owners, vms, next
+			return nil, false
+		}
+		out = append(out, base)
+	}
+	return out, true
+}
+
 func (r *refMem) claim(start, count int, owner Owner, vm int) bool {
 	if start+count > len(r.owner) || !r.allFree(start, count) {
 		return false
@@ -516,7 +532,8 @@ func modelRun(ops []byte, dedup bool) error {
 		count := 1 + (b*c)%(3*chunkFrames/2)
 		var desc string
 		var got, want any
-		switch ops[0] % 18 {
+		op := ops[0] % 19
+		switch op {
 		case 0:
 			rs, err := pm.AllocRanges(count, owner, vm)
 			mfns, _ := frames(rs, nil)
@@ -621,7 +638,7 @@ func modelRun(ops []byte, dedup bool) error {
 				at = rc.sites[i]
 			}
 			rs := []FrameRange{{Start: MFN(at), Count: uint64(len(rc.toks))}}
-			if ops[0]%18 == 10 {
+			if op == 10 {
 				err := pm.InstallPages(rs, rc.p)
 				desc, got, want = fmt.Sprintf("InstallPages(%v)", rs), err == nil, ref.install(at, rc)
 				break
@@ -690,7 +707,7 @@ func modelRun(ops []byte, dedup bool) error {
 			}
 			r := runs[a%len(runs)]
 			n := r[1] - r[0]
-			switch ops[0] % 18 {
+			switch op {
 			case 15:
 				lo, hi := r[0]+n/3, r[1]-n/3
 				err := pm.SetOwnerRanges([]FrameRange{{Start: MFN(lo), Count: uint64(hi - lo)}}, owner, vm)
@@ -723,6 +740,23 @@ func modelRun(ops []byte, dedup bool) error {
 				}
 				err := pm.ClaimRange(MFN(lo), uint64(hi-lo), owner, vm)
 				desc, got, want = fmt.Sprintf("ClaimRange(%d,%d)", lo, hi-lo), err == nil, ref.claim(lo, hi-lo, owner, vm)
+			}
+		case 18:
+			// Up to one page more than the machine has chunks, so some
+			// requests fail once part of them is found: those must leave
+			// the machine, its cursor included, as it was.
+			n, next := 1+b%4, pm.next
+			rs, err := pm.AllocHuge(n, owner, vm, nil)
+			var bases []MFN
+			for _, r := range rs {
+				for m := r.Start; m < r.End(); m += FramesPer2M {
+					bases = append(bases, m)
+				}
+			}
+			wantBases, ok := ref.allocHuge(n, owner, vm)
+			desc, got, want = fmt.Sprintf("AllocHuge(%d)", n), fmt.Sprint(bases, err == nil), fmt.Sprint(wantBases, ok)
+			if err != nil && pm.next != next {
+				return fmt.Errorf("step %d: failed %s moved the cursor from %d to %d", step, desc, next, pm.next)
 			}
 		}
 		if got != want {
@@ -760,7 +794,8 @@ func TestPhysMemMatchesModel(t *testing.T) {
 // physMemOpsSeeds are hand-written sequences that reach the paths random
 // bytes find slowly: whole-chunk claims, a wrap of the cursor, a wipe
 // with a partial keep, dedup sharing and unsharing, prefix-sized pages,
-// windows written at an offset, runs split and merged.
+// windows written at an offset, runs split and merged, huge pages taken
+// in one call or refused whole.
 func physMemOpsSeeds() [][]byte {
 	return [][]byte{
 		// Two huge pages, write into both, wipe keeping the first.
@@ -811,6 +846,14 @@ func physMemOpsSeeds() [][]byte {
 		// merged run, then wipe everything.
 		{2, 0, 10, 1, 2, 0, 30, 1, 17, 0, 0, 0, 15, 0, 0, 4, 16, 0, 3, 1, 17, 0, 0, 1,
 			5, 0, 25, 1, 6, 0, 0, 1},
+		// Huge pages in one call: one frame claimed in the middle chunk;
+		// three pages, which the free frames hold and the two whole chunks
+		// do not (refused after both are found, the cursor kept); a small
+		// run from the cursor the refusal must not have moved; one page,
+		// the last chunk; one more, refused with every chunk held; then,
+		// after a wipe of everything, all three chunks as one run.
+		{2, 2, 88, 0, 18, 0, 2, 1, 0, 0, 9, 7, 18, 0, 0, 1, 18, 0, 0, 2,
+			6, 0, 0, 0, 18, 0, 2, 5},
 	}
 }
 

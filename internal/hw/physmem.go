@@ -230,7 +230,7 @@ func leafSpan(f, limit uint64) (li int, lo, hi uint32) {
 }
 
 // build returns leaf li, building it off the spare list first if it is not
-// built. Only the allocators — AllocRanges, Alloc2M, ClaimRange — build:
+// built. Only the allocators — AllocRanges, AllocHuge, ClaimRange — build:
 // every other mutator acts on allocated frames, whose leaf exists. pm.mu
 // held.
 func (pm *PhysMem) build(li int) *leaf {
@@ -552,39 +552,77 @@ func (pm *PhysMem) AllocRanges(n int, owner Owner, vm int) ([]FrameRange, error)
 }
 
 // Alloc2M allocates one 2 MiB-aligned run of 512 contiguous frames,
-// returning the first MFN. The scan tries aligned chunks from the cursor
-// and steps over each allocated run it meets in one move.
+// returning the first MFN: AllocHuge of one page.
 func (pm *PhysMem) Alloc2M(owner Owner, vm int) (MFN, error) {
+	var buf [1]FrameRange
+	rs, err := pm.AllocHuge(1, owner, vm, buf[:0])
+	if err != nil {
+		return 0, err
+	}
+	return rs[0].Start, nil
+}
+
+// AllocHuge allocates n 2 MiB-aligned runs of 512 contiguous frames, all
+// or nothing, and returns them as coalesced runs in buf's storage: the
+// frames, in order, that n calls of Alloc2M would return. The scan tries aligned
+// chunks from the cursor, steps over each allocated run it meets in one
+// move and takes each free gap's chunks whole, in one set per leaf; it
+// tries every chunk at most once, and on failure nothing is taken and the
+// cursor stays.
+func (pm *PhysMem) AllocHuge(n int, owner Owner, vm int, buf []FrameRange) ([]FrameRange, error) {
 	if owner == OwnerFree {
-		return 0, fmt.Errorf("hw: cannot allocate with OwnerFree")
+		return nil, fmt.Errorf("hw: cannot allocate with OwnerFree")
+	}
+	out := buf[:0]
+	if n <= 0 {
+		return out, nil
 	}
 	pm.mu.Lock()
 	defer pm.mu.Unlock()
-	if FramesPer2M > pm.totalFrames-pm.allocated {
-		return 0, fmt.Errorf("hw: out of memory for 2M page")
+	if uint64(n)*FramesPer2M > pm.totalFrames-pm.allocated {
+		return nil, fmt.Errorf("hw: out of memory for %d 2M pages", n)
 	}
-	start := (uint64(pm.next) + FramesPer2M - 1) / FramesPer2M
 	nRuns := pm.totalFrames / FramesPer2M
-	for tries := uint64(0); tries < nRuns; {
-		ci := (start + tries) % nRuns
-		base := ci * FramesPer2M
-		li, off, _ := leafSpan(base, pm.totalFrames)
-		l := pm.dir[li]
-		i := 0
-		if l != nil {
-			i = l.find(off)
+	ci := (uint64(pm.next) + FramesPer2M - 1) / FramesPer2M
+	for need, tries := uint64(n), uint64(0); need > 0; {
+		if tries >= nRuns {
+			return nil, fmt.Errorf("hw: no aligned 2M run available (fragmentation)")
+		}
+		ci %= nRuns
+		li, off, _ := leafSpan(ci*FramesPer2M, pm.totalFrames)
+		// The free gap at chunk ci ends at the leaf's end, the last
+		// chunk, the cycle's end, or the next run's first chunk.
+		end := min(uint64(li+1)*leafChunks, nRuns, ci+nRuns-tries)
+		if l := pm.dir[li]; l != nil {
 			pm.work.Runs++
+			if i := l.find(off); i < len(l.runs) {
+				r := l.runs[i]
+				if r.start < off+FramesPer2M {
+					// Every chunk up to the one holding the run's end is taken.
+					past := min((uint64(li)*leafFrames+uint64(r.end())+FramesPer2M-1)/FramesPer2M, nRuns)
+					tries += past - ci
+					ci = past
+					continue
+				}
+				end = min(end, (uint64(li)*leafFrames+uint64(r.start))/FramesPer2M)
+			}
 		}
-		if l == nil || i == len(l.runs) || l.runs[i].start >= off+FramesPer2M {
-			pm.set(pm.build(li), off, off+FramesPer2M, owner, int32(vm))
-			pm.next = MFN((base + FramesPer2M) % pm.totalFrames)
-			return MFN(base), nil
-		}
-		// Every chunk up to the one holding the run's end is taken.
-		past := min((uint64(li)*leafFrames+uint64(l.runs[i].end())+FramesPer2M-1)/FramesPer2M, nRuns)
-		tries += past - ci
+		take := min(end-ci, need)
+		out = AppendRange(out, FrameRange{Start: MFN(ci * FramesPer2M), Count: take * FramesPer2M})
+		need -= take
+		tries += take
+		ci += take
 	}
-	return 0, fmt.Errorf("hw: no aligned 2M run available (fragmentation)")
+	for _, r := range out {
+		for f, end := uint64(r.Start), uint64(r.End()); f < end; {
+			li, lo, hi := leafSpan(f, end)
+			pm.set(pm.build(li), lo, hi, owner, int32(vm))
+			f += uint64(hi - lo)
+		}
+	}
+	last := out[len(out)-1]
+	pm.next = MFN(uint64(last.End()) % pm.totalFrames)
+	return out, nil
 }
 
 // ClaimRange allocates the exact frames [start, start+count), all of

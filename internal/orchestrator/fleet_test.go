@@ -324,17 +324,17 @@ func TestFleetAllocBudgets(t *testing.T) {
 		bytes  uint64 // heap bytes per run; 0: counted only
 		run    func() error
 	}{
-		{"RespondToCVE", 4914, 1993536, func() error {
+		{"RespondToCVE", 4882, 1993024, func() error {
 			respondFleet(t, newFleet(t, stockFleet()), limits)
 			return nil
 		}},
-		{"RespondToCVE/slo", 5148, 0, func() error {
+		{"RespondToCVE/slo", 5116, 0, func() error {
 			c := newFleet(t, stockFleet())
 			traceSLO(c)
 			respondFleet(t, c, limits)
 			return nil
 		}},
-		{"RecoverFleet", 2060, 0, func() error {
+		{"RecoverFleet", 2028, 0, func() error {
 			c := newFleet(t, stockFleet())
 			stormFleet(t, c, []int{0, 2, 5, 8, 9})
 			c.nova.SetFleetLimits(&sched.Limits{MaxKexecs: 2})

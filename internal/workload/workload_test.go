@@ -232,12 +232,12 @@ func (m *driverMem) WritePage(gfn hw.GFN, off int, data []byte) error {
 	return nil
 }
 
-func (m *driverMem) ReadPage(gfn hw.GFN, off, n int) ([]byte, error) {
-	out := make([]byte, n)
+func (m *driverMem) ReadPage(gfn hw.GFN, off int, dst []byte) error {
+	clear(dst)
 	if p, ok := m.pages[gfn]; ok {
-		copy(out, p[off:off+n])
+		copy(dst, p[off:])
 	}
-	return out, nil
+	return nil
 }
 
 func (m *driverMem) NumPages() uint64 { return m.n }
