@@ -31,7 +31,7 @@ fmt-check:
 # PKG_CEILING. Both are ratchets: a PR that grows the tree raises them in
 # the same diff, where a reviewer sees it; a simplicity PR lowers them to
 # its own result and cites the before/after in CHANGES.md.
-LOC_CEILING = 22560
+LOC_CEILING = 21960
 PKG_CEILING = 27
 loc:
 	@src() { find "$$@" -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'; }; \
@@ -194,22 +194,18 @@ soak-short: race-check
 benchfig:
 	$(GO) run ./cmd/benchfig
 
-# trace-demo runs one Figure-7 in-place transplant with tracing on and
-# verifies the artifact directory: the Chrome trace parses, is
-# non-empty, and covers every Fig. 3 workflow step, and the JSONL span
-# records pass the span auditor. It then runs the README's degraded
-# rolling upgrade (hosts failing at cluster.host) and audits its spans
-# too. The trace lands in /tmp/hypertp-trace for opening in Perfetto
+# trace-demo runs one Figure-7 in-place transplant with tracing on,
+# then the README's degraded rolling upgrade (hosts failing at
+# cluster.host), each writing its artifact directory. The writer audits
+# the span records it writes, so each run's exit status is the check.
+# The trace lands in /tmp/hypertp-trace for opening in Perfetto
 # (https://ui.perfetto.dev) or chrome://tracing.
 trace-demo:
 	$(GO) run ./cmd/tpctl -mode inplace -from xen -to kvm -machine M1 \
 		-vms 4 -vcpus 2 -mem-gib 2 -artifact-dir /tmp/hypertp-trace
-	$(GO) run ./cmd/tracecheck -require-steps /tmp/hypertp-trace/trace.json
-	$(GO) run ./cmd/tracecheck -jsonl /tmp/hypertp-trace/spans.jsonl
 	$(GO) run ./cmd/clustersim -hosts 10 -vms-per-host 10 \
 		-fault-seed 7 -fault-rate 0.2 -fault-sites cluster.host \
 		-artifact-dir /tmp/hypertp-degraded-upgrade
-	$(GO) run ./cmd/tracecheck -jsonl /tmp/hypertp-degraded-upgrade/spans.jsonl
 
 # slo-demo runs the fleet CVE response with vulnerability-window SLO
 # tracking and prints the remediation-latency report and burn-rate

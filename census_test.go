@@ -194,8 +194,8 @@ var testOnlyPackages = map[string]string{
 }
 
 // TestEveryPackageHasANonTestImporter fails on an internal/ package that
-// no non-test Go file of the tree imports, bench/ and examples/ included,
-// outside testOnlyPackages. Code that only tests call belongs in the test
+// no non-test Go file of the tree imports, bench/ included, outside
+// testOnlyPackages. Code that only tests call belongs in the test
 // files beside the code it tests, not in a package of its own.
 func TestEveryPackageHasANonTestImporter(t *testing.T) {
 	fset := token.NewFileSet()

@@ -10,6 +10,7 @@ import (
 
 	"hypertp/internal/fuzzseed"
 	"hypertp/internal/hterr"
+	"hypertp/internal/obs"
 	"hypertp/internal/par"
 )
 
@@ -162,4 +163,27 @@ func TestREADMEFlagsDefined(t *testing.T) {
 	fuzzseed.CheckREADMEFlags(t, "../../README.md", "chaoscheck", func(args []string, stderr io.Writer) {
 		parseArgs(args, stderr)
 	})
+}
+
+// The flight-recorder dump a leaked frame leaves reads back, and the
+// span auditor finds nothing in it: the violation it records is frame
+// ownership's, not span structure's. chaoscheck writes it with
+// obs.WriteFiles, which does not audit, so a dump is written whatever
+// it holds.
+func TestFlightRecorderGoldenAudits(t *testing.T) {
+	f, err := os.Open(filepath.Join("testdata", "golden", "break-leak-frame", "chaos-flight.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := obs.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 {
+		t.Fatal("the flight recorder dumped no spans")
+	}
+	if vs := obs.AuditRecords(recs); len(vs) > 0 {
+		t.Fatalf("%d span violations, first: %v", len(vs), vs[0])
+	}
 }

@@ -66,9 +66,6 @@ func TestMetricsAndSLOAreFoldsOfSpans(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if vs := obs.AuditRecords(recs); len(vs) > 0 {
-				t.Fatalf("span violations: %v", vs)
-			}
 			reg, tracker := obs.NewRegistry(), slo.NewTracker()
 			tracker.SetRegistry(reg)
 			reg.Fold(recs)

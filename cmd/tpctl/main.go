@@ -321,10 +321,9 @@ func run(stdout io.Writer, cfg runConfig) error {
 			retry = fault.DefaultRetryPolicy()
 		}
 		for _, id := range vmIDs {
-			rep, err := core.MigrationTP(clock, core.MigrationTPParams{
-				Link: link, Source: src, Dest: recv, VMID: id, Obs: rec,
-				Fault: plan, Retry: retry,
-			})
+			rep, err := core.MigrationTP(clock, migration.Params{
+				Link: link, Source: src, Dest: recv, VMID: id, Obs: rec, Retry: retry,
+			}, plan)
 			if err != nil {
 				return err
 			}

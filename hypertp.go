@@ -174,46 +174,14 @@ func (h *Host) TransplantWith(target Kind, cfg Config) (*InPlaceReport, error) {
 // §4.5.2 guest-state-saving operation). The VM is destroyed afterwards;
 // restore it anywhere with RestoreCheckpoint.
 func (h *Host) Checkpoint(vm *VM) ([]byte, error) {
-	if !vm.Paused() {
-		if err := h.hyp.Pause(vm.ID); err != nil {
-			return nil, err
-		}
-	}
-	img, err := checkpoint.Save(h.hyp, vm.ID)
-	if err != nil {
-		return nil, err
-	}
-	data, err := checkpoint.Serialize(img)
-	if err != nil {
-		return nil, err
-	}
-	if err := h.hyp.DestroyVM(vm.ID); err != nil {
-		return nil, err
-	}
-	return data, nil
+	return checkpoint.Suspend(h.hyp, vm.ID)
 }
 
 // RestoreCheckpoint instantiates a checkpoint image on this host (any
 // pool hypervisor) and resumes it. Pass the guest stack captured before
 // the checkpoint to keep end-to-end verification; nil attaches nothing.
 func (h *Host) RestoreCheckpoint(data []byte, g *guest.Guest) (*VM, error) {
-	img, err := checkpoint.Deserialize(data)
-	if err != nil {
-		return nil, err
-	}
-	vm, err := checkpoint.Restore(h.hyp, img)
-	if err != nil {
-		return nil, err
-	}
-	if g != nil {
-		if err := h.hyp.AttachGuest(vm.ID, g); err != nil {
-			return nil, err
-		}
-	}
-	if err := h.hyp.Resume(vm.ID); err != nil {
-		return nil, err
-	}
-	return vm, nil
+	return checkpoint.Resume(h.hyp, data, g)
 }
 
 // MigrateVM performs MigrationTP: one VM is live-migrated over the link
@@ -230,14 +198,13 @@ func (h *Host) MigrateVM(vm *VM, link *Link, dest *Host) (*MigrationReport, erro
 // source (ErrAborted): the VM keeps running where it was.
 func (h *Host) MigrateVMWith(vm *VM, link *Link, dest *Host, cfg Config) (*MigrationReport, error) {
 	h.sim.seed++
-	return core.MigrationTP(h.sim.clock, core.MigrationTPParams{
+	return core.MigrationTP(h.sim.clock, migration.Params{
 		Link:   link.link,
 		Source: h.hyp,
 		Dest:   migration.NewReceiver(h.sim.clock, dest.hyp, h.sim.seed),
 		VMID:   vm.ID,
-		Fault:  cfg.faultPlan(h.sim.clock),
 		Retry:  cfg.Retry,
-	})
+	}, cfg.faultPlan(h.sim.clock))
 }
 
 // DefaultPool is the hypervisor repertoire the decision policy consults:

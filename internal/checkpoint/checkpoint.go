@@ -13,6 +13,7 @@ import (
 	"hash/crc64"
 	"math"
 
+	"hypertp/internal/guest"
 	"hypertp/internal/hv"
 	"hypertp/internal/hw"
 	"hypertp/internal/uisr"
@@ -96,6 +97,53 @@ func Restore(h hv.Hypervisor, img *Image) (*hv.VM, error) {
 		if err := vm.Space.WritePage(pr.GFN, 0, pr.Data); err != nil {
 			return nil, fmt.Errorf("checkpoint: replay page %d: %w", pr.GFN, err)
 		}
+	}
+	return vm, nil
+}
+
+// Suspend is the whole guest-state-saving operation: it pauses VM id
+// if it runs, saves and serializes it, and destroys it on h. The
+// returned image is all that is left of the VM.
+func Suspend(h hv.Hypervisor, id hv.VMID) ([]byte, error) {
+	if vm, ok := h.LookupVM(id); ok && !vm.Paused() {
+		if err := h.Pause(id); err != nil {
+			return nil, err
+		}
+	}
+	img, err := Save(h, id)
+	if err != nil {
+		return nil, err
+	}
+	data, err := Serialize(img)
+	if err != nil {
+		return nil, err
+	}
+	if err := h.DestroyVM(id); err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
+// Resume is the whole guest-state-restoring operation: it restores a
+// Suspend image on h, attaches g when it is not nil (the guest stack
+// captured before the suspend, which keeps end-to-end verification) and
+// resumes the VM.
+func Resume(h hv.Hypervisor, data []byte, g *guest.Guest) (*hv.VM, error) {
+	img, err := Deserialize(data)
+	if err != nil {
+		return nil, err
+	}
+	vm, err := Restore(h, img)
+	if err != nil {
+		return nil, err
+	}
+	if g != nil {
+		if err := h.AttachGuest(vm.ID, g); err != nil {
+			return nil, err
+		}
+	}
+	if err := h.Resume(vm.ID); err != nil {
+		return nil, err
 	}
 	return vm, nil
 }

@@ -188,44 +188,35 @@ func TestRestoreRejectsEmpty(t *testing.T) {
 }
 
 func TestFullSuspendResumeCycleFreesSource(t *testing.T) {
-	// The orchestrator-style cycle: pause → save → destroy → (time
-	// passes) → restore elsewhere. The source machine gets its memory
-	// back.
+	// The orchestrator-style cycle: Suspend a running VM (pause, save,
+	// serialize, destroy), then (time passes) Resume it elsewhere. The
+	// source machine gets its memory back.
 	x, vm := newXenWithVM(t)
 	g := vm.Guest
-	mem := x.Machine().Mem
-	before := mem.AllocatedFrames()
-	_ = before
-	x.Pause(vm.ID)
-	img, err := Save(x, vm.ID)
+	data, err := Suspend(x, vm.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := Serialize(img)
-	if err != nil {
-		t.Fatal(err)
+	if got := x.Machine().Mem.CountByOwner()[hw.OwnerGuest]; got != 0 {
+		t.Fatalf("%d guest frames remain after Suspend", got)
 	}
-	if err := x.DestroyVM(vm.ID); err != nil {
-		t.Fatal(err)
-	}
-	if got := mem.CountByOwner()[hw.OwnerGuest]; got != 0 {
-		t.Fatalf("%d guest frames remain after destroy", got)
+	if _, err := Suspend(x, vm.ID); err == nil {
+		t.Fatal("Suspend of a destroyed VM accepted")
 	}
 
-	img2, err := Deserialize(data)
+	k, _ := kvm.Boot(hw.NewMachine(simtime.NewClock(), hw.M1()))
+	restored, err := Resume(k, data, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock2 := simtime.NewClock()
-	k, _ := kvm.Boot(hw.NewMachine(clock2, hw.M1()))
-	restored, err := Restore(k, img2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := k.AttachGuest(restored.ID, g); err != nil {
-		t.Fatal(err)
+	if restored.Paused() {
+		t.Fatal("Resume left the VM paused")
 	}
 	if err := g.Verify(); err != nil {
 		t.Fatalf("state lost across the full cycle: %v", err)
+	}
+	data[len(data)-1] ^= 1
+	if _, err := Resume(k, data, nil); err == nil {
+		t.Fatal("Resume of a corrupted image accepted")
 	}
 }

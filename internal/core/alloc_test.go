@@ -51,10 +51,10 @@ func TestEngineAllocBudgets(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			_, err = MigrationTP(b.clock, MigrationTPParams{
+			_, err = MigrationTP(b.clock, migration.Params{
 				Link:   simnet.NewLink(b.clock, "pair", simnet.Gbps1, 100*time.Microsecond),
 				Source: src, Dest: migration.NewReceiver(b.clock, dst, 1), VMID: src.VMs()[0].ID,
-			})
+			}, nil)
 			return err
 		}},
 	} {

@@ -2,55 +2,26 @@ package core
 
 import (
 	"hypertp/internal/fault"
-	"hypertp/internal/hv"
 	"hypertp/internal/migration"
-	"hypertp/internal/obs"
-	"hypertp/internal/simnet"
 	"hypertp/internal/simtime"
 )
 
-// MigrationTPParams configures a migration-based transplant of one VM to
-// a (possibly heterogeneous) destination hypervisor on another machine.
-type MigrationTPParams struct {
-	Link   *simnet.Link
-	Source hv.Hypervisor
-	Dest   *migration.Receiver
-	VMID   hv.VMID
-	// DirtyRatePagesPerSec models the guest's write activity during
-	// pre-copy.
-	DirtyRatePagesPerSec float64
-	// Obs, when non-nil, records the migration's span tree (pre-copy
-	// rounds, stop-and-copy, finalize) and byte/round metrics.
-	Obs *obs.Recorder
-	// Fault, when non-nil, is attached to the link for the duration of
-	// the call: the per-transfer link.abort and link.loss injection
-	// sites become live.
-	Fault *fault.Plan
-	// Retry bounds recovery from severed streams; the zero value keeps
-	// single-attempt semantics (see migration.Params.Retry).
-	Retry fault.RetryPolicy
-}
-
-// MigrationTP performs one migration-based transplant and blocks (in
-// virtual time) until it completes. For concurrent migrations drive
-// migration.Run directly.
-func MigrationTP(clock *simtime.Clock, p MigrationTPParams) (*migration.Report, error) {
+// MigrationTP performs one migration-based transplant of a VM to a
+// (possibly heterogeneous) destination hypervisor on another machine,
+// and blocks (in virtual time) until it completes. faults, when non-nil,
+// is attached to p.Link for the duration of the call: the per-transfer
+// link.abort and link.loss injection sites become live. p.Obs, when
+// non-nil, records the migration under a "migration-tp" root. For
+// concurrent migrations drive migration.Run directly.
+func MigrationTP(clock *simtime.Clock, p migration.Params, faults *fault.Plan) (*migration.Report, error) {
 	var report *migration.Report
 	var err error
 	root := p.Obs.Start("migration-tp")
-	if p.Fault != nil {
-		p.Link.SetFaults(p.Fault)
+	if faults != nil {
+		p.Link.SetFaults(faults)
 		defer p.Link.SetFaults(nil)
 	}
-	migration.Run(clock, migration.Params{
-		Link:                 p.Link,
-		Source:               p.Source,
-		Dest:                 p.Dest,
-		VMID:                 p.VMID,
-		DirtyRatePagesPerSec: p.DirtyRatePagesPerSec,
-		Obs:                  p.Obs,
-		Retry:                p.Retry,
-	}, func(r *migration.Report, e error) { report, err = r, e })
+	migration.Run(clock, p, func(r *migration.Report, e error) { report, err = r, e })
 	clock.Run()
 	root.End()
 	if err != nil {

@@ -375,10 +375,10 @@ func TestRecoveryMatrix(t *testing.T) {
 			rec, col := collecting(clock)
 			plan := fault.NewPlan(1, 0).ForceAt(site, 1).SetClock(clock).SetRecorder(rec)
 
-			rep, err := MigrationTP(clock, MigrationTPParams{
+			rep, err := MigrationTP(clock, migration.Params{
 				Link: link, Source: src, Dest: migration.NewReceiver(clock, dst, 1),
-				VMID: vm.ID, Obs: rec, Fault: plan, Retry: fault.DefaultRetryPolicy(),
-			})
+				VMID: vm.ID, Obs: rec, Retry: fault.DefaultRetryPolicy(),
+			}, plan)
 			// A single forced shot is always recoverable under the
 			// default policy: full completion, never a half-state.
 			if err != nil {

@@ -70,11 +70,10 @@ func TestMigrationLivelockHitsWatchdog(t *testing.T) {
 	plan := fault.NewPlan(2, 1).Restrict(fault.SiteLinkAbort).SetClock(clock)
 	link.SetFaults(plan)
 	recv := migration.NewReceiver(clock, dst, 1)
-	rep, err := MigrationTP(clock, MigrationTPParams{
+	rep, err := MigrationTP(clock, migration.Params{
 		Link: link, Source: src, Dest: recv, VMID: vm.ID,
-		Fault: plan,
 		Retry: fault.RetryPolicy{MaxAttempts: 1 << 30, BaseBackoff: time.Millisecond, MaxElapsed: 30 * time.Second},
-	})
+	}, plan)
 	if err == nil {
 		t.Fatalf("livelocked migration returned nil (report %+v)", rep)
 	}

@@ -19,6 +19,9 @@ type SpanViolation struct {
 	//	"sibling-regress"    under one parent, a later-opened sibling
 	//	                     starts before an earlier one (virtual time
 	//	                     ran backwards)
+	//
+	// WriteArtifacts' audit of a complete run adds "unnamed",
+	// "duplicate-id", "root-depth" and "orphan" (auditRun).
 	Kind   string
 	Span   string
 	Detail string

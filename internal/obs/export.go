@@ -3,10 +3,13 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+
+	"hypertp/internal/hterr"
 )
 
 // Exporters. Every span export is a function of []SpanRecord, the
@@ -122,7 +125,7 @@ func (rec SpanRecord) appendJSONL(b []byte) []byte {
 }
 
 // WriteJSONL writes recs one JSON object per line, in order: the
-// spans.jsonl format, which tracecheck -jsonl audits.
+// spans.jsonl format, which ReadJSONL reads back.
 func WriteJSONL(w io.Writer, recs []SpanRecord) error {
 	var b []byte
 	for _, rec := range recs {
@@ -169,13 +172,52 @@ type Artifact struct {
 // WriteArtifacts writes a run's span records and metrics into dir as the
 // four files every command's artifact directory holds: trace.json
 // (WriteChromeTrace), spans.jsonl (WriteJSONL), metrics.json
-// (WriteMetricsJSON) and metrics.prom (WritePrometheus).
+// (WriteMetricsJSON) and metrics.prom (WritePrometheus). It then audits
+// recs as one complete run (auditRun): a violation is returned as an
+// hterr.InvariantViolated error naming the first one, after all four
+// files are written, so the evidence stays on disk.
 func WriteArtifacts(dir string, recs []SpanRecord, reg *Registry, report io.Writer) error {
-	return WriteFiles(dir, report,
+	if err := WriteFiles(dir, report,
 		Artifact{"trace.json", func(w io.Writer) error { return WriteChromeTrace(w, recs) }},
 		Artifact{"spans.jsonl", func(w io.Writer) error { return WriteJSONL(w, recs) }},
 		Artifact{"metrics.json", reg.WriteMetricsJSON},
-		Artifact{"metrics.prom", func(w io.Writer) error { return reg.WritePrometheus(w, false) }})
+		Artifact{"metrics.prom", func(w io.Writer) error { return reg.WritePrometheus(w, false) }}); err != nil {
+		return err
+	}
+	return auditRun(recs)
+}
+
+// auditRun checks the records of one complete run. Beyond AuditRecords,
+// which also accepts a flight recorder's window, a complete run has at
+// least one record, names every span, repeats no span id, has its roots
+// at depth 0 and holds the parent of every record it holds.
+func auditRun(recs []SpanRecord) error {
+	if len(recs) == 0 {
+		return hterr.InvariantViolated(errors.New("obs: no span records"))
+	}
+	var vs []SpanViolation
+	ids := make(map[int]bool, len(recs))
+	for _, rec := range recs {
+		switch {
+		case rec.Name == "":
+			vs = append(vs, SpanViolation{Kind: "unnamed", Detail: fmt.Sprintf("span id %d has no name", rec.ID)})
+		case ids[rec.ID]:
+			vs = append(vs, SpanViolation{Kind: "duplicate-id", Span: rec.Name, Detail: fmt.Sprintf("span id %d repeats", rec.ID)})
+		case rec.Parent == -1 && rec.Depth != 0:
+			vs = append(vs, SpanViolation{Kind: "root-depth", Span: rec.Name, Detail: fmt.Sprintf("root at depth %d", rec.Depth)})
+		}
+		ids[rec.ID] = true
+	}
+	for _, rec := range recs {
+		if rec.Parent != -1 && !ids[rec.Parent] {
+			vs = append(vs, SpanViolation{Kind: "orphan", Span: rec.Name, Detail: fmt.Sprintf("parent id %d is not in the run", rec.Parent)})
+		}
+	}
+	vs = append(vs, AuditRecords(recs)...)
+	if len(vs) > 0 {
+		return hterr.InvariantViolated(fmt.Errorf("obs: %d span violations in %d records, first: %v", len(vs), len(recs), vs[0]))
+	}
+	return nil
 }
 
 // WriteFiles writes each artifact into dir, creating it if needed, and

@@ -460,45 +460,18 @@ func (n *Nova) ColdMigrate(vmName, destNode string) error {
 	sp := n.obs.Start("nova.cold-migrate",
 		obs.A("vm", vmName), obs.A("from", rec.Node), obs.A("to", destNode))
 	defer sp.End()
-	g := vm.Guest
-	if err := srcHyp.Pause(rec.ID); err != nil {
-		return err
-	}
-	img, err := checkpoint.Save(srcHyp, rec.ID)
-	if err != nil {
-		return err
-	}
 	// Durable round trip, as the real operation would store to shared
 	// storage.
-	data, err := checkpoint.Serialize(img)
+	data, err := checkpoint.Suspend(srcHyp, rec.ID)
 	if err != nil {
-		return err
-	}
-	if err := srcHyp.DestroyVM(rec.ID); err != nil {
 		return err
 	}
 	// Past this point the source copy is gone: a failure is a real loss,
 	// and the database row must not keep pointing at a dead VM.
-	lost := func(e error) error {
+	restored, err := checkpoint.Resume(dest.Driver.Hypervisor(), data, vm.Guest)
+	if err != nil {
 		delete(n.db, vmName)
-		return hterr.VMLost(e)
-	}
-	img, err = checkpoint.Deserialize(data)
-	if err != nil {
-		return lost(err)
-	}
-	destHyp := dest.Driver.Hypervisor()
-	restored, err := checkpoint.Restore(destHyp, img)
-	if err != nil {
-		return lost(err)
-	}
-	if g != nil {
-		if err := destHyp.AttachGuest(restored.ID, g); err != nil {
-			return lost(err)
-		}
-	}
-	if err := destHyp.Resume(restored.ID); err != nil {
-		return lost(err)
+		return hterr.VMLost(err)
 	}
 	rec.Node = destNode
 	rec.ID = restored.ID

@@ -51,7 +51,10 @@ type Link struct {
 	// active holds the in-flight transfers ordered by (started, name,
 	// start sequence): every walk of it, and so every tie between
 	// transfers, resolves the same way on every run.
-	active     []*Transfer
+	active []*Transfer
+	// next is the pending completion event of the active transfer that
+	// finishes first; no other transfer holds one.
+	next       *simtime.Event
 	lastUpdate time.Duration
 	rec        *obs.Recorder
 	faults     *fault.Plan
@@ -60,13 +63,11 @@ type Link struct {
 
 // Transfer is one in-flight bulk transfer (e.g. a migration stream).
 type Transfer struct {
-	link      *Link
 	name      string
 	remaining float64 // bytes still to move
 	started   time.Duration
 	done      func(err error)
 	finished  bool
-	event     *simtime.Event
 	sever     *simtime.Event
 	span      *obs.Span
 }
@@ -139,7 +140,7 @@ func (l *Link) Start(name string, size int64, done func(err error)) *Transfer {
 	if l.down {
 		// The peer is unreachable: the stream dies after one latency,
 		// without ever contending for bandwidth.
-		tr := &Transfer{link: l, name: name, started: l.clock.Now(),
+		tr := &Transfer{name: name, started: l.clock.Now(),
 			done: done, finished: true}
 		if l.rec != nil {
 			l.rec.Metrics().Counter("simnet.refused", "transfers").Add(1)
@@ -153,7 +154,6 @@ func (l *Link) Start(name string, size int64, done func(err error)) *Transfer {
 	}
 	l.settle()
 	tr := &Transfer{
-		link:      l,
 		name:      name,
 		remaining: float64(size),
 		started:   l.clock.Now(),
@@ -234,12 +234,8 @@ func (l *Link) remove(tr *Transfer) {
 // reschedule recomputes the next completion event after the active set or
 // the clock changed.
 func (l *Link) reschedule() {
-	for _, tr := range l.active {
-		if tr.event != nil {
-			l.clock.Cancel(tr.event)
-			tr.event = nil
-		}
-	}
+	l.clock.Cancel(l.next)
+	l.next = nil
 	if len(l.active) == 0 {
 		return
 	}
@@ -253,7 +249,7 @@ func (l *Link) reschedule() {
 	}
 	share := l.byteRate / float64(len(l.active))
 	dt := time.Duration(first.remaining / share * float64(time.Second))
-	first.event = l.clock.After(dt, "simnet:"+first.name, func(*simtime.Clock) {
+	l.next = l.clock.After(dt, "simnet:"+first.name, func(*simtime.Clock) {
 		l.complete(first)
 	})
 }
@@ -282,10 +278,6 @@ func (l *Link) abortWith(tr *Transfer, cause error) {
 		return
 	}
 	l.settle()
-	if tr.event != nil {
-		l.clock.Cancel(tr.event)
-		tr.event = nil
-	}
 	if tr.sever != nil {
 		l.clock.Cancel(tr.sever)
 		tr.sever = nil
