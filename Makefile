@@ -31,7 +31,7 @@ fmt-check:
 # PKG_CEILING. Both are ratchets: a PR that grows the tree raises them in
 # the same diff, where a reviewer sees it; a simplicity PR lowers them to
 # its own result and cites the before/after in CHANGES.md.
-LOC_CEILING = 21960
+LOC_CEILING = 22314
 PKG_CEILING = 27
 loc:
 	@src() { find "$$@" -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'; }; \
@@ -81,12 +81,15 @@ bench:
 # then each end-to-end metric's medians and quartiles per side, the pairs
 # won and a verdict against its bound in BENCHMARK.json
 # (scripts/bench-ab.sh). It fails when a metric is worse beyond its bound.
+# SEED, passed to both sides as --seed, reruns a claim on another seed;
+# unset, the runs use the benchmark's default seed, whose digest it checks.
 PAIRS ?= 10
 SECONDS ?= 20
+SEED ?=
 bench-ab:
 	@[ -n "$(PARENT)" ] && [ -n "$(WORKLOAD)" ] || { \
-		echo "usage: make bench-ab PARENT=<ref> WORKLOAD=<workload> [PAIRS=N SECONDS=S]" >&2; exit 2; }
-	bash scripts/bench-ab.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SECONDS)
+		echo "usage: make bench-ab PARENT=<ref> WORKLOAD=<workload> [PAIRS=N SECONDS=S SEED=N]" >&2; exit 2; }
+	bash scripts/bench-ab.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(SECONDS) $(SEED)
 
 # matrix runs, under the race detector, the top-level tests of packages
 # $(3) that regex $(1) names, and fails unless they pass and at least $(2)

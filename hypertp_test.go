@@ -173,7 +173,7 @@ func TestFacadeAllocBudgets(t *testing.T) {
 			_, err = src.MigrateVM(vm, sim.NewLink("pair", hypertp.Gbps(1), 100*time.Microsecond), dst)
 			return err
 		}},
-		{"VENOMEscape", 445, func() error {
+		{"VENOMEscape", 320, func() error {
 			host := newHost(hypertp.NewSimulation(), hypertp.KindXen)
 			vm, err := host.CreateVM(cfg)
 			if err != nil {

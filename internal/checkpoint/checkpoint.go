@@ -61,20 +61,18 @@ func Save(h hv.Hypervisor, id hv.VMID) (*Image, error) {
 	st.MemMap = uisr.MemMap{}
 	img := &Image{State: st, InPlaceCompatible: vm.Config.InPlaceCompatible}
 
-	// Capture touched pages through the address space, in extent order.
-	mem := h.Machine().Mem
-	for _, e := range vm.Space.Extents().Extents() {
-		err := mem.ForEachTouched(hw.MFN(e.MFN), e.Pages(), func(m hw.MFN, off int, data []byte) error {
-			// data is the frame's written window at off; the record holds
-			// the whole frame, the zeros around the window included.
-			page := make([]byte, hw.PageSize4K)
-			copy(page[off:], data)
-			img.Pages = append(img.Pages, PageRecord{GFN: hw.GFN(e.GFN + uint64(m) - e.MFN), Data: page})
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+	// Capture touched pages through the address space, in GFN order: one
+	// walk over its spans.
+	err = vm.Space.ForEachTouched(func(gfn hw.GFN, off int, data []byte) error {
+		// data is the frame's written window at off; the record holds the
+		// whole frame, the zeros around the window included.
+		page := make([]byte, hw.PageSize4K)
+		copy(page[off:], data)
+		img.Pages = append(img.Pages, PageRecord{GFN: gfn, Data: page})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return img, nil
 }
@@ -93,10 +91,13 @@ func Restore(h hv.Hypervisor, img *Image) (*hv.VM, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, pr := range img.Pages {
-		if err := vm.Space.WritePage(pr.GFN, 0, pr.Data); err != nil {
-			return nil, fmt.Errorf("checkpoint: replay page %d: %w", pr.GFN, err)
-		}
+	// The recorded pages go back as one bulk write.
+	ws := make([]hw.FrameWrite, len(img.Pages))
+	for k, pr := range img.Pages {
+		ws[k] = hw.FrameWrite{Index: uint64(pr.GFN), Data: pr.Data}
+	}
+	if n, err := vm.Space.WritePages(ws); err != nil {
+		return nil, fmt.Errorf("checkpoint: replay page %d: %w", img.Pages[n].GFN, err)
 	}
 	return vm, nil
 }

@@ -37,14 +37,14 @@ func TestEngineAllocBudgets(t *testing.T) {
 			_, _, err := b.engine.InPlace(src, hv.KindKVM, DefaultOptions())
 			return err
 		}},
-		{"Emergency", 915, func() error {
+		{"Emergency", 415, func() error {
 			b := newBench(t, hw.M1())
 			src := bootSmallVMs(t, b, hv.KindXen, 4)
 			crashHost(t, src, "budget")
 			_, _, err := b.engine.Emergency(src, hv.KindKVM, DefaultOptions())
 			return err
 		}},
-		{"MigrationTP", 363, func() error {
+		{"MigrationTP", 113, func() error {
 			b := newBench(t, hw.M1())
 			src := bootSmallVMs(t, b, hv.KindXen, 1)
 			dst, err := NewEngine(b.clock, hw.NewMachine(b.clock, hw.M1())).BootHypervisor(hv.KindKVM)

@@ -23,6 +23,12 @@ import (
 type Memory interface {
 	// WritePage stores data at byte offset off of guest frame gfn.
 	WritePage(gfn hw.GFN, off int, data []byte) error
+	// WriteRecords stores a size-byte record in each page of [lo, hi):
+	// fill lays out page gfn's record whole in rec and returns the byte
+	// offset it goes at. It returns how many pages it wrote, in order:
+	// all of them, or those before the first that failed, whose error it
+	// returns.
+	WriteRecords(lo, hi hw.GFN, size int, fill func(gfn hw.GFN, rec []byte) int) (int, error)
 	// ReadPage loads len(dst) bytes from byte offset off of guest frame
 	// gfn into dst.
 	ReadPage(gfn hw.GFN, off int, dst []byte) error
@@ -290,10 +296,11 @@ func (g *Guest) Write(gfn hw.GFN, off int, data []byte) error {
 }
 
 // WriteWorkingSet writes a deterministic pattern across npages pages
-// starting at startGFN (one 64-byte record per page), simulating an
-// application's resident data. Each page's record depends only on its
-// index and the sequence range reserved up front, so the log keeps the
-// pages written as one span, not a record each.
+// starting at startGFN (one 64-byte record per page, in one WriteRecords
+// call), simulating an application's resident data. Each page's record
+// depends only on its index and the sequence range reserved up front, so
+// the log keeps the pages written as one span, not a record each. If a
+// page fails, the pages before it are written and logged.
 func (g *Guest) WriteWorkingSet(startGFN hw.GFN, npages int) error {
 	if n := g.mem.NumPages(); npages > 0 && (uint64(startGFN) >= n || uint64(npages) > n-uint64(startGFN)) {
 		return fmt.Errorf("guest %s: working set page %d beyond memory", g.Name, max(uint64(startGFN), n))
@@ -305,17 +312,12 @@ func (g *Guest) WriteWorkingSet(startGFN hw.GFN, npages int) error {
 	}
 	// Page startGFN+i is seeded by base+i+1: c absorbs the i.
 	c := base + 1 - uint64(startGFN)
-	var rec [recordLen]byte
-	for i := 0; i < npages; i++ {
-		gfn := startGFN + hw.GFN(i)
-		recordBytes(&rec, gfn, c)
-		if err := g.mem.WritePage(gfn, recordOff(gfn), rec[:]); err != nil {
-			g.logSpan(startGFN, gfn, c)
-			return err
-		}
-	}
-	g.logSpan(startGFN, startGFN+hw.GFN(npages), c)
-	return nil
+	n, err := g.mem.WriteRecords(startGFN, startGFN+hw.GFN(npages), recordLen, func(gfn hw.GFN, rec []byte) int {
+		recordBytes((*[recordLen]byte)(rec), gfn, c)
+		return recordOff(gfn)
+	})
+	g.logSpan(startGFN, startGFN+hw.GFN(n), c)
+	return err
 }
 
 // Verify re-reads every byte the guest ever wrote and reports the

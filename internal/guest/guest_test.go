@@ -40,6 +40,17 @@ func (f *fakeMem) WritePage(gfn hw.GFN, off int, data []byte) error {
 	return nil
 }
 
+// WriteRecords writes the records one WritePage each.
+func (f *fakeMem) WriteRecords(lo, hi hw.GFN, size int, fill func(hw.GFN, []byte) int) (int, error) {
+	rec := make([]byte, size)
+	for gfn := lo; gfn < hi; gfn++ {
+		if err := f.WritePage(gfn, fill(gfn, rec), rec); err != nil {
+			return int(gfn - lo), err
+		}
+	}
+	return int(hi - lo), nil
+}
+
 func (f *fakeMem) ReadPage(gfn hw.GFN, off int, dst []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -176,17 +176,20 @@ func (as *AddressSpace) FetchAndClearDirty() []hw.GFN {
 // ChecksumAll returns a combined checksum over all guest pages that have
 // ever been written (untouched pages are zero and excluded by contract:
 // two spaces with identical written content match even if their frame
-// placement differs).
+// placement differs). It sums one ChecksumRange per run.
 func (as *AddressSpace) ChecksumAll() (uint64, error) {
 	// The combined sum is wrapping uint64 addition keyed by GFN, so the
-	// per-extent sums add up independent of frame placement.
-	var sum uint64
-	for _, e := range as.mm.Extents() {
-		s, err := as.mem.ChecksumRange(hw.MFN(e.MFN), e.Pages(), hw.GFN(e.GFN))
+	// per-run sums add up independent of frame placement.
+	var sum, rank uint64
+	var buf [64]hw.FrameRange
+	c := ranks{ext: as.mm.Extents()}
+	for _, r := range as.runs(buf[:0], as.NumPages()) {
+		s, err := as.mem.ChecksumRange(r.Start, r.Count, c.gfn(rank))
 		if err != nil {
 			return 0, err
 		}
 		sum += s
+		rank += r.Count
 	}
 	return sum, nil
 }
@@ -194,51 +197,210 @@ func (as *AddressSpace) ChecksumAll() (uint64, error) {
 // FrameRanges returns the address space's machine frames as sorted,
 // disjoint runs — the shape kexec wants for its preserve set.
 func (as *AddressSpace) FrameRanges() []hw.FrameRange {
-	ranges := make([]hw.FrameRange, 0, as.mm.Len())
+	return hw.MergeRanges(as.runs(nil, as.NumPages()))
+}
+
+// runs appends the space's first frames by rank (see ranks), at least
+// frames of them, to buf as runs contiguous in both GFN and MFN, in GFN
+// order; past buf's capacity, which no huge-page guest's fill, they spill
+// to the heap. A huge-page guest from one AllocHuge call is a run or a
+// few, whatever its size, but each extent is read: a bulk write into a
+// guest's first pages reads only the extents that map them.
+func (as *AddressSpace) runs(buf []hw.FrameRange, frames uint64) []hw.FrameRange {
+	var next, covered uint64 // the GFN after the last run's; its rank
 	for _, e := range as.mm.Extents() {
-		ranges = append(ranges, hw.FrameRange{Start: hw.MFN(e.MFN), Count: e.Pages()})
+		if covered >= frames {
+			break
+		}
+		pages := e.Pages()
+		if n := len(buf); n > 0 && e.GFN == next && uint64(buf[n-1].End()) == e.MFN {
+			buf[n-1].Count += pages
+		} else {
+			buf = append(buf, hw.FrameRange{Start: hw.MFN(e.MFN), Count: pages})
+		}
+		next, covered = e.GFN+pages, covered+pages
 	}
-	return hw.MergeRanges(ranges)
+	return buf
+}
+
+// ranks maps a mapped guest frame to its rank — its index among the
+// space's guest frames in GFN order, which is its index within the runs —
+// and back, stepping through the extents from the one it last stopped
+// at: frames in order cost O(extents + frames) in all.
+type ranks struct {
+	ext  []uisr.PageExtent
+	k    int    // the extent last stopped at
+	base uint64 // the rank of extent k's first frame
+}
+
+// gfn returns the guest frame of rank r, which must be below the space's
+// page count.
+func (c *ranks) gfn(r uint64) hw.GFN {
+	if r < c.base {
+		c.k, c.base = 0, 0
+	}
+	for r-c.base >= c.ext[c.k].Pages() {
+		c.base += c.ext[c.k].Pages()
+		c.k++
+	}
+	return hw.GFN(c.ext[c.k].GFN + r - c.base)
+}
+
+// rank returns guest frame g's rank, or false when g is not mapped.
+func (c *ranks) rank(g hw.GFN) (uint64, bool) {
+	if c.k == len(c.ext) || uint64(g) < c.ext[c.k].GFN {
+		c.k, c.base = 0, 0
+	}
+	for ; c.k < len(c.ext); c.k++ {
+		switch e := c.ext[c.k]; {
+		case uint64(g) < e.GFN:
+			return 0, false
+		case uint64(g)-e.GFN < e.Pages():
+			return c.base + uint64(g) - e.GFN, true
+		}
+		c.base += c.ext[c.k].Pages()
+	}
+	return 0, false
+}
+
+// ForEachTouched calls fn, in GFN order, for every page of the space
+// that has ever been written, with its written window (see
+// hw.PhysMem.ForEachTouched): one walk over the space's runs, under one
+// lock.
+func (as *AddressSpace) ForEachTouched(fn func(gfn hw.GFN, off int, data []byte) error) error {
+	var buf [64]hw.FrameRange
+	c := ranks{ext: as.mm.Extents()}
+	return as.mem.ForEachTouched(as.runs(buf[:0], as.NumPages()), func(r uint64, off int, data []byte) error {
+		return fn(c.gfn(r), off, data)
+	})
+}
+
+// WritePages applies ws, each Index a guest frame number, in order, as
+// one bulk write over the space's runs that hold them
+// (hw.PhysMem.WriteFrames), and
+// logs the pages written dirty when logging is on. It rewrites each Index
+// to the page's rank. It returns how many writes it applied: all of them,
+// or those before the first that fails — a page not mapped included, with
+// Translate's error — whose error it returns.
+func (as *AddressSpace) WritePages(ws []hw.FrameWrite) (int, error) {
+	c := ranks{ext: as.mm.Extents()}
+	n, frames := len(ws), uint64(0)
+	var err error
+	for k := range ws {
+		r, ok := c.rank(hw.GFN(ws[k].Index))
+		if !ok {
+			n, err = k, fmt.Errorf("hv: gfn %d not mapped", ws[k].Index)
+			break
+		}
+		ws[k].Index, frames = r, max(frames, r+1)
+	}
+	var buf [64]hw.FrameRange
+	written, werr := as.mem.WriteFrames(as.runs(buf[:0], frames), ws[:n])
+	if werr != nil {
+		err = werr
+	}
+	if as.dirtyLog {
+		as.dirtyMu.Lock()
+		for _, w := range ws[:written] {
+			as.dirty[c.gfn(w.Index)] = struct{}{}
+		}
+		as.dirtyMu.Unlock()
+	}
+	return written, err
+}
+
+// WriteRecords implements guest.Memory: it writes a size-byte record into
+// each page of [lo, hi), which fill lays out whole in rec and places at
+// the offset it returns, as one WritePages. It returns how many pages it
+// wrote: all of them, or those before the first that fails, whose error
+// it returns.
+func (as *AddressSpace) WriteRecords(lo, hi hw.GFN, size int, fill func(gfn hw.GFN, rec []byte) int) (int, error) {
+	if hi <= lo {
+		return 0, nil
+	}
+	n := int(hi - lo)
+	s := takeScratch()
+	defer s.release()
+	if cap(s.recs) < n*size {
+		s.recs = make([]byte, n*size)
+	}
+	for k := range n {
+		rec := s.recs[k*size : (k+1)*size : (k+1)*size]
+		gfn := lo + hw.GFN(k)
+		s.ws = append(s.ws, hw.FrameWrite{Index: uint64(gfn), Off: fill(gfn, rec), Data: rec})
+	}
+	return as.WritePages(s.ws)
+}
+
+// scratch is the request list of one bulk write and the record bytes its
+// writes point into. WriteFrames copies what it is handed, so once it
+// returns the scratch is spared for the next bulk write: a working set or
+// a copy allocates only the pages it creates. The spares are a channel,
+// not a sync.Pool, whose per-P caches miss at random when a goroutine
+// changes P and so would make the exact allocation budgets flaky; one
+// spare per concurrent bulk write is enough, and par runs at most
+// GOMAXPROCS, so 8 bounds what idle spares hold.
+type scratch struct {
+	ws   []hw.FrameWrite
+	recs []byte
+}
+
+var spareScratch = make(chan *scratch, 8)
+
+func takeScratch() *scratch {
+	select {
+	case s := <-spareScratch:
+		return s
+	default:
+		return new(scratch)
+	}
+}
+
+// release clears the scratch's writes, so it keeps no page alive, and
+// spares it unless it outgrew a few thousand writes.
+func (s *scratch) release() {
+	clear(s.ws)
+	s.ws = s.ws[:0]
+	if cap(s.ws) > 4096 || cap(s.recs) > 256<<10 {
+		return
+	}
+	select {
+	case spareScratch <- s:
+	default:
+	}
 }
 
 // CopyContentsTo replays every touched page of this space into dst, which
-// must have the same guest-physical size. It is the content side of a
-// migration stream: after it returns, dst's guest image equals the
-// source's.
+// must have the same guest-physical size, pairing the pages by GFN: one
+// ForEachTouched over the source's runs, then one WritePages into dst.
+// It is the content side of a migration stream: after it returns, dst's
+// guest image equals the source's. A page dst does not map fails the
+// copy there, the pages before it copied.
 func (as *AddressSpace) CopyContentsTo(dst *AddressSpace) error {
 	if dst.NumPages() != as.NumPages() {
 		return fmt.Errorf("hv: copy between spaces of %d and %d pages", as.NumPages(), dst.NumPages())
 	}
-	for _, e := range as.mm.Extents() {
-		err := as.mem.ForEachTouched(hw.MFN(e.MFN), e.Pages(), func(m hw.MFN, off int, data []byte) error {
-			return dst.WritePage(hw.GFN(e.GFN+uint64(m)-e.MFN), off, data)
-		})
-		if err != nil {
-			return err
-		}
+	s := takeScratch()
+	defer s.release()
+	err := as.ForEachTouched(func(gfn hw.GFN, off int, data []byte) error {
+		s.ws = append(s.ws, hw.FrameWrite{Index: uint64(gfn), Off: off, Data: data})
+		return nil
+	})
+	if err == nil {
+		_, err = dst.WritePages(s.ws)
 	}
-	return nil
+	return err
 }
 
 // Release frees every frame of the address space back to the machine,
 // in GFN order, under one lock.
 func (as *AddressSpace) Release() error {
 	var buf [64]hw.FrameRange
-	if err := as.mem.FreeRanges(as.runs(buf[:0])); err != nil {
+	if err := as.mem.FreeRanges(as.runs(buf[:0], as.NumPages())); err != nil {
 		return err
 	}
 	as.mm = uisr.MemMap{}
 	return nil
-}
-
-// runs appends the space's frames to buf in GFN order, coalesced into
-// runs; past buf's capacity, which no huge-page guest's fill, they spill
-// to the heap.
-func (as *AddressSpace) runs(buf []hw.FrameRange) []hw.FrameRange {
-	for _, e := range as.mm.Extents() {
-		buf = hw.AppendRange(buf, hw.FrameRange{Start: hw.MFN(e.MFN), Count: e.Pages()})
-	}
-	return buf
 }
 
 // Retag re-tags all frames of the space with the given owner/vm — used
@@ -251,7 +413,7 @@ func (as *AddressSpace) Retag(owner hw.Owner, vm int, tr *Translation) error {
 		return as.mem.SetOwnerRanges(tr.Runs, owner, vm)
 	}
 	var buf [64]hw.FrameRange
-	runs := as.runs(buf[:0])
+	runs := as.runs(buf[:0], as.NumPages())
 	if tr != nil {
 		tr.Runs = slices.Clone(runs)
 	}

@@ -380,7 +380,8 @@ func touchedPages(t *testing.T, mem *hw.PhysMem, as *AddressSpace) int {
 	t.Helper()
 	n := 0
 	for _, e := range as.Extents().Extents() {
-		err := mem.ForEachTouched(hw.MFN(e.MFN), e.Pages(), func(hw.MFN, int, []byte) error { n++; return nil })
+		run := []hw.FrameRange{{Start: hw.MFN(e.MFN), Count: e.Pages()}}
+		err := mem.ForEachTouched(run, func(uint64, int, []byte) error { n++; return nil })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,8 +9,9 @@ import (
 // The steady-state PhysMem operations, at the machine sizes the figures
 // use (M1 16 GiB, M2 64 GiB) and guest sizes at the ends of the Fig. 7-10
 // memory axis (1 and 12 GiB, and 4 for the ownership walks), with the
-// 64-page working set the benchmark guests write. BenchmarkPhysMem times each op; TestPhysMemAllocBudgets
-// pins what one call allocates once the machine has settled.
+// 64- and 256-page working sets the benchmark guests write.
+// BenchmarkPhysMem times each op; TestPhysMemAllocBudgets pins what one
+// call allocates once the machine has settled.
 
 var (
 	benchSink uint64
@@ -221,22 +222,27 @@ func physMemOps() []physMemOp {
 			return pm.FreeRanges(rs)
 		}
 	}})
-	// The two content sweeps run per 2 MiB extent, as AddressSpace drives
-	// them.
+	// ForEachTouched walks a 256-page working set — a migrating guest's —
+	// as AddressSpace drives it, one call over the guest's runs: written
+	// chunks only, so 12 GiB should cost about what 1 GiB does. The
+	// checksum sweep runs per 2 MiB extent.
 	for _, gib := range []uint64{1, 12} {
 		ops = append(ops, physMemOp{fmt.Sprintf("ForEachTouched/%dGiB", gib), 1, 0, func(tb testing.TB) func() error {
 			pm := NewPhysMem(16 * GiB)
-			guest := benchGuest(tb, pm, gib)
+			guest := []FrameRange{benchGuest(tb, pm, gib)}
+			for p := MFN(64); p < 256; p++ {
+				if err := pm.Write(guest[0].Start+p, int(p), []byte{byte(p), 1}); err != nil {
+					tb.Fatal(err)
+				}
+			}
 			touched := 0
-			visit := func(MFN, int, []byte) error { touched++; return nil }
+			visit := func(uint64, int, []byte) error { touched++; return nil }
 			return func() error {
 				touched = 0
-				for off := uint64(0); off < guest.Count; off += FramesPer2M {
-					if err := pm.ForEachTouched(guest.Start+MFN(off), FramesPer2M, visit); err != nil {
-						return err
-					}
+				if err := pm.ForEachTouched(guest, visit); err != nil {
+					return err
 				}
-				if touched != 64 {
+				if touched != 256 {
 					return fmt.Errorf("visited %d pages", touched)
 				}
 				return nil
@@ -256,6 +262,32 @@ func physMemOps() []physMemOp {
 			}
 		}})
 	}
+	// A bulk write of 256 working-set records into fresh frames: the
+	// fresh pages and their windows are one allocation each — 256 40-byte
+	// pages and their malloc header in the 10,880-byte size class, 256
+	// 64-byte windows — and the page table comes off the spare list the
+	// free left it on.
+	ops = append(ops, physMemOp{"WriteFrames/256", 2, 10880 + 256*64, func(tb testing.TB) func() error {
+		pm := NewPhysMem(16 * GiB)
+		rs := []FrameRange{{Start: 4 * FramesPer2M, Count: 256}}
+		rec := make([]byte, 64)
+		for k := range rec {
+			rec[k] = byte(k + 1)
+		}
+		ws := make([]FrameWrite, 256)
+		for k := range ws {
+			ws[k] = FrameWrite{Index: uint64(k), Off: 1 + k*15, Data: rec}
+		}
+		return func() error {
+			if err := pm.ClaimRanges(rs, OwnerGuest, 1); err != nil {
+				return err
+			}
+			if n, err := pm.WriteFrames(rs, ws); err != nil || n != len(ws) {
+				return fmt.Errorf("wrote %d of %d: %v", n, len(ws), err)
+			}
+			return pm.FreeRanges(rs)
+		}
+	}})
 	return ops
 }
 
@@ -327,7 +359,7 @@ var raceEnabled bool
 // TestPhysMemAllocBudgets: in steady state the range operations allocate
 // their result and nothing per frame, chunk or run: AllocRanges its
 // ranges, a wipe the resident set it reallocates, ForEachTouched the hit
-// list of the one written extent, a retag nothing, the fragmented guests'
+// list of the working set, a bulk write its two slabs, a retag nothing, the fragmented guests'
 // 32,768 runs included. AllocsPerRun's warm-up call absorbs the first
 // call's page tables and run-list growth. A row with a byte budget is
 // pinned in heap bytes per call too.

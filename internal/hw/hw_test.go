@@ -865,7 +865,8 @@ func TestConcurrentDisjointRanges(t *testing.T) {
 				return 0, err
 			}
 			var viaVisit uint64
-			err := pm.ForEachTouched(start, span, func(m MFN, _ int, data []byte) error {
+			err := pm.ForEachTouched([]FrameRange{{Start: start, Count: span}}, func(i uint64, _ int, data []byte) error {
+				m := start + MFN(i)
 				viaVisit += crc64.Checksum(data, CRCTable) * checksumKey(uint64(m))
 				return pm.ReadInto(m, 0, page)
 			})
@@ -978,7 +979,7 @@ func TestPageWindowContract(t *testing.T) {
 	// offset, length (-1 if the frame is untouched) and first byte.
 	window := func(m MFN) (off, n int, at *byte) {
 		n = -1
-		err := pm.ForEachTouched(m, 1, func(_ MFN, o int, data []byte) error {
+		err := pm.ForEachTouched([]FrameRange{{Start: m, Count: 1}}, func(_ uint64, o int, data []byte) error {
 			off, n = o, len(data)
 			if len(data) > 0 {
 				at = &data[0]

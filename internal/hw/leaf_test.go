@@ -135,7 +135,8 @@ func TestLeafBoundary(t *testing.T) {
 		}},
 		{"ForEachTouched", nil, func(pm *PhysMem) error {
 			var seen []MFN
-			err := pm.ForEachTouched(leafB-100, 300, func(m MFN, off int, data []byte) error {
+			err := pm.ForEachTouched([]FrameRange{{Start: leafB - 100, Count: 300}}, func(i uint64, off int, data []byte) error {
+				m := leafB - 100 + MFN(i)
 				if off != 0 || len(data) != PageSize4K || data[0] != byte(m-leafB+2) {
 					return fmt.Errorf("frame %#x window [%d,+%d) holds %d", uint64(m), off, len(data), data[0])
 				}

@@ -166,6 +166,47 @@ func (r *refMem) write(m, off int, data []byte) bool {
 	return true
 }
 
+// frameAt maps index i within the runs rs to its frame, -1 past them.
+func frameAt(rs []FrameRange, i int) int {
+	for _, r := range rs {
+		if i < int(r.Count) {
+			return int(r.Start) + i
+		}
+		i -= int(r.Count)
+	}
+	return -1
+}
+
+// writeFrames applies ws to the frames of rs as WriteFrames must: frame
+// by frame, stopping at the first write outside its frame, past rs or to
+// a free frame; it returns how many it applied.
+func (r *refMem) writeFrames(rs []FrameRange, ws []FrameWrite) int {
+	for k, w := range ws {
+		m := frameAt(rs, int(w.Index))
+		if w.Off < 0 || w.Off+len(w.Data) > PageSize4K || m < 0 || !r.write(m, w.Off, w.Data) {
+			return k
+		}
+	}
+	return len(ws)
+}
+
+// touched lists, in order, the index within rs and frame of every written
+// frame of rs; false when rs holds a free frame or one past memory.
+func (r *refMem) touched(rs []FrameRange) (idx, frames []int, ok bool) {
+	i := 0
+	for _, run := range rs {
+		for m := int(run.Start); m < int(run.End()); m, i = m+1, i+1 {
+			if m >= len(r.owner) || r.owner[m] == OwnerFree {
+				return nil, nil, false
+			}
+			if r.data[m] != nil {
+				idx, frames = append(idx, i), append(frames, m)
+			}
+		}
+	}
+	return idx, frames, true
+}
+
 // fill lays img into the frames of rs in order, a frame per page from
 // offset 0: every frame allocated and untouched, and rs holding img.
 func (r *refMem) fill(rs []FrameRange, img []byte) bool {
@@ -488,7 +529,8 @@ func modelCheckRanges(pm *PhysMem, ref *refMem) error {
 				return fmt.Errorf("ChecksumRange [%d,+%d) = %#x, %v; reference %#x", lo, n, got, err, want)
 			}
 			var visited []MFN
-			err := pm.ForEachTouched(MFN(lo), uint64(n), func(m MFN, off int, data []byte) error {
+			err := pm.ForEachTouched([]FrameRange{{Start: MFN(lo), Count: uint64(n)}}, func(i uint64, off int, data []byte) error {
+				m := MFN(lo) + MFN(i)
 				// data is the written window at off, in a zero frame.
 				if off < 0 || off+len(data) > PageSize4K {
 					return fmt.Errorf("frame %d window [%d,+%d) outside the frame", m, off, len(data))
@@ -509,7 +551,7 @@ func modelCheckRanges(pm *PhysMem, ref *refMem) error {
 		if _, err := pm.ChecksumRange(MFN(start), uint64(end-start+1), 0); err == nil {
 			return fmt.Errorf("ChecksumRange [%d,+%d) over a free frame succeeded", start, end-start+1)
 		}
-		if err := pm.ForEachTouched(MFN(start), uint64(end-start+1), func(MFN, int, []byte) error { return nil }); err == nil {
+		if err := pm.ForEachTouched([]FrameRange{{Start: MFN(start), Count: uint64(end - start + 1)}}, func(uint64, int, []byte) error { return nil }); err == nil {
 			return fmt.Errorf("ForEachTouched [%d,+%d) over a free frame succeeded", start, end-start+1)
 		}
 		start = end
@@ -532,7 +574,7 @@ func modelRun(ops []byte, dedup bool) error {
 		count := 1 + (b*c)%(3*chunkFrames/2)
 		var desc string
 		var got, want any
-		op := ops[0] % 19
+		op := ops[0] % modelOps
 		switch op {
 		case 0:
 			rs, err := pm.AllocRanges(count, owner, vm)
@@ -758,6 +800,28 @@ func modelRun(ops []byte, dedup bool) error {
 			if err != nil && pm.next != next {
 				return fmt.Errorf("step %d: failed %s moved the cursor from %d to %d", step, desc, next, pm.next)
 			}
+		case 19:
+			rs := modelRuns(frame, a, b, c)
+			var idx []int
+			var visited []int
+			err := pm.ForEachTouched(rs, func(i uint64, off int, data []byte) error {
+				m := frameAt(rs, int(i))
+				frame := make([]byte, PageSize4K)
+				copy(frame[off:], data)
+				if m < 0 || !bytes.Equal(frame, ref.data[m]) {
+					return fmt.Errorf("index %d (frame %d) contents differ (window [%d,+%d))", i, m, off, len(data))
+				}
+				idx, visited = append(idx, int(i)), append(visited, m)
+				return nil
+			})
+			wantIdx, wantFrames, ok := ref.touched(rs)
+			desc, got, want = fmt.Sprintf("ForEachTouched(%v)", rs), fmt.Sprint(idx, visited, err == nil), fmt.Sprint(wantIdx, wantFrames, ok)
+		case 20:
+			rs := modelRuns(frame, a, b, c)
+			ws := modelWrites(rs, a, b, c)
+			n, err := pm.WriteFrames(rs, ws)
+			wantN := ref.writeFrames(rs, ws)
+			desc, got, want = fmt.Sprintf("WriteFrames(%v, %d writes)", rs, len(ws)), fmt.Sprint(n, err == nil), fmt.Sprint(wantN, wantN == len(ws))
 		}
 		if got != want {
 			return fmt.Errorf("step %d: %s = %v, reference %v", step, desc, got, want)
@@ -770,6 +834,51 @@ func modelRun(ops []byte, dedup bool) error {
 		}
 	}
 	return nil
+}
+
+// modelOps is the opcode count modelRun decodes: op is the first byte of
+// each step modulo it.
+const modelOps = 21
+
+// modelRuns is one to three runs from a step's arguments — unsorted,
+// possibly overlapping, possibly reaching free frames or past memory —
+// for the run-wise walk and the bulk write.
+func modelRuns(frame, a, b, c int) []FrameRange {
+	rs := []FrameRange{{Start: MFN(frame), Count: uint64(1 + (b*c)%(3*chunkFrames/2))}}
+	if c%3 >= 1 {
+		rs = append(rs, FrameRange{Start: MFN(a * 5), Count: uint64(1 + c)})
+	}
+	if c%3 == 2 {
+		rs = append(rs, FrameRange{Start: MFN(b * 6), Count: uint64(1 + a)})
+	}
+	return rs
+}
+
+// modelWrites is a bulk write of one to eight writes into the runs rs:
+// their indexes climb from b and wrap, so some go past rs and some repeat
+// a frame; their payloads are Write's (step op 5): whole pages, short runs
+// at an offset and prefixes at offset 0 of a few distinct fillers, so
+// dedup finds identical pages; with c past 240, the last leaves its frame.
+func modelWrites(rs []FrameRange, a, b, c int) []FrameWrite {
+	total := int(CountFrames(rs))
+	ws := make([]FrameWrite, 1+c%8)
+	for k := range ws {
+		data := bytes.Repeat([]byte{byte((c + k) % 3)}, PageSize4K)
+		w := FrameWrite{Index: uint64((b + k*(1+a%5)) % (total + 2)), Data: data}
+		switch (a + k) % 4 {
+		case 1:
+			w.Off, w.Data = (b*8+k*40)%(PageSize4K-16), data[:16]
+		case 2:
+			w.Data = append(data[:1+k*20], make([]byte, b)...)
+		case 3:
+			w.Off, w.Data = PageSize4K/2+b*4, data[:16] // past a prefix: the page regrows
+		}
+		ws[k] = w
+	}
+	if c > 240 {
+		ws[len(ws)-1].Off = PageSize4K - 8
+	}
+	return ws
 }
 
 // TestPhysMemMatchesModel drives random operation sequences through
@@ -854,6 +963,30 @@ func physMemOpsSeeds() [][]byte {
 		// after a wipe of everything, all three chunks as one run.
 		{2, 2, 88, 0, 18, 0, 2, 1, 0, 0, 9, 7, 18, 0, 0, 1, 18, 0, 0, 2,
 			6, 0, 0, 0, 18, 0, 2, 5},
+		// By runs: two huge pages and writes into both; a walk of one run,
+		// and of one reaching the free frames past the pages (refused); a
+		// bulk write, and one whose second index is past its runs (it
+		// stops there); under dedup a bulk write of identical pages over
+		// written and regrown ones, and one whose last write leaves its
+		// frame, each walked after; then a capture, a bulk write over it,
+		// and a wipe.
+		{1, 0, 0, 1, 1, 0, 0, 2, 5, 0, 10, 3, 5, 2, 10, 3, 19, 0, 2, 3, 19, 3, 232, 5,
+			20, 0, 7, 4, 20, 2, 7, 1, 19, 0, 0, 0, 7, 0, 0, 0, 20, 3, 12, 9, 19, 0, 10, 6,
+			20, 1, 9, 250, 19, 0, 9, 0, 9, 0, 10, 0, 20, 0, 10, 6, 11, 0, 0, 0, 6, 0, 0, 0},
+	}
+}
+
+// TestOpModulusKeepsCheckedInSeeds: the walk and bulk-write ops widened
+// the opcode modulus from 19 to 21; every step of every seed checked in
+// before them decodes to the op it did under 19.
+func TestOpModulusKeepsCheckedInSeeds(t *testing.T) {
+	seeds := physMemOpsSeeds()
+	for i, ops := range seeds[:len(seeds)-1] {
+		for step := 0; 4*step+4 <= len(ops) && step < 96; step++ {
+			if op := ops[4*step]; op%19 != op%modelOps {
+				t.Errorf("seed-%02d step %d: opcode %d decodes to %d, was %d", i, step, op, op%modelOps, op%19)
+			}
+		}
 	}
 }
 

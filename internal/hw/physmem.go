@@ -279,8 +279,10 @@ func (pm *PhysMem) releaseIfDrained(li int) {
 // call and belong in sequential stages, so frame assignment stays
 // deterministic. Content access (Write, ReadInto, Checksum and the range
 // visitors ForEachTouched and ChecksumRange) takes the lock once per call
-// — once per range, not per frame — and copies and hashes page payloads
-// outside it, so concurrent calls must target *distinct* frames.
+// — once per set of runs, not per frame — and copies and hashes page
+// payloads outside it, so concurrent calls must target *distinct* frames.
+// The bulk write WriteFrames copies and hashes under its one hold of the
+// lock: its payloads are a working set's records or a copy's pages.
 type PhysMem struct {
 	mu          sync.Mutex
 	totalFrames uint64
@@ -813,8 +815,8 @@ func (e *accessError) Error() string {
 // copy-on-write before mutation and the result is re-interned, so
 // sharing never changes what a frame reads back.
 func (pm *PhysMem) Write(m MFN, off int, data []byte) error {
-	if off < 0 || off+len(data) > PageSize4K {
-		return fmt.Errorf("hw: write [%d, %d) outside frame", off, off+len(data))
+	if err := checkWindow(off, data); err != nil {
+		return err
 	}
 	pm.mu.Lock()
 	l, k, i, err := pm.slot(m, "write to")
@@ -822,21 +824,58 @@ func (pm *PhysMem) Write(m MFN, off int, data []byte) error {
 		pm.mu.Unlock()
 		return err
 	}
-	t := pm.table(l, k)
+	p, lo := pm.writable(pm.table(l, k), i, off, data, nil)
+	dedup := pm.dedup
+	pm.mu.Unlock()
+	copy(p.buf[off-lo:], data) // what a trimmed window leaves out is zeros
+	if dedup {
+		h := pageSum(p)
+		pm.mu.Lock()
+		pm.internPage(l.pages[k], i, p, h)
+		pm.mu.Unlock()
+	}
+	return nil
+}
+
+// checkWindow fails a write of data at off that leaves the frame.
+func checkWindow(off int, data []byte) error {
+	if off < 0 || off+len(data) > PageSize4K {
+		return fmt.Errorf("hw: write [%d, %d) outside frame", off, off+len(data))
+	}
+	return nil
+}
+
+// freshWindow is the window [lo, lo+size) a first write of data at off
+// gives its page: the prefix up to its last non-zero quantum from offset
+// 0, or the data less its trailing zero quanta.
+func freshWindow(off int, data []byte) (lo, size int) {
+	if off == 0 {
+		return 0, prefixLen(data)
+	}
+	return off, min(prefixLen(data), len(data))
+}
+
+// writable readies slot i of page table t for a write of data at off,
+// under the window rules: a fresh page gets freshWindow, a write inside
+// the window keeps it, any other regrows the page to the whole frame; a
+// shared page is unshared copy-on-write and an interned one deregistered
+// first. It returns the page, its checksum invalidated, and its window's
+// offset lo: the caller copies data to p.buf[off-lo:]. A fresh page comes
+// from s, or from the heap when s is nil or spent. pm.mu held.
+func (pm *PhysMem) writable(t *pageTable, i uint64, off int, data []byte, s *slabs) (*page, int) {
 	p := t.slot[i]
 	// [lo, lo+size) is the window the page must hold after this write.
 	lo, size := 0, PageSize4K
 	switch {
-	case p == nil && off == 0:
-		size = prefixLen(data)
 	case p == nil:
-		lo, size = off, min(prefixLen(data), len(data))
+		lo, size = freshWindow(off, data)
 	case off >= int(p.lo) && off+len(data) <= p.hi():
 		lo, size = int(p.lo), len(p.buf)
 	}
 	switch {
 	case p == nil:
-		p = &page{buf: make([]byte, size), lo: uint16(lo), refs: 1}
+		p = s.page(size)
+		p.lo, p.refs = uint16(lo), 1
 		t.slot[i] = p
 		t.n++
 	case p.refs > 1:
@@ -858,16 +897,128 @@ func (pm *PhysMem) Write(m MFN, off int, data []byte) error {
 		}
 	}
 	p.summed = false
-	dedup := pm.dedup
-	pm.mu.Unlock()
-	copy(p.buf[off-lo:], data) // what a trimmed window leaves out is zeros
-	if dedup {
-		h := pageSum(p)
-		pm.mu.Lock()
-		pm.internPage(l.pages[k], i, p, h)
-		pm.mu.Unlock()
+	return p, lo
+}
+
+// slabs are the fresh pages of one bulk write and their windows, carved
+// in order from one allocation each. Only windows under a prefix quantum
+// — a record's — come from the window slab: one of a quantum or more, as
+// a first write at offset 0 makes, is a size class of its own, and taking
+// it from the slab would push the slab into the next class up.
+type slabs struct {
+	pages []page
+	bytes []byte
+}
+
+// slabbed reports whether a fresh window of size bytes comes from the
+// window slab.
+func slabbed(size int) bool { return size < prefixQuantum }
+
+// page returns a fresh page with a size-byte window, carved from s, or
+// from the heap when s is nil. WriteFrames's sizing pass counts every
+// fresh page and slabbed window its apply pass takes (a frame written
+// twice, twice), so s never runs out.
+func (s *slabs) page(size int) *page {
+	if s == nil {
+		return &page{buf: make([]byte, size)}
 	}
-	return nil
+	p := &s.pages[0]
+	s.pages = s.pages[1:]
+	if slabbed(size) {
+		p.buf, s.bytes = s.bytes[:size:size], s.bytes[size:]
+	} else {
+		p.buf = make([]byte, size)
+	}
+	return p
+}
+
+// FrameWrite is one write of a bulk write: Data at byte Off of the frame
+// at index Index of the runs written, the frames of the runs counted in
+// order.
+type FrameWrite struct {
+	Index uint64
+	Off   int
+	Data  []byte
+}
+
+// runCursor maps an index within runs to its frame, stepping forward from
+// the run the last index it mapped fell in: indexes in order cost
+// O(runs + indexes) in all.
+type runCursor struct {
+	rs   []FrameRange
+	r    int    // the run the last index fell in
+	base uint64 // the index of run r's first frame
+}
+
+func (c *runCursor) frame(i uint64) (MFN, bool) {
+	if i < c.base {
+		c.r, c.base = 0, 0
+	}
+	for ; c.r < len(c.rs); c.r++ {
+		if i-c.base < c.rs[c.r].Count {
+			return c.rs[c.r].Start + MFN(i-c.base), true
+		}
+		c.base += c.rs[c.r].Count
+	}
+	return 0, false
+}
+
+// target resolves write w into the runs of c to its frame's leaf, the
+// chunk holding it and its index in the chunk. pm.mu held.
+func (pm *PhysMem) target(c *runCursor, w FrameWrite) (*leaf, int, uint64, error) {
+	if err := checkWindow(w.Off, w.Data); err != nil {
+		return nil, 0, 0, err
+	}
+	m, ok := c.frame(w.Index)
+	if !ok {
+		return nil, 0, 0, fmt.Errorf("hw: write to frame %d of runs of %d frames", w.Index, CountFrames(c.rs))
+	}
+	return pm.slot(m, "write to")
+}
+
+// WriteFrames applies ws, in order, to the frames of the runs rs, with
+// the outcome of one Write per element — the same window, regrow,
+// copy-on-write and dedup rules — in one hold of the lock: a sizing pass
+// counts the fresh pages and their windows, which are then carved from
+// one allocation each (see slabs), and an apply pass copies each payload (and, under
+// dedup, hashes each page) there. Indexes in order cost O(runs) to
+// resolve in all. It returns how many writes it applied: all of them, or
+// those before the first that fails — a write outside its frame, past rs
+// or to an unallocated frame — whose error it returns. A payload may be
+// one ForEachTouched handed out, of this machine or another.
+func (pm *PhysMem) WriteFrames(rs []FrameRange, ws []FrameWrite) (int, error) {
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	n, pages, bytes := len(ws), 0, 0
+	var err error
+	c := runCursor{rs: rs}
+	for k, w := range ws {
+		l, ck, i, werr := pm.target(&c, w)
+		if werr != nil {
+			n, err = k, werr
+			break
+		}
+		if l.pages[ck].page(i) == nil {
+			pages++
+			if _, size := freshWindow(w.Off, w.Data); slabbed(size) {
+				bytes += size
+			}
+		}
+	}
+	var s slabs
+	if pages > 0 {
+		s = slabs{make([]page, pages), make([]byte, bytes)}
+	}
+	for _, w := range ws[:n] {
+		l, ck, i, _ := pm.target(&c, w)
+		t := pm.table(l, ck)
+		p, lo := pm.writable(t, i, w.Off, w.Data, &s)
+		copy(p.buf[w.Off-lo:], w.Data)
+		if pm.dedup {
+			pm.internPage(t, i, p, pageSum(p))
+		}
+	}
+	return n, err
 }
 
 // table returns chunk k of leaf l's page table, giving the chunk one off
@@ -1221,43 +1372,81 @@ func (pm *PhysMem) eachAllocated(start MFN, count uint64, op string, fn func(par
 	return nil
 }
 
-// ForEachTouched calls fn, in frame order, for every frame of the
-// allocated run [start, start+count) that has ever been written
-// (untouched frames are logically zero and need no migration traffic).
-// The lock is taken once for the whole run and chunks that were never
-// written are skipped in O(1); fn runs outside it. data is the frame's
-// live backing store: fn must not modify it or keep it past the call. It
-// is the frame's written window, bytes [off, off+len(data)): the bytes
-// around it are zero, and a consumer that wants the whole frame adds them.
-func (pm *PhysMem) ForEachTouched(start MFN, count uint64, fn func(m MFN, off int, data []byte) error) error {
+// ForEachTouched calls fn, in order, for every frame of the allocated
+// runs rs that has ever been written (untouched frames are logically zero
+// and need no migration traffic), with the frame's index within rs, the
+// frames of the runs counted in order. The lock is taken once for all the
+// runs; only written chunks are visited, through each leaf's written
+// bitmap (counted in Work().Chunks), so a walk costs O(runs + written
+// chunks + frames visited) whatever the runs' size. The visits are listed
+// under the lock, in storage sized from the page tables' counts, and fn
+// runs outside it. A frame of rs that is not allocated fails the walk
+// before fn is called. data is the frame's written window, bytes [off,
+// off+len(data)): the bytes around it are zero, and a consumer that wants
+// the whole frame adds them. It is the live backing store: fn must not
+// modify it, and it holds the frame's contents until the frame is next
+// written or freed.
+func (pm *PhysMem) ForEachTouched(rs []FrameRange, fn func(i uint64, off int, data []byte) error) error {
 	type touched struct {
-		m MFN
+		i uint64
 		p *page
 	}
-	var hits []touched
 	pm.mu.Lock()
-	err := pm.eachAllocated(start, count, "read from", func(p part) {
-		t := p.table()
-		if t == nil {
+	for _, r := range rs {
+		if m, ok := pm.untilFree(r.Start, r.Count, nil); !ok {
+			pm.mu.Unlock()
+			return &accessError{"read from", m}
+		}
+	}
+	n := 0
+	pm.eachWritten(rs, func(_ uint64, t *pageTable, lo, hi uint64) {
+		if hi-lo == chunkFrames {
+			n += int(t.n)
 			return
 		}
-		hits = slices.Grow(hits, int(min(uint64(t.n), p.hi-p.lo)))
-		for i := p.lo; i < p.hi; i++ {
-			if pg := t.slot[i]; pg != nil {
-				hits = append(hits, touched{p.base + MFN(i), pg})
+		for s := lo; s < hi; s++ {
+			if t.slot[s] != nil {
+				n++
+			}
+		}
+	})
+	hits := make([]touched, 0, n)
+	pm.eachWritten(rs, func(i uint64, t *pageTable, lo, hi uint64) {
+		pm.work.Chunks++
+		for s := lo; s < hi; s++ {
+			if p := t.slot[s]; p != nil {
+				hits = append(hits, touched{i + s - lo, p})
 			}
 		}
 	})
 	pm.mu.Unlock()
-	if err != nil {
-		return err
-	}
 	for _, h := range hits {
-		if err := fn(h.m, int(h.p.lo), h.p.buf); err != nil {
+		if err := fn(h.i, int(h.p.lo), h.p.buf); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// eachWritten calls fn, in order, for the overlap of each run of rs, all
+// allocated, with each written chunk: slots [lo, hi) of the chunk's page
+// table t, slot lo at index i within rs. Chunks never written are skipped
+// through their leaf's bitmap. pm.mu held.
+func (pm *PhysMem) eachWritten(rs []FrameRange, fn func(i uint64, t *pageTable, lo, hi uint64)) {
+	var base uint64 // the index of the run's first frame
+	for _, r := range rs {
+		for f, end := uint64(r.Start), uint64(r.End()); f < end; {
+			li, lo, hi := leafSpan(f, end)
+			l := pm.dir[li]
+			for k := l.nextWritten(int(lo / chunkFrames)); k < leafChunks && uint32(k)*chunkFrames < hi; k = l.nextWritten(k + 1) {
+				first := uint32(k) * chunkFrames
+				s, e := max(lo, first), min(hi, first+chunkFrames)
+				fn(base+uint64(li)*leafFrames+uint64(s)-uint64(r.Start), l.pages[k], uint64(s-first), uint64(e-first))
+			}
+			f += uint64(hi - lo)
+		}
+		base += r.Count
+	}
 }
 
 // checksumKey is the weight of guest frame g's page checksum in a

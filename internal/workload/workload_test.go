@@ -232,6 +232,17 @@ func (m *driverMem) WritePage(gfn hw.GFN, off int, data []byte) error {
 	return nil
 }
 
+// WriteRecords writes the records one WritePage each.
+func (m *driverMem) WriteRecords(lo, hi hw.GFN, size int, fill func(hw.GFN, []byte) int) (int, error) {
+	rec := make([]byte, size)
+	for gfn := lo; gfn < hi; gfn++ {
+		if err := m.WritePage(gfn, fill(gfn, rec), rec); err != nil {
+			return int(gfn - lo), err
+		}
+	}
+	return int(hi - lo), nil
+}
+
 func (m *driverMem) ReadPage(gfn hw.GFN, off int, dst []byte) error {
 	clear(dst)
 	if p, ok := m.pages[gfn]; ok {

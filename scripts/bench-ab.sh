@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
-# bench-ab.sh PARENT WORKLOAD [PAIRS [SECONDS]]
+# bench-ab.sh PARENT WORKLOAD [PAIRS [SECONDS [SEED]]]
 #
 # Compares the working tree with commit PARENT on one benchmark workload:
 # bench/run.sh runs PAIRS times on each side (default 10), alternating and
 # flipping which side goes first every pair, each run measuring SECONDS
 # (default 20; 0 runs each workload's fixed pass count, where byte and
 # allocation metrics do not depend on how many ops a side completes) at
-# the benchmark's default seed. For every end-to-end metric
+# seed SEED, passed to both sides as --seed. Without SEED the runs use the
+# benchmark's default seed, the one whose sim_digest it checks; another
+# seed rechecks a claim on inputs it was not tuned on. For every end-to-end metric
 # BENCHMARK.json declares it prints the median and quartiles of each side,
 # how many pairs the working tree won, and a verdict against the metric's
 # bound:
@@ -19,11 +21,12 @@
 # where its run.sh builds too, so the checkout's git state is untouched;
 # each run's result line is kept there beside the others of the batch.
 set -euo pipefail
-usage="usage: bench-ab.sh PARENT WORKLOAD [PAIRS [SECONDS]]"
+usage="usage: bench-ab.sh PARENT WORKLOAD [PAIRS [SECONDS [SEED]]]"
 parent=${1:?$usage}
 workload=${2:?$usage}
 pairs=${3:-10}
 seconds=${4:-20}
+seed=(${5:+--seed "$5"})
 root=$(git rev-parse --show-toplevel)
 sha=$(git -C "$root" rev-parse --verify "$parent^{commit}")
 tree="$root/.bench_build/ab/$sha"
@@ -38,10 +41,10 @@ mkdir -p "$out"
 run() { # side pair
 	local dir=$root
 	[ "$1" = parent ] && dir=$tree
-	bash "$dir/bench/run.sh" --workload "$workload" --seconds "$seconds" --trace 0 2>/dev/null |
+	bash "$dir/bench/run.sh" --workload "$workload" --seconds "$seconds" "${seed[@]}" --trace 0 2>/dev/null |
 		tail -n 1 >"$out/$1-$2.json"
 }
-echo "bench-ab: $workload, $pairs pairs of ${seconds}s, parent ${sha:0:12} against the working tree, nproc $(nproc)"
+echo "bench-ab: $workload, $pairs pairs of ${seconds}s, seed ${5:-default}, parent ${sha:0:12} against the working tree, nproc $(nproc)"
 for i in $(seq -w 1 "$pairs"); do
 	if ((10#$i % 2)); then run parent "$i"; run change "$i"; else run change "$i"; run parent "$i"; fi
 	echo "pair $i done" >&2
